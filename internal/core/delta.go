@@ -67,10 +67,22 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 		}
 	}
 	sort.Ints(valDirty)
-	d.Adj = sparse.NormalizedAdjacencyPatch(adj, d.Model.Gamma, d.Adj,
+	d.PatchAdjacency(valDirty)
+}
+
+// PatchAdjacency re-derives the normalized adjacency after the serving graph
+// absorbed a delta: the rows listed in valDirty (ascending) are recomputed
+// from the graph and the stationary state's looped degrees, every other row
+// is carried over bitwise (sparse.NormalizedAdjacencyPatch spells out what
+// valDirty must contain). The hop-1 memo drops exactly the recomputed rows,
+// and the relaxed-tier mirrors — lowered views of Adj and Features — are
+// re-derived (a no-op at the f64 tier). RefreshIncremental ends here; a shard
+// worker, whose degrees and dirty rows come from its router, calls it
+// directly. Must not run concurrently with Infer.
+func (d *Deployment) PatchAdjacency(valDirty []int) {
+	d.Adj = sparse.NormalizedAdjacencyPatch(d.Graph.Adj, d.Model.Gamma, d.Adj,
 		d.stationary.LoopedDeg, valDirty)
-	// Relaxed-tier mirrors are lowered views of Adj/Features; re-derive
-	// them so they track the patched values (no-op at the f64 tier).
+	d.memo.invalidate(valDirty)
 	d.RefreshPrecision()
 }
 

@@ -143,9 +143,12 @@ func (r *Result) merge(o *Result) {
 // Deployment is a model served against a full graph (which now includes
 // the unseen test nodes). It owns the normalized adjacency and the cached
 // stationary state, computed once at construction (and on Refresh) instead
-// of per batch. The deployment is read-only after construction: all
-// per-request state lives in pooled scratch, so Infer is safe for
-// concurrent callers.
+// of per batch. All per-request state lives in pooled scratch and the cached
+// state is read-only during inference, so Infer is safe for concurrent
+// callers; the one thing Infer writes on the deployment is its hop-1 memo
+// (the X^(1) rows of the top-degree nodes, 0.5 % of Adj's bytes), through
+// lock-free publish-once slots that deltas empty row by row and Refresh
+// re-selects — answers and MACs are bit-identical with or without it.
 type Deployment struct {
 	Model *Model
 	Graph *graph.Graph
@@ -178,6 +181,11 @@ type Deployment struct {
 	prec    kernel.Precision
 	relaxed *relaxedState
 
+	// memo holds the hop-1 rows of the top-degree nodes (memo.go): filled
+	// lazily by Infer through atomic publish-once slots, emptied row by row
+	// as deltas recompute Â, re-selected by Refresh. f64 tier only.
+	memo hop1Memo
+
 	scratch sync.Pool // *inferScratch
 }
 
@@ -206,6 +214,7 @@ func (d *Deployment) Refresh() {
 	}
 	d.Adj = sparse.NormalizedAdjacency(d.Graph.Adj, d.Model.Gamma)
 	d.stationary = ComputeStationary(d.Graph.Adj, d.Graph.Features, d.Model.Gamma)
+	d.memo.reset(d.Adj, d.Graph.F(), memoBudget(d.Adj))
 	d.RefreshPrecision()
 	// A full rebuild means the caller mutated the graph arbitrarily behind
 	// the deployment's back: bump the version and drop every cached answer
@@ -220,9 +229,9 @@ func (d *Deployment) Refresh() {
 func (d *Deployment) Stationary() *Stationary { return d.stationary }
 
 // inferScratch is the per-request mutable state of Algorithm 1. Pooling it
-// keeps Deployment read-only (concurrency) and keeps the propagation
-// buffers, the O(n) BFS/remap buffers and the gathered-row matrices out of
-// the per-batch allocation churn (zero-recompute serving).
+// keeps Deployment's cached state read-only (concurrency) and keeps the
+// propagation buffers, the O(n) BFS/remap buffers and the gathered-row
+// matrices out of the per-batch allocation churn (zero-recompute serving).
 //
 // Memory note: propagation runs in compacted coordinates, so each scratch
 // holds TMax buffers of supporting-set height — O(TMax·|S|·f), where |S| is
@@ -254,6 +263,10 @@ type inferScratch struct {
 	localRows []int
 	// tloc[i] is the local index of targets[i] in S.
 	tloc []int
+	// missRows/missOut list the hop-1 rows the memo did not serve and their
+	// compact output rows; fill pairs (memo slot, compact row) for those of
+	// them the memo wants back.
+	missRows, missOut, fill []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
 
@@ -310,6 +323,7 @@ func (sc *inferScratch) ensureLocal(tmax, s, f int) []*mat.Matrix {
 func (sc *inferScratch) bytes() int {
 	return cap(sc.slab)*8 + cap(sc.toLocal)*4 + cap(sc.visited) + cap(sc.rm) +
 		(cap(sc.sub.RowPtr)+cap(sc.sub.Col)+cap(sc.localRows)+cap(sc.tloc))*8 +
+		(cap(sc.missRows)+cap(sc.missOut)+cap(sc.fill))*8 +
 		cap(sc.sub.Val)*8 + cap(sc.arena.buf)*8 +
 		(cap(sc.slab32)+cap(sc.sub32)+cap(sc.acc32))*4 + cap(sc.x8) + cap(sc.sub8) +
 		(cap(sc.prevRows)+cap(sc.bulkRows))*8 + cap(sc.isT)
@@ -546,8 +560,9 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 		fpAt := tr.Begin()
 		if l == 1 {
 			// Hop 1 reads the full-graph feature matrix: rows is exactly S,
-			// so compact output row k is local node k.
-			res.MACs.Propagation += d.Adj.MulDenseRowsCompact(rows, g.Features, locals[1])
+			// so compact output row k is local node k. Hub rows the memo
+			// holds are copied, the rest computed (memo.go).
+			res.MACs.Propagation += d.propagateHop1(rows, locals[1], sc)
 		} else {
 			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
 			res.MACs.Propagation += sc.sub.MulDenseRows(sc.localRows, locals[l-1], locals[l])

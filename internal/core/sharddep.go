@@ -34,7 +34,9 @@ func NewDeploymentWithState(m *Model, g *graph.Graph, adj *sparse.CSR, st *Stati
 	if len(st.LoopedDeg) < g.N() {
 		return nil, fmt.Errorf("core: stationary view covers %d of %d nodes", len(st.LoopedDeg), g.N())
 	}
-	return &Deployment{Model: m, Graph: g, Adj: adj, stationary: st, externalState: true}, nil
+	d := &Deployment{Model: m, Graph: g, Adj: adj, stationary: st, externalState: true}
+	d.memo.reset(adj, g.F(), memoBudget(adj))
+	return d, nil
 }
 
 // NumNodes reports the serving graph's node count (part of the

@@ -76,30 +76,50 @@ func ForWeighted(n, work, total int, weight func(i int) int, fn func(lo, hi int)
 			total += weight(i)
 		}
 	}
+	var wg sync.WaitGroup
+	splitWeighted(n, workers, total, weight, func(lo, hi int) {
+		if hi == n {
+			// The final chunk runs inline: the calling goroutine would
+			// otherwise just block in Wait.
+			fn(lo, hi)
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, hi)
+		}()
+	})
+	wg.Wait()
+}
+
+// splitWeighted cuts [0, n) into contiguous non-empty chunks for the given
+// worker count and calls emit on each, in order. The target chunk weight is
+// ⌈total/workers⌉. A chunk is closed once it reaches the target, and also
+// *before* an item that would push a non-empty chunk past it — so a heavy
+// item never drags the light items ahead of it into its chunk, and no chunk
+// weighs more than max(target, heaviest item). Closing early can yield a few
+// more chunks than workers (fewer than 2·workers+1); they are goroutines, not
+// threads, so the surplus only evens the load.
+func splitWeighted(n, workers, total int, weight func(i int) int, emit func(lo, hi int)) {
 	target := (total + workers - 1) / workers
 	if target < 1 {
 		target = 1
 	}
-	var wg sync.WaitGroup
 	lo, acc := 0, 0
 	for i := 0; i < n; i++ {
-		acc += weight(i)
-		if acc >= target || i == n-1 {
-			if i == n-1 {
-				// The final chunk runs inline: the calling goroutine
-				// would otherwise just block in Wait.
-				fn(lo, n)
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fn(lo, hi)
-			}(lo, i+1)
+		w := weight(i)
+		if acc > 0 && acc+w > target {
+			emit(lo, i)
+			lo, acc = i, 0
+		}
+		acc += w
+		if acc >= target && i < n-1 {
+			emit(lo, i+1)
 			lo, acc = i+1, 0
 		}
 	}
-	wg.Wait()
+	emit(lo, n)
 }
 
 func maxWorkers(n int) int {

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -86,5 +87,72 @@ func TestForWeightedBalancesSkew(t *testing.T) {
 	ForWeighted(n, 1<<20, -1, weight, func(lo, hi int) { atomic.AddInt32(&chunks, 1) })
 	if chunks < 2 {
 		t.Fatalf("skewed weights produced %d chunk(s)", chunks)
+	}
+}
+
+// TestSplitWeightedProperties checks the split itself over random weight
+// vectors and injected worker counts (so the property does not depend on the
+// host's GOMAXPROCS): chunks are non-empty, contiguous and cover [0, n)
+// exactly once; none weighs more than max(target, heaviest item); and work
+// that can be divided is divided — whenever the total exceeds what one chunk
+// may hold, there is more than one chunk.
+func TestSplitWeightedProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	shapes := []func(i, n int) int{
+		func(int, int) int { return rng.Intn(8) },       // light, zeros mixed in
+		func(int, int) int { return 1 + rng.Intn(3) },   // near-uniform
+		func(int, int) int { return rng.Intn(1 << 12) }, // wide
+		func(i, n int) int { // power law: a few hubs anywhere in the range
+			if rng.Intn(64) == 0 {
+				return 1 << (8 + rng.Intn(8))
+			}
+			return 1 + rng.Intn(4)
+		},
+		func(i, n int) int { // one trailing hub (the case the old split serialized)
+			if i == n-1 {
+				return 1 << 14
+			}
+			return 1
+		},
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(2000)
+		ws := make([]int, n)
+		total, heaviest := 0, 0
+		shape := shapes[trial%len(shapes)]
+		for i := range ws {
+			ws[i] = shape(i, n)
+			total += ws[i]
+			heaviest = max(heaviest, ws[i])
+		}
+		for workers := 1; workers <= 64; workers++ {
+			target := max((total+workers-1)/workers, 1)
+			limit := max(target, heaviest)
+			next, chunks := 0, 0
+			splitWeighted(n, workers, total, func(i int) int { return ws[i] }, func(lo, hi int) {
+				if lo != next || hi <= lo || hi > n {
+					t.Fatalf("n=%d workers=%d: chunk [%d,%d) after %d", n, workers, lo, hi, next)
+				}
+				sum := 0
+				for _, w := range ws[lo:hi] {
+					sum += w
+				}
+				if sum > limit {
+					t.Fatalf("n=%d workers=%d: chunk [%d,%d) weighs %d > max(target %d, item %d)",
+						n, workers, lo, hi, sum, target, heaviest)
+				}
+				next = hi
+				chunks++
+			})
+			if next != n {
+				t.Fatalf("n=%d workers=%d: chunks end at %d", n, workers, next)
+			}
+			if total > limit && chunks < 2 {
+				t.Fatalf("n=%d workers=%d: total %d > limit %d in one chunk", n, workers, total, limit)
+			}
+			if chunks > 2*workers+1 {
+				t.Fatalf("n=%d workers=%d: %d chunks", n, workers, chunks)
+			}
+		}
 	}
 }

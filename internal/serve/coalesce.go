@@ -263,17 +263,19 @@ func (c *coalescer) flush(batch []*pending) {
 	c.graphMu.RUnlock()
 	c.detector.ObserveFlush(time.Since(start))
 
+	// Count, then wake: a client that reads /stats right after its reply
+	// must find its own request in the totals.
+	if err == nil {
+		c.srv.stats.countFlush(len(live), total, res)
+	} else {
+		c.srv.stats.countFlushError(len(live), total)
+	}
 	for _, p := range live {
 		p.res, p.err = res, err
 		// Release before waking the caller: a closed-loop client that
 		// resubmits the instant it wakes must find its own slot free.
 		c.budget.Release(p.tenant, len(p.targets))
 		close(p.done)
-	}
-	if err == nil {
-		c.srv.stats.countFlush(len(live), total, res)
-	} else {
-		c.srv.stats.countFlushError(len(live), total)
 	}
 	c.detector.Update(c.budget.Pending(), c.budget.Capacity())
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -56,6 +57,13 @@ func (s *Server) registerGauges() {
 			defer s.co.graphMu.RUnlock()
 			return float64(s.backend.Version())
 		})
+
+	// The hop-1 memo lives in the engine, so its counters are this process's:
+	// a sharded front over remote workers reads zero here and each worker
+	// reports its own on its /metrics (shard.WorkerHandlerObs).
+	if hr, ok := s.backend.(interface{ Hop1Stats() core.Hop1Stats }); ok {
+		core.RegisterHop1Metrics(reg, hr.Hop1Stats)
+	}
 
 	if s.cached {
 		cacheGauge := func(name, help string, read func(cache.Stats) float64) {

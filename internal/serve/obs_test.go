@@ -160,6 +160,10 @@ func TestMetricsSurfaceDistributed(t *testing.T) {
 		"nai_graph_nodes",
 		`nai_requests_total{outcome="ok"} 1`,
 		`nai_stage_duration_seconds_bucket{stage="propagate",le="+Inf"}`,
+		`nai_hop1_rows_total{source="memo"}`,
+		`nai_hop1_rows_total{source="computed"}`,
+		"nai_hop1_memo_entries",
+		"nai_hop1_memo_invalidated_total 0",
 	} {
 		if !strings.Contains(wout, want) {
 			t.Fatalf("worker /metrics missing %q in:\n%s", want, wout)
@@ -213,6 +217,11 @@ func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 		`nai_requests_total{outcome="cached"} 1`,
 		`nai_requests_total{outcome="deadline"} 1`,
 		"nai_cache_hits 3",
+		// One engine call over three targets: their hop-1 rows were computed.
+		`nai_hop1_rows_total{source="memo"} 0`,
+		`nai_hop1_rows_total{source="computed"}`,
+		"nai_hop1_memo_entries",
+		"nai_hop1_memo_invalidated_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, out)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -459,11 +460,14 @@ func TestJitterInjection(t *testing.T) {
 	}
 	inj := chaos.New(shard.NewLocalTransport(workers), 7)
 
+	var mu sync.Mutex // Jitter is called from the router's per-shard goroutines
 	var caps []time.Duration
 	cfg := shard.TestFastRetry(p)
 	cfg.RetryBackoff = 4 * time.Millisecond
 	cfg.Jitter = func(max time.Duration) time.Duration {
+		mu.Lock()
 		caps = append(caps, max)
+		mu.Unlock()
 		return 0 // deterministic: never actually sleep
 	}
 	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), cfg, inj)
@@ -472,11 +476,20 @@ func TestJitterInjection(t *testing.T) {
 	}
 	defer rt.Close()
 
-	inj.FailNext(2) // absorbed by the Retries=2 budget of one shard call
-	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
-	if _, err := rt.Infer(ds.Split.Test, opt); err != nil {
+	// Targets owned by shard 0 only: the request is one shard call, so both
+	// injected faults land on its attempts however many cores run the test
+	// (with two shard calls in flight each could take one fault instead).
+	asg, err := shard.Partition(ds.Graph, p, cfg.Strategy)
+	if err != nil {
 		t.Fatal(err)
 	}
+	inj.FailNext(2) // absorbed by the Retries=2 budget of one shard call
+	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
+	if _, err := rt.Infer(asg.Owned[0], opt); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
 	if len(caps) != 2 || caps[0] != 4*time.Millisecond || caps[1] != 8*time.Millisecond {
 		t.Fatalf("jitter caps %v, want [4ms 8ms] (full jitter over a doubling cap)", caps)
 	}

@@ -129,6 +129,7 @@ func WorkerHandlerObs(w *Worker, o *obs.Obs) http.Handler {
 		o.Reg.GaugeFunc("nai_shard_id",
 			"The shard this worker serves.",
 			func() float64 { return float64(w.Health().ShardID) })
+		core.RegisterHop1Metrics(o.Reg, w.dep.Hop1Stats)
 		mux.Handle("/metrics", o.Reg.Handler())
 		mux.Handle("/debug/traces", o.Ring.Handler())
 	}

@@ -787,6 +787,19 @@ func (r *Router) localWorker(p int) *Worker {
 	return r.transport.(*LocalTransport).workers[p]
 }
 
+// Hop1Stats sums the hop-1 memo counters of the workers in this process
+// (serve exports them on /metrics). Remote workers are not asked: each
+// reports its own, so over an HTTP transport this is zero.
+func (r *Router) Hop1Stats() core.Hop1Stats {
+	var sum core.Hop1Stats
+	if lt, ok := r.transport.(*LocalTransport); ok {
+		for _, w := range lt.workers {
+			sum.Add(w.dep.Hop1Stats())
+		}
+	}
+	return sum
+}
+
 // NumNodes reports the global serving graph's node count.
 func (r *Router) NumNodes() int { return r.global.N() }
 

@@ -217,11 +217,10 @@ func (w *Worker) ApplyDelta(sd *ShardDelta) error {
 			valDirty = append(valDirty, lv)
 		}
 	}
-	w.dep.Adj = sparse.NormalizedAdjacencyPatch(lAdj, w.dep.Model.Gamma, w.dep.Adj, w.st.LoopedDeg, valDirty)
-	// Relaxed-tier mirrors are lowered views of the patched operands; the
-	// shard path bypasses Deployment.ApplyDelta, so re-derive them here
-	// (no-op at the f64 tier).
-	w.dep.RefreshPrecision()
+	// The shard path bypasses Deployment.ApplyDelta (the looped degrees
+	// above are the router's, not locally derivable), so the adjacency patch,
+	// hop-1 memo invalidation and mirror re-lowering are asked for here.
+	w.dep.PatchAdjacency(valDirty)
 	return nil
 }
 

@@ -215,7 +215,7 @@ func (a *CSR) MulDense(x *mat.Matrix) *mat.Matrix {
 	out := mat.New(a.Rows, x.Cols)
 	par.ForWeighted(a.Rows, a.NNZ()*x.Cols, a.NNZ(), a.RowNNZ, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			a.mulRowInto(out.Row(i), i, x)
+			gatherRow(out.Row(i), a, i, a.Val, x.Data, x.Cols, 0)
 		}
 	})
 	return out
@@ -228,13 +228,10 @@ func (a *CSR) MulDense(x *mat.Matrix) *mat.Matrix {
 // parallel over nnz-balanced chunks, so rows must not contain duplicates
 // (every caller passes deduplicated supporting sets).
 func (a *CSR) MulDenseRows(rows []int, x, out *mat.Matrix) int {
-	if x.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: MulDenseRows inner dims %d != %d", a.Cols, x.Rows))
-	}
-	if out.Rows != a.Rows || out.Cols != x.Cols {
+	if out.Rows != a.Rows {
 		panic("sparse: MulDenseRows out shape mismatch")
 	}
-	return a.mulDenseRowsBlocked(rows, x, out, par.ColBlock(x.Cols, 8), false)
+	return a.MulDenseRowsInto(rows, rows, x, out)
 }
 
 // MulDenseRowsCompact computes out[k] = (a·x)[rows[k]] for k = 0..len(rows)
@@ -252,26 +249,47 @@ func (a *CSR) MulDenseRows(rows []int, x, out *mat.Matrix) int {
 // row k the node with local id k. The engine relies on this to read hop-1
 // output through the same toLocal map that ExtractRowsInto's sub-CSR uses.
 func (a *CSR) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
-	if x.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: MulDenseRowsCompact inner dims %d != %d", a.Cols, x.Rows))
-	}
-	if out.Rows != len(rows) || out.Cols != x.Cols {
+	if out.Rows != len(rows) {
 		panic("sparse: MulDenseRowsCompact out shape mismatch")
 	}
-	return a.mulDenseRowsBlocked(rows, x, out, par.ColBlock(x.Cols, 8), true)
+	return a.MulDenseRowsInto(rows, identityRows(len(rows)), x, out)
 }
 
-// mulDenseRowsBlocked is the cache-blocked row-subset SpMM kernel behind
-// MulDenseRows (compact=false) and MulDenseRowsCompact (compact=true). The
+// MulDenseRowsInto is the general row-subset form behind MulDenseRows
+// (outRows = rows) and MulDenseRowsCompact (outRows = 0..len(rows)−1):
+// out[outRows[k]] = (a·x)[rows[k]], other rows of out untouched. The engine's
+// hop 1 calls it directly with the compact slots its memo did not fill.
+// Neither list may contain duplicates; out must not alias x.
+func (a *CSR) MulDenseRowsInto(rows, outRows []int, x, out *mat.Matrix) int {
+	if x.Rows != a.Cols {
+		panic(fmt.Sprintf("sparse: MulDenseRowsInto inner dims %d != %d", a.Cols, x.Rows))
+	}
+	if len(outRows) != len(rows) || out.Cols != x.Cols {
+		panic("sparse: MulDenseRowsInto out shape mismatch")
+	}
+	return mulRowsBlocked(a, rows, outRows, a.Val, x.Data, x.Cols, out.Data, par.ColBlock(x.Cols, 8))
+}
+
+// identityRows returns 0..n−1: the output-row list of the compact forms.
+func identityRows(n int) []int {
+	idx := make([]int, n)
+	for k := range idx {
+		idx[k] = k
+	}
+	return idx
+}
+
+// mulRowsBlocked is the cache-blocked row-subset SpMM kernel of the f64 and
+// f32 tiers: out[outRows[k]] = (a·x)[rows[k]] with vals standing in for a.Val
+// at the tier's element type, x and out flat row-major with f columns. The
 // dense columns are walked in blocks of bw so each pass over a chunk's CSR
 // rows touches only a bw-wide panel of x, keeping the gathered source rows
 // L1/L2-resident even when the feature width is large. Blocking is
-// bit-identity-preserving by construction: for every output element
-// out[r][j] the accumulation order over row r's neighbors is exactly the
-// row-serial kernel's (the block split varies j, never the neighbor order),
-// which TestKernelPropTiledF64BitIdentical pins across hostile block widths.
-func (a *CSR) mulDenseRowsBlocked(rows []int, x, out *mat.Matrix, bw int, compact bool) int {
-	f := x.Cols
+// bit-identity-preserving by construction: for every output element the
+// accumulation order over the row's neighbors is exactly the row-serial
+// kernel's (the block split varies j, never the neighbor order), which
+// TestKernelPropTiledF64BitIdentical pins across hostile block widths.
+func mulRowsBlocked[T float64 | float32](a *CSR, rows, outRows []int, vals, x []T, f int, out []T, bw int) int {
 	nnz := a.NNZRows(rows)
 	if bw <= 0 || bw > f {
 		bw = f
@@ -280,25 +298,50 @@ func (a *CSR) mulDenseRowsBlocked(rows []int, x, out *mat.Matrix, bw int, compac
 		func(k int) int { return a.RowNNZ(rows[k]) },
 		func(lo, hi int) {
 			for jb := 0; jb < f; jb += bw {
-				je := jb + bw
-				if je > f {
-					je = f
-				}
+				je := min(jb+bw, f)
 				for k := lo; k < hi; k++ {
-					r := rows[k]
-					o := r
-					if compact {
-						o = k
-					}
-					dst := out.Row(o)[jb:je]
-					for j := range dst {
-						dst[j] = 0
-					}
-					a.mulRowSpanInto(dst, r, x, jb)
+					dst := out[outRows[k]*f+jb : outRows[k]*f+je]
+					clear(dst)
+					gatherRow(dst, a, rows[k], vals, x, f, jb)
 				}
 			}
 		})
 	return nnz * f
+}
+
+// gatherRow accumulates columns [jb, jb+len(dst)) of (a·x)[i] into dst, the
+// one neighbor gather of the f64 and f32 tiers. Neighbors are taken four at
+// a time so four independent source-row loads are in flight instead of one
+// dependent load per neighbor (the gather is latency-bound once x outgrows
+// L2), but every element still adds its terms one by one in ascending column
+// order — t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical
+// to the one-neighbor-at-a-time loop, blocked or not.
+func gatherRow[T float64 | float32](dst []T, a *CSR, i int, vals, x []T, f, jb int) {
+	cols := a.RowIndices(i)
+	vals = vals[a.RowPtr[i]:a.RowPtr[i+1]]
+	n := len(dst)
+	k := 0
+	for ; k+4 <= len(cols); k += 4 {
+		v0, v1, v2, v3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
+		s0 := x[cols[k]*f+jb:][:n]
+		s1 := x[cols[k+1]*f+jb:][:n]
+		s2 := x[cols[k+2]*f+jb:][:n]
+		s3 := x[cols[k+3]*f+jb:][:n]
+		for j := range dst {
+			t := dst[j]
+			t += v0 * s0[j]
+			t += v1 * s1[j]
+			t += v2 * s2[j]
+			t += v3 * s3[j]
+			dst[j] = t
+		}
+	}
+	for ; k < len(cols); k++ {
+		v := vals[k]
+		for j, sv := range x[cols[k]*f+jb:][:n] {
+			dst[j] += v * sv
+		}
+	}
 }
 
 // ExtractRowsInto builds the compacted sub-matrix of a over a local node
@@ -399,34 +442,6 @@ func GrownCap(old, need int) int {
 		return c
 	}
 	return need
-}
-
-func (a *CSR) mulRowInto(dst []float64, i int, x *mat.Matrix) {
-	cols := a.RowIndices(i)
-	vals := a.RowValues(i)
-	for k, c := range cols {
-		v := vals[k]
-		src := x.Row(c)
-		for j, sv := range src {
-			dst[j] += v * sv
-		}
-	}
-}
-
-// mulRowSpanInto accumulates columns [jb, jb+len(dst)) of (a·x)[i] into dst
-// — mulRowInto restricted to one column block. Per element it runs the same
-// neighbor loop in the same order, so a blocked pass is bit-identical to an
-// unblocked one.
-func (a *CSR) mulRowSpanInto(dst []float64, i int, x *mat.Matrix, jb int) {
-	cols := a.RowIndices(i)
-	vals := a.RowValues(i)
-	for k, c := range cols {
-		v := vals[k]
-		src := x.Row(c)[jb : jb+len(dst)]
-		for j, sv := range src {
-			dst[j] += v * sv
-		}
-	}
 }
 
 // NNZRows returns the total number of stored entries across the given rows.

@@ -17,7 +17,8 @@ import (
 //     bw>f) — blocking may only change which cache lines are hot, never
 //     a single output bit;
 //   - the f32 kernel is within the analytic forward-error bound of the
-//     f64 reference, and bit-identical to itself across block widths;
+//     f64 reference, bit-identical to a row-serial f32 loop, and to itself
+//     across block widths;
 //   - the int8 kernel is within the analytic quantization bound of the
 //     f64 reference, and bit-identical to itself across block widths
 //     (int32 accumulation is exact, so blocking cannot move a bit);
@@ -38,8 +39,9 @@ type kernelCase struct {
 }
 
 // propCases builds the seeded CSR zoo: generic sparsity, empty rows, a
-// single-column matrix, single-feature dense operand, and dense stripes
-// (rows with every column set — the hub-row worst case).
+// single-column matrix, single-feature dense operand, dense stripes (rows
+// with every column set — the hub-row worst case), and a ladder of rows with
+// 0..13 entries for the gather's groups of four.
 func propCases(rng *rand.Rand) []kernelCase {
 	var cases []kernelCase
 	add := func(name string, rows, cols, f int, density float64, mutate func(adj [][]int)) {
@@ -90,7 +92,40 @@ func propCases(rng *rand.Rand) []kernelCase {
 			}
 		}
 	})
+	// The gather takes neighbors four at a time: cover every remainder
+	// (nnz mod 4 ∈ {0,1,2,3}), rows shorter than one group (nnz < 4, the
+	// empty row included) and a feature width no block width divides.
+	add("nnz-ladder", 14, 17, 23, 0, func(adj [][]int) {
+		for i := range adj {
+			for _, c := range rng.Perm(17)[:i] {
+				adj[i] = append(adj[i], c)
+			}
+		}
+	})
+	ladder := &cases[len(cases)-1]
+	ladder.rows = identityRows(ladder.a.Rows)
+	for i := 0; i < ladder.a.Rows; i++ {
+		if ladder.a.RowNNZ(i) != i {
+			panic("nnz-ladder: row nnz")
+		}
+	}
 	return cases
+}
+
+// refMulRows32 is refMulRows at float32: the f32 tier's one-neighbor-at-a-time
+// loop, which the 4-way interleaved gather must reproduce bit for bit.
+func refMulRows32(a *CSR, rows []int, av, x32 []float32, f int) []float32 {
+	out := make([]float32, len(rows)*f)
+	for k, r := range rows {
+		dst := out[k*f : k*f+f]
+		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
+			v := av[p]
+			for j := range dst {
+				dst[j] += v * x32[a.Col[p]*f+j]
+			}
+		}
+	}
+	return out
 }
 
 // refMulRows is the row-serial f64 reference: the exact loop nest (neighbors
@@ -124,8 +159,8 @@ func TestKernelPropTiledF64BitIdentical(t *testing.T) {
 					tc.a.MulDenseRowsCompact(tc.rows, tc.x, compact)
 					tc.a.MulDenseRows(tc.rows, tc.x, scatter)
 				} else {
-					tc.a.mulDenseRowsBlocked(tc.rows, tc.x, compact, bw, true)
-					tc.a.mulDenseRowsBlocked(tc.rows, tc.x, scatter, bw, false)
+					mulRowsBlocked(tc.a, tc.rows, identityRows(len(tc.rows)), tc.a.Val, tc.x.Data, tc.x.Cols, compact.Data, bw)
+					mulRowsBlocked(tc.a, tc.rows, tc.rows, tc.a.Val, tc.x.Data, tc.x.Cols, scatter.Data, bw)
 				}
 				for k, r := range tc.rows {
 					for j := 0; j < tc.x.Cols; j++ {
@@ -176,6 +211,11 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 			f := tc.x.Cols
 			base := make([]float32, len(tc.rows)*f)
 			tc.a.MulDenseRowsCompact32(tc.rows, av, x32, f, base)
+			for i, want := range refMulRows32(tc.a, tc.rows, av, x32, f) {
+				if math.Float32bits(base[i]) != math.Float32bits(want) {
+					t.Fatalf("f32 element %d = %v, row-serial f32 %v", i, base[i], want)
+				}
+			}
 			for k := range tc.rows {
 				for j := 0; j < f; j++ {
 					got := float64(base[k*f+j])
@@ -187,14 +227,14 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 			}
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				tc.a.mulDenseRows32Blocked(tc.rows, av, x32, f, blk, bw, true)
+				mulRowsBlocked(tc.a, tc.rows, identityRows(len(tc.rows)), av, x32, f, blk, bw)
 				for i := range blk {
 					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
 						t.Fatalf("bw=%d f32 bit drift at %d: %v vs %v", bw, i, blk[i], base[i])
 					}
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				tc.a.mulDenseRows32Blocked(tc.rows, av, x32, f, scat, bw, false)
+				mulRowsBlocked(tc.a, tc.rows, tc.rows, av, x32, f, scat, bw)
 				for k, r := range tc.rows {
 					for j := 0; j < f; j++ {
 						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {
@@ -244,14 +284,14 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 			}
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				tc.a.mulDenseRows8Blocked(tc.rows, aq, xq, f, deq, blk, bw, true)
+				tc.a.mulDenseRows8Blocked(tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, blk, bw)
 				for i := range blk {
 					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
 						t.Fatalf("bw=%d int8 bit drift at %d", bw, i)
 					}
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				tc.a.mulDenseRows8Blocked(tc.rows, aq, xq, f, deq, scat, bw, false)
+				tc.a.mulDenseRows8Blocked(tc.rows, tc.rows, aq, xq, f, deq, scat, bw)
 				for k, r := range tc.rows {
 					for j := 0; j < f; j++ {
 						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {

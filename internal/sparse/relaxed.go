@@ -24,18 +24,20 @@ import (
 // in rows, leaving other rows of out untouched, and returns the
 // multiply-accumulate count. av must align with a.Val, x must be a.Cols×f
 // row-major, out a.Rows×f row-major, non-aliasing; rows must not contain
-// duplicates (parallel chunks write disjoint output rows).
+// duplicates (parallel chunks write disjoint output rows). It runs the f64
+// tier's kernel body (mulRowsBlocked) at float32, so the tier keeps one fixed
+// accumulation order — bit-stable under blocking, batching and sharding.
 func (a *CSR) MulDenseRows32(rows []int, av, x []float32, f int, out []float32) int {
-	a.checkRelaxed32(len(av), len(x), len(out), a.Rows, f, "MulDenseRows32")
-	return a.mulDenseRows32Blocked(rows, av, x, f, out, par.ColBlock(f, 4), false)
+	a.checkRelaxed(len(av), len(x), len(out), a.Rows, f, "MulDenseRows32")
+	return mulRowsBlocked(a, rows, rows, av, x, f, out, par.ColBlock(f, 4))
 }
 
 // MulDenseRowsCompact32 is MulDenseRows32 with the output gathered into
 // compact row order: out[k·f : k·f+f] = (a·x)[rows[k]], out len(rows)×f.
 // The remap precondition of MulDenseRowsCompact applies unchanged.
 func (a *CSR) MulDenseRowsCompact32(rows []int, av, x []float32, f int, out []float32) int {
-	a.checkRelaxed32(len(av), len(x), len(out), len(rows), f, "MulDenseRowsCompact32")
-	return a.mulDenseRows32Blocked(rows, av, x, f, out, par.ColBlock(f, 4), true)
+	a.checkRelaxed(len(av), len(x), len(out), len(rows), f, "MulDenseRowsCompact32")
+	return mulRowsBlocked(a, rows, identityRows(len(rows)), av, x, f, out, par.ColBlock(f, 4))
 }
 
 // MulDenseRows8 computes out[r·f : r·f+f] = deq · (aq·xq)[r] for each r in
@@ -45,24 +47,26 @@ func (a *CSR) MulDenseRowsCompact32(rows []int, av, x []float32, f int, out []fl
 // integer accumulation. out is a.Rows×f float32; other rows stay untouched.
 // Returns the multiply-accumulate count.
 func (a *CSR) MulDenseRows8(rows []int, aq, xq []int8, f int, deq float64, out []float32) int {
-	a.checkRelaxed8(len(aq), len(xq), len(out), a.Rows, f, "MulDenseRows8")
-	return a.mulDenseRows8Blocked(rows, aq, xq, f, deq, out, par.ColBlock(f, 1), false)
+	a.checkRelaxed(len(aq), len(xq), len(out), a.Rows, f, "MulDenseRows8")
+	return a.mulDenseRows8Blocked(rows, rows, aq, xq, f, deq, out, par.ColBlock(f, 1))
 }
 
 // MulDenseRowsCompact8 is MulDenseRows8 with the output gathered into
 // compact row order (out is len(rows)×f float32). The remap precondition of
 // MulDenseRowsCompact applies unchanged.
 func (a *CSR) MulDenseRowsCompact8(rows []int, aq, xq []int8, f int, deq float64, out []float32) int {
-	a.checkRelaxed8(len(aq), len(xq), len(out), len(rows), f, "MulDenseRowsCompact8")
-	return a.mulDenseRows8Blocked(rows, aq, xq, f, deq, out, par.ColBlock(f, 1), true)
+	a.checkRelaxed(len(aq), len(xq), len(out), len(rows), f, "MulDenseRowsCompact8")
+	return a.mulDenseRows8Blocked(rows, identityRows(len(rows)), aq, xq, f, deq, out, par.ColBlock(f, 1))
 }
 
-func (a *CSR) checkRelaxed32(nav, nx, nout, outRows, f int, name string) {
+// checkRelaxed validates the flat operands of a relaxed-tier product: the
+// lowered adjacency values, the dense input and the output, in elements.
+func (a *CSR) checkRelaxed(nvals, nx, nout, outRows, f int, name string) {
 	switch {
 	case f < 0:
 		panic(fmt.Sprintf("sparse: %s negative feature width %d", name, f))
-	case nav != a.NNZ():
-		panic(fmt.Sprintf("sparse: %s values length %d != nnz %d", name, nav, a.NNZ()))
+	case nvals != a.NNZ():
+		panic(fmt.Sprintf("sparse: %s values length %d != nnz %d", name, nvals, a.NNZ()))
 	case nx != a.Cols*f:
 		panic(fmt.Sprintf("sparse: %s x length %d != %d×%d", name, nx, a.Cols, f))
 	case nout != outRows*f:
@@ -70,59 +74,13 @@ func (a *CSR) checkRelaxed32(nav, nx, nout, outRows, f int, name string) {
 	}
 }
 
-func (a *CSR) checkRelaxed8(naq, nxq, nout, outRows, f int, name string) {
-	switch {
-	case f < 0:
-		panic(fmt.Sprintf("sparse: %s negative feature width %d", name, f))
-	case naq != a.NNZ():
-		panic(fmt.Sprintf("sparse: %s values length %d != nnz %d", name, naq, a.NNZ()))
-	case nxq != a.Cols*f:
-		panic(fmt.Sprintf("sparse: %s xq length %d != %d×%d", name, nxq, a.Cols, f))
-	case nout != outRows*f:
-		panic(fmt.Sprintf("sparse: %s out length %d != %d×%d", name, nout, outRows, f))
-	}
-}
-
-// mulDenseRows32Blocked is the cache-blocked f32 kernel behind
-// MulDenseRows32 (compact=false) and MulDenseRowsCompact32 (compact=true);
-// the structure mirrors mulDenseRowsBlocked exactly, so the same
-// bit-identity-under-blocking argument holds within the f32 tier.
-func (a *CSR) mulDenseRows32Blocked(rows []int, av, x []float32, f int, out []float32, bw int, compact bool) int {
-	nnz := a.NNZRows(rows)
-	if bw <= 0 || bw > f {
-		bw = f
-	}
-	par.ForWeighted(len(rows), nnz*f, nnz,
-		func(k int) int { return a.RowNNZ(rows[k]) },
-		func(lo, hi int) {
-			for jb := 0; jb < f; jb += bw {
-				je := jb + bw
-				if je > f {
-					je = f
-				}
-				for k := lo; k < hi; k++ {
-					r := rows[k]
-					o := r
-					if compact {
-						o = k
-					}
-					dst := out[o*f+jb : o*f+je]
-					for j := range dst {
-						dst[j] = 0
-					}
-					a.mulRowSpanInto32(dst, r, av, x, f, jb)
-				}
-			}
-		})
-	return nnz * f
-}
-
 // mulDenseRows8Blocked is the cache-blocked int8 kernel behind MulDenseRows8
-// and MulDenseRowsCompact8. Each chunk owns one bw-wide int32 accumulator
-// reused across its rows; accumulation is exact in int32 (degrees and the
-// ±127 operand range keep |acc| far below 2³¹ for any graph this repo
-// serves), so block width cannot change a single output bit within the tier.
-func (a *CSR) mulDenseRows8Blocked(rows []int, aq, xq []int8, f int, deq float64, out []float32, bw int, compact bool) int {
+// and MulDenseRowsCompact8, with mulRowsBlocked's output-row list. Each chunk
+// owns one bw-wide int32 accumulator reused across its rows; accumulation is
+// exact in int32 (degrees and the ±127 operand range keep |acc| far below 2³¹
+// for any graph this repo serves), so block width cannot change a single
+// output bit within the tier.
+func (a *CSR) mulDenseRows8Blocked(rows, outRows []int, aq, xq []int8, f int, deq float64, out []float32, bw int) int {
 	nnz := a.NNZRows(rows)
 	if bw <= 0 || bw > f {
 		bw = f
@@ -132,22 +90,12 @@ func (a *CSR) mulDenseRows8Blocked(rows []int, aq, xq []int8, f int, deq float64
 		func(lo, hi int) {
 			acc := make([]int32, bw)
 			for jb := 0; jb < f; jb += bw {
-				je := jb + bw
-				if je > f {
-					je = f
-				}
+				je := min(jb+bw, f)
 				for k := lo; k < hi; k++ {
-					r := rows[k]
-					o := r
-					if compact {
-						o = k
-					}
 					blk := acc[:je-jb]
-					for j := range blk {
-						blk[j] = 0
-					}
-					a.mulRowSpanAcc8(blk, r, aq, xq, f, jb)
-					dst := out[o*f+jb : o*f+je]
+					clear(blk)
+					a.mulRowSpanAcc8(blk, rows[k], aq, xq, f, jb)
+					dst := out[outRows[k]*f+jb : outRows[k]*f+je]
 					for j := range dst {
 						dst[j] = float32(float64(blk[j]) * deq)
 					}
@@ -155,21 +103,6 @@ func (a *CSR) mulDenseRows8Blocked(rows []int, aq, xq []int8, f int, deq float64
 			}
 		})
 	return nnz * f
-}
-
-// mulRowSpanInto32 accumulates columns [jb, jb+len(dst)) of (a·x)[i] into
-// dst in float32, neighbors in ascending column order (the tier's fixed
-// accumulation order — blocked, unblocked and fused passes all share it).
-func (a *CSR) mulRowSpanInto32(dst []float32, i int, av, x []float32, f, jb int) {
-	cols := a.RowIndices(i)
-	base := a.RowPtr[i]
-	for k, c := range cols {
-		v := av[base+k]
-		src := x[c*f+jb : c*f+jb+len(dst)]
-		for j, sv := range src {
-			dst[j] += v * sv
-		}
-	}
 }
 
 // mulRowSpanAcc8 accumulates columns [jb, jb+len(acc)) of the int8 product
@@ -211,19 +144,15 @@ func (a *CSR) mulRowSpanAcc8(acc []int32, i int, aq, xq []int8, f, jb int) {
 // gate+propagate kernel builds on; the result is bit-identical to the row
 // the bulk f32 kernels produce (same accumulation order).
 func (a *CSR) MulRowInto32(dst []float32, i int, av, x []float32, f int) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	a.mulRowSpanInto32(dst, i, av, x, f, 0)
+	clear(dst)
+	gatherRow(dst, a, i, av, x, f, 0)
 }
 
 // MulRowInto8 computes one full row of the int8 product: acc is zeroed,
 // accumulated in int32 and dequantized into dst (both of length f) —
 // bit-identical to the row the bulk int8 kernels produce.
 func (a *CSR) MulRowInto8(dst []float32, acc []int32, i int, aq, xq []int8, f int, deq float64) {
-	for j := range acc {
-		acc[j] = 0
-	}
+	clear(acc)
 	a.mulRowSpanAcc8(acc, i, aq, xq, f, 0)
 	for j := range dst {
 		dst[j] = float32(float64(acc[j]) * deq)
