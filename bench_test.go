@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mat"
-	"repro/internal/ppr"
 	"repro/internal/scalable"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -220,27 +219,6 @@ func BenchmarkAblationSupportRecompute(b *testing.B) {
 			b.ReportMetric(float64(macs), "propMACs")
 		})
 	}
-}
-
-// BenchmarkPPRGoAggregation contrasts PPRGo's push-based PPR feature
-// aggregation (the paper's Related Works comparator) with NAI's
-// node-adaptive propagation on the same targets: compare against
-// BenchmarkInferenceNAIDistance above.
-func BenchmarkPPRGoAggregation(b *testing.B) {
-	s := trainedSuite(b)
-	targets := s.TestSubset(100)
-	g := s.DS.Graph
-	cfg := ppr.DefaultConfig()
-	b.ResetTimer()
-	var macs int
-	for i := 0; i < b.N; i++ {
-		_, _, m, err := ppr.AggregateFeatures(g.Adj, g.Features, targets, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		macs = m
-	}
-	b.ReportMetric(float64(macs), "aggMACs")
 }
 
 // --- serving-engine benchmarks -------------------------------------------

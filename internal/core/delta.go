@@ -74,16 +74,17 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 // absorbed a delta: the rows listed in valDirty (ascending) are recomputed
 // from the graph and the stationary state's looped degrees, every other row
 // is carried over bitwise (sparse.NormalizedAdjacencyPatch spells out what
-// valDirty must contain). The hop-1 memo drops exactly the recomputed rows,
-// and the relaxed-tier mirrors — lowered views of Adj and Features — are
-// re-derived (a no-op at the f64 tier). RefreshIncremental ends here; a shard
-// worker, whose degrees and dirty rows come from its router, calls it
-// directly. Must not run concurrently with Infer.
+// valDirty must contain). The active tier then re-derives its operands —
+// lowered views of Adj and Features; Adj.Val and the feature matrix
+// themselves at f64 — and its hop-1 memo drops the rows the patch made stale:
+// exactly the recomputed ones at f64 and f32, all of them at int8.
+// RefreshIncremental ends here; a shard worker, whose degrees and dirty rows
+// come from its router, calls it directly. Must not run concurrently with
+// Infer.
 func (d *Deployment) PatchAdjacency(valDirty []int) {
 	d.Adj = sparse.NormalizedAdjacencyPatch(d.Graph.Adj, d.Model.Gamma, d.Adj,
 		d.stationary.LoopedDeg, valDirty)
-	d.memo.invalidate(valDirty)
-	d.RefreshPrecision()
+	d.eng.patched(valDirty)
 }
 
 // Window returns the per-target outputs for targets[lo:hi] of the Infer call

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/graph"
@@ -147,8 +148,14 @@ func (r *Result) merge(o *Result) {
 // state is read-only during inference, so Infer is safe for concurrent
 // callers; the one thing Infer writes on the deployment is its hop-1 memo
 // (the X^(1) rows of the top-degree nodes, 0.5 % of Adj's bytes), through
-// lock-free publish-once slots that deltas empty row by row and Refresh
-// re-selects — answers and MACs are bit-identical with or without it.
+// lock-free publish-once slots that deltas empty and Refresh re-selects —
+// answers and MACs are bit-identical with or without it.
+//
+// Every precision tier runs the same engine loop (tier.inferBatch),
+// instantiated at the tier's element type. What pins the default f64 tier to
+// Algorithm 1 bit for bit is therefore not a separate code path but the
+// equivalence suites: the seed transcription (inference_equiv_test.go), the
+// delta and memo suites, and their shard, cache and serving counterparts.
 type Deployment struct {
 	Model *Model
 	Graph *graph.Graph
@@ -175,18 +182,17 @@ type Deployment struct {
 	rcache    *cache.Cache
 	rcacheCfg cache.Config
 
-	// prec is the active arithmetic tier (SetPrecision); relaxed holds the
-	// lowered operand mirrors of the f32/int8 tiers, nil at the default f64
-	// tier — which keeps this file's reference path provably untouched.
-	prec    kernel.Precision
-	relaxed *relaxedState
+	// prec is the active arithmetic tier (SetPrecision) and eng the engine
+	// loop instantiated for it (precision.go): a *tier[float64] at f64, a
+	// *tier[float32] at f32 and int8. It holds the tier's operands, hop-1
+	// memo and scratch pool, and is rebuilt by Refresh, SetPrecision and
+	// NewDeploymentWithState.
+	prec kernel.Precision
+	eng  engine
 
-	// memo holds the hop-1 rows of the top-degree nodes (memo.go): filled
-	// lazily by Infer through atomic publish-once slots, emptied row by row
-	// as deltas recompute Â, re-selected by Refresh. f64 tier only.
-	memo hop1Memo
-
-	scratch sync.Pool // *inferScratch
+	// memoStats counts the hop-1 memo's traffic across every engine this
+	// deployment has had (Hop1Stats).
+	memoStats hop1Counters
 }
 
 // NewDeployment prepares a model for serving on g, computing the
@@ -214,8 +220,7 @@ func (d *Deployment) Refresh() {
 	}
 	d.Adj = sparse.NormalizedAdjacency(d.Graph.Adj, d.Model.Gamma)
 	d.stationary = ComputeStationary(d.Graph.Adj, d.Graph.Features, d.Model.Gamma)
-	d.memo.reset(d.Adj, d.Graph.F(), memoBudget(d.Adj))
-	d.RefreshPrecision()
+	d.retier()
 	// A full rebuild means the caller mutated the graph arbitrarily behind
 	// the deployment's back: bump the version and drop every cached answer
 	// (there is no dirty report to localize the eviction with).
@@ -228,27 +233,29 @@ func (d *Deployment) Refresh() {
 // Stationary returns the cached stationary state X(∞) of the serving graph.
 func (d *Deployment) Stationary() *Stationary { return d.stationary }
 
-// inferScratch is the per-request mutable state of Algorithm 1. Pooling it
-// keeps Deployment's cached state read-only (concurrency) and keeps the
-// propagation buffers, the O(n) BFS/remap buffers and the gathered-row
-// matrices out of the per-batch allocation churn (zero-recompute serving).
+// inferScratch is the per-request mutable state of Algorithm 1 at one tier's
+// element type. Pooling it keeps Deployment's cached state read-only
+// (concurrency) and keeps the propagation buffers, the O(n) BFS/remap buffers
+// and the gathered-row matrices out of the per-batch allocation churn
+// (zero-recompute serving).
 //
 // Memory note: propagation runs in compacted coordinates, so each scratch
 // holds TMax buffers of supporting-set height — O(TMax·|S|·f), where |S| is
 // the hop-0 ball of the batch — plus two O(n) byte/int32-sized maps (BFS
 // marks and the global→local remap). Peak memory therefore scales with
 // concurrently executing batches × their supporting sets, not with the
-// serving graph. All |S|-sized buffers — the slab, the sub-CSR, the row
-// lists and the decide/classify arena — grow geometrically across pool hits
-// and drop back to current need when a past batch left them more than 4×
-// oversized, so one huge request does not pin worst-case capacity forever.
-type inferScratch struct {
-	// slab backs the TMax compacted propagation buffers: view l−1 holds
-	// X^{(l)} over the batch's supporting set S, row toLocal[v] per node v
-	// (X^{(0)} stays the full-graph feature matrix, read in place).
-	slab []float64
-	// locals[l] is the |S|×f view of X^{(l)} into slab; index 0 is unused.
-	locals []*mat.Matrix
+// serving graph. All |S|-sized buffers — the slab, the sub-CSR and its tier
+// values, the row lists, the int8 tier's quantized activations (growScratch)
+// and the decide/classify arena (arena.shrink) — follow one retention policy:
+// they grow geometrically across pool hits and drop back to current need when
+// a past batch left them more than 4× oversized, so one huge request does not
+// pin worst-case capacity forever, at any tier.
+type inferScratch[T float64 | float32] struct {
+	// slab backs the TMax compacted propagation buffers: hop(l) is X^{(l)}
+	// over the batch's supporting set S, s rows of f columns, row toLocal[v]
+	// per node v (X^{(0)} stays the full-graph feature matrix, read in place).
+	slab []T
+	s, f int
 	// toLocal maps global node ids into S; −1 outside. All −1 between
 	// batches (IndexSet/ResetIndex pairs keep the invariant).
 	toLocal []int32
@@ -257,8 +264,14 @@ type inferScratch struct {
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
 	// sub is the batch's compacted sub-CSR (rows within radius TMax−2 of
-	// the targets, all coordinates local to S), reused across batches.
-	sub sparse.CSR
+	// the targets, all coordinates local to S), reused across batches. Its
+	// Val is the f64 tier's operand; subVal (f32) and sub8 (int8) carry the
+	// same entries of the tier's global lowering.
+	sub    sparse.CSR
+	subVal []T
+	sub8   []int8
+	// x8 holds the int8 tier's quantized input activations of one hop.
+	x8 []int8
 	// localRows holds one hop's propagation row list in local coordinates.
 	localRows []int
 	// tloc[i] is the local index of targets[i] in S.
@@ -269,20 +282,6 @@ type inferScratch struct {
 	missRows, missOut, fill []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
-
-	// Relaxed-tier scratch (precision.go); untouched at the f64 tier.
-	// slab32 backs the TMax float32 propagation buffers, x8 the per-hop
-	// quantized activations, sub32/sub8 the sub-CSR's gathered tier values,
-	// acc32 the fused kernel's int32 accumulator, prevRows the previous
-	// hop's live-row list, isT/bulkRows the target/bulk row split.
-	slab32   []float32
-	x8       []int8
-	sub32    []float32
-	sub8     []int8
-	acc32    []int32
-	prevRows []int
-	isT      []bool
-	bulkRows []int
 }
 
 // growScratch resizes a scratch buffer to need elements: grown geometrically
@@ -302,31 +301,45 @@ func growScratch[T any](buf []T, need int) []T {
 	}
 }
 
-// ensureLocal sizes the compacted propagation buffers for a batch whose
-// supporting set has s rows, returning the per-depth |S|×f views (index 0
-// unused; X^{(0)} is the graph's feature matrix).
-func (sc *inferScratch) ensureLocal(tmax, s, f int) []*mat.Matrix {
-	sc.slab = growScratch(sc.slab, tmax*s*f)
-	if cap(sc.locals) < tmax+1 {
-		sc.locals = make([]*mat.Matrix, tmax+1)
-	}
-	sc.locals = sc.locals[:tmax+1]
-	sc.locals[0] = nil
-	for l := 1; l <= tmax; l++ {
-		sc.locals[l] = mat.FromData(s, f, sc.slab[(l-1)*s*f:l*s*f])
-	}
-	return sc.locals
+// hop returns X^{(l)} over the batch's supporting set, l ≥ 1.
+func (sc *inferScratch[T]) hop(l int) []T {
+	return sc.slab[(l-1)*sc.s*sc.f : l*sc.s*sc.f]
 }
+
+// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1.
+func (sc *inferScratch[T]) targetRow(l, ti int) []T {
+	return sc.hop(l)[sc.tloc[ti]*sc.f:][:sc.f]
+}
+
+// prepare readies a scratch (fresh or from the pool) for a batch on an
+// n-node graph: the graph-sized maps are in place and the arena's retention
+// policy is applied. The |S|-sized buffers are grown per batch, once the
+// supporting set is known.
+func (sc *inferScratch[T]) prepare(n, batch int) {
+	if len(sc.visited) < n {
+		sc.visited = make([]bool, n)
+	}
+	if len(sc.toLocal) < n {
+		sc.toLocal = graph.NewIndex(n)
+	}
+	if len(sc.rm) < batch {
+		sc.rm = make([]bool, batch)
+	}
+	sc.arena.shrink()
+}
+
+// capBytes is the retained heap capacity of one buffer.
+func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))) }
 
 // bytes reports the retained heap capacity of the scratch (benchmarks track
 // it to prove per-batch memory scales with |S|, not n).
-func (sc *inferScratch) bytes() int {
-	return cap(sc.slab)*8 + cap(sc.toLocal)*4 + cap(sc.visited) + cap(sc.rm) +
-		(cap(sc.sub.RowPtr)+cap(sc.sub.Col)+cap(sc.localRows)+cap(sc.tloc))*8 +
-		(cap(sc.missRows)+cap(sc.missOut)+cap(sc.fill))*8 +
-		cap(sc.sub.Val)*8 + cap(sc.arena.buf)*8 +
-		(cap(sc.slab32)+cap(sc.sub32)+cap(sc.acc32))*4 + cap(sc.x8) + cap(sc.sub8) +
-		(cap(sc.prevRows)+cap(sc.bulkRows))*8 + cap(sc.isT)
+func (sc *inferScratch[T]) bytes() int {
+	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.visited) + capBytes(sc.rm) +
+		capBytes(sc.sub.RowPtr) + capBytes(sc.sub.Col) + capBytes(sc.sub.Val) +
+		capBytes(sc.subVal) + capBytes(sc.sub8) + capBytes(sc.x8) +
+		capBytes(sc.localRows) + capBytes(sc.tloc) +
+		capBytes(sc.missRows) + capBytes(sc.missOut) + capBytes(sc.fill) +
+		capBytes(sc.arena.buf)
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -369,41 +382,11 @@ func (a *arena) shrink() {
 	a.off, a.hw = 0, 0
 }
 
-// getScratch pops (or allocates) a scratch with the graph-sized maps ready.
-// The |S|-sized buffers are grown per batch (ensureLocal), once the
-// supporting set is known.
-func (d *Deployment) getScratch(batch int) *inferScratch {
-	sc, _ := d.scratch.Get().(*inferScratch)
-	if sc == nil {
-		sc = &inferScratch{}
-	}
-	n := d.Graph.N()
-	if len(sc.visited) < n {
-		sc.visited = make([]bool, n)
-	}
-	if len(sc.toLocal) < n {
-		sc.toLocal = graph.NewIndex(n)
-	}
-	if len(sc.rm) < batch {
-		sc.rm = make([]bool, batch)
-	}
-	sc.arena.shrink()
-	return sc
-}
-
 // ScratchBytes reports the retained capacity in bytes of one pooled
 // inferScratch (the most recently released), approximating the scratch
 // memory one in-flight batch holds. Benchmarks and tests use it to track
 // that per-batch memory scales with supporting-set size, not graph size.
-func (d *Deployment) ScratchBytes() int {
-	sc, _ := d.scratch.Get().(*inferScratch)
-	if sc == nil {
-		return 0
-	}
-	b := sc.bytes()
-	d.scratch.Put(sc)
-	return b
-}
+func (d *Deployment) ScratchBytes() int { return d.eng.scratchBytes() }
 
 // Infer runs Algorithm 1 over the targets in batches and aggregates.
 // It is safe for concurrent callers on one Deployment; additionally,
@@ -433,20 +416,13 @@ func (d *Deployment) InferContext(ctx context.Context, targets []int, opt Infere
 		batchSize = len(targets)
 	}
 	batches := graph.Batches(targets, batchSize)
-	runBatch := func(i int) *Result {
-		sc := d.getScratch(len(batches[i]))
-		res := d.inferBatch(batches[i], opt, sc, tr)
-		d.scratch.Put(sc)
-		return res
-	}
-
 	workers := opt.Workers
 	if workers > len(batches) {
 		workers = len(batches)
 	}
 	if workers <= 1 {
 		for i := range batches {
-			agg.merge(runBatch(i))
+			agg.merge(d.eng.infer(batches[i], opt, tr))
 		}
 		return agg, nil
 	}
@@ -465,7 +441,7 @@ func (d *Deployment) InferContext(ctx context.Context, targets []int, opt Infere
 				if i >= len(batches) {
 					return
 				}
-				results[i] = runBatch(i)
+				results[i] = d.eng.infer(batches[i], opt, tr)
 			}
 		}()
 	}
@@ -476,17 +452,38 @@ func (d *Deployment) InferContext(ctx context.Context, targets []int, opt Infere
 	return agg, nil
 }
 
-// inferBatch is Algorithm 1 for one batch V_b, run in compacted
-// coordinates: all propagation, gating and classification happens on
-// |S|×f matrices over the batch's hop-0 supporting ball S instead of
-// full-graph n×f buffers, with a global→local remap bridging the two.
-func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch, tr *obs.Trace) *Result {
-	if d.relaxed != nil {
-		// Relaxed tiers run their own mirror of this function
-		// (precision.go); keeping the dispatch here is what makes the f64
-		// reference path below provably inert to the precision feature.
-		return d.inferBatchRelaxed(targets, opt, sc, tr)
+// infer runs one batch on a pooled scratch.
+func (t *tier[T]) infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result {
+	sc, _ := t.scratch.Get().(*inferScratch[T])
+	if sc == nil {
+		sc = &inferScratch[T]{}
 	}
+	sc.prepare(t.d.Graph.N(), len(targets))
+	res := t.inferBatch(targets, opt, sc, tr)
+	t.scratch.Put(sc)
+	return res
+}
+
+// scratchBytes is Deployment.ScratchBytes for this engine's pool.
+func (t *tier[T]) scratchBytes() int {
+	sc, _ := t.scratch.Get().(*inferScratch[T])
+	if sc == nil {
+		return 0
+	}
+	b := sc.bytes()
+	t.scratch.Put(sc)
+	return b
+}
+
+// inferBatch is Algorithm 1 for one batch V_b — the engine's one hop loop,
+// at every tier — run in compacted coordinates: all propagation, gating and
+// classification happens on |S|×f buffers over the batch's hop-0 supporting
+// ball S instead of full-graph n×f ones, with a global→local remap bridging
+// the two. Propagation runs at the tier's element type T; stationary rows,
+// exit decisions, combination and classifiers are float64 at every tier, so
+// a relaxed tier's drift is confined to the propagated features.
+func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
+	d := t.d
 	m := d.Model
 	g := d.Graph
 	res := &Result{
@@ -528,14 +525,15 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 	// row set — deeper hops, and re-derived sets after exit waves — is a
 	// subset of S, so the remap stays valid for the whole batch.
 	support := nested[0]
-	s, f := len(support), g.F()
+	sc.s, sc.f = len(support), g.F()
 	graph.IndexSet(support, sc.toLocal)
 	defer graph.ResetIndex(support, sc.toLocal)
-	locals := sc.ensureLocal(opt.TMax, s, f)
+	sc.slab = growScratch(sc.slab, opt.TMax*sc.s*sc.f)
 	sc.tloc = growScratch(sc.tloc, len(targets))
 	for i, v := range targets {
 		sc.tloc[i] = int(sc.toLocal[v])
 	}
+	var sub operand[T] // the sub-CSR's values at the tier; x is set per hop
 	if opt.TMax >= 2 {
 		// Hops ≥ 2 propagate inside S: their row sets stay within the
 		// radius TMax−2 ball nested[1], whose neighbors all lie in S, so
@@ -544,11 +542,12 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 		// (geometric growth, 4× oversize drop) before extraction reuses them.
 		extAt := tr.Begin()
 		nnz := d.Adj.NNZRows(nested[1])
-		sc.sub.RowPtr = growScratch(sc.sub.RowPtr, s+1)
+		sc.sub.RowPtr = growScratch(sc.sub.RowPtr, sc.s+1)
 		sc.sub.Col = growScratch(sc.sub.Col, nnz)
 		sc.sub.Val = growScratch(sc.sub.Val, nnz)
 		sc.localRows = growScratch(sc.localRows, len(nested[1]))
-		d.Adj.ExtractRowsInto(nested[1], sc.toLocal, s, &sc.sub)
+		d.Adj.ExtractRowsInto(nested[1], sc.toLocal, sc.s, &sc.sub)
+		sub = t.subOperand(nested[1], nnz, sc)
 		tr.End(obs.StageExtract, 0, -1, extAt)
 	}
 
@@ -562,10 +561,21 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 			// Hop 1 reads the full-graph feature matrix: rows is exactly S,
 			// so compact output row k is local node k. Hub rows the memo
 			// holds are copied, the rest computed (memo.go).
-			res.MACs.Propagation += d.propagateHop1(rows, locals[1], sc)
+			res.MACs.Propagation += t.propagateHop1(rows, sc)
 		} else {
+			if t.int8() {
+				// sc.localRows still lists the rows hop l−1 wrote (hop 1
+				// wrote all of S): exactly the live activation tensor.
+				live := sc.localRows
+				if l == 2 {
+					live = nil
+				}
+				sub.qx, sub.deq = t.quantizeActivations(sc.hop(l-1), live, sc)
+			} else {
+				sub.x = sc.hop(l - 1)
+			}
 			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-			res.MACs.Propagation += sc.sub.MulDenseRows(sc.localRows, locals[l-1], locals[l])
+			res.MACs.Propagation += t.mulRows(sub, &sc.sub, sc.localRows, sc.localRows, sc.f, sc.hop(l))
 		}
 		tr.End(obs.StagePropagate, l, -1, fpAt)
 		fpTime += time.Since(fpStart)
@@ -577,12 +587,12 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 			// Lines 9-13: decide and classify early exits.
 			decStart := time.Now()
 			decAt := tr.Begin()
-			exit := d.decide(l, locals[l], xinf, active, opt, &res.MACs, sc)
+			exit := decide(l, m, xinf, active, opt, &res.MACs, sc)
 			tr.End(obs.StageDecide, 0, -1, decAt)
 			fpTime += time.Since(decStart)
 			if len(exit) > 0 {
 				clsAt := tr.Begin()
-				d.classify(l, locals, targets, exit, res, sc)
+				classify(l, m, g, targets, exit, res, sc)
 				tr.End(obs.StageClassify, 0, -1, clsAt)
 				active = removeIndices(active, exit, sc.rm)
 				if len(active) == 0 {
@@ -601,7 +611,7 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 		} else if l == opt.TMax {
 			// Lines 16-17: everything left is classified at T_max.
 			clsAt := tr.Begin()
-			d.classify(l, locals, targets, active, res, sc)
+			classify(l, m, g, targets, active, res, sc)
 			tr.End(obs.StageClassify, 0, -1, clsAt)
 			active = nil
 		}
@@ -611,37 +621,44 @@ func (d *Deployment) inferBatch(targets []int, opt InferenceOptions, sc *inferSc
 	return res
 }
 
-// decide returns the subset of active (indices into targets) that exits at
-// depth l, charging decision MACs. xl is the depth-l propagation buffer in
-// compacted coordinates; target rows are reached through sc.tloc.
-func (d *Deployment) decide(l int, xl, xinf *mat.Matrix, active []int,
-	opt InferenceOptions, macs *MACBreakdown, sc *inferScratch) []int {
+// widen copies a propagated row into a float64 one (a plain copy at the f64
+// tier): the model's dense layers and the exit statistics are float64 at
+// every tier.
+func widen[T float64 | float32](dst []float64, src []T) {
+	for j, v := range src {
+		dst[j] = float64(v)
+	}
+}
 
-	f := xl.Cols
+// decide returns the subset of active (indices into targets) that exits at
+// depth l, charging decision MACs. The depth-l rows are read from the
+// compacted slab through sc.tloc and compared in float64.
+func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int,
+	opt InferenceOptions, macs *MACBreakdown, sc *inferScratch[T]) []int {
+
 	var exit []int
 	switch opt.Mode {
 	case ModeDistance:
 		// ∆^{(l)}_i = ‖X^{(l)}_i − X(∞)_i‖ < T_s  (Eqs. 8-9)
 		for _, ti := range active {
-			row := xl.Row(sc.tloc[ti])
 			ref := xinf.Row(ti)
 			var s float64
-			for j, v := range row {
-				diff := v - ref[j]
+			for j, v := range sc.targetRow(l, ti) {
+				diff := float64(v) - ref[j]
 				s += diff * diff
 			}
 			if s < opt.Ts*opt.Ts {
 				exit = append(exit, ti)
 			}
 		}
-		macs.Decision += len(active) * f
+		macs.Decision += len(active) * sc.f
 	case ModeGate:
-		gate := d.Model.Gates[l]
+		gate := m.Gates[l]
 		sc.arena.reset()
-		xlRows := sc.arena.matrix(len(active), f)
-		xinfRows := sc.arena.matrix(len(active), f)
+		xlRows := sc.arena.matrix(len(active), sc.f)
+		xinfRows := sc.arena.matrix(len(active), sc.f)
 		for k, ti := range active {
-			copy(xlRows.Row(k), xl.Row(sc.tloc[ti]))
+			widen(xlRows.Row(k), sc.targetRow(l, ti))
 			copy(xinfRows.Row(k), xinf.Row(ti))
 		}
 		for k, ex := range gate.Decide(xlRows, xinfRows) {
@@ -656,35 +673,34 @@ func (d *Deployment) decide(l int, xl, xinf *mat.Matrix, active []int,
 
 // classify predicts the given target indices with classifier f^{(l)},
 // charging combine and classification MACs. Depth-0 features come from the
-// full-graph matrix; depths ≥ 1 from the compacted buffers via sc.tloc.
-func (d *Deployment) classify(l int, locals []*mat.Matrix, targets []int, idx []int,
-	res *Result, sc *inferScratch) {
+// full-graph matrix; depths ≥ 1 from the compacted slab via sc.tloc.
+func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []int, idx []int,
+	res *Result, sc *inferScratch[T]) {
 
 	if len(idx) == 0 {
 		return
 	}
-	f := d.Graph.F()
 	sc.arena.reset()
 	stack := make([]*mat.Matrix, l+1)
 	for j := 0; j <= l; j++ {
-		stack[j] = sc.arena.matrix(len(idx), f)
+		stack[j] = sc.arena.matrix(len(idx), sc.f)
 		for i, ti := range idx {
 			if j == 0 {
-				copy(stack[j].Row(i), d.Graph.Features.Row(targets[ti]))
+				copy(stack[j].Row(i), g.Features.Row(targets[ti]))
 			} else {
-				copy(stack[j].Row(i), locals[j].Row(sc.tloc[ti]))
+				widen(stack[j].Row(i), sc.targetRow(j, ti))
 			}
 		}
 	}
-	input := d.Model.Combiner.Combine(stack, l)
-	clf := d.Model.Classifiers[l]
+	input := m.Combiner.Combine(stack, l)
+	clf := m.Classifiers[l]
 	pred := clf.Predict(input)
 	for k, ti := range idx {
 		res.Pred[ti] = pred[k]
 		res.Depths[ti] = l
 	}
 	res.NodesPerDepth[l] += len(idx)
-	res.MACs.Combine += len(idx) * d.Model.Combiner.MACsPerRow(l, f)
+	res.MACs.Combine += len(idx) * m.Combiner.MACsPerRow(l, sc.f)
 	res.MACs.Classification += len(idx) * clf.MACsPerRow()
 }
 

@@ -2,52 +2,78 @@ package core
 
 import (
 	"fmt"
-	"time"
+	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/kernel"
-	"repro/internal/mat"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
-// Precision tiers of the inference engine. PrecisionF64 (the default) runs
-// the bit-pinned reference path in inference.go, byte-for-byte unchanged by
-// this file. The relaxed tiers — PrecisionF32 and PrecisionInt8 — swap the
-// propagation kernels for genuinely narrow ones (float32 accumulation, or
-// symmetric per-tensor int8 with int32 accumulation) while decisions,
-// combination, classifiers and the stationary state stay float64, so the
-// accuracy drift is confined to the propagated features and measured by the
-// precision-equivalence suites and the BENCH_infer.json "precision" block.
+// Precision tiers of the inference engine. A tier is a kernel-level choice —
+// the element type Algorithm 1's propagation runs at — under one engine loop
+// (tier.inferBatch in inference.go): PrecisionF64 (the default) propagates in
+// float64 straight off Adj.Val and the feature matrix, PrecisionF32 in
+// float32 over rounded copies of both, PrecisionInt8 over their symmetric
+// per-tensor quantizations with int32 accumulation, dequantized into a
+// float32 slab. Decisions, combination, classifiers and the stationary state
+// stay float64 at every tier, so the relaxed tiers' drift is confined to the
+// propagated features and measured by the precision-equivalence suites.
+// Because the loop is shared, the f64 tier's bit-identity to Algorithm 1 is
+// guaranteed by the equivalence suites that pin it (seed transcription,
+// deltas, memo, shards, cache), not by keeping this file out of its way.
 
-// relaxedState holds the lowered operand mirrors of a relaxed tier: the
-// f32 tier keeps float32 copies of the normalized adjacency values and the
-// feature matrix; the int8 tier keeps their symmetric per-tensor
-// quantizations plus the two scales. Mirrors are pure functions of
-// (Adj, Features), rebuilt by RefreshPrecision after any mutation.
-type relaxedState struct {
-	adj32  []float32 // f32 tier: aligned with Adj.Val
-	feat32 []float32 // f32 tier: Graph.Features, row-major
+// engine is the engine loop instantiated at one slab element type:
+// *tier[float64] serves the f64 tier, *tier[float32] the f32 and int8 tiers.
+type engine interface {
+	// infer runs Algorithm 1 over one batch.
+	infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result
+	// patched re-derives the tier's operands after PatchAdjacency replaced
+	// Adj (and a delta may have grown the features), and drops the memo rows
+	// the patch made stale.
+	patched(valDirty []int)
+	scratchBytes() int
+}
 
-	adj8      []int8 // int8 tier: quantized Adj.Val
-	feat8     []int8 // int8 tier: quantized features
-	adjScale  float64
-	featScale float64
+// operand is one SpMM's input pair at a tier: the sparse values (aligned
+// with the CSR's Val) and the dense rows, flat row-major — as floats of the
+// slab's type, or at the int8 tier as symmetric per-tensor quantizations
+// with deq, the product of their two scales.
+type operand[T float64 | float32] struct {
+	vals, x   []T
+	qvals, qx []int8
+	deq       float64
+}
+
+// tier is the per-precision state of the engine loop: the operands hop 1
+// multiplies, the hop-1 memo at the slab's element type, and the pool of
+// per-request scratch. At f64 the operands are Adj.Val and the feature
+// matrix themselves, so the default tier builds no mirror; the other tiers
+// hold lowered copies, pure functions of (Adj, Features).
+type tier[T float64 | float32] struct {
+	d *Deployment
+	// base is hop 1's operand pair: Â's values and X^{(0)}, at the tier.
+	base operand[T]
+	// adjScale is the int8 tier's quantization scale of Â: every later hop
+	// dequantizes by adjScale × that hop's activation scale.
+	adjScale float64
+	memo     hop1Memo[T]
+	scratch  sync.Pool // *inferScratch[T]
 }
 
 // SetPrecision selects the engine's arithmetic tier. The default (zero
 // value) is kernel.PrecisionF64, under which the deployment carries no
-// mirror state and Infer runs the reference path untouched. Like Refresh,
-// SetPrecision must not be called concurrently with Infer; a precision
-// switch changes answers, so the per-node result cache (if enabled) is
-// flushed. The graph version does not move: precision is an engine knob,
-// not a graph mutation, and sharded serving pins one tier per cluster at
-// handshake instead of versioning it.
+// lowered copy of its operands. Like Refresh, SetPrecision must not be called
+// concurrently with Infer; a precision switch changes answers, so the
+// per-node result cache (if enabled) is flushed, and the hop-1 memo starts
+// empty. The graph version does not move: precision is an engine knob, not a
+// graph mutation, and sharded serving pins one tier per cluster at handshake
+// instead of versioning it.
 func (d *Deployment) SetPrecision(p kernel.Precision) {
 	if !p.Valid() {
 		panic(fmt.Sprintf("core: SetPrecision(%d): unknown tier", int(p)))
 	}
 	d.prec = p
-	d.RefreshPrecision()
+	d.retier()
 	if d.rcache != nil {
 		d.rcache.Flush()
 	}
@@ -56,358 +82,123 @@ func (d *Deployment) SetPrecision(p kernel.Precision) {
 // Precision reports the active tier.
 func (d *Deployment) Precision() kernel.Precision { return d.prec }
 
-// RefreshPrecision rebuilds the relaxed operand mirrors from the current
-// adjacency and features (a no-op at the f64 tier). Refresh and
-// RefreshIncremental call it after repairing their caches; unlike those,
-// RefreshPrecision is also valid on a deployment with externally supplied
-// state (a shard subgraph) — the mirrors are pure functions of the Adj and
-// Features the shard router maintains, so the shard worker re-lowers them
-// itself after applying a delta.
-func (d *Deployment) RefreshPrecision() {
-	switch d.prec {
-	case kernel.PrecisionF32:
-		rx := &relaxedState{
-			adj32:  make([]float32, len(d.Adj.Val)),
-			feat32: make([]float32, len(d.Graph.Features.Data)),
-		}
-		kernel.ToF32(rx.adj32, d.Adj.Val)
-		kernel.ToF32(rx.feat32, d.Graph.Features.Data)
-		d.relaxed = rx
-	case kernel.PrecisionInt8:
-		rx := &relaxedState{}
-		rx.adj8, rx.adjScale = kernel.Quantize(d.Adj.Val)
-		rx.feat8, rx.featScale = kernel.Quantize(d.Graph.Features.Data)
-		d.relaxed = rx
-	default:
-		d.relaxed = nil
-	}
-}
-
-// inferBatchRelaxed is Algorithm 1 for one batch at a relaxed tier. It
-// mirrors inferBatch step for step — same supporting-set BFS, same compacted
-// coordinates, same exit bookkeeping, same MAC accounting — but propagates
-// through the tier's narrow kernels into a float32 slab, and fuses the NAP
-// exit decision into the propagation pass: on decision hops the active
-// targets' rows are split out of the bulk kernel and computed by
-// fusedDecide together with their distance/gate statistic, in one pass over
-// each row instead of a separate matrix sweep.
-func (d *Deployment) inferBatchRelaxed(targets []int, opt InferenceOptions, sc *inferScratch, tr *obs.Trace) *Result {
-	m := d.Model
-	g := d.Graph
-	rx := d.relaxed
-	res := &Result{
-		Pred:          make([]int, len(targets)),
-		Depths:        make([]int, len(targets)),
-		NodesPerDepth: make([]int, m.K+1),
-		NumTargets:    len(targets),
-	}
-	start := time.Now()
-
-	// Stationary rows stay float64 at every tier: X(∞) anchors the exit
-	// decisions, and drifting the anchor would compound the tier's error.
-	var xinf *mat.Matrix
-	if opt.Mode != ModeFixed {
-		st := d.stationary
-		xinf = st.Rows(targets)
-		res.MACs.Stationary = st.SumMACs + len(targets)*st.RowMACs()
-	}
-
-	active := make([]int, len(targets))
-	for i := range active {
-		active[i] = i
-	}
-
-	bfsAt := tr.Begin()
-	nested := graph.SupportingSetsScratch(g.Adj, targets, opt.TMax-1, sc.visited)
-	tr.End(obs.StageBFS, 0, -1, bfsAt)
-	base := 0
-
-	support := nested[0]
-	s, f := len(support), g.F()
-	graph.IndexSet(support, sc.toLocal)
-	defer graph.ResetIndex(support, sc.toLocal)
-	sc.slab32 = growScratch(sc.slab32, opt.TMax*s*f)
-	sc.tloc = growScratch(sc.tloc, len(targets))
-	for i, v := range targets {
-		sc.tloc[i] = int(sc.toLocal[v])
-	}
-	if opt.TMax >= 2 {
-		extAt := tr.Begin()
-		// Same remapped sub-CSR as the f64 path (its Col structure drives
-		// the relaxed kernels too), plus the tier's values gathered from the
-		// global lowering — ExtractRowsInto and GatherRowVals emit the same
-		// concatenated row order, so the mirrors never re-lower per batch.
-		nnz := d.Adj.NNZRows(nested[1])
-		sc.sub.RowPtr = growScratch(sc.sub.RowPtr, s+1)
-		sc.sub.Col = growScratch(sc.sub.Col, nnz)
-		sc.sub.Val = growScratch(sc.sub.Val, nnz)
-		sc.localRows = growScratch(sc.localRows, len(nested[1]))
-		d.Adj.ExtractRowsInto(nested[1], sc.toLocal, s, &sc.sub)
-		switch d.prec {
-		case kernel.PrecisionF32:
-			sc.sub32 = d.Adj.GatherRowVals32(nested[1], rx.adj32, sc.sub32)
-		case kernel.PrecisionInt8:
-			sc.sub8 = d.Adj.GatherRowVals8(nested[1], rx.adj8, sc.sub8)
-		}
-		tr.End(obs.StageExtract, 0, -1, extAt)
-	}
-	if len(sc.isT) < s {
-		sc.isT = make([]bool, s)
-	}
-
-	var fpTime time.Duration
-	// prevLive lists the local rows of the previous hop's buffer holding
-	// live activations (nil = all s rows, after hop 1). The int8 tier's
-	// per-hop activation quantization scans exactly this tensor for its
-	// per-tensor scale — never stale rows left over from earlier hops.
-	var prevLive []int
-	for l := 1; l <= opt.TMax; l++ {
-		rows := nested[l-1-base]
-		out := sc.slab32[(l-1)*s*f : l*s*f]
-		needDecide := l >= opt.TMin && l < opt.TMax && opt.Mode != ModeFixed
-
-		fpStart := time.Now()
-		fpAt := tr.Begin()
-		var exit []int
-		if l == 1 {
-			// Hop 1 reads the global mirrors; rows is exactly S, so compact
-			// output row k is local node k. Every row (targets included)
-			// comes from the bulk kernel, and fusedDecide only reads the
-			// already-hot target rows for its decision.
-			switch d.prec {
-			case kernel.PrecisionF32:
-				res.MACs.Propagation += d.Adj.MulDenseRowsCompact32(rows, rx.adj32, rx.feat32, f, out)
-			case kernel.PrecisionInt8:
-				res.MACs.Propagation += d.Adj.MulDenseRowsCompact8(rows, rx.adj8, rx.feat8, f,
-					rx.adjScale*rx.featScale, out)
-			}
-			if needDecide {
-				exit = d.fusedDecide(l, nil, nil, 0, xinf, out, active, opt, &res.MACs, sc)
-			}
-			prevLive = nil
-		} else {
-			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-			prev := sc.slab32[(l-2)*s*f : (l-1)*s*f]
-			var xq []int8
-			var deq float64
-			if d.prec == kernel.PrecisionInt8 {
-				xq, deq = sc.quantizeActivations(prev, prevLive, s, f, rx.adjScale)
-			}
-			work := sc.localRows
-			if needDecide {
-				// Fused gate+propagate: the active targets' rows leave the
-				// bulk row list; fusedDecide computes each one (bit-identical
-				// to the bulk kernel's row) and its exit statistic while the
-				// row is hot.
-				work = sc.splitTargetRows(active)
-			}
-			switch d.prec {
-			case kernel.PrecisionF32:
-				res.MACs.Propagation += sc.sub.MulDenseRows32(work, sc.sub32, prev, f, out)
-			case kernel.PrecisionInt8:
-				res.MACs.Propagation += sc.sub.MulDenseRows8(work, sc.sub8, xq, f, deq, out)
-			}
-			if needDecide {
-				exit = d.fusedDecide(l, prev, xq, deq, xinf, out, active, opt, &res.MACs, sc)
-			}
-			// Next hop's reads stay within this hop's rows, and the swap
-			// keeps this list alive while LocalizeSet rebuilds the other.
-			sc.localRows, sc.prevRows = sc.prevRows, sc.localRows
-			prevLive = sc.prevRows
-		}
-		// The fused gate rides inside the propagation kernel at relaxed
-		// tiers, so the hop span covers propagate+gate as one segment.
-		tr.End(obs.StagePropagate, l, -1, fpAt)
-		fpTime += time.Since(fpStart)
-
-		if l < opt.TMin {
-			continue
-		}
-		if l < opt.TMax && opt.Mode != ModeFixed {
-			if len(exit) > 0 {
-				clsAt := tr.Begin()
-				d.classifyRelaxed(l, s, f, targets, exit, res, sc)
-				tr.End(obs.StageClassify, 0, -1, clsAt)
-				active = removeIndices(active, exit, sc.rm)
-				if len(active) == 0 {
-					break
-				}
-				if !opt.NoSupportRecompute {
-					bfsAt = tr.Begin()
-					nested = graph.SupportingSetsScratch(
-						g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
-					tr.End(obs.StageBFS, 0, -1, bfsAt)
-					base = l
-				}
-			}
-		} else if l == opt.TMax {
-			clsAt := tr.Begin()
-			d.classifyRelaxed(l, s, f, targets, active, res, sc)
-			tr.End(obs.StageClassify, 0, -1, clsAt)
-			active = nil
-		}
-	}
-	res.TotalTime = time.Since(start)
-	res.FPTime = fpTime
-	return res
-}
-
-// quantizeActivations re-quantizes the live rows of the previous hop's
-// float32 buffer for the int8 tier: one shared symmetric per-tensor scale
-// over exactly the live activation tensor, written into pooled scratch.
-// Rows outside liveRows keep stale bytes, but the SpMM never reads them —
-// every column a hop multiplies lies within the previous hop's ball. The
-// scan and rounding are O(live·f) data movement, not multiply-accumulates,
-// so no MACs are charged (they do count toward FP time). Returns the
-// quantized buffer and the hop's dequantization factor adjScale·actScale.
-func (sc *inferScratch) quantizeActivations(prev []float32, liveRows []int, s, f int, adjScale float64) ([]int8, float64) {
-	sc.x8 = growScratch(sc.x8, s*f)
-	var maxAbs float64
-	if liveRows == nil {
-		maxAbs = kernel.MaxAbsF32(prev)
+// retier builds the engine for the active tier from the current Adj and
+// features: operands lowered, memo members selected and empty, no pooled
+// scratch. Valid on a deployment with externally supplied state too — the
+// operands are pure functions of the Adj and Features its owner maintains.
+func (d *Deployment) retier() {
+	if d.prec == kernel.PrecisionF64 {
+		d.eng = newTier[float64](d)
 	} else {
-		for _, r := range liveRows {
-			if a := kernel.MaxAbsF32(prev[r*f : r*f+f]); a > maxAbs {
-				maxAbs = a
-			}
-		}
+		d.eng = newTier[float32](d)
 	}
-	scale := kernel.ScaleFor(maxAbs)
-	if liveRows == nil {
-		kernel.QuantizeF32AtScale(sc.x8, prev, scale)
-	} else {
-		for _, r := range liveRows {
-			kernel.QuantizeF32AtScale(sc.x8[r*f:r*f+f], prev[r*f:r*f+f], scale)
-		}
-	}
-	return sc.x8, adjScale * scale
 }
 
-// splitTargetRows filters the active targets' local rows out of the current
-// hop's row list (into pooled scratch), leaving them to the fused kernel.
-// sc.isT is all-false on entry and restored on return.
-func (sc *inferScratch) splitTargetRows(active []int) []int {
-	for _, ti := range active {
-		sc.isT[sc.tloc[ti]] = true
-	}
-	sc.bulkRows = sc.bulkRows[:0]
-	for _, r := range sc.localRows {
-		if !sc.isT[r] {
-			sc.bulkRows = append(sc.bulkRows, r)
-		}
-	}
-	for _, ti := range active {
-		sc.isT[sc.tloc[ti]] = false
-	}
-	return sc.bulkRows
+func newTier[T float64 | float32](d *Deployment) *tier[T] {
+	t := &tier[T]{d: d}
+	t.memo.stats = &d.memoStats
+	t.lower()
+	t.memo.reset(d.Adj, d.Graph.F(), memoBudget(d.Adj))
+	return t
 }
 
-// fusedDecide is the fused gate+propagate kernel of the relaxed tiers: for
-// each active target it computes the depth-l propagated row (hops ≥ 2; at
-// hop 1 the bulk compact kernel already produced it) via the per-row
-// primitives — bit-identical to the bulk kernels' output — and immediately
-// evaluates the NAP exit statistic on the still-hot row: the squared
-// distance to the target's stationary row (ModeDistance) or the two gate
-// logits [x_l ‖ x_inf]·W (ModeGate), both accumulated in float64 exactly
-// like the f64 path's decide. Returns the exiting target indices; MAC
-// accounting matches the f64 path term for term (the propagation MACs of
-// the fused rows complete the hop's nnz·f, decisions charge the usual
-// per-row cost).
-func (d *Deployment) fusedDecide(l int, prev []float32, xq []int8, deq float64,
-	xinf *mat.Matrix, out []float32, active []int,
-	opt InferenceOptions, macs *MACBreakdown, sc *inferScratch) []int {
+func (t *tier[T]) int8() bool { return t.d.prec == kernel.PrecisionInt8 }
 
-	f := d.Graph.F()
-	computeRows := prev != nil || xq != nil
-	if computeRows && d.prec == kernel.PrecisionInt8 {
-		sc.acc32 = growScratch(sc.acc32, f)
-	}
-	var w *mat.Matrix
-	if opt.Mode == ModeGate {
-		w = d.Model.Gates[l].W.Value
-	}
-	var exit []int
-	for _, ti := range active {
-		lt := sc.tloc[ti]
-		row := out[lt*f : lt*f+f]
-		if computeRows {
-			switch d.prec {
-			case kernel.PrecisionF32:
-				sc.sub.MulRowInto32(row, lt, sc.sub32, prev, f)
-			case kernel.PrecisionInt8:
-				sc.sub.MulRowInto8(row, sc.acc32, lt, sc.sub8, xq, f, deq)
-			}
-			macs.Propagation += sc.sub.RowNNZ(lt) * f
-		}
-		ref := xinf.Row(ti)
-		switch opt.Mode {
-		case ModeDistance:
-			var dist float64
-			for j, v := range row {
-				diff := float64(v) - ref[j]
-				dist += diff * diff
-			}
-			if dist < opt.Ts*opt.Ts {
-				exit = append(exit, ti)
-			}
-		case ModeGate:
-			var z0, z1 float64
-			for j, v := range row {
-				wr := w.Row(j)
-				z0 += float64(v) * wr[0]
-				z1 += float64(v) * wr[1]
-			}
-			for j, rv := range ref {
-				wr := w.Row(f + j)
-				z0 += rv * wr[0]
-				z1 += rv * wr[1]
-			}
-			if z0 > z1 {
-				exit = append(exit, ti)
-			}
-		}
-	}
-	switch opt.Mode {
-	case ModeDistance:
-		macs.Decision += len(active) * f
-	case ModeGate:
-		macs.Decision += len(active) * d.Model.Gates[l].MACsPerRow()
-	}
-	return exit
-}
-
-// classifyRelaxed is classify for the relaxed tiers: identical combine,
-// classifier and MAC accounting, with the depth ≥ 1 rows widened from the
-// float32 slab into the float64 arena (the model's dense layers stay f64 at
-// every tier).
-func (d *Deployment) classifyRelaxed(l, s, f int, targets, idx []int, res *Result, sc *inferScratch) {
-	if len(idx) == 0 {
+// lower derives the base operands from the deployment's Adj and features.
+func (t *tier[T]) lower() {
+	adj, feat := t.d.Adj.Val, t.d.Graph.Features.Data
+	if t.int8() {
+		var featScale float64
+		t.base.qvals, t.adjScale = kernel.Quantize(adj)
+		t.base.qx, featScale = kernel.Quantize(feat)
+		t.base.deq = t.adjScale * featScale
 		return
 	}
-	sc.arena.reset()
-	stack := make([]*mat.Matrix, l+1)
-	for j := 0; j <= l; j++ {
-		stack[j] = sc.arena.matrix(len(idx), f)
-		for i, ti := range idx {
-			dst := stack[j].Row(i)
-			if j == 0 {
-				copy(dst, d.Graph.Features.Row(targets[ti]))
-			} else {
-				src := sc.slab32[(j-1)*s*f+sc.tloc[ti]*f:]
-				for k := 0; k < f; k++ {
-					dst[k] = float64(src[k])
-				}
-			}
-		}
+	t.base.vals, t.base.x = lowered[T](adj), lowered[T](feat)
+}
+
+// lowered returns src at element type T: src itself at float64, a copy
+// rounded once per element at float32.
+func lowered[T float64 | float32](src []float64) []T {
+	if same, ok := any(src).([]T); ok {
+		return same
 	}
-	input := d.Model.Combiner.Combine(stack, l)
-	clf := d.Model.Classifiers[l]
-	pred := clf.Predict(input)
-	for k, ti := range idx {
-		res.Pred[ti] = pred[k]
-		res.Depths[ti] = l
+	dst := make([]T, len(src))
+	for i, v := range src {
+		dst[i] = T(v)
 	}
-	res.NodesPerDepth[l] += len(idx)
-	res.MACs.Combine += len(idx) * d.Model.Combiner.MACsPerRow(l, f)
-	res.MACs.Classification += len(idx) * clf.MACsPerRow()
+	return dst
+}
+
+func (t *tier[T]) patched(valDirty []int) {
+	t.lower()
+	if t.int8() {
+		// Re-quantizing may move a per-tensor scale, which changes every row.
+		t.memo.invalidateAll()
+	} else {
+		// Rows the patch carried over bitwise lower to the same bits.
+		t.memo.invalidate(valDirty)
+	}
+}
+
+// mulRows is the tier's row-subset SpMM (sparse.MulRowsInto over in).
+func (t *tier[T]) mulRows(in operand[T], a *sparse.CSR, rows, outRows []int, f int, out []T) int {
+	if t.int8() {
+		return sparse.MulRowsInto(a, rows, outRows, in.qvals, in.qx, f, in.deq, out)
+	}
+	return sparse.MulRowsInto(a, rows, outRows, in.vals, in.x, f, 1, out)
+}
+
+// subOperand returns the sparse half of the hops ≥ 2 operand: the values of
+// the sub-CSR just cut from rows of Adj (nnz entries), at the tier. The f64
+// tier's are the ones ExtractRowsInto copied; the lowered tiers gather theirs
+// from the global lowering in the same concatenated row order, so nothing is
+// re-lowered per batch and int8 keeps the global scale.
+func (t *tier[T]) subOperand(rows []int, nnz int, sc *inferScratch[T]) operand[T] {
+	if t.int8() {
+		sc.sub8 = growScratch(sc.sub8, nnz)
+		gatherRowVals(t.d.Adj, rows, t.base.qvals, sc.sub8)
+		return operand[T]{qvals: sc.sub8}
+	}
+	if vals, ok := any(sc.sub.Val).([]T); ok {
+		return operand[T]{vals: vals}
+	}
+	sc.subVal = growScratch(sc.subVal, nnz)
+	gatherRowVals(t.d.Adj, rows, t.base.vals, sc.subVal)
+	return operand[T]{vals: sc.subVal}
+}
+
+// gatherRowVals copies into dst the entries of vals (aligned with a.Val)
+// that belong to the given rows, concatenated in row order.
+func gatherRowVals[E any](a *sparse.CSR, rows []int, vals, dst []E) {
+	n := 0
+	for _, r := range rows {
+		n += copy(dst[n:], vals[a.RowPtr[r]:a.RowPtr[r+1]])
+	}
+}
+
+// quantizeActivations quantizes the previous hop's buffer for the int8
+// tier's next product: one symmetric per-tensor scale over exactly the live
+// activation tensor — liveRows, the rows that hop wrote (nil = all of S) —
+// into pooled scratch. Rows outside liveRows keep stale bytes, but the SpMM
+// never reads them: every column a hop multiplies lies within the previous
+// hop's ball. The scan and rounding are O(live·f) data movement, not
+// multiply-accumulates, so no MACs are charged (they do count toward FP
+// time). Returns the quantized buffer and the hop's dequantization factor.
+func (t *tier[T]) quantizeActivations(prev []T, liveRows []int, sc *inferScratch[T]) ([]int8, float64) {
+	x := any(prev).([]float32) // the int8 tier's slab
+	f := sc.f
+	sc.x8 = growScratch(sc.x8, len(x))
+	if liveRows == nil {
+		return sc.x8, t.adjScale * kernel.QuantizeF32Into(sc.x8, x)
+	}
+	var maxAbs float64
+	for _, r := range liveRows {
+		maxAbs = max(maxAbs, kernel.MaxAbsF32(x[r*f:r*f+f]))
+	}
+	scale := kernel.ScaleFor(maxAbs)
+	for _, r := range liveRows {
+		kernel.QuantizeF32AtScale(sc.x8[r*f:r*f+f], x[r*f:r*f+f], scale)
+	}
+	return sc.x8, t.adjScale * scale
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/obs"
 )
 
 // precisionModes is the mode matrix every tier is exercised under.
@@ -15,10 +19,10 @@ func precisionModes(m *Model) map[string]InferenceOptions {
 	}
 }
 
-// TestPrecisionDefaultInert pins the tentpole's safety property: a
-// deployment at the default tier carries no relaxed state, and a round trip
-// through a relaxed tier and back to f64 reproduces the reference results
-// bit for bit (the f64 path dispatches past all new code).
+// TestPrecisionDefaultInert pins the default tier's safety property: an f64
+// deployment propagates straight off Adj.Val and the feature matrix — it
+// holds no lowered copy of either — and a round trip through a relaxed tier
+// and back to f64 reproduces the reference results bit for bit.
 func TestPrecisionDefaultInert(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -29,25 +33,28 @@ func TestPrecisionDefaultInert(t *testing.T) {
 	if dep.Precision() != kernel.PrecisionF64 {
 		t.Fatalf("default tier = %v, want f64", dep.Precision())
 	}
-	if dep.relaxed != nil {
-		t.Fatal("f64 deployment carries relaxed mirror state")
+	requireNoMirror := func(when string) {
+		t.Helper()
+		e, ok := dep.eng.(*tier[float64])
+		if !ok || &e.base.vals[0] != &dep.Adj.Val[0] || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.qvals != nil {
+			t.Fatalf("%s: the f64 engine does not read Adj.Val and Features in place", when)
+		}
 	}
+	requireNoMirror("fresh deployment")
 	opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K}
 	before, err := dep.Infer(ds.Split.Test, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep.SetPrecision(kernel.PrecisionF32)
-	if dep.relaxed == nil || dep.Precision() != kernel.PrecisionF32 {
-		t.Fatal("SetPrecision(f32) did not install mirrors")
+	if _, ok := dep.eng.(*tier[float32]); !ok || dep.Precision() != kernel.PrecisionF32 {
+		t.Fatal("SetPrecision(f32) did not install the float32 engine")
 	}
 	if _, err := dep.Infer(ds.Split.Test, opt); err != nil {
 		t.Fatal(err)
 	}
 	dep.SetPrecision(kernel.PrecisionF64)
-	if dep.relaxed != nil {
-		t.Fatal("returning to f64 left relaxed mirrors behind")
-	}
+	requireNoMirror("back at f64")
 	after, err := dep.Infer(ds.Split.Test, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +77,10 @@ func TestSetPrecisionRejectsUnknownTier(t *testing.T) {
 // TestRelaxedTiersMatchF64 is the engine-level precision-equivalence test.
 // The f32 tier must classify every test node identically to the f64
 // reference in every mode, at the same personalized depths, with the same
-// MAC accounting (relaxed propagation completes each hop's nnz·f exactly,
-// fused or bulk). The int8 tier's quantization error can legitimately flip
-// a borderline node — that drift is what BENCH_infer.json measures and
-// benchgate bounds — so it is held to ≥97% prediction and depth agreement
-// here, with full MAC parity whenever the depths do all agree.
+// MAC accounting. The int8 tier's quantization error can legitimately flip
+// a borderline node — that drift is what the benchmark's
+// core.int8_top1_agree_share measures — so it is held to ≥97% prediction and
+// depth agreement here, with full MAC parity whenever the depths do all agree.
 func TestRelaxedTiersMatchF64(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -209,6 +215,45 @@ func TestRelaxedDeltaRebuildsMirrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, "delta/"+p.String()+"/"+name, got, want)
+		}
+	}
+}
+
+// TestTraceSpansSameAtEveryTier: the tiers share one engine loop, so a traced
+// request leaves the same span sequence at each — bfs, extract, then per hop
+// propagate{hop}, decide on decision hops, classify whenever someone exits —
+// the relaxed tiers' decide span included.
+func TestTraceSpansSameAtEveryTier(t *testing.T) {
+	ds := tinyData(t)
+	m := trainedModel(t)
+	o := obs.New(obs.Options{})
+	// Ts = 0: nobody exits early, so the sequence does not depend on the
+	// tier's arithmetic.
+	opt := InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 1, TMax: m.K}
+	want := "bfs extract"
+	for l := 1; l <= m.K; l++ {
+		want += fmt.Sprintf(" propagate%d", l)
+		if l < m.K {
+			want += " decide"
+		}
+	}
+	want += " classify"
+	for _, p := range tiers {
+		dep := deployAt(t, m, ds.Graph, p)
+		tr := o.StartTrace()
+		if _, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test[:5], opt); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, sp := range tr.Spans() {
+			name := sp.Stage.String()
+			if sp.Stage == obs.StagePropagate {
+				name += fmt.Sprint(sp.Hop)
+			}
+			got = append(got, name)
+		}
+		if strings.Join(got, " ") != want {
+			t.Fatalf("%v: spans %q, want %q", p, strings.Join(got, " "), want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/sparse"
 	"repro/internal/synth"
@@ -16,28 +17,54 @@ import (
 // with bit-identical results, edge cases (disconnected targets, TMin==TMax)
 // must survive the remap, per-batch scratch memory must scale with |S|
 // rather than the serving graph, and oversized pooled buffers must be
-// dropped back to current need instead of pinned forever.
+// dropped back to current need instead of pinned forever — at every
+// precision tier, since each tier adds its own |S|-sized buffers.
+
+// eachTier runs a scratch test at the three precision tiers, each
+// instantiated at its tier's slab element type.
+func eachTier(t *testing.T, f64, f32 func(*testing.T, kernel.Precision)) {
+	t.Run("f64", func(t *testing.T) { f64(t, kernel.PrecisionF64) })
+	t.Run("f32", func(t *testing.T) { f32(t, kernel.PrecisionF32) })
+	t.Run("int8", func(t *testing.T) { f32(t, kernel.PrecisionInt8) })
+}
+
+// deployAt deploys m on g at tier p.
+func deployAt(t *testing.T, m *Model, g *graph.Graph, p kernel.Precision) *Deployment {
+	t.Helper()
+	dep, err := NewDeployment(m, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.SetPrecision(p)
+	return dep
+}
+
+// tierReference is what dep must answer: the seed transcription at f64, a
+// fresh memo-less deployment (so fresh scratch) of the same tier otherwise.
+func tierReference(t *testing.T, dep *Deployment, targets []int, opt InferenceOptions) *Result {
+	t.Helper()
+	if dep.Precision() == kernel.PrecisionF64 {
+		return seedInfer(dep, targets, opt)
+	}
+	fresh := deployAt(t, dep.Model, dep.Graph, dep.Precision())
+	setMemoRows(fresh, 0)
+	want, err := fresh.Infer(targets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
 
 // inferWith runs one unbatched inferBatch on a caller-held scratch, so
 // tests can observe scratch growth deterministically (under -race the
 // sync.Pool drops Puts at random, so pool inspection would be flaky).
-func inferWith(t *testing.T, d *Deployment, sc *inferScratch, targets []int, opt InferenceOptions) {
+func inferWith[T float64 | float32](t *testing.T, d *Deployment, sc *inferScratch[T], targets []int, opt InferenceOptions) {
 	t.Helper()
 	if err := opt.Validate(d.Model); err != nil {
 		t.Fatal(err)
 	}
-	n := d.Graph.N()
-	if len(sc.visited) < n {
-		sc.visited = make([]bool, n)
-	}
-	if len(sc.toLocal) < n {
-		sc.toLocal = graph.NewIndex(n)
-	}
-	if len(sc.rm) < len(targets) {
-		sc.rm = make([]bool, len(targets))
-	}
-	sc.arena.shrink() // getScratch applies this on every pool hit
-	d.inferBatch(targets, opt, sc, nil)
+	sc.prepare(d.Graph.N(), len(targets))
+	d.eng.(*tier[T]).inferBatch(targets, opt, sc, nil)
 }
 
 func TestScratchReuseAcrossSupportSizes(t *testing.T) {
@@ -47,10 +74,6 @@ func TestScratchReuseAcrossSupportSizes(t *testing.T) {
 	// a large one again, in every mode.
 	ds := tinyData(t)
 	m := trainedModel(t)
-	dep, err := NewDeployment(m, ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
 	big := ds.Split.Test
 	small := ds.Split.Test[:1]
 	seq := []struct {
@@ -64,13 +87,16 @@ func TestScratchReuseAcrossSupportSizes(t *testing.T) {
 		{"small-distance", small, InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K}},
 		{"big-fixed", big, InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: m.K, BatchSize: 13}},
 	}
-	for _, step := range seq {
-		want := seedInfer(dep, step.targets, step.opt)
-		got, err := dep.Infer(step.targets, step.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", step.name, err)
+	for _, p := range tiers {
+		dep := deployAt(t, m, ds.Graph, p)
+		for _, step := range seq {
+			want := tierReference(t, dep, step.targets, step.opt)
+			got, err := dep.Infer(step.targets, step.opt)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", p, step.name, err)
+			}
+			requireSameResult(t, p.String()+"/"+step.name, got, want)
 		}
-		requireSameResult(t, step.name, got, want)
 	}
 }
 
@@ -170,7 +196,7 @@ func TestScratchScalesWithSupportNotGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: 2}
-		sc := &inferScratch{}
+		sc := &inferScratch[float64]{}
 		inferWith(t, dep, sc, ds.Split.Test[:1], opt)
 		return cap(sc.slab), ds.Graph.N()
 	}
@@ -196,45 +222,54 @@ func TestScratchScalesWithSupportNotGraph(t *testing.T) {
 }
 
 func TestOversizedScratchDropped(t *testing.T) {
-	// A huge batch must not pin its slab in the pool forever: once smaller
+	eachTier(t, testOversizedScratchDropped[float64], testOversizedScratchDropped[float32])
+}
+
+func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Precision) {
+	// A huge batch must not pin its buffers in the pool forever: once smaller
 	// batches reuse the scratch, retained capacity has to fall back to at
 	// most 4× current need (plus the fixed O(n) maps).
 	ds := tinyData(t)
 	m := trainedModel(t)
-	dep, err := NewDeployment(m, ds.Graph)
-	if err != nil {
-		t.Fatal(err)
+	dep := deployAt(t, m, ds.Graph, p)
+	sc := &inferScratch[T]{}
+	// Every |S|-sized buffer: the slab, the sub-CSR with the lowered tiers'
+	// copy of its values, the int8 tier's quantized activations, the arena.
+	sized := func() map[string]int {
+		return map[string]int{
+			"slab": cap(sc.slab), "sub-CSR": cap(sc.sub.Col), "sub-CSR tier values": cap(sc.subVal),
+			"sub-CSR int8 values": cap(sc.sub8), "int8 activations": cap(sc.x8), "arena": len(sc.arena.buf),
+		}
 	}
-	sc := &inferScratch{}
 	bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
 	inferWith(t, dep, sc, ds.Split.Test, bigOpt)
-	bigSlab, bigSub, bigArena := cap(sc.slab), cap(sc.sub.Col), len(sc.arena.buf)
+	big := sized()
+	if p == kernel.PrecisionF32 && big["sub-CSR tier values"] == 0 ||
+		p == kernel.PrecisionInt8 && (big["sub-CSR int8 values"] == 0 || big["int8 activations"] == 0) {
+		t.Fatalf("the %v tier left its own buffers unused: %v", p, big)
+	}
 
-	// A small batch at TMax=2 exercises every |S|-sized buffer (slab,
-	// sub-CSR, arena): all must fall back toward current need.
+	// A small batch at TMax=2 exercises all of them: each must fall back
+	// toward current need.
 	smallOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: 2}
 	inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt)
 	inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt) // arena shrinks on the next hit
-	if cap(sc.slab) >= bigSlab {
-		t.Fatalf("oversized slab retained: %d after small batch, %d after big", cap(sc.slab), bigSlab)
-	}
-	if cap(sc.sub.Col) >= bigSub {
-		t.Fatalf("oversized sub-CSR retained: %d after small batch, %d after big", cap(sc.sub.Col), bigSub)
-	}
-	if len(sc.arena.buf) >= bigArena {
-		t.Fatalf("oversized arena retained: %d after small batches, %d after big", len(sc.arena.buf), bigArena)
+	for name, now := range sized() {
+		if big[name] > 0 && now >= big[name] {
+			t.Fatalf("oversized %s retained: %d after small batch, %d after big", name, now, big[name])
+		}
 	}
 
 	// And at TMax=1 (no sub-CSR at all) the slab obeys the 4× cap outright.
 	tinyOpt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}
 	inferWith(t, dep, sc, ds.Split.Test[:1], tinyOpt)
-	need := 1 * 16 // TMax·|S|·f floats for a single-node ball at TMax=1
+	need := 1 * 16 // TMax·|S|·f elements for a single-node ball at TMax=1
 	if cap(sc.slab) > 4*need && cap(sc.slab) > 1024 {
 		t.Fatalf("slab %d exceeds 4× need %d after tiny batch", cap(sc.slab), need)
 	}
 
 	// And the big workload still works (and re-grows) afterwards.
-	want := seedInfer(dep, ds.Split.Test, bigOpt)
+	want := tierReference(t, dep, ds.Split.Test, bigOpt)
 	got, err := dep.Infer(ds.Split.Test, bigOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -245,24 +280,32 @@ func TestOversizedScratchDropped(t *testing.T) {
 func TestScratchBytesReporting(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
-	dep, err := NewDeployment(m, ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.ScratchBytes() != 0 {
-		t.Fatal("ScratchBytes nonzero before any Infer")
-	}
-	// Under -race, sync.Pool drops Puts at random, so the pooled scratch
-	// may legitimately be missing after one call; retry until observed.
-	opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K}
-	var b int
-	for i := 0; i < 100 && b == 0; i++ {
-		if _, err := dep.Infer(ds.Split.Test[:4], opt); err != nil {
-			t.Fatal(err)
+	for _, p := range tiers {
+		dep := deployAt(t, m, ds.Graph, p)
+		if dep.ScratchBytes() != 0 {
+			t.Fatalf("%v: ScratchBytes nonzero before any Infer", p)
 		}
-		b = dep.ScratchBytes()
+		// Under -race, sync.Pool drops Puts at random, so the pooled scratch
+		// may legitimately be missing after one call; retry until observed.
+		opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K}
+		var b int
+		for i := 0; i < 100 && b == 0; i++ {
+			if _, err := dep.Infer(ds.Split.Test[:4], opt); err != nil {
+				t.Fatal(err)
+			}
+			b = dep.ScratchBytes()
+		}
+		if b <= 0 {
+			t.Fatalf("%v: ScratchBytes = %d after repeated Infer", p, b)
+		}
 	}
-	if b <= 0 {
-		t.Fatalf("ScratchBytes = %d after repeated Infer", b)
+	// Buffers count at their element size, whatever the tier.
+	sc64 := &inferScratch[float64]{slab: make([]float64, 10), x8: make([]int8, 3), toLocal: make([]int32, 5)}
+	sc32 := &inferScratch[float32]{slab: make([]float32, 10), subVal: make([]float32, 2), localRows: make([]int, 1)}
+	if got, want := sc64.bytes(), 10*8+3+5*4; got != want {
+		t.Fatalf("f64 scratch reports %d B, holds %d", got, want)
+	}
+	if got, want := sc32.bytes(), 10*4+2*4+8; got != want {
+		t.Fatalf("f32 scratch reports %d B, holds %d", got, want)
 	}
 }

@@ -35,7 +35,7 @@ func NewDeploymentWithState(m *Model, g *graph.Graph, adj *sparse.CSR, st *Stati
 		return nil, fmt.Errorf("core: stationary view covers %d of %d nodes", len(st.LoopedDeg), g.N())
 	}
 	d := &Deployment{Model: m, Graph: g, Adj: adj, stationary: st, externalState: true}
-	d.memo.reset(adj, g.F(), memoBudget(adj))
+	d.retier()
 	return d, nil
 }
 

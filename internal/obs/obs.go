@@ -84,7 +84,7 @@ func New(opt Options) *Obs {
 		o.stages[s] = stageVec.With(s.String())
 	}
 	o.hops = o.Reg.HistogramVec("nai_propagate_hop_duration_seconds",
-		"Per-hop propagation (SpMM + fused gate) latency at the active precision tier.",
+		"Per-hop propagation (SpMM) latency at the active precision tier.",
 		DefBuckets, "hop")
 	return o
 }

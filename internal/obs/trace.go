@@ -28,11 +28,11 @@ const (
 	StageBFS
 	// StageExtract is sub-CSR extraction of the supporting ball.
 	StageExtract
-	// StagePropagate is one feature-propagation hop (SpMM, fused with
-	// the exit gate at relaxed precision tiers); Span.Hop holds the hop.
+	// StagePropagate is one feature-propagation hop (SpMM at the active
+	// precision tier); Span.Hop holds the hop.
 	StagePropagate
-	// StageDecide is the NAP exit decision sweep of the f64 path (the
-	// relaxed tiers fuse it into StagePropagate).
+	// StageDecide is the NAP exit decision sweep over the still-active
+	// targets.
 	StageDecide
 	// StageClassify is combine + per-depth classifier evaluation.
 	StageClassify

@@ -19,9 +19,12 @@ import (
 // subgraph for the max), so sharded int8 is not bit-pinned to unsharded
 // int8; what is pinned instead is that the same partition answers
 // identically over the in-process and HTTP transports, and stays in high
-// agreement with the f64 reference.
+// agreement with the f64 reference. Every comparison runs cold and then warm:
+// the relaxed tiers' workers memoize hop 1 like f64 ones, and a memoized row
+// must not move an answer.
 func TestShardedPrecisionEquivalence(t *testing.T) {
 	ds, m := fixture(t)
+	targets := ds.Split.Test
 	for _, p := range []int{1, 2} {
 		dep, err := core.NewDeployment(m, ds.Graph.Clone())
 		if err != nil {
@@ -32,7 +35,24 @@ func TestShardedPrecisionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameAnswers(t, fmt.Sprintf("f32/P=%d", p), rt, dep, ds.Split.Test)
+		tr32, _ := startWorkersAt(t, p, kernel.PrecisionF32)
+		cfg32 := fastRetry(p)
+		cfg32.Precision = kernel.PrecisionF32
+		hrt32, err := NewRouterTransport(m, ds.Graph.Clone(), cfg32, tr32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Twice: the second pass is served by hop-1 memos the first one filled.
+		for _, pass := range []string{"cold", "warm"} {
+			requireSameAnswers(t, fmt.Sprintf("f32/local/P=%d/%s", p, pass), rt, dep, targets)
+			requireSameAnswers(t, fmt.Sprintf("f32/http/P=%d/%s", p, pass), hrt32, dep, targets)
+		}
+		if s := rt.Hop1Stats(); s.FromMemo == 0 {
+			t.Fatalf("f32/P=%d: the workers' memos served nothing: %+v", p, s)
+		}
+		if err := hrt32.Close(); err != nil {
+			t.Fatal(err)
+		}
 
 		ref, err := core.NewDeployment(m, ds.Graph.Clone())
 		if err != nil {
@@ -49,33 +69,37 @@ func TestShardedPrecisionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		targets := ds.Split.Test
-		for oi, opt := range inferOpts(m) {
-			want, err := ref.Infer(targets, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			local, err := lrt.Infer(targets, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remote, err := hrt.Infer(targets, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same := 0
-			for i := range targets {
-				if local.Pred[i] != remote.Pred[i] || local.Depths[i] != remote.Depths[i] {
-					t.Fatalf("int8/P=%d opt%d target %d: local (%d,%d) != http (%d,%d)",
-						p, oi, targets[i], local.Pred[i], local.Depths[i], remote.Pred[i], remote.Depths[i])
+		for _, pass := range []string{"cold", "warm"} {
+			for oi, opt := range inferOpts(m) {
+				want, err := ref.Infer(targets, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if local.Pred[i] == want.Pred[i] {
-					same++
+				local, err := lrt.Infer(targets, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				remote, err := hrt.Infer(targets, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same := 0
+				for i := range targets {
+					if local.Pred[i] != remote.Pred[i] || local.Depths[i] != remote.Depths[i] {
+						t.Fatalf("int8/P=%d/%s opt%d target %d: local (%d,%d) != http (%d,%d)",
+							p, pass, oi, targets[i], local.Pred[i], local.Depths[i], remote.Pred[i], remote.Depths[i])
+					}
+					if local.Pred[i] == want.Pred[i] {
+						same++
+					}
+				}
+				if a := float64(same) / float64(len(targets)); a < 0.97 {
+					t.Fatalf("int8/P=%d/%s opt%d: agreement with f64 %.3f < 0.97", p, pass, oi, a)
 				}
 			}
-			if a := float64(same) / float64(len(targets)); a < 0.97 {
-				t.Fatalf("int8/P=%d opt%d: agreement with f64 %.3f < 0.97", p, oi, a)
-			}
+		}
+		if s := lrt.Hop1Stats(); s.FromMemo == 0 {
+			t.Fatalf("int8/P=%d: the workers' memos served nothing: %+v", p, s)
 		}
 		if err := hrt.Close(); err != nil {
 			t.Fatal(err)

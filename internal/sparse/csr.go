@@ -8,6 +8,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -231,7 +232,7 @@ func (a *CSR) MulDenseRows(rows []int, x, out *mat.Matrix) int {
 	if out.Rows != a.Rows {
 		panic("sparse: MulDenseRows out shape mismatch")
 	}
-	return a.MulDenseRowsInto(rows, rows, x, out)
+	return MulRowsInto(a, rows, rows, a.Val, x.Data, x.Cols, 1, out.Data)
 }
 
 // MulDenseRowsCompact computes out[k] = (a·x)[rows[k]] for k = 0..len(rows)
@@ -246,28 +247,53 @@ func (a *CSR) MulDenseRows(rows []int, x, out *mat.Matrix) int {
 // result feeds compacted-coordinate consumers the caller must pass rows in
 // exactly the order the local universe was indexed in — for a
 // graph.IndexSet universe that means the same sorted set, making compact
-// row k the node with local id k. The engine relies on this to read hop-1
-// output through the same toLocal map that ExtractRowsInto's sub-CSR uses.
+// row k the node with local id k.
 func (a *CSR) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 	if out.Rows != len(rows) {
 		panic("sparse: MulDenseRowsCompact out shape mismatch")
 	}
-	return a.MulDenseRowsInto(rows, identityRows(len(rows)), x, out)
+	return MulRowsInto(a, rows, identityRows(len(rows)), a.Val, x.Data, x.Cols, 1, out.Data)
 }
 
-// MulDenseRowsInto is the general row-subset form behind MulDenseRows
-// (outRows = rows) and MulDenseRowsCompact (outRows = 0..len(rows)−1):
-// out[outRows[k]] = (a·x)[rows[k]], other rows of out untouched. The engine's
-// hop 1 calls it directly with the compact slots its memo did not fill.
-// Neither list may contain duplicates; out must not alias x.
-func (a *CSR) MulDenseRowsInto(rows, outRows []int, x, out *mat.Matrix) int {
-	if x.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: MulDenseRowsInto inner dims %d != %d", a.Cols, x.Rows))
+// MulRowsInto is the row-subset SpMM of every precision tier, the one entry
+// point the engine calls and the MulDenseRows* forms wrap:
+// out[outRows[k]·f : outRows[k]·f+f] = (a·x)[rows[k]], other rows of out
+// untouched, returning the multiply-accumulate count nnz(rows)·f. vals stands
+// in for a.Val at the operands' element type (aligned with it, so one global
+// lowering of a matrix serves every row subset), x is a.Cols×f row-major and
+// out holds f columns per row, both flat. The element types pick the kernel:
+//
+//   - float64 or float32 operands accumulate at that type into an out of the
+//     same type (anything else panics), every element adding its neighbors'
+//     terms in ascending column order — one fixed order per tier, bit-stable
+//     under blocking, batching and sharding; deq is unused;
+//   - int8 operands (symmetric per-tensor quantisations) accumulate exactly
+//     in int32, and each output element is dequantised once by deq, the
+//     product of the two scales.
+//
+// Neither row list may contain duplicates (parallel chunks write disjoint
+// output rows) and out must not alias x. With outRows = 0..len(rows)−1 the
+// output is compact: row k is rows[k], so a caller feeding compacted
+// coordinates passes rows in the order its local universe was indexed in
+// (MulDenseRowsCompact spells the precondition out).
+func MulRowsInto[V float64 | float32 | int8, O float64 | float32](a *CSR, rows, outRows []int, vals, x []V, f int, deq float64, out []O) int {
+	switch {
+	case f < 0:
+		panic(fmt.Sprintf("sparse: MulRowsInto negative feature width %d", f))
+	case len(vals) != a.NNZ():
+		panic(fmt.Sprintf("sparse: MulRowsInto values length %d != nnz %d", len(vals), a.NNZ()))
+	case len(x) != a.Cols*f:
+		panic(fmt.Sprintf("sparse: MulRowsInto x length %d != %d×%d", len(x), a.Cols, f))
+	case len(outRows) != len(rows) || f > 0 && len(out)%f != 0:
+		panic("sparse: MulRowsInto out shape mismatch")
 	}
-	if len(outRows) != len(rows) || out.Cols != x.Cols {
-		panic("sparse: MulDenseRowsInto out shape mismatch")
+	switch vals := any(vals).(type) {
+	case []int8:
+		return mulRows8Blocked(a, rows, outRows, vals, any(x).([]int8), f, deq, out, par.ColBlock(f, 1))
+	case []O:
+		return mulRowsBlocked(a, rows, outRows, vals, any(x).([]O), f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
 	}
-	return mulRowsBlocked(a, rows, outRows, a.Val, x.Data, x.Cols, out.Data, par.ColBlock(x.Cols, 8))
+	panic("sparse: MulRowsInto float operands and output must share one element type")
 }
 
 // identityRows returns 0..n−1: the output-row list of the compact forms.
@@ -279,10 +305,8 @@ func identityRows(n int) []int {
 	return idx
 }
 
-// mulRowsBlocked is the cache-blocked row-subset SpMM kernel of the f64 and
-// f32 tiers: out[outRows[k]] = (a·x)[rows[k]] with vals standing in for a.Val
-// at the tier's element type, x and out flat row-major with f columns. The
-// dense columns are walked in blocks of bw so each pass over a chunk's CSR
+// mulRowsBlocked is the cache-blocked kernel behind MulRowsInto at the f64
+// and f32 tiers. The dense columns are walked in blocks of bw so each pass over a chunk's CSR
 // rows touches only a bw-wide panel of x, keeping the gathered source rows
 // L1/L2-resident even when the feature width is large. Blocking is
 // bit-identity-preserving by construction: for every output element the

@@ -81,13 +81,13 @@ func FuzzTiledSpMM(f *testing.F) {
 			}
 		}
 
-		// int8: likewise, and the public entry points run the same shapes.
+		// int8: likewise, and the public entry point runs the same shapes.
 		aq, sa := kernel.Quantize(a.Val)
 		xq, sx := kernel.Quantize(x.Data)
 		base8 := make([]float32, len(sel)*width)
-		a.MulDenseRowsCompact8(sel, aq, xq, width, sa*sx, base8)
+		MulRowsInto(a, sel, identityRows(len(sel)), aq, xq, width, sa*sx, base8)
 		blk8 := make([]float32, len(sel)*width)
-		a.mulDenseRows8Blocked(sel, identityRows(len(sel)), aq, xq, width, sa*sx, blk8, bw)
+		mulRows8Blocked(a, sel, identityRows(len(sel)), aq, xq, width, sa*sx, blk8, bw)
 		for i := range blk8 {
 			if math.Float32bits(blk8[i]) != math.Float32bits(base8[i]) {
 				t.Fatalf("int8 bw=%d block drift at %d", bw, i)

@@ -23,9 +23,9 @@ import (
 //     f64 reference, and bit-identical to itself across block widths
 //     (int32 accumulation is exact, so blocking cannot move a bit);
 //   - compact and scatter forms agree row-for-row, and a sub-CSR cut with
-//     ExtractRowsInto plus GatherRowVals reproduces the global rows
-//     bitwise within each tier (the remapped compact form the engine's
-//     deep hops run on).
+//     ExtractRowsInto, carrying the selected rows' entries of the tier's
+//     global lowering, reproduces the global rows bitwise within each tier
+//     (the remapped compact form the engine's deep hops run on).
 //
 // CI runs this file under -race (kernel chunks must never overlap).
 
@@ -210,7 +210,7 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 			av, x32 := lower32(tc.a, tc.x)
 			f := tc.x.Cols
 			base := make([]float32, len(tc.rows)*f)
-			tc.a.MulDenseRowsCompact32(tc.rows, av, x32, f, base)
+			MulRowsInto(tc.a, tc.rows, identityRows(len(tc.rows)), av, x32, f, 1, base)
 			for i, want := range refMulRows32(tc.a, tc.rows, av, x32, f) {
 				if math.Float32bits(base[i]) != math.Float32bits(want) {
 					t.Fatalf("f32 element %d = %v, row-serial f32 %v", i, base[i], want)
@@ -271,7 +271,7 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 			deq := sa * sx
 			f := tc.x.Cols
 			base := make([]float32, len(tc.rows)*f)
-			tc.a.MulDenseRowsCompact8(tc.rows, aq, xq, f, deq, base)
+			MulRowsInto(tc.a, tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, base)
 			for k := range tc.rows {
 				for j := 0; j < f; j++ {
 					got := float64(base[k*f+j])
@@ -284,14 +284,14 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 			}
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				tc.a.mulDenseRows8Blocked(tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, blk, bw)
+				mulRows8Blocked(tc.a, tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, blk, bw)
 				for i := range blk {
 					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
 						t.Fatalf("bw=%d int8 bit drift at %d", bw, i)
 					}
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				tc.a.mulDenseRows8Blocked(tc.rows, tc.rows, aq, xq, f, deq, scat, bw)
+				mulRows8Blocked(tc.a, tc.rows, tc.rows, aq, xq, f, deq, scat, bw)
 				for k, r := range tc.rows {
 					for j := 0; j < f; j++ {
 						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {
@@ -304,9 +304,21 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 	}
 }
 
+// gatherRowVals returns the vals entries (aligned with a.Val) of the given
+// rows in concatenated row order — the value layout ExtractRowsInto gives the
+// sub-CSR it cuts, which is how the engine hands a sub-matrix its tier's
+// global lowering.
+func gatherRowVals[T any](a *CSR, rows []int, vals []T) []T {
+	var out []T
+	for _, r := range rows {
+		out = append(out, vals[a.RowPtr[r]:a.RowPtr[r+1]]...)
+	}
+	return out
+}
+
 // TestKernelPropRemappedCompact pins the remapped compact form the engine's
 // deep hops run on: a neighbor-closed universe is cut with ExtractRowsInto,
-// the tier value arrays are gathered with GatherRowVals, and the sub-CSR
+// the tier value arrays are gathered in the same row order, and the sub-CSR
 // products must reproduce the corresponding global rows bitwise within each
 // tier (f64 exactly; f32 and int8 bit-identical to their own global-kernel
 // rows — the gathered values carry the global scales).
@@ -378,20 +390,10 @@ func TestKernelPropRemappedCompact(t *testing.T) {
 	// f32 tier through the gathered lowering.
 	av, x32 := lower32(adj, x)
 	want32 := make([]float32, len(rows)*f)
-	adj.MulDenseRowsCompact32(rows, av, x32, f, want32)
-	subAv := adj.GatherRowVals32(rows, av, nil)
+	MulRowsInto(adj, rows, identityRows(len(rows)), av, x32, f, 1, want32)
+	subAv := gatherRowVals(adj, rows, av)
 	if len(subAv) != sub.NNZ() {
 		t.Fatalf("gathered %d f32 values for sub nnz %d", len(subAv), sub.NNZ())
-	}
-	// Gathering every sub row from the gathered lowering is the identity.
-	allSub := make([]int, m)
-	for i := range allSub {
-		allSub[i] = i
-	}
-	for i, v := range sub.GatherRowVals32(allSub, subAv, nil) {
-		if math.Float32bits(v) != math.Float32bits(subAv[i]) {
-			t.Fatalf("gather-of-gather drift at %d", i)
-		}
 	}
 	xl32 := make([]float32, len(xLocal.Data))
 	kernel.ToF32(xl32, xLocal.Data)
@@ -410,8 +412,8 @@ func TestKernelPropRemappedCompact(t *testing.T) {
 	xq, sx := kernel.Quantize(x.Data)
 	deq := sa * sx
 	want8 := make([]float32, len(rows)*f)
-	adj.MulDenseRowsCompact8(rows, aq, xq, f, deq, want8)
-	subAq := adj.GatherRowVals8(rows, aq, nil)
+	MulRowsInto(adj, rows, identityRows(len(rows)), aq, xq, f, deq, want8)
+	subAq := gatherRowVals(adj, rows, aq)
 	// Local activations must be the same global quantization gathered by
 	// universe row — re-quantizing locally would change the scale.
 	xlq := make([]int8, m*f)
@@ -427,4 +429,16 @@ func TestKernelPropRemappedCompact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMulRowsIntoRejectsMixedFloats: float operands accumulate at their own
+// type, so an output of the other float type is a caller bug, not a cast.
+func TestMulRowsIntoRejectsMixedFloats(t *testing.T) {
+	a := FromEdges(2, []int{0}, []int{1}, true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("float64 operands into a float32 output did not panic")
+		}
+	}()
+	MulRowsInto(a, []int{0}, []int{0}, a.Val, make([]float64, 2), 1, 1, make([]float32, 2))
 }
