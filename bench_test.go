@@ -337,7 +337,7 @@ func BenchmarkInferBaselineJSON(b *testing.B) {
 		rows = append(rows, i)
 	}
 	out := mat.New(g.N(), g.F())
-	adj := s.Dep.Adj
+	adj := sparse.NormalizedAdjacency(s.DS.Graph.Adj, s.Model.Gamma)
 
 	woptFan := opt
 	woptFan.Workers = 4
@@ -1313,7 +1313,7 @@ func measurePrecision(b *testing.B) benchfmt.PrecisionStats {
 	// serving engine.
 	s := trainedSuite(b)
 	g := s.DS.Graph
-	adj := s.Dep.Adj
+	adj := sparse.NormalizedAdjacency(s.DS.Graph.Adj, s.Model.Gamma)
 	n, f := g.N(), g.F()
 	rows = rows[:n]
 	adj32 := make([]float32, len(adj.Val))
@@ -1345,7 +1345,7 @@ func measurePrecision(b *testing.B) benchfmt.PrecisionStats {
 		if l < K {
 			scale := kernel.ScaleFor(kernel.MaxAbsF32(next))
 			q := make([]int8, len(next))
-			kernel.QuantizeF32AtScale(q, next, scale)
+			kernel.QuantizeAtScale(q, next, scale)
 			act, deq = q, adjScale*scale
 		}
 	}

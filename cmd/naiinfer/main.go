@@ -33,6 +33,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/scalable"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -124,7 +125,7 @@ func main() {
 
 // tuneThreshold converts a validation-distance quantile into T_s.
 func tuneThreshold(dep *core.Deployment, ds *synth.Dataset, m *core.Model, q float64) float64 {
-	feats := scalable.Propagate(dep.Adj, ds.Graph.Features, 1)
+	feats := scalable.Propagate(sparse.NormalizedAdjacency(ds.Graph.Adj, dep.Model.Gamma), ds.Graph.Features, 1)
 	st := dep.Stationary() // cached on the deployment, not recomputed
 	val := ds.Split.Val
 	d := mat.RowDistances(feats[1].GatherRows(val), st.Rows(val))

@@ -116,6 +116,7 @@ import (
 	"repro/internal/scalable"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -272,7 +273,7 @@ func main() {
 			fail(err)
 		}
 		// T_s tuning reads the f64 stationary state regardless of tier, so
-		// the relaxed mirrors are installed after the deployment is built.
+		// the relaxed tier is installed after the deployment is built.
 		dep.SetPrecision(prec)
 	}
 
@@ -474,7 +475,7 @@ func parseShards(s string) (count int, groups [][]string, err error) {
 // tuneThreshold converts a validation-distance quantile into T_s, matching
 // cmd/naiinfer's tuning.
 func tuneThreshold(dep *core.Deployment, ds *synth.Dataset, q float64) float64 {
-	feats := scalable.Propagate(dep.Adj, ds.Graph.Features, 1)
+	feats := scalable.Propagate(sparse.NormalizedAdjacency(ds.Graph.Adj, dep.Model.Gamma), ds.Graph.Features, 1)
 	st := dep.Stationary()
 	val := ds.Split.Val
 	d := mat.RowDistances(feats[1].GatherRows(val), st.Rows(val))

@@ -16,6 +16,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/scalable"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -47,7 +48,7 @@ func main() {
 	}
 
 	// validation distance quantiles → candidate thresholds
-	feats := scalable.Propagate(dep.Adj, g.Features, 1)
+	feats := scalable.Propagate(sparse.NormalizedAdjacency(g.Adj, m.Gamma), g.Features, 1)
 	st := dep.Stationary() // cached on the deployment, not recomputed
 	dists := mat.RowDistances(feats[1].GatherRows(ds.Split.Val), st.Rows(ds.Split.Val))
 	sort.Float64s(dists)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/scalable"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -47,7 +48,7 @@ func main() {
 
 	// Tune T_s on validation distances: the balanced operating point uses
 	// the median depth-1 distance, the aggressive one its 10th percentile.
-	feats := scalable.Propagate(dep.Adj, g.Features, 1)
+	feats := scalable.Propagate(sparse.NormalizedAdjacency(g.Adj, m.Gamma), g.Features, 1)
 	st := dep.Stationary() // cached on the deployment, not recomputed
 	d := mat.RowDistances(feats[1].GatherRows(ds.Split.Val), st.Rows(ds.Split.Val))
 	sort.Float64s(d)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/scalable"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -151,7 +152,7 @@ func (s *Suite) Quantized() *baselines.Quantized {
 // not charged to any method).
 func (s *Suite) fullFeats() ([]*mat.Matrix, *core.Stationary) {
 	s.featsOnce.Do(func() {
-		s.feats = scalable.Propagate(s.Dep.Adj, s.DS.Graph.Features, s.Model.K)
+		s.feats = scalable.Propagate(sparse.NormalizedAdjacency(s.DS.Graph.Adj, s.Model.Gamma), s.DS.Graph.Features, s.Model.K)
 		s.statn = core.ComputeStationary(s.DS.Graph.Adj, s.DS.Graph.Features, s.Model.Gamma)
 	})
 	return s.feats, s.statn

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/sparse"
 )
 
 // ApplyDelta appends nodes and/or edges to the serving graph and
@@ -31,7 +30,7 @@ func (d *Deployment) ApplyDelta(delta graph.Delta) (*graph.DeltaResult, error) {
 // stationary state after the serving graph absorbed a delta, given which
 // rows the delta touched. Dirty rows and their neighbors get fresh values
 // (an edge changes its endpoints' degrees, which scale every incident
-// normalized entry); every other row is carried over bitwise. Callers that
+// normalized entry); every other row is untouched. Callers that
 // mutate the graph through Deployment.ApplyDelta never need this directly.
 func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 	if d.externalState {
@@ -71,19 +70,20 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 }
 
 // PatchAdjacency re-derives the normalized adjacency after the serving graph
-// absorbed a delta: the rows listed in valDirty (ascending) are recomputed
-// from the graph and the stationary state's looped degrees, every other row
-// is carried over bitwise (sparse.NormalizedAdjacencyPatch spells out what
-// valDirty must contain). The active tier then re-derives its operands —
-// lowered views of Adj and Features; Adj.Val and the feature matrix
-// themselves at f64 — and its hop-1 memo drops the rows the patch made stale:
-// exactly the recomputed ones at f64 and f32, all of them at int8.
-// RefreshIncremental ends here; a shard worker, whose degrees and dirty rows
-// come from its router, calls it directly. Must not run concurrently with
-// Infer.
+// absorbed a delta: Adj is rebound to the grown graph and the degree factors
+// of the rows listed in valDirty (ascending) are recomputed from the
+// stationary state's looped degrees, the appended nodes' among them —
+// O(|valDirty|), nothing is copied. valDirty must name every row of Â whose
+// values moved: the rows whose degree changed, the rows adjacent to one
+// (their D̃^{−γ} column factors moved) and every appended row. The active tier
+// then re-derives its dense operand (the feature matrix may have grown), and
+// its hop-1 memo extends to the appended nodes while its budget allows and
+// drops the rows the patch made stale: exactly valDirty at f64 and f32, all
+// of them at int8. RefreshIncremental ends here; a shard worker, whose
+// degrees and dirty rows come from its router, calls it directly. Must not
+// run concurrently with Infer.
 func (d *Deployment) PatchAdjacency(valDirty []int) {
-	d.Adj = sparse.NormalizedAdjacencyPatch(d.Graph.Adj, d.Model.Gamma, d.Adj,
-		d.stationary.LoopedDeg, valDirty)
+	d.Adj.Patch(d.Graph.Adj, d.stationary.LoopedDeg, valDirty)
 	d.eng.patched(valDirty)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,17 +45,25 @@ func rangeInts(lo, hi int) []int {
 	return out
 }
 
-func sameCSR(a, b *sparse.CSR) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
+// sameNormalized reports whether two adjacency operators emit the same Â:
+// the same pattern under bit-identical degree factors.
+func sameNormalized(a, b *sparse.Normalized) bool {
+	if a.Gamma != b.Gamma || a.N() != b.N() || a.NNZ() != b.NNZ() {
 		return false
 	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != b.RowPtr[i] {
+	for i := range a.Adj.RowPtr {
+		if a.Adj.RowPtr[i] != b.Adj.RowPtr[i] {
 			return false
 		}
 	}
-	for k := range a.Col {
-		if a.Col[k] != b.Col[k] || a.Val[k] != b.Val[k] {
+	for k := range a.Adj.Col {
+		if a.Adj.Col[k] != b.Adj.Col[k] {
+			return false
+		}
+	}
+	for i := range a.Left {
+		if math.Float64bits(a.Left[i]) != math.Float64bits(b.Left[i]) ||
+			math.Float64bits(a.Right[i]) != math.Float64bits(b.Right[i]) {
 			return false
 		}
 	}
@@ -65,7 +74,7 @@ func sameCSR(a, b *sparse.CSR) bool {
 // serving state (normalized adjacency + stationary decomposition).
 func requireSameState(t *testing.T, want, got *Deployment) {
 	t.Helper()
-	if !sameCSR(want.Adj, got.Adj) {
+	if !sameNormalized(want.Adj, got.Adj) {
 		t.Fatal("normalized adjacency differs from full Refresh")
 	}
 	sw, sg := want.Stationary(), got.Stationary()

@@ -142,14 +142,18 @@ func (r *Result) merge(o *Result) {
 }
 
 // Deployment is a model served against a full graph (which now includes
-// the unseen test nodes). It owns the normalized adjacency and the cached
-// stationary state, computed once at construction (and on Refresh) instead
-// of per batch. All per-request state lives in pooled scratch and the cached
-// state is read-only during inference, so Infer is safe for concurrent
-// callers; the one thing Infer writes on the deployment is its hop-1 memo
-// (the X^(1) rows of the top-degree nodes, 0.5 % of Adj's bytes), through
-// lock-free publish-once slots that deltas empty and Refresh re-selects —
-// answers and MACs are bit-identical with or without it.
+// the unseen test nodes). It owns the normalized adjacency — held implicitly,
+// as the graph's own pattern plus two degree-factor vectors, never as a
+// matrix — and the cached stationary state, computed once at construction
+// (and on Refresh) instead of per batch. All per-request state lives in
+// pooled scratch, which is also the only place rows of Â are ever
+// materialized (the batch's sub-CSR and the hop-1 rows the memo missed), and
+// the cached state is read-only during inference, so Infer is safe for
+// concurrent callers; the one thing Infer writes on the deployment is its
+// hop-1 memo — the X^(1) rows of as many top-degree nodes as fit in the bytes
+// a materialized Â would have cost (memoBudget) — through lock-free
+// publish-once slots that deltas empty and extend and Refresh re-selects.
+// Answers and MACs are bit-identical with or without it.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
 // instantiated at the tier's element type. What pins the default f64 tier to
@@ -159,8 +163,9 @@ func (r *Result) merge(o *Result) {
 type Deployment struct {
 	Model *Model
 	Graph *graph.Graph
-	// Adj is the γ-normalized adjacency of the full serving graph.
-	Adj *sparse.CSR
+	// Adj is the γ-normalized adjacency of the full serving graph: an
+	// operator over Graph.Adj and the stationary state's looped degrees.
+	Adj *sparse.Normalized
 
 	// stationary caches ComputeStationary's global weighted sum; batches
 	// only materialize their target rows from it (O(b·f), not O(n·f)).
@@ -218,8 +223,8 @@ func (d *Deployment) Refresh() {
 	if d.externalState {
 		panic("core: Refresh on a deployment with externally supplied state (shard subgraph); its router owns the caches")
 	}
-	d.Adj = sparse.NormalizedAdjacency(d.Graph.Adj, d.Model.Gamma)
 	d.stationary = ComputeStationary(d.Graph.Adj, d.Graph.Features, d.Model.Gamma)
+	d.Adj = sparse.NewNormalized(d.Graph.Adj, d.Model.Gamma, d.stationary.LoopedDeg)
 	d.retier()
 	// A full rebuild means the caller mutated the graph arbitrarily behind
 	// the deployment's back: bump the version and drop every cached answer
@@ -244,9 +249,10 @@ func (d *Deployment) Stationary() *Stationary { return d.stationary }
 // the hop-0 ball of the batch — plus two O(n) byte/int32-sized maps (BFS
 // marks and the global→local remap). Peak memory therefore scales with
 // concurrently executing batches × their supporting sets, not with the
-// serving graph. All |S|-sized buffers — the slab, the sub-CSR and its tier
-// values, the row lists, the int8 tier's quantized activations (growScratch)
-// and the decide/classify arena (arena.shrink) — follow one retention policy:
+// serving graph. All |S|-sized buffers — the slab, the two cuts of Â (sub-CSR
+// and hop-1 misses) and their tier values, the row lists, the int8 tier's
+// quantized activations (growScratch) and the decide/classify arena
+// (arena.shrink) — follow one retention policy:
 // they grow geometrically across pool hits and drop back to current need when
 // a past batch left them more than 4× oversized, so one huge request does not
 // pin worst-case capacity forever, at any tier.
@@ -264,12 +270,18 @@ type inferScratch[T float64 | float32] struct {
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
 	// sub is the batch's compacted sub-CSR (rows within radius TMax−2 of
-	// the targets, all coordinates local to S), reused across batches. Its
-	// Val is the f64 tier's operand; subVal (f32) and sub8 (int8) carry the
-	// same entries of the tier's global lowering.
+	// the targets, all coordinates local to S), cut from the deployment's Adj
+	// per batch and reused across batches. Its Val is the f64 tier's operand;
+	// subVal (f32) and sub8 (int8) are the same entries lowered to the tier.
 	sub    sparse.CSR
 	subVal []T
 	sub8   []int8
+	// miss is the hop-1 rows of Â the memo did not hold (row toLocal[v] of
+	// |S|, columns global: hop 1 reads the full feature matrix), with
+	// missVal/miss8 as subVal/sub8.
+	miss    sparse.CSR
+	missVal []T
+	miss8   []int8
 	// x8 holds the int8 tier's quantized input activations of one hop.
 	x8 []int8
 	// localRows holds one hop's propagation row list in local coordinates.
@@ -277,9 +289,9 @@ type inferScratch[T float64 | float32] struct {
 	// tloc[i] is the local index of targets[i] in S.
 	tloc []int
 	// missRows/missOut list the hop-1 rows the memo did not serve and their
-	// compact output rows; fill pairs (memo slot, compact row) for those of
-	// them the memo wants back.
-	missRows, missOut, fill []int
+	// compact output rows; hits and fill pair (memo slot, compact row) for the
+	// rows it did serve and for the misses it wants back.
+	missRows, missOut, hits, fill []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
 }
@@ -337,8 +349,10 @@ func (sc *inferScratch[T]) bytes() int {
 	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.visited) + capBytes(sc.rm) +
 		capBytes(sc.sub.RowPtr) + capBytes(sc.sub.Col) + capBytes(sc.sub.Val) +
 		capBytes(sc.subVal) + capBytes(sc.sub8) + capBytes(sc.x8) +
+		capBytes(sc.miss.RowPtr) + capBytes(sc.miss.Col) + capBytes(sc.miss.Val) +
+		capBytes(sc.missVal) + capBytes(sc.miss8) +
 		capBytes(sc.localRows) + capBytes(sc.tloc) +
-		capBytes(sc.missRows) + capBytes(sc.missOut) + capBytes(sc.fill) +
+		capBytes(sc.missRows) + capBytes(sc.missOut) + capBytes(sc.hits) + capBytes(sc.fill) +
 		capBytes(sc.arena.buf)
 }
 
@@ -547,7 +561,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		sc.sub.Val = growScratch(sc.sub.Val, nnz)
 		sc.localRows = growScratch(sc.localRows, len(nested[1]))
 		d.Adj.ExtractRowsInto(nested[1], sc.toLocal, sc.s, &sc.sub)
-		sub = t.subOperand(nested[1], nnz, sc)
+		sub = t.withCut(sub, sc.sub.Val, &sc.subVal, &sc.sub8)
 		tr.End(obs.StageExtract, 0, -1, extAt)
 	}
 
@@ -559,8 +573,8 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		fpAt := tr.Begin()
 		if l == 1 {
 			// Hop 1 reads the full-graph feature matrix: rows is exactly S,
-			// so compact output row k is local node k. Hub rows the memo
-			// holds are copied, the rest computed (memo.go).
+			// so compact output row k is local node k. Rows the memo holds
+			// are copied, the rest cut from Adj and computed (memo.go).
 			res.MACs.Propagation += t.propagateHop1(rows, sc)
 		} else {
 			if t.int8() {

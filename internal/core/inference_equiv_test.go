@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mat"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -36,14 +37,16 @@ func seedInfer(d *Deployment, targets []int, opt InferenceOptions) *Result {
 	for l := 1; l <= opt.TMax; l++ {
 		feats[l] = mat.New(d.Graph.N(), d.Graph.F())
 	}
+	// The seed deployment held Â as a matrix, normalized from the graph alone.
+	adj := sparse.NormalizedAdjacency(d.Graph.Adj, d.Model.Gamma)
 	for _, batch := range graph.Batches(targets, batchSize) {
-		agg.merge(seedInferBatch(d, batch, opt, feats))
+		agg.merge(seedInferBatch(d, adj, batch, opt, feats))
 	}
 	return agg
 }
 
 // seedInferBatch is the seed engine's Algorithm 1 for one batch.
-func seedInferBatch(d *Deployment, targets []int, opt InferenceOptions, feats []*mat.Matrix) *Result {
+func seedInferBatch(d *Deployment, adj *sparse.CSR, targets []int, opt InferenceOptions, feats []*mat.Matrix) *Result {
 	m := d.Model
 	g := d.Graph
 	res := &Result{
@@ -73,7 +76,7 @@ func seedInferBatch(d *Deployment, targets []int, opt InferenceOptions, feats []
 			ballCenters = gather(targets, active)
 		}
 		rows := graph.Ball(g.Adj, ballCenters, opt.TMax-l)
-		res.MACs.Propagation += d.Adj.MulDenseRows(rows, feats[l-1], feats[l])
+		res.MACs.Propagation += adj.MulDenseRows(rows, feats[l-1], feats[l])
 
 		if l < opt.TMin {
 			continue

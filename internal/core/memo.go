@@ -5,48 +5,68 @@ import (
 	"unsafe"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
-// hop1Memo keeps X^(1)_v = (ÂX^(0))_v for the highest-degree rows of Â, at
-// the active tier's slab element type, so hop 1 stops recomputing them on
-// every request. A neighbor is reached with probability ∝ its degree and its
-// row costs ∝ its degree, so the few hub rows carry a large share of every
-// supporting ball's hop-1 work (on the benchmark fixture 0.6 % of the rows
-// carry half of a point request's nnz) and, being in most balls, are
-// recomputed by most requests.
+// hop1Memo keeps X^(1)_v = (ÂX^(0))_v, at the active tier's slab element type,
+// for as many rows as its budget holds, so hop 1 — a product no request's
+// identity enters — stops being recomputed by every request. The budget is
+// not a setting but an identity (memoBudget): the bytes a materialized Â of
+// this graph would occupy, which the deployment no longer spends because it
+// serves Â from the graph's own pattern, minus the two factor vectors it holds
+// instead. So a deployment with its memo full is never larger than one that
+// materialized Â and had no memo. Whether every row fits is a property of the
+// graph — a row of Â costs 16 B per entry, a memo slot 8·f + 8 — so on the
+// benchmark fixture (23.4 neighbors, f = 40) all do, and on a graph with
+// f ≫ d̄ the memo is partial and holds the top-degree rows: a neighbor is
+// reached with probability ∝ its degree and its row costs ∝ its degree, so
+// those carry the largest share of every ball's hop-1 work.
 //
-// Membership is fixed at reset (whenever the engine is rebuilt: Refresh,
-// SetPrecision, NewDeploymentWithState): the top-degree rows, as many as
-// memoBudget allows. Rows are filled lazily by whichever request computes
-// them first, into publish-once slots — empty → filling (one CAS winner
-// copies its freshly computed row in) → ready — so concurrent Infer callers
-// need no lock: a reader that sees ready reads a row no one writes any more,
-// and anything else is treated as a miss and computed as before. Slots only
-// go back to empty in invalidate, invalidateAll and reset, which run under
+// Membership is selected at reset (whenever the engine is rebuilt: Refresh,
+// SetPrecision, NewDeploymentWithState) and only ever extended after that:
+// the nodes a delta appends — the paper's inductive newcomers, whose ids are
+// above every member's — get slots at the tail while the budget, re-evaluated
+// on the grown graph, allows (grow). Rows are filled lazily by whichever
+// request computes them first, into publish-once slots — empty → filling (one
+// CAS winner copies its freshly computed row in) → ready — so concurrent
+// Infer callers need no lock: a reader that sees ready reads a row no one
+// writes any more, and anything else is treated as a miss and computed as
+// before. Slots only go back to empty, and the slot arrays are only
+// reallocated, in invalidate, invalidateAll, grow and reset, which run under
 // the same exclusion as every other graph mutation (never concurrently with
 // Infer).
 //
 // A memoized row is the bits the tier's kernel wrote for it, and it is
-// dropped whenever those bits could change: at f64 and f32 when row v of Â is
-// recomputed (clean rows lower to the same bits, and features of existing
-// nodes never change without a Refresh), at int8 on every patch, because
-// re-quantizing can move a per-tensor scale and with it every row. So serving
+// dropped whenever those bits could change: at f64 and f32 when the values of
+// row v of Â move (untouched rows are cut and lowered to the same bits, and
+// features of existing nodes never change without a Refresh), at int8 on
+// every patch, because a moved per-tensor scale moves every row. So serving
 // from the memo is bit-identical to computing, within each tier. A memo with
 // no slots is valid: every row is a miss.
 type hop1Memo[T float64 | float32] struct {
-	f     int
-	ids   []int32         // member node ids, ascending
+	f int
+	// budget is the bytes the memo may hold when serving adj: memoBudget
+	// (tests pin constants to size it).
+	budget func(adj *sparse.Normalized) int
+	n      int     // rows of the graph membership was last settled on
+	ids    []int32 // member node ids, ascending
+	// dense counts the leading slots with ids[k] == k: a node below it is its
+	// own slot, found without a search (every node, when all rows fit).
+	dense int
 	state []atomic.Uint32 // per slot: slotEmpty, slotFilling or slotReady
-	rows  []T             // len(ids)×f, slot-major
-	stats *hop1Counters   // the owning deployment's
+	// rows holds the slots selected at reset, f elements each, and tail those
+	// grown since: a delta appends rows to the small one and never copies
+	// the large one.
+	rows, tail []T
+	stats      *hop1Counters // the owning deployment's
 }
 
 // hop1Counters are scraped by /metrics (Hop1Stats); Result.MACs keeps the
 // paper's books and cannot show the saving.
 type hop1Counters struct {
 	fromMemo, computed, invalidated atomic.Uint64
-	entries                         atomic.Int64
+	entries, capacity, bytes        atomic.Int64
 }
 
 const (
@@ -55,45 +75,50 @@ const (
 	slotReady
 )
 
-// memoShare is the memo's fixed budget: 0.5 % of the bytes Â itself holds,
-// index and state words included.
-const memoShare = 0.005
-
-// memoBudget is the byte budget of a deployment serving adj.
-func memoBudget(adj *sparse.CSR) int {
-	adjBytes := 8 * (len(adj.RowPtr) + len(adj.Col) + len(adj.Val))
-	return int(memoShare * float64(adjBytes))
+// memoBudget is the byte budget of a deployment serving adj: what Â would
+// cost as a CSR — 8·(n+1) of row pointers and 16 per entry — minus the 16·n
+// of degree factors held in its place.
+func memoBudget(adj *sparse.Normalized) int {
+	n := adj.N()
+	return 8*(n+1) + 16*adj.NNZ() - 16*n
 }
 
 // slotBytes is what one memoized row costs: f elements, its id, its state.
 func (m *hop1Memo[T]) slotBytes(f int) int { return int(unsafe.Sizeof(*new(T)))*f + 4 + 4 }
 
+// slotsFor is how many slots the budget pays for when serving adj.
+func (m *hop1Memo[T]) slotsFor(adj *sparse.Normalized) int {
+	return min(m.budget(adj)/m.slotBytes(m.f), adj.N())
+}
+
 // reset drops every row and re-selects the members for adj: the top-degree
-// rows that fit budget bytes (ties at the cut-off degree go to the lowest
-// ids), found with one degree histogram — O(n), no sort.
-func (m *hop1Memo[T]) reset(adj *sparse.CSR, f, budget int) {
+// rows that fit budget(adj) bytes (ties at the cut-off degree go to the
+// lowest ids), found with one degree histogram — O(n), no sort.
+func (m *hop1Memo[T]) reset(adj *sparse.Normalized, f int, budget func(*sparse.Normalized) int) {
 	m.stats.invalidated.Add(uint64(m.stats.entries.Swap(0)))
-	slots := min(budget/m.slotBytes(f), adj.Rows)
-	m.f = f
+	n := adj.N()
+	m.f, m.budget, m.n, m.dense = f, budget, n, 0
+	slots := m.slotsFor(adj)
 	m.ids = make([]int32, 0, slots)
 	m.state = make([]atomic.Uint32, slots)
-	m.rows = make([]T, slots*f)
+	m.rows, m.tail = make([]T, slots*f), nil
+	defer m.sized()
 	if slots == 0 {
 		return
 	}
 	maxDeg := 0
-	for i := 0; i < adj.Rows; i++ {
+	for i := 0; i < n; i++ {
 		maxDeg = max(maxDeg, adj.RowNNZ(i))
 	}
 	hist := make([]int, maxDeg+1)
-	for i := 0; i < adj.Rows; i++ {
+	for i := 0; i < n; i++ {
 		hist[adj.RowNNZ(i)]++
 	}
 	cut, atCut := maxDeg, slots // rows of degree > cut all fit; atCut more at cut
 	for ; cut > 0 && hist[cut] <= atCut; cut-- {
 		atCut -= hist[cut]
 	}
-	for i := 0; i < adj.Rows; i++ {
+	for i := 0; i < n; i++ {
 		if d := adj.RowNNZ(i); d > cut {
 			m.ids = append(m.ids, int32(i))
 		} else if d == cut && atCut > 0 {
@@ -101,12 +126,50 @@ func (m *hop1Memo[T]) reset(adj *sparse.CSR, f, budget int) {
 			atCut--
 		}
 	}
+	for m.dense < len(m.ids) && int(m.ids[m.dense]) == m.dense {
+		m.dense++
+	}
+}
+
+// grow extends the membership to the nodes appended since it was last
+// settled, in id order, while budget(adj) — the identity on the grown graph —
+// has room for another slot. The new slots are empty. Not concurrent with
+// Infer.
+func (m *hop1Memo[T]) grow(adj *sparse.Normalized) {
+	slots := m.slotsFor(adj)
+	for v := m.n; v < adj.N() && len(m.ids) < slots; v++ {
+		if m.dense == len(m.ids) && m.dense == v {
+			m.dense++
+		}
+		m.ids = append(m.ids, int32(v))
+	}
+	m.n = adj.N()
+	m.state = append(m.state, make([]atomic.Uint32, len(m.ids)-len(m.state))...)
+	m.tail = append(m.tail, make([]T, len(m.ids)*m.f-len(m.rows)-len(m.tail))...)
+	m.sized()
+}
+
+// sized publishes the memo's extent to the counters.
+func (m *hop1Memo[T]) sized() {
+	m.stats.capacity.Store(int64(len(m.ids)))
+	m.stats.bytes.Store(int64(len(m.ids) * m.slotBytes(m.f)))
 }
 
 // find returns the first slot at or after from whose id is ≥ v, and whether
-// it is v's. Callers walk ascending node lists, so from only moves forward.
+// it is v's. Callers walk ascending node lists, so from only moves forward —
+// which is what makes galloping from it O(1) amortized over a walk.
 func (m *hop1Memo[T]) find(v, from int) (int, bool) {
-	lo, hi := from, len(m.ids)
+	if v < m.dense {
+		return v, true
+	}
+	lo, hi := max(from, m.dense), len(m.ids)
+	for probe, step := lo, 1; probe < hi; probe, step = probe+step, 2*step {
+		if int(m.ids[probe]) >= v {
+			hi = probe
+			break
+		}
+		lo = probe + 1
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if int(m.ids[mid]) < v {
@@ -118,7 +181,13 @@ func (m *hop1Memo[T]) find(v, from int) (int, bool) {
 	return lo, lo < len(m.ids) && int(m.ids[lo]) == v
 }
 
-func (m *hop1Memo[T]) row(slot int) []T { return m.rows[slot*m.f : (slot+1)*m.f] }
+func (m *hop1Memo[T]) row(slot int) []T {
+	if at := slot * m.f; at < len(m.rows) {
+		return m.rows[at : at+m.f]
+	}
+	at := slot*m.f - len(m.rows)
+	return m.tail[at : at+m.f]
+}
 
 // publish offers a freshly computed row to an empty slot; losing the CAS
 // (another request got there first, with the same bits) is not an error.
@@ -139,7 +208,7 @@ func (m *hop1Memo[T]) drop(slot int) {
 }
 
 // invalidate empties the slots of the given rows (ascending): exactly the
-// rows of Â a delta recomputed.
+// rows of Â whose values a delta moved.
 func (m *hop1Memo[T]) invalidate(dirty []int) {
 	slot := 0
 	for _, v := range dirty {
@@ -161,20 +230,24 @@ func (m *hop1Memo[T]) invalidateAll() {
 // ascending, so compact output row k is rows[k] — into sc.hop(1), and returns
 // Algorithm 1's MAC count for the hop (every row's nnz × f, served from the
 // memo or not, like MACBreakdown.Stationary charges a cost the cache saved).
-// Ready memo rows are copied; the rest go through the tier's SpMM kernel in
-// one pass, and the members among them are published for the next request.
+// Ready memo rows are copied, in parallel above par.Threshold like the kernel
+// they stand in for; the rest are cut from Adj into pooled scratch (columns
+// global: their neighbors reach outside S, into the full feature matrix) and
+// go through the tier's SpMM kernel in one pass, and the members among them
+// are published for the next request.
 func (t *tier[T]) propagateHop1(rows []int, sc *inferScratch[T]) int {
 	m := &t.memo
 	adj, f, out := t.d.Adj, sc.f, sc.hop(1)
 	sc.missRows = growScratch(sc.missRows, len(rows))[:0]
 	sc.missOut = growScratch(sc.missOut, len(rows))[:0]
-	sc.fill = sc.fill[:0] // (slot, compact row) pairs: misses that are members
+	sc.hits = growScratch(sc.hits, 2*len(rows))[:0]
+	sc.fill = sc.fill[:0]
 	hitNNZ, slot := 0, 0
 	for k, v := range rows {
 		var member bool
 		if slot, member = m.find(v, slot); member {
 			if m.state[slot].Load() == slotReady {
-				copy(out[k*f:][:f], m.row(slot))
+				sc.hits = append(sc.hits, slot, k)
 				hitNNZ += adj.RowNNZ(v)
 				continue
 			}
@@ -183,22 +256,38 @@ func (t *tier[T]) propagateHop1(rows []int, sc *inferScratch[T]) int {
 		sc.missRows = append(sc.missRows, v)
 		sc.missOut = append(sc.missOut, k)
 	}
-	macs := t.mulRows(t.base, adj, sc.missRows, sc.missOut, f, out)
+	hits := sc.hits
+	par.For(len(hits)/2, len(hits)/2*f, func(lo, hi int) {
+		for i := 2 * lo; i < 2*hi; i += 2 {
+			copy(out[hits[i+1]*f:][:f], m.row(hits[i]))
+		}
+	})
+
+	// The misses: shaped even when there are none, so that a cold batch's
+	// cut does not outlive it in the pool.
+	nnz := adj.NNZRows(sc.missRows)
+	sc.miss.RowPtr = growScratch(sc.miss.RowPtr, sc.s+1)
+	sc.miss.Col = growScratch(sc.miss.Col, nnz)
+	sc.miss.Val = growScratch(sc.miss.Val, nnz)
+	adj.RowsInto(sc.missRows, sc.toLocal, sc.s, &sc.miss)
+	in := t.withCut(t.base, sc.miss.Val, &sc.missVal, &sc.miss8)
+	macs := t.mulRows(in, &sc.miss, sc.missOut, sc.missOut, f, out)
 	for i := 0; i < len(sc.fill); i += 2 {
 		k := sc.fill[i+1]
 		m.publish(sc.fill[i], out[k*f:][:f])
 	}
-	m.stats.fromMemo.Add(uint64(len(rows) - len(sc.missRows)))
+	m.stats.fromMemo.Add(uint64(len(hits) / 2))
 	m.stats.computed.Add(uint64(len(sc.missRows)))
 	return macs + hitNNZ*f
 }
 
 // Hop1Stats are the hop-1 memo's counters: hop-1 rows served from the memo
-// and computed by the kernel, rows currently memoized, and rows dropped by
-// deltas (or a Refresh) since start.
+// and computed by the kernel, rows dropped by deltas (or a Refresh) since
+// start, rows currently memoized, and the memo's extent — the slots it has
+// (Entries/Capacity is its coverage) and the bytes they cost.
 type Hop1Stats struct {
 	FromMemo, Computed, Invalidated uint64
-	Entries                         int
+	Entries, Capacity, Bytes        int
 }
 
 // Add accumulates another engine's counters field-wise (a router sums its
@@ -208,6 +297,8 @@ func (s *Hop1Stats) Add(o Hop1Stats) {
 	s.Computed += o.Computed
 	s.Invalidated += o.Invalidated
 	s.Entries += o.Entries
+	s.Capacity += o.Capacity
+	s.Bytes += o.Bytes
 }
 
 // Hop1Stats snapshots the memo's counters; safe at any time.
@@ -218,6 +309,8 @@ func (d *Deployment) Hop1Stats() Hop1Stats {
 		Computed:    m.computed.Load(),
 		Invalidated: m.invalidated.Load(),
 		Entries:     int(m.entries.Load()),
+		Capacity:    int(m.capacity.Load()),
+		Bytes:       int(m.bytes.Load()),
 	}
 }
 
@@ -231,8 +324,14 @@ func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 	rows.WithFunc(func() float64 { return float64(read().FromMemo) }, "memo")
 	rows.WithFunc(func() float64 { return float64(read().Computed) }, "computed")
 	reg.GaugeFunc("nai_hop1_memo_entries",
-		"Hub rows currently held by the hop-1 memo.",
+		"Rows currently held by the hop-1 memo.",
 		func() float64 { return float64(read().Entries) })
+	reg.GaugeFunc("nai_hop1_memo_capacity",
+		"Slots the hop-1 memo has: rows it could hold (entries / capacity is its coverage).",
+		func() float64 { return float64(read().Capacity) })
+	reg.GaugeFunc("nai_hop1_memo_bytes",
+		"Bytes the hop-1 memo's slots occupy: what the deployment spends where a materialized adjacency would be.",
+		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
 		"Hop-1 memo rows dropped because a delta recomputed their adjacency row (cumulative).",
 		func() float64 { return float64(read().Invalidated) })

@@ -16,10 +16,11 @@ import (
 
 // The hop-1 memo's contract: serving a hub row from the memo changes no
 // output bit and no MAC count within a precision tier, under cold and warm
-// memos, concurrent fills and deltas. The fixed production budget gives the
-// 300-node test graph a single slot, so these tests size the memo through its
-// unexported reset — the test hook; there is no option — to hold a quarter of
-// the rows, or none (the memo-less reference).
+// memos, concurrent fills and deltas. The production budget is an identity
+// that gives the 300-node test graph slots for three quarters of its rows
+// (16 B per entry of a 6-neighbor row against 136 B a slot), so these tests
+// size the memo through its unexported reset — the test hook; there is no
+// option — to hold a quarter of the rows, or none (the memo-less reference).
 
 // tiers is the precision dimension of the memo and scratch suites.
 var tiers = []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32, kernel.PrecisionInt8}
@@ -29,13 +30,17 @@ var tiers = []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32, kernel.
 func setMemoRows(d *Deployment, n int) int {
 	switch e := d.eng.(type) {
 	case *tier[float64]:
-		e.memo.reset(d.Adj, d.Graph.F(), n*e.memo.slotBytes(d.Graph.F()))
-		return len(e.memo.ids)
+		return setTierMemoRows(e, n)
 	case *tier[float32]:
-		e.memo.reset(d.Adj, d.Graph.F(), n*e.memo.slotBytes(d.Graph.F()))
-		return len(e.memo.ids)
+		return setTierMemoRows(e, n)
 	}
 	panic("unknown engine")
+}
+
+func setTierMemoRows[T float64 | float32](e *tier[T], n int) int {
+	f := e.d.Graph.F()
+	e.memo.reset(e.d.Adj, f, func(*sparse.Normalized) int { return n * e.memo.slotBytes(f) })
+	return len(e.memo.ids)
 }
 
 // memoPair deploys m twice over clones of g at tier p: once with a quarter of
@@ -267,7 +272,9 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	eng := dep.eng.(*tier[T])
 	all := rangeInts(0, g.N())
 	fresh := make([]T, g.N()*g.F())
-	eng.mulRows(eng.base, dep.Adj, all, all, g.F(), fresh)
+	var whole sparse.CSR
+	dep.Adj.RowsInto(all, nil, g.N(), &whole)
+	eng.mulRows(eng.withCut(eng.base, whole.Val, new([]T), new([]int8)), &whole, all, all, g.F(), fresh)
 	for slot, id := range mm.ids {
 		if mm.state[slot].Load() != slotReady {
 			t.Fatalf("slot of node %d not refilled", id)
@@ -289,9 +296,11 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	}
 }
 
-// TestMemoBudget: at the production budget the memo's retained bytes — rows
-// at the tier's element size, index and state words — stay within 0.5 % of
-// Â's, and the members are the top-degree rows.
+// TestMemoBudget: the production budget is the identity — a materialized Â's
+// bytes minus the factor vectors' — the memo's retained bytes (rows at the
+// tier's element size, index and state words) stay within it, every slot it
+// pays for is there, and when not every row fits the members are the
+// top-degree rows.
 func TestMemoBudget(t *testing.T) {
 	t.Run("f64", func(t *testing.T) { testMemoBudget[float64](t, 8) })
 	t.Run("f32", func(t *testing.T) { testMemoBudget[float32](t, 4) })
@@ -305,33 +314,172 @@ func testMemoBudget[T float64 | float32](t *testing.T, elem int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj := sparse.NormalizedAdjacency(ds.Graph.Adj, 0.5)
+		full := sparse.NormalizedAdjacency(ds.Graph.Adj, 0.5)
+		adj := sparse.NewNormalized(ds.Graph.Adj, 0.5, sparse.LoopedDegrees(ds.Graph.Adj))
 		f := ds.Graph.F()
 		m := hop1Memo[T]{stats: new(hop1Counters)}
-		m.reset(adj, f, memoBudget(adj))
-		adjBytes := 8 * (len(adj.RowPtr) + len(adj.Col) + len(adj.Val))
-		if got := elem*cap(m.rows) + 4*cap(m.ids) + 4*cap(m.state); float64(got) > 0.005*float64(adjBytes) {
-			t.Fatalf("n=%d: memo retains %d B, over 0.5%% of Â's %d B", n, got, adjBytes)
+		m.reset(adj, f, memoBudget)
+		budget := 8*(len(full.RowPtr)+len(full.Col)+len(full.Val)) - 8*(len(adj.Left)+len(adj.Right))
+		if memoBudget(adj) != budget {
+			t.Fatalf("n=%d: budget %d B, the identity says %d", n, memoBudget(adj), budget)
 		}
-		if want := memoBudget(adj) / (elem*f + 8); len(m.ids) != want || len(m.state) != want || len(m.rows) != want*f {
+		if got := elem*cap(m.rows) + 4*cap(m.ids) + 4*cap(m.state); got > budget {
+			t.Fatalf("n=%d: memo retains %d B, over its %d B budget", n, got, budget)
+		}
+		want := min(budget/(elem*f+8), n)
+		if len(m.ids) != want || len(m.state) != want || len(m.rows) != want*f || len(m.tail) != 0 {
 			t.Fatalf("n=%d: %d ids, %d states, %d row elements for %d slots", n, len(m.ids), len(m.state), len(m.rows), want)
 		}
-		if n > 300 && len(m.ids) < 20 {
-			t.Fatalf("n=%d: only %d slots", n, len(m.ids))
+		if s := m.stats; int(s.capacity.Load()) != want || int(s.bytes.Load()) != want*(elem*f+8) {
+			t.Fatalf("n=%d: counters report %d slots, %d B", n, s.capacity.Load(), s.bytes.Load())
+		}
+		if elem == 8 && want == n || elem == 4 && want != n {
+			t.Fatalf("n=%d: %d slots — this fixture is partial at f64 and full at f32", n, want)
 		}
 		if !sort.SliceIsSorted(m.ids, func(a, b int) bool { return m.ids[a] < m.ids[b] }) {
 			t.Fatalf("n=%d: member ids not ascending", n)
 		}
 		member := make(map[int]bool, len(m.ids))
 		minIn := math.MaxInt
-		for _, id := range m.ids {
+		for slot, id := range m.ids {
 			member[int(id)] = true
 			minIn = min(minIn, adj.RowNNZ(int(id)))
+			if got, ok := m.find(int(id), 0); !ok || got != slot || slot < m.dense && int(id) != slot {
+				t.Fatalf("n=%d: find(%d) = %d, %v; slot %d, dense prefix %d", n, id, got, ok, slot, m.dense)
+			}
 		}
-		for v := 0; v < adj.Rows; v++ {
+		for v, from := 0, 0; v < n; v++ {
+			slot, ok := m.find(v, from)
+			if ok != member[v] || ok && int(m.ids[slot]) != v || !ok && slot < len(m.ids) && int(m.ids[slot]) < v {
+				t.Fatalf("n=%d: walking find(%d, %d) = %d, %v", n, v, from, slot, ok)
+			}
+			from = slot
 			if !member[v] && adj.RowNNZ(v) > minIn {
 				t.Fatalf("n=%d: node %d (degree %d) left out, a member has degree %d", n, v, adj.RowNNZ(v), minIn)
 			}
 		}
+	}
+}
+
+// TestDeploymentNotLargerThanMaterialised: on every preset, what a deployment
+// holds in place of a materialized Â — the two factor vectors and the memo —
+// is no larger than that matrix. The memo takes everything the identity
+// leaves, and how many rows that covers follows from the graph: nearly all on
+// the dense products-like preset, under half — the top-degree ones — on the
+// arxiv-like one, where a slot (8·f + 8 B, f = 48) costs three rows of Â.
+func TestDeploymentNotLargerThanMaterialised(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    synth.Config
+		lo, hi float64 // coverage: slots / rows
+	}{{synth.Tiny(3), 0.5, 0.99}, {synth.ArxivLike(3), 0.1, 0.5}, {synth.ProductsLike(3), 0.9, 1}} {
+		ds, err := synth.Generate(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ds.Graph
+		dep, err := NewDeployment(&Model{K: 2, Gamma: 0.5, NumClasses: g.NumClasses, FeatureDim: g.F()}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := sparse.NormalizedAdjacency(g.Adj, 0.5)
+		materialized := 8 * (len(full.RowPtr) + len(full.Col) + len(full.Val))
+		stats := dep.Hop1Stats()
+		held := 8*(len(dep.Adj.Left)+len(dep.Adj.Right)) + stats.Bytes
+		if held > materialized {
+			t.Fatalf("%s: factors + memo hold %d B, a materialized Â %d B", tc.cfg.Name, held, materialized)
+		}
+		slot := 8*g.F() + 8
+		if materialized-held >= slot && stats.Capacity < g.N() {
+			t.Fatalf("%s: %d B of the identity unspent with %d of %d rows memoizable", tc.cfg.Name, materialized-held, stats.Capacity, g.N())
+		}
+		if cover := float64(stats.Capacity) / float64(g.N()); cover < tc.lo || cover > tc.hi {
+			t.Fatalf("%s: %d slots for %d rows, want coverage in [%v, %v]", tc.cfg.Name, stats.Capacity, g.N(), tc.lo, tc.hi)
+		}
+		mm := &dep.eng.(*tier[float64]).memo
+		member := make(map[int]bool, len(mm.ids))
+		minIn := math.MaxInt
+		for _, id := range mm.ids {
+			member[int(id)] = true
+			minIn = min(minIn, dep.Adj.RowNNZ(int(id)))
+		}
+		for v := 0; v < g.N(); v++ {
+			if !member[v] && dep.Adj.RowNNZ(v) > minIn {
+				t.Fatalf("%s: node %d (degree %d) left out, a member has degree %d", tc.cfg.Name, v, dep.Adj.RowNNZ(v), minIn)
+			}
+		}
+	}
+}
+
+// TestMemoGrowsWithAppendedNodes: on a graph dense enough that every row
+// fits, the nodes deltas append — the inductive newcomers, which every ball
+// through them would otherwise recompute — get memo slots, so coverage stays
+// complete, and answers stay bit-equal to a memo-less deployment cold and
+// warm. On a partial memo the budget identity still binds.
+func TestMemoGrowsWithAppendedNodes(t *testing.T) {
+	m := trainedModel(t)
+	cfg := synth.Tiny(11)
+	cfg.AvgDegree = 24
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 16}
+	for _, p := range tiers {
+		base, delta := carveDelta(t, ds, 12)
+		dep := deployAt(t, m, base, p)
+		bare := deployAt(t, m, base.Clone(), p)
+		setMemoRows(bare, 0)
+		if s := dep.Hop1Stats(); s.Capacity != base.N() {
+			t.Fatalf("%v: %d slots for %d rows: the fixture is not dense enough", p, s.Capacity, base.N())
+		}
+		for k := 0; k < 12; k++ { // one node per delta, with its edges to earlier nodes
+			u := base.N()
+			d := graph.Delta{Features: delta.Features.GatherRows([]int{k}), Labels: delta.Labels[k : k+1]}
+			for e := range delta.Src {
+				if delta.Src[e] == u {
+					d.Src, d.Dst = append(d.Src, u), append(d.Dst, delta.Dst[e])
+				}
+			}
+			for _, x := range []*Deployment{dep, bare} {
+				if _, err := x.ApplyDelta(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			targets := append(rangeInts(u-3, u+1), ds.Split.Test[:8]...)
+			requireColdWarmSame(t, fmt.Sprintf("%v after %d deltas", p, k+1), dep, bare, targets, opt)
+		}
+		n := dep.Graph.N()
+		if _, err := dep.Infer(rangeInts(0, n), InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var ids, dense int
+		switch e := dep.eng.(type) {
+		case *tier[float64]:
+			ids, dense = len(e.memo.ids), e.memo.dense
+		case *tier[float32]:
+			ids, dense = len(e.memo.ids), e.memo.dense
+		}
+		if s := dep.Hop1Stats(); ids != n || dense != n || s.Capacity != n || s.Entries != n {
+			t.Fatalf("%v: %d ids (%d dense), stats %+v for %d nodes", p, ids, dense, s, n)
+		}
+		if s := bare.Hop1Stats(); s.Capacity != 0 || s.FromMemo != 0 {
+			t.Fatalf("%v: memo-less reference grew a memo: %+v", p, s)
+		}
+		requireColdWarmSame(t, fmt.Sprintf("%v full", p), dep, bare, ds.Split.Test, opt)
+	}
+
+	// Partial: the tiny graph at its own density. Newcomers get what the
+	// grown graph's identity adds, which is less than a slot apiece.
+	tiny := tinyData(t)
+	base, delta := carveDelta(t, tiny, 12)
+	dep := deployAt(t, m, base, kernel.PrecisionF64)
+	before := dep.Hop1Stats().Capacity
+	if _, err := dep.ApplyDelta(delta); err != nil {
+		t.Fatal(err)
+	}
+	after := dep.Hop1Stats()
+	limit := memoBudget(dep.Adj) / (8*base.F() + 8)
+	if before >= base.N()-12 || after.Capacity < before || after.Capacity > limit || after.Capacity == base.N() {
+		t.Fatalf("partial memo went from %d to %d slots; the grown graph's budget allows %d of %d", before, after.Capacity, limit, base.N())
 	}
 }

@@ -12,10 +12,12 @@ import (
 // Precision tiers of the inference engine. A tier is a kernel-level choice —
 // the element type Algorithm 1's propagation runs at — under one engine loop
 // (tier.inferBatch in inference.go): PrecisionF64 (the default) propagates in
-// float64 straight off Adj.Val and the feature matrix, PrecisionF32 in
-// float32 over rounded copies of both, PrecisionInt8 over their symmetric
-// per-tensor quantizations with int32 accumulation, dequantized into a
-// float32 slab. Decisions, combination, classifiers and the stationary state
+// float64 straight off the rows of Â a batch cuts and the feature matrix,
+// PrecisionF32 in float32 over those rows rounded per batch and a rounded copy
+// of the features, PrecisionInt8 over their symmetric per-tensor
+// quantizations with int32 accumulation, dequantized into a float32 slab. No
+// tier holds a lowered copy of Â: what a batch cuts it lowers, at a scale
+// (int8) that is a property of the whole operator. Decisions, combination, classifiers and the stationary state
 // stay float64 at every tier, so the relaxed tiers' drift is confined to the
 // propagated features and measured by the precision-equivalence suites.
 // Because the loop is shared, the f64 tier's bit-identity to Algorithm 1 is
@@ -27,34 +29,37 @@ import (
 type engine interface {
 	// infer runs Algorithm 1 over one batch.
 	infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result
-	// patched re-derives the tier's operands after PatchAdjacency replaced
-	// Adj (and a delta may have grown the features), and drops the memo rows
-	// the patch made stale.
+	// patched re-derives the tier's operands after PatchAdjacency patched
+	// Adj (and a delta may have grown the features), gives appended nodes
+	// memo slots and drops the memo rows the patch made stale.
 	patched(valDirty []int)
 	scratchBytes() int
 }
 
 // operand is one SpMM's input pair at a tier: the sparse values (aligned
-// with the CSR's Val) and the dense rows, flat row-major — as floats of the
-// slab's type, or at the int8 tier as symmetric per-tensor quantizations
-// with deq, the product of their two scales.
+// with the Val of the CSR they were cut into) and the dense rows, flat
+// row-major — as floats of the slab's type, or at the int8 tier as symmetric
+// per-tensor quantizations with deq, the product of their two scales.
 type operand[T float64 | float32] struct {
 	vals, x   []T
 	qvals, qx []int8
 	deq       float64
 }
 
-// tier is the per-precision state of the engine loop: the operands hop 1
-// multiplies, the hop-1 memo at the slab's element type, and the pool of
-// per-request scratch. At f64 the operands are Adj.Val and the feature
-// matrix themselves, so the default tier builds no mirror; the other tiers
-// hold lowered copies, pure functions of (Adj, Features).
+// tier is the per-precision state of the engine loop: hop 1's dense operand,
+// the hop-1 memo at the slab's element type, and the pool of per-request
+// scratch. At f64 the dense operand is the feature matrix itself, so the
+// default tier builds no mirror; the other tiers hold a lowered copy of it, a
+// pure function of Features.
 type tier[T float64 | float32] struct {
 	d *Deployment
-	// base is hop 1's operand pair: Â's values and X^{(0)}, at the tier.
+	// base is the dense half of hop 1's operand, X^{(0)} at the tier (at int8
+	// with deq = adjScale × the features' scale); the sparse half is cut per
+	// batch (withCut).
 	base operand[T]
-	// adjScale is the int8 tier's quantization scale of Â: every later hop
-	// dequantizes by adjScale × that hop's activation scale.
+	// adjScale is the int8 tier's quantization scale of Â, max|Â|/127 found
+	// by one pass over the operator: every cut is quantized at it, and every
+	// later hop dequantizes by adjScale × that hop's activation scale.
 	adjScale float64
 	memo     hop1Memo[T]
 	scratch  sync.Pool // *inferScratch[T]
@@ -83,7 +88,7 @@ func (d *Deployment) SetPrecision(p kernel.Precision) {
 func (d *Deployment) Precision() kernel.Precision { return d.prec }
 
 // retier builds the engine for the active tier from the current Adj and
-// features: operands lowered, memo members selected and empty, no pooled
+// features: dense operand lowered, memo members selected and empty, no pooled
 // scratch. Valid on a deployment with externally supplied state too — the
 // operands are pure functions of the Adj and Features its owner maintains.
 func (d *Deployment) retier() {
@@ -98,23 +103,24 @@ func newTier[T float64 | float32](d *Deployment) *tier[T] {
 	t := &tier[T]{d: d}
 	t.memo.stats = &d.memoStats
 	t.lower()
-	t.memo.reset(d.Adj, d.Graph.F(), memoBudget(d.Adj))
+	t.memo.reset(d.Adj, d.Graph.F(), memoBudget)
 	return t
 }
 
 func (t *tier[T]) int8() bool { return t.d.prec == kernel.PrecisionInt8 }
 
-// lower derives the base operands from the deployment's Adj and features.
+// lower derives hop 1's dense operand from the deployment's features and, at
+// int8, the scale every cut of Adj is quantized at.
 func (t *tier[T]) lower() {
-	adj, feat := t.d.Adj.Val, t.d.Graph.Features.Data
+	feat := t.d.Graph.Features.Data
 	if t.int8() {
 		var featScale float64
-		t.base.qvals, t.adjScale = kernel.Quantize(adj)
+		t.adjScale = kernel.ScaleFor(t.d.Adj.MaxAbs())
 		t.base.qx, featScale = kernel.Quantize(feat)
 		t.base.deq = t.adjScale * featScale
 		return
 	}
-	t.base.vals, t.base.x = lowered[T](adj), lowered[T](feat)
+	t.base.x = lowered[T](feat)
 }
 
 // lowered returns src at element type T: src itself at float64, a copy
@@ -132,11 +138,13 @@ func lowered[T float64 | float32](src []float64) []T {
 
 func (t *tier[T]) patched(valDirty []int) {
 	t.lower()
+	t.memo.grow(t.d.Adj)
 	if t.int8() {
 		// Re-quantizing may move a per-tensor scale, which changes every row.
 		t.memo.invalidateAll()
 	} else {
-		// Rows the patch carried over bitwise lower to the same bits.
+		// Rows whose factors and neighbors' factors the patch left alone are
+		// cut and lowered to the same bits.
 		t.memo.invalidate(valDirty)
 	}
 }
@@ -149,32 +157,26 @@ func (t *tier[T]) mulRows(in operand[T], a *sparse.CSR, rows, outRows []int, f i
 	return sparse.MulRowsInto(a, rows, outRows, in.vals, in.x, f, 1, out)
 }
 
-// subOperand returns the sparse half of the hops ≥ 2 operand: the values of
-// the sub-CSR just cut from rows of Adj (nnz entries), at the tier. The f64
-// tier's are the ones ExtractRowsInto copied; the lowered tiers gather theirs
-// from the global lowering in the same concatenated row order, so nothing is
-// re-lowered per batch and int8 keeps the global scale.
-func (t *tier[T]) subOperand(rows []int, nnz int, sc *inferScratch[T]) operand[T] {
+// withCut returns in with its sparse half set to vals, the values of a CSR
+// just cut from Adj, at the tier. The f64 tier's are vals themselves; f32
+// rounds each once into lo and int8 quantizes them into q at the operator's
+// global scale — the bits a lowering of the whole matrix would hold for these
+// entries, so a row lowers the same whichever batch cuts it.
+func (t *tier[T]) withCut(in operand[T], vals []float64, lo *[]T, q *[]int8) operand[T] {
 	if t.int8() {
-		sc.sub8 = growScratch(sc.sub8, nnz)
-		gatherRowVals(t.d.Adj, rows, t.base.qvals, sc.sub8)
-		return operand[T]{qvals: sc.sub8}
+		*q = growScratch(*q, len(vals))
+		kernel.QuantizeAtScale(*q, vals, t.adjScale)
+		in.qvals = *q
+	} else if same, ok := any(vals).([]T); ok {
+		in.vals = same
+	} else {
+		*lo = growScratch(*lo, len(vals))
+		for i, v := range vals {
+			(*lo)[i] = T(v)
+		}
+		in.vals = *lo
 	}
-	if vals, ok := any(sc.sub.Val).([]T); ok {
-		return operand[T]{vals: vals}
-	}
-	sc.subVal = growScratch(sc.subVal, nnz)
-	gatherRowVals(t.d.Adj, rows, t.base.vals, sc.subVal)
-	return operand[T]{vals: sc.subVal}
-}
-
-// gatherRowVals copies into dst the entries of vals (aligned with a.Val)
-// that belong to the given rows, concatenated in row order.
-func gatherRowVals[E any](a *sparse.CSR, rows []int, vals, dst []E) {
-	n := 0
-	for _, r := range rows {
-		n += copy(dst[n:], vals[a.RowPtr[r]:a.RowPtr[r+1]])
-	}
+	return in
 }
 
 // quantizeActivations quantizes the previous hop's buffer for the int8
@@ -198,7 +200,7 @@ func (t *tier[T]) quantizeActivations(prev []T, liveRows []int, sc *inferScratch
 	}
 	scale := kernel.ScaleFor(maxAbs)
 	for _, r := range liveRows {
-		kernel.QuantizeF32AtScale(sc.x8[r*f:r*f+f], x[r*f:r*f+f], scale)
+		kernel.QuantizeAtScale(sc.x8[r*f:r*f+f], x[r*f:r*f+f], scale)
 	}
 	return sc.x8, t.adjScale * scale
 }

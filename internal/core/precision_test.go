@@ -20,9 +20,10 @@ func precisionModes(m *Model) map[string]InferenceOptions {
 }
 
 // TestPrecisionDefaultInert pins the default tier's safety property: an f64
-// deployment propagates straight off Adj.Val and the feature matrix — it
-// holds no lowered copy of either — and a round trip through a relaxed tier
-// and back to f64 reproduces the reference results bit for bit.
+// deployment propagates straight off the feature matrix — it holds no lowered
+// copy of it, and no tier holds values of Â at all — and a round trip through
+// a relaxed tier and back to f64 reproduces the reference results bit for
+// bit.
 func TestPrecisionDefaultInert(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -36,8 +37,8 @@ func TestPrecisionDefaultInert(t *testing.T) {
 	requireNoMirror := func(when string) {
 		t.Helper()
 		e, ok := dep.eng.(*tier[float64])
-		if !ok || &e.base.vals[0] != &dep.Adj.Val[0] || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.qvals != nil {
-			t.Fatalf("%s: the f64 engine does not read Adj.Val and Features in place", when)
+		if !ok || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.vals != nil || e.base.qvals != nil || e.base.qx != nil {
+			t.Fatalf("%s: the f64 engine does not read Features in place, or holds values of Â", when)
 		}
 	}
 	requireNoMirror("fresh deployment")

@@ -2,7 +2,7 @@
 // propagation kernels and the quantized baselines: the Precision tier enum
 // that the engine, the shard bootstrap config and the daemon flag all agree
 // on, plus the symmetric per-tensor int8 quantizer and the float32 lowering
-// helpers the tier mirrors are built from.
+// helpers the relaxed tiers' operands are built with.
 //
 // The repository's accuracy story hangs off one convention fixed here:
 // PrecisionF64 is the bit-pinned reference tier (every equivalence suite
@@ -24,8 +24,8 @@ const (
 	// PrecisionF64 is the reference tier: scalar float64 propagation,
 	// bit-identical across batch splits, shards and transports.
 	PrecisionF64 Precision = iota
-	// PrecisionF32 propagates in float32 (float32 adjacency and feature
-	// mirrors, float32 accumulation); decisions and classifiers stay f64.
+	// PrecisionF32 propagates in float32 (adjacency rows and features rounded
+	// to float32, float32 accumulation); decisions and classifiers stay f64.
 	PrecisionF32
 	// PrecisionInt8 propagates with symmetric per-tensor int8 operands and
 	// int32 accumulation, dequantizing each hop back to float32; decisions
@@ -94,13 +94,8 @@ func QuantizeInto(dst []int8, values []float64) float64 {
 			maxAbs = a
 		}
 	}
-	scale := maxAbs / 127
-	if scale == 0 {
-		scale = 1
-	}
-	for i, v := range values {
-		dst[i] = quantizeOne(v, scale)
-	}
+	scale := ScaleFor(maxAbs)
+	QuantizeAtScale(dst, values, scale)
 	return scale
 }
 
@@ -112,7 +107,7 @@ func QuantizeF32Into(dst []int8, values []float32) float64 {
 		panic(fmt.Sprintf("kernel: QuantizeF32Into dst length %d != %d", len(dst), len(values)))
 	}
 	scale := ScaleFor(MaxAbsF32(values))
-	QuantizeF32AtScale(dst, values, scale)
+	QuantizeAtScale(dst, values, scale)
 	return scale
 }
 
@@ -140,12 +135,15 @@ func ScaleFor(maxAbs float64) float64 {
 	return scale
 }
 
-// QuantizeF32AtScale quantizes values at a caller-fixed scale (the second
-// pass of the two-pass quantizer). The scale must come from ScaleFor over
-// the whole tensor for the scale/2 error guarantee to hold.
-func QuantizeF32AtScale(dst []int8, values []float32, scale float64) {
+// QuantizeAtScale quantizes values at a caller-fixed scale (the second pass
+// of the two-pass quantizer), for callers that only ever see a tensor a slice
+// at a time: the valid rows of a hop buffer, or the engine's per-batch cuts
+// of the normalized adjacency. The scale must come from ScaleFor over the
+// whole tensor for the scale/2 error guarantee to hold; a float32 value
+// rounds as its exact float64 widening.
+func QuantizeAtScale[V float64 | float32](dst []int8, values []V, scale float64) {
 	if len(dst) != len(values) {
-		panic(fmt.Sprintf("kernel: QuantizeF32AtScale dst length %d != %d", len(dst), len(values)))
+		panic(fmt.Sprintf("kernel: QuantizeAtScale dst length %d != %d", len(dst), len(values)))
 	}
 	for i, v := range values {
 		dst[i] = quantizeOne(float64(v), scale)
@@ -166,7 +164,7 @@ func quantizeOne(v, scale float64) int8 {
 }
 
 // ToF32 lowers a float64 tensor into a caller-owned float32 slice (the
-// single rounding every f32-tier mirror is built with).
+// single rounding every f32-tier operand is built with).
 func ToF32(dst []float32, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("kernel: ToF32 dst length %d != %d", len(dst), len(src)))

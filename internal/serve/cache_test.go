@@ -289,7 +289,7 @@ func TestRemoteDeltaNAPCoupling(t *testing.T) {
 	const target, tmax = 0, 2
 
 	norm1 := func(dep *core.Deployment) float64 {
-		x1 := dep.Adj.MulDense(dep.Graph.Features)
+		x1 := sparse.NormalizedAdjacency(dep.Graph.Adj, m.Gamma).MulDense(dep.Graph.Features)
 		xinf := dep.Stationary().Rows([]int{target})
 		var s float64
 		for j, v := range x1.Row(target) {

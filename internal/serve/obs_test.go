@@ -163,6 +163,8 @@ func TestMetricsSurfaceDistributed(t *testing.T) {
 		`nai_hop1_rows_total{source="memo"}`,
 		`nai_hop1_rows_total{source="computed"}`,
 		"nai_hop1_memo_entries",
+		"nai_hop1_memo_capacity",
+		"nai_hop1_memo_bytes",
 		"nai_hop1_memo_invalidated_total 0",
 	} {
 		if !strings.Contains(wout, want) {
@@ -176,7 +178,7 @@ func TestMetricsSurfaceDistributed(t *testing.T) {
 // tracker and the obs counters instead of vanishing before instrumentation.
 func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 	ds, _ := fixture(t)
-	s, _ := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheSize: 64})
+	s, dep := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheSize: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -211,6 +213,10 @@ func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 		t.Fatalf("late tenant has no latency sample: %+v", late)
 	}
 
+	memo := dep.Hop1Stats()
+	if memo.Capacity == 0 || memo.Entries == 0 || memo.Entries > memo.Capacity || memo.Bytes < memo.Capacity*8*dep.Graph.F() {
+		t.Fatalf("hop-1 memo stats %+v: want a sized memo holding the rows the warm-up computed", memo)
+	}
 	out := getMetrics(t, ts.URL)
 	for _, want := range []string{
 		`nai_requests_total{outcome="ok"} 1`,
@@ -221,6 +227,10 @@ func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 		`nai_hop1_rows_total{source="memo"} 0`,
 		`nai_hop1_rows_total{source="computed"}`,
 		"nai_hop1_memo_entries",
+		// The memo's extent, as the deployment reports it: coverage is
+		// entries / capacity, bytes the memory it trades for.
+		fmt.Sprintf("nai_hop1_memo_capacity %d\n", memo.Capacity),
+		fmt.Sprintf("nai_hop1_memo_bytes %d\n", memo.Bytes),
 		"nai_hop1_memo_invalidated_total 0",
 	} {
 		if !strings.Contains(out, want) {

@@ -33,8 +33,8 @@ func (r *Router) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
 //     enter the local subgraph as appended ghost/owned rows, and the plan
 //     carries the exact global bits (weighted sum, scale, looped degrees)
 //     the worker needs to repair its normalized adjacency with
-//     sparse.NormalizedAdjacencyPatch — the same patch the unsharded
-//     RefreshIncremental path uses.
+//     core.Deployment.PatchAdjacency — the same degree-factor patch the
+//     unsharded RefreshIncremental path ends in.
 //  4. The plans are appended to the per-shard delta log (the replay source
 //     for stale and restarted workers), then shipped through the
 //     Transport. A shard that is unreachable after retries does NOT fail

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
+	"repro/internal/sparse"
 )
 
 // inferOpts are the operating points every equivalence test sweeps: all
@@ -199,13 +200,17 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 					t.Fatalf("shard %d node %d: feature %d differs", p, v, c)
 				}
 			}
-			// Raw and normalized rows, compared entry-by-entry in global ids.
+			// Raw and normalized rows, compared entry-by-entry in global ids:
+			// the normalized one as the deployment's operator emits it.
+			var row, frow sparse.CSR
+			w.dep.Adj.RowsInto([]int{lv}, nil, 1, &row)
+			fw.dep.Adj.RowsInto([]int{int(flv)}, nil, 1, &frow)
 			for _, u := range s.universe {
 				lu, flu := int(s.toLocal[u]), int(fs.toLocal[u])
 				if got, want := w.dep.Graph.Adj.At(lv, lu), fw.dep.Graph.Adj.At(int(flv), flu); got != want {
 					t.Fatalf("shard %d raw (%d,%d): %v != fresh %v", p, v, u, got, want)
 				}
-				if got, want := w.dep.Adj.At(lv, lu), fw.dep.Adj.At(int(flv), flu); got != want {
+				if got, want := row.At(0, lu), frow.At(0, flu); got != want {
 					t.Fatalf("shard %d normalized (%d,%d): %v != fresh %v", p, v, u, got, want)
 				}
 			}

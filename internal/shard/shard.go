@@ -52,8 +52,9 @@
 //     plans each shard's incremental halo re-expansion — only distances
 //     reachable through the delta's dirty rows are relaxed — and ships a
 //     versioned ShardDelta; the worker repairs its normalized adjacency
-//     with sparse.NormalizedAdjacencyPatch, the same machinery the
-//     unsharded incremental refresh uses. Every ShardDelta is also kept in
+//     with core.Deployment.PatchAdjacency — a degree-factor patch over the
+//     named rows, the same machinery the unsharded incremental refresh
+//     uses. Every ShardDelta is also kept in
 //     a per-shard log, so a worker that missed deltas (crashed, restarted,
 //     partitioned) is caught up by replay — on its next Infer, or by the
 //     background health probe — without restarting the router.

@@ -10,15 +10,15 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/mat"
-	"repro/internal/sparse"
 )
 
 // Worker is one shard's serving state behind the Transport boundary: a
 // core.Deployment over the shard's owned+halo subgraph plus its stationary
 // view. It is the process-side half of distributed sharding — the router
 // keeps the global graph, ownership and halo bookkeeping, and the worker
-// holds only the bulky hot-path state (features, normalized adjacency rows,
-// propagation scratch) for its subgraph. A worker is built either in the
+// holds only the bulky hot-path state (features, the local adjacency pattern
+// with its nodes' global degree factors — no normalized matrix — the hop-1
+// memo and propagation scratch) for its subgraph. A worker is built either in the
 // router's process (LocalTransport) or by a separate `naiserve
 // -shard-worker` process serving the wire protocol (HTTPTransport).
 //
@@ -83,8 +83,8 @@ func NewWorker(m *core.Model, g *graph.Graph, cfg Config, shardID int) (*Worker,
 
 // newWorker wraps already-built shard state (the local router's path, which
 // computes one partition and one global stationary, then cuts each of the P
-// workers its own view). Lowered precision mirrors are built here so both
-// bootstrap paths serve the configured tier.
+// workers its own view). The engine is re-tiered here so both bootstrap
+// paths serve the configured tier.
 func newWorker(shardID, shards, radius, globalN int, prec kernel.Precision, dep *core.Deployment, st *core.Stationary) *Worker {
 	dep.SetPrecision(prec)
 	return &Worker{shardID: shardID, shards: shards, radius: radius,
@@ -102,9 +102,11 @@ func haloUniverse(g *graph.Graph, owned []int, radius int) []int {
 // universe columns — interior rows are complete by the halo construction,
 // boundary rows keep exactly the in-universe half of their edges so the
 // local matrix stays symmetric (delta routing relies on that for reverse
-// neighbor lookups). The normalized adjacency is built from *global* looped
-// degrees and the stationary view carries an exact copy of the global
-// weighted sum, so every stored value equals the unsharded one bitwise.
+// neighbor lookups). No normalized adjacency is built: the deployment serves
+// it from that local pattern and the stationary view, whose LoopedDeg are the
+// universe's *global* looped degrees — exactness is passing that vector — and
+// which carries an exact copy of the global weighted sum, so every value the
+// worker computes with equals the unsharded one bitwise.
 func buildShardState(m *core.Model, g *graph.Graph, gst *core.Stationary, universe []int) (*core.Deployment, *core.Stationary, error) {
 	toLocal := graph.NewIndex(g.N())
 	graph.IndexSet(universe, toLocal)
@@ -118,8 +120,7 @@ func buildShardState(m *core.Model, g *graph.Graph, gst *core.Stationary, univer
 		return nil, nil, err
 	}
 	st := gst.LocalView(universe)
-	adj := sparse.NormalizedAdjacencyWithDegrees(raw, m.Gamma, st.LoopedDeg)
-	dep, err := core.NewDeploymentWithState(m, lg, adj, st)
+	dep, err := core.NewDeploymentWithState(m, lg, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -218,8 +219,9 @@ func (w *Worker) ApplyDelta(sd *ShardDelta) error {
 		}
 	}
 	// The shard path bypasses Deployment.ApplyDelta (the looped degrees
-	// above are the router's, not locally derivable), so the adjacency patch,
-	// hop-1 memo invalidation and mirror re-lowering are asked for here.
+	// above are the router's, not locally derivable), so the degree-factor
+	// patch, hop-1 memo growth and invalidation, and operand re-lowering are
+	// asked for here.
 	w.dep.PatchAdjacency(valDirty)
 	return nil
 }

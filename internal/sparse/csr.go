@@ -252,7 +252,7 @@ func (a *CSR) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 	if out.Rows != len(rows) {
 		panic("sparse: MulDenseRowsCompact out shape mismatch")
 	}
-	return MulRowsInto(a, rows, identityRows(len(rows)), a.Val, x.Data, x.Cols, 1, out.Data)
+	return MulRowsInto(a, rows, nil, a.Val, x.Data, x.Cols, 1, out.Data)
 }
 
 // MulRowsInto is the row-subset SpMM of every precision tier, the one entry
@@ -272,10 +272,10 @@ func (a *CSR) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 //     product of the two scales.
 //
 // Neither row list may contain duplicates (parallel chunks write disjoint
-// output rows) and out must not alias x. With outRows = 0..len(rows)−1 the
-// output is compact: row k is rows[k], so a caller feeding compacted
-// coordinates passes rows in the order its local universe was indexed in
-// (MulDenseRowsCompact spells the precondition out).
+// output rows) and out must not alias x. A nil outRows stands for
+// 0..len(rows)−1, the compact output: row k is rows[k], so a caller feeding
+// compacted coordinates passes rows in the order its local universe was
+// indexed in (MulDenseRowsCompact spells the precondition out).
 func MulRowsInto[V float64 | float32 | int8, O float64 | float32](a *CSR, rows, outRows []int, vals, x []V, f int, deq float64, out []O) int {
 	switch {
 	case f < 0:
@@ -284,25 +284,25 @@ func MulRowsInto[V float64 | float32 | int8, O float64 | float32](a *CSR, rows, 
 		panic(fmt.Sprintf("sparse: MulRowsInto values length %d != nnz %d", len(vals), a.NNZ()))
 	case len(x) != a.Cols*f:
 		panic(fmt.Sprintf("sparse: MulRowsInto x length %d != %d×%d", len(x), a.Cols, f))
-	case len(outRows) != len(rows) || f > 0 && len(out)%f != 0:
+	case outRows != nil && len(outRows) != len(rows) || f > 0 && len(out)%f != 0:
 		panic("sparse: MulRowsInto out shape mismatch")
 	}
 	switch vals := any(vals).(type) {
 	case []int8:
-		return mulRows8Blocked(a, rows, outRows, vals, any(x).([]int8), f, deq, out, par.ColBlock(f, 1))
+		return mulRows8Blocked(a, len(rows), rows, outRows, vals, any(x).([]int8), f, deq, out, par.ColBlock(f, 1))
 	case []O:
-		return mulRowsBlocked(a, rows, outRows, vals, any(x).([]O), f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
+		return mulRowsBlocked(a, len(rows), rows, outRows, vals, any(x).([]O), f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
 	}
 	panic("sparse: MulRowsInto float operands and output must share one element type")
 }
 
-// identityRows returns 0..n−1: the output-row list of the compact forms.
-func identityRows(n int) []int {
-	idx := make([]int, n)
-	for k := range idx {
-		idx[k] = k
+// rowAt reads entry k of a kernel driver's row list, where a nil list stands
+// for the identity 0, 1, 2, ….
+func rowAt(list []int, k int) int {
+	if list == nil {
+		return k
 	}
-	return idx
+	return list[k]
 }
 
 // mulRowsBlocked is the cache-blocked kernel behind MulRowsInto at the f64
@@ -313,24 +313,36 @@ func identityRows(n int) []int {
 // accumulation order over the row's neighbors is exactly the row-serial
 // kernel's (the block split varies j, never the neighbor order), which
 // TestKernelPropTiledF64BitIdentical pins across hostile block widths.
-func mulRowsBlocked[T float64 | float32](a *CSR, rows, outRows []int, vals, x []T, f int, out []T, bw int) int {
-	nnz := a.NNZRows(rows)
+//
+// The product covers n rows: row rows[k] of a into row outRows[k] of out, a
+// nil list being the identity (rowAt).
+func mulRowsBlocked[T float64 | float32](a *CSR, n int, rows, outRows []int, vals, x []T, f int, out []T, bw int) int {
+	nnz := nnzOf(a, n, rows)
 	if bw <= 0 || bw > f {
 		bw = f
 	}
-	par.ForWeighted(len(rows), nnz*f, nnz,
-		func(k int) int { return a.RowNNZ(rows[k]) },
+	par.ForWeighted(n, nnz*f, nnz,
+		func(k int) int { return a.RowNNZ(rowAt(rows, k)) },
 		func(lo, hi int) {
 			for jb := 0; jb < f; jb += bw {
 				je := min(jb+bw, f)
 				for k := lo; k < hi; k++ {
-					dst := out[outRows[k]*f+jb : outRows[k]*f+je]
+					o := rowAt(outRows, k)
+					dst := out[o*f+jb : o*f+je]
 					clear(dst)
-					gatherRow(dst, a, rows[k], vals, x, f, jb)
+					gatherRow(dst, a, rowAt(rows, k), vals, x, f, jb)
 				}
 			}
 		})
 	return nnz * f
+}
+
+// nnzOf counts the stored entries of a kernel driver's n rows of a.
+func nnzOf(a *CSR, n int, rows []int) int {
+	if rows == nil {
+		return a.RowPtr[n]
+	}
+	return a.NNZRows(rows)
 }
 
 // gatherRow accumulates columns [jb, jb+len(dst)) of (a·x)[i] into dst, the
@@ -383,12 +395,32 @@ func gatherRow[T float64 | float32](dst []T, a *CSR, i int, vals, x []T, f, jb i
 // are reused and grown geometrically, so serving paths can extract one
 // sub-CSR per batch with no steady-state allocation.
 func (a *CSR) ExtractRowsInto(rows []int, toLocal []int32, m int, out *CSR) {
-	out.Rows, out.Cols = m, m
+	extractRows(rows, toLocal, m, m, a.NNZRows(rows), out, func(r, at int) int {
+		cols, vals := a.RowIndices(r), a.RowValues(r)
+		for k, c := range cols {
+			lc := toLocal[c]
+			if lc < 0 {
+				panic(fmt.Sprintf("sparse: ExtractRowsInto neighbor %d of row %d outside the universe", c, r))
+			}
+			out.Col[at+k] = int(lc)
+			out.Val[at+k] = vals[k]
+		}
+		return len(cols)
+	})
+}
+
+// extractRows is the body the row extractions share (CSR.ExtractRowsInto and
+// Normalized's two): it shapes out as m×cols with room for nnz entries,
+// reusing its slices, then for each r in rows has emit write the row's
+// entries at out.Col[at:] and out.Val[at:] — emit returns how many — and
+// closes the row pointers around them. Row r lands at toLocal[r], which must
+// ascend within [0,m); with a nil toLocal, row rows[k] lands at k.
+func extractRows(rows []int, toLocal []int32, m, cols, nnz int, out *CSR, emit func(r, at int) int) {
+	out.Rows, out.Cols = m, cols
 	if cap(out.RowPtr) < m+1 {
 		out.RowPtr = make([]int, m+1, GrownCap(cap(out.RowPtr), m+1))
 	}
 	out.RowPtr = out.RowPtr[:m+1]
-	nnz := a.NNZRows(rows)
 	if cap(out.Col) < nnz {
 		c := GrownCap(cap(out.Col), nnz)
 		out.Col = make([]int, nnz, c)
@@ -397,25 +429,18 @@ func (a *CSR) ExtractRowsInto(rows []int, toLocal []int32, m int, out *CSR) {
 	out.Col = out.Col[:nnz]
 	out.Val = out.Val[:nnz]
 	ptr, next := 0, 0 // next: first local row without a RowPtr entry yet
-	for _, r := range rows {
-		lr := int(toLocal[r])
+	for k, r := range rows {
+		lr := k
+		if toLocal != nil {
+			lr = int(toLocal[r])
+		}
 		if lr < next || lr >= m {
 			panic(fmt.Sprintf("sparse: ExtractRowsInto row %d maps to %d outside [%d,%d)", r, lr, next, m))
 		}
 		for ; next <= lr; next++ {
 			out.RowPtr[next] = ptr
 		}
-		cols := a.RowIndices(r)
-		vals := a.RowValues(r)
-		for k, c := range cols {
-			lc := toLocal[c]
-			if lc < 0 {
-				panic(fmt.Sprintf("sparse: ExtractRowsInto neighbor %d of row %d outside the universe", c, r))
-			}
-			out.Col[ptr] = int(lc)
-			out.Val[ptr] = vals[k]
-			ptr++
-		}
+		ptr += emit(r, ptr)
 	}
 	for ; next <= m; next++ {
 		out.RowPtr[next] = ptr

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -16,9 +15,7 @@ import (
 // appended rows that received no edge are not listed.
 //
 // The returned matrix shares no storage with a. Rebuilding the CSR arrays is
-// an O(nnz) copy, but values are only created for inserted entries — the
-// cost model mirrors NormalizedAdjacencyPatch, which recomputes values only
-// for changed rows.
+// an O(nnz) copy, but values are only created for inserted entries.
 func (a *CSR) AppendEdges(n int, src, dst []int) (*CSR, []int) {
 	if a.Rows != a.Cols {
 		panic("sparse: AppendEdges requires a square matrix")
@@ -102,92 +99,4 @@ func (a *CSR) AppendEdges(n int, src, dst []int) (*CSR, []int) {
 	}
 	out.RowPtr[n] = ptr
 	return out, dirty
-}
-
-// NormalizedAdjacencyPatch computes Â = D̃^{γ−1} Ã D̃^{−γ} for adj exactly
-// like NormalizedAdjacency, but incrementally: prev must be the
-// normalization of an earlier version of adj, and rows not listed in dirty
-// copy their values from prev instead of recomputing them. The pow/multiply
-// work therefore scales with the dirty rows' entries, not the whole matrix
-// (array rebuilds remain O(nnz) copies). The output is bit-identical to
-// NormalizedAdjacency(adj, gamma) — clean rows are unchanged bitwise by the
-// precondition below, and dirty rows follow the same formula in the same
-// order.
-//
-// Preconditions (panic where detectable): adj is square with no stored
-// diagonal entries; looped[i] = d̃_i = d_i+1 for every node of adj; dirty is
-// sorted ascending and contains every row whose entry set or looped degree
-// differs from prev's version of the graph, and every row adjacent to a node
-// whose looped degree changed (those rows' D̃^{−γ} column factors moved).
-// Rows ≥ prev.Rows are appended nodes and must all be dirty.
-func NormalizedAdjacencyPatch(adj *CSR, gamma float64, prev *CSR, looped []float64, dirty []int) *CSR {
-	if adj.Rows != adj.Cols {
-		panic("sparse: NormalizedAdjacencyPatch requires a square matrix")
-	}
-	if gamma < 0 || gamma > 1 {
-		panic(fmt.Sprintf("sparse: gamma %v outside [0,1]", gamma))
-	}
-	if len(looped) < adj.Rows {
-		panic(fmt.Sprintf("sparse: %d looped degrees for %d nodes", len(looped), adj.Rows))
-	}
-	n := adj.Rows
-	out := &CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: make([]int, n+1),
-		Col:    make([]int, adj.NNZ()+n), // +n: one self-loop per row
-		Val:    make([]float64, adj.NNZ()+n),
-	}
-	ptr, di := 0, 0
-	for i := 0; i < n; i++ {
-		out.RowPtr[i] = ptr
-		isDirty := di < len(dirty) && dirty[di] == i
-		if isDirty {
-			di++
-		}
-		cols := adj.RowIndices(i)
-		vals := adj.RowValues(i)
-		if !isDirty {
-			if i >= prev.Rows {
-				panic(fmt.Sprintf("sparse: appended row %d not marked dirty", i))
-			}
-			pc, pv := prev.RowIndices(i), prev.RowValues(i)
-			if len(pc) != len(cols)+1 {
-				panic(fmt.Sprintf("sparse: clean row %d changed structure (%d entries vs %d+loop)",
-					i, len(pc), len(cols)))
-			}
-			copy(out.Col[ptr:], pc)
-			copy(out.Val[ptr:], pv)
-			ptr += len(pc)
-			continue
-		}
-		// Recompute the row: merge the diagonal into the sorted columns and
-		// apply left[i]·1·right[c], matching NormalizedAdjacency bit for bit
-		// (the looped values are all exactly 1, and x*1.0 == x).
-		li := math.Pow(looped[i], gamma-1)
-		k, placedDiag := 0, false
-		emit := func(c int, v float64) {
-			out.Col[ptr] = c
-			out.Val[ptr] = li * v * math.Pow(looped[c], -gamma)
-			ptr++
-		}
-		for ; k < len(cols); k++ {
-			c := cols[k]
-			if c == i {
-				panic(fmt.Sprintf("sparse: NormalizedAdjacencyPatch input has a self-loop at %d", i))
-			}
-			if c > i && !placedDiag {
-				emit(i, 1)
-				placedDiag = true
-			}
-			emit(c, vals[k])
-		}
-		if !placedDiag {
-			emit(i, 1)
-		}
-	}
-	out.RowPtr[n] = ptr
-	out.Col = out.Col[:ptr]
-	out.Val = out.Val[:ptr]
-	return out
 }

@@ -36,88 +36,6 @@ func csrEqual(a, b *CSR) bool {
 	return true
 }
 
-// TestNormalizedAdjacencyPatchBitIdentical: for random graphs, random
-// growth deltas and every γ, the patched normalization must equal the
-// from-scratch one bit for bit.
-func TestNormalizedAdjacencyPatchBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 10 + rng.Intn(30)
-		base := randomDeltaAdj(n, 0.15, rng)
-		grow := rng.Intn(4)
-		var src, dst []int
-		for e := 0; e < 1+rng.Intn(6); e++ {
-			u, v := rng.Intn(n+grow), rng.Intn(n+grow)
-			src = append(src, u)
-			dst = append(dst, v)
-		}
-		merged, dirty := base.AppendEdges(n+grow, src, dst)
-		// Appended nodes are dirty even without edges.
-		mark := make(map[int]bool)
-		for _, v := range dirty {
-			mark[v] = true
-		}
-		for v := n; v < n+grow; v++ {
-			mark[v] = true
-		}
-		// Value-dirty: dirty rows plus their neighbors in the merged graph.
-		valMark := make(map[int]bool)
-		for v := range mark {
-			valMark[v] = true
-			for _, u := range merged.RowIndices(v) {
-				valMark[u] = true
-			}
-		}
-		valDirty := make([]int, 0, len(valMark))
-		for v := 0; v < n+grow; v++ {
-			if valMark[v] {
-				valDirty = append(valDirty, v)
-			}
-		}
-		looped := LoopedDegrees(merged)
-
-		for _, gamma := range []float64{0, 0.25, 0.5, 1} {
-			prev := NormalizedAdjacency(base, gamma)
-			want := NormalizedAdjacency(merged, gamma)
-			got := NormalizedAdjacencyPatch(merged, gamma, prev, looped, valDirty)
-			if !csrEqual(want, got) {
-				t.Fatalf("trial %d gamma %v: patch differs from full normalization", trial, gamma)
-			}
-		}
-	}
-}
-
-// TestNormalizedAdjacencyPatchCopiesCleanRows proves the patch path really
-// does not touch clean rows: poisoning a clean row's values in prev must
-// leak into the output (they are copied, not recomputed), while poisoning a
-// dirty row must not.
-func TestNormalizedAdjacencyPatchCopiesCleanRows(t *testing.T) {
-	base := FromEdges(6, []int{0, 1, 3}, []int{1, 2, 4}, true)
-	merged, dirty := base.AppendEdges(6, []int{3}, []int{5})
-	// dirty = {3,5}; value-dirty adds their neighbors: 4 (of 3) and nothing
-	// new for 5. Rows 0,1,2 are clean.
-	valDirty := append([]int(nil), dirty...)
-	valDirty = append(valDirty, 4)
-	// (already sorted: 3,4,5)
-
-	looped := LoopedDegrees(merged)
-	prev := NormalizedAdjacency(base, GammaSymmetric)
-	const poison = 123.456
-	prev.Val[prev.RowPtr[1]] = poison // clean row 1
-	dirtyRowStart := prev.RowPtr[3]
-	prev.Val[dirtyRowStart] = poison // dirty row 3
-
-	got := NormalizedAdjacencyPatch(merged, GammaSymmetric, prev, looped, valDirty)
-	if got.Val[got.RowPtr[1]] != poison {
-		t.Fatal("clean row was recomputed, not copied — the patch touched an unchanged row")
-	}
-	for k := got.RowPtr[3]; k < got.RowPtr[4]; k++ {
-		if got.Val[k] == poison {
-			t.Fatal("dirty row was copied, not recomputed")
-		}
-	}
-}
-
 // TestAppendEdgesEmptyDelta: growing without edges adds empty rows and
 // dirties nothing.
 func TestAppendEdgesEmptyDelta(t *testing.T) {

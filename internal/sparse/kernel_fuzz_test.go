@@ -62,7 +62,7 @@ func FuzzTiledSpMM(f *testing.F) {
 		// f64: blocked == row-serial reference, bitwise.
 		ref := refMulRows(a, sel, x)
 		got := mat.New(len(sel), width)
-		mulRowsBlocked(a, sel, identityRows(len(sel)), a.Val, x.Data, x.Cols, got.Data, bw)
+		mulRowsBlocked(a, len(sel), sel, identityRows(len(sel)), a.Val, x.Data, x.Cols, got.Data, bw)
 		for i := range got.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
 				t.Fatalf("f64 bw=%d drifts from row-serial at %d", bw, i)
@@ -72,9 +72,9 @@ func FuzzTiledSpMM(f *testing.F) {
 		// f32: block width cannot move a bit within the tier.
 		av, x32 := lower32(a, x)
 		base32 := make([]float32, len(sel)*width)
-		mulRowsBlocked(a, sel, identityRows(len(sel)), av, x32, width, base32, width)
+		mulRowsBlocked(a, len(sel), sel, identityRows(len(sel)), av, x32, width, base32, width)
 		blk32 := make([]float32, len(sel)*width)
-		mulRowsBlocked(a, sel, identityRows(len(sel)), av, x32, width, blk32, bw)
+		mulRowsBlocked(a, len(sel), sel, identityRows(len(sel)), av, x32, width, blk32, bw)
 		for i := range blk32 {
 			if math.Float32bits(blk32[i]) != math.Float32bits(base32[i]) {
 				t.Fatalf("f32 bw=%d block drift at %d", bw, i)
@@ -87,7 +87,7 @@ func FuzzTiledSpMM(f *testing.F) {
 		base8 := make([]float32, len(sel)*width)
 		MulRowsInto(a, sel, identityRows(len(sel)), aq, xq, width, sa*sx, base8)
 		blk8 := make([]float32, len(sel)*width)
-		mulRows8Blocked(a, sel, identityRows(len(sel)), aq, xq, width, sa*sx, blk8, bw)
+		mulRows8Blocked(a, len(sel), sel, identityRows(len(sel)), aq, xq, width, sa*sx, blk8, bw)
 		for i := range blk8 {
 			if math.Float32bits(blk8[i]) != math.Float32bits(base8[i]) {
 				t.Fatalf("int8 bw=%d block drift at %d", bw, i)

@@ -159,8 +159,8 @@ func TestKernelPropTiledF64BitIdentical(t *testing.T) {
 					tc.a.MulDenseRowsCompact(tc.rows, tc.x, compact)
 					tc.a.MulDenseRows(tc.rows, tc.x, scatter)
 				} else {
-					mulRowsBlocked(tc.a, tc.rows, identityRows(len(tc.rows)), tc.a.Val, tc.x.Data, tc.x.Cols, compact.Data, bw)
-					mulRowsBlocked(tc.a, tc.rows, tc.rows, tc.a.Val, tc.x.Data, tc.x.Cols, scatter.Data, bw)
+					mulRowsBlocked(tc.a, len(tc.rows), tc.rows, identityRows(len(tc.rows)), tc.a.Val, tc.x.Data, tc.x.Cols, compact.Data, bw)
+					mulRowsBlocked(tc.a, len(tc.rows), tc.rows, tc.rows, tc.a.Val, tc.x.Data, tc.x.Cols, scatter.Data, bw)
 				}
 				for k, r := range tc.rows {
 					for j := 0; j < tc.x.Cols; j++ {
@@ -227,14 +227,14 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 			}
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				mulRowsBlocked(tc.a, tc.rows, identityRows(len(tc.rows)), av, x32, f, blk, bw)
+				mulRowsBlocked(tc.a, len(tc.rows), tc.rows, identityRows(len(tc.rows)), av, x32, f, blk, bw)
 				for i := range blk {
 					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
 						t.Fatalf("bw=%d f32 bit drift at %d: %v vs %v", bw, i, blk[i], base[i])
 					}
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				mulRowsBlocked(tc.a, tc.rows, tc.rows, av, x32, f, scat, bw)
+				mulRowsBlocked(tc.a, len(tc.rows), tc.rows, tc.rows, av, x32, f, scat, bw)
 				for k, r := range tc.rows {
 					for j := 0; j < f; j++ {
 						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {
@@ -284,14 +284,14 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 			}
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				mulRows8Blocked(tc.a, tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, blk, bw)
+				mulRows8Blocked(tc.a, len(tc.rows), tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, blk, bw)
 				for i := range blk {
 					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
 						t.Fatalf("bw=%d int8 bit drift at %d", bw, i)
 					}
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				mulRows8Blocked(tc.a, tc.rows, tc.rows, aq, xq, f, deq, scat, bw)
+				mulRows8Blocked(tc.a, len(tc.rows), tc.rows, tc.rows, aq, xq, f, deq, scat, bw)
 				for k, r := range tc.rows {
 					for j := 0; j < f; j++ {
 						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {
@@ -441,4 +441,60 @@ func TestMulRowsIntoRejectsMixedFloats(t *testing.T) {
 		}
 	}()
 	MulRowsInto(a, []int{0}, []int{0}, a.Val, make([]float64, 2), 1, 1, make([]float32, 2))
+}
+
+// identityRows returns 0..n−1, the explicit form of a nil output-row list.
+func identityRows(n int) []int {
+	idx := make([]int, n)
+	for k := range idx {
+		idx[k] = k
+	}
+	return idx
+}
+
+// TestKernelPropNilOutRowsIsCompact: a nil output-row list is the identity,
+// bit for bit, at every element type and block width.
+func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
+	for _, tc := range propCases(rand.New(rand.NewSource(17))) {
+		t.Run(tc.name, func(t *testing.T) {
+			f, n := tc.x.Cols, len(tc.rows)
+			id := identityRows(n)
+			av, x32 := lower32(tc.a, tc.x)
+			aq, sa := kernel.Quantize(tc.a.Val)
+			xq, sx := kernel.Quantize(tc.x.Data)
+			for _, bw := range append([]int{0}, propBlockWidths...) {
+				nil64, id64 := make([]float64, n*f), make([]float64, n*f)
+				nil32, id32 := make([]float32, n*f), make([]float32, n*f)
+				nil8, id8 := make([]float32, n*f), make([]float32, n*f)
+				var macs [6]int
+				if bw == 0 {
+					macs[0] = MulRowsInto(tc.a, tc.rows, nil, tc.a.Val, tc.x.Data, f, 1, nil64)
+					macs[1] = MulRowsInto(tc.a, tc.rows, id, tc.a.Val, tc.x.Data, f, 1, id64)
+					macs[2] = MulRowsInto(tc.a, tc.rows, nil, av, x32, f, 1, nil32)
+					macs[3] = MulRowsInto(tc.a, tc.rows, id, av, x32, f, 1, id32)
+					macs[4] = MulRowsInto(tc.a, tc.rows, nil, aq, xq, f, sa*sx, nil8)
+					macs[5] = MulRowsInto(tc.a, tc.rows, id, aq, xq, f, sa*sx, id8)
+				} else {
+					macs[0] = mulRowsBlocked(tc.a, n, tc.rows, nil, tc.a.Val, tc.x.Data, f, nil64, bw)
+					macs[1] = mulRowsBlocked(tc.a, n, tc.rows, id, tc.a.Val, tc.x.Data, f, id64, bw)
+					macs[2] = mulRowsBlocked(tc.a, n, tc.rows, nil, av, x32, f, nil32, bw)
+					macs[3] = mulRowsBlocked(tc.a, n, tc.rows, id, av, x32, f, id32, bw)
+					macs[4] = mulRows8Blocked(tc.a, n, tc.rows, nil, aq, xq, f, sa*sx, nil8, bw)
+					macs[5] = mulRows8Blocked(tc.a, n, tc.rows, id, aq, xq, f, sa*sx, id8, bw)
+				}
+				for i := range nil64 {
+					if math.Float64bits(nil64[i]) != math.Float64bits(id64[i]) ||
+						math.Float32bits(nil32[i]) != math.Float32bits(id32[i]) ||
+						math.Float32bits(nil8[i]) != math.Float32bits(id8[i]) {
+						t.Fatalf("bw=%d element %d: nil and identity output rows disagree", bw, i)
+					}
+				}
+				for i, mc := range macs {
+					if mc != macs[0] {
+						t.Fatalf("bw=%d: MAC counts %v differ (call %d)", bw, macs, i)
+					}
+				}
+			}
+		})
+	}
 }

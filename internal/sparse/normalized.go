@@ -1,0 +1,170 @@
+package sparse
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/mat"
+	"repro/internal/par"
+)
+
+// Normalized is the γ-normalized adjacency Â = D̃^{γ−1} Ã D̃^{−γ} of a binary,
+// self-loop-free adjacency, held implicitly: the graph's own CSR — shared,
+// not copied — and the two degree-factor vectors. Row i of Â is row i of Adj
+// with the diagonal merged in at its ascending position, and the value of
+// entry (i, c) is the single product Left[i]·Right[c]: the expression
+// NormalizedAdjacencyWithDegrees stores (its ·1 for the binary entry is
+// exact), so every row this type emits carries that matrix's bits. Nothing
+// O(nnz) is held beyond the graph itself; the serving engine cuts the rows a
+// batch needs into pooled scratch (ExtractRowsInto, RowsInto) and multiplies
+// those with the ordinary CSR kernels.
+//
+// The factors come from a looped-degree vector the caller supplies, which
+// need not be Adj's own row sums: a shard's local adjacency is truncated at
+// its halo, and passing the *global* looped degrees of its nodes is what keeps
+// every emitted value equal to the unsharded one.
+type Normalized struct {
+	// Adj is the binary adjacency the pattern is read from; it must hold no
+	// diagonal entries (emitting a row panics on one).
+	Adj   *CSR
+	Gamma float64
+	// Left[i] = d̃ᵢ^{γ−1} and Right[i] = d̃ᵢ^{−γ}.
+	Left, Right []float64
+}
+
+// NewNormalized binds the operator to adj with the factors of looped, which
+// must hold a positive looped degree d̃ᵢ for every row.
+func NewNormalized(adj *CSR, gamma float64, looped []float64) *Normalized {
+	if adj.Rows != adj.Cols {
+		panic("sparse: NewNormalized requires a square matrix")
+	}
+	if gamma < 0 || gamma > 1 {
+		panic(fmt.Sprintf("sparse: gamma %v outside [0,1]", gamma))
+	}
+	if len(looped) < adj.Rows {
+		panic(fmt.Sprintf("sparse: %d looped degrees for %d nodes", len(looped), adj.Rows))
+	}
+	a := &Normalized{Adj: adj, Gamma: gamma, Left: make([]float64, adj.Rows), Right: make([]float64, adj.Rows)}
+	for i := range a.Left {
+		a.setFactors(i, looped[i])
+	}
+	return a
+}
+
+func (a *Normalized) setFactors(i int, d float64) {
+	if d <= 0 {
+		panic(fmt.Sprintf("sparse: node %d has non-positive looped degree %v", i, d))
+	}
+	a.Left[i] = math.Pow(d, a.Gamma-1)
+	a.Right[i] = math.Pow(d, -a.Gamma)
+}
+
+// Patch rebinds the operator to adj, a later version of the graph (rows only
+// appended, entries only added), and recomputes from looped the factors of
+// the rows in dirty (ascending) — O(|dirty|), whatever the graph's size.
+// dirty must hold every row whose looped degree moved and every appended
+// row; rows whose factors did not move may be listed too.
+func (a *Normalized) Patch(adj *CSR, looped []float64, dirty []int) {
+	old, n := len(a.Left), adj.Rows
+	if adj.Rows != adj.Cols || n < old || len(looped) < n {
+		panic(fmt.Sprintf("sparse: Normalized.Patch from %d rows to %dx%d with %d looped degrees", old, adj.Rows, adj.Cols, len(looped)))
+	}
+	if k := n - old; k > len(dirty) || k > 0 && dirty[len(dirty)-k] != old {
+		panic(fmt.Sprintf("sparse: Normalized.Patch appended rows [%d,%d) not all marked dirty", old, n))
+	}
+	a.Adj = adj
+	a.Left = append(a.Left, make([]float64, n-old)...)
+	a.Right = append(a.Right, make([]float64, n-old)...)
+	for _, i := range dirty {
+		a.setFactors(i, looped[i])
+	}
+}
+
+// N returns the number of rows (and columns).
+func (a *Normalized) N() int { return a.Adj.Rows }
+
+// NNZ returns the number of entries of Â: Adj's plus the diagonal.
+func (a *Normalized) NNZ() int { return a.Adj.NNZ() + a.Adj.Rows }
+
+// RowNNZ returns the number of entries in row i of Â.
+func (a *Normalized) RowNNZ(i int) int { return a.Adj.RowNNZ(i) + 1 }
+
+// NNZRows returns the total number of entries of Â across the given rows.
+func (a *Normalized) NNZRows(rows []int) int { return a.Adj.NNZRows(rows) + len(rows) }
+
+// MaxAbs returns the largest entry of Â (all are positive) in one pass over
+// the pattern: the int8 tier's per-tensor scale without the tensor.
+func (a *Normalized) MaxAbs() float64 {
+	maxVal := 0.0
+	for i, li := range a.Left {
+		maxVal = max(maxVal, li*a.Right[i])
+		for _, c := range a.Adj.RowIndices(i) {
+			maxVal = max(maxVal, li*a.Right[c])
+		}
+	}
+	return maxVal
+}
+
+// emitRow writes row r of Â into cols/vals — Adj's columns with r merged in
+// ascending, each value the one product Left[r]·Right[c] — then maps the
+// columns through colMap when it is given, and returns the entry count.
+func (a *Normalized) emitRow(r int, colMap []int32, cols []int, vals []float64) int {
+	src := a.Adj.RowIndices(r)
+	cols, vals = cols[:len(src)+1], vals[:len(src)+1]
+	li, right := a.Left[r], a.Right
+	k := 0
+	for ; k < len(src) && src[k] < r; k++ {
+		cols[k], vals[k] = src[k], li*right[src[k]]
+	}
+	if k < len(src) && src[k] == r {
+		panic(fmt.Sprintf("sparse: Normalized over an adjacency with a self-loop at %d", r))
+	}
+	cols[k], vals[k] = r, li*right[r]
+	for ; k < len(src); k++ {
+		cols[k+1], vals[k+1] = src[k], li*right[src[k]]
+	}
+	if colMap != nil {
+		for k, c := range cols {
+			lc := colMap[c]
+			if lc < 0 {
+				panic(fmt.Sprintf("sparse: ExtractRowsInto neighbor %d of row %d outside the universe", c, r))
+			}
+			cols[k] = int(lc)
+		}
+	}
+	return len(cols)
+}
+
+// ExtractRowsInto is CSR.ExtractRowsInto on Â — same result, same
+// preconditions, same reuse of out's slices — with the selected rows' values
+// computed on the way instead of copied.
+func (a *Normalized) ExtractRowsInto(rows []int, toLocal []int32, m int, out *CSR) {
+	extractRows(rows, toLocal, m, m, a.NNZRows(rows), out, func(r, at int) int {
+		return a.emitRow(r, toLocal, out.Col[at:], out.Val[at:])
+	})
+}
+
+// RowsInto cuts the given rows of Â with their columns left global: out
+// becomes m×N with row toLocal[r] holding Â's row r, for rows ascending and
+// toLocal as in ExtractRowsInto, or — with a nil toLocal and m = len(rows) —
+// row k holding Â's row rows[k]. It is how the engine materializes the hop-1
+// rows its memo does not hold, whose neighbors lie outside the batch's
+// universe.
+func (a *Normalized) RowsInto(rows []int, toLocal []int32, m int, out *CSR) {
+	extractRows(rows, toLocal, m, a.N(), a.NNZRows(rows), out, func(r, at int) int {
+		return a.emitRow(r, nil, out.Col[at:], out.Val[at:])
+	})
+}
+
+// MulDenseRowsCompact computes out[k] = (Â·x)[rows[k]] and returns the
+// multiply-accumulate count, like CSR.MulDenseRowsCompact on the materialized
+// matrix, bit for bit: the rows are cut into a transient CSR and multiplied
+// by the same kernel.
+func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
+	if out.Rows != len(rows) || x.Rows != a.N() {
+		panic("sparse: MulDenseRowsCompact shape mismatch")
+	}
+	var cut CSR
+	a.RowsInto(rows, nil, len(rows), &cut)
+	return mulRowsBlocked(&cut, len(rows), nil, nil, cut.Val, x.Data, x.Cols, out.Data, par.ColBlock(x.Cols, 8))
+}

@@ -1,0 +1,365 @@
+package sparse
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/mat"
+)
+
+// The implicit operator's contract: every row it emits — whole, cut to a
+// local universe, or multiplied — is the row of the materialized
+// NormalizedAdjacency of the same graph, columns and value bits, after any
+// sequence of growth deltas patched in with only the dirty rows named, and
+// with looped degrees that are the caller's (a shard's global ones over a
+// truncated local adjacency), not the pattern's own row sums.
+
+// csrBitsEqual is csrEqual on the value bits (−0 ≠ +0, NaN = NaN).
+func csrBitsEqual(a, b *CSR) error {
+	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
+		return fmt.Errorf("shape %dx%d/%d vs %dx%d/%d", a.Rows, a.Cols, a.NNZ(), b.Rows, b.Cols, b.NNZ())
+	}
+	for i := 0; i < a.Rows; i++ {
+		if a.RowPtr[i+1] != b.RowPtr[i+1] {
+			return fmt.Errorf("row %d ends at %d vs %d", i, a.RowPtr[i+1], b.RowPtr[i+1])
+		}
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if a.Col[k] != b.Col[k] || math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+				return fmt.Errorf("row %d entry %d: (%d, %v) vs (%d, %v)", i, k-a.RowPtr[i], a.Col[k], a.Val[k], b.Col[k], b.Val[k])
+			}
+		}
+	}
+	return nil
+}
+
+// checkNormalized compares op against want, the materialized matrix of the
+// same graph and degrees, through every way op emits rows; pick chooses the
+// row subset and the universe the cut forms run on.
+func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
+	n := want.Rows
+	if op.N() != n || op.NNZ() != want.NNZ() {
+		return fmt.Errorf("operator is %d rows/%d entries, materialized %d/%d", op.N(), op.NNZ(), n, want.NNZ())
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+		if op.RowNNZ(i) != want.RowNNZ(i) {
+			return fmt.Errorf("row %d: RowNNZ %d vs %d", i, op.RowNNZ(i), want.RowNNZ(i))
+		}
+	}
+	var whole CSR
+	op.RowsInto(all, nil, n, &whole)
+	if err := csrBitsEqual(&whole, want); err != nil {
+		return fmt.Errorf("RowsInto(all): %w", err)
+	}
+	if n == 0 {
+		return nil
+	}
+	maxAbs := 0.0
+	for _, v := range want.Val {
+		maxAbs = max(maxAbs, math.Abs(v))
+	}
+	if got := op.MaxAbs(); got != maxAbs {
+		return fmt.Errorf("MaxAbs %v, materialized max %v", got, maxAbs)
+	}
+
+	// A neighbor-closed universe: some rows and everything they touch.
+	inRows, inUniverse := make([]bool, n), make([]bool, n)
+	for i := 0; i < n; i++ {
+		if pick.Intn(3) == 0 {
+			inRows[i], inUniverse[i] = true, true
+			for _, c := range want.RowIndices(i) {
+				inUniverse[c] = true
+			}
+		}
+	}
+	var rows, universe []int
+	toLocal := make([]int32, n)
+	for i := 0; i < n; i++ {
+		toLocal[i] = -1
+		if inUniverse[i] {
+			toLocal[i] = int32(len(universe))
+			universe = append(universe, i)
+		}
+		if inRows[i] {
+			rows = append(rows, i)
+		}
+	}
+	m := len(universe)
+	var gotSub, wantSub, gotCut CSR
+	gotSub.Col, gotSub.Val = make([]int, 1, 3), make([]float64, 1, 3) // reuse must not leak stale capacity
+	op.ExtractRowsInto(rows, toLocal, m, &gotSub)
+	want.ExtractRowsInto(rows, toLocal, m, &wantSub)
+	if err := csrBitsEqual(&gotSub, &wantSub); err != nil {
+		return fmt.Errorf("ExtractRowsInto: %w", err)
+	}
+	op.RowsInto(rows, toLocal, m, &gotCut)
+	if gotCut.Rows != m || gotCut.Cols != n || gotCut.NNZ() != want.NNZRows(rows) || op.NNZRows(rows) != gotCut.NNZ() {
+		return fmt.Errorf("RowsInto cut is %dx%d/%d", gotCut.Rows, gotCut.Cols, gotCut.NNZ())
+	}
+	for _, r := range rows {
+		lr := int(toLocal[r])
+		gc, gv := gotCut.RowIndices(lr), gotCut.RowValues(lr)
+		wc, wv := want.RowIndices(r), want.RowValues(r)
+		if len(gc) != len(wc) {
+			return fmt.Errorf("RowsInto row %d: %d entries vs %d", r, len(gc), len(wc))
+		}
+		for k := range gc {
+			if gc[k] != wc[k] || math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
+				return fmt.Errorf("RowsInto row %d entry %d differs", r, k)
+			}
+		}
+	}
+
+	x := mat.Randn(n, 3, 1, pick)
+	gotMul, wantMul := mat.New(len(rows), 3), mat.New(len(rows), 3)
+	if gm, wm := op.MulDenseRowsCompact(rows, x, gotMul), want.MulDenseRowsCompact(rows, x, wantMul); gm != wm {
+		return fmt.Errorf("MulDenseRowsCompact counts %d MACs vs %d", gm, wm)
+	}
+	for i, v := range wantMul.Data {
+		if math.Float64bits(gotMul.Data[i]) != math.Float64bits(v) {
+			return fmt.Errorf("MulDenseRowsCompact element %d: %v vs %v", i, gotMul.Data[i], v)
+		}
+	}
+	return nil
+}
+
+// growth is one delta of a sequence: grow appended nodes, then edges over
+// the grown id range.
+type growth struct {
+	grow     int
+	src, dst []int
+}
+
+// checkNormalizedGrowth builds the operator on base, patches every delta in
+// with the value-dirty rows a deployment names (dirty rows and their
+// neighbors), and compares against a fresh materialization at every stage.
+func checkNormalizedGrowth(base *CSR, gamma float64, deltas []growth, pick *rand.Rand) error {
+	adj := base
+	op := NewNormalized(adj, gamma, LoopedDegrees(adj))
+	if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), pick); err != nil {
+		return fmt.Errorf("base: %w", err)
+	}
+	for step, d := range deltas {
+		n := adj.Rows + d.grow
+		merged, dirty := adj.AppendEdges(n, d.src, d.dst)
+		mark := make([]bool, n)
+		for _, v := range dirty {
+			mark[v] = true
+		}
+		for v := adj.Rows; v < n; v++ {
+			mark[v] = true // appended nodes are dirty even without edges
+		}
+		valMark := append([]bool(nil), mark...)
+		for v := range mark {
+			if mark[v] {
+				for _, u := range merged.RowIndices(v) {
+					valMark[u] = true
+				}
+			}
+		}
+		var valDirty []int
+		for v, on := range valMark {
+			if on {
+				valDirty = append(valDirty, v)
+			}
+		}
+		adj = merged
+		op.Patch(adj, LoopedDegrees(adj), valDirty)
+		if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), pick); err != nil {
+			return fmt.Errorf("after delta %d: %w", step, err)
+		}
+	}
+	return nil
+}
+
+func TestNormalizedMatchesMaterializedAcrossDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(40)
+		base := randomDeltaAdj(n, 0.15, rng)
+		var deltas []growth
+		for s, at := 0, n; s < 1+rng.Intn(4); s++ {
+			d := growth{grow: rng.Intn(4)}
+			at += d.grow
+			for e := 0; e < rng.Intn(7); e++ {
+				d.src, d.dst = append(d.src, rng.Intn(at)), append(d.dst, rng.Intn(at))
+			}
+			deltas = append(deltas, d)
+		}
+		for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
+			if err := checkNormalizedGrowth(base, gamma, deltas, rng); err != nil {
+				t.Fatalf("trial %d gamma %v: %v", trial, gamma, err)
+			}
+		}
+	}
+}
+
+// TestNormalizedGlobalDegreesOnTruncatedRows is the shard worker's use: the
+// pattern is a halo universe's truncated local adjacency, the degrees are the
+// global ones, and every emitted value must be the global matrix's.
+func TestNormalizedGlobalDegreesOnTruncatedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		n := 8 + rng.Intn(40)
+		global := randomDeltaAdj(n, 0.2, rng)
+		var universe []int
+		toLocal := make([]int32, n)
+		for i := range toLocal {
+			toLocal[i] = -1
+			if i == 0 || rng.Intn(2) == 0 {
+				toLocal[i] = int32(len(universe))
+				universe = append(universe, i)
+			}
+		}
+		raw := global.ExtractRowsTruncated(universe, toLocal, len(universe))
+		gdeg := LoopedDegrees(global)
+		ldeg := make([]float64, len(universe))
+		for lv, v := range universe {
+			ldeg[lv] = gdeg[v]
+		}
+		for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
+			op := NewNormalized(raw, gamma, ldeg)
+			if err := checkNormalized(op, NormalizedAdjacencyWithDegrees(raw, gamma, ldeg), rng); err != nil {
+				t.Fatalf("trial %d gamma %v: %v", trial, gamma, err)
+			}
+			full := NormalizedAdjacency(global, gamma)
+			var cut CSR
+			op.RowsInto([]int{0}, nil, 1, &cut)
+			for k, lc := range cut.Col {
+				if want := full.At(universe[0], universe[lc]); math.Float64bits(cut.Val[k]) != math.Float64bits(want) {
+					t.Fatalf("trial %d gamma %v: local entry (0,%d) = %v, global %v", trial, gamma, lc, cut.Val[k], want)
+				}
+			}
+		}
+	}
+}
+
+// TestNormalizedPatchRecomputesOnlyDirtyFactors: a patch is O(|dirty|) — a
+// poisoned factor of a clean row survives it, a dirty row's does not, and the
+// appended rows get theirs.
+func TestNormalizedPatchRecomputesOnlyDirtyFactors(t *testing.T) {
+	base := FromEdges(6, []int{0, 1, 3}, []int{1, 2, 4}, true)
+	op := NewNormalized(base, GammaSymmetric, LoopedDegrees(base))
+	merged, dirty := base.AppendEdges(7, []int{3}, []int{6})
+	if fmt.Sprint(dirty) != "[3 6]" {
+		t.Fatalf("dirty rows %v", dirty)
+	}
+	const poison = 123.456
+	op.Left[1], op.Right[3] = poison, poison
+	op.Patch(merged, LoopedDegrees(merged), []int{3, 4, 6}) // 4 neighbors 3: value-dirty, factors unmoved
+	fresh := NewNormalized(merged, GammaSymmetric, LoopedDegrees(merged))
+	if op.Adj != merged || op.N() != 7 {
+		t.Fatal("patch did not rebind to the grown graph")
+	}
+	for i := range fresh.Left {
+		wantL, wantR := fresh.Left[i], fresh.Right[i]
+		if i == 1 {
+			wantL = poison
+		}
+		if op.Left[i] != wantL || op.Right[i] != wantR {
+			t.Fatalf("row %d factors (%v, %v), want (%v, %v)", i, op.Left[i], op.Right[i], wantL, wantR)
+		}
+	}
+}
+
+func TestNormalizedRejectsBadInput(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	adj := FromEdges(3, []int{0}, []int{1}, true)
+	deg := LoopedDegrees(adj)
+	mustPanic("gamma 2", func() { NewNormalized(adj, 2, deg) })
+	mustPanic("short degrees", func() { NewNormalized(adj, 0.5, deg[:2]) })
+	mustPanic("zero degree", func() { NewNormalized(adj, 0.5, []float64{2, 2, 0}) })
+	looped := fromAdjLists(2, 2, [][]int{{0, 1}, {0}}, nil)
+	mustPanic("stored diagonal", func() {
+		var out CSR
+		NewNormalized(looped, 0.5, []float64{3, 2}).RowsInto([]int{0}, nil, 1, &out)
+	})
+	grown, _ := adj.AppendEdges(5, nil, nil)
+	mustPanic("appended row not dirty", func() {
+		NewNormalized(adj, 0.5, deg).Patch(grown, LoopedDegrees(grown), []int{4})
+	})
+	mustPanic("neighbor outside the universe", func() {
+		var out CSR
+		NewNormalized(adj, 0.5, deg).ExtractRowsInto([]int{0}, []int32{0, -1, -1}, 1, &out)
+	})
+}
+
+// FuzzNormalizedRows drives the operator-vs-materialized property over
+// fuzzer-chosen graphs, γ and growth sequences.
+func FuzzNormalizedRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{5, 1, 4, 0, 1, 1, 2, 2, 3, 3, 4, 2, 1, 2, 0, 5, 5, 6})
+	f.Add([]byte{12, 2, 20, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 7, 8, 9, 10, 11, 0, 3, 3, 3, 12, 0, 13, 0, 14, 1, 0, 1, 200, 7})
+	f.Add([]byte{30, 0, 60, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 0, 2, 0, 4, 1, 1, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 1 + next()%32
+		gamma := []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic}[next()%3]
+		var src, dst []int
+		for e := next() % 96; e > 0; e-- {
+			src, dst = append(src, next()%n), append(dst, next()%n)
+		}
+		base := FromEdges(n, src, dst, true)
+		var deltas []growth
+		for s, at := next()%4, n; s > 0; s-- {
+			d := growth{grow: next() % 4}
+			at += d.grow
+			for e := next() % 8; e > 0; e-- {
+				d.src, d.dst = append(d.src, next()%at), append(d.dst, next()%at)
+			}
+			deltas = append(deltas, d)
+		}
+		if err := checkNormalizedGrowth(base, gamma, deltas, rand.New(rand.NewSource(int64(len(src))))); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkNormalizedExtract times a whole-graph cut of the operator (a deep
+// batch's sub-CSR) beside the copy it replaced, CSR.ExtractRowsInto on the
+// materialized matrix.
+func BenchmarkNormalizedExtract(b *testing.B) {
+	const n, deg = 50000, 24
+	rng := rand.New(rand.NewSource(1))
+	src, dst := make([]int, n*deg/2), make([]int, n*deg/2)
+	for e := range src {
+		src[e], dst[e] = rng.Intn(n), rng.Intn(n)
+	}
+	adj := FromEdges(n, src, dst, true)
+	op := NewNormalized(adj, GammaSymmetric, LoopedDegrees(adj))
+	full := NormalizedAdjacency(adj, GammaSymmetric)
+	rows, toLocal := make([]int, n), make([]int32, n)
+	for i := range rows {
+		rows[i], toLocal[i] = i, int32(i)
+	}
+	var out CSR
+	b.Run("operator", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			op.ExtractRowsInto(rows, toLocal, n, &out)
+		}
+	})
+	b.Run("materialized", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			full.ExtractRowsInto(rows, toLocal, n, &out)
+		}
+	})
+}

@@ -10,10 +10,11 @@ import "repro/internal/par"
 // not a float64 pass over casts.
 //
 // The sparse values arrive pre-lowered and aligned with Val: av[k] (float32)
-// or aq[k] (int8, symmetric per-tensor) corresponds to Val[k], so one global
-// lowering of a normalized adjacency serves every row subset, and a sub-CSR
-// cut with ExtractRowsInto reuses it by gathering the selected rows' entries
-// (the extraction copies values in concatenated row order).
+// or aq[k] (int8, symmetric per-tensor) corresponds to Val[k], so one
+// lowering of a matrix serves every row subset of it. The serving engine
+// holds no such matrix: it lowers the Val of each per-batch cut of the
+// Normalized operator, at int8 with the operator's global scale, which gives
+// every entry the bits a lowering of the whole matrix would.
 
 // MulDenseRows32 computes out[r·f : r·f+f] = (a·x)[r] in float32 for each r
 // in rows, leaving other rows of out untouched, and returns the
@@ -39,18 +40,18 @@ func (a *CSR) MulDenseRows8(rows []int, aq, xq []int8, f int, deq float64, out [
 }
 
 // mulRows8Blocked is the cache-blocked kernel behind MulRowsInto at the int8
-// tier, with mulRowsBlocked's output-row list. Each chunk owns one bw-wide
+// tier, with mulRowsBlocked's row lists. Each chunk owns one bw-wide
 // int32 accumulator reused across its rows; accumulation is exact in int32
 // (degrees and the ±127 operand range keep |acc| far below 2³¹ for any graph
 // this repo serves), so block width cannot change a single output bit within
 // the tier.
-func mulRows8Blocked[O float64 | float32](a *CSR, rows, outRows []int, aq, xq []int8, f int, deq float64, out []O, bw int) int {
-	nnz := a.NNZRows(rows)
+func mulRows8Blocked[O float64 | float32](a *CSR, n int, rows, outRows []int, aq, xq []int8, f int, deq float64, out []O, bw int) int {
+	nnz := nnzOf(a, n, rows)
 	if bw <= 0 || bw > f {
 		bw = f
 	}
-	par.ForWeighted(len(rows), nnz*f, nnz,
-		func(k int) int { return a.RowNNZ(rows[k]) },
+	par.ForWeighted(n, nnz*f, nnz,
+		func(k int) int { return a.RowNNZ(rowAt(rows, k)) },
 		func(lo, hi int) {
 			acc := make([]int32, bw)
 			for jb := 0; jb < f; jb += bw {
@@ -58,8 +59,9 @@ func mulRows8Blocked[O float64 | float32](a *CSR, rows, outRows []int, aq, xq []
 				for k := lo; k < hi; k++ {
 					blk := acc[:je-jb]
 					clear(blk)
-					a.mulRowSpanAcc8(blk, rows[k], aq, xq, f, jb)
-					dst := out[outRows[k]*f+jb : outRows[k]*f+je]
+					a.mulRowSpanAcc8(blk, rowAt(rows, k), aq, xq, f, jb)
+					o := rowAt(outRows, k)
+					dst := out[o*f+jb : o*f+je]
 					for j := range dst {
 						dst[j] = O(float64(blk[j]) * deq)
 					}
