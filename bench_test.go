@@ -390,7 +390,6 @@ func BenchmarkInferBaselineJSON(b *testing.B) {
 	baseline.Cache = measureCachedServing(b)
 	baseline.Overload = measureOverload(b)
 	baseline.Precision = measurePrecision(b)
-	baseline.Observability = measureObservability(b)
 	baseline.Failover = measureFailover(b)
 	data, err := json.MarshalIndent(baseline, "", "  ")
 	if err != nil {
@@ -551,87 +550,6 @@ func measureServing(b *testing.B) benchfmt.ServingStats {
 		ThroughputX:     coalRPS / naiveRPS,
 		CoalesceRate:    st.CoalesceRate,
 		AvgBatchTargets: st.AvgBatchTargets,
-	}
-}
-
-// measureObservability prices the always-on instrumentation: the same
-// 64-client coalesced workload as measureServing, run once with
-// Config.DisableObs (no traces, no counters, no /metrics) and once with
-// the default always-on obs layer. Both sides share one deployment, so
-// the ratio isolates exactly the per-request tracing and histogram cost;
-// cmd/benchgate -max-obs-overhead holds it ≤1.03.
-func measureObservability(b *testing.B) benchfmt.ObservabilityStats {
-	dep, targets, opt := servingWorkload(b)
-	const clients = 64
-	cfg := serve.Config{Opt: opt, MaxBatch: clients, MaxWait: 2 * time.Millisecond}
-
-	newServer := func(disable bool) (*serve.Server, func(int) error) {
-		c := cfg
-		c.DisableObs = disable
-		srv := serve.New(dep, c)
-		return srv, func(v int) error {
-			_, _, err := srv.Classify([]int{v})
-			return err
-		}
-	}
-	off, offCall := newServer(true)
-	defer off.Close()
-	on, onCall := newServer(false)
-	defer on.Close()
-
-	// The overhead is a few hundred ns on a multi-microsecond request, so
-	// one A/B pair would drown in scheduler, GC and batch-formation noise
-	// (coalescing throughput shifts in slow modes as the window dynamics
-	// settle). Measure adjacent pairs — machine state barely moves between
-	// two back-to-back 300ms runs — and take the median of the per-pair
-	// ratios, which is robust to any one run catching a fast or slow mode.
-	const warm, run, rounds = 100 * time.Millisecond, 300 * time.Millisecond, 9
-	if _, err := runClients(clients, targets, warm, offCall); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := runClients(clients, targets, warm, onCall); err != nil {
-		b.Fatal(err)
-	}
-	type pair struct{ off, on float64 }
-	pairs := make([]pair, rounds)
-	for i := range pairs {
-		// Alternate which side runs first so a machine-wide slowdown in
-		// the middle of a pair penalizes both configurations equally
-		// across rounds instead of always the second one.
-		first, second := offCall, onCall
-		if i%2 == 1 {
-			first, second = onCall, offCall
-		}
-		a, err := runClients(clients, targets, run, first)
-		if err != nil {
-			b.Fatal(err)
-		}
-		z, err := runClients(clients, targets, run, second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i%2 == 1 {
-			a, z = z, a
-		}
-		pairs[i] = pair{a, z}
-	}
-	// Keep the pair with the smallest ratio. The gate is a ceiling, so
-	// the honest statistic is the best closeness instrumentation can
-	// demonstrate: machine noise hitting one half of a pair inflates that
-	// round's ratio but cannot deflate every round's, while a real
-	// instrumentation regression lifts all of them — which the minimum
-	// still catches.
-	sort.Slice(pairs, func(i, j int) bool {
-		return pairs[i].off/pairs[i].on < pairs[j].off/pairs[j].on
-	})
-	baseRPS, instrRPS := pairs[0].off, pairs[0].on
-
-	return benchfmt.ObservabilityStats{
-		Workload:          "products-like/64-clients-single-node",
-		Clients:           clients,
-		BaselineReqPerSec: baseRPS,
-		InstrReqPerSec:    instrRPS,
-		OverheadX:         baseRPS / instrRPS,
 	}
 }
 

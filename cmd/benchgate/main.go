@@ -19,10 +19,7 @@
 // throughput ratio on the DRAM-resident SpMM workload (-min-quant-speedup,
 // default 2×, 0 skips), the int8 tier's top-1 agreement with the f64
 // reference (-min-top1-agreement, default 0.99, 0 skips) and the
-// observability overhead ratio (-max-obs-overhead, default 1.03, 0 skips
-// — a ceiling, not a floor: instrumented serving throughput must stay
-// within 3% of the obs-disabled baseline) and the replica-kill
-// availability (-min-failover-availability, default 0.99, 0 skips — the
+// replica-kill availability (-min-failover-availability, default 0.99, 0 skips — the
 // non-5xx fraction while one replica of a 2-replica shard is killed under
 // steady traffic; replication promises the death is client-invisible) —
 // the ratios are
@@ -58,7 +55,6 @@ func main() {
 	minOverloadGoodput := flag.Float64("min-overload-goodput", 0.7, "required 4x-vs-1x saturation goodput ratio (0 skips)")
 	minQuantSpeedup := flag.Float64("min-quant-speedup", 2.0, "required int8-vs-f64 kernel throughput ratio (0 skips)")
 	minTop1Agreement := flag.Float64("min-top1-agreement", 0.99, "required int8-vs-f64 top-1 classification agreement (0 skips)")
-	maxObsOverhead := flag.Float64("max-obs-overhead", 1.03, "allowed baseline-vs-instrumented serving throughput ratio (0 skips)")
 	minFailoverAvail := flag.Float64("min-failover-availability", 0.99, "required non-5xx fraction during the replica-kill experiment (0 skips)")
 	gateList := flag.String("gate", "infer/distance-multibatch",
 		"comma-separated benchmark names whose B/op is gated")
@@ -211,20 +207,6 @@ func main() {
 		} else if pr.Int8Top1Agreement < *minTop1Agreement {
 			fmt.Printf("benchgate: FAIL — int8 top-1 agreement %.3f below required %.3f\n",
 				pr.Int8Top1Agreement, *minTop1Agreement)
-			failed = true
-		}
-	}
-
-	ob := cur.Observability
-	fmt.Printf("\nobservability %-26s %10.0f baseline req/s, %10.0f instrumented req/s (%.3fx overhead)\n",
-		ob.Workload, ob.BaselineReqPerSec, ob.InstrReqPerSec, ob.OverheadX)
-	if *maxObsOverhead > 0 {
-		if ob.BaselineReqPerSec == 0 || ob.InstrReqPerSec == 0 {
-			fmt.Println("benchgate: FAIL — current run recorded no observability measurement")
-			failed = true
-		} else if ob.OverheadX > *maxObsOverhead {
-			fmt.Printf("benchgate: FAIL — observability overhead %.3fx above allowed %.3fx\n",
-				ob.OverheadX, *maxObsOverhead)
 			failed = true
 		}
 	}

@@ -338,7 +338,7 @@ func main() {
 		}
 		logger.Info("distributed sharding",
 			"shards", rt.Shards(), "workers", *shardsFlag, "replicas", replicas,
-			"radius", rt.Radius(), "precision", rt.Precision().String(),
+			"radius", rt.Radius(), "precision", prec.String(),
 			"retries", *shardRetries, "health_interval", *shardHealthInterval)
 		backend = rt
 	} else if shardCount > 1 {

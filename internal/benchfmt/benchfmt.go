@@ -170,22 +170,6 @@ type PrecisionStats struct {
 	MaxAbsLogitDelta  float64 `json:"max_abs_logit_delta"`
 }
 
-// ObservabilityStats records the instrumentation-overhead benchmark: the
-// 64-client coalesced serving workload run twice on the same deployment,
-// once with the always-on internal/obs layer (per-request traces, stage
-// histograms, counters) and once with Config.DisableObs. OverheadX =
-// baseline/instrumented requests-per-second is the price of observability;
-// cmd/benchgate -max-obs-overhead (default 1.03) holds it under 3% so
-// "always-on and cheap" stays a measured contract. Same-process,
-// same-hardware ratio — portable across runners.
-type ObservabilityStats struct {
-	Workload          string  `json:"workload"`
-	Clients           int     `json:"clients"`
-	BaselineReqPerSec float64 `json:"baseline_req_per_sec"`
-	InstrReqPerSec    float64 `json:"instrumented_req_per_sec"`
-	OverheadX         float64 `json:"overhead_x"`
-}
-
 // FailoverStats records the availability experiment: R-way replicated
 // shards under steady concurrent traffic, with one replica killed
 // mid-stream. Availability is the non-5xx fraction over the whole run
@@ -205,24 +189,23 @@ type FailoverStats struct {
 
 // File is the full BENCH_infer.json document.
 type File struct {
-	Dataset       string             `json:"dataset"`
-	N             int                `json:"n"`
-	F             int                `json:"f"`
-	K             int                `json:"k"`
-	BatchSize     int                `json:"batch_size"`
-	NumTargets    int                `json:"num_targets"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	MACs          core.MACBreakdown  `json:"infer_macs"`
-	Benchmarks    map[string]OpStats `json:"benchmarks"`
-	Scratch       ScratchStats       `json:"scratch"`
-	Serving       ServingStats       `json:"serving"`
-	Sharding      ShardingStats      `json:"sharding"`
-	Transport     TransportStats     `json:"transport"`
-	Cache         CachedServingStats `json:"cache"`
-	Overload      OverloadStats      `json:"overload"`
-	Precision     PrecisionStats     `json:"precision"`
-	Observability ObservabilityStats `json:"observability"`
-	Failover      FailoverStats      `json:"failover"`
+	Dataset    string             `json:"dataset"`
+	N          int                `json:"n"`
+	F          int                `json:"f"`
+	K          int                `json:"k"`
+	BatchSize  int                `json:"batch_size"`
+	NumTargets int                `json:"num_targets"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
+	MACs       core.MACBreakdown  `json:"infer_macs"`
+	Benchmarks map[string]OpStats `json:"benchmarks"`
+	Scratch    ScratchStats       `json:"scratch"`
+	Serving    ServingStats       `json:"serving"`
+	Sharding   ShardingStats      `json:"sharding"`
+	Transport  TransportStats     `json:"transport"`
+	Cache      CachedServingStats `json:"cache"`
+	Overload   OverloadStats      `json:"overload"`
+	Precision  PrecisionStats     `json:"precision"`
+	Failover   FailoverStats      `json:"failover"`
 }
 
 // Load reads and parses a BENCH_infer.json file.

@@ -5,9 +5,10 @@
 // supporting-set BFS, sub-CSR extraction, propagation hops, gating and
 // classifier GEMMs — after the first computation.
 //
-// Exactness is the backend's job, not the cache's: internal/core and
-// internal/shard invalidate entries on every graph delta under the policy
-// a Config describes (see ARCHITECTURE.md, "Result cache"). Two properties
+// Exactness is the owner's job, not the cache's: internal/serve holds the
+// one cache of a daemon and evicts from it on every effective graph delta —
+// the whole cache under the NAP modes, the radius-TMax ball around the dirty
+// rows under ModeFixed (see ARCHITECTURE.md, "Result cache"). Two properties
 // make caching safe at all:
 //
 //   - Infer answers are batch-invariant, so an answer computed inside one
@@ -30,26 +31,6 @@ type Entry struct {
 	Pred int32
 	// Depth is the propagation depth the node exited at.
 	Depth int32
-}
-
-// Config describes how a backend should build and invalidate its result
-// cache. internal/serve derives it from the daemon's operating point and
-// passes it to Backend.EnableResultCache.
-type Config struct {
-	// Entries is the total cache capacity in entries; ≤ 0 disables caching.
-	Entries int
-	// Radius is the invalidation ball radius in hops (the serving TMax): a
-	// delta evicts every cached node within Radius hops of its dirty rows,
-	// because exactly those nodes' supporting balls can intersect the
-	// delta's value-dirty adjacency rows.
-	Radius int
-	// Local marks answers whose support is strictly local (ModeFixed): the
-	// radius-Radius ball eviction alone is exact. Non-local answers
-	// (distance/gate NAP) additionally consult the stationary state X(∞),
-	// whose rank-1 form couples every node to the global edge/node mass
-	// (Scale = 1/(2m+n) and the shared weighted feature sum), so any
-	// effective delta must flush the cache instead.
-	Local bool
 }
 
 // numShards is the lock-shard count of a full-size cache. Caches smaller
@@ -111,7 +92,7 @@ func (c *Cache) Put(node int, e Entry) {
 }
 
 // Invalidate evicts the listed nodes (absent ones are skipped) and returns
-// how many entries were actually removed. Backends call it with the
+// how many entries were actually removed. The owner calls it with the
 // radius-bounded ball around a delta's dirty rows.
 func (c *Cache) Invalidate(nodes []int) int {
 	removed := 0
@@ -124,7 +105,7 @@ func (c *Cache) Invalidate(nodes []int) int {
 }
 
 // Flush evicts every entry (counted as invalidations) and returns how many
-// were removed. Backends call it when a delta's effect is not localizable —
+// were removed. The owner calls it when a delta's effect is not localizable —
 // NAP-mode answers coupled to the global stationary state.
 func (c *Cache) Flush() int {
 	removed := 0

@@ -42,7 +42,6 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 		return
 	}
 	d.version.Add(1)
-	defer d.invalidateResultCache(dr)
 	// Stationary first: it owns the looped-degree vector the adjacency
 	// patch reads its D̃^{γ−1}/D̃^{−γ} factors from.
 	d.stationary.Update(d.Graph.Adj, d.Graph.Features, dr.Dirty)

@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -100,8 +99,9 @@ func (b MACBreakdown) Total() int {
 func (b MACBreakdown) FeatureProcessing() int { return b.Propagation + b.Decision }
 
 // Add accumulates another breakdown field-wise (shared by the engine's
-// batch merge and the serving daemon's /stats totals, so a new procedure
-// counter cannot be summed in one place and dropped in the other).
+// batch merge and the shard router's, so a new procedure counter cannot be
+// summed in one place and dropped in the other; the serving daemon's
+// per-procedure counters walk serve.macProcedures).
 func (b *MACBreakdown) Add(o MACBreakdown) {
 	b.Stationary += o.Stationary
 	b.Propagation += o.Propagation
@@ -182,11 +182,6 @@ type Deployment struct {
 	// computed against the current graph. Monotone, never reset.
 	version atomic.Uint64
 
-	// rcache is the optional per-node result cache (EnableResultCache);
-	// rcacheCfg describes its delta-invalidation policy.
-	rcache    *cache.Cache
-	rcacheCfg cache.Config
-
 	// prec is the active arithmetic tier (SetPrecision) and eng the engine
 	// loop instantiated for it (precision.go): a *tier[float64] at f64, a
 	// *tier[float32] at f32 and int8. It holds the tier's operands, hop-1
@@ -227,12 +222,8 @@ func (d *Deployment) Refresh() {
 	d.Adj = sparse.NewNormalized(d.Graph.Adj, d.Model.Gamma, d.stationary.LoopedDeg)
 	d.retier()
 	// A full rebuild means the caller mutated the graph arbitrarily behind
-	// the deployment's back: bump the version and drop every cached answer
-	// (there is no dirty report to localize the eviction with).
+	// the deployment's back: the version moves, whatever changed.
 	d.version.Add(1)
-	if d.rcache != nil {
-		d.rcache.Flush()
-	}
 }
 
 // Stationary returns the cached stationary state X(∞) of the serving graph.

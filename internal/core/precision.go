@@ -68,20 +68,18 @@ type tier[T float64 | float32] struct {
 // SetPrecision selects the engine's arithmetic tier. The default (zero
 // value) is kernel.PrecisionF64, under which the deployment carries no
 // lowered copy of its operands. Like Refresh, SetPrecision must not be called
-// concurrently with Infer; a precision switch changes answers, so the
-// per-node result cache (if enabled) is flushed, and the hop-1 memo starts
-// empty. The graph version does not move: precision is an engine knob, not a
-// graph mutation, and sharded serving pins one tier per cluster at handshake
-// instead of versioning it.
+// concurrently with Infer; a precision switch changes answers, so it belongs
+// before the deployment is handed to a serving layer that caches them
+// (internal/serve owns the result cache and is not told), and the hop-1 memo
+// starts empty. The graph version does not move: precision is an engine knob,
+// not a graph mutation, and sharded serving pins one tier per cluster at
+// handshake instead of versioning it.
 func (d *Deployment) SetPrecision(p kernel.Precision) {
 	if !p.Valid() {
 		panic(fmt.Sprintf("core: SetPrecision(%d): unknown tier", int(p)))
 	}
 	d.prec = p
 	d.retier()
-	if d.rcache != nil {
-		d.rcache.Flush()
-	}
 }
 
 // Precision reports the active tier.

@@ -37,11 +37,3 @@ func NewDeploymentWithState(m *Model, g *graph.Graph, st *Stationary) (*Deployme
 	d.retier()
 	return d, nil
 }
-
-// NumNodes reports the serving graph's node count (part of the
-// serve.Backend surface shared with shard.Router).
-func (d *Deployment) NumNodes() int { return d.Graph.N() }
-
-// NumEdges reports the serving graph's undirected edge count (part of the
-// serve.Backend surface shared with shard.Router).
-func (d *Deployment) NumEdges() int { return d.Graph.M() }

@@ -14,10 +14,11 @@ import (
 )
 
 // DefBuckets are the default latency histogram bucket upper bounds in
-// seconds: 100µs to 10s, roughly exponential. They cover the stack's
-// whole dynamic range — sub-millisecond cache hits through multi-second
-// deep-propagation batches.
+// seconds: 10µs to 10s, roughly exponential. They cover the stack's whole
+// dynamic range — a ≈ 50µs cache hit and a ≈ 70µs point read fall in
+// different buckets — through multi-second deep-propagation batches.
 var DefBuckets = []float64{
+	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -69,6 +70,9 @@ type family struct {
 	mu       sync.RWMutex
 	order    []string // child keys in first-use order
 	children map[string]child
+	// collect, when set, replaces the children: it emits the family's
+	// samples at scrape time (GaugeVec.CollectFunc).
+	collect func(emit func(v float64, values ...string))
 }
 
 type child interface {
@@ -214,6 +218,15 @@ func (v *GaugeVec) WithFunc(fn func() float64, values ...string) {
 	v.f.child(values, func() child { return &Gauge{fn: fn} })
 }
 
+// CollectFunc makes fn the family's only source of samples: each scrape
+// calls it once and writes what it emits, so a family read off one snapshot
+// (per-shard health, say) is consistent and costs one snapshot.
+func (v *GaugeVec) CollectFunc(fn func(emit func(value float64, values ...string))) {
+	v.f.mu.Lock()
+	v.f.collect = fn
+	v.f.mu.Unlock()
+}
+
 // Histogram is a fixed-bucket latency histogram: observations are one
 // atomic add into the right bucket plus a CAS-accumulated sum.
 type Histogram struct {
@@ -242,6 +255,29 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of everything observed since
+// the histogram was created, the way Prometheus' histogram_quantile does:
+// find the bucket the rank falls in and interpolate linearly inside it (the
+// first bucket starts at 0). A rank in the +Inf bucket reads as the last
+// finite bound — the histogram knows nothing beyond it — and an empty
+// histogram reads 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	lower, cum := 0.0, 0.0
+	for i, ub := range h.upper {
+		c := float64(h.counts[i].Load())
+		if c > 0 && cum+c >= rank {
+			return lower + (ub-lower)*(rank-cum)/c
+		}
+		cum, lower = cum+c, ub
+	}
+	return lower
+}
 
 func (h *Histogram) write(w *bufio.Writer, f *family, labels string) {
 	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
@@ -304,12 +340,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
 		f.mu.RLock()
+		collect := f.collect
 		order := append([]string(nil), f.order...)
 		children := make([]child, len(order))
 		for i, key := range order {
 			children[i] = f.children[key]
 		}
 		f.mu.RUnlock()
+		if collect != nil {
+			collect(func(v float64, values ...string) {
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, formatLabels(f.labels, values), formatFloat(v))
+			})
+			continue
+		}
 		for i, c := range children {
 			c.write(bw, f, formatLabels(f.labels, strings.Split(order[i], "\x00")))
 		}

@@ -11,16 +11,21 @@
 // fixed-size array inside pooled Trace objects (no per-request allocation
 // on the hot path — appending a span is one atomic add and a struct
 // write), every Trace/Obs method is safe on a nil receiver so an
-// uninstrumented path costs one predictable branch, and the benchmark
-// suite records the instrumented/uninstrumented serving throughput ratio
-// into BENCH_infer.json gated by benchgate -max-obs-overhead.
+// uninstrumented path (a shard.WorkerHandler without an Obs) costs one
+// predictable branch, and BenchmarkRequestHotPath prices the per-request
+// cost directly.
+//
+// The Registry is the one place the serving stack counts anything: the
+// daemon's /stats JSON is a view computed from these instruments at read
+// time (counters as they are, latency percentiles via Histogram.Quantile),
+// so /stats and /metrics cannot disagree.
 //
 // Metric naming follows Prometheus conventions under a single nai_
 // prefix: nai_requests_total{outcome=...}, nai_request_duration_seconds,
 // nai_stage_duration_seconds{stage=...},
-// nai_propagate_hop_duration_seconds{hop=...}, and wiring-supplied gauges
-// (cache, admission, shard health) registered by the serve and shard
-// layers.
+// nai_propagate_hop_duration_seconds{hop=...}, and the counters and gauges
+// the serve and shard layers register on Reg (coalesced Infer calls,
+// deltas, per-tenant volume and latency, cache, admission, shard health).
 package obs
 
 import (
@@ -47,8 +52,7 @@ type Options struct {
 // pre-registered request/stage instruments that FinishTrace folds every
 // completed trace into. Both the serving router and shard worker
 // processes own one. A nil *Obs is valid and turns every method into a
-// no-op, which is how the benchmark suite measures uninstrumented
-// throughput.
+// no-op.
 type Obs struct {
 	// Reg is the process metrics registry; wiring code registers its own
 	// gauges (cache occupancy, shard health, admission depth) on it.
@@ -142,14 +146,23 @@ func (o *Obs) FinishTrace(t *Trace, tenant, outcome string, targets int) {
 	o.Ring.finish(t)
 }
 
-// Count increments the outcome counter without a trace — for paths that
-// complete before a trace exists (e.g. malformed requests).
-func (o *Obs) Count(outcome string) {
+// Count records a request that ended after d without a trace to finish (a
+// caller gave up while its flush may still be recording spans): outcome
+// counter and latency histogram, so the percentiles see the slow tail.
+func (o *Obs) Count(outcome string, d time.Duration) {
 	if o == nil {
 		return
 	}
 	o.requests.With(outcome).Inc()
+	o.reqDur.Observe(d.Seconds())
 }
+
+// Requests returns the nai_requests_total counter of one outcome, for views
+// that report it (the daemon's /stats).
+func (o *Obs) Requests(outcome string) *Counter { return o.requests.With(outcome) }
+
+// RequestDuration returns the nai_request_duration_seconds histogram.
+func (o *Obs) RequestDuration() *Histogram { return o.reqDur }
 
 // itoa formats small non-negative integers without fmt (hop numbers are
 // tiny; the general path is still correct for large values).

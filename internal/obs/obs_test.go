@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,6 +45,78 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		if !strings.Contains(buf.String(), want+"\n") {
 			t.Fatalf("missing %q in:\n%s", want, buf.String())
 		}
+	}
+
+	// The default bounds resolve what the stack mostly serves: a ≈ 50µs
+	// cache hit and a ≈ 70µs point read fall in different buckets, both
+	// below the old 100µs floor.
+	if DefBuckets[0] != 0.00001 || DefBuckets[1] != 0.000025 || DefBuckets[2] != 0.00005 || DefBuckets[3] != 0.0001 {
+		t.Fatalf("DefBuckets start %v, want 10µs, 25µs, 50µs, 100µs", DefBuckets[:4])
+	}
+	d := r.Histogram("test_default_seconds", "Default bounds.", nil)
+	d.Observe(0.000048)
+	d.Observe(0.000066)
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`test_default_seconds_bucket{le="2.5e-05"} 0`,
+		`test_default_seconds_bucket{le="5e-05"} 1`,
+		`test_default_seconds_bucket{le="0.0001"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Fatalf("missing %q in:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestHistogramQuantile: the estimate /stats percentiles are read from —
+// linear inside the bucket the rank falls in, from 0 in the first bucket,
+// clamped to the last finite bound in +Inf, and 0 with nothing observed.
+func TestHistogramQuantile(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		observe []float64
+		q, want float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"all in the first bucket", []float64{0.1, 0.1, 0.1, 0.1}, 0.5, 0.5},
+		{"all in one inner bucket", []float64{1.5, 1.5, 1.5, 1.5}, 0.5, 1.5},
+		{"all in one inner bucket, p100", []float64{1.5, 1.5}, 1, 2},
+		{"rank on a bucket edge", []float64{0.5, 1.5, 1.5, 3}, 0.25, 1},
+		{"across buckets", []float64{0.5, 1.5, 1.5, 3}, 0.5, 1.5},
+		{"+Inf clamps to the last finite bound", []float64{0.5, 9, 9, 9}, 0.99, 4},
+		{"only +Inf", []float64{100}, 0.5, 4},
+	} {
+		h := newHistogram([]float64{1, 2, 4})
+		for _, v := range c.observe {
+			h.Observe(v)
+		}
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", c.name, c.q, got, c.want)
+		}
+	}
+}
+
+// TestGaugeVecCollectFunc: a collected family calls its function once per
+// scrape and renders every sample it emits.
+func TestGaugeVecCollectFunc(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.GaugeVec("test_up", "Up.", "shard", "replica").CollectFunc(func(emit func(float64, ...string)) {
+		calls++
+		emit(1, "0", "0")
+		emit(0, "0", "1")
+	})
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP test_up Up.\n# TYPE test_up gauge\n" +
+		"test_up{shard=\"0\",replica=\"0\"} 1\ntest_up{shard=\"0\",replica=\"1\"} 0\n"
+	if buf.String() != want || calls != 1 {
+		t.Fatalf("%d calls, output:\n%s\nwant one call and:\n%s", calls, buf.String(), want)
 	}
 }
 
@@ -188,7 +261,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil trace not inert")
 	}
 	o.FinishTrace(tr, "t", "ok", 1)
-	o.Count("ok")
+	o.Count("ok", time.Millisecond)
 }
 
 // TestStitchedTraceIDs: a worker-side trace started under the router's id

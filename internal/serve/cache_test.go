@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
@@ -358,7 +359,7 @@ func TestRemoteDeltaNAPCoupling(t *testing.T) {
 // fully-cached request count, the graph version, JSON shape, and the
 // absence of the block when caching is disabled.
 func TestStatsCacheBlock(t *testing.T) {
-	s, dep := newTestServer(t, Config{MaxWait: time.Millisecond, CacheSize: 16})
+	s, _ := newTestServer(t, Config{MaxWait: time.Millisecond, CacheSize: 16})
 	if _, _, err := s.Classify([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -422,40 +423,123 @@ func TestStatsCacheBlock(t *testing.T) {
 	if strings.Contains(string(data), `"cache"`) {
 		t.Fatalf("uncached /stats JSON contains a cache key: %s", data)
 	}
-
-	// Re-wrapping a previously cached backend with CacheSize 0 must remove
-	// the old cache, not leave it reporting stale counters.
-	rewrapped := NewBackend(dep, Config{Opt: s.cfg.Opt, MaxWait: time.Millisecond})
-	t.Cleanup(rewrapped.Close)
-	if rst := rewrapped.Stats(); rst.Cache != nil {
-		t.Fatalf("uncached re-wrap kept the old cache: %+v", rst.Cache)
-	}
 }
 
-// TestCacheEntryRoundTrip guards the serve↔cache seam: entries preserve
-// prediction and depth through the backend plumbing for both backend kinds.
-func TestCacheEntryRoundTrip(t *testing.T) {
+// rejectingTransport applies every delta to the workers beneath it and then
+// reports one shard's as permanently rejected: the router has committed the
+// delta — graph, version, log — and still returns an error beside its
+// result.
+type rejectingTransport struct {
+	shard.Transport
+	reject int
+}
+
+func (r *rejectingTransport) ApplyDelta(ctx context.Context, p int, sd *shard.ShardDelta) error {
+	if err := r.Transport.ApplyDelta(ctx, p, sd); err != nil {
+		return err
+	}
+	if p == r.reject {
+		return errors.New("worker rejected its plan")
+	}
+	return nil
+}
+
+// TestCommittedDeltaWithError: a delta the backend committed must be
+// followed by the cache and the books even when the call reports an error.
+// The caller sees the error, graph_version and deltas both advance, and no
+// answer that predates the delta survives it: none at all under a NAP mode,
+// none inside the radius-TMax dirty ball under ModeFixed — where the entries
+// outside it stay hot.
+func TestCommittedDeltaWithError(t *testing.T) {
 	ds, m := fixture(t)
-	for _, p := range []int{1, 3} {
-		b := newCacheBackend(t, m, ds.Graph, p)
-		b.EnableResultCache(cache.Config{Entries: 8, Radius: m.K, Local: true})
-		if _, ok := b.CacheGet(4); ok {
-			t.Fatal("hit on an empty cache")
-		}
-		b.CachePut(4, cache.Entry{Pred: 3, Depth: 2})
-		e, ok := b.CacheGet(4)
-		if !ok || e.Pred != 3 || e.Depth != 2 {
-			t.Fatalf("P=%d round trip: (%+v,%v)", p, e, ok)
-		}
-		if st, ok := b.CacheStats(); !ok || st.Entries != 1 {
-			t.Fatalf("P=%d stats: (%+v,%v)", p, st, ok)
-		}
-		b.EnableResultCache(cache.Config{})
-		if _, ok := b.CacheGet(4); ok {
-			t.Fatalf("P=%d: disabled cache still answering", p)
-		}
-		if _, ok := b.CacheStats(); ok {
-			t.Fatalf("P=%d: disabled cache still reporting stats", p)
-		}
+	for mode, opt := range map[string]core.InferenceOptions{
+		"fixed":    {Mode: core.ModeFixed, TMin: 1, TMax: 1},
+		"distance": {Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: m.K},
+	} {
+		t.Run(mode, func(t *testing.T) {
+			ref, err := core.NewDeployment(m, ds.Graph.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := shard.Config{Shards: 2}
+			workers := make([]*shard.Worker, cfg.Shards)
+			for p := range workers {
+				if workers[p], err = shard.NewWorker(m, ds.Graph.Clone(), cfg, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), cfg,
+				&rejectingTransport{Transport: shard.NewLocalTransport(workers), reject: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { rt.Close() })
+			srv := NewBackend(rt, Config{Opt: opt, MaxWait: time.Millisecond, CacheSize: 64})
+			t.Cleanup(srv.Close)
+
+			// The delta touches the first test node; the first test node
+			// outside its dirty ball is the entry that may stay.
+			near := ds.Split.Test[0]
+			delta := graph.Delta{Src: []int{near}, Dst: []int{ds.Split.Test[1]}}
+			if _, err := ref.ApplyDelta(delta.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			inBall := map[int]bool{}
+			for _, v := range graph.Ball(ref.Graph.Adj, []int{near, ds.Split.Test[1]}, opt.TMax) {
+				inBall[v] = true
+			}
+			far := -1
+			for _, v := range ds.Split.Test[2:] {
+				if !inBall[v] {
+					far = v
+					break
+				}
+			}
+			if far < 0 {
+				t.Fatal("every test node is inside the dirty ball; fixture too dense")
+			}
+			hot := []int{near, far}
+			for round := 0; round < 2; round++ { // fill, then hit
+				if _, _, err := srv.Classify(hot); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			before := srv.Stats()
+			if _, err := srv.ApplyDelta(delta.Clone()); err == nil {
+				t.Fatal("the rejected shard's error did not reach the caller")
+			}
+			after := srv.Stats()
+			if after.GraphVersion != before.GraphVersion+1 || after.Deltas != before.Deltas+1 {
+				t.Fatalf("version %d → %d, deltas %d → %d: want both to follow the committed delta",
+					before.GraphVersion, after.GraphVersion, before.Deltas, after.Deltas)
+			}
+
+			want, err := ref.Infer(hot, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotP, gotD, err := srv.Classify(hot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range hot {
+				if gotP[i] != want.Pred[i] || gotD[i] != want.Depths[i] {
+					t.Fatalf("target %d after the delta: served (%d,%d), reference (%d,%d)",
+						v, gotP[i], gotD[i], want.Pred[i], want.Depths[i])
+				}
+			}
+			// near was recomputed in both modes; far only where the whole
+			// cache had to go.
+			wantHits := int64(0)
+			if opt.Mode == core.ModeFixed {
+				wantHits = 1
+			}
+			final := srv.Stats().Cache
+			if hits := final.Hits - after.Cache.Hits; hits != wantHits {
+				t.Fatalf("%d of %v answered from entries that predate the delta, want %d (cache %+v → %+v)",
+					hits, hot, wantHits, after.Cache, final)
+			}
+		})
 	}
 }

@@ -28,9 +28,8 @@ type pending struct {
 	res      *core.Result
 	err      error
 	done     chan struct{}
-	// tr is the request's trace (nil when obs is disabled); enq is when
-	// the request entered the window, closing the queue-wait span at
-	// flush time.
+	// tr is the request's trace; enq is when the request entered the
+	// window, closing the queue-wait span at flush time.
 	tr  *obs.Trace
 	enq time.Time
 }
@@ -103,8 +102,7 @@ func (c *coalescer) submit(p *pending) error {
 	if !c.budget.Acquire(p.tenant, n) {
 		// Fast 429: the reject costs a mutex acquire, never an Infer. The
 		// retry hint is one flush's expected cost — by then a window's worth
-		// of budget has drained.
-		c.srv.stats.countRejected()
+		// of budget has drained. ClassifyContext counts it, by outcome.
 		c.detector.Update(c.budget.Pending(), c.budget.Capacity())
 		return &retryableError{err: ErrOverloaded, retry: c.expectedFlushCost()}
 	}
@@ -212,7 +210,7 @@ func (c *coalescer) flush(batch []*pending) {
 		if err := p.ctx.Err(); err != nil {
 			p.err = err
 			c.budget.Release(p.tenant, len(p.targets))
-			c.srv.stats.countDeadlineExceeded()
+			c.srv.m.dropped.Inc()
 			close(p.done)
 			continue
 		}
@@ -249,12 +247,12 @@ func (c *coalescer) flush(batch []*pending) {
 	start := time.Now()
 	c.graphMu.RLock()
 	res, err := c.infer(live, all, opt)
-	if err == nil && c.srv.cached {
+	if err == nil && c.srv.cache != nil {
 		// Fill the result cache under the same read lock as the Infer call:
 		// a delta (write lock) can then never slip between compute and fill,
 		// so a fill can never resurrect an answer the delta invalidated.
 		for i, v := range all {
-			c.srv.backend.CachePut(v, cache.Entry{
+			c.srv.cache.Put(v, cache.Entry{
 				Pred:  int32(res.Pred[i]),
 				Depth: int32(res.Depths[i]),
 			})
@@ -264,11 +262,16 @@ func (c *coalescer) flush(batch []*pending) {
 	c.detector.ObserveFlush(time.Since(start))
 
 	// Count, then wake: a client that reads /stats right after its reply
-	// must find its own request in the totals.
+	// must find its own request in the totals. An errored flush stays on
+	// the books — the work was attempted — under result="error".
+	m := c.srv.m
+	m.inferRequests.Add(uint64(len(live)))
+	m.inferTargets.Add(uint64(total))
 	if err == nil {
-		c.srv.stats.countFlush(len(live), total, res)
+		m.inferOK.Inc()
+		m.addMACs(res.MACs)
 	} else {
-		c.srv.stats.countFlushError(len(live), total)
+		m.inferErr.Inc()
 	}
 	for _, p := range live {
 		p.res, p.err = res, err
@@ -280,25 +283,20 @@ func (c *coalescer) flush(batch []*pending) {
 	c.detector.Update(c.budget.Pending(), c.budget.Capacity())
 }
 
-// infer dispatches one flushed batch to the backend. A ContextBackend gets
-// a context bounded by the *loosest* live waiter's deadline — the batch is
-// shared, so it must be allowed to run as long as any caller still has
-// budget, but a sharded backend should never keep remote workers computing
-// past the point where every caller has given up. If any waiter carries no
-// deadline the batch runs unbounded, like a plain Backend always does.
-// Callers hold graphMu.RLock.
+// infer dispatches one flushed batch to the backend under a context bounded
+// by the *loosest* live waiter's deadline — the batch is shared, so it must
+// be allowed to run as long as any caller still has budget, but a sharded
+// backend should never keep remote workers computing past the point where
+// every caller has given up. If any waiter carries no deadline the batch
+// runs unbounded. Callers hold graphMu.RLock.
 func (c *coalescer) infer(live []*pending, all []int, opt core.InferenceOptions) (*core.Result, error) {
-	cb, ok := c.srv.backend.(ContextBackend)
-	if !ok {
-		return c.srv.backend.Infer(all, opt)
-	}
 	// The representative trace rides the flush context, so the backend's
 	// stages (engine, router fan-out, transport) record into it.
 	base := obs.ContextWithTrace(context.Background(), live[0].tr)
 	var latest time.Time
 	for _, p := range live {
 		if p.deadline.IsZero() {
-			return cb.InferContext(base, all, opt)
+			return c.srv.backend.InferContext(base, all, opt)
 		}
 		if p.deadline.After(latest) {
 			latest = p.deadline
@@ -306,7 +304,7 @@ func (c *coalescer) infer(live []*pending, all []int, opt core.InferenceOptions)
 	}
 	ctx, cancel := context.WithDeadline(base, latest)
 	defer cancel()
-	return cb.InferContext(ctx, all, opt)
+	return c.srv.backend.InferContext(ctx, all, opt)
 }
 
 // close flushes the open window so no caller is left parked on a timer;

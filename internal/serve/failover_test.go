@@ -187,7 +187,7 @@ func TestFailoverUnderFire(t *testing.T) {
 			if inj.Injected() == 0 {
 				t.Fatal("chaos injected no faults — the partition never bit")
 			}
-			if f, _ := rt.FailoverCounters(); f == 0 {
+			if rt.Describe().Failovers == 0 {
 				t.Fatal("no failovers recorded despite a partitioned replica")
 			}
 
@@ -195,10 +195,10 @@ func TestFailoverUnderFire(t *testing.T) {
 			// replica reports up at the router's version.
 			inj.Heal()
 			rt.Probe(context.Background())
-			if !rt.Healthy() {
-				t.Fatalf("router degraded after heal: %+v", rt.ShardHealth())
+			if !rt.Describe().Healthy() {
+				t.Fatalf("router degraded after heal: %+v", rt.Describe().Shards)
 			}
-			for _, st := range rt.ShardHealth() {
+			for _, st := range rt.Describe().Shards {
 				for _, rst := range st.Replicas {
 					if rst.State != "up" || rst.Version != rt.Version() {
 						t.Fatalf("shard %d replica %d after rejoin: %+v (router at %d)",

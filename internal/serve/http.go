@@ -10,9 +10,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
-	"repro/internal/shard"
 )
 
 // The wire types of the JSON API. Every error response is
@@ -71,12 +71,13 @@ type EdgesResponse struct {
 // per-shard status, and OK means *every* shard is serving: a dead worker
 // turns the probe into a 503 so load balancers stop sending traffic that
 // would partially fail, while the shards block tells an operator exactly
-// which worker to restart.
+// which worker to restart. OK, the status code and the block come from one
+// backend snapshot, so they agree.
 type HealthResponse struct {
-	OK     bool                `json:"ok"`
-	Nodes  int                 `json:"nodes"`
-	Edges  int                 `json:"edges"`
-	Shards []shard.ShardStatus `json:"shards,omitempty"`
+	OK     bool               `json:"ok"`
+	Nodes  int                `json:"nodes"`
+	Edges  int                `json:"edges"`
+	Shards []core.ShardStatus `json:"shards,omitempty"`
 }
 
 // Handler returns the daemon's HTTP mux:
@@ -84,7 +85,7 @@ type HealthResponse struct {
 //	POST /infer        — classify existing nodes (coalesced with other callers)
 //	POST /nodes        — append unseen nodes (+ optional incident edges)
 //	POST /edges        — append edges between existing nodes
-//	GET  /stats        — counters, latency percentiles, coalescing efficiency
+//	GET  /stats        — JSON view of the /metrics registry: counters, latency percentiles, coalescing efficiency
 //	GET  /healthz      — liveness + graph size
 //	GET  /metrics      — Prometheus text-format metrics (internal/obs)
 //	GET  /debug/traces — recent completed request traces, newest first
@@ -95,10 +96,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/edges", s.handleEdges)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	if s.obs != nil {
-		mux.Handle("/metrics", s.obs.Reg.Handler())
-		mux.Handle("/debug/traces", s.obs.Ring.Handler())
-	}
+	mux.Handle("/metrics", s.obs.Reg.Handler())
+	mux.Handle("/debug/traces", s.obs.Ring.Handler())
 	return mux
 }
 
@@ -268,16 +267,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.co.graphMu.RLock()
-	n, m := s.backend.NumNodes(), s.backend.NumEdges()
+	g := s.backend.ServingGraph()
+	n, m := g.N(), g.M()
 	s.co.graphMu.RUnlock()
-	resp := HealthResponse{OK: true, Nodes: n, Edges: m}
+	info := s.backend.Describe()
+	resp := HealthResponse{OK: info.Healthy(), Nodes: n, Edges: m, Shards: info.Shards}
 	status := http.StatusOK
-	if hr, ok := s.backend.(ShardHealthReporter); ok {
-		resp.Shards = hr.ShardHealth()
-		if !hr.Healthy() {
-			resp.OK = false
-			status = http.StatusServiceUnavailable
-		}
+	if !resp.OK {
+		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, resp)
 }

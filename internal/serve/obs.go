@@ -1,16 +1,16 @@
 package serve
 
 // Gauge wiring for the /metrics surface: scrape-time functions reading
-// the server's live state. Graph-shape and cache reads take the serving
-// read lock (graphMu), so a scrape can never race a delta's exclusive
-// section; admission and detector reads use those components' own locks.
+// the server's live state. Graph-shape reads take the serving read lock
+// (graphMu), so a scrape can never race a delta's exclusive section;
+// admission, detector, cache and backend-snapshot reads use those
+// components' own locks.
 
 import (
 	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/shard"
 )
 
 // registerGauges installs the server-level gauges on the obs registry.
@@ -26,12 +26,7 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.co.budget.Capacity()) })
 	reg.GaugeFunc("nai_degraded",
 		"Overload detector state (1 = degraded). Read via Peek: scrapes never mutate detector state.",
-		func() float64 {
-			if s.co.detector.Peek(s.co.budget.Pending(), s.co.budget.Capacity()) {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return b2f(s.co.detector.Peek(s.co.budget.Pending(), s.co.budget.Capacity())) })
 	reg.GaugeFunc("nai_degraded_transitions_total",
 		"Degraded-state flips since start.",
 		func() float64 { return float64(s.co.detector.Transitions()) })
@@ -41,41 +36,27 @@ func (s *Server) registerGauges() {
 		func() float64 {
 			s.co.graphMu.RLock()
 			defer s.co.graphMu.RUnlock()
-			return float64(s.backend.NumNodes())
+			return float64(s.backend.ServingGraph().N())
 		})
 	reg.GaugeFunc("nai_graph_edges",
 		"Serving graph edge count (after deltas).",
 		func() float64 {
 			s.co.graphMu.RLock()
 			defer s.co.graphMu.RUnlock()
-			return float64(s.backend.NumEdges())
+			return float64(s.backend.ServingGraph().M())
 		})
 	reg.GaugeFunc("nai_graph_version",
 		"Backend graph version (+1 per effective delta).",
-		func() float64 {
-			s.co.graphMu.RLock()
-			defer s.co.graphMu.RUnlock()
-			return float64(s.backend.Version())
-		})
+		func() float64 { return float64(s.backend.Describe().Version) })
 
 	// The hop-1 memo lives in the engine, so its counters are this process's:
 	// a sharded front over remote workers reads zero here and each worker
 	// reports its own on its /metrics (shard.WorkerHandlerObs).
-	if hr, ok := s.backend.(interface{ Hop1Stats() core.Hop1Stats }); ok {
-		core.RegisterHop1Metrics(reg, hr.Hop1Stats)
-	}
+	core.RegisterHop1Metrics(reg, func() core.Hop1Stats { return s.backend.Describe().Hop1 })
 
-	if s.cached {
+	if s.cache != nil {
 		cacheGauge := func(name, help string, read func(cache.Stats) float64) {
-			reg.GaugeFunc(name, help, func() float64 {
-				s.co.graphMu.RLock()
-				cs, ok := s.backend.CacheStats()
-				s.co.graphMu.RUnlock()
-				if !ok {
-					return 0
-				}
-				return read(cs)
-			})
+			reg.GaugeFunc(name, help, func() float64 { return read(s.cache.Stats()) })
 		}
 		cacheGauge("nai_cache_hits", "Result cache hits.",
 			func(c cache.Stats) float64 { return float64(c.Hits) })
@@ -87,67 +68,44 @@ func (s *Server) registerGauges() {
 			func(c cache.Stats) float64 { return c.HitRate })
 	}
 
-	if hr, ok := s.backend.(ShardHealthReporter); ok {
-		up := reg.GaugeVec("nai_shard_up",
-			"Per-shard health (1 = serving) from the router's probes.", "shard")
-		vers := reg.GaugeVec("nai_shard_version",
-			"Per-shard graph version at the last successful probe.", "shard")
-		health := hr.ShardHealth()
-		for i := range health {
-			p := i
-			up.WithFunc(func() float64 {
-				if st := hr.ShardHealth(); p < len(st) && st[p].Up {
-					return 1
-				}
-				return 0
-			}, strconv.Itoa(p))
-			vers.WithFunc(func() float64 {
-				if st := hr.ShardHealth(); p < len(st) {
-					return float64(st[p].Version)
-				}
-				return 0
-			}, strconv.Itoa(p))
-		}
-		// Replica series only exist when the backend routes over a replica
-		// set. Replica counts are fixed at construction, so enumerating the
-		// label space once at registration is safe.
-		if replicated(health) {
-			rup := reg.GaugeVec("nai_shard_replica_up",
-				"Per-replica health (1 = up, 0 = lagging or down) from the router's probes.",
-				"shard", "replica")
-			for i := range health {
-				p := i
-				for j := range health[p].Replicas {
-					r := j
-					rup.WithFunc(func() float64 {
-						st := hr.ShardHealth()
-						if p < len(st) && r < len(st[p].Replicas) && st[p].Replicas[r].State == "up" {
-							return 1
-						}
-						return 0
-					}, strconv.Itoa(p), strconv.Itoa(r))
-				}
+	// The fleet series exist only for a backend that has a fleet (the shard
+	// count is fixed at construction; the replica family stays empty without
+	// a replicated transport). Each family reads one Describe snapshot per
+	// scrape, so its rows describe one instant.
+	if len(s.backend.Describe().Shards) == 0 {
+		return
+	}
+	perShard := func(name, help string, read func(core.ShardStatus) float64) {
+		reg.GaugeVec(name, help, "shard").CollectFunc(func(emit func(float64, ...string)) {
+			for _, st := range s.backend.Describe().Shards {
+				emit(read(st), strconv.Itoa(st.Shard))
+			}
+		})
+	}
+	perShard("nai_shard_up", "Per-shard health (1 = serving) from the router's probes.",
+		func(st core.ShardStatus) float64 { return b2f(st.Up) })
+	perShard("nai_shard_version", "Per-shard graph version at the last successful probe.",
+		func(st core.ShardStatus) float64 { return float64(st.Version) })
+	reg.GaugeVec("nai_shard_replica_up",
+		"Per-replica health (1 = up, 0 = lagging or down) from the router's probes.",
+		"shard", "replica").CollectFunc(func(emit func(float64, ...string)) {
+		for _, st := range s.backend.Describe().Shards {
+			for _, r := range st.Replicas {
+				emit(b2f(r.State == "up"), strconv.Itoa(st.Shard), strconv.Itoa(r.Replica))
 			}
 		}
-	}
-
-	if fr, ok := s.backend.(FailoverReporter); ok {
-		reg.GaugeFunc("nai_shard_failovers_total",
-			"Times inference failed over away from a replica (cumulative).",
-			func() float64 { f, _ := fr.FailoverCounters(); return float64(f) })
-		reg.GaugeFunc("nai_shard_replica_retries_total",
-			"Extra per-replica inference attempts beyond the first (cumulative).",
-			func() float64 { _, r := fr.FailoverCounters(); return float64(r) })
-	}
+	})
+	reg.GaugeFunc("nai_shard_failovers_total",
+		"Times inference failed over away from a replica (cumulative).",
+		func() float64 { return float64(s.backend.Describe().Failovers) })
+	reg.GaugeFunc("nai_shard_replica_retries_total",
+		"Extra per-replica inference attempts beyond the first (cumulative).",
+		func() float64 { return float64(s.backend.Describe().ReplicaRetries) })
 }
 
-// replicated reports whether any shard's status carries replica detail —
-// i.e. the backend routes over a ReplicaSet rather than a flat transport.
-func replicated(health []shard.ShardStatus) bool {
-	for _, st := range health {
-		if len(st.Replicas) > 0 {
-			return true
-		}
+func b2f(b bool) float64 {
+	if b {
+		return 1
 	}
-	return false
+	return 0
 }

@@ -19,23 +19,29 @@ import (
 
 // flakyBackend wraps a real backend to inject the failure modes the
 // overload tests need: a forced Infer error (the 500 path), a forced
-// ApplyDelta error (the delta 500 path), and an Infer delay (so a caller's
-// deadline can expire mid-flush).
+// ApplyDelta error (the delta 500 path), an Infer delay (so a caller's
+// deadline can expire mid-flush) and an Infer gate (a flush announces itself
+// on it, then holds its admission budget until the test sends back).
 type flakyBackend struct {
 	Backend
 	inferErr error
 	deltaErr error
 	delay    time.Duration
+	gate     chan struct{}
 }
 
-func (f *flakyBackend) Infer(targets []int, opt core.InferenceOptions) (*core.Result, error) {
+func (f *flakyBackend) InferContext(ctx context.Context, targets []int, opt core.InferenceOptions) (*core.Result, error) {
+	if f.gate != nil {
+		f.gate <- struct{}{}
+		<-f.gate
+	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
 	if f.inferErr != nil {
 		return nil, f.inferErr
 	}
-	return f.Backend.Infer(targets, opt)
+	return f.Backend.InferContext(ctx, targets, opt)
 }
 
 func (f *flakyBackend) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {

@@ -7,13 +7,14 @@
 // for the end-to-end picture):
 //
 //   - Result caching: with Config.CacheSize > 0 each target's final
-//     prediction and realized depth is cached per node (internal/cache),
-//     consulted before the coalescer and filled after each flush. Real
+//     prediction and realized depth is cached per node in the server's one
+//     internal/cache.Cache — whatever the backend, a deployment or a router
+//     — consulted before the coalescer and filled after each flush. Real
 //     traffic is Zipf-skewed, so hot nodes skip BFS, extraction,
 //     propagation and classification entirely; answers stay bit-identical
-//     because Infer is batch-invariant and deltas invalidate stale entries
-//     exactly (the backend's delta-aware eviction, see the invalidation
-//     contract in ARCHITECTURE.md).
+//     because Infer is batch-invariant and ApplyDelta evicts stale entries
+//     exactly, inside its write-locked section (Server.invalidate; the
+//     invalidation contract is in ARCHITECTURE.md).
 //
 //   - Coalescing: concurrent single-node requests are micro-batched into one
 //     Infer call (up to Config.MaxBatch targets, waiting at most
@@ -28,17 +29,20 @@
 //     incremental refresh touches only the rows whose neighborhoods changed
 //     and stays bit-identical to a full Refresh.
 //
-//   - Observability: /stats reports request/latency percentiles, MAC
-//     totals, retained scratch bytes, cache hit/eviction counters and the
-//     measured coalescing efficiency; /healthz is a cheap liveness probe.
+//   - Observability: everything is counted once, in the server's
+//     internal/obs registry (served at /metrics). /stats is a JSON view
+//     computed from those instruments when it is read — request and latency
+//     percentiles, MAC totals, cache counters, the measured coalescing
+//     efficiency — so the two endpoints cannot disagree; /healthz is a cheap
+//     liveness probe.
 //
 // Concurrency contract: inference (coalesced flushes) and cache traffic
 // (lookups before the coalescer, fills after a flush) run under the read
 // lock — any number in flight, matching Deployment.Infer's thread safety —
 // while graph deltas hold the write lock, giving them the exclusive access
 // Refresh/ApplyDelta and cache invalidation require. Everything else
-// (stats, pending queues, the cache's internal lock shards) has its own
-// internal locks.
+// (pending queues, the cache's internal lock shards) has its own internal
+// locks, and the counters are atomics.
 package serve
 
 import (
@@ -50,10 +54,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/shard"
 )
 
 // Config parametrizes the daemon.
@@ -75,9 +77,6 @@ type Config struct {
 	// window flushes anyway. ≤0 flushes every request immediately
 	// (coalescing only what queued while the previous flush ran).
 	MaxWait time.Duration
-	// LatencyWindow is the ring size of retained per-request latencies for
-	// the /stats percentiles. ≤0 defaults to 1024.
-	LatencyWindow int
 	// MaxBody caps the accepted HTTP request body size in bytes
 	// (http.MaxBytesReader); oversized payloads get a 400, never an
 	// unbounded read. ≤0 defaults to 8 MiB — roomy for feature-row appends,
@@ -131,11 +130,6 @@ type Config struct {
 	// Logger receives the slow-request log records; nil falls back to
 	// slog.Default.
 	Logger *slog.Logger
-	// DisableObs turns the observability layer off entirely (no metrics
-	// registry, no traces). The overhead benchmark uses it to measure the
-	// uninstrumented baseline; production serving leaves it false —
-	// instrumentation is always-on by contract.
-	DisableObs bool
 	// Shed enables degraded mode: when the overload detector trips
 	// (pending work ≥90% of MaxPending, or the flush-latency EWMA exceeds
 	// DefaultDeadline), requests that would need a fresh NAP inference are
@@ -157,9 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
-	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = DefaultMaxBody
 	}
@@ -167,99 +158,49 @@ func (c Config) withDefaults() Config {
 }
 
 // Backend is the inference engine a Server fronts. Both the single-process
-// core.Deployment and the sharded shard.Router satisfy it, so the daemon —
-// coalescing, delta routing, stats — is identical whether it serves one
-// address space or a partitioned graph. The server imposes the concurrency
-// contract both implementations share: any number of concurrent Infer
-// calls (read lock), exclusive ApplyDelta (write lock).
+// core.Deployment and the sharded shard.Router satisfy it, and the daemon —
+// coalescing, caching, delta routing, stats — takes one code path through
+// either. The server imposes the concurrency contract both implementations
+// share: any number of concurrent InferContext calls (read lock), exclusive
+// ApplyDelta (write lock).
 type Backend interface {
-	// Infer classifies the targets (global node ids); safe for concurrent
-	// callers.
-	Infer(targets []int, opt core.InferenceOptions) (*core.Result, error)
-	// ApplyDelta grows the serving graph; must be exclusive with Infer.
-	ApplyDelta(d graph.Delta) (*graph.DeltaResult, error)
-	// NumNodes and NumEdges describe the current serving graph.
-	NumNodes() int
-	NumEdges() int
-	// ScratchBytes reports the retained pooled-scratch footprint (the
-	// /stats memory gauge).
-	ScratchBytes() int
-	// Version reports the backend's monotone graph version: bumped by
-	// every effective mutation, so cached answers can be attributed to the
-	// graph state they were computed against (surfaced in /stats).
-	Version() uint64
-	// EnableResultCache installs the backend's per-node result cache
-	// (cfg.Entries ≤ 0 removes it). The backend owns invalidation: its
-	// ApplyDelta evicts stale entries under cfg's policy — the shard router
-	// routes the eviction to the owning shard's cache. Call before serving
-	// starts; NewBackend does it from Config.CacheSize.
-	EnableResultCache(cfg cache.Config)
-	// CacheGet consults the result cache (ok=false when disabled or
-	// absent); CachePut records one answer and must be called under the
-	// same read-lock regime as Infer so fills cannot interleave with a
-	// delta's invalidation.
-	CacheGet(node int) (cache.Entry, bool)
-	CachePut(node int, e cache.Entry)
-	// CacheStats snapshots the cache counters; ok=false when caching is
-	// disabled.
-	CacheStats() (cache.Stats, bool)
-}
-
-// ContextBackend is an optional Backend extension for backends whose Infer
-// can honor a context — the shard.Router forwards it to worker transports,
-// so a remote worker call inherits the callers' deadlines instead of
-// running unbounded. When the backend implements it, coalesced flushes
-// dispatch through InferContext with a deadline covering every live waiter
-// in the batch (the loosest one: a flush must not be killed by its most
-// impatient caller while others still have budget).
-type ContextBackend interface {
+	// InferContext classifies the targets (global node ids); safe for
+	// concurrent callers. The context carries the flush's trace and the
+	// loosest live waiter's deadline: a router forwards both to its worker
+	// transports, the engine itself only records spans.
 	InferContext(ctx context.Context, targets []int, opt core.InferenceOptions) (*core.Result, error)
-}
-
-// ShardHealthReporter is an optional Backend extension for sharded
-// backends: per-shard health feeds /healthz (which degrades to 503 when a
-// shard is down) and the /stats "shards" block. shard.Router implements it.
-type ShardHealthReporter interface {
-	// ShardHealth snapshots per-shard status.
-	ShardHealth() []shard.ShardStatus
-	// Healthy reports whether every shard is serving.
-	Healthy() bool
-}
-
-// FailoverReporter is an optional Backend extension for replicated sharded
-// backends: cumulative failover counters feed the /metrics surface.
-// shard.Router implements it (delegating to its ReplicaSet transport).
-type FailoverReporter interface {
-	// FailoverCounters reports how many times inference failed over away
-	// from a replica, and how many extra per-replica attempts routing made.
-	FailoverCounters() (failovers, replicaRetries uint64)
-}
-
-// PrecisionReporter is an optional Backend extension reporting the
-// precision tier the backend serves at, surfaced in /stats. Both
-// core.Deployment and shard.Router implement it; a backend without it is
-// reported as f64 (the bit-pinned default tier).
-type PrecisionReporter interface {
-	Precision() kernel.Precision
+	// ApplyDelta grows the serving graph; must be exclusive with
+	// InferContext. A non-nil result beside an error means the delta is
+	// committed all the same (a router whose worker rejected its share).
+	ApplyDelta(d graph.Delta) (*graph.DeltaResult, error)
+	// ServingGraph is the merged graph being served. Under the read lock
+	// the server takes node and edge counts from it and validates ids
+	// against it; under the write lock it walks it for cache eviction.
+	ServingGraph() *graph.Graph
+	// Describe snapshots everything else the server reports — version,
+	// precision, scratch bytes, memo counters, fleet health — as plain
+	// data. Safe at any time.
+	Describe() core.Info
 }
 
 // Server is the serving daemon's state: one backend, one coalescer, one
-// stats tracker. Create it with New (single deployment) or NewBackend (any
-// Backend, e.g. a shard.Router) and expose Handler over HTTP, or call
-// Classify/ApplyDelta directly (the benchmarks do, to measure coalescing
-// without HTTP overhead).
+// result cache, one registry of counters. Create it with New (single
+// deployment) or NewBackend (any Backend, e.g. a shard.Router) and expose
+// Handler over HTTP, or call Classify/ApplyDelta directly (the benchmarks
+// do, to measure coalescing without HTTP overhead).
 type Server struct {
 	backend Backend
 	cfg     Config
 	co      *coalescer
-	stats   *tracker
 	start   time.Time
-	// cached mirrors Config.CacheSize > 0: Classify consults the backend's
-	// result cache before the coalescer and flushes fill it.
-	cached bool
-	// obs is the observability bundle (metrics registry + trace ring);
-	// nil only under Config.DisableObs, and every use is nil-safe.
+	// cache is the result cache, nil when Config.CacheSize ≤ 0: Classify
+	// consults it before the coalescer, flushes fill it under the read
+	// lock and ApplyDelta evicts from it under the write lock.
+	cache *cache.Cache
+	// obs is the observability bundle (metrics registry + trace ring) and
+	// m the serving counters registered on it; /stats is computed from both.
 	obs *obs.Obs
+	m   *counters
 }
 
 // New wraps a single deployment. The deployment must not be mutated behind
@@ -275,36 +216,21 @@ func NewBackend(b Backend, cfg Config) *Server {
 	s := &Server{
 		backend: b,
 		cfg:     cfg,
-		stats:   newTracker(cfg.LatencyWindow),
 		start:   time.Now(),
-		cached:  cfg.CacheSize > 0,
-	}
-	// Configure unconditionally: Entries ≤ 0 removes any cache a previous
-	// server left installed on this backend. ModeFixed answers have strictly
-	// local support, so the radius-TMax ball eviction is exact; NAP answers
-	// consult the global stationary state, so the backend flushes on every
-	// effective delta instead.
-	b.EnableResultCache(cache.Config{
-		Entries: cfg.CacheSize,
-		Radius:  cfg.Opt.TMax,
-		Local:   cfg.Opt.Mode == core.ModeFixed,
-	})
-	s.co = newCoalescer(s)
-	if !cfg.DisableObs {
-		s.obs = obs.New(obs.Options{
+		obs: obs.New(obs.Options{
 			RingSize:      cfg.TraceRing,
 			SlowThreshold: cfg.SlowTrace,
 			Logger:        cfg.Logger,
-		})
-		s.registerGauges()
+		}),
 	}
+	if cfg.CacheSize > 0 {
+		s.cache = cache.New(cfg.CacheSize)
+	}
+	s.m = newCounters(s.obs)
+	s.co = newCoalescer(s)
+	s.registerGauges()
 	return s
 }
-
-// Obs exposes the server's observability bundle (nil under
-// Config.DisableObs) so wiring code can register additional gauges on
-// its registry.
-func (s *Server) Obs() *obs.Obs { return s.obs }
 
 // Classify answers one request for the given target nodes with no
 // deadline, tenant attribution or cancellation — ClassifyContext with a
@@ -341,7 +267,9 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 		return nil, nil, nil
 	}
 	start := time.Now()
-	s.stats.countTenantRequest(tenant, len(targets))
+	ten := s.m.tenant(tenant)
+	ten.requests.Inc()
+	ten.targets.Add(uint64(len(targets)))
 	tr := s.obs.StartTraceAt(start)
 	// Tenant quota first: it is the cheapest check and a tenant over its
 	// rate limit should not even get cache reads. The charge is one token
@@ -354,7 +282,6 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 		return nil, nil, badRequestf("serve: request has %d targets, tenant %q quota burst admits at most %.0f", len(targets), tenant, maxc)
 	}
 	if ok, retry := s.cfg.Quotas.AllowAt(start, tenant, charge); !ok {
-		s.stats.countRejected()
 		s.obs.FinishTrace(tr, tenant, "rejected", len(targets))
 		return nil, nil, &retryableError{err: ErrQuota, retry: retry}
 	}
@@ -371,7 +298,7 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 	// Cache lookups share the read lock so a lookup cannot interleave with
 	// an in-progress invalidation.
 	s.co.graphMu.RLock()
-	n := s.backend.NumNodes()
+	n := s.backend.ServingGraph().N()
 	for _, v := range targets {
 		if v < 0 || v >= n {
 			s.co.graphMu.RUnlock()
@@ -380,11 +307,11 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 		}
 	}
 	var miss, missPos []int
-	if s.cached {
+	if s.cache != nil {
 		preds = make([]int, len(targets))
 		depths = make([]int, len(targets))
 		for i, v := range targets {
-			if e, ok := s.backend.CacheGet(v); ok {
+			if e, ok := s.cache.Get(v); ok {
 				preds[i], depths[i] = int(e.Pred), int(e.Depth)
 			} else {
 				miss = append(miss, v)
@@ -394,18 +321,16 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 	}
 	s.co.graphMu.RUnlock()
 
-	if s.cached && len(miss) == 0 {
+	if s.cache != nil && len(miss) == 0 {
 		// Fully served from cache: the request never touches the coalescer.
-		// Latency is recorded in both the global and the per-tenant rings —
-		// cache hits are the fast tail of the distribution, and excluding
+		// Its latency still lands in the global and the per-tenant histogram
+		// — cache hits are the fast tail of the distribution, and excluding
 		// them would silently inflate every reported percentile.
-		s.stats.countCached()
-		s.stats.observe(time.Since(start))
-		s.stats.observeTenant(tenant, time.Since(start))
+		ten.latency.Observe(time.Since(start).Seconds())
 		s.obs.FinishTrace(tr, tenant, "cached", len(targets))
 		return preds, depths, nil
 	}
-	if !s.cached {
+	if s.cache == nil {
 		miss, missPos = targets, nil
 	}
 	// Degraded mode: cache hits were already answered above and ModeFixed
@@ -414,7 +339,6 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 	// probe per interval through so flushes keep feeding the latency EWMA —
 	// the signal's only recovery path once traffic is being shed.
 	if s.cfg.Shed && s.cfg.Opt.Mode != core.ModeFixed && s.co.detector.ShedAt(start) {
-		s.stats.countShed()
 		s.obs.FinishTrace(tr, tenant, "shed", len(targets))
 		return nil, nil, ErrShed
 	}
@@ -425,14 +349,14 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			// Deadline misses are the slow tail: they must land in the
-			// latency rings too, or the percentiles report only the
+			// latency histograms too, or the percentiles report only the
 			// requests that made it.
-			s.stats.countTenantDeadlineMiss(tenant)
-			s.stats.observe(time.Since(start))
-			s.stats.observeTenant(tenant, time.Since(start))
-			s.obs.Count("deadline")
+			d := time.Since(start)
+			ten.deadlineMisses.Inc()
+			ten.latency.Observe(d.Seconds())
+			s.obs.Count("deadline", d)
 		case errors.Is(err, context.Canceled):
-			s.obs.Count("error")
+			s.obs.Count("error", time.Since(start))
 		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQuota):
 			// Rejected before enqueueing: the flusher never saw the
 			// pending, so the trace can be finished (and recycled) here.
@@ -456,24 +380,60 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 			preds[i], depths[i] = mp[k], md[k]
 		}
 	}
-	s.stats.observe(time.Since(start))
-	s.stats.observeTenant(tenant, time.Since(start))
+	ten.latency.Observe(time.Since(start).Seconds())
 	s.obs.FinishTrace(tr, tenant, "ok", len(targets))
 	return preds, depths, nil
 }
 
 // ApplyDelta applies a graph mutation under the write lock, waiting for
 // in-flight coalesced batches to drain and blocking new ones, then refreshes
-// the deployment incrementally.
+// the backend incrementally. Whatever the backend committed is followed
+// before the lock is released — stale cache entries evicted, the delta
+// counted — including when it reports an error beside its result (a router
+// whose worker rejected its share of a delta the rest of the fleet applied):
+// the caller then gets both.
 func (s *Server) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
 	s.co.graphMu.Lock()
 	defer s.co.graphMu.Unlock()
 	dr, err := s.backend.ApplyDelta(d)
-	if err != nil {
-		return nil, err
+	if dr != nil {
+		s.invalidate(dr)
+		s.m.deltas.Inc()
+		s.m.nodesAdded.Add(uint64(dr.NumNew))
+		s.m.rowsDirtied.Add(uint64(len(dr.Dirty)))
 	}
-	s.stats.countDelta(dr)
-	return dr, nil
+	return dr, err
+}
+
+// invalidate is the result cache's whole invalidation policy, applied after
+// the serving graph absorbed dr and before any reader runs again (callers
+// hold the write lock). A delta that changed nothing evicts nothing.
+//
+//   - ModeFixed answers depend only on the radius-TMax supporting ball, and
+//     a delta only changes adjacency values within one hop of its dirty rows,
+//     so a reverse-BFS of radius TMax from the dirty rows — over the merged
+//     graph, so new edges are traversed — covers every node whose answer
+//     could have changed. Exactly that ball is evicted; the rest stays hot.
+//   - NAP answers (distance/gate) also compare against the stationary state
+//     X(∞), whose rank-1 decomposition couples every node to the global
+//     edge/node mass (Scale = 1/(2m+n) and the shared weighted feature sum),
+//     so any effective delta shifts every node's decision threshold and the
+//     whole cache is flushed.
+//
+// One cache serves a router as well as a deployment: lookups and fills
+// happen in this process either way, keyed by global id, and internal/cache
+// stripes its own locks. The policy is pinned by the equivalence tests,
+// including a remote delta flipping a NAP decision outside the dirty ball —
+// the reason the ball eviction alone would be wrong.
+func (s *Server) invalidate(dr *graph.DeltaResult) {
+	if s.cache == nil || len(dr.Dirty) == 0 {
+		return
+	}
+	if s.cfg.Opt.Mode != core.ModeFixed {
+		s.cache.Flush()
+		return
+	}
+	s.cache.Invalidate(graph.Ball(s.backend.ServingGraph().Adj, dr.Dirty, s.cfg.Opt.TMax))
 }
 
 // Close drains the coalescer: the open window flushes (in-flight Classify

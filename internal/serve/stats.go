@@ -1,19 +1,18 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/kernel"
-	"repro/internal/shard"
+	"repro/internal/obs"
 )
 
-// Stats is one /stats snapshot. All counters are totals since the server
-// started; latencies cover the most recent LatencyWindow requests.
+// Stats is one /stats snapshot: a JSON view of the server's obs registry
+// (every counter below is read from the nai_* series its comment names — the
+// same numbers /metrics serves) plus the live gauges. Counters and latency
+// percentiles both cover everything since the server started.
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
@@ -23,15 +22,17 @@ type Stats struct {
 	Edges        int    `json:"edges"`
 	GraphVersion uint64 `json:"graph_version"`
 
-	// Precision is the tier the backend serves at ("f64", "f32", "int8";
-	// PrecisionReporter — backends without it report the f64 default).
+	// Precision is the tier the backend serves at ("f64", "f32", "int8").
 	Precision string `json:"precision"`
 
-	// Request accounting. Requests counts every Classify call, including
-	// ones answered entirely from the result cache; Targets and InferCalls
-	// cover only the inference path, so CoalesceRate = Requests/InferCalls
-	// is the overall amortization factor (coalescing × caching) and
-	// AvgBatchTargets the mean number of targets one Infer served.
+	// Request accounting. Requests counts every Classify call that was
+	// served — nai_infer_requests_total, the ones that rode in a coalesced
+	// Infer, plus nai_requests_total{outcome="cached"}, the ones answered
+	// entirely from the result cache; Targets (nai_infer_targets_total) and
+	// InferCalls (nai_infer_calls_total, both results) cover only the
+	// inference path, so CoalesceRate = Requests/InferCalls is the overall
+	// amortization factor (coalescing × caching) and AvgBatchTargets the
+	// mean number of targets one Infer served.
 	Requests        int64   `json:"requests"`
 	Targets         int64   `json:"targets"`
 	InferCalls      int64   `json:"infer_calls"`
@@ -39,11 +40,13 @@ type Stats struct {
 	AvgBatchTargets float64 `json:"avg_batch_targets"`
 
 	// Overload-control accounting. InferErrors counts flushes whose Infer
-	// failed (their calls and targets stay in InferCalls/Targets, so
-	// errored work no longer vanishes from the books); Rejected counts
-	// admission-budget and tenant-quota 429s, Shed the degraded-mode 429s,
+	// failed (nai_infer_calls_total{result="error"}; their calls and
+	// targets stay in InferCalls/Targets, so errored work does not vanish
+	// from the books); Rejected counts admission-budget and tenant-quota
+	// 429s and Shed the degraded-mode 429s (nai_requests_total by outcome),
 	// DeadlineExceeded the callers dropped because their deadline or
-	// context expired before their flush started. PendingTargets is the
+	// context expired before their flush started
+	// (nai_infer_dropped_total). PendingTargets is the
 	// current queued + in-flight occupancy of the admission budget
 	// (capacity MaxPending; 0 capacity = unbounded), Degraded the overload
 	// detector's current state and DegradedTransitions its flip count
@@ -60,17 +63,21 @@ type Stats struct {
 	DegradedTransitions int64 `json:"degraded_transitions"`
 	FlushEWMAUs         int64 `json:"flush_ewma_us"`
 
-	// Graph mutation accounting.
+	// Graph mutation accounting (nai_deltas_total,
+	// nai_delta_nodes_added_total, nai_delta_rows_dirtied_total).
 	Deltas     int64 `json:"deltas"`
 	NodesAdded int64 `json:"nodes_added"`
 	EdgesDirty int64 `json:"rows_dirtied"`
 
 	// MACs accumulated across all coalesced batches (the paper's
 	// accounting: wall-clock no longer pays the stationary term, but the
-	// books keep it comparable — see MACBreakdown).
+	// books keep it comparable — see MACBreakdown);
+	// nai_infer_macs_total{procedure}.
 	MACs core.MACBreakdown `json:"macs"`
 
-	// Per-request latency percentiles over the recent window, microseconds.
+	// Per-request latency percentiles in microseconds, estimated from the
+	// nai_request_duration_seconds histogram (obs.Histogram.Quantile:
+	// every request since start, linear inside a bucket).
 	LatencyP50us float64 `json:"latency_p50_us"`
 	LatencyP90us float64 `json:"latency_p90_us"`
 	LatencyP99us float64 `json:"latency_p99_us"`
@@ -83,21 +90,24 @@ type Stats struct {
 	// caching is disabled.
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	// Shards reports per-shard health when the backend is sharded
-	// (ShardHealthReporter); absent for single-deployment backends.
-	Shards []shard.ShardStatus `json:"shards,omitempty"`
+	// Shards reports per-shard health when the backend is sharded; absent
+	// for single-deployment backends.
+	Shards []core.ShardStatus `json:"shards,omitempty"`
 
 	// Tenants breaks request volume and latency SLO accounting down by
-	// X-Tenant. At most maxTrackedTenants distinct tenants are tracked;
-	// later arrivals aggregate under "~other" (the cap keeps a tenant-id
-	// cardinality attack from growing this map unboundedly). Absent until
-	// the first request.
+	// X-Tenant: the nai_tenant_* series, by their tenant label. At most
+	// maxTrackedTenants distinct tenants get a label value; later arrivals
+	// aggregate under "~other" (the cap keeps a tenant-id cardinality attack
+	// from growing the registry unboundedly). Absent until the first
+	// request.
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
 }
 
-// TenantStats is one tenant's /stats entry: request volume and the latency
-// SLO view (recent-window percentiles plus deadline misses — requests that
-// expired before their batch flushed).
+// TenantStats is one tenant's /stats entry: request volume
+// (nai_tenant_requests_total, nai_tenant_targets_total — every call the
+// tenant made, refused ones included) and the latency SLO view: percentiles
+// of nai_tenant_request_duration_seconds, which holds the tenant's answered
+// requests and deadline misses, plus nai_tenant_deadline_misses_total.
 type TenantStats struct {
 	Requests       int64   `json:"requests"`
 	Targets        int64   `json:"targets"`
@@ -106,20 +116,17 @@ type TenantStats struct {
 	LatencyP99us   float64 `json:"latency_p99_us"`
 }
 
-// maxTrackedTenants caps the per-tenant stats map; the tenant namespace is
+// maxTrackedTenants caps the tenant label's values; the tenant namespace is
 // client-controlled (a request header), so it must not be unbounded.
 const maxTrackedTenants = 64
 
 // tenantOverflowKey aggregates tenants beyond the cap.
 const tenantOverflowKey = "~other"
 
-// tenantLatencyWindow is each tenant's latency ring size (smaller than the
-// global window: 64 tenants × 256 × 8 bytes stays negligible).
-const tenantLatencyWindow = 256
-
-// CacheStats is the /stats "cache" block: the backend cache's own counters
+// CacheStats is the /stats "cache" block: the result cache's own counters
 // (hits, misses, evictions, invalidations, entries, bytes, hit rate) plus
-// the server-level count of requests that never touched the coalescer.
+// the count of requests that never touched the coalescer
+// (nai_requests_total{outcome="cached"}).
 type CacheStats struct {
 	cache.Stats
 	// FullyCachedRequests counts Classify calls whose every target hit the
@@ -127,224 +134,182 @@ type CacheStats struct {
 	FullyCachedRequests int64 `json:"fully_cached_requests"`
 }
 
-// tracker accumulates the counters behind /stats.
-type tracker struct {
-	mu          sync.Mutex
-	requests    int64
-	cachedReqs  int64
-	targets     int64
-	inferCalls  int64
-	inferErrors int64
-	rejected    int64
-	shed        int64
-	deadlines   int64
-	deltas      int64
-	nodesAdded  int64
-	rowsDirty   int64
-	macs        core.MACBreakdown
+// counters are the serving path's instruments on the obs registry: what the
+// coalescer, ApplyDelta and ClassifyContext update, and all Stats reads.
+// Each event has one instrument; request outcomes and end-to-end latency
+// are obs's own (nai_requests_total, nai_request_duration_seconds), of
+// which the three outcomes /stats reports are held here.
+type counters struct {
+	rejected, shed, cached *obs.Counter
+	latency                *obs.Histogram
 
-	lat  []time.Duration // latency ring
-	next int
-	full bool
+	// One coalesced Infer call and what rode in it; dropped counts the
+	// callers whose context was done when their flush started.
+	inferOK, inferErr           *obs.Counter
+	inferRequests, inferTargets *obs.Counter
+	dropped                     *obs.Counter
+	macs                        []*obs.Counter // by macProcedures index
 
-	tenants map[string]*tenantTracker
+	deltas, nodesAdded, rowsDirtied *obs.Counter
+
+	tenantRequests, tenantTargets, tenantDeadlineMisses *obs.CounterVec
+	tenantLatency                                       *obs.HistogramVec
+
+	// tenants maps a tenant name to its series, so a request pays one
+	// read-locked lookup; it is also what caps the label's cardinality.
+	mu      sync.RWMutex
+	tenants map[string]*tenantSeries
 }
 
-// tenantTracker is one tenant's slice of the tracker: counters plus its own
-// small latency ring.
-type tenantTracker struct {
-	requests       int64
-	targets        int64
-	deadlineMisses int64
-	lat            []time.Duration
-	next           int
-	full           bool
+// tenantSeries is one tenant label value's children of the nai_tenant_*
+// families.
+type tenantSeries struct {
+	requests, targets, deadlineMisses *obs.Counter
+	latency                           *obs.Histogram
 }
 
-func newTracker(window int) *tracker {
-	return &tracker{lat: make([]time.Duration, window),
-		tenants: make(map[string]*tenantTracker)}
+// macProcedures names the procedure label of nai_infer_macs_total and the
+// MACBreakdown field each value accumulates — the one list both the add
+// and the read side walk.
+var macProcedures = []struct {
+	name  string
+	field func(*core.MACBreakdown) *int
+}{
+	{"stationary", func(b *core.MACBreakdown) *int { return &b.Stationary }},
+	{"propagation", func(b *core.MACBreakdown) *int { return &b.Propagation }},
+	{"decision", func(b *core.MACBreakdown) *int { return &b.Decision }},
+	{"combine", func(b *core.MACBreakdown) *int { return &b.Combine }},
+	{"classification", func(b *core.MACBreakdown) *int { return &b.Classification }},
 }
 
-// tenant returns the tracker for one tenant, creating it under the cap
-// (overflow aggregates under tenantOverflowKey). Callers hold t.mu. The
-// empty tenant — unattributed traffic — is reported as "default".
-func (t *tracker) tenant(name string) *tenantTracker {
+func newCounters(o *obs.Obs) *counters {
+	reg := o.Reg
+	calls := reg.CounterVec("nai_infer_calls_total",
+		"Coalesced Infer calls by result (ok, error).", "result")
+	c := &counters{
+		rejected: o.Requests("rejected"),
+		shed:     o.Requests("shed"),
+		cached:   o.Requests("cached"),
+		latency:  o.RequestDuration(),
+		inferOK:  calls.With("ok"),
+		inferErr: calls.With("error"),
+		inferRequests: reg.Counter("nai_infer_requests_total",
+			"Requests that rode in a coalesced Infer call."),
+		inferTargets: reg.Counter("nai_infer_targets_total",
+			"Targets across coalesced Infer calls."),
+		dropped: reg.Counter("nai_infer_dropped_total",
+			"Callers dropped from their batch because their deadline or context expired before the flush started."),
+		deltas: reg.Counter("nai_deltas_total",
+			"Graph deltas the backend committed."),
+		nodesAdded: reg.Counter("nai_delta_nodes_added_total",
+			"Nodes appended by deltas."),
+		rowsDirtied: reg.Counter("nai_delta_rows_dirtied_total",
+			"Adjacency rows deltas changed."),
+		tenantRequests: reg.CounterVec("nai_tenant_requests_total",
+			"Classify calls by tenant (refused ones included).", "tenant"),
+		tenantTargets: reg.CounterVec("nai_tenant_targets_total",
+			"Targets of those calls by tenant.", "tenant"),
+		tenantDeadlineMisses: reg.CounterVec("nai_tenant_deadline_misses_total",
+			"Requests whose deadline expired before an answer, by tenant.", "tenant"),
+		tenantLatency: reg.HistogramVec("nai_tenant_request_duration_seconds",
+			"Latency of answered requests and deadline misses by tenant.", obs.DefBuckets, "tenant"),
+		tenants: make(map[string]*tenantSeries),
+	}
+	macs := reg.CounterVec("nai_infer_macs_total",
+		"Multiply-accumulates of coalesced Infer calls by procedure (the paper's accounting).", "procedure")
+	for _, p := range macProcedures {
+		c.macs = append(c.macs, macs.With(p.name))
+	}
+	return c
+}
+
+// tenant returns the series of one tenant, creating them under the cap: the
+// first maxTrackedTenants names get a label value of their own, later ones
+// share tenantOverflowKey. The empty tenant — unattributed traffic — is
+// reported as "default".
+func (c *counters) tenant(name string) *tenantSeries {
 	if name == "" {
 		name = "default"
 	}
-	tt, ok := t.tenants[name]
-	if !ok {
-		if len(t.tenants) >= maxTrackedTenants {
-			name = tenantOverflowKey
-			if tt, ok = t.tenants[name]; ok {
-				return tt
-			}
+	c.mu.RLock()
+	ts := c.tenants[name]
+	c.mu.RUnlock()
+	if ts != nil {
+		return ts
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ts := c.tenants[name]; ts != nil {
+		return ts
+	}
+	if len(c.tenants) >= maxTrackedTenants {
+		name = tenantOverflowKey
+		if ts := c.tenants[name]; ts != nil {
+			return ts
 		}
-		tt = &tenantTracker{lat: make([]time.Duration, tenantLatencyWindow)}
-		t.tenants[name] = tt
 	}
-	return tt
-}
-
-// countTenantRequest attributes one request's volume to its tenant.
-func (t *tracker) countTenantRequest(tenant string, targets int) {
-	t.mu.Lock()
-	tt := t.tenant(tenant)
-	tt.requests++
-	tt.targets += int64(targets)
-	t.mu.Unlock()
-}
-
-// observeTenant records one successful request's latency in its tenant's
-// ring.
-func (t *tracker) observeTenant(tenant string, d time.Duration) {
-	t.mu.Lock()
-	tt := t.tenant(tenant)
-	tt.lat[tt.next] = d
-	tt.next++
-	if tt.next == len(tt.lat) {
-		tt.next, tt.full = 0, true
+	ts = &tenantSeries{
+		requests:       c.tenantRequests.With(name),
+		targets:        c.tenantTargets.With(name),
+		deadlineMisses: c.tenantDeadlineMisses.With(name),
+		latency:        c.tenantLatency.With(name),
 	}
-	t.mu.Unlock()
+	c.tenants[name] = ts
+	return ts
 }
 
-// countTenantDeadlineMiss records a request of this tenant that expired
-// before its batch flushed — the per-tenant SLO-miss counter.
-func (t *tracker) countTenantDeadlineMiss(tenant string) {
-	t.mu.Lock()
-	t.tenant(tenant).deadlineMisses++
-	t.mu.Unlock()
-}
-
-func (t *tracker) observe(d time.Duration) {
-	t.mu.Lock()
-	t.lat[t.next] = d
-	t.next++
-	if t.next == len(t.lat) {
-		t.next, t.full = 0, true
+func (c *counters) addMACs(m core.MACBreakdown) {
+	for i, p := range macProcedures {
+		c.macs[i].Add(uint64(*p.field(&m)))
 	}
-	t.mu.Unlock()
 }
 
-func (t *tracker) countFlush(requests, targets int, res *core.Result) {
-	t.mu.Lock()
-	t.requests += int64(requests)
-	t.targets += int64(targets)
-	t.inferCalls++
-	t.macs.Add(res.MACs)
-	t.mu.Unlock()
-}
+// micros reads a latency histogram's q-quantile in microseconds.
+func micros(h *obs.Histogram, q float64) float64 { return h.Quantile(q) * 1e6 }
 
-// countFlushError records a flush whose Infer failed: the call and its
-// targets still count (the work was attempted), and infer_errors marks it
-// so errored flushes no longer vanish from /stats.
-func (t *tracker) countFlushError(requests, targets int) {
-	t.mu.Lock()
-	t.requests += int64(requests)
-	t.targets += int64(targets)
-	t.inferCalls++
-	t.inferErrors++
-	t.mu.Unlock()
-}
-
-// countRejected records one admission-budget or tenant-quota 429.
-func (t *tracker) countRejected() {
-	t.mu.Lock()
-	t.rejected++
-	t.mu.Unlock()
-}
-
-// countShed records one degraded-mode 429.
-func (t *tracker) countShed() {
-	t.mu.Lock()
-	t.shed++
-	t.mu.Unlock()
-}
-
-// countDeadlineExceeded records a caller dropped from its batch because
-// its deadline or context expired before the flush started.
-func (t *tracker) countDeadlineExceeded() {
-	t.mu.Lock()
-	t.deadlines++
-	t.mu.Unlock()
-}
-
-// countCached records a request answered entirely from the result cache
-// (it counts as a request but never reaches the inference path).
-func (t *tracker) countCached() {
-	t.mu.Lock()
-	t.requests++
-	t.cachedReqs++
-	t.mu.Unlock()
-}
-
-func (t *tracker) countDelta(dr *graph.DeltaResult) {
-	t.mu.Lock()
-	t.deltas++
-	t.nodesAdded += int64(dr.NumNew)
-	t.rowsDirty += int64(len(dr.Dirty))
-	t.mu.Unlock()
-}
-
-// percentiles sorts a copied latency window and reads off p50/p90/p99 in
-// microseconds (zeros for an empty window).
-func percentiles(lats []time.Duration) (p50, p90, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		idx := int(p * float64(len(lats)-1))
-		return float64(lats[idx].Nanoseconds()) / 1e3
-	}
-	return pct(0.50), pct(0.90), pct(0.99)
-}
-
-// Stats snapshots the tracker plus the deployment-side gauges.
+// Stats computes the /stats view: the counters as the registry holds them,
+// percentiles from its histograms, and the live gauges (admission budget,
+// overload detector, backend snapshot).
 func (s *Server) Stats() Stats {
-	t := s.stats
-	t.mu.Lock()
+	m := s.m
+	cached, inferErrs := int64(m.cached.Value()), int64(m.inferErr.Value())
 	st := Stats{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
-		Requests:         t.requests,
-		Targets:          t.targets,
-		InferCalls:       t.inferCalls,
-		InferErrors:      t.inferErrors,
-		Rejected:         t.rejected,
-		Shed:             t.shed,
-		DeadlineExceeded: t.deadlines,
-		Deltas:           t.deltas,
-		NodesAdded:       t.nodesAdded,
-		EdgesDirty:       t.rowsDirty,
-		MACs:             t.macs,
+		Requests:         int64(m.inferRequests.Value()) + cached,
+		Targets:          int64(m.inferTargets.Value()),
+		InferCalls:       int64(m.inferOK.Value()) + inferErrs,
+		InferErrors:      inferErrs,
+		Rejected:         int64(m.rejected.Value()),
+		Shed:             int64(m.shed.Value()),
+		DeadlineExceeded: int64(m.dropped.Value()),
+		Deltas:           int64(m.deltas.Value()),
+		NodesAdded:       int64(m.nodesAdded.Value()),
+		EdgesDirty:       int64(m.rowsDirtied.Value()),
+		LatencyP50us:     micros(m.latency, 0.50),
+		LatencyP90us:     micros(m.latency, 0.90),
+		LatencyP99us:     micros(m.latency, 0.99),
 	}
-	cachedReqs := t.cachedReqs
-	window := t.lat[:t.next]
-	if t.full {
-		window = t.lat
+	for i, p := range macProcedures {
+		*p.field(&st.MACs) = int(m.macs[i].Value())
 	}
-	lats := append([]time.Duration(nil), window...)
-	if len(t.tenants) > 0 {
-		st.Tenants = make(map[string]TenantStats, len(t.tenants))
-		for name, tt := range t.tenants {
-			ts := TenantStats{Requests: tt.requests, Targets: tt.targets,
-				DeadlineMisses: tt.deadlineMisses}
-			w := tt.lat[:tt.next]
-			if tt.full {
-				w = tt.lat
-			}
-			ts.LatencyP50us, _, ts.LatencyP99us = percentiles(append([]time.Duration(nil), w...))
-			st.Tenants[name] = ts
-		}
-	}
-	t.mu.Unlock()
-
 	if st.InferCalls > 0 {
 		st.CoalesceRate = float64(st.Requests) / float64(st.InferCalls)
 		st.AvgBatchTargets = float64(st.Targets) / float64(st.InferCalls)
 	}
-	st.LatencyP50us, st.LatencyP90us, st.LatencyP99us = percentiles(lats)
+	m.mu.RLock()
+	if len(m.tenants) > 0 {
+		st.Tenants = make(map[string]TenantStats, len(m.tenants))
+		for name, ts := range m.tenants {
+			st.Tenants[name] = TenantStats{
+				Requests:       int64(ts.requests.Value()),
+				Targets:        int64(ts.targets.Value()),
+				DeadlineMisses: int64(ts.deadlineMisses.Value()),
+				LatencyP50us:   micros(ts.latency, 0.50),
+				LatencyP99us:   micros(ts.latency, 0.99),
+			}
+		}
+	}
+	m.mu.RUnlock()
 
 	st.PendingTargets = s.co.budget.Pending()
 	st.MaxPending = s.co.budget.Capacity()
@@ -358,20 +323,16 @@ func (s *Server) Stats() Stats {
 	st.FlushEWMAUs = s.co.detector.FlushEWMA().Microseconds()
 
 	s.co.graphMu.RLock()
-	st.Nodes = s.backend.NumNodes()
-	st.Edges = s.backend.NumEdges()
-	st.GraphVersion = s.backend.Version()
-	st.ScratchBytes = s.backend.ScratchBytes()
-	if cs, ok := s.backend.CacheStats(); ok {
-		st.Cache = &CacheStats{Stats: cs, FullyCachedRequests: cachedReqs}
-	}
+	g := s.backend.ServingGraph()
+	st.Nodes, st.Edges = g.N(), g.M()
+	info := s.backend.Describe()
 	s.co.graphMu.RUnlock()
-	if hr, ok := s.backend.(ShardHealthReporter); ok {
-		st.Shards = hr.ShardHealth()
-	}
-	st.Precision = kernel.PrecisionF64.String()
-	if pr, ok := s.backend.(PrecisionReporter); ok {
-		st.Precision = pr.Precision().String()
+	st.GraphVersion = info.Version
+	st.Precision = info.Precision.String()
+	st.ScratchBytes = info.ScratchBytes
+	st.Shards = info.Shards
+	if s.cache != nil {
+		st.Cache = &CacheStats{Stats: s.cache.Stats(), FullyCachedRequests: cached}
 	}
 	return st
 }

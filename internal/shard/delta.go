@@ -42,7 +42,9 @@ func (r *Router) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
 //     marked down, and the logged delta reaches it via catch-up replay
 //     when it comes back — this is how a restarted worker rejoins. A
 //     worker that *rejects* a delta (a permanent error) does fail the
-//     call: that is a routing bug, not an outage.
+//     call: that is a routing bug, not an outage. The result still comes
+//     back beside the error — graph, version and log are committed by
+//     then, and whoever caches answers above must follow them.
 //
 // Must not run concurrently with Infer (the serving daemon holds its write
 // lock around deltas, matching the unsharded backend's contract).
@@ -101,11 +103,7 @@ func (r *Router) ApplyDeltaContext(ctx context.Context, d graph.Delta) (*graph.D
 			firstErr = err
 		}
 	}
-	r.invalidateResultCaches(dr)
-	if firstErr != nil {
-		return dr, firstErr
-	}
-	return dr, nil
+	return dr, firstErr
 }
 
 // assignNew picks an owner for every appended node and extends the owner

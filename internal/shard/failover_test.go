@@ -159,7 +159,7 @@ func TestDeltaOutageHealsByReplay(t *testing.T) {
 	if rt.Version() != 2 {
 		t.Fatalf("router version %d after committed delta, want 2", rt.Version())
 	}
-	if rt.Healthy() {
+	if rt.Describe().Healthy() {
 		t.Fatal("shards marked up despite delta outage")
 	}
 
@@ -178,7 +178,7 @@ func TestDeltaOutageHealsByReplay(t *testing.T) {
 			t.Fatalf("answer drifted at %d after replay", i)
 		}
 	}
-	if !rt.Healthy() {
+	if !rt.Describe().Healthy() {
 		t.Fatal("shards still marked down after successful replay")
 	}
 }
@@ -195,7 +195,7 @@ func TestReplicaFailoverRoutesAround(t *testing.T) {
 	h.inj.Partition(h.flat(0, reps, 1)) // cut shard 0's second replica
 
 	shard.TestRequireSameAnswers(t, "one replica partitioned", h.rt, h.dep, ds.Split.Test)
-	if h.rt.Healthy() == false {
+	if h.rt.Describe().Healthy() == false {
 		t.Fatal("router degraded although every shard has a live replica")
 	}
 	if h.rs.Failovers() == 0 {
@@ -284,14 +284,14 @@ func TestAllReplicasDownUnavailable(t *testing.T) {
 		t.Fatalf("shard with every replica down: got %v, want ErrUnavailable", err)
 	}
 	h.rt.Probe(context.Background())
-	if h.rt.Healthy() {
+	if h.rt.Describe().Healthy() {
 		t.Fatal("router healthy with a whole replica group partitioned")
 	}
 
 	h.inj.Heal()
 	h.rt.Probe(context.Background())
-	if !h.rt.Healthy() {
-		t.Fatalf("router still degraded after heal: %+v", h.rt.ShardHealth())
+	if !h.rt.Describe().Healthy() {
+		t.Fatalf("router still degraded after heal: %+v", h.rt.Describe().Shards)
 	}
 	shard.TestRequireSameAnswers(t, "after group heal", h.rt, h.dep, ds.Split.Test)
 }
@@ -399,10 +399,10 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 	oldW.StartDrain()
 	shard.TestRequireSameAnswers(t, "draining", rt, dep, ds.Split.Test)
 	rt.Probe(context.Background())
-	if !rt.Healthy() {
-		t.Fatalf("router degraded while a drained replica has a live peer: %+v", rt.ShardHealth())
+	if !rt.Describe().Healthy() {
+		t.Fatalf("router degraded while a drained replica has a live peer: %+v", rt.Describe().Shards)
 	}
-	if rh := rt.ShardHealth()[0].Replicas; rh[0].State == "up" {
+	if rh := rt.Describe().Shards[0].Replicas; rh[0].State == "up" {
 		t.Fatalf("draining replica still marked up: %+v", rh[0])
 	}
 
@@ -426,7 +426,7 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 
 	// Step 4: the probe replays the missed deltas and re-admits it.
 	rt.Probe(context.Background())
-	for pi, st := range rt.ShardHealth() {
+	for pi, st := range rt.Describe().Shards {
 		if !st.Up {
 			t.Fatalf("shard %d down after replacement: %s", pi, st.Err)
 		}

@@ -127,7 +127,7 @@ func TestShardedMemoEquivalence(t *testing.T) {
 				t.Fatalf("%s: the workers' memos were not exercised: %+v", tag, sum)
 			}
 			// The router reports the memos of its own process only.
-			if got := rt.Hop1Stats(); transport == "local" && got != sum || transport == "http" && got != (core.Hop1Stats{}) {
+			if got := rt.Describe().Hop1; transport == "local" && got != sum || transport == "http" && got != (core.Hop1Stats{}) {
 				t.Fatalf("%s: router reports %+v, workers sum to %+v", tag, got, sum)
 			}
 			rt.Close()

@@ -47,7 +47,7 @@ func TestShardedPrecisionEquivalence(t *testing.T) {
 			requireSameAnswers(t, fmt.Sprintf("f32/local/P=%d/%s", p, pass), rt, dep, targets)
 			requireSameAnswers(t, fmt.Sprintf("f32/http/P=%d/%s", p, pass), hrt32, dep, targets)
 		}
-		if s := rt.Hop1Stats(); s.FromMemo == 0 {
+		if s := rt.Describe().Hop1; s.FromMemo == 0 {
 			t.Fatalf("f32/P=%d: the workers' memos served nothing: %+v", p, s)
 		}
 		if err := hrt32.Close(); err != nil {
@@ -98,7 +98,7 @@ func TestShardedPrecisionEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if s := lrt.Hop1Stats(); s.FromMemo == 0 {
+		if s := lrt.Describe().Hop1; s.FromMemo == 0 {
 			t.Fatalf("int8/P=%d: the workers' memos served nothing: %+v", p, s)
 		}
 		if err := hrt.Close(); err != nil {

@@ -34,21 +34,6 @@ func (s ReplicaState) String() string {
 	}
 }
 
-// ReplicaStatus is one replica's health in a shard's status block
-// (ShardStatus.Replicas, surfaced through /healthz and /stats).
-type ReplicaStatus struct {
-	// Replica is the replica's index within its shard's group.
-	Replica int `json:"replica"`
-	// Addr labels the replica's endpoint (empty for in-process workers).
-	Addr string `json:"addr,omitempty"`
-	// State is "up", "lagging" or "down".
-	State string `json:"state"`
-	// Version is the replica's graph version at its last successful probe.
-	Version uint64 `json:"version"`
-	// Err is the failure that took the replica out of rotation (empty while up).
-	Err string `json:"err,omitempty"`
-}
-
 // ReplicaController is the router-side surface a ReplicaSet needs to heal
 // lagging replicas on its own: the current graph version, the delta-log
 // suffix that takes a replica from its version to the current one, and the
@@ -466,14 +451,14 @@ func (rs *ReplicaSet) Replicas(p int) int {
 }
 
 // ReplicaHealth snapshots every replica's state, grouped by shard id — the
-// per-replica half of the router's ShardHealth report.
-func (rs *ReplicaSet) ReplicaHealth() [][]ReplicaStatus {
-	out := make([][]ReplicaStatus, len(rs.groups))
+// per-replica half of the router's Describe report.
+func (rs *ReplicaSet) ReplicaHealth() [][]core.ReplicaStatus {
+	out := make([][]core.ReplicaStatus, len(rs.groups))
 	for p, group := range rs.groups {
-		out[p] = make([]ReplicaStatus, len(group))
+		out[p] = make([]core.ReplicaStatus, len(group))
 		for i, rp := range group {
 			state, err, info := rp.snapshot()
-			out[p][i] = ReplicaStatus{Replica: i, Addr: rp.addr,
+			out[p][i] = core.ReplicaStatus{Replica: i, Addr: rp.addr,
 				State: state.String(), Version: info.Version}
 			if state != ReplicaUp && err != nil {
 				out[p][i].Err = err.Error()

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/kernel"
@@ -73,9 +72,6 @@ type shardRuntime struct {
 	// (0 = owned, Radius = outermost ghost ring). Nodes with dist ≤
 	// Radius−1 are interior: their local adjacency rows are complete.
 	dist []int
-	// rcache is this shard's slice of the result cache: answers for the
-	// nodes the shard owns, keyed by global id (EnableResultCache).
-	rcache *cache.Cache
 }
 
 // shardHealth is the router's view of one shard's liveness, fed by call
@@ -147,11 +143,6 @@ type Router struct {
 	probing   atomic.Bool
 	probeStop chan struct{}
 	probeDone chan struct{}
-
-	// rcacheCfg is the per-shard result caches' invalidation policy; the
-	// caches themselves live on the shard runtimes (EnableResultCache).
-	rcacheCfg cache.Config
-	cached    bool
 }
 
 // NewRouter partitions g into cfg.Shards shards and builds in-process
@@ -708,68 +699,40 @@ func (r *Router) probeShard(ctx context.Context, p int) {
 	h.mu.Unlock()
 }
 
-// ShardStatus is one shard's health as reported by ShardHealth (and
-// embedded in the serving layer's /healthz and /stats).
-type ShardStatus struct {
-	// Shard is the shard id.
-	Shard int `json:"shard"`
-	// Up reports whether the shard's last transport call or probe succeeded.
-	Up bool `json:"up"`
-	// Version is the worker's graph version at its last successful probe.
-	Version uint64 `json:"version"`
-	// Nodes is the worker's local subgraph size at its last successful probe.
-	Nodes int `json:"nodes"`
-	// Err is the failure that marked the shard down (empty while up).
-	Err string `json:"err,omitempty"`
-	// Replicas breaks the shard's health down per replica when the
-	// transport is a ReplicaSet (absent for single-replica transports):
-	// Up then means "at least one replica is serving".
-	Replicas []ReplicaStatus `json:"replicas,omitempty"`
-}
-
-// ShardHealth snapshots every shard's liveness, including per-replica
-// status when the transport replicates shards.
-func (r *Router) ShardHealth() []ShardStatus {
-	out := make([]ShardStatus, len(r.health))
+// Describe snapshots the fleet for the serving layer (serve.Backend): the
+// graph version and tier, every shard's liveness with per-replica status
+// when the transport replicates shards, the scratch footprint as of each
+// shard's last probe, the hop-1 memo counters of the workers in this process
+// (remote workers report their own, so over an HTTP transport these are
+// zero) and a replicated transport's failover counters. /healthz's verdict,
+// the /stats shards block and the per-shard gauges are all read off one
+// such snapshot, so they cannot contradict each other.
+func (r *Router) Describe() core.Info {
+	info := core.Info{Version: r.Version(), Precision: r.prec,
+		Shards: make([]core.ShardStatus, len(r.health))}
 	for p, h := range r.health {
 		h.mu.Lock()
-		out[p] = ShardStatus{Shard: p, Up: h.up, Version: h.info.Version, Nodes: h.info.Nodes}
+		info.Shards[p] = core.ShardStatus{Shard: p, Up: h.up, Version: h.info.Version, Nodes: h.info.Nodes}
 		if !h.up && h.err != nil {
-			out[p].Err = h.err.Error()
+			info.Shards[p].Err = h.err.Error()
 		}
+		info.ScratchBytes += h.info.ScratchBytes
 		h.mu.Unlock()
 	}
-	if rs, ok := r.transport.(*ReplicaSet); ok {
-		for p, rh := range rs.ReplicaHealth() {
-			if p < len(out) {
-				out[p].Replicas = rh
+	switch t := r.transport.(type) {
+	case *ReplicaSet:
+		for p, rh := range t.ReplicaHealth() {
+			if p < len(info.Shards) {
+				info.Shards[p].Replicas = rh
 			}
 		}
-	}
-	return out
-}
-
-// FailoverCounters reports the replica-failover and replica-retry totals
-// of a replicated transport (zero for single-replica transports); the
-// serving layer exposes them at /metrics.
-func (r *Router) FailoverCounters() (failovers, replicaRetries uint64) {
-	if rs, ok := r.transport.(*ReplicaSet); ok {
-		return rs.Failovers(), rs.ReplicaRetries()
-	}
-	return 0, 0
-}
-
-// Healthy reports whether every shard is currently marked up.
-func (r *Router) Healthy() bool {
-	for _, h := range r.health {
-		h.mu.Lock()
-		up := h.up
-		h.mu.Unlock()
-		if !up {
-			return false
+		info.Failovers, info.ReplicaRetries = t.Failovers(), t.ReplicaRetries()
+	case *LocalTransport:
+		for _, w := range t.workers {
+			info.Hop1.Add(w.dep.Hop1Stats())
 		}
 	}
-	return true
+	return info
 }
 
 // Close stops the background prober (if running) and closes the transport.
@@ -787,24 +750,9 @@ func (r *Router) localWorker(p int) *Worker {
 	return r.transport.(*LocalTransport).workers[p]
 }
 
-// Hop1Stats sums the hop-1 memo counters of the workers in this process
-// (serve exports them on /metrics). Remote workers are not asked: each
-// reports its own, so over an HTTP transport this is zero.
-func (r *Router) Hop1Stats() core.Hop1Stats {
-	var sum core.Hop1Stats
-	if lt, ok := r.transport.(*LocalTransport); ok {
-		for _, w := range lt.workers {
-			sum.Add(w.dep.Hop1Stats())
-		}
-	}
-	return sum
-}
-
-// NumNodes reports the global serving graph's node count.
-func (r *Router) NumNodes() int { return r.global.N() }
-
-// NumEdges reports the global serving graph's undirected edge count.
-func (r *Router) NumEdges() int { return r.global.M() }
+// ServingGraph returns the global serving graph (serve.Backend): the one
+// the partition map, delta routing and halo bookkeeping read.
+func (r *Router) ServingGraph() *graph.Graph { return r.global }
 
 // Shards reports the partition width P.
 func (r *Router) Shards() int { return len(r.shards) }
@@ -812,120 +760,9 @@ func (r *Router) Shards() int { return len(r.shards) }
 // Radius reports the halo radius the partition was built for.
 func (r *Router) Radius() int { return r.radius }
 
-// Precision reports the tier the fleet serves at (serve.PrecisionReporter).
-func (r *Router) Precision() kernel.Precision { return r.prec }
-
-// ScratchBytes sums the retained pooled-scratch footprint across shards as
-// of each shard's last successful probe (one in-flight batch per shard),
-// mirroring Deployment.ScratchBytes for the serving /stats gauge.
-func (r *Router) ScratchBytes() int {
-	total := 0
-	for _, h := range r.health {
-		h.mu.Lock()
-		total += h.info.ScratchBytes
-		h.mu.Unlock()
-	}
-	return total
-}
-
 // Version reports the router's monotone graph version: 1 for a fresh
-// build, +1 per effective ApplyDelta (part of the serve.Backend surface
-// shared with core.Deployment).
+// build, +1 per effective ApplyDelta (ReplicaController).
 func (r *Router) Version() uint64 { return r.version.Load() }
-
-// EnableResultCache installs one result cache per shard, each holding
-// answers for the nodes that shard owns (total capacity split evenly), so
-// cache traffic scales out with the partition exactly like inference does.
-// The router routes lookups, fills and invalidations by ownership;
-// cfg.Entries ≤ 0 removes caching. Like the rest of the partition state,
-// install before serving starts and never concurrently with Infer or
-// ApplyDelta.
-func (r *Router) EnableResultCache(cfg cache.Config) {
-	if cfg.Entries <= 0 {
-		for _, s := range r.shards {
-			s.rcache = nil
-		}
-		r.cached = false
-		return
-	}
-	per := (cfg.Entries + len(r.shards) - 1) / len(r.shards)
-	for _, s := range r.shards {
-		s.rcache = cache.New(per)
-	}
-	r.rcacheCfg = cfg
-	r.cached = true
-}
-
-// CacheGet consults the owning shard's result cache; ok is false when
-// caching is disabled, the id is out of range, or the node is not cached.
-func (r *Router) CacheGet(node int) (cache.Entry, bool) {
-	if !r.cached || node < 0 || node >= len(r.owner) {
-		return cache.Entry{}, false
-	}
-	return r.shards[r.owner[node]].rcache.Get(node)
-}
-
-// CachePut records node's answer in its owning shard's cache (no-op when
-// caching is disabled). Like Deployment.CachePut, fills must run under the
-// serving read lock so they cannot interleave with a delta's invalidation.
-func (r *Router) CachePut(node int, e cache.Entry) {
-	if !r.cached || node < 0 || node >= len(r.owner) {
-		return
-	}
-	r.shards[r.owner[node]].rcache.Put(node, e)
-}
-
-// CacheStats sums the per-shard cache counters; ok is false when caching
-// is disabled.
-func (r *Router) CacheStats() (cache.Stats, bool) {
-	if !r.cached {
-		return cache.Stats{}, false
-	}
-	var st cache.Stats
-	for _, s := range r.shards {
-		ss := s.rcache.Stats()
-		st.Hits += ss.Hits
-		st.Misses += ss.Misses
-		st.Evictions += ss.Evictions
-		st.Invalidations += ss.Invalidations
-		st.Entries += ss.Entries
-		st.Capacity += ss.Capacity
-		st.Bytes += ss.Bytes
-	}
-	if total := st.Hits + st.Misses; total > 0 {
-		st.HitRate = float64(st.Hits) / float64(total)
-	}
-	return st, true
-}
-
-// invalidateResultCaches routes a delta's cache eviction by ownership,
-// mirroring core.Deployment.invalidateResultCache's policy: non-local (NAP)
-// answers flush every shard's cache — the stationary state couples them to
-// the global edge mass — while local (ModeFixed) answers evict exactly the
-// radius-Radius ball around the dirty rows, computed once on the merged
-// global graph and bucketed to each ball node's owning shard.
-func (r *Router) invalidateResultCaches(dr *graph.DeltaResult) {
-	if !r.cached {
-		return
-	}
-	if !r.rcacheCfg.Local {
-		for _, s := range r.shards {
-			s.rcache.Flush()
-		}
-		return
-	}
-	ball := graph.Ball(r.global.Adj, dr.Dirty, r.rcacheCfg.Radius)
-	buckets := make([][]int, len(r.shards))
-	for _, v := range ball {
-		p := r.owner[v]
-		buckets[p] = append(buckets[p], v)
-	}
-	for p, s := range r.shards {
-		if len(buckets[p]) > 0 {
-			s.rcache.Invalidate(buckets[p])
-		}
-	}
-}
 
 // ShardSize describes one shard's subgraph for observability: how many
 // nodes it owns and how many ghost rows its halo replicates.

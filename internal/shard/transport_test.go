@@ -134,10 +134,10 @@ func TestDeadShardFailsFast(t *testing.T) {
 	// shard fails fast instead of re-dialing.
 	rt.StartHealthProbe(time.Hour) // activates fail-fast; sweeps run manually below
 	rt.Probe(context.Background())
-	if rt.Healthy() {
+	if rt.Describe().Healthy() {
 		t.Fatal("router healthy with a dead worker")
 	}
-	hs := rt.ShardHealth()
+	hs := rt.Describe().Shards
 	if hs[0].Up != true || hs[1].Up != false || hs[1].Err == "" {
 		t.Fatalf("shard health %+v, want shard 1 down with an error", hs)
 	}
@@ -232,7 +232,7 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	}
 	rt.StartHealthProbe(time.Hour)
 	rt.Probe(context.Background())
-	if rt.Healthy() {
+	if rt.Describe().Healthy() {
 		t.Fatal("router healthy with worker 0 dead")
 	}
 
@@ -240,8 +240,8 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	srv0b, _ := serveWorker(addr0)
 	defer srv0b.Close()
 	rt.Probe(context.Background()) // finds it behind, replays deltas 0–2
-	if !rt.Healthy() {
-		t.Fatalf("restarted worker did not rejoin: %+v", rt.ShardHealth())
+	if !rt.Describe().Healthy() {
+		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
 
 	targets := ds.Split.Test
@@ -365,7 +365,7 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 
 	srv0.Close()
 	rt.Probe(context.Background())
-	if rt.Healthy() {
+	if rt.Describe().Healthy() {
 		t.Fatal("router healthy with worker 0 dead")
 	}
 
@@ -373,7 +373,7 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	// probe must refuse to re-admit it.
 	imp, _ := serveAt(addr0, Config{Shards: p, Radius: 1}, 0)
 	rt.Probe(context.Background())
-	if hs := rt.ShardHealth(); hs[0].Up || hs[0].Err == "" {
+	if hs := rt.Describe().Shards; hs[0].Up || hs[0].Err == "" {
 		t.Fatalf("mismatched-radius worker re-admitted: %+v", hs[0])
 	}
 	imp.Close()
@@ -381,7 +381,7 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	// The wrong shard on the right address: same refusal.
 	imp, _ = serveAt(addr0, Config{Shards: p}, 1)
 	rt.Probe(context.Background())
-	if hs := rt.ShardHealth(); hs[0].Up {
+	if hs := rt.Describe().Shards; hs[0].Up {
 		t.Fatalf("wrong-shard worker re-admitted: %+v", hs[0])
 	}
 	imp.Close()
@@ -390,8 +390,8 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	srv0b, _ := serveAt(addr0, Config{Shards: p}, 0)
 	defer srv0b.Close()
 	rt.Probe(context.Background())
-	if !rt.Healthy() {
-		t.Fatalf("restarted worker did not rejoin: %+v", rt.ShardHealth())
+	if !rt.Describe().Healthy() {
+		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
 	requireSameAnswers(t, "after mismatch recovery", rt, dep, ds.Split.Test)
 }
@@ -435,7 +435,7 @@ func TestProbeDeltaRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	rt.Probe(context.Background())
-	if !rt.Healthy() {
-		t.Fatalf("router unhealthy after concurrent probes: %+v", rt.ShardHealth())
+	if !rt.Describe().Healthy() {
+		t.Fatalf("router unhealthy after concurrent probes: %+v", rt.Describe().Shards)
 	}
 }
