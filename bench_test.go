@@ -751,11 +751,8 @@ func measureFailover(b *testing.B) benchfmt.FailoverStats {
 			groups[p] = append(groups[p], ws.URL)
 		}
 	}
-	rs, err := shard.NewHTTPReplicaSet(groups, shard.HTTPTransportConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := shard.NewRouterTransport(s.Model, s.DS.Graph, cfg, rs)
+	tr, idx := shard.NewHTTPGroups(groups, shard.HTTPTransportConfig{})
+	rt, err := shard.NewRouterGroups(s.Model, s.DS.Graph, cfg, tr, idx, groups)
 	if err != nil {
 		b.Fatal(err)
 	}

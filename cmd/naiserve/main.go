@@ -35,7 +35,7 @@
 // when one dies (503 only when every replica of a shard is down), fans
 // each delta to all replicas, and replays missed deltas to lagging or
 // restarted replicas before re-admitting them — see ARCHITECTURE.md,
-// "Replication & failover", including the zero-downtime worker
+// "Failure semantics", including the zero-downtime worker
 // replacement procedure built on -drain-timeout below.
 //
 // Workers bootstrap deterministically from the same model/graph/depth flags
@@ -135,7 +135,7 @@ func main() {
 	shardsFlag := flag.String("shards", "1", "shard layout: an integer P partitions in-process (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
 	shardWorker := flag.Int("shard-worker", -1, "serve one shard as a worker process: this flag is the shard id, -shards P (integer) the shard count; exposes the binary shard protocol on -addr")
 	shardRetries := flag.Int("shard-retries", 2, "retries per shard call on transient transport failures (distributed mode)")
-	shardHealthInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval in distributed mode (0 disables; probes also replay missed deltas to restarted workers)")
+	probeInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval in distributed mode (0 disables; probes also replay missed deltas to restarted workers)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: a -shard-worker stops accepting new RPCs immediately and finishes in-flight work within this window before exiting")
 	cacheSize := flag.Int("cache-size", 4096, "per-node result-cache capacity in entries (0 disables; delta-aware invalidation keeps answers exact)")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "max HTTP request body size in bytes")
@@ -316,21 +316,18 @@ func main() {
 	// left for the GC afterwards.
 	var backend serve.Backend = dep
 	if workerGroups != nil {
-		// Every address layout goes through a ReplicaSet — a plain
-		// one-address-per-shard list is just the R=1 degenerate case, so the
-		// replicated and unreplicated paths share one code path.
-		tr, terr := shard.NewHTTPReplicaSet(workerGroups, shard.HTTPTransportConfig{})
-		if terr != nil {
-			fail(terr)
-		}
-		rt, rerr := shard.NewRouterTransport(m, g,
-			shard.Config{Shards: len(workerGroups), Radius: iopt.TMax, Retries: *shardRetries, Precision: prec}, tr)
+		// Every shard is a group of R ≥ 1 worker addresses; a plain
+		// one-address-per-shard list is the R = 1 case of the same router.
+		tr, idx := shard.NewHTTPGroups(workerGroups, shard.HTTPTransportConfig{})
+		rt, rerr := shard.NewRouterGroups(m, g,
+			shard.Config{Shards: len(workerGroups), Radius: iopt.TMax, Retries: *shardRetries, Precision: prec},
+			tr, idx, workerGroups)
 		if rerr != nil {
 			fail(fmt.Errorf("dialing shard workers: %w (are all workers up, built from the same model/graph/depth flags?)", rerr))
 		}
 		defer rt.Close()
-		if *shardHealthInterval > 0 {
-			rt.StartHealthProbe(*shardHealthInterval)
+		if *probeInterval > 0 {
+			rt.StartHealthProbe(*probeInterval)
 		}
 		replicas := make([]int, len(workerGroups))
 		for p, grp := range workerGroups {
@@ -339,7 +336,7 @@ func main() {
 		logger.Info("distributed sharding",
 			"shards", rt.Shards(), "workers", *shardsFlag, "replicas", replicas,
 			"radius", rt.Radius(), "precision", prec.String(),
-			"retries", *shardRetries, "health_interval", *shardHealthInterval)
+			"retries", *shardRetries, "health_interval", *probeInterval)
 		backend = rt
 	} else if shardCount > 1 {
 		rt, rerr := shard.NewRouter(m, g, shard.Config{Shards: shardCount, Radius: iopt.TMax, Precision: prec})

@@ -12,11 +12,11 @@
 // sustained background chaos — "5% of Infer calls to replica 3 time out" —
 // drawn from the injector's seeded source.
 //
-// Wrap the flat transport, not the ReplicaSet: a router built over
-// chaos.New(inner) exercises its retry/failover machinery against the
-// faults, and with a shard.ReplicaSet on the outside the injector's
-// per-index faults become per-replica faults. All methods are safe for
-// concurrent callers.
+// Wrap the flat transport: a router built over chaos.New(inner) exercises
+// its retry/failover machinery against the faults, and with more than one
+// endpoint per shard (shard.NewRouterGroups) the injector's per-index
+// faults are per-replica faults. All methods are safe for concurrent
+// callers.
 package chaos
 
 import (

@@ -18,7 +18,8 @@ type Info struct {
 	// Precision is the arithmetic tier served at.
 	Precision kernel.Precision
 	// ScratchBytes is the retained pooled-scratch footprint of one
-	// in-flight batch (summed over shards, as of their last probe).
+	// in-flight batch (summed over every shard worker, as of its last
+	// probe).
 	ScratchBytes int
 	// Hop1 counts the hop-1 memo traffic of the engines in this process: a
 	// router over remote workers reads zero, each worker reports its own on
@@ -26,9 +27,9 @@ type Info struct {
 	Hop1 Hop1Stats
 	// Shards is per-shard health, by shard id; nil for a bare deployment.
 	Shards []ShardStatus
-	// Failovers counts the times inference moved past a failed replica and
-	// ReplicaRetries the per-replica attempts beyond each call's first;
-	// both stay zero without a replicated transport.
+	// Failovers counts the times inference moved on from a failed replica
+	// to a peer and ReplicaRetries the per-replica attempts beyond each
+	// round's first; both stay zero while every shard has one replica.
 	Failovers, ReplicaRetries uint64
 }
 
@@ -44,21 +45,21 @@ func (i Info) Healthy() bool {
 }
 
 // ShardStatus is one shard's health in an Info (and, through it, in the
-// serving layer's /healthz and /stats).
+// serving layer's /healthz and /stats). A shard is a group of R ≥ 1 worker
+// replicas and everything here derives from theirs.
 type ShardStatus struct {
 	// Shard is the shard id.
 	Shard int `json:"shard"`
-	// Up reports whether the shard's last transport call or probe succeeded.
+	// Up reports whether at least one replica is serving.
 	Up bool `json:"up"`
-	// Version is the worker's graph version at its last successful probe.
+	// Version and Nodes are the most caught-up serving replica's graph
+	// version and, as of its last probe, local subgraph size.
 	Version uint64 `json:"version"`
-	// Nodes is the worker's local subgraph size at its last successful probe.
-	Nodes int `json:"nodes"`
-	// Err is the failure that marked the shard down (empty while up).
+	Nodes   int    `json:"nodes"`
+	// Err is the last failure in the group (empty while up).
 	Err string `json:"err,omitempty"`
-	// Replicas breaks the shard's health down per replica when the
-	// transport replicates shards (absent otherwise): Up then means "at
-	// least one replica is serving".
+	// Replicas is the shard's health per worker; a one-worker shard lists
+	// that one.
 	Replicas []ReplicaStatus `json:"replicas,omitempty"`
 }
 
@@ -70,7 +71,8 @@ type ReplicaStatus struct {
 	Addr string `json:"addr,omitempty"`
 	// State is "up", "lagging" or "down".
 	State string `json:"state"`
-	// Version is the replica's graph version at its last successful probe.
+	// Version is the graph version the replica is known to hold: what its
+	// last probe, delivery or replay established (1 before any).
 	Version uint64 `json:"version"`
 	// Err is the failure that took the replica out of rotation (empty while up).
 	Err string `json:"err,omitempty"`

@@ -22,7 +22,7 @@ import (
 )
 
 // newReplicatedServer builds the daemon over 2 shards × 2 replicas with a
-// chaos injector between the router's ReplicaSet and the flat transport,
+// chaos injector between the router and the flat transport,
 // so tests can partition exactly one replica (flat index p*2+j). transport
 // selects the flat layer: in-process workers or HTTP workers over real
 // loopback sockets. The reference deployment sees the same graph.
@@ -68,12 +68,8 @@ func newReplicatedServer(t *testing.T, transport string, cfg Config) (*Server, *
 	}
 
 	inj := chaos.New(flat, 11)
-	rs, err := shard.NewReplicaSet(inj, groups, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(),
-		shard.Config{Shards: shards, Retries: 2, RetryBackoff: time.Millisecond}, rs)
+	rt, err := shard.NewRouterGroups(m, ds.Graph.Clone(),
+		shard.Config{Shards: shards, Retries: 2, RetryBackoff: time.Millisecond}, inj, groups, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +139,32 @@ func TestFailoverUnderFire(t *testing.T) {
 				}(c)
 			}
 
+			// waitFor polls cond (bounded) instead of sleeping a guessed
+			// interval: a slow box gets the time it needs, a fast one does not
+			// idle.
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(30 * time.Second); !cond(); {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			requestsPast := func(n uint64) func() bool {
+				mark := requests.Load() + n
+				return func() bool { return requests.Load() >= mark }
+			}
+
 			// Mid-stream: partition shard 0's second replica, then keep
 			// committing deltas it will miss. The unsharded reference sees the
 			// same deltas, so the final equivalence check is exact.
-			time.Sleep(50 * time.Millisecond)
+			waitFor("the storm to start", requestsPast(50))
 			inj.Partition(1) // flat index 1 = shard 0, replica 1
 			// Let the storm discover the partition through Infer (the
 			// transparent failover under test) before the delta fan-out also
 			// marks the replica down.
-			time.Sleep(60 * time.Millisecond)
+			waitFor("an Infer to fail over", func() bool { return rt.Describe().Failovers > 0 })
 			f := ds.Graph.F()
 			var deltas []graph.Delta
 			for w := 0; w < 4; w++ {
@@ -171,9 +184,9 @@ func TestFailoverUnderFire(t *testing.T) {
 				if _, err := dep.ApplyDelta(d.Clone()); err != nil {
 					t.Errorf("reference delta %d: %v", di, err)
 				}
-				time.Sleep(25 * time.Millisecond)
+				waitFor("traffic between deltas", requestsPast(20))
 			}
-			time.Sleep(100 * time.Millisecond)
+			waitFor("traffic after the last delta", requestsPast(50))
 			close(stop)
 			wg.Wait()
 
@@ -234,7 +247,8 @@ func TestFailoverUnderFire(t *testing.T) {
 
 // TestHealthzReportsReplicas: with a replicated backend, /healthz and
 // /stats carry the per-replica state blocks, and /metrics exposes the
-// nai_shard_replica_up series plus the failover counters.
+// nai_shard_replica_up series, the failover counters and each replica's
+// version lag — k for a partitioned replica after k deltas, 0 once healed.
 func TestHealthzReportsReplicas(t *testing.T) {
 	s, rt, inj, _ := newReplicatedServer(t, "local",
 		Config{MaxBatch: 8, MaxWait: time.Millisecond})
@@ -274,18 +288,42 @@ func TestHealthzReportsReplicas(t *testing.T) {
 		t.Fatalf("stats shards %+v, want replica blocks", st.Shards)
 	}
 
-	body := metricsBody(t, ts.URL)
-	for _, want := range []string{
+	requireMetrics := func(wants ...string) {
+		t.Helper()
+		body := metricsBody(t, ts.URL)
+		for _, want := range wants {
+			if !bytes.Contains([]byte(body), []byte(want)) {
+				t.Fatalf("metrics missing %q:\n%s", want, body)
+			}
+		}
+	}
+	requireMetrics(
 		`nai_shard_replica_up{shard="0",replica="0"} 1`,
 		`nai_shard_replica_up{shard="0",replica="1"} 0`,
 		`nai_shard_replica_up{shard="1",replica="0"} 1`,
+		`nai_shard_replica_version_lag{shard="0",replica="1"} 0`,
 		"nai_shard_failovers_total",
-		"nai_shard_replica_retries_total",
-	} {
-		if !bytes.Contains([]byte(body), []byte(want)) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
+		"nai_shard_replica_retries_total")
+
+	// The partitioned replica misses three deltas its peers take.
+	f := ds.Graph.F()
+	for k := 0; k < 3; k++ {
+		d := graph.Delta{Features: mat.New(1, f), Labels: []int{0},
+			Src: []int{k}, Dst: []int{ds.Graph.N() + k}}
+		if _, err := s.ApplyDelta(d); err != nil {
+			t.Fatalf("delta %d with one replica partitioned: %v", k, err)
 		}
 	}
+	requireMetrics(
+		`nai_shard_replica_version_lag{shard="0",replica="0"} 0`,
+		`nai_shard_replica_version_lag{shard="0",replica="1"} 3`,
+		`nai_shard_replica_version_lag{shard="1",replica="0"} 0`,
+		`nai_shard_replica_version_lag{shard="1",replica="1"} 0`)
+	inj.Heal()
+	rt.Probe(context.Background())
+	requireMetrics(
+		`nai_shard_replica_up{shard="0",replica="1"} 1`,
+		`nai_shard_replica_version_lag{shard="0",replica="1"} 0`)
 }
 
 // metricsBody scrapes /metrics and returns the text exposition.

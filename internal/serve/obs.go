@@ -69,9 +69,9 @@ func (s *Server) registerGauges() {
 	}
 
 	// The fleet series exist only for a backend that has a fleet (the shard
-	// count is fixed at construction; the replica family stays empty without
-	// a replicated transport). Each family reads one Describe snapshot per
-	// scrape, so its rows describe one instant.
+	// count is fixed at construction; a shard lists every one of its
+	// endpoints as a replica, a lone one included). Each family reads one
+	// Describe snapshot per scrape, so its rows describe one instant.
 	if len(s.backend.Describe().Shards) == 0 {
 		return
 	}
@@ -84,17 +84,24 @@ func (s *Server) registerGauges() {
 	}
 	perShard("nai_shard_up", "Per-shard health (1 = serving) from the router's probes.",
 		func(st core.ShardStatus) float64 { return b2f(st.Up) })
-	perShard("nai_shard_version", "Per-shard graph version at the last successful probe.",
+	perShard("nai_shard_version", "Per-shard graph version (the most caught-up serving replica's).",
 		func(st core.ShardStatus) float64 { return float64(st.Version) })
-	reg.GaugeVec("nai_shard_replica_up",
-		"Per-replica health (1 = up, 0 = lagging or down) from the router's probes.",
-		"shard", "replica").CollectFunc(func(emit func(float64, ...string)) {
-		for _, st := range s.backend.Describe().Shards {
-			for _, r := range st.Replicas {
-				emit(b2f(r.State == "up"), strconv.Itoa(st.Shard), strconv.Itoa(r.Replica))
+	perReplica := func(name, help string, read func(core.Info, core.ReplicaStatus) float64) {
+		reg.GaugeVec(name, help, "shard", "replica").CollectFunc(func(emit func(float64, ...string)) {
+			info := s.backend.Describe()
+			for _, st := range info.Shards {
+				for _, r := range st.Replicas {
+					emit(read(info, r), strconv.Itoa(st.Shard), strconv.Itoa(r.Replica))
+				}
 			}
-		}
-	})
+		})
+	}
+	perReplica("nai_shard_replica_up",
+		"Per-replica health (1 = up, 0 = lagging or down) from the router's probes.",
+		func(_ core.Info, r core.ReplicaStatus) float64 { return b2f(r.State == "up") })
+	perReplica("nai_shard_replica_version_lag",
+		"Graph versions a replica is known to be behind the router (0 = caught up).",
+		func(info core.Info, r core.ReplicaStatus) float64 { return float64(info.Version) - float64(r.Version) })
 	reg.GaugeFunc("nai_shard_failovers_total",
 		"Times inference failed over away from a replica (cumulative).",
 		func() float64 { return float64(s.backend.Describe().Failovers) })

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"repro/internal/graph"
@@ -36,15 +35,18 @@ func (r *Router) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
 //     core.Deployment.PatchAdjacency — the same degree-factor patch the
 //     unsharded RefreshIncremental path ends in.
 //  4. The plans are appended to the per-shard delta log (the replay source
-//     for stale and restarted workers), then shipped through the
-//     Transport. A shard that is unreachable after retries does NOT fail
-//     the delta: the router's state is already committed, the shard is
-//     marked down, and the logged delta reaches it via catch-up replay
-//     when it comes back — this is how a restarted worker rejoins. A
-//     worker that *rejects* a delta (a permanent error) does fail the
-//     call: that is a routing bug, not an outage. The result still comes
-//     back beside the error — graph, version and log are committed by
-//     then, and whoever caches answers above must follow them.
+//     for stale and restarted workers) and the new version is published,
+//     both under logMu; then they are delivered — a replay of the log to
+//     every endpoint of every shard from its recorded version (deliver).
+//     One endpoint's success commits a shard's delivery. A shard that is
+//     unreachable after retries does NOT fail the delta: the router's
+//     state is already committed, its endpoints are marked down, and the
+//     logged delta reaches them via replay when they come back — this is
+//     how a restarted worker rejoins. A worker that *rejects* a delta (a
+//     permanent error) does fail the call: that is a routing bug, not an
+//     outage. The result still comes back beside the error — graph,
+//     version and log are committed by then, and whoever caches answers
+//     above must follow them.
 //
 // Must not run concurrently with Infer (the serving daemon holds its write
 // lock around deltas, matching the unsharded backend's contract).
@@ -81,25 +83,10 @@ func (r *Router) ApplyDeltaContext(ctx context.Context, d graph.Delta) (*graph.D
 
 	var firstErr error
 	for p := range plans {
-		err := r.withRetry(ctx, p, func() error {
-			aerr := r.transport.ApplyDelta(ctx, p, plans[p])
-			var stale *StaleError
-			if errors.As(aerr, &stale) {
-				// A worker behind the router (restarted since its last call):
-				// the replay includes the plan just logged, so a successful
-				// catch-up IS the delivery.
-				return r.catchUp(ctx, p, stale.Have)
-			}
-			return aerr
-		})
-		switch {
-		case err == nil:
-			r.markUp(p)
-		case IsTransient(err):
-			// Unreachable worker: the delta is committed and logged; the
-			// prober (or the next call) replays it when the worker returns.
-			r.markDown(p, err)
-		case firstErr == nil:
+		// A transient failure is an unreachable group: the delta is committed
+		// and logged, and the prober (or the next call) replays it when a
+		// worker returns.
+		if err := r.deliver(ctx, p); err != nil && !IsTransient(err) && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -20,51 +20,70 @@ import (
 	"repro/internal/shard"
 )
 
-// replicaHarness is a router over shards×reps in-process worker replicas
-// behind a chaos injector, plus the unsharded reference deployment. Shard
-// p's replicas sit at flat transport indices p*reps … p*reps+reps-1, so
+// replicaHarness is a router over in-process worker replicas behind a chaos
+// injector, plus the unsharded reference deployment. Shard p's replicas sit
+// at consecutive flat transport indices (flat reports them), so
 // chaos.Partition(flat) cuts off exactly one replica.
 type replicaHarness struct {
-	rt  *shard.Router
-	inj *chaos.Injector
-	rs  *shard.ReplicaSet
-	dep *core.Deployment
+	rt      *shard.Router
+	inj     *chaos.Injector
+	dep     *core.Deployment
+	workers []*shard.Worker
+	groups  [][]int
 }
 
+// newReplicaHarness builds shards × reps replicas.
 func newReplicaHarness(t *testing.T, shards, reps int) *replicaHarness {
 	t.Helper()
+	layout := make([]int, shards)
+	for p := range layout {
+		layout[p] = reps
+	}
+	h, err := newGroupHarness(t, layout, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// newGroupHarness builds layout[p] replicas for shard p — groups may be
+// uneven — wrapping the flat local transport in wrap (nil = none) beneath
+// the injector and partitioning the cut indices before the router's
+// start-up handshake runs. The router's construction error is returned.
+func newGroupHarness(t *testing.T, layout []int, wrap func(shard.Transport) shard.Transport, cut ...int) (*replicaHarness, error) {
+	t.Helper()
 	ds, m := shard.TestFixture(t)
-	var workers []*shard.Worker
-	groups := make([][]int, shards)
-	for p := 0; p < shards; p++ {
+	h := &replicaHarness{groups: make([][]int, len(layout))}
+	for p, reps := range layout {
 		for j := 0; j < reps; j++ {
-			w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: shards}, p)
+			w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: len(layout)}, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups[p] = append(groups[p], len(workers))
-			workers = append(workers, w)
+			h.groups[p] = append(h.groups[p], len(h.workers))
+			h.workers = append(h.workers, w)
 		}
 	}
-	inj := chaos.New(shard.NewLocalTransport(workers), 1)
-	rs, err := shard.NewReplicaSet(inj, groups, nil)
+	var flat shard.Transport = shard.NewLocalTransport(h.workers)
+	if wrap != nil {
+		flat = wrap(flat)
+	}
+	h.inj = chaos.New(flat, 1)
+	h.inj.Partition(cut...)
+	var err error
+	h.rt, err = shard.NewRouterGroups(m, ds.Graph.Clone(), shard.TestFastRetry(len(layout)), h.inj, h.groups, nil)
 	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { h.rt.Close() })
+	if h.dep, err = core.NewDeployment(m, ds.Graph.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(shards), rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-	dep, err := core.NewDeployment(m, ds.Graph.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &replicaHarness{rt: rt, inj: inj, rs: rs, dep: dep}
+	return h, nil
 }
 
 // flat returns the harness's flat transport index of shard p's replica j.
-func (h *replicaHarness) flat(p, reps, j int) int { return p*reps + j }
+func (h *replicaHarness) flat(p, j int) int { return h.groups[p][j] }
 
 // TestRetryRecoversTransientFailures: transient faults within the retry
 // budget are invisible to callers; beyond it the shard surfaces as
@@ -192,13 +211,13 @@ func TestReplicaFailoverRoutesAround(t *testing.T) {
 	h := newReplicaHarness(t, shards, reps)
 	ds, _ := shard.TestFixture(t)
 
-	h.inj.Partition(h.flat(0, reps, 1)) // cut shard 0's second replica
+	h.inj.Partition(h.flat(0, 1)) // cut shard 0's second replica
 
 	shard.TestRequireSameAnswers(t, "one replica partitioned", h.rt, h.dep, ds.Split.Test)
 	if h.rt.Describe().Healthy() == false {
 		t.Fatal("router degraded although every shard has a live replica")
 	}
-	if h.rs.Failovers() == 0 {
+	if h.rt.Describe().Failovers == 0 {
 		t.Fatal("no failover recorded despite a partitioned replica")
 	}
 	if h.inj.Injected() == 0 {
@@ -207,16 +226,16 @@ func TestReplicaFailoverRoutesAround(t *testing.T) {
 
 	// The replica is marked down and skipped, so steady traffic pays no
 	// extra per-call retries once routing has settled.
-	before := h.rs.ReplicaRetries()
+	before := h.rt.Describe().ReplicaRetries
 	shard.TestRequireSameAnswers(t, "partition settled", h.rt, h.dep, ds.Split.Test)
-	if after := h.rs.ReplicaRetries(); after != before {
+	if after := h.rt.Describe().ReplicaRetries; after != before {
 		t.Fatalf("settled routing still retrying: %d extra attempts", after-before)
 	}
 
 	h.inj.Heal()
 	h.rt.Probe(context.Background())
-	for p, grp := range h.rs.ReplicaHealth() {
-		for _, rst := range grp {
+	for p, st := range h.rt.Describe().Shards {
+		for _, rst := range st.Replicas {
 			if rst.State != "up" {
 				t.Fatalf("shard %d replica %d %s after heal+probe: %s", p, rst.Replica, rst.State, rst.Err)
 			}
@@ -234,7 +253,7 @@ func TestReplicaDeltaStragglerRejoins(t *testing.T) {
 	h := newReplicaHarness(t, shards, reps)
 	ds, _ := shard.TestFixture(t)
 
-	h.inj.Partition(h.flat(0, reps, 0))
+	h.inj.Partition(h.flat(0, 0))
 	rng := rand.New(rand.NewSource(99))
 	for di, d := range shard.TestDeltasFor(ds.Graph, rng) {
 		if _, err := h.dep.ApplyDelta(d.Clone()); err != nil {
@@ -251,14 +270,14 @@ func TestReplicaDeltaStragglerRejoins(t *testing.T) {
 	shard.TestRequireSameAnswers(t, "straggler partitioned", h.rt, h.dep, targets)
 
 	// The straggler shows up in the per-replica health report.
-	if rh := h.rs.ReplicaHealth(); rh[0][0].State == "up" {
-		t.Fatalf("partitioned replica reported up: %+v", rh[0][0])
+	if rst := h.rt.Describe().Shards[0].Replicas[0]; rst.State == "up" {
+		t.Fatalf("partitioned replica reported up: %+v", rst)
 	}
 
 	h.inj.Heal()
 	h.rt.Probe(context.Background()) // replays the missed deltas, re-validates
-	for p, grp := range h.rs.ReplicaHealth() {
-		for _, rst := range grp {
+	for p, st := range h.rt.Describe().Shards {
+		for _, rst := range st.Replicas {
 			if rst.State != "up" {
 				t.Fatalf("shard %d replica %d %s after rejoin: %s", p, rst.Replica, rst.State, rst.Err)
 			}
@@ -278,7 +297,7 @@ func TestAllReplicasDownUnavailable(t *testing.T) {
 	h := newReplicaHarness(t, shards, reps)
 	ds, m := shard.TestFixture(t)
 
-	h.inj.Partition(h.flat(0, reps, 0), h.flat(0, reps, 1)) // all of shard 0
+	h.inj.Partition(h.flat(0, 0), h.flat(0, 1)) // all of shard 0
 	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
 	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
 		t.Fatalf("shard with every replica down: got %v, want ErrUnavailable", err)
@@ -379,12 +398,9 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 	_, s1Srv, s1Addr := serveWorkerAt("", 1)
 	defer s1Srv.Close()
 
-	rs, err := shard.NewHTTPReplicaSet([][]string{{oldAddr, peerAddr}, {s1Addr}},
-		shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(p), rs)
+	addrs := [][]string{{oldAddr, peerAddr}, {s1Addr}}
+	tr, groups := shard.NewHTTPGroups(addrs, shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
+	rt, err := shard.NewRouterGroups(m, ds.Graph.Clone(), shard.TestFastRetry(p), tr, groups, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,26 +511,220 @@ func TestJitterInjection(t *testing.T) {
 	}
 }
 
-// TestReplicaSetValidation: malformed replica layouts are construction
+// TestReplicaSetValidation: malformed endpoint layouts are construction
 // errors, not latent routing bugs.
 func TestReplicaSetValidation(t *testing.T) {
-	if _, err := shard.NewReplicaSet(shard.NewLocalTransport(nil), [][]int{{0}, {}}, nil); err == nil {
+	ds, m := shard.TestFixture(t)
+	cfg := shard.TestFastRetry(2)
+	var workers []*shard.Worker
+	for _, p := range []int{0, 0, 1} {
+		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: 2}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, w)
+	}
+	tr := shard.NewLocalTransport(workers)
+	if _, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0}, {}}, nil); err == nil {
 		t.Fatal("empty replica group accepted")
 	}
-	if _, err := shard.NewReplicaSet(shard.NewLocalTransport(nil), [][]int{{0}, {0}}, nil); err == nil {
+	if _, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0}, {0}}, nil); err == nil {
 		t.Fatal("duplicate flat index accepted")
 	}
-	rs, err := shard.NewReplicaSet(shard.NewLocalTransport(nil), [][]int{{0, 1}, {2}}, [][]string{{"a", "b"}, {"c"}})
+	if _, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0, 1, 2}}, nil); err == nil {
+		t.Fatal("one group for two shards accepted")
+	}
+	rt, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0, 1}, {2}}, [][]string{{"a", "b"}, {"c"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Replicas(0) != 2 || rs.Replicas(1) != 1 || rs.Replicas(9) != 0 {
-		t.Fatalf("replica counts wrong: %d/%d/%d", rs.Replicas(0), rs.Replicas(1), rs.Replicas(9))
+	defer rt.Close()
+	sts := rt.Describe().Shards
+	if len(sts[0].Replicas) != 2 || len(sts[1].Replicas) != 1 {
+		t.Fatalf("replica counts wrong: %d/%d", len(sts[0].Replicas), len(sts[1].Replicas))
 	}
-	if _, err := rs.Infer(context.Background(), 5, &shard.InferRequest{}); err == nil {
-		t.Fatal("out-of-range shard id accepted")
+	if sts[0].Replicas[1].Addr != "b" {
+		t.Fatalf("replica addr labels wrong: %+v", sts)
 	}
-	if rh := rs.ReplicaHealth(); rh[0][1].Addr != "b" {
-		t.Fatalf("replica addr labels wrong: %+v", rh)
+}
+
+// deltaCounter counts the ApplyDelta calls that reach each flat transport
+// index (it sits beneath the chaos injector, so dropped ones do not count).
+type deltaCounter struct {
+	shard.Transport
+	mu     sync.Mutex
+	counts map[int]int
+}
+
+func (c *deltaCounter) ApplyDelta(ctx context.Context, flat int, sd *shard.ShardDelta) error {
+	c.mu.Lock()
+	c.counts[flat]++
+	c.mu.Unlock()
+	return c.Transport.ApplyDelta(ctx, flat, sd)
+}
+
+// TestReplayStampede: concurrent requests that all find the same worker
+// behind must ship the missing log suffix to it once, not once each — every
+// ShardDelta carries a weighted-sum copy and newcomer features.
+func TestReplayStampede(t *testing.T) {
+	ds, _ := shard.TestFixture(t)
+	counter := &deltaCounter{counts: map[int]int{}}
+	h, err := newGroupHarness(t, []int{1, 1}, func(tr shard.Transport) shard.Transport {
+		counter.Transport = tr
+		return counter
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Three deltas commit on the router while none reaches a worker.
+	h.inj.SetDropDeltas(true)
+	rng := rand.New(rand.NewSource(99))
+	for _, d := range shard.TestDeltasFor(ds.Graph, rng)[:3] {
+		if _, err := h.dep.ApplyDelta(d.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.rt.ApplyDelta(d.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.inj.SetDropDeltas(false)
+	if n := counter.counts[0] + counter.counts[1]; n != 0 {
+		t.Fatalf("%d deltas reached the workers during the outage", n)
+	}
+
+	// Eight callers hit shard 0 at once; each sees it three versions behind.
+	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := asg.Owned[0]
+	opt := shard.TestInferOpts(h.dep.Model)[0]
+	want, err := h.dep.Infer(targets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := h.rt.Infer(targets, opt)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range want.Pred {
+				if got.Pred[i] != want.Pred[i] || got.Depths[i] != want.Depths[i] {
+					t.Errorf("answer drifted at %d after the shared replay", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if counter.counts[0] != 3 || counter.counts[1] != 0 {
+		t.Fatalf("deltas delivered per worker %v, want exactly 3 to worker 0 and none to worker 1", counter.counts)
+	}
+}
+
+// TestFailoverCounterNeedsAPeer: a failover is a call that went on to
+// another endpoint. A one-endpoint shard has nowhere to go, so however its
+// calls fail the counter stays zero (the retry rounds are not failovers).
+func TestFailoverCounterNeedsAPeer(t *testing.T) {
+	ds, m := shard.TestFixture(t)
+	h, err := newGroupHarness(t, []int{1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.inj.FailNext(1000)
+	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
+	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
+		t.Fatalf("got %v, want ErrUnavailable", err)
+	}
+	if info := h.rt.Describe(); info.Failovers != 0 || info.ReplicaRetries != 0 {
+		t.Fatalf("unreplicated fleet reports %d failovers, %d replica retries", info.Failovers, info.ReplicaRetries)
+	}
+}
+
+// scratchStamper reports a known scratch footprint per flat index (the
+// workers' own reading comes from a sync.Pool, which the race detector
+// empties at random).
+type scratchStamper struct{ shard.Transport }
+
+func (s scratchStamper) Health(ctx context.Context, flat int) (shard.HealthInfo, error) {
+	info, err := s.Transport.Health(ctx, flat)
+	info.ScratchBytes = 1000 << flat
+	return info, err
+}
+
+// TestScratchBytesSumsEveryEndpoint: the fleet's scratch footprint is every
+// worker's last report, not one per shard.
+func TestScratchBytesSumsEveryEndpoint(t *testing.T) {
+	h, err := newGroupHarness(t, []int{2, 2}, func(tr shard.Transport) shard.Transport {
+		return scratchStamper{tr}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.rt.Probe(context.Background())
+	if got, want := h.rt.Describe().ScratchBytes, 1000+2000+4000+8000; got != want {
+		t.Fatalf("fleet scratch %d B, the four workers report %d B", got, want)
+	}
+}
+
+// TestUnevenGroups: with {2, 1} endpoints, losing shard 1's only endpoint
+// makes its targets unavailable while shard 0's still answer, and losing one
+// of shard 0's two is invisible.
+func TestUnevenGroups(t *testing.T) {
+	h, err := newGroupHarness(t, []int{2, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, m := shard.TestFixture(t)
+	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
+
+	h.inj.Partition(h.flat(1, 0))
+	if _, err := h.rt.Infer(asg.Owned[1], opt); !errors.Is(err, shard.ErrUnavailable) {
+		t.Fatalf("shard 1 with its only endpoint cut: got %v, want ErrUnavailable", err)
+	}
+	shard.TestRequireSameAnswers(t, "shard 0 beside a dark shard 1", h.rt, h.dep, asg.Owned[0])
+	if sts := h.rt.Describe().Shards; !sts[0].Up || sts[1].Up {
+		t.Fatalf("shard health %+v, want shard 0 up and shard 1 down", sts)
+	}
+
+	h.inj.Heal()
+	h.inj.Partition(h.flat(0, 1))
+	shard.TestRequireSameAnswers(t, "one of shard 0's two cut", h.rt, h.dep, ds.Split.Test)
+	if !h.rt.Describe().Healthy() {
+		t.Fatalf("router degraded although every shard has a live endpoint: %+v", h.rt.Describe().Shards)
+	}
+}
+
+// TestHandshakeNeedsOneEndpointPerGroup: a router starts over a group with
+// a dead endpoint as long as a peer passes the handshake, and refuses to
+// start over a group with none.
+func TestHandshakeNeedsOneEndpointPerGroup(t *testing.T) {
+	ds, _ := shard.TestFixture(t)
+	h, err := newGroupHarness(t, []int{2, 1}, nil, 1)
+	if err != nil {
+		t.Fatalf("one dead endpoint beside a live peer: %v", err)
+	}
+	if st := h.rt.Describe().Shards[0]; !st.Up || st.Replicas[0].State != "up" || st.Replicas[1].State == "up" {
+		t.Fatalf("shard 0 after a start-up with replica 1 dead: %+v", st)
+	}
+	shard.TestRequireSameAnswers(t, "started degraded", h.rt, h.dep, ds.Split.Test)
+	h.inj.Heal()
+	h.rt.Probe(context.Background())
+	if st := h.rt.Describe().Shards[0].Replicas[1]; st.State != "up" {
+		t.Fatalf("endpoint dead at start-up did not rejoin: %+v", st)
+	}
+
+	if _, err := newGroupHarness(t, []int{2, 1}, nil, 0, 1); err == nil {
+		t.Fatal("router started over a group with no live endpoint")
 	}
 }

@@ -52,8 +52,8 @@ func WorkerHandler(w *Worker) http.Handler {
 func WorkerHandlerObs(w *Worker, o *obs.Obs) http.Handler {
 	// refuseDraining rejects new RPCs on a worker that has started its
 	// graceful drain: 503 is a transient error to the transport, so the
-	// router (or a ReplicaSet fronting this replica) routes around it
-	// while in-flight requests — already past this check — finish.
+	// router routes around it while in-flight requests — already past this
+	// check — finish.
 	refuseDraining := func(rw http.ResponseWriter) bool {
 		if !w.Draining() {
 			return false
@@ -232,6 +232,22 @@ func NewHTTPTransport(addrs []string, cfg HTTPTransportConfig) *HTTPTransport {
 		}},
 		callTimeout: cfg.CallTimeout,
 	}
+}
+
+// NewHTTPGroups dials worker processes arranged as per-shard address
+// groups (addrs[p] are the workers bootstrapped for shard p) over one
+// transport, so keep-alive connections pool across the fleet, and returns
+// it with the index layout NewRouterGroups takes beside addrs.
+func NewHTTPGroups(addrs [][]string, cfg HTTPTransportConfig) (*HTTPTransport, [][]int) {
+	var flat []string
+	groups := make([][]int, len(addrs))
+	for p, g := range addrs {
+		for _, a := range g {
+			groups[p] = append(groups[p], len(flat))
+			flat = append(flat, a)
+		}
+	}
+	return NewHTTPTransport(flat, cfg), groups
 }
 
 func (t *HTTPTransport) url(shardID int) (string, error) {

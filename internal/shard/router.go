@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/par"
 )
 
-// Config parametrizes NewRouter and NewRouterTransport.
+// Config parametrizes NewRouter, NewRouterTransport and NewRouterGroups.
 type Config struct {
 	// Shards is the partition width P (≥ 1; 1 degenerates to a routed
 	// single deployment, the baseline the sharding benchmark compares
@@ -29,11 +28,12 @@ type Config struct {
 	Radius int
 	// Strategy selects the partitioner (default StrategyBFS).
 	Strategy Strategy
-	// Retries is how many times a transiently failed transport call is
-	// retried (with exponential backoff) before the shard is declared
-	// unavailable; ≤0 defaults to 2 (three attempts total).
+	// Retries is how many more rounds over a shard's endpoint group a call
+	// makes (with exponential backoff between them) after a round in which
+	// every endpoint failed transiently, before the shard is declared
+	// unavailable; ≤0 defaults to 2 (three rounds total).
 	Retries int
-	// RetryBackoff is the first retry's backoff cap, doubling per attempt;
+	// RetryBackoff is the first retry's backoff cap, doubling per round;
 	// ≤0 defaults to 5ms. In-process transports never fail transiently, so
 	// both knobs only matter for networked workers.
 	RetryBackoff time.Duration
@@ -74,18 +74,6 @@ type shardRuntime struct {
 	dist []int
 }
 
-// shardHealth is the router's view of one shard's liveness, fed by call
-// outcomes and the background prober.
-type shardHealth struct {
-	mu   sync.Mutex
-	up   bool
-	err  error // last failure while down
-	info HealthInfo
-	// replay serializes delta-log catch-up per shard, so concurrent stale
-	// answers trigger one replay, not a stampede.
-	replay sync.Mutex
-}
-
 // Router fronts a set of shard workers with the same Infer / ApplyDelta
 // surface as a single core.Deployment (both satisfy serve.Backend). It owns
 // the source-of-truth global graph — the partition map, delta routing and
@@ -93,15 +81,17 @@ type shardHealth struct {
 // workers hold the bulky hot-path state (features, normalized adjacency
 // rows, propagation scratch) only for their own subgraph, reached
 // exclusively through the Transport: in-process (NewRouter) or remote
-// worker processes (NewRouterTransport).
+// worker processes (NewRouterTransport, NewRouterGroups).
 //
-// Failure handling: transient transport failures retry with exponential
-// backoff; a shard that stays unreachable is marked down and — while the
-// background prober runs — fails fast with ErrUnavailable (the serving
-// layer's 503) instead of re-paying timeouts per request. Stale workers
-// (restarted, behind the router's graph version) are healed by replaying
-// the router's per-shard delta log, so a worker rejoins without the router
-// restarting.
+// Failure handling is one state machine over one record per worker (see
+// endpoint): every shard is a group of R ≥ 1 endpoints and is up while any
+// of them is. A call that fails transiently takes that endpoint out of
+// rotation and moves to its peer; a group that fails as a whole is retried
+// with jittered exponential backoff and then — while the background prober
+// runs — fails fast with ErrUnavailable (the serving layer's 503) instead of
+// re-paying timeouts per request. Stale workers (restarted, or starved of a
+// delta) are healed by replaying the router's per-shard delta log to them,
+// so a worker rejoins without the router restarting.
 type Router struct {
 	model  *core.Model
 	global *graph.Graph
@@ -139,7 +129,13 @@ type Router struct {
 	deltaLog [][]*ShardDelta
 	expNodes []int
 
-	health    []*shardHealth
+	// groups[p] are shard p's endpoints, rr[p] its round-robin counter.
+	groups [][]*endpoint
+	rr     []atomic.Uint64
+	// failovers counts Infer rounds that moved on to another endpoint after
+	// one failed; extraTries the endpoint attempts beyond each round's first.
+	failovers, extraTries atomic.Uint64
+
 	probing   atomic.Bool
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -150,21 +146,10 @@ type Router struct {
 // subsequent mutations must go through Router.ApplyDelta (mutating g behind
 // the router's back desynchronizes the shard subgraphs).
 func NewRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
-	if g.F() != m.FeatureDim {
-		return nil, fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
-	}
-	if !cfg.Precision.Valid() {
-		return nil, fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
-	}
-	radius := cfg.Radius
-	if radius <= 0 {
-		radius = m.K
-	}
-	asg, err := Partition(g, cfg.Shards, cfg.Strategy)
+	asg, st, radius, err := layout(m, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st := core.ComputeStationary(g.Adj, g.Features, m.Gamma)
 	return newRouter(m, g, st, asg, radius, cfg)
 }
 
@@ -175,40 +160,59 @@ func NewRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
 func newRouter(m *core.Model, g *graph.Graph, st *core.Stationary, asg *Assignment, radius int, cfg Config) (*Router, error) {
 	r := newRouterCommon(m, g, st, asg, radius, cfg)
 	workers := make([]*Worker, asg.P)
-	for p := 0; p < asg.P; p++ {
-		r.shards[p] = buildRuntime(g, asg.Owned[p], radius)
-		r.expNodes[p] = len(r.shards[p].universe)
+	for p := range workers {
 		dep, lst, err := buildShardState(m, g, st, r.shards[p].universe)
 		if err != nil {
 			return nil, err
 		}
 		workers[p] = newWorker(p, asg.P, radius, g.N(), cfg.Precision, dep, lst)
 	}
-	r.transport = NewLocalTransport(workers)
-	for p := range r.health {
-		info, err := r.transport.Health(context.Background(), p)
-		if err != nil {
-			return nil, err
-		}
-		r.health[p].up, r.health[p].info = true, info
+	if err := r.connect(NewLocalTransport(workers), nil, nil); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// NewRouterTransport builds a router over already-running workers reached
-// through t (index = shard id): it rebuilds the partition and halo
-// bookkeeping from (m, g) — the same deterministic construction the workers
-// themselves ran — and performs a health handshake with every shard,
-// verifying that each worker serves the expected shard of the expected
-// partition (shard id, width, radius, local and global node counts) at
-// version 1. The router takes ownership of t (Close closes it) and of g,
-// exactly like NewRouter.
+// NewRouterTransport builds a router over already-running workers, one per
+// shard, reached through t (index = shard id): NewRouterGroups with every
+// group a group of one.
 func NewRouterTransport(m *core.Model, g *graph.Graph, cfg Config, t Transport) (*Router, error) {
+	return NewRouterGroups(m, g, cfg, t, nil, nil)
+}
+
+// NewRouterGroups builds a router over already-running workers reached
+// through the flat-indexed transport t: groups[p] lists the transport
+// indices of the R ≥ 1 workers serving shard p (every index in exactly one
+// group, no group empty; nil means index = shard id) and addrs — optional,
+// same shape — labels them in status reports. It rebuilds the partition and
+// halo bookkeeping from (m, g) — the same deterministic construction the
+// workers themselves ran — and performs a health handshake with every
+// group, verifying that each worker serves the expected shard of the
+// expected partition (shard id, width, radius, tier, local and global node
+// counts) at version 1; a group starts as long as one of its workers
+// passes. The router takes ownership of t (Close closes it) and of g,
+// exactly like NewRouter.
+func NewRouterGroups(m *core.Model, g *graph.Graph, cfg Config, t Transport, groups [][]int, addrs [][]string) (*Router, error) {
+	asg, st, radius, err := layout(m, g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := newRouterCommon(m, g, st, asg, radius, cfg)
+	if err := r.connect(t, groups, addrs); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// layout validates cfg against (m, g) and computes what every constructor
+// starts from: the partition, the global stationary state and the halo
+// radius.
+func layout(m *core.Model, g *graph.Graph, cfg Config) (*Assignment, *core.Stationary, int, error) {
 	if g.F() != m.FeatureDim {
-		return nil, fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
+		return nil, nil, 0, fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
 	}
 	if !cfg.Precision.Valid() {
-		return nil, fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
+		return nil, nil, 0, fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
 	}
 	radius := cfg.Radius
 	if radius <= 0 {
@@ -216,30 +220,13 @@ func NewRouterTransport(m *core.Model, g *graph.Graph, cfg Config, t Transport) 
 	}
 	asg, err := Partition(g, cfg.Shards, cfg.Strategy)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	st := core.ComputeStationary(g.Adj, g.Features, m.Gamma)
-	r := newRouterCommon(m, g, st, asg, radius, cfg)
-	r.transport = t
-	for p := 0; p < asg.P; p++ {
-		r.shards[p] = buildRuntime(g, asg.Owned[p], radius)
-		r.expNodes[p] = len(r.shards[p].universe)
-	}
-	// A replica-aware transport (ReplicaSet) needs the router's delta log
-	// and validation to heal lagging replicas in place; wire it before the
-	// handshake so replica probes validate from the start.
-	if cs, ok := t.(interface{ SetController(ReplicaController) }); ok {
-		cs.SetController(r)
-	}
-	for p := range r.health {
-		if err := r.handshake(context.Background(), p); err != nil {
-			return nil, fmt.Errorf("shard %d handshake: %w", p, err)
-		}
-	}
-	return r, nil
+	return asg, core.ComputeStationary(g.Adj, g.Features, m.Gamma), radius, nil
 }
 
-// newRouterCommon builds the transport-independent router skeleton.
+// newRouterCommon builds the router minus its workers: defaults, partition
+// bookkeeping and each shard's halo runtime.
 func newRouterCommon(m *core.Model, g *graph.Graph, st *core.Stationary, asg *Assignment, radius int, cfg Config) *Router {
 	if cfg.Retries <= 0 {
 		cfg.Retries = defaultRetries
@@ -265,16 +252,31 @@ func newRouterCommon(m *core.Model, g *graph.Graph, st *core.Stationary, asg *As
 		jitter:      cfg.Jitter,
 		deltaLog:    make([][]*ShardDelta, asg.P),
 		expNodes:    make([]int, asg.P),
-		health:      make([]*shardHealth, asg.P),
-	}
-	for p := range r.health {
-		r.health[p] = &shardHealth{}
+		rr:          make([]atomic.Uint64, asg.P),
 	}
 	for p := 0; p < asg.P; p++ {
 		r.ownedCount[p] = len(asg.Owned[p])
+		r.shards[p] = buildRuntime(g, asg.Owned[p], radius)
+		r.expNodes[p] = len(r.shards[p].universe)
 	}
 	r.version.Store(1) // fresh build = version 1, matching core.Deployment
 	return r
+}
+
+// connect attaches the workers behind t as endpoint groups and runs the
+// start-up handshake against every shard.
+func (r *Router) connect(t Transport, groups [][]int, addrs [][]string) error {
+	var err error
+	if r.groups, err = newGroups(len(r.shards), groups, addrs); err != nil {
+		return err
+	}
+	r.transport = t
+	for p := range r.groups {
+		if err := r.handshake(context.Background(), p); err != nil {
+			return fmt.Errorf("shard %d handshake: %w", p, err)
+		}
+	}
+	return nil
 }
 
 // buildRuntime computes one shard's router-side bookkeeping: the halo
@@ -295,58 +297,6 @@ func buildRuntime(g *graph.Graph, owned []int, radius int) *shardRuntime {
 	return &shardRuntime{universe: universe, toLocal: toLocal, dist: dist}
 }
 
-// handshake probes shard p (retrying transient failures — the worker may
-// still be binding its listener) and verifies the worker serves the shard
-// this router expects.
-func (r *Router) handshake(ctx context.Context, p int) error {
-	var info HealthInfo
-	err := r.withRetry(ctx, p, func() error {
-		var herr error
-		info, herr = r.transport.Health(ctx, p)
-		return herr
-	})
-	if err != nil {
-		return err
-	}
-	if err := r.validateWorker(p, info); err != nil {
-		return err
-	}
-	switch {
-	case info.Nodes != len(r.shards[p].universe):
-		return fmt.Errorf("worker subgraph has %d nodes, want %d", info.Nodes, len(r.shards[p].universe))
-	case info.Version != r.version.Load():
-		return fmt.Errorf("worker at graph version %d, want %d", info.Version, r.version.Load())
-	}
-	h := r.health[p]
-	h.mu.Lock()
-	h.up, h.err, h.info = true, nil, info
-	h.mu.Unlock()
-	return nil
-}
-
-// validateWorker checks the partition parameters a worker can never
-// legitimately disagree with the router on, whatever graph version it is
-// at: its position in the partition and the bootstrap inputs it rebuilt
-// its state from. Both the startup handshake and the probe's re-admission
-// path run it — a worker restarted with different flags or a different
-// graph must be rejected, not silently rejoined (it would serve answers
-// that are not bit-identical).
-func (r *Router) validateWorker(p int, info HealthInfo) error {
-	switch {
-	case info.ShardID != p:
-		return fmt.Errorf("worker serves shard %d, want %d", info.ShardID, p)
-	case info.Shards != len(r.shards):
-		return fmt.Errorf("worker partition width %d, want %d", info.Shards, len(r.shards))
-	case info.Radius != r.radius:
-		return fmt.Errorf("worker halo radius %d, want %d", info.Radius, r.radius)
-	case info.GlobalNodes != r.bootGlobalN:
-		return fmt.Errorf("worker built from %d global nodes, want %d", info.GlobalNodes, r.bootGlobalN)
-	case info.Precision != r.prec:
-		return fmt.Errorf("worker serves precision %s, want %s", info.Precision, r.prec)
-	}
-	return nil
-}
-
 // fullJitter is the default retry jitter: a uniform draw over [0, max).
 // The top-level math/rand functions are safe for concurrent callers.
 func fullJitter(max time.Duration) time.Duration {
@@ -357,12 +307,11 @@ func fullJitter(max time.Duration) time.Duration {
 }
 
 // withRetry runs call, retrying transient failures up to the configured
-// attempt budget, sleeping a full-jittered draw from an exponentially
-// doubling backoff cap between attempts (concurrent callers failing
-// against the same dead shard decorrelate instead of retrying in
-// synchronized waves); the final error is returned as-is (callers
-// classify it).
-func (r *Router) withRetry(ctx context.Context, p int, call func() error) error {
+// budget of rounds, sleeping a full-jittered draw from an exponentially
+// doubling backoff cap between them (concurrent callers failing against the
+// same dead shard decorrelate instead of retrying in synchronized waves);
+// the final error is returned as-is (callers classify it).
+func (r *Router) withRetry(ctx context.Context, call func() error) error {
 	backoff := r.backoff
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -376,142 +325,6 @@ func (r *Router) withRetry(ctx context.Context, p int, call func() error) error 
 		}
 		backoff *= 2
 	}
-}
-
-// markUp records a successful call to shard p.
-func (r *Router) markUp(p int) {
-	h := r.health[p]
-	h.mu.Lock()
-	h.up, h.err = true, nil
-	h.mu.Unlock()
-}
-
-// markDown records shard p as unreachable with its last failure.
-func (r *Router) markDown(p int, err error) {
-	h := r.health[p]
-	h.mu.Lock()
-	h.up, h.err = false, err
-	h.mu.Unlock()
-}
-
-// failFast reports whether calls to shard p should be refused outright: the
-// shard is marked down and the background prober is running (so the mark
-// will clear once the worker is back). Without a prober a down-mark must
-// not stick — the next call is the only probe there is.
-func (r *Router) failFast(p int) (error, bool) {
-	if !r.probing.Load() {
-		return nil, false
-	}
-	h := r.health[p]
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.up {
-		return nil, false
-	}
-	return fmt.Errorf("shard %d %w: %v", p, ErrUnavailable, h.err), true
-}
-
-// inferShard runs one shard-local batch through the transport, healing
-// stale workers (delta-log replay) and retrying transient failures; an
-// exhausted retry budget marks the shard down and wraps ErrUnavailable.
-func (r *Router) inferShard(ctx context.Context, p int, req *InferRequest) (*core.Result, error) {
-	if err, fast := r.failFast(p); fast {
-		return nil, err
-	}
-	var res *core.Result
-	err := r.withRetry(ctx, p, func() error {
-		var ierr error
-		res, ierr = r.transport.Infer(ctx, p, req)
-		var stale *StaleError
-		if errors.As(ierr, &stale) {
-			if cerr := r.catchUp(ctx, p, stale.Have); cerr != nil {
-				return cerr
-			}
-			res, ierr = r.transport.Infer(ctx, p, req)
-		}
-		return ierr
-	})
-	if err == nil {
-		r.markUp(p)
-		return res, nil
-	}
-	if IsTransient(err) {
-		r.markDown(p, err)
-		return nil, fmt.Errorf("shard %d %w: %v", p, ErrUnavailable, err)
-	}
-	return nil, err
-}
-
-// catchUp replays the delta log to bring shard p from version have up to
-// the router's current version. Replays are serialized per shard; the
-// worker's versioned idempotence makes overlapping replays harmless anyway.
-func (r *Router) catchUp(ctx context.Context, p int, have uint64) error {
-	h := r.health[p]
-	h.replay.Lock()
-	defer h.replay.Unlock()
-	replay, err := r.ReplayDeltas(p, have)
-	if err != nil {
-		return err
-	}
-	for _, sd := range replay {
-		if err := r.transport.ApplyDelta(ctx, p, sd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReplayDeltas snapshots the delta-log suffix that takes shard p's worker
-// from graph version have up to the router's current version (nil when
-// already current). It is half of the ReplicaController surface a
-// ReplicaSet transport heals its lagging replicas through; the router's
-// own catchUp replays the same snapshot.
-func (r *Router) ReplayDeltas(p int, have uint64) ([]*ShardDelta, error) {
-	cur := r.version.Load()
-	if have == cur {
-		return nil, nil // another caller already replayed
-	}
-	if have < 1 || have > cur {
-		return nil, &TransportError{Shard: p,
-			Err: fmt.Errorf("worker graph version %d outside router history [1,%d]", have, cur)}
-	}
-	r.logMu.Lock()
-	// deltaLog[p][i] produces version i+2, so versions have+1..cur are
-	// entries have−1..cur−2. ApplyDeltaContext publishes the version under
-	// logMu only after logging its plans, so the log always reaches cur−1;
-	// clamp defensively anyway — an out-of-range slice here would crash the
-	// router.
-	lo, hi := int(have-1), int(cur-1)
-	if n := len(r.deltaLog[p]); hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	replay := append([]*ShardDelta(nil), r.deltaLog[p][lo:hi]...)
-	r.logMu.Unlock()
-	return replay, nil
-}
-
-// ValidateReplica runs the re-admission checks against one replica's
-// health report: the static handshake parameters always, and the expected
-// subgraph size when the replica claims the current graph version (a
-// lagging replica's node count is checked after its replay instead). The
-// other half of the ReplicaController surface.
-func (r *Router) ValidateReplica(p int, info HealthInfo) error {
-	if p < 0 || p >= len(r.shards) {
-		return fmt.Errorf("shard %d outside partition [0,%d)", p, len(r.shards))
-	}
-	if err := r.validateWorker(p, info); err != nil {
-		return err
-	}
-	r.logMu.Lock()
-	cur, exp := r.version.Load(), r.expNodes[p]
-	r.logMu.Unlock()
-	if info.Version == cur && info.Nodes != exp {
-		return fmt.Errorf("replica subgraph has %d nodes at version %d, want %d", info.Nodes, cur, exp)
-	}
-	return nil
 }
 
 // Infer answers with no deadline or cancellation — InferContext with a
@@ -577,7 +390,7 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 		for k := lo; k < hi; k++ {
 			p := calls[k]
 			at := tr.Begin()
-			results[k], errs[k] = r.inferShard(ctx, p,
+			results[k], errs[k] = r.inferGroup(ctx, p,
 				&InferRequest{Version: version, Targets: local[p], Opt: opt, Precision: r.prec})
 			tr.End(obs.StageFanout, 0, p, at)
 		}
@@ -610,11 +423,11 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 }
 
 // StartHealthProbe launches the background prober: every interval it
-// health-checks each shard through the transport, marking shards up or down
-// (down shards fail requests fast with ErrUnavailable until they recover)
-// and proactively replaying the delta log to restarted workers found behind
-// the router's graph version. No-op if interval ≤ 0 or already probing;
-// Close stops it.
+// probes each endpoint through the transport, marking it up or down (a
+// shard with no endpoint up fails requests fast with ErrUnavailable until
+// one recovers) and proactively replaying the delta log to restarted
+// workers found behind the router's graph version. No-op if interval ≤ 0 or
+// already probing; Close stops it.
 func (r *Router) StartHealthProbe(interval time.Duration) {
 	if interval <= 0 || !r.probing.CompareAndSwap(false, true) {
 		return
@@ -636,98 +449,53 @@ func (r *Router) StartHealthProbe(interval time.Duration) {
 	}()
 }
 
-// Probe health-checks every shard once (the background prober calls it each
-// interval; tests call it directly to make recovery deterministic). A shard
-// answering at an older graph version — a restarted worker — is caught up
-// by delta-log replay, then re-validated against the full handshake checks
-// (partition position, bootstrap inputs, node count at the caught-up
-// version) before being marked up again: a worker restarted with different
-// flags or a different graph must stay rejected, not silently rejoin.
+// Probe health-checks every endpoint once (the background prober calls it
+// each interval; tests call it directly to make recovery deterministic);
+// probeEndpoint is the check.
 func (r *Router) Probe(ctx context.Context) {
-	for p := range r.health {
-		r.probeShard(ctx, p)
-	}
-}
-
-// probeShard runs one shard's health check, catch-up and re-validation.
-func (r *Router) probeShard(ctx context.Context, p int) {
-	info, err := r.transport.Health(ctx, p)
-	if err != nil {
-		r.markDown(p, err)
-		return
-	}
-	if err := r.validateWorker(p, info); err != nil {
-		r.markDown(p, err)
-		return
-	}
-	if cur := r.version.Load(); info.Version < cur {
-		if err := r.catchUp(ctx, p, info.Version); err != nil {
-			r.markDown(p, err)
-			return
-		}
-		// Re-fetch so the version and node count reflect the caught-up
-		// worker (the replay grew its subgraph), and re-check the static
-		// parameters from the fresh sample.
-		if info, err = r.transport.Health(ctx, p); err != nil {
-			r.markDown(p, err)
-			return
-		}
-		if err := r.validateWorker(p, info); err != nil {
-			r.markDown(p, err)
-			return
+	for _, group := range r.groups {
+		for _, ep := range group {
+			r.probeEndpoint(ctx, ep)
 		}
 	}
-	r.logMu.Lock()
-	cur, exp := r.version.Load(), r.expNodes[p]
-	r.logMu.Unlock()
-	switch {
-	case info.Version > cur:
-		r.markDown(p, fmt.Errorf("worker at graph version %d, ahead of router %d", info.Version, cur))
-		return
-	case info.Version < cur:
-		// A delta landed between the catch-up and this check; its delivery
-		// path marks the shard itself, and the next sweep re-validates —
-		// don't overwrite that verdict from an already-stale sample.
-		return
-	case info.Nodes != exp:
-		r.markDown(p, fmt.Errorf("worker subgraph has %d nodes at version %d, want %d", info.Nodes, cur, exp))
-		return
-	}
-	h := r.health[p]
-	h.mu.Lock()
-	h.up, h.err, h.info = true, nil, info
-	h.mu.Unlock()
 }
 
 // Describe snapshots the fleet for the serving layer (serve.Backend): the
-// graph version and tier, every shard's liveness with per-replica status
-// when the transport replicates shards, the scratch footprint as of each
-// shard's last probe, the hop-1 memo counters of the workers in this process
-// (remote workers report their own, so over an HTTP transport these are
-// zero) and a replicated transport's failover counters. /healthz's verdict,
-// the /stats shards block and the per-shard gauges are all read off one
-// such snapshot, so they cannot contradict each other.
+// graph version and tier, every shard's liveness with its endpoints' status
+// under Replicas (a one-endpoint shard lists that one), the scratch
+// footprint summed over every endpoint's last health report, the hop-1 memo
+// counters of the workers in this process (remote workers report their own,
+// so over an HTTP transport these are zero) and the failover counters.
+// /healthz's verdict, the /stats shards block and the per-shard gauges are
+// all read off one such snapshot, so they cannot contradict each other.
 func (r *Router) Describe() core.Info {
 	info := core.Info{Version: r.Version(), Precision: r.prec,
-		Shards: make([]core.ShardStatus, len(r.health))}
-	for p, h := range r.health {
-		h.mu.Lock()
-		info.Shards[p] = core.ShardStatus{Shard: p, Up: h.up, Version: h.info.Version, Nodes: h.info.Nodes}
-		if !h.up && h.err != nil {
-			info.Shards[p].Err = h.err.Error()
-		}
-		info.ScratchBytes += h.info.ScratchBytes
-		h.mu.Unlock()
-	}
-	switch t := r.transport.(type) {
-	case *ReplicaSet:
-		for p, rh := range t.ReplicaHealth() {
-			if p < len(info.Shards) {
-				info.Shards[p].Replicas = rh
+		Shards:    make([]core.ShardStatus, len(r.groups)),
+		Failovers: r.failovers.Load(), ReplicaRetries: r.extraTries.Load()}
+	for p, group := range r.groups {
+		st := core.ShardStatus{Shard: p, Replicas: make([]core.ReplicaStatus, len(group))}
+		for i, ep := range group {
+			ep.mu.Lock()
+			rs := core.ReplicaStatus{Replica: i, Addr: ep.addr, State: ep.state.String(), Version: ep.info.Version}
+			if ep.state == stateUp {
+				// The shard reports its most caught-up serving endpoint.
+				if !st.Up || ep.info.Version > st.Version {
+					st.Version, st.Nodes = ep.info.Version, ep.info.Nodes
+				}
+				st.Up, st.Err = true, ""
+			} else if ep.err != nil {
+				rs.Err = ep.err.Error()
+				if !st.Up {
+					st.Err = rs.Err
+				}
 			}
+			info.ScratchBytes += ep.info.ScratchBytes
+			ep.mu.Unlock()
+			st.Replicas[i] = rs
 		}
-		info.Failovers, info.ReplicaRetries = t.Failovers(), t.ReplicaRetries()
-	case *LocalTransport:
+		info.Shards[p] = st
+	}
+	if t, ok := r.transport.(*LocalTransport); ok {
 		for _, w := range t.workers {
 			info.Hop1.Add(w.dep.Hop1Stats())
 		}
@@ -761,7 +529,7 @@ func (r *Router) Shards() int { return len(r.shards) }
 func (r *Router) Radius() int { return r.radius }
 
 // Version reports the router's monotone graph version: 1 for a fresh
-// build, +1 per effective ApplyDelta (ReplicaController).
+// build, +1 per effective ApplyDelta.
 func (r *Router) Version() uint64 { return r.version.Load() }
 
 // ShardSize describes one shard's subgraph for observability: how many

@@ -9,13 +9,15 @@ import (
 	"repro/internal/kernel"
 )
 
-// Transport is the router↔shard boundary: every call the Router makes
-// against a shard's serving state goes through one of these three methods,
-// so the same routing, delta-planning and retry logic serves shards living
-// in the router's address space (LocalTransport) or in separate worker
-// processes (HTTPTransport). Implementations must be safe for concurrent
-// callers — the router fans Infer calls out across shards and the health
-// prober runs beside them.
+// Transport is the router↔worker boundary: every call the Router makes
+// against a worker's serving state goes through one of these three methods,
+// so the same routing, delta-planning and failover logic serves workers
+// living in the router's address space (LocalTransport) or in separate
+// processes (HTTPTransport). It is flat: shardID indexes workers, and which
+// workers serve which shard is the router's layout (NewRouterGroups; with
+// one worker per shard the index is the shard id). Implementations must be
+// safe for concurrent callers — the router fans Infer calls out across
+// shards and the health prober runs beside them.
 //
 // Error contract: a *StaleError means the shard's graph version is behind
 // the router's (the router replays its delta log and retries); an error for
