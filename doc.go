@@ -12,21 +12,23 @@
 // so Infer is safe for concurrent callers and can fan batches out across
 // goroutines (InferenceOptions.Workers). Supporting sets for all hops of a
 // batch come from one multi-source BFS, re-derived only after early-exit
-// waves. Each batch then propagates in compacted coordinates: a remapped
-// sub-CSR is extracted over the batch's supporting ball S once
-// (sparse.CSR.ExtractRowsInto) and every hop, gate decision and
-// classification runs on |S|×f matrices, so the scratch one in-flight batch
-// retains is O(TMax·|S|·f) — per-batch memory follows the supporting set,
-// not the serving graph, and any number of concurrent callers can share a
-// very large graph. Propagation uses parallel, nnz-balanced sparse kernels
-// (internal/sparse, internal/par). Reported MACs still follow the paper's
+// waves. Each batch then propagates in compacted coordinates: every hop is a
+// product with the normalized-adjacency operator itself
+// (sparse.MulNormalizedRowsInto — no row of Â is ever stored), and every
+// hop, gate decision and classification runs on |S|×f matrices over the
+// batch's supporting ball S, so the scratch one in-flight batch retains is
+// O((TMax−1)·|S|·f) with S the radius-(TMax−2) ball — hop 1 is a layer the
+// deployment keeps (the hop-1 memo), read in place — and per-batch memory
+// follows the supporting set, not the serving graph: any number of
+// concurrent callers can share a very large graph. Propagation uses
+// parallel, nnz-balanced sparse kernels (internal/sparse, internal/par). Reported MACs still follow the paper's
 // per-batch accounting (Algorithm 1 recomputes X(∞) per batch), so measured
 // wall-clock and memory improve while MAC tables stay comparable.
 //
 // On top of the engine sits a long-lived serving daemon (internal/serve,
 // cmd/naiserve): an HTTP JSON front-end that micro-batches concurrent
 // requests into coalesced Infer calls — amortizing the per-batch
-// BFS/extraction/GEMM work across callers — and absorbs online graph
+// BFS/GEMM work across callers — and absorbs online graph
 // growth through POST /nodes and /edges deltas, whose incremental refresh
 // (Deployment.ApplyDelta) touches only changed rows yet stays bit-identical
 // to a full Refresh. BENCH_infer.json holds the perf baseline (B/op, the

@@ -63,7 +63,7 @@ type ServingStats struct {
 // ShardingStats records the sharded-serving benchmark: a sequential stream
 // of small batch requests against a P-shard router versus a single-shard
 // one on the same graph and operating point. The per-request pipeline —
-// supporting-ball BFS, sub-CSR extraction, remap, decisions — is serial per
+// supporting-ball BFS, remap, decisions — is serial per
 // batch, so fanning a request across P shards parallelizes exactly the
 // costs the in-batch kernels cannot; SpeedupX = sharded/P1 requests-per-
 // second is gated in CI (same-process, same-hardware ratio, so it ports

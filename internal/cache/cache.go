@@ -2,7 +2,7 @@
 // sharded-lock, bounded LRU keyed by node id that stores each target's
 // final prediction and realized propagation depth, so hot-node requests
 // under skewed (Zipf-like) traffic skip the whole inference pipeline —
-// supporting-set BFS, sub-CSR extraction, propagation hops, gating and
+// supporting-set BFS, compaction, propagation hops, gating and
 // classifier GEMMs — after the first computation.
 //
 // Exactness is the owner's job, not the cache's: internal/serve holds the

@@ -146,14 +146,15 @@ func (r *Result) merge(o *Result) {
 // as the graph's own pattern plus two degree-factor vectors, never as a
 // matrix — and the cached stationary state, computed once at construction
 // (and on Refresh) instead of per batch. All per-request state lives in
-// pooled scratch, which is also the only place rows of Â are ever
-// materialized (the batch's sub-CSR and the hop-1 rows the memo missed), and
+// pooled scratch; rows of Â are never materialized anywhere — every product
+// is an operator product whose workers emit a row, use it and drop it — and
 // the cached state is read-only during inference, so Infer is safe for
 // concurrent callers; the one thing Infer writes on the deployment is its
 // hop-1 memo — the X^(1) rows of as many top-degree nodes as fit in the bytes
-// a materialized Â would have cost (memoBudget) — through lock-free
-// publish-once slots that deltas empty and extend and Refresh re-selects.
-// Answers and MACs are bit-identical with or without it.
+// a materialized Â would have cost (memoBudget), on a dense graph all of
+// them, which makes it the X^(1) layer hop 2 reads in place — through
+// lock-free publish-once slots that deltas empty and extend and Refresh
+// re-selects. Answers and MACs are bit-identical with or without it.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
 // instantiated at the tier's element type. What pins the default f64 tier to
@@ -236,23 +237,32 @@ func (d *Deployment) Stationary() *Stationary { return d.stationary }
 // (zero-recompute serving).
 //
 // Memory note: propagation runs in compacted coordinates, so each scratch
-// holds TMax buffers of supporting-set height — O(TMax·|S|·f), where |S| is
-// the hop-0 ball of the batch — plus two O(n) byte/int32-sized maps (BFS
+// holds one buffer of supporting-set height per hop it propagates —
+// O((TMax−1)·|S|·f) for a layered batch, whose S is the radius-(TMax−2) ball
+// of the batch and whose hop 1 is the memo's block, O(TMax·|S|·f) over the
+// radius-(TMax−1) ball otherwise — plus two O(n) byte/int32-sized maps (BFS
 // marks and the global→local remap). Peak memory therefore scales with
 // concurrently executing batches × their supporting sets, not with the
-// serving graph. All |S|-sized buffers — the slab, the two cuts of Â (sub-CSR
-// and hop-1 misses) and their tier values, the row lists, the int8 tier's
-// quantized activations (growScratch) and the decide/classify arena
-// (arena.shrink) — follow one retention policy:
+// serving graph. All |S|-sized buffers — the slab, the row and ring lists,
+// the int8 tier's quantized activations (growScratch) and the decide/classify
+// arena (arena.shrink) — follow one retention policy:
 // they grow geometrically across pool hits and drop back to current need when
 // a past batch left them more than 4× oversized, so one huge request does not
 // pin worst-case capacity forever, at any tier.
 type inferScratch[T float64 | float32] struct {
-	// slab backs the TMax compacted propagation buffers: hop(l) is X^{(l)}
-	// over the batch's supporting set S, s rows of f columns, row toLocal[v]
-	// per node v (X^{(0)} stays the full-graph feature matrix, read in place).
+	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
+	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
+	// v, for l = first..TMax (X^{(0)} stays the full-graph feature matrix,
+	// read in place).
 	slab []T
 	s, f int
+	// first is the lowest hop the slab holds: 1, or 2 for a layered batch,
+	// whose X^{(1)} is x1 — the memo's block, rows by node id — and whose
+	// targets are kept for reading their depth-1 rows out of it. x1 and
+	// targets are nil between batches.
+	first   int
+	x1      []T
+	targets []int
 	// toLocal maps global node ids into S; −1 outside. All −1 between
 	// batches (IndexSet/ResetIndex pairs keep the invariant).
 	toLocal []int32
@@ -260,19 +270,9 @@ type inferScratch[T float64 | float32] struct {
 	visited []bool
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// sub is the batch's compacted sub-CSR (rows within radius TMax−2 of
-	// the targets, all coordinates local to S), cut from the deployment's Adj
-	// per batch and reused across batches. Its Val is the f64 tier's operand;
-	// subVal (f32) and sub8 (int8) are the same entries lowered to the tier.
-	sub    sparse.CSR
-	subVal []T
-	sub8   []int8
-	// miss is the hop-1 rows of Â the memo did not hold (row toLocal[v] of
-	// |S|, columns global: hop 1 reads the full feature matrix), with
-	// missVal/miss8 as subVal/sub8.
-	miss    sparse.CSR
-	missVal []T
-	miss8   []int8
+	// ring is the outer ring of a layered batch's radius-(TMax−1) ball: the
+	// nodes whose X^(1) rows hop 2 reads but no hop of the batch writes.
+	ring []int
 	// x8 holds the int8 tier's quantized input activations of one hop.
 	x8 []int8
 	// localRows holds one hop's propagation row list in local coordinates.
@@ -281,7 +281,9 @@ type inferScratch[T float64 | float32] struct {
 	tloc []int
 	// missRows/missOut list the hop-1 rows the memo did not serve and their
 	// compact output rows; hits and fill pair (memo slot, compact row) for the
-	// rows it did serve and for the misses it wants back.
+	// rows it did serve and for the misses it wants back. A layered batch
+	// lists in missRows the not-ready rows it claimed, in missOut those
+	// another batch was already filling.
 	missRows, missOut, hits, fill []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
@@ -304,13 +306,17 @@ func growScratch[T any](buf []T, need int) []T {
 	}
 }
 
-// hop returns X^{(l)} over the batch's supporting set, l ≥ 1.
+// hop returns X^{(l)} over the batch's supporting set, l ≥ first.
 func (sc *inferScratch[T]) hop(l int) []T {
-	return sc.slab[(l-1)*sc.s*sc.f : l*sc.s*sc.f]
+	return sc.slab[(l-sc.first)*sc.s*sc.f : (l-sc.first+1)*sc.s*sc.f]
 }
 
-// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1.
+// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1: from the slab, or for
+// a layered batch's depth 1 from the memo's block.
 func (sc *inferScratch[T]) targetRow(l, ti int) []T {
+	if l < sc.first {
+		return sc.x1[sc.targets[ti]*sc.f:][:sc.f]
+	}
 	return sc.hop(l)[sc.tloc[ti]*sc.f:][:sc.f]
 }
 
@@ -338,11 +344,7 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 // it to prove per-batch memory scales with |S|, not n).
 func (sc *inferScratch[T]) bytes() int {
 	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.visited) + capBytes(sc.rm) +
-		capBytes(sc.sub.RowPtr) + capBytes(sc.sub.Col) + capBytes(sc.sub.Val) +
-		capBytes(sc.subVal) + capBytes(sc.sub8) + capBytes(sc.x8) +
-		capBytes(sc.miss.RowPtr) + capBytes(sc.miss.Col) + capBytes(sc.miss.Val) +
-		capBytes(sc.missVal) + capBytes(sc.miss8) +
-		capBytes(sc.localRows) + capBytes(sc.tloc) +
+		capBytes(sc.ring) + capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
 		capBytes(sc.missRows) + capBytes(sc.missOut) + capBytes(sc.hits) + capBytes(sc.fill) +
 		capBytes(sc.arena.buf)
 }
@@ -403,8 +405,10 @@ func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error)
 // InferContext is Infer with a context. The engine does not observe
 // cancellation (a batch in flight runs to completion); the context's
 // only role is carrying an obs.Trace, into which the batch stages —
-// supporting-set BFS, sub-CSR extraction, per-hop propagation, exit
-// decisions and classification — record spans. With Workers > 1 or
+// supporting-set BFS (ring derivation included), compaction (extract: what
+// is left of it now that no batch cuts a sub-CSR — indexing S and shaping the
+// slab), per-hop propagation, exit decisions and classification — record
+// spans. With Workers > 1 or
 // multiple batches, spans from concurrent batches interleave in the one
 // trace.
 func (d *Deployment) InferContext(ctx context.Context, targets []int, opt InferenceOptions) (*Result, error) {
@@ -482,11 +486,18 @@ func (t *tier[T]) scratchBytes() int {
 
 // inferBatch is Algorithm 1 for one batch V_b — the engine's one hop loop,
 // at every tier — run in compacted coordinates: all propagation, gating and
-// classification happens on |S|×f buffers over the batch's hop-0 supporting
-// ball S instead of full-graph n×f ones, with a global→local remap bridging
+// classification happens on |S|×f buffers over a supporting ball S of the
+// batch instead of full-graph n×f ones, with a global→local remap bridging
 // the two. Propagation runs at the tier's element type T; stationary rows,
 // exit decisions, combination and classifiers are float64 at every tier, so
 // a relaxed tier's drift is confined to the propagated features.
+//
+// Where the tier is layered (tier.layered) hop 1 is not a hop of the batch:
+// X^(1) is the memo's block, which hop 2 gathers from as hop 1 would from
+// X^(0), so S, the slab and every row set lose the outermost ring — S is the
+// radius-(TMax−2) ball and the slab starts at hop 2. Otherwise S is the
+// radius-(TMax−1) ball and hop 1 is propagated into the slab. One loop serves
+// both; sc.first says which hop the slab starts at.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -515,59 +526,77 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		active[i] = i
 	}
 
-	// Lines 3/5: one multi-source BFS yields the nested supporting sets
-	// N^(TMax−l) for every hop at once: nested[l−1−base] is the ball of
-	// radius TMax−l around the targets that were active at hop `base`.
-	// After an early-exit wave the balls shrink, so the remaining hops'
-	// sets are re-derived from one BFS around the survivors — one BFS per
-	// exit wave instead of one from-scratch BFS per hop.
+	// Lines 3/5: one multi-source BFS yields the nested supporting sets for
+	// every hop the batch propagates at once: the last of them is the
+	// targets, each earlier one a ball one hop wider, so hop l's rows — the
+	// ball of radius TMax−l — sit TMax−l sets from the end. After an
+	// early-exit wave the balls shrink, so the remaining hops' sets are
+	// re-derived from one BFS around the survivors — one BFS per exit wave
+	// instead of one from-scratch BFS per hop. A layered batch stops the
+	// first BFS one ring early and only derives that ring: its nodes' rows
+	// are read, never written, so they need no place in S.
+	layered := t.layered()
+	radius := opt.TMax - 1
+	sc.first, sc.ring = 1, sc.ring[:0]
+	if layered {
+		radius, sc.first = max(opt.TMax-2, 0), 2
+		sc.x1, sc.targets = t.memo.block, targets
+	}
+	defer func() {
+		sc.x1, sc.targets = nil, nil
+		sc.ring = growScratch(sc.ring, len(sc.ring)) // shaped after use: its extent is the BFS's outcome
+	}()
 	bfsAt := tr.Begin()
-	nested := graph.SupportingSetsScratch(g.Adj, targets, opt.TMax-1, sc.visited)
-	tr.End(obs.StageBFS, 0, -1, bfsAt)
-	base := 0
+	nested := graph.SupportingSetsScratch(g.Adj, targets, radius, sc.visited)
+	rowsAt := func(l int) []int { return nested[len(nested)-1-(opt.TMax-l)] }
 
-	// Compact universe: S is the hop-0 ball of the full batch. Every later
+	// Compact universe: S is the widest ball of the full batch. Every later
 	// row set — deeper hops, and re-derived sets after exit waves — is a
 	// subset of S, so the remap stays valid for the whole batch.
 	support := nested[0]
+	if layered && opt.TMax >= 2 {
+		sc.ring = graph.RingScratch(g.Adj, support, sc.visited, sc.ring)
+	}
+	tr.End(obs.StageBFS, 0, -1, bfsAt)
+	extAt := tr.Begin()
 	sc.s, sc.f = len(support), g.F()
 	graph.IndexSet(support, sc.toLocal)
 	defer graph.ResetIndex(support, sc.toLocal)
-	sc.slab = growScratch(sc.slab, opt.TMax*sc.s*sc.f)
+	sc.slab = growScratch(sc.slab, (opt.TMax-sc.first+1)*sc.s*sc.f)
 	sc.tloc = growScratch(sc.tloc, len(targets))
 	for i, v := range targets {
 		sc.tloc[i] = int(sc.toLocal[v])
 	}
-	var sub operand[T] // the sub-CSR's values at the tier; x is set per hop
+	widest := 0 // the largest row list a hop localizes: hop 2's
 	if opt.TMax >= 2 {
-		// Hops ≥ 2 propagate inside S: their row sets stay within the
-		// radius TMax−2 ball nested[1], whose neighbors all lie in S, so
-		// one remapped sub-CSR over those rows serves the whole batch.
-		// Pre-shaping the slices applies the scratch retention policy
-		// (geometric growth, 4× oversize drop) before extraction reuses them.
-		extAt := tr.Begin()
-		nnz := d.Adj.NNZRows(nested[1])
-		sc.sub.RowPtr = growScratch(sc.sub.RowPtr, sc.s+1)
-		sc.sub.Col = growScratch(sc.sub.Col, nnz)
-		sc.sub.Val = growScratch(sc.sub.Val, nnz)
-		sc.localRows = growScratch(sc.localRows, len(nested[1]))
-		d.Adj.ExtractRowsInto(nested[1], sc.toLocal, sc.s, &sc.sub)
-		sub = t.withCut(sub, sc.sub.Val, &sc.subVal, &sc.sub8)
-		tr.End(obs.StageExtract, 0, -1, extAt)
+		widest = len(rowsAt(2))
 	}
+	sc.localRows = growScratch(sc.localRows, widest)
+	tr.End(obs.StageExtract, 0, -1, extAt)
 
 	var fpTime time.Duration
 	for l := 1; l <= opt.TMax; l++ {
-		rows := nested[l-1-base]
-
 		fpStart := time.Now()
 		fpAt := tr.Begin()
-		if l == 1 {
-			// Hop 1 reads the full-graph feature matrix: rows is exactly S,
-			// so compact output row k is local node k. Rows the memo holds
-			// are copied, the rest cut from Adj and computed (memo.go).
-			res.MACs.Propagation += t.propagateHop1(rows, sc)
-		} else {
+		switch {
+		case l == 1 && layered:
+			// The layer's rows this batch reads: S and the ring around it, or
+			// at TMax 1 — S is the targets, and no hop gathers — S alone.
+			res.MACs.Propagation += t.ensureLayer(sc, support, sc.ring)
+		case l == 1:
+			// Hop 1 reads the full-graph feature matrix: its rows are exactly
+			// S, so compact output row k is local node k. Rows the memo holds
+			// are copied, the rest computed (memo.go).
+			res.MACs.Propagation += t.propagateHop1(support, sc)
+		default:
+			// Hops ≥ 2 propagate inside S: their rows stay one ring inside
+			// the ball the previous hop covered, so every neighbor has a row
+			// to read — for a layered batch's hop 2 in x1, by node id, else in
+			// the slab through toLocal.
+			in, colMap := operand[T]{x: sc.x1}, []int32(nil)
+			if l > sc.first {
+				in.x, colMap = sc.hop(l-1), sc.toLocal
+			}
 			if t.int8() {
 				// sc.localRows still lists the rows hop l−1 wrote (hop 1
 				// wrote all of S): exactly the live activation tensor.
@@ -575,12 +604,11 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 				if l == 2 {
 					live = nil
 				}
-				sub.qx, sub.deq = t.quantizeActivations(sc.hop(l-1), live, sc)
-			} else {
-				sub.x = sc.hop(l - 1)
+				in.qx, in.deq = t.quantizeActivations(in.x, live, sc)
 			}
+			rows := rowsAt(l)
 			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-			res.MACs.Propagation += t.mulRows(sub, &sc.sub, sc.localRows, sc.localRows, sc.f, sc.hop(l))
+			res.MACs.Propagation += t.mulRows(in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
 		}
 		tr.End(obs.StagePropagate, l, -1, fpAt)
 		fpTime += time.Since(fpStart)
@@ -610,7 +638,6 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 					nested = graph.SupportingSetsScratch(
 						g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
 					tr.End(obs.StageBFS, 0, -1, bfsAt)
-					base = l
 				}
 			}
 		} else if l == opt.TMax {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -23,23 +24,34 @@ import (
 // reached with probability ∝ its degree and its row costs ∝ its degree, so
 // those carry the largest share of every ball's hop-1 work.
 //
+// When every node is a member (complete) the memo is not a cache beside the
+// engine but a layer of it: slot v is node v, the block is X^(1) indexed by
+// node id, and on the float tiers a batch never copies a row out of it — hop 2
+// gathers from the block through the Â operator the way hop 1 gathers from the
+// feature matrix, and exit decisions and classifiers read the targets' depth-1
+// rows in place (tier.layered, tier.ensureLayer). The one invariant that adds
+// is publish before read: a batch makes every row of its radius-(TMax−1) ball
+// ready — computing the empty ones itself, waiting for the ones another batch
+// is filling — before its hop 2 starts. A partial memo, and the int8 tier at
+// any coverage, serve hop 1 into the batch's slab as a cache would
+// (propagateHop1).
+//
 // Membership is selected at reset (whenever the engine is rebuilt: Refresh,
 // SetPrecision, NewDeploymentWithState) and only ever extended after that:
 // the nodes a delta appends — the paper's inductive newcomers, whose ids are
-// above every member's — get slots at the tail while the budget, re-evaluated
-// on the grown graph, allows (grow). Rows are filled lazily by whichever
-// request computes them first, into publish-once slots — empty → filling (one
-// CAS winner copies its freshly computed row in) → ready — so concurrent
-// Infer callers need no lock: a reader that sees ready reads a row no one
-// writes any more, and anything else is treated as a miss and computed as
-// before. Slots only go back to empty, and the slot arrays are only
-// reallocated, in invalidate, invalidateAll, grow and reset, which run under
-// the same exclusion as every other graph mutation (never concurrently with
-// Infer).
+// above every member's — get slots at the end of the same block while the
+// budget, re-evaluated on the grown graph, allows (grow), so a complete memo
+// stays complete. Rows are filled lazily by whichever request computes them
+// first, into publish-once slots — empty → filling (one CAS winner writes the
+// row) → ready — so concurrent Infer callers need no lock: a reader that sees
+// ready reads a row no one writes any more. Slots only go back to empty, and
+// the slot arrays are only reallocated, in invalidate, invalidateAll, grow and
+// reset, which run under the same exclusion as every other graph mutation
+// (never concurrently with Infer).
 //
 // A memoized row is the bits the tier's kernel wrote for it, and it is
 // dropped whenever those bits could change: at f64 and f32 when the values of
-// row v of Â move (untouched rows are cut and lowered to the same bits, and
+// row v of Â move (untouched rows are emitted and lowered to the same bits, and
 // features of existing nodes never change without a Refresh), at int8 on
 // every patch, because a moved per-tensor scale moves every row. So serving
 // from the memo is bit-identical to computing, within each tier. A memo with
@@ -55,11 +67,12 @@ type hop1Memo[T float64 | float32] struct {
 	// own slot, found without a search (every node, when all rows fit).
 	dense int
 	state []atomic.Uint32 // per slot: slotEmpty, slotFilling or slotReady
-	// rows holds the slots selected at reset, f elements each, and tail those
-	// grown since: a delta appends rows to the small one and never copies
-	// the large one.
-	rows, tail []T
-	stats      *hop1Counters // the owning deployment's
+	// block holds slot k's row at [k·f, (k+1)·f). Its capacity beyond the
+	// slots selected at reset is what the budget leaves, up to 1/64 of them:
+	// room for the rows deltas append, so growing a complete memo does not
+	// copy it.
+	block []T
+	stats *hop1Counters // the owning deployment's
 }
 
 // hop1Counters are scraped by /metrics (Hop1Stats); Result.MACs keeps the
@@ -86,9 +99,12 @@ func memoBudget(adj *sparse.Normalized) int {
 // slotBytes is what one memoized row costs: f elements, its id, its state.
 func (m *hop1Memo[T]) slotBytes(f int) int { return int(unsafe.Sizeof(*new(T)))*f + 4 + 4 }
 
-// slotsFor is how many slots the budget pays for when serving adj.
-func (m *hop1Memo[T]) slotsFor(adj *sparse.Normalized) int {
-	return min(m.budget(adj)/m.slotBytes(m.f), adj.N())
+// slotsFor is how many slots the memo has when serving adj — one per row, or
+// as many as the budget pays for — and how many more the budget would pay for.
+func (m *hop1Memo[T]) slotsFor(adj *sparse.Normalized) (slots, spare int) {
+	paid := m.budget(adj) / m.slotBytes(m.f)
+	slots = min(paid, adj.N())
+	return slots, paid - slots
 }
 
 // reset drops every row and re-selects the members for adj: the top-degree
@@ -98,10 +114,11 @@ func (m *hop1Memo[T]) reset(adj *sparse.Normalized, f int, budget func(*sparse.N
 	m.stats.invalidated.Add(uint64(m.stats.entries.Swap(0)))
 	n := adj.N()
 	m.f, m.budget, m.n, m.dense = f, budget, n, 0
-	slots := m.slotsFor(adj)
-	m.ids = make([]int32, 0, slots)
-	m.state = make([]atomic.Uint32, slots)
-	m.rows, m.tail = make([]T, slots*f), nil
+	slots, spare := m.slotsFor(adj)
+	room := slots + min(spare, slots/64)
+	m.ids = make([]int32, 0, room)
+	m.state = make([]atomic.Uint32, slots, room)
+	m.block = make([]T, slots*f, room*f)
 	defer m.sized()
 	if slots == 0 {
 		return
@@ -136,7 +153,7 @@ func (m *hop1Memo[T]) reset(adj *sparse.Normalized, f int, budget func(*sparse.N
 // has room for another slot. The new slots are empty. Not concurrent with
 // Infer.
 func (m *hop1Memo[T]) grow(adj *sparse.Normalized) {
-	slots := m.slotsFor(adj)
+	slots, _ := m.slotsFor(adj)
 	for v := m.n; v < adj.N() && len(m.ids) < slots; v++ {
 		if m.dense == len(m.ids) && m.dense == v {
 			m.dense++
@@ -145,7 +162,7 @@ func (m *hop1Memo[T]) grow(adj *sparse.Normalized) {
 	}
 	m.n = adj.N()
 	m.state = append(m.state, make([]atomic.Uint32, len(m.ids)-len(m.state))...)
-	m.tail = append(m.tail, make([]T, len(m.ids)*m.f-len(m.rows)-len(m.tail))...)
+	m.block = append(m.block, make([]T, len(m.ids)*m.f-len(m.block))...)
 	m.sized()
 }
 
@@ -181,13 +198,11 @@ func (m *hop1Memo[T]) find(v, from int) (int, bool) {
 	return lo, lo < len(m.ids) && int(m.ids[lo]) == v
 }
 
-func (m *hop1Memo[T]) row(slot int) []T {
-	if at := slot * m.f; at < len(m.rows) {
-		return m.rows[at : at+m.f]
-	}
-	at := slot*m.f - len(m.rows)
-	return m.tail[at : at+m.f]
-}
+func (m *hop1Memo[T]) row(slot int) []T { return m.block[slot*m.f:][:m.f] }
+
+// complete reports whether every row of the graph has a slot: slot v is node
+// v, and the block is X^(1) by node id.
+func (m *hop1Memo[T]) complete() bool { return m.dense == m.n }
 
 // publish offers a freshly computed row to an empty slot; losing the CAS
 // (another request got there first, with the same bits) is not an error.
@@ -230,18 +245,18 @@ func (m *hop1Memo[T]) invalidateAll() {
 // ascending, so compact output row k is rows[k] — into sc.hop(1), and returns
 // Algorithm 1's MAC count for the hop (every row's nnz × f, served from the
 // memo or not, like MACBreakdown.Stationary charges a cost the cache saved).
-// Ready memo rows are copied, in parallel above par.Threshold like the kernel
-// they stand in for; the rest are cut from Adj into pooled scratch (columns
-// global: their neighbors reach outside S, into the full feature matrix) and
-// go through the tier's SpMM kernel in one pass, and the members among them
-// are published for the next request.
+// It is hop 1 of a batch that is not layered. Ready memo rows are copied, in
+// parallel above par.Threshold like the kernel they stand in for; the rest go
+// through the tier's operator product against X^(0) in one pass (columns
+// global: their neighbors reach outside S, into the full feature matrix), and
+// the members among them are published for the next request.
 func (t *tier[T]) propagateHop1(rows []int, sc *inferScratch[T]) int {
 	m := &t.memo
 	adj, f, out := t.d.Adj, sc.f, sc.hop(1)
 	sc.missRows = growScratch(sc.missRows, len(rows))[:0]
 	sc.missOut = growScratch(sc.missOut, len(rows))[:0]
 	sc.hits = growScratch(sc.hits, 2*len(rows))[:0]
-	sc.fill = sc.fill[:0]
+	sc.fill = growScratch(sc.fill, 2*len(rows))[:0]
 	hitNNZ, slot := 0, 0
 	for k, v := range rows {
 		var member bool
@@ -262,16 +277,7 @@ func (t *tier[T]) propagateHop1(rows []int, sc *inferScratch[T]) int {
 			copy(out[hits[i+1]*f:][:f], m.row(hits[i]))
 		}
 	})
-
-	// The misses: shaped even when there are none, so that a cold batch's
-	// cut does not outlive it in the pool.
-	nnz := adj.NNZRows(sc.missRows)
-	sc.miss.RowPtr = growScratch(sc.miss.RowPtr, sc.s+1)
-	sc.miss.Col = growScratch(sc.miss.Col, nnz)
-	sc.miss.Val = growScratch(sc.miss.Val, nnz)
-	adj.RowsInto(sc.missRows, sc.toLocal, sc.s, &sc.miss)
-	in := t.withCut(t.base, sc.miss.Val, &sc.missVal, &sc.miss8)
-	macs := t.mulRows(in, &sc.miss, sc.missOut, sc.missOut, f, out)
+	macs := t.mulRows(t.base, sc.missRows, sc.missOut, nil, f, out)
 	for i := 0; i < len(sc.fill); i += 2 {
 		k := sc.fill[i+1]
 		m.publish(sc.fill[i], out[k*f:][:f])
@@ -279,6 +285,64 @@ func (t *tier[T]) propagateHop1(rows []int, sc *inferScratch[T]) int {
 	m.stats.fromMemo.Add(uint64(len(hits) / 2))
 	m.stats.computed.Add(uint64(len(sc.missRows)))
 	return macs + hitNNZ*f
+}
+
+// layered reports whether this tier's batches read X^(1) from the memo's block
+// in place instead of propagating hop 1 into their slab: the memo is complete,
+// so the block is the whole layer, and the tier is a float one — the int8
+// tier's hop-2 activation scale is taken over the hop-1 rows of exactly the
+// batch's radius-(TMax−1) ball, which therefore has to be gathered. Both are
+// state the engine holds, and deltas keep a complete memo complete while the
+// budget pays for the appended rows, so which way a batch goes follows from the
+// graph and the tier, never from a setting.
+func (t *tier[T]) layered() bool { return !t.int8() && t.memo.complete() }
+
+// ensureLayer is hop 1 of a layered batch: it makes X^(1) resident for every
+// node of the given lists — together the batch's radius-(TMax−1) ball, each
+// node once — and returns Algorithm 1's MAC count for the hop, every row's
+// nnz × f whoever computed it. Rows that are not ready are claimed (the slot's
+// CAS) as the walk meets them, computed against X^(0) straight into the block
+// in one operator product and published; a row another batch claimed first is
+// waited for, after this batch has published its own, so two batches that each
+// hold rows the other needs cannot wait on each other. On return every listed
+// row is ready and stays so until the next delta: publish before read.
+func (t *tier[T]) ensureLayer(sc *inferScratch[T], lists ...[]int) int {
+	m := &t.memo
+	adj := t.d.Adj
+	nnz, total := 0, 0
+	won, lost := sc.missRows[:0], sc.missOut[:0]
+	for _, list := range lists {
+		total += len(list)
+		for _, v := range list {
+			nnz += adj.RowNNZ(v)
+			switch {
+			case m.state[v].Load() == slotReady:
+			case m.state[v].CompareAndSwap(slotEmpty, slotFilling):
+				won = append(won, v)
+			default:
+				lost = append(lost, v)
+			}
+		}
+	}
+	if len(won) > 0 {
+		t.mulRows(t.base, won, won, nil, sc.f, m.block)
+		for _, v := range won {
+			m.state[v].Store(slotReady)
+		}
+		m.stats.entries.Add(int64(len(won)))
+	}
+	for _, v := range lost {
+		for m.state[v].Load() != slotReady {
+			runtime.Gosched()
+		}
+	}
+	m.stats.fromMemo.Add(uint64(total - len(won)))
+	m.stats.computed.Add(uint64(len(won)))
+	// Shaped after use, their extent being this pass's outcome: a cold
+	// batch's lists do not outlive it in the pool.
+	sc.missRows = growScratch(won, len(won))
+	sc.missOut = growScratch(lost, len(lost))
+	return nnz * sc.f
 }
 
 // Hop1Stats are the hop-1 memo's counters: hop-1 rows served from the memo

@@ -233,8 +233,8 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 		t.Fatalf("filled %d of %d slots", s.Entries, len(mm.ids))
 	}
 	const poison = -12345.0
-	for i := range mm.rows {
-		mm.rows[i] = poison
+	for i := range mm.block {
+		mm.block[i] = poison
 	}
 
 	hub := int(mm.ids[len(mm.ids)/2])
@@ -272,9 +272,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	eng := dep.eng.(*tier[T])
 	all := rangeInts(0, g.N())
 	fresh := make([]T, g.N()*g.F())
-	var whole sparse.CSR
-	dep.Adj.RowsInto(all, nil, g.N(), &whole)
-	eng.mulRows(eng.withCut(eng.base, whole.Val, new([]T), new([]int8)), &whole, all, all, g.F(), fresh)
+	eng.mulRows(eng.base, all, all, nil, g.F(), fresh)
 	for slot, id := range mm.ids {
 		if mm.state[slot].Load() != slotReady {
 			t.Fatalf("slot of node %d not refilled", id)
@@ -323,12 +321,12 @@ func testMemoBudget[T float64 | float32](t *testing.T, elem int) {
 		if memoBudget(adj) != budget {
 			t.Fatalf("n=%d: budget %d B, the identity says %d", n, memoBudget(adj), budget)
 		}
-		if got := elem*cap(m.rows) + 4*cap(m.ids) + 4*cap(m.state); got > budget {
+		if got := elem*cap(m.block) + 4*cap(m.ids) + 4*cap(m.state); got > budget {
 			t.Fatalf("n=%d: memo retains %d B, over its %d B budget", n, got, budget)
 		}
 		want := min(budget/(elem*f+8), n)
-		if len(m.ids) != want || len(m.state) != want || len(m.rows) != want*f || len(m.tail) != 0 {
-			t.Fatalf("n=%d: %d ids, %d states, %d row elements for %d slots", n, len(m.ids), len(m.state), len(m.rows), want)
+		if len(m.ids) != want || len(m.state) != want || len(m.block) != want*f {
+			t.Fatalf("n=%d: %d ids, %d states, %d row elements for %d slots", n, len(m.ids), len(m.state), len(m.block), want)
 		}
 		if s := m.stats; int(s.capacity.Load()) != want || int(s.bytes.Load()) != want*(elem*f+8) {
 			t.Fatalf("n=%d: counters report %d slots, %d B", n, s.capacity.Load(), s.bytes.Load())

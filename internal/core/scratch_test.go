@@ -225,56 +225,82 @@ func TestOversizedScratchDropped(t *testing.T) {
 	eachTier(t, testOversizedScratchDropped[float64], testOversizedScratchDropped[float32])
 }
 
-func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Precision) {
-	// A huge batch must not pin its buffers in the pool forever: once smaller
-	// batches reuse the scratch, retained capacity has to fall back to at
-	// most 4× current need (plus the fixed O(n) maps).
-	ds := tinyData(t)
-	m := trainedModel(t)
-	dep := deployAt(t, m, ds.Graph, p)
-	sc := &inferScratch[T]{}
-	// Every |S|-sized buffer: the slab, the sub-CSR with the lowered tiers'
-	// copy of its values, the int8 tier's quantized activations, the arena.
-	sized := func() map[string]int {
-		return map[string]int{
-			"slab": cap(sc.slab), "sub-CSR": cap(sc.sub.Col), "sub-CSR tier values": cap(sc.subVal),
-			"sub-CSR int8 values": cap(sc.sub8), "int8 activations": cap(sc.x8), "arena": len(sc.arena.buf),
-		}
-	}
-	bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
-	inferWith(t, dep, sc, ds.Split.Test, bigOpt)
-	big := sized()
-	if p == kernel.PrecisionF32 && big["sub-CSR tier values"] == 0 ||
-		p == kernel.PrecisionInt8 && (big["sub-CSR int8 values"] == 0 || big["int8 activations"] == 0) {
-		t.Fatalf("the %v tier left its own buffers unused: %v", p, big)
-	}
-
-	// A small batch at TMax=2 exercises all of them: each must fall back
-	// toward current need.
-	smallOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: 2}
-	inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt)
-	inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt) // arena shrinks on the next hit
-	for name, now := range sized() {
-		if big[name] > 0 && now >= big[name] {
-			t.Fatalf("oversized %s retained: %d after small batch, %d after big", name, now, big[name])
-		}
-	}
-
-	// And at TMax=1 (no sub-CSR at all) the slab obeys the 4× cap outright.
-	tinyOpt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}
-	inferWith(t, dep, sc, ds.Split.Test[:1], tinyOpt)
-	need := 1 * 16 // TMax·|S|·f elements for a single-node ball at TMax=1
-	if cap(sc.slab) > 4*need && cap(sc.slab) > 1024 {
-		t.Fatalf("slab %d exceeds 4× need %d after tiny batch", cap(sc.slab), need)
-	}
-
-	// And the big workload still works (and re-grows) afterwards.
-	want := tierReference(t, dep, ds.Split.Test, bigOpt)
-	got, err := dep.Infer(ds.Split.Test, bigOpt)
+// denseData is tinyData's graph at four times its density: every row of it
+// fits the memo's budget, so float-tier batches on it are layered.
+func denseData(t *testing.T) *synth.Dataset {
+	t.Helper()
+	cfg := synth.Tiny(11)
+	cfg.AvgDegree = 24
+	ds, err := synth.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "regrow", got, want)
+	return ds
+}
+
+func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Precision) {
+	// A huge batch must not pin its buffers in the pool forever: once smaller
+	// batches reuse the scratch, retained capacity has to fall back to at
+	// most 4× current need (plus the fixed O(n) maps). On the tiny graph the
+	// f64 memo is partial (an f32 slot is half the size: complete) and hop 1
+	// goes into the slab; on the dense one both float tiers are layered — S
+	// loses a ring, and a TMax = 2 batch shapes its row list with no sub-CSR
+	// extraction to do it on the way.
+	m := trainedModel(t)
+	for _, ds := range []*synth.Dataset{tinyData(t), denseData(t)} {
+		dep := deployAt(t, m, ds.Graph, p)
+		layered := dep.eng.(*tier[T]).layered()
+		if want := p == kernel.PrecisionF32 || p == kernel.PrecisionF64 && ds != tinyData(t); layered != want {
+			t.Fatalf("layered = %v on the %d-edge graph at %v, want %v", layered, ds.Graph.M(), p, want)
+		}
+		sc := &inferScratch[T]{}
+		// Every |S|-sized buffer: the slab, the row, ring and hop-1 lists, the
+		// int8 tier's quantized activations, the arena.
+		sized := func() map[string]int {
+			return map[string]int{
+				"slab": cap(sc.slab), "hop rows": cap(sc.localRows), "ring": cap(sc.ring),
+				"hop-1 misses": cap(sc.missRows), "hop-1 miss rows": cap(sc.missOut),
+				"hop-1 hits": cap(sc.hits), "hop-1 fills": cap(sc.fill),
+				"int8 activations": cap(sc.x8), "arena": len(sc.arena.buf),
+			}
+		}
+		bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
+		inferWith(t, dep, sc, rangeInts(0, ds.Graph.N()), bigOpt)
+		big := sized()
+		if big["slab"] == 0 || big["hop rows"] == 0 || layered == (big["hop-1 hits"] > 0) ||
+			p == kernel.PrecisionInt8 && big["int8 activations"] == 0 {
+			t.Fatalf("%v, layered=%v: the big batch left buffers of its path unused: %v", p, layered, big)
+		}
+
+		// A small batch at TMax=2 exercises all of them: each one the policy
+		// covers (growScratch leaves ≤ 1024 elements alone) must fall back
+		// toward current need.
+		smallOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: 2}
+		inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt)
+		inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt) // arena shrinks on the next hit
+		for name, now := range sized() {
+			if big[name] > 1024 && now >= big[name] {
+				t.Fatalf("%v, layered=%v: oversized %s retained: %d after small batch, %d after big", p, layered, name, now, big[name])
+			}
+		}
+
+		// And at TMax=1 (one hop, or for a layered batch none) the slab obeys
+		// the 4× cap outright.
+		tinyOpt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}
+		inferWith(t, dep, sc, ds.Split.Test[:1], tinyOpt)
+		need := 1 * 16 // TMax·|S|·f elements for a single-node ball at TMax=1
+		if cap(sc.slab) > 4*need && cap(sc.slab) > 1024 {
+			t.Fatalf("slab %d exceeds 4× need %d after tiny batch", cap(sc.slab), need)
+		}
+
+		// And the big workload still works (and re-grows) afterwards.
+		want := tierReference(t, dep, ds.Split.Test, bigOpt)
+		got, err := dep.Infer(ds.Split.Test, bigOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, "regrow", got, want)
+	}
 }
 
 func TestScratchBytesReporting(t *testing.T) {
@@ -301,11 +327,11 @@ func TestScratchBytesReporting(t *testing.T) {
 	}
 	// Buffers count at their element size, whatever the tier.
 	sc64 := &inferScratch[float64]{slab: make([]float64, 10), x8: make([]int8, 3), toLocal: make([]int32, 5)}
-	sc32 := &inferScratch[float32]{slab: make([]float32, 10), subVal: make([]float32, 2), localRows: make([]int, 1)}
+	sc32 := &inferScratch[float32]{slab: make([]float32, 10), ring: make([]int, 2), localRows: make([]int, 1)}
 	if got, want := sc64.bytes(), 10*8+3+5*4; got != want {
 		t.Fatalf("f64 scratch reports %d B, holds %d", got, want)
 	}
-	if got, want := sc32.bytes(), 10*4+2*4+8; got != want {
+	if got, want := sc32.bytes(), 10*4+2*8+8; got != want {
 		t.Fatalf("f32 scratch reports %d B, holds %d", got, want)
 	}
 }

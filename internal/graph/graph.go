@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -158,7 +159,8 @@ func (g *Graph) Induce(nodes []int) *Induced {
 // sets[l] = sets[l+1] ∪ N(sets[l+1]). Computing X^{(t)} on sets[t] from
 // X^{(t-1)} on sets[t-1] is then exact for every t ≤ hops. Each set is
 // sorted ascending. sets[0] is the full radius-`hops` ball (the paper's
-// "supporting nodes", whose count explodes with depth).
+// "supporting nodes", whose count explodes with depth). adj must be
+// symmetric, as every Graph's adjacency is (RingScratch).
 func SupportingSets(adj *sparse.CSR, targets []int, hops int) [][]int {
 	return SupportingSetsScratch(adj, targets, hops, make([]bool, adj.Rows))
 }
@@ -179,27 +181,94 @@ func SupportingSetsScratch(adj *sparse.CSR, targets []int, hops int, mark []bool
 	sort.Ints(cur)
 	cur = dedupSorted(cur)
 	sets[hops] = cur
+	var ring []int // reused across rings: each is merged into its ball, not kept
 	for l := hops - 1; l >= 0; l-- {
-		for _, v := range cur {
-			mark[v] = true
-		}
-		next := append([]int(nil), cur...)
-		for _, v := range cur {
+		ring = RingScratch(adj, cur, mark, ring[:0])
+		cur = unionSorted(cur, ring, mark[:adj.Rows])
+		sets[l] = cur
+	}
+	return sets
+}
+
+// RingScratch appends to dst the nodes exactly one hop outside set — N(set)
+// minus set, each once, in no particular order — and returns it: the outer
+// ring of the ball one hop wider than set, for a caller that needs the ring's
+// nodes but not the merged, sorted ball (the serving engine reads a ring's
+// X^(1) rows where they already are instead of gathering them). mark is
+// SupportingSetsScratch's buffer under the same contract: length ≥ adj.Rows,
+// all-false on entry, all-false again on return. set must hold no duplicates.
+//
+// The ring is found from whichever side reads fewer entries of adj, which
+// must be symmetric (a Graph's adjacency is): walking the rows of set and
+// collecting their unseen neighbors, or — once set holds more than half of
+// adj's entries, as the outer balls of a deep batch do — probing each node
+// outside set for a neighbor inside and stopping at the first, which reads
+// at most the other half and usually a small part of it.
+func RingScratch(adj *sparse.CSR, set []int, mark []bool, dst []int) []int {
+	for _, v := range set {
+		mark[v] = true
+	}
+	if 2*adj.NNZRows(set) > adj.NNZ() {
+		for v := 0; v < adj.Rows; v++ {
+			if mark[v] {
+				continue
+			}
 			for _, u := range adj.RowIndices(v) {
-				if !mark[u] {
-					mark[u] = true
-					next = append(next, u)
+				if mark[u] {
+					dst = append(dst, v)
+					break
 				}
 			}
 		}
-		for _, v := range next {
+	} else {
+		at := len(dst)
+		for _, v := range set {
+			for _, u := range adj.RowIndices(v) {
+				if !mark[u] {
+					mark[u] = true
+					dst = append(dst, u)
+				}
+			}
+		}
+		for _, v := range dst[at:] {
 			mark[v] = false
 		}
-		sort.Ints(next)
-		sets[l] = next
-		cur = next
 	}
-	return sets
+	for _, v := range set {
+		mark[v] = false
+	}
+	return dst
+}
+
+// unionSorted returns, in a list sized once, the ascending union of cur
+// (ascending) and ring (disjoint from it, in any order; reordered in place).
+// Only the ring needs sorting, and a ring holding a large share of the graph
+// not even that: it is cheaper to mark both lists and read the union off
+// mark — all-false on entry and on return, one entry per node — in id order.
+func unionSorted(cur, ring []int, mark []bool) []int {
+	out := make([]int, 0, len(cur)+len(ring))
+	if len(ring)*bits.Len(uint(len(ring))) > len(mark) {
+		for _, list := range [2][]int{cur, ring} {
+			for _, v := range list {
+				mark[v] = true
+			}
+		}
+		for v, on := range mark {
+			if on {
+				out, mark[v] = append(out, v), false
+			}
+		}
+		return out
+	}
+	sort.Ints(ring)
+	for len(cur) > 0 && len(ring) > 0 {
+		if cur[0] < ring[0] {
+			out, cur = append(out, cur[0]), cur[1:]
+		} else {
+			out, ring = append(out, ring[0]), ring[1:]
+		}
+	}
+	return append(append(out, cur...), ring...)
 }
 
 // IndexSet writes the compacted coordinates of a sorted node set into

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -211,6 +212,104 @@ func TestSupportingSetsScratchMatchesAndRestoresMark(t *testing.T) {
 				t.Fatalf("trial %d: mark[%d] left dirty", trial, v)
 			}
 		}
+	}
+}
+
+// seedSupportingSets is SupportingSetsScratch as it stood before rings were
+// derived from either side and merged instead of re-sorted: every ring walked
+// from the inside, the whole ball sorted again at every ring. The reference
+// of TestSupportingSetsMatchSeedImplementation.
+func seedSupportingSets(adj *sparse.CSR, targets []int, hops int, mark []bool) [][]int {
+	sets := make([][]int, hops+1)
+	cur := append([]int(nil), targets...)
+	sort.Ints(cur)
+	cur = dedupSorted(cur)
+	sets[hops] = cur
+	for l := hops - 1; l >= 0; l-- {
+		for _, v := range cur {
+			mark[v] = true
+		}
+		next := append([]int(nil), cur...)
+		for _, v := range cur {
+			for _, u := range adj.RowIndices(v) {
+				if !mark[u] {
+					mark[u] = true
+					next = append(next, u)
+				}
+			}
+		}
+		for _, v := range next {
+			mark[v] = false
+		}
+		sort.Ints(next)
+		sets[l] = next
+		cur = next
+	}
+	return sets
+}
+
+// TestSupportingSetsMatchSeedImplementation: the same sets in the same order
+// as the seed implementation, on random graphs from a few isolated edges to
+// dense enough that a ring is found from the outside (the set holds most of
+// the edges) and read off the mark buffer (the ring holds most of the nodes),
+// for duplicate and unsorted targets, with the mark buffer handed back clean —
+// and RingScratch, from whichever side, is the set difference of two balls.
+func TestSupportingSetsMatchSeedImplementation(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var outside, swept int
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(120)
+		adj := randomAdj(n, []float64{0.01, 0.05, 0.2, 0.6}[trial%4], rng)
+		targets := make([]int, 1+rng.Intn(6))
+		for i := range targets {
+			targets[i] = rng.Intn(n)
+		}
+		if trial%3 == 0 {
+			targets = append(targets, targets[0], targets[len(targets)/2]) // duplicates
+		}
+		hops := rng.Intn(5)
+		mark := make([]bool, n+rng.Intn(3))
+		want := seedSupportingSets(adj, targets, hops, make([]bool, n))
+		got := SupportingSetsScratch(adj, targets, hops, mark)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d sets, seed %d", trial, len(got), len(want))
+		}
+		for l := range want {
+			wantEq(t, got[l], want[l])
+		}
+		for l := hops; l > 0; l-- {
+			ring := RingScratch(adj, got[l], mark, []int{-1})
+			if ring[0] != -1 {
+				t.Fatalf("trial %d: RingScratch overwrote dst's prefix", trial)
+			}
+			ring = ring[1:]
+			sort.Ints(ring)
+			var diff []int
+			inner := make(map[int]bool, len(got[l]))
+			for _, v := range got[l] {
+				inner[v] = true
+			}
+			for _, v := range got[l-1] {
+				if !inner[v] {
+					diff = append(diff, v)
+				}
+			}
+			wantEq(t, ring, diff)
+			if 2*adj.NNZRows(got[l]) > adj.NNZ() {
+				outside++
+			}
+			if len(ring)*bits.Len(uint(len(ring))) > n {
+				swept++
+			}
+		}
+		for v, m := range mark {
+			if m {
+				t.Fatalf("trial %d: mark[%d] left dirty", trial, v)
+			}
+		}
+	}
+	if outside == 0 || swept == 0 {
+		t.Fatalf("the trials never took a ring from the outside (%d) or a union off the mark buffer (%d)", outside, swept)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // Stage identifies one instrumented segment of the request path. The
 // taxonomy follows the life of a request: admission queue wait and batch
-// assembly in the coalescer; BFS supporting-set construction, sub-CSR
-// extraction, per-hop propagation, exit decisions and classification in
+// assembly in the coalescer; BFS supporting-set construction, compaction
+// (extract), per-hop propagation, exit decisions and classification in
 // the engine; fan-out and merge in the shard router; and encode/RPC/
 // decode in the HTTP transport.
 type Stage uint8
@@ -26,7 +26,10 @@ const (
 	StageAssemble
 	// StageBFS is multi-source supporting-set construction.
 	StageBFS
-	// StageExtract is sub-CSR extraction of the supporting ball.
+	// StageExtract is the compaction of the supporting ball: indexing the
+	// batch's universe and shaping its slab. It used to cut the ball's
+	// sub-CSR of Â as well; the engine multiplies by the operator now, so
+	// the stage reads next to nothing.
 	StageExtract
 	// StagePropagate is one feature-propagation hop (SpMM at the active
 	// precision tier); Span.Hop holds the hop.

@@ -62,10 +62,15 @@ func For(n, work int, fn func(lo, hi int)) {
 // weight over [0, n) when the caller already holds it (e.g. a matrix's
 // nnz); pass a negative value to have it summed here.
 func ForWeighted(n, work, total int, weight func(i int) int, fn func(lo, hi int)) {
+	forWeighted(n, maxWorkers(n), work, total, weight, fn)
+}
+
+// forWeighted is ForWeighted for a given worker count (tests inject one, so
+// what they check does not depend on the host's GOMAXPROCS).
+func forWeighted(n, workers, work, total int, weight func(i int) int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := maxWorkers(n)
 	if work < Threshold || workers < 2 {
 		fn(0, n)
 		return

@@ -2,7 +2,6 @@ package par
 
 import (
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -70,9 +69,6 @@ func TestForSmallWorkRunsInline(t *testing.T) {
 }
 
 func TestForWeightedBalancesSkew(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("single-CPU: fan-out is inline")
-	}
 	// One giant item at the end: the weighted split must not lump every
 	// light item with it into a single chunk's worth of imbalance beyond
 	// target + max item weight.
@@ -83,10 +79,22 @@ func TestForWeightedBalancesSkew(t *testing.T) {
 		}
 		return 1
 	}
-	var chunks int32
-	ForWeighted(n, 1<<20, -1, weight, func(lo, hi int) { atomic.AddInt32(&chunks, 1) })
-	if chunks < 2 {
-		t.Fatalf("skewed weights produced %d chunk(s)", chunks)
+	for _, workers := range []int{2, 4, 8} {
+		var chunks int32
+		forWeighted(n, workers, 1<<20, -1, weight, func(lo, hi int) { atomic.AddInt32(&chunks, 1) })
+		if chunks < 2 {
+			t.Fatalf("%d workers: skewed weights produced %d chunk(s)", workers, chunks)
+		}
+	}
+	// One worker — a single-CPU host — runs the whole range inline.
+	calls := 0
+	forWeighted(n, 1, 1<<20, -1, weight, func(lo, hi int) {
+		if calls++; lo != 0 || hi != n {
+			t.Fatalf("one worker got chunk [%d,%d)", lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("one worker made %d calls", calls)
 	}
 }
 

@@ -19,7 +19,7 @@
 //   - Coalescing: concurrent single-node requests are micro-batched into one
 //     Infer call (up to Config.MaxBatch targets, waiting at most
 //     Config.MaxWait for batch mates), so the per-batch costs Algorithm 1
-//     pays — the supporting-set BFS, the sub-CSR extraction, the stationary
+//     pays — the supporting-set BFS, the compaction of the ball, the stationary
 //     rows and the classifier GEMMs — are amortized across callers instead
 //     of being re-paid per request.
 //

@@ -380,7 +380,7 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 	errs := make([]error, len(calls))
 	tr := obs.FromContext(ctx)
 	// Every per-shard call runs a full batch pipeline — supporting-ball
-	// BFS, sub-CSR extraction, propagation — whose cost dwarfs a goroutine
+	// BFS, compaction, propagation — whose cost dwarfs a goroutine
 	// spawn even for single-target requests (the ball scales with the
 	// graph's degrees, not the target count), so any multi-shard request
 	// clears par's fan-out threshold by construction; a single-shard

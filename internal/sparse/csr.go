@@ -216,7 +216,7 @@ func (a *CSR) MulDense(x *mat.Matrix) *mat.Matrix {
 	out := mat.New(a.Rows, x.Cols)
 	par.ForWeighted(a.Rows, a.NNZ()*x.Cols, a.NNZ(), a.RowNNZ, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			gatherRow(out.Row(i), a, i, a.Val, x.Data, x.Cols, 0)
+			gatherRow(out.Row(i), a.RowIndices(i), a.RowValues(i), x.Data, x.Cols, 0)
 		}
 	})
 	return out
@@ -327,10 +327,10 @@ func mulRowsBlocked[T float64 | float32](a *CSR, n int, rows, outRows []int, val
 			for jb := 0; jb < f; jb += bw {
 				je := min(jb+bw, f)
 				for k := lo; k < hi; k++ {
-					o := rowAt(outRows, k)
+					o, i := rowAt(outRows, k), rowAt(rows, k)
 					dst := out[o*f+jb : o*f+je]
 					clear(dst)
-					gatherRow(dst, a, rowAt(rows, k), vals, x, f, jb)
+					gatherRow(dst, a.RowIndices(i), vals[a.RowPtr[i]:a.RowPtr[i+1]], x, f, jb)
 				}
 			}
 		})
@@ -345,16 +345,17 @@ func nnzOf(a *CSR, n int, rows []int) int {
 	return a.NNZRows(rows)
 }
 
-// gatherRow accumulates columns [jb, jb+len(dst)) of (a·x)[i] into dst, the
-// one neighbor gather of the f64 and f32 tiers. Neighbors are taken four at
+// gatherRow accumulates columns [jb, jb+len(dst)) of Σₖ vals[k]·x[cols[k]] —
+// one row of a sparse×dense product, given as its entries — into dst: the one
+// neighbor gather of the f64 and f32 tiers, whether the row comes from a stored
+// CSR or was just emitted by the Normalized operator. Neighbors are taken four at
 // a time so four independent source-row loads are in flight instead of one
 // dependent load per neighbor (the gather is latency-bound once x outgrows
 // L2), but every element still adds its terms one by one in ascending column
 // order — t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical
 // to the one-neighbor-at-a-time loop, blocked or not.
-func gatherRow[T float64 | float32](dst []T, a *CSR, i int, vals, x []T, f, jb int) {
-	cols := a.RowIndices(i)
-	vals = vals[a.RowPtr[i]:a.RowPtr[i+1]]
+func gatherRow[T float64 | float32](dst []T, cols []int, vals, x []T, f, jb int) {
+	vals = vals[:len(cols)]
 	n := len(dst)
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {

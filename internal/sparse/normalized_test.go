@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -123,7 +124,79 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 			return fmt.Errorf("MulDenseRowsCompact element %d: %v vs %v", i, gotMul.Data[i], v)
 		}
 	}
-	return nil
+
+	// The operator product against the cut-then-multiply it replaced, at
+	// every tier: columns global (the cut is RowsInto's, x the n×f operand,
+	// output compact) and through the column map (the cut is ExtractRowsInto's,
+	// x lives on the universe, output scattered to local rows).
+	local := make([]int, len(rows))
+	for k, r := range rows {
+		local[k] = int(toLocal[r])
+	}
+	xLocal := mat.Randn(m, 3, 1, pick)
+	if err := checkOperatorProduct(op, "global columns", &gotCut, rows, local, nil, x.Data, 3); err != nil {
+		return err
+	}
+	return checkOperatorProduct(op, "column map", &gotSub, rows, local, toLocal, xLocal.Data, 3)
+}
+
+// checkOperatorProduct requires MulNormalizedRowsInto over rows to equal, bit
+// for bit at f64, f32 and int8, MulRowsInto over cut — those rows of op cut
+// into a CSR at local rows, columns global (colMap nil) or mapped — with the
+// cut's values lowered as the engine's tiers lower them.
+func checkOperatorProduct(op *Normalized, label string, cut *CSR, rows, local []int, colMap []int32, x []float64, f int) error {
+	outRows := local
+	if colMap == nil {
+		outRows = nil // compact: row k of the output is rows[k]
+	}
+	height := cut.Rows
+	if outRows == nil {
+		height = len(rows)
+	}
+	same := func(tier string, got, want []float64) error {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("operator product, %s, %s: element %d is %v, cut-then-multiply %v", label, tier, i, got[i], want[i])
+			}
+		}
+		return nil
+	}
+	widen := func(v []float32) []float64 {
+		out := make([]float64, len(v))
+		for i := range v {
+			out[i] = float64(v[i])
+		}
+		return out
+	}
+
+	got64, want64 := make([]float64, height*f), make([]float64, height*f)
+	gm := MulNormalizedRowsInto(op, rows, outRows, colMap, 0, x, f, 1, got64)
+	wm := MulRowsInto(cut, local, outRows, cut.Val, x, f, 1, want64)
+	if gm != wm || gm != op.NNZRows(rows)*f {
+		return fmt.Errorf("operator product, %s: %d MACs, cut-then-multiply %d", label, gm, wm)
+	}
+	if err := same("f64", got64, want64); err != nil {
+		return err
+	}
+
+	av, x32 := make([]float32, len(cut.Val)), make([]float32, len(x))
+	kernel.ToF32(av, cut.Val)
+	kernel.ToF32(x32, x)
+	got32, want32 := make([]float32, height*f), make([]float32, height*f)
+	MulNormalizedRowsInto(op, rows, outRows, colMap, 0, x32, f, 1, got32)
+	MulRowsInto(cut, local, outRows, av, x32, f, 1, want32)
+	if err := same("f32", widen(got32), widen(want32)); err != nil {
+		return err
+	}
+
+	scale := kernel.ScaleFor(op.MaxAbs())
+	aq := make([]int8, len(cut.Val))
+	kernel.QuantizeAtScale(aq, cut.Val, scale)
+	xq, sx := kernel.Quantize(x)
+	got8, want8 := make([]float32, height*f), make([]float32, height*f)
+	MulNormalizedRowsInto(op, rows, outRows, colMap, scale, xq, f, scale*sx, got8)
+	MulRowsInto(cut, local, outRows, aq, xq, f, scale*sx, want8)
+	return same("int8", widen(got8), widen(want8))
 }
 
 // growth is one delta of a sequence: grow appended nodes, then edges over
@@ -193,6 +266,29 @@ func TestNormalizedMatchesMaterializedAcrossDeltas(t *testing.T) {
 			if err := checkNormalizedGrowth(base, gamma, deltas, rng); err != nil {
 				t.Fatalf("trial %d gamma %v: %v", trial, gamma, err)
 			}
+		}
+	}
+}
+
+// TestNormalizedHubRows runs the contract on a graph whose rows outgrow the
+// buffer an operator product's worker keeps in its frame (rowBufLen), with
+// enough work to fan the product out across workers.
+func TestNormalizedHubRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	adj := randomDeltaAdj(300, 0.5, rng)
+	long := 0
+	for i := 0; i < adj.Rows; i++ {
+		if adj.RowNNZ(i) > rowBufLen {
+			long++
+		}
+	}
+	if long < adj.Rows/2 {
+		t.Fatalf("only %d of %d rows outgrow the %d-entry worker buffer", long, adj.Rows, rowBufLen)
+	}
+	for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric} {
+		op := NewNormalized(adj, gamma, LoopedDegrees(adj))
+		if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), rng); err != nil {
+			t.Fatalf("gamma %v: %v", gamma, err)
 		}
 	}
 }

@@ -12,9 +12,10 @@ import "repro/internal/par"
 // The sparse values arrive pre-lowered and aligned with Val: av[k] (float32)
 // or aq[k] (int8, symmetric per-tensor) corresponds to Val[k], so one
 // lowering of a matrix serves every row subset of it. The serving engine
-// holds no such matrix: it lowers the Val of each per-batch cut of the
-// Normalized operator, at int8 with the operator's global scale, which gives
-// every entry the bits a lowering of the whole matrix would.
+// holds no such matrix: MulNormalizedRowsInto lowers each row of the
+// Normalized operator as it emits it, at int8 with the operator's global
+// scale, which gives every entry the bits a lowering of the whole matrix
+// would.
 
 // MulDenseRows32 computes out[r·f : r·f+f] = (a·x)[r] in float32 for each r
 // in rows, leaving other rows of out untouched, and returns the
@@ -59,7 +60,8 @@ func mulRows8Blocked[O float64 | float32](a *CSR, n int, rows, outRows []int, aq
 				for k := lo; k < hi; k++ {
 					blk := acc[:je-jb]
 					clear(blk)
-					a.mulRowSpanAcc8(blk, rowAt(rows, k), aq, xq, f, jb)
+					i := rowAt(rows, k)
+					gatherRow8(blk, a.RowIndices(i), aq[a.RowPtr[i]:a.RowPtr[i+1]], xq, f, jb)
 					o := rowAt(outRows, k)
 					dst := out[o*f+jb : o*f+je]
 					for j := range dst {
@@ -71,22 +73,22 @@ func mulRows8Blocked[O float64 | float32](a *CSR, n int, rows, outRows []int, aq
 	return nnz * f
 }
 
-// mulRowSpanAcc8 accumulates columns [jb, jb+len(acc)) of the int8 product
-// (aq·xq)[i] into acc without dequantizing. Neighbors are processed four at
+// gatherRow8 accumulates columns [jb, jb+len(acc)) of Σₖ aq[k]·xq[cols[k]] —
+// one row of the int8 product, given as its entries like gatherRow's — into
+// acc without dequantizing. Neighbors are processed four at
 // a time: unlike the float tiers, int32 accumulation is exact, so
 // reassociating the neighbor sum cannot change a single output bit, and the
 // 4-way form quarters the accumulator load/store traffic (the scalar
 // bottleneck) while giving the hardware four independent gather streams.
-func (a *CSR) mulRowSpanAcc8(acc []int32, i int, aq, xq []int8, f, jb int) {
-	cols := a.RowIndices(i)
-	base := a.RowPtr[i]
+func gatherRow8(acc []int32, cols []int, aq, xq []int8, f, jb int) {
+	aq = aq[:len(cols)]
 	n := len(acc)
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {
-		v0 := int32(aq[base+k])
-		v1 := int32(aq[base+k+1])
-		v2 := int32(aq[base+k+2])
-		v3 := int32(aq[base+k+3])
+		v0 := int32(aq[k])
+		v1 := int32(aq[k+1])
+		v2 := int32(aq[k+2])
+		v3 := int32(aq[k+3])
 		s0 := xq[cols[k]*f+jb:][:n]
 		s1 := xq[cols[k+1]*f+jb:][:n]
 		s2 := xq[cols[k+2]*f+jb:][:n]
@@ -97,7 +99,7 @@ func (a *CSR) mulRowSpanAcc8(acc []int32, i int, aq, xq []int8, f, jb int) {
 		}
 	}
 	for ; k < len(cols); k++ {
-		v := int32(aq[base+k])
+		v := int32(aq[k])
 		src := xq[cols[k]*f+jb : cols[k]*f+jb+n]
 		for j, sv := range src {
 			acc[j] += v * int32(sv)
