@@ -135,7 +135,7 @@ func main() {
 	shardsFlag := flag.String("shards", "1", "shard layout: an integer P partitions in-process (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
 	shardWorker := flag.Int("shard-worker", -1, "serve one shard as a worker process: this flag is the shard id, -shards P (integer) the shard count; exposes the binary shard protocol on -addr")
 	shardRetries := flag.Int("shard-retries", 2, "retries per shard call on transient transport failures (distributed mode)")
-	probeInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval in distributed mode (0 disables; probes also replay missed deltas to restarted workers)")
+	probeInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval with -shards (0 disables; probes refresh per-worker gauges and replay missed deltas to restarted workers)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: a -shard-worker stops accepting new RPCs immediately and finishes in-flight work within this window before exiting")
 	cacheSize := flag.Int("cache-size", 4096, "per-node result-cache capacity in entries (0 disables; delta-aware invalidation keeps answers exact)")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "max HTTP request body size in bytes")
@@ -347,6 +347,12 @@ func main() {
 		halo := 0
 		for _, sz := range sizes {
 			halo += sz.Halo
+		}
+		// In-process workers are probed too: /stats and /metrics read every
+		// worker's scratch and X^(1)-layer counters off its last report.
+		defer rt.Close()
+		if *probeInterval > 0 {
+			rt.StartHealthProbe(*probeInterval)
 		}
 		logger.Info("in-process sharding",
 			"shards", rt.Shards(), "radius", rt.Radius(), "ghost_rows", halo,

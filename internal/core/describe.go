@@ -21,9 +21,8 @@ type Info struct {
 	// in-flight batch (summed over every shard worker, as of its last
 	// probe).
 	ScratchBytes int
-	// Hop1 counts the hop-1 memo traffic of the engines in this process: a
-	// router over remote workers reads zero, each worker reports its own on
-	// its /metrics.
+	// Hop1 counts the X^(1) layer's traffic (summed over every shard worker,
+	// as of its last probe).
 	Hop1 Hop1Stats
 	// Shards is per-shard health, by shard id; nil for a bare deployment.
 	Shards []ShardStatus

@@ -149,12 +149,11 @@ func (r *Result) merge(o *Result) {
 // pooled scratch; rows of Â are never materialized anywhere — every product
 // is an operator product whose workers emit a row, use it and drop it — and
 // the cached state is read-only during inference, so Infer is safe for
-// concurrent callers; the one thing Infer writes on the deployment is its
-// hop-1 memo — the X^(1) rows of as many top-degree nodes as fit in the bytes
-// a materialized Â would have cost (memoBudget), on a dense graph all of
-// them, which makes it the X^(1) layer hop 2 reads in place — through
+// concurrent callers; the one thing Infer writes on the deployment is the
+// X^(1) layer (hop1Memo) — a row per node in one block of the feature
+// matrix's shape, filled on first use and read in place by hop 2 — through
 // lock-free publish-once slots that deltas empty and extend and Refresh
-// re-selects. Answers and MACs are bit-identical with or without it.
+// clears. Answers and MACs are bit-identical to propagating hop 1 per batch.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
 // instantiated at the tier's element type. What pins the default f64 tier to
@@ -185,13 +184,13 @@ type Deployment struct {
 
 	// prec is the active arithmetic tier (SetPrecision) and eng the engine
 	// loop instantiated for it (precision.go): a *tier[float64] at f64, a
-	// *tier[float32] at f32 and int8. It holds the tier's operands, hop-1
-	// memo and scratch pool, and is rebuilt by Refresh, SetPrecision and
+	// *tier[float32] at f32 and int8. It holds the tier's operands, X^(1)
+	// layer and scratch pool, and is rebuilt by Refresh, SetPrecision and
 	// NewDeploymentWithState.
 	prec kernel.Precision
 	eng  engine
 
-	// memoStats counts the hop-1 memo's traffic across every engine this
+	// memoStats counts the X^(1) layer's traffic across every engine this
 	// deployment has had (Hop1Stats).
 	memoStats hop1Counters
 }
@@ -238,9 +237,8 @@ func (d *Deployment) Stationary() *Stationary { return d.stationary }
 //
 // Memory note: propagation runs in compacted coordinates, so each scratch
 // holds one buffer of supporting-set height per hop it propagates —
-// O((TMax−1)·|S|·f) for a layered batch, whose S is the radius-(TMax−2) ball
-// of the batch and whose hop 1 is the memo's block, O(TMax·|S|·f) over the
-// radius-(TMax−1) ball otherwise — plus two O(n) byte/int32-sized maps (BFS
+// O((TMax−1)·|S|·f), S being the radius-(TMax−2) ball of the batch and hop 1
+// the deployment's X^(1) layer — plus two O(n) byte/int32-sized maps (BFS
 // marks and the global→local remap). Peak memory therefore scales with
 // concurrently executing batches × their supporting sets, not with the
 // serving graph. All |S|-sized buffers — the slab, the row and ring lists,
@@ -252,26 +250,24 @@ func (d *Deployment) Stationary() *Stationary { return d.stationary }
 type inferScratch[T float64 | float32] struct {
 	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
 	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
-	// v, for l = first..TMax (X^{(0)} stays the full-graph feature matrix,
-	// read in place).
+	// v, for l = 2..TMax (X^{(0)} stays the full-graph feature matrix, read in
+	// place).
 	slab []T
 	s, f int
-	// first is the lowest hop the slab holds: 1, or 2 for a layered batch,
-	// whose X^{(1)} is x1 — the memo's block, rows by node id — and whose
-	// targets are kept for reading their depth-1 rows out of it. x1 and
-	// targets are nil between batches.
-	first   int
+	// x1 is X^{(1)}: the layer's block, rows by node id; the targets are kept
+	// for reading their depth-1 rows out of it. Both nil between batches.
 	x1      []T
 	targets []int
-	// toLocal maps global node ids into S; −1 outside. All −1 between
-	// batches (IndexSet/ResetIndex pairs keep the invariant).
+	// toLocal maps global node ids into S; −1 outside (the int8 tier also
+	// gives the ring the places behind S). All −1 between batches
+	// (IndexSet/ResetIndex pairs keep the invariant).
 	toLocal []int32
 	// visited is the multi-source BFS mark buffer for supporting sets.
 	visited []bool
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// ring is the outer ring of a layered batch's radius-(TMax−1) ball: the
-	// nodes whose X^(1) rows hop 2 reads but no hop of the batch writes.
+	// ring is the outer ring of the batch's radius-(TMax−1) ball: the nodes
+	// whose X^(1) rows hop 2 reads but no hop of the batch writes.
 	ring []int
 	// x8 holds the int8 tier's quantized input activations of one hop.
 	x8 []int8
@@ -279,12 +275,10 @@ type inferScratch[T float64 | float32] struct {
 	localRows []int
 	// tloc[i] is the local index of targets[i] in S.
 	tloc []int
-	// missRows/missOut list the hop-1 rows the memo did not serve and their
-	// compact output rows; hits and fill pair (memo slot, compact row) for the
-	// rows it did serve and for the misses it wants back. A layered batch
-	// lists in missRows the not-ready rows it claimed, in missOut those
-	// another batch was already filling.
-	missRows, missOut, hits, fill []int
+	// claimed lists the X^(1) rows of the batch's ball that were not resident
+	// and this batch computed, awaited those another batch was already
+	// filling.
+	claimed, awaited []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
 }
@@ -306,15 +300,15 @@ func growScratch[T any](buf []T, need int) []T {
 	}
 }
 
-// hop returns X^{(l)} over the batch's supporting set, l ≥ first.
+// hop returns X^{(l)} over the batch's supporting set, l ≥ 2.
 func (sc *inferScratch[T]) hop(l int) []T {
-	return sc.slab[(l-sc.first)*sc.s*sc.f : (l-sc.first+1)*sc.s*sc.f]
+	return sc.slab[(l-2)*sc.s*sc.f : (l-1)*sc.s*sc.f]
 }
 
-// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1: from the slab, or for
-// a layered batch's depth 1 from the memo's block.
+// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1: from the slab, or at
+// depth 1 from the layer's block.
 func (sc *inferScratch[T]) targetRow(l, ti int) []T {
-	if l < sc.first {
+	if l == 1 {
 		return sc.x1[sc.targets[ti]*sc.f:][:sc.f]
 	}
 	return sc.hop(l)[sc.tloc[ti]*sc.f:][:sc.f]
@@ -345,8 +339,7 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 func (sc *inferScratch[T]) bytes() int {
 	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.visited) + capBytes(sc.rm) +
 		capBytes(sc.ring) + capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
-		capBytes(sc.missRows) + capBytes(sc.missOut) + capBytes(sc.hits) + capBytes(sc.fill) +
-		capBytes(sc.arena.buf)
+		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf)
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -492,12 +485,10 @@ func (t *tier[T]) scratchBytes() int {
 // exit decisions, combination and classifiers are float64 at every tier, so
 // a relaxed tier's drift is confined to the propagated features.
 //
-// Where the tier is layered (tier.layered) hop 1 is not a hop of the batch:
-// X^(1) is the memo's block, which hop 2 gathers from as hop 1 would from
-// X^(0), so S, the slab and every row set lose the outermost ring — S is the
-// radius-(TMax−2) ball and the slab starts at hop 2. Otherwise S is the
-// radius-(TMax−1) ball and hop 1 is propagated into the slab. One loop serves
-// both; sc.first says which hop the slab starts at.
+// Hop 1 is not a hop of the batch: X^(1) is the deployment's layer
+// (hop1Memo), whose block hop 2 gathers from as hop 1 would from X^(0), so S,
+// the slab and every row set stop one ring short of the batch's receptive
+// field — S is the radius-(TMax−2) ball and the slab starts at hop 2.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -532,29 +523,23 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	// ball of radius TMax−l — sit TMax−l sets from the end. After an
 	// early-exit wave the balls shrink, so the remaining hops' sets are
 	// re-derived from one BFS around the survivors — one BFS per exit wave
-	// instead of one from-scratch BFS per hop. A layered batch stops the
-	// first BFS one ring early and only derives that ring: its nodes' rows
-	// are read, never written, so they need no place in S.
-	layered := t.layered()
-	radius := opt.TMax - 1
-	sc.first, sc.ring = 1, sc.ring[:0]
-	if layered {
-		radius, sc.first = max(opt.TMax-2, 0), 2
-		sc.x1, sc.targets = t.memo.block, targets
-	}
+	// instead of one from-scratch BFS per hop. The first BFS stops one ring
+	// short of the radius-(TMax−1) ball and only derives that ring: its nodes'
+	// X^(1) rows are read, never written, so they need no place in S.
+	sc.x1, sc.targets, sc.ring = t.memo.block, targets, sc.ring[:0]
 	defer func() {
 		sc.x1, sc.targets = nil, nil
 		sc.ring = growScratch(sc.ring, len(sc.ring)) // shaped after use: its extent is the BFS's outcome
 	}()
 	bfsAt := tr.Begin()
-	nested := graph.SupportingSetsScratch(g.Adj, targets, radius, sc.visited)
+	nested := graph.SupportingSetsScratch(g.Adj, targets, max(opt.TMax-2, 0), sc.visited)
 	rowsAt := func(l int) []int { return nested[len(nested)-1-(opt.TMax-l)] }
 
 	// Compact universe: S is the widest ball of the full batch. Every later
 	// row set — deeper hops, and re-derived sets after exit waves — is a
 	// subset of S, so the remap stays valid for the whole batch.
 	support := nested[0]
-	if layered && opt.TMax >= 2 {
+	if opt.TMax >= 2 {
 		sc.ring = graph.RingScratch(g.Adj, support, sc.visited, sc.ring)
 	}
 	tr.End(obs.StageBFS, 0, -1, bfsAt)
@@ -562,7 +547,15 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	sc.s, sc.f = len(support), g.F()
 	graph.IndexSet(support, sc.toLocal)
 	defer graph.ResetIndex(support, sc.toLocal)
-	sc.slab = growScratch(sc.slab, (opt.TMax-sc.first+1)*sc.s*sc.f)
+	if t.int8() {
+		// Its hop-2 operand is a quantized copy of the whole ball's X^(1)
+		// rows (quantizeActivations): the ring's go behind S's.
+		for k, v := range sc.ring {
+			sc.toLocal[v] = int32(sc.s + k)
+		}
+		defer graph.ResetIndex(sc.ring, sc.toLocal)
+	}
+	sc.slab = growScratch(sc.slab, (opt.TMax-1)*sc.s*sc.f)
 	sc.tloc = growScratch(sc.tloc, len(targets))
 	for i, v := range targets {
 		sc.tloc[i] = int(sc.toLocal[v])
@@ -575,40 +568,33 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	tr.End(obs.StageExtract, 0, -1, extAt)
 
 	var fpTime time.Duration
+	// live lists the nodes whose rows the previous hop left for this one to
+	// read: after hop 1 the whole ball's rows of the layer, then each hop's own.
+	live := [2][]int{support, sc.ring}
 	for l := 1; l <= opt.TMax; l++ {
 		fpStart := time.Now()
 		fpAt := tr.Begin()
-		switch {
-		case l == 1 && layered:
+		if l == 1 {
 			// The layer's rows this batch reads: S and the ring around it, or
 			// at TMax 1 — S is the targets, and no hop gathers — S alone.
 			res.MACs.Propagation += t.ensureLayer(sc, support, sc.ring)
-		case l == 1:
-			// Hop 1 reads the full-graph feature matrix: its rows are exactly
-			// S, so compact output row k is local node k. Rows the memo holds
-			// are copied, the rest computed (memo.go).
-			res.MACs.Propagation += t.propagateHop1(support, sc)
-		default:
+		} else {
 			// Hops ≥ 2 propagate inside S: their rows stay one ring inside
 			// the ball the previous hop covered, so every neighbor has a row
-			// to read — for a layered batch's hop 2 in x1, by node id, else in
-			// the slab through toLocal.
+			// to read — hop 2's in x1, by node id, later ones' in the slab
+			// through toLocal.
 			in, colMap := operand[T]{x: sc.x1}, []int32(nil)
-			if l > sc.first {
+			if l > 2 {
 				in.x, colMap = sc.hop(l-1), sc.toLocal
 			}
 			if t.int8() {
-				// sc.localRows still lists the rows hop l−1 wrote (hop 1
-				// wrote all of S): exactly the live activation tensor.
-				live := sc.localRows
-				if l == 2 {
-					live = nil
-				}
-				in.qx, in.deq = t.quantizeActivations(in.x, live, sc)
+				in.qx, in.deq = t.quantizeActivations(in.x, colMap, sc, live[:]...)
+				colMap = sc.toLocal
 			}
 			rows := rowsAt(l)
 			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
 			res.MACs.Propagation += t.mulRows(in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
+			live = [2][]int{rows}
 		}
 		tr.End(obs.StagePropagate, l, -1, fpAt)
 		fpTime += time.Since(fpStart)

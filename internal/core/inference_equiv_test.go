@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/sparse"
 	"repro/internal/synth"
@@ -13,17 +14,41 @@ import (
 
 // This file pins the serving engine to the algorithm it optimizes:
 // seedInfer is a literal transcription of the pre-optimization engine
-// (stationary state recomputed per batch, one from-scratch BFS per hop,
-// map-based removal, fresh buffers), and the tests require the optimized
-// engine to reproduce its Pred/Depths/NodesPerDepth and full MAC breakdown
-// bit-identically across modes, ablations and batch sizes — plus race
-// tests for the concurrency contract (read-only deployment, pooled
-// scratch).
+// (stationary state recomputed per batch, one from-scratch BFS per hop over
+// full-graph n×f buffers, Â a stored matrix, map-based removal), at the
+// deployment's precision tier, and the tests require the optimized engine to
+// reproduce its Pred/Depths/NodesPerDepth and full MAC breakdown
+// bit-identically across modes, ablations and batch sizes — plus race tests
+// for the concurrency contract (read-only deployment, pooled scratch). It
+// shares no propagation code with the engine: no operator product, no X^(1)
+// layer, no compaction.
 
-// seedInfer mirrors Deployment.Infer before the zero-recompute engine.
-// The per-depth propagation buffers are allocated once and reused across
+// seedInfer mirrors Deployment.Infer before the zero-recompute engine, at d's
+// tier. The per-depth propagation buffers are allocated once and reused across
 // batches, exactly as the seed deployment's ensureBuffers did.
 func seedInfer(d *Deployment, targets []int, opt InferenceOptions) *Result {
+	if d.Precision() == kernel.PrecisionF64 {
+		return seedInferAt[float64](d, targets, opt)
+	}
+	return seedInferAt[float32](d, targets, opt)
+}
+
+// seedOperands is what the seed deployment held at a tier: Â as a matrix,
+// normalized from the graph alone, its values lowered once — to the slab's
+// element type, or at int8 quantized at one per-tensor scale — and X^(0)
+// likewise.
+type seedOperands[T float64 | float32] struct {
+	int8  bool
+	adj   *sparse.CSR
+	vals  []T    // Â's values at T (float tiers)
+	qadj  []int8 // Â's values quantized at adjScale (int8)
+	qx0   []int8 // X^(0) quantized at x0Scale (int8)
+	feats [][]T  // feats[l] is X^(l), n×f; feats[0] unused at int8
+
+	adjScale, x0Scale float64
+}
+
+func seedInferAt[T float64 | float32](d *Deployment, targets []int, opt InferenceOptions) *Result {
 	agg := &Result{NodesPerDepth: make([]int, d.Model.K+1)}
 	batchSize := opt.BatchSize
 	if batchSize <= 0 {
@@ -32,21 +57,68 @@ func seedInfer(d *Deployment, targets []int, opt InferenceOptions) *Result {
 	if len(targets) == 0 {
 		return agg
 	}
-	feats := make([]*mat.Matrix, opt.TMax+1)
-	feats[0] = d.Graph.Features
-	for l := 1; l <= opt.TMax; l++ {
-		feats[l] = mat.New(d.Graph.N(), d.Graph.F())
+	g := d.Graph
+	so := &seedOperands[T]{
+		int8:  d.Precision() == kernel.PrecisionInt8,
+		adj:   sparse.NormalizedAdjacency(g.Adj, d.Model.Gamma),
+		feats: make([][]T, opt.TMax+1),
 	}
-	// The seed deployment held Â as a matrix, normalized from the graph alone.
-	adj := sparse.NormalizedAdjacency(d.Graph.Adj, d.Model.Gamma)
+	if so.int8 {
+		so.qadj, so.adjScale = kernel.Quantize(so.adj.Val)
+		so.qx0, so.x0Scale = kernel.Quantize(g.Features.Data)
+	} else {
+		so.vals, so.feats[0] = lowered[T](so.adj.Val), lowered[T](g.Features.Data)
+	}
+	for l := 1; l <= opt.TMax; l++ {
+		so.feats[l] = make([]T, g.N()*g.F())
+	}
 	for _, batch := range graph.Batches(targets, batchSize) {
-		agg.merge(seedInferBatch(d, adj, batch, opt, feats))
+		agg.merge(seedInferBatch(d, so, batch, opt))
 	}
 	return agg
 }
 
+// propagate is hop l of the seed engine over rows: X^(l)[rows] = (Â·X^(l−1))[rows]
+// at the tier. The int8 tier quantizes its input first, at one scale over the
+// rows the previous hop's ball wrote (prevRows; X^(0) has its own, over the
+// whole matrix), and dequantizes each output element once.
+func (so *seedOperands[T]) propagate(l int, rows, prevRows []int, f int) int {
+	out := so.feats[l]
+	if !so.int8 {
+		return sparse.MulRowsInto(so.adj, rows, rows, so.vals, so.feats[l-1], f, 1, out)
+	}
+	if l == 1 {
+		return sparse.MulRowsInto(so.adj, rows, rows, so.qadj, so.qx0, f, so.adjScale*so.x0Scale, out)
+	}
+	prev := any(so.feats[l-1]).([]float32)
+	var maxAbs float64
+	for _, r := range prevRows {
+		maxAbs = max(maxAbs, kernel.MaxAbsF32(prev[r*f:][:f]))
+	}
+	scale := kernel.ScaleFor(maxAbs)
+	qx := make([]int8, len(prev))
+	for _, r := range prevRows {
+		kernel.QuantizeAtScale(qx[r*f:][:f], prev[r*f:][:f], scale)
+	}
+	return sparse.MulRowsInto(so.adj, rows, rows, so.qadj, qx, f, so.adjScale*scale, out)
+}
+
+// rows gathers the given nodes' rows of X^(l) as float64, the type every
+// decision and classifier runs at; depth 0 reads the feature matrix itself.
+func (so *seedOperands[T]) rows(g *graph.Graph, l int, nodes []int) *mat.Matrix {
+	if l == 0 {
+		return g.Features.GatherRows(nodes)
+	}
+	f := g.F()
+	out := mat.New(len(nodes), f)
+	for k, v := range nodes {
+		widen(out.Row(k), so.feats[l][v*f:][:f])
+	}
+	return out
+}
+
 // seedInferBatch is the seed engine's Algorithm 1 for one batch.
-func seedInferBatch(d *Deployment, adj *sparse.CSR, targets []int, opt InferenceOptions, feats []*mat.Matrix) *Result {
+func seedInferBatch[T float64 | float32](d *Deployment, so *seedOperands[T], targets []int, opt InferenceOptions) *Result {
 	m := d.Model
 	g := d.Graph
 	res := &Result{
@@ -69,6 +141,7 @@ func seedInferBatch(d *Deployment, adj *sparse.CSR, targets []int, opt Inference
 		active[i] = i
 	}
 
+	var prevRows []int
 	for l := 1; l <= opt.TMax; l++ {
 		// Seed lines 3/5: a from-scratch BFS ball per hop.
 		ballCenters := targets
@@ -76,37 +149,40 @@ func seedInferBatch(d *Deployment, adj *sparse.CSR, targets []int, opt Inference
 			ballCenters = gather(targets, active)
 		}
 		rows := graph.Ball(g.Adj, ballCenters, opt.TMax-l)
-		res.MACs.Propagation += adj.MulDenseRows(rows, feats[l-1], feats[l])
+		res.MACs.Propagation += so.propagate(l, rows, prevRows, g.F())
+		prevRows = rows
 
 		if l < opt.TMin {
 			continue
 		}
 		if l < opt.TMax && opt.Mode != ModeFixed {
-			exit := seedDecide(d, l, feats[l], xinf, targets, active, opt, &res.MACs)
+			exit := seedDecide(d, l, so.rows(g, l, gather(targets, active)), xinf, active, opt, &res.MACs)
 			if len(exit) > 0 {
-				seedClassify(d, l, feats, targets, exit, res)
+				seedClassify(d, so, l, targets, exit, res)
 				active = seedRemoveIndices(active, exit)
 				if len(active) == 0 {
 					break
 				}
 			}
 		} else if l == opt.TMax {
-			seedClassify(d, l, feats, targets, active, res)
+			seedClassify(d, so, l, targets, active, res)
 			active = nil
 		}
 	}
 	return res
 }
 
-func seedDecide(d *Deployment, l int, xl, xinf *mat.Matrix, targets, active []int,
+// seedDecide returns the members of active that exit at depth l; xl holds
+// their depth-l rows, in active's order.
+func seedDecide(d *Deployment, l int, xl, xinf *mat.Matrix, active []int,
 	opt InferenceOptions, macs *MACBreakdown) []int {
 
 	f := xl.Cols
 	var exit []int
 	switch opt.Mode {
 	case ModeDistance:
-		for _, ti := range active {
-			row := xl.Row(targets[ti])
+		for k, ti := range active {
+			row := xl.Row(k)
 			ref := xinf.Row(ti)
 			var s float64
 			for j, v := range row {
@@ -120,13 +196,11 @@ func seedDecide(d *Deployment, l int, xl, xinf *mat.Matrix, targets, active []in
 		macs.Decision += len(active) * f
 	case ModeGate:
 		gate := d.Model.Gates[l]
-		xlRows := mat.New(len(active), f)
 		xinfRows := mat.New(len(active), f)
 		for k, ti := range active {
-			copy(xlRows.Row(k), xl.Row(targets[ti]))
 			copy(xinfRows.Row(k), xinf.Row(ti))
 		}
-		for k, ex := range gate.Decide(xlRows, xinfRows) {
+		for k, ex := range gate.Decide(xl, xinfRows) {
 			if ex {
 				exit = append(exit, active[k])
 			}
@@ -136,14 +210,14 @@ func seedDecide(d *Deployment, l int, xl, xinf *mat.Matrix, targets, active []in
 	return exit
 }
 
-func seedClassify(d *Deployment, l int, feats []*mat.Matrix, targets []int, idx []int, res *Result) {
+func seedClassify[T float64 | float32](d *Deployment, so *seedOperands[T], l int, targets []int, idx []int, res *Result) {
 	if len(idx) == 0 {
 		return
 	}
 	nodes := gather(targets, idx)
 	stack := make([]*mat.Matrix, l+1)
 	for j := 0; j <= l; j++ {
-		stack[j] = feats[j].GatherRows(nodes)
+		stack[j] = so.rows(d.Graph, j, nodes)
 	}
 	input := d.Model.Combiner.Combine(stack, l)
 	clf := d.Model.Classifiers[l]

@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/synth"
 )
 
-// The X^(1) layer's contract: a float-tier batch on a complete memo reads hop 1
-// where the memo keeps it — hop 2 gathers from the block, the supporting ball
-// loses its outer ring — and answers exactly what a memo-less engine does,
-// which propagates hop 1 into its slab; a partial memo and a memo with no
-// slots take that second path too. Which one a batch takes follows from the
-// graph and the tier (tier.layered), so these tests pick graphs: the dense
-// fixture (denseData) is complete at its production budget.
+// The X^(1) layer's contract, on every graph and at every tier: a batch reads
+// hop 1 where the deployment keeps it — hop 2 gathers from the block, the
+// supporting ball stops one ring short — and answers exactly what the seed
+// transcription does, which propagates hop 1 over the whole radius-(TMax−1)
+// ball like any other hop.
 
 // tierOf returns dep's engine at its element type.
 func tierOf[T float64 | float32](t *testing.T, dep *Deployment) *tier[T] {
@@ -28,18 +27,11 @@ func tierOf[T float64 | float32](t *testing.T, dep *Deployment) *tier[T] {
 	return e
 }
 
-// recold empties dep's memo, keeping its budget.
-func recold[T float64 | float32](e *tier[T]) {
-	e.memo.reset(e.d.Adj, e.d.Graph.F(), e.memo.budget)
-}
-
 func TestLayerDifferential(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testLayerDifferential[float64](t, kernel.PrecisionF64) })
-	t.Run("f32", func(t *testing.T) { testLayerDifferential[float32](t, kernel.PrecisionF32) })
+	eachTier(t, testLayerDifferential[float64], testLayerDifferential[float32])
 }
 
 func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision) {
-	ds := denseData(t)
 	m := trainedModel(t)
 	var opts []InferenceOptions
 	for _, mode := range []Mode{ModeFixed, ModeDistance, ModeGate} {
@@ -51,25 +43,11 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 	}
 	opts = append(opts, InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 5, NoSupportRecompute: true})
 
-	for _, cfg := range []struct {
-		name    string
-		rows    func(n int) int // memo slots, −1 for the production budget
-		layered bool
-	}{
-		{"full", func(int) int { return -1 }, true},
-		{"partial", func(n int) int { return n / 4 }, false},
-		{"none", func(int) int { return 0 }, false},
-	} {
+	// The sparse graph's block outweighs its adjacency, the dense one's does not.
+	for name, ds := range map[string]*synth.Dataset{"sparse": tinyData(t), "dense": denseData(t)} {
 		base, delta := carveDelta(t, ds, 12)
-		dep, bare := deployAt(t, m, base, p), deployAt(t, m, base.Clone(), p)
-		setMemoRows(bare, 0)
-		if rows := cfg.rows(base.N()); rows >= 0 {
-			setMemoRows(dep, rows)
-		}
+		dep := deployAt(t, m, base, p)
 		eng := tierOf[T](t, dep)
-		if eng.layered() != cfg.layered || tierOf[T](t, bare).layered() {
-			t.Fatalf("%s: layered = %v, want %v (and never on the memo-less reference)", cfg.name, eng.layered(), cfg.layered)
-		}
 		targets := append([]int(nil), ds.Split.Test[:24]...)
 		for i, v := range targets {
 			targets[i] = v % base.N()
@@ -78,37 +56,31 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 		check := func(stage string, targets []int) {
 			t.Helper()
 			for _, opt := range opts {
-				label := fmt.Sprintf("%s/%s/%v/tmin=%d/tmax=%d/batch=%d", cfg.name, stage, opt.Mode, opt.TMin, opt.TMax, opt.BatchSize)
-				want, err := bare.Infer(targets, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p == kernel.PrecisionF64 {
-					requireSameResult(t, label+"/reference vs seed", want, seedInfer(bare, targets, opt))
-				}
+				label := fmt.Sprintf("%s/%s/%v/tmin=%d/tmax=%d/batch=%d", name, stage, opt.Mode, opt.TMin, opt.TMax, opt.BatchSize)
 				got, err := dep.Infer(targets, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResult(t, label, got, want)
+				requireSameResult(t, label, got, seedInfer(dep, targets, opt))
 			}
 		}
 
 		// Cold for every option, then warm from those runs.
 		for _, opt := range opts {
-			recold(eng)
-			want, _ := bare.Infer(targets, opt)
+			recold(dep)
 			got, err := dep.Infer(targets, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResult(t, fmt.Sprintf("%s/cold/%v/tmax=%d/batch=%d", cfg.name, opt.Mode, opt.TMax, opt.BatchSize), got, want)
+			requireSameResult(t, fmt.Sprintf("%s/cold/%v/tmax=%d/batch=%d", name, opt.Mode, opt.TMax, opt.BatchSize),
+				got, seedInfer(dep, targets, opt))
 		}
 		check("warm", targets)
 
 		// A delta between two existing nodes drops their rows and their
-		// neighbors': among them rows of the ring a deep read of target 0
-		// only reads, which its next batch must find empty and recompute.
+		// neighbors' (at int8, every row): among them rows of the ring a deep
+		// read of target 0 only reads, which its next batch must find empty
+		// and recompute.
 		one := targets[:1]
 		ring := graph.RingScratch(base.Adj, graph.Ball(base.Adj, one, m.K-2), make([]bool, base.N()), nil)
 		u, v := ring[0], -1
@@ -117,40 +89,45 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 				v = c
 			}
 		}
-		for _, x := range []*Deployment{dep, bare} {
-			if _, err := x.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}}); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := dep.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}}); err != nil {
+			t.Fatal(err)
 		}
-		if cfg.layered {
-			if eng.memo.state[u].Load() != slotEmpty {
-				t.Fatalf("%s: the delta left ring row %d of target %d resident", cfg.name, u, one[0])
-			}
-			before := dep.Hop1Stats().Computed
-			check("after dropped ring rows", one)
-			if eng.memo.state[u].Load() != slotReady || dep.Hop1Stats().Computed == before {
-				t.Fatalf("%s: ring row %d was not recomputed by the batch that read it", cfg.name, u)
-			}
+		if eng.memo.state[u].Load() != slotEmpty {
+			t.Fatalf("%s: the delta left ring row %d of target %d resident", name, u, one[0])
+		}
+		before := dep.Hop1Stats().Computed
+		check("after dropped ring rows", one)
+		if eng.memo.state[u].Load() != slotReady || dep.Hop1Stats().Computed == before {
+			t.Fatalf("%s: ring row %d was not recomputed by the batch that read it", name, u)
 		}
 		check("after dropped rows", targets)
 
-		// Appended nodes: their rows land in the same block, a complete memo
-		// stays complete, and reads of the newcomers and through them agree.
-		for _, x := range []*Deployment{dep, bare} {
-			if _, err := x.ApplyDelta(delta.Clone()); err != nil {
-				t.Fatal(err)
-			}
+		// Appended nodes: their rows land in the same block, and reads of the
+		// newcomers and through them agree — with the seed, and with a
+		// deployment built fresh on the merged graph.
+		if _, err := dep.ApplyDelta(delta.Clone()); err != nil {
+			t.Fatal(err)
 		}
 		n := dep.Graph.N()
-		if eng.layered() != cfg.layered || cfg.layered && (len(eng.memo.block) != n*base.F() || len(eng.memo.state) != n) {
-			t.Fatalf("%s: after %d appended nodes layered = %v, block holds %d rows", cfg.name, 12, eng.layered(), len(eng.memo.block)/base.F())
+		if len(eng.memo.block) != n*base.F() || len(eng.memo.state) != n {
+			t.Fatalf("%s: after 12 appended nodes the block holds %d rows for %d nodes", name, len(eng.memo.block)/base.F(), n)
 		}
-		check("after appended nodes", append(rangeInts(n-12, n), targets...))
+		targets = append(rangeInts(n-12, n), targets...)
+		check("after appended nodes", targets)
+		fresh := deployAt(t, m, dep.Graph.Clone(), p)
+		for _, opt := range opts {
+			want, err := fresh.Infer(targets, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := dep.Infer(targets, opt)
+			requireSameResult(t, fmt.Sprintf("%s/fresh deployment/%v/tmax=%d/batch=%d", name, opt.Mode, opt.TMax, opt.BatchSize), got, want)
+		}
 	}
 }
 
-// TestLayerHeadroomAvoidsCopy: the block of a complete memo has room, inside
-// the budget, for the rows deltas append, so growing it moves no row.
+// TestLayerHeadroomAvoidsCopy: the block has room for the rows deltas append,
+// so growing it by a few nodes moves no row.
 func TestLayerHeadroomAvoidsCopy(t *testing.T) {
 	ds := denseData(t)
 	m := trainedModel(t)
@@ -158,38 +135,29 @@ func TestLayerHeadroomAvoidsCopy(t *testing.T) {
 	dep := deployAt(t, m, base, kernel.PrecisionF64)
 	eng := tierOf[float64](t, dep)
 	f := base.F()
-	if !eng.layered() || cap(eng.memo.block) < (base.N()+3)*f {
-		t.Fatalf("layered = %v, block has room for %d rows of %d", eng.layered(), cap(eng.memo.block)/f, base.N()+3)
-	}
-	if held := 8*cap(eng.memo.block) + 4*cap(eng.memo.ids) + 4*cap(eng.memo.state); held > memoBudget(dep.Adj) {
-		t.Fatalf("memo retains %d B with its headroom, budget %d B", held, memoBudget(dep.Adj))
+	if cap(eng.memo.block) < (base.N()+3)*f {
+		t.Fatalf("block has room for %d rows of %d", cap(eng.memo.block)/f, base.N()+3)
 	}
 	first := &eng.memo.block[0]
 	if _, err := dep.ApplyDelta(delta); err != nil {
 		t.Fatal(err)
 	}
-	if &eng.memo.block[0] != first || len(eng.memo.block) != dep.Graph.N()*f || !eng.layered() {
-		t.Fatalf("appending 3 nodes moved the block (or left it incomplete: %d rows for %d nodes)", len(eng.memo.block)/f, dep.Graph.N())
+	if &eng.memo.block[0] != first || len(eng.memo.block) != dep.Graph.N()*f {
+		t.Fatalf("appending 3 nodes moved the block (or left it short: %d rows for %d nodes)", len(eng.memo.block)/f, dep.Graph.N())
 	}
 }
 
 // TestLayerConcurrentColdStart: eight callers start on one cold deployment at
 // once (run under -race), so rows one needs are being filled by another —
-// publish before read. Every one must see the memo-less answer.
+// publish before read. Every one must see the seed's answer.
 func TestLayerConcurrentColdStart(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testLayerConcurrentColdStart[float64](t, kernel.PrecisionF64) })
-	t.Run("f32", func(t *testing.T) { testLayerConcurrentColdStart[float32](t, kernel.PrecisionF32) })
+	eachTier(t, testLayerConcurrentColdStart, testLayerConcurrentColdStart)
 }
 
-func testLayerConcurrentColdStart[T float64 | float32](t *testing.T, p kernel.Precision) {
+func testLayerConcurrentColdStart(t *testing.T, p kernel.Precision) {
 	ds := denseData(t)
 	m := trainedModel(t)
-	dep, bare := deployAt(t, m, ds.Graph.Clone(), p), deployAt(t, m, ds.Graph.Clone(), p)
-	setMemoRows(bare, 0)
-	eng := tierOf[T](t, dep)
-	if !eng.layered() {
-		t.Fatal("the dense fixture's memo is not complete")
-	}
+	dep := deployAt(t, m, ds.Graph.Clone(), p)
 	const callers = 8
 	opts := []InferenceOptions{
 		{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 16},
@@ -204,12 +172,9 @@ func testLayerConcurrentColdStart[T float64 | float32](t *testing.T, p kernel.Pr
 		wants := make([]*Result, callers)
 		for c := range windows {
 			windows[c] = ds.Split.Test[c*4 : c*4+32]
-			var err error
-			if wants[c], err = bare.Infer(windows[c], opt); err != nil {
-				t.Fatal(err)
-			}
+			wants[c] = seedInfer(dep, windows[c], opt)
 		}
-		recold(eng)
+		recold(dep)
 		results := make([]*Result, callers)
 		var wg sync.WaitGroup
 		for c := range results {
@@ -243,15 +208,11 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 	ds := denseData(t)
 	m := trainedModel(t)
 	g := ds.Graph.Clone()
-	dep, bare := deployAt(t, m, g, kernel.PrecisionF64), deployAt(t, m, g.Clone(), kernel.PrecisionF64)
-	setMemoRows(bare, 0)
+	dep := deployAt(t, m, g, kernel.PrecisionF64)
 	eng := tierOf[float64](t, dep)
 	opt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 2}
 	target := ds.Split.Test[:1]
-	want, err := bare.Infer(target, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := seedInfer(dep, target, opt)
 	ball := graph.Ball(g.Adj, target, 1) // the rows a TMax-2 read of target needs
 	held := ball[len(ball)-1]
 	if held == target[0] {

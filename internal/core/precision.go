@@ -32,8 +32,8 @@ type engine interface {
 	// infer runs Algorithm 1 over one batch.
 	infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result
 	// patched re-derives the tier's operands after PatchAdjacency patched
-	// Adj (and a delta may have grown the features), gives appended nodes
-	// memo slots and drops the memo rows the patch made stale.
+	// Adj (and a delta may have grown the features), extends the X^(1) layer
+	// to appended nodes and drops the rows the patch made stale.
 	patched(valDirty []int)
 	scratchBytes() int
 }
@@ -49,7 +49,7 @@ type operand[T float64 | float32] struct {
 }
 
 // tier is the per-precision state of the engine loop: hop 1's dense operand,
-// the hop-1 memo at the slab's element type, and the pool of per-request
+// the X^(1) layer at the slab's element type, and the pool of per-request
 // scratch. At f64 the dense operand is the feature matrix itself, so the
 // default tier builds no mirror; the other tiers hold a lowered copy of it, a
 // pure function of Features.
@@ -71,7 +71,7 @@ type tier[T float64 | float32] struct {
 // lowered copy of its operands. Like Refresh, SetPrecision must not be called
 // concurrently with Infer; a precision switch changes answers, so it belongs
 // before the deployment is handed to a serving layer that caches them
-// (internal/serve owns the result cache and is not told), and the hop-1 memo
+// (internal/serve owns the result cache and is not told), and the X^(1) layer
 // starts empty. The graph version does not move: precision is an engine knob,
 // not a graph mutation, and sharded serving pins one tier per cluster at
 // handshake instead of versioning it.
@@ -87,7 +87,7 @@ func (d *Deployment) SetPrecision(p kernel.Precision) {
 func (d *Deployment) Precision() kernel.Precision { return d.prec }
 
 // retier builds the engine for the active tier from the current Adj and
-// features: dense operand lowered, memo members selected and empty, no pooled
+// features: dense operand lowered, X^(1) layer sized and empty, no pooled
 // scratch. Valid on a deployment with externally supplied state too — the
 // operands are pure functions of the Adj and Features its owner maintains.
 func (d *Deployment) retier() {
@@ -102,7 +102,7 @@ func newTier[T float64 | float32](d *Deployment) *tier[T] {
 	t := &tier[T]{d: d}
 	t.memo.stats = &d.memoStats
 	t.lower()
-	t.memo.reset(d.Adj, d.Graph.F(), memoBudget)
+	t.memo.reset(d.Graph.N(), d.Graph.F())
 	return t
 }
 
@@ -137,7 +137,7 @@ func lowered[T float64 | float32](src []float64) []T {
 
 func (t *tier[T]) patched(valDirty []int) {
 	t.lower()
-	t.memo.grow(t.d.Adj)
+	t.memo.grow(t.d.Graph.N())
 	if t.int8() {
 		// Re-quantizing may move a per-tensor scale, which changes every row.
 		t.memo.invalidateAll()
@@ -158,28 +158,38 @@ func (t *tier[T]) mulRows(in operand[T], rows, outRows []int, colMap []int32, f 
 	return sparse.MulNormalizedRowsInto(t.d.Adj, rows, outRows, colMap, 0, in.x, f, 1, out)
 }
 
-// quantizeActivations quantizes the previous hop's buffer for the int8
-// tier's next product: one symmetric per-tensor scale over exactly the live
-// activation tensor — liveRows, the rows that hop wrote (nil = all of S) —
-// into pooled scratch. Rows outside liveRows keep stale bytes, but the SpMM
-// never reads them: every column a hop multiplies lies within the previous
-// hop's ball. The scan and rounding are O(live·f) data movement, not
-// multiply-accumulates, so no MACs are charged (they do count toward FP
-// time). Returns the quantized buffer and the hop's dequantization factor.
-func (t *tier[T]) quantizeActivations(prev []T, liveRows []int, sc *inferScratch[T]) ([]int8, float64) {
-	x := any(prev).([]float32) // the int8 tier's slab
-	f := sc.f
-	sc.x8 = growScratch(sc.x8, len(x))
-	if liveRows == nil {
-		return sc.x8, t.adjScale * kernel.QuantizeF32Into(sc.x8, x)
+// quantizeActivations quantizes the previous hop's rows for the int8 tier's
+// next product: one symmetric per-tensor scale over exactly the live
+// activation tensor — the rows of the nodes in live, which that hop wrote, or
+// for hop 2 the X^(1) rows of the batch's whole radius-(TMax−1) ball — into
+// pooled scratch laid out by sc.toLocal, which at this tier indexes the ring
+// behind S. prev's rows are found as the product would find them: through
+// rowOf, or by node id when it is nil. Places of nodes outside live keep stale
+// bytes, but the SpMM never reads them: every column a hop multiplies lies
+// within the previous hop's ball. The scan and rounding are O(live·f) data
+// movement, not multiply-accumulates, so no MACs are charged (they do count
+// toward FP time). Returns the quantized buffer and the hop's dequantization
+// factor.
+func (t *tier[T]) quantizeActivations(prev []T, rowOf []int32, sc *inferScratch[T], live ...[]int) ([]int8, float64) {
+	x, f := any(prev).([]float32), sc.f // the int8 tier's slab
+	row := func(v int) []float32 {
+		if rowOf != nil {
+			v = int(rowOf[v])
+		}
+		return x[v*f:][:f]
 	}
 	var maxAbs float64
-	for _, r := range liveRows {
-		maxAbs = max(maxAbs, kernel.MaxAbsF32(x[r*f:r*f+f]))
+	for _, list := range live {
+		for _, v := range list {
+			maxAbs = max(maxAbs, kernel.MaxAbsF32(row(v)))
+		}
 	}
 	scale := kernel.ScaleFor(maxAbs)
-	for _, r := range liveRows {
-		kernel.QuantizeAtScale(sc.x8[r*f:r*f+f], x[r*f:r*f+f], scale)
+	sc.x8 = growScratch(sc.x8, (sc.s+len(sc.ring))*f)
+	for _, list := range live {
+		for _, v := range list {
+			kernel.QuantizeAtScale(sc.x8[int(sc.toLocal[v])*f:][:f], row(v), scale)
+		}
 	}
 	return sc.x8, t.adjScale * scale
 }

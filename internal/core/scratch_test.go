@@ -39,22 +39,6 @@ func deployAt(t *testing.T, m *Model, g *graph.Graph, p kernel.Precision) *Deplo
 	return dep
 }
 
-// tierReference is what dep must answer: the seed transcription at f64, a
-// fresh memo-less deployment (so fresh scratch) of the same tier otherwise.
-func tierReference(t *testing.T, dep *Deployment, targets []int, opt InferenceOptions) *Result {
-	t.Helper()
-	if dep.Precision() == kernel.PrecisionF64 {
-		return seedInfer(dep, targets, opt)
-	}
-	fresh := deployAt(t, dep.Model, dep.Graph, dep.Precision())
-	setMemoRows(fresh, 0)
-	want, err := fresh.Infer(targets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
 // inferWith runs one unbatched inferBatch on a caller-held scratch, so
 // tests can observe scratch growth deterministically (under -race the
 // sync.Pool drops Puts at random, so pool inspection would be flaky).
@@ -90,7 +74,7 @@ func TestScratchReuseAcrossSupportSizes(t *testing.T) {
 	for _, p := range tiers {
 		dep := deployAt(t, m, ds.Graph, p)
 		for _, step := range seq {
-			want := tierReference(t, dep, step.targets, step.opt)
+			want := seedInfer(dep, step.targets, step.opt)
 			got, err := dep.Infer(step.targets, step.opt)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", p, step.name, err)
@@ -225,8 +209,8 @@ func TestOversizedScratchDropped(t *testing.T) {
 	eachTier(t, testOversizedScratchDropped[float64], testOversizedScratchDropped[float32])
 }
 
-// denseData is tinyData's graph at four times its density: every row of it
-// fits the memo's budget, so float-tier batches on it are layered.
+// denseData is tinyData's graph at four times its density: its adjacency
+// outweighs its X^(1) block, where tinyData's is the lighter of the two.
 func denseData(t *testing.T) *synth.Dataset {
 	t.Helper()
 	cfg := synth.Tiny(11)
@@ -241,35 +225,27 @@ func denseData(t *testing.T) *synth.Dataset {
 func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Precision) {
 	// A huge batch must not pin its buffers in the pool forever: once smaller
 	// batches reuse the scratch, retained capacity has to fall back to at
-	// most 4× current need (plus the fixed O(n) maps). On the tiny graph the
-	// f64 memo is partial (an f32 slot is half the size: complete) and hop 1
-	// goes into the slab; on the dense one both float tiers are layered — S
-	// loses a ring, and a TMax = 2 batch shapes its row list with no sub-CSR
-	// extraction to do it on the way.
+	// most 4× current need (plus the fixed O(n) maps). A TMax = 2 batch shapes
+	// its row list with no sub-CSR extraction to do it on the way.
 	m := trainedModel(t)
 	for _, ds := range []*synth.Dataset{tinyData(t), denseData(t)} {
 		dep := deployAt(t, m, ds.Graph, p)
-		layered := dep.eng.(*tier[T]).layered()
-		if want := p == kernel.PrecisionF32 || p == kernel.PrecisionF64 && ds != tinyData(t); layered != want {
-			t.Fatalf("layered = %v on the %d-edge graph at %v, want %v", layered, ds.Graph.M(), p, want)
-		}
 		sc := &inferScratch[T]{}
 		// Every |S|-sized buffer: the slab, the row, ring and hop-1 lists, the
 		// int8 tier's quantized activations, the arena.
 		sized := func() map[string]int {
 			return map[string]int{
 				"slab": cap(sc.slab), "hop rows": cap(sc.localRows), "ring": cap(sc.ring),
-				"hop-1 misses": cap(sc.missRows), "hop-1 miss rows": cap(sc.missOut),
-				"hop-1 hits": cap(sc.hits), "hop-1 fills": cap(sc.fill),
+				"hop-1 claimed": cap(sc.claimed), "hop-1 awaited": cap(sc.awaited),
 				"int8 activations": cap(sc.x8), "arena": len(sc.arena.buf),
 			}
 		}
 		bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
 		inferWith(t, dep, sc, rangeInts(0, ds.Graph.N()), bigOpt)
 		big := sized()
-		if big["slab"] == 0 || big["hop rows"] == 0 || layered == (big["hop-1 hits"] > 0) ||
+		if big["slab"] == 0 || big["hop rows"] == 0 || big["hop-1 claimed"] == 0 ||
 			p == kernel.PrecisionInt8 && big["int8 activations"] == 0 {
-			t.Fatalf("%v, layered=%v: the big batch left buffers of its path unused: %v", p, layered, big)
+			t.Fatalf("%v: the big batch left buffers unused: %v", p, big)
 		}
 
 		// A small batch at TMax=2 exercises all of them: each one the policy
@@ -280,12 +256,12 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 		inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt) // arena shrinks on the next hit
 		for name, now := range sized() {
 			if big[name] > 1024 && now >= big[name] {
-				t.Fatalf("%v, layered=%v: oversized %s retained: %d after small batch, %d after big", p, layered, name, now, big[name])
+				t.Fatalf("%v: oversized %s retained: %d after small batch, %d after big", p, name, now, big[name])
 			}
 		}
 
-		// And at TMax=1 (one hop, or for a layered batch none) the slab obeys
-		// the 4× cap outright.
+		// And at TMax=1 (no hop of the batch's own) the slab obeys the 4× cap
+		// outright.
 		tinyOpt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}
 		inferWith(t, dep, sc, ds.Split.Test[:1], tinyOpt)
 		need := 1 * 16 // TMax·|S|·f elements for a single-node ball at TMax=1
@@ -294,7 +270,7 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 		}
 
 		// And the big workload still works (and re-grows) afterwards.
-		want := tierReference(t, dep, ds.Split.Test, bigOpt)
+		want := seedInfer(dep, ds.Split.Test, bigOpt)
 		got, err := dep.Infer(ds.Split.Test, bigOpt)
 		if err != nil {
 			t.Fatal(err)

@@ -116,13 +116,13 @@ func QuantizeF32Into(dst []int8, values []float32) float64 {
 // as scattered row groups — e.g. the valid rows of a hop buffer — can scan
 // and quantize per group under one shared scale).
 func MaxAbsF32(values []float32) float64 {
-	maxAbs := 0.0
+	var maxAbs float32 // widening is exact and monotone: compare narrow, widen once
 	for _, v := range values {
-		if a := math.Abs(float64(v)); a > maxAbs {
+		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > maxAbs {
 			maxAbs = a
 		}
 	}
-	return maxAbs
+	return float64(maxAbs)
 }
 
 // ScaleFor maps a tensor's max|v| to its symmetric per-tensor scale:

@@ -287,8 +287,7 @@ func TestSlowRequestLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	o := New(Options{RingSize: 8, SlowThreshold: time.Nanosecond, Logger: logger})
-	tr := o.StartTrace()
-	time.Sleep(time.Millisecond)
+	tr := o.StartTraceAt(time.Now().Add(-time.Second))
 	o.FinishTrace(tr, "acme", "ok", 3)
 	out := buf.String()
 	if !strings.Contains(out, "slow request") || !strings.Contains(out, `"tenant":"acme"`) {

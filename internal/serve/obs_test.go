@@ -129,7 +129,7 @@ func TestStitchedDistributedTrace(t *testing.T) {
 // carries its graph gauges and its engine-stage histograms.
 func TestMetricsSurfaceDistributed(t *testing.T) {
 	ds, _ := fixture(t)
-	s, _, workers := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, rt, workers := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -170,6 +170,19 @@ func TestMetricsSurfaceDistributed(t *testing.T) {
 		if !strings.Contains(wout, want) {
 			t.Fatalf("worker /metrics missing %q in:\n%s", want, wout)
 		}
+	}
+
+	// The front's own nai_hop1_* series are its workers' counters as of their
+	// last health report: after a warm read of other targets' neighbors and
+	// one probe, rows have been found resident across the wire.
+	if _, _, err := s.ClassifyContext(context.Background(), ds.Split.Test[:8], "acme"); err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(context.Background())
+	out = getMetrics(t, ts.URL)
+	if strings.Contains(out, `nai_hop1_rows_total{source="memo"} 0`) || !strings.Contains(out, `nai_hop1_rows_total{source="memo"}`) ||
+		strings.Contains(out, "nai_hop1_memo_capacity 0") {
+		t.Fatalf("router /metrics reports no hop-1 rows served from its HTTP workers' layers:\n%s", out)
 	}
 }
 

@@ -47,6 +47,7 @@ func TestShardedPrecisionEquivalence(t *testing.T) {
 			requireSameAnswers(t, fmt.Sprintf("f32/local/P=%d/%s", p, pass), rt, dep, targets)
 			requireSameAnswers(t, fmt.Sprintf("f32/http/P=%d/%s", p, pass), hrt32, dep, targets)
 		}
+		rt.Probe(context.Background())
 		if s := rt.Describe().Hop1; s.FromMemo == 0 {
 			t.Fatalf("f32/P=%d: the workers' memos served nothing: %+v", p, s)
 		}
@@ -98,6 +99,7 @@ func TestShardedPrecisionEquivalence(t *testing.T) {
 				}
 			}
 		}
+		lrt.Probe(context.Background())
 		if s := lrt.Describe().Hop1; s.FromMemo == 0 {
 			t.Fatalf("int8/P=%d: the workers' memos served nothing: %+v", p, s)
 		}

@@ -463,9 +463,8 @@ func (r *Router) Probe(ctx context.Context) {
 // Describe snapshots the fleet for the serving layer (serve.Backend): the
 // graph version and tier, every shard's liveness with its endpoints' status
 // under Replicas (a one-endpoint shard lists that one), the scratch
-// footprint summed over every endpoint's last health report, the hop-1 memo
-// counters of the workers in this process (remote workers report their own,
-// so over an HTTP transport these are zero) and the failover counters.
+// footprint and X^(1)-layer counters summed over every endpoint's last
+// health report, and the failover counters.
 // /healthz's verdict, the /stats shards block and the per-shard gauges are
 // all read off one such snapshot, so they cannot contradict each other.
 func (r *Router) Describe() core.Info {
@@ -490,15 +489,11 @@ func (r *Router) Describe() core.Info {
 				}
 			}
 			info.ScratchBytes += ep.info.ScratchBytes
+			info.Hop1.Add(ep.info.Hop1)
 			ep.mu.Unlock()
 			st.Replicas[i] = rs
 		}
 		info.Shards[p] = st
-	}
-	if t, ok := r.transport.(*LocalTransport); ok {
-		for _, w := range t.workers {
-			info.Hop1.Add(w.dep.Hop1Stats())
-		}
 	}
 	return info
 }

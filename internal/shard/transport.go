@@ -82,6 +82,9 @@ type HealthInfo struct {
 	// ScratchBytes is the worker deployment's retained pooled-scratch
 	// footprint, summed into the router's /stats gauge.
 	ScratchBytes int
+	// Hop1 is the worker deployment's X^(1)-layer counters, summed into the
+	// router's nai_hop1_* series.
+	Hop1 core.Hop1Stats
 	// Precision is the tier the worker's deployment serves at; the router's
 	// handshake rejects a worker on a different tier than its own.
 	Precision kernel.Precision

@@ -30,10 +30,10 @@ const wireMagic = "NAIW"
 // wireVersion 2 added the precision tier to msgInfer and msgHealth (and the
 // errKindPrecision conflict); version 3 added the trace id to msgInfer and
 // the worker-side span list to msgResult (end-to-end tracing across the
-// router↔worker boundary). A peer speaking an older version is rejected at
-// decode, which is the right failure for a router and worker that disagree
-// on the format.
-const wireVersion = 3
+// router↔worker boundary); version 4 added the X^(1)-layer counters to
+// msgHealth. A peer speaking an older version is rejected at decode, which is
+// the right failure for a router and worker that disagree on the format.
+const wireVersion = 4
 
 // message types
 const (
@@ -415,6 +415,12 @@ func encodeHealthInfo(h HealthInfo) []byte {
 	b = appendInt(b, h.GlobalNodes)
 	b = appendUint(b, h.Version)
 	b = appendInt(b, h.ScratchBytes)
+	b = appendUint(b, h.Hop1.FromMemo)
+	b = appendUint(b, h.Hop1.Computed)
+	b = appendUint(b, h.Hop1.Invalidated)
+	b = appendInt(b, h.Hop1.Entries)
+	b = appendInt(b, h.Hop1.Capacity)
+	b = appendInt(b, h.Hop1.Bytes)
 	return appendInt(b, int(h.Precision))
 }
 
@@ -433,6 +439,8 @@ func decodeHealthInfo(b []byte) (HealthInfo, error) {
 	}
 	h.Version = d.uint()
 	h.ScratchBytes = d.int()
+	h.Hop1 = core.Hop1Stats{FromMemo: d.uint(), Computed: d.uint(), Invalidated: d.uint(),
+		Entries: d.int(), Capacity: d.int(), Bytes: d.int()}
 	h.Precision = kernel.Precision(d.int())
 	if !h.Precision.Valid() {
 		d.fail("unknown precision tier %d", int(h.Precision))

@@ -106,7 +106,8 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	h := HealthInfo{ShardID: 1, Shards: 4, Radius: 3, Nodes: 100, GlobalNodes: 300,
-		Version: 17, ScratchBytes: 1 << 20, Precision: kernel.PrecisionF32}
+		Version: 17, ScratchBytes: 1 << 20, Precision: kernel.PrecisionF32,
+		Hop1: core.Hop1Stats{FromMemo: 1 << 40, Computed: 7, Invalidated: 3, Entries: 99, Capacity: 100, Bytes: 100 * 132}}
 	gotH, err := decodeHealthInfo(encodeHealthInfo(h))
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +210,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeShardDelta(&ShardDelta{Version: 2, Src: []int{0}, Dst: []int{1},
 		WeightedSum: []float64{1, 2}}))
 	f.Add(encodeHealthInfo(HealthInfo{ShardID: 1, Shards: 2, Version: 1}))
+	f.Add(encodeHealthInfo(HealthInfo{ShardID: 1, Shards: 2, Version: 9, Precision: kernel.PrecisionInt8,
+		Hop1: core.Hop1Stats{FromMemo: 1 << 33, Computed: 5, Invalidated: 2, Entries: 3, Capacity: 4, Bytes: 4 * 68}}))
 	f.Add(encodeWireError(errKindStale, 1, 2, "x"))
 	f.Add(encodeAck())
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -288,6 +288,7 @@ func (w *Worker) Health() HealthInfo {
 		GlobalNodes:  w.globalN,
 		Version:      w.version,
 		ScratchBytes: w.dep.ScratchBytes(),
+		Hop1:         w.dep.Hop1Stats(),
 		Precision:    w.prec,
 	}
 }

@@ -131,7 +131,7 @@ func (a *Normalized) emitRow(r int, colMap []int32, cols []int, vals []float64) 
 		for k, c := range cols {
 			lc := colMap[c]
 			if lc < 0 {
-				panic(fmt.Sprintf("sparse: ExtractRowsInto neighbor %d of row %d outside the universe", c, r))
+				panic(fmt.Sprintf("sparse: Normalized row %d has column %d outside the column map", r, c))
 			}
 			cols[k] = int(lc)
 		}

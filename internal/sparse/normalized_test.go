@@ -389,6 +389,14 @@ func TestNormalizedRejectsBadInput(t *testing.T) {
 		var out CSR
 		NewNormalized(adj, 0.5, deg).ExtractRowsInto([]int{0}, []int32{0, -1, -1}, 1, &out)
 	})
+	// Whichever entry point emitted the row, the message names the operator,
+	// the row and the unmapped column.
+	defer func() {
+		if msg := fmt.Sprint(recover()); msg != "sparse: Normalized row 0 has column 1 outside the column map" {
+			t.Fatalf("MulNormalizedRowsInto over a short column map panicked with %q", msg)
+		}
+	}()
+	MulNormalizedRowsInto(NewNormalized(adj, 0.5, deg), []int{0}, nil, []int32{0, -1, -1}, 0, []float64{1}, 1, 1, make([]float64, 1))
 }
 
 // FuzzNormalizedRows drives the operator-vs-materialized property over
