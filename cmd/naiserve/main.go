@@ -7,7 +7,10 @@
 // see ARCHITECTURE.md, "Observability"). -log-format {text,json} selects
 // the structured-log encoding, -trace-slow the slow-request log threshold,
 // and -debug-addr serves net/http/pprof on a separate listener. See
-// ARCHITECTURE.md for the request path.
+// ARCHITECTURE.md for the request path. Coalescing is opt-in: at the default
+// -max-wait 0 every request runs alone (an engine point read costs less than
+// a coalescing round); a positive -max-wait lets requests wait that long for
+// batch mates.
 //
 // With -shards P (P > 1) the graph is partitioned into P edge-cut shards
 // with a TMax-hop halo each, served by per-shard deployments behind a
@@ -52,10 +55,12 @@
 // With -precision {f64,f32,int8} propagation runs at a relaxed precision
 // tier: f32 halves the propagation bandwidth, int8 quantizes it (symmetric
 // per-tensor, int32 accumulation). f64 stays the bit-pinned default; the
-// accuracy deltas of the relaxed tiers are measured in BENCH_infer.json and
-// bounded by cmd/benchgate. The whole fleet serves one tier — a router
-// rejects workers bootstrapped at a different tier at handshake, and a
-// racing mismatched request is a 409. /stats reports the active tier.
+// int8 tier's accuracy delta is benchmark/'s core.int8_top1_agree_share, and
+// what each tier must keep is pinned by the precision-equivalence suites
+// (internal/{core,shard,serve}/precision_test.go). The whole fleet serves one
+// tier — a router rejects workers bootstrapped at a different tier at
+// handshake, and a racing mismatched request is a 409. /stats reports the
+// active tier.
 //
 // With -cache-size N (default 4096 entries; 0 disables) each node's final
 // prediction and realized depth is cached across requests, so hot nodes
@@ -131,7 +136,7 @@ func main() {
 	tmin := flag.Int("tmin", 1, "minimum propagation depth")
 	tmax := flag.Int("tmax", 0, "maximum propagation depth (0 = K)")
 	maxBatch := flag.Int("max-batch", 64, "max targets per coalesced batch")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "max time a request waits for batch mates")
+	maxWait := flag.Duration("max-wait", 0, "max time a request waits for batch mates; 0 (the setting benchmark/ measures) flushes every request alone — an engine point read costs less than a coalescing round")
 	shardsFlag := flag.String("shards", "1", "shard layout: an integer P partitions in-process (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
 	shardWorker := flag.Int("shard-worker", -1, "serve one shard as a worker process: this flag is the shard id, -shards P (integer) the shard count; exposes the binary shard protocol on -addr")
 	shardRetries := flag.Int("shard-retries", 2, "retries per shard call on transient transport failures (distributed mode)")
@@ -143,7 +148,7 @@ func main() {
 	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request deadline when the client sends no X-Deadline-Ms (0 disables)")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on client-requested X-Deadline-Ms deadlines (0 = no cap)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant quotas in targets/sec, e.g. 'free=100:200,paid=1000:2000:4,*=50' (tenant=rate[:burst[:weight]]; empty admits all)")
-	precision := flag.String("precision", "f64", "propagation precision tier: f64 (bit-pinned reference), f32, int8 (quantized; see /stats and BENCH_infer.json for accuracy deltas). Router and workers must agree — a mismatch is rejected at handshake")
+	precision := flag.String("precision", "f64", "propagation precision tier: f64 (bit-pinned reference), f32, int8 (quantized; accuracy delta: benchmark/'s core.int8_top1_agree_share). Router and workers must agree — a mismatch is rejected at handshake")
 	shedMode := flag.Bool("shed-mode", false, "degraded mode: when overloaded, serve cache hits and fixed-depth work, shed adaptive cache misses with 429")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "HTTP server write timeout")
@@ -277,9 +282,6 @@ func main() {
 		dep.SetPrecision(prec)
 	}
 
-	// No Workers knob: a coalesced flush is exactly one Algorithm 1 batch
-	// (sharing one supporting ball is the point), and the sparse/dense
-	// kernels inside it already fan out across cores on their own.
 	iopt := core.InferenceOptions{TMin: *tmin, TMax: m.K}
 	if *tmax > 0 {
 		iopt.TMax = *tmax

@@ -1,12 +1,12 @@
-// Command naibench regenerates the paper's tables and figures on the
-// synthetic dataset analogs and prints them to stdout (the go test
-// benchmarks write the same tables under results/).
+// Command naitables regenerates the paper's tables and figures on the
+// synthetic dataset analogs and prints them to stdout. It is a reproduction
+// tool, not a perf harness: that is benchmark/.
 //
 // Usage:
 //
-//	naibench -exp table5           # one experiment
-//	naibench -exp all -quick       # everything, small scale
-//	naibench -list                 # show available experiments
+//	naitables -exp table5           # one experiment
+//	naitables -exp all -quick       # everything, small scale
+//	naitables -list                 # show available experiments
 //
 // Flags: -exp (experiment name or "all"), -quick (shrink datasets and
 // training), -seed, -runs (timing repetitions, 0 = config default),
@@ -54,7 +54,7 @@ func main() {
 
 	start := time.Now()
 	if err := bench.Run(*exp, cfg, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "naibench:", err)
+		fmt.Fprintln(os.Stderr, "naitables:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))

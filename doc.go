@@ -9,8 +9,7 @@
 // a Deployment is read-only after construction — the normalized adjacency
 // and the stationary state X(∞) are cached once (refreshable via
 // Deployment.Refresh) — and all per-request state lives in pooled scratch,
-// so Infer is safe for concurrent callers and can fan batches out across
-// goroutines (InferenceOptions.Workers). Supporting sets for all hops of a
+// so Infer is safe for concurrent callers. Supporting sets for all hops of a
 // batch come from one multi-source BFS, re-derived only after early-exit
 // waves. Each batch then propagates in compacted coordinates: every hop is a
 // product with the normalized-adjacency operator itself
@@ -33,9 +32,10 @@
 // BFS/GEMM work across callers — and absorbs online graph
 // growth through POST /nodes and /edges deltas, whose incremental refresh
 // (Deployment.ApplyDelta) touches only changed rows yet stays bit-identical
-// to a full Refresh. BENCH_infer.json holds the perf baseline (B/op, the
-// scratch-reduction factor and the coalesced-serving speedup are
-// regression-gated in CI by cmd/benchgate).
+// to a full Refresh. Performance is measured by benchmark/ (BENCHMARK.json:
+// four closed-loop workloads, end-to-end metrics with A/A bounds, a
+// per-layer ladder); a claim is a set of paired runs against the parent
+// commit.
 //
 // The root package only anchors the module; all functionality lives in
 // internal/... packages, the cmd/... binaries and the runnable examples.

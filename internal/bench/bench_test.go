@@ -251,3 +251,43 @@ func TestRunTable1Output(t *testing.T) {
 		t.Fatalf("table1 output malformed:\n%s", out)
 	}
 }
+
+// trainedSuite provides the cached trained model of the inference benchmarks.
+func trainedSuite(b *testing.B) *Suite {
+	b.Helper()
+	s, err := GetSuite(QuickConfig(), "flickr-like", "sgc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+func benchInfer(b *testing.B, s *Suite, opt core.InferenceOptions) {
+	targets := s.TestSubset(100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Dep.Infer(targets, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkInferenceVanilla(b *testing.B) {
+	s := trainedSuite(b)
+	benchInfer(b, s, core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: s.Model.K, BatchSize: 50})
+}
+
+func BenchmarkInferenceNAIDistance(b *testing.B) {
+	s := trainedSuite(b)
+	set := s.SettingsDistance()[0]
+	benchInfer(b, s, core.InferenceOptions{Mode: core.ModeDistance, Ts: set.Ts,
+		TMin: set.TMin, TMax: set.TMax, BatchSize: 50})
+}
+
+func BenchmarkInferenceNAIGate(b *testing.B) {
+	s := trainedSuite(b)
+	set := s.SettingsGate()[0]
+	benchInfer(b, s, core.InferenceOptions{Mode: core.ModeGate, TMin: set.TMin,
+		TMax: set.TMax, BatchSize: 50})
+}

@@ -104,7 +104,11 @@ func TestTrainGatesK1ReturnsNil(t *testing.T) {
 	}
 }
 
-func TestTrainGatesDeterministic(t *testing.T) {
+// trainGatesOnTiny runs TrainGates for the shared tiny model on the subgraph
+// induced by the observed (train + validation) nodes, the way Train does; it
+// also returns that subgraph's feature width.
+func trainGatesOnTiny(t *testing.T, cfg GateTrainConfig) (gates []*Gate, f int) {
+	t.Helper()
 	ds := tinyData(t)
 	m := trainedModel(t)
 	observed := append(append([]int(nil), ds.Split.Train...), ds.Split.Val...)
@@ -118,13 +122,31 @@ func TestTrainGatesDeterministic(t *testing.T) {
 	}
 	st := ComputeStationary(tg.Adj, tg.Features, m.Gamma)
 	trainIdx := localIndices(ind, ds.Split.Train)
+	return TrainGates(m, feats, inputs, st, tg.Labels, trainIdx, cfg), tg.F()
+}
+
+func TestTrainGatesDeterministic(t *testing.T) {
 	cfg := GateTrainConfig{Epochs: 10, LR: 0.02, Tau: 1, Seed: 3}
-	a := TrainGates(m, feats, inputs, st, tg.Labels, trainIdx, cfg)
-	b := TrainGates(m, feats, inputs, st, tg.Labels, trainIdx, cfg)
-	for l := 1; l < m.K; l++ {
+	a, _ := trainGatesOnTiny(t, cfg)
+	b, _ := trainGatesOnTiny(t, cfg)
+	for l := 1; l < trainedModel(t).K; l++ {
 		if !mat.Equal(a[l].W.Value, b[l].W.Value) {
 			t.Fatal("gate training not deterministic")
 		}
+	}
+}
+
+func TestHardGumbelGatesTrain(t *testing.T) {
+	gates, f := trainGatesOnTiny(t, GateTrainConfig{
+		Epochs: 10, LR: 0.02, Tau: 1, HardGumbel: true, Seed: 5,
+	})
+	if gates == nil {
+		t.Fatal("hard-Gumbel training returned no gates")
+	}
+	// weights must have moved from their init
+	init := NewGate("ref", f, rand.New(rand.NewSource(5)))
+	if mat.Equal(gates[1].W.Value, init.W.Value) {
+		t.Fatal("gate weights unchanged")
 	}
 }
 

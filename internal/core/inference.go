@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -43,7 +42,8 @@ func (m Mode) String() string {
 	}
 }
 
-// InferenceOptions are the serving-time knobs of Algorithm 1.
+// InferenceOptions are Algorithm 1's operating point (Mode, T_s, T_min,
+// T_max) plus the evaluation protocol's batch size.
 type InferenceOptions struct {
 	Mode Mode
 	// Ts is the distance threshold of NAP_d (ignored by other modes).
@@ -52,16 +52,6 @@ type InferenceOptions struct {
 	TMin, TMax int
 	// BatchSize splits the targets; ≤0 means one batch.
 	BatchSize int
-	// Workers is the number of goroutines batches are fanned out across;
-	// ≤1 processes batches sequentially. Results are independent of the
-	// worker count (batches are merged in order), but with Workers > 1 the
-	// per-batch TotalTime/FPTime sums can exceed wall-clock time.
-	Workers int
-	// NoSupportRecompute freezes the supporting sets computed for the
-	// initial batch instead of shrinking them after each early-exit wave
-	// (ablation of the engine's set-recomputation optimization; results
-	// are identical, only propagation cost changes).
-	NoSupportRecompute bool
 }
 
 // Validate checks the options against a model.
@@ -121,8 +111,7 @@ type Result struct {
 	MACs          MACBreakdown
 	// TotalTime sums per-batch serving time: stationary-row
 	// materialization, supporting-node sampling, propagation, decisions,
-	// combination and classification. With Workers > 1 batches overlap, so
-	// this can exceed wall-clock time.
+	// combination and classification.
 	TotalTime time.Duration
 	// FPTime covers propagation and decisions only (the paper's "FP Time").
 	FPTime     time.Duration
@@ -388,9 +377,8 @@ func (a *arena) shrink() {
 // that per-batch memory scales with supporting-set size, not graph size.
 func (d *Deployment) ScratchBytes() int { return d.eng.scratchBytes() }
 
-// Infer runs Algorithm 1 over the targets in batches and aggregates.
-// It is safe for concurrent callers on one Deployment; additionally,
-// opt.Workers > 1 fans the batches of this call out across goroutines.
+// Infer runs Algorithm 1 over the targets in batches, one after another, and
+// aggregates. It is safe for concurrent callers on one Deployment.
 func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error) {
 	return d.InferContext(context.Background(), targets, opt)
 }
@@ -401,9 +389,7 @@ func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error)
 // supporting-set BFS (ring derivation included), compaction (extract: what
 // is left of it now that no batch cuts a sub-CSR — indexing S and shaping the
 // slab), per-hop propagation, exit decisions and classification — record
-// spans. With Workers > 1 or
-// multiple batches, spans from concurrent batches interleave in the one
-// trace.
+// spans, batch after batch.
 func (d *Deployment) InferContext(ctx context.Context, targets []int, opt InferenceOptions) (*Result, error) {
 	if err := opt.Validate(d.Model); err != nil {
 		return nil, err
@@ -417,39 +403,8 @@ func (d *Deployment) InferContext(ctx context.Context, targets []int, opt Infere
 	if batchSize <= 0 {
 		batchSize = len(targets)
 	}
-	batches := graph.Batches(targets, batchSize)
-	workers := opt.Workers
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	if workers <= 1 {
-		for i := range batches {
-			agg.merge(d.eng.infer(batches[i], opt, tr))
-		}
-		return agg, nil
-	}
-
-	// Fan out, then merge in batch order so results are identical to the
-	// sequential path.
-	results := make([]*Result, len(batches))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(batches) {
-					return
-				}
-				results[i] = d.eng.infer(batches[i], opt, tr)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range results {
-		agg.merge(r)
+	for _, batch := range graph.Batches(targets, batchSize) {
+		agg.merge(d.eng.infer(batch, opt, tr))
 	}
 	return agg, nil
 }
@@ -617,14 +572,12 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 				if len(active) == 0 {
 					break
 				}
-				if !opt.NoSupportRecompute {
-					// Shrink: the remaining hops only need balls around
-					// the survivors (sampling counts in Time, not FP).
-					bfsAt = tr.Begin()
-					nested = graph.SupportingSetsScratch(
-						g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
-					tr.End(obs.StageBFS, 0, -1, bfsAt)
-				}
+				// Shrink: the remaining hops only need balls around the
+				// survivors (sampling counts in Time, not FP).
+				bfsAt = tr.Begin()
+				nested = graph.SupportingSetsScratch(
+					g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
+				tr.End(obs.StageBFS, 0, -1, bfsAt)
 			}
 		} else if l == opt.TMax {
 			// Lines 16-17: everything left is classified at T_max.

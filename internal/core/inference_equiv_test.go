@@ -144,11 +144,7 @@ func seedInferBatch[T float64 | float32](d *Deployment, so *seedOperands[T], tar
 	var prevRows []int
 	for l := 1; l <= opt.TMax; l++ {
 		// Seed lines 3/5: a from-scratch BFS ball per hop.
-		ballCenters := targets
-		if !opt.NoSupportRecompute {
-			ballCenters = gather(targets, active)
-		}
-		rows := graph.Ball(g.Adj, ballCenters, opt.TMax-l)
+		rows := graph.Ball(g.Adj, gather(targets, active), opt.TMax-l)
 		res.MACs.Propagation += so.propagate(l, rows, prevRows, g.F())
 		prevRows = rows
 
@@ -300,18 +296,14 @@ func TestEngineMatchesSeedReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opt := range equivCases(m.K) {
-		for _, frozen := range []bool{false, true} {
-			opt := opt
-			opt.NoSupportRecompute = frozen
-			label := fmt.Sprintf("%v/ts=%v/tmin=%d/tmax=%d/batch=%d/frozen=%v",
-				opt.Mode, opt.Ts, opt.TMin, opt.TMax, opt.BatchSize, frozen)
-			want := seedInfer(dep, ds.Split.Test, opt)
-			got, err := dep.Infer(ds.Split.Test, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			requireSameResult(t, label, got, want)
+		label := fmt.Sprintf("%v/ts=%v/tmin=%d/tmax=%d/batch=%d",
+			opt.Mode, opt.Ts, opt.TMin, opt.TMax, opt.BatchSize)
+		want := seedInfer(dep, ds.Split.Test, opt)
+		got, err := dep.Infer(ds.Split.Test, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		requireSameResult(t, label, got, want)
 	}
 }
 
@@ -343,31 +335,6 @@ func TestEngineMatchesSeedOnTargetSubsets(t *testing.T) {
 	}
 }
 
-func TestInferWorkersMatchesSerial(t *testing.T) {
-	ds := tinyData(t)
-	m := trainedModel(t)
-	dep, err := NewDeployment(m, ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []InferenceOptions{
-		{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 5},
-		{Mode: ModeGate, TMin: 1, TMax: m.K, BatchSize: 3},
-		{Mode: ModeFixed, TMin: 1, TMax: m.K, BatchSize: 8},
-	} {
-		serial, err := dep.Infer(ds.Split.Test, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mode.Workers = 4
-		parallel, err := dep.Infer(ds.Split.Test, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, fmt.Sprintf("workers=4/%v", mode.Mode), parallel, serial)
-	}
-}
-
 func TestConcurrentInferCallers(t *testing.T) {
 	// One shared Deployment, ≥4 concurrent callers with mixed modes: every
 	// caller must observe exactly the serial result (run with -race).
@@ -381,7 +348,7 @@ func TestConcurrentInferCallers(t *testing.T) {
 		{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 6},
 		{Mode: ModeGate, TMin: 1, TMax: m.K, BatchSize: 10},
 		{Mode: ModeFixed, TMin: 1, TMax: m.K},
-		{Mode: ModeDistance, Ts: 2.0, TMin: 2, TMax: m.K, BatchSize: 4, Workers: 2},
+		{Mode: ModeDistance, Ts: 2.0, TMin: 2, TMax: m.K, BatchSize: 4},
 	}
 	want := make([]*Result, len(opts))
 	for i, opt := range opts {

@@ -41,7 +41,6 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 				InferenceOptions{Mode: mode, Ts: 0.8, TMin: min(2, tmax), TMax: tmax, BatchSize: 7})
 		}
 	}
-	opts = append(opts, InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 5, NoSupportRecompute: true})
 
 	// The sparse graph's block outweighs its adjacency, the dense one's does not.
 	for name, ds := range map[string]*synth.Dataset{"sparse": tinyData(t), "dense": denseData(t)} {

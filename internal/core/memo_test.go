@@ -61,17 +61,14 @@ func TestMemoEquivalence(t *testing.T) {
 	for _, p := range tiers {
 		dep := deployAt(t, m, ds.Graph, p)
 		for _, opt := range cases {
-			for _, frozen := range []bool{false, true} {
-				opt.NoSupportRecompute = frozen
-				label := fmt.Sprintf("%v/%v/ts=%v/tmin=%d/tmax=%d/batch=%d/frozen=%v",
-					p, opt.Mode, opt.Ts, opt.TMin, opt.TMax, opt.BatchSize, frozen)
-				recold(dep)
-				before := dep.Hop1Stats()
-				requireColdWarmSame(t, label, dep, ds.Split.Test, opt)
-				after := dep.Hop1Stats()
-				if after.FromMemo == before.FromMemo || after.Entries == 0 {
-					t.Fatalf("%s: the layer served nothing (%+v → %+v)", label, before, after)
-				}
+			label := fmt.Sprintf("%v/%v/ts=%v/tmin=%d/tmax=%d/batch=%d",
+				p, opt.Mode, opt.Ts, opt.TMin, opt.TMax, opt.BatchSize)
+			recold(dep)
+			before := dep.Hop1Stats()
+			requireColdWarmSame(t, label, dep, ds.Split.Test, opt)
+			after := dep.Hop1Stats()
+			if after.FromMemo == before.FromMemo || after.Entries == 0 {
+				t.Fatalf("%s: the layer served nothing (%+v → %+v)", label, before, after)
 			}
 		}
 	}

@@ -159,12 +159,6 @@ func TestRelaxedDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, p.String()+" repeat", b, a)
-		opt.Workers = 3
-		c, err := dep.Infer(ds.Split.Test, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, p.String()+" workers", c, a)
 	}
 
 	dep.SetPrecision(kernel.PrecisionF32)

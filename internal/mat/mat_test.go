@@ -443,3 +443,13 @@ func TestEmptyMatrix(t *testing.T) {
 		t.Fatal("empty matmul shape")
 	}
 }
+
+func BenchmarkGEMM128(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(128, 128, 1, rng)
+	y := Randn(128, 128, 1, rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMul(x, y)
+	}
+}

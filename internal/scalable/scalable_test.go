@@ -8,6 +8,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/sparse"
+	"repro/internal/synth"
 	"repro/internal/tensor"
 )
 
@@ -216,5 +217,19 @@ func TestCombineNodeMatchesEvalAllModels(t *testing.T) {
 		if !mat.ApproxEqual(got.Value, want, 1e-12) {
 			t.Fatalf("%s: CombineNode != Combine", name)
 		}
+	}
+}
+
+func BenchmarkPropagateK4(b *testing.B) {
+	cfg := synth.FlickrLike(1)
+	cfg.N = 2000
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	adj := sparse.NormalizedAdjacency(ds.Graph.Adj, sparse.GammaSymmetric)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Propagate(adj, ds.Graph.Features, 4)
 	}
 }

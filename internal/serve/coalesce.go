@@ -46,7 +46,8 @@ type doneCtx interface {
 // the window opened (timer flush), or the tightest waiter deadline minus
 // the expected flush cost arrives (early deadline flush). Flushes run in
 // the goroutine that closed the window — while one batch infers, the next
-// window fills.
+// window fills. At MaxWait ≤ 0 there is no window: submit closes it in the
+// critical section that appended to it, so every flush is exactly one request.
 //
 // Admission control fronts the window: every submit must first take its
 // targets from the bounded budget (queued + in-flight flush targets,
@@ -85,12 +86,13 @@ func newCoalescer(s *Server) *coalescer {
 	}
 }
 
-// submit queues one request, flushes if the window filled (or coalescing is
-// disabled), and blocks until the request's batch has been served or the
-// caller's context is done. The returned error is what the caller sees:
-// admission/shutdown rejections (which never enqueue), the caller's own
-// context error (504/499 at the HTTP layer), or — after the flush — the
-// batch's Infer error. On success p.res/p.lo hold the caller's span.
+// submit queues one request, flushes if the window filled (or, coalescing
+// disabled, at once and alone), and blocks until the request's batch has been
+// served or the caller's context is done. The returned error is what the
+// caller sees: admission/shutdown rejections (which never enqueue), the
+// caller's own context error (504/499 at the HTTP layer), or — after the
+// flush — the batch's Infer error. On success p.res/p.lo hold the caller's
+// span.
 func (c *coalescer) submit(p *pending) error {
 	n := len(p.targets)
 	if cap := c.budget.Capacity(); cap > 0 && n > cap {

@@ -49,9 +49,10 @@ func (s *Server) registerGauges() {
 		"Backend graph version (+1 per effective delta).",
 		func() float64 { return float64(s.backend.Describe().Version) })
 
-	// The hop-1 memo lives in the engine, so its counters are this process's:
-	// a sharded front over remote workers reads zero here and each worker
-	// reports its own on its /metrics (shard.WorkerHandlerObs).
+	// The hop-1 memo lives in the engine; Describe sums it over the backend's
+	// engines. A front over remote workers reads their counters as of the last
+	// health probe (HealthInfo.Hop1), and each worker also reports its own on
+	// its /metrics (shard.WorkerHandlerObs).
 	core.RegisterHop1Metrics(reg, func() core.Hop1Stats { return s.backend.Describe().Hop1 })
 
 	if s.cache != nil {

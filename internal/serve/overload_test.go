@@ -237,6 +237,19 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
+// awaitPending polls until the admission budget holds exactly n targets — a
+// request launched on another goroutine has been admitted and parked — and
+// fails the test if that has not happened within ten seconds.
+func awaitPending(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); s.co.budget.Pending() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission budget holds %d targets, want %d", s.co.budget.Pending(), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 // TestAdmissionFastReject: with the budget full, a new request must be
 // rejected immediately with ErrOverloaded — microseconds, not a parked
 // goroutine waiting out the window timer — and the rejection must show up
@@ -253,9 +266,7 @@ func TestAdmissionFastReject(t *testing.T) {
 			t.Errorf("budget-filling request failed: %v", err)
 		}
 	}()
-	for s.co.budget.Pending() != 2 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	awaitPending(t, s, 2)
 
 	start := time.Now()
 	_, _, err := s.Classify([]int{2})
@@ -405,9 +416,7 @@ func TestShutdownDrain(t *testing.T) {
 		preds, _, err := s.Classify([]int{3})
 		got <- answer{preds, err}
 	}()
-	for s.co.budget.Pending() != 1 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	awaitPending(t, s, 1)
 
 	s.Close()
 	select {

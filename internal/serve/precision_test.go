@@ -15,7 +15,7 @@ import (
 // tier against the f64 reference. The f32 tier must classify every node
 // identically (its per-row arithmetic is a pure function of the row's
 // ball); the int8 tier may flip borderline nodes within the agreement
-// budget benchgate enforces, but must answer deterministically: the cached
+// budget asserted below, but must answer deterministically: the cached
 // second pass reproduces the first bit for bit, and /stats names the
 // active tier.
 func TestPrecisionServingEquivalence(t *testing.T) {

@@ -18,7 +18,8 @@
 //
 //   - Coalescing: concurrent single-node requests are micro-batched into one
 //     Infer call (up to Config.MaxBatch targets, waiting at most
-//     Config.MaxWait for batch mates), so the per-batch costs Algorithm 1
+//     Config.MaxWait for batch mates; at MaxWait ≤ 0 nothing waits and every
+//     request is its own call), so the per-batch costs Algorithm 1
 //     pays — the supporting-set BFS, the compaction of the ball, the stationary
 //     rows and the classifier GEMMs — are amortized across callers instead
 //     of being re-paid per request.
@@ -63,8 +64,6 @@ type Config struct {
 	// Opt is the operating point coalesced batches are inferred with.
 	// BatchSize is ignored: a coalesced batch always runs as one Algorithm 1
 	// batch, since sharing one supporting ball is the point of coalescing.
-	// That also makes Workers moot (it fans out batches, and there is only
-	// one); the parallel kernels inside the batch use all cores regardless.
 	Opt core.InferenceOptions
 	// MaxBatch is the window-flush threshold: a window holding MaxBatch or
 	// more targets flushes immediately instead of waiting out MaxWait.
@@ -74,8 +73,10 @@ type Config struct {
 	// ball grow). ≤0 defaults to 64.
 	MaxBatch int
 	// MaxWait bounds how long a request waits for batch mates before the
-	// window flushes anyway. ≤0 flushes every request immediately
-	// (coalescing only what queued while the previous flush ran).
+	// window flushes anyway. ≤0 disables coalescing: every request flushes
+	// alone, the moment it is admitted — a request that arrives while
+	// another flush runs does not wait for it — so without a result cache
+	// coalesce_rate is exactly 1.
 	MaxWait time.Duration
 	// MaxBody caps the accepted HTTP request body size in bytes
 	// (http.MaxBytesReader); oversized payloads get a 400, never an

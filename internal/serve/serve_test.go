@@ -220,18 +220,36 @@ func TestDeltasUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestCoalescerImmediateFlush: MaxWait <= 0 disables waiting — every
-// serial request must flush as its own Infer call the moment it arrives.
+// TestCoalescerImmediateFlush: MaxWait <= 0 disables coalescing outright.
+// submit closes the window in the critical section it appends to, so even
+// callers that arrive while another flush runs each flush alone: under eight
+// concurrent callers every request is its own Infer call (coalesce_rate 1).
 func TestCoalescerImmediateFlush(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 64, MaxWait: 0})
-	for i := 0; i < 5; i++ {
-		if _, _, err := s.Classify([]int{i}); err != nil {
-			t.Fatal(err)
-		}
+	const callers, each = 8, 25
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, _, err := s.Classify([]int{c*each + i}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Requests != 5 || st.InferCalls != 5 {
-		t.Fatalf("immediate mode coalesced: %d Infer calls for %d requests", st.InferCalls, st.Requests)
+	if st.Requests != callers*each || st.InferCalls != st.Requests || st.CoalesceRate != 1 {
+		t.Fatalf("immediate mode coalesced: %d Infer calls for %d requests (coalesce_rate %v)",
+			st.InferCalls, st.Requests, st.CoalesceRate)
 	}
 }
 

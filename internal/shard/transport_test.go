@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/mat"
 )
@@ -161,6 +162,35 @@ func TestDeadShardFailsFast(t *testing.T) {
 	}
 }
 
+// serveWorkerAt bootstraps one shard worker and serves it on addr over a real
+// socket ("" picks a free port). A restart on an address whose previous
+// listener has only just closed may find the port still held: the bind is
+// retried for up to a second before the test fails.
+func serveWorkerAt(t *testing.T, m *core.Model, g *graph.Graph, addr string, cfg Config, shardID int) (*http.Server, string) {
+	t.Helper()
+	w, err := NewWorker(m, g, cfg, shardID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	var ln net.Listener
+	for attempt := 0; ; attempt++ {
+		ln, err = net.Listen("tcp", addr)
+		if err == nil {
+			break
+		}
+		if attempt > 50 {
+			t.Fatalf("rebind %s: %v", addr, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	srv := &http.Server{Handler: WorkerHandler(w)}
+	go srv.Serve(ln)
+	return srv, ln.Addr().String()
+}
+
 // TestWorkerRestartRejoins is the full worker lifecycle over real sockets:
 // a worker dies, deltas keep committing, the worker restarts from its
 // deterministic bootstrap on the same address, and the router's probe
@@ -172,27 +202,7 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	cfg := fastRetry(p)
 
 	serveWorker := func(addr string) (*http.Server, string) {
-		w, err := NewWorker(m, ds.Graph.Clone(), Config{Shards: p}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var ln net.Listener
-		for attempt := 0; ; attempt++ {
-			ln, err = net.Listen("tcp", addr)
-			if err == nil {
-				break
-			}
-			if attempt > 50 {
-				t.Fatalf("rebind %s: %v", addr, err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		srv := &http.Server{Handler: WorkerHandler(w)}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String()
+		return serveWorkerAt(t, m, ds.Graph.Clone(), addr, Config{Shards: p}, 0)
 	}
 
 	srv0, addr0 := serveWorker("")
@@ -326,27 +336,7 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 
 	serveAt := func(addr string, cfg Config, shardID int) (*http.Server, string) {
 		t.Helper()
-		w, err := NewWorker(m, ds.Graph.Clone(), cfg, shardID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var ln net.Listener
-		for attempt := 0; ; attempt++ {
-			ln, err = net.Listen("tcp", addr)
-			if err == nil {
-				break
-			}
-			if attempt > 50 {
-				t.Fatalf("rebind %s: %v", addr, err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		srv := &http.Server{Handler: WorkerHandler(w)}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String()
+		return serveWorkerAt(t, m, ds.Graph.Clone(), addr, cfg, shardID)
 	}
 
 	srv0, addr0 := serveAt("", Config{Shards: p}, 0)

@@ -31,9 +31,11 @@ const wireMagic = "NAIW"
 // errKindPrecision conflict); version 3 added the trace id to msgInfer and
 // the worker-side span list to msgResult (end-to-end tracing across the
 // router↔worker boundary); version 4 added the X^(1)-layer counters to
-// msgHealth. A peer speaking an older version is rejected at decode, which is
-// the right failure for a router and worker that disagree on the format.
-const wireVersion = 4
+// msgHealth; version 5 dropped two engine options from msgInfer that the
+// engine no longer has. A peer speaking an older version is rejected at
+// decode, which is the right failure for a router and worker that disagree on
+// the format.
+const wireVersion = 5
 
 // message types
 const (
@@ -221,12 +223,6 @@ func encodeInferRequest(req *InferRequest) []byte {
 	b = appendInt(b, req.Opt.TMin)
 	b = appendInt(b, req.Opt.TMax)
 	b = appendInt(b, req.Opt.BatchSize)
-	b = appendInt(b, req.Opt.Workers)
-	flags := 0
-	if req.Opt.NoSupportRecompute {
-		flags = 1
-	}
-	b = appendInt(b, flags)
 	b = appendInt(b, int(req.Precision))
 	return appendUint(b, req.TraceID)
 }
@@ -243,8 +239,6 @@ func decodeInferRequest(b []byte) (*InferRequest, error) {
 	req.Opt.TMin = d.int()
 	req.Opt.TMax = d.int()
 	req.Opt.BatchSize = d.int()
-	req.Opt.Workers = d.int()
-	req.Opt.NoSupportRecompute = d.int() != 0
 	req.Precision = kernel.Precision(d.int())
 	if !req.Precision.Valid() {
 		d.fail("unknown precision tier %d", int(req.Precision))

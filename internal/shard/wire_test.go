@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func TestWireRoundTrip(t *testing.T) {
 		Version: 7,
 		Targets: []int{0, 5, 1 << 30},
 		Opt: core.InferenceOptions{Mode: core.ModeDistance, Ts: 1.0 / 3.0,
-			TMin: 1, TMax: 4, BatchSize: 128, Workers: 3, NoSupportRecompute: true},
+			TMin: 1, TMax: 4, BatchSize: 128},
 		Precision: kernel.PrecisionInt8,
 		TraceID:   0xdeadbeef,
 	}
@@ -198,6 +199,28 @@ func TestWireRejectsBadPayloads(t *testing.T) {
 	hd3 = appendInt(hd3, 1<<32)
 	if _, err := decodeShardDelta(hd3); err == nil {
 		t.Fatal("overflowing feature shape accepted")
+	}
+}
+
+// TestWireRejectsV4Frame: a version-4 msgInfer frame — two more integers
+// between the batch size and the precision tier than version 5 — must fail on
+// the version byte, not be read field-shifted into a different request.
+func TestWireRejectsV4Frame(t *testing.T) {
+	b := append([]byte(wireMagic), 4, msgInfer)
+	b = appendUint(b, 1)           // version
+	b = appendInts(b, []int{1, 2}) // targets
+	b = appendInt(b, int(core.ModeDistance))
+	b = appendFloat(b, 0.5)
+	b = appendInt(b, 1) // TMin
+	b = appendInt(b, 2) // TMax
+	b = appendInt(b, 0) // BatchSize
+	b = appendInt(b, 0) // v4: Workers
+	b = appendInt(b, 0) // v4: flags
+	b = appendInt(b, int(kernel.PrecisionF64))
+	b = appendUint(b, 0) // trace id
+	_, err := decodeInferRequest(b)
+	if err == nil || !strings.Contains(err.Error(), "format version 4, want 5") {
+		t.Fatalf("v4 frame: err = %v, want the format-version error", err)
 	}
 }
 
