@@ -25,15 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/scalable"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -90,7 +86,7 @@ func main() {
 		iopt.Mode = core.ModeFixed
 	case "distance":
 		iopt.Mode = core.ModeDistance
-		iopt.Ts = tuneThreshold(dep, ds, m, *tsQuantile)
+		iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
 		fmt.Printf("tuned T_s = %.4f (validation quantile %.2f)\n", iopt.Ts, *tsQuantile)
 	case "gate":
 		iopt.Mode = core.ModeGate
@@ -121,20 +117,6 @@ func main() {
 		fmt.Sprintf("%.4f", float64(res.MACs.Classification)/n/1e6),
 		fmt.Sprintf("%.4f", float64(res.MACs.Total())/n/1e6))
 	fmt.Println(t.Render())
-}
-
-// tuneThreshold converts a validation-distance quantile into T_s.
-func tuneThreshold(dep *core.Deployment, ds *synth.Dataset, m *core.Model, q float64) float64 {
-	feats := scalable.Propagate(sparse.NormalizedAdjacency(ds.Graph.Adj, dep.Model.Gamma), ds.Graph.Features, 1)
-	st := dep.Stationary() // cached on the deployment, not recomputed
-	val := ds.Split.Val
-	d := mat.RowDistances(feats[1].GatherRows(val), st.Rows(val))
-	sort.Float64s(d)
-	if len(d) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(d)-1))
-	return d[idx]
 }
 
 func fail(err error) {

@@ -1,16 +1,15 @@
 // Command naiserve runs the NAI serving daemon: it trains (or loads) a
 // model, deploys it against the serving graph, and exposes the
-// internal/serve HTTP JSON API — coalesced inference over /infer, online
+// internal/serve HTTP JSON API — inference over /infer, online
 // graph growth over /nodes and /edges, and observability over /stats,
 // /healthz, Prometheus text-format metrics at /metrics and recent request
 // traces at /debug/traces (both also served by -shard-worker processes;
 // see ARCHITECTURE.md, "Observability"). -log-format {text,json} selects
 // the structured-log encoding, -trace-slow the slow-request log threshold,
 // and -debug-addr serves net/http/pprof on a separate listener. See
-// ARCHITECTURE.md for the request path. Coalescing is opt-in: at the default
-// -max-wait 0 every request runs alone (an engine point read costs less than
-// a coalescing round); a positive -max-wait lets requests wait that long for
-// batch mates.
+// ARCHITECTURE.md for the request path. Every request is its own backend
+// call: nothing waits for batch mates, and a client that wants Algorithm 1's
+// per-batch costs shared sends its targets as one request.
 //
 // With -shards P (P > 1) the graph is partitioned into P edge-cut shards
 // with a TMax-hop halo each, served by per-shard deployments behind a
@@ -69,7 +68,7 @@
 // uncached serving (see ARCHITECTURE.md, "Result cache").
 //
 // Overload control (see ARCHITECTURE.md, "Overload control"): -max-pending
-// bounds queued+in-flight targets — beyond it requests get an immediate
+// bounds the targets in backend calls — beyond it requests get an immediate
 // 429 with a Retry-After instead of parking (0 disables). -default-deadline
 // is the per-request deadline when the client sends no X-Deadline-Ms
 // header; client deadlines are clamped to -max-deadline. -tenant-quotas
@@ -78,13 +77,13 @@
 // budget ("tenant=rate[:burst[:weight]]", "*" sets the default).
 // -shed-mode keeps the daemon answering under sustained overload: cache
 // hits and fixed-depth requests are served, adaptive cache misses are
-// shed with 429 — except one probe per interval, whose flush lets the
+// shed with 429 — except one probe per interval, whose call lets the
 // overload detector see the pressure clear.
 //
 // Usage:
 //
 //	naiserve -dataset flickr-like -mode distance -ts-quantile 0.3 -addr :8080
-//	naiserve -load model.json -graph serving.graph -max-batch 128 -max-wait 1ms
+//	naiserve -load model.json -graph serving.graph -mode fixed
 //	naiserve -dataset products-like -shards 4 -cache-size 65536
 //	naiserve -max-pending 8192 -default-deadline 500ms -tenant-quotas 'paid=1000::4,*=100' -shed-mode
 //
@@ -105,7 +104,6 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served at -debug-addr
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -115,13 +113,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/kernel"
-	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/scalable"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -135,8 +130,6 @@ func main() {
 	tsQuantile := flag.Float64("ts-quantile", 0.3, "distance threshold as a validation-distance quantile (distance mode)")
 	tmin := flag.Int("tmin", 1, "minimum propagation depth")
 	tmax := flag.Int("tmax", 0, "maximum propagation depth (0 = K)")
-	maxBatch := flag.Int("max-batch", 64, "max targets per coalesced batch")
-	maxWait := flag.Duration("max-wait", 0, "max time a request waits for batch mates; 0 (the setting benchmark/ measures) flushes every request alone — an engine point read costs less than a coalescing round")
 	shardsFlag := flag.String("shards", "1", "shard layout: an integer P partitions in-process (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
 	shardWorker := flag.Int("shard-worker", -1, "serve one shard as a worker process: this flag is the shard id, -shards P (integer) the shard count; exposes the binary shard protocol on -addr")
 	shardRetries := flag.Int("shard-retries", 2, "retries per shard call on transient transport failures (distributed mode)")
@@ -144,7 +137,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: a -shard-worker stops accepting new RPCs immediately and finishes in-flight work within this window before exiting")
 	cacheSize := flag.Int("cache-size", 4096, "per-node result-cache capacity in entries (0 disables; delta-aware invalidation keeps answers exact)")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "max HTTP request body size in bytes")
-	maxPending := flag.Int("max-pending", 4096, "admission budget: max targets queued+in-flight before 429s (0 disables)")
+	maxPending := flag.Int("max-pending", 4096, "admission budget: max targets in backend calls before 429s (0 disables)")
 	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request deadline when the client sends no X-Deadline-Ms (0 disables)")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on client-requested X-Deadline-Ms deadlines (0 = no cap)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant quotas in targets/sec, e.g. 'free=100:200,paid=1000:2000:4,*=50' (tenant=rate[:burst[:weight]]; empty admits all)")
@@ -232,7 +225,7 @@ func main() {
 	// Worker mode: bootstrap one shard from the same (model, graph, depth)
 	// inputs the router holds — the deterministic rebuild is the state
 	// transfer — and serve the binary shard protocol. The operating point,
-	// T_s tuning, coalescing and overload control all live in the router
+	// T_s tuning, caching and overload control all live in the router
 	// process; a worker only needs the shard's deployment and the halo
 	// radius (which must match the router's: it verifies at startup).
 	if *shardWorker >= 0 {
@@ -268,17 +261,15 @@ func main() {
 	}
 
 	// The global deployment is needed as the backend when unsharded, and
-	// for T_s tuning in distance mode (the tuner propagates over the global
-	// normalized adjacency). In sharded fixed/gate modes it is skipped
-	// entirely — the router builds only shard-local state, so the daemon
-	// never materializes a whole-graph normalization it won't serve from.
+	// for T_s tuning in distance mode (the tuner propagates the validation
+	// nodes' balls through the global normalized adjacency, at f64 whatever
+	// the tier). In sharded fixed/gate modes it is skipped entirely — the
+	// router builds only shard-local state.
 	var dep *core.Deployment
 	if (shardCount <= 1 && workerGroups == nil) || *mode == "distance" {
 		if dep, err = core.NewDeployment(m, g); err != nil {
 			fail(err)
 		}
-		// T_s tuning reads the f64 stationary state regardless of tier, so
-		// the relaxed tier is installed after the deployment is built.
 		dep.SetPrecision(prec)
 	}
 
@@ -292,7 +283,7 @@ func main() {
 	case "distance":
 		iopt.Mode = core.ModeDistance
 		if ds != nil {
-			iopt.Ts = tuneThreshold(dep, ds, *tsQuantile)
+			iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
 			logger.Info("tuned distance threshold", "ts", iopt.Ts, "quantile", *tsQuantile)
 		} else {
 			fail(fmt.Errorf("distance mode needs a validation split to tune T_s; serve a dataset or use -mode fixed/gate"))
@@ -363,7 +354,7 @@ func main() {
 	}
 
 	srv := serve.NewBackend(backend, serve.Config{
-		Opt: iopt, MaxBatch: *maxBatch, MaxWait: *maxWait, MaxBody: *maxBody,
+		Opt: iopt, MaxBody: *maxBody,
 		CacheSize:  *cacheSize,
 		MaxPending: *maxPending, DefaultDeadline: *defaultDeadline,
 		MaxDeadline: *maxDeadline, Quotas: quotas, Shed: *shedMode,
@@ -385,8 +376,7 @@ func main() {
 	}
 	logger.Info("serving",
 		"nodes", g.N(), "edges", g.M(), "addr", *addr, "mode", *mode,
-		"shards", *shardsFlag, "precision", prec.String(),
-		"max_batch", *maxBatch, "max_wait", *maxWait)
+		"shards", *shardsFlag, "precision", prec.String())
 	startDebugServer(logger, *debugAddr)
 	runServer(logger, &http.Server{
 		Addr:         *addr,
@@ -475,21 +465,6 @@ func parseShards(s string) (count int, groups [][]string, err error) {
 		groups = append(groups, addrs)
 	}
 	return len(groups), groups, nil
-}
-
-// tuneThreshold converts a validation-distance quantile into T_s, matching
-// cmd/naiinfer's tuning.
-func tuneThreshold(dep *core.Deployment, ds *synth.Dataset, q float64) float64 {
-	feats := scalable.Propagate(sparse.NormalizedAdjacency(ds.Graph.Adj, dep.Model.Gamma), ds.Graph.Features, 1)
-	st := dep.Stationary()
-	val := ds.Split.Val
-	d := mat.RowDistances(feats[1].GatherRows(val), st.Rows(val))
-	sort.Float64s(d)
-	if len(d) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(d)-1))
-	return d[idx]
 }
 
 func orNone(s string) string {

@@ -27,10 +27,10 @@
 // wall-clock and memory improve while MAC tables stay comparable.
 //
 // On top of the engine sits a long-lived serving daemon (internal/serve,
-// cmd/naiserve): an HTTP JSON front-end that micro-batches concurrent
-// requests into coalesced Infer calls — amortizing the per-batch
-// BFS/GEMM work across callers — and absorbs online graph
-// growth through POST /nodes and /edges deltas, whose incremental refresh
+// cmd/naiserve): an HTTP JSON front-end that answers each request with one
+// Infer call — a multi-node request shares Algorithm 1's per-batch BFS/GEMM
+// work across its targets, and a result cache absorbs repeat reads — and
+// absorbs online graph growth through POST /nodes and /edges deltas, whose incremental refresh
 // (Deployment.ApplyDelta) touches only changed rows yet stays bit-identical
 // to a full Refresh. Performance is measured by benchmark/ (BENCHMARK.json:
 // four closed-loop workloads, end-to-end metrics with A/A bounds, a

@@ -10,13 +10,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/scalable"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -48,11 +44,7 @@ func main() {
 	}
 
 	// validation distance quantiles → candidate thresholds
-	feats := scalable.Propagate(sparse.NormalizedAdjacency(g.Adj, m.Gamma), g.Features, 1)
-	st := dep.Stationary() // cached on the deployment, not recomputed
-	dists := mat.RowDistances(feats[1].GatherRows(ds.Split.Val), st.Rows(ds.Split.Val))
-	sort.Float64s(dists)
-	quantile := func(q float64) float64 { return dists[int(q*float64(len(dists)-1))] }
+	quantile := func(q float64) float64 { return dep.DistanceQuantile(ds.Split.Val, 1, q) }
 
 	type point struct {
 		name    string

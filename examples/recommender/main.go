@@ -11,13 +11,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/scalable"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -46,22 +42,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Tune T_s on validation distances: the balanced operating point uses
-	// the median depth-1 distance, the aggressive one its 10th percentile.
-	feats := scalable.Propagate(sparse.NormalizedAdjacency(g.Adj, m.Gamma), g.Features, 1)
-	st := dep.Stationary() // cached on the deployment, not recomputed
-	d := mat.RowDistances(feats[1].GatherRows(ds.Split.Val), st.Rows(ds.Split.Val))
-	sort.Float64s(d)
-	tsAggressive := d[len(d)/10]
-	tsBalanced := d[len(d)/2]
+	// Tune T_s on validation distances: the balanced operating point keeps
+	// the full depth range and lets only the smoothest tenth of sessions
+	// (below the 10th-percentile depth-1 distance) exit at depth 1; the
+	// speed-first one caps depth at 2 and lets half of them (below the
+	// median) exit at 1.
+	tsBalanced := dep.DistanceQuantile(ds.Split.Val, 1, 0.1)
+	tsSpeed := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
 
 	points := []struct {
 		name string
 		opt  core.InferenceOptions
 	}{
 		{"vanilla", core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}},
-		{"NAI balanced", core.InferenceOptions{Mode: core.ModeDistance, Ts: tsAggressive, TMin: 1, TMax: m.K}},
-		{"NAI speed-first", core.InferenceOptions{Mode: core.ModeDistance, Ts: tsBalanced, TMin: 1, TMax: 2}},
+		{"NAI balanced", core.InferenceOptions{Mode: core.ModeDistance, Ts: tsBalanced, TMin: 1, TMax: m.K}},
+		{"NAI speed-first", core.InferenceOptions{Mode: core.ModeDistance, Ts: tsSpeed, TMin: 1, TMax: 2}},
 	}
 	table := metrics.NewTable("session classification at varying request rates",
 		"operating point", "sessions/batch", "ACC (%)", "us/node", "mMACs/node")

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -99,8 +98,8 @@ func main() {
 	verify("after cross-shard delta", append([]int{n}, ds.Split.Test...))
 
 	// 5. The daemon serves the router through the same Backend seam as a
-	// single deployment — coalescing, deltas and stats included.
-	srv := serve.NewBackend(router, serve.Config{Opt: opt, MaxWait: time.Millisecond})
+	// single deployment — admission, deltas and stats included.
+	srv := serve.NewBackend(router, serve.Config{Opt: opt})
 	defer srv.Close()
 	preds, depths, err := srv.Classify([]int{n})
 	if err != nil {

@@ -2,15 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/metrics"
-	"repro/internal/scalable"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -32,10 +28,6 @@ type Suite struct {
 	tiny       *baselines.TinyGNN
 	quantOnce  sync.Once
 	quant      *baselines.Quantized
-
-	featsOnce sync.Once
-	feats     []*mat.Matrix // full-graph propagated stack (for threshold tuning)
-	statn     *core.Stationary
 }
 
 var (
@@ -57,13 +49,6 @@ func GetSuite(cfg Config, dataset, model string) (*Suite, error) {
 	}
 	suiteCache[key] = s
 	return s, nil
-}
-
-// ResetSuites clears the cache (tests use this to bound memory).
-func ResetSuites() {
-	suiteMu.Lock()
-	defer suiteMu.Unlock()
-	suiteCache = map[string]*Suite{}
 }
 
 func newSuite(cfg Config, dataset, model string) (*Suite, error) {
@@ -148,30 +133,10 @@ func (s *Suite) Quantized() *baselines.Quantized {
 	return s.quant
 }
 
-// fullFeats propagates the deployment graph once (threshold tuning only —
-// not charged to any method).
-func (s *Suite) fullFeats() ([]*mat.Matrix, *core.Stationary) {
-	s.featsOnce.Do(func() {
-		s.feats = scalable.Propagate(sparse.NormalizedAdjacency(s.DS.Graph.Adj, s.Model.Gamma), s.DS.Graph.Features, s.Model.K)
-		s.statn = core.ComputeStationary(s.DS.Graph.Adj, s.DS.Graph.Features, s.Model.Gamma)
-	})
-	return s.feats, s.statn
-}
-
 // DistanceQuantile returns the q-quantile of the validation nodes'
 // stationary distances Δ^{(l)} (Eq. 8), the knob users tune T_s with.
 func (s *Suite) DistanceQuantile(l int, q float64) float64 {
-	feats, st := s.fullFeats()
-	val := s.DS.Split.Val
-	xinf := st.Rows(val)
-	xl := feats[l].GatherRows(val)
-	d := mat.RowDistances(xl, xinf)
-	sort.Float64s(d)
-	if len(d) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(d)-1))
-	return d[idx]
+	return s.Dep.DistanceQuantile(s.DS.Split.Val, l, q)
 }
 
 // NAISetting is one operating point of Algorithm 1.

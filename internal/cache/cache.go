@@ -12,7 +12,7 @@
 // make caching safe at all:
 //
 //   - Infer answers are batch-invariant, so an answer computed inside one
-//     coalesced batch is bit-identical to the answer any later batch would
+//     request's batch is bit-identical to the answer any later batch would
 //     compute — a cache hit changes wall-clock, never bits.
 //   - Graph deltas report exactly which rows they dirtied, so stale entries
 //     can be evicted precisely instead of by TTL guesswork.

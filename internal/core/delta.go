@@ -15,8 +15,8 @@ import (
 // merged graph (see TestDeltaEquivalence).
 //
 // Like Refresh, ApplyDelta must not run concurrently with Infer; the
-// internal/serve daemon holds its write lock around it while coalesced
-// inference holds read locks.
+// internal/serve daemon holds its write lock around it while requests hold
+// read locks.
 func (d *Deployment) ApplyDelta(delta graph.Delta) (*graph.DeltaResult, error) {
 	dr, err := d.Graph.ApplyDelta(delta)
 	if err != nil {
@@ -83,11 +83,4 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 func (d *Deployment) PatchAdjacency(valDirty []int) {
 	d.Adj.Patch(d.Graph.Adj, d.stationary.LoopedDeg, valDirty)
 	d.eng.patched(valDirty)
-}
-
-// Window returns the per-target outputs for targets[lo:hi] of the Infer call
-// that produced r, as (preds, depths) views. The serving coalescer uses it
-// to split one amortized batch back into the per-request answers.
-func (r *Result) Window(lo, hi int) ([]int, []int) {
-	return r.Pred[lo:hi], r.Depths[lo:hi]
 }

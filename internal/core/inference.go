@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -217,6 +218,37 @@ func (d *Deployment) Refresh() {
 
 // Stationary returns the cached stationary state X(∞) of the serving graph.
 func (d *Deployment) Stationary() *Stationary { return d.stationary }
+
+// DistanceQuantile returns the q-quantile (0 ≤ q ≤ 1) of the stationary
+// distances Δ^(l)_v = ‖X^(l)_v − X(∞)_v‖ (Eq. 8) over nodes — the value a
+// distance-mode T_s is tuned to on a validation split — indexed as
+// int(q·(len−1)) into the ascending distances; 0 for no nodes. X^(l) is
+// computed at float64 whatever the serving tier, through the Adj operator
+// over the nodes' radius-l ball — hop h on the radius-(l−h) ball — so no Â
+// is materialized and nothing outside the ball is read; each distance is
+// bit-equal to one taken from a full-graph propagation. Must not run
+// concurrently with ApplyDelta.
+func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
+	if len(nodes) == 0 {
+		return 0
+	}
+	sets := graph.SupportingSets(d.Graph.Adj, nodes, l)
+	f := d.Graph.F()
+	toLocal := graph.NewIndex(d.Graph.N())
+	x := d.Graph.Features.GatherRows(sets[0]).Data
+	for h := 1; h <= l; h++ {
+		graph.IndexSet(sets[h-1], toLocal)
+		out := make([]float64, len(sets[h])*f)
+		sparse.MulNormalizedRowsInto(d.Adj, sets[h], nil, toLocal, 0, x, f, 1, out)
+		graph.ResetIndex(sets[h-1], toLocal)
+		x = out
+	}
+	graph.IndexSet(sets[l], toLocal)
+	xl := mat.FromData(len(sets[l]), f, x).GatherRows(graph.LocalizeSet(nodes, toLocal, nil))
+	dist := mat.RowDistances(xl, d.stationary.Rows(nodes))
+	sort.Float64s(dist)
+	return dist[int(q*float64(len(dist)-1))]
+}
 
 // inferScratch is the per-request mutable state of Algorithm 1 at one tier's
 // element type. Pooling it keeps Deployment's cached state read-only

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/scalable"
 	"repro/internal/sparse"
@@ -114,6 +116,35 @@ func TestDistanceSemanticsExact(t *testing.T) {
 		if res.Pred[i] != want {
 			t.Fatalf("node %d: engine pred %d, reference %d", v, res.Pred[i], want)
 		}
+	}
+}
+
+// TestDistanceQuantileMatchesFullPropagation pins the T_s tuner to the
+// formula it replaced — Δ^(l) from a full-graph propagation over the
+// materialized Â, sorted, indexed at int(q·(len−1)) — bit for bit at l ∈
+// {1, 2}, whatever tier the deployment serves at.
+func TestDistanceQuantileMatchesFullPropagation(t *testing.T) {
+	ds := tinyData(t)
+	m := trainedModel(t)
+	dep, _ := NewDeployment(m, ds.Graph)
+	feats := scalable.Propagate(sparse.NormalizedAdjacency(ds.Graph.Adj, m.Gamma), ds.Graph.Features, 2)
+	st := ComputeStationary(ds.Graph.Adj, ds.Graph.Features, m.Gamma)
+	val := ds.Split.Val
+	for _, prec := range []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionInt8} {
+		dep.SetPrecision(prec)
+		for l := 1; l <= 2; l++ {
+			d := mat.RowDistances(feats[l].GatherRows(val), st.Rows(val))
+			sort.Float64s(d)
+			for _, q := range []float64{0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.9, 1} {
+				want := d[int(q*float64(len(d)-1))]
+				if got := dep.DistanceQuantile(val, l, q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v l=%d q=%v: %v, full propagation gives %v", prec, l, q, got, want)
+				}
+			}
+		}
+	}
+	if got := dep.DistanceQuantile(nil, 1, 0.5); got != 0 {
+		t.Fatalf("no nodes: %v, want 0", got)
 	}
 }
 

@@ -70,15 +70,6 @@ func Randn(r, c int, std float64, rng *rand.Rand) *Matrix {
 	return m
 }
 
-// RandUniform fills a new r×c matrix with U(lo, hi) entries drawn from rng.
-func RandUniform(r, c int, lo, hi float64, rng *rand.Rand) *Matrix {
-	m := New(r, c)
-	for i := range m.Data {
-		m.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

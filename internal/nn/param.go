@@ -25,9 +25,6 @@ func NewParam(name string, value *mat.Matrix) *Param {
 	return &Param{Name: name, Value: value}
 }
 
-// NumValues returns the number of scalar parameters.
-func (p *Param) NumValues() int { return len(p.Value.Data) }
-
 // Binding ties parameters to leaf nodes on one tape for a single
 // forward/backward pass.
 type Binding struct {
@@ -72,15 +69,6 @@ func (b *Binding) Backward(loss *tensor.Node) {
 			pr.param.Grad = mat.New(pr.param.Value.Rows, pr.param.Value.Cols)
 		}
 	}
-}
-
-// ParamCount sums the scalar parameter counts of params.
-func ParamCount(params []*Param) int {
-	total := 0
-	for _, p := range params {
-		total += p.NumValues()
-	}
-	return total
 }
 
 // CheckNames panics if two parameters share a name (guards model wiring).

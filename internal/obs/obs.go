@@ -2,8 +2,8 @@
 // zero-dependency metrics registry (atomic counters, gauges and
 // fixed-bucket latency histograms with a Prometheus text-format encoder,
 // served at GET /metrics), lightweight per-request tracing (a Trace
-// carried via context.Context through admission → coalescer → engine →
-// shard router → transport, with worker-side spans stitched across the
+// carried via context.Context through admission → engine → shard router →
+// transport, with worker-side spans stitched across the
 // wire by trace id), and a bounded ring of recent completed traces plus
 // a slow-request log served at GET /debug/traces.
 //
@@ -24,7 +24,7 @@
 // prefix: nai_requests_total{outcome=...}, nai_request_duration_seconds,
 // nai_stage_duration_seconds{stage=...},
 // nai_propagate_hop_duration_seconds{hop=...}, and the counters and gauges
-// the serve and shard layers register on Reg (coalesced Infer calls,
+// the serve and shard layers register on Reg (backend Infer calls,
 // deltas, per-tenant volume and latency, cache, admission, shard health).
 package obs
 
@@ -82,7 +82,7 @@ func New(opt Options) *Obs {
 	o.reqDur = o.Reg.Histogram("nai_request_duration_seconds",
 		"End-to-end request latency.", DefBuckets)
 	stageVec := o.Reg.HistogramVec("nai_stage_duration_seconds",
-		"Per-stage latency across the request path (span taxonomy: queue, assemble, bfs, extract, propagate, decide, classify, fanout, merge, encode, rpc, decode).",
+		"Per-stage latency across the request path (span taxonomy: queue, bfs, extract, propagate, decide, classify, fanout, merge, encode, rpc, decode).",
 		DefBuckets, "stage")
 	for s := Stage(0); s < numStages; s++ {
 		o.stages[s] = stageVec.With(s.String())
@@ -144,17 +144,6 @@ func (o *Obs) FinishTrace(t *Trace, tenant, outcome string, targets int) {
 		}
 	}
 	o.Ring.finish(t)
-}
-
-// Count records a request that ended after d without a trace to finish (a
-// caller gave up while its flush may still be recording spans): outcome
-// counter and latency histogram, so the percentiles see the slow tail.
-func (o *Obs) Count(outcome string, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.requests.With(outcome).Inc()
-	o.reqDur.Observe(d.Seconds())
 }
 
 // Requests returns the nai_requests_total counter of one outcome, for views

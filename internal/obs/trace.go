@@ -7,23 +7,20 @@ import (
 )
 
 // Stage identifies one instrumented segment of the request path. The
-// taxonomy follows the life of a request: admission queue wait and batch
-// assembly in the coalescer; BFS supporting-set construction, compaction
-// (extract), per-hop propagation, exit decisions and classification in
-// the engine; fan-out and merge in the shard router; and encode/RPC/
-// decode in the HTTP transport.
+// taxonomy follows the life of a request: arrival to backend call in the
+// serving layer; BFS supporting-set construction, compaction (extract),
+// per-hop propagation, exit decisions and classification in the engine;
+// fan-out and merge in the shard router; and encode/RPC/decode in the HTTP
+// transport.
 type Stage uint8
 
 // The span taxonomy. StagePropagate spans additionally carry the hop
 // number; StageFanout/StageEncode/StageRPC/StageDecode spans carry the
 // shard id.
 const (
-	// StageQueue is the time a request waited in the coalescer queue
-	// before its window flushed.
+	// StageQueue runs from a request's arrival to its backend call: quota,
+	// id validation, cache reads and admission.
 	StageQueue Stage = iota
-	// StageAssemble is batch assembly: concatenating the window's
-	// targets and snapshotting the queue at flush time.
-	StageAssemble
 	// StageBFS is multi-source supporting-set construction.
 	StageBFS
 	// StageExtract is the compaction of the supporting ball: indexing the
@@ -56,7 +53,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"queue", "assemble", "bfs", "extract", "propagate", "decide",
+	"queue", "bfs", "extract", "propagate", "decide",
 	"classify", "fanout", "merge", "encode", "rpc", "decode",
 }
 
@@ -149,9 +146,9 @@ func (t *Trace) End(stage Stage, hop, shard int, begin time.Time) {
 	t.EndAt(stage, hop, shard, begin, time.Now())
 }
 
-// EndAt is End with an explicit end instant, for callers closing many
-// spans at one moment (the coalescer ends every waiter's queue span at
-// flush start) — one clock read instead of one per span.
+// EndAt is End with an explicit end instant, for callers that read the
+// clock anyway (the serving layer ends a request's queue span at the
+// instant it times the backend call from) — one clock read instead of two.
 func (t *Trace) EndAt(stage Stage, hop, shard int, begin, now time.Time) {
 	if t == nil || begin.IsZero() {
 		return

@@ -1,8 +1,8 @@
 // Package qos provides the overload-control primitives the serving daemon
-// composes in front of its coalescer: per-tenant token-bucket quotas, a
+// composes in front of its backend: per-tenant token-bucket quotas, a
 // weighted-fair bounded admission budget, an exponentially-weighted moving
-// average of flush latency (the deadline math's cost estimate), and an
-// overload detector with hysteresis on queue depth and latency.
+// average of backend-call latency (the Retry-After estimate), and an
+// overload detector with hysteresis on budget depth and latency.
 //
 // The pieces are deliberately mechanism, not policy: every decision takes
 // an explicit clock (tests never sleep), every structure is safe for
@@ -15,7 +15,6 @@ package qos
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,11 +99,6 @@ func (b *TokenBucket) AllowAt(now time.Time, n float64) (bool, time.Duration) {
 	}
 	wait := time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 	return false, wait
-}
-
-// Allow is AllowAt at time.Now().
-func (b *TokenBucket) Allow(n float64) (bool, time.Duration) {
-	return b.AllowAt(time.Now(), n)
 }
 
 // Limit is one tenant's quota: a request rate (per second, ≤0 unlimited), a
@@ -345,19 +339,6 @@ func (f *FairBudget) Pending() int {
 // Capacity reports the configured bound (≤ 0 = unbounded).
 func (f *FairBudget) Capacity() int { return f.capacity }
 
-// Tenants returns the tenants currently holding units, sorted (a stats
-// helper).
-func (f *FairBudget) Tenants() []string {
-	f.mu.Lock()
-	out := make([]string, 0, len(f.used))
-	for t := range f.used {
-		out = append(out, t)
-	}
-	f.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
 // DetectorConfig parametrizes the overload detector's two hysteresis
 // loops. Utilization thresholds are fractions of the admission budget's
 // capacity; latency thresholds apply to the EWMA of flush latencies. A
@@ -494,10 +475,10 @@ func (d *Detector) ShedAt(now time.Time) bool {
 // Peek reports what the combined degraded state would be if the depth
 // signal were re-evaluated against the given load — without committing
 // the evaluation. Monitoring reads (GET /stats, /metrics scrapes) use it
-// so an idle server whose queue drained reports healthy, while the
+// so an idle server whose budget drained reports healthy, while the
 // detector's stored state — which ShedAt and the transition counter act
-// on — can only be flipped by the real submit/flush path via Update and
-// ObserveFlush, never by a scrape racing a submit.
+// on — can only be flipped by the request path via Update and
+// ObserveFlush, never by a scrape racing a request.
 func (d *Detector) Peek(pending, capacity int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -86,7 +85,7 @@ func TestCachedServingEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				srv := NewBackend(newCacheBackend(t, m, ds.Graph, p),
-					Config{Opt: opt, MaxWait: time.Millisecond, CacheSize: 64})
+					Config{Opt: opt, CacheSize: 64})
 				t.Cleanup(srv.Close)
 
 				hot := append([]int(nil), ds.Split.Test[:8]...)
@@ -179,7 +178,7 @@ func TestCachedDeltaRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv := NewBackend(newCacheBackend(t, m, ds.Graph, p),
-				Config{Opt: opt, MaxBatch: 8, MaxWait: 200 * time.Microsecond, CacheSize: 128})
+				Config{Opt: opt, CacheSize: 128})
 			t.Cleanup(srv.Close)
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
@@ -340,7 +339,7 @@ func TestRemoteDeltaNAPCoupling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(dep, Config{Opt: opt, MaxWait: time.Millisecond, CacheSize: 32})
+	srv := New(dep, Config{Opt: opt, CacheSize: 32})
 	t.Cleanup(srv.Close)
 	for round := 0; round < 2; round++ { // fill, then hit
 		if _, depths, err := srv.Classify([]int{target}); err != nil || depths[0] != wantPre.Depths[0] {
@@ -359,7 +358,7 @@ func TestRemoteDeltaNAPCoupling(t *testing.T) {
 // fully-cached request count, the graph version, JSON shape, and the
 // absence of the block when caching is disabled.
 func TestStatsCacheBlock(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxWait: time.Millisecond, CacheSize: 16})
+	s, _ := newTestServer(t, Config{CacheSize: 16})
 	if _, _, err := s.Classify([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +407,7 @@ func TestStatsCacheBlock(t *testing.T) {
 	}
 
 	// Uncached server: no cache block, neither in the struct nor the JSON.
-	plain, _ := newTestServer(t, Config{MaxWait: time.Millisecond})
+	plain, _ := newTestServer(t, Config{})
 	if _, _, err := plain.Classify([]int{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +473,7 @@ func TestCommittedDeltaWithError(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { rt.Close() })
-			srv := NewBackend(rt, Config{Opt: opt, MaxWait: time.Millisecond, CacheSize: 64})
+			srv := NewBackend(rt, Config{Opt: opt, CacheSize: 64})
 			t.Cleanup(srv.Close)
 
 			// The delta touches the first test node; the first test node

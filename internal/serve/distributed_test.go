@@ -62,7 +62,7 @@ func newDistributedServerAt(t *testing.T, p int, cfg Config, prec kernel.Precisi
 // block with every shard up.
 func TestDistributedServing(t *testing.T) {
 	ds, m := fixture(t)
-	s, _, _ := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, _, _ := newDistributedServer(t, 2, Config{})
 	dep, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestDistributedServing(t *testing.T) {
 // (ErrUnavailable) instead of hanging.
 func TestHealthzDegradesWithDeadWorker(t *testing.T) {
 	ds, _ := fixture(t)
-	s, rt, servers := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, rt, servers := newDistributedServer(t, 2, Config{})
 	servers[1].Close()
 	rt.Probe(context.Background())
 
@@ -148,7 +148,7 @@ func TestHealthzDegradesWithDeadWorker(t *testing.T) {
 // header-cardinality abuse.
 func TestTenantSLOStats(t *testing.T) {
 	ds, _ := fixture(t)
-	s, _ := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	s, _ := newTestServer(t, Config{})
 
 	for i := 0; i < 6; i++ {
 		if _, _, err := s.ClassifyContext(context.Background(), ds.Split.Test[:2], "acme"); err != nil {
@@ -158,7 +158,7 @@ func TestTenantSLOStats(t *testing.T) {
 	if _, _, err := s.ClassifyContext(context.Background(), ds.Split.Test[:1], ""); err != nil {
 		t.Fatal(err)
 	}
-	// An already-expired deadline: the caller misses before its flush.
+	// An already-expired deadline: the caller misses before its backend call.
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if _, _, err := s.ClassifyContext(expired, ds.Split.Test[:1], "acme"); !errors.Is(err, context.DeadlineExceeded) {

@@ -12,11 +12,11 @@ import (
 )
 
 // The daemon's overload-control error taxonomy. Every rejection path in
-// Classify/submit returns one of these sentinels (possibly wrapped with
+// ClassifyContext returns one of these sentinels (possibly wrapped with
 // detail), and the HTTP layer maps them to status codes via httpStatus —
 // so the Go API and the wire API agree on what each failure means.
 var (
-	// ErrOverloaded: the admission budget (queued + in-flight targets) is
+	// ErrOverloaded: the admission budget (targets in backend calls) is
 	// full, or the tenant is over its fair share of it. HTTP 429 with a
 	// Retry-After hint; rejecting costs microseconds, never an Infer.
 	ErrOverloaded = errors.New("overloaded: admission budget full")
@@ -27,13 +27,13 @@ var (
 	// an expensive un-cached NAP inference — shed until pressure recedes
 	// (cache hits and ModeFixed answers keep being served). HTTP 429.
 	ErrShed = errors.New("degraded mode: expensive request shed")
-	// ErrShuttingDown: the server's coalescer has been closed; in-flight
-	// batches drain but new work is refused. HTTP 503.
+	// ErrShuttingDown: the server has been closed; requests already in
+	// backend calls finish but new work is refused. HTTP 503.
 	ErrShuttingDown = errors.New("server shutting down")
 )
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
-// for a request whose client went away before its batch flushed; there is
+// for a request whose client went away before its backend call; there is
 // rarely anyone left to read it, but logs and stats keep the distinction
 // from a server-imposed deadline (504).
 const StatusClientClosedRequest = 499

@@ -93,7 +93,7 @@ func TestFailoverUnderFire(t *testing.T) {
 	for _, transport := range []string{"local", "http"} {
 		t.Run(transport, func(t *testing.T) {
 			s, rt, inj, dep := newReplicatedServer(t, transport,
-				Config{MaxBatch: 8, MaxWait: time.Millisecond})
+				Config{})
 			ds, m := fixture(t)
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
@@ -251,7 +251,7 @@ func TestFailoverUnderFire(t *testing.T) {
 // version lag — k for a partitioned replica after k deltas, 0 once healed.
 func TestHealthzReportsReplicas(t *testing.T) {
 	s, rt, inj, _ := newReplicatedServer(t, "local",
-		Config{MaxBatch: 8, MaxWait: time.Millisecond})
+		Config{})
 	ds, _ := fixture(t)
 	inj.Partition(1)
 	if _, _, err := s.Classify(ds.Split.Test); err != nil {

@@ -82,10 +82,10 @@ type HealthResponse struct {
 
 // Handler returns the daemon's HTTP mux:
 //
-//	POST /infer        — classify existing nodes (coalesced with other callers)
+//	POST /infer        — classify existing nodes (one backend call per request)
 //	POST /nodes        — append unseen nodes (+ optional incident edges)
 //	POST /edges        — append edges between existing nodes
-//	GET  /stats        — JSON view of the /metrics registry: counters, latency percentiles, coalescing efficiency
+//	GET  /stats        — JSON view of the /metrics registry: counters, latency percentiles, cache amortization
 //	GET  /healthz      — liveness + graph size
 //	GET  /metrics      — Prometheus text-format metrics (internal/obs)
 //	GET  /debug/traces — recent completed request traces, newest first
@@ -266,10 +266,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	s.co.graphMu.RLock()
+	s.graphMu.RLock()
 	g := s.backend.ServingGraph()
 	n, m := g.N(), g.M()
-	s.co.graphMu.RUnlock()
+	s.graphMu.RUnlock()
 	info := s.backend.Describe()
 	resp := HealthResponse{OK: info.Healthy(), Nodes: n, Edges: m, Shards: info.Shards}
 	status := http.StatusOK

@@ -14,35 +14,35 @@ import (
 )
 
 // registerGauges installs the server-level gauges on the obs registry.
-// Called once from NewBackend, after the coalescer exists.
+// Called once from NewBackend, after the budget and detector exist.
 func (s *Server) registerGauges() {
 	reg := s.obs.Reg
 
 	reg.GaugeFunc("nai_pending_targets",
-		"Targets queued in the coalescing window or in flight in a flush.",
-		func() float64 { return float64(s.co.budget.Pending()) })
+		"Targets admitted into backend calls and not yet answered.",
+		func() float64 { return float64(s.budget.Pending()) })
 	reg.GaugeFunc("nai_max_pending",
 		"Admission budget capacity in targets (0 = unbounded).",
-		func() float64 { return float64(s.co.budget.Capacity()) })
+		func() float64 { return float64(s.budget.Capacity()) })
 	reg.GaugeFunc("nai_degraded",
 		"Overload detector state (1 = degraded). Read via Peek: scrapes never mutate detector state.",
-		func() float64 { return b2f(s.co.detector.Peek(s.co.budget.Pending(), s.co.budget.Capacity())) })
+		func() float64 { return b2f(s.detector.Peek(s.budget.Pending(), s.budget.Capacity())) })
 	reg.GaugeFunc("nai_degraded_transitions_total",
 		"Degraded-state flips since start.",
-		func() float64 { return float64(s.co.detector.Transitions()) })
+		func() float64 { return float64(s.detector.Transitions()) })
 
 	reg.GaugeFunc("nai_graph_nodes",
 		"Serving graph node count (after deltas).",
 		func() float64 {
-			s.co.graphMu.RLock()
-			defer s.co.graphMu.RUnlock()
+			s.graphMu.RLock()
+			defer s.graphMu.RUnlock()
 			return float64(s.backend.ServingGraph().N())
 		})
 	reg.GaugeFunc("nai_graph_edges",
 		"Serving graph edge count (after deltas).",
 		func() float64 {
-			s.co.graphMu.RLock()
-			defer s.co.graphMu.RUnlock()
+			s.graphMu.RLock()
+			defer s.graphMu.RUnlock()
 			return float64(s.backend.ServingGraph().M())
 		})
 	reg.GaugeFunc("nai_graph_version",

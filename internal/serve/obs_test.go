@@ -75,7 +75,7 @@ func getMetrics(t *testing.T, url string) string {
 // the wire with worker=true.
 func TestStitchedDistributedTrace(t *testing.T) {
 	ds, _ := fixture(t)
-	s, _, _ := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, _, _ := newDistributedServer(t, 2, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -106,7 +106,7 @@ func TestStitchedDistributedTrace(t *testing.T) {
 			router[sp.Stage] = true
 		}
 	}
-	for _, stage := range []string{"queue", "assemble", "fanout", "rpc", "merge"} {
+	for _, stage := range []string{"queue", "fanout", "rpc", "merge"} {
 		if !router[stage] {
 			t.Fatalf("router span %q missing; got router=%v worker=%v", stage, router, worker)
 		}
@@ -129,7 +129,7 @@ func TestStitchedDistributedTrace(t *testing.T) {
 // carries its graph gauges and its engine-stage histograms.
 func TestMetricsSurfaceDistributed(t *testing.T) {
 	ds, _ := fixture(t)
-	s, rt, workers := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, rt, workers := newDistributedServer(t, 2, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -191,7 +191,7 @@ func TestMetricsSurfaceDistributed(t *testing.T) {
 // tracker and the obs counters instead of vanishing before instrumentation.
 func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 	ds, _ := fixture(t)
-	s, dep := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheSize: 64})
+	s, dep := newTestServer(t, Config{CacheSize: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -204,7 +204,7 @@ func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A tenant whose only traffic misses its deadline before submission
+	// A tenant whose only traffic misses its deadline before its call
 	// must still show up in per-tenant stats with a real latency sample.
 	// Targets the warm-up did not touch, so the cache cannot answer first.
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -263,13 +263,54 @@ func TestCachedAndDeadlineOutcomesRecorded(t *testing.T) {
 	}
 }
 
+// TestMidCallDeadlineTraced: a deadline that expires while the request's
+// backend call runs ends the request as a deadline miss once the call
+// returns, and its trace — the engine's spans included — is finished into
+// /debug/traces under that outcome.
+func TestMidCallDeadlineTraced(t *testing.T) {
+	s, gate := gatedServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.ClassifyContext(ctx, []int{0}, "late")
+		done <- err
+	}()
+	<-gate
+	<-ctx.Done()
+	gate <- struct{}{}
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("mid-call deadline: err %v, want DeadlineExceeded", err)
+	}
+
+	traces := getTraces(t, ts.URL).Traces
+	if len(traces) != 1 || traces[0].Outcome != "deadline" || traces[0].Tenant != "late" {
+		t.Fatalf("traces %+v, want one deadline trace for tenant late", traces)
+	}
+	stages := map[string]bool{}
+	for _, sp := range traces[0].Spans {
+		stages[sp.Stage] = true
+	}
+	for _, stage := range []string{"queue", "bfs", "classify"} {
+		if !stages[stage] {
+			t.Fatalf("deadline trace lacks its %q span: %v", stage, stages)
+		}
+	}
+	if st := s.Stats(); st.InferCalls != 1 || st.DeadlineExceeded != 0 || st.Tenants["late"].DeadlineMisses != 1 {
+		t.Fatalf("stats %+v: want the call counted and the miss charged to the tenant, not dropped", st)
+	}
+}
+
 // TestScrapesDuringDeltaStorm hammers /metrics and /stats while inference
 // traffic races graph deltas. Scrape-time gauge reads share the serving
 // read lock, so under -race this pins the contract that observability
 // never tears a delta's exclusive section.
 func TestScrapesDuringDeltaStorm(t *testing.T) {
 	ds, _ := fixture(t)
-	s, _ := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheSize: 32})
+	s, _ := newTestServer(t, Config{CacheSize: 32})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -322,7 +363,7 @@ func TestScrapesDuringDeltaStorm(t *testing.T) {
 // the shard gauges.
 func TestScrapesDuringShardOutage(t *testing.T) {
 	ds, _ := fixture(t)
-	s, rt, servers := newDistributedServer(t, 2, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s, rt, servers := newDistributedServer(t, 2, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

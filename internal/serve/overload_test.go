@@ -20,7 +20,7 @@ import (
 // flakyBackend wraps a real backend to inject the failure modes the
 // overload tests need: a forced Infer error (the 500 path), a forced
 // ApplyDelta error (the delta 500 path), an Infer delay (so a caller's
-// deadline can expire mid-flush) and an Infer gate (a flush announces itself
+// deadline can expire mid-call) and an Infer gate (a call announces itself
 // on it, then holds its admission budget until the test sends back).
 type flakyBackend struct {
 	Backend
@@ -133,13 +133,13 @@ func TestHTTPStatusCodes(t *testing.T) {
 		},
 		{
 			name: "oversized body is 413",
-			cfg:  Config{MaxWait: time.Millisecond, MaxBody: 64},
+			cfg:  Config{MaxBody: 64},
 			path: "/infer", body: `{"nodes":[` + strings.Repeat("0,", 100) + `0]}`,
 			want: http.StatusRequestEntityTooLarge,
 		},
 		{
 			name: "exhausted tenant quota is 429",
-			cfg:  Config{MaxWait: time.Millisecond},
+			cfg:  Config{},
 			pre: func(t *testing.T, s *Server, ts *httptest.Server) {
 				// One request burns the single-token burst; rate 0.001/s
 				// leaves the bucket empty for the test's lifetime.
@@ -155,7 +155,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 		},
 		{
 			name: "backend failure is 500",
-			cfg:  Config{MaxWait: time.Millisecond},
+			cfg:  Config{},
 			wrap: func(b Backend) Backend {
 				return &flakyBackend{Backend: b, inferErr: fmt.Errorf("propagation kernel wedged")}
 			},
@@ -172,18 +172,17 @@ func TestHTTPStatusCodes(t *testing.T) {
 		},
 		{
 			name: "post-shutdown submit is 503",
-			cfg:  Config{MaxWait: time.Millisecond},
+			cfg:  Config{},
 			pre:  func(t *testing.T, s *Server, ts *httptest.Server) { s.Close() },
 			path: "/infer", body: `{"nodes":[0]}`,
 			want: http.StatusServiceUnavailable,
 		},
 		{
 			name: "expired deadline is 504",
-			cfg:  Config{MaxWait: time.Millisecond},
+			cfg:  Config{},
 			wrap: func(b Backend) Backend {
-				// Infer outlives the caller's 50ms deadline by far; the
-				// flush starts (1ms window) before the deadline, so the
-				// caller abandons mid-flight.
+				// Infer outlives the caller's 50ms deadline by far: the
+				// call starts before the deadline and ends after it.
 				return &flakyBackend{Backend: b, delay: 400 * time.Millisecond}
 			},
 			path: "/infer", body: `{"nodes":[0]}`,
@@ -237,36 +236,32 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
-// awaitPending polls until the admission budget holds exactly n targets — a
-// request launched on another goroutine has been admitted and parked — and
-// fails the test if that has not happened within ten seconds.
-func awaitPending(t *testing.T, s *Server, n int) {
+// gatedServer is a server whose backend calls each stop at gate: a caller
+// announces itself there once admitted, and its call proceeds when the test
+// sends back.
+func gatedServer(t *testing.T, cfg Config) (*Server, chan struct{}) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); s.co.budget.Pending() != n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("admission budget holds %d targets, want %d", s.co.budget.Pending(), n)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	gate := make(chan struct{})
+	s := newWrappedServer(t, cfg, func(b Backend) Backend {
+		return &flakyBackend{Backend: b, gate: gate}
+	})
+	return s, gate
 }
 
 // TestAdmissionFastReject: with the budget full, a new request must be
-// rejected immediately with ErrOverloaded — microseconds, not a parked
-// goroutine waiting out the window timer — and the rejection must show up
-// in /stats (rejected counter, pending_targets gauge).
+// rejected immediately with ErrOverloaded — microseconds, not a goroutine
+// queued behind the call holding the budget — and the rejection must show
+// up in /stats (rejected counter, pending_targets gauge).
 func TestAdmissionFastReject(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxPending: 2, MaxBatch: 1 << 20, MaxWait: time.Hour})
+	s, gate := gatedServer(t, Config{MaxPending: 2})
 
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		// Fills the 2-target budget and parks in the hour-long window.
-		if _, _, err := s.Classify([]int{0, 1}); err != nil {
-			t.Errorf("budget-filling request failed: %v", err)
-		}
+		// Fills the 2-target budget and holds it at the gate.
+		_, _, err := s.Classify([]int{0, 1})
+		done <- err
 	}()
-	awaitPending(t, s, 2)
+	<-gate
 
 	start := time.Now()
 	_, _, err := s.Classify([]int{2})
@@ -281,12 +276,14 @@ func TestAdmissionFastReject(t *testing.T) {
 		t.Fatalf("stats after reject: %+v", st)
 	}
 
-	// Close drains the window: the parked caller completes with a real
-	// answer, and the budget returns to empty.
-	s.Close()
-	wg.Wait()
-	if got := s.co.budget.Pending(); got != 0 {
-		t.Fatalf("budget not drained after close: %d", got)
+	// The held call completes with a real answer, and the budget returns
+	// to empty.
+	gate <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatalf("budget-filling request failed: %v", err)
+	}
+	if got := s.budget.Pending(); got != 0 {
+		t.Fatalf("budget not drained after the call: %d", got)
 	}
 }
 
@@ -297,7 +294,7 @@ func TestAdmissionFastReject(t *testing.T) {
 // forever.
 func TestPermanentRejectsAre400(t *testing.T) {
 	t.Run("over admission budget", func(t *testing.T) {
-		s, _ := newTestServer(t, Config{MaxWait: time.Millisecond, MaxPending: 2})
+		s, _ := newTestServer(t, Config{MaxPending: 2})
 		_, _, err := s.Classify([]int{0, 1, 2})
 		var badReq *badRequestError
 		if !errors.As(err, &badReq) {
@@ -312,7 +309,7 @@ func TestPermanentRejectsAre400(t *testing.T) {
 		}
 	})
 	t.Run("over quota burst", func(t *testing.T) {
-		s, _ := newTestServer(t, Config{MaxWait: time.Millisecond,
+		s, _ := newTestServer(t, Config{
 			Quotas: mustQuotas(t, "*=100:2")})
 		_, _, err := s.Classify([]int{0, 1, 2})
 		var badReq *badRequestError
@@ -334,7 +331,7 @@ func TestPermanentRejectsAre400(t *testing.T) {
 // 4-target request must cost four tokens, so batching cannot smuggle work
 // past the rate limit.
 func TestQuotaChargesPerTarget(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxWait: time.Millisecond,
+	s, _ := newTestServer(t, Config{
 		Quotas: mustQuotas(t, "*=0.001:4")})
 	if _, _, err := s.Classify([]int{0, 1, 2, 3}); err != nil {
 		t.Fatalf("burst-sized batch refused: %v", err)
@@ -344,68 +341,49 @@ func TestQuotaChargesPerTarget(t *testing.T) {
 	}
 }
 
-// TestDeadlineEarlyFlush: a waiter whose deadline minus the expected flush
-// cost lands before the window's MaxWait must pull the flush forward — the
-// request completes inside its deadline instead of waiting out the (hour-
-// long) window and expiring.
-func TestDeadlineEarlyFlush(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 1 << 20, MaxWait: time.Hour})
-	// Seed the flush-cost estimate so the early-flush margin is visible.
-	s.co.detector.ObserveFlush(200 * time.Millisecond)
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	start := time.Now()
-	preds, _, err := s.ClassifyContext(ctx, []int{0}, "")
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("deadline-bearing request failed after %v: %v", elapsed, err)
-	}
-	if len(preds) != 1 {
-		t.Fatalf("bad answer %v", preds)
-	}
-	// Fire time is deadline − EWMA = 800ms: well after an immediate flush,
-	// well before the deadline or the hour-long window.
-	if elapsed < 400*time.Millisecond || elapsed > 5*time.Second {
-		t.Fatalf("flush at %v, want ≈800ms (deadline − expected flush cost)", elapsed)
-	}
-}
-
-// TestExpiredCallerDropped: a caller whose context dies before its flush
-// starts gets its context error immediately, and its targets never occupy
-// Infer batch slots — the flush serves only the live callers.
+// TestExpiredCallerDropped: a caller whose context is already dead gets
+// its context error without a backend call, and its targets never occupy
+// the admission budget past its own return — a live caller's call holds
+// only its own.
 func TestExpiredCallerDropped(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 1 << 20, MaxWait: 50 * time.Millisecond})
+	s, gate := gatedServer(t, Config{})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // dead on arrival: queued, then dropped at flush time
+	cancel() // dead on arrival: admitted, then dropped before the call
 	if _, _, err := s.ClassifyContext(ctx, []int{0}, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled caller: err %v, want context.Canceled", err)
 	}
 
-	// A live caller in the same window gets served; the dead caller's
-	// target must not be in the flushed batch.
-	preds, _, err := s.Classify([]int{1})
-	if err != nil || len(preds) != 1 {
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.Classify([]int{1})
+		done <- err
+	}()
+	<-gate
+	if got := s.budget.Pending(); got != 1 {
+		t.Fatalf("budget holds %d targets during the live call, want its 1", got)
+	}
+	gate <- struct{}{}
+	if err := <-done; err != nil {
 		t.Fatalf("live caller: %v", err)
 	}
 	st := s.Stats()
 	if st.Targets != 1 || st.Requests != 1 {
-		t.Fatalf("dropped caller still occupied batch slots: %+v", st)
+		t.Fatalf("dropped caller reached the backend: %+v", st)
 	}
 	if st.DeadlineExceeded != 1 {
 		t.Fatalf("deadline_exceeded = %d, want 1", st.DeadlineExceeded)
 	}
-	if got := s.co.budget.Pending(); got != 0 {
+	if got := s.budget.Pending(); got != 0 {
 		t.Fatalf("dropped caller leaked budget: %d", got)
 	}
 }
 
-// TestShutdownDrain: Close must flush the open window — in-flight callers
-// complete with real answers, no goroutine stays parked on the window
-// timer — and every subsequent submit is refused with ErrShuttingDown.
+// TestShutdownDrain: a call in flight when Close runs completes with a real
+// answer, and every later request is refused with ErrShuttingDown before it
+// reaches the backend.
 func TestShutdownDrain(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 1 << 20, MaxWait: time.Hour})
+	s, gate := gatedServer(t, Config{})
 
 	type answer struct {
 		preds []int
@@ -416,25 +394,16 @@ func TestShutdownDrain(t *testing.T) {
 		preds, _, err := s.Classify([]int{3})
 		got <- answer{preds, err}
 	}()
-	awaitPending(t, s, 1)
+	<-gate
 
 	s.Close()
-	select {
-	case a := <-got:
-		if a.err != nil || len(a.preds) != 1 {
-			t.Fatalf("in-flight caller after Close: %v %v", a.preds, a.err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close left the in-flight caller parked on the window timer")
+	gate <- struct{}{}
+	if a := <-got; a.err != nil || len(a.preds) != 1 {
+		t.Fatalf("in-flight caller after Close: %v %v", a.preds, a.err)
 	}
 
-	s.co.mu.Lock()
-	timer := s.co.timer
-	s.co.mu.Unlock()
-	if timer != nil {
-		t.Fatal("Close left the window timer armed")
-	}
-
+	// A request reaching the gated backend now would block forever on the
+	// gate; the refusal must come first.
 	if _, _, err := s.Classify([]int{4}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown Classify: err %v, want ErrShuttingDown", err)
 	}
@@ -453,7 +422,7 @@ func TestShutdownDrain(t *testing.T) {
 // visible in /stats.
 func TestDegradedModeShed(t *testing.T) {
 	s, _ := newTestServer(t, Config{
-		MaxWait: time.Millisecond, CacheSize: 64,
+		CacheSize:       64,
 		DefaultDeadline: 5 * time.Second, Shed: true,
 	})
 
@@ -462,11 +431,11 @@ func TestDegradedModeShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Trip the latency loop: one 30s flush observation sends the EWMA far
+	// Trip the latency loop: one 30s call observation sends the EWMA far
 	// past the 5s trip wire (the detector re-evaluates on observe).
-	s.co.detector.ObserveFlush(30 * time.Second)
-	if !s.co.detector.Degraded() {
-		t.Fatal("detector did not trip on flush latency")
+	s.detector.ObserveFlush(30 * time.Second)
+	if !s.detector.Degraded() {
+		t.Fatal("detector did not trip on call latency")
 	}
 
 	if _, _, err := s.Classify([]int{0}); err != nil {
@@ -480,12 +449,12 @@ func TestDegradedModeShed(t *testing.T) {
 		t.Fatalf("degraded stats: %+v", st)
 	}
 
-	// Fast flushes decay the EWMA below the clear threshold (hysteresis:
+	// Fast calls decay the EWMA below the clear threshold (hysteresis:
 	// trip/2) and service resumes.
-	for i := 0; i < 64 && s.co.detector.Degraded(); i++ {
-		s.co.detector.ObserveFlush(time.Millisecond)
+	for i := 0; i < 64 && s.detector.Degraded(); i++ {
+		s.detector.ObserveFlush(time.Millisecond)
 	}
-	if s.co.detector.Degraded() {
+	if s.detector.Degraded() {
 		t.Fatal("detector never cleared")
 	}
 	if _, _, err := s.Classify([]int{1}); err != nil {
@@ -502,13 +471,13 @@ func TestDegradedModeShed(t *testing.T) {
 func TestDegradedModeFixedServes(t *testing.T) {
 	_, m := fixture(t)
 	s := newWrappedServer(t, Config{
-		Opt:     core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K},
-		MaxWait: time.Millisecond, CacheSize: 64,
+		Opt:             core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K},
+		CacheSize:       64,
 		DefaultDeadline: 5 * time.Second, Shed: true,
 	}, nil)
 
-	s.co.detector.ObserveFlush(30 * time.Second)
-	if !s.co.detector.Degraded() {
+	s.detector.ObserveFlush(30 * time.Second)
+	if !s.detector.Degraded() {
 		t.Fatal("detector did not trip")
 	}
 	if _, _, err := s.Classify([]int{2}); err != nil {
@@ -520,22 +489,22 @@ func TestDegradedModeFixedServes(t *testing.T) {
 }
 
 // TestShedRecoveryViaProbes: a latency trip must not outlive the overload
-// it detected. Shedding stops the very flushes that feed the latency EWMA,
-// so without probes one pathological flush would leave the daemon shedding
-// 429s forever; here the daemon must re-learn the true flush cost from
+// it detected. Shedding stops the very calls that feed the latency EWMA,
+// so without probes one pathological call would leave the daemon shedding
+// 429s forever; here the daemon must re-learn the true call cost from
 // probe traffic and leave degraded mode on its own — no test ever calls
 // ObserveFlush after the trip.
 func TestShedRecoveryViaProbes(t *testing.T) {
 	s, _ := newTestServer(t, Config{
-		MaxWait: time.Millisecond, DefaultDeadline: 5 * time.Second, Shed: true,
+		DefaultDeadline: 5 * time.Second, Shed: true,
 	})
 	// Same trip wire shape as production (latency-only), but a millisecond
 	// probe clock so the EWMA's decay converges within the test.
-	s.co.detector = qos.NewDetector(qos.DetectorConfig{
+	s.detector = qos.NewDetector(qos.DetectorConfig{
 		TripLatency: 250 * time.Millisecond, ProbeInterval: time.Millisecond,
 	})
-	s.co.detector.ObserveFlush(10 * time.Second) // the overload: one pathological flush
-	if !s.co.detector.Degraded() {
+	s.detector.ObserveFlush(10 * time.Second) // the overload: one pathological call
+	if !s.detector.Degraded() {
 		t.Fatal("detector did not trip")
 	}
 	if _, _, err := s.Classify([]int{0}); !errors.Is(err, ErrShed) {
@@ -543,10 +512,10 @@ func TestShedRecoveryViaProbes(t *testing.T) {
 	}
 
 	// Offered load keeps arriving; only probes get through, and their
-	// (fast) flushes must decay the EWMA until the trip clears.
+	// (fast) calls must decay the EWMA until the trip clears.
 	shed := 0
 	deadline := time.Now().Add(30 * time.Second)
-	for s.co.detector.Degraded() && time.Now().Before(deadline) {
+	for s.detector.Degraded() && time.Now().Before(deadline) {
 		if _, _, err := s.Classify([]int{1}); err != nil {
 			if !errors.Is(err, ErrShed) {
 				t.Fatalf("degraded daemon returned %v, want ErrShed or success", err)
@@ -555,7 +524,7 @@ func TestShedRecoveryViaProbes(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if s.co.detector.Degraded() {
+	if s.detector.Degraded() {
 		t.Fatal("latency trip never recovered: the daemon would shed forever")
 	}
 	if shed == 0 {
@@ -566,11 +535,11 @@ func TestShedRecoveryViaProbes(t *testing.T) {
 	}
 }
 
-// TestInferErrorAccounted: an errored flush must not vanish from /stats —
+// TestInferErrorAccounted: an errored call must not vanish from /stats —
 // its calls and targets stay on the books with infer_errors marking the
 // failure, and the admission budget drains back to zero.
 func TestInferErrorAccounted(t *testing.T) {
-	s := newWrappedServer(t, Config{MaxWait: time.Millisecond, MaxPending: 64},
+	s := newWrappedServer(t, Config{MaxPending: 64},
 		func(b Backend) Backend {
 			return &flakyBackend{Backend: b, inferErr: fmt.Errorf("kernel fault")}
 		})
@@ -580,10 +549,10 @@ func TestInferErrorAccounted(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.InferErrors != 1 || st.InferCalls != 1 || st.Requests != 1 || st.Targets != 2 {
-		t.Fatalf("errored flush vanished from stats: %+v", st)
+		t.Fatalf("errored call vanished from stats: %+v", st)
 	}
 	if st.PendingTargets != 0 {
-		t.Fatalf("errored flush leaked budget: %+v", st)
+		t.Fatalf("errored call leaked budget: %+v", st)
 	}
 }
 
@@ -593,7 +562,6 @@ func TestInferErrorAccounted(t *testing.T) {
 // cached and uncached alike.
 func TestQoSEquivalence(t *testing.T) {
 	s, dep := newTestServer(t, Config{
-		MaxBatch: 8, MaxWait: 2 * time.Millisecond,
 		MaxPending: 1 << 16, DefaultDeadline: time.Minute,
 		Quotas: mustQuotas(t, "*=100000,probe=100000:100000:2"),
 		Shed:   true, CacheSize: 4096,

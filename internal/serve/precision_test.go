@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -11,7 +10,7 @@ import (
 )
 
 // TestPrecisionServingEquivalence runs the full serving stack — result
-// cache, coalescer, and shard fleets over both transports — at each relaxed
+// cache, admission, and shard fleets over both transports — at each relaxed
 // tier against the f64 reference. The f32 tier must classify every node
 // identically (its per-row arithmetic is a pure function of the row's
 // ball); the int8 tier may flip borderline nodes within the agreement
@@ -21,7 +20,7 @@ import (
 func TestPrecisionServingEquivalence(t *testing.T) {
 	ds, m := fixture(t)
 	opt := core.InferenceOptions{Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: m.K}
-	cfg := Config{Opt: opt, MaxBatch: 8, MaxWait: time.Millisecond, CacheSize: 256}
+	cfg := Config{Opt: opt, CacheSize: 256}
 	targets := ds.Split.Test
 
 	ref, err := core.NewDeployment(m, ds.Graph.Clone())

@@ -1,28 +1,22 @@
 // Package serve turns an inference backend — a single core.Deployment or a
 // sharded shard.Router — into a long-lived serving daemon: an HTTP JSON
-// front-end with a result cache, request coalescing and online graph
-// deltas.
+// front-end with a result cache and online graph deltas. Every request is
+// its own backend call: the caller runs it on its own goroutine, and a
+// client that wants Algorithm 1's per-batch costs shared sends its targets
+// as one batch.
 //
-// Four mechanisms make the daemon production-shaped (see ARCHITECTURE.md
+// Three mechanisms make the daemon production-shaped (see ARCHITECTURE.md
 // for the end-to-end picture):
 //
 //   - Result caching: with Config.CacheSize > 0 each target's final
 //     prediction and realized depth is cached per node in the server's one
 //     internal/cache.Cache — whatever the backend, a deployment or a router
-//     — consulted before the coalescer and filled after each flush. Real
+//     — consulted before the backend call and filled after it. Real
 //     traffic is Zipf-skewed, so hot nodes skip BFS, extraction,
 //     propagation and classification entirely; answers stay bit-identical
 //     because Infer is batch-invariant and ApplyDelta evicts stale entries
 //     exactly, inside its write-locked section (Server.invalidate; the
 //     invalidation contract is in ARCHITECTURE.md).
-//
-//   - Coalescing: concurrent single-node requests are micro-batched into one
-//     Infer call (up to Config.MaxBatch targets, waiting at most
-//     Config.MaxWait for batch mates; at MaxWait ≤ 0 nothing waits and every
-//     request is its own call), so the per-batch costs Algorithm 1
-//     pays — the supporting-set BFS, the compaction of the ball, the stationary
-//     rows and the classifier GEMMs — are amortized across callers instead
-//     of being re-paid per request.
 //
 //   - Graph deltas: POST /nodes and POST /edges append unseen nodes and
 //     fresh edges into the serving graph while the daemon runs. Deltas take
@@ -33,23 +27,23 @@
 //   - Observability: everything is counted once, in the server's
 //     internal/obs registry (served at /metrics). /stats is a JSON view
 //     computed from those instruments when it is read — request and latency
-//     percentiles, MAC totals, cache counters, the measured coalescing
-//     efficiency — so the two endpoints cannot disagree; /healthz is a cheap
-//     liveness probe.
+//     percentiles, MAC totals, cache counters — so the two endpoints cannot
+//     disagree; /healthz is a cheap liveness probe.
 //
-// Concurrency contract: inference (coalesced flushes) and cache traffic
-// (lookups before the coalescer, fills after a flush) run under the read
-// lock — any number in flight, matching Deployment.Infer's thread safety —
-// while graph deltas hold the write lock, giving them the exclusive access
-// Refresh/ApplyDelta and cache invalidation require. Everything else
-// (pending queues, the cache's internal lock shards) has its own internal
-// locks, and the counters are atomics.
+// Concurrency contract: a request's id validation, cache reads, backend
+// call and cache fill run in one section under the read lock — any number
+// in flight, matching Deployment.Infer's thread safety — while graph deltas
+// hold the write lock, giving them the exclusive access Refresh/ApplyDelta
+// and cache invalidation require. The admission budget and the cache's lock
+// shards have their own internal locks, and the counters are atomics.
 package serve
 
 import (
 	"context"
 	"errors"
 	"log/slog"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -61,22 +55,14 @@ import (
 
 // Config parametrizes the daemon.
 type Config struct {
-	// Opt is the operating point coalesced batches are inferred with.
-	// BatchSize is ignored: a coalesced batch always runs as one Algorithm 1
-	// batch, since sharing one supporting ball is the point of coalescing.
+	// Opt is the operating point requests are inferred with. BatchSize is
+	// ignored: a request's cache misses always run as one Algorithm 1 batch,
+	// so its targets share one supporting ball.
 	Opt core.InferenceOptions
-	// MaxBatch is the window-flush threshold: a window holding MaxBatch or
-	// more targets flushes immediately instead of waiting out MaxWait.
-	// Requests are never split across flushes, so a single request larger
-	// than MaxBatch still runs as one oversized Infer batch (per-target
-	// results are batch-invariant; only that flush's latency and scratch
-	// ball grow). ≤0 defaults to 64.
+	// Deprecated: nothing reads MaxBatch; every request is its own backend
+	// call.
 	MaxBatch int
-	// MaxWait bounds how long a request waits for batch mates before the
-	// window flushes anyway. ≤0 disables coalescing: every request flushes
-	// alone, the moment it is admitted — a request that arrives while
-	// another flush runs does not wait for it — so without a result cache
-	// coalesce_rate is exactly 1.
+	// Deprecated: nothing reads MaxWait; no request waits for batch mates.
 	MaxWait time.Duration
 	// MaxBody caps the accepted HTTP request body size in bytes
 	// (http.MaxBytesReader); oversized payloads get a 400, never an
@@ -91,20 +77,18 @@ type Config struct {
 	// globally coupled stationary state).
 	CacheSize int
 	// MaxPending is the admission budget: the total number of targets that
-	// may be queued in the coalescing window or in flight in a flush at
-	// once. When the budget is full, new requests are rejected immediately
-	// with ErrOverloaded (HTTP 429 + Retry-After) — a reject costs
-	// microseconds, never an Infer — instead of parking unboundedly. ≤0
-	// disables admission control (the pending_targets gauge still tracks
-	// occupancy). Under pressure (budget more than half full) a tenant is
-	// clamped to its weighted fair share of the budget, so one hot tenant
-	// cannot starve the window (see internal/qos.FairBudget).
+	// may be in backend calls at once. When the budget is full, new requests
+	// are rejected immediately with ErrOverloaded (HTTP 429 + Retry-After) —
+	// a reject costs microseconds, never an Infer — instead of piling onto
+	// the backend. ≤0 disables admission control (the pending_targets gauge
+	// still tracks occupancy). Under pressure (budget more than half full) a
+	// tenant is clamped to its weighted fair share of the budget, so one hot
+	// tenant cannot starve the others (see internal/qos.FairBudget).
 	MaxPending int
 	// DefaultDeadline is the per-request deadline applied when the caller
 	// supplies none (no context deadline, no X-Deadline-Ms header); 0
-	// means no default. Deadlines drive early window flushes (flush when
-	// the oldest waiter's remaining budget drops below the EWMA flush
-	// cost) and the overload detector's latency trip wire.
+	// means no default. It is also the overload detector's latency trip
+	// wire: backend calls slower than it on average trip degraded mode.
 	DefaultDeadline time.Duration
 	// MaxDeadline caps the deadline a client may request via the
 	// X-Deadline-Ms header (tighter requests are honored, looser ones are
@@ -132,14 +116,14 @@ type Config struct {
 	// slog.Default.
 	Logger *slog.Logger
 	// Shed enables degraded mode: when the overload detector trips
-	// (pending work ≥90% of MaxPending, or the flush-latency EWMA exceeds
-	// DefaultDeadline), requests that would need a fresh NAP inference are
-	// rejected with ErrShed (429) while cache hits — and, in ModeFixed,
-	// all requests (strictly local support, the cheap path) — keep being
-	// served. While degraded, one sheddable request per probe interval
-	// (the detector's, default DefaultDeadline) is still admitted: its
-	// flush feeds the latency EWMA, giving the latency trip a recovery
-	// path even when shedding has stopped all other flushes. The detector
+	// (pending work ≥90% of MaxPending, or the backend-call latency EWMA
+	// exceeds DefaultDeadline), requests that would need a fresh NAP
+	// inference are rejected with ErrShed (429) while cache hits — and, in
+	// ModeFixed, all requests (strictly local support, the cheap path) —
+	// keep being served. While degraded, one sheddable request per probe
+	// interval (the detector's, default DefaultDeadline) is still admitted:
+	// its call feeds the latency EWMA, giving the latency trip a recovery
+	// path even when shedding has stopped all other calls. The detector
 	// clears with hysteresis (≤50% of the budget, latency below half the
 	// trip wire) and the transition is visible in /stats.
 	Shed bool
@@ -149,9 +133,7 @@ type Config struct {
 const DefaultMaxBody = 8 << 20
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
+	c.Opt.BatchSize = 0
 	if c.MaxBody <= 0 {
 		c.MaxBody = DefaultMaxBody
 	}
@@ -160,15 +142,15 @@ func (c Config) withDefaults() Config {
 
 // Backend is the inference engine a Server fronts. Both the single-process
 // core.Deployment and the sharded shard.Router satisfy it, and the daemon —
-// coalescing, caching, delta routing, stats — takes one code path through
+// admission, caching, delta routing, stats — takes one code path through
 // either. The server imposes the concurrency contract both implementations
 // share: any number of concurrent InferContext calls (read lock), exclusive
 // ApplyDelta (write lock).
 type Backend interface {
 	// InferContext classifies the targets (global node ids); safe for
-	// concurrent callers. The context carries the flush's trace and the
-	// loosest live waiter's deadline: a router forwards both to its worker
-	// transports, the engine itself only records spans.
+	// concurrent callers. The context carries the request's trace and
+	// deadline but not its cancellation: a router forwards both to its
+	// worker transports, the engine itself only records spans.
 	InferContext(ctx context.Context, targets []int, opt core.InferenceOptions) (*core.Result, error)
 	// ApplyDelta grows the serving graph; must be exclusive with
 	// InferContext. A non-nil result beside an error means the delta is
@@ -184,19 +166,32 @@ type Backend interface {
 	Describe() core.Info
 }
 
-// Server is the serving daemon's state: one backend, one coalescer, one
-// result cache, one registry of counters. Create it with New (single
+// Server is the serving daemon's state: one backend, one admission budget,
+// one result cache, one registry of counters. Create it with New (single
 // deployment) or NewBackend (any Backend, e.g. a shard.Router) and expose
 // Handler over HTTP, or call Classify/ApplyDelta directly (the benchmarks
-// do, to measure coalescing without HTTP overhead).
+// do, to measure the serving path without HTTP overhead).
 type Server struct {
 	backend Backend
 	cfg     Config
-	co      *coalescer
 	start   time.Time
-	// cache is the result cache, nil when Config.CacheSize ≤ 0: Classify
-	// consults it before the coalescer, flushes fill it under the read
-	// lock and ApplyDelta evicts from it under the write lock.
+
+	// graphMu is the serving read/write lock: requests hold it shared from
+	// id validation to cache fill, graph deltas hold it exclusive (the
+	// access Refresh needs).
+	graphMu sync.RWMutex
+
+	// budget bounds the targets in backend calls (Config.MaxPending;
+	// unbounded when ≤ 0 but still tracked for the pending_targets gauge);
+	// detector watches budget depth and the backend-call latency EWMA to
+	// drive degraded mode. closed refuses new work after Close.
+	budget   *qos.FairBudget
+	detector *qos.Detector
+	closed   atomic.Bool
+
+	// cache is the result cache, nil when Config.CacheSize ≤ 0: requests
+	// consult it before their backend call and fill it after, under the
+	// read lock, and ApplyDelta evicts from it under the write lock.
 	cache *cache.Cache
 	// obs is the observability bundle (metrics registry + trace ring) and
 	// m the serving counters registered on it; /stats is computed from both.
@@ -218,6 +213,12 @@ func NewBackend(b Backend, cfg Config) *Server {
 		backend: b,
 		cfg:     cfg,
 		start:   time.Now(),
+		budget:  qos.NewFairBudget(cfg.MaxPending, cfg.Quotas.Weight),
+		// The latency loop trips when backend calls take longer than the
+		// default deadline (every caller would expire anyway); depth
+		// watermarks are the qos defaults (trip ≥90% of the budget, clear
+		// ≤50%).
+		detector: qos.NewDetector(qos.DetectorConfig{TripLatency: cfg.DefaultDeadline}),
 		obs: obs.New(obs.Options{
 			RingSize:      cfg.TraceRing,
 			SlowThreshold: cfg.SlowTrace,
@@ -228,7 +229,6 @@ func NewBackend(b Backend, cfg Config) *Server {
 		s.cache = cache.New(cfg.CacheSize)
 	}
 	s.m = newCounters(s.obs)
-	s.co = newCoalescer(s)
 	s.registerGauges()
 	return s
 }
@@ -242,15 +242,11 @@ func (s *Server) Classify(targets []int) (preds, depths []int, err error) {
 
 // ClassifyContext answers one request for the given target nodes under the
 // caller's context and tenant identity: cached targets are answered from
-// the result cache, the rest coalesce with concurrent requests into a
-// shared Infer batch. It blocks until the batch containing the request's
-// misses flushes — or the context is done, whichever comes first — and
-// returns the request's own predictions and personalized depths, in target
-// order. Answers are bit-identical to uncached serving (Infer is
-// batch-invariant and deltas invalidate stale entries); during a
-// concurrent delta each target's answer is individually exact for some
-// instant within the call — the same per-target guarantee coalescing
-// already gives requests that straddle a delta.
+// the result cache, the rest in one backend call that runs on the caller's
+// goroutine. It returns the request's predictions and personalized depths,
+// in target order. Answers are bit-identical to uncached serving (Infer is
+// batch-invariant and deltas invalidate stale entries), and a request is
+// atomic with respect to deltas: all its answers hold for one graph.
 //
 // Overload control can refuse the request before any inference happens:
 // ErrQuota when the tenant's token bucket cannot cover one token per
@@ -259,11 +255,12 @@ func (s *Server) Classify(targets []int) (preds, depths []int, err error) {
 // mode is shedding un-cached NAP work, ErrShuttingDown after Close. A
 // request that can never be admitted — more targets than the tenant's
 // quota burst or than the whole admission budget — is a non-retryable
-// validation error (HTTP 400) instead. A context that expires before the
-// flush starts returns the context's error and the request's targets never
-// occupy Infer batch slots. Config.DefaultDeadline, when set, bounds
-// requests whose context carries no deadline of its own.
-func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant string) (preds, depths []int, err error) {
+// validation error (HTTP 400) instead. A context that is already done when
+// the call would start returns the context's error without an Infer; one
+// that expires during the call returns its error once the call ends (the
+// backend sees the deadline, not the cancellation). Config.DefaultDeadline,
+// when set, bounds requests whose context carries no deadline of its own.
+func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant string) ([]int, []int, error) {
 	if len(targets) == 0 {
 		return nil, nil, nil
 	}
@@ -272,6 +269,47 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 	ten.requests.Inc()
 	ten.targets.Add(uint64(len(targets)))
 	tr := s.obs.StartTraceAt(start)
+	preds, depths, cached, err := s.classify(ctx, start, tr, targets, tenant)
+	outcome := outcomeOf(err)
+	if cached {
+		outcome = "cached"
+	}
+	switch outcome {
+	case "deadline":
+		ten.deadlineMisses.Inc()
+		fallthrough
+	case "ok", "cached":
+		// Cache hits are the fast tail of the distribution and deadline
+		// misses the slow one: both land in the latency histograms, or the
+		// percentiles would report only the requests in between.
+		ten.latency.Observe(time.Since(start).Seconds())
+	}
+	s.obs.FinishTrace(tr, tenant, outcome, len(targets))
+	return preds, depths, err
+}
+
+// outcomeOf names a request's nai_requests_total outcome from its error.
+func outcomeOf(err error) string {
+	var badReq *badRequestError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQuota):
+		return "rejected"
+	case errors.Is(err, ErrShed):
+		return "shed"
+	case errors.As(err, &badReq):
+		return "invalid"
+	default:
+		return "error"
+	}
+}
+
+// classify is ClassifyContext's request path; cached reports a request
+// answered entirely from the result cache.
+func (s *Server) classify(ctx context.Context, start time.Time, tr *obs.Trace, targets []int, tenant string) (preds, depths []int, cached bool, err error) {
 	// Tenant quota first: it is the cheapest check and a tenant over its
 	// rate limit should not even get cache reads. The charge is one token
 	// per target (quotas meter inference work, not calls), so a request the
@@ -279,12 +317,10 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 	// would invite a retry loop that can never succeed.
 	charge := float64(len(targets))
 	if maxc := s.cfg.Quotas.MaxCharge(tenant); charge > maxc {
-		s.obs.FinishTrace(tr, tenant, "invalid", len(targets))
-		return nil, nil, badRequestf("serve: request has %d targets, tenant %q quota burst admits at most %.0f", len(targets), tenant, maxc)
+		return nil, nil, false, badRequestf("serve: request has %d targets, tenant %q quota burst admits at most %.0f", len(targets), tenant, maxc)
 	}
 	if ok, retry := s.cfg.Quotas.AllowAt(start, tenant, charge); !ok {
-		s.obs.FinishTrace(tr, tenant, "rejected", len(targets))
-		return nil, nil, &retryableError{err: ErrQuota, retry: retry}
+		return nil, nil, false, &retryableError{err: ErrQuota, retry: retry}
 	}
 	if s.cfg.DefaultDeadline > 0 {
 		if _, has := ctx.Deadline(); !has {
@@ -293,22 +329,22 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 			defer cancel()
 		}
 	}
-	// Validate ids against the current graph before queueing: Infer indexes
-	// the adjacency directly, so an out-of-range id must be rejected here.
-	// Deltas only append, so an id valid now stays valid at flush time.
-	// Cache lookups share the read lock so a lookup cannot interleave with
-	// an in-progress invalidation.
-	s.co.graphMu.RLock()
+	// Validate ids against the current graph: Infer indexes the adjacency
+	// directly, so an out-of-range id must be rejected here. The read lock
+	// covers everything from here to the cache fill, so a delta can never
+	// slip between lookup, compute and fill — a fill can never resurrect an
+	// answer a delta invalidated.
+	s.graphMu.RLock()
+	defer s.graphMu.RUnlock()
 	n := s.backend.ServingGraph().N()
 	for _, v := range targets {
 		if v < 0 || v >= n {
-			s.co.graphMu.RUnlock()
-			s.obs.FinishTrace(tr, tenant, "invalid", len(targets))
-			return nil, nil, badRequestf("serve: node %d outside [0,%d)", v, n)
+			return nil, nil, false, badRequestf("serve: node %d outside [0,%d)", v, n)
 		}
 	}
-	var miss, missPos []int
+	miss, missPos := targets, []int(nil)
 	if s.cache != nil {
+		miss = nil
 		preds = make([]int, len(targets))
 		depths = make([]int, len(targets))
 		for i, v := range targets {
@@ -319,83 +355,108 @@ func (s *Server) ClassifyContext(ctx context.Context, targets []int, tenant stri
 				missPos = append(missPos, i)
 			}
 		}
-	}
-	s.co.graphMu.RUnlock()
-
-	if s.cache != nil && len(miss) == 0 {
-		// Fully served from cache: the request never touches the coalescer.
-		// Its latency still lands in the global and the per-tenant histogram
-		// — cache hits are the fast tail of the distribution, and excluding
-		// them would silently inflate every reported percentile.
-		ten.latency.Observe(time.Since(start).Seconds())
-		s.obs.FinishTrace(tr, tenant, "cached", len(targets))
-		return preds, depths, nil
-	}
-	if s.cache == nil {
-		miss, missPos = targets, nil
+		if len(miss) == 0 {
+			return preds, depths, true, nil
+		}
 	}
 	// Degraded mode: cache hits were already answered above and ModeFixed
 	// misses have strictly local support (the cheap path NAP makes
 	// distinguishable), so only un-cached NAP work is shed. ShedAt lets one
-	// probe per interval through so flushes keep feeding the latency EWMA —
+	// probe per interval through so calls keep feeding the latency EWMA —
 	// the signal's only recovery path once traffic is being shed.
-	if s.cfg.Shed && s.cfg.Opt.Mode != core.ModeFixed && s.co.detector.ShedAt(start) {
-		s.obs.FinishTrace(tr, tenant, "shed", len(targets))
-		return nil, nil, ErrShed
+	if s.cfg.Shed && s.cfg.Opt.Mode != core.ModeFixed && s.detector.ShedAt(start) {
+		return nil, nil, false, ErrShed
 	}
-	deadline, _ := ctx.Deadline()
-	p := &pending{targets: miss, tenant: tenant, ctx: ctx, deadline: deadline,
-		done: make(chan struct{}), tr: tr, enq: time.Now()}
-	if err := s.co.submit(p); err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// Deadline misses are the slow tail: they must land in the
-			// latency histograms too, or the percentiles report only the
-			// requests that made it.
-			d := time.Since(start)
-			ten.deadlineMisses.Inc()
-			ten.latency.Observe(d.Seconds())
-			s.obs.Count("deadline", d)
-		case errors.Is(err, context.Canceled):
-			s.obs.Count("error", time.Since(start))
-		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQuota):
-			// Rejected before enqueueing: the flusher never saw the
-			// pending, so the trace can be finished (and recycled) here.
-			s.obs.FinishTrace(tr, tenant, "rejected", len(targets))
-		default:
-			s.obs.FinishTrace(tr, tenant, "error", len(targets))
-		}
-		// Context-error returns only count the outcome: the flush may
-		// still be recording spans into this trace (the caller gave up
-		// mid-flight), so it must never re-enter the trace pool — the GC
-		// reclaims it instead.
-		return nil, nil, err
+	res, err := s.infer(ctx, start, tr, miss, tenant)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	mp, md := p.res.Window(p.lo, p.lo+len(miss))
 	if missPos == nil {
-		// Uncached (or all-miss without positions): the batch window is the
-		// whole answer.
-		preds, depths = mp, md
-	} else {
-		for k, i := range missPos {
-			preds[i], depths[i] = mp[k], md[k]
+		return res.Pred, res.Depths, false, nil
+	}
+	for k, i := range missPos {
+		preds[i], depths[i] = res.Pred[k], res.Depths[k]
+	}
+	return preds, depths, false, nil
+}
+
+// infer runs the backend call for a request's cache misses: it takes their
+// targets from the admission budget for the call's duration, drops a
+// request whose context is already done, and fills the result cache from
+// the answer. Callers hold graphMu.RLock.
+func (s *Server) infer(ctx context.Context, start time.Time, tr *obs.Trace, targets []int, tenant string) (*core.Result, error) {
+	n := len(targets)
+	if cap := s.budget.Capacity(); cap > 0 && n > cap {
+		// Larger than the whole budget: Acquire would refuse this request
+		// forever, so a retryable 429 would be a lie — reject it as the
+		// client error it is (400), telling the caller the real bound.
+		return nil, badRequestf("serve: request has %d targets, admission budget holds at most %d (split the request or raise -max-pending)", n, cap)
+	}
+	if !s.budget.Acquire(tenant, n) {
+		// Fast 429: the reject costs a mutex acquire, never an Infer. The
+		// retry hint is one call's expected cost — by then a call's worth
+		// of budget has drained.
+		s.detector.Update(s.budget.Pending(), s.budget.Capacity())
+		return nil, &retryableError{err: ErrOverloaded, retry: s.detector.FlushEWMA()}
+	}
+	defer func() {
+		s.budget.Release(tenant, n)
+		s.detector.Update(s.budget.Pending(), s.budget.Capacity())
+	}()
+	s.detector.Update(s.budget.Pending(), s.budget.Capacity())
+	if s.closed.Load() {
+		return nil, ErrShuttingDown
+	}
+	if err := ctx.Err(); err != nil {
+		s.m.dropped.Inc()
+		return nil, err
+	}
+
+	// The backend gets the request's trace, so its stages (engine, router
+	// fan-out, transport) record into it, and the request's deadline, so a
+	// router stops waiting on its workers once the caller would have given
+	// up — but not the cancellation of a client that hung up early.
+	bctx := obs.ContextWithTrace(context.WithoutCancel(ctx), tr)
+	if dl, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		bctx, cancel = context.WithDeadline(bctx, dl)
+		defer cancel()
+	}
+	at := time.Now()
+	tr.EndAt(obs.StageQueue, 0, -1, start, at)
+	res, err := s.backend.InferContext(bctx, targets, s.cfg.Opt)
+	if err == nil && s.cache != nil {
+		for i, v := range targets {
+			s.cache.Put(v, cache.Entry{Pred: int32(res.Pred[i]), Depth: int32(res.Depths[i])})
 		}
 	}
-	ten.latency.Observe(time.Since(start).Seconds())
-	s.obs.FinishTrace(tr, tenant, "ok", len(targets))
-	return preds, depths, nil
+	s.detector.ObserveFlush(time.Since(at))
+
+	// An errored call stays on the books — the work was attempted — under
+	// result="error".
+	s.m.inferTargets.Add(uint64(n))
+	if err != nil {
+		s.m.inferErr.Inc()
+	} else {
+		s.m.inferOK.Inc()
+		s.m.addMACs(res.MACs)
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	return res, err
 }
 
 // ApplyDelta applies a graph mutation under the write lock, waiting for
-// in-flight coalesced batches to drain and blocking new ones, then refreshes
+// in-flight requests to finish and blocking new ones, then refreshes
 // the backend incrementally. Whatever the backend committed is followed
 // before the lock is released — stale cache entries evicted, the delta
 // counted — including when it reports an error beside its result (a router
 // whose worker rejected its share of a delta the rest of the fleet applied):
 // the caller then gets both.
 func (s *Server) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
-	s.co.graphMu.Lock()
-	defer s.co.graphMu.Unlock()
+	s.graphMu.Lock()
+	defer s.graphMu.Unlock()
 	dr, err := s.backend.ApplyDelta(d)
 	if dr != nil {
 		s.invalidate(dr)
@@ -437,8 +498,7 @@ func (s *Server) invalidate(dr *graph.DeltaResult) {
 	s.cache.Invalidate(graph.Ball(s.backend.ServingGraph().Adj, dr.Dirty, s.cfg.Opt.TMax))
 }
 
-// Close drains the coalescer: the open window flushes (in-flight Classify
-// calls complete with real answers) and its timer stops, and every
-// subsequent submit is rejected with ErrShuttingDown (HTTP 503) instead of
-// being flushed through a closing server.
-func (s *Server) Close() { s.co.close() }
+// Close refuses every later request with ErrShuttingDown (HTTP 503) before
+// it reaches the backend. Requests already in a backend call finish with
+// real answers on their own goroutines.
+func (s *Server) Close() { s.closed.Store(true) }

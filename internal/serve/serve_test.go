@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -26,7 +25,7 @@ var (
 	fixModel *core.Model
 )
 
-func fixture(t *testing.T) (*synth.Dataset, *core.Model) {
+func fixture(t testing.TB) (*synth.Dataset, *core.Model) {
 	t.Helper()
 	fixOnce.Do(func() {
 		ds, err := synth.Generate(synth.Tiny(23))
@@ -49,7 +48,7 @@ func fixture(t *testing.T) (*synth.Dataset, *core.Model) {
 	return fixDS, fixModel
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *core.Deployment) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *core.Deployment) {
 	t.Helper()
 	ds, m := fixture(t)
 	g := ds.Graph.Clone()
@@ -65,13 +64,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *core.Deployment) {
 	return s, dep
 }
 
-// TestCoalescedMatchesDirect: answers served through the coalescer must be
-// identical to direct Infer calls, for any interleaving of concurrent
-// callers (the coalesced batch is a superset; per-target results do not
-// depend on batch mates beyond the shared supporting ball, which Algorithm 1
-// evaluates per target).
+// TestCoalescedMatchesDirect: concurrent single-node requests must be
+// answered bit-identically to one direct Infer over all of them (Algorithm
+// 1 evaluates each target on its own supporting ball, so batch mates never
+// change an answer), and each request must be exactly one backend call.
 func TestCoalescedMatchesDirect(t *testing.T) {
-	s, dep := newTestServer(t, Config{MaxBatch: 8, MaxWait: 5 * time.Millisecond})
+	s, dep := newTestServer(t, Config{})
 	ds, _ := fixture(t)
 	targets := ds.Split.Test
 
@@ -105,55 +103,15 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Requests != int64(len(targets)) {
-		t.Fatalf("stats recorded %d requests, want %d", st.Requests, len(targets))
-	}
-	if st.InferCalls >= st.Requests {
-		t.Fatalf("no coalescing happened: %d Infer calls for %d requests", st.InferCalls, st.Requests)
-	}
-	if st.CoalesceRate <= 1 {
-		t.Fatalf("coalesce rate %.2f not > 1", st.CoalesceRate)
+	if st.Requests != int64(len(targets)) || st.InferCalls != st.Requests || st.CoalesceRate != 1 {
+		t.Fatalf("%d Infer calls for %d requests (coalesce_rate %v), want one call per request",
+			st.InferCalls, st.Requests, st.CoalesceRate)
 	}
 }
 
-// TestCoalescerFullWindowFlushes: a window that reaches MaxBatch must flush
-// without waiting for the timer.
-func TestCoalescerFullWindowFlushes(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Hour})
-	done := make(chan struct{})
-	go func() {
-		if _, _, err := s.Classify([]int{1}); err != nil {
-			t.Error(err)
-		}
-		close(done)
-	}()
-	// The second request fills the 2-target window; both must return long
-	// before the hour-long timer.
-	if _, _, err := s.Classify([]int{2}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("full window did not flush")
-	}
-}
-
-// TestCoalescerTimerFlushes: a lone request must be served after MaxWait.
-func TestCoalescerTimerFlushes(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 1 << 20, MaxWait: time.Millisecond})
-	start := time.Now()
-	if _, _, err := s.Classify([]int{3}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lone request took %v", elapsed)
-	}
-}
-
-// TestClassifyValidation rejects out-of-range ids without queueing them.
+// TestClassifyValidation rejects out-of-range ids before any backend call.
 func TestClassifyValidation(t *testing.T) {
-	s, dep := newTestServer(t, Config{MaxWait: time.Millisecond})
+	s, dep := newTestServer(t, Config{})
 	if _, _, err := s.Classify([]int{dep.Graph.N()}); err == nil {
 		t.Fatal("out-of-range id accepted")
 	}
@@ -169,7 +127,7 @@ func TestClassifyValidation(t *testing.T) {
 // goroutines grow the graph, exercising the read/write lock under -race,
 // then checks the grown graph serves the appended nodes.
 func TestDeltasUnderTraffic(t *testing.T) {
-	s, dep := newTestServer(t, Config{MaxBatch: 4, MaxWait: 200 * time.Microsecond})
+	s, dep := newTestServer(t, Config{})
 	n0 := dep.Graph.N()
 	f := dep.Graph.F()
 
@@ -220,12 +178,11 @@ func TestDeltasUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestCoalescerImmediateFlush: MaxWait <= 0 disables coalescing outright.
-// submit closes the window in the critical section it appends to, so even
-// callers that arrive while another flush runs each flush alone: under eight
-// concurrent callers every request is its own Infer call (coalesce_rate 1).
+// TestCoalescerImmediateFlush: no request waits for or joins another —
+// under eight concurrent callers every request is its own Infer call
+// (coalesce_rate 1).
 func TestCoalescerImmediateFlush(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 64, MaxWait: 0})
+	s, _ := newTestServer(t, Config{})
 	const callers, each = 8, 25
 	errs := make(chan error, callers)
 	var wg sync.WaitGroup
@@ -248,100 +205,8 @@ func TestCoalescerImmediateFlush(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Requests != callers*each || st.InferCalls != st.Requests || st.CoalesceRate != 1 {
-		t.Fatalf("immediate mode coalesced: %d Infer calls for %d requests (coalesce_rate %v)",
+		t.Fatalf("%d Infer calls for %d requests (coalesce_rate %v), want one call per request",
 			st.InferCalls, st.Requests, st.CoalesceRate)
-	}
-}
-
-// TestCoalescerExactMaxBatch: a window filling to exactly MaxBatch targets
-// must flush on size — all callers return as one batch long before the
-// (hour-long) timer, and the stats record a single Infer call.
-func TestCoalescerExactMaxBatch(t *testing.T) {
-	const batch = 4
-	s, _ := newTestServer(t, Config{MaxBatch: batch, MaxWait: time.Hour})
-	var wg sync.WaitGroup
-	errs := make(chan error, batch)
-	for i := 0; i < batch; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := s.Classify([]int{i}); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("exactly-full window did not flush on size")
-	}
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Requests != batch || st.InferCalls != 1 || st.Targets != batch {
-		t.Fatalf("want one %d-target flush, got %+v", batch, st)
-	}
-}
-
-// TestCoalescerStaleTimer exercises the generation-mismatch path: a timer
-// that fires after its window already flushed on size must be a no-op (no
-// double serve, no panic), and the coalescer must keep serving afterwards.
-func TestCoalescerStaleTimer(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Hour})
-	co := s.co
-
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		close(started)
-		if _, _, err := s.Classify([]int{1}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-	// Wait for the first request to open a window, then capture its
-	// generation — the stale value a racing timer would hold.
-	var gen int
-	for {
-		co.mu.Lock()
-		queued := len(co.queue)
-		gen = co.gen
-		co.mu.Unlock()
-		if queued == 1 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	// The second request fills the window and flushes it on size.
-	if _, _, err := s.Classify([]int{2}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	// Simulate the lost race: the old window's timer fires now.
-	co.timerFlush(gen)
-	if st := s.Stats(); st.InferCalls != 1 || st.Requests != 2 {
-		t.Fatalf("stale timer changed accounting: %+v", st)
-	}
-	// And the coalescer still serves: a fresh window fills and flushes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := s.Classify([]int{3}); err != nil {
-			t.Error(err)
-		}
-	}()
-	if _, _, err := s.Classify([]int{4}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if st := s.Stats(); st.InferCalls != 2 || st.Requests != 4 {
-		t.Fatalf("post-stale-timer window misbehaved: %+v", st)
 	}
 }
 
@@ -385,7 +250,7 @@ func nodesReq(t *testing.T, s *Server, features [][]float64, labels []int, edges
 // 413 — not read to completion, not a hang, not a 500 — and the server must
 // keep serving normal requests afterwards.
 func TestHTTPMaxBody(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxWait: time.Millisecond, MaxBody: 512})
+	s, _ := newTestServer(t, Config{MaxBody: 512})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -425,9 +290,9 @@ func TestShardedBackendServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sSingle := New(single, Config{Opt: opt, MaxWait: time.Millisecond})
+	sSingle := New(single, Config{Opt: opt})
 	t.Cleanup(sSingle.Close)
-	sSharded := NewBackend(sharded, Config{Opt: opt, MaxWait: time.Millisecond})
+	sSharded := NewBackend(sharded, Config{Opt: opt})
 	t.Cleanup(sSharded.Close)
 
 	check := func(targets []int) {
@@ -478,7 +343,7 @@ func TestShardedBackendServing(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	s, dep := newTestServer(t, Config{MaxWait: time.Millisecond})
+	s, dep := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	n0 := dep.Graph.N()

@@ -26,33 +26,33 @@ type Stats struct {
 	Precision string `json:"precision"`
 
 	// Request accounting. Requests counts every Classify call that was
-	// served — nai_infer_requests_total, the ones that rode in a coalesced
-	// Infer, plus nai_requests_total{outcome="cached"}, the ones answered
-	// entirely from the result cache; Targets (nai_infer_targets_total) and
-	// InferCalls (nai_infer_calls_total, both results) cover only the
-	// inference path, so CoalesceRate = Requests/InferCalls is the overall
-	// amortization factor (coalescing × caching) and AvgBatchTargets the
-	// mean number of targets one Infer served.
+	// served — InferCalls (nai_infer_calls_total, both results), one per
+	// request that reached the backend, plus
+	// nai_requests_total{outcome="cached"}, the ones answered entirely from
+	// the result cache; Targets (nai_infer_targets_total) covers only the
+	// inference path, so CoalesceRate = Requests/InferCalls is the result
+	// cache's amortization factor and AvgBatchTargets the mean number of
+	// targets one backend call served.
 	Requests        int64   `json:"requests"`
 	Targets         int64   `json:"targets"`
 	InferCalls      int64   `json:"infer_calls"`
 	CoalesceRate    float64 `json:"coalesce_rate"`
 	AvgBatchTargets float64 `json:"avg_batch_targets"`
 
-	// Overload-control accounting. InferErrors counts flushes whose Infer
+	// Overload-control accounting. InferErrors counts backend calls that
 	// failed (nai_infer_calls_total{result="error"}; their calls and
 	// targets stay in InferCalls/Targets, so errored work does not vanish
 	// from the books); Rejected counts admission-budget and tenant-quota
 	// 429s and Shed the degraded-mode 429s (nai_requests_total by outcome),
-	// DeadlineExceeded the callers dropped because their deadline or
-	// context expired before their flush started
-	// (nai_infer_dropped_total). PendingTargets is the
-	// current queued + in-flight occupancy of the admission budget
-	// (capacity MaxPending; 0 capacity = unbounded), Degraded the overload
-	// detector's current state and DegradedTransitions its flip count
-	// (flapping shows up here). FlushEWMAUs is the expected-flush-cost
-	// estimate the deadline-aware early flush subtracts from the oldest
-	// waiter's remaining budget.
+	// DeadlineExceeded the requests dropped because their deadline or
+	// context had expired before their backend call started
+	// (nai_infer_dropped_total). PendingTargets is the current in-call
+	// occupancy of the admission budget (capacity MaxPending; 0 capacity =
+	// unbounded), Degraded the overload detector's current state and
+	// DegradedTransitions its flip count (flapping shows up here).
+	// FlushEWMAUs is the moving average of backend-call latency: the
+	// Retry-After hint of an admission 429 and the input of the latency
+	// trip.
 	InferErrors         int64 `json:"infer_errors"`
 	Rejected            int64 `json:"rejected"`
 	Shed                int64 `json:"shed"`
@@ -69,7 +69,7 @@ type Stats struct {
 	NodesAdded int64 `json:"nodes_added"`
 	EdgesDirty int64 `json:"rows_dirtied"`
 
-	// MACs accumulated across all coalesced batches (the paper's
+	// MACs accumulated across all backend calls (the paper's
 	// accounting: wall-clock no longer pays the stationary term, but the
 	// books keep it comparable — see MACBreakdown);
 	// nai_infer_macs_total{procedure}.
@@ -125,7 +125,7 @@ const tenantOverflowKey = "~other"
 
 // CacheStats is the /stats "cache" block: the result cache's own counters
 // (hits, misses, evictions, invalidations, entries, bytes, hit rate) plus
-// the count of requests that never touched the coalescer
+// the count of requests that never reached the backend
 // (nai_requests_total{outcome="cached"}).
 type CacheStats struct {
 	cache.Stats
@@ -134,8 +134,8 @@ type CacheStats struct {
 	FullyCachedRequests int64 `json:"fully_cached_requests"`
 }
 
-// counters are the serving path's instruments on the obs registry: what the
-// coalescer, ApplyDelta and ClassifyContext update, and all Stats reads.
+// counters are the serving path's instruments on the obs registry: what
+// ApplyDelta and ClassifyContext update, and all Stats reads.
 // Each event has one instrument; request outcomes and end-to-end latency
 // are obs's own (nai_requests_total, nai_request_duration_seconds), of
 // which the three outcomes /stats reports are held here.
@@ -143,12 +143,11 @@ type counters struct {
 	rejected, shed, cached *obs.Counter
 	latency                *obs.Histogram
 
-	// One coalesced Infer call and what rode in it; dropped counts the
-	// callers whose context was done when their flush started.
-	inferOK, inferErr           *obs.Counter
-	inferRequests, inferTargets *obs.Counter
-	dropped                     *obs.Counter
-	macs                        []*obs.Counter // by macProcedures index
+	// One backend call and its targets; dropped counts the requests whose
+	// context was done before their call started.
+	inferOK, inferErr     *obs.Counter
+	inferTargets, dropped *obs.Counter
+	macs                  []*obs.Counter // by macProcedures index
 
 	deltas, nodesAdded, rowsDirtied *obs.Counter
 
@@ -185,7 +184,7 @@ var macProcedures = []struct {
 func newCounters(o *obs.Obs) *counters {
 	reg := o.Reg
 	calls := reg.CounterVec("nai_infer_calls_total",
-		"Coalesced Infer calls by result (ok, error).", "result")
+		"Backend Infer calls by result (ok, error): one per request not answered entirely from the cache.", "result")
 	c := &counters{
 		rejected: o.Requests("rejected"),
 		shed:     o.Requests("shed"),
@@ -193,12 +192,10 @@ func newCounters(o *obs.Obs) *counters {
 		latency:  o.RequestDuration(),
 		inferOK:  calls.With("ok"),
 		inferErr: calls.With("error"),
-		inferRequests: reg.Counter("nai_infer_requests_total",
-			"Requests that rode in a coalesced Infer call."),
 		inferTargets: reg.Counter("nai_infer_targets_total",
-			"Targets across coalesced Infer calls."),
+			"Targets across backend Infer calls."),
 		dropped: reg.Counter("nai_infer_dropped_total",
-			"Callers dropped from their batch because their deadline or context expired before the flush started."),
+			"Requests dropped before their backend call because their deadline or context had already expired."),
 		deltas: reg.Counter("nai_deltas_total",
 			"Graph deltas the backend committed."),
 		nodesAdded: reg.Counter("nai_delta_nodes_added_total",
@@ -216,7 +213,7 @@ func newCounters(o *obs.Obs) *counters {
 		tenants: make(map[string]*tenantSeries),
 	}
 	macs := reg.CounterVec("nai_infer_macs_total",
-		"Multiply-accumulates of coalesced Infer calls by procedure (the paper's accounting).", "procedure")
+		"Multiply-accumulates of backend Infer calls by procedure (the paper's accounting).", "procedure")
 	for _, p := range macProcedures {
 		c.macs = append(c.macs, macs.With(p.name))
 	}
@@ -273,11 +270,12 @@ func micros(h *obs.Histogram, q float64) float64 { return h.Quantile(q) * 1e6 }
 func (s *Server) Stats() Stats {
 	m := s.m
 	cached, inferErrs := int64(m.cached.Value()), int64(m.inferErr.Value())
+	calls := int64(m.inferOK.Value()) + inferErrs
 	st := Stats{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
-		Requests:         int64(m.inferRequests.Value()) + cached,
+		Requests:         calls + cached,
 		Targets:          int64(m.inferTargets.Value()),
-		InferCalls:       int64(m.inferOK.Value()) + inferErrs,
+		InferCalls:       calls,
 		InferErrors:      inferErrs,
 		Rejected:         int64(m.rejected.Value()),
 		Shed:             int64(m.shed.Value()),
@@ -311,22 +309,22 @@ func (s *Server) Stats() Stats {
 	}
 	m.mu.RUnlock()
 
-	st.PendingTargets = s.co.budget.Pending()
-	st.MaxPending = s.co.budget.Capacity()
+	st.PendingTargets = s.budget.Pending()
+	st.MaxPending = s.budget.Capacity()
 	// Peek re-evaluates the depth signal against the current load without
-	// committing it: an idle server whose queue drained reports
+	// committing it: an idle server whose budget drained reports
 	// Degraded=false, but a monitoring scrape can never flip the
-	// detector's stored state under a racing submit (only the real
-	// submit/flush path mutates it).
-	st.Degraded = s.co.detector.Peek(st.PendingTargets, st.MaxPending)
-	st.DegradedTransitions = s.co.detector.Transitions()
-	st.FlushEWMAUs = s.co.detector.FlushEWMA().Microseconds()
+	// detector's stored state under a racing request (only the request
+	// path mutates it).
+	st.Degraded = s.detector.Peek(st.PendingTargets, st.MaxPending)
+	st.DegradedTransitions = s.detector.Transitions()
+	st.FlushEWMAUs = s.detector.FlushEWMA().Microseconds()
 
-	s.co.graphMu.RLock()
+	s.graphMu.RLock()
 	g := s.backend.ServingGraph()
 	st.Nodes, st.Edges = g.N(), g.M()
 	info := s.backend.Describe()
-	s.co.graphMu.RUnlock()
+	s.graphMu.RUnlock()
 	st.GraphVersion = info.Version
 	st.Precision = info.Precision.String()
 	st.ScratchBytes = info.ScratchBytes

@@ -48,7 +48,7 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 	ds, _ := fixture(t)
 	fb := &flakyBackend{}
 	s := newWrappedServer(t, Config{
-		MaxBatch: 64, MaxWait: time.Millisecond, CacheSize: 256, MaxPending: 10,
+		CacheSize: 256, MaxPending: 10,
 		DefaultDeadline: 5 * time.Second, Shed: true,
 		Quotas: mustQuotas(t, "limited=0.001:1"),
 	}, func(b Backend) Backend { fb.Backend = b; return fb })
@@ -75,12 +75,12 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 		t.Fatalf("drained bucket: %v, want ErrQuota", err)
 	}
 
-	// Budget reject: a gated flush holds 4 of the 10 units (under the 90%
+	// Budget reject: a gated call holds 4 of the 10 units (under the 90%
 	// depth trip, so nothing is shed), and 7 more do not fit.
 	fb.gate = make(chan struct{})
 	parked := make(chan error, 1)
 	go func() { parked <- classify("acme", test[3], test[4], test[5], test[6]) }()
-	<-fb.gate // the flush is in the backend, holding its 4 units
+	<-fb.gate // the call is in the backend, holding its 4 units
 	if err := classify("acme", test[7:14]...); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-budget request: %v, want ErrOverloaded", err)
 	}
@@ -89,12 +89,12 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 	fb.gate = nil
 
 	// Shed: trip the latency loop, lose one uncached NAP request, recover.
-	s.co.detector.ObserveFlush(time.Minute)
+	s.detector.ObserveFlush(time.Minute)
 	if err := classify("acme", test[20]); !errors.Is(err, ErrShed) {
 		t.Fatalf("degraded miss: %v, want ErrShed", err)
 	}
-	for i := 0; i < 64 && s.co.detector.Degraded(); i++ {
-		s.co.detector.ObserveFlush(time.Millisecond)
+	for i := 0; i < 64 && s.detector.Degraded(); i++ {
+		s.detector.ObserveFlush(time.Millisecond)
 	}
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -130,7 +130,7 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 		want  float64
 		min   float64 // the events above must have moved it at least this far
 	}{
-		{"requests", st.Requests, m["nai_infer_requests_total"] + outcome("cached"), 8},
+		{"requests", st.Requests, calls("ok") + calls("error") + outcome("cached"), 8},
 		{"targets", st.Targets, m["nai_infer_targets_total"], 9},
 		{"infer_calls", st.InferCalls, calls("ok") + calls("error"), 5},
 		{"infer_errors", st.InferErrors, calls("error"), 1},
@@ -210,7 +210,7 @@ func TestFleetReadsAreSnapshots(t *testing.T) {
 	perScrape := map[int]int64{}
 	for _, shards := range []int{2, 16} {
 		fleet := &flappingFleet{shards: shards}
-		s := newWrappedServer(t, Config{MaxWait: time.Millisecond},
+		s := newWrappedServer(t, Config{},
 			func(b Backend) Backend { fleet.Backend = b; return fleet })
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()

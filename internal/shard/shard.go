@@ -59,11 +59,11 @@
 //     partitioned) is caught up by replay — on its next Infer, or by the
 //     background health probe — without restarting the router.
 //
-// Per-target predictions and depths are batch-invariant in the engine
-// (established by the serving coalescer), so splitting one request across
-// shards never changes an answer; MAC totals and per-batch times reflect
-// the sharded execution (each shard batch is charged Algorithm 1's
-// per-batch stationary term), exactly as BatchSize splitting does.
+// Per-target predictions and depths are batch-invariant in the engine, so
+// splitting one request across shards never changes an answer; MAC totals
+// and per-batch times reflect the sharded execution (each shard batch is
+// charged Algorithm 1's per-batch stationary term), exactly as BatchSize
+// splitting does.
 //
 // Concurrency contract: like core.Deployment, a Router is read-only during
 // Infer — any number of concurrent Infer calls is safe — while ApplyDelta

@@ -32,10 +32,11 @@ const wireMagic = "NAIW"
 // the worker-side span list to msgResult (end-to-end tracing across the
 // router↔worker boundary); version 4 added the X^(1)-layer counters to
 // msgHealth; version 5 dropped two engine options from msgInfer that the
-// engine no longer has. A peer speaking an older version is rejected at
-// decode, which is the right failure for a router and worker that disagree on
-// the format.
-const wireVersion = 5
+// engine no longer has; version 6 renumbered the span stages in msgResult
+// when the serving layer's batch-assembly stage went. A peer speaking an
+// older version is rejected at decode, which is the right failure for a
+// router and worker that disagree on the format.
+const wireVersion = 6
 
 // message types
 const (

@@ -203,8 +203,9 @@ func TestWireRejectsBadPayloads(t *testing.T) {
 }
 
 // TestWireRejectsV4Frame: a version-4 msgInfer frame — two more integers
-// between the batch size and the precision tier than version 5 — must fail on
-// the version byte, not be read field-shifted into a different request.
+// between the batch size and the precision tier than later versions — must
+// fail on the version byte, not be read field-shifted into a different
+// request.
 func TestWireRejectsV4Frame(t *testing.T) {
 	b := append([]byte(wireMagic), 4, msgInfer)
 	b = appendUint(b, 1)           // version
@@ -219,8 +220,36 @@ func TestWireRejectsV4Frame(t *testing.T) {
 	b = appendInt(b, int(kernel.PrecisionF64))
 	b = appendUint(b, 0) // trace id
 	_, err := decodeInferRequest(b)
-	if err == nil || !strings.Contains(err.Error(), "format version 4, want 5") {
+	if err == nil || !strings.Contains(err.Error(), "format version 4, want 6") {
 		t.Fatalf("v4 frame: err = %v, want the format-version error", err)
+	}
+}
+
+// TestWireRejectsV5Frame: a version-5 msgResult frame numbers its span stages
+// with batch assembly at 1, where version 6 has BFS. Byte for byte it would
+// decode, so it must fail on the version byte rather than report an
+// assembly span as a BFS one.
+func TestWireRejectsV5Frame(t *testing.T) {
+	b := append([]byte(wireMagic), 5, msgResult)
+	b = appendInts(b, []int{1})    // preds
+	b = appendInts(b, []int{1})    // depths
+	b = appendInts(b, []int{0, 1}) // nodes per depth
+	for i := 0; i < 8; i++ {
+		b = appendInt(b, 0) // five MAC fields, TotalTime, FPTime, NumTargets
+	}
+	b = appendUint(b, 1) // one span
+	b = appendInt(b, 1)  // v5 stage 1: assemble
+	b = appendInt(b, 0)  // hop
+	b = appendInt(b, -1) // shard
+	b = appendInt(b, 0)  // start
+	b = appendInt(b, int(time.Microsecond))
+	_, _, err := decodeResult(b)
+	if err == nil || !strings.Contains(err.Error(), "format version 5, want 6") {
+		t.Fatalf("v5 frame: err = %v, want the format-version error", err)
+	}
+	b[len(wireMagic)] = wireVersion
+	if _, spans, err := decodeResult(b); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageBFS {
+		t.Fatalf("same payload at v6: spans %v err %v, want one bfs span", spans, err)
 	}
 }
 

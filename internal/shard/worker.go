@@ -55,24 +55,13 @@ type Worker struct {
 // flags holds bit-identical shard state without any bulk state transfer.
 // The worker starts at graph version 1, matching a fresh router.
 func NewWorker(m *core.Model, g *graph.Graph, cfg Config, shardID int) (*Worker, error) {
-	if g.F() != m.FeatureDim {
-		return nil, fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
-	}
-	if !cfg.Precision.Valid() {
-		return nil, fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
-	}
-	radius := cfg.Radius
-	if radius <= 0 {
-		radius = m.K
-	}
-	asg, err := Partition(g, cfg.Shards, cfg.Strategy)
+	asg, st, radius, err := layout(m, g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if shardID < 0 || shardID >= asg.P {
 		return nil, fmt.Errorf("shard: worker id %d outside [0,%d)", shardID, asg.P)
 	}
-	st := core.ComputeStationary(g.Adj, g.Features, m.Gamma)
 	universe := haloUniverse(g, asg.Owned[shardID], radius)
 	dep, lst, err := buildShardState(m, g, st, universe)
 	if err != nil {
