@@ -63,7 +63,7 @@ func PrepareTeacher(g *graph.Graph, split graph.Split, teacher *core.Model) *Tea
 	observed := append(append([]int(nil), split.Train...), split.Val...)
 	ind := g.Induce(observed)
 	tg := ind.Graph
-	adj := sparse.NormalizedAdjacency(tg.Adj, teacher.Gamma)
+	adj := sparse.NewNormalized(tg.Adj, teacher.Gamma, sparse.LoopedDegrees(tg.Adj))
 	feats := scalable.Propagate(adj, tg.Features, teacher.K)
 	input := teacher.Combiner.Combine(feats, teacher.K)
 	trainIdx := localIndices(ind, split.Train)
@@ -123,7 +123,7 @@ func gatherLabels(labels []int, idx []int) []int {
 // baselines: extract supporting balls per hop, propagate to depth k, then
 // hand the per-depth stack (rows = batch targets) to classify, which
 // returns predictions plus its classification MAC count.
-func fixedDepthInfer(g *graph.Graph, adj *sparse.CSR, k int, targets []int, batchSize int,
+func fixedDepthInfer(g *graph.Graph, adj *sparse.Normalized, k int, targets []int, batchSize int,
 	classify func(stack []*mat.Matrix) ([]int, int)) *Result {
 
 	agg := &Result{}
@@ -144,7 +144,7 @@ func fixedDepthInfer(g *graph.Graph, adj *sparse.CSR, k int, targets []int, batc
 			rows := graph.Ball(g.Adj, batch, k-l)
 			feats[l] = mat.New(g.N(), f)
 			fpStart := time.Now()
-			res.MACs.Propagation += adj.MulDenseRows(rows, feats[l-1], feats[l])
+			res.MACs.Propagation += sparse.MulNormalizedRowsInto(adj, rows, rows, nil, 0, feats[l-1].Data, f, 1, feats[l].Data)
 			fpTime += time.Since(fpStart)
 		}
 		stack := make([]*mat.Matrix, k+1)

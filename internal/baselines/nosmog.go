@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mat"
 	"repro/internal/nn"
+	"repro/internal/scalable"
 	"repro/internal/sparse"
 )
 
@@ -58,16 +59,12 @@ func DefaultNOSMOGConfig() NOSMOGConfig {
 // of the graph: P = M^L · E where M is the row-stochastic adjacency and E
 // the one-hot anchor indicator matrix.
 func PositionFeatures(adj *sparse.CSR, anchors []int, walkLen int) *mat.Matrix {
-	m := sparse.NormalizedAdjacency(adj, sparse.GammaRowStochastic)
 	e := mat.New(adj.Rows, len(anchors))
 	for j, a := range anchors {
 		e.Set(a, j, 1)
 	}
-	p := e
-	for l := 0; l < walkLen; l++ {
-		p = m.MulDense(p)
-	}
-	return p
+	m := sparse.NewNormalized(adj, sparse.GammaRowStochastic, sparse.LoopedDegrees(adj))
+	return scalable.Propagate(m, e, walkLen)[walkLen]
 }
 
 // topDegreeAnchors picks the d highest-degree nodes as anchors.
@@ -135,16 +132,17 @@ func (m *NOSMOG) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
 	// Deployment-time index: full-graph position table (computed once, like
 	// NOSMOG's stored DeepWalk table; not charged per batch).
 	posTable := PositionFeatures(g.Adj, m.Anchors, m.WalkLen)
-	norm := sparse.NormalizedAdjacency(g.Adj, sparse.GammaRowStochastic)
+	norm := sparse.NewNormalized(g.Adj, sparse.GammaRowStochastic, sparse.LoopedDegrees(g.Adj))
 	d := len(m.Anchors)
 	for _, batch := range graph.Batches(targets, batchSize) {
 		start := time.Now()
-		// 1-hop aggregation of neighbor position rows. MulDenseRows
+		// 1-hop aggregation of neighbor position rows. The product
 		// requires duplicate-free rows (it writes them in parallel), and
 		// batch comes verbatim from the caller — dedupe defensively.
 		fpStart := time.Now()
 		posAgg := mat.New(g.N(), d)
-		fpMACs := norm.MulDenseRows(dedupRows(batch), posTable, posAgg)
+		rows := dedupRows(batch)
+		fpMACs := sparse.MulNormalizedRowsInto(norm, rows, rows, nil, 0, posTable.Data, d, 1, posAgg.Data)
 		fpTime := time.Since(fpStart)
 		x := mat.ConcatCols(g.Features.GatherRows(batch), posAgg.GatherRows(batch))
 		pred := m.Student.Predict(x)

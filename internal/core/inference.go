@@ -518,7 +518,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		sc.x1, sc.targets = nil, nil
 		sc.ring = growScratch(sc.ring, len(sc.ring)) // shaped after use: its extent is the BFS's outcome
 	}()
-	bfsAt := tr.Begin()
+	mark := time.Now() // the last stage boundary read (stageEnd)
 	nested := graph.SupportingSetsScratch(g.Adj, targets, max(opt.TMax-2, 0), sc.visited)
 	rowsAt := func(l int) []int { return nested[len(nested)-1-(opt.TMax-l)] }
 
@@ -529,8 +529,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	if opt.TMax >= 2 {
 		sc.ring = graph.RingScratch(g.Adj, support, sc.visited, sc.ring)
 	}
-	tr.End(obs.StageBFS, 0, -1, bfsAt)
-	extAt := tr.Begin()
+	mark = stageEnd(tr, obs.StageBFS, 0, mark)
 	sc.s, sc.f = len(support), g.F()
 	graph.IndexSet(support, sc.toLocal)
 	defer graph.ResetIndex(support, sc.toLocal)
@@ -552,15 +551,14 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		widest = len(rowsAt(2))
 	}
 	sc.localRows = growScratch(sc.localRows, widest)
-	tr.End(obs.StageExtract, 0, -1, extAt)
+	mark = stageEnd(tr, obs.StageExtract, 0, mark)
 
 	var fpTime time.Duration
 	// live lists the nodes whose rows the previous hop left for this one to
 	// read: after hop 1 the whole ball's rows of the layer, then each hop's own.
 	live := [2][]int{support, sc.ring}
 	for l := 1; l <= opt.TMax; l++ {
-		fpStart := time.Now()
-		fpAt := tr.Begin()
+		fpStart := mark
 		if l == 1 {
 			// The layer's rows this batch reads: S and the ring around it, or
 			// at TMax 1 — S is the targets, and no hop gathers — S alone.
@@ -583,45 +581,51 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			res.MACs.Propagation += t.mulRows(in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
 			live = [2][]int{rows}
 		}
-		tr.End(obs.StagePropagate, l, -1, fpAt)
-		fpTime += time.Since(fpStart)
+		mark = stageEnd(tr, obs.StagePropagate, l, mark)
+		fpTime += mark.Sub(fpStart)
 
 		if l < opt.TMin {
 			continue // Line 6-7
 		}
 		if l < opt.TMax && opt.Mode != ModeFixed {
 			// Lines 9-13: decide and classify early exits.
-			decStart := time.Now()
-			decAt := tr.Begin()
+			decStart := mark
 			exit := decide(l, m, xinf, active, opt, &res.MACs, sc)
-			tr.End(obs.StageDecide, 0, -1, decAt)
-			fpTime += time.Since(decStart)
+			mark = stageEnd(tr, obs.StageDecide, 0, mark)
+			fpTime += mark.Sub(decStart)
 			if len(exit) > 0 {
-				clsAt := tr.Begin()
 				classify(l, m, g, targets, exit, res, sc)
-				tr.End(obs.StageClassify, 0, -1, clsAt)
+				mark = stageEnd(tr, obs.StageClassify, 0, mark)
 				active = removeIndices(active, exit, sc.rm)
 				if len(active) == 0 {
 					break
 				}
 				// Shrink: the remaining hops only need balls around the
 				// survivors (sampling counts in Time, not FP).
-				bfsAt = tr.Begin()
 				nested = graph.SupportingSetsScratch(
 					g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
-				tr.End(obs.StageBFS, 0, -1, bfsAt)
+				mark = stageEnd(tr, obs.StageBFS, 0, mark)
 			}
 		} else if l == opt.TMax {
 			// Lines 16-17: everything left is classified at T_max.
-			clsAt := tr.Begin()
 			classify(l, m, g, targets, active, res, sc)
-			tr.End(obs.StageClassify, 0, -1, clsAt)
+			mark = stageEnd(tr, obs.StageClassify, 0, mark)
 			active = nil
 		}
 	}
-	res.TotalTime = time.Since(start)
+	res.TotalTime = mark.Sub(start)
 	res.FPTime = fpTime
 	return res
+}
+
+// stageEnd reads the clock once at the boundary closing a stage that began at
+// begin, records the stage's span from the two readings, and returns the
+// reading: the next stage's begin. Spans, FPTime and TotalTime are therefore
+// differences of the same readings.
+func stageEnd(tr *obs.Trace, stage obs.Stage, hop int, begin time.Time) time.Time {
+	now := time.Now()
+	tr.EndAt(stage, hop, -1, begin, now)
+	return now
 }
 
 // widen copies a propagated row into a float64 one (a plain copy at the f64

@@ -240,7 +240,7 @@ func TestPropagateConsistencyWithScalable(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
 	dep, _ := NewDeployment(m, ds.Graph)
-	norm := sparse.NormalizedAdjacency(ds.Graph.Adj, m.Gamma)
+	norm := sparse.NewNormalized(ds.Graph.Adj, m.Gamma, sparse.LoopedDegrees(ds.Graph.Adj))
 	feats := scalable.Propagate(norm, ds.Graph.Features, m.K)
 
 	targets := ds.Split.Test[:20]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -249,6 +250,49 @@ func TestTraceSpansSameAtEveryTier(t *testing.T) {
 		}
 		if strings.Join(got, " ") != want {
 			t.Fatalf("%v: spans %q, want %q", p, strings.Join(got, " "), want)
+		}
+	}
+}
+
+// TestTraceSpansSumToFPTime: the engine reads the clock once per stage
+// boundary and feeds both Result and the trace from those readings, so on a
+// traced request whose targets exit in several waves, over several batches,
+// the propagate and decide spans sum exactly to FPTime and every span together
+// fits inside TotalTime.
+func TestTraceSpansSumToFPTime(t *testing.T) {
+	ds := tinyData(t)
+	m := trainedModel(t)
+	o := obs.New(obs.Options{})
+	for _, p := range tiers {
+		dep := deployAt(t, m, ds.Graph, p)
+		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5),
+			TMin: 1, TMax: m.K, BatchSize: len(ds.Split.Test)/3 + 1}
+		tr := o.StartTrace()
+		res, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waves := 0
+		for l := 1; l < m.K; l++ {
+			if res.NodesPerDepth[l] > 0 {
+				waves++
+			}
+		}
+		if waves < 2 || res.NodesPerDepth[m.K] == 0 {
+			t.Fatalf("%v: exits per depth %v, want early waves at two depths and survivors to TMax", p, res.NodesPerDepth)
+		}
+		var fp, all time.Duration
+		for _, sp := range tr.Spans() {
+			if sp.Stage == obs.StagePropagate || sp.Stage == obs.StageDecide {
+				fp += sp.Dur
+			}
+			all += sp.Dur
+		}
+		if fp != res.FPTime {
+			t.Fatalf("%v: propagate and decide spans sum to %v, FPTime %v", p, fp, res.FPTime)
+		}
+		if all > res.TotalTime {
+			t.Fatalf("%v: spans sum to %v, more than TotalTime %v", p, all, res.TotalTime)
 		}
 	}
 }

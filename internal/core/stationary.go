@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"repro/internal/mat"
+	"repro/internal/scalable"
 	"repro/internal/sparse"
 )
 
@@ -241,9 +242,9 @@ func DenseStationaryReference(adj *sparse.CSR, x *mat.Matrix, gamma float64) *ma
 // eigenvector v1_i ∝ √(d_i+1). λ₂ appears in the paper's personalized-depth
 // upper bound (Eq. 10).
 func SecondEigenvalueSymmetric(adj *sparse.CSR, iters int) float64 {
-	norm := sparse.NormalizedAdjacency(adj, sparse.GammaSymmetric)
 	n := adj.Rows
 	looped := sparse.LoopedDegrees(adj)
+	norm := sparse.NewNormalized(adj, sparse.GammaSymmetric, looped)
 	v1 := make([]float64, n)
 	var v1norm float64
 	for i, d := range looped {
@@ -271,16 +272,7 @@ func SecondEigenvalueSymmetric(adj *sparse.CSR, iters int) float64 {
 	deflate(v)
 	var lambda float64
 	for it := 0; it < iters; it++ {
-		w := make([]float64, n)
-		for i := 0; i < n; i++ {
-			cols := norm.RowIndices(i)
-			vals := norm.RowValues(i)
-			var acc float64
-			for k, c := range cols {
-				acc += vals[k] * v[c]
-			}
-			w[i] = acc
-		}
+		w := scalable.Propagate(norm, mat.FromData(n, 1, v), 1)[1].Data
 		deflate(w)
 		var wn float64
 		for _, x := range w {

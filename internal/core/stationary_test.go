@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/scalable"
 	"repro/internal/sparse"
 )
 
@@ -47,8 +48,8 @@ func TestStationaryIsFixpoint(t *testing.T) {
 		for _, gamma := range []float64{0, 0.5, 1} {
 			st := ComputeStationary(adj, x, gamma)
 			xinf := st.Full()
-			norm := sparse.NormalizedAdjacency(adj, gamma)
-			if !mat.ApproxEqual(norm.MulDense(xinf), xinf, 1e-9) {
+			norm := sparse.NewNormalized(adj, gamma, sparse.LoopedDegrees(adj))
+			if !mat.ApproxEqual(scalable.Propagate(norm, xinf, 1)[1], xinf, 1e-9) {
 				return false
 			}
 		}
@@ -68,11 +69,8 @@ func TestStationaryIsPropagationLimit(t *testing.T) {
 	dst := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 6, 9}
 	adj := sparse.FromEdges(12, src, dst, true)
 	x := mat.Randn(12, 3, 1, rng)
-	norm := sparse.NormalizedAdjacency(adj, sparse.GammaSymmetric)
-	prop := x
-	for i := 0; i < 400; i++ {
-		prop = norm.MulDense(prop)
-	}
+	norm := sparse.NewNormalized(adj, sparse.GammaSymmetric, sparse.LoopedDegrees(adj))
+	prop := scalable.Propagate(norm, x, 400)[400]
 	st := ComputeStationary(adj, x, sparse.GammaSymmetric)
 	if !mat.ApproxEqual(prop, st.Full(), 1e-6) {
 		t.Fatal("propagation limit differs from closed-form stationary state")

@@ -147,8 +147,8 @@ func (t *Trace) End(stage Stage, hop, shard int, begin time.Time) {
 }
 
 // EndAt is End with an explicit end instant, for callers that read the
-// clock anyway (the serving layer ends a request's queue span at the
-// instant it times the backend call from) — one clock read instead of two.
+// clock anyway (the serving layer's queue span, the engine's stage
+// boundaries) — one clock read instead of two.
 func (t *Trace) EndAt(stage Stage, hop, shard int, begin, now time.Time) {
 	if t == nil || begin.IsZero() {
 		return

@@ -18,23 +18,24 @@ import (
 )
 
 // Propagate returns [X^{(0)}, X^{(1)}, …, X^{(k)}] where X^{(0)} = x and
-// X^{(l)} = adj·X^{(l-1)} (the paper's Eq. 2 preprocessing).
-func Propagate(adj *sparse.CSR, x *mat.Matrix, k int) []*mat.Matrix {
+// X^{(l)} = adj·X^{(l-1)} (the paper's Eq. 2 preprocessing): each hop is one
+// operator product over every row, with the serving engine's bits.
+func Propagate(adj *sparse.Normalized, x *mat.Matrix, k int) []*mat.Matrix {
 	if k < 0 {
 		panic("scalable: negative propagation depth")
+	}
+	n := adj.N()
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
 	}
 	out := make([]*mat.Matrix, k+1)
 	out[0] = x
 	for l := 1; l <= k; l++ {
-		out[l] = adj.MulDense(out[l-1])
+		out[l] = mat.New(n, x.Cols)
+		sparse.MulNormalizedRowsInto(adj, rows, nil, nil, 0, out[l-1].Data, x.Cols, 1, out[l].Data)
 	}
 	return out
-}
-
-// PropagationMACs returns the multiply-accumulate count of computing
-// X^{(1..k)} with the given adjacency (nnz·f per hop, the paper's O(kmf)).
-func PropagationMACs(adj *sparse.CSR, f, k int) int {
-	return adj.NNZ() * f * k
 }
 
 // Combiner maps the propagated feature stack at some depth l to the

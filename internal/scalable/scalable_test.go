@@ -12,11 +12,11 @@ import (
 	"repro/internal/tensor"
 )
 
-func testAdj(t *testing.T) *sparse.CSR {
+func testAdj(t *testing.T) *sparse.Normalized {
 	t.Helper()
 	// 0-1-2-3 path plus 0-3 to make a cycle
 	adj := sparse.FromEdges(4, []int{0, 1, 2, 0}, []int{1, 2, 3, 3}, true)
-	return sparse.NormalizedAdjacency(adj, sparse.GammaSymmetric)
+	return sparse.NewNormalized(adj, sparse.GammaSymmetric, sparse.LoopedDegrees(adj))
 }
 
 func testFeats(rng *rand.Rand, n, f int) *mat.Matrix { return mat.Randn(n, f, 1, rng) }
@@ -32,7 +32,8 @@ func TestPropagate(t *testing.T) {
 	if feats[0] != x {
 		t.Fatal("X^(0) should be the input")
 	}
-	want := adj.MulDense(adj.MulDense(x))
+	dense := sparse.NormalizedAdjacency(adj.Adj, adj.Gamma).ToDense()
+	want := mat.MatMul(dense, mat.MatMul(dense, x))
 	if !mat.ApproxEqual(feats[2], want, 1e-12) {
 		t.Fatal("X^(2) mismatch")
 	}
@@ -48,10 +49,45 @@ func TestPropagateZeroDepth(t *testing.T) {
 	}
 }
 
-func TestPropagationMACs(t *testing.T) {
-	adj := testAdj(t)
-	if got := PropagationMACs(adj, 3, 2); got != adj.NNZ()*3*2 {
-		t.Fatalf("MACs = %d", got)
+// TestPropagateMatchesMaterialized pins training's propagation to the stored
+// Â it replaced, bit for bit: every hop equals MulRowsInto over
+// NormalizedAdjacency applied to the previous hop, at each γ, on a graph with
+// hub rows longer than a row driver's 96-entry frame buffer and enough work
+// to fan each product out across workers.
+func TestPropagateMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	n, f, k := 400, 9, 3
+	var src, dst []int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i < 3 || rng.Float64() < 0.02 {
+				src, dst = append(src, i), append(dst, j)
+			}
+		}
+	}
+	g := sparse.FromEdges(n, src, dst, true)
+	if g.RowNNZ(0) <= 96 {
+		t.Fatalf("hub row has only %d entries", g.RowNNZ(0))
+	}
+	x := mat.Randn(n, f, 1, rng)
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	for _, gamma := range []float64{sparse.GammaRowStochastic, sparse.GammaSymmetric, sparse.GammaColStochastic} {
+		feats := Propagate(sparse.NewNormalized(g, gamma, sparse.LoopedDegrees(g)), x, k)
+		stored := sparse.NormalizedAdjacency(g, gamma)
+		want := x
+		for l := 1; l <= k; l++ {
+			next := mat.New(n, f)
+			sparse.MulRowsInto(stored, rows, nil, stored.Val, want.Data, f, 1, next.Data)
+			want = next
+			for i, v := range want.Data {
+				if math.Float64bits(feats[l].Data[i]) != math.Float64bits(v) {
+					t.Fatalf("gamma %v hop %d element %d: %v, materialized %v", gamma, l, i, feats[l].Data[i], v)
+				}
+			}
+		}
 	}
 }
 
@@ -227,7 +263,7 @@ func BenchmarkPropagateK4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adj := sparse.NormalizedAdjacency(ds.Graph.Adj, sparse.GammaSymmetric)
+	adj := sparse.NewNormalized(ds.Graph.Adj, sparse.GammaSymmetric, sparse.LoopedDegrees(ds.Graph.Adj))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Propagate(adj, ds.Graph.Features, 4)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
+	"repro/internal/scalable"
 	"repro/internal/shard"
 	"repro/internal/sparse"
 )
@@ -289,7 +290,7 @@ func TestRemoteDeltaNAPCoupling(t *testing.T) {
 	const target, tmax = 0, 2
 
 	norm1 := func(dep *core.Deployment) float64 {
-		x1 := sparse.NormalizedAdjacency(dep.Graph.Adj, m.Gamma).MulDense(dep.Graph.Features)
+		x1 := scalable.Propagate(dep.Adj, dep.Graph.Features, 1)[1]
 		xinf := dep.Stationary().Rows([]int{target})
 		var s float64
 		for j, v := range x1.Row(target) {

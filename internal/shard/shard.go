@@ -18,10 +18,10 @@
 //     a local↔global remap. Exactness hinges on three invariants: every
 //     *interior* node (within R−1 hops of the owned set) keeps its complete
 //     adjacency row, so supporting-set BFS and propagation see exactly the
-//     global neighborhoods; the local normalized adjacency is built from
-//     *global* looped degrees (sparse.NormalizedAdjacencyWithDegrees), so
-//     stored Â entries equal the global ones bitwise even though boundary
-//     rows are truncated; and the stationary state is a localized *view* of
+//     global neighborhoods; the local Â operator is built from *global*
+//     looped degrees (sparse.NewNormalized), so every entry it emits equals
+//     the global one bitwise even though boundary rows are truncated; and
+//     the stationary state is a localized *view* of
 //     the global rank-1 decomposition (core.Stationary.LocalView), carrying
 //     an exact copy of the global weighted sum — X(∞) is a whole-graph
 //     quantity no subgraph can reproduce, and each worker's copy is

@@ -7,52 +7,43 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/mat"
 	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
-func benchGraph(b *testing.B) (*synth.Dataset, *sparse.CSR) {
-	b.Helper()
+// benchProduct times Â·X over rows of a flickr-like graph through the operator
+// — the product training, the baselines and serving all run — once on one
+// processor and once at GOMAXPROCS (the par helper reads it per call, so the
+// two are identical on single-CPU machines).
+func benchProduct(b *testing.B, every int) {
 	cfg := synth.FlickrLike(1)
 	cfg.N = 2000
 	ds, err := synth.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds, sparse.NormalizedAdjacency(ds.Graph.Adj, sparse.GammaSymmetric)
-}
-
-func BenchmarkSpMM(b *testing.B) {
-	ds, adj := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adj.MulDense(ds.Graph.Features)
+	g := ds.Graph
+	op := sparse.NewNormalized(g.Adj, sparse.GammaSymmetric, sparse.LoopedDegrees(g.Adj))
+	var rows []int
+	for i := 0; i < g.N(); i += every {
+		rows = append(rows, i)
 	}
-}
-
-// BenchmarkMulDenseRows contrasts the serial and parallel row-subset SpMM
-// (nnz-balanced partition; the par helper reads GOMAXPROCS per call, so the
-// two are identical on single-CPU machines).
-func BenchmarkMulDenseRows(b *testing.B) {
-	ds, adj := benchGraph(b)
-	targets := make([]int, 0, ds.Graph.N()/2)
-	for i := 0; i < ds.Graph.N(); i += 2 {
-		targets = append(targets, i)
+	out := make([]float64, g.N()*g.F())
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sparse.MulNormalizedRowsInto(op, rows, rows, nil, 0, g.Features.Data, g.F(), 1, out)
+		}
 	}
-	out := mat.New(ds.Graph.N(), ds.Graph.F())
 	b.Run("serial", func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			adj.MulDenseRows(targets, ds.Graph.Features, out)
-		}
+		run(b)
 	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			adj.MulDenseRows(targets, ds.Graph.Features, out)
-		}
-	})
+	b.Run("parallel", run)
 }
+
+// BenchmarkSpMM is the full product, every row of Â.
+func BenchmarkSpMM(b *testing.B) { benchProduct(b, 1) }
+
+// BenchmarkSpMMRows is the row-subset product over every other row.
+func BenchmarkSpMMRows(b *testing.B) { benchProduct(b, 2) }

@@ -1,17 +1,18 @@
 // Package sparse implements compressed-sparse-row matrices and the graph
-// algebra used by Scalable GNNs: adjacency construction, self-loops, the
-// γ-normalization family Â = D̃^{γ−1} Ã D̃^{−γ} of the paper's Eq. (1), and
-// (row-subset) sparse×dense products with exact multiply-accumulate
-// accounting.
+// algebra used by Scalable GNNs: adjacency construction, self-loops, and the
+// γ-normalization family Â = D̃^{γ−1} Ã D̃^{−γ} of the paper's Eq. (1), held
+// as an operator (Normalized) that training, the baselines and serving all
+// multiply by without storing a row of Â. Every sparse×dense product runs one
+// row driver per accumulator type (rows.go), with exact multiply-accumulate
+// accounting. NormalizedAdjacency, the stored Â, and the CSR product forms
+// over it remain as the tests' reference and for the benchmark ladder.
 package sparse
 
 import (
 	"fmt"
 	"sort"
-	"unsafe"
 
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // CSR is a sparse matrix in compressed sparse row format. Column indices
@@ -163,36 +164,6 @@ func (a *CSR) Degrees() []float64 {
 	return out
 }
 
-// Transpose returns aᵀ.
-func (a *CSR) Transpose() *CSR {
-	counts := make([]int, a.Cols+1)
-	for _, c := range a.Col {
-		counts[c+1]++
-	}
-	for i := 0; i < a.Cols; i++ {
-		counts[i+1] += counts[i]
-	}
-	out := &CSR{
-		Rows:   a.Cols,
-		Cols:   a.Rows,
-		RowPtr: counts,
-		Col:    make([]int, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	next := append([]int(nil), counts[:a.Cols]...)
-	for i := 0; i < a.Rows; i++ {
-		cols := a.RowIndices(i)
-		vals := a.RowValues(i)
-		for k, c := range cols {
-			p := next[c]
-			out.Col[p] = i
-			out.Val[p] = vals[k]
-			next[c]++
-		}
-	}
-	return out
-}
-
 // ToDense materializes the matrix (for tests on small inputs).
 func (a *CSR) ToDense() *mat.Matrix {
 	out := mat.New(a.Rows, a.Cols)
@@ -206,28 +177,10 @@ func (a *CSR) ToDense() *mat.Matrix {
 	return out
 }
 
-// MulDense returns a·x (SpMM), parallelized across nnz-balanced row blocks:
-// graph adjacencies have power-law degrees, so an even row split would
-// leave most workers idle behind the hub-heavy chunk.
-func (a *CSR) MulDense(x *mat.Matrix) *mat.Matrix {
-	if x.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: MulDense inner dims %d != %d", a.Cols, x.Rows))
-	}
-	out := mat.New(a.Rows, x.Cols)
-	par.ForWeighted(a.Rows, a.NNZ()*x.Cols, a.NNZ(), a.RowNNZ, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gatherRow(out.Row(i), a.RowIndices(i), a.RowValues(i), x.Data, x.Cols, 0)
-		}
-	})
-	return out
-}
-
 // MulDenseRows computes out[r] = (a·x)[r] for each r in rows, leaving other
-// rows of out untouched, and returns the number of multiply-accumulate
-// pairs processed (nnz over the selected rows × feature width). out must be
-// a.Rows×x.Cols and must not alias x. The selected rows are processed in
-// parallel over nnz-balanced chunks, so rows must not contain duplicates
-// (every caller passes deduplicated supporting sets).
+// rows of out untouched, and returns the multiply-accumulate count: MulRowsInto
+// at float64 with the output scattered to a.Rows×x.Cols. rows must hold no
+// duplicates and out must not alias x.
 func (a *CSR) MulDenseRows(rows []int, x, out *mat.Matrix) int {
 	if out.Rows != a.Rows {
 		panic("sparse: MulDenseRows out shape mismatch")
@@ -235,33 +188,31 @@ func (a *CSR) MulDenseRows(rows []int, x, out *mat.Matrix) int {
 	return MulRowsInto(a, rows, rows, a.Val, x.Data, x.Cols, 1, out.Data)
 }
 
-// MulDenseRowsCompact computes out[k] = (a·x)[rows[k]] for k = 0..len(rows)
-// and returns the multiply-accumulate count, like MulDenseRows but with the
-// output gathered into compact row order: out is len(rows)×x.Cols instead of
-// a.Rows×x.Cols, so callers propagating over a supporting set can hold
-// |S|-height buffers rather than full-graph ones. The selected rows are
-// processed in parallel over nnz-balanced chunks; rows must not contain
-// duplicates. out must not alias x.
-//
-// Remap precondition: output row k is whatever rows[k] is, so when the
-// result feeds compacted-coordinate consumers the caller must pass rows in
-// exactly the order the local universe was indexed in — for a
-// graph.IndexSet universe that means the same sorted set, making compact
-// row k the node with local id k.
-func (a *CSR) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
-	if out.Rows != len(rows) {
-		panic("sparse: MulDenseRowsCompact out shape mismatch")
+// MulDenseRows32 is MulDenseRows in float32: av aligns with a.Val, x is
+// a.Cols×f row-major and out a.Rows×f.
+func (a *CSR) MulDenseRows32(rows []int, av, x []float32, f int, out []float32) int {
+	if len(out) != a.Rows*f {
+		panic("sparse: MulDenseRows32 out shape mismatch")
 	}
-	return MulRowsInto(a, rows, nil, a.Val, x.Data, x.Cols, 1, out.Data)
+	return MulRowsInto(a, rows, rows, av, x, f, 1, out)
 }
 
-// MulRowsInto is the row-subset SpMM of every precision tier, the one entry
-// point the engine calls and the MulDenseRows* forms wrap:
-// out[outRows[k]·f : outRows[k]·f+f] = (a·x)[rows[k]], other rows of out
+// MulDenseRows8 is MulDenseRows with int8 operands and int32 accumulation:
+// aq aligns with a.Val, xq is a.Cols×f row-major, out a.Rows×f float32, and
+// deq the product of the two per-tensor scales (adjacency × activation).
+func (a *CSR) MulDenseRows8(rows []int, aq, xq []int8, f int, deq float64, out []float32) int {
+	if len(out) != a.Rows*f {
+		panic("sparse: MulDenseRows8 out shape mismatch")
+	}
+	return MulRowsInto(a, rows, rows, aq, xq, f, deq, out)
+}
+
+// MulRowsInto is the row-subset SpMM over a stored CSR, at every precision
+// tier: out[outRows[k]·f : outRows[k]·f+f] = (a·x)[rows[k]], other rows of out
 // untouched, returning the multiply-accumulate count nnz(rows)·f. vals stands
 // in for a.Val at the operands' element type (aligned with it, so one global
 // lowering of a matrix serves every row subset), x is a.Cols×f row-major and
-// out holds f columns per row, both flat. The element types pick the kernel:
+// out holds f columns per row, both flat. The element types pick the driver:
 //
 //   - float64 or float32 operands accumulate at that type into an out of the
 //     same type (anything else panics), every element adding its neighbors'
@@ -275,7 +226,7 @@ func (a *CSR) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 // output rows) and out must not alias x. A nil outRows stands for
 // 0..len(rows)−1, the compact output: row k is rows[k], so a caller feeding
 // compacted coordinates passes rows in the order its local universe was
-// indexed in (MulDenseRowsCompact spells the precondition out).
+// indexed in.
 func MulRowsInto[V float64 | float32 | int8, O float64 | float32](a *CSR, rows, outRows []int, vals, x []V, f int, deq float64, out []O) int {
 	switch {
 	case f < 0:
@@ -287,98 +238,7 @@ func MulRowsInto[V float64 | float32 | int8, O float64 | float32](a *CSR, rows, 
 	case outRows != nil && len(outRows) != len(rows) || f > 0 && len(out)%f != 0:
 		panic("sparse: MulRowsInto out shape mismatch")
 	}
-	switch vals := any(vals).(type) {
-	case []int8:
-		return mulRows8Blocked(a, len(rows), rows, outRows, vals, any(x).([]int8), f, deq, out, par.ColBlock(f, 1))
-	case []O:
-		return mulRowsBlocked(a, len(rows), rows, outRows, vals, any(x).([]O), f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
-	}
-	panic("sparse: MulRowsInto float operands and output must share one element type")
-}
-
-// rowAt reads entry k of a kernel driver's row list, where a nil list stands
-// for the identity 0, 1, 2, ….
-func rowAt(list []int, k int) int {
-	if list == nil {
-		return k
-	}
-	return list[k]
-}
-
-// mulRowsBlocked is the cache-blocked kernel behind MulRowsInto at the f64
-// and f32 tiers. The dense columns are walked in blocks of bw so each pass over a chunk's CSR
-// rows touches only a bw-wide panel of x, keeping the gathered source rows
-// L1/L2-resident even when the feature width is large. Blocking is
-// bit-identity-preserving by construction: for every output element the
-// accumulation order over the row's neighbors is exactly the row-serial
-// kernel's (the block split varies j, never the neighbor order), which
-// TestKernelPropTiledF64BitIdentical pins across hostile block widths.
-//
-// The product covers n rows: row rows[k] of a into row outRows[k] of out, a
-// nil list being the identity (rowAt).
-func mulRowsBlocked[T float64 | float32](a *CSR, n int, rows, outRows []int, vals, x []T, f int, out []T, bw int) int {
-	nnz := nnzOf(a, n, rows)
-	if bw <= 0 || bw > f {
-		bw = f
-	}
-	par.ForWeighted(n, nnz*f, nnz,
-		func(k int) int { return a.RowNNZ(rowAt(rows, k)) },
-		func(lo, hi int) {
-			for jb := 0; jb < f; jb += bw {
-				je := min(jb+bw, f)
-				for k := lo; k < hi; k++ {
-					o, i := rowAt(outRows, k), rowAt(rows, k)
-					dst := out[o*f+jb : o*f+je]
-					clear(dst)
-					gatherRow(dst, a.RowIndices(i), vals[a.RowPtr[i]:a.RowPtr[i+1]], x, f, jb)
-				}
-			}
-		})
-	return nnz * f
-}
-
-// nnzOf counts the stored entries of a kernel driver's n rows of a.
-func nnzOf(a *CSR, n int, rows []int) int {
-	if rows == nil {
-		return a.RowPtr[n]
-	}
-	return a.NNZRows(rows)
-}
-
-// gatherRow accumulates columns [jb, jb+len(dst)) of Σₖ vals[k]·x[cols[k]] —
-// one row of a sparse×dense product, given as its entries — into dst: the one
-// neighbor gather of the f64 and f32 tiers, whether the row comes from a stored
-// CSR or was just emitted by the Normalized operator. Neighbors are taken four at
-// a time so four independent source-row loads are in flight instead of one
-// dependent load per neighbor (the gather is latency-bound once x outgrows
-// L2), but every element still adds its terms one by one in ascending column
-// order — t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical
-// to the one-neighbor-at-a-time loop, blocked or not.
-func gatherRow[T float64 | float32](dst []T, cols []int, vals, x []T, f, jb int) {
-	vals = vals[:len(cols)]
-	n := len(dst)
-	k := 0
-	for ; k+4 <= len(cols); k += 4 {
-		v0, v1, v2, v3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
-		s0 := x[cols[k]*f+jb:][:n]
-		s1 := x[cols[k+1]*f+jb:][:n]
-		s2 := x[cols[k+2]*f+jb:][:n]
-		s3 := x[cols[k+3]*f+jb:][:n]
-		for j := range dst {
-			t := dst[j]
-			t += v0 * s0[j]
-			t += v1 * s1[j]
-			t += v2 * s2[j]
-			t += v3 * s3[j]
-			dst[j] = t
-		}
-	}
-	for ; k < len(cols); k++ {
-		v := vals[k]
-		for j, sv := range x[cols[k]*f+jb:][:n] {
-			dst[j] += v * sv
-		}
-	}
+	return mulRows(rowSource[V]{rows: rows, csr: a, vals: vals}, outRows, x, f, deq, out)
 }
 
 // ExtractRowsInto builds the compacted sub-matrix of a over a local node

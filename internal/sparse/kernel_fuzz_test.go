@@ -8,18 +8,25 @@ import (
 	"repro/internal/mat"
 )
 
-// FuzzTiledSpMM drives the blocked kernels over hostile shapes — arbitrary
+// FuzzTiledSpMM drives the row drivers over hostile shapes — arbitrary
 // matrix dimensions, feature widths (including zero), row subsets, edge
 // patterns and block widths (zero, one, far beyond the feature width) —
 // asserting they never read out of bounds (Go bounds checks + the race
-// matrix turn any overrun into a failure), that the blocked f64 kernel
-// stays bit-identical to the row-serial reference, and that the f32/int8
-// kernels are block-width-invariant bit-for-bit.
+// matrix turn any overrun into a failure) and that every tier stays
+// bit-identical to its row-serial reference: a plain loop at f64 and f32,
+// exact int32 accumulation then one dequantize at int8.
 func FuzzTiledSpMM(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 1, 0, 0, 0})
 	f.Add([]byte{24, 24, 13, 255, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{8, 3, 0, 2, 0, 1, 1, 2, 2, 0, 100, 200, 30, 40})
+	// 13×11 with twenty edges and eleven features in blocks of three, every
+	// value drawn: the row-outer walk crosses blocks on real data.
+	blocks := []byte{12, 10, 11, 3, 20}
+	for i := 0; i < 200; i++ {
+		blocks = append(blocks, byte(i*37+11))
+	}
+	f.Add(blocks)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -59,39 +66,38 @@ func FuzzTiledSpMM(f *testing.F) {
 			sel = []int{rows - 1}
 		}
 
-		// f64: blocked == row-serial reference, bitwise.
+		// f64: driver == row-serial reference, bitwise.
 		ref := refMulRows(a, sel, x)
 		got := mat.New(len(sel), width)
-		mulRowsBlocked(a, len(sel), sel, identityRows(len(sel)), a.Val, x.Data, x.Cols, got.Data, bw)
+		mulRowsFloat(csrRows(a, sel, a.Val), nil, x.Data, width, got.Data, bw)
 		for i := range got.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
 				t.Fatalf("f64 bw=%d drifts from row-serial at %d", bw, i)
 			}
 		}
 
-		// f32: block width cannot move a bit within the tier.
+		// f32: likewise against the f32 loop.
 		av, x32 := lower32(a, x)
-		base32 := make([]float32, len(sel)*width)
-		mulRowsBlocked(a, len(sel), sel, identityRows(len(sel)), av, x32, width, base32, width)
 		blk32 := make([]float32, len(sel)*width)
-		mulRowsBlocked(a, len(sel), sel, identityRows(len(sel)), av, x32, width, blk32, bw)
-		for i := range blk32 {
-			if math.Float32bits(blk32[i]) != math.Float32bits(base32[i]) {
-				t.Fatalf("f32 bw=%d block drift at %d", bw, i)
-			}
+		mulRowsFloat(csrRows(a, sel, av), nil, x32, width, blk32, bw)
+		if i, ok := sameBits32(blk32, refMulRows32(a, sel, av, x32, width)); !ok {
+			t.Fatalf("f32 bw=%d drifts from row-serial at %d", bw, i)
 		}
 
-		// int8: likewise, and the public entry point runs the same shapes.
+		// int8: against exact int32 then one dequantize, through the driver
+		// and through the public entry point.
 		aq, sa := kernel.Quantize(a.Val)
 		xq, sx := kernel.Quantize(x.Data)
-		base8 := make([]float32, len(sel)*width)
-		MulRowsInto(a, sel, identityRows(len(sel)), aq, xq, width, sa*sx, base8)
+		ref8 := refMulRows8(a, sel, aq, xq, width, sa*sx)
 		blk8 := make([]float32, len(sel)*width)
-		mulRows8Blocked(a, len(sel), sel, identityRows(len(sel)), aq, xq, width, sa*sx, blk8, bw)
-		for i := range blk8 {
-			if math.Float32bits(blk8[i]) != math.Float32bits(base8[i]) {
-				t.Fatalf("int8 bw=%d block drift at %d", bw, i)
-			}
+		mulRowsInt(csrRows(a, sel, aq), nil, xq, width, sa*sx, blk8, bw)
+		if i, ok := sameBits32(blk8, ref8); !ok {
+			t.Fatalf("int8 bw=%d drifts from row-serial at %d", bw, i)
+		}
+		pub8 := make([]float32, len(sel)*width)
+		MulRowsInto(a, sel, nil, aq, xq, width, sa*sx, pub8)
+		if i, ok := sameBits32(pub8, ref8); !ok {
+			t.Fatalf("int8 MulRowsInto drifts from row-serial at %d", i)
 		}
 	})
 }

@@ -10,22 +10,23 @@ import (
 	"repro/internal/mat"
 )
 
-// Property/metamorphic suite for the propagation kernels. The invariants:
+// Property/metamorphic suite for the propagation kernels: the one row driver
+// per accumulator type (mulRowsFloat, mulRowsInt) and the entry points over
+// it, pinned against naive row-serial references written here — a plain loop
+// at f64 and at f32, exact int32 accumulation then one dequantize at int8 —
+// never against the driver itself. The invariants:
 //
-//   - the cache-blocked f64 kernel is bit-identical to a row-serial
-//     reference for every block width, including hostile ones (bw=1,
-//     bw>f) — blocking may only change which cache lines are hot, never
-//     a single output bit;
-//   - the f32 kernel is within the analytic forward-error bound of the
-//     f64 reference, bit-identical to a row-serial f32 loop, and to itself
-//     across block widths;
-//   - the int8 kernel is within the analytic quantization bound of the
-//     f64 reference, and bit-identical to itself across block widths
-//     (int32 accumulation is exact, so blocking cannot move a bit);
+//   - at f64 and f32 the driver is bit-identical to the reference at its tier
+//     for every block width, including hostile ones (bw=1, bw>f) — blocking
+//     may only change which cache lines are hot, never a single output bit —
+//     and f32 stays within the analytic forward-error bound of f64;
+//   - at int8 it is bit-identical to the reference for every block width, and
+//     within the analytic quantization bound of the f64 reference;
+//   - the operator's rows feed the same driver with the same result as the
+//     stored matrix's (TestKernelPropOperatorRows);
 //   - compact and scatter forms agree row-for-row, and a sub-CSR cut with
 //     ExtractRowsInto, carrying the selected rows' entries of the tier's
-//     global lowering, reproduces the global rows bitwise within each tier
-//     (the remapped compact form the engine's deep hops run on).
+//     global lowering, reproduces the global rows bitwise within each tier.
 //
 // CI runs this file under -race (kernel chunks must never overlap).
 
@@ -112,25 +113,8 @@ func propCases(rng *rand.Rand) []kernelCase {
 	return cases
 }
 
-// refMulRows32 is refMulRows at float32: the f32 tier's one-neighbor-at-a-time
-// loop, which the 4-way interleaved gather must reproduce bit for bit.
-func refMulRows32(a *CSR, rows []int, av, x32 []float32, f int) []float32 {
-	out := make([]float32, len(rows)*f)
-	for k, r := range rows {
-		dst := out[k*f : k*f+f]
-		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			v := av[p]
-			for j := range dst {
-				dst[j] += v * x32[a.Col[p]*f+j]
-			}
-		}
-	}
-	return out
-}
-
-// refMulRows is the row-serial f64 reference: the exact loop nest (neighbors
-// outer, features inner) the unblocked kernel has always run, written
-// independently of the production code.
+// refMulRows is the row-serial f64 reference: neighbors outer, features
+// inner, one term at a time, written independently of the production code.
 func refMulRows(a *CSR, rows []int, x *mat.Matrix) *mat.Matrix {
 	out := mat.New(len(rows), x.Cols)
 	for k, r := range rows {
@@ -147,6 +131,55 @@ func refMulRows(a *CSR, rows []int, x *mat.Matrix) *mat.Matrix {
 	return out
 }
 
+// refMulRows32 is refMulRows at float32: av aligns with a.Val.
+func refMulRows32(a *CSR, rows []int, av, x32 []float32, f int) []float32 {
+	out := make([]float32, len(rows)*f)
+	for k, r := range rows {
+		dst := out[k*f : k*f+f]
+		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
+			v := av[p]
+			for j := range dst {
+				dst[j] += v * x32[a.Col[p]*f+j]
+			}
+		}
+	}
+	return out
+}
+
+// refMulRows8 is the int8 reference: each row accumulated exactly in int32
+// (aq aligns with a.Val), then every element dequantized once by deq.
+func refMulRows8(a *CSR, rows []int, aq, xq []int8, f int, deq float64) []float32 {
+	out := make([]float32, len(rows)*f)
+	acc := make([]int32, f)
+	for k, r := range rows {
+		clear(acc)
+		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
+			for j := range acc {
+				acc[j] += int32(aq[p]) * int32(xq[a.Col[p]*f+j])
+			}
+		}
+		for j, v := range acc {
+			out[k*f+j] = float32(float64(v) * deq)
+		}
+	}
+	return out
+}
+
+// csrRows is the row source MulRowsInto hands the drivers.
+func csrRows[V float64 | float32 | int8](a *CSR, rows []int, vals []V) rowSource[V] {
+	return rowSource[V]{rows: rows, csr: a, vals: vals}
+}
+
+// sameBits32 reports the first element where got and want differ in bits.
+func sameBits32(got, want []float32) (int, bool) {
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return i, false
+		}
+	}
+	return -1, true
+}
+
 func TestKernelPropTiledF64BitIdentical(t *testing.T) {
 	for _, tc := range propCases(rand.New(rand.NewSource(11))) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,11 +189,12 @@ func TestKernelPropTiledF64BitIdentical(t *testing.T) {
 				compact := mat.New(len(tc.rows), tc.x.Cols)
 				scatter := mat.New(tc.a.Rows, tc.x.Cols)
 				if bw == 0 {
-					tc.a.MulDenseRowsCompact(tc.rows, tc.x, compact)
+					MulRowsInto(tc.a, tc.rows, nil, tc.a.Val, tc.x.Data, tc.x.Cols, 1, compact.Data)
 					tc.a.MulDenseRows(tc.rows, tc.x, scatter)
 				} else {
-					mulRowsBlocked(tc.a, len(tc.rows), tc.rows, identityRows(len(tc.rows)), tc.a.Val, tc.x.Data, tc.x.Cols, compact.Data, bw)
-					mulRowsBlocked(tc.a, len(tc.rows), tc.rows, tc.rows, tc.a.Val, tc.x.Data, tc.x.Cols, scatter.Data, bw)
+					src := csrRows(tc.a, tc.rows, tc.a.Val)
+					mulRowsFloat(src, identityRows(len(tc.rows)), tc.x.Data, tc.x.Cols, compact.Data, bw)
+					mulRowsFloat(src, tc.rows, tc.x.Data, tc.x.Cols, scatter.Data, bw)
 				}
 				for k, r := range tc.rows {
 					for j := 0; j < tc.x.Cols; j++ {
@@ -211,10 +245,9 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 			f := tc.x.Cols
 			base := make([]float32, len(tc.rows)*f)
 			MulRowsInto(tc.a, tc.rows, identityRows(len(tc.rows)), av, x32, f, 1, base)
-			for i, want := range refMulRows32(tc.a, tc.rows, av, x32, f) {
-				if math.Float32bits(base[i]) != math.Float32bits(want) {
-					t.Fatalf("f32 element %d = %v, row-serial f32 %v", i, base[i], want)
-				}
+			ref32 := refMulRows32(tc.a, tc.rows, av, x32, f)
+			if i, ok := sameBits32(base, ref32); !ok {
+				t.Fatalf("f32 element %d = %v, row-serial f32 %v", i, base[i], ref32[i])
 			}
 			for k := range tc.rows {
 				for j := 0; j < f; j++ {
@@ -225,21 +258,18 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 					}
 				}
 			}
+			src := csrRows(tc.a, tc.rows, av)
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				mulRowsBlocked(tc.a, len(tc.rows), tc.rows, identityRows(len(tc.rows)), av, x32, f, blk, bw)
-				for i := range blk {
-					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
-						t.Fatalf("bw=%d f32 bit drift at %d: %v vs %v", bw, i, blk[i], base[i])
-					}
+				mulRowsFloat(src, identityRows(len(tc.rows)), x32, f, blk, bw)
+				if i, ok := sameBits32(blk, ref32); !ok {
+					t.Fatalf("bw=%d f32 element %d = %v, row-serial f32 %v", bw, i, blk[i], ref32[i])
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				mulRowsBlocked(tc.a, len(tc.rows), tc.rows, tc.rows, av, x32, f, scat, bw)
+				mulRowsFloat(src, tc.rows, x32, f, scat, bw)
 				for k, r := range tc.rows {
-					for j := 0; j < f; j++ {
-						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {
-							t.Fatalf("bw=%d f32 scatter/compact drift at row %d col %d", bw, r, j)
-						}
+					if i, ok := sameBits32(scat[r*f:r*f+f], ref32[k*f:k*f+f]); !ok {
+						t.Fatalf("bw=%d f32 scatter row %d col %d drifts from row-serial", bw, r, i)
 					}
 				}
 			}
@@ -272,6 +302,10 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 			f := tc.x.Cols
 			base := make([]float32, len(tc.rows)*f)
 			MulRowsInto(tc.a, tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, base)
+			ref8 := refMulRows8(tc.a, tc.rows, aq, xq, f, deq)
+			if i, ok := sameBits32(base, ref8); !ok {
+				t.Fatalf("int8 element %d = %v, row-serial int32 %v", i, base[i], ref8[i])
+			}
 			for k := range tc.rows {
 				for j := 0; j < f; j++ {
 					got := float64(base[k*f+j])
@@ -282,21 +316,18 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 					}
 				}
 			}
+			src := csrRows(tc.a, tc.rows, aq)
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				mulRows8Blocked(tc.a, len(tc.rows), tc.rows, identityRows(len(tc.rows)), aq, xq, f, deq, blk, bw)
-				for i := range blk {
-					if math.Float32bits(blk[i]) != math.Float32bits(base[i]) {
-						t.Fatalf("bw=%d int8 bit drift at %d", bw, i)
-					}
+				mulRowsInt(src, identityRows(len(tc.rows)), xq, f, deq, blk, bw)
+				if i, ok := sameBits32(blk, ref8); !ok {
+					t.Fatalf("bw=%d int8 element %d = %v, row-serial int32 %v", bw, i, blk[i], ref8[i])
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				mulRows8Blocked(tc.a, len(tc.rows), tc.rows, tc.rows, aq, xq, f, deq, scat, bw)
+				mulRowsInt(src, tc.rows, xq, f, deq, scat, bw)
 				for k, r := range tc.rows {
-					for j := 0; j < f; j++ {
-						if math.Float32bits(scat[r*f+j]) != math.Float32bits(base[k*f+j]) {
-							t.Fatalf("bw=%d int8 scatter/compact drift at row %d col %d", bw, r, j)
-						}
+					if i, ok := sameBits32(scat[r*f:r*f+f], ref8[k*f:k*f+f]); !ok {
+						t.Fatalf("bw=%d int8 scatter row %d col %d drifts from row-serial", bw, r, i)
 					}
 				}
 			}
@@ -376,7 +407,7 @@ func TestKernelPropRemappedCompact(t *testing.T) {
 
 	// f64: sub-CSR scatter over local rows == global compact, bitwise.
 	wantC := mat.New(len(rows), f)
-	adj.MulDenseRowsCompact(rows, x, wantC)
+	MulRowsInto(adj, rows, nil, adj.Val, x.Data, f, 1, wantC.Data)
 	gotS := mat.New(m, f)
 	sub.MulDenseRows(localRows, xLocal, gotS)
 	for k, lr := range localRows {
@@ -475,12 +506,13 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 					macs[4] = MulRowsInto(tc.a, tc.rows, nil, aq, xq, f, sa*sx, nil8)
 					macs[5] = MulRowsInto(tc.a, tc.rows, id, aq, xq, f, sa*sx, id8)
 				} else {
-					macs[0] = mulRowsBlocked(tc.a, n, tc.rows, nil, tc.a.Val, tc.x.Data, f, nil64, bw)
-					macs[1] = mulRowsBlocked(tc.a, n, tc.rows, id, tc.a.Val, tc.x.Data, f, id64, bw)
-					macs[2] = mulRowsBlocked(tc.a, n, tc.rows, nil, av, x32, f, nil32, bw)
-					macs[3] = mulRowsBlocked(tc.a, n, tc.rows, id, av, x32, f, id32, bw)
-					macs[4] = mulRows8Blocked(tc.a, n, tc.rows, nil, aq, xq, f, sa*sx, nil8, bw)
-					macs[5] = mulRows8Blocked(tc.a, n, tc.rows, id, aq, xq, f, sa*sx, id8, bw)
+					src64, src32, src8 := csrRows(tc.a, tc.rows, tc.a.Val), csrRows(tc.a, tc.rows, av), csrRows(tc.a, tc.rows, aq)
+					macs[0] = mulRowsFloat(src64, nil, tc.x.Data, f, nil64, bw)
+					macs[1] = mulRowsFloat(src64, id, tc.x.Data, f, id64, bw)
+					macs[2] = mulRowsFloat(src32, nil, x32, f, nil32, bw)
+					macs[3] = mulRowsFloat(src32, id, x32, f, id32, bw)
+					macs[4] = mulRowsInt(src8, nil, xq, f, sa*sx, nil8, bw)
+					macs[5] = mulRowsInt(src8, id, xq, f, sa*sx, id8, bw)
 				}
 				for i := range nil64 {
 					if math.Float64bits(nil64[i]) != math.Float64bits(id64[i]) ||
@@ -496,5 +528,65 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKernelPropOperatorRows feeds the drivers the operator's rows — emitted,
+// then lowered or quantized at the operator's scale — at every block width,
+// with hub rows longer than a worker's frame buffer, and pins every tier to
+// its reference over the stored matrix.
+func TestKernelPropOperatorRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	n, f := 120, 13
+	var src, dst []int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i == 0 || i == 7 || rng.Float64() < 0.05 {
+				src, dst = append(src, i), append(dst, j)
+			}
+		}
+	}
+	adj := FromEdges(n, src, dst, true)
+	x := mat.Randn(n, f, 1, rng)
+	xq, sx := kernel.Quantize(x.Data)
+	var rows []int
+	for r := 0; r < n; r++ {
+		if r%3 != 2 {
+			rows = append(rows, r)
+		}
+	}
+	for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
+		op := NewNormalized(adj, gamma, LoopedDegrees(adj))
+		stored := NormalizedAdjacency(adj, gamma)
+		if stored.RowNNZ(0) <= rowBufLen || stored.RowNNZ(7) <= rowBufLen {
+			t.Fatalf("hub rows of %d and %d entries fit the %d-entry frame buffer", stored.RowNNZ(0), stored.RowNNZ(7), rowBufLen)
+		}
+		ref := refMulRows(stored, rows, x)
+		av, x32 := lower32(stored, x)
+		ref32 := refMulRows32(stored, rows, av, x32, f)
+		scale := kernel.ScaleFor(op.MaxAbs())
+		aq := make([]int8, stored.NNZ())
+		kernel.QuantizeAtScale(aq, stored.Val, scale)
+		ref8 := refMulRows8(stored, rows, aq, xq, f, scale*sx)
+		for _, bw := range append([]int{0}, propBlockWidths...) {
+			got64 := make([]float64, len(rows)*f)
+			got32, got8 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
+			if m := mulRowsFloat(rowSource[float64]{rows: rows, op: op}, nil, x.Data, f, got64, bw); m != stored.NNZRows(rows)*f {
+				t.Fatalf("gamma %v bw=%d: %d MACs, stored rows hold %d", gamma, bw, m, stored.NNZRows(rows)*f)
+			}
+			for i, want := range ref.Data {
+				if math.Float64bits(got64[i]) != math.Float64bits(want) {
+					t.Fatalf("gamma %v bw=%d f64 element %d = %v, row-serial %v", gamma, bw, i, got64[i], want)
+				}
+			}
+			mulRowsFloat(rowSource[float32]{rows: rows, op: op}, nil, x32, f, got32, bw)
+			if i, ok := sameBits32(got32, ref32); !ok {
+				t.Fatalf("gamma %v bw=%d f32 element %d = %v, row-serial %v", gamma, bw, i, got32[i], ref32[i])
+			}
+			mulRowsInt(rowSource[int8]{rows: rows, op: op, scale: scale}, nil, xq, f, scale*sx, got8, bw)
+			if i, ok := sameBits32(got8, ref8); !ok {
+				t.Fatalf("gamma %v bw=%d int8 element %d = %v, row-serial %v", gamma, bw, i, got8[i], ref8[i])
+			}
+		}
 	}
 }

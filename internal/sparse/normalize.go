@@ -20,22 +20,18 @@ const (
 )
 
 // NormalizedAdjacency adds self-loops to the binary adjacency adj and
-// applies Â = D̃^{γ−1} Ã D̃^{−γ} where D̃ is the self-looped degree matrix.
-// adj must be square and symmetric for the spectral properties the paper
-// relies on, but the scaling itself works for any square matrix.
+// applies Â = D̃^{γ−1} Ã D̃^{−γ} where D̃ is the self-looped degree matrix,
+// storing every entry: the reference the tests pin the Normalized operator
+// to, and the matrix the benchmark ladder times. adj must be square.
 func NormalizedAdjacency(adj *CSR, gamma float64) *CSR {
 	return NormalizedAdjacencyWithDegrees(adj, gamma, LoopedDegrees(adj))
 }
 
 // NormalizedAdjacencyWithDegrees is NormalizedAdjacency with the looped
-// degree vector d̃ supplied by the caller instead of derived from adj's rows.
-// The two coincide when looped = LoopedDegrees(adj) — bit for bit, since a
-// binary row's value sum is the exact integer degree — but a sharded serving
-// graph passes the *global* looped degrees here: a shard's boundary rows are
-// truncated at the halo, so their local row sums undercount the true degree,
-// while the D̃^{γ−1}/D̃^{−γ} factors of every stored entry must match the
-// full-graph normalization bitwise for sharded answers to stay identical.
-// looped must cover every node (length ≥ adj.Rows) with positive entries.
+// degree vector d̃ supplied by the caller instead of derived from adj's rows
+// (the two coincide bit for bit when looped = LoopedDegrees(adj)): the stored
+// reference for an operator over a shard's truncated adjacency with the
+// global degrees. looped must cover every node with positive entries.
 func NormalizedAdjacencyWithDegrees(adj *CSR, gamma float64, looped []float64) *CSR {
 	if adj.Rows != adj.Cols {
 		panic("sparse: NormalizedAdjacency requires a square matrix")
@@ -84,43 +80,4 @@ func LoopedDegrees(adj *CSR) []float64 {
 		deg[i]++
 	}
 	return deg
-}
-
-// PowerIterationTopEig estimates the dominant eigenvalue of a by power
-// iteration (a must be square). Used only for diagnostics around the
-// paper's Eq. (10) depth bound.
-func PowerIterationTopEig(a *CSR, iters int) float64 {
-	if a.Rows != a.Cols || a.Rows == 0 {
-		return 0
-	}
-	v := make([]float64, a.Rows)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(a.Rows))
-	}
-	var lambda float64
-	for it := 0; it < iters; it++ {
-		w := make([]float64, a.Rows)
-		for i := 0; i < a.Rows; i++ {
-			cols := a.RowIndices(i)
-			vals := a.RowValues(i)
-			var s float64
-			for k, c := range cols {
-				s += vals[k] * v[c]
-			}
-			w[i] = s
-		}
-		var norm float64
-		for _, x := range w {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return 0
-		}
-		lambda = norm
-		for i := range w {
-			v[i] = w[i] / norm
-		}
-	}
-	return lambda
 }

@@ -3,11 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
-	"repro/internal/kernel"
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // Normalized is the γ-normalized adjacency Â = D̃^{γ−1} Ã D̃^{−γ} of a binary,
@@ -17,11 +14,12 @@ import (
 // entry (i, c) is the single product Left[i]·Right[c]: the expression
 // NormalizedAdjacencyWithDegrees stores (its ·1 for the binary entry is
 // exact), so every row this type emits carries that matrix's bits. Nothing
-// O(nnz) is held beyond the graph itself, by anyone: the serving engine
-// multiplies by the operator (MulNormalizedRowsInto), whose workers emit a
-// row, gather with it and drop it; ExtractRowsInto and RowsInto cut rows into
-// a CSR for callers that want one, and for the tests that pin the product to
-// the ordinary CSR kernels over such a cut.
+// O(nnz) is held beyond the graph itself, by anyone: training, the baselines,
+// the λ₂ estimate and the serving engine all multiply by the operator
+// (MulNormalizedRowsInto), whose workers emit a row, gather with it and drop
+// it; ExtractRowsInto and RowsInto cut rows into a CSR for the benchmark
+// ladder and for the tests that pin the product to MulRowsInto over such a
+// cut.
 //
 // The factors come from a looped-degree vector the caller supplies, which
 // need not be Adj's own row sums: a shard's local adjacency is truncated at
@@ -159,8 +157,8 @@ func (a *Normalized) RowsInto(rows []int, toLocal []int32, m int, out *CSR) {
 }
 
 // MulDenseRowsCompact computes out[k] = (Â·x)[rows[k]] and returns the
-// multiply-accumulate count, like CSR.MulDenseRowsCompact on the materialized
-// matrix, bit for bit (MulNormalizedRowsInto at float64).
+// multiply-accumulate count: MulNormalizedRowsInto at float64 with the compact
+// output.
 func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 	if out.Rows != len(rows) || x.Rows != a.N() {
 		panic("sparse: MulDenseRowsCompact shape mismatch")
@@ -171,13 +169,12 @@ func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 // MulNormalizedRowsInto is MulRowsInto with Â itself as the sparse operand:
 // out[outRows[k]·f : outRows[k]·f+f] = (Â·x)[rows[k]], other rows of out
 // untouched, returning the multiply-accumulate count nnz(rows)·f. No row of Â
-// is cut into a CSR first: each nnz-balanced chunk of rows emits its rows one
-// at a time (emitRow: the same Left[r]·Right[c] expression in the same
-// ascending order as every other way this type hands out a row) into a buffer
-// private to the chunk's worker, lowers the values to the operands' element
-// type there, and feeds MulRowsInto's gather — so the result is, bit for bit,
-// that of RowsInto/ExtractRowsInto followed by MulRowsInto over the same
-// lowering, at every tier:
+// is cut into a CSR first: the row driver's workers emit each row (emitRow:
+// the same Left[r]·Right[c] expression in the same ascending order as every
+// other way this type hands out a row) into a buffer of their own, lower the
+// values to the operands' element type there and gather with them — so the
+// result is, bit for bit, that of RowsInto/ExtractRowsInto followed by
+// MulRowsInto over the same lowering, at every tier:
 //
 //   - float64 x takes the emitted values as they are, float32 x each rounded
 //     once; out has x's type, scale and deq are unused;
@@ -199,83 +196,5 @@ func MulNormalizedRowsInto[V float64 | float32 | int8, O float64 | float32](a *N
 	case outRows != nil && len(outRows) != len(rows) || f > 0 && (len(out)%f != 0 || len(x)%f != 0):
 		panic("sparse: MulNormalizedRowsInto shape mismatch")
 	}
-	nnz := a.NNZRows(rows)
-	weight := func(k int) int { return a.RowNNZ(rows[k]) }
-	switch x := any(x).(type) {
-	case []int8:
-		bw := par.ColBlock(f, 1)
-		par.ForWeighted(len(rows), nnz*f, nnz, weight, func(lo, hi int) {
-			var c0 [rowBufLen]int
-			var v0 [rowBufLen]float64
-			var q0 [rowBufLen]int8
-			cols, vals, q := c0[:], v0[:], q0[:]
-			acc := make([]int32, bw)
-			for k := lo; k < hi; k++ {
-				cols, vals, q = rowRoom(cols, vals, q, a.RowNNZ(rows[k]))
-				n := a.emitRow(rows[k], colMap, cols, vals)
-				kernel.QuantizeAtScale(q[:n], vals[:n], scale)
-				o := rowAt(outRows, k)
-				for jb := 0; jb < f; jb += bw {
-					dst := out[o*f+jb : o*f+min(jb+bw, f)]
-					blk := acc[:len(dst)]
-					clear(blk)
-					gatherRow8(blk, cols[:n], q, x, f, jb)
-					for j := range dst {
-						dst[j] = O(float64(blk[j]) * deq)
-					}
-				}
-			}
-		})
-	case []O:
-		bw := par.ColBlock(f, int(unsafe.Sizeof(*new(O))))
-		par.ForWeighted(len(rows), nnz*f, nnz, weight, func(lo, hi int) {
-			var c0 [rowBufLen]int
-			var v0 [rowBufLen]float64
-			var l0 [rowBufLen]O
-			cols, vals, low := c0[:], v0[:], l0[:]
-			for k := lo; k < hi; k++ {
-				cols, vals, low = rowRoom(cols, vals, low, a.RowNNZ(rows[k]))
-				n := a.emitRow(rows[k], colMap, cols, vals)
-				lv := lowerRow(low, vals[:n])
-				o := rowAt(outRows, k)
-				for jb := 0; jb < f; jb += bw {
-					dst := out[o*f+jb : o*f+min(jb+bw, f)]
-					clear(dst)
-					gatherRow(dst, cols[:n], lv, x, f, jb)
-				}
-			}
-		})
-	default:
-		panic("sparse: MulNormalizedRowsInto float operand and output must share one element type")
-	}
-	return nnz * f
-}
-
-// rowBufLen is the row length a chunk worker of MulNormalizedRowsInto holds in
-// its own frame: all but hub rows fit, and a longer one moves the worker's
-// buffers to the heap (rowRoom) for the rest of its chunk.
-const rowBufLen = 96
-
-// rowRoom returns a worker's row buffers — columns, values as emitted, values
-// at the operands' element type — with room for n entries: as they are when
-// they have it, grown geometrically otherwise. Contents are not preserved.
-func rowRoom[V any](cols []int, vals []float64, low []V, n int) ([]int, []float64, []V) {
-	if n <= len(cols) {
-		return cols, vals, low
-	}
-	c := GrownCap(len(cols), n)
-	return make([]int, c), make([]float64, c), make([]V, c)
-}
-
-// lowerRow returns src at element type T: src itself at float64, each value
-// rounded once into dst at float32.
-func lowerRow[T float64 | float32](dst []T, src []float64) []T {
-	if same, ok := any(src).([]T); ok {
-		return same
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = T(v)
-	}
-	return dst
+	return mulRows(rowSource[V]{rows: rows, op: a, colMap: colMap, scale: scale}, outRows, x, f, deq, out)
 }

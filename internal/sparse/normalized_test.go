@@ -116,7 +116,7 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 
 	x := mat.Randn(n, 3, 1, pick)
 	gotMul, wantMul := mat.New(len(rows), 3), mat.New(len(rows), 3)
-	if gm, wm := op.MulDenseRowsCompact(rows, x, gotMul), want.MulDenseRowsCompact(rows, x, wantMul); gm != wm {
+	if gm, wm := op.MulDenseRowsCompact(rows, x, gotMul), MulRowsInto(want, rows, nil, want.Val, x.Data, 3, 1, wantMul.Data); gm != wm {
 		return fmt.Errorf("MulDenseRowsCompact counts %d MACs vs %d", gm, wm)
 	}
 	for i, v := range wantMul.Data {
