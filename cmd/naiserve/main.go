@@ -342,7 +342,7 @@ func main() {
 			halo += sz.Halo
 		}
 		// In-process workers are probed too: /stats and /metrics read every
-		// worker's scratch and X^(1)-layer counters off its last report.
+		// worker's scratch and layer counters off its last report.
 		defer rt.Close()
 		if *probeInterval > 0 {
 			rt.StartHealthProbe(*probeInterval)

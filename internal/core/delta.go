@@ -76,8 +76,10 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 // values moved: the rows whose degree changed, the rows adjacent to one
 // (their D̃^{−γ} column factors moved) and every appended row. The active tier
 // then re-derives its dense operand (the feature matrix may have grown), and
-// its X^(1) layer extends to the appended nodes and drops the rows the patch
-// made stale: exactly valDirty at f64 and f32, all of them at int8. RefreshIncremental ends here; a shard worker, whose
+// each of its layers extends to the appended nodes and drops the rows the
+// patch made stale: at f64 and f32 those of a depth-h layer within h−1 hops
+// of valDirty (valDirty itself for X^(1)), at int8 all of them.
+// RefreshIncremental ends here; a shard worker, whose
 // degrees and dirty rows come from its router, calls it directly. Must not
 // run concurrently with Infer.
 func (d *Deployment) PatchAdjacency(valDirty []int) {

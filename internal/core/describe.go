@@ -21,8 +21,8 @@ type Info struct {
 	// in-flight batch (summed over every shard worker, as of its last
 	// probe).
 	ScratchBytes int
-	// Hop1 counts the X^(1) layer's traffic (summed over every shard worker,
-	// as of its last probe).
+	// Hop1 counts the engine layers' traffic, summed over every layer (and
+	// every shard worker, as of its last probe).
 	Hop1 Hop1Stats
 	// Shards is per-shard health, by shard id; nil for a bare deployment.
 	Shards []ShardStatus

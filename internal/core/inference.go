@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -139,11 +140,13 @@ func (r *Result) merge(o *Result) {
 // pooled scratch; rows of Â are never materialized anywhere — every product
 // is an operator product whose workers emit a row, use it and drop it — and
 // the cached state is read-only during inference, so Infer is safe for
-// concurrent callers; the one thing Infer writes on the deployment is the
-// X^(1) layer (hop1Memo) — a row per node in one block of the feature
-// matrix's shape, filled on first use and read in place by hop 2 — through
-// lock-free publish-once slots that deltas empty and extend and Refresh
-// clears. Answers and MACs are bit-identical to propagating hop 1 per batch.
+// concurrent callers; the one thing Infer writes on the deployment is its
+// layers (hopLayer): X^(h) for the depth h = max(1, TMax−2) of each operating
+// point served (h = 1 at int8), a row per node in one block of the feature
+// matrix's shape, allocated on the first read at that depth, filled on first
+// use and read in place by hop h+1 — through lock-free publish-once slots
+// that deltas empty and extend and Refresh clears. Answers and MACs are
+// bit-identical to propagating hops 1..h per batch.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
 // instantiated at the tier's element type. What pins the default f64 tier to
@@ -174,13 +177,13 @@ type Deployment struct {
 
 	// prec is the active arithmetic tier (SetPrecision) and eng the engine
 	// loop instantiated for it (precision.go): a *tier[float64] at f64, a
-	// *tier[float32] at f32 and int8. It holds the tier's operands, X^(1)
-	// layer and scratch pool, and is rebuilt by Refresh, SetPrecision and
+	// *tier[float32] at f32 and int8. It holds the tier's operands, layers
+	// and scratch pool, and is rebuilt by Refresh, SetPrecision and
 	// NewDeploymentWithState.
 	prec kernel.Precision
 	eng  engine
 
-	// memoStats counts the X^(1) layer's traffic across every engine this
+	// memoStats counts the layers' traffic across every engine this
 	// deployment has had (Hop1Stats).
 	memoStats hop1Counters
 }
@@ -220,34 +223,38 @@ func (d *Deployment) Refresh() {
 func (d *Deployment) Stationary() *Stationary { return d.stationary }
 
 // DistanceQuantile returns the q-quantile (0 ≤ q ≤ 1) of the stationary
-// distances Δ^(l)_v = ‖X^(l)_v − X(∞)_v‖ (Eq. 8) over nodes — the value a
-// distance-mode T_s is tuned to on a validation split — indexed as
+// distances Δ^(l)_v = ‖X^(l)_v − X(∞)_v‖ (Eq. 8) over nodes, l ≥ 1 — the value
+// a distance-mode T_s is tuned to on a validation split — indexed as
 // int(q·(len−1)) into the ascending distances; 0 for no nodes. X^(l) is
-// computed at float64 whatever the serving tier, through the Adj operator
-// over the nodes' radius-l ball — hop h on the radius-(l−h) ball — so no Â
-// is materialized and nothing outside the ball is read; each distance is
+// computed at float64 whatever the serving tier, by the engine's propagate
+// over the nodes' radius-l ball — hop h on the radius-(l−h) ball — so no Â is
+// materialized and nothing outside the ball is read; each distance is
 // bit-equal to one taken from a full-graph propagation. Must not run
 // concurrently with ApplyDelta.
 func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
 	if len(nodes) == 0 {
 		return 0
 	}
-	sets := graph.SupportingSets(d.Graph.Adj, nodes, l)
 	f := d.Graph.F()
-	toLocal := graph.NewIndex(d.Graph.N())
-	x := d.Graph.Features.GatherRows(sets[0]).Data
-	for h := 1; h <= l; h++ {
-		graph.IndexSet(sets[h-1], toLocal)
-		out := make([]float64, len(sets[h])*f)
-		sparse.MulNormalizedRowsInto(d.Adj, sets[h], nil, toLocal, 0, x, f, 1, out)
-		graph.ResetIndex(sets[h-1], toLocal)
-		x = out
+	uniq := sortedUnique(nodes, nil)
+	x := make([]float64, len(uniq)*f)
+	propagate(d.Adj, 0, operand[float64]{x: d.Graph.Features.Data}, uniq, nil, l, f, x, &hopScratch[float64]{})
+	at := make([]int, len(nodes))
+	for i, v := range nodes {
+		at[i] = sort.SearchInts(uniq, v)
 	}
-	graph.IndexSet(sets[l], toLocal)
-	xl := mat.FromData(len(sets[l]), f, x).GatherRows(graph.LocalizeSet(nodes, toLocal, nil))
+	xl := mat.FromData(len(uniq), f, x).GatherRows(at)
 	dist := mat.RowDistances(xl, d.stationary.Rows(nodes))
 	sort.Float64s(dist)
 	return dist[int(q*float64(len(dist)-1))]
+}
+
+// sortedUnique returns nodes sorted ascending without duplicates, in dst
+// (reused when its capacity suffices).
+func sortedUnique(nodes, dst []int) []int {
+	dst = append(dst[:0], nodes...)
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // inferScratch is the per-request mutable state of Algorithm 1 at one tier's
@@ -258,45 +265,56 @@ func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
 //
 // Memory note: propagation runs in compacted coordinates, so each scratch
 // holds one buffer of supporting-set height per hop it propagates —
-// O((TMax−1)·|S|·f), S being the radius-(TMax−2) ball of the batch and hop 1
-// the deployment's X^(1) layer — plus two O(n) byte/int32-sized maps (BFS
-// marks and the global→local remap). Peak memory therefore scales with
+// O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
+// 1..h the deployment's depth-h layer — plus the targets' own rows at depths
+// below h and three O(n) byte/int32-sized maps (BFS marks and two global→local
+// remaps). A batch that fills layer rows also holds their hops below h, over
+// the rows' balls, for the fill (hopScratch). Peak memory therefore scales with
 // concurrently executing batches × their supporting sets, not with the
-// serving graph. All |S|-sized buffers — the slab, the row and ring lists,
-// the int8 tier's quantized activations (growScratch) and the decide/classify
-// arena (arena.shrink) — follow one retention policy:
-// they grow geometrically across pool hits and drop back to current need when
-// a past batch left them more than 4× oversized, so one huge request does not
-// pin worst-case capacity forever, at any tier.
+// serving graph. All |S|-sized buffers — the slab, the row, ball and ring
+// lists, the int8 tier's quantized activations (growScratch), the fill's hops
+// (hopScratch.shrink) and the decide/classify arena (arena.shrink) — follow
+// one retention policy: they grow geometrically across pool hits and drop back
+// to current need when a past batch left them more than 4× oversized, so one
+// huge request does not pin worst-case capacity forever, at any tier.
 type inferScratch[T float64 | float32] struct {
+	// hopScratch holds a fill's hops below the layer's depth (propagate); its
+	// visited is also the batch's own multi-source BFS mark buffer.
+	hopScratch[T]
 	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
 	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
-	// v, for l = 2..TMax (X^{(0)} stays the full-graph feature matrix, read in
-	// place).
+	// v, for l = h+1..TMax (X^{(0)} stays the full-graph feature matrix, read
+	// in place).
 	slab []T
 	s, f int
-	// x1 is X^{(1)}: the layer's block, rows by node id; the targets are kept
-	// for reading their depth-1 rows out of it. Both nil between batches.
-	x1      []T
+	// h is the depth of the layer the batch reads and xh its block, rows by
+	// node id; the targets are kept for reading their depth-h rows out of it.
+	// xh and targets are nil between batches.
+	h       int
+	xh      []T
 	targets []int
+	// uniq is the batch's targets sorted without duplicates and low their
+	// rows at depths 1..h−1, computed from X^(0): depth l's row of uniq[k] at
+	// ((l−1)·len(uniq) + k)·f. lowAt[i] is targets[i]'s k.
+	uniq, lowAt []int
+	low         []T
 	// toLocal maps global node ids into S; −1 outside (the int8 tier also
 	// gives the ring the places behind S). All −1 between batches
 	// (IndexSet/ResetIndex pairs keep the invariant).
 	toLocal []int32
-	// visited is the multi-source BFS mark buffer for supporting sets.
-	visited []bool
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// ring is the outer ring of the batch's radius-(TMax−1) ball: the nodes
-	// whose X^(1) rows hop 2 reads but no hop of the batch writes.
-	ring []int
+	// ring is the outer ring of the batch's radius-(TMax−h) ball: the nodes
+	// whose layer rows hop h+1 reads but no hop of the batch writes. ball is
+	// the count-only BFS's unsorted ball (ballNNZ), which also walks ring.
+	ring, ball []int
 	// x8 holds the int8 tier's quantized input activations of one hop.
 	x8 []int8
 	// localRows holds one hop's propagation row list in local coordinates.
 	localRows []int
 	// tloc[i] is the local index of targets[i] in S.
 	tloc []int
-	// claimed lists the X^(1) rows of the batch's ball that were not resident
+	// claimed lists the layer rows of the batch's ball that were not resident
 	// and this batch computed, awaited those another batch was already
 	// filling.
 	claimed, awaited []int
@@ -321,24 +339,33 @@ func growScratch[T any](buf []T, need int) []T {
 	}
 }
 
-// hop returns X^{(l)} over the batch's supporting set, l ≥ 2.
+// hop returns X^{(l)} over the batch's supporting set, l > h.
 func (sc *inferScratch[T]) hop(l int) []T {
-	return sc.slab[(l-2)*sc.s*sc.f : (l-1)*sc.s*sc.f]
+	return sc.slab[(l-sc.h-1)*sc.s*sc.f : (l-sc.h)*sc.s*sc.f]
 }
 
-// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1: from the slab, or at
-// depth 1 from the layer's block.
+// lowRows returns X^{(l)} over uniq, l < h.
+func (sc *inferScratch[T]) lowRows(l int) []T {
+	return sc.low[(l-1)*len(sc.uniq)*sc.f : l*len(sc.uniq)*sc.f]
+}
+
+// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1: below h from the rows
+// computed for the targets, at h from the layer's block, past it from the
+// slab.
 func (sc *inferScratch[T]) targetRow(l, ti int) []T {
-	if l == 1 {
-		return sc.x1[sc.targets[ti]*sc.f:][:sc.f]
+	switch {
+	case l < sc.h:
+		return sc.lowRows(l)[sc.lowAt[ti]*sc.f:][:sc.f]
+	case l == sc.h:
+		return sc.xh[sc.targets[ti]*sc.f:][:sc.f]
 	}
 	return sc.hop(l)[sc.tloc[ti]*sc.f:][:sc.f]
 }
 
 // prepare readies a scratch (fresh or from the pool) for a batch on an
-// n-node graph: the graph-sized maps are in place and the arena's retention
-// policy is applied. The |S|-sized buffers are grown per batch, once the
-// supporting set is known.
+// n-node graph: the graph-sized maps are in place and the arena's and the
+// fill hops' retention policy is applied. The |S|-sized buffers are grown per
+// batch, once the supporting set is known.
 func (sc *inferScratch[T]) prepare(n, batch int) {
 	if len(sc.visited) < n {
 		sc.visited = make([]bool, n)
@@ -350,6 +377,7 @@ func (sc *inferScratch[T]) prepare(n, batch int) {
 		sc.rm = make([]bool, batch)
 	}
 	sc.arena.shrink()
+	sc.hopScratch.shrink()
 }
 
 // capBytes is the retained heap capacity of one buffer.
@@ -360,7 +388,9 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 func (sc *inferScratch[T]) bytes() int {
 	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.visited) + capBytes(sc.rm) +
 		capBytes(sc.ring) + capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
-		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf)
+		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
+		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
+		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.ball)
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -472,10 +502,14 @@ func (t *tier[T]) scratchBytes() int {
 // exit decisions, combination and classifiers are float64 at every tier, so
 // a relaxed tier's drift is confined to the propagated features.
 //
-// Hop 1 is not a hop of the batch: X^(1) is the deployment's layer
-// (hop1Memo), whose block hop 2 gathers from as hop 1 would from X^(0), so S,
-// the slab and every row set stop one ring short of the batch's receptive
-// field — S is the radius-(TMax−2) ball and the slab starts at hop 2.
+// Hops 1..h are not hops of the batch: X^(h) is the deployment's layer
+// (hopLayer, h = layerDepth(TMax)), whose block hop h+1 gathers from as hop 1
+// would from X^(0), so S, the slab and every row set stop h rings short of the
+// batch's receptive field — S is the radius-(TMax−h−1) ball and the slab
+// starts at hop h+1. Below h the batch needs only its targets' own rows, for
+// their exits and classifiers, and computes them from X^(0); Algorithm 1's
+// books for those hops come from a BFS that only counts. At h = 1, every
+// TMax ≤ 3 and the int8 tier, there is nothing below h.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -504,72 +538,132 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		active[i] = i
 	}
 
-	// Lines 3/5: one multi-source BFS yields the nested supporting sets for
-	// every hop the batch propagates at once: the last of them is the
-	// targets, each earlier one a ball one hop wider, so hop l's rows — the
-	// ball of radius TMax−l — sit TMax−l sets from the end. After an
-	// early-exit wave the balls shrink, so the remaining hops' sets are
-	// re-derived from one BFS around the survivors — one BFS per exit wave
-	// instead of one from-scratch BFS per hop. The first BFS stops one ring
-	// short of the radius-(TMax−1) ball and only derives that ring: its nodes'
-	// X^(1) rows are read, never written, so they need no place in S.
-	sc.x1, sc.targets, sc.ring = t.memo.block, targets, sc.ring[:0]
+	h := t.layerDepth(opt.TMax)
+	lay := t.layer(h)
+	sc.h, sc.xh, sc.targets, sc.f = h, lay.block, targets, g.F()
+	// support is S, indexed from depth h on; nested are the supporting sets
+	// of the hops still to run; live lists the nodes whose rows the previous
+	// hop left for the next one to read: the layer's whole ball, then each
+	// hop's own.
+	var support []int
+	var nested [][]int
+	var live [2][]int
 	defer func() {
-		sc.x1, sc.targets = nil, nil
-		sc.ring = growScratch(sc.ring, len(sc.ring)) // shaped after use: its extent is the BFS's outcome
-	}()
-	mark := time.Now() // the last stage boundary read (stageEnd)
-	nested := graph.SupportingSetsScratch(g.Adj, targets, max(opt.TMax-2, 0), sc.visited)
-	rowsAt := func(l int) []int { return nested[len(nested)-1-(opt.TMax-l)] }
-
-	// Compact universe: S is the widest ball of the full batch. Every later
-	// row set — deeper hops, and re-derived sets after exit waves — is a
-	// subset of S, so the remap stays valid for the whole batch.
-	support := nested[0]
-	if opt.TMax >= 2 {
-		sc.ring = graph.RingScratch(g.Adj, support, sc.visited, sc.ring)
-	}
-	mark = stageEnd(tr, obs.StageBFS, 0, mark)
-	sc.s, sc.f = len(support), g.F()
-	graph.IndexSet(support, sc.toLocal)
-	defer graph.ResetIndex(support, sc.toLocal)
-	if t.int8() {
-		// Its hop-2 operand is a quantized copy of the whole ball's X^(1)
-		// rows (quantizeActivations): the ring's go behind S's.
-		for k, v := range sc.ring {
-			sc.toLocal[v] = int32(sc.s + k)
+		graph.ResetIndex(support, sc.toLocal)
+		if t.int8() && support != nil {
+			graph.ResetIndex(sc.ring, sc.toLocal)
 		}
-		defer graph.ResetIndex(sc.ring, sc.toLocal)
+		sc.xh, sc.targets = nil, nil
+		// Shaped after use, their extent being the BFS's outcome.
+		sc.ring = growScratch(sc.ring, len(sc.ring))
+		sc.ball = growScratch(sc.ball, len(sc.ball))
+	}()
+	if h > 1 {
+		sc.uniq = sortedUnique(targets, growScratch(sc.uniq, len(targets)))
+		sc.low = growScratch(sc.low, (h-1)*len(sc.uniq)*sc.f)
+		sc.lowAt = growScratch(sc.lowAt, len(targets))
+		for i, v := range targets {
+			sc.lowAt[i] = sort.SearchInts(sc.uniq, v)
+		}
 	}
-	sc.slab = growScratch(sc.slab, (opt.TMax-1)*sc.s*sc.f)
-	sc.tloc = growScratch(sc.tloc, len(targets))
-	for i, v := range targets {
-		sc.tloc[i] = int(sc.toLocal[v])
-	}
-	widest := 0 // the largest row list a hop localizes: hop 2's
-	if opt.TMax >= 2 {
-		widest = len(rowsAt(2))
-	}
-	sc.localRows = growScratch(sc.localRows, widest)
-	mark = stageEnd(tr, obs.StageExtract, 0, mark)
-
+	rowsAt := func(l int) []int { return nested[len(nested)-1-(opt.TMax-l)] }
+	mark := time.Now() // the last stage boundary read (stageEnd)
 	var fpTime time.Duration
-	// live lists the nodes whose rows the previous hop left for this one to
-	// read: after hop 1 the whole ball's rows of the layer, then each hop's own.
-	live := [2][]int{support, sc.ring}
-	for l := 1; l <= opt.TMax; l++ {
+
+	// wave is lines 6–17 at depth l once its rows are in place: decide and
+	// classify the early exits, or at T_max everyone left. It reports whether
+	// the active set changed.
+	wave := func(l int) bool {
+		switch {
+		case l < opt.TMin: // Lines 6-7
+			return false
+		case l == opt.TMax: // Lines 16-17
+			classify(l, m, g, targets, active, res, sc)
+			mark = stageEnd(tr, obs.StageClassify, 0, mark)
+			active = nil
+			return true
+		case opt.Mode == ModeFixed:
+			return false
+		}
+		// Lines 9-13.
+		decStart := mark
+		exit := decide(l, m, xinf, active, opt, &res.MACs, sc)
+		mark = stageEnd(tr, obs.StageDecide, 0, mark)
+		fpTime += mark.Sub(decStart)
+		if len(exit) == 0 {
+			return false
+		}
+		classify(l, m, g, targets, exit, res, sc)
+		mark = stageEnd(tr, obs.StageClassify, 0, mark)
+		active = removeIndices(active, exit, sc.rm)
+		return true
+	}
+
+	var books []int // books[r]: Â's entries in the active targets' radius-r ball
+	for l := 1; l <= opt.TMax && len(active) > 0; l++ {
+		switch {
+		case l < h && books == nil:
+			// One count-only BFS per exit wave charges the hops below h.
+			books = sc.ballNNZ(d.Adj, gather(targets, active), opt.TMax-l)
+			mark = stageEnd(tr, obs.StageBFS, 0, mark)
+		case l == h:
+			// Lines 3/5: one multi-source BFS yields the nested supporting
+			// sets for every hop the batch propagates at once: the last of
+			// them is the targets, each earlier one a ball one hop wider, so
+			// hop l's rows — the ball of radius TMax−l — sit TMax−l sets from
+			// the end. It stops one ring short of the radius-(TMax−h) ball and
+			// only derives that ring: its nodes' layer rows are read, never
+			// written, so they need no place in S.
+			nested = graph.SupportingSetsScratch(g.Adj, gather(targets, active), max(opt.TMax-h-1, 0), sc.visited)
+			sc.ring = sc.ring[:0]
+			if opt.TMax > h {
+				sc.ring = graph.RingScratch(g.Adj, nested[0], sc.visited, sc.ring)
+			}
+			mark = stageEnd(tr, obs.StageBFS, 0, mark)
+			// Compact universe: S is the widest ball of the batch from here
+			// on. Every later row set — deeper hops, and re-derived sets after
+			// exit waves — is a subset of S, so the remap stays valid.
+			support, live = nested[0], [2][]int{nested[0], sc.ring}
+			sc.s = len(support)
+			graph.IndexSet(support, sc.toLocal)
+			if t.int8() {
+				// Its first hop's operand is a quantized copy of the whole
+				// ball's layer rows (quantizeActivations): the ring's go behind
+				// S's.
+				for k, v := range sc.ring {
+					sc.toLocal[v] = int32(sc.s + k)
+				}
+			}
+			sc.slab = growScratch(sc.slab, (opt.TMax-h)*sc.s*sc.f)
+			sc.tloc = growScratch(sc.tloc, len(targets))
+			for i, v := range targets {
+				sc.tloc[i] = int(sc.toLocal[v])
+			}
+			widest := 0 // the largest row list a hop localizes: hop h+1's
+			if opt.TMax > h {
+				widest = len(rowsAt(h + 1))
+			}
+			sc.localRows = growScratch(sc.localRows, widest)
+			mark = stageEnd(tr, obs.StageExtract, 0, mark)
+		}
+
 		fpStart := mark
-		if l == 1 {
+		switch {
+		case l < h:
+			// The targets' own depth-l rows; the books charge the ball.
+			propagate(d.Adj, t.adjScale, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
+			res.MACs.Propagation += books[opt.TMax-l] * sc.f
+		case l == h:
 			// The layer's rows this batch reads: S and the ring around it, or
-			// at TMax 1 — S is the targets, and no hop gathers — S alone.
-			res.MACs.Propagation += t.ensureLayer(sc, support, sc.ring)
-		} else {
-			// Hops ≥ 2 propagate inside S: their rows stay one ring inside
+			// at TMax = h — S is the targets, and no hop gathers — S alone.
+			res.MACs.Propagation += t.ensureLayer(sc, lay, support, sc.ring)
+		default:
+			// Hops past h propagate inside S: their rows stay one ring inside
 			// the ball the previous hop covered, so every neighbor has a row
-			// to read — hop 2's in x1, by node id, later ones' in the slab
-			// through toLocal.
-			in, colMap := operand[T]{x: sc.x1}, []int32(nil)
-			if l > 2 {
+			// to read — hop h+1's in the layer, by node id, later ones' in the
+			// slab through toLocal.
+			in, colMap := operand[T]{x: sc.xh}, []int32(nil)
+			if l > h+1 {
 				in.x, colMap = sc.hop(l-1), sc.toLocal
 			}
 			if t.int8() {
@@ -578,44 +672,42 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			}
 			rows := rowsAt(l)
 			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-			res.MACs.Propagation += t.mulRows(in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
+			res.MACs.Propagation += mulRows(d.Adj, t.adjScale, in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
 			live = [2][]int{rows}
 		}
 		mark = stageEnd(tr, obs.StagePropagate, l, mark)
 		fpTime += mark.Sub(fpStart)
 
-		if l < opt.TMin {
-			continue // Line 6-7
-		}
-		if l < opt.TMax && opt.Mode != ModeFixed {
-			// Lines 9-13: decide and classify early exits.
-			decStart := mark
-			exit := decide(l, m, xinf, active, opt, &res.MACs, sc)
-			mark = stageEnd(tr, obs.StageDecide, 0, mark)
-			fpTime += mark.Sub(decStart)
-			if len(exit) > 0 {
-				classify(l, m, g, targets, exit, res, sc)
-				mark = stageEnd(tr, obs.StageClassify, 0, mark)
-				active = removeIndices(active, exit, sc.rm)
-				if len(active) == 0 {
-					break
-				}
+		if wave(l) && len(active) > 0 {
+			books = nil
+			if l >= h {
 				// Shrink: the remaining hops only need balls around the
 				// survivors (sampling counts in Time, not FP).
-				nested = graph.SupportingSetsScratch(
-					g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
+				nested = graph.SupportingSetsScratch(g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
 				mark = stageEnd(tr, obs.StageBFS, 0, mark)
 			}
-		} else if l == opt.TMax {
-			// Lines 16-17: everything left is classified at T_max.
-			classify(l, m, g, targets, active, res, sc)
-			mark = stageEnd(tr, obs.StageClassify, 0, mark)
-			active = nil
 		}
 	}
 	res.TotalTime = mark.Sub(start)
 	res.FPTime = fpTime
 	return res
+}
+
+// ballNNZ returns books[r] for r = 0..radius: the entries of Â in the rows of
+// the radius-r ball around nodes, which is what Algorithm 1 charges per
+// feature for the hop propagating over that ball. The BFS only counts: it
+// walks ring after ring (graph.RingScratch) and keeps the ball as an unsorted
+// list, with no index or row of its own.
+func (sc *inferScratch[T]) ballNNZ(adj *sparse.Normalized, nodes []int, radius int) []int {
+	sc.ball = sortedUnique(nodes, sc.ball)
+	books := make([]int, radius+1)
+	books[0] = adj.NNZRows(sc.ball)
+	for r := 1; r <= radius; r++ {
+		sc.ring = graph.RingScratch(adj.Adj, sc.ball, sc.visited, sc.ring[:0])
+		sc.ball = append(sc.ball, sc.ring...)
+		books[r] = books[r-1] + adj.NNZRows(sc.ring)
+	}
+	return books
 }
 
 // stageEnd reads the clock once at the boundary closing a stage that began at

@@ -11,11 +11,13 @@ import (
 	"repro/internal/synth"
 )
 
-// The X^(1) layer's contract, on every graph and at every tier: a batch reads
-// hop 1 where the deployment keeps it — hop 2 gathers from the block, the
-// supporting ball stops one ring short — and answers exactly what the seed
-// transcription does, which propagates hop 1 over the whole radius-(TMax−1)
-// ball like any other hop.
+// The layers' contract, on every graph and at every tier: a batch reads hops
+// 1..h where the deployment keeps them — hop h+1 gathers from the depth-h
+// block, the supporting ball stops h rings short — and answers exactly what
+// the seed transcription does, which propagates every hop over the whole
+// radius-(TMax−1) ball. The K = 3 model's operating points read X^(1); the
+// K = 5 model's at TMax 4 and 5 read X^(2) and X^(3) at f64 and f32 (X^(1) at
+// int8), with targets exiting below, at and above the layer's depth.
 
 // tierOf returns dep's engine at its element type.
 func tierOf[T float64 | float32](t *testing.T, dep *Deployment) *tier[T] {
@@ -27,101 +29,195 @@ func tierOf[T float64 | float32](t *testing.T, dep *Deployment) *tier[T] {
 	return e
 }
 
+// layersOf returns the layers dep's engine holds, by depth.
+func layersOf[T float64 | float32](t *testing.T, dep *Deployment) map[int]*hopLayer[T] {
+	t.Helper()
+	out := map[int]*hopLayer[T]{}
+	e := tierOf[T](t, dep)
+	for h := range e.layers {
+		if m := e.layers[h].Load(); m != nil {
+			out[h] = m
+		}
+	}
+	return out
+}
+
+// layerModel is a test model with the range of TMax it covers.
+type layerModel struct {
+	m          *Model
+	tmin, tmax int
+}
+
+// layerModels are the K = 3 model at every TMax (h = 1) and the K = 5 model at
+// TMax 4 and 5 (h = 2, 3).
+func layerModels(t *testing.T) []layerModel {
+	return []layerModel{{trainedModel(t), 1, 3}, {trainedDeepModel(t), 4, 5}}
+}
+
 func TestLayerDifferential(t *testing.T) {
 	eachTier(t, testLayerDifferential[float64], testLayerDifferential[float32])
 }
 
 func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision) {
-	m := trainedModel(t)
-	var opts []InferenceOptions
-	for _, mode := range []Mode{ModeFixed, ModeDistance, ModeGate} {
-		for tmax := 1; tmax <= m.K; tmax++ {
-			opts = append(opts,
-				InferenceOptions{Mode: mode, Ts: 0.8, TMin: 1, TMax: tmax},
-				InferenceOptions{Mode: mode, Ts: 0.8, TMin: min(2, tmax), TMax: tmax, BatchSize: 7})
+	for _, lm := range layerModels(t) {
+		m := lm.m
+		var opts []InferenceOptions
+		for _, mode := range []Mode{ModeFixed, ModeDistance, ModeGate} {
+			for tmax := lm.tmin; tmax <= lm.tmax; tmax++ {
+				opts = append(opts,
+					InferenceOptions{Mode: mode, Ts: 0.8, TMin: 1, TMax: tmax},
+					InferenceOptions{Mode: mode, Ts: 0.8, TMin: min(2, tmax), TMax: tmax, BatchSize: 7})
+			}
 		}
-	}
 
-	// The sparse graph's block outweighs its adjacency, the dense one's does not.
-	for name, ds := range map[string]*synth.Dataset{"sparse": tinyData(t), "dense": denseData(t)} {
-		base, delta := carveDelta(t, ds, 12)
-		dep := deployAt(t, m, base, p)
-		eng := tierOf[T](t, dep)
-		targets := append([]int(nil), ds.Split.Test[:24]...)
-		for i, v := range targets {
-			targets[i] = v % base.N()
-		}
-		targets = append(targets, targets[3], targets[0]) // duplicates, unsorted
-		check := func(stage string, targets []int) {
-			t.Helper()
+		// The sparse graph's block outweighs its adjacency, the dense one's does not.
+		for name, ds := range map[string]*synth.Dataset{"sparse": tinyData(t), "dense": denseData(t)} {
+			name = fmt.Sprintf("K=%d/%s", m.K, name)
+			base, delta := carveDelta(t, ds, 12)
+			dep := deployAt(t, m, base, p)
+			targets := append([]int(nil), ds.Split.Test[:24]...)
+			for i, v := range targets {
+				targets[i] = v % base.N()
+			}
+			targets = append(targets, targets[3], targets[0]) // duplicates, unsorted
+			check := func(stage string, targets []int) {
+				t.Helper()
+				for _, opt := range opts {
+					label := fmt.Sprintf("%s/%s/%v/tmin=%d/tmax=%d/batch=%d", name, stage, opt.Mode, opt.TMin, opt.TMax, opt.BatchSize)
+					got, err := dep.Infer(targets, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, label, got, seedInfer(dep, targets, opt))
+				}
+			}
+
+			// Cold for every option, then warm from those runs.
 			for _, opt := range opts {
-				label := fmt.Sprintf("%s/%s/%v/tmin=%d/tmax=%d/batch=%d", name, stage, opt.Mode, opt.TMin, opt.TMax, opt.BatchSize)
+				recold(dep)
 				got, err := dep.Infer(targets, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResult(t, label, got, seedInfer(dep, targets, opt))
+				requireSameResult(t, fmt.Sprintf("%s/cold/%v/tmin=%d/tmax=%d/batch=%d", name, opt.Mode, opt.TMin, opt.TMax, opt.BatchSize),
+					got, seedInfer(dep, targets, opt))
 			}
-		}
+			check("warm", targets)
 
-		// Cold for every option, then warm from those runs.
-		for _, opt := range opts {
-			recold(dep)
-			got, err := dep.Infer(targets, opt)
-			if err != nil {
+			// A delta between two existing nodes drops their rows and, in a
+			// depth-h layer, every row within h−1 hops of their neighbors (at
+			// int8, every row): among them rows two hops out of target 0,
+			// which every layer's reads of it only read, and which its next
+			// batch must find empty and recompute.
+			one := targets[:1]
+			ring := graph.RingScratch(base.Adj, graph.Ball(base.Adj, one, 1), make([]bool, base.N()), nil)
+			u, v := ring[0], -1
+			for c := base.N() - 1; c >= 0 && v < 0; c-- {
+				if c != u && base.Adj.At(u, c) == 0 {
+					v = c
+				}
+			}
+			if _, err := dep.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}}); err != nil {
 				t.Fatal(err)
 			}
-			requireSameResult(t, fmt.Sprintf("%s/cold/%v/tmax=%d/batch=%d", name, opt.Mode, opt.TMax, opt.BatchSize),
-				got, seedInfer(dep, targets, opt))
-		}
-		check("warm", targets)
-
-		// A delta between two existing nodes drops their rows and their
-		// neighbors' (at int8, every row): among them rows of the ring a deep
-		// read of target 0 only reads, which its next batch must find empty
-		// and recompute.
-		one := targets[:1]
-		ring := graph.RingScratch(base.Adj, graph.Ball(base.Adj, one, m.K-2), make([]bool, base.N()), nil)
-		u, v := ring[0], -1
-		for c := base.N() - 1; c >= 0 && v < 0; c-- {
-			if c != u && base.Adj.At(u, c) == 0 {
-				v = c
+			layers := layersOf[T](t, dep)
+			for h, lay := range layers {
+				if lay.state[u].Load() != slotEmpty {
+					t.Fatalf("%s: the delta left ring row %d of target %d resident at depth %d", name, u, one[0], h)
+				}
 			}
-		}
-		if _, err := dep.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}}); err != nil {
-			t.Fatal(err)
-		}
-		if eng.memo.state[u].Load() != slotEmpty {
-			t.Fatalf("%s: the delta left ring row %d of target %d resident", name, u, one[0])
-		}
-		before := dep.Hop1Stats().Computed
-		check("after dropped ring rows", one)
-		if eng.memo.state[u].Load() != slotReady || dep.Hop1Stats().Computed == before {
-			t.Fatalf("%s: ring row %d was not recomputed by the batch that read it", name, u)
-		}
-		check("after dropped rows", targets)
+			before := dep.Hop1Stats().Computed
+			check("after dropped ring rows", one)
+			for h, lay := range layers {
+				if lay.state[u].Load() != slotReady || dep.Hop1Stats().Computed == before {
+					t.Fatalf("%s: ring row %d was not recomputed at depth %d by the batch that read it", name, u, h)
+				}
+			}
+			check("after dropped rows", targets)
 
-		// Appended nodes: their rows land in the same block, and reads of the
-		// newcomers and through them agree — with the seed, and with a
-		// deployment built fresh on the merged graph.
-		if _, err := dep.ApplyDelta(delta.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		n := dep.Graph.N()
-		if len(eng.memo.block) != n*base.F() || len(eng.memo.state) != n {
-			t.Fatalf("%s: after 12 appended nodes the block holds %d rows for %d nodes", name, len(eng.memo.block)/base.F(), n)
-		}
-		targets = append(rangeInts(n-12, n), targets...)
-		check("after appended nodes", targets)
-		fresh := deployAt(t, m, dep.Graph.Clone(), p)
-		for _, opt := range opts {
-			want, err := fresh.Infer(targets, opt)
-			if err != nil {
+			// Appended nodes: their rows land in the same blocks, and reads of
+			// the newcomers and through them agree — with the seed, and with
+			// a deployment built fresh on the merged graph.
+			if _, err := dep.ApplyDelta(delta.Clone()); err != nil {
 				t.Fatal(err)
 			}
-			got, _ := dep.Infer(targets, opt)
-			requireSameResult(t, fmt.Sprintf("%s/fresh deployment/%v/tmax=%d/batch=%d", name, opt.Mode, opt.TMax, opt.BatchSize), got, want)
+			n := dep.Graph.N()
+			for h, lay := range layersOf[T](t, dep) {
+				if len(lay.block) != n*base.F() || len(lay.state) != n {
+					t.Fatalf("%s: after 12 appended nodes the depth-%d block holds %d rows for %d nodes", name, h, len(lay.block)/base.F(), n)
+				}
+			}
+			targets = append(rangeInts(n-12, n), targets...)
+			check("after appended nodes", targets)
+			fresh := deployAt(t, m, dep.Graph.Clone(), p)
+			for _, opt := range opts {
+				want, err := fresh.Infer(targets, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := dep.Infer(targets, opt)
+				requireSameResult(t, fmt.Sprintf("%s/fresh deployment/%v/tmax=%d/batch=%d", name, opt.Mode, opt.TMax, opt.BatchSize), got, want)
+			}
 		}
+	}
+}
+
+// TestLayerInvalidationRadius: a delta to one edge empties exactly the rows of
+// X^(2) within one hop of the rows of Â it moved — no fewer (a layer that
+// dropped only the moved rows would keep stale neighbors) and no more — and
+// the next read recomputes exactly those. At f64 and f32: int8 holds X^(1)
+// only and empties every row per delta (TestMemoInvalidation).
+func TestLayerInvalidationRadius(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { testLayerInvalidationRadius[float64](t, kernel.PrecisionF64) })
+	t.Run("f32", func(t *testing.T) { testLayerInvalidationRadius[float32](t, kernel.PrecisionF32) })
+}
+
+func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Precision) {
+	ds := tinyData(t)
+	m := trainedDeepModel(t)
+	dep := deployAt(t, m, ds.Graph.Clone(), p)
+	g := dep.Graph
+	all := rangeInts(0, g.N())
+	opt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 4} // reads X^(2) of every node's 2-ball
+	if _, err := dep.Infer(all, opt); err != nil {
+		t.Fatal(err)
+	}
+	lay := layersOf[T](t, dep)[2]
+	if s := dep.Hop1Stats(); lay == nil || s.Entries != g.N() {
+		t.Fatalf("reading every node at TMax 4 left %d of %d rows of X^(2) resident", s.Entries, g.N())
+	}
+
+	u, v := 0, -1
+	for c := g.N() - 1; c >= 0 && v < 0; c-- {
+		if c != u && g.Adj.At(u, c) == 0 {
+			v = c
+		}
+	}
+	dr, err := dep.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rows of Â the delta moved: its endpoints and their neighbors.
+	valDirty := graph.Ball(g.Adj, dr.Dirty, 1)
+	stale := map[int]bool{}
+	for _, w := range graph.Ball(g.Adj, valDirty, 1) {
+		stale[w] = true
+	}
+	if len(stale) == len(valDirty) {
+		t.Fatal("setup: the one-hop ball around the moved rows adds no row")
+	}
+	for w := range all {
+		if empty := lay.state[w].Load() == slotEmpty; empty != stale[w] {
+			t.Fatalf("row %d of X^(2): empty=%v, want %v (%d rows within a hop of the %d moved ones)", w, empty, stale[w], len(stale), len(valDirty))
+		}
+	}
+	before := dep.Hop1Stats()
+	if before.Entries != g.N()-len(stale) {
+		t.Fatalf("%d rows resident after emptying %d of %d", before.Entries, len(stale), g.N())
+	}
+	requireColdWarmSame(t, "after the delta", dep, all, opt)
+	if s := dep.Hop1Stats(); int(s.Computed-before.Computed) != len(stale) || s.Entries != g.N() {
+		t.Fatalf("the next reads recomputed %d rows, %d were emptied (stats %+v)", s.Computed-before.Computed, len(stale), s)
 	}
 }
 
@@ -132,17 +228,17 @@ func TestLayerHeadroomAvoidsCopy(t *testing.T) {
 	m := trainedModel(t)
 	base, delta := carveDelta(t, ds, 3)
 	dep := deployAt(t, m, base, kernel.PrecisionF64)
-	eng := tierOf[float64](t, dep)
+	lay := tierOf[float64](t, dep).layer(1)
 	f := base.F()
-	if cap(eng.memo.block) < (base.N()+3)*f {
-		t.Fatalf("block has room for %d rows of %d", cap(eng.memo.block)/f, base.N()+3)
+	if cap(lay.block) < (base.N()+3)*f {
+		t.Fatalf("block has room for %d rows of %d", cap(lay.block)/f, base.N()+3)
 	}
-	first := &eng.memo.block[0]
+	first := &lay.block[0]
 	if _, err := dep.ApplyDelta(delta); err != nil {
 		t.Fatal(err)
 	}
-	if &eng.memo.block[0] != first || len(eng.memo.block) != dep.Graph.N()*f {
-		t.Fatalf("appending 3 nodes moved the block (or left it short: %d rows for %d nodes)", len(eng.memo.block)/f, dep.Graph.N())
+	if &lay.block[0] != first || len(lay.block) != dep.Graph.N()*f {
+		t.Fatalf("appending 3 nodes moved the block (or left it short: %d rows for %d nodes)", len(lay.block)/f, dep.Graph.N())
 	}
 }
 
@@ -155,92 +251,102 @@ func TestLayerConcurrentColdStart(t *testing.T) {
 
 func testLayerConcurrentColdStart(t *testing.T, p kernel.Precision) {
 	ds := denseData(t)
-	m := trainedModel(t)
-	dep := deployAt(t, m, ds.Graph.Clone(), p)
 	const callers = 8
-	opts := []InferenceOptions{
-		{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 16},
-		{Mode: ModeGate, TMin: 1, TMax: 2},
-		{Mode: ModeFixed, TMin: 1, TMax: 1, BatchSize: 3},
-	}
-	for round := 0; round < 6; round++ {
-		opt := opts[round%len(opts)]
-		// Overlapping windows of the test nodes: every caller shares rows
-		// with its neighbors and has some of its own.
-		windows := make([][]int, callers)
-		wants := make([]*Result, callers)
-		for c := range windows {
-			windows[c] = ds.Split.Test[c*4 : c*4+32]
-			wants[c] = seedInfer(dep, windows[c], opt)
+	for _, lm := range layerModels(t) {
+		m := lm.m
+		dep := deployAt(t, m, ds.Graph.Clone(), p)
+		opts := []InferenceOptions{
+			{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: lm.tmax, BatchSize: 16},
+			{Mode: ModeGate, TMin: 1, TMax: lm.tmin + 1},
+			{Mode: ModeFixed, TMin: 1, TMax: lm.tmin, BatchSize: 3},
+			{Mode: ModeDistance, Ts: 0.8, TMin: 2, TMax: lm.tmax},
 		}
-		recold(dep)
-		results := make([]*Result, callers)
-		var wg sync.WaitGroup
-		for c := range results {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				res, err := dep.Infer(windows[c], opt)
-				if err != nil {
-					t.Error(err)
-				}
-				results[c] = res
-			}(c)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		for c, got := range results {
-			requireSameResult(t, fmt.Sprintf("round %d caller %d", round, c), got, wants[c])
-		}
-		if s := dep.Hop1Stats(); s.Entries == 0 || s.Entries > ds.Graph.N() {
-			t.Fatalf("round %d: %d entries for %d rows", round, s.Entries, ds.Graph.N())
+		for round := 0; round < 2*len(opts); round++ {
+			opt := opts[round%len(opts)]
+			// Overlapping windows of the test nodes: every caller shares rows
+			// with its neighbors and has some of its own.
+			windows := make([][]int, callers)
+			wants := make([]*Result, callers)
+			for c := range windows {
+				windows[c] = ds.Split.Test[c*4 : c*4+32]
+				wants[c] = seedInfer(dep, windows[c], opt)
+			}
+			recold(dep)
+			results := make([]*Result, callers)
+			var wg sync.WaitGroup
+			for c := range results {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					res, err := dep.Infer(windows[c], opt)
+					if err != nil {
+						t.Error(err)
+					}
+					results[c] = res
+				}(c)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for c, got := range results {
+				requireSameResult(t, fmt.Sprintf("K=%d round %d caller %d", m.K, round, c), got, wants[c])
+			}
+			if s := dep.Hop1Stats(); s.Entries == 0 || s.Entries > s.Capacity {
+				t.Fatalf("K=%d round %d: %d entries for %d rows", m.K, round, s.Entries, s.Capacity)
+			}
 		}
 	}
 }
 
 // TestLayerWaitsForRowBeingFilled pins publish-before-read on the one row it
 // is about: a batch that finds a row of its ball claimed by someone else
-// publishes its own rows, then does not start hop 2 until that row is ready.
+// publishes its own rows, then does not start hop h+1 until that row is
+// ready — for X^(1) read at TMax 2 and X^(2) at TMax 4.
 func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 	ds := denseData(t)
-	m := trainedModel(t)
-	g := ds.Graph.Clone()
-	dep := deployAt(t, m, g, kernel.PrecisionF64)
-	eng := tierOf[float64](t, dep)
-	opt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 2}
-	target := ds.Split.Test[:1]
-	want := seedInfer(dep, target, opt)
-	ball := graph.Ball(g.Adj, target, 1) // the rows a TMax-2 read of target needs
-	held := ball[len(ball)-1]
-	if held == target[0] {
-		held = ball[0]
-	}
-	eng.memo.state[held].Store(slotFilling) // someone else is computing it
-
-	done := make(chan *Result)
-	go func() {
-		res, err := dep.Infer(target, opt)
-		if err != nil {
-			t.Error(err)
+	for _, c := range []struct {
+		m    *Model
+		tmax int
+	}{{trainedModel(t), 2}, {trainedDeepModel(t), 4}} {
+		g := ds.Graph.Clone()
+		dep := deployAt(t, c.m, g, kernel.PrecisionF64)
+		eng := tierOf[float64](t, dep)
+		opt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: c.tmax}
+		h := eng.layerDepth(c.tmax)
+		lay := eng.layer(h)
+		target := ds.Split.Test[:1]
+		want := seedInfer(dep, target, opt)
+		ball := graph.Ball(g.Adj, target, c.tmax-h) // the rows a read of target needs
+		held := ball[len(ball)-1]
+		if held == target[0] {
+			held = ball[0]
 		}
-		done <- res
-	}()
-	// The batch claims, computes and publishes every other row of the ball …
-	for dep.Hop1Stats().Entries < len(ball)-1 {
-		runtime.Gosched()
-	}
-	// … and cannot have answered: hop 2 would read the held row.
-	select {
-	case <-done:
-		t.Fatal("Infer returned while a row of its ball was still being filled")
-	default:
-	}
-	eng.mulRows(eng.base, []int{held}, []int{held}, nil, g.F(), eng.memo.block)
-	eng.memo.state[held].Store(slotReady)
-	requireSameResult(t, "after the held row was published", <-done, want)
-	if s := dep.Hop1Stats(); int(s.Computed) != len(ball)-1 {
-		t.Fatalf("the batch computed %d rows, its ball has %d and one was held", s.Computed, len(ball))
+		lay.state[held].Store(slotFilling) // someone else is computing it
+
+		done := make(chan *Result)
+		go func() {
+			res, err := dep.Infer(target, opt)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- res
+		}()
+		// The batch claims, computes and publishes every other row of the ball …
+		for dep.Hop1Stats().Entries < len(ball)-1 {
+			runtime.Gosched()
+		}
+		// … and cannot have answered: hop h+1 would read the held row.
+		select {
+		case <-done:
+			t.Fatalf("TMax %d: Infer returned while a row of its ball was still being filled", c.tmax)
+		default:
+		}
+		propagate(dep.Adj, eng.adjScale, eng.base, []int{held}, []int{held}, h, g.F(), lay.block, &hopScratch[float64]{})
+		lay.state[held].Store(slotReady)
+		requireSameResult(t, fmt.Sprintf("TMax %d after the held row was published", c.tmax), <-done, want)
+		if s := dep.Hop1Stats(); int(s.Computed) != len(ball)-1 {
+			t.Fatalf("TMax %d: the batch computed %d rows, its ball has %d and one was held", c.tmax, s.Computed, len(ball))
+		}
 	}
 }

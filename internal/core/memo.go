@@ -5,43 +5,60 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
-// hop1Memo is the X^(1) layer: X^(1)_v = (ÂX^(0))_v for every node v, at the
-// active tier's slab element type, in one flat block indexed by node id — a
-// second matrix of X^(0)'s shape beside it. Hop 1 is a product no request's
-// identity enters, so no batch propagates it: a batch makes the rows of its
-// radius-(TMax−1) ball resident (tier.ensureLayer), hop 2 gathers from the
-// block through the Â operator the way hop 1 would from the feature matrix,
-// and exit decisions and classifiers read the targets' depth-1 rows in place.
+// hopLayer is a layer of propagated features: X^(h)_v = (Â^h·X^(0))_v for
+// every node v, at the active tier's slab element type, in one flat block
+// indexed by node id — a second matrix of X^(0)'s shape beside it. X^(h) is a
+// product no request's identity enters, so no batch propagates hops 1..h: a
+// batch makes the rows of its radius-(TMax−h) ball resident (tier.ensureLayer),
+// hop h+1 gathers from the block through the Â operator the way hop 1 would
+// from the feature matrix, and exit decisions and classifiers read the
+// targets' depth-h rows in place.
 //
-// The memory contract is that block and nothing else: a row per node plus
-// 1/64 of headroom for the nodes deltas append — at most
-// (n + n/64)·(f·sizeof(T) + 4) bytes — allocated at reset (whenever the
-// engine is rebuilt: Refresh, SetPrecision, NewDeploymentWithState) and
-// touched only where a request has needed a row. It is not capped by what the
-// graph's adjacency would have cost: on a graph with f ≫ d̄ the block is the
-// larger of the two, and serving through it still beats recomputing hop 1
-// (ARCHITECTURE.md, "The X^(1) layer", has the measurements).
+// The depth a batch reads is its operating point's (layerDepth): h =
+// max(1, TMax−2) at f64 and f32, so that what a batch still propagates is its
+// survivors' one-ring ball, and h = 1 at int8, whose hop ≥ 2 activations are
+// quantized at a scale over one batch's ball — X^(2) is not a function of the
+// graph there. Deeper layers would not pay: a layer per hop costs a block per
+// hop, and one deeper than TMax−2 only trades the product over the survivors'
+// one-ring ball for one over the targets' (their own rows below h), while its
+// invalidation (below) reaches further per delta.
+//
+// The memory contract is one block per depth some batch has read, allocated
+// on that first read — not when the engine is rebuilt (Refresh, SetPrecision,
+// NewDeploymentWithState) — and touched only where a request has needed a
+// row. A deployment served at one operating point, as every server is, holds
+// exactly one: a row per node plus 1/64 of headroom for the nodes deltas
+// append, at most (n + n/64)·(f·sizeof(T) + 4) bytes. One read at TMax 2 and
+// at TMax 4 holds two. A block is not capped by what the graph's adjacency
+// would have cost: on a graph with f ≫ d̄ it is the larger of the two, and
+// serving through it still beats recomputing its hops (ARCHITECTURE.md, "The
+// depth-h layer", has the measurements).
 //
 // Rows are filled lazily by whichever batch needs them first, into
-// publish-once slots — empty → filling (one CAS winner computes the row into
-// the block) → ready — so concurrent Infer callers need no lock: a reader that
-// sees ready reads a row no one writes any more. The one invariant is publish
-// before read: a batch makes every row of its ball ready — computing the empty
-// ones itself, waiting for the ones another batch is filling — before its hop
-// 2 starts. Slots only go back to empty, and the arrays are only reallocated,
-// in invalidate, invalidateAll, grow and reset, which run under the same
-// exclusion as every other graph mutation (never concurrently with Infer).
+// publish-once slots — empty → filling (one CAS winner computes the row from
+// X^(0) into the block) → ready — so concurrent Infer callers need no lock: a
+// reader that sees ready reads a row no one writes any more. The one
+// invariant is publish before read: a batch makes every row of its ball ready
+// — computing the empty ones itself, waiting for the ones another batch is
+// filling — before its hop h+1 starts. Slots only go back to empty, and the
+// arrays are only reallocated, in invalidate, invalidateAll and grow, which
+// run under the same exclusion as every other graph mutation (never
+// concurrently with Infer).
 //
 // A row is the bits the tier's kernel wrote for it, and it is dropped whenever
-// those bits could change: at f64 and f32 when the values of row v of Â move
-// (untouched rows are emitted and lowered to the same bits, and features of
-// existing nodes never change without a Refresh), at int8 on every patch,
-// because a moved per-tensor scale moves every row. So reading the layer is
-// bit-identical to computing hop 1, within each tier.
-type hop1Memo[T float64 | float32] struct {
+// those bits could change. At f64 and f32, X^(h)_v reads the rows of Â within
+// h−1 hops of v and the features of nodes within h hops (features of existing
+// nodes never change without a Refresh), so a delta empties the rows within
+// h−1 hops of the rows of Â it moved; at int8 it empties every row, because a
+// moved per-tensor scale moves every row. So reading the layer is
+// bit-identical to computing its hops, within each tier.
+type hopLayer[T float64 | float32] struct {
+	depth int
 	f     int
 	state []atomic.Uint32 // per node: slotEmpty, slotFilling or slotReady
 	// block holds node v's row at [v·f, (v+1)·f). Its capacity beyond the
@@ -50,8 +67,9 @@ type hop1Memo[T float64 | float32] struct {
 	stats *hop1Counters // the owning deployment's
 }
 
-// hop1Counters are scraped by /metrics (Hop1Stats); Result.MACs keeps the
-// paper's books and cannot show the saving.
+// hop1Counters are scraped by /metrics (Hop1Stats), summed over every layer
+// the deployment holds; Result.MACs keeps the paper's books and cannot show
+// the saving.
 type hop1Counters struct {
 	fromMemo, computed, invalidated atomic.Uint64
 	entries, capacity, bytes        atomic.Int64
@@ -63,61 +81,77 @@ const (
 	slotReady
 )
 
-// reset drops every row and sizes the layer for an n-node graph of f features.
-func (m *hop1Memo[T]) reset(n, f int) {
-	m.stats.invalidated.Add(uint64(m.stats.entries.Swap(0)))
-	m.f, m.state, m.block = f, nil, nil
-	m.grow(n)
+// layerDepth is the depth of the layer a batch at opt.TMax reads (hopLayer).
+func (t *tier[T]) layerDepth(tmax int) int {
+	if t.int8() {
+		return 1
+	}
+	return max(1, tmax-2)
+}
+
+// layer returns the tier's depth-h layer, allocating it, every row empty, on
+// the first read.
+func (t *tier[T]) layer(h int) *hopLayer[T] {
+	if m := t.layers[h].Load(); m != nil {
+		return m
+	}
+	t.alloc.Lock()
+	defer t.alloc.Unlock()
+	if t.layers[h].Load() == nil {
+		m := &hopLayer[T]{depth: h, f: t.d.Graph.F(), stats: &t.d.memoStats}
+		m.grow(t.d.Graph.N())
+		t.layers[h].Store(m)
+	}
+	return t.layers[h].Load()
 }
 
 // grow extends the layer to n nodes; the new rows are empty. Past the
 // headroom the arrays move, to n rows and their 1/64. Not concurrent with
 // Infer.
-func (m *hop1Memo[T]) grow(n int) {
+func (m *hopLayer[T]) grow(n int) {
+	old := len(m.state)
 	if room := n + n/64; n > cap(m.state) {
 		m.state = append(make([]atomic.Uint32, 0, room), m.state...)
 		m.block = append(make([]T, 0, room*m.f), m.block...)
 	}
 	m.state, m.block = m.state[:n], m.block[:n*m.f]
-	m.stats.capacity.Store(int64(n))
-	m.stats.bytes.Store(int64(n * (int(unsafe.Sizeof(*new(T)))*m.f + 4)))
+	m.stats.capacity.Add(int64(n - old))
+	m.stats.bytes.Add(int64((n - old) * (int(unsafe.Sizeof(*new(T)))*m.f + 4)))
 }
 
 // drop empties one row. Not concurrent with Infer.
-func (m *hop1Memo[T]) drop(v int) {
+func (m *hopLayer[T]) drop(v int) {
 	if m.state[v].Swap(slotEmpty) != slotEmpty {
 		m.stats.entries.Add(-1)
 		m.stats.invalidated.Add(1)
 	}
 }
 
-// invalidate empties the given rows: exactly the rows of Â whose values a
-// delta moved.
-func (m *hop1Memo[T]) invalidate(dirty []int) {
-	for _, v := range dirty {
+// invalidate empties the given rows.
+func (m *hopLayer[T]) invalidate(rows []int) {
+	for _, v := range rows {
 		m.drop(v)
 	}
 }
 
 // invalidateAll empties every row.
-func (m *hop1Memo[T]) invalidateAll() {
+func (m *hopLayer[T]) invalidateAll() {
 	for v := range m.state {
 		m.drop(v)
 	}
 }
 
-// ensureLayer is hop 1 of a batch: it makes X^(1) resident for every node of
-// the given lists — together the batch's radius-(TMax−1) ball, each node once
-// — and returns Algorithm 1's MAC count for the hop, every row's nnz × f
-// whoever computed it (like MACBreakdown.Stationary charges a cost the cache
-// saved). Rows that are not ready are claimed (the slot's CAS) as the walk
-// meets them, computed against X^(0) straight into the block in one operator
-// product and published; a row another batch claimed first is waited for,
-// after this batch has published its own, so two batches that each hold rows
-// the other needs cannot wait on each other. On return every listed row is
-// ready and stays so until the next delta: publish before read.
-func (t *tier[T]) ensureLayer(sc *inferScratch[T], lists ...[]int) int {
-	m := &t.memo
+// ensureLayer makes layer m resident for every node of the given lists —
+// together the batch's radius-(TMax−h) ball, each node once — and returns
+// Algorithm 1's MAC count for hop h, every row's nnz × f whoever computed it
+// (like MACBreakdown.Stationary charges a cost the cache saved). Rows that are
+// not ready are claimed (the slot's CAS) as the walk meets them, computed from
+// X^(0) straight into the block (propagate: hops below h over their nested
+// balls in pooled scratch) and published; a row another batch claimed first
+// is waited for, after this batch has published its own, so two batches that
+// each hold rows the other needs cannot wait on each other. On return every
+// listed row is ready and stays so until the next delta: publish before read.
+func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]int) int {
 	adj := t.d.Adj
 	nnz, total := 0, 0
 	won, lost := sc.claimed[:0], sc.awaited[:0]
@@ -135,7 +169,7 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], lists ...[]int) int {
 		}
 	}
 	if len(won) > 0 {
-		t.mulRows(t.base, won, won, nil, sc.f, m.block)
+		propagate(adj, t.adjScale, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
 		for _, v := range won {
 			m.state[v].Store(slotReady)
 		}
@@ -155,10 +189,74 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], lists ...[]int) int {
 	return nnz * sc.f
 }
 
-// Hop1Stats are the X^(1) layer's counters: hop-1 rows a batch found resident
-// and rows it computed, rows dropped by deltas (or a Refresh) since start, rows
-// currently resident, and the layer's extent — a row per node (Entries/Capacity
-// is its coverage) and the bytes they cost.
+// hopScratch is what propagate holds besides its output: a BFS mark buffer
+// (all false between calls), a global→local map (all −1 between calls) and
+// the two buffers its intermediate hops alternate between.
+type hopScratch[T float64 | float32] struct {
+	visited []bool
+	idx     []int32
+	bufs    [2][]T
+	// hw is the largest buffer the batches since the last shrink asked for.
+	hw int
+}
+
+// buf returns intermediate buffer i cut to need elements (growScratch).
+func (hs *hopScratch[T]) buf(i, need int) []T {
+	hs.hw = max(hs.hw, need)
+	hs.bufs[i] = growScratch(hs.bufs[i], need)
+	return hs.bufs[i]
+}
+
+// shrink applies the scratch retention policy between batches: a buffer more
+// than 4× the last batch's largest need is dropped, so a cold fill's
+// whole-graph hops do not stay pinned in the pool by the warm batches after
+// it, which fill little or nothing.
+func (hs *hopScratch[T]) shrink() {
+	const minRetain = 1024
+	for i, b := range hs.bufs {
+		if cap(b) > 4*hs.hw && cap(b) > minRetain {
+			hs.bufs[i] = nil
+		}
+	}
+	hs.hw = 0
+}
+
+// propagate writes X^(l) = Â^l·X^(0) for the nodes of rows (l ≥ 1, no
+// duplicates) into out, row outRows[k] holding rows[k]'s (nil: row k), at the
+// element type of x0, X^(0) as a tier's operand — at int8 only for l = 1,
+// whose later hops quantize per batch. Hop j runs over the radius-(l−j) ball
+// of rows, hops below l into hs in their balls' compact coordinates; no layer
+// is read. Every row adds its terms in the one ascending order every product
+// uses, so it is bit-equal to that row of a full-graph propagation.
+func propagate[T float64 | float32](adj *sparse.Normalized, adjScale float64, x0 operand[T], rows, outRows []int, l, f int, out []T, hs *hopScratch[T]) {
+	in, colMap := x0, []int32(nil)
+	if l > 1 {
+		if x0.qx != nil {
+			panic("core: propagate past hop 1 at int8")
+		}
+		if n := adj.N(); len(hs.idx) < n {
+			hs.visited, hs.idx = make([]bool, n), graph.NewIndex(n)
+		}
+		balls := graph.SupportingSetsScratch(adj.Adj, rows, l-1, hs.visited)
+		for j := 1; j < l; j++ {
+			buf := hs.buf(j%2, len(balls[j-1])*f)
+			mulRows(adj, adjScale, in, balls[j-1], nil, colMap, f, buf)
+			if j > 1 {
+				graph.ResetIndex(balls[j-2], hs.idx)
+			}
+			graph.IndexSet(balls[j-1], hs.idx)
+			in, colMap = operand[T]{x: buf}, hs.idx
+		}
+		defer graph.ResetIndex(balls[l-2], hs.idx)
+	}
+	mulRows(adj, adjScale, in, rows, outRows, colMap, f, out)
+}
+
+// Hop1Stats are the layers' counters, summed over every layer the deployment
+// holds: layer rows a batch found resident and rows it computed, rows dropped
+// by deltas (or a rebuild) since start, rows currently resident, and the
+// layers' extent — a row per node per block (Entries/Capacity is their
+// coverage) and the bytes they cost.
 type Hop1Stats struct {
 	FromMemo, Computed, Invalidated uint64
 	Entries, Capacity, Bytes        int
@@ -175,7 +273,7 @@ func (s *Hop1Stats) Add(o Hop1Stats) {
 	s.Bytes += o.Bytes
 }
 
-// Hop1Stats snapshots the memo's counters; safe at any time.
+// Hop1Stats snapshots the layers' counters; safe at any time.
 func (d *Deployment) Hop1Stats() Hop1Stats {
 	m := &d.memoStats
 	return Hop1Stats{
@@ -193,20 +291,20 @@ func (d *Deployment) Hop1Stats() Hop1Stats {
 // process its deployment's.
 func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 	rows := reg.GaugeVec("nai_hop1_rows_total",
-		"Hop-1 supporting rows by source: found resident in the X^(1) layer (memo), or computed into it by the SpMM kernel (cumulative).",
+		"Layer rows a batch read, summed over every resident layer (X^(h), one per operating-point depth) by source: found resident (memo), or computed into it by the SpMM kernel (cumulative).",
 		"source")
 	rows.WithFunc(func() float64 { return float64(read().FromMemo) }, "memo")
 	rows.WithFunc(func() float64 { return float64(read().Computed) }, "computed")
 	reg.GaugeFunc("nai_hop1_memo_entries",
-		"Rows currently resident in the X^(1) layer.",
+		"Rows currently resident, summed over every resident layer.",
 		func() float64 { return float64(read().Entries) })
 	reg.GaugeFunc("nai_hop1_memo_capacity",
-		"Rows the X^(1) layer has room for: one per node (entries / capacity is its coverage).",
+		"Rows the resident layers have room for: one per node per layer (entries / capacity is their coverage).",
 		func() float64 { return float64(read().Capacity) })
 	reg.GaugeFunc("nai_hop1_memo_bytes",
-		"Bytes the X^(1) layer's rows occupy when all are resident: a second matrix of the features' shape at the tier's element type.",
+		"Bytes the resident layers' rows occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type.",
 		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
-		"X^(1) rows dropped because a delta recomputed their adjacency row (cumulative).",
+		"Layer rows dropped because a delta moved a row of the adjacency within the layer's depth of them, summed over every layer (cumulative).",
 		func() float64 { return float64(read().Invalidated) })
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"unsafe"
@@ -13,21 +14,29 @@ import (
 	"repro/internal/synth"
 )
 
-// The X^(1) layer's contract: reading hop 1 out of the layer changes no output
+// The layers' contract: reading hops 1..h out of a layer changes no output
 // bit and no MAC count within a precision tier, under cold and warm layers,
 // concurrent fills and deltas. The oracle is the seed transcription
-// (seedInfer), which propagates hop 1 like every other hop and holds no layer.
+// (seedInfer), which propagates every hop over its ball and holds no layer.
 
 // tiers is the precision dimension of the layer and scratch suites.
 var tiers = []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32, kernel.PrecisionInt8}
 
-// recold empties d's X^(1) layer, as a rebuilt engine starts.
+// recold empties every row of d's layers, as a rebuilt engine starts.
 func recold(d *Deployment) {
 	switch e := d.eng.(type) {
 	case *tier[float64]:
-		e.memo.reset(d.Graph.N(), d.Graph.F())
+		recoldTier(e)
 	case *tier[float32]:
-		e.memo.reset(d.Graph.N(), d.Graph.F())
+		recoldTier(e)
+	}
+}
+
+func recoldTier[T float64 | float32](e *tier[T]) {
+	for i := range e.layers {
+		if m := e.layers[i].Load(); m != nil {
+			m.invalidateAll()
+		}
 	}
 }
 
@@ -191,7 +200,6 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	dep := deployAt(t, m, ds.Graph.Clone(), p)
 	g := dep.Graph
 	eng := tierOf[T](t, dep)
-	mm := &eng.memo
 	// TMax 1: hop 1 runs over the targets themselves, so this fills every row.
 	fillAll := func() {
 		if _, err := dep.Infer(rangeInts(0, g.N()), InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}); err != nil {
@@ -199,6 +207,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 		}
 	}
 	fillAll()
+	mm := eng.layer(1)
 	before := g.N()
 	if s := dep.Hop1Stats(); s.Entries != before || s.Capacity != before {
 		t.Fatalf("filled %d of %d rows (capacity %d)", s.Entries, before, s.Capacity)
@@ -247,7 +256,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	fillAll()
 	all := rangeInts(0, g.N())
 	fresh := make([]T, g.N()*g.F())
-	eng.mulRows(eng.base, all, all, nil, g.F(), fresh)
+	mulRows(dep.Adj, eng.adjScale, eng.base, all, all, nil, g.F(), fresh)
 	for v := range all {
 		if mm.state[v].Load() != slotReady {
 			t.Fatalf("row of node %d not refilled", v)
@@ -280,8 +289,8 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 		for _, p := range tiers {
 			base, delta := carveDelta(t, ds, 12)
 			dep := deployAt(t, m, base, p)
-			if s := dep.Hop1Stats(); s.Capacity != base.N() {
-				t.Fatalf("%v: %d rows for %d nodes", p, s.Capacity, base.N())
+			if s := dep.Hop1Stats(); s.Capacity != 0 {
+				t.Fatalf("%v: %d rows before any read", p, s.Capacity)
 			}
 			for k := 0; k < 12; k++ { // one node per delta, with its edges to earlier nodes
 				u := base.N()
@@ -309,21 +318,41 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 	}
 }
 
-// TestLayerBytes is the layer's memory contract: whatever the graph's shape —
+// TestLayerBytes is the layers' memory contract. Whatever the graph's shape —
 // sparse and narrow, dense, or f ≫ d̄, where the block outweighs the adjacency
-// — a deployment retains for X^(1) at most (n + n/64)·(f·sizeof(T) + 4) bytes,
-// a row and a state word per node plus the headroom, at reset and after
-// growing past that headroom, and reports n rows' worth.
+// — a layer retains at most (n + n/64)·(f·sizeof(T) + 4) bytes, a row and a
+// state word per node plus the headroom, when first read and after growing
+// past that headroom, and reports n rows' worth. A deployment holds a block
+// only for a depth it has been read at: read only at TMax 4 it holds X^(2)
+// alone (X^(1) at int8) and has never allocated X^(1); read at TMax 2 as well
+// it holds two, and its counters sum both.
 func TestLayerBytes(t *testing.T) {
 	eachTier(t, testLayerBytes[float64], testLayerBytes[float32])
 }
 
 func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
+	elem := int(unsafe.Sizeof(*new(T)))
+	// within fails unless every layer dep holds is within the bound and the
+	// counters report exactly their n rows each.
+	within := func(label string, dep *Deployment) {
+		t.Helper()
+		n, f := dep.Graph.N(), dep.Graph.F()
+		bound := (n + n/64) * (f*elem + 4)
+		layers := layersOf[T](t, dep)
+		for h, mm := range layers {
+			if held := elem*cap(mm.block) + 4*cap(mm.state); held > bound || len(mm.state) != n || len(mm.block) != n*f {
+				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, held, len(mm.state), n, bound)
+			}
+		}
+		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n || s.Bytes != len(layers)*n*(f*elem+4) {
+			t.Fatalf("%s: counters report %d rows, %d B for %d blocks of %d nodes", label, s.Capacity, s.Bytes, len(layers), n)
+		}
+	}
+
 	wide := synth.Tiny(5)
 	wide.FeatureDim, wide.AvgDegree = 256, 4
 	dense := synth.Tiny(5)
 	dense.AvgDegree = 24
-	elem := int(unsafe.Sizeof(*new(T)))
 	for _, cfg := range []synth.Config{synth.Tiny(5), dense, wide} {
 		ds, err := synth.Generate(cfg)
 		if err != nil {
@@ -331,23 +360,45 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 		}
 		base, delta := carveDelta(t, ds, 40) // more than the 1/64 of headroom
 		dep := deployAt(t, &Model{K: 2, Gamma: 0.5, NumClasses: base.NumClasses, FeatureDim: base.F()}, base, p)
-		check := func(when string) {
-			t.Helper()
-			n, f := dep.Graph.N(), dep.Graph.F()
-			mm := &tierOf[T](t, dep).memo
-			bound := (n + n/64) * (f*elem + 4)
-			if held := elem*cap(mm.block) + 4*cap(mm.state); held > bound || len(mm.state) != n || len(mm.block) != n*f {
-				t.Fatalf("f=%d d̄=%v %s: the layer retains %d B for %d rows (of %d nodes), bound %d B",
-					f, cfg.AvgDegree, when, held, len(mm.state), n, bound)
-			}
-			if s := dep.Hop1Stats(); s.Capacity != n || s.Bytes != n*(f*elem+4) {
-				t.Fatalf("f=%d d̄=%v %s: counters report %d rows, %d B for %d nodes", f, cfg.AvgDegree, when, s.Capacity, s.Bytes, n)
-			}
-		}
-		check("as deployed")
+		label := fmt.Sprintf("f=%d d̄=%v", base.F(), cfg.AvgDegree)
+		within(label+" as deployed", dep)
+		tierOf[T](t, dep).layer(1) // a first read's allocation
+		within(label+" first read", dep)
 		if _, err := dep.ApplyDelta(delta); err != nil {
 			t.Fatal(err)
 		}
-		check("after 40 appended nodes")
+		within(label+" after 40 appended nodes", dep)
 	}
+
+	ds := tinyData(t)
+	dep := deployAt(t, trainedDeepModel(t), ds.Graph, p)
+	read := func(tmax int) {
+		if _, err := dep.Infer(ds.Split.Test, InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 2, TMax: tmax}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(4)
+	want := 2
+	if p == kernel.PrecisionInt8 {
+		want = 1
+	}
+	if layers := layersOf[T](t, dep); len(layers) != 1 || layers[want] == nil {
+		t.Fatalf("read at TMax 4, the deployment holds layers %v, want X^(%d) alone", depths(layers), want)
+	}
+	within("read at TMax 4", dep)
+	read(2)
+	if layers := layersOf[T](t, dep); len(layers) != want { // X^(1) and X^(2), or at int8 X^(1) alone
+		t.Fatalf("read at TMax 4 and 2, the deployment holds layers %v", depths(layers))
+	}
+	within("read at TMax 4 and 2", dep)
+}
+
+// depths lists the depths of a layer map, ascending.
+func depths[T float64 | float32](layers map[int]*hopLayer[T]) []int {
+	var out []int
+	for h := range layers {
+		out = append(out, h)
+	}
+	sort.Ints(out)
+	return out
 }

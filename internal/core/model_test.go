@@ -62,6 +62,28 @@ func trainedModel(t *testing.T) *Model {
 	return tinyModel
 }
 
+var (
+	deepOnce  sync.Once
+	deepModel *Model
+)
+
+// trainedDeepModel is trainedModel at K = 5: the operating points at TMax 4
+// and 5 read the layers at depths 2 and 3, which no K = 3 model reaches.
+func trainedDeepModel(t *testing.T) *Model {
+	t.Helper()
+	ds := tinyData(t)
+	deepOnce.Do(func() {
+		opt := fastOptions("sgc")
+		opt.K = 5
+		m, err := Train(ds.Graph, ds.Split, opt)
+		if err != nil {
+			t.Fatalf("train: %v", err)
+		}
+		deepModel = m
+	})
+	return deepModel
+}
+
 func TestTrainOptionValidation(t *testing.T) {
 	ds := tinyData(t)
 	bad := fastOptions("sgc")

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -32,8 +34,8 @@ type engine interface {
 	// infer runs Algorithm 1 over one batch.
 	infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result
 	// patched re-derives the tier's operands after PatchAdjacency patched
-	// Adj (and a delta may have grown the features), extends the X^(1) layer
-	// to appended nodes and drops the rows the patch made stale.
+	// Adj (and a delta may have grown the features), extends every layer to
+	// appended nodes and drops the rows the patch made stale.
 	patched(valDirty []int)
 	scratchBytes() int
 }
@@ -49,10 +51,10 @@ type operand[T float64 | float32] struct {
 }
 
 // tier is the per-precision state of the engine loop: hop 1's dense operand,
-// the X^(1) layer at the slab's element type, and the pool of per-request
-// scratch. At f64 the dense operand is the feature matrix itself, so the
-// default tier builds no mirror; the other tiers hold a lowered copy of it, a
-// pure function of Features.
+// the layers at the slab's element type, and the pool of per-request scratch.
+// At f64 the dense operand is the feature matrix itself, so the default tier
+// builds no mirror; the other tiers hold a lowered copy of it, a pure function
+// of Features.
 type tier[T float64 | float32] struct {
 	d *Deployment
 	// base is hop 1's operand, X^{(0)} at the tier (at int8 with deq =
@@ -62,8 +64,11 @@ type tier[T float64 | float32] struct {
 	// by one pass over the operator: every emitted row is quantized at it, and
 	// every later hop dequantizes by adjScale × that hop's activation scale.
 	adjScale float64
-	memo     hop1Memo[T]
-	scratch  sync.Pool // *inferScratch[T]
+	// layers[h] is the depth-h layer (hopLayer), nil until a batch first
+	// reads that depth; alloc serializes the allocations.
+	layers  []atomic.Pointer[hopLayer[T]]
+	alloc   sync.Mutex
+	scratch sync.Pool // *inferScratch[T]
 }
 
 // SetPrecision selects the engine's arithmetic tier. The default (zero
@@ -71,8 +76,8 @@ type tier[T float64 | float32] struct {
 // lowered copy of its operands. Like Refresh, SetPrecision must not be called
 // concurrently with Infer; a precision switch changes answers, so it belongs
 // before the deployment is handed to a serving layer that caches them
-// (internal/serve owns the result cache and is not told), and the X^(1) layer
-// starts empty. The graph version does not move: precision is an engine knob,
+// (internal/serve owns the result cache and is not told), and the engine
+// starts with no layer. The graph version does not move: precision is an engine knob,
 // not a graph mutation, and sharded serving pins one tier per cluster at
 // handshake instead of versioning it.
 func (d *Deployment) SetPrecision(p kernel.Precision) {
@@ -87,8 +92,7 @@ func (d *Deployment) SetPrecision(p kernel.Precision) {
 func (d *Deployment) Precision() kernel.Precision { return d.prec }
 
 // retier builds the engine for the active tier from the current Adj and
-// features: dense operand lowered, X^(1) layer sized and empty, no pooled
-// scratch. Valid on a deployment with externally supplied state too — the
+// features: dense operand lowered, no layer, no pooled scratch. Valid on a deployment with externally supplied state too — the
 // operands are pure functions of the Adj and Features its owner maintains.
 func (d *Deployment) retier() {
 	if d.prec == kernel.PrecisionF64 {
@@ -99,10 +103,13 @@ func (d *Deployment) retier() {
 }
 
 func newTier[T float64 | float32](d *Deployment) *tier[T] {
-	t := &tier[T]{d: d}
-	t.memo.stats = &d.memoStats
+	t := &tier[T]{d: d, layers: make([]atomic.Pointer[hopLayer[T]], d.Model.K+1)}
+	// The previous engine's layers go with it.
+	s := &d.memoStats
+	s.invalidated.Add(uint64(s.entries.Swap(0)))
+	s.capacity.Store(0)
+	s.bytes.Store(0)
 	t.lower()
-	t.memo.reset(d.Graph.N(), d.Graph.F())
 	return t
 }
 
@@ -137,25 +144,33 @@ func lowered[T float64 | float32](src []float64) []T {
 
 func (t *tier[T]) patched(valDirty []int) {
 	t.lower()
-	t.memo.grow(t.d.Graph.N())
-	if t.int8() {
-		// Re-quantizing may move a per-tensor scale, which changes every row.
-		t.memo.invalidateAll()
-	} else {
-		// Rows whose factors and neighbors' factors the patch left alone are
-		// cut and lowered to the same bits.
-		t.memo.invalidate(valDirty)
+	g := t.d.Graph
+	for i := range t.layers {
+		m := t.layers[i].Load()
+		if m == nil {
+			continue
+		}
+		m.grow(g.N())
+		if t.int8() {
+			// Re-quantizing may move a per-tensor scale, which changes every row.
+			m.invalidateAll()
+		} else {
+			// Rows of Â the patch left alone are emitted and lowered to the
+			// same bits, so X^(h)_v moved only if one within h−1 hops did.
+			m.invalidate(graph.Ball(g.Adj, valDirty, m.depth-1))
+		}
 	}
 }
 
-// mulRows is the tier's row-subset product with Â
-// (sparse.MulNormalizedRowsInto over in): out row outRows[k] = (Â·in)[rows[k]],
-// in's rows found through colMap (nil: by node id).
-func (t *tier[T]) mulRows(in operand[T], rows, outRows []int, colMap []int32, f int, out []T) int {
-	if t.int8() {
-		return sparse.MulNormalizedRowsInto(t.d.Adj, rows, outRows, colMap, t.adjScale, in.qx, f, in.deq, out)
+// mulRows is one row-subset product with Â at a tier
+// (sparse.MulNormalizedRowsInto over in, at int8 quantizing Â's rows at
+// adjScale): out row outRows[k] = (Â·in)[rows[k]], in's rows found through
+// colMap (nil: by node id). It returns the multiply-accumulate count.
+func mulRows[T float64 | float32](adj *sparse.Normalized, adjScale float64, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) int {
+	if in.qx != nil {
+		return sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, adjScale, in.qx, f, in.deq, out)
 	}
-	return sparse.MulNormalizedRowsInto(t.d.Adj, rows, outRows, colMap, 0, in.x, f, 1, out)
+	return sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, 0, in.x, f, 1, out)
 }
 
 // quantizeActivations quantizes the previous hop's rows for the int8 tier's

@@ -49,7 +49,7 @@ func (s *Server) registerGauges() {
 		"Backend graph version (+1 per effective delta).",
 		func() float64 { return float64(s.backend.Describe().Version) })
 
-	// The hop-1 memo lives in the engine; Describe sums it over the backend's
+	// The layers live in the engine; Describe sums them over the backend's
 	// engines. A front over remote workers reads their counters as of the last
 	// health probe (HealthInfo.Hop1), and each worker also reports its own on
 	// its /metrics (shard.WorkerHandlerObs).

@@ -65,8 +65,8 @@ type Config struct {
 	// Deprecated: nothing reads MaxWait; no request waits for batch mates.
 	MaxWait time.Duration
 	// MaxBody caps the accepted HTTP request body size in bytes
-	// (http.MaxBytesReader); oversized payloads get a 400, never an
-	// unbounded read. ≤0 defaults to 8 MiB — roomy for feature-row appends,
+	// (http.MaxBytesReader); oversized payloads get a 413 (Request Entity
+	// Too Large), never an unbounded read. ≤0 defaults to 8 MiB — roomy for feature-row appends,
 	// small enough that a hostile client cannot balloon the daemon's heap.
 	MaxBody int64
 	// CacheSize is the per-node result cache's capacity in entries; ≤0

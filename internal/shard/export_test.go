@@ -17,4 +17,6 @@ var (
 	TestDeltasFor = testDeltas
 	// TestFastRetry is the tight-backoff Config the fault suites use.
 	TestFastRetry = fastRetry
+	// TestListenAt listens on an address, polling a just-released port.
+	TestListenAt = listenAt
 )

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -371,20 +370,7 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var ln net.Listener
-		for attempt := 0; ; attempt++ {
-			ln, err = net.Listen("tcp", addr)
-			if err == nil {
-				break
-			}
-			if attempt > 50 {
-				t.Fatalf("rebind %s: %v", addr, err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+		ln := shard.TestListenAt(t, addr)
 		srv := &http.Server{Handler: shard.WorkerHandler(w)}
 		go srv.Serve(ln)
 		return w, srv, ln.Addr().String()

@@ -14,15 +14,35 @@ import (
 	"repro/internal/synth"
 )
 
-// TestShardedMemoEquivalence is the X^(1) layer's bit-identity gate on shard
+// TestShardedMemoEquivalence is the engine layers' bit-identity gate on shard
 // workers: for P ∈ {1,2} over both transports, before and after every delta
 // stage, a router's cold and then warm answers must equal a cold unsharded
-// reference, and charge the same MACs cold and warm. The graph is the test
-// fixture's generator at 6000 nodes. The reference is a deployment built for
-// that one call: with a single batch nothing can be read from a layer that
-// was empty when the batch began.
+// reference, and charge the same MACs cold and warm — for the K = 3 model,
+// whose operating points read X^(1), and the K = 5 model at TMax 4 and 5,
+// which read X^(2) and X^(3). The graph is the test fixture's generator at
+// 6000 nodes. The reference is a deployment built for that one call: with a
+// single batch nothing can be read from a layer that was empty when the batch
+// began.
 func TestShardedMemoEquivalence(t *testing.T) {
 	_, m := fixture(t)
+	deep := deepFixture(t)
+	for _, c := range []struct {
+		m    *core.Model
+		opts []core.InferenceOptions
+	}{
+		{m, inferOpts(m)},
+		{deep, []core.InferenceOptions{
+			{Mode: core.ModeFixed, TMin: 1, TMax: 4},
+			{Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: 5},
+			{Mode: core.ModeDistance, Ts: 0.5, TMin: 2, TMax: 4},
+			{Mode: core.ModeGate, TMin: 1, TMax: 5},
+		}},
+	} {
+		testShardedMemoEquivalence(t, c.m, c.opts)
+	}
+}
+
+func testShardedMemoEquivalence(t *testing.T, m *core.Model, opts []core.InferenceOptions) {
 	cfg := synth.Tiny(23)
 	cfg.N = 6000
 	ds, err := synth.Generate(cfg)
@@ -47,7 +67,7 @@ func TestShardedMemoEquivalence(t *testing.T) {
 
 	for _, transport := range []string{"local", "http"} {
 		for _, p := range []int{1, 2} {
-			tag := fmt.Sprintf("%s/P=%d", transport, p)
+			tag := fmt.Sprintf("K=%d/%s/P=%d", m.K, transport, p)
 			var rt *Router
 			workers := make([]*Worker, p)
 			if transport == "local" {
@@ -76,7 +96,7 @@ func TestShardedMemoEquivalence(t *testing.T) {
 			merged := ds.Graph.Clone()
 			check := func(stage string) {
 				t.Helper()
-				for oi, opt := range inferOpts(m) {
+				for oi, opt := range opts {
 					ref, err := core.NewDeployment(m, merged.Clone())
 					if err != nil {
 						t.Fatal(err)

@@ -463,7 +463,7 @@ func (r *Router) Probe(ctx context.Context) {
 // Describe snapshots the fleet for the serving layer (serve.Backend): the
 // graph version and tier, every shard's liveness with its endpoints' status
 // under Replicas (a one-endpoint shard lists that one), the scratch
-// footprint and X^(1)-layer counters summed over every endpoint's last
+// footprint and layer counters summed over every endpoint's last
 // health report, and the failover counters.
 // /healthz's verdict, the /stats shards block and the per-shard gauges are
 // all read off one such snapshot, so they cannot contradict each other.

@@ -26,20 +26,38 @@ func fixture(t *testing.T) (*synth.Dataset, *core.Model) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		opt := core.DefaultTrainOptions()
-		opt.K = 3
-		opt.Hidden = []int{16}
-		opt.Base = nn.TrainConfig{Epochs: 40, LR: 0.02, WeightDecay: 1e-4, Patience: 10, Seed: 1}
-		opt.DistillEpochs = 25
-		opt.GateEpochs = 15
-		opt.EnsembleR = 2
-		m, err := core.Train(ds.Graph, ds.Split, opt)
-		if err != nil {
-			t.Fatalf("train: %v", err)
-		}
-		fixDS, fixModel = ds, m
+		fixDS, fixModel = ds, trainFixture(t, ds, 3)
 	})
 	return fixDS, fixModel
+}
+
+var (
+	deepOnce  sync.Once
+	deepModel *core.Model
+)
+
+// deepFixture is the fixture's model at K = 5, whose operating points at TMax
+// 4 and 5 read the engine's layers at depths 2 and 3.
+func deepFixture(t *testing.T) *core.Model {
+	t.Helper()
+	ds, _ := fixture(t)
+	deepOnce.Do(func() { deepModel = trainFixture(t, ds, 5) })
+	return deepModel
+}
+
+func trainFixture(t *testing.T, ds *synth.Dataset, k int) *core.Model {
+	opt := core.DefaultTrainOptions()
+	opt.K = k
+	opt.Hidden = []int{16}
+	opt.Base = nn.TrainConfig{Epochs: 40, LR: 0.02, WeightDecay: 1e-4, Patience: 10, Seed: 1}
+	opt.DistillEpochs = 25
+	opt.GateEpochs = 15
+	opt.EnsembleR = 2
+	m, err := core.Train(ds.Graph, ds.Split, opt)
+	if err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	return m
 }
 
 // TestPartition checks the ownership invariants of both strategies: every

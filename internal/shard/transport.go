@@ -82,7 +82,7 @@ type HealthInfo struct {
 	// ScratchBytes is the worker deployment's retained pooled-scratch
 	// footprint, summed into the router's /stats gauge.
 	ScratchBytes int
-	// Hop1 is the worker deployment's X^(1)-layer counters, summed into the
+	// Hop1 is the worker deployment's layer counters, summed into the
 	// router's nai_hop1_* series.
 	Hop1 core.Hop1Stats
 	// Precision is the tier the worker's deployment serves at; the router's

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -163,32 +164,38 @@ func TestDeadShardFailsFast(t *testing.T) {
 }
 
 // serveWorkerAt bootstraps one shard worker and serves it on addr over a real
-// socket ("" picks a free port). A restart on an address whose previous
-// listener has only just closed may find the port still held: the bind is
-// retried for up to a second before the test fails.
+// socket ("" picks a free port; listenAt).
 func serveWorkerAt(t *testing.T, m *core.Model, g *graph.Graph, addr string, cfg Config, shardID int) (*http.Server, string) {
 	t.Helper()
 	w, err := NewWorker(m, g, cfg, shardID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
-	for attempt := 0; ; attempt++ {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if attempt > 50 {
-			t.Fatalf("rebind %s: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	ln := listenAt(t, addr)
 	srv := &http.Server{Handler: WorkerHandler(w)}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String()
+}
+
+// listenAt listens on addr, "" picking a free port. A restart on an address
+// whose previous listener has only just closed may find the port still held:
+// the bind itself is polled until it succeeds, for up to ten seconds, so a
+// slow box gets the time it needs and a fast one does not idle.
+func listenAt(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil {
+			return ln
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebind %s: %v", addr, err)
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestWorkerRestartRejoins is the full worker lifecycle over real sockets:

@@ -17,8 +17,8 @@ import (
 // view. It is the process-side half of distributed sharding — the router
 // keeps the global graph, ownership and halo bookkeeping, and the worker
 // holds only the bulky hot-path state (features, the local adjacency pattern
-// with its nodes' global degree factors — no normalized matrix — the hop-1
-// memo and propagation scratch) for its subgraph. A worker is built either in the
+// with its nodes' global degree factors — no normalized matrix — the engine's
+// layers and propagation scratch) for its subgraph. A worker is built either in the
 // router's process (LocalTransport) or by a separate `naiserve
 // -shard-worker` process serving the wire protocol (HTTPTransport).
 //
@@ -209,7 +209,7 @@ func (w *Worker) ApplyDelta(sd *ShardDelta) error {
 	}
 	// The shard path bypasses Deployment.ApplyDelta (the looped degrees
 	// above are the router's, not locally derivable), so the degree-factor
-	// patch, hop-1 memo growth and invalidation, and operand re-lowering are
+	// patch, layer growth and invalidation, and operand re-lowering are
 	// asked for here.
 	w.dep.PatchAdjacency(valDirty)
 	return nil
