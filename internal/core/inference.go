@@ -267,20 +267,28 @@ func sortedUnique(nodes, dst []int) []int {
 // holds one buffer of supporting-set height per hop it propagates —
 // O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
 // 1..h the deployment's depth-h layer — plus the targets' own rows at depths
-// below h and three O(n) byte/int32-sized maps (BFS marks and two global→local
-// remaps). A batch that fills layer rows also holds their hops below h, over
-// the rows' balls, for the fill (hopScratch). Peak memory therefore scales with
-// concurrently executing batches × their supporting sets, not with the
-// serving graph. All |S|-sized buffers — the slab, the row, ball and ring
-// lists, the int8 tier's quantized activations (growScratch), the fill's hops
+// below h, the BFS's rings (its whole radius-(TMax−l) ball, l ≤ h the first
+// depth it runs at) and sorted balls, a visited bitset of n/8 bytes and two
+// O(n) int32 global→local remaps. A batch that fills layer rows also holds
+// their hops below h, and their balls, over the rows' balls, for the fill
+// (hopScratch). Peak memory therefore scales with concurrently executing
+// batches × their balls, not with the serving graph. All ball-sized buffers —
+// the slab, the row lists, the int8 tier's quantized activations
+// (growScratch), the BFS's rings and balls (rings.shrink), the fill's hops
 // (hopScratch.shrink) and the decide/classify arena (arena.shrink) — follow
 // one retention policy: they grow geometrically across pool hits and drop back
 // to current need when a past batch left them more than 4× oversized, so one
 // huge request does not pin worst-case capacity forever, at any tier.
 type inferScratch[T float64 | float32] struct {
 	// hopScratch holds a fill's hops below the layer's depth (propagate); its
-	// visited is also the batch's own multi-source BFS mark buffer.
+	// set is also the batch's own BFS's visited bitset.
 	hopScratch[T]
+	// bfs is the batch's BFS at depths ≤ h — its books, S and the ring are
+	// read off it — and wave the survivors' after an exit wave past h, which
+	// leaves S and the ring where they are. books[r] is Â's entries in bfs's
+	// radius-r ball.
+	bfs, wave rings
+	books     []int
 	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
 	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
 	// v, for l = h+1..TMax (X^{(0)} stays the full-graph feature matrix, read
@@ -304,10 +312,9 @@ type inferScratch[T float64 | float32] struct {
 	toLocal []int32
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// ring is the outer ring of the batch's radius-(TMax−h) ball: the nodes
-	// whose layer rows hop h+1 reads but no hop of the batch writes. ball is
-	// the count-only BFS's unsorted ball (ballNNZ), which also walks ring.
-	ring, ball []int
+	// ring is the outer ring of the batch's radius-(TMax−h) ball, in bfs: the
+	// nodes whose layer rows hop h+1 reads but no hop of the batch writes.
+	ring []int
 	// x8 holds the int8 tier's quantized input activations of one hop.
 	x8 []int8
 	// localRows holds one hop's propagation row list in local coordinates.
@@ -320,6 +327,61 @@ type inferScratch[T float64 | float32] struct {
 	claimed, awaited []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
+}
+
+// rings is one level-ordered BFS (graph.Levels) with its inner balls sorted
+// (graph.SortedBalls), in buffers reused from batch to batch.
+type rings struct {
+	// ball and ends are the BFS in ring order: ring r is ball[ends[r−1]:ends[r]].
+	ball, ends []int
+	// balls[r] is the radius-r ball, sorted, for r ≤ the k run was given;
+	// sorted backs them.
+	balls  [][]int
+	sorted []int
+	// hw is the most ids a BFS since the last shrink held.
+	hw int
+}
+
+// run BFSes from sources out to radius and sorts the balls of radius ≤ k.
+func (rg *rings) run(adj *sparse.CSR, sources []int, radius, k int, set []uint64) {
+	rg.ball, rg.ends = graph.Levels(adj, sources, radius, set, rg.ball, rg.ends)
+	rg.sorted, rg.balls = graph.SortedBalls(rg.ball, rg.ends[:k+1], set, rg.sorted, rg.balls)
+	rg.hw = max(rg.hw, len(rg.ball)+len(rg.sorted))
+}
+
+// ring returns the nodes at distance exactly r.
+func (rg *rings) ring(r int) []int {
+	if r == 0 {
+		return rg.ball[:rg.ends[0]]
+	}
+	return rg.ball[rg.ends[r-1]:rg.ends[r]]
+}
+
+// books returns, in dst, Algorithm 1's books of the BFS: dst[r] is the
+// entries of Â in the rows of the radius-r ball, charged per feature to the
+// hop that propagates over it.
+func (rg *rings) books(adj *sparse.Normalized, dst []int) []int {
+	dst, nnz := dst[:0], 0
+	for r := range rg.ends {
+		nnz += adj.NNZRows(rg.ring(r))
+		dst = append(dst, nnz)
+	}
+	return dst
+}
+
+// shrink applies the scratch retention policy between batches: the id lists
+// are dropped when they hold more than 4× what any BFS since the last shrink
+// needed.
+func (rg *rings) shrink() {
+	const minRetain = 1024
+	if c := cap(rg.ball) + cap(rg.sorted); c > 4*rg.hw && c > minRetain {
+		rg.ball, rg.sorted = nil, nil
+	}
+	rg.hw = 0
+}
+
+func (rg *rings) bytes() int {
+	return capBytes(rg.ball) + capBytes(rg.ends) + capBytes(rg.sorted) + capBytes(rg.balls)
 }
 
 // growScratch resizes a scratch buffer to need elements: grown geometrically
@@ -363,13 +425,11 @@ func (sc *inferScratch[T]) targetRow(l, ti int) []T {
 }
 
 // prepare readies a scratch (fresh or from the pool) for a batch on an
-// n-node graph: the graph-sized maps are in place and the arena's and the
-// fill hops' retention policy is applied. The |S|-sized buffers are grown per
-// batch, once the supporting set is known.
+// n-node graph: the graph-sized maps are in place and the arena's, the BFS
+// lists' and the fill hops' retention policy is applied. The |S|-sized
+// buffers are grown per batch, once the supporting set is known.
 func (sc *inferScratch[T]) prepare(n, batch int) {
-	if len(sc.visited) < n {
-		sc.visited = make([]bool, n)
-	}
+	sc.bitset(n)
 	if len(sc.toLocal) < n {
 		sc.toLocal = graph.NewIndex(n)
 	}
@@ -378,6 +438,8 @@ func (sc *inferScratch[T]) prepare(n, batch int) {
 	}
 	sc.arena.shrink()
 	sc.hopScratch.shrink()
+	sc.bfs.shrink()
+	sc.wave.shrink()
 }
 
 // capBytes is the retained heap capacity of one buffer.
@@ -386,11 +448,12 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 // bytes reports the retained heap capacity of the scratch (benchmarks track
 // it to prove per-batch memory scales with |S|, not n).
 func (sc *inferScratch[T]) bytes() int {
-	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.visited) + capBytes(sc.rm) +
-		capBytes(sc.ring) + capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
+	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.set) + capBytes(sc.rm) +
+		capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
 		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
 		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
-		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.ball)
+		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) +
+		sc.bfs.bytes() + sc.wave.bytes() + sc.fill.bytes()
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -447,10 +510,11 @@ func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error)
 
 // InferContext is Infer with a context. The engine does not observe
 // cancellation (a batch in flight runs to completion); the context's
-// only role is carrying an obs.Trace, into which the batch stages —
-// supporting-set BFS (ring derivation included), compaction (extract: what
-// is left of it now that no batch cuts a sub-CSR — indexing S and shaping the
-// slab), per-hop propagation, exit decisions and classification — record
+// only role is carrying an obs.Trace, into which the batch stages — the BFS
+// (one per exit wave and one at the start: Algorithm 1's books, the supporting
+// sets and the ring around them, all read off its rings), compaction (extract:
+// what is left of it now that no batch cuts a sub-CSR — indexing S and shaping
+// the slab), per-hop propagation, exit decisions and classification — record
 // spans, batch after batch.
 func (d *Deployment) InferContext(ctx context.Context, targets []int, opt InferenceOptions) (*Result, error) {
 	if err := opt.Validate(d.Model); err != nil {
@@ -507,9 +571,10 @@ func (t *tier[T]) scratchBytes() int {
 // would from X^(0), so S, the slab and every row set stop h rings short of the
 // batch's receptive field — S is the radius-(TMax−h−1) ball and the slab
 // starts at hop h+1. Below h the batch needs only its targets' own rows, for
-// their exits and classifiers, and computes them from X^(0); Algorithm 1's
-// books for those hops come from a BFS that only counts. At h = 1, every
-// TMax ≤ 3 and the int8 tier, there is nothing below h.
+// their exits and classifiers, and computes them from X^(0). One BFS per exit
+// wave serves every depth up to h: Algorithm 1's books for hops l..h, S and the
+// ring around it are all read off its rings. At h = 1, every TMax ≤ 3 and the
+// int8 tier, there is nothing below h.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -541,22 +606,20 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	h := t.layerDepth(opt.TMax)
 	lay := t.layer(h)
 	sc.h, sc.xh, sc.targets, sc.f = h, lay.block, targets, g.F()
-	// support is S, indexed from depth h on; nested are the supporting sets
-	// of the hops still to run; live lists the nodes whose rows the previous
-	// hop left for the next one to read: the layer's whole ball, then each
-	// hop's own.
+	// support is S, indexed from depth h on; balls[r] is the sorted radius-r
+	// ball of the targets still active, for the hops still to run — hop l's
+	// rows are the ball of radius TMax−l; live lists the nodes whose rows the
+	// previous hop left for the next one to read: the layer's whole ball, then
+	// each hop's own.
 	var support []int
-	var nested [][]int
+	var balls [][]int
 	var live [2][]int
 	defer func() {
 		graph.ResetIndex(support, sc.toLocal)
 		if t.int8() && support != nil {
 			graph.ResetIndex(sc.ring, sc.toLocal)
 		}
-		sc.xh, sc.targets = nil, nil
-		// Shaped after use, their extent being the BFS's outcome.
-		sc.ring = growScratch(sc.ring, len(sc.ring))
-		sc.ball = growScratch(sc.ball, len(sc.ball))
+		sc.xh, sc.targets, sc.ring = nil, nil, nil
 	}()
 	if h > 1 {
 		sc.uniq = sortedUnique(targets, growScratch(sc.uniq, len(targets)))
@@ -566,7 +629,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			sc.lowAt[i] = sort.SearchInts(sc.uniq, v)
 		}
 	}
-	rowsAt := func(l int) []int { return nested[len(nested)-1-(opt.TMax-l)] }
+	rowsAt := func(l int) []int { return balls[opt.TMax-l] }
 	mark := time.Now() // the last stage boundary read (stageEnd)
 	var fpTime time.Duration
 
@@ -599,31 +662,41 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		return true
 	}
 
-	var books []int // books[r]: Â's entries in the active targets' radius-r ball
+	fresh := true // the active set changed since the last BFS, or none ran yet
 	for l := 1; l <= opt.TMax && len(active) > 0; l++ {
-		switch {
-		case l < h && books == nil:
-			// One count-only BFS per exit wave charges the hops below h.
-			books = sc.ballNNZ(d.Adj, gather(targets, active), opt.TMax-l)
-			mark = stageEnd(tr, obs.StageBFS, 0, mark)
-		case l == h:
-			// Lines 3/5: one multi-source BFS yields the nested supporting
-			// sets for every hop the batch propagates at once: the last of
-			// them is the targets, each earlier one a ball one hop wider, so
-			// hop l's rows — the ball of radius TMax−l — sit TMax−l sets from
-			// the end. It stops one ring short of the radius-(TMax−h) ball and
-			// only derives that ring: its nodes' layer rows are read, never
-			// written, so they need no place in S.
-			nested = graph.SupportingSetsScratch(g.Adj, gather(targets, active), max(opt.TMax-h-1, 0), sc.visited)
-			sc.ring = sc.ring[:0]
-			if opt.TMax > h {
-				sc.ring = graph.RingScratch(g.Adj, nested[0], sc.visited, sc.ring)
+		if fresh {
+			// Lines 3/5: one level-ordered multi-source BFS per exit wave
+			// around the targets still active, to the widest ball a hop from
+			// here on is charged: radius TMax−l. Its sorted balls are the
+			// supporting sets of the hops the batch propagates, the rows of hop
+			// l' > h being the ball of radius TMax−l'. Up to h it also yields
+			// the books of hops l..h (sums over its rings) and the ring beyond
+			// S, ring TMax−h, whose nodes' layer rows hop h+1 reads but no hop
+			// writes — so it is never sorted or given a place in S. Past h the
+			// survivors' BFS goes to its own rings: S and the ring stay views
+			// into the first.
+			rg := &sc.bfs
+			if l > h {
+				rg = &sc.wave
 			}
+			rg.run(g.Adj, gather(targets, active), opt.TMax-l, max(opt.TMax-max(l, h+1), 0), sc.set)
+			balls = rg.balls
+			if l <= h {
+				sc.books = rg.books(d.Adj, sc.books)
+			}
+			fresh = false
 			mark = stageEnd(tr, obs.StageBFS, 0, mark)
-			// Compact universe: S is the widest ball of the batch from here
-			// on. Every later row set — deeper hops, and re-derived sets after
-			// exit waves — is a subset of S, so the remap stays valid.
-			support, live = nested[0], [2][]int{nested[0], sc.ring}
+		}
+		if l == h {
+			// Compact universe: S, the radius-(TMax−h−1) ball — at TMax = h
+			// the targets — is the widest ball of the batch from here on.
+			// Every later row set — deeper hops, and re-derived sets after exit
+			// waves — is a subset of S, so the remap stays valid.
+			support = balls[len(balls)-1]
+			if opt.TMax > h {
+				sc.ring = sc.bfs.ring(len(balls))
+			}
+			live = [2][]int{support, sc.ring}
 			sc.s = len(support)
 			graph.IndexSet(support, sc.toLocal)
 			if t.int8() {
@@ -652,11 +725,12 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		case l < h:
 			// The targets' own depth-l rows; the books charge the ball.
 			propagate(d.Adj, t.adjScale, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
-			res.MACs.Propagation += books[opt.TMax-l] * sc.f
+			res.MACs.Propagation += sc.books[opt.TMax-l] * sc.f
 		case l == h:
 			// The layer's rows this batch reads: S and the ring around it, or
 			// at TMax = h — S is the targets, and no hop gathers — S alone.
-			res.MACs.Propagation += t.ensureLayer(sc, lay, support, sc.ring)
+			t.ensureLayer(sc, lay, support, sc.ring)
+			res.MACs.Propagation += sc.books[opt.TMax-h] * sc.f
 		default:
 			// Hops past h propagate inside S: their rows stay one ring inside
 			// the ball the previous hop covered, so every neighbor has a row
@@ -678,36 +752,14 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		mark = stageEnd(tr, obs.StagePropagate, l, mark)
 		fpTime += mark.Sub(fpStart)
 
-		if wave(l) && len(active) > 0 {
-			books = nil
-			if l >= h {
-				// Shrink: the remaining hops only need balls around the
-				// survivors (sampling counts in Time, not FP).
-				nested = graph.SupportingSetsScratch(g.Adj, gather(targets, active), opt.TMax-l-1, sc.visited)
-				mark = stageEnd(tr, obs.StageBFS, 0, mark)
-			}
-		}
+		// After an exit wave the remaining hops only need balls around the
+		// survivors: the next depth BFSes again (sampling counts in Time, not
+		// FP).
+		fresh = wave(l)
 	}
 	res.TotalTime = mark.Sub(start)
 	res.FPTime = fpTime
 	return res
-}
-
-// ballNNZ returns books[r] for r = 0..radius: the entries of Â in the rows of
-// the radius-r ball around nodes, which is what Algorithm 1 charges per
-// feature for the hop propagating over that ball. The BFS only counts: it
-// walks ring after ring (graph.RingScratch) and keeps the ball as an unsorted
-// list, with no index or row of its own.
-func (sc *inferScratch[T]) ballNNZ(adj *sparse.Normalized, nodes []int, radius int) []int {
-	sc.ball = sortedUnique(nodes, sc.ball)
-	books := make([]int, radius+1)
-	books[0] = adj.NNZRows(sc.ball)
-	for r := 1; r <= radius; r++ {
-		sc.ring = graph.RingScratch(adj.Adj, sc.ball, sc.visited, sc.ring[:0])
-		sc.ball = append(sc.ball, sc.ring...)
-		books[r] = books[r-1] + adj.NNZRows(sc.ring)
-	}
-	return books
 }
 
 // stageEnd reads the clock once at the boundary closing a stage that began at

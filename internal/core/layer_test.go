@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -110,8 +112,8 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 			// which every layer's reads of it only read, and which its next
 			// batch must find empty and recompute.
 			one := targets[:1]
-			ring := graph.RingScratch(base.Adj, graph.Ball(base.Adj, one, 1), make([]bool, base.N()), nil)
-			u, v := ring[0], -1
+			ball, ends := graph.Levels(base.Adj, one, 2, graph.NewBitset(base.N()), nil, nil)
+			u, v := ball[ends[1]], -1 // the first node of ring 2
 			for c := base.N() - 1; c >= 0 && v < 0; c-- {
 				if c != u && base.Adj.At(u, c) == 0 {
 					v = c
@@ -159,6 +161,66 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 				requireSameResult(t, fmt.Sprintf("%s/fresh deployment/%v/tmax=%d/batch=%d", name, opt.Mode, opt.TMax, opt.BatchSize), got, want)
 			}
 		}
+	}
+}
+
+// TestLayerOneBFSPerWave: a batch runs one BFS at its start and one after each
+// exit wave that leaves survivors, and no other. A TMax-4 batch whose targets
+// all reach TMax (TMin 2, T_s 0) records exactly one bfs span before its first
+// hop-3 product — the books of hop 1, the layer's ball at h and S all come
+// from it — and a batch with waves at every depth, below h included, records
+// one more per wave, each right after the wave's classify span.
+func TestLayerOneBFSPerWave(t *testing.T) {
+	ds := tinyData(t)
+	m := trainedDeepModel(t)
+	o := obs.New(obs.Options{})
+	for _, p := range tiers {
+		t.Run(p.String(), func(t *testing.T) {
+			dep := deployAt(t, m, ds.Graph, p)
+			spans := func(opt InferenceOptions) ([]obs.Span, *Result) {
+				t.Helper()
+				tr := o.StartTrace()
+				res, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%v/tmin=%d", p, opt.TMin), res, seedInfer(dep, ds.Split.Test, opt))
+				return tr.Spans(), res
+			}
+
+			all, _ := spans(InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 2, TMax: 4})
+			bfs := 0
+			for _, sp := range all {
+				if sp.Stage == obs.StagePropagate && sp.Hop == 3 {
+					break
+				}
+				if sp.Stage == obs.StageBFS {
+					bfs++
+				}
+			}
+			if bfs != 1 {
+				t.Fatalf("%d bfs spans before hop 3 of a batch with no early exit, want 1", bfs)
+			}
+
+			ts := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+			waves, res := spans(InferenceOptions{Mode: ModeDistance, Ts: ts, TMin: 1, TMax: 4})
+			const exits = 3 // at depths 1, 2 and 3
+			if d := res.NodesPerDepth; d[1] == 0 || d[2] == 0 || d[3] == 0 || d[4] == 0 {
+				t.Fatalf("exits per depth %v, want a wave at every depth below TMax and survivors to it", d)
+			}
+			bfs = 0
+			for i, sp := range waves {
+				if sp.Stage != obs.StageBFS {
+					continue
+				}
+				if bfs++; bfs > 1 && waves[i-1].Stage != obs.StageClassify {
+					t.Fatalf("bfs span %d follows a %v span, not a wave's classify", bfs, waves[i-1].Stage)
+				}
+			}
+			if bfs != 1+exits {
+				t.Fatalf("%d bfs spans for %d exit waves, want one per wave and one at the start", bfs, exits)
+			}
+		})
 	}
 }
 

@@ -142,23 +142,22 @@ func (m *hopLayer[T]) invalidateAll() {
 }
 
 // ensureLayer makes layer m resident for every node of the given lists —
-// together the batch's radius-(TMax−h) ball, each node once — and returns
-// Algorithm 1's MAC count for hop h, every row's nnz × f whoever computed it
-// (like MACBreakdown.Stationary charges a cost the cache saved). Rows that are
+// together the batch's radius-(TMax−h) ball, each node once. Rows that are
 // not ready are claimed (the slot's CAS) as the walk meets them, computed from
 // X^(0) straight into the block (propagate: hops below h over their nested
 // balls in pooled scratch) and published; a row another batch claimed first
 // is waited for, after this batch has published its own, so two batches that
 // each hold rows the other needs cannot wait on each other. On return every
 // listed row is ready and stays so until the next delta: publish before read.
-func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]int) int {
-	adj := t.d.Adj
-	nnz, total := 0, 0
+// The walk charges nothing: hop h's books come from the batch's BFS, whoever
+// computed the rows (like MACBreakdown.Stationary charges a cost the cache
+// saved).
+func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]int) {
+	total := 0
 	won, lost := sc.claimed[:0], sc.awaited[:0]
 	for _, list := range lists {
 		total += len(list)
 		for _, v := range list {
-			nnz += adj.RowNNZ(v)
 			switch {
 			case m.state[v].Load() == slotReady:
 			case m.state[v].CompareAndSwap(slotEmpty, slotFilling):
@@ -169,7 +168,7 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]in
 		}
 	}
 	if len(won) > 0 {
-		propagate(adj, t.adjScale, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
+		propagate(t.d.Adj, t.adjScale, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
 		for _, v := range won {
 			m.state[v].Store(slotReady)
 		}
@@ -186,18 +185,27 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]in
 	// batch's lists do not outlive it in the pool.
 	sc.claimed = growScratch(won, len(won))
 	sc.awaited = growScratch(lost, len(lost))
-	return nnz * sc.f
 }
 
-// hopScratch is what propagate holds besides its output: a BFS mark buffer
-// (all false between calls), a global→local map (all −1 between calls) and
-// the two buffers its intermediate hops alternate between.
+// hopScratch is what propagate holds besides its output: a BFS visited
+// bitset (all zero between calls), the BFS's rings and sorted balls, a
+// global→local map (all −1 between calls) and the two buffers its
+// intermediate hops alternate between.
 type hopScratch[T float64 | float32] struct {
-	visited []bool
-	idx     []int32
-	bufs    [2][]T
+	set  []uint64
+	fill rings
+	idx  []int32
+	bufs [2][]T
 	// hw is the largest buffer the batches since the last shrink asked for.
 	hw int
+}
+
+// bitset returns the visited bitset, sized for n nodes.
+func (hs *hopScratch[T]) bitset(n int) []uint64 {
+	if 64*len(hs.set) < n {
+		hs.set = graph.NewBitset(n)
+	}
+	return hs.set
 }
 
 // buf returns intermediate buffer i cut to need elements (growScratch).
@@ -209,8 +217,8 @@ func (hs *hopScratch[T]) buf(i, need int) []T {
 
 // shrink applies the scratch retention policy between batches: a buffer more
 // than 4× the last batch's largest need is dropped, so a cold fill's
-// whole-graph hops do not stay pinned in the pool by the warm batches after
-// it, which fill little or nothing.
+// whole-graph hops and balls do not stay pinned in the pool by the warm
+// batches after it, which fill little or nothing.
 func (hs *hopScratch[T]) shrink() {
 	const minRetain = 1024
 	for i, b := range hs.bufs {
@@ -219,6 +227,7 @@ func (hs *hopScratch[T]) shrink() {
 		}
 	}
 	hs.hw = 0
+	hs.fill.shrink()
 }
 
 // propagate writes X^(l) = Â^l·X^(0) for the nodes of rows (l ≥ 1, no
@@ -235,19 +244,20 @@ func propagate[T float64 | float32](adj *sparse.Normalized, adjScale float64, x0
 			panic("core: propagate past hop 1 at int8")
 		}
 		if n := adj.N(); len(hs.idx) < n {
-			hs.visited, hs.idx = make([]bool, n), graph.NewIndex(n)
+			hs.idx = graph.NewIndex(n)
 		}
-		balls := graph.SupportingSetsScratch(adj.Adj, rows, l-1, hs.visited)
+		hs.fill.run(adj.Adj, rows, l-1, l-1, hs.bitset(adj.N()))
+		balls := hs.fill.balls // hop j runs over balls[l−j]
 		for j := 1; j < l; j++ {
-			buf := hs.buf(j%2, len(balls[j-1])*f)
-			mulRows(adj, adjScale, in, balls[j-1], nil, colMap, f, buf)
+			buf := hs.buf(j%2, len(balls[l-j])*f)
+			mulRows(adj, adjScale, in, balls[l-j], nil, colMap, f, buf)
 			if j > 1 {
-				graph.ResetIndex(balls[j-2], hs.idx)
+				graph.ResetIndex(balls[l-j+1], hs.idx)
 			}
-			graph.IndexSet(balls[j-1], hs.idx)
+			graph.IndexSet(balls[l-j], hs.idx)
 			in, colMap = operand[T]{x: buf}, hs.idx
 		}
-		defer graph.ResetIndex(balls[l-2], hs.idx)
+		defer graph.ResetIndex(balls[1], hs.idx)
 	}
 	mulRows(adj, adjScale, in, rows, outRows, colMap, f, out)
 }

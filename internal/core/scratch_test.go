@@ -235,7 +235,8 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 		// int8 tier's quantized activations, the arena.
 		sized := func() map[string]int {
 			return map[string]int{
-				"slab": cap(sc.slab), "hop rows": cap(sc.localRows), "ring": cap(sc.ring),
+				"slab": cap(sc.slab), "hop rows": cap(sc.localRows),
+				"BFS rings": cap(sc.bfs.ball), "BFS balls": cap(sc.bfs.sorted),
 				"hop-1 claimed": cap(sc.claimed), "hop-1 awaited": cap(sc.awaited),
 				"int8 activations": cap(sc.x8), "arena": len(sc.arena.buf),
 			}
@@ -303,7 +304,7 @@ func TestScratchBytesReporting(t *testing.T) {
 	}
 	// Buffers count at their element size, whatever the tier.
 	sc64 := &inferScratch[float64]{slab: make([]float64, 10), x8: make([]int8, 3), toLocal: make([]int32, 5)}
-	sc32 := &inferScratch[float32]{slab: make([]float32, 10), ring: make([]int, 2), localRows: make([]int, 1)}
+	sc32 := &inferScratch[float32]{slab: make([]float32, 10), bfs: rings{ball: make([]int, 2)}, localRows: make([]int, 1)}
 	if got, want := sc64.bytes(), 10*8+3+5*4; got != want {
 		t.Fatalf("f64 scratch reports %d B, holds %d", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/mat"
@@ -160,7 +161,7 @@ func (g *Graph) Induce(nodes []int) *Induced {
 // X^{(t-1)} on sets[t-1] is then exact for every t ≤ hops. Each set is
 // sorted ascending. sets[0] is the full radius-`hops` ball (the paper's
 // "supporting nodes", whose count explodes with depth). adj must be
-// symmetric, as every Graph's adjacency is (RingScratch).
+// symmetric, as every Graph's adjacency is (ringScratch).
 func SupportingSets(adj *sparse.CSR, targets []int, hops int) [][]int {
 	return SupportingSetsScratch(adj, targets, hops, make([]bool, adj.Rows))
 }
@@ -183,28 +184,26 @@ func SupportingSetsScratch(adj *sparse.CSR, targets []int, hops int, mark []bool
 	sets[hops] = cur
 	var ring []int // reused across rings: each is merged into its ball, not kept
 	for l := hops - 1; l >= 0; l-- {
-		ring = RingScratch(adj, cur, mark, ring[:0])
+		ring = ringScratch(adj, cur, mark, ring[:0])
 		cur = unionSorted(cur, ring, mark[:adj.Rows])
 		sets[l] = cur
 	}
 	return sets
 }
 
-// RingScratch appends to dst the nodes exactly one hop outside set — N(set)
+// ringScratch appends to dst the nodes exactly one hop outside set — N(set)
 // minus set, each once, in no particular order — and returns it: the outer
-// ring of the ball one hop wider than set, for a caller that needs the ring's
-// nodes but not the merged, sorted ball (the serving engine reads a ring's
-// X^(1) rows where they already are instead of gathering them). mark is
-// SupportingSetsScratch's buffer under the same contract: length ≥ adj.Rows,
-// all-false on entry, all-false again on return. set must hold no duplicates.
+// ring of the ball one hop wider than set. mark is SupportingSetsScratch's
+// buffer under the same contract: length ≥ adj.Rows, all-false on entry,
+// all-false again on return. set must hold no duplicates.
 //
 // The ring is found from whichever side reads fewer entries of adj, which
 // must be symmetric (a Graph's adjacency is): walking the rows of set and
 // collecting their unseen neighbors, or — once set holds more than half of
-// adj's entries, as the outer balls of a deep batch do — probing each node
-// outside set for a neighbor inside and stopping at the first, which reads
-// at most the other half and usually a small part of it.
-func RingScratch(adj *sparse.CSR, set []int, mark []bool, dst []int) []int {
+// adj's entries — probing each node outside set for a neighbor inside and
+// stopping at the first, which reads at most the other half and usually a
+// small part of it.
+func ringScratch(adj *sparse.CSR, set []int, mark []bool, dst []int) []int {
 	for _, v := range set {
 		mark[v] = true
 	}
@@ -261,14 +260,160 @@ func unionSorted(cur, ring []int, mark []bool) []int {
 		return out
 	}
 	sort.Ints(ring)
-	for len(cur) > 0 && len(ring) > 0 {
-		if cur[0] < ring[0] {
-			out, cur = append(out, cur[0]), cur[1:]
+	return mergeSorted(out, cur, ring)
+}
+
+// mergeSorted appends the ascending merge of a and b (each ascending) to dst.
+func mergeSorted(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			dst, a = append(dst, a[0]), a[1:]
 		} else {
-			out, ring = append(out, ring[0]), ring[1:]
+			dst, b = append(dst, b[0]), b[1:]
 		}
 	}
-	return append(append(out, cur...), ring...)
+	return append(append(dst, a...), b...)
+}
+
+// NewBitset allocates an all-zero visited set over n nodes for Levels: one
+// bit per node, ⌈n/64⌉ words.
+func NewBitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
+
+// Levels is one multi-source BFS from sources out to radius, returned in ring
+// order: ring 0 is the sources, each once, in order of first appearance, and
+// ring r — the nodes at distance exactly r — is ball[ends[r−1]:ends[r]] (ring
+// 0 is ball[:ends[0]]), so every prefix ball[:ends[r]] is the radius-r ball and
+// len(ends) is radius+1. ball and ends are reused when their capacity
+// suffices. set is the visited set, a caller-owned bitset of at least
+// ⌈adj.Rows/64⌉ words (NewBitset): all zero on entry and all zero again on
+// return — cleared node by node while the ball is small, wholesale once it is
+// not.
+//
+// Each ring is found from the previous ring only, never by re-walking the
+// ball. Top-down, the previous ring's rows are walked and every neighbor is
+// written to the end of ball, kept iff its bit was clear: an append with no
+// branch on the visited set. Once the ball holds more than half of adj's
+// entries, as the outer balls of a deep batch do, the ring is found bottom-up
+// instead (direction-optimizing BFS, Beamer et al., SC'12): each node outside
+// the ball probes its row for a neighbor inside and stops at the first, which
+// reads at most the other half of the entries and usually a small part of it.
+// adj must be symmetric, as a Graph's adjacency is.
+func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends []int) ([]int, []int) {
+	if radius < 0 {
+		panic("graph: negative radius")
+	}
+	n, words := adj.Rows, (adj.Rows+63)/64
+	if len(set) < words {
+		panic(fmt.Sprintf("graph: visited set of %d words < %d nodes", len(set), n))
+	}
+	ball, ends = ball[:0], ends[:0]
+	for _, v := range sources {
+		if w, b := v>>6, uint(v)&63; set[w]>>b&1 == 0 {
+			set[w] |= 1 << b
+			ball = append(ball, v)
+		}
+	}
+	ends = append(ends, len(ball))
+	// ringNNZ is the previous ring's entries of adj (the top-down walk's
+	// candidates), ballNNZ the whole ball's (the direction test's).
+	ringNNZ := adj.NNZRows(ball)
+	ballNNZ := ringNNZ
+	for r := 1; r <= radius; r++ {
+		lo, hi := 0, len(ball)
+		if r > 1 {
+			lo = ends[r-2]
+		}
+		switch {
+		case lo == hi || hi == n:
+			// The ball stopped growing: every ring past it is empty.
+		case 2*ballNNZ <= adj.NNZ():
+			ball = slices.Grow(ball, min(ringNNZ, n-hi)+1)
+			out, k := ball[:cap(ball)], hi
+			for _, v := range ball[lo:hi] {
+				for _, u := range adj.RowIndices(v) {
+					w, b := u>>6, uint(u)&63
+					out[k] = u
+					k += int(^set[w] >> b & 1)
+					set[w] |= 1 << b
+				}
+			}
+			ball = out[:k]
+			if r < radius {
+				ringNNZ = adj.NNZRows(ball[hi:])
+				ballNNZ += ringNNZ
+			}
+		default:
+			// Bottom-up. The ring is marked only once it is whole, so every
+			// probe sees the radius-(r−1) ball and nothing wider.
+			for w := 0; w < words; w++ {
+				free := ^set[w]
+				if rest := n - w<<6; rest < 64 {
+					free &= 1<<uint(rest) - 1
+				}
+				for ; free != 0; free &= free - 1 {
+					v := w<<6 | bits.TrailingZeros64(free)
+					for _, u := range adj.RowIndices(v) {
+						if set[u>>6]>>(uint(u)&63)&1 != 0 {
+							ball = append(ball, v)
+							break
+						}
+					}
+				}
+			}
+			for _, v := range ball[hi:] {
+				set[v>>6] |= 1 << (uint(v) & 63)
+			}
+		}
+		ends = append(ends, len(ball))
+	}
+	if 8*len(ball) > words {
+		clear(set[:words])
+	} else {
+		for _, v := range ball {
+			set[v>>6] &^= 1 << (uint(v) & 63)
+		}
+	}
+	return ball, ends
+}
+
+// SortedBalls sorts the balls of a Levels result: balls[r] is ball[:ends[r]]
+// in ascending order, for every r < len(ends), each a view into dst, which
+// holds them one after another and is reused when its capacity suffices (as
+// is balls). Each ball is its predecessor merged with its ring, the ring
+// sorted in place within ball — which reorders ball inside its rings, never
+// across them — or, once the ring is large enough that sorting it would cost
+// more than a sweep of set, read off set in id order. set is Levels's, under
+// the same contract.
+func SortedBalls(ball, ends []int, set []uint64, dst []int, balls [][]int) ([]int, [][]int) {
+	need := 0
+	for _, e := range ends {
+		need += e
+	}
+	dst, balls = slices.Grow(dst[:0], need)[:need], balls[:0]
+	var prev []int
+	at, lo := 0, 0
+	for _, hi := range ends {
+		ring, out := ball[lo:hi], dst[at:at]
+		if len(ring)*bits.Len(uint(len(ring))) > len(set) {
+			for _, v := range ball[:hi] {
+				set[v>>6] |= 1 << (uint(v) & 63)
+			}
+			for w, word := range set {
+				if word == 0 {
+					continue
+				}
+				for set[w] = 0; word != 0; word &= word - 1 {
+					out = append(out, w<<6|bits.TrailingZeros64(word))
+				}
+			}
+		} else {
+			slices.Sort(ring)
+			out = mergeSorted(out, prev, ring)
+		}
+		balls = append(balls, out)
+		prev, at, lo = out, at+hi, hi
+	}
+	return dst, balls
 }
 
 // IndexSet writes the compacted coordinates of a sorted node set into

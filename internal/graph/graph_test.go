@@ -253,7 +253,7 @@ func seedSupportingSets(adj *sparse.CSR, targets []int, hops int, mark []bool) [
 // dense enough that a ring is found from the outside (the set holds most of
 // the edges) and read off the mark buffer (the ring holds most of the nodes),
 // for duplicate and unsorted targets, with the mark buffer handed back clean —
-// and RingScratch, from whichever side, is the set difference of two balls.
+// and ringScratch, from whichever side, is the set difference of two balls.
 func TestSupportingSetsMatchSeedImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var outside, swept int
@@ -278,9 +278,9 @@ func TestSupportingSetsMatchSeedImplementation(t *testing.T) {
 			wantEq(t, got[l], want[l])
 		}
 		for l := hops; l > 0; l-- {
-			ring := RingScratch(adj, got[l], mark, []int{-1})
+			ring := ringScratch(adj, got[l], mark, []int{-1})
 			if ring[0] != -1 {
-				t.Fatalf("trial %d: RingScratch overwrote dst's prefix", trial)
+				t.Fatalf("trial %d: ringScratch overwrote dst's prefix", trial)
 			}
 			ring = ring[1:]
 			sort.Ints(ring)

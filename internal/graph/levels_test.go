@@ -1,0 +1,230 @@
+package graph_test
+
+import (
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/sparse"
+	"repro/internal/synth"
+)
+
+// levelsGraph is a random symmetric graph on n nodes for the Levels property
+// test: Erdős–Rényi at density p, optionally split into two parts with no edge
+// between them, optionally with hubs adjacent to about half of the nodes —
+// which is what puts more than half of the entries into a small ball, so that
+// a later ring is found bottom-up.
+func levelsGraph(rng *rand.Rand, n int, p float64, split bool, hubs int) *sparse.CSR {
+	var src, dst []int
+	add := func(u, v int) {
+		if !split || (2*u >= n) == (2*v >= n) {
+			src, dst = append(src, u), append(dst, v)
+		}
+	}
+	for e := int(p * float64(n) * float64(n-1) / 2); e > 0; e-- {
+		add(rng.Intn(n), rng.Intn(n)) // FromEdges drops loops and repeats
+	}
+	for h := 0; h < min(hubs, n); h++ {
+		for v := 0; v < n; v++ {
+			if rng.Float64() < 0.5 {
+				add(h, v)
+			}
+		}
+	}
+	return sparse.FromEdges(n, src, dst, true)
+}
+
+// TestLevelsMatchSupportingSets: over random graphs — from a single node and
+// isolated edges to hub graphs whose outer rings are found bottom-up, split
+// into disconnected parts or not, n on and off a multiple of 64 — with
+// duplicate sources and radii from 0, every prefix ball[:ends[r]] of Levels is
+// Ball(r) as a set, its rings are disjoint, ring 0 is the sources in order of
+// first appearance, SortedBalls sorts every prefix into exactly
+// SupportingSets' ball, and the bitset is all zero after each, with buffers
+// reused from trial to trial. Every branch runs: top-down and bottom-up rings,
+// the node-by-node and the wholesale clear, a merged and a swept sort.
+func TestLevelsMatchSupportingSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var ball, ends, dst []int
+	var balls [][]int
+	var topDown, bottomUp, unmarked, cleared, merged, swept int
+	for trial := 0; trial < 400; trial++ {
+		n := []int{1, 2, 63, 64, 65, 128}[trial%6]
+		p := []float64{0.002, 0.01, 0.05, 0.3}[rng.Intn(4)]
+		switch trial % 8 {
+		case 3:
+			n = 2 + rng.Intn(700)
+		case 7: // a small ball in a large graph: cleared node by node
+			n, p = 4000+rng.Intn(200), 1.0/4000
+		}
+		hubs := 0
+		if trial%3 == 0 {
+			hubs = 1 + rng.Intn(3)
+		}
+		adj := levelsGraph(rng, n, p, trial%5 == 0, hubs)
+		sources := make([]int, 1+rng.Intn(5))
+		for i := range sources {
+			sources[i] = rng.Intn(n)
+		}
+		sources = append(sources, sources[0], sources[len(sources)/2]) // duplicates
+		radius := rng.Intn(6)
+		set := graph.NewBitset(n + 64*rng.Intn(2)) // on or past its minimum length
+		for i := range set {
+			if set[i] != 0 {
+				t.Fatal("NewBitset is not all zero")
+			}
+		}
+
+		ball, ends = graph.Levels(adj, sources, radius, set, ball, ends)
+		want := graph.SupportingSets(adj, sources, radius) // want[radius−r] = Ball(r)
+		if len(ends) != radius+1 {
+			t.Fatalf("trial %d: %d ends for radius %d", trial, len(ends), radius)
+		}
+		var first []int
+		for _, v := range sources {
+			if !slices.Contains(first, v) {
+				first = append(first, v)
+			}
+		}
+		if !slices.Equal(ball[:ends[0]], first) {
+			t.Fatalf("trial %d: ring 0 is %v, sources %v", trial, ball[:ends[0]], sources)
+		}
+		seen := map[int]bool{}
+		for _, v := range ball {
+			if seen[v] {
+				t.Fatalf("trial %d: node %d is in two rings", trial, v)
+			}
+			seen[v] = true
+		}
+		for r, hi := range ends {
+			if prefix := sorted(ball[:hi]); !slices.Equal(prefix, want[radius-r]) {
+				t.Fatalf("trial %d: radius-%d prefix %v, Ball %v", trial, r, prefix, want[radius-r])
+			}
+			// Ring r ≥ 1 is searched for at all when ring r−1 is not empty and
+			// the ball is not yet the graph; from which side, by the entries
+			// the radius-(r−1) ball holds.
+			if prevLo := ringStart(ends, r-1); r > 0 && prevLo < ends[r-1] && ends[r-1] < n {
+				if 2*adj.NNZRows(want[radius-r+1]) > adj.NNZ() {
+					bottomUp++
+				} else {
+					topDown++
+				}
+			}
+		}
+		requireClear(t, trial, set)
+		if 8*len(ball) > (n+63)/64 {
+			cleared++
+		} else {
+			unmarked++
+		}
+
+		rings := slices.Clone(ball)
+		dst, balls = graph.SortedBalls(ball, ends, set, dst, balls)
+		for r, hi := range ends {
+			if !slices.Equal(balls[r], want[radius-r]) {
+				t.Fatalf("trial %d: sorted radius-%d ball %v, Ball %v", trial, r, balls[r], want[radius-r])
+			}
+			lo := ringStart(ends, r)
+			ring := ball[lo:hi]
+			if !slices.Equal(sorted(ring), sorted(rings[lo:hi])) {
+				t.Fatalf("trial %d: SortedBalls moved nodes between rings", trial)
+			}
+			if len(ring)*bits.Len(uint(len(ring))) > len(set) {
+				swept++
+			} else {
+				merged++
+			}
+		}
+		requireClear(t, trial, set)
+	}
+	for name, runs := range map[string]int{"top-down ring": topDown, "bottom-up ring": bottomUp,
+		"node-by-node clear": unmarked, "wholesale clear": cleared, "merged sort": merged, "swept sort": swept} {
+		if runs == 0 {
+			t.Errorf("no trial took a %s", name)
+		}
+	}
+}
+
+// ringStart is where ring r of a Levels result begins in its ball.
+func ringStart(ends []int, r int) int {
+	if r <= 0 {
+		return 0
+	}
+	return ends[r-1]
+}
+
+// sorted returns an ascending copy of nodes.
+func sorted(nodes []int) []int {
+	out := slices.Clone(nodes)
+	slices.Sort(out)
+	return out
+}
+
+func requireClear(t *testing.T, trial int, set []uint64) {
+	t.Helper()
+	for w, word := range set {
+		if word != 0 {
+			t.Fatalf("trial %d: word %d of the visited set left %#x", trial, w, word)
+		}
+	}
+}
+
+func TestLevelsPanics(t *testing.T) {
+	adj := sparse.FromEdges(65, []int{0}, []int{64}, true)
+	for name, call := range map[string]func(){
+		"negative radius": func() { graph.Levels(adj, []int{0}, -1, graph.NewBitset(65), nil, nil) },
+		"short set":       func() { graph.Levels(adj, []int{0}, 1, graph.NewBitset(64), nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// BenchmarkLevels times the BFS a warm request of the benchmark's shapes runs,
+// on a graph generated like the benchmark fixture's (synth.ProductsLike at
+// n = 100k, targets from its test split): deep is a batch_deep batch at its
+// first depth — 64 targets to radius 3 (TMax 4), the radius-1 ball S sorted —
+// and point a TMax-2 read — one target to radius 1, itself sorted.
+func BenchmarkLevels(b *testing.B) {
+	cfg := synth.ProductsLike(1)
+	cfg.N = 100_000
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	adj, test := ds.Graph.Adj, ds.Split.Test
+	for _, shape := range []struct {
+		name               string
+		targets, radius, k int
+	}{{"deep", 64, 3, 1}, {"point", 1, 1, 0}} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			reqs := make([][]int, 64)
+			for i := range reqs {
+				reqs[i] = make([]int, shape.targets)
+				for j := range reqs[i] {
+					reqs[i][j] = test[rng.Intn(len(test))]
+				}
+			}
+			set := graph.NewBitset(adj.Rows)
+			var ball, ends, dst []int
+			var balls [][]int
+			nodes := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ball, ends = graph.Levels(adj, reqs[i%len(reqs)], shape.radius, set, ball, ends)
+				dst, balls = graph.SortedBalls(ball, ends[:shape.k+1], set, dst, balls)
+				nodes += len(ball)
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "ball-nodes/op")
+		})
+	}
+}

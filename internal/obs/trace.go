@@ -21,7 +21,9 @@ const (
 	// StageQueue runs from a request's arrival to its backend call: quota,
 	// id validation, cache reads and admission.
 	StageQueue Stage = iota
-	// StageBFS is multi-source supporting-set construction.
+	// StageBFS is multi-source supporting-set construction: in the engine,
+	// one level-ordered BFS per exit wave (and one at the start) whose rings
+	// give Algorithm 1's books, the supporting sets and the ring around them.
 	StageBFS
 	// StageExtract is the compaction of the supporting ball: indexing the
 	// batch's universe and shaping its slab. It used to cut the ball's

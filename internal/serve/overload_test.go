@@ -19,14 +19,16 @@ import (
 
 // flakyBackend wraps a real backend to inject the failure modes the
 // overload tests need: a forced Infer error (the 500 path), a forced
-// ApplyDelta error (the delta 500 path), an Infer delay (so a caller's
-// deadline can expire mid-call) and an Infer gate (a call announces itself
-// on it, then holds its admission budget until the test sends back).
+// ApplyDelta error (the delta 500 path), an Infer that outlives its caller
+// (it blocks until its context is done and returns the context's error, as a
+// backend that honors its deadline does, so a deadline always expires
+// mid-call) and an Infer gate (a call announces itself on it, then holds its
+// admission budget until the test sends back).
 type flakyBackend struct {
 	Backend
 	inferErr error
 	deltaErr error
-	delay    time.Duration
+	outlive  bool
 	gate     chan struct{}
 }
 
@@ -35,8 +37,11 @@ func (f *flakyBackend) InferContext(ctx context.Context, targets []int, opt core
 		f.gate <- struct{}{}
 		<-f.gate
 	}
-	if f.delay > 0 {
-		time.Sleep(f.delay)
+	if f.outlive {
+		// The server's copy of the deadline has its own timer, which may not
+		// have fired yet: the call's own error is what says it ran out.
+		<-ctx.Done()
+		return nil, ctx.Err()
 	}
 	if f.inferErr != nil {
 		return nil, f.inferErr
@@ -181,9 +186,9 @@ func TestHTTPStatusCodes(t *testing.T) {
 			name: "expired deadline is 504",
 			cfg:  Config{},
 			wrap: func(b Backend) Backend {
-				// Infer outlives the caller's 50ms deadline by far: the
+				// Infer outlives the caller's 50ms deadline on any host: the
 				// call starts before the deadline and ends after it.
-				return &flakyBackend{Backend: b, delay: 400 * time.Millisecond}
+				return &flakyBackend{Backend: b, outlive: true}
 			},
 			path: "/infer", body: `{"nodes":[0]}`,
 			hdr:  map[string]string{"X-Deadline-Ms": "50"},
@@ -498,37 +503,32 @@ func TestShedRecoveryViaProbes(t *testing.T) {
 	s, _ := newTestServer(t, Config{
 		DefaultDeadline: 5 * time.Second, Shed: true,
 	})
-	// Same trip wire shape as production (latency-only), but a millisecond
-	// probe clock so the EWMA's decay converges within the test.
+	// Same trip wire shape as production (latency-only), but a nanosecond
+	// probe clock: every request after the first of the episode is a probe on
+	// any host, so the EWMA's decay converges in a bounded number of requests
+	// and the test paces nothing.
 	s.detector = qos.NewDetector(qos.DetectorConfig{
-		TripLatency: 250 * time.Millisecond, ProbeInterval: time.Millisecond,
+		TripLatency: 250 * time.Millisecond, ProbeInterval: time.Nanosecond,
 	})
 	s.detector.ObserveFlush(10 * time.Second) // the overload: one pathological call
 	if !s.detector.Degraded() {
 		t.Fatal("detector did not trip")
 	}
+	// The trip gates traffic: the episode's first request is shed.
 	if _, _, err := s.Classify([]int{0}); !errors.Is(err, ErrShed) {
 		t.Fatalf("first degraded request: err %v, want ErrShed", err)
 	}
 
 	// Offered load keeps arriving; only probes get through, and their
-	// (fast) calls must decay the EWMA until the trip clears.
-	shed := 0
-	deadline := time.Now().Add(30 * time.Second)
-	for s.detector.Degraded() && time.Now().Before(deadline) {
-		if _, _, err := s.Classify([]int{1}); err != nil {
-			if !errors.Is(err, ErrShed) {
-				t.Fatalf("degraded daemon returned %v, want ErrShed or success", err)
-			}
-			shed++
+	// (fast) calls must decay the EWMA until the trip clears: from 10 s to
+	// under the 125 ms clear wire takes about twenty samples at α = 0.2.
+	for i := 0; i < 1000 && s.detector.Degraded(); i++ {
+		if _, _, err := s.Classify([]int{1}); err != nil && !errors.Is(err, ErrShed) {
+			t.Fatalf("degraded daemon returned %v, want ErrShed or success", err)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if s.detector.Degraded() {
 		t.Fatal("latency trip never recovered: the daemon would shed forever")
-	}
-	if shed == 0 {
-		t.Fatal("recovery shed nothing: the trip did not actually gate traffic")
 	}
 	if _, _, err := s.Classify([]int{2}); err != nil {
 		t.Fatalf("post-recovery request: %v", err)
