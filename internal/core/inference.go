@@ -257,6 +257,21 @@ func sortedUnique(nodes, dst []int) []int {
 	return slices.Compact(dst)
 }
 
+// subtractSorted returns, in dst, the members of a that are not in b, both
+// ascending without duplicates.
+func subtractSorted(dst, a, b []int) []int {
+	dst = dst[:0]
+	for _, v := range a {
+		for len(b) > 0 && b[0] < v {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != v {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // inferScratch is the per-request mutable state of Algorithm 1 at one tier's
 // element type. Pooling it keeps Deployment's cached state read-only
 // (concurrency) and keeps the propagation buffers, the O(n) BFS/remap buffers
@@ -268,13 +283,15 @@ func sortedUnique(nodes, dst []int) []int {
 // O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
 // 1..h the deployment's depth-h layer — plus the targets' own rows at depths
 // below h, the BFS's rings (its whole radius-(TMax−l) ball, l ≤ h the first
-// depth it runs at) and sorted balls, a visited bitset of n/8 bytes and two
-// O(n) int32 global→local remaps. A batch that fills layer rows also holds
-// their hops below h, and their balls, over the rows' balls, for the fill
-// (hopScratch). Peak memory therefore scales with concurrently executing
+// depth it runs at) and sorted balls, the survivors' BFSes past h in two more
+// rings (each radius-(TMax−l) ball around a wave's survivors, l the wave's
+// depth) with the rows the hop still owes them, a visited bitset of n/8 bytes
+// and two O(n) int32 global→local remaps. A batch that fills layer rows also
+// holds their hops below h, and their balls, over the rows' balls, for the
+// fill (hopScratch). Peak memory therefore scales with concurrently executing
 // batches × their balls, not with the serving graph. All ball-sized buffers —
 // the slab, the row lists, the int8 tier's quantized activations
-// (growScratch), the BFS's rings and balls (rings.shrink), the fill's hops
+// (growScratch), the BFSes' rings and balls (rings.shrink), the fill's hops
 // (hopScratch.shrink) and the decide/classify arena (arena.shrink) — follow
 // one retention policy: they grow geometrically across pool hits and drop back
 // to current need when a past batch left them more than 4× oversized, so one
@@ -284,11 +301,16 @@ type inferScratch[T float64 | float32] struct {
 	// set is also the batch's own BFS's visited bitset.
 	hopScratch[T]
 	// bfs is the batch's BFS at depths ≤ h — its books, S and the ring are
-	// read off it — and wave the survivors' after an exit wave past h, which
-	// leaves S and the ring where they are. books[r] is Â's entries in bfs's
-	// radius-r ball.
-	bfs, wave rings
-	books     []int
+	// read off it. Past h the survivors' BFSes alternate between the two wave
+	// rings, so S and the ring stay where they are and so do the balls of the
+	// BFS before, whose rows the hop in flight has already written. books[r]
+	// is Â's entries in the latest BFS's radius-r ball.
+	bfs   rings
+	wave  [2]rings
+	books []int
+	// rest lists the rows a hop past h computes after its exit wave: the
+	// survivors' ball minus the rows it wrote before the wave.
+	rest []int
 	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
 	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
 	// v, for l = h+1..TMax (X^{(0)} stays the full-graph feature matrix, read
@@ -439,7 +461,8 @@ func (sc *inferScratch[T]) prepare(n, batch int) {
 	sc.arena.shrink()
 	sc.hopScratch.shrink()
 	sc.bfs.shrink()
-	sc.wave.shrink()
+	sc.wave[0].shrink()
+	sc.wave[1].shrink()
 }
 
 // capBytes is the retained heap capacity of one buffer.
@@ -452,8 +475,8 @@ func (sc *inferScratch[T]) bytes() int {
 		capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
 		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
 		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
-		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) +
-		sc.bfs.bytes() + sc.wave.bytes() + sc.fill.bytes()
+		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) + capBytes(sc.rest) +
+		sc.bfs.bytes() + sc.wave[0].bytes() + sc.wave[1].bytes() + sc.fill.bytes()
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -515,7 +538,10 @@ func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error)
 // sets and the ring around them, all read off its rings), compaction (extract:
 // what is left of it now that no batch cuts a sub-CSR — indexing S and shaping
 // the slab), per-hop propagation, exit decisions and classification — record
-// spans, batch after batch.
+// spans, batch after batch. A hop between the layer and TMax that decides
+// records two propagate spans: its active targets' rows, then, after its
+// wave's decide, classify and survivors' bfs spans, the rest of the rows the
+// next hop reads.
 func (d *Deployment) InferContext(ctx context.Context, targets []int, opt InferenceOptions) (*Result, error) {
 	if err := opt.Validate(d.Model); err != nil {
 		return nil, err
@@ -575,6 +601,15 @@ func (t *tier[T]) scratchBytes() int {
 // wave serves every depth up to h: Algorithm 1's books for hops l..h, S and the
 // ring around it are all read off its rings. At h = 1, every TMax ≤ 3 and the
 // int8 tier, there is nothing below h.
+//
+// Past h, the hops run in demand order: a hop l < TMax that decides first
+// computes only its active targets' rows, which its wave reads, then the
+// survivors' BFS runs to radius TMax−l — the ball hop l+1 reads, and every
+// later hop's rows and books — and only then does hop l compute the rest of
+// that ball. Exited targets' balls are never propagated. At int8 the next
+// hop's activation scale is a max over every row the seed's hop l wrote, its
+// pre-wave ball, so there the first step covers that ball and the rest is
+// empty: the same loop.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -606,13 +641,14 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	h := t.layerDepth(opt.TMax)
 	lay := t.layer(h)
 	sc.h, sc.xh, sc.targets, sc.f = h, lay.block, targets, g.F()
-	// support is S, indexed from depth h on; balls[r] is the sorted radius-r
-	// ball of the targets still active, for the hops still to run — hop l's
-	// rows are the ball of radius TMax−l; live lists the nodes whose rows the
+	// cur is the latest BFS, around the targets still active: its sorted
+	// balls[r] is their radius-r ball, for the hops still to run — hop l's rows
+	// are the ball of radius TMax−l, and balls[0] is the active targets. support
+	// is S, indexed from depth h on; live lists the nodes whose rows the
 	// previous hop left for the next one to read: the layer's whole ball, then
 	// each hop's own.
+	var cur *rings
 	var support []int
-	var balls [][]int
 	var live [2][]int
 	defer func() {
 		graph.ResetIndex(support, sc.toLocal)
@@ -629,23 +665,25 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			sc.lowAt[i] = sort.SearchInts(sc.uniq, v)
 		}
 	}
-	rowsAt := func(l int) []int { return balls[opt.TMax-l] }
+	rowsAt := func(l int) []int { return cur.balls[opt.TMax-l] }
 	mark := time.Now() // the last stage boundary read (stageEnd)
 	var fpTime time.Duration
 
-	// wave is lines 6–17 at depth l once its rows are in place: decide and
-	// classify the early exits, or at T_max everyone left. It reports whether
-	// the active set changed.
+	// decides reports whether lines 9–13 run at depth l: an exit wave may come
+	// before T_max.
+	decides := func(l int) bool { return l >= opt.TMin && l < opt.TMax && opt.Mode != ModeFixed }
+
+	// wave is lines 6–17 at depth l once its active targets' rows are in place:
+	// decide and classify the early exits, or at T_max everyone left. It
+	// reports whether the active set changed.
 	wave := func(l int) bool {
-		switch {
-		case l < opt.TMin: // Lines 6-7
-			return false
-		case l == opt.TMax: // Lines 16-17
+		if l == opt.TMax { // Lines 16-17
 			classify(l, m, g, targets, active, res, sc)
 			mark = stageEnd(tr, obs.StageClassify, 0, mark)
 			active = nil
 			return true
-		case opt.Mode == ModeFixed:
+		}
+		if !decides(l) { // Lines 6-7, or no NAP
 			return false
 		}
 		// Lines 9-13.
@@ -663,38 +701,54 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	}
 
 	fresh := true // the active set changed since the last BFS, or none ran yet
+
+	// bfs is lines 3/5 for depth l: one level-ordered multi-source BFS around
+	// the targets still active, to the widest ball a hop from l on is charged,
+	// radius TMax−l (sampling counts in Time, not FP). Its sorted balls are the
+	// supporting sets of the hops the batch propagates, and its rings give the
+	// books. Up to h it also yields the ring beyond S, ring TMax−h, whose nodes'
+	// layer rows hop h+1 reads but no hop writes — so it is never sorted or
+	// given a place in S.
+	bfs := func(l int) {
+		rg := &sc.bfs
+		if l > h {
+			// Not into the rings S and the ring are views of, nor into the
+			// previous BFS's: the hop in flight is reading its balls.
+			rg = &sc.wave[0]
+			if cur == rg {
+				rg = &sc.wave[1]
+			}
+		}
+		rg.run(g.Adj, gather(targets, active), opt.TMax-l, max(opt.TMax-max(l, h+1), 0), sc.set)
+		sc.books = rg.books(d.Adj, sc.books)
+		cur, fresh = rg, false
+		mark = stageEnd(tr, obs.StageBFS, 0, mark)
+	}
+
+	// Hops past h propagate inside S: their rows stay one ring inside the ball
+	// the previous hop covered, so every neighbor has a row to read — hop h+1's
+	// in the layer, by node id, later ones' in the slab through toLocal.
+	var in operand[T]
+	var colMap []int32
+	product := func(l int, rows []int) {
+		sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
+		mulRows(d.Adj, t.adjScale, in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
+	}
+
 	for l := 1; l <= opt.TMax && len(active) > 0; l++ {
 		if fresh {
-			// Lines 3/5: one level-ordered multi-source BFS per exit wave
-			// around the targets still active, to the widest ball a hop from
-			// here on is charged: radius TMax−l. Its sorted balls are the
-			// supporting sets of the hops the batch propagates, the rows of hop
-			// l' > h being the ball of radius TMax−l'. Up to h it also yields
-			// the books of hops l..h (sums over its rings) and the ring beyond
-			// S, ring TMax−h, whose nodes' layer rows hop h+1 reads but no hop
-			// writes — so it is never sorted or given a place in S. Past h the
-			// survivors' BFS goes to its own rings: S and the ring stay views
-			// into the first.
-			rg := &sc.bfs
-			if l > h {
-				rg = &sc.wave
-			}
-			rg.run(g.Adj, gather(targets, active), opt.TMax-l, max(opt.TMax-max(l, h+1), 0), sc.set)
-			balls = rg.balls
-			if l <= h {
-				sc.books = rg.books(d.Adj, sc.books)
-			}
-			fresh = false
-			mark = stageEnd(tr, obs.StageBFS, 0, mark)
+			// At the start, and after a wave at a depth ≤ h, the next depth
+			// BFSes; past h a wave's own hop runs the survivors' BFS.
+			bfs(l)
 		}
 		if l == h {
 			// Compact universe: S, the radius-(TMax−h−1) ball — at TMax = h
 			// the targets — is the widest ball of the batch from here on.
 			// Every later row set — deeper hops, and re-derived sets after exit
 			// waves — is a subset of S, so the remap stays valid.
-			support = balls[len(balls)-1]
+			support = cur.balls[len(cur.balls)-1]
 			if opt.TMax > h {
-				sc.ring = sc.bfs.ring(len(balls))
+				sc.ring = sc.bfs.ring(len(cur.balls))
 			}
 			live = [2][]int{support, sc.ring}
 			sc.s = len(support)
@@ -721,22 +775,20 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		}
 
 		fpStart := mark
+		// Algorithm 1's books: hop l over the radius-(TMax−l) ball of the
+		// targets active at l, whichever of its rows the batch computes.
+		res.MACs.Propagation += sc.books[opt.TMax-l] * sc.f
+		var first []int
 		switch {
 		case l < h:
-			// The targets' own depth-l rows; the books charge the ball.
+			// The targets' own depth-l rows.
 			propagate(d.Adj, t.adjScale, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
-			res.MACs.Propagation += sc.books[opt.TMax-l] * sc.f
 		case l == h:
 			// The layer's rows this batch reads: S and the ring around it, or
 			// at TMax = h — S is the targets, and no hop gathers — S alone.
 			t.ensureLayer(sc, lay, support, sc.ring)
-			res.MACs.Propagation += sc.books[opt.TMax-h] * sc.f
 		default:
-			// Hops past h propagate inside S: their rows stay one ring inside
-			// the ball the previous hop covered, so every neighbor has a row
-			// to read — hop h+1's in the layer, by node id, later ones' in the
-			// slab through toLocal.
-			in, colMap := operand[T]{x: sc.xh}, []int32(nil)
+			in, colMap = operand[T]{x: sc.xh}, nil
 			if l > h+1 {
 				in.x, colMap = sc.hop(l-1), sc.toLocal
 			}
@@ -744,18 +796,32 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 				in.qx, in.deq = t.quantizeActivations(in.x, colMap, sc, live[:]...)
 				colMap = sc.toLocal
 			}
-			rows := rowsAt(l)
-			sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-			res.MACs.Propagation += mulRows(d.Adj, t.adjScale, in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
-			live = [2][]int{rows}
+			first = rowsAt(l)
+			if decides(l) && !t.int8() {
+				first = cur.balls[0] // what the wave reads
+			}
+			product(l, first)
+			live = [2][]int{first}
 		}
 		mark = stageEnd(tr, obs.StagePropagate, l, mark)
 		fpTime += mark.Sub(fpStart)
 
-		// After an exit wave the remaining hops only need balls around the
-		// survivors: the next depth BFSes again (sampling counts in Time, not
-		// FP).
 		fresh = wave(l)
+		if l > h && decides(l) && len(active) > 0 {
+			// Demand order: the survivors' BFS, then the rows of their ball
+			// that hop l has not written yet — all of them at once when nobody
+			// exited.
+			if fresh {
+				bfs(l)
+			}
+			fpStart = mark
+			ball := rowsAt(l)
+			sc.rest = subtractSorted(growScratch(sc.rest, len(ball)), ball, first)
+			product(l, sc.rest)
+			live[1] = sc.rest
+			mark = stageEnd(tr, obs.StagePropagate, l, mark)
+			fpTime += mark.Sub(fpStart)
+		}
 	}
 	res.TotalTime = mark.Sub(start)
 	res.FPTime = fpTime
@@ -782,8 +848,9 @@ func widen[T float64 | float32](dst []float64, src []T) {
 }
 
 // decide returns the subset of active (indices into targets) that exits at
-// depth l, charging decision MACs. The depth-l rows are read from the
-// compacted slab through sc.tloc and compared in float64.
+// depth l, charging decision MACs. The depth-l rows come through targetRow —
+// below h the rows computed for the targets, at h the layer's block, past h
+// the slab — and are compared in float64.
 func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int,
 	opt InferenceOptions, macs *MACBreakdown, sc *inferScratch[T]) []int {
 
@@ -824,7 +891,8 @@ func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int
 
 // classify predicts the given target indices with classifier f^{(l)},
 // charging combine and classification MACs. Depth-0 features come from the
-// full-graph matrix; depths ≥ 1 from the compacted slab via sc.tloc.
+// full-graph matrix, depths ≥ 1 through targetRow: the rows computed for the
+// targets below h, the layer's block at h and the slab past h.
 func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []int, idx []int,
 	res *Result, sc *inferScratch[T]) {
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -166,10 +168,14 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 
 // TestLayerOneBFSPerWave: a batch runs one BFS at its start and one after each
 // exit wave that leaves survivors, and no other. A TMax-4 batch whose targets
-// all reach TMax (TMin 2, T_s 0) records exactly one bfs span before its first
-// hop-3 product — the books of hop 1, the layer's ball at h and S all come
-// from it — and a batch with waves at every depth, below h included, records
-// one more per wave, each right after the wave's classify span.
+// all reach TMax (TMin 2, T_s 0) records exactly one bfs span — the books of
+// hop 1, the layer's ball at h and S all come from it. With waves at every
+// depth below TMax, each wave's bfs span follows its classify span. Up to h
+// the BFS opens the next depth; past h it is the wave's own hop's — hop l's
+// remainder propagate span comes next, and no bfs span opens hop l+1 — and
+// every hop there that decides propagates twice: its active targets' rows
+// before the wave, the rest of the next hop's ball after it. At TMax 5 (h = 3
+// at f64 and f32, 1 at int8) two hops lie past the layer.
 func TestLayerOneBFSPerWave(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedDeepModel(t)
@@ -177,50 +183,192 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 	for _, p := range tiers {
 		t.Run(p.String(), func(t *testing.T) {
 			dep := deployAt(t, m, ds.Graph, p)
-			spans := func(opt InferenceOptions) ([]obs.Span, *Result) {
+			check := func(opt InferenceOptions, exits bool) {
 				t.Helper()
+				label := fmt.Sprintf("%v/tmin=%d/tmax=%d", p, opt.TMin, opt.TMax)
 				tr := o.StartTrace()
 				res, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResult(t, fmt.Sprintf("%v/tmin=%d", p, opt.TMin), res, seedInfer(dep, ds.Split.Test, opt))
-				return tr.Spans(), res
+				requireSameResult(t, label, res, seedInfer(dep, ds.Split.Test, opt))
+				d, h := res.NodesPerDepth, max(1, opt.TMax-2)
+				if p == kernel.PrecisionInt8 {
+					h = 1
+				}
+				left := make([]int, opt.TMax+1) // left[l]: targets still active after depth l's wave
+				waves := 0
+				for l := opt.TMax - 1; l >= 1; l-- {
+					left[l] = left[l+1] + d[l+1]
+					if d[l] > 0 && left[l] > 0 {
+						waves++
+					}
+				}
+				if exits {
+					for l := 1; l < opt.TMax; l++ {
+						if d[l] == 0 {
+							t.Fatalf("%s: exits per depth %v, want a wave at every depth below TMax", label, d)
+						}
+					}
+					if d[opt.TMax] == 0 {
+						t.Fatalf("%s: exits per depth %v, want survivors to TMax", label, d)
+					}
+				} else if waves > 0 {
+					t.Fatalf("%s: exits per depth %v, want none before TMax", label, d)
+				}
+
+				spans := tr.Spans()
+				bfs, hop := 0, 0 // hop: the last propagate span's
+				props := make([]int, opt.TMax+1)
+				for i, sp := range spans {
+					switch sp.Stage {
+					case obs.StagePropagate:
+						hop = int(sp.Hop)
+						props[hop]++
+					case obs.StageBFS:
+						if bfs++; bfs == 1 {
+							continue
+						}
+						if spans[i-1].Stage != obs.StageClassify {
+							t.Fatalf("%s: bfs span %d follows a %v span, not a wave's classify", label, bfs, spans[i-1].Stage)
+						}
+						next := spans[i+1]
+						switch {
+						case hop > h && (next.Stage != obs.StagePropagate || int(next.Hop) != hop):
+							t.Fatalf("%s: the bfs after hop %d's wave (past h = %d) is followed by %v %d, not that hop's remainder", label, hop, h, next.Stage, next.Hop)
+						case hop <= h && next.Stage == obs.StagePropagate && int(next.Hop) != hop+1:
+							t.Fatalf("%s: the bfs after depth %d's wave opens hop %d", label, hop, next.Hop)
+						}
+					}
+				}
+				if bfs != 1+waves {
+					t.Fatalf("%s: %d bfs spans for %d exit waves, want one per wave and one at the start", label, bfs, waves)
+				}
+				for l := 1; l <= opt.TMax; l++ {
+					want := 1
+					if h < l && l < opt.TMax && l >= opt.TMin && left[l] > 0 {
+						want = 2
+					}
+					if props[l] != want {
+						t.Fatalf("%s: %d propagate spans at hop %d (h = %d), want %d", label, props[l], l, h, want)
+					}
+				}
 			}
 
-			all, _ := spans(InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 2, TMax: 4})
-			bfs := 0
-			for _, sp := range all {
-				if sp.Stage == obs.StagePropagate && sp.Hop == 3 {
-					break
-				}
-				if sp.Stage == obs.StageBFS {
-					bfs++
-				}
-			}
-			if bfs != 1 {
-				t.Fatalf("%d bfs spans before hop 3 of a batch with no early exit, want 1", bfs)
-			}
-
-			ts := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
-			waves, res := spans(InferenceOptions{Mode: ModeDistance, Ts: ts, TMin: 1, TMax: 4})
-			const exits = 3 // at depths 1, 2 and 3
-			if d := res.NodesPerDepth; d[1] == 0 || d[2] == 0 || d[3] == 0 || d[4] == 0 {
-				t.Fatalf("exits per depth %v, want a wave at every depth below TMax and survivors to it", d)
-			}
-			bfs = 0
-			for i, sp := range waves {
-				if sp.Stage != obs.StageBFS {
-					continue
-				}
-				if bfs++; bfs > 1 && waves[i-1].Stage != obs.StageClassify {
-					t.Fatalf("bfs span %d follows a %v span, not a wave's classify", bfs, waves[i-1].Stage)
-				}
-			}
-			if bfs != 1+exits {
-				t.Fatalf("%d bfs spans for %d exit waves, want one per wave and one at the start", bfs, exits)
-			}
+			check(InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 2, TMax: 4}, false)
+			check(InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5), TMin: 1, TMax: 4}, true)
+			check(InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5), TMin: 1, TMax: 5}, true)
 		})
+	}
+}
+
+// TestLayerDemandRows: hop TMax−1, the hop between the layer and TMax, computes
+// only the rows something reads — its active targets' rows for its wave, then
+// its survivors' radius-1 ball for hop TMax — not the rest of its targets'
+// one-ring ball, while MACs still charge that whole ball (Algorithm 1's
+// books). The batch runs on a caller-held scratch whose slab starts all NaN,
+// at TMax 4 and 5 (h = 2 and 3), with waves from TMax−1 on, and from h on:
+// then the survivors' BFS at TMax−1 must not overwrite the balls of the BFS
+// after the wave at h, which it subtracts the hop's written rows from. At int8
+// (h = 1) the hop's first step covers the whole ball: the next hop's
+// activation scale is a max over all of it.
+func TestLayerDemandRows(t *testing.T) {
+	eachTier(t, testLayerDemandRows[float64], testLayerDemandRows[float32])
+}
+
+func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) {
+	ds := tinyData(t)
+	m := trainedDeepModel(t)
+	dep := deployAt(t, m, ds.Graph, p)
+	eng := tierOf[T](t, dep)
+	g, f := dep.Graph, dep.Graph.F()
+	targets := ds.Split.Test
+	for _, tmax := range []int{4, 5} {
+		l, h := tmax-1, eng.layerDepth(tmax)
+		for _, tmin := range []int{l, h} {
+			label := fmt.Sprintf("%v/tmin=%d/tmax=%d", p, tmin, tmax)
+			opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, l, 0.5), TMin: tmin, TMax: tmax}
+			want := seedInfer(dep, targets, opt)
+			// activeAt(j) is the targets hop j propagates for: those exiting at j or later.
+			activeAt := func(j int) []int {
+				var out []int
+				for i, v := range targets {
+					if want.Depths[i] >= j {
+						out = append(out, v)
+					}
+				}
+				return out
+			}
+			if d := want.NodesPerDepth; d[tmin] == 0 || d[l] == 0 || d[tmax] == 0 {
+				t.Fatalf("%s: exits per depth %v, want waves at %d and %d and survivors to TMax", label, d, tmin, l)
+			}
+			whole := graph.Ball(g.Adj, activeAt(l), 1) // what hop l computed before the demand order
+			written := map[int]bool{}
+			if p == kernel.PrecisionInt8 {
+				for _, v := range whole {
+					written[v] = true
+				}
+			} else {
+				for _, v := range activeAt(l) {
+					written[v] = true
+				}
+				for _, v := range graph.Ball(g.Adj, activeAt(tmax), 1) {
+					written[v] = true
+				}
+				if len(written) == len(whole) {
+					t.Fatalf("%s: the survivors' ball covers the active targets' one-ring ball; nothing to skip", label)
+				}
+			}
+
+			support := graph.Ball(g.Adj, targets, tmax-h-1) // no wave before h
+			sc := &inferScratch[T]{slab: make([]T, (tmax-h)*len(support)*f)}
+			for i := range sc.slab {
+				sc.slab[i] = T(math.NaN())
+			}
+			sc.prepare(g.N(), len(targets))
+			got := eng.inferBatch(targets, opt, sc, nil)
+			requireSameResult(t, label, got, want)
+			books := 0
+			for j := 1; j <= tmax; j++ {
+				books += dep.Adj.NNZRows(graph.Ball(g.Adj, activeAt(j), tmax-j))
+			}
+			if got.MACs.Propagation != books*f {
+				t.Fatalf("%s: propagation MACs %d, the books charge %d", label, got.MACs.Propagation, books*f)
+			}
+			if sc.s != len(support) {
+				t.Fatalf("%s: S has %d rows, the targets' radius-%d ball %d", label, sc.s, tmax-h-1, len(support))
+			}
+			if tmin == h {
+				// The last two BFSes, around the targets active at l and at
+				// TMax, both still whole: one in each wave ring.
+				sources := func(rg *rings) string {
+					if len(rg.balls) == 0 {
+						return "no BFS"
+					}
+					return fmt.Sprint(rg.balls[0])
+				}
+				got := []string{sources(&sc.wave[0]), sources(&sc.wave[1])}
+				slices.Sort(got)
+				want := []string{fmt.Sprint(sortedUnique(activeAt(l), nil)), fmt.Sprint(sortedUnique(activeAt(tmax), nil))}
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: the wave rings hold BFSes from %v, want from the targets active at %d and at TMax: %v", label, got, l, want)
+				}
+			}
+			rows := sc.hop(l)
+			for k, v := range support {
+				nan := 0
+				for _, x := range rows[k*f : (k+1)*f] {
+					if math.IsNaN(float64(x)) {
+						nan++
+					}
+				}
+				if computed := nan == 0; computed != written[v] || nan != 0 && nan != f {
+					t.Fatalf("%s: hop %d's row of node %d has %d NaN of %d, want it computed: %v (%d rows written, %d before the demand order)",
+						label, l, v, nan, f, written[v], len(written), len(whole))
+				}
+			}
+		}
 	}
 }
 

@@ -37,7 +37,10 @@ import (
 // at TMax 4 holds two. A block is not capped by what the graph's adjacency
 // would have cost: on a graph with f ≫ d̄ it is the larger of the two, and
 // serving through it still beats recomputing its hops (ARCHITECTURE.md, "The
-// depth-h layer", has the measurements).
+// depth-h layer", has the measurements). On Linux each block's 2 MiB-aligned
+// interior is advised onto transparent huge pages when it is allocated
+// (memo_linux.go): a gather across the block misses the TLB far less, and
+// touching one row makes its whole 2 MiB resident.
 //
 // Rows are filled lazily by whichever batch needs them first, into
 // publish-once slots — empty → filling (one CAS winner computes the row from
@@ -64,6 +67,9 @@ type hopLayer[T float64 | float32] struct {
 	// block holds node v's row at [v·f, (v+1)·f). Its capacity beyond the
 	// graph's rows is the headroom: growing by a few nodes does not copy it.
 	block []T
+	// huge is the part of block advised onto huge pages (adviseHugePages;
+	// nil: none).
+	huge  []byte
 	stats *hop1Counters // the owning deployment's
 }
 
@@ -106,13 +112,16 @@ func (t *tier[T]) layer(h int) *hopLayer[T] {
 }
 
 // grow extends the layer to n nodes; the new rows are empty. Past the
-// headroom the arrays move, to n rows and their 1/64. Not concurrent with
-// Infer.
+// headroom the arrays move, to n rows and their 1/64, and the new block is
+// advised onto huge pages before the old rows are copied in. Not concurrent
+// with Infer.
 func (m *hopLayer[T]) grow(n int) {
 	old := len(m.state)
 	if room := n + n/64; n > cap(m.state) {
 		m.state = append(make([]atomic.Uint32, 0, room), m.state...)
-		m.block = append(make([]T, 0, room*m.f), m.block...)
+		block := make([]T, 0, room*m.f)
+		m.huge = adviseHugePages(block)
+		m.block = append(block, m.block...)
 	}
 	m.state, m.block = m.state[:n], m.block[:n*m.f]
 	m.stats.capacity.Add(int64(n - old))

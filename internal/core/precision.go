@@ -165,12 +165,14 @@ func (t *tier[T]) patched(valDirty []int) {
 // mulRows is one row-subset product with Â at a tier
 // (sparse.MulNormalizedRowsInto over in, at int8 quantizing Â's rows at
 // adjScale): out row outRows[k] = (Â·in)[rows[k]], in's rows found through
-// colMap (nil: by node id). It returns the multiply-accumulate count.
-func mulRows[T float64 | float32](adj *sparse.Normalized, adjScale float64, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) int {
+// colMap (nil: by node id). The engine's MACs are Algorithm 1's books, so the
+// product's own count is dropped.
+func mulRows[T float64 | float32](adj *sparse.Normalized, adjScale float64, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) {
 	if in.qx != nil {
-		return sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, adjScale, in.qx, f, in.deq, out)
+		sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, adjScale, in.qx, f, in.deq, out)
+		return
 	}
-	return sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, 0, in.x, f, 1, out)
+	sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, 0, in.x, f, 1, out)
 }
 
 // quantizeActivations quantizes the previous hop's rows for the int8 tier's

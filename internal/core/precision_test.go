@@ -217,8 +217,10 @@ func TestRelaxedDeltaRebuildsMirrors(t *testing.T) {
 
 // TestTraceSpansSameAtEveryTier: the tiers share one engine loop, so a traced
 // request leaves the same span sequence at each — bfs, extract, then per hop
-// propagate{hop}, decide on decision hops, classify whenever someone exits —
-// the relaxed tiers' decide span included.
+// propagate{hop}, decide on decision hops and, past the layer (h = 1 here), a
+// second propagate{hop} for the rows the next hop reads, classify whenever
+// someone exits — the relaxed tiers' decide span, and int8's empty second
+// step, included.
 func TestTraceSpansSameAtEveryTier(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -231,6 +233,9 @@ func TestTraceSpansSameAtEveryTier(t *testing.T) {
 		want += fmt.Sprintf(" propagate%d", l)
 		if l < m.K {
 			want += " decide"
+		}
+		if 1 < l && l < m.K {
+			want += fmt.Sprintf(" propagate%d", l)
 		}
 	}
 	want += " classify"

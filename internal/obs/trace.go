@@ -30,8 +30,9 @@ const (
 	// sub-CSR of Â as well; the engine multiplies by the operator now, so
 	// the stage reads next to nothing.
 	StageExtract
-	// StagePropagate is one feature-propagation hop (SpMM at the active
-	// precision tier); Span.Hop holds the hop.
+	// StagePropagate is one feature-propagation step (SpMM at the active
+	// precision tier); Span.Hop holds the hop. A hop past the engine's layer
+	// that decides takes two steps, one on each side of its exit wave.
 	StagePropagate
 	// StageDecide is the NAP exit decision sweep over the still-active
 	// targets.
