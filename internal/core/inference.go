@@ -144,9 +144,11 @@ func (r *Result) merge(o *Result) {
 // layers (hopLayer): X^(h) for the depth h = max(1, TMax−2) of each operating
 // point served (h = 1 at int8), a row per node in one block of the feature
 // matrix's shape, allocated on the first read at that depth, filled on first
-// use and read in place by hop h+1 — through lock-free publish-once slots
-// that deltas empty and extend and Refresh clears. Answers and MACs are
-// bit-identical to propagating hops 1..h per batch.
+// use and read in place by hop h+1, and past TMax 2 at f64 and f32 the hubs'
+// rows of X^(h+1), which hop h+1 copies instead of computing — through
+// lock-free publish-once slots that deltas empty and extend and Refresh
+// clears. Answers and MACs are bit-identical to propagating hops 1..h+1 per
+// batch.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
 // instantiated at the tier's element type. What pins the default f64 tier to
@@ -309,8 +311,9 @@ type inferScratch[T float64 | float32] struct {
 	wave  [2]rings
 	books []int
 	// rest lists the rows a hop past h computes after its exit wave: the
-	// survivors' ball minus the rows it wrote before the wave.
-	rest []int
+	// survivors' ball minus the rows it wrote before the wave. compute lists
+	// the rows of one product at hop h+1 that no ready hub row covers.
+	rest, compute []int
 	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
 	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
 	// v, for l = h+1..TMax (X^{(0)} stays the full-graph feature matrix, read
@@ -345,7 +348,7 @@ type inferScratch[T float64 | float32] struct {
 	tloc []int
 	// claimed lists the layer rows of the batch's ball that were not resident
 	// and this batch computed, awaited those another batch was already
-	// filling.
+	// filling; at hop h+1, claimed then lists the hub rows one product claimed.
 	claimed, awaited []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
@@ -354,8 +357,9 @@ type inferScratch[T float64 | float32] struct {
 // rings is one level-ordered BFS (graph.Levels) with its inner balls sorted
 // (graph.SortedBalls), in buffers reused from batch to batch.
 type rings struct {
-	// ball and ends are the BFS in ring order: ring r is ball[ends[r−1]:ends[r]].
-	ball, ends []int
+	// ball and ends are the BFS in ring order: ring r is ball[ends[r−1]:ends[r]],
+	// and nnz[r] the entries of the adjacency in its rows.
+	ball, ends, nnz []int
 	// balls[r] is the radius-r ball, sorted, for r ≤ the k run was given;
 	// sorted backs them.
 	balls  [][]int
@@ -366,7 +370,7 @@ type rings struct {
 
 // run BFSes from sources out to radius and sorts the balls of radius ≤ k.
 func (rg *rings) run(adj *sparse.CSR, sources []int, radius, k int, set []uint64) {
-	rg.ball, rg.ends = graph.Levels(adj, sources, radius, set, rg.ball, rg.ends)
+	rg.ball, rg.ends, rg.nnz = graph.Levels(adj, sources, radius, set, rg.ball, rg.ends, rg.nnz)
 	rg.sorted, rg.balls = graph.SortedBalls(rg.ball, rg.ends[:k+1], set, rg.sorted, rg.balls)
 	rg.hw = max(rg.hw, len(rg.ball)+len(rg.sorted))
 }
@@ -381,12 +385,13 @@ func (rg *rings) ring(r int) []int {
 
 // books returns, in dst, Algorithm 1's books of the BFS: dst[r] is the
 // entries of Â in the rows of the radius-r ball, charged per feature to the
-// hop that propagates over it.
-func (rg *rings) books(adj *sparse.Normalized, dst []int) []int {
+// hop that propagates over it — the adjacency's entries the BFS counted ring
+// by ring, plus the ball's diagonal.
+func (rg *rings) books(dst []int) []int {
 	dst, nnz := dst[:0], 0
-	for r := range rg.ends {
-		nnz += adj.NNZRows(rg.ring(r))
-		dst = append(dst, nnz)
+	for r, end := range rg.ends {
+		nnz += rg.nnz[r]
+		dst = append(dst, nnz+end)
 	}
 	return dst
 }
@@ -403,7 +408,7 @@ func (rg *rings) shrink() {
 }
 
 func (rg *rings) bytes() int {
-	return capBytes(rg.ball) + capBytes(rg.ends) + capBytes(rg.sorted) + capBytes(rg.balls)
+	return capBytes(rg.ball) + capBytes(rg.ends) + capBytes(rg.nnz) + capBytes(rg.sorted) + capBytes(rg.balls)
 }
 
 // growScratch resizes a scratch buffer to need elements: grown geometrically
@@ -475,7 +480,7 @@ func (sc *inferScratch[T]) bytes() int {
 		capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
 		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
 		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
-		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) + capBytes(sc.rest) +
+		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) + capBytes(sc.rest) + capBytes(sc.compute) +
 		sc.bfs.bytes() + sc.wave[0].bytes() + sc.wave[1].bytes() + sc.fill.bytes()
 }
 
@@ -609,7 +614,9 @@ func (t *tier[T]) scratchBytes() int {
 // that ball. Exited targets' balls are never propagated. At int8 the next
 // hop's activation scale is a max over every row the seed's hop l wrote, its
 // pre-wave ball, so there the first step covers that ball and the rest is
-// empty: the same loop.
+// empty: the same loop. Hop h+1 < TMax at f64 and f32 copies the hubs' rows it
+// finds resident in the tier's hub layer (hopLayer) into the slab instead of
+// computing them, and publishes the ones it computes.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -720,19 +727,31 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			}
 		}
 		rg.run(g.Adj, gather(targets, active), opt.TMax-l, max(opt.TMax-max(l, h+1), 0), sc.set)
-		sc.books = rg.books(d.Adj, sc.books)
+		sc.books = rg.books(sc.books)
 		cur, fresh = rg, false
 		mark = stageEnd(tr, obs.StageBFS, 0, mark)
 	}
 
 	// Hops past h propagate inside S: their rows stay one ring inside the ball
 	// the previous hop covered, so every neighbor has a row to read — hop h+1's
-	// in the layer, by node id, later ones' in the slab through toLocal.
+	// in the layer, by node id, later ones' in the slab through toLocal. Hop
+	// h+1 < TMax at f64 and f32 also reads and fills the hub layer.
 	var in operand[T]
 	var colMap []int32
+	hubs := !t.int8() && h+1 < opt.TMax
 	product := func(l int, rows []int) {
+		out := sc.hop(l)
+		var hub *hopLayer[T]
+		if hubs && l == h+1 {
+			hub = t.hubLayer(l)
+			sc.compute, sc.claimed = hub.hubRows(rows, sc.toLocal, out, growScratch(sc.compute, len(rows))[:0], sc.claimed[:0])
+			rows = sc.compute
+		}
 		sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-		mulRows(d.Adj, t.adjScale, in, rows, sc.localRows, colMap, sc.f, sc.hop(l))
+		mulRows(d.Adj, t.adjScale, in, rows, sc.localRows, colMap, sc.f, out)
+		if hub != nil {
+			hub.publishHubs(sc.claimed, sc.toLocal, out)
+		}
 	}
 
 	for l := 1; l <= opt.TMax && len(active) > 0; l++ {

@@ -4,14 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -33,17 +36,50 @@ func tierOf[T float64 | float32](t *testing.T, dep *Deployment) *tier[T] {
 	return e
 }
 
-// layersOf returns the layers dep's engine holds, by depth.
+// layersOf returns the layers of every node dep's engine holds, by depth.
 func layersOf[T float64 | float32](t *testing.T, dep *Deployment) map[int]*hopLayer[T] {
 	t.Helper()
+	return held(tierOf[T](t, dep).layers)
+}
+
+// hubLayersOf returns the hub layers dep's engine holds, by depth.
+func hubLayersOf[T float64 | float32](t *testing.T, dep *Deployment) map[int]*hopLayer[T] {
+	t.Helper()
+	return held(tierOf[T](t, dep).hubs)
+}
+
+func held[T float64 | float32](layers []atomic.Pointer[hopLayer[T]]) map[int]*hopLayer[T] {
 	out := map[int]*hopLayer[T]{}
-	e := tierOf[T](t, dep)
-	for h := range e.layers {
-		if m := e.layers[h].Load(); m != nil {
+	for h := range layers {
+		if m := layers[h].Load(); m != nil {
 			out[h] = m
 		}
 	}
 	return out
+}
+
+// hubCounts returns the rows dep's hub layers have room for and the rows
+// resident in them, whatever the tier.
+func hubCounts(dep *Deployment) (capacity, resident int) {
+	switch e := dep.eng.(type) {
+	case *tier[float64]:
+		return hubCountsOf(held(e.hubs))
+	case *tier[float32]:
+		return hubCountsOf(held(e.hubs))
+	}
+	return 0, 0
+}
+
+func hubCountsOf[T float64 | float32](hubs map[int]*hopLayer[T]) (capacity, resident int) {
+	for _, m := range hubs {
+		capacity += len(m.members)
+		for k := range m.state {
+			if m.state[k].Load() == slotReady {
+				resident++
+			}
+		}
+	}
+	return capacity, resident
 }
 
 // layerModel is a test model with the range of TMax it covers.
@@ -114,7 +150,7 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 			// which every layer's reads of it only read, and which its next
 			// batch must find empty and recompute.
 			one := targets[:1]
-			ball, ends := graph.Levels(base.Adj, one, 2, graph.NewBitset(base.N()), nil, nil)
+			ball, ends, _ := graph.Levels(base.Adj, one, 2, graph.NewBitset(base.N()), nil, nil, nil)
 			u, v := ball[ends[1]], -1 // the first node of ring 2
 			for c := base.N() - 1; c >= 0 && v < 0; c-- {
 				if c != u && base.Adj.At(u, c) == 0 {
@@ -372,11 +408,189 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 	}
 }
 
+// TestLayerHubRows: at f64 and f32, whenever h+1 < TMax (TMax 3, 4 and 5 on
+// the K = 5 model: hub rows of X^(2), X^(3) and X^(4)), hop h+1 keeps the
+// hubs' rows. The members are the ⌈n/64⌉ nodes of highest degree, ties broken
+// toward the lower id. After one batch the resident hub rows are exactly the
+// hubs among the rows its hop h+1 computed — its active targets, then its
+// survivors' radius-(TMax−h−1) ball — and a repeat batch computes none of
+// them. A resident hub row is read, not recomputed: poisoned with NaN, it
+// keeps its hub, a lone target, from exiting at h+1 under a threshold any
+// finite distance meets. A delta empties every hub row, and the next batches
+// equal the seed's. A row another batch is still filling is computed, not
+// waited for (a batch that waited would hang here) and not read (its NaN does
+// not show), and it is left to its claimer. int8 and TMax ≤ 2 allocate no hub
+// layer.
+func TestLayerHubRows(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { testLayerHubRows[float64](t, kernel.PrecisionF64) })
+	t.Run("f32", func(t *testing.T) { testLayerHubRows[float32](t, kernel.PrecisionF32) })
+	t.Run("none", func(t *testing.T) {
+		ds := tinyData(t)
+		m := trainedDeepModel(t)
+		for _, c := range []struct {
+			p     kernel.Precision
+			tmaxs []int
+		}{{kernel.PrecisionInt8, []int{3, 4, 5}}, {kernel.PrecisionF64, []int{1, 2}}, {kernel.PrecisionF32, []int{1, 2}}} {
+			dep := deployAt(t, m, ds.Graph, c.p)
+			for _, tmax := range c.tmaxs {
+				opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: tmax}
+				requireColdWarmSame(t, fmt.Sprintf("%v/tmax=%d", c.p, tmax), dep, ds.Split.Test, opt)
+			}
+			if hubs, _ := hubCounts(dep); hubs != 0 {
+				t.Fatalf("%v read at TMax %v: %d hub rows allocated", c.p, c.tmaxs, hubs)
+			}
+		}
+	})
+}
+
+func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
+	// tinyData's graph at four times the nodes, 20 hubs: hop h+1 of a few test
+	// nodes and the highest-degree node computes some hub rows, not all.
+	cfg := synth.Tiny(11)
+	cfg.N *= 4
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := trainedDeepModel(t)
+	targets := append(slices.Clone(ds.Split.Test[:16]), topDegree(ds.Graph.Adj, 1)...)
+	for _, tmax := range []int{3, 4, 5} {
+		dep := deployAt(t, m, ds.Graph.Clone(), p)
+		eng := tierOf[T](t, dep)
+		g, f := dep.Graph, dep.Graph.F()
+		l := eng.layerDepth(tmax) + 1 // the hop that reads hub rows
+		label := fmt.Sprintf("%v/tmax=%d", p, tmax)
+		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, l, 0.5), TMin: l, TMax: tmax}
+		want := seedInfer(dep, targets, opt)
+		if d := want.NodesPerDepth; d[l] == 0 || d[tmax] == 0 {
+			t.Fatalf("%s: exits per depth %v, want a wave at %d and survivors to TMax", label, d, l)
+		}
+		got, err := dep.Infer(targets, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, label+"/first", got, want)
+		hub := eng.hubs[l].Load()
+		if hub == nil {
+			t.Fatalf("%s: no hub layer at depth %d; hub layers at %v", label, l, depths(hubLayersOf[T](t, dep)))
+		}
+		if top := topDegree(g.Adj, (g.N()+63)/64); !slices.Equal(hub.members, top) {
+			t.Fatalf("%s: hub members %v, the highest-degree nodes %v", label, hub.members, top)
+		}
+
+		// The rows hop l computed: its active targets, then the survivors'
+		// radius-(TMax−l) ball.
+		activeAt := func(j int) []int {
+			var out []int
+			for i, v := range targets {
+				if want.Depths[i] >= j {
+					out = append(out, v)
+				}
+			}
+			return out
+		}
+		computed := map[int]bool{}
+		for _, v := range append(activeAt(l), graph.Ball(g.Adj, activeAt(l+1), tmax-l)...) {
+			computed[v] = true
+		}
+		resident := 0
+		for k, v := range hub.members {
+			if ready := hub.state[k].Load() == slotReady; ready != computed[v] {
+				t.Fatalf("%s: hub %d resident=%v, computed by hop %d=%v", label, v, ready, l, computed[v])
+			}
+			if computed[v] {
+				resident++
+			}
+		}
+		if resident == 0 || resident == len(hub.members) {
+			t.Fatalf("%s: hop %d computed %d of %d hub rows, want some and not all", label, l, resident, len(hub.members))
+		}
+		before := dep.Hop1Stats()
+		got, _ = dep.Infer(targets, opt)
+		requireSameResult(t, label+"/repeat", got, want)
+		if s := dep.Hop1Stats(); s.Computed != before.Computed || int(s.FromMemo-before.FromMemo) < resident {
+			t.Fatalf("%s: the repeat batch computed %d rows and read %d resident, %d hub rows were resident", label, s.Computed-before.Computed, s.FromMemo-before.FromMemo, resident)
+		}
+
+		// A lone hub target that every finite distance lets exit at l.
+		k := slices.IndexFunc(hub.members, func(v int) bool { return computed[v] })
+		lone := hub.members[k : k+1]
+		exitAt := InferenceOptions{Mode: ModeDistance, Ts: 1e100, TMin: l, TMax: tmax}
+		poison := func() {
+			for j := range hub.block[k*f : (k+1)*f] {
+				hub.block[k*f+j] = T(math.NaN())
+			}
+		}
+		poison()
+		if got, _ := dep.Infer(lone, exitAt); got.Depths[0] != tmax {
+			t.Fatalf("%s: hub %d exited at depth %d over its NaN row, want %d: its resident row was not read", label, lone[0], got.Depths[0], tmax)
+		}
+
+		// Any delta empties every hub row.
+		u, v := 0, -1
+		for c := g.N() - 1; c >= 0 && v < 0; c-- {
+			if c != u && g.Adj.At(u, c) == 0 {
+				v = c
+			}
+		}
+		if _, err := dep.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, resident := hubCounts(dep); resident != 0 {
+			t.Fatalf("%s: the delta left %d hub rows resident", label, resident)
+		}
+
+		// A row another batch is filling: computed, not read, not published.
+		poison()
+		hub.state[k].Store(slotFilling)
+		got, _ = dep.Infer(lone, exitAt)
+		requireSameResult(t, label+"/hub being filled", got, seedInfer(dep, lone, exitAt))
+		if got.Depths[0] != l || hub.state[k].Load() != slotFilling || !math.IsNaN(float64(hub.block[k*f])) {
+			t.Fatalf("%s: a batch over hub %d, being filled elsewhere, exited at %d (want %d) and left the slot %d", label, lone[0], got.Depths[0], l, hub.state[k].Load())
+		}
+		hub.state[k].Store(slotEmpty)
+		requireColdWarmSame(t, label+"/after the delta", dep, targets, opt)
+	}
+}
+
+// topDegree is the k nodes of highest degree, ties broken toward the lower id,
+// ascending: hubMembers by a sort.
+func topDegree(adj *sparse.CSR, k int) []int {
+	nodes := rangeInts(0, adj.Rows)
+	slices.SortStableFunc(nodes, func(a, b int) int { return adj.RowNNZ(b) - adj.RowNNZ(a) })
+	top := nodes[:min(k, adj.Rows)]
+	slices.Sort(top)
+	return top
+}
+
+// TestHubMembers: hubMembers is topDegree — on random graphs with isolated
+// nodes, hubs and many ties, for k from 0 to past n.
+func TestHubMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		var src, dst []int
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			src, dst = append(src, rng.Intn(n)), append(dst, rng.Intn(n))
+		}
+		for e := rng.Intn(2 * n); e > 0; e-- { // a hub
+			src, dst = append(src, 0), append(dst, rng.Intn(n))
+		}
+		adj := sparse.FromEdges(n, src, dst, true)
+		for _, k := range []int{0, 1, (n + 63) / 64, rng.Intn(n + 1), n, n + 5} {
+			if got, want := hubMembers(adj, k), topDegree(adj, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, n %d, k %d: hubMembers %v, want %v", trial, n, k, got, want)
+			}
+		}
+	}
+}
+
 // TestLayerInvalidationRadius: a delta to one edge empties exactly the rows of
 // X^(2) within one hop of the rows of Â it moved — no fewer (a layer that
 // dropped only the moved rows would keep stale neighbors) and no more — and
-// the next read recomputes exactly those. At f64 and f32: int8 holds X^(1)
-// only and empties every row per delta (TestMemoInvalidation).
+// every hub row of X^(3), and the next read recomputes exactly those. At f64
+// and f32: int8 holds X^(1) only and empties every row per delta
+// (TestMemoInvalidation).
 func TestLayerInvalidationRadius(t *testing.T) {
 	t.Run("f64", func(t *testing.T) { testLayerInvalidationRadius[float64](t, kernel.PrecisionF64) })
 	t.Run("f32", func(t *testing.T) { testLayerInvalidationRadius[float32](t, kernel.PrecisionF32) })
@@ -392,9 +606,13 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 	if _, err := dep.Infer(all, opt); err != nil {
 		t.Fatal(err)
 	}
-	lay := layersOf[T](t, dep)[2]
-	if s := dep.Hop1Stats(); lay == nil || s.Entries != g.N() {
-		t.Fatalf("reading every node at TMax 4 left %d of %d rows of X^(2) resident", s.Entries, g.N())
+	lay, hub := layersOf[T](t, dep)[2], hubLayersOf[T](t, dep)[3]
+	if lay == nil || hub == nil {
+		t.Fatalf("reading at TMax 4 left layers %v and hub layers %v", depths(layersOf[T](t, dep)), depths(hubLayersOf[T](t, dep)))
+	}
+	hubs := len(hub.members) // hop 3 runs over every node: every hub row is resident
+	if s := dep.Hop1Stats(); s.Entries != g.N()+hubs {
+		t.Fatalf("reading every node at TMax 4 left %d rows resident, want %d of X^(2) and %d hub rows of X^(3)", s.Entries, g.N(), hubs)
 	}
 
 	u, v := 0, -1
@@ -421,13 +639,16 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 			t.Fatalf("row %d of X^(2): empty=%v, want %v (%d rows within a hop of the %d moved ones)", w, empty, stale[w], len(stale), len(valDirty))
 		}
 	}
+	if _, resident := hubCounts(dep); resident != 0 {
+		t.Fatalf("the delta left %d hub rows of X^(3) resident", resident)
+	}
 	before := dep.Hop1Stats()
 	if before.Entries != g.N()-len(stale) {
-		t.Fatalf("%d rows resident after emptying %d of %d", before.Entries, len(stale), g.N())
+		t.Fatalf("%d rows resident after emptying %d of %d and every hub row", before.Entries, len(stale), g.N())
 	}
 	requireColdWarmSame(t, "after the delta", dep, all, opt)
-	if s := dep.Hop1Stats(); int(s.Computed-before.Computed) != len(stale) || s.Entries != g.N() {
-		t.Fatalf("the next reads recomputed %d rows, %d were emptied (stats %+v)", s.Computed-before.Computed, len(stale), s)
+	if s := dep.Hop1Stats(); int(s.Computed-before.Computed) != len(stale)+hubs || s.Entries != g.N()+hubs {
+		t.Fatalf("the next reads recomputed %d rows, %d and %d hub rows were emptied (stats %+v)", s.Computed-before.Computed, len(stale), hubs, s)
 	}
 }
 
@@ -454,7 +675,9 @@ func TestLayerHeadroomAvoidsCopy(t *testing.T) {
 
 // TestLayerConcurrentColdStart: eight callers start on one cold deployment at
 // once (run under -race), so rows one needs are being filled by another —
-// publish before read. Every one must see the seed's answer.
+// publish before read — and, at TMax 3, 4 and 5, they race on the same hub
+// slots, which a loser computes instead of waiting for. Every one must see
+// the seed's answer.
 func TestLayerConcurrentColdStart(t *testing.T) {
 	eachTier(t, testLayerConcurrentColdStart, testLayerConcurrentColdStart)
 }
@@ -470,6 +693,7 @@ func testLayerConcurrentColdStart(t *testing.T, p kernel.Precision) {
 			{Mode: ModeGate, TMin: 1, TMax: lm.tmin + 1},
 			{Mode: ModeFixed, TMin: 1, TMax: lm.tmin, BatchSize: 3},
 			{Mode: ModeDistance, Ts: 0.8, TMin: 2, TMax: lm.tmax},
+			{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: lm.tmax - 1, BatchSize: 8},
 		}
 		for round := 0; round < 2*len(opts); round++ {
 			opt := opts[round%len(opts)]
@@ -555,8 +779,10 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 		propagate(dep.Adj, eng.adjScale, eng.base, []int{held}, []int{held}, h, g.F(), lay.block, &hopScratch[float64]{})
 		lay.state[held].Store(slotReady)
 		requireSameResult(t, fmt.Sprintf("TMax %d after the held row was published", c.tmax), <-done, want)
-		if s := dep.Hop1Stats(); int(s.Computed) != len(ball)-1 {
-			t.Fatalf("TMax %d: the batch computed %d rows, its ball has %d and one was held", c.tmax, s.Computed, len(ball))
+		// Beside the layer's rows, hop h+1 < TMax publishes the hub rows it computed.
+		_, hubs := hubCounts(dep)
+		if s := dep.Hop1Stats(); int(s.Computed) != len(ball)-1+hubs {
+			t.Fatalf("TMax %d: the batch computed %d rows, its ball has %d, one was held, and %d hub rows are resident", c.tmax, s.Computed, len(ball), hubs)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -34,8 +35,10 @@ func recold(d *Deployment) {
 
 func recoldTier[T float64 | float32](e *tier[T]) {
 	for i := range e.layers {
-		if m := e.layers[i].Load(); m != nil {
-			m.invalidateAll()
+		for _, m := range []*hopLayer[T]{e.layers[i].Load(), e.hubs[i].Load()} {
+			if m != nil {
+				m.invalidateAll()
+			}
 		}
 	}
 }
@@ -177,8 +180,8 @@ func TestMemoConcurrentFill(t *testing.T) {
 			for c, got := range results {
 				requireSameResult(t, fmt.Sprintf("%v round %d caller %d", p, round, c), got, want)
 			}
-			if s := dep.Hop1Stats(); s.Entries == 0 || s.Entries > ds.Graph.N() {
-				t.Fatalf("%v round %d: %d entries for %d rows", p, round, s.Entries, ds.Graph.N())
+			if s := dep.Hop1Stats(); s.Entries == 0 || s.Entries > s.Capacity {
+				t.Fatalf("%v round %d: %d entries for %d rows", p, round, s.Entries, s.Capacity)
 			}
 		}
 	}
@@ -310,8 +313,10 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 			if _, err := dep.Infer(rangeInts(0, n), InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}); err != nil {
 				t.Fatal(err)
 			}
-			if s := dep.Hop1Stats(); s.Capacity != n || s.Entries != n {
-				t.Fatalf("%v: stats %+v for %d nodes", p, s, n)
+			// The hub rows of X^(2), which TMax 3 reads, are none of X^(1)'s.
+			hubs, resident := hubCounts(dep)
+			if s := dep.Hop1Stats(); s.Capacity != n+hubs || s.Entries != n+resident {
+				t.Fatalf("%v: stats %+v for %d nodes and %d hub rows, %d resident", p, s, n, hubs, resident)
 			}
 			requireColdWarmSame(t, fmt.Sprintf("%v full", p), dep, ds.Split.Test, opt)
 		}
@@ -322,10 +327,12 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 // sparse and narrow, dense, or f ≫ d̄, where the block outweighs the adjacency
 // — a layer retains at most (n + n/64)·(f·sizeof(T) + 4) bytes, a row and a
 // state word per node plus the headroom, when first read and after growing
-// past that headroom, and reports n rows' worth. A deployment holds a block
-// only for a depth it has been read at: read only at TMax 4 it holds X^(2)
-// alone (X^(1) at int8) and has never allocated X^(1); read at TMax 2 as well
-// it holds two, and its counters sum both.
+// past that headroom, and reports n rows' worth; a hub layer retains at most
+// ⌈n/64⌉·(f·sizeof(T) + 4) bytes plus its id list, and reports its members'
+// rows. A deployment holds a block only for a depth it has been read at: read
+// only at TMax 4 it holds X^(2) alone (X^(1) at int8) and has never allocated
+// X^(1), beside the hub rows of X^(3) (none at int8); read at TMax 2 as well
+// it holds two blocks and no more hub rows, and its counters sum them all.
 func TestLayerBytes(t *testing.T) {
 	eachTier(t, testLayerBytes[float64], testLayerBytes[float32])
 }
@@ -344,8 +351,17 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, held, len(mm.state), n, bound)
 			}
 		}
-		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n || s.Bytes != len(layers)*n*(f*elem+4) {
-			t.Fatalf("%s: counters report %d rows, %d B for %d blocks of %d nodes", label, s.Capacity, s.Bytes, len(layers), n)
+		hubs := (n + 63) / 64
+		hubRows, _ := hubCounts(dep)
+		for l, mm := range hubLayersOf[T](t, dep) {
+			k := len(mm.members)
+			held := elem*cap(mm.block) + 4*cap(mm.state) + 8*cap(mm.members)
+			if hubBound := hubs*(f*elem+4) + 8*hubs; k == 0 || held > hubBound || len(mm.state) != k || len(mm.block) != k*f {
+				t.Fatalf("%s: the hub layer of X^(%d) retains %d B for %d rows of %d members, bound %d B", label, l, held, len(mm.state), k, hubBound)
+			}
+		}
+		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != (len(layers)*n+hubRows)*(f*elem+4) {
+			t.Fatalf("%s: counters report %d rows, %d B for %d blocks of %d nodes and %d hub rows", label, s.Capacity, s.Bytes, len(layers), n, hubRows)
 		}
 	}
 
@@ -378,17 +394,23 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 		}
 	}
 	read(4)
-	want := 2
+	want, wantHubs := 2, []int{3}
 	if p == kernel.PrecisionInt8 {
-		want = 1
+		want, wantHubs = 1, nil
 	}
 	if layers := layersOf[T](t, dep); len(layers) != 1 || layers[want] == nil {
 		t.Fatalf("read at TMax 4, the deployment holds layers %v, want X^(%d) alone", depths(layers), want)
+	}
+	if hubs := depths(hubLayersOf[T](t, dep)); !slices.Equal(hubs, wantHubs) {
+		t.Fatalf("read at TMax 4, the deployment holds hub layers at depths %v, want %v", hubs, wantHubs)
 	}
 	within("read at TMax 4", dep)
 	read(2)
 	if layers := layersOf[T](t, dep); len(layers) != want { // X^(1) and X^(2), or at int8 X^(1) alone
 		t.Fatalf("read at TMax 4 and 2, the deployment holds layers %v", depths(layers))
+	}
+	if hubs := depths(hubLayersOf[T](t, dep)); !slices.Equal(hubs, wantHubs) {
+		t.Fatalf("read at TMax 4 and 2, the deployment holds hub layers at depths %v, want %v", hubs, wantHubs)
 	}
 	within("read at TMax 4 and 2", dep)
 }

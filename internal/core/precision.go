@@ -64,11 +64,12 @@ type tier[T float64 | float32] struct {
 	// by one pass over the operator: every emitted row is quantized at it, and
 	// every later hop dequantizes by adjScale × that hop's activation scale.
 	adjScale float64
-	// layers[h] is the depth-h layer (hopLayer), nil until a batch first
-	// reads that depth; alloc serializes the allocations.
-	layers  []atomic.Pointer[hopLayer[T]]
-	alloc   sync.Mutex
-	scratch sync.Pool // *inferScratch[T]
+	// layers[h] is the depth-h layer (hopLayer) and hubs[l] the depth-l hub
+	// layer, each nil until a batch first reads that depth; alloc serializes
+	// the allocations.
+	layers, hubs []atomic.Pointer[hopLayer[T]]
+	alloc        sync.Mutex
+	scratch      sync.Pool // *inferScratch[T]
 }
 
 // SetPrecision selects the engine's arithmetic tier. The default (zero
@@ -103,7 +104,8 @@ func (d *Deployment) retier() {
 }
 
 func newTier[T float64 | float32](d *Deployment) *tier[T] {
-	t := &tier[T]{d: d, layers: make([]atomic.Pointer[hopLayer[T]], d.Model.K+1)}
+	t := &tier[T]{d: d, layers: make([]atomic.Pointer[hopLayer[T]], d.Model.K+1),
+		hubs: make([]atomic.Pointer[hopLayer[T]], d.Model.K+1)}
 	// The previous engine's layers go with it.
 	s := &d.memoStats
 	s.invalidated.Add(uint64(s.entries.Swap(0)))
@@ -146,6 +148,11 @@ func (t *tier[T]) patched(valDirty []int) {
 	t.lower()
 	g := t.d.Graph
 	for i := range t.layers {
+		if m := t.hubs[i].Load(); m != nil {
+			// Every hub row: a superset of those within depth−1 hops of
+			// valDirty, at most ⌈n/64⌉ rows to recompute.
+			m.invalidateAll()
+		}
 		m := t.layers[i].Load()
 		if m == nil {
 			continue

@@ -283,11 +283,13 @@ func NewBitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // order: ring 0 is the sources, each once, in order of first appearance, and
 // ring r — the nodes at distance exactly r — is ball[ends[r−1]:ends[r]] (ring
 // 0 is ball[:ends[0]]), so every prefix ball[:ends[r]] is the radius-r ball and
-// len(ends) is radius+1. ball and ends are reused when their capacity
-// suffices. set is the visited set, a caller-owned bitset of at least
-// ⌈adj.Rows/64⌉ words (NewBitset): all zero on entry and all zero again on
-// return — cleared node by node while the ball is small, wholesale once it is
-// not.
+// len(ends) is radius+1. nnz[r] is the entries of adj in ring r's rows, which
+// the BFS counts as it goes: the direction test needs them, and a caller's
+// per-ball books are their prefix sums. ball, ends and nnz are reused when
+// their capacity suffices. set is the visited set, a caller-owned bitset of at
+// least ⌈adj.Rows/64⌉ words (NewBitset): all zero on entry and all zero again
+// on return — cleared node by node while the ball is small, wholesale once it
+// is not.
 //
 // Each ring is found from the previous ring only, never by re-walking the
 // ball. Top-down, the previous ring's rows are walked and every neighbor is
@@ -296,9 +298,10 @@ func NewBitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // entries, as the outer balls of a deep batch do, the ring is found bottom-up
 // instead (direction-optimizing BFS, Beamer et al., SC'12): each node outside
 // the ball probes its row for a neighbor inside and stops at the first, which
-// reads at most the other half of the entries and usually a small part of it.
-// adj must be symmetric, as a Graph's adjacency is.
-func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends []int) ([]int, []int) {
+// reads at most the other half of the entries and usually a small part of it,
+// and adds the found node's row length to the ring's count while the row is
+// at hand. adj must be symmetric, as a Graph's adjacency is.
+func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends, nnz []int) ([]int, []int, []int) {
 	if radius < 0 {
 		panic("graph: negative radius")
 	}
@@ -314,20 +317,21 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 		}
 	}
 	ends = append(ends, len(ball))
-	// ringNNZ is the previous ring's entries of adj (the top-down walk's
-	// candidates), ballNNZ the whole ball's (the direction test's).
-	ringNNZ := adj.NNZRows(ball)
-	ballNNZ := ringNNZ
+	nnz = append(nnz[:0], adj.NNZRows(ball))
+	// ballNNZ is the whole ball's entries (the direction test's).
+	ballNNZ := nnz[0]
 	for r := 1; r <= radius; r++ {
 		lo, hi := 0, len(ball)
 		if r > 1 {
 			lo = ends[r-2]
 		}
+		ringNNZ := 0
 		switch {
 		case lo == hi || hi == n:
 			// The ball stopped growing: every ring past it is empty.
 		case 2*ballNNZ <= adj.NNZ():
-			ball = slices.Grow(ball, min(ringNNZ, n-hi)+1)
+			// The previous ring's entries are the walk's candidates.
+			ball = slices.Grow(ball, min(nnz[r-1], n-hi)+1)
 			out, k := ball[:cap(ball)], hi
 			for _, v := range ball[lo:hi] {
 				for _, u := range adj.RowIndices(v) {
@@ -338,10 +342,7 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 				}
 			}
 			ball = out[:k]
-			if r < radius {
-				ringNNZ = adj.NNZRows(ball[hi:])
-				ballNNZ += ringNNZ
-			}
+			ringNNZ = adj.NNZRows(ball[hi:])
 		default:
 			// Bottom-up. The ring is marked only once it is whole, so every
 			// probe sees the radius-(r−1) ball and nothing wider.
@@ -352,9 +353,11 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 				}
 				for ; free != 0; free &= free - 1 {
 					v := w<<6 | bits.TrailingZeros64(free)
-					for _, u := range adj.RowIndices(v) {
+					row := adj.RowIndices(v)
+					for _, u := range row {
 						if set[u>>6]>>(uint(u)&63)&1 != 0 {
 							ball = append(ball, v)
+							ringNNZ += len(row)
 							break
 						}
 					}
@@ -364,7 +367,8 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 				set[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
-		ends = append(ends, len(ball))
+		ends, nnz = append(ends, len(ball)), append(nnz, ringNNZ)
+		ballNNZ += ringNNZ
 	}
 	if 8*len(ball) > words {
 		clear(set[:words])
@@ -373,7 +377,7 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 			set[v>>6] &^= 1 << (uint(v) & 63)
 		}
 	}
-	return ball, ends
+	return ball, ends, nnz
 }
 
 // SortedBalls sorts the balls of a Levels result: balls[r] is ball[:ends[r]]

@@ -40,14 +40,16 @@ func levelsGraph(rng *rand.Rand, n int, p float64, split bool, hubs int) *sparse
 // isolated edges to hub graphs whose outer rings are found bottom-up, split
 // into disconnected parts or not, n on and off a multiple of 64 — with
 // duplicate sources and radii from 0, every prefix ball[:ends[r]] of Levels is
-// Ball(r) as a set, its rings are disjoint, ring 0 is the sources in order of
-// first appearance, SortedBalls sorts every prefix into exactly
-// SupportingSets' ball, and the bitset is all zero after each, with buffers
-// reused from trial to trial. Every branch runs: top-down and bottom-up rings,
-// the node-by-node and the wholesale clear, a merged and a swept sort.
+// Ball(r) as a set, its rings are disjoint, each ring's count is the entries
+// its rows hold (top-down and bottom-up, the last ring included), ring 0 is
+// the sources in order of first appearance, SortedBalls sorts every prefix
+// into exactly SupportingSets' ball, and the bitset is all zero after each,
+// with buffers reused from trial to trial. Every branch runs: top-down and
+// bottom-up rings, the node-by-node and the wholesale clear, a merged and a
+// swept sort.
 func TestLevelsMatchSupportingSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	var ball, ends, dst []int
+	var ball, ends, nnz, dst []int
 	var balls [][]int
 	var topDown, bottomUp, unmarked, cleared, merged, swept int
 	for trial := 0; trial < 400; trial++ {
@@ -77,10 +79,15 @@ func TestLevelsMatchSupportingSets(t *testing.T) {
 			}
 		}
 
-		ball, ends = graph.Levels(adj, sources, radius, set, ball, ends)
+		ball, ends, nnz = graph.Levels(adj, sources, radius, set, ball, ends, nnz)
 		want := graph.SupportingSets(adj, sources, radius) // want[radius−r] = Ball(r)
-		if len(ends) != radius+1 {
-			t.Fatalf("trial %d: %d ends for radius %d", trial, len(ends), radius)
+		if len(ends) != radius+1 || len(nnz) != radius+1 {
+			t.Fatalf("trial %d: %d ends and %d ring counts for radius %d", trial, len(ends), len(nnz), radius)
+		}
+		for r := range ends {
+			if ring := ball[ringStart(ends, r):ends[r]]; nnz[r] != adj.NNZRows(ring) {
+				t.Fatalf("trial %d: ring %d counted %d entries, its rows hold %d", trial, r, nnz[r], adj.NNZRows(ring))
+			}
 		}
 		var first []int
 		for _, v := range sources {
@@ -174,8 +181,8 @@ func requireClear(t *testing.T, trial int, set []uint64) {
 func TestLevelsPanics(t *testing.T) {
 	adj := sparse.FromEdges(65, []int{0}, []int{64}, true)
 	for name, call := range map[string]func(){
-		"negative radius": func() { graph.Levels(adj, []int{0}, -1, graph.NewBitset(65), nil, nil) },
-		"short set":       func() { graph.Levels(adj, []int{0}, 1, graph.NewBitset(64), nil, nil) },
+		"negative radius": func() { graph.Levels(adj, []int{0}, -1, graph.NewBitset(65), nil, nil, nil) },
+		"short set":       func() { graph.Levels(adj, []int{0}, 1, graph.NewBitset(64), nil, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -215,12 +222,12 @@ func BenchmarkLevels(b *testing.B) {
 				}
 			}
 			set := graph.NewBitset(adj.Rows)
-			var ball, ends, dst []int
+			var ball, ends, nnz, dst []int
 			var balls [][]int
 			nodes := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ball, ends = graph.Levels(adj, reqs[i%len(reqs)], shape.radius, set, ball, ends)
+				ball, ends, nnz = graph.Levels(adj, reqs[i%len(reqs)], shape.radius, set, ball, ends, nnz)
 				dst, balls = graph.SortedBalls(ball, ends[:shape.k+1], set, dst, balls)
 				nodes += len(ball)
 			}
