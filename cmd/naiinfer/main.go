@@ -45,6 +45,10 @@ func main() {
 	quick := flag.Bool("quick", true, "shrink dataset and training")
 	load := flag.String("load", "", "load a trained model from this JSON file instead of training")
 	flag.Parse()
+	napMode, err := parseMode(*mode, *tsQuantile)
+	if err != nil {
+		fail(err)
+	}
 
 	cfg := bench.DefaultConfig()
 	if *quick {
@@ -77,21 +81,13 @@ func main() {
 		fail(err)
 	}
 
-	iopt := core.InferenceOptions{TMin: *tmin, TMax: m.K, BatchSize: *batch}
+	iopt := core.InferenceOptions{Mode: napMode, TMin: *tmin, TMax: m.K, BatchSize: *batch}
 	if *tmax > 0 {
 		iopt.TMax = *tmax
 	}
-	switch *mode {
-	case "fixed":
-		iopt.Mode = core.ModeFixed
-	case "distance":
-		iopt.Mode = core.ModeDistance
+	if napMode == core.ModeDistance {
 		iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
 		fmt.Printf("tuned T_s = %.4f (validation quantile %.2f)\n", iopt.Ts, *tsQuantile)
-	case "gate":
-		iopt.Mode = core.ModeGate
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 
 	start := time.Now()
@@ -117,6 +113,20 @@ func main() {
 		fmt.Sprintf("%.4f", float64(res.MACs.Classification)/n/1e6),
 		fmt.Sprintf("%.4f", float64(res.MACs.Total())/n/1e6))
 	fmt.Println(t.Render())
+}
+
+// parseMode reads -mode and checks -ts-quantile, which distance mode's T_s
+// tuner uses to index the sorted validation distances, is in [0, 1].
+func parseMode(name string, tsQuantile float64) (core.Mode, error) {
+	if !(tsQuantile >= 0 && tsQuantile <= 1) {
+		return 0, fmt.Errorf("-ts-quantile %v outside [0, 1]", tsQuantile)
+	}
+	for _, m := range []core.Mode{core.ModeFixed, core.ModeDistance, core.ModeGate} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (fixed, distance, gate)", name)
 }
 
 func fail(err error) {

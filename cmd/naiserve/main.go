@@ -159,9 +159,14 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	// Quotas and the shard layout are parsed before any training happens: a
-	// typo in either should fail the launch, not a request hours later.
+	// Quotas, the operating mode and the shard layout are parsed before any
+	// training happens: a typo in any should fail the launch, not a request
+	// hours later.
 	quotas, err := qos.ParseQuotas(*tenantQuotas)
+	if err != nil {
+		fail(err)
+	}
+	napMode, err := parseMode(*mode, *tsQuantile)
 	if err != nil {
 		fail(err)
 	}
@@ -266,32 +271,23 @@ func main() {
 	// the tier). In sharded fixed/gate modes it is skipped entirely — the
 	// router builds only shard-local state.
 	var dep *core.Deployment
-	if (shardCount <= 1 && workerGroups == nil) || *mode == "distance" {
+	if (shardCount <= 1 && workerGroups == nil) || napMode == core.ModeDistance {
 		if dep, err = core.NewDeployment(m, g); err != nil {
 			fail(err)
 		}
 		dep.SetPrecision(prec)
 	}
 
-	iopt := core.InferenceOptions{TMin: *tmin, TMax: m.K}
+	iopt := core.InferenceOptions{Mode: napMode, TMin: *tmin, TMax: m.K}
 	if *tmax > 0 {
 		iopt.TMax = *tmax
 	}
-	switch *mode {
-	case "fixed":
-		iopt.Mode = core.ModeFixed
-	case "distance":
-		iopt.Mode = core.ModeDistance
-		if ds != nil {
-			iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
-			logger.Info("tuned distance threshold", "ts", iopt.Ts, "quantile", *tsQuantile)
-		} else {
+	if napMode == core.ModeDistance {
+		if ds == nil {
 			fail(fmt.Errorf("distance mode needs a validation split to tune T_s; serve a dataset or use -mode fixed/gate"))
 		}
-	case "gate":
-		iopt.Mode = core.ModeGate
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+		iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
+		logger.Info("tuned distance threshold", "ts", iopt.Ts, "quantile", *tsQuantile)
 	}
 
 	// Fail fast on a misconfigured operating point (bad depth bounds, gate
@@ -465,6 +461,20 @@ func parseShards(s string) (count int, groups [][]string, err error) {
 		groups = append(groups, addrs)
 	}
 	return len(groups), groups, nil
+}
+
+// parseMode reads -mode and checks -ts-quantile, which distance mode's T_s
+// tuner uses to index the sorted validation distances, is in [0, 1].
+func parseMode(name string, tsQuantile float64) (core.Mode, error) {
+	if !(tsQuantile >= 0 && tsQuantile <= 1) {
+		return 0, fmt.Errorf("-ts-quantile %v outside [0, 1]", tsQuantile)
+	}
+	for _, m := range []core.Mode{core.ModeFixed, core.ModeDistance, core.ModeGate} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (fixed, distance, gate)", name)
 }
 
 func orNone(s string) string {

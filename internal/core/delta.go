@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // ApplyDelta appends nodes and/or edges to the serving graph and
 // incrementally refreshes the deployment's cached state: the normalized
@@ -49,23 +45,7 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 	// Value-dirty rows of Â: the dirty rows themselves plus every neighbor
 	// of a degree-changed node (all dirty nodes changed degree — an inserted
 	// entry is +1 on both endpoints, and appended nodes are new).
-	adj := d.Graph.Adj
-	n := adj.Rows
-	mark := make([]bool, n)
-	for _, v := range dr.Dirty {
-		mark[v] = true
-	}
-	valDirty := append([]int(nil), dr.Dirty...)
-	for _, v := range dr.Dirty {
-		for _, u := range adj.RowIndices(v) {
-			if !mark[u] {
-				mark[u] = true
-				valDirty = append(valDirty, u)
-			}
-		}
-	}
-	sort.Ints(valDirty)
-	d.PatchAdjacency(valDirty)
+	d.PatchAdjacency(graph.Ball(d.Graph.Adj, dr.Dirty, 1))
 }
 
 // PatchAdjacency re-derives the normalized adjacency after the serving graph

@@ -295,9 +295,10 @@ func subtractSorted(dst, a, b []int) []int {
 // the slab, the row lists, the int8 tier's quantized activations
 // (growScratch), the BFSes' rings and balls (rings.shrink), the fill's hops
 // (hopScratch.shrink) and the decide/classify arena (arena.shrink) — follow
-// one retention policy: they grow geometrically across pool hits and drop back
-// to current need when a past batch left them more than 4× oversized, so one
-// huge request does not pin worst-case capacity forever, at any tier.
+// one retention policy (oversized): they grow geometrically across pool hits
+// and drop back to current need when a past batch left them more than 4×
+// oversized, so one huge request does not pin worst-case capacity forever, at
+// any tier.
 type inferScratch[T float64 | float32] struct {
 	// hopScratch holds a fill's hops below the layer's depth (propagate); its
 	// set is also the batch's own BFS's visited bitset.
@@ -396,12 +397,10 @@ func (rg *rings) books(dst []int) []int {
 	return dst
 }
 
-// shrink applies the scratch retention policy between batches: the id lists
-// are dropped when they hold more than 4× what any BFS since the last shrink
-// needed.
+// shrink applies the scratch retention policy between batches to the id
+// lists, against what any BFS since the last shrink needed.
 func (rg *rings) shrink() {
-	const minRetain = 1024
-	if c := cap(rg.ball) + cap(rg.sorted); c > 4*rg.hw && c > minRetain {
+	if oversized(cap(rg.ball)+cap(rg.sorted), rg.hw) {
 		rg.ball, rg.sorted = nil, nil
 	}
 	rg.hw = 0
@@ -411,17 +410,24 @@ func (rg *rings) bytes() int {
 	return capBytes(rg.ball) + capBytes(rg.ends) + capBytes(rg.nnz) + capBytes(rg.sorted) + capBytes(rg.balls)
 }
 
+// minRetain is the capacity below which a scratch buffer is always kept:
+// retention that small is too cheap to fight.
+const minRetain = 1024
+
+// oversized is the scratch retention rule: a pooled buffer of the given
+// capacity is dropped when it holds more than 4× what was needed since it was
+// last checked, so one huge batch does not pin worst-case capacity forever.
+func oversized(capacity, need int) bool { return capacity > 4*need && capacity > minRetain }
+
 // growScratch resizes a scratch buffer to need elements: grown geometrically
-// when too small, dropped back to need when a previous batch left it more
-// than 4× oversized (so pooled scratches do not retain worst-case capacity
-// forever), reused as-is otherwise. Contents are not preserved.
+// when too small, dropped back to need when oversized, reused as-is
+// otherwise. Contents are not preserved.
 func growScratch[T any](buf []T, need int) []T {
-	const minRetain = 1024 // below this, retention is too cheap to fight
 	c := cap(buf)
 	switch {
 	case c < need:
 		return make([]T, need, sparse.GrownCap(c, need))
-	case c > 4*need && c > minRetain:
+	case oversized(c, need):
 		return make([]T, need)
 	default:
 		return buf[:need]
@@ -513,12 +519,10 @@ func (a *arena) matrix(r, c int) *mat.Matrix {
 	return m
 }
 
-// shrink applies the scratch retention policy between requests: when the
-// buffer is more than 4× the high water of the last window, drop it so one
-// huge batch does not pin arena capacity in the pool forever.
+// shrink applies the scratch retention policy between requests, against the
+// high water of the last window.
 func (a *arena) shrink() {
-	const minRetain = 1024
-	if len(a.buf) > 4*a.hw && len(a.buf) > minRetain {
+	if oversized(len(a.buf), a.hw) {
 		a.buf = make([]float64, a.hw)
 	}
 	a.off, a.hw = 0, 0

@@ -339,14 +339,13 @@ func (hs *hopScratch[T]) buf(i, need int) []T {
 	return hs.bufs[i]
 }
 
-// shrink applies the scratch retention policy between batches: a buffer more
-// than 4× the last batch's largest need is dropped, so a cold fill's
-// whole-graph hops and balls do not stay pinned in the pool by the warm
-// batches after it, which fill little or nothing.
+// shrink applies the scratch retention policy between batches, against the
+// last batch's largest need, so a cold fill's whole-graph hops and balls do
+// not stay pinned in the pool by the warm batches after it, which fill little
+// or nothing.
 func (hs *hopScratch[T]) shrink() {
-	const minRetain = 1024
 	for i, b := range hs.bufs {
-		if cap(b) > 4*hs.hw && cap(b) > minRetain {
+		if oversized(cap(b), hs.hw) {
 			hs.bufs[i] = nil
 		}
 	}

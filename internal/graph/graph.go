@@ -2,6 +2,11 @@
 // machinery of the paper: train/val/test splits where test nodes are unseen
 // during training, induced training subgraphs, and k-hop supporting-set
 // extraction (the "supporting nodes" of the neighbor-explosion problem).
+//
+// Every k-hop ball comes from one BFS, Levels, which finds it ring by ring
+// over a caller-owned bitset; SortedBalls sorts its balls, and Ball and
+// SupportingSets are Levels plus that sort. BFSDistances is the plain queue
+// BFS the tests check distances against.
 package graph
 
 import (
@@ -159,108 +164,25 @@ func (g *Graph) Induce(nodes []int) *Induced {
 // `hops` times for the target nodes: sets[hops] = targets and
 // sets[l] = sets[l+1] ∪ N(sets[l+1]). Computing X^{(t)} on sets[t] from
 // X^{(t-1)} on sets[t-1] is then exact for every t ≤ hops. Each set is
-// sorted ascending. sets[0] is the full radius-`hops` ball (the paper's
-// "supporting nodes", whose count explodes with depth). adj must be
-// symmetric, as every Graph's adjacency is (ringScratch).
+// sorted ascending: sets[hops−r] is the radius-r ball of one Levels BFS,
+// sorted by SortedBalls, so sets[0] is the full radius-`hops` ball (the
+// paper's "supporting nodes", whose count explodes with depth); the sets
+// share one backing array. adj must be symmetric, as every Graph's adjacency
+// is (Levels).
 func SupportingSets(adj *sparse.CSR, targets []int, hops int) [][]int {
-	return SupportingSetsScratch(adj, targets, hops, make([]bool, adj.Rows))
-}
-
-// SupportingSetsScratch is SupportingSets with a caller-owned visited
-// buffer: mark must have length ≥ adj.Rows and be all-false on entry; it is
-// restored to all-false before returning. Serving paths that expand balls
-// every batch reuse one buffer instead of allocating O(n) per call.
-func SupportingSetsScratch(adj *sparse.CSR, targets []int, hops int, mark []bool) [][]int {
-	if hops < 0 {
-		panic("graph: negative hops")
-	}
-	if len(mark) < adj.Rows {
-		panic(fmt.Sprintf("graph: mark buffer length %d < %d nodes", len(mark), adj.Rows))
-	}
-	sets := make([][]int, hops+1)
-	cur := append([]int(nil), targets...)
-	sort.Ints(cur)
-	cur = dedupSorted(cur)
-	sets[hops] = cur
-	var ring []int // reused across rings: each is merged into its ball, not kept
-	for l := hops - 1; l >= 0; l-- {
-		ring = ringScratch(adj, cur, mark, ring[:0])
-		cur = unionSorted(cur, ring, mark[:adj.Rows])
-		sets[l] = cur
-	}
+	set := NewBitset(adj.Rows)
+	ball, ends, _ := Levels(adj, targets, hops, set, nil, nil, nil)
+	_, sets := SortedBalls(ball, ends, set, nil, nil)
+	slices.Reverse(sets)
 	return sets
 }
 
-// ringScratch appends to dst the nodes exactly one hop outside set — N(set)
-// minus set, each once, in no particular order — and returns it: the outer
-// ring of the ball one hop wider than set. mark is SupportingSetsScratch's
-// buffer under the same contract: length ≥ adj.Rows, all-false on entry,
-// all-false again on return. set must hold no duplicates.
+// SupportingSetsScratch is SupportingSets; mark is unused.
 //
-// The ring is found from whichever side reads fewer entries of adj, which
-// must be symmetric (a Graph's adjacency is): walking the rows of set and
-// collecting their unseen neighbors, or — once set holds more than half of
-// adj's entries — probing each node outside set for a neighbor inside and
-// stopping at the first, which reads at most the other half and usually a
-// small part of it.
-func ringScratch(adj *sparse.CSR, set []int, mark []bool, dst []int) []int {
-	for _, v := range set {
-		mark[v] = true
-	}
-	if 2*adj.NNZRows(set) > adj.NNZ() {
-		for v := 0; v < adj.Rows; v++ {
-			if mark[v] {
-				continue
-			}
-			for _, u := range adj.RowIndices(v) {
-				if mark[u] {
-					dst = append(dst, v)
-					break
-				}
-			}
-		}
-	} else {
-		at := len(dst)
-		for _, v := range set {
-			for _, u := range adj.RowIndices(v) {
-				if !mark[u] {
-					mark[u] = true
-					dst = append(dst, u)
-				}
-			}
-		}
-		for _, v := range dst[at:] {
-			mark[v] = false
-		}
-	}
-	for _, v := range set {
-		mark[v] = false
-	}
-	return dst
-}
-
-// unionSorted returns, in a list sized once, the ascending union of cur
-// (ascending) and ring (disjoint from it, in any order; reordered in place).
-// Only the ring needs sorting, and a ring holding a large share of the graph
-// not even that: it is cheaper to mark both lists and read the union off
-// mark — all-false on entry and on return, one entry per node — in id order.
-func unionSorted(cur, ring []int, mark []bool) []int {
-	out := make([]int, 0, len(cur)+len(ring))
-	if len(ring)*bits.Len(uint(len(ring))) > len(mark) {
-		for _, list := range [2][]int{cur, ring} {
-			for _, v := range list {
-				mark[v] = true
-			}
-		}
-		for v, on := range mark {
-			if on {
-				out, mark[v] = append(out, v), false
-			}
-		}
-		return out
-	}
-	sort.Ints(ring)
-	return mergeSorted(out, cur, ring)
+// Deprecated: call SupportingSets. The signature stays while the benchmark
+// ladder calls it with its []bool buffer (ROADMAP item 1(iv)).
+func SupportingSetsScratch(adj *sparse.CSR, targets []int, hops int, mark []bool) [][]int {
+	return SupportingSets(adj, targets, hops)
 }
 
 // mergeSorted appends the ascending merge of a and b (each ascending) to dst.
@@ -469,9 +391,13 @@ func LocalizeSet(set []int, toLocal []int32, dst []int) []int {
 }
 
 // Ball returns the sorted set of nodes within `radius` hops of targets
-// (including the targets themselves).
+// (including the targets themselves): one Levels BFS with only its outermost
+// ball sorted. adj must be symmetric (Levels).
 func Ball(adj *sparse.CSR, targets []int, radius int) []int {
-	return SupportingSets(adj, targets, radius)[0]
+	set := NewBitset(adj.Rows)
+	ball, ends, _ := Levels(adj, targets, radius, set, nil, nil, nil)
+	_, balls := SortedBalls(ball, ends[radius:], set, nil, nil)
+	return balls[0]
 }
 
 // BFSDistances returns hop distances from the source set (−1 if unreachable).
@@ -513,16 +439,6 @@ func Batches(nodes []int, batchSize int) [][]int {
 			hi = len(nodes)
 		}
 		out = append(out, nodes[lo:hi])
-	}
-	return out
-}
-
-func dedupSorted(xs []int) []int {
-	out := xs[:0]
-	for i, v := range xs {
-		if i == 0 || v != xs[i-1] {
-			out = append(out, v)
-		}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -192,38 +193,17 @@ func TestSupportingSetsMatchBFSBall(t *testing.T) {
 	}
 }
 
-func TestSupportingSetsScratchMatchesAndRestoresMark(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	adj := randomAdj(40, 0.08, rng)
-	mark := make([]bool, 40)
-	for trial := 0; trial < 20; trial++ {
-		targets := []int{rng.Intn(40), rng.Intn(40)}
-		hops := rng.Intn(4)
-		want := SupportingSets(adj, targets, hops)
-		got := SupportingSetsScratch(adj, targets, hops, mark)
-		if len(got) != len(want) {
-			t.Fatalf("len %d != %d", len(got), len(want))
-		}
-		for l := range want {
-			wantEq(t, got[l], want[l])
-		}
-		for v, m := range mark {
-			if m {
-				t.Fatalf("trial %d: mark[%d] left dirty", trial, v)
-			}
-		}
-	}
-}
-
-// seedSupportingSets is SupportingSetsScratch as it stood before rings were
-// derived from either side and merged instead of re-sorted: every ring walked
-// from the inside, the whole ball sorted again at every ring. The reference
-// of TestSupportingSetsMatchSeedImplementation.
-func seedSupportingSets(adj *sparse.CSR, targets []int, hops int, mark []bool) [][]int {
+// seedSupportingSets is SupportingSets as the seed implementation computed
+// it: every ring walked from the inside over a []bool visited buffer, the
+// whole ball sorted again at every ring. The naive reference of the BFS's
+// property tests (TestSupportingSetsMatchSeedImplementation,
+// TestLevelsMatchSupportingSets, FuzzLevels).
+func seedSupportingSets(adj *sparse.CSR, targets []int, hops int) [][]int {
+	mark := make([]bool, adj.Rows)
 	sets := make([][]int, hops+1)
 	cur := append([]int(nil), targets...)
 	sort.Ints(cur)
-	cur = dedupSorted(cur)
+	cur = slices.Compact(cur)
 	sets[hops] = cur
 	for l := hops - 1; l >= 0; l-- {
 		for _, v := range cur {
@@ -250,13 +230,12 @@ func seedSupportingSets(adj *sparse.CSR, targets []int, hops int, mark []bool) [
 
 // TestSupportingSetsMatchSeedImplementation: the same sets in the same order
 // as the seed implementation, on random graphs from a few isolated edges to
-// dense enough that a ring is found from the outside (the set holds most of
-// the edges) and read off the mark buffer (the ring holds most of the nodes),
-// for duplicate and unsorted targets, with the mark buffer handed back clean —
-// and ringScratch, from whichever side, is the set difference of two balls.
+// dense enough that a ring is found bottom-up (the ball holds most of the
+// edges) and read off the visited set (the ring holds most of the nodes), for
+// duplicate and unsorted targets.
 func TestSupportingSetsMatchSeedImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var outside, swept int
+	var bottomUp, swept int
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(120)
 		adj := randomAdj(n, []float64{0.01, 0.05, 0.2, 0.6}[trial%4], rng)
@@ -268,9 +247,8 @@ func TestSupportingSetsMatchSeedImplementation(t *testing.T) {
 			targets = append(targets, targets[0], targets[len(targets)/2]) // duplicates
 		}
 		hops := rng.Intn(5)
-		mark := make([]bool, n+rng.Intn(3))
-		want := seedSupportingSets(adj, targets, hops, make([]bool, n))
-		got := SupportingSetsScratch(adj, targets, hops, mark)
+		want := seedSupportingSets(adj, targets, hops)
+		got := SupportingSets(adj, targets, hops)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d sets, seed %d", trial, len(got), len(want))
 		}
@@ -278,49 +256,17 @@ func TestSupportingSetsMatchSeedImplementation(t *testing.T) {
 			wantEq(t, got[l], want[l])
 		}
 		for l := hops; l > 0; l-- {
-			ring := ringScratch(adj, got[l], mark, []int{-1})
-			if ring[0] != -1 {
-				t.Fatalf("trial %d: ringScratch overwrote dst's prefix", trial)
-			}
-			ring = ring[1:]
-			sort.Ints(ring)
-			var diff []int
-			inner := make(map[int]bool, len(got[l]))
-			for _, v := range got[l] {
-				inner[v] = true
-			}
-			for _, v := range got[l-1] {
-				if !inner[v] {
-					diff = append(diff, v)
-				}
-			}
-			wantEq(t, ring, diff)
 			if 2*adj.NNZRows(got[l]) > adj.NNZ() {
-				outside++
+				bottomUp++
 			}
-			if len(ring)*bits.Len(uint(len(ring))) > n {
+			if ring := len(got[l-1]) - len(got[l]); ring*bits.Len(uint(ring)) > (n+63)/64 {
 				swept++
 			}
 		}
-		for v, m := range mark {
-			if m {
-				t.Fatalf("trial %d: mark[%d] left dirty", trial, v)
-			}
-		}
 	}
-	if outside == 0 || swept == 0 {
-		t.Fatalf("the trials never took a ring from the outside (%d) or a union off the mark buffer (%d)", outside, swept)
+	if bottomUp == 0 || swept == 0 {
+		t.Fatalf("the trials never found a ring bottom-up (%d) or read a ball off the visited set (%d)", bottomUp, swept)
 	}
-}
-
-func TestSupportingSetsScratchShortMarkPanics(t *testing.T) {
-	g := lineGraph(t, 5, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SupportingSetsScratch(g.Adj, []int{0}, 1, make([]bool, 2))
 }
 
 func TestSupportingSetsZeroHops(t *testing.T) {

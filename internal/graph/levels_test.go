@@ -40,13 +40,13 @@ func levelsGraph(rng *rand.Rand, n int, p float64, split bool, hubs int) *sparse
 // isolated edges to hub graphs whose outer rings are found bottom-up, split
 // into disconnected parts or not, n on and off a multiple of 64 — with
 // duplicate sources and radii from 0, every prefix ball[:ends[r]] of Levels is
-// Ball(r) as a set, its rings are disjoint, each ring's count is the entries
-// its rows hold (top-down and bottom-up, the last ring included), ring 0 is
-// the sources in order of first appearance, SortedBalls sorts every prefix
-// into exactly SupportingSets' ball, and the bitset is all zero after each,
-// with buffers reused from trial to trial. Every branch runs: top-down and
-// bottom-up rings, the node-by-node and the wholesale clear, a merged and a
-// swept sort.
+// the naive reference's radius-r ball as a set, its rings are disjoint, each
+// ring's count is the entries its rows hold (top-down and bottom-up, the last
+// ring included), ring 0 is the sources in order of first appearance,
+// SortedBalls sorts every prefix into exactly that ball, so do Ball and
+// SupportingSets, and the bitset is all zero after each, with buffers reused
+// from trial to trial. Every branch runs: top-down and bottom-up rings, the
+// node-by-node and the wholesale clear, a merged and a swept sort.
 func TestLevelsMatchSupportingSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var ball, ends, nnz, dst []int
@@ -80,7 +80,10 @@ func TestLevelsMatchSupportingSets(t *testing.T) {
 		}
 
 		ball, ends, nnz = graph.Levels(adj, sources, radius, set, ball, ends, nnz)
-		want := graph.SupportingSets(adj, sources, radius) // want[radius−r] = Ball(r)
+		want := graph.SeedSupportingSets(adj, sources, radius) // want[radius−r] = Ball(r)
+		if got := graph.SupportingSets(adj, sources, radius); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("trial %d: SupportingSets %v, reference %v", trial, got, want)
+		}
 		if len(ends) != radius+1 || len(nnz) != radius+1 {
 			t.Fatalf("trial %d: %d ends and %d ring counts for radius %d", trial, len(ends), len(nnz), radius)
 		}
@@ -107,7 +110,10 @@ func TestLevelsMatchSupportingSets(t *testing.T) {
 		}
 		for r, hi := range ends {
 			if prefix := sorted(ball[:hi]); !slices.Equal(prefix, want[radius-r]) {
-				t.Fatalf("trial %d: radius-%d prefix %v, Ball %v", trial, r, prefix, want[radius-r])
+				t.Fatalf("trial %d: radius-%d prefix %v, reference %v", trial, r, prefix, want[radius-r])
+			}
+			if got := graph.Ball(adj, sources, r); !slices.Equal(got, want[radius-r]) {
+				t.Fatalf("trial %d: Ball(%d) %v, reference %v", trial, r, got, want[radius-r])
 			}
 			// Ring r ≥ 1 is searched for at all when ring r−1 is not empty and
 			// the ball is not yet the graph; from which side, by the entries
@@ -131,7 +137,7 @@ func TestLevelsMatchSupportingSets(t *testing.T) {
 		dst, balls = graph.SortedBalls(ball, ends, set, dst, balls)
 		for r, hi := range ends {
 			if !slices.Equal(balls[r], want[radius-r]) {
-				t.Fatalf("trial %d: sorted radius-%d ball %v, Ball %v", trial, r, balls[r], want[radius-r])
+				t.Fatalf("trial %d: sorted radius-%d ball %v, reference %v", trial, r, balls[r], want[radius-r])
 			}
 			lo := ringStart(ends, r)
 			ring := ball[lo:hi]
@@ -176,6 +182,51 @@ func requireClear(t *testing.T, trial int, set []uint64) {
 			t.Fatalf("trial %d: word %d of the visited set left %#x", trial, w, word)
 		}
 	}
+}
+
+// FuzzLevels: over fuzzer-chosen graphs (an edge list on up to 256 nodes),
+// sources and radii ≤ 5, every prefix of Levels, every ball SortedBalls sorts,
+// Ball and SupportingSets are the naive reference's balls, and the visited set
+// is all zero after each call.
+func FuzzLevels(f *testing.F) {
+	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, []byte{2}, uint8(2))                // a path
+	f.Add(uint8(0), []byte{}, []byte{0, 0}, uint8(3))                                         // one node
+	f.Add(uint8(69), []byte{0, 1, 0, 2, 0, 3, 0, 64, 0, 65, 4, 5}, []byte{1, 0, 2}, uint8(4)) // a hub: rings bottom-up
+	f.Add(uint8(199), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 130, 130, 131}, []byte{9, 2, 5, 130}, uint8(5))
+	f.Fuzz(func(t *testing.T, nodes uint8, edges, sources []byte, radius uint8) {
+		n, r := 1+int(nodes), int(radius%6)
+		var src, dst []int
+		for i := 0; i+1 < len(edges); i += 2 {
+			src, dst = append(src, int(edges[i])%n), append(dst, int(edges[i+1])%n)
+		}
+		adj := sparse.FromEdges(n, src, dst, true)
+		targets := make([]int, len(sources))
+		for i, s := range sources {
+			targets[i] = int(s) % n
+		}
+		want := graph.SeedSupportingSets(adj, targets, r)
+		set := graph.NewBitset(n)
+		ball, ends, _ := graph.Levels(adj, targets, r, set, nil, nil, nil)
+		requireClear(t, 0, set)
+		for k, hi := range ends {
+			if prefix := sorted(ball[:hi]); !slices.Equal(prefix, want[r-k]) {
+				t.Fatalf("radius-%d prefix %v, reference %v", k, prefix, want[r-k])
+			}
+		}
+		_, balls := graph.SortedBalls(ball, ends, set, nil, nil)
+		requireClear(t, 0, set)
+		for k, b := range balls {
+			if !slices.Equal(b, want[r-k]) {
+				t.Fatalf("sorted radius-%d ball %v, reference %v", k, b, want[r-k])
+			}
+		}
+		if got := graph.SupportingSets(adj, targets, r); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("SupportingSets %v, reference %v", got, want)
+		}
+		if got := graph.Ball(adj, targets, r); !slices.Equal(got, want[0]) {
+			t.Fatalf("Ball %v, reference %v", got, want[0])
+		}
+	})
 }
 
 func TestLevelsPanics(t *testing.T) {

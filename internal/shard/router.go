@@ -279,21 +279,29 @@ func (r *Router) connect(t Transport, groups [][]int, addrs [][]string) error {
 	return nil
 }
 
-// buildRuntime computes one shard's router-side bookkeeping: the halo
-// universe, the global→local remap, and per-node hop distances.
+// buildRuntime computes one shard's router-side bookkeeping from one BFS
+// (graph.Levels): the halo universe — the radius-hop ball of the owned set,
+// sorted — the global→local remap, and each node's hop distance, which is
+// its ring's index.
 func buildRuntime(g *graph.Graph, owned []int, radius int) *shardRuntime {
-	sets := graph.SupportingSets(g.Adj, owned, radius)
-	universe := sets[0]
+	set := graph.NewBitset(g.N())
+	rings, ends, _ := graph.Levels(g.Adj, owned, radius, set, nil, nil, nil)
+	// toLocal holds each node's ring until the universe is sorted.
 	toLocal := graph.NewIndex(g.N())
-	graph.IndexSet(universe, toLocal)
-	dist := make([]int, len(universe))
-	for rr := radius; rr >= 0; rr-- {
-		// sets[radius−rr] is the radius-rr ball; descending rr leaves each
-		// node with its minimum distance.
-		for _, v := range sets[radius-rr] {
-			dist[toLocal[v]] = rr
+	lo := 0
+	for r, hi := range ends {
+		for _, v := range rings[lo:hi] {
+			toLocal[v] = int32(r)
 		}
+		lo = hi
 	}
+	_, balls := graph.SortedBalls(rings, ends[radius:], set, nil, nil)
+	universe := balls[0]
+	dist := make([]int, len(universe))
+	for lv, v := range universe {
+		dist[lv] = int(toLocal[v])
+	}
+	graph.IndexSet(universe, toLocal)
 	return &shardRuntime{universe: universe, toLocal: toLocal, dist: dist}
 }
 

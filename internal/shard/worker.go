@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,8 +63,9 @@ func NewWorker(m *core.Model, g *graph.Graph, cfg Config, shardID int) (*Worker,
 	if shardID < 0 || shardID >= asg.P {
 		return nil, fmt.Errorf("shard: worker id %d outside [0,%d)", shardID, asg.P)
 	}
-	universe := haloUniverse(g, asg.Owned[shardID], radius)
-	dep, lst, err := buildShardState(m, g, st, universe)
+	// The halo universe: the radius-hop ball of the owned set, ascending —
+	// the shard's local id space, the router's shardRuntime.universe.
+	dep, lst, err := buildShardState(m, g, st, graph.Ball(g.Adj, asg.Owned[shardID], radius))
 	if err != nil {
 		return nil, err
 	}
@@ -78,12 +80,6 @@ func newWorker(shardID, shards, radius, globalN int, prec kernel.Precision, dep 
 	dep.SetPrecision(prec)
 	return &Worker{shardID: shardID, shards: shards, radius: radius,
 		globalN: globalN, prec: prec, dep: dep, st: st, version: 1}
-}
-
-// haloUniverse lists the nodes within radius hops of the owned set, in
-// ascending global order — one shard's local id space.
-func haloUniverse(g *graph.Graph, owned []int, radius int) []int {
-	return graph.SupportingSets(g.Adj, owned, radius)[0]
 }
 
 // buildShardState cuts one shard's subgraph out of the global graph and
@@ -189,24 +185,9 @@ func (w *Worker) ApplyDelta(sd *ShardDelta) error {
 	// adjacent to one (its D̃^{−γ} column factors moved — the local matrix
 	// is symmetric under truncation, so the node's own row names exactly
 	// the rows referencing it), and every row whose local entry set changed.
-	localN := w.dep.Graph.N()
-	mark := make([]bool, localN)
-	lAdj := w.dep.Graph.Adj
-	for _, lv := range sd.DirtyLocal {
-		mark[lv] = true
-		for _, lu := range lAdj.RowIndices(lv) {
-			mark[lu] = true
-		}
-	}
-	for _, lv := range ldr.Dirty {
-		mark[lv] = true
-	}
-	valDirty := make([]int, 0, len(ldr.Dirty))
-	for lv, m := range mark {
-		if m {
-			valDirty = append(valDirty, lv)
-		}
-	}
+	valDirty := append(graph.Ball(w.dep.Graph.Adj, sd.DirtyLocal, 1), ldr.Dirty...)
+	slices.Sort(valDirty)
+	valDirty = slices.Compact(valDirty)
 	// The shard path bypasses Deployment.ApplyDelta (the looped degrees
 	// above are the router's, not locally derivable), so the degree-factor
 	// patch, layer growth and invalidation, and operand re-lowering are
