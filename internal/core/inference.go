@@ -287,21 +287,21 @@ func subtractSorted(dst, a, b []int) []int {
 // below h, the BFS's rings (its whole radius-(TMax−l) ball, l ≤ h the first
 // depth it runs at) and sorted balls, the survivors' BFSes past h in two more
 // rings (each radius-(TMax−l) ball around a wave's survivors, l the wave's
-// depth) with the rows the hop still owes them, a visited bitset of n/8 bytes
-// and two O(n) int32 global→local remaps. A batch that fills layer rows also
-// holds their hops below h, and their balls, over the rows' balls, for the
-// fill (hopScratch). Peak memory therefore scales with concurrently executing
-// batches × their balls, not with the serving graph. All ball-sized buffers —
-// the slab, the row lists, the int8 tier's quantized activations
-// (growScratch), the BFSes' rings and balls (rings.shrink), the fill's hops
-// (hopScratch.shrink) and the decide/classify arena (arena.shrink) — follow
-// one retention policy (oversized): they grow geometrically across pool hits
-// and drop back to current need when a past batch left them more than 4×
-// oversized, so one huge request does not pin worst-case capacity forever, at
-// any tier.
+// depth) with the rows the hop still owes them, a BFS bitset of n/4 bytes
+// (graph.NewBitset) and two O(n) int32 global→local remaps. A batch that
+// fills layer rows also holds their hops below h, and their balls, over the
+// rows' balls, for the fill (hopScratch). Peak memory therefore scales with
+// concurrently executing batches × their balls, not with the serving graph.
+// All ball-sized buffers — the slab, the row lists, the int8 tier's
+// quantized activations (growScratch), the BFSes' rings and balls
+// (rings.shrink), the fill's hops (hopScratch.shrink) and the decide/classify
+// arena (arena.shrink) — follow one retention policy (oversized): they grow
+// geometrically across pool hits and drop back to current need when a past
+// batch left them more than 4× oversized, so one huge request does not pin
+// worst-case capacity forever, at any tier.
 type inferScratch[T float64 | float32] struct {
 	// hopScratch holds a fill's hops below the layer's depth (propagate); its
-	// set is also the batch's own BFS's visited bitset.
+	// set is also the bitset of the batch's own BFSes.
 	hopScratch[T]
 	// bfs is the batch's BFS at depths ≤ h — its books, S and the ring are
 	// read off it. Past h the survivors' BFSes alternate between the two wave

@@ -311,8 +311,8 @@ func (m *hopLayer[T]) publishHubs(claimed []int, toLocal []int32, out []T) {
 	m.stats.computed.Add(uint64(len(claimed)))
 }
 
-// hopScratch is what propagate holds besides its output: a BFS visited
-// bitset (all zero between calls), the BFS's rings and sorted balls, a
+// hopScratch is what propagate holds besides its output: the BFS's bitset
+// (graph.NewBitset, all zero between calls), its rings and sorted balls, a
 // global→local map (all −1 between calls) and the two buffers its
 // intermediate hops alternate between.
 type hopScratch[T float64 | float32] struct {
@@ -324,9 +324,9 @@ type hopScratch[T float64 | float32] struct {
 	hw int
 }
 
-// bitset returns the visited bitset, sized for n nodes.
+// bitset returns the BFS bitset, sized for n nodes (graph.NewBitset).
 func (hs *hopScratch[T]) bitset(n int) []uint64 {
-	if 64*len(hs.set) < n {
+	if len(hs.set) < 2*((n+63)/64) {
 		hs.set = graph.NewBitset(n)
 	}
 	return hs.set

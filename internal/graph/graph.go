@@ -4,9 +4,11 @@
 // extraction (the "supporting nodes" of the neighbor-explosion problem).
 //
 // Every k-hop ball comes from one BFS, Levels, which finds it ring by ring
-// over a caller-owned bitset; SortedBalls sorts its balls, and Ball and
-// SupportingSets are Levels plus that sort. BFSDistances is the plain queue
-// BFS the tests check distances against.
+// over a caller-owned bitset — a large ring as a second bitset, its words
+// split over par workers, so a deep batch's BFS runs on every core and its
+// large rings come out in id order; SortedBalls sorts its balls, and Ball
+// and SupportingSets are Levels plus that sort. BFSDistances is the plain
+// queue BFS the tests check distances against.
 package graph
 
 import (
@@ -17,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/mat"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -197,9 +200,10 @@ func mergeSorted(dst, a, b []int) []int {
 	return append(append(dst, a...), b...)
 }
 
-// NewBitset allocates an all-zero visited set over n nodes for Levels: one
-// bit per node, ⌈n/64⌉ words.
-func NewBitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
+// NewBitset allocates the all-zero bitset Levels runs on over n nodes:
+// 2·⌈n/64⌉ words, one bit per node for the visited set and one for the ring
+// being found.
+func NewBitset(n int) []uint64 { return make([]uint64, 2*((n+63)/64)) }
 
 // Levels is one multi-source BFS from sources out to radius, returned in ring
 // order: ring 0 is the sources, each once, in order of first appearance, and
@@ -208,33 +212,48 @@ func NewBitset(n int) []uint64 { return make([]uint64, (n+63)/64) }
 // len(ends) is radius+1. nnz[r] is the entries of adj in ring r's rows, which
 // the BFS counts as it goes: the direction test needs them, and a caller's
 // per-ball books are their prefix sums. ball, ends and nnz are reused when
-// their capacity suffices. set is the visited set, a caller-owned bitset of at
-// least ⌈adj.Rows/64⌉ words (NewBitset): all zero on entry and all zero again
-// on return — cleared node by node while the ball is small, wholesale once it
-// is not.
+// their capacity suffices. set is a caller-owned bitset of at least
+// 2·⌈adj.Rows/64⌉ words (NewBitset): the visited set in its first ⌈adj.Rows/64⌉
+// words, the ring being found in the next as many. Both are all zero on entry
+// and all zero again on return — the visited set cleared node by node while
+// the ball is small, wholesale once it is not.
 //
 // Each ring is found from the previous ring only, never by re-walking the
-// ball. Top-down, the previous ring's rows are walked and every neighbor is
-// written to the end of ball, kept iff its bit was clear: an append with no
-// branch on the visited set. Once the ball holds more than half of adj's
-// entries, as the outer balls of a deep batch do, the ring is found bottom-up
-// instead (direction-optimizing BFS, Beamer et al., SC'12): each node outside
-// the ball probes its row for a neighbor inside and stops at the first, which
-// reads at most the other half of the entries and usually a small part of it,
-// and adds the found node's row length to the ring's count while the row is
-// at hand. adj must be symmetric, as a Graph's adjacency is.
+// ball, in one of three steps:
+//   - Sparse top-down, while the previous ring's entries are fewer than the
+//     visited set's words (a point read, most survivors' BFSes): its rows are
+//     walked and every neighbor is written to the end of ball, kept iff its
+//     bit was clear — an append with no branch on the visited set.
+//   - Dense top-down, once they are not, so that the sweep below costs no
+//     more than the walk: every neighbor's bit is set in the ring's half of
+//     set, and only the neighbors outside the visited set are kept.
+//   - Bottom-up, once the ball holds more than half of adj's entries, as the
+//     outer balls of a deep batch do (direction-optimizing BFS, Beamer et al.,
+//     SC'12): each node outside the ball probes its row for a neighbor inside
+//     and stops at the first, which reads at most the other half of the
+//     entries and usually a small part of it.
+//
+// The two dense steps split the words over par workers, each writing only its
+// own words of the ring — a top-down worker walks every row of the previous
+// ring from a binary-searched start inside its id range, a bottom-up one
+// probes the free nodes of its words, split by their count — so the ring does
+// not depend on the split. One serial sweep then appends the ring to ball in
+// ascending id order, marks it visited and sums its rows' lengths. A dense
+// step with too little work for par runs inline. adj must be symmetric, as a
+// Graph's adjacency is.
 func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends, nnz []int) ([]int, []int, []int) {
 	if radius < 0 {
 		panic("graph: negative radius")
 	}
 	n, words := adj.Rows, (adj.Rows+63)/64
-	if len(set) < words {
-		panic(fmt.Sprintf("graph: visited set of %d words < %d nodes", len(set), n))
+	if len(set) < 2*words {
+		panic(fmt.Sprintf("graph: bitset of %d words < 2·⌈%d/64⌉", len(set), n))
 	}
+	vis, next := set[:words], set[words:2*words]
 	ball, ends = ball[:0], ends[:0]
 	for _, v := range sources {
-		if w, b := v>>6, uint(v)&63; set[w]>>b&1 == 0 {
-			set[w] |= 1 << b
+		if w, b := v>>6, uint(v)&63; vis[w]>>b&1 == 0 {
+			vis[w] |= 1 << b
 			ball = append(ball, v)
 		}
 	}
@@ -251,7 +270,18 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 		switch {
 		case lo == hi || hi == n:
 			// The ball stopped growing: every ring past it is empty.
-		case 2*ballNNZ <= adj.NNZ():
+		case 2*ballNNZ > adj.NNZ():
+			// The ring is marked only once it is whole, so every probe sees
+			// the radius-(r−1) ball and nothing wider.
+			par.ForWeighted(words, adj.NNZ()-ballNNZ, n-hi, func(w int) int {
+				return bits.OnesCount64(free(vis, n, w))
+			}, func(wlo, whi int) { probeFree(adj, vis, next, wlo, whi) })
+			ball, ringNNZ = sweepRing(adj, vis, next, ball)
+		case nnz[r-1] >= words:
+			frontier := ball[lo:hi]
+			par.For(words, nnz[r-1], func(wlo, whi int) { walkRows(adj, frontier, next, wlo, whi) })
+			ball, ringNNZ = sweepRing(adj, vis, next, ball)
+		default:
 			// The previous ring's entries are the walk's candidates.
 			ball = slices.Grow(ball, min(nnz[r-1], n-hi)+1)
 			out, k := ball[:cap(ball)], hi
@@ -259,47 +289,91 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 				for _, u := range adj.RowIndices(v) {
 					w, b := u>>6, uint(u)&63
 					out[k] = u
-					k += int(^set[w] >> b & 1)
-					set[w] |= 1 << b
+					k += int(^vis[w] >> b & 1)
+					vis[w] |= 1 << b
 				}
 			}
 			ball = out[:k]
 			ringNNZ = adj.NNZRows(ball[hi:])
-		default:
-			// Bottom-up. The ring is marked only once it is whole, so every
-			// probe sees the radius-(r−1) ball and nothing wider.
-			for w := 0; w < words; w++ {
-				free := ^set[w]
-				if rest := n - w<<6; rest < 64 {
-					free &= 1<<uint(rest) - 1
-				}
-				for ; free != 0; free &= free - 1 {
-					v := w<<6 | bits.TrailingZeros64(free)
-					row := adj.RowIndices(v)
-					for _, u := range row {
-						if set[u>>6]>>(uint(u)&63)&1 != 0 {
-							ball = append(ball, v)
-							ringNNZ += len(row)
-							break
-						}
-					}
-				}
-			}
-			for _, v := range ball[hi:] {
-				set[v>>6] |= 1 << (uint(v) & 63)
-			}
 		}
 		ends, nnz = append(ends, len(ball)), append(nnz, ringNNZ)
 		ballNNZ += ringNNZ
 	}
 	if 8*len(ball) > words {
-		clear(set[:words])
+		clear(vis)
 	} else {
 		for _, v := range ball {
-			set[v>>6] &^= 1 << (uint(v) & 63)
+			vis[v>>6] &^= 1 << (uint(v) & 63)
 		}
 	}
 	return ball, ends, nnz
+}
+
+// free returns word w of the nodes outside the visited set vis over n nodes.
+func free(vis []uint64, n, w int) uint64 {
+	f := ^vis[w]
+	if rest := n - w<<6; rest < 64 {
+		f &= 1<<uint(rest) - 1
+	}
+	return f
+}
+
+// walkRows is a dense top-down step over words [wlo, whi) of the ring: it
+// sets the bit in next of every neighbor of frontier with an id inside them.
+func walkRows(adj *sparse.CSR, frontier []int, next []uint64, wlo, whi int) {
+	idLo, idHi := wlo<<6, whi<<6
+	for _, v := range frontier {
+		row := adj.RowIndices(v)
+		if idLo > 0 {
+			i, _ := slices.BinarySearch(row, idLo)
+			row = row[i:]
+		}
+		for _, u := range row {
+			if u >= idHi {
+				break
+			}
+			next[u>>6] |= 1 << (uint(u) & 63)
+		}
+	}
+}
+
+// probeFree is a bottom-up step over words [wlo, whi) of the ring: it sets the
+// bit in next of every node outside vis with a neighbor inside.
+func probeFree(adj *sparse.CSR, vis, next []uint64, wlo, whi int) {
+	for w := wlo; w < whi; w++ {
+		found := uint64(0)
+		for f := free(vis, adj.Rows, w); f != 0; f &= f - 1 {
+			b := bits.TrailingZeros64(f)
+			for _, u := range adj.RowIndices(w<<6 | b) {
+				if vis[u>>6]>>(uint(u)&63)&1 != 0 {
+					found |= 1 << uint(b)
+					break
+				}
+			}
+		}
+		next[w] = found
+	}
+}
+
+// sweepRing moves the ring a dense step found in next, less the nodes already
+// in vis, into vis and onto the end of ball in ascending id order, leaving
+// next all zero, and returns ball with the entries of the ring's rows.
+func sweepRing(adj *sparse.CSR, vis, next []uint64, ball []int) ([]int, int) {
+	nnz := 0
+	for w, word := range next {
+		if word == 0 {
+			continue
+		}
+		word &^= vis[w]
+		vis[w] |= word
+		next[w] = 0
+		for ; word != 0; word &= word - 1 {
+			v := w<<6 | bits.TrailingZeros64(word)
+			ball = append(ball, v)
+			nnz += adj.RowPtr[v+1] - adj.RowPtr[v]
+		}
+	}
+	return ball, nnz
 }
 
 // SortedBalls sorts the balls of a Levels result: balls[r] is ball[:ends[r]]
@@ -308,27 +382,28 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 // is balls). Each ball is its predecessor merged with its ring, the ring
 // sorted in place within ball — which reorders ball inside its rings, never
 // across them — or, once the ring is large enough that sorting it would cost
-// more than a sweep of set, read off set in id order. set is Levels's, under
-// the same contract.
+// more than a sweep of the visited set, read off it in id order. set is
+// Levels's, under the same contract.
 func SortedBalls(ball, ends []int, set []uint64, dst []int, balls [][]int) ([]int, [][]int) {
 	need := 0
 	for _, e := range ends {
 		need += e
 	}
 	dst, balls = slices.Grow(dst[:0], need)[:need], balls[:0]
+	vis := set[:len(set)/2]
 	var prev []int
 	at, lo := 0, 0
 	for _, hi := range ends {
 		ring, out := ball[lo:hi], dst[at:at]
-		if len(ring)*bits.Len(uint(len(ring))) > len(set) {
+		if len(ring)*bits.Len(uint(len(ring))) > len(vis) {
 			for _, v := range ball[:hi] {
-				set[v>>6] |= 1 << (uint(v) & 63)
+				vis[v>>6] |= 1 << (uint(v) & 63)
 			}
-			for w, word := range set {
+			for w, word := range vis {
 				if word == 0 {
 					continue
 				}
-				for set[w] = 0; word != 0; word &= word - 1 {
+				for vis[w] = 0; word != 0; word &= word - 1 {
 					out = append(out, w<<6|bits.TrailingZeros64(word))
 				}
 			}
