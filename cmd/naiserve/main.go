@@ -11,10 +11,11 @@
 // call: nothing waits for batch mates, and a client that wants Algorithm 1's
 // per-batch costs shared sends its targets as one request.
 //
-// With -shards P (P > 1) the graph is partitioned into P edge-cut shards
-// with a TMax-hop halo each, served by per-shard deployments behind a
-// cross-shard router — answers stay bit-identical to the single deployment
-// (see ARCHITECTURE.md, "Sharded serving").
+// With -shards P (P > 1) the graph's nodes are partitioned into P edge-cut
+// shards, each served by a worker deployment over its own copy of the whole
+// graph behind a cross-shard router that routes every target to its owner —
+// answers stay bit-identical to the single deployment (see ARCHITECTURE.md,
+// "Sharded serving").
 //
 // Sharding can also be distributed across processes (see ARCHITECTURE.md,
 // "Distributed sharding"). A worker process serves one shard over the
@@ -40,8 +41,9 @@
 // "Failure semantics", including the zero-downtime worker
 // replacement procedure built on -drain-timeout below.
 //
-// Workers bootstrap deterministically from the same model/graph/depth flags
-// as the router (the router verifies the fit at startup), so no bulk state
+// Workers bootstrap deterministically from the same model/graph flags as
+// the router (the router verifies the fit at startup; -tmax is the
+// router's alone), so no bulk state
 // transfer happens. The router retries transient worker failures with
 // full-jitter backoff (-shard-retries), marks persistently unreachable
 // shards down (their requests get 503, /healthz degrades), and its
@@ -130,7 +132,7 @@ func main() {
 	tsQuantile := flag.Float64("ts-quantile", 0.3, "distance threshold as a validation-distance quantile (distance mode)")
 	tmin := flag.Int("tmin", 1, "minimum propagation depth")
 	tmax := flag.Int("tmax", 0, "maximum propagation depth (0 = K)")
-	shardsFlag := flag.String("shards", "1", "shard layout: an integer P partitions in-process (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
+	shardsFlag := flag.String("shards", "1", "shard layout: an integer P routes each target to the owner of its node among P in-process workers, each holding the whole graph (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
 	shardWorker := flag.Int("shard-worker", -1, "serve one shard as a worker process: this flag is the shard id, -shards P (integer) the shard count; exposes the binary shard protocol on -addr")
 	shardRetries := flag.Int("shard-retries", 2, "retries per shard call on transient transport failures (distributed mode)")
 	probeInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval with -shards (0 disables; probes refresh per-worker gauges and replay missed deltas to restarted workers)")
@@ -227,26 +229,21 @@ func main() {
 		}
 	}
 
-	// Worker mode: bootstrap one shard from the same (model, graph, depth)
-	// inputs the router holds — the deterministic rebuild is the state
-	// transfer — and serve the binary shard protocol. The operating point,
-	// T_s tuning, caching and overload control all live in the router
-	// process; a worker only needs the shard's deployment and the halo
-	// radius (which must match the router's: it verifies at startup).
+	// Worker mode: bootstrap one shard from the same (model, graph) inputs
+	// the router holds — the deterministic rebuild is the state transfer —
+	// and serve the binary shard protocol. The operating point, T_s tuning,
+	// caching and overload control all live in the router process; a
+	// worker is a deployment over the whole graph, whatever depth the
+	// router serves.
 	if *shardWorker >= 0 {
-		radius := m.K
-		if *tmax > 0 {
-			radius = *tmax
-		}
-		w, werr := shard.NewWorker(m, g, shard.Config{Shards: shardCount, Radius: radius, Precision: prec}, *shardWorker)
+		w, werr := shard.NewWorker(m, g, shard.Config{Shards: shardCount, Precision: prec}, *shardWorker)
 		if werr != nil {
 			fail(werr)
 		}
 		h := w.Health()
 		logger.Info("shard worker listening",
 			"shard", *shardWorker, "shards", shardCount, "addr", *addr,
-			"nodes", h.Nodes, "global_nodes", h.GlobalNodes,
-			"radius", h.Radius, "precision", h.Precision.String())
+			"nodes", h.Nodes, "precision", h.Precision.String())
 		// The worker owns its own observability surface — /metrics and
 		// /debug/traces beside the shard protocol endpoints — with traces
 		// started under router-supplied ids so the halves stitch.
@@ -269,7 +266,7 @@ func main() {
 	// for T_s tuning in distance mode (the tuner propagates the validation
 	// nodes' balls through the global normalized adjacency, at f64 whatever
 	// the tier). In sharded fixed/gate modes it is skipped entirely — the
-	// router builds only shard-local state.
+	// workers build their own.
 	var dep *core.Deployment
 	if (shardCount <= 1 && workerGroups == nil) || napMode == core.ModeDistance {
 		if dep, err = core.NewDeployment(m, g); err != nil {
@@ -298,21 +295,20 @@ func main() {
 	}
 
 	// The backend: the deployment itself, or — with -shards — a router over
-	// per-shard deployments with a TMax-hop halo each: in-process workers
-	// for an integer -shards, worker processes behind the HTTP transport
-	// for an address list. The router rebuilds its shard-local bookkeeping
-	// from (m, g); a distance-mode tuning deployment's global caches are
-	// left for the GC afterwards.
+	// whole-graph worker deployments: in-process workers for an integer
+	// -shards, worker processes behind the HTTP transport for an address
+	// list. The router rebuilds its ownership map from g; a distance-mode
+	// tuning deployment's caches are left for the GC afterwards.
 	var backend serve.Backend = dep
 	if workerGroups != nil {
 		// Every shard is a group of R ≥ 1 worker addresses; a plain
 		// one-address-per-shard list is the R = 1 case of the same router.
 		tr, idx := shard.NewHTTPGroups(workerGroups, shard.HTTPTransportConfig{})
 		rt, rerr := shard.NewRouterGroups(m, g,
-			shard.Config{Shards: len(workerGroups), Radius: iopt.TMax, Retries: *shardRetries, Precision: prec},
+			shard.Config{Shards: len(workerGroups), Retries: *shardRetries, Precision: prec},
 			tr, idx, workerGroups)
 		if rerr != nil {
-			fail(fmt.Errorf("dialing shard workers: %w (are all workers up, built from the same model/graph/depth flags?)", rerr))
+			fail(fmt.Errorf("dialing shard workers: %w (are all workers up, built from the same model/graph flags?)", rerr))
 		}
 		defer rt.Close()
 		if *probeInterval > 0 {
@@ -324,18 +320,17 @@ func main() {
 		}
 		logger.Info("distributed sharding",
 			"shards", rt.Shards(), "workers", *shardsFlag, "replicas", replicas,
-			"radius", rt.Radius(), "precision", prec.String(),
+			"precision", prec.String(),
 			"retries", *shardRetries, "health_interval", *probeInterval)
 		backend = rt
 	} else if shardCount > 1 {
-		rt, rerr := shard.NewRouter(m, g, shard.Config{Shards: shardCount, Radius: iopt.TMax, Precision: prec})
+		rt, rerr := shard.NewRouter(m, g, shard.Config{Shards: shardCount, Precision: prec})
 		if rerr != nil {
 			fail(rerr)
 		}
-		sizes := rt.Sizes()
-		halo := 0
-		for _, sz := range sizes {
-			halo += sz.Halo
+		owned := make([]int, rt.Shards())
+		for p, sz := range rt.Sizes() {
+			owned[p] = sz.Owned
 		}
 		// In-process workers are probed too: /stats and /metrics read every
 		// worker's scratch and layer counters off its last report.
@@ -344,8 +339,7 @@ func main() {
 			rt.StartHealthProbe(*probeInterval)
 		}
 		logger.Info("in-process sharding",
-			"shards", rt.Shards(), "radius", rt.Radius(), "ghost_rows", halo,
-			"replication_pct", 100*float64(halo)/float64(g.N()))
+			"shards", rt.Shards(), "owned", owned)
 		backend = rt
 	}
 
@@ -359,7 +353,7 @@ func main() {
 	logger.Info("overload control",
 		"max_pending", *maxPending, "default_deadline", *defaultDeadline,
 		"max_deadline", *maxDeadline, "quotas", orNone(*tenantQuotas), "shed", *shedMode)
-	// Report the cache configuration alongside the shard/halo report above:
+	// Report the cache configuration alongside the shard report above:
 	// both describe how much serving state this daemon retains per answer.
 	if *cacheSize > 0 {
 		policy := "NAP mode: any delta flushes (stationary state is global)"

@@ -1,12 +1,12 @@
-// Sharding: partition a serving graph into P edge-cut shards with T-hop
-// halos, serve it through the cross-shard router, and check the contract
-// the subsystem is built around — sharded answers bit-identical to a
-// single deployment, before and after online graph growth. The example
-// trains a tiny model, compares the two backends target by target, prints
-// each shard's owned/ghost sizes, routes a delta (a new node whose edges
-// cross shard boundaries, which re-expands the affected halos
-// incrementally), re-verifies, and finally serves the sharded backend
-// through the HTTP daemon.
+// Sharding: partition a serving graph's nodes into P edge-cut shards,
+// serve it through the cross-shard router over whole-graph workers, and
+// check the contract the subsystem is built around — sharded answers
+// bit-identical to a single deployment, before and after online graph
+// growth. The example trains a tiny model, compares the two backends target
+// by target, prints how many nodes each shard owns, routes a delta (a new
+// node whose edges cross shard boundaries, which every worker applies as
+// the single deployment does), re-verifies, and finally serves the sharded
+// backend through the HTTP daemon. It exits non-zero if any answer differs.
 //
 //	go run ./examples/sharding
 package main
@@ -38,22 +38,20 @@ func main() {
 	}
 
 	// 2. Two backends over identical graphs: the single deployment every
-	// earlier example uses, and a 4-shard router. The halo radius equals
-	// the deepest TMax we will serve, so every supporting ball stays
-	// shard-local.
+	// earlier example uses, and a 4-shard router. Each shard's worker holds
+	// the whole graph; the router sends it the targets its shard owns.
 	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
 	single, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		log.Fatal(err)
 	}
-	router, err := shard.NewRouter(m, ds.Graph.Clone(), shard.Config{Shards: 4, Radius: opt.TMax})
+	router, err := shard.NewRouter(m, ds.Graph.Clone(), shard.Config{Shards: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("partitioned %d nodes into %d shards (halo radius %d):\n",
-		ds.Graph.N(), router.Shards(), router.Radius())
+	fmt.Printf("partitioned %d nodes into %d shards:\n", ds.Graph.N(), router.Shards())
 	for p, sz := range router.Sizes() {
-		fmt.Printf("  shard %d: %3d owned + %3d ghost rows\n", p, sz.Owned, sz.Halo)
+		fmt.Printf("  shard %d owns %3d nodes\n", p, sz.Owned)
 	}
 
 	// 3. The contract: every prediction and personalized depth must match.
@@ -78,8 +76,8 @@ func main() {
 	verify("initial graph", ds.Split.Test)
 
 	// 4. Online growth: a new node with edges into two different shards.
-	// The router applies the delta globally, assigns the arrival an owner,
-	// and re-expands only the halos the dirty rows can reach.
+	// The router applies the delta to its graph, assigns the arrival an
+	// owner, and ships the same delta to every worker.
 	n := ds.Graph.N()
 	row := make([]float64, ds.Graph.F())
 	row[0] = 1

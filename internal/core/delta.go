@@ -18,24 +18,10 @@ func (d *Deployment) ApplyDelta(delta graph.Delta) (*graph.DeltaResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.RefreshIncremental(dr)
-	return dr, nil
-}
-
-// RefreshIncremental re-derives the cached normalized adjacency and
-// stationary state after the serving graph absorbed a delta, given which
-// rows the delta touched. Dirty rows and their neighbors get fresh values
-// (an edge changes its endpoints' degrees, which scale every incident
-// normalized entry); every other row is untouched. Callers that
-// mutate the graph through Deployment.ApplyDelta never need this directly.
-func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
-	if d.externalState {
-		panic("core: RefreshIncremental on a deployment with externally supplied state (shard subgraph); its router owns the caches")
-	}
 	if len(dr.Dirty) == 0 && dr.NumNew == 0 {
 		// A no-op delta (duplicate edges, self-loops) changes nothing:
 		// cached answers stay valid and the graph version does not move.
-		return
+		return dr, nil
 	}
 	d.version.Add(1)
 	// Stationary first: it owns the looped-degree vector the adjacency
@@ -44,25 +30,15 @@ func (d *Deployment) RefreshIncremental(dr *graph.DeltaResult) {
 
 	// Value-dirty rows of Â: the dirty rows themselves plus every neighbor
 	// of a degree-changed node (all dirty nodes changed degree — an inserted
-	// entry is +1 on both endpoints, and appended nodes are new).
-	d.PatchAdjacency(graph.Ball(d.Graph.Adj, dr.Dirty, 1))
-}
-
-// PatchAdjacency re-derives the normalized adjacency after the serving graph
-// absorbed a delta: Adj is rebound to the grown graph and the degree factors
-// of the rows listed in valDirty (ascending) are recomputed from the
-// stationary state's looped degrees, the appended nodes' among them —
-// O(|valDirty|), nothing is copied. valDirty must name every row of Â whose
-// values moved: the rows whose degree changed, the rows adjacent to one
-// (their D̃^{−γ} column factors moved) and every appended row. The active tier
-// then re-derives its dense operand (the feature matrix may have grown), and
-// each of its layers extends to the appended nodes and drops the rows the
-// patch made stale: at f64 and f32 those of a depth-h layer within h−1 hops
-// of valDirty (valDirty itself for X^(1)), at int8 all of them.
-// RefreshIncremental ends here; a shard worker, whose
-// degrees and dirty rows come from its router, calls it directly. Must not
-// run concurrently with Infer.
-func (d *Deployment) PatchAdjacency(valDirty []int) {
+	// entry is +1 on both endpoints, and appended nodes are new). Adj is
+	// rebound to the grown graph and only their degree factors are
+	// recomputed — O(|valDirty|), nothing is copied. The active tier then
+	// re-derives its dense operand (the feature matrix may have grown), and
+	// each of its layers extends to the appended nodes and drops the rows
+	// the patch made stale: at f64 and f32 those of a depth-h layer within
+	// h−1 hops of valDirty (valDirty itself for X^(1)), at int8 all of them.
+	valDirty := graph.Ball(d.Graph.Adj, dr.Dirty, 1)
 	d.Adj.Patch(d.Graph.Adj, d.stationary.LoopedDeg, valDirty)
 	d.eng.patched(valDirty)
+	return dr, nil
 }

@@ -166,12 +166,6 @@ type Deployment struct {
 	// only materialize their target rows from it (O(b·f), not O(n·f)).
 	stationary *Stationary
 
-	// externalState marks a deployment whose Adj/stationary were supplied
-	// by NewDeploymentWithState (a shard subgraph with global semantics):
-	// rebuilding them from the local graph would silently break the
-	// sharded bit-identity, so Refresh and RefreshIncremental panic.
-	externalState bool
-
 	// version counts graph mutations (Refresh and every effective delta),
 	// so serving layers can tell whether cached per-node answers were
 	// computed against the current graph. Monotone, never reset.
@@ -180,8 +174,7 @@ type Deployment struct {
 	// prec is the active arithmetic tier (SetPrecision) and eng the engine
 	// loop instantiated for it (precision.go): a *tier[float64] at f64, a
 	// *tier[float32] at f32 and int8. It holds the tier's operands, layers
-	// and scratch pool, and is rebuilt by Refresh, SetPrecision and
-	// NewDeploymentWithState.
+	// and scratch pool, and is rebuilt by Refresh and SetPrecision.
 	prec kernel.Precision
 	eng  engine
 
@@ -206,13 +199,8 @@ func NewDeployment(m *Model, g *graph.Graph) (*Deployment, error) {
 
 // Refresh recomputes the cached normalized adjacency and stationary state
 // after in-place mutations of the serving graph (new edges or features).
-// It must not be called concurrently with Infer, and panics on a shard
-// deployment (NewDeploymentWithState): its caches carry global semantics a
-// local rebuild cannot reproduce — the shard router repairs them instead.
+// It must not be called concurrently with Infer.
 func (d *Deployment) Refresh() {
-	if d.externalState {
-		panic("core: Refresh on a deployment with externally supplied state (shard subgraph); its router owns the caches")
-	}
 	d.stationary = ComputeStationary(d.Graph.Adj, d.Graph.Features, d.Model.Gamma)
 	d.Adj = sparse.NewNormalized(d.Graph.Adj, d.Model.Gamma, d.stationary.LoopedDeg)
 	d.retier()

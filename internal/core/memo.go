@@ -42,8 +42,8 @@ import (
 // none, and TMax ≤ 2 has no hop h+1 < TMax.
 //
 // The memory contract is one block per depth some batch has read, allocated
-// on that first read — not when the engine is rebuilt (Refresh, SetPrecision,
-// NewDeploymentWithState) — and touched only where a request has needed a
+// on that first read — not when the engine is rebuilt (Refresh,
+// SetPrecision) — and touched only where a request has needed a
 // row. A deployment served at one operating point, as every server is, holds
 // exactly one: a row per node plus 1/64 of headroom for the nodes deltas
 // append, at most (n + n/64)·(f·sizeof(T) + 4) bytes, and beside it, past

@@ -33,8 +33,8 @@ import (
 type engine interface {
 	// infer runs Algorithm 1 over one batch.
 	infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result
-	// patched re-derives the tier's operands after PatchAdjacency patched
-	// Adj (and a delta may have grown the features), extends every layer to
+	// patched re-derives the tier's operands after ApplyDelta patched Adj
+	// (and a delta may have grown the features), extends every layer to
 	// appended nodes and drops the rows the patch made stale.
 	patched(valDirty []int)
 	scratchBytes() int

@@ -121,9 +121,6 @@ func ComputeStationary(adj *sparse.CSR, x *mat.Matrix, gamma float64) *Stationar
 // while the result stays bit-identical to ComputeStationary(adj, x, s.Gamma)
 // because both paths share the same fixed two-level summation.
 func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
-	if s.blockSums == nil {
-		panic("core: Update on a Stationary view (LocalView); update the owning state instead")
-	}
 	if adj.Rows != x.Rows {
 		panic(fmt.Sprintf("core: %d adjacency rows for %d feature rows", adj.Rows, x.Rows))
 	}
@@ -159,30 +156,6 @@ func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
 		}
 	}
 	s.reduceBlocks()
-}
-
-// LocalView returns a Stationary restricted to the given (local-id-ordered)
-// node set: entry i of the view is node nodes[i] of s. The view owns its
-// storage — WeightedSum is a copy of the global weighted feature sum (a
-// whole-graph quantity the view cannot recompute; exact float64 bits, so
-// sharded stationary rows stay bitwise identical to the unsharded ones) and
-// LoopedDeg is gathered in local order. The view owner must re-sync
-// WeightedSum, Scale and SumMACs after each Update of s (shard workers do,
-// from the values their versioned deltas carry — owning a copy is what lets
-// one worker replay an old delta while another applies the newest). Views
-// are read-only state for inference: calling Update on one panics.
-func (s *Stationary) LocalView(nodes []int) *Stationary {
-	looped := make([]float64, len(nodes))
-	for i, v := range nodes {
-		looped[i] = s.LoopedDeg[v]
-	}
-	return &Stationary{
-		Gamma:       s.Gamma,
-		Scale:       s.Scale,
-		WeightedSum: append([]float64(nil), s.WeightedSum...),
-		LoopedDeg:   looped,
-		SumMACs:     s.SumMACs,
-	}
 }
 
 // Row writes X(∞)_i into dst (length f) and returns dst.

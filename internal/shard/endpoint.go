@@ -145,14 +145,14 @@ func (r *Router) candidates(p int) []*endpoint {
 }
 
 // replay brings one endpoint up to the router's current graph version by
-// re-delivering the logged shard deltas past have, the version the caller
-// saw the worker report (0 = whatever the router recorded). Replays are
-// serialized per endpoint, and a caller that waited behind another's replay
-// carries a version sampled before it — so the suffix starts at whichever
-// of have and the recorded version is later, and N concurrent stale answers
-// ship the suffix once. A recorded version that overshoots (the worker
-// restarted since) corrects itself: the worker answers stale, record files
-// the version it reports, and the next attempt starts there.
+// re-delivering the logged deltas past have, the version the caller saw the
+// worker report (0 = whatever the router recorded). Replays are serialized
+// per endpoint, and a caller that waited behind another's replay carries a
+// version sampled before it — so the suffix starts at whichever of have and
+// the recorded version is later, and N concurrent stale answers ship the
+// suffix once. A recorded version that overshoots (the worker restarted
+// since) corrects itself: the worker answers stale, record files the
+// version it reports, and the next attempt starts there.
 func (r *Router) replay(ctx context.Context, ep *endpoint, have uint64) error {
 	ep.replay.Lock()
 	defer ep.replay.Unlock()
@@ -174,7 +174,7 @@ func (r *Router) replay(ctx context.Context, ep *endpoint, have uint64) error {
 	return nil
 }
 
-// logSuffix snapshots the delta-log entries that take shard p's workers
+// logSuffix snapshots the delta-log entries that take a worker of shard p
 // from graph version have up to the router's current version (nil when
 // already current).
 func (r *Router) logSuffix(p int, have uint64) ([]*ShardDelta, error) {
@@ -188,19 +188,19 @@ func (r *Router) logSuffix(p int, have uint64) ([]*ShardDelta, error) {
 	}
 	r.logMu.Lock()
 	defer r.logMu.Unlock()
-	// deltaLog[p][i] produces version i+2, so versions have+1..cur are
-	// entries have−1..cur−2. ApplyDeltaContext publishes the version under
-	// logMu only after logging its plans, so the log always reaches cur−1;
-	// clamp defensively anyway — an out-of-range slice here would crash the
+	// deltaLog[i] produces version i+2, so versions have+1..cur are entries
+	// have−1..cur−2. ApplyDeltaContext publishes the version under logMu
+	// only after logging the delta, so the log always reaches cur−1; clamp
+	// defensively anyway — an out-of-range slice here would crash the
 	// router.
 	lo, hi := int(have-1), int(cur-1)
-	if n := len(r.deltaLog[p]); hi > n {
+	if n := len(r.deltaLog); hi > n {
 		hi = n
 	}
 	if lo > hi {
 		lo = hi
 	}
-	return append([]*ShardDelta(nil), r.deltaLog[p][lo:hi]...), nil
+	return append([]*ShardDelta(nil), r.deltaLog[lo:hi]...), nil
 }
 
 // probeEndpoint is the one health check, run by Probe sweeps and by the
@@ -208,7 +208,7 @@ func (r *Router) logSuffix(p int, have uint64) ([]*ShardDelta, error) {
 // partition parameters, catch a worker behind the router's graph version up
 // by replay (its own report overrides the recorded version — a restarted
 // worker is back at 1), then re-validate the caught-up report — version and
-// subgraph size included — before marking the endpoint up. A worker
+// node count included — before marking the endpoint up. A worker
 // restarted with different flags or a different graph stays rejected, not
 // silently re-admitted: it would serve answers that are not bit-identical.
 func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
@@ -231,7 +231,7 @@ func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
 		return
 	}
 	r.logMu.Lock()
-	cur, exp := r.version.Load(), r.expNodes[ep.shard]
+	cur, exp := r.version.Load(), r.expNodes
 	r.logMu.Unlock()
 	switch {
 	case info.Version > cur:
@@ -241,7 +241,7 @@ func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
 		// files its own outcome and the next sweep re-validates — don't
 		// overwrite that verdict from an already-stale sample.
 	case info.Nodes != exp:
-		ep.record(fmt.Errorf("worker subgraph has %d nodes at version %d, want %d", info.Nodes, cur, exp))
+		ep.record(fmt.Errorf("worker graph has %d nodes at version %d, want %d", info.Nodes, cur, exp))
 	default:
 		ep.mu.Lock()
 		ep.state, ep.err, ep.info = stateUp, nil, info
@@ -257,10 +257,8 @@ func (r *Router) validateWorker(p int, info HealthInfo) error {
 	switch {
 	case info.ShardID != p:
 		return fmt.Errorf("worker serves shard %d, want %d", info.ShardID, p)
-	case info.Shards != len(r.shards):
-		return fmt.Errorf("worker partition width %d, want %d", info.Shards, len(r.shards))
-	case info.Radius != r.radius:
-		return fmt.Errorf("worker halo radius %d, want %d", info.Radius, r.radius)
+	case info.Shards != len(r.groups):
+		return fmt.Errorf("worker partition width %d, want %d", info.Shards, len(r.groups))
 	case info.GlobalNodes != r.bootGlobalN:
 		return fmt.Errorf("worker built from %d global nodes, want %d", info.GlobalNodes, r.bootGlobalN)
 	case info.Precision != r.prec:
@@ -299,7 +297,7 @@ func (r *Router) groupErr(p int) error {
 	return lastErr
 }
 
-// inferGroup runs one shard-local batch against shard p's group. Each round
+// inferGroup runs one batch of shard p's targets against its group. Each round
 // walks the candidates: a stale answer is healed by replaying the log
 // suffix to that endpoint and retried once in place; a transient failure or
 // a version gap that would not heal takes the endpoint out of rotation and
@@ -359,14 +357,14 @@ func (r *Router) inferGroup(ctx context.Context, p int, req *InferRequest) (*cor
 	return res, err
 }
 
-// deliver ships the plans just logged to every endpoint of shard p — which
+// deliver ships the delta just logged to every endpoint of shard p — which
 // is a replay from each endpoint's recorded version, so an endpoint that
 // missed earlier deltas gets those too. One endpoint holding the delta
 // commits the round; unreachable or stale endpoints are left owing it (the
 // next probe, Infer heal or delivery replays the log to them) and only a
 // round nobody accepted is retried. A permanent rejection is returned even
-// if peers accepted — a worker refusing a planned delta is a routing bug,
-// not an outage.
+// if peers accepted — a worker refusing a delta its router accepted is a
+// bug, not an outage.
 func (r *Router) deliver(ctx context.Context, p int) error {
 	return r.withRetry(ctx, func() error {
 		var permanent, lastErr error

@@ -1,15 +1,17 @@
 package shard
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
-	"repro/internal/sparse"
 )
 
 // inferOpts are the operating points every equivalence test sweeps: all
@@ -50,23 +52,20 @@ func requireSameAnswers(t *testing.T, tag string, rt *Router, dep *core.Deployme
 	}
 }
 
-// TestShardedEquivalence: for P ∈ {1,2,4} and both partition strategies,
-// sharded answers must be bit-identical to the single-deployment engine on
-// every operating point.
+// TestShardedEquivalence: for P ∈ {1,2,4}, sharded answers must be
+// bit-identical to the single-deployment engine on every operating point.
 func TestShardedEquivalence(t *testing.T) {
 	ds, m := fixture(t)
 	dep, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategyBFS, StrategyContiguous} {
-		for _, p := range []int{1, 2, 4} {
-			rt, err := NewRouter(m, ds.Graph.Clone(), Config{Shards: p, Strategy: strat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameAnswers(t, fmt.Sprintf("%v/P=%d", strat, p), rt, dep, ds.Split.Test)
+	for _, p := range []int{1, 2, 4} {
+		rt, err := NewRouter(m, ds.Graph.Clone(), Config{Shards: p})
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireSameAnswers(t, fmt.Sprintf("P=%d", p), rt, dep, ds.Split.Test)
 	}
 }
 
@@ -137,85 +136,78 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesRebuild pins the incremental delta path hard: after
-// the full delta sequence, every shard's local state — universe, distances,
-// raw subgraph, normalized adjacency and stationary view — must be
-// bit-identical (up to the local id permutation, since arrivals are
-// appended rather than re-sorted) to a router freshly built over the merged
-// graph with the same ownership.
+// TestIncrementalMatchesRebuild pins the delta path hard: over the delta
+// sequence, with worker 1 restarted from a fresh bootstrap mid-sequence and
+// healed by replay, every worker's graph must end equal to the router's bit
+// for bit, and its answers — predictions, depths, depth histogram and MACs —
+// must equal a deployment freshly built over the merged graph.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	ds, m := fixture(t)
-	rng := rand.New(rand.NewSource(99))
-	rt, err := NewRouter(m, ds.Graph.Clone(), Config{Shards: 3})
+	const p = 3
+	rt, err := NewRouter(m, ds.Graph.Clone(), Config{Shards: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range testDeltas(ds.Graph, rng) {
+	workers := rt.transport.(*LocalTransport).workers
+	for di, d := range testDeltas(ds.Graph, rand.New(rand.NewSource(99))) {
+		if di == 2 {
+			if workers[1], err = NewWorker(m, ds.Graph, Config{Shards: p}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := rt.ApplyDelta(d); err != nil {
-			t.Fatal(err)
+			t.Fatalf("delta %d: %v", di, err)
 		}
 	}
-
-	asg := &Assignment{P: len(rt.shards), Owner: append([]int32(nil), rt.owner...),
-		Owned: make([][]int, len(rt.shards))}
-	for v, p := range rt.owner {
-		asg.Owned[p] = append(asg.Owned[p], v)
+	rt.Probe(context.Background())
+	if !rt.Describe().Healthy() {
+		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
-	merged := rt.global.Clone()
-	fresh, err := newRouter(m, merged,
-		core.ComputeStationary(merged.Adj, merged.Features, m.Gamma), asg, rt.radius, Config{})
+
+	g := rt.global
+	fresh, err := core.NewDeployment(m, g.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if rt.st.Scale != fresh.st.Scale {
-		t.Fatalf("global scale %v != fresh %v", rt.st.Scale, fresh.st.Scale)
-	}
-	for c, v := range fresh.st.WeightedSum {
-		if rt.st.WeightedSum[c] != v {
-			t.Fatalf("weighted sum column %d: %v != %v", c, rt.st.WeightedSum[c], v)
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
 		}
+		return out
 	}
-
-	for p, s := range rt.shards {
-		fs := fresh.shards[p]
-		w, fw := rt.localWorker(p), fresh.localWorker(p)
-		if len(s.universe) != len(fs.universe) {
-			t.Fatalf("shard %d: universe size %d != fresh %d", p, len(s.universe), len(fs.universe))
+	targets := append([]int(nil), ds.Split.Test...)
+	for v := ds.Graph.N(); v < g.N(); v++ {
+		targets = append(targets, v)
+	}
+	for i, w := range workers {
+		wg := w.dep.Graph
+		switch {
+		case w.version != rt.Version():
+			t.Fatalf("worker %d at version %d, router at %d", i, w.version, rt.Version())
+		case !slices.Equal(wg.Adj.RowPtr, g.Adj.RowPtr) || !slices.Equal(wg.Adj.Col, g.Adj.Col) ||
+			!slices.Equal(bits(wg.Adj.Val), bits(g.Adj.Val)):
+			t.Fatalf("worker %d: adjacency differs from the router's", i)
+		case !slices.Equal(bits(wg.Features.Data), bits(g.Features.Data)) ||
+			!slices.Equal(wg.Labels, g.Labels):
+			t.Fatalf("worker %d: features or labels differ from the router's", i)
 		}
-		for lv, v := range s.universe {
-			flv := fs.toLocal[v]
-			if flv < 0 {
-				t.Fatalf("shard %d: node %d missing from fresh universe", p, v)
+		for oi, opt := range inferOpts(m) {
+			want, err := fresh.Infer(targets, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if s.dist[lv] != fs.dist[flv] {
-				t.Fatalf("shard %d node %d: dist %d != fresh %d", p, v, s.dist[lv], fs.dist[flv])
+			got, err := w.dep.Infer(targets, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if w.st.LoopedDeg[lv] != fw.st.LoopedDeg[flv] {
-				t.Fatalf("shard %d node %d: looped degree %v != fresh %v",
-					p, v, w.st.LoopedDeg[lv], fw.st.LoopedDeg[flv])
-			}
-			for c := 0; c < ds.Graph.F(); c++ {
-				if w.dep.Graph.Features.At(lv, c) != fw.dep.Graph.Features.At(int(flv), c) {
-					t.Fatalf("shard %d node %d: feature %d differs", p, v, c)
-				}
-			}
-			// Raw and normalized rows, compared entry-by-entry in global ids:
-			// the normalized one as the deployment's operator emits it.
-			var row, frow sparse.CSR
-			w.dep.Adj.RowsInto([]int{lv}, nil, 1, &row)
-			fw.dep.Adj.RowsInto([]int{int(flv)}, nil, 1, &frow)
-			for _, u := range s.universe {
-				lu, flu := int(s.toLocal[u]), int(fs.toLocal[u])
-				if got, want := w.dep.Graph.Adj.At(lv, lu), fw.dep.Graph.Adj.At(int(flv), flu); got != want {
-					t.Fatalf("shard %d raw (%d,%d): %v != fresh %v", p, v, u, got, want)
-				}
-				if got, want := row.At(0, lu), frow.At(0, flu); got != want {
-					t.Fatalf("shard %d normalized (%d,%d): %v != fresh %v", p, v, u, got, want)
-				}
+			if !slices.Equal(got.Pred, want.Pred) || !slices.Equal(got.Depths, want.Depths) ||
+				!slices.Equal(got.NodesPerDepth, want.NodesPerDepth) || got.MACs != want.MACs {
+				t.Fatalf("worker %d opt%d: answers differ from a fresh deployment's", i, oi)
 			}
 		}
 	}
+	requireSameAnswers(t, "after the delta sequence", rt, fresh, targets)
 }
 
 // TestRouterConcurrentInfer hammers one router from concurrent goroutines

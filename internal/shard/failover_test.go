@@ -481,7 +481,7 @@ func TestJitterInjection(t *testing.T) {
 	// Targets owned by shard 0 only: the request is one shard call, so both
 	// injected faults land on its attempts however many cores run the test
 	// (with two shard calls in flight each could take one fault instead).
-	asg, err := shard.Partition(ds.Graph, p, cfg.Strategy)
+	asg, err := shard.Partition(ds.Graph, p, shard.StrategyBFS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ import (
 // current version, which HTTPTransport turns back into the *StaleError the
 // router's replay path keys on.
 
-// workerMaxBody caps a worker request body. Shard deltas carry feature rows
-// for newcomers, so the cap is roomy; it exists so a confused or hostile
+// workerMaxBody caps a worker request body. Deltas carry feature rows for
+// appended nodes, so the cap is roomy; it exists so a confused or hostile
 // peer cannot make a worker buffer an unbounded body.
 const workerMaxBody = 256 << 20
 
@@ -47,7 +47,7 @@ func WorkerHandler(w *Worker) http.Handler {
 // under the router's trace id (shipped back with the result so the router
 // stitches the two halves), the worker's registry is served at GET /metrics
 // and its trace ring at GET /debug/traces, and worker-state gauges
-// (subgraph size, graph version, shard id) are registered on o.Reg — so
+// (graph size, graph version, shard id) are registered on o.Reg — so
 // call WorkerHandlerObs once per Obs.
 func WorkerHandlerObs(w *Worker, o *obs.Obs) http.Handler {
 	// refuseDraining rejects new RPCs on a worker that has started its
@@ -121,7 +121,7 @@ func WorkerHandlerObs(w *Worker, o *obs.Obs) http.Handler {
 	})
 	if o != nil {
 		o.Reg.GaugeFunc("nai_graph_nodes",
-			"Local subgraph node count (owned + halo).",
+			"Worker graph node count.",
 			func() float64 { return float64(w.Health().Nodes) })
 		o.Reg.GaugeFunc("nai_graph_version",
 			"Worker graph version (1 = bootstrapped, +1 per applied delta).",
@@ -155,9 +155,9 @@ func writeWire(rw http.ResponseWriter, b []byte) {
 }
 
 // writeWorkerError maps a worker-side failure onto the wire: stale versions
-// are 409 with a structured msgError (the router heals them), payloads the
-// worker rejected before mutating anything (inconsistent shard-delta
-// indices, graph-level validation) are 400, anything else is a 500. The
+// are 409 with a structured msgError (the router heals them), deltas that
+// fail graph validation (rejected before anything mutates) are 400,
+// anything else is a 500. The
 // router treats both 400 and 500 as permanent call failures.
 func writeWorkerError(rw http.ResponseWriter, err error) {
 	var stale *StaleError
@@ -177,9 +177,8 @@ func writeWorkerError(rw http.ResponseWriter, err error) {
 			uint64(prec.have), uint64(prec.want), err.Error()))
 		return
 	}
-	var bad *badDeltaError
 	var val *graph.ValidationError
-	if errors.As(err, &bad) || errors.As(err, &val) {
+	if errors.As(err, &val) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -322,7 +321,7 @@ func (t *HTTPTransport) call(ctx context.Context, shardID int, method, path stri
 	}
 }
 
-// Infer runs one shard-local batch on the remote worker. A trace riding
+// Infer runs one shard's batch on the remote worker. A trace riding
 // ctx gets encode/rpc/decode spans tagged with the shard, its id travels
 // in the request so the worker records under the same id, and the
 // worker-side spans shipped back with the result are spliced into the

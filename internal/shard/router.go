@@ -15,19 +15,17 @@ import (
 	"repro/internal/par"
 )
 
-// Config parametrizes NewRouter, NewRouterTransport and NewRouterGroups.
+// Config parametrizes NewRouter, NewRouterTransport, NewRouterGroups and
+// NewWorker.
 type Config struct {
-	// Shards is the partition width P (≥ 1; 1 degenerates to a routed
-	// single deployment, the baseline the sharding benchmark compares
-	// against).
+	// Shards is the partition width P (1 ≤ P ≤ nodes; 1 degenerates to a
+	// routed single deployment).
 	Shards int
-	// Radius is the halo radius in hops: each shard's subgraph holds every
-	// node within Radius hops of its owned set, so any operating point with
-	// TMax ≤ Radius can be served exactly. ≤0 defaults to the model's K
-	// (the deepest depth any operating point can ask for).
+	// Radius is not read.
+	//
+	// Deprecated: workers hold the whole graph, so every operating point
+	// the model allows is served whatever its TMax.
 	Radius int
-	// Strategy selects the partitioner (default StrategyBFS).
-	Strategy Strategy
 	// Retries is how many more rounds over a shard's endpoint group a call
 	// makes (with exponential backoff between them) after a round in which
 	// every endpoint failed transiently, before the shard is declared
@@ -56,32 +54,27 @@ const (
 	defaultRetryBackoff = 5 * time.Millisecond
 )
 
-// shardRuntime is the router-side bookkeeping for one shard: the membership
-// of its local subgraph (owned ∪ halo, ids compacted in ascending global
-// order at build time, arrivals appended), the remap between coordinate
-// spaces, and the hop distance of every local node from the owned set. The
-// shard's bulky serving state (features, normalized adjacency, scratch)
-// lives behind the Transport, in a Worker — in-process or remote.
-type shardRuntime struct {
-	// universe maps local → global id.
-	universe []int
-	// toLocal maps global → local id; −1 outside the universe. Router
-	// deltas extend it as the global graph grows.
-	toLocal []int32
-	// dist[lv] is the hop distance of local node lv from the owned set
-	// (0 = owned, Radius = outermost ghost ring). Nodes with dist ≤
-	// Radius−1 are interior: their local adjacency rows are complete.
-	dist []int
+// check validates cfg against (m, g) before a router or worker builds
+// anything.
+func (cfg Config) check(m *core.Model, g *graph.Graph) error {
+	switch {
+	case g.F() != m.FeatureDim:
+		return fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
+	case !cfg.Precision.Valid():
+		return fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
+	case cfg.Shards < 1 || cfg.Shards > g.N():
+		return fmt.Errorf("shard: cannot cut %d nodes into %d shards", g.N(), cfg.Shards)
+	}
+	return nil
 }
 
 // Router fronts a set of shard workers with the same Infer / ApplyDelta
 // surface as a single core.Deployment (both satisfy serve.Backend). It owns
-// the source-of-truth global graph — the partition map, delta routing and
-// halo bookkeeping all read it — plus the global stationary state; the
-// workers hold the bulky hot-path state (features, normalized adjacency
-// rows, propagation scratch) only for their own subgraph, reached
-// exclusively through the Transport: in-process (NewRouter) or remote
-// worker processes (NewRouterTransport, NewRouterGroups).
+// the source-of-truth graph — delta validation, the ownership map and
+// ServingGraph read it — and the delta log; the workers hold the bulky
+// hot-path state, reached exclusively through the Transport: in-process
+// (NewRouter) or remote worker processes (NewRouterTransport,
+// NewRouterGroups).
 //
 // Failure handling is one state machine over one record per worker (see
 // endpoint): every shard is a group of R ≥ 1 endpoints and is up while any
@@ -90,24 +83,21 @@ type shardRuntime struct {
 // with jittered exponential backoff and then — while the background prober
 // runs — fails fast with ErrUnavailable (the serving layer's 503) instead of
 // re-paying timeouts per request. Stale workers (restarted, or starved of a
-// delta) are healed by replaying the router's per-shard delta log to them,
-// so a worker rejoins without the router restarting.
+// delta) are healed by replaying the router's delta log to them, so a
+// worker rejoins without the router restarting.
 type Router struct {
 	model  *core.Model
 	global *graph.Graph
-	st     *core.Stationary
-	radius int
 	prec   kernel.Precision
-	// bootGlobalN is the global node count at bootstrap. Workers report the
-	// count they bootstrapped from (it never changes on the worker — deltas
-	// are tracked by version), so validation compares against this, not the
+	// bootGlobalN is the node count at bootstrap. Workers report the count
+	// they bootstrapped from (it never changes on the worker — deltas are
+	// tracked by version), so validation compares against this, not the
 	// grown r.global.N().
 	bootGlobalN int
 	owner       []int32
 	// ownedCount[p] tracks shard p's owned-node count for least-loaded
 	// placement of unattached arrivals.
 	ownedCount []int
-	shards     []*shardRuntime
 
 	transport Transport
 	retries   int
@@ -117,17 +107,17 @@ type Router struct {
 	// version counts applied deltas (monotone, part of the serve.Backend
 	// surface shared with core.Deployment).
 	version atomic.Uint64
-	// deltaLog[p][i] is the ShardDelta that takes shard p from version i+1
-	// to i+2; never truncated, so any worker version since bootstrap can be
-	// replayed forward (the memory cost of restartability — a delta-rate
+	// deltaLog[i] is the ShardDelta that takes every worker from version
+	// i+1 to i+2; never truncated, so any worker version since bootstrap can
+	// be replayed forward (the memory cost of restartability — a delta rate
 	// high enough to care about would warrant snapshotting instead).
-	// expNodes[p] is shard p's expected local node count at the current
-	// version (probe validation compares workers against it). Both are
-	// guarded by logMu, and the version is published under logMu too, so a
-	// reader holding it sees a consistent (version, log, expNodes) triple.
+	// expNodes is a worker's node count at the current version (probe
+	// validation compares workers against it). Both are guarded by logMu,
+	// and the version is published under logMu too, so a reader holding it
+	// sees a consistent (version, log, expNodes) triple.
 	logMu    sync.Mutex
-	deltaLog [][]*ShardDelta
-	expNodes []int
+	deltaLog []*ShardDelta
+	expNodes int
 
 	// groups[p] are shard p's endpoints, rr[p] its round-robin counter.
 	groups [][]*endpoint
@@ -142,30 +132,19 @@ type Router struct {
 }
 
 // NewRouter partitions g into cfg.Shards shards and builds in-process
-// workers behind a LocalTransport. The Router takes ownership of g: all
-// subsequent mutations must go through Router.ApplyDelta (mutating g behind
-// the router's back desynchronizes the shard subgraphs).
+// workers, each over its own clone of g, behind a LocalTransport. The
+// Router takes ownership of g: all subsequent mutations must go through
+// Router.ApplyDelta.
 func NewRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
-	asg, st, radius, err := layout(m, g, cfg)
+	r, err := newRouter(m, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newRouter(m, g, st, asg, radius, cfg)
-}
-
-// newRouter builds a local-transport runtime from an explicit assignment
-// (tests use it to rebuild a router from scratch with the owner map an
-// evolved router ended up with, pinning the incremental delta path against
-// a fresh build).
-func newRouter(m *core.Model, g *graph.Graph, st *core.Stationary, asg *Assignment, radius int, cfg Config) (*Router, error) {
-	r := newRouterCommon(m, g, st, asg, radius, cfg)
-	workers := make([]*Worker, asg.P)
+	workers := make([]*Worker, cfg.Shards)
 	for p := range workers {
-		dep, lst, err := buildShardState(m, g, st, r.shards[p].universe)
-		if err != nil {
+		if workers[p], err = NewWorker(m, g, cfg, p); err != nil {
 			return nil, err
 		}
-		workers[p] = newWorker(p, asg.P, radius, g.N(), cfg.Precision, dep, lst)
 	}
 	if err := r.connect(NewLocalTransport(workers), nil, nil); err != nil {
 		return nil, err
@@ -184,50 +163,33 @@ func NewRouterTransport(m *core.Model, g *graph.Graph, cfg Config, t Transport) 
 // through the flat-indexed transport t: groups[p] lists the transport
 // indices of the R ≥ 1 workers serving shard p (every index in exactly one
 // group, no group empty; nil means index = shard id) and addrs — optional,
-// same shape — labels them in status reports. It rebuilds the partition and
-// halo bookkeeping from (m, g) — the same deterministic construction the
-// workers themselves ran — and performs a health handshake with every
-// group, verifying that each worker serves the expected shard of the
-// expected partition (shard id, width, radius, tier, local and global node
-// counts) at version 1; a group starts as long as one of its workers
-// passes. The router takes ownership of t (Close closes it) and of g,
-// exactly like NewRouter.
+// same shape — labels them in status reports. It rebuilds the partition
+// from (m, g) and performs a health handshake with every group, verifying
+// that each worker serves the expected shard of the expected partition
+// (shard id, width, tier, bootstrap and current node counts) at version 1;
+// a group starts as long as one of its workers passes. The router takes
+// ownership of t (Close closes it) and of g, exactly like NewRouter.
 func NewRouterGroups(m *core.Model, g *graph.Graph, cfg Config, t Transport, groups [][]int, addrs [][]string) (*Router, error) {
-	asg, st, radius, err := layout(m, g, cfg)
+	r, err := newRouter(m, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := newRouterCommon(m, g, st, asg, radius, cfg)
 	if err := r.connect(t, groups, addrs); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// layout validates cfg against (m, g) and computes what every constructor
-// starts from: the partition, the global stationary state and the halo
-// radius.
-func layout(m *core.Model, g *graph.Graph, cfg Config) (*Assignment, *core.Stationary, int, error) {
-	if g.F() != m.FeatureDim {
-		return nil, nil, 0, fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
+// newRouter validates cfg and builds the router minus its workers:
+// defaults and the partition.
+func newRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
+	if err := cfg.check(m, g); err != nil {
+		return nil, err
 	}
-	if !cfg.Precision.Valid() {
-		return nil, nil, 0, fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
-	}
-	radius := cfg.Radius
-	if radius <= 0 {
-		radius = m.K
-	}
-	asg, err := Partition(g, cfg.Shards, cfg.Strategy)
+	asg, err := Partition(g, cfg.Shards, StrategyBFS)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	return asg, core.ComputeStationary(g.Adj, g.Features, m.Gamma), radius, nil
-}
-
-// newRouterCommon builds the router minus its workers: defaults, partition
-// bookkeeping and each shard's halo runtime.
-func newRouterCommon(m *core.Model, g *graph.Graph, st *core.Stationary, asg *Assignment, radius int, cfg Config) *Router {
 	if cfg.Retries <= 0 {
 		cfg.Retries = defaultRetries
 	}
@@ -240,34 +202,28 @@ func newRouterCommon(m *core.Model, g *graph.Graph, st *core.Stationary, asg *As
 	r := &Router{
 		model:       m,
 		global:      g,
-		st:          st,
-		radius:      radius,
 		prec:        cfg.Precision,
 		bootGlobalN: g.N(),
 		owner:       asg.Owner,
 		ownedCount:  make([]int, asg.P),
-		shards:      make([]*shardRuntime, asg.P),
 		retries:     cfg.Retries,
 		backoff:     cfg.RetryBackoff,
 		jitter:      cfg.Jitter,
-		deltaLog:    make([][]*ShardDelta, asg.P),
-		expNodes:    make([]int, asg.P),
+		expNodes:    g.N(),
 		rr:          make([]atomic.Uint64, asg.P),
 	}
-	for p := 0; p < asg.P; p++ {
-		r.ownedCount[p] = len(asg.Owned[p])
-		r.shards[p] = buildRuntime(g, asg.Owned[p], radius)
-		r.expNodes[p] = len(r.shards[p].universe)
+	for p, owned := range asg.Owned {
+		r.ownedCount[p] = len(owned)
 	}
 	r.version.Store(1) // fresh build = version 1, matching core.Deployment
-	return r
+	return r, nil
 }
 
 // connect attaches the workers behind t as endpoint groups and runs the
 // start-up handshake against every shard.
 func (r *Router) connect(t Transport, groups [][]int, addrs [][]string) error {
 	var err error
-	if r.groups, err = newGroups(len(r.shards), groups, addrs); err != nil {
+	if r.groups, err = newGroups(len(r.ownedCount), groups, addrs); err != nil {
 		return err
 	}
 	r.transport = t
@@ -277,32 +233,6 @@ func (r *Router) connect(t Transport, groups [][]int, addrs [][]string) error {
 		}
 	}
 	return nil
-}
-
-// buildRuntime computes one shard's router-side bookkeeping from one BFS
-// (graph.Levels): the halo universe — the radius-hop ball of the owned set,
-// sorted — the global→local remap, and each node's hop distance, which is
-// its ring's index.
-func buildRuntime(g *graph.Graph, owned []int, radius int) *shardRuntime {
-	set := graph.NewBitset(g.N())
-	rings, ends, _ := graph.Levels(g.Adj, owned, radius, set, nil, nil, nil)
-	// toLocal holds each node's ring until the universe is sorted.
-	toLocal := graph.NewIndex(g.N())
-	lo := 0
-	for r, hi := range ends {
-		for _, v := range rings[lo:hi] {
-			toLocal[v] = int32(r)
-		}
-		lo = hi
-	}
-	_, balls := graph.SortedBalls(rings, ends[radius:], set, nil, nil)
-	universe := balls[0]
-	dist := make([]int, len(universe))
-	for lv, v := range universe {
-		dist[lv] = int(toLocal[v])
-	}
-	graph.IndexSet(universe, toLocal)
-	return &shardRuntime{universe: universe, toLocal: toLocal, dist: dist}
 }
 
 // fullJitter is the default retry jitter: a uniform draw over [0, max).
@@ -358,27 +288,24 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 	if err := opt.Validate(r.model); err != nil {
 		return nil, err
 	}
-	if opt.TMax > r.radius {
-		return nil, fmt.Errorf("shard: TMax %d exceeds the partition's halo radius %d", opt.TMax, r.radius)
-	}
 	agg := &core.Result{NodesPerDepth: make([]int, r.model.K+1)}
 	if len(targets) == 0 {
 		return agg, nil
 	}
 	n := r.global.N()
-	local := make([][]int, len(r.shards))
-	pos := make([][]int, len(r.shards))
+	owned := make([][]int, len(r.groups))
+	pos := make([][]int, len(r.groups))
 	for i, v := range targets {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("shard: node %d outside [0,%d)", v, n)
 		}
 		p := r.owner[v]
-		local[p] = append(local[p], int(r.shards[p].toLocal[v]))
+		owned[p] = append(owned[p], v)
 		pos[p] = append(pos[p], i)
 	}
 	var calls []int
-	for p := range local {
-		if len(local[p]) > 0 {
+	for p := range owned {
+		if len(owned[p]) > 0 {
 			calls = append(calls, p)
 		}
 	}
@@ -399,7 +326,7 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 			p := calls[k]
 			at := tr.Begin()
 			results[k], errs[k] = r.inferGroup(ctx, p,
-				&InferRequest{Version: version, Targets: local[p], Opt: opt, Precision: r.prec})
+				&InferRequest{Version: version, Targets: owned[p], Opt: opt, Precision: r.prec})
 			tr.End(obs.StageFanout, 0, p, at)
 		}
 	})
@@ -521,33 +448,30 @@ func (r *Router) localWorker(p int) *Worker {
 	return r.transport.(*LocalTransport).workers[p]
 }
 
-// ServingGraph returns the global serving graph (serve.Backend): the one
-// the partition map, delta routing and halo bookkeeping read.
+// ServingGraph returns the serving graph (serve.Backend): the one delta
+// validation and the ownership map read.
 func (r *Router) ServingGraph() *graph.Graph { return r.global }
 
 // Shards reports the partition width P.
-func (r *Router) Shards() int { return len(r.shards) }
-
-// Radius reports the halo radius the partition was built for.
-func (r *Router) Radius() int { return r.radius }
+func (r *Router) Shards() int { return len(r.groups) }
 
 // Version reports the router's monotone graph version: 1 for a fresh
 // build, +1 per effective ApplyDelta.
 func (r *Router) Version() uint64 { return r.version.Load() }
 
-// ShardSize describes one shard's subgraph for observability: how many
-// nodes it owns and how many ghost rows its halo replicates.
+// ShardSize describes one shard for observability: how many nodes it owns
+// and how many more its worker replicates.
 type ShardSize struct {
 	Owned, Halo int
 }
 
-// Sizes reports per-shard owned and halo node counts. The halo sum over
-// shards divided by the node count is the replication overhead the
-// partition pays for shard-local supporting balls.
+// Sizes reports per-shard owned node counts beside the rest of the graph,
+// which every worker also holds: Halo is N − Owned, so the halo sum over
+// shards divided by N is P − 1.
 func (r *Router) Sizes() []ShardSize {
-	out := make([]ShardSize, len(r.shards))
-	for p, s := range r.shards {
-		out[p] = ShardSize{Owned: r.ownedCount[p], Halo: len(s.universe) - r.ownedCount[p]}
+	out := make([]ShardSize, len(r.ownedCount))
+	for p, owned := range r.ownedCount {
+		out[p] = ShardSize{Owned: owned, Halo: r.global.N() - owned}
 	}
 	return out
 }

@@ -11,7 +11,7 @@ import (
 
 // Transport is the router↔worker boundary: every call the Router makes
 // against a worker's serving state goes through one of these three methods,
-// so the same routing, delta-planning and failover logic serves workers
+// so the same routing, delta-log and failover logic serves workers
 // living in the router's address space (LocalTransport) or in separate
 // processes (HTTPTransport). It is flat: shardID indexes workers, and which
 // workers serve which shard is the router's layout (NewRouterGroups; with
@@ -26,10 +26,10 @@ import (
 // the call itself. Calls must respect ctx — a dead worker turns into a
 // deadline error, never a hang.
 type Transport interface {
-	// Infer runs one shard-local inference batch (targets are shard-local
-	// ids) and returns the shard's Result.
+	// Infer runs one inference batch of the shard's targets and returns the
+	// shard's Result.
 	Infer(ctx context.Context, shardID int, req *InferRequest) (*core.Result, error)
-	// ApplyDelta applies one versioned shard-local delta. Deltas are
+	// ApplyDelta applies one versioned delta. Deltas are
 	// idempotent by version: re-delivering an already-applied version is a
 	// successful no-op, which is what makes the router's replay safe.
 	ApplyDelta(ctx context.Context, shardID int, sd *ShardDelta) error
@@ -39,15 +39,15 @@ type Transport interface {
 	Close() error
 }
 
-// InferRequest is one shard-local inference call as it crosses the
-// transport: the targets in shard-local ids, the operating point, and the
-// router's graph version the answer must be computed against.
+// InferRequest is one shard's inference call as it crosses the transport:
+// the targets, the operating point, and the router's graph version the
+// answer must be computed against.
 type InferRequest struct {
 	// Version is the router's graph version; a worker whose state is behind
 	// (or ahead of) it answers with a *StaleError instead of serving from
 	// the wrong graph.
 	Version uint64
-	// Targets are shard-local node ids.
+	// Targets are node ids, the same ids the router serves.
 	Targets []int
 	// Opt is the operating point, forwarded verbatim.
 	Opt core.InferenceOptions
@@ -69,12 +69,10 @@ type HealthInfo struct {
 	// different partition width.
 	ShardID int
 	Shards  int
-	// Radius is the worker's halo radius (must match the router's).
-	Radius int
-	// Nodes is the local subgraph's node count (owned + halo).
+	// Nodes is the worker graph's node count at its current version.
 	Nodes int
-	// GlobalNodes is the global node count the worker bootstrapped from,
-	// checked at handshake (version checks guard post-delta drift).
+	// GlobalNodes is the node count the worker bootstrapped from, checked
+	// at handshake (version checks guard post-delta drift).
 	GlobalNodes int
 	// Version is the worker's graph version (1 = as bootstrapped, +1 per
 	// applied shard delta).
@@ -139,20 +137,6 @@ func (e *StaleError) Error() string {
 	return fmt.Sprintf("shard %d: stale graph version %d, want %d", e.Shard, e.Have, e.Want)
 }
 
-// badDeltaError reports a ShardDelta whose indices or lengths are
-// inconsistent with the worker's state — a malformed (or hostile) payload
-// the worker rejects before mutating anything. The HTTP handler maps it to
-// 400, which the router classifies as a permanent call failure.
-type badDeltaError struct {
-	shard  int
-	reason string
-}
-
-// Error formats the rejection with its shard.
-func (e *badDeltaError) Error() string {
-	return fmt.Sprintf("shard %d: bad delta: %s", e.shard, e.reason)
-}
-
 // precisionError reports a request whose precision tier does not match the
 // tier the worker was bootstrapped at. Unlike a version gap it is not
 // healable by replay — the worker's lowered operands are built for one tier —
@@ -203,7 +187,8 @@ func (t *LocalTransport) Infer(ctx context.Context, shardID int, req *InferReque
 	return t.workers[shardID].InferContext(ctx, req)
 }
 
-// ApplyDelta dispatches directly to the in-process worker.
+// ApplyDelta dispatches directly to the in-process worker. Every worker
+// gets the same logged ShardDelta, which none of them modifies.
 func (t *LocalTransport) ApplyDelta(ctx context.Context, shardID int, sd *ShardDelta) error {
 	if err := t.check(ctx, shardID); err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -268,53 +269,56 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	requireSameAnswers(t, "after rejoin", rt, dep, targets)
 }
 
-// TestHostileDeltaRejected: a ShardDelta whose shard-specific indices or
-// lengths are inconsistent with the worker's state must be rejected before
-// anything mutates — a *badDeltaError in-process, HTTP 400 over the wire —
-// leaving the worker's version and serving state untouched. A mid-apply
-// panic here would corrupt the worker permanently (the graph mutated, the
-// version not bumped, the next replay re-appending state).
+// TestHostileDeltaRejected: a delta graph.ApplyDelta refuses must be
+// rejected before anything mutates — a *graph.ValidationError in-process,
+// HTTP 400 over POST /shard/delta — leaving the worker's version and graph
+// untouched. A mid-apply failure here would corrupt the worker permanently
+// (the graph mutated, the version not bumped, the next replay re-appending
+// state).
 func TestHostileDeltaRejected(t *testing.T) {
 	ds, m := fixture(t)
 	w, err := NewWorker(m, ds.Graph.Clone(), Config{Shards: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ds.Graph.F()
-	okSum := make([]float64, f)
-	hostile := map[string]*ShardDelta{
-		"degree index out of range": {Version: 2, WeightedSum: okSum,
-			DegIdx: []int{1 << 20}, DegVal: []float64{1}},
-		"negative degree index": {Version: 2, WeightedSum: okSum,
-			DegIdx: []int{-1}, DegVal: []float64{1}},
-		"dirty row out of range": {Version: 2, WeightedSum: okSum,
-			DirtyLocal: []int{1 << 20}},
-		"degree idx/val length mismatch": {Version: 2, WeightedSum: okSum,
-			DegIdx: []int{0}},
-		"new-degree count mismatch": {Version: 2, WeightedSum: okSum,
-			NewFeatures: mat.New(2, f), NewLabels: []int{0, 0}, NewDeg: []float64{1}},
-		"weighted sum length mismatch": {Version: 2, WeightedSum: make([]float64, f+1)},
+	n, f := ds.Graph.N(), ds.Graph.F()
+	hostile := map[string]graph.Delta{
+		"feature dimension":   {Features: mat.New(1, f+1), Labels: []int{0}},
+		"label count":         {Features: mat.New(2, f), Labels: []int{0}},
+		"label range":         {Features: mat.New(1, f), Labels: []int{ds.Graph.NumClasses}},
+		"negative label":      {Features: mat.New(1, f), Labels: []int{-1}},
+		"edge endpoint range": {Src: []int{n}, Dst: []int{0}},
+		"negative endpoint":   {Src: []int{-1}, Dst: []int{0}},
+		"src/dst length":      {Src: []int{0, 1}, Dst: []int{2}},
 	}
-	for name, sd := range hostile {
-		err := w.ApplyDelta(sd)
-		var bad *badDeltaError
-		if !errors.As(err, &bad) {
-			t.Fatalf("%s: got %v, want *badDeltaError", name, err)
-		}
+	want := ds.Graph.Clone()
+	unchanged := func(name string) {
+		t.Helper()
+		g := w.dep.Graph
 		if v := w.Health().Version; v != 1 {
-			t.Fatalf("%s: worker version %d after rejected delta, want 1", name, v)
+			t.Fatalf("%s: worker version %d after a rejected delta, want 1", name, v)
 		}
+		if !slices.Equal(g.Adj.RowPtr, want.Adj.RowPtr) || !slices.Equal(g.Adj.Col, want.Adj.Col) ||
+			!slices.Equal(g.Adj.Val, want.Adj.Val) || !mat.Equal(g.Features, want.Features) ||
+			!slices.Equal(g.Labels, want.Labels) {
+			t.Fatalf("%s: worker graph changed by a rejected delta", name)
+		}
+	}
+	for name, d := range hostile {
+		err := w.ApplyDelta(&ShardDelta{Version: 2, Delta: d})
+		var val *graph.ValidationError
+		if !errors.As(err, &val) {
+			t.Fatalf("%s: got %v, want *graph.ValidationError", name, err)
+		}
+		unchanged(name)
 	}
 
-	// Over the wire the same rejections are 400s, as is a delta failing the
-	// graph-level validation (edge endpoint outside the grown id space).
+	// Over the wire the same rejections are 400s.
 	srv := httptest.NewServer(WorkerHandler(w))
 	defer srv.Close()
-	hostile["edge endpoint out of range"] = &ShardDelta{Version: 2, WeightedSum: okSum,
-		Src: []int{1 << 20}, Dst: []int{0}}
-	for name, sd := range hostile {
+	for name, d := range hostile {
 		resp, err := http.Post(srv.URL+"/shard/delta", "application/octet-stream",
-			bytes.NewReader(encodeShardDelta(sd)))
+			bytes.NewReader(encodeShardDelta(&ShardDelta{Version: 2, Delta: d})))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -322,9 +326,7 @@ func TestHostileDeltaRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
-	}
-	if v := w.Health().Version; v != 1 {
-		t.Fatalf("worker version %d after rejected deltas, want 1", v)
+		unchanged(name + " over the wire")
 	}
 	if _, err := w.Infer(&InferRequest{Version: 1, Targets: []int{0},
 		Opt: core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: 1}}); err != nil {
@@ -334,8 +336,8 @@ func TestHostileDeltaRejected(t *testing.T) {
 
 // TestProbeRejectsMismatchedWorker: the probe's re-admission path must run
 // the same validation as the startup handshake — a worker restarted on the
-// same address with different flags (here: wrong halo radius, wrong shard
-// id) must stay down, not silently rejoin and serve non-bit-identical
+// same address with different flags (here: wrong precision tier, wrong
+// shard id) must stay down, not silently rejoin and serve non-bit-identical
 // answers; a correctly restarted worker then rejoins as usual.
 func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	ds, m := fixture(t)
@@ -366,12 +368,12 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 		t.Fatal("router healthy with worker 0 dead")
 	}
 
-	// An impostor with the wrong halo radius on the right address: the
+	// An impostor at the wrong precision tier on the right address: the
 	// probe must refuse to re-admit it.
-	imp, _ := serveAt(addr0, Config{Shards: p, Radius: 1}, 0)
+	imp, _ := serveAt(addr0, Config{Shards: p, Precision: kernel.PrecisionF32}, 0)
 	rt.Probe(context.Background())
 	if hs := rt.Describe().Shards; hs[0].Up || hs[0].Err == "" {
-		t.Fatalf("mismatched-radius worker re-admitted: %+v", hs[0])
+		t.Fatalf("mismatched-tier worker re-admitted: %+v", hs[0])
 	}
 	imp.Close()
 

@@ -33,10 +33,12 @@ const wireMagic = "NAIW"
 // router↔worker boundary); version 4 added the X^(1)-layer counters to
 // msgHealth; version 5 dropped two engine options from msgInfer that the
 // engine no longer has; version 6 renumbered the span stages in msgResult
-// when the serving layer's batch-assembly stage went. A peer speaking an
+// when the serving layer's batch-assembly stage went; version 7 made
+// msgDelta the version plus the graph delta itself (workers hold the whole
+// graph) and dropped the halo radius from msgHealth. A peer speaking an
 // older version is rejected at decode, which is the right failure for a
 // router and worker that disagree on the format.
-const wireVersion = 6
+const wireVersion = 7
 
 // message types
 const (
@@ -51,8 +53,6 @@ const (
 // error kinds carried by msgError
 const (
 	errKindStale     = 1
-	errKindBad       = 2
-	errKindInternal  = 3
 	errKindPrecision = 4 // worker serves a different precision tier (409)
 )
 
@@ -94,14 +94,6 @@ func appendInts(b []byte, v []int) []byte {
 	b = appendUint(b, uint64(len(v)))
 	for _, x := range v {
 		b = appendInt(b, x)
-	}
-	return b
-}
-
-func appendFloats(b []byte, v []float64) []byte {
-	b = appendUint(b, uint64(len(v)))
-	for _, x := range v {
-		b = appendFloat(b, x)
 	}
 	return b
 }
@@ -181,18 +173,6 @@ func (d *dec) ints() []int {
 	v := make([]int, n)
 	for i := range v {
 		v[i] = d.int()
-	}
-	return v
-}
-
-func (d *dec) floats() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.float()
 	}
 	return v
 }
@@ -329,32 +309,25 @@ func (d *dec) spans() []obs.Span {
 	return spans
 }
 
+// encodeShardDelta serializes a delta as its version, the appended
+// features (rows, cols, then the row-major values), labels and edge list.
 func encodeShardDelta(sd *ShardDelta) []byte {
 	b := appendHeader(nil, msgDelta)
 	b = appendUint(b, sd.Version)
 	rows, cols := 0, 0
-	if sd.NewFeatures != nil {
-		rows, cols = sd.NewFeatures.Rows, sd.NewFeatures.Cols
+	if f := sd.Delta.Features; f != nil {
+		rows, cols = f.Rows, f.Cols
 	}
 	b = appendInt(b, rows)
 	b = appendInt(b, cols)
-	if sd.NewFeatures != nil {
-		for i := 0; i < rows; i++ {
-			for _, v := range sd.NewFeatures.Row(i) {
-				b = appendFloat(b, v)
-			}
+	if rows > 0 {
+		for _, v := range sd.Delta.Features.Data[:rows*cols] {
+			b = appendFloat(b, v)
 		}
 	}
-	b = appendInts(b, sd.NewLabels)
-	b = appendFloats(b, sd.NewDeg)
-	b = appendInts(b, sd.Src)
-	b = appendInts(b, sd.Dst)
-	b = appendFloat(b, sd.Scale)
-	b = appendInt(b, sd.SumMACs)
-	b = appendFloats(b, sd.WeightedSum)
-	b = appendInts(b, sd.DegIdx)
-	b = appendFloats(b, sd.DegVal)
-	return appendInts(b, sd.DirtyLocal)
+	b = appendInts(b, sd.Delta.Labels)
+	b = appendInts(b, sd.Delta.Src)
+	return appendInts(b, sd.Delta.Dst)
 }
 
 func decodeShardDelta(b []byte) (*ShardDelta, error) {
@@ -382,19 +355,12 @@ func decodeShardDelta(b []byte) (*ShardDelta, error) {
 			for i := range m.Data {
 				m.Data[i] = d.float()
 			}
-			sd.NewFeatures = m
+			sd.Delta.Features = m
 		}
 	}
-	sd.NewLabels = d.ints()
-	sd.NewDeg = d.floats()
-	sd.Src = d.ints()
-	sd.Dst = d.ints()
-	sd.Scale = d.float()
-	sd.SumMACs = d.int()
-	sd.WeightedSum = d.floats()
-	sd.DegIdx = d.ints()
-	sd.DegVal = d.floats()
-	sd.DirtyLocal = d.ints()
+	sd.Delta.Labels = d.ints()
+	sd.Delta.Src = d.ints()
+	sd.Delta.Dst = d.ints()
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -405,7 +371,6 @@ func encodeHealthInfo(h HealthInfo) []byte {
 	b := appendHeader(nil, msgHealth)
 	b = appendInt(b, h.ShardID)
 	b = appendInt(b, h.Shards)
-	b = appendInt(b, h.Radius)
 	b = appendInt(b, h.Nodes)
 	b = appendInt(b, h.GlobalNodes)
 	b = appendUint(b, h.Version)
@@ -428,7 +393,6 @@ func decodeHealthInfo(b []byte) (HealthInfo, error) {
 	h := HealthInfo{
 		ShardID:     d.int(),
 		Shards:      d.int(),
-		Radius:      d.int(),
 		Nodes:       d.int(),
 		GlobalNodes: d.int(),
 	}

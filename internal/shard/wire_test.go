@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -69,20 +71,12 @@ func TestWireRoundTrip(t *testing.T) {
 	feat := mat.New(2, 3)
 	copy(feat.Data, []float64{0, math.Copysign(0, -1), 1.0 / 3.0,
 		-math.MaxFloat64, math.SmallestNonzeroFloat64, -1e-308})
-	sd := &ShardDelta{
-		Version:     9,
-		NewFeatures: feat,
-		NewLabels:   []int{0, 1},
-		NewDeg:      []float64{1.5, 2.25},
-		Src:         []int{0, 1},
-		Dst:         []int{1, 0},
-		Scale:       1e308,
-		SumMACs:     42,
-		WeightedSum: []float64{0.1, -0.2, 0.3},
-		DegIdx:      []int{3},
-		DegVal:      []float64{7.75},
-		DirtyLocal:  []int{0, 1, 3},
-	}
+	sd := &ShardDelta{Version: 9, Delta: graph.Delta{
+		Features: feat,
+		Labels:   []int{0, 1},
+		Src:      []int{0, 1 << 40, 5},
+		Dst:      []int{1, 0, 6},
+	}}
 	gotSD, err := decodeShardDelta(encodeShardDelta(sd))
 	if err != nil {
 		t.Fatal(err)
@@ -91,22 +85,22 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("ShardDelta: %+v != %+v", gotSD, sd)
 	}
 	for i := range feat.Data {
-		if math.Float64bits(gotSD.NewFeatures.Data[i]) != math.Float64bits(feat.Data[i]) {
+		if math.Float64bits(gotSD.Delta.Features.Data[i]) != math.Float64bits(feat.Data[i]) {
 			t.Fatalf("feature bits drifted at %d", i)
 		}
 	}
 
-	// A features-free delta (the common case) round-trips with a nil matrix.
-	bare := &ShardDelta{Version: 2, Scale: 0.5, WeightedSum: []float64{1}}
+	// An edges-only delta (the common case) round-trips with a nil matrix.
+	bare := &ShardDelta{Version: 2, Delta: graph.Delta{Src: []int{3}, Dst: []int{4}}}
 	gotBare, err := decodeShardDelta(encodeShardDelta(bare))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotBare.NewFeatures != nil || gotBare.Version != 2 || gotBare.Scale != 0.5 {
-		t.Fatalf("bare ShardDelta: %+v", gotBare)
+	if !reflect.DeepEqual(bare, gotBare) {
+		t.Fatalf("bare ShardDelta: %+v != %+v", gotBare, bare)
 	}
 
-	h := HealthInfo{ShardID: 1, Shards: 4, Radius: 3, Nodes: 100, GlobalNodes: 300,
+	h := HealthInfo{ShardID: 1, Shards: 4, Nodes: 100, GlobalNodes: 300,
 		Version: 17, ScratchBytes: 1 << 20, Precision: kernel.PrecisionF32,
 		Hop1: core.Hop1Stats{FromMemo: 1 << 40, Computed: 7, Invalidated: 3, Entries: 99, Capacity: 100, Bytes: 100 * 132}}
 	gotH, err := decodeHealthInfo(encodeHealthInfo(h))
@@ -219,10 +213,7 @@ func TestWireRejectsV4Frame(t *testing.T) {
 	b = appendInt(b, 0) // v4: flags
 	b = appendInt(b, int(kernel.PrecisionF64))
 	b = appendUint(b, 0) // trace id
-	_, err := decodeInferRequest(b)
-	if err == nil || !strings.Contains(err.Error(), "format version 4, want 6") {
-		t.Fatalf("v4 frame: err = %v, want the format-version error", err)
-	}
+	requireVersionRejected(t, 4, func() error { _, err := decodeInferRequest(b); return err })
 }
 
 // TestWireRejectsV5Frame: a version-5 msgResult frame numbers its span stages
@@ -243,13 +234,53 @@ func TestWireRejectsV5Frame(t *testing.T) {
 	b = appendInt(b, -1) // shard
 	b = appendInt(b, 0)  // start
 	b = appendInt(b, int(time.Microsecond))
-	_, _, err := decodeResult(b)
-	if err == nil || !strings.Contains(err.Error(), "format version 5, want 6") {
-		t.Fatalf("v5 frame: err = %v, want the format-version error", err)
-	}
+	requireVersionRejected(t, 5, func() error { _, _, err := decodeResult(b); return err })
 	b[len(wireMagic)] = wireVersion
 	if _, spans, err := decodeResult(b); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageBFS {
-		t.Fatalf("same payload at v6: spans %v err %v, want one bfs span", spans, err)
+		t.Fatalf("same payload at v%d: spans %v err %v, want one bfs span", wireVersion, spans, err)
+	}
+}
+
+// TestWireRejectsV6Frame: a version-6 msgDelta frame carries a halo plan —
+// new degrees and local-id edges, then the stationary scalars, weighted sum,
+// degree patches and dirty rows — after the same feature block and labels
+// version 7 starts with, and a version-6 msgHealth frame carries the halo
+// radius after the partition width. Both must fail on the version byte.
+func TestWireRejectsV6Frame(t *testing.T) {
+	d := append([]byte(wireMagic), 6, msgDelta)
+	d = appendUint(d, 2)           // version
+	d = appendInt(d, 0)            // feature rows
+	d = appendInt(d, 0)            // feature cols
+	d = appendInts(d, nil)         // labels
+	d = appendUint(d, 0)           // v6: new degrees
+	d = appendInts(d, []int{0})    // src, local ids
+	d = appendInts(d, []int{1})    // dst, local ids
+	d = appendFloat(d, 0.5)        // v6: scale
+	d = appendInt(d, 4)            // v6: SumMACs
+	d = appendUint(d, 0)           // v6: weighted sum
+	d = appendInts(d, nil)         // v6: degree indices
+	d = appendUint(d, 0)           // v6: degree values
+	d = appendInts(d, []int{0, 1}) // v6: dirty rows
+	requireVersionRejected(t, 6, func() error { _, err := decodeShardDelta(d); return err })
+
+	h := append([]byte(wireMagic), 6, msgHealth)
+	for _, v := range []int{0, 2, 2, 100, 100} { // shard, width, v6 radius, nodes, global nodes
+		h = appendInt(h, v)
+	}
+	h = appendUint(h, 1) // version
+	for i := 0; i < 8; i++ {
+		h = appendInt(h, 0) // scratch, six layer counters, precision
+	}
+	requireVersionRejected(t, 6, func() error { _, err := decodeHealthInfo(h); return err })
+}
+
+// requireVersionRejected asserts that decode fails on a frame's format
+// version v, naming the version this build speaks.
+func requireVersionRejected(t *testing.T, v int, decode func() error) {
+	t.Helper()
+	want := fmt.Sprintf("format version %d, want %d", v, wireVersion)
+	if err := decode(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v%d frame: err = %v, want %q", v, err, want)
 	}
 }
 
@@ -259,13 +290,15 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeInferRequest(&InferRequest{Version: 1, Targets: []int{0, 1}}))
 	f.Add(encodeResult(&core.Result{Pred: []int{1}, Depths: []int{2}, NumTargets: 1},
 		[]obs.Span{{Stage: obs.StageBFS, Dur: time.Millisecond}}))
-	f.Add(encodeShardDelta(&ShardDelta{Version: 2, Src: []int{0}, Dst: []int{1},
-		WeightedSum: []float64{1, 2}}))
+	f.Add(encodeShardDelta(&ShardDelta{Version: 2, Delta: graph.Delta{Src: []int{0}, Dst: []int{1}}}))
 	f.Add(encodeHealthInfo(HealthInfo{ShardID: 1, Shards: 2, Version: 1}))
 	f.Add(encodeHealthInfo(HealthInfo{ShardID: 1, Shards: 2, Version: 9, Precision: kernel.PrecisionInt8,
 		Hop1: core.Hop1Stats{FromMemo: 1 << 33, Computed: 5, Invalidated: 2, Entries: 3, Capacity: 4, Bytes: 4 * 68}}))
 	f.Add(encodeWireError(errKindStale, 1, 2, "x"))
 	f.Add(encodeAck())
+	f.Add(encodeShardDelta(&ShardDelta{Version: 3, Delta: graph.Delta{
+		Features: mat.FromRows([][]float64{{1, -2}, {0.5, 3}}), Labels: []int{1, 0},
+		Src: []int{4, 5}, Dst: []int{0, 4}}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = decodeInferRequest(b)
 		_, _, _ = decodeResult(b)

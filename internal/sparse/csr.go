@@ -308,42 +308,6 @@ func extractRows(rows []int, toLocal []int32, m, cols, nnz int, out *CSR, emit f
 	}
 }
 
-// ExtractRowsTruncated builds the sub-matrix of a induced on a local node
-// universe: the result is an m×m CSR whose row toLocal[r], for each r in
-// rows, holds a's row r restricted to the columns c with toLocal[c] ≥ 0
-// (out-of-universe neighbors are silently dropped); rows of the output not
-// named by rows are empty. It is the boundary-tolerant sibling of
-// ExtractRowsInto: sharded serving uses it to cut a shard's halo subgraph
-// out of the global adjacency, where the outermost ghost ring necessarily
-// has neighbors outside the universe. rows must be sorted ascending and
-// toLocal must be a monotone partial map into [0,m) (graph.IndexSet over the
-// sorted universe), which keeps the remapped columns of each row sorted.
-func (a *CSR) ExtractRowsTruncated(rows []int, toLocal []int32, m int) *CSR {
-	out := &CSR{Rows: m, Cols: m, RowPtr: make([]int, m+1)}
-	next := 0 // first local row without a RowPtr entry yet
-	for _, r := range rows {
-		lr := int(toLocal[r])
-		if lr < next || lr >= m {
-			panic(fmt.Sprintf("sparse: ExtractRowsTruncated row %d maps to %d outside [%d,%d)", r, lr, next, m))
-		}
-		for ; next <= lr; next++ {
-			out.RowPtr[next] = len(out.Col)
-		}
-		cols := a.RowIndices(r)
-		vals := a.RowValues(r)
-		for k, c := range cols {
-			if lc := toLocal[c]; lc >= 0 {
-				out.Col = append(out.Col, int(lc))
-				out.Val = append(out.Val, vals[k])
-			}
-		}
-	}
-	for ; next <= m; next++ {
-		out.RowPtr[next] = len(out.Col)
-	}
-	return out
-}
-
 // GrownCap grows old geometrically to cover need, bounding reallocation
 // churn when per-batch extents creep upward across pool hits. Shared by the
 // pooled-scratch consumers of this package's extraction kernels.

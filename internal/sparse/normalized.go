@@ -21,10 +21,9 @@ import (
 // ladder and for the tests that pin the product to MulRowsInto over such a
 // cut.
 //
-// The factors come from a looped-degree vector the caller supplies, which
-// need not be Adj's own row sums: a shard's local adjacency is truncated at
-// its halo, and passing the *global* looped degrees of its nodes is what keeps
-// every emitted value equal to the unsharded one.
+// The factors come from a looped-degree vector the caller supplies: the
+// serving engine passes its stationary state's, which a delta updates before
+// Patch reads it.
 type Normalized struct {
 	// Adj is the binary adjacency the pattern is read from; it must hold no
 	// diagonal entries (emitting a row panics on one).

@@ -293,46 +293,6 @@ func TestNormalizedHubRows(t *testing.T) {
 	}
 }
 
-// TestNormalizedGlobalDegreesOnTruncatedRows is the shard worker's use: the
-// pattern is a halo universe's truncated local adjacency, the degrees are the
-// global ones, and every emitted value must be the global matrix's.
-func TestNormalizedGlobalDegreesOnTruncatedRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 8 + rng.Intn(40)
-		global := randomDeltaAdj(n, 0.2, rng)
-		var universe []int
-		toLocal := make([]int32, n)
-		for i := range toLocal {
-			toLocal[i] = -1
-			if i == 0 || rng.Intn(2) == 0 {
-				toLocal[i] = int32(len(universe))
-				universe = append(universe, i)
-			}
-		}
-		raw := global.ExtractRowsTruncated(universe, toLocal, len(universe))
-		gdeg := LoopedDegrees(global)
-		ldeg := make([]float64, len(universe))
-		for lv, v := range universe {
-			ldeg[lv] = gdeg[v]
-		}
-		for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
-			op := NewNormalized(raw, gamma, ldeg)
-			if err := checkNormalized(op, NormalizedAdjacencyWithDegrees(raw, gamma, ldeg), rng); err != nil {
-				t.Fatalf("trial %d gamma %v: %v", trial, gamma, err)
-			}
-			full := NormalizedAdjacency(global, gamma)
-			var cut CSR
-			op.RowsInto([]int{0}, nil, 1, &cut)
-			for k, lc := range cut.Col {
-				if want := full.At(universe[0], universe[lc]); math.Float64bits(cut.Val[k]) != math.Float64bits(want) {
-					t.Fatalf("trial %d gamma %v: local entry (0,%d) = %v, global %v", trial, gamma, lc, cut.Val[k], want)
-				}
-			}
-		}
-	}
-}
-
 // TestNormalizedPatchRecomputesOnlyDirtyFactors: a patch is O(|dirty|) — a
 // poisoned factor of a clean row survives it, a dirty row's does not, and the
 // appended rows get theirs.
