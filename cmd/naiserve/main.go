@@ -33,11 +33,12 @@
 //
 //	naiserve -shards 'a:9000|b:9000,a:9001|b:9001' -addr :8080
 //
-// serves two shards with two replicas each. The router load-balances
-// inference across a shard's healthy replicas, fails over transparently
-// when one dies (503 only when every replica of a shard is down), fans
-// each delta to all replicas, and replays missed deltas to lagging or
-// restarted replicas before re-admitting them — see ARCHITECTURE.md,
+// serves two shards with two replicas each. The router sends each request
+// to the shard owning most of its targets, load-balances across that
+// shard's healthy replicas, fails over transparently when one dies (503
+// only when every replica of that shard is down), fans each delta to all
+// replicas, and replays missed deltas to lagging or restarted replicas
+// before re-admitting them — see ARCHITECTURE.md,
 // "Failure semantics", including the zero-downtime worker
 // replacement procedure built on -drain-timeout below.
 //

@@ -39,7 +39,9 @@ func main() {
 
 	// 2. Two backends over identical graphs: the single deployment every
 	// earlier example uses, and a 4-shard router. Each shard's worker holds
-	// the whole graph; the router sends it the targets its shard owns.
+	// the whole graph; the router makes one call to the majority owner —
+	// the shard owning most of a request's targets — so MACs equal the
+	// unsharded engine's too.
 	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
 	single, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
@@ -70,7 +72,10 @@ func main() {
 					stage, targets[i], got.Pred[i], got.Depths[i], want.Pred[i], want.Depths[i])
 			}
 		}
-		fmt.Printf("%s: %d targets, sharded == single on every prediction and depth\n",
+		if got.MACs != want.MACs {
+			log.Fatalf("%s: sharded MACs %+v vs single %+v", stage, got.MACs, want.MACs)
+		}
+		fmt.Printf("%s: %d targets, sharded == single on every prediction, depth and MAC\n",
 			stage, len(targets))
 	}
 	verify("initial graph", ds.Split.Test)

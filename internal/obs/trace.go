@@ -10,8 +10,8 @@ import (
 // taxonomy follows the life of a request: arrival to backend call in the
 // serving layer; BFS supporting-set construction, compaction (extract),
 // per-hop propagation, exit decisions and classification in the engine;
-// fan-out and merge in the shard router; and encode/RPC/decode in the HTTP
-// transport.
+// the shard router's one call to the majority owner (fanout); and
+// encode/RPC/decode in the HTTP transport.
 type Stage uint8
 
 // The span taxonomy. StagePropagate spans additionally carry the hop
@@ -39,12 +39,9 @@ const (
 	StageDecide
 	// StageClassify is combine + per-depth classifier evaluation.
 	StageClassify
-	// StageFanout is one per-shard router call, transport included;
-	// Span.Shard holds the shard id.
+	// StageFanout is the router's one call to the shard owning most of a
+	// request's targets, transport included; Span.Shard holds the shard id.
 	StageFanout
-	// StageMerge is scattering per-shard results back into request
-	// order.
-	StageMerge
 	// StageEncode is wire-format encoding of one shard RPC request.
 	StageEncode
 	// StageRPC is the HTTP round trip of one shard RPC.
@@ -57,7 +54,7 @@ const (
 
 var stageNames = [numStages]string{
 	"queue", "bfs", "extract", "propagate", "decide",
-	"classify", "fanout", "merge", "encode", "rpc", "decode",
+	"classify", "fanout", "encode", "rpc", "decode",
 }
 
 // Valid reports whether s is a defined stage. Spans cross the shard wire
@@ -97,14 +94,13 @@ type Span struct {
 
 // MaxSpans bounds the spans one trace retains. The array is inline in
 // the Trace so recording never allocates; spans past the cap are
-// dropped. 96 covers TMax propagation hops plus per-shard transport
-// spans at realistic shard counts with generous slack.
+// dropped. 96 covers TMax propagation hops plus the router's transport
+// spans with generous slack.
 const MaxSpans = 96
 
 // Trace accumulates the spans of one request. Traces are pooled by the
 // Ring (no per-request allocation), carried through the stack via
-// context.Context, and safe for concurrent span recording — the shard
-// router's fan-out records from several goroutines at once. All methods
+// context.Context, and safe for concurrent span recording. All methods
 // are no-ops on a nil receiver, so uninstrumented paths pay one branch.
 type Trace struct {
 	id    uint64

@@ -108,7 +108,7 @@ func TestDistributedServing(t *testing.T) {
 }
 
 // TestHealthzDegradesWithDeadWorker: killing a worker flips /healthz to 503
-// with the dead shard identified, and requests hitting that shard get 503
+// with the dead shard identified, and requests owned by that shard get 503
 // (ErrUnavailable) instead of hanging.
 func TestHealthzDegradesWithDeadWorker(t *testing.T) {
 	ds, _ := fixture(t)
@@ -134,7 +134,11 @@ func TestHealthzDegradesWithDeadWorker(t *testing.T) {
 		t.Fatalf("shards block %+v, want shard 1 down", hr.Shards)
 	}
 
-	_, _, err = s.Classify(ds.Split.Test) // spans both shards
+	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.Classify(asg.Owned[1]) // every target owned by the dead shard
 	if !errors.Is(err, shard.ErrUnavailable) {
 		t.Fatalf("classify across dead shard: %v, want ErrUnavailable", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mat"
+	"repro/internal/shard"
 )
 
 // tracesBody is the JSON shape of GET /debug/traces.
@@ -70,16 +72,23 @@ func getMetrics(t *testing.T, url string) string {
 
 // TestStitchedDistributedTrace is the acceptance path: one request through
 // the sharded HTTP-transport stack leaves one trace in /debug/traces that
-// carries both the router's own spans (queue, fan-out, rpc, merge) and the
-// engine spans each worker recorded under the same id, stitched back over
-// the wire with worker=true.
+// carries both the router's own spans (queue, one fanout, rpc) and the
+// engine spans the majority owner's worker recorded under the same id,
+// stitched back over the wire with worker=true.
 func TestStitchedDistributedTrace(t *testing.T) {
 	ds, _ := fixture(t)
 	s, _, _ := newDistributedServer(t, 2, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if _, _, err := s.ClassifyContext(context.Background(), ds.Split.Test[:4], "acme"); err != nil {
+	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight targets on both shards, five of them shard 1's: the whole
+	// request goes to shard 1.
+	targets := append(slices.Clone(asg.Owned[0][:3]), asg.Owned[1][:5]...)
+	if _, _, err := s.ClassifyContext(context.Background(), targets, "acme"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,11 +97,11 @@ func TestStitchedDistributedTrace(t *testing.T) {
 		t.Fatalf("%d traces after one request, want 1", len(body.Traces))
 	}
 	tr := body.Traces[0]
-	if tr.ID == 0 || tr.Tenant != "acme" || tr.Outcome != "ok" || tr.Targets != 4 {
+	if tr.ID == 0 || tr.Tenant != "acme" || tr.Outcome != "ok" || tr.Targets != 8 {
 		t.Fatalf("trace header %+v", tr)
 	}
 
-	router := map[string]bool{}
+	router := map[string]int{}
 	worker := map[string]bool{}
 	workerShards := map[int]bool{}
 	for _, sp := range tr.Spans {
@@ -103,23 +112,29 @@ func TestStitchedDistributedTrace(t *testing.T) {
 			}
 			workerShards[*sp.Shard] = true
 		} else {
-			router[sp.Stage] = true
+			router[sp.Stage]++
+			if sp.Stage == "fanout" && (sp.Shard == nil || *sp.Shard != 1) {
+				t.Fatalf("fanout span to shard %v, want 1", sp.Shard)
+			}
 		}
 	}
-	for _, stage := range []string{"queue", "fanout", "rpc", "merge"} {
-		if !router[stage] {
+	for _, stage := range []string{"queue", "rpc"} {
+		if router[stage] == 0 {
 			t.Fatalf("router span %q missing; got router=%v worker=%v", stage, router, worker)
 		}
+	}
+	if router["fanout"] != 1 || router["merge"] != 0 {
+		t.Fatalf("router spans %v, want exactly one fanout and no merge", router)
 	}
 	for _, stage := range []string{"bfs", "extract", "propagate", "classify"} {
 		if !worker[stage] {
 			t.Fatalf("worker span %q missing; got worker=%v", stage, worker)
 		}
 	}
-	// Targets span the whole id space, so both shards must have shipped
-	// spans back, each tagged with its own shard id at the splice.
-	if !workerShards[0] || !workerShards[1] {
-		t.Fatalf("worker spans from shards %v, want both 0 and 1", workerShards)
+	// The one call went to shard 1, so only its worker shipped spans back,
+	// tagged with its shard id at the splice.
+	if len(workerShards) != 1 || !workerShards[1] {
+		t.Fatalf("worker spans from shards %v, want shard 1 alone", workerShards)
 	}
 }
 
@@ -367,6 +382,10 @@ func TestScrapesDuringShardOutage(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	servers[1].Close()
 	rt.Probe(context.Background())
 
@@ -375,7 +394,7 @@ func TestScrapesDuringShardOutage(t *testing.T) {
 	go func() { // traffic into the dead shard
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			_, _, _ = s.ClassifyContext(context.Background(), ds.Split.Test, "acme")
+			_, _, _ = s.ClassifyContext(context.Background(), asg.Owned[1], "acme")
 		}
 	}()
 	go func() { // scrapers

@@ -413,7 +413,7 @@ func (s *Server) infer(ctx context.Context, start time.Time, tr *obs.Trace, targ
 	}
 
 	// The backend gets the request's trace, so its stages (engine, router
-	// fan-out, transport) record into it, and the request's deadline, so a
+	// call, transport) record into it, and the request's deadline, so a
 	// router stops waiting on its workers once the caller would have given
 	// up — but not the cancellation of a client that hung up early.
 	bctx := obs.ContextWithTrace(context.WithoutCancel(ctx), tr)

@@ -26,7 +26,9 @@ func inferOpts(m *core.Model) []core.InferenceOptions {
 }
 
 // requireSameAnswers runs every operating point through the router and the
-// unsharded deployment and requires bit-identical predictions and depths.
+// unsharded deployment and requires bit-identical predictions, depths and
+// depth histogram, and equal MACs and target counts: the router's one call
+// runs the unsharded batch.
 func requireSameAnswers(t *testing.T, tag string, rt *Router, dep *core.Deployment, targets []int) {
 	t.Helper()
 	for oi, opt := range inferOpts(rt.model) {
@@ -49,6 +51,10 @@ func requireSameAnswers(t *testing.T, tag string, rt *Router, dep *core.Deployme
 				t.Fatalf("%s opt%d: depth histogram %v != %v", tag, oi, got.NodesPerDepth, want.NodesPerDepth)
 			}
 		}
+		if got.MACs != want.MACs || got.NumTargets != want.NumTargets {
+			t.Fatalf("%s opt%d: sharded MACs %+v over %d targets != unsharded %+v over %d",
+				tag, oi, got.MACs, got.NumTargets, want.MACs, want.NumTargets)
+		}
 	}
 }
 
@@ -66,6 +72,86 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameAnswers(t, fmt.Sprintf("P=%d", p), rt, dep, ds.Split.Test)
+	}
+}
+
+// inferCounter records the shard every Infer transport call reaches.
+type inferCounter struct {
+	Transport
+	mu    sync.Mutex
+	calls []int
+}
+
+func (c *inferCounter) Infer(ctx context.Context, p int, req *InferRequest) (*core.Result, error) {
+	c.mu.Lock()
+	c.calls = append(c.calls, p)
+	c.mu.Unlock()
+	return c.Transport.Infer(ctx, p, req)
+}
+
+// TestRouterOneCallPerRequest pins the routing contract: for P ∈ {1,2,4}, a
+// request with targets on every shard makes exactly one Infer transport
+// call, to the shard owning the most of them (the lowest id on a tie), and
+// answers like the unsharded deployment. Targets are listed highest shard
+// first, so the first target's owner is never the tie's winner by accident.
+func TestRouterOneCallPerRequest(t *testing.T) {
+	ds, m := fixture(t)
+	dep, err := core.NewDeployment(m, ds.Graph.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 4} {
+		asg, err := Partition(ds.Graph, p, StrategyBFS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := make([]*Worker, p)
+		for i := range workers {
+			if workers[i], err = NewWorker(m, ds.Graph.Clone(), Config{Shards: p}, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctr := &inferCounter{Transport: NewLocalTransport(workers)}
+		rt, err := NewRouterTransport(m, ds.Graph.Clone(), Config{Shards: p}, ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// take[q] targets from shard q each; want is the shard that answers.
+		type routeCase struct {
+			take []int
+			want int
+		}
+		ones := func() []int {
+			take := make([]int, p)
+			for q := range take {
+				take[q] = 1
+			}
+			return take
+		}
+		cases := []routeCase{{ones(), 0}} // all tied
+		for q := range p {
+			c := routeCase{ones(), q}
+			c.take[q] = 2
+			cases = append(cases, c)
+		}
+		if p == 4 {
+			cases = append(cases, routeCase{[]int{1, 3, 3, 2}, 1})
+		}
+		for _, c := range cases {
+			var targets []int
+			for q := p - 1; q >= 0; q-- {
+				targets = append(targets, asg.Owned[q][:c.take[q]]...)
+			}
+			ctr.calls = nil
+			tag := fmt.Sprintf("P=%d take %v", p, c.take)
+			requireSameAnswers(t, tag, rt, dep, targets)
+			if len(ctr.calls) != len(inferOpts(m)) || slices.ContainsFunc(ctr.calls, func(q int) bool { return q != c.want }) {
+				t.Fatalf("%s: Infer calls reached shards %v, want one per request to shard %d", tag, ctr.calls, c.want)
+			}
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -182,18 +183,26 @@ func TestDeltaOutageHealsByReplay(t *testing.T) {
 	}
 
 	inj.SetDropDeltas(false)
-	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
-	want, err := dep.Infer(ds.Split.Test, opt)
+	asg, err := shard.Partition(ds.Graph, p, shard.StrategyBFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rt.Infer(ds.Split.Test, opt) // stale workers → catch-up replay
-	if err != nil {
-		t.Fatalf("post-outage infer: %v", err)
-	}
-	for i := range want.Pred {
-		if got.Pred[i] != want.Pred[i] || got.Depths[i] != want.Depths[i] {
-			t.Fatalf("answer drifted at %d after replay", i)
+	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
+	// One request owned by each shard, so each stale worker is caught up
+	// by replay on its own Infer.
+	for q, owned := range asg.Owned {
+		want, err := dep.Infer(owned, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rt.Infer(owned, opt) // stale worker → catch-up replay
+		if err != nil {
+			t.Fatalf("post-outage infer on shard %d: %v", q, err)
+		}
+		for i := range want.Pred {
+			if got.Pred[i] != want.Pred[i] || got.Depths[i] != want.Depths[i] {
+				t.Fatalf("shard %d: answer drifted at %d after replay", q, i)
+			}
 		}
 	}
 	if !rt.Describe().Healthy() {
@@ -685,7 +694,9 @@ func TestUnevenGroups(t *testing.T) {
 
 	h.inj.Heal()
 	h.inj.Partition(h.flat(0, 1))
-	shard.TestRequireSameAnswers(t, "one of shard 0's two cut", h.rt, h.dep, ds.Split.Test)
+	for p, owned := range asg.Owned { // one request per shard reaches every group
+		shard.TestRequireSameAnswers(t, fmt.Sprintf("one of shard 0's two cut, shard %d's targets", p), h.rt, h.dep, owned)
+	}
 	if !h.rt.Describe().Healthy() {
 		t.Fatalf("router degraded although every shard has a live endpoint: %+v", h.rt.Describe().Shards)
 	}

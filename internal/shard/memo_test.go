@@ -16,8 +16,8 @@ import (
 
 // TestShardedMemoEquivalence is the engine layers' bit-identity gate on shard
 // workers: for P ∈ {1,2} over both transports, before and after every delta
-// stage, a router's cold and then warm answers must equal a cold unsharded
-// reference, and charge the same MACs cold and warm — for the K = 3 model,
+// stage, a router's cold and then warm answers and MACs must equal a cold
+// unsharded reference's — for the K = 3 model,
 // whose operating points read X^(1), and the K = 5 model at TMax 4 and 5,
 // which read X^(2) and X^(3). The graph is the test fixture's generator at
 // 6000 nodes. The reference is a deployment built for that one call: with a
@@ -108,7 +108,6 @@ func testShardedMemoEquivalence(t *testing.T, m *core.Model, opts []core.Inferen
 					if s := ref.Hop1Stats(); s.FromMemo != 0 {
 						t.Fatalf("%s %s opt%d: reference found %d rows resident", tag, stage, oi, s.FromMemo)
 					}
-					var cold *core.Result
 					for _, pass := range []string{"cold", "warm"} {
 						got, err := rt.Infer(targets, opt)
 						if err != nil {
@@ -120,10 +119,8 @@ func testShardedMemoEquivalence(t *testing.T, m *core.Model, opts []core.Inferen
 									targets[i], got.Pred[i], got.Depths[i], want.Pred[i], want.Depths[i])
 							}
 						}
-						if cold == nil {
-							cold = got
-						} else if got.MACs != cold.MACs {
-							t.Fatalf("%s %s opt%d: MACs warm %+v != cold %+v", tag, stage, oi, got.MACs, cold.MACs)
+						if got.MACs != want.MACs {
+							t.Fatalf("%s %s opt%d %s: MACs %+v != cold reference %+v", tag, stage, oi, pass, got.MACs, want.MACs)
 						}
 					}
 				}

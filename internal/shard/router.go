@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Config parametrizes NewRouter, NewRouterTransport, NewRouterGroups and
@@ -272,89 +271,42 @@ func (r *Router) Infer(targets []int, opt core.InferenceOptions) (*core.Result, 
 }
 
 // InferContext answers for the targets (global ids) under the caller's
-// context by bucketing them per owning shard, running the per-shard
-// transport calls concurrently (internal/par fans them out; tiny requests
-// run inline under its work threshold), and scattering the per-shard
-// results back into request order. Predictions and depths are bit-identical
-// to a single unsharded Deployment; MAC totals and TotalTime/FPTime sum the
-// per-shard batches, so — exactly like BatchSize splitting — the cost
-// accounting reflects the sharded execution and the time sums can exceed
-// wall clock. Safe for concurrent callers.
+// context with one call to the majority owner: the whole request, in
+// request order, goes to the shard that owns the most of its targets (ties
+// to the lowest shard id). Every worker serves the whole graph at the
+// router's version, so that shard's result is returned unchanged — its
+// predictions, depths, histogram and MACs equal the unsharded engine's.
+// Safe for concurrent callers.
 //
-// A shard that stays unreachable after retries fails the request with an
-// error wrapping ErrUnavailable (HTTP 503 at the serving layer) — fail
-// fast, never hang; the context's deadline bounds every transport call.
+// A chosen shard whose group stays unreachable after retries fails the
+// request with an error wrapping ErrUnavailable (HTTP 503 at the serving
+// layer) — fail fast, never hang; the context's deadline bounds every
+// transport call.
 func (r *Router) InferContext(ctx context.Context, targets []int, opt core.InferenceOptions) (*core.Result, error) {
 	if err := opt.Validate(r.model); err != nil {
 		return nil, err
 	}
-	agg := &core.Result{NodesPerDepth: make([]int, r.model.K+1)}
 	if len(targets) == 0 {
-		return agg, nil
+		return &core.Result{NodesPerDepth: make([]int, r.model.K+1)}, nil
 	}
 	n := r.global.N()
-	owned := make([][]int, len(r.groups))
-	pos := make([][]int, len(r.groups))
-	for i, v := range targets {
+	count := make([]int, len(r.groups))
+	p := 0
+	for _, v := range targets {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("shard: node %d outside [0,%d)", v, n)
 		}
-		p := r.owner[v]
-		owned[p] = append(owned[p], v)
-		pos[p] = append(pos[p], i)
-	}
-	var calls []int
-	for p := range owned {
-		if len(owned[p]) > 0 {
-			calls = append(calls, p)
+		o := int(r.owner[v])
+		if count[o]++; count[o] > count[p] || count[o] == count[p] && o < p {
+			p = o
 		}
 	}
-
-	version := r.version.Load()
-	results := make([]*core.Result, len(calls))
-	errs := make([]error, len(calls))
 	tr := obs.FromContext(ctx)
-	// Every per-shard call runs a full batch pipeline — supporting-ball
-	// BFS, compaction, propagation — whose cost dwarfs a goroutine
-	// spawn even for single-target requests (the ball scales with the
-	// graph's degrees, not the target count), so any multi-shard request
-	// clears par's fan-out threshold by construction; a single-shard
-	// request runs inline either way. Fan-out spans record concurrently
-	// into the shared trace (span appends are atomic).
-	par.For(len(calls), par.Threshold*len(calls), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			p := calls[k]
-			at := tr.Begin()
-			results[k], errs[k] = r.inferGroup(ctx, p,
-				&InferRequest{Version: version, Targets: owned[p], Opt: opt, Precision: r.prec})
-			tr.End(obs.StageFanout, 0, p, at)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	mergeAt := tr.Begin()
-	agg.Pred = make([]int, len(targets))
-	agg.Depths = make([]int, len(targets))
-	for k, p := range calls {
-		res := results[k]
-		for j, i := range pos[p] {
-			agg.Pred[i] = res.Pred[j]
-			agg.Depths[i] = res.Depths[j]
-		}
-		for l := range res.NodesPerDepth {
-			agg.NodesPerDepth[l] += res.NodesPerDepth[l]
-		}
-		agg.MACs.Add(res.MACs)
-		agg.TotalTime += res.TotalTime
-		agg.FPTime += res.FPTime
-		agg.NumTargets += res.NumTargets
-	}
-	tr.End(obs.StageMerge, 0, -1, mergeAt)
-	return agg, nil
+	at := tr.Begin()
+	res, err := r.inferGroup(ctx, p,
+		&InferRequest{Version: r.version.Load(), Targets: targets, Opt: opt, Precision: r.prec})
+	tr.End(obs.StageFanout, 0, p, at)
+	return res, err
 }
 
 // StartHealthProbe launches the background prober: every interval it

@@ -10,7 +10,7 @@
 //
 //   - Partition splits the node set into P edge-cut shards: greedy
 //     BFS-grown parts under a balance cap. It only routes: the shard that
-//     owns a target answers for it.
+//     owns the most of a request's targets answers for all of them.
 //
 //   - Worker wraps one core.Deployment over a clone of the graph plus a
 //     graph version counter behind a small call surface: Infer, a
@@ -26,23 +26,23 @@
 //     a shard that stays unreachable surfaces as ErrUnavailable, which the
 //     serving layer maps to 503.
 //
-//   - Router fronts the shards through a Transport: Infer buckets targets
-//     by owning shard, fans the per-shard calls across goroutines
-//     (internal/par), and scatters the per-shard results back into request
-//     order. ApplyDelta applies a graph.Delta to the router's graph (which
-//     validates it), appends a copy to one log all shards share, and ships
-//     it as a versioned ShardDelta to every worker, which applies it with
+//   - Router fronts the shards through a Transport: Infer makes one call to
+//     the majority owner — the whole request goes to the shard owning the
+//     most of its targets (ties to the lowest id) — and returns that
+//     shard's result as it is. ApplyDelta applies a graph.Delta to the
+//     router's graph (which validates it), appends a copy to one log all
+//     shards share, and ships it as a versioned ShardDelta to every
+//     worker, which applies it with
 //     core.Deployment.ApplyDelta — so a worker's state equals the unsharded
 //     engine's by construction. A worker that missed deltas (crashed,
 //     restarted, partitioned) is caught up by replay of that log — on its
 //     next Infer, or by the background health probe — without restarting
 //     the router.
 //
-// Per-target predictions and depths are batch-invariant in the engine, so
-// splitting one request across shards never changes an answer; MAC totals
-// and per-batch times reflect the sharded execution (each shard batch is
-// charged Algorithm 1's per-batch stationary term), exactly as BatchSize
-// splitting does.
+// The chosen worker runs the request's own batch over the whole graph at
+// the router's version, so predictions, depths, the depth histogram and
+// MACs equal the unsharded engine's. What sharding buys is concurrency
+// across workers and R-way replication, not a smaller batch.
 //
 // Concurrency contract: like core.Deployment, a Router is read-only during
 // Infer — any number of concurrent Infer calls is safe — while ApplyDelta

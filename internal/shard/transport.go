@@ -16,8 +16,8 @@ import (
 // processes (HTTPTransport). It is flat: shardID indexes workers, and which
 // workers serve which shard is the router's layout (NewRouterGroups; with
 // one worker per shard the index is the shard id). Implementations must be
-// safe for concurrent callers — the router fans Infer calls out across
-// shards and the health prober runs beside them.
+// safe for concurrent callers — concurrent requests reach the same shard
+// and the health prober runs beside them.
 //
 // Error contract: a *StaleError means the shard's graph version is behind
 // the router's (the router replays its delta log and retries); an error for

@@ -108,7 +108,8 @@ func TestRouterTransportHandshake(t *testing.T) {
 // injector — which cannot be imported from this file (import cycle).
 
 // TestDeadShardFailsFast: with a worker killed, requests owned by its shard
-// fail quickly with ErrUnavailable (503 at the serving layer), the health
+// (every request goes whole to the shard owning most of its targets) fail
+// quickly with ErrUnavailable (503 at the serving layer), the health
 // probe degrades the router, and fail-fast skips the dead shard without
 // re-paying dial timeouts.
 func TestDeadShardFailsFast(t *testing.T) {
@@ -121,11 +122,15 @@ func TestDeadShardFailsFast(t *testing.T) {
 	}
 	defer rt.Close()
 
+	asg, err := Partition(ds.Graph, 2, StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	servers[1].Close() // kill one worker
 
 	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: 1}
 	start := time.Now()
-	_, err = rt.Infer(ds.Split.Test, opt) // test targets span both shards
+	_, err = rt.Infer(asg.Owned[1], opt) // every target owned by the dead shard
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("dead shard: got %v, want ErrUnavailable", err)
 	}
@@ -145,7 +150,7 @@ func TestDeadShardFailsFast(t *testing.T) {
 		t.Fatalf("shard health %+v, want shard 1 down with an error", hs)
 	}
 	start = time.Now()
-	if _, err := rt.Infer(ds.Split.Test, opt); !errors.Is(err, ErrUnavailable) {
+	if _, err := rt.Infer(asg.Owned[1], opt); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("fail-fast: got %v, want ErrUnavailable", err)
 	}
 	if e := time.Since(start); e > time.Second {
@@ -153,13 +158,7 @@ func TestDeadShardFailsFast(t *testing.T) {
 	}
 
 	// Targets owned entirely by the live shard keep being served.
-	var live []int
-	for v := 0; v < ds.Graph.N() && len(live) < 8; v++ {
-		if rt.owner[v] == 0 {
-			live = append(live, v)
-		}
-	}
-	if _, err := rt.Infer(live, opt); err != nil {
+	if _, err := rt.Infer(asg.Owned[0], opt); err != nil {
 		t.Fatalf("live shard refused while peer down: %v", err)
 	}
 }

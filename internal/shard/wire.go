@@ -35,10 +35,11 @@ const wireMagic = "NAIW"
 // engine no longer has; version 6 renumbered the span stages in msgResult
 // when the serving layer's batch-assembly stage went; version 7 made
 // msgDelta the version plus the graph delta itself (workers hold the whole
-// graph) and dropped the halo radius from msgHealth. A peer speaking an
-// older version is rejected at decode, which is the right failure for a
-// router and worker that disagree on the format.
-const wireVersion = 7
+// graph) and dropped the halo radius from msgHealth; version 8 renumbered
+// the span stages after fanout in msgResult when the router's merge stage
+// went. A peer speaking an older version is rejected at decode, which is
+// the right failure for a router and worker that disagree on the format.
+const wireVersion = 8
 
 // message types
 const (

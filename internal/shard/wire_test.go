@@ -274,6 +274,31 @@ func TestWireRejectsV6Frame(t *testing.T) {
 	requireVersionRejected(t, 6, func() error { _, err := decodeHealthInfo(h); return err })
 }
 
+// TestWireRejectsV7Frame: a version-7 msgResult frame numbers its span stages
+// with the router's merge at 7, where version 8 has encode. Byte for byte it
+// would decode, so it must fail on the version byte rather than report a
+// merge span as an encode one.
+func TestWireRejectsV7Frame(t *testing.T) {
+	b := append([]byte(wireMagic), 7, msgResult)
+	b = appendInts(b, []int{1})    // preds
+	b = appendInts(b, []int{1})    // depths
+	b = appendInts(b, []int{0, 1}) // nodes per depth
+	for i := 0; i < 8; i++ {
+		b = appendInt(b, 0) // five MAC fields, TotalTime, FPTime, NumTargets
+	}
+	b = appendUint(b, 1) // one span
+	b = appendInt(b, 7)  // v7 stage 7: merge
+	b = appendInt(b, 0)  // hop
+	b = appendInt(b, -1) // shard
+	b = appendInt(b, 0)  // start
+	b = appendInt(b, int(time.Microsecond))
+	requireVersionRejected(t, 7, func() error { _, _, err := decodeResult(b); return err })
+	b[len(wireMagic)] = wireVersion
+	if _, spans, err := decodeResult(b); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageEncode {
+		t.Fatalf("same payload at v%d: spans %v err %v, want one encode span", wireVersion, spans, err)
+	}
+}
+
 // requireVersionRejected asserts that decode fails on a frame's format
 // version v, naming the version this build speaks.
 func requireVersionRejected(t *testing.T, v int, decode func() error) {
