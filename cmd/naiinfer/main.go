@@ -45,7 +45,7 @@ func main() {
 	quick := flag.Bool("quick", true, "shrink dataset and training")
 	load := flag.String("load", "", "load a trained model from this JSON file instead of training")
 	flag.Parse()
-	napMode, err := parseMode(*mode, *tsQuantile)
+	napMode, err := core.ParseMode(*mode, *tsQuantile)
 	if err != nil {
 		fail(err)
 	}
@@ -113,20 +113,6 @@ func main() {
 		fmt.Sprintf("%.4f", float64(res.MACs.Classification)/n/1e6),
 		fmt.Sprintf("%.4f", float64(res.MACs.Total())/n/1e6))
 	fmt.Println(t.Render())
-}
-
-// parseMode reads -mode and checks -ts-quantile, which distance mode's T_s
-// tuner uses to index the sorted validation distances, is in [0, 1].
-func parseMode(name string, tsQuantile float64) (core.Mode, error) {
-	if !(tsQuantile >= 0 && tsQuantile <= 1) {
-		return 0, fmt.Errorf("-ts-quantile %v outside [0, 1]", tsQuantile)
-	}
-	for _, m := range []core.Mode{core.ModeFixed, core.ModeDistance, core.ModeGate} {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q (fixed, distance, gate)", name)
 }
 
 func fail(err error) {

@@ -11,48 +11,42 @@
 // call: nothing waits for batch mates, and a client that wants Algorithm 1's
 // per-batch costs shared sends its targets as one request.
 //
-// With -shards P (P > 1) the graph's nodes are partitioned into P edge-cut
-// shards, each served by a worker deployment over its own copy of the whole
-// graph behind a cross-shard router that routes every target to its owner —
-// answers stay bit-identical to the single deployment (see ARCHITECTURE.md,
-// "Sharded serving").
+// With -shards P (P > 1) the daemon serves from a pool of P in-process
+// workers, each a deployment over its own copy of the whole graph, behind a
+// router that sends each request whole to the next up worker in
+// round-robin order — answers stay bit-identical to the single deployment
+// (see ARCHITECTURE.md, "Sharded serving").
 //
-// Sharding can also be distributed across processes (see ARCHITECTURE.md,
-// "Distributed sharding"). A worker process serves one shard over the
-// binary shard protocol:
+// The pool can also be distributed across processes (see ARCHITECTURE.md,
+// "Distributed sharding"). A worker process serves the binary shard
+// protocol, -shard-worker being only its label:
 //
-//	naiserve -shards 2 -shard-worker 0 -addr :9000
+//	naiserve -shard-worker 0 -addr :9000
 //
-// and a router process dials a comma-separated worker list instead of an
-// integer:
+// and a router process dials a comma-separated list of every worker
+// instead of an integer:
 //
-//	naiserve -shards localhost:9000,localhost:9001 -addr :8080
+//	naiserve -shards localhost:9000,localhost:9001,otherhost:9000 -addr :8080
 //
-// Shards can be replicated: within a shard's group, '|' separates replica
-// addresses, so
-//
-//	naiserve -shards 'a:9000|b:9000,a:9001|b:9001' -addr :8080
-//
-// serves two shards with two replicas each. The router sends each request
-// to the shard owning most of its targets, load-balances across that
-// shard's healthy replicas, fails over transparently when one dies (503
-// only when every replica of that shard is down), fans each delta to all
-// replicas, and replays missed deltas to lagging or restarted replicas
-// before re-admitting them — see ARCHITECTURE.md,
-// "Failure semantics", including the zero-downtime worker
-// replacement procedure built on -drain-timeout below.
+// Every worker answers for every node, so more addresses are both more
+// capacity and more redundancy. The router fails over transparently when a
+// worker dies (503 only when every worker is down), fans each delta to all
+// workers, and replays missed deltas to lagging or restarted workers
+// before re-admitting them — see ARCHITECTURE.md, "Failure semantics",
+// including the zero-downtime worker replacement procedure built on
+// -drain-timeout below.
 //
 // Workers bootstrap deterministically from the same model/graph flags as
 // the router (the router verifies the fit at startup; -tmax is the
 // router's alone), so no bulk state
 // transfer happens. The router retries transient worker failures with
-// full-jitter backoff (-shard-retries), marks persistently unreachable
-// shards down (their requests get 503, /healthz degrades), and its
-// background probe (-shard-health-interval) replays missed deltas to
-// workers that restart — a worker rejoin never requires restarting the
-// router. On SIGTERM a worker drains instead of dropping requests: it
-// refuses new shard RPCs (so the router diverts to the shard's other
-// replicas), finishes in-flight work within -drain-timeout, then exits.
+// full-jitter backoff (-shard-retries), marks unreachable workers down
+// (their traffic moves to the others; /healthz degrades only when none is
+// left), and its background probe (-shard-health-interval) replays missed
+// deltas to workers that restart — a worker rejoin never requires
+// restarting the router. On SIGTERM a worker drains instead of dropping
+// requests: it refuses new shard RPCs (so the router diverts to the other
+// workers), finishes in-flight work within -drain-timeout, then exits.
 //
 // With -precision {f64,f32,int8} propagation runs at a relaxed precision
 // tier: f32 halves the propagation bandwidth, int8 quantizes it (symmetric
@@ -133,9 +127,9 @@ func main() {
 	tsQuantile := flag.Float64("ts-quantile", 0.3, "distance threshold as a validation-distance quantile (distance mode)")
 	tmin := flag.Int("tmin", 1, "minimum propagation depth")
 	tmax := flag.Int("tmax", 0, "maximum propagation depth (0 = K)")
-	shardsFlag := flag.String("shards", "1", "shard layout: an integer P routes each target to the owner of its node among P in-process workers, each holding the whole graph (1 = single deployment); a comma-separated worker address list (host:port,...) routes to worker processes started with -shard-worker, with '|' separating replica addresses within a shard ('a:9000|b:9000,a:9001')")
-	shardWorker := flag.Int("shard-worker", -1, "serve one shard as a worker process: this flag is the shard id, -shards P (integer) the shard count; exposes the binary shard protocol on -addr")
-	shardRetries := flag.Int("shard-retries", 2, "retries per shard call on transient transport failures (distributed mode)")
+	shardsFlag := flag.String("shards", "1", "worker pool: an integer P sends each request to one of P in-process workers, each holding the whole graph (1 = single deployment); a comma-separated list of every worker address (host:port,...) sends it to worker processes started with -shard-worker")
+	shardWorker := flag.Int("shard-worker", -1, "serve as a worker process labelled with this number (≥ 0); exposes the binary shard protocol on -addr")
+	shardRetries := flag.Int("shard-retries", 2, "retry rounds over the workers on transient transport failures (distributed mode)")
 	probeInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval with -shards (0 disables; probes refresh per-worker gauges and replay missed deltas to restarted workers)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: a -shard-worker stops accepting new RPCs immediately and finishes in-flight work within this window before exiting")
 	cacheSize := flag.Int("cache-size", 4096, "per-node result-cache capacity in entries (0 disables; delta-aware invalidation keeps answers exact)")
@@ -169,23 +163,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	napMode, err := parseMode(*mode, *tsQuantile)
+	napMode, err := core.ParseMode(*mode, *tsQuantile)
 	if err != nil {
 		fail(err)
 	}
-	shardCount, workerGroups, err := parseShards(*shardsFlag)
+	shardCount, workerAddrs, err := parseShards(*shardsFlag)
 	if err != nil {
 		fail(err)
 	}
 	prec, err := kernel.ParsePrecision(*precision)
 	if err != nil {
 		fail(err)
-	}
-	if *shardWorker >= 0 && workerGroups != nil {
-		fail(fmt.Errorf("-shard-worker needs an integer -shards (the shard count), not an address list"))
-	}
-	if *shardWorker >= shardCount {
-		fail(fmt.Errorf("-shard-worker %d out of range for %d shards", *shardWorker, shardCount))
 	}
 
 	cfg := bench.DefaultConfig()
@@ -230,20 +218,20 @@ func main() {
 		}
 	}
 
-	// Worker mode: bootstrap one shard from the same (model, graph) inputs
+	// Worker mode: bootstrap one worker from the same (model, graph) inputs
 	// the router holds — the deterministic rebuild is the state transfer —
 	// and serve the binary shard protocol. The operating point, T_s tuning,
 	// caching and overload control all live in the router process; a
 	// worker is a deployment over the whole graph, whatever depth the
 	// router serves.
 	if *shardWorker >= 0 {
-		w, werr := shard.NewWorker(m, g, shard.Config{Shards: shardCount, Precision: prec}, *shardWorker)
+		w, werr := shard.NewWorker(m, g, shard.Config{Precision: prec}, *shardWorker)
 		if werr != nil {
 			fail(werr)
 		}
 		h := w.Health()
 		logger.Info("shard worker listening",
-			"shard", *shardWorker, "shards", shardCount, "addr", *addr,
+			"worker", *shardWorker, "addr", *addr,
 			"nodes", h.Nodes, "precision", h.Precision.String())
 		// The worker owns its own observability surface — /metrics and
 		// /debug/traces beside the shard protocol endpoints — with traces
@@ -251,7 +239,7 @@ func main() {
 		wobs := obs.New(obs.Options{RingSize: *traceRing, SlowThreshold: *traceSlow, Logger: logger})
 		startDebugServer(logger, *debugAddr)
 		// On SIGTERM the worker drains: StartDrain makes every shard RPC
-		// answer 503 (the router diverts to the shard's other replicas and
+		// answer 503 (the router diverts to the other workers and
 		// the probe takes this one out of rotation), then Shutdown lets
 		// in-flight requests finish inside the -drain-timeout budget.
 		runServer(logger, &http.Server{
@@ -269,7 +257,7 @@ func main() {
 	// the tier). In sharded fixed/gate modes it is skipped entirely — the
 	// workers build their own.
 	var dep *core.Deployment
-	if (shardCount <= 1 && workerGroups == nil) || napMode == core.ModeDistance {
+	if (shardCount <= 1 && workerAddrs == nil) || napMode == core.ModeDistance {
 		if dep, err = core.NewDeployment(m, g); err != nil {
 			fail(err)
 		}
@@ -298,40 +286,23 @@ func main() {
 	// The backend: the deployment itself, or — with -shards — a router over
 	// whole-graph worker deployments: in-process workers for an integer
 	// -shards, worker processes behind the HTTP transport for an address
-	// list. The router rebuilds its ownership map from g; a distance-mode
-	// tuning deployment's caches are left for the GC afterwards.
+	// list. A distance-mode tuning deployment's caches are left for the GC
+	// afterwards.
 	var backend serve.Backend = dep
-	if workerGroups != nil {
-		// Every shard is a group of R ≥ 1 worker addresses; a plain
-		// one-address-per-shard list is the R = 1 case of the same router.
-		tr, idx := shard.NewHTTPGroups(workerGroups, shard.HTTPTransportConfig{})
-		rt, rerr := shard.NewRouterGroups(m, g,
-			shard.Config{Shards: len(workerGroups), Retries: *shardRetries, Precision: prec},
-			tr, idx, workerGroups)
-		if rerr != nil {
-			fail(fmt.Errorf("dialing shard workers: %w (are all workers up, built from the same model/graph flags?)", rerr))
+	if workerAddrs != nil || shardCount > 1 {
+		cfg := shard.Config{Shards: shardCount, Retries: *shardRetries, Precision: prec}
+		var rt *shard.Router
+		var rerr error
+		if workerAddrs != nil {
+			rt, rerr = shard.NewRouterTransport(m, g, cfg, shard.NewHTTPTransport(workerAddrs, shard.HTTPTransportConfig{}))
+			if rerr != nil {
+				rerr = fmt.Errorf("dialing shard workers: %w (is a worker up, built from the same model/graph flags?)", rerr)
+			}
+		} else {
+			rt, rerr = shard.NewRouter(m, g, cfg)
 		}
-		defer rt.Close()
-		if *probeInterval > 0 {
-			rt.StartHealthProbe(*probeInterval)
-		}
-		replicas := make([]int, len(workerGroups))
-		for p, grp := range workerGroups {
-			replicas[p] = len(grp)
-		}
-		logger.Info("distributed sharding",
-			"shards", rt.Shards(), "workers", *shardsFlag, "replicas", replicas,
-			"precision", prec.String(),
-			"retries", *shardRetries, "health_interval", *probeInterval)
-		backend = rt
-	} else if shardCount > 1 {
-		rt, rerr := shard.NewRouter(m, g, shard.Config{Shards: shardCount, Precision: prec})
 		if rerr != nil {
 			fail(rerr)
-		}
-		owned := make([]int, rt.Shards())
-		for p, sz := range rt.Sizes() {
-			owned[p] = sz.Owned
 		}
 		// In-process workers are probed too: /stats and /metrics read every
 		// worker's scratch and layer counters off its last report.
@@ -339,8 +310,10 @@ func main() {
 		if *probeInterval > 0 {
 			rt.StartHealthProbe(*probeInterval)
 		}
-		logger.Info("in-process sharding",
-			"shards", rt.Shards(), "owned", owned)
+		logger.Info("sharded serving",
+			"workers", rt.Shards(), "addrs", orNone(strings.Join(workerAddrs, ",")),
+			"precision", prec.String(),
+			"retries", *shardRetries, "health_interval", *probeInterval)
 		backend = rt
 	}
 
@@ -408,7 +381,7 @@ func startDebugServer(logger *slog.Logger, addr string) {
 // runServer serves until the listener fails or SIGINT/SIGTERM asks for a
 // graceful drain; both the daemon and worker modes end here. preShutdown
 // (optional) runs before Shutdown — a worker passes StartDrain so new shard
-// RPCs are refused (503, diverting the router to other replicas) while
+// RPCs are refused (503, diverting the router to other workers) while
 // in-flight ones finish inside the drain budget.
 func runServer(logger *slog.Logger, hs *http.Server, drain time.Duration, preShutdown func()) {
 	done := make(chan error, 1)
@@ -433,43 +406,25 @@ func runServer(logger *slog.Logger, hs *http.Server, drain time.Duration, preShu
 	}
 }
 
-// parseShards reads the -shards flag: an integer is an in-process shard
-// count, anything else a comma-separated list of shard groups (index =
-// shard id), each group a '|'-separated replica address list. Uneven
-// replica counts are fine — replication is per shard.
-func parseShards(s string) (count int, groups [][]string, err error) {
+// parseShards reads the -shards flag: an integer is an in-process worker
+// count, anything else a comma-separated list of every worker's address.
+func parseShards(s string) (count int, addrs []string, err error) {
 	if n, aerr := strconv.Atoi(s); aerr == nil {
 		if n < 1 {
 			return 0, nil, fmt.Errorf("-shards %d: want ≥ 1 or an address list", n)
 		}
 		return n, nil, nil
 	}
-	for _, grp := range strings.Split(s, ",") {
-		var addrs []string
-		for _, a := range strings.Split(grp, "|") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				return 0, nil, fmt.Errorf("-shards %q: empty worker address", s)
-			}
-			addrs = append(addrs, a)
+	if strings.Contains(s, "|") {
+		return 0, nil, fmt.Errorf("-shards %q: workers are not grouped with '|'; list every worker with commas", s)
+	}
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			return 0, nil, fmt.Errorf("-shards %q: empty worker address", s)
 		}
-		groups = append(groups, addrs)
+		addrs = append(addrs, a)
 	}
-	return len(groups), groups, nil
-}
-
-// parseMode reads -mode and checks -ts-quantile, which distance mode's T_s
-// tuner uses to index the sorted validation distances, is in [0, 1].
-func parseMode(name string, tsQuantile float64) (core.Mode, error) {
-	if !(tsQuantile >= 0 && tsQuantile <= 1) {
-		return 0, fmt.Errorf("-ts-quantile %v outside [0, 1]", tsQuantile)
-	}
-	for _, m := range []core.Mode{core.ModeFixed, core.ModeDistance, core.ModeGate} {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q (fixed, distance, gate)", name)
+	return len(addrs), addrs, nil
 }
 
 func orNone(s string) string {

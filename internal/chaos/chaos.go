@@ -1,22 +1,21 @@
 // Package chaos is a deterministic fault-injection layer for the shard
 // transport: an Injector wraps any shard.Transport and injects transient
 // failures, dropped replies, delays and partitions — per call type and per
-// shard/replica index — from a seeded random source, so failover, rejoin
+// worker index — from a seeded random source, so failover, rejoin
 // and partition tests replay the exact same fault schedule on every run
 // (including under -race).
 //
 // Faults compose two ways. Imperative knobs (FailNext, SetDropDeltas,
 // Partition/Heal) script a precise sequence — "the next two calls fail",
-// "this replica is unreachable from here on" — the shape the transport
+// "this worker is unreachable from here on" — the shape the transport
 // suite's failover tests need. Probabilistic rules (AddRule) drive
-// sustained background chaos — "5% of Infer calls to replica 3 time out" —
+// sustained background chaos — "5% of Infer calls to worker 3 time out" —
 // drawn from the injector's seeded source.
 //
-// Wrap the flat transport: a router built over chaos.New(inner) exercises
-// its retry/failover machinery against the faults, and with more than one
-// endpoint per shard (shard.NewRouterGroups) the injector's per-index
-// faults are per-replica faults. All methods are safe for concurrent
-// callers.
+// Wrap the transport: a router built over chaos.New(inner)
+// (shard.NewRouterTransport) exercises its retry/failover machinery
+// against the faults, and the injector's per-index faults are per-worker
+// faults. All methods are safe for concurrent callers.
 package chaos
 
 import (
@@ -41,7 +40,7 @@ const (
 	OpHealth
 )
 
-// AnyShard makes a rule or partition apply to every shard/replica index.
+// AnyShard makes a rule or partition apply to every worker index.
 const AnyShard = -1
 
 // Rule is one probabilistic fault source: for matching calls, with the
@@ -55,7 +54,7 @@ const AnyShard = -1
 type Rule struct {
 	// Op is the call type the rule matches (OpAny = all).
 	Op Op
-	// Shard is the shard/replica index the rule matches (AnyShard = all).
+	// Shard is the worker index the rule matches (AnyShard = all).
 	Shard int
 	// PFail is the probability the call fails transiently before reaching
 	// the wrapped transport.
@@ -96,7 +95,7 @@ func (in *Injector) AddRule(r Rule) {
 }
 
 // FailNext transiently fails the next n Infer/ApplyDelta calls (whatever
-// their shard), the scripted fault the retry-budget tests count on.
+// their worker), the scripted fault the retry-budget tests count on.
 func (in *Injector) FailNext(n int) {
 	in.mu.Lock()
 	in.failNext = n
@@ -111,7 +110,7 @@ func (in *Injector) SetDropDeltas(v bool) {
 	in.mu.Unlock()
 }
 
-// Partition cuts the given shard/replica indices off: every call to them
+// Partition cuts the given worker indices off: every call to them
 // fails transiently until Heal. Partition(AnyShard) cuts everything.
 func (in *Injector) Partition(ids ...int) {
 	in.mu.Lock()
@@ -121,7 +120,7 @@ func (in *Injector) Partition(ids ...int) {
 	in.mu.Unlock()
 }
 
-// Heal reconnects the given shard/replica indices; with no arguments it
+// Heal reconnects the given worker indices; with no arguments it
 // heals every partition.
 func (in *Injector) Heal(ids ...int) {
 	in.mu.Lock()

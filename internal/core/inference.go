@@ -44,6 +44,22 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode reads a mode by its String name and checks tsQuantile, the
+// validation-distance quantile distance mode's T_s tuner indexes the sorted
+// distances with, is in [0, 1]. The commands call it on their flags before
+// training, so a typo fails the launch.
+func ParseMode(name string, tsQuantile float64) (Mode, error) {
+	if !(tsQuantile >= 0 && tsQuantile <= 1) {
+		return 0, fmt.Errorf("-ts-quantile %v outside [0, 1]", tsQuantile)
+	}
+	for _, m := range []Mode{ModeFixed, ModeDistance, ModeGate} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (fixed, distance, gate)", name)
+}
+
 // InferenceOptions are Algorithm 1's operating point (Mode, T_s, T_min,
 // T_max) plus the evaluation protocol's batch size.
 type InferenceOptions struct {

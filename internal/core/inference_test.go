@@ -350,3 +350,30 @@ func avgDepth(r *Result) float64 {
 	}
 	return s / float64(len(r.Depths))
 }
+
+// TestParseMode: every mode name parses, and a typo or a -ts-quantile outside
+// [0, 1] is an error, which naiserve and naiinfer report before any training
+// runs.
+func TestParseMode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		q    float64
+		want Mode
+		ok   bool
+	}{
+		{"fixed", 0.3, ModeFixed, true},
+		{"distance", 0, ModeDistance, true},
+		{"distance", 1, ModeDistance, true},
+		{"gate", 0.5, ModeGate, true},
+		{"distanse", 0.3, 0, false},
+		{"", 0.3, 0, false},
+		{"distance", -0.1, 0, false},
+		{"distance", 1.5, 0, false},
+		{"distance", math.NaN(), 0, false},
+	} {
+		got, err := ParseMode(c.name, c.q)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("ParseMode(%q, %v) = %v, %v; want %v, ok %v", c.name, c.q, got, err, c.want, c.ok)
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 // taxonomy follows the life of a request: arrival to backend call in the
 // serving layer; BFS supporting-set construction, compaction (extract),
 // per-hop propagation, exit decisions and classification in the engine;
-// the shard router's one call to the majority owner (fanout); and
+// the shard router's one call to a worker (fanout); and
 // encode/RPC/decode in the HTTP transport.
 type Stage uint8
 
@@ -39,8 +39,9 @@ const (
 	StageDecide
 	// StageClassify is combine + per-depth classifier evaluation.
 	StageClassify
-	// StageFanout is the router's one call to the shard owning most of a
-	// request's targets, transport included; Span.Shard holds the shard id.
+	// StageFanout is the router's one call to a worker, failover and
+	// transport included; Span.Shard holds the index of the worker last
+	// tried.
 	StageFanout
 	// StageEncode is wire-format encoding of one shard RPC request.
 	StageEncode
@@ -81,7 +82,7 @@ type Span struct {
 	// Hop is the propagation hop (≥ 1) for StagePropagate spans, 0
 	// otherwise.
 	Hop int16
-	// Shard is the shard id for fan-out and transport spans, -1
+	// Shard is the worker index for fan-out and transport spans, -1
 	// otherwise.
 	Shard int16
 	// Worker marks spans recorded on the worker side of an RPC.

@@ -58,8 +58,8 @@ func newDistributedServerAt(t *testing.T, p int, cfg Config, prec kernel.Precisi
 }
 
 // TestDistributedServing: the daemon over HTTP workers answers exactly like
-// one over a single deployment, and /healthz and /stats carry the per-shard
-// block with every shard up.
+// one over a single deployment, and /healthz and /stats carry one row per
+// worker with every worker up.
 func TestDistributedServing(t *testing.T) {
 	ds, m := fixture(t)
 	s, _, _ := newDistributedServer(t, 2, Config{})
@@ -95,52 +95,76 @@ func TestDistributedServing(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !hr.OK || len(hr.Shards) != 2 {
-		t.Fatalf("healthz %d %+v, want 200 with 2 shards up", resp.StatusCode, hr)
+		t.Fatalf("healthz %d %+v, want 200 with 2 workers up", resp.StatusCode, hr)
 	}
 	for _, sh := range hr.Shards {
 		if !sh.Up {
-			t.Fatalf("shard %d reported down: %+v", sh.Shard, sh)
+			t.Fatalf("worker %d reported down: %+v", sh.Shard, sh)
 		}
 	}
 	if st := s.Stats(); len(st.Shards) != 2 {
-		t.Fatalf("stats shards block %+v, want 2 entries", st.Shards)
+		t.Fatalf("stats rows %+v, want 2 entries", st.Shards)
 	}
 }
 
-// TestHealthzDegradesWithDeadWorker: killing a worker flips /healthz to 503
-// with the dead shard identified, and requests owned by that shard get 503
-// (ErrUnavailable) instead of hanging.
+// TestHealthzDegradesWithDeadWorker: with one of two workers killed,
+// /healthz stays 200 with the dead worker's row named and every request is
+// answered by the live one, bit-equal to the unsharded deployment. With
+// both killed, /healthz turns 503 and requests get 503 (ErrUnavailable)
+// instead of hanging.
 func TestHealthzDegradesWithDeadWorker(t *testing.T) {
-	ds, _ := fixture(t)
+	ds, m := fixture(t)
 	s, rt, servers := newDistributedServer(t, 2, Config{})
-	servers[1].Close()
-	rt.Probe(context.Background())
-
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hr HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || hr.OK {
-		t.Fatalf("healthz with dead worker: %d %+v, want 503 ok=false", resp.StatusCode, hr)
-	}
-	if hr.Shards[0].Up != true || hr.Shards[1].Up != false {
-		t.Fatalf("shards block %+v, want shard 1 down", hr.Shards)
+	healthz := func() (int, HealthResponse) {
+		t.Helper()
+		rt.Probe(context.Background())
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hr HealthResponse
+		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, hr
 	}
 
-	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
+	servers[1].Close()
+	if code, hr := healthz(); code != http.StatusOK || !hr.OK || !hr.Shards[0].Up || hr.Shards[1].Up || hr.Shards[1].Err == "" {
+		t.Fatalf("healthz with one dead worker: %d %+v, want 200 ok with worker 1 down and named", code, hr)
+	}
+	dep, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.Classify(asg.Owned[1]) // every target owned by the dead shard
+	want, err := dep.Infer(ds.Split.Test, core.InferenceOptions{
+		Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: m.K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // consecutive requests would rotate over both workers
+		preds, depths, err := s.Classify(ds.Split.Test)
+		if err != nil {
+			t.Fatalf("classify beside a dead worker: %v", err)
+		}
+		for i := range want.Pred {
+			if preds[i] != want.Pred[i] || depths[i] != want.Depths[i] {
+				t.Fatalf("target %d: (%d,%d) beside a dead worker != direct (%d,%d)",
+					ds.Split.Test[i], preds[i], depths[i], want.Pred[i], want.Depths[i])
+			}
+		}
+	}
+
+	servers[0].Close()
+	if code, hr := healthz(); code != http.StatusServiceUnavailable || hr.OK || hr.Shards[0].Up || hr.Shards[1].Up {
+		t.Fatalf("healthz with every worker dead: %d %+v, want 503 with both down", code, hr)
+	}
+	_, _, err = s.Classify(ds.Split.Test)
 	if !errors.Is(err, shard.ErrUnavailable) {
-		t.Fatalf("classify across dead shard: %v, want ErrUnavailable", err)
+		t.Fatalf("classify with every worker dead: %v, want ErrUnavailable", err)
 	}
 	if got := httpStatus(err); got != http.StatusServiceUnavailable {
 		t.Fatalf("ErrUnavailable maps to %d, want 503", got)

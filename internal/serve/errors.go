@@ -71,9 +71,9 @@ func httpStatus(err error) int {
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQuota), errors.Is(err, ErrShed):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrShuttingDown), errors.Is(err, shard.ErrUnavailable):
-		// A sharded backend with an unreachable worker (retries exhausted)
-		// is a temporary server condition, like shutdown: the request may
-		// succeed once the worker rejoins.
+		// A sharded backend with no reachable worker (retries exhausted) is
+		// a temporary server condition, like shutdown: the request may
+		// succeed once a worker rejoins.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

@@ -21,10 +21,10 @@ import (
 	"repro/internal/shard"
 )
 
-// newReplicatedServer builds the daemon over 2 shards × 2 replicas with a
-// chaos injector between the router and the flat transport,
-// so tests can partition exactly one replica (flat index p*2+j). transport
-// selects the flat layer: in-process workers or HTTP workers over real
+// newReplicatedServer builds the daemon over a pool of four workers with a
+// chaos injector between the router and the transport, so tests can
+// partition exactly one worker (chaos index = worker index). transport
+// selects the layer beneath: in-process workers or HTTP workers over real
 // loopback sockets. The reference deployment sees the same graph.
 func newReplicatedServer(t *testing.T, transport string, cfg Config) (*Server, *shard.Router, *chaos.Injector, *core.Deployment) {
 	t.Helper()
@@ -32,44 +32,39 @@ func newReplicatedServer(t *testing.T, transport string, cfg Config) (*Server, *
 	if cfg.Opt.TMax == 0 {
 		cfg.Opt = core.InferenceOptions{Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: m.K}
 	}
-	const shards, reps = 2, 2
-	groups := [][]int{{0, 1}, {2, 3}}
+	const workers = 4
 
-	var flat shard.Transport
+	var tr shard.Transport
 	switch transport {
 	case "local":
-		var workers []*shard.Worker
-		for p := 0; p < shards; p++ {
-			for j := 0; j < reps; j++ {
-				w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: shards}, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				workers = append(workers, w)
+		ws := make([]*shard.Worker, workers)
+		for i := range ws {
+			w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ws[i] = w
 		}
-		flat = shard.NewLocalTransport(workers)
+		tr = shard.NewLocalTransport(ws)
 	case "http":
-		var addrs []string
-		for p := 0; p < shards; p++ {
-			for j := 0; j < reps; j++ {
-				w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: shards}, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv := httptest.NewServer(shard.WorkerHandlerObs(w, obs.New(obs.Options{RingSize: 16})))
-				t.Cleanup(srv.Close)
-				addrs = append(addrs, srv.URL)
+		addrs := make([]string, workers)
+		for i := range addrs {
+			w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			srv := httptest.NewServer(shard.WorkerHandlerObs(w, obs.New(obs.Options{RingSize: 16})))
+			t.Cleanup(srv.Close)
+			addrs[i] = srv.URL
 		}
-		flat = shard.NewHTTPTransport(addrs, shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
+		tr = shard.NewHTTPTransport(addrs, shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
 	default:
 		t.Fatalf("unknown transport %q", transport)
 	}
 
-	inj := chaos.New(flat, 11)
-	rt, err := shard.NewRouterGroups(m, ds.Graph.Clone(),
-		shard.Config{Shards: shards, Retries: 2, RetryBackoff: time.Millisecond}, inj, groups, nil)
+	inj := chaos.New(tr, 11)
+	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(),
+		shard.Config{Shards: workers, Retries: 2, RetryBackoff: time.Millisecond}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +78,11 @@ func newReplicatedServer(t *testing.T, transport string, cfg Config) (*Server, *
 	return s, rt, inj, dep
 }
 
-// TestFailoverUnderFire is the replication acceptance gate, run over both
-// transports and meant for -race: a 2-replica shard loses one replica
+// TestFailoverUnderFire is the failover acceptance gate, run over both
+// transports and meant for -race: a four-worker pool loses one worker
 // mid-stream under Zipf-skewed inference traffic with concurrent graph
 // deltas, and clients must see zero 5xx; after the partition heals, one
-// probe re-admits the replica (replaying the deltas it missed) and every
+// probe re-admits the worker (replaying the deltas it missed) and every
 // answer is bit-identical to an unsharded deployment that saw everything.
 func TestFailoverUnderFire(t *testing.T) {
 	for _, transport := range []string{"local", "http"} {
@@ -156,14 +151,14 @@ func TestFailoverUnderFire(t *testing.T) {
 				return func() bool { return requests.Load() >= mark }
 			}
 
-			// Mid-stream: partition shard 0's second replica, then keep
-			// committing deltas it will miss. The unsharded reference sees the
+			// Mid-stream: partition worker 1, then keep committing deltas it
+			// will miss. The unsharded reference sees the
 			// same deltas, so the final equivalence check is exact.
 			waitFor("the storm to start", requestsPast(50))
-			inj.Partition(1) // flat index 1 = shard 0, replica 1
+			inj.Partition(1)
 			// Let the storm discover the partition through Infer (the
-			// transparent failover under test) before the delta fan-out also
-			// marks the replica down.
+			// transparent failover under test) before delta delivery also
+			// marks the worker down.
 			waitFor("an Infer to fail over", func() bool { return rt.Describe().Failovers > 0 })
 			f := ds.Graph.F()
 			var deltas []graph.Delta
@@ -201,22 +196,16 @@ func TestFailoverUnderFire(t *testing.T) {
 				t.Fatal("chaos injected no faults — the partition never bit")
 			}
 			if rt.Describe().Failovers == 0 {
-				t.Fatal("no failovers recorded despite a partitioned replica")
+				t.Fatal("no failovers recorded despite a partitioned worker")
 			}
 
 			// Clean rejoin: heal, one probe replays the missed deltas, every
-			// replica reports up at the router's version.
+			// worker reports up at the router's version.
 			inj.Heal()
 			rt.Probe(context.Background())
-			if !rt.Describe().Healthy() {
-				t.Fatalf("router degraded after heal: %+v", rt.Describe().Shards)
-			}
 			for _, st := range rt.Describe().Shards {
-				for _, rst := range st.Replicas {
-					if rst.State != "up" || rst.Version != rt.Version() {
-						t.Fatalf("shard %d replica %d after rejoin: %+v (router at %d)",
-							st.Shard, rst.Replica, rst, rt.Version())
-					}
+				if st.State != "up" || st.Version != rt.Version() {
+					t.Fatalf("worker %d after rejoin: %+v (router at %d)", st.Shard, st, rt.Version())
 				}
 			}
 
@@ -237,7 +226,7 @@ func TestFailoverUnderFire(t *testing.T) {
 			}
 			for i := range want.Pred {
 				if preds[i] != want.Pred[i] || depths[i] != want.Depths[i] {
-					t.Fatalf("target %d: replicated (%d,%d) != reference (%d,%d)",
+					t.Fatalf("target %d: pooled (%d,%d) != reference (%d,%d)",
 						all[i], preds[i], depths[i], want.Pred[i], want.Depths[i])
 				}
 			}
@@ -245,17 +234,17 @@ func TestFailoverUnderFire(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsReplicas: with a replicated backend, /healthz and
-// /stats carry the per-replica state blocks, and /metrics exposes the
-// nai_shard_replica_up series, the failover counters and each replica's
-// version lag — k for a partitioned replica after k deltas, 0 once healed.
+// TestHealthzReportsReplicas: /healthz and /stats carry one row per worker,
+// and /metrics exposes nai_shard_up, the failover counters and each
+// worker's version lag — k for a partitioned worker after k deltas, 0 once
+// healed. One worker down leaves the daemon healthy.
 func TestHealthzReportsReplicas(t *testing.T) {
 	s, rt, inj, _ := newReplicatedServer(t, "local",
 		Config{})
 	ds, _ := fixture(t)
 	inj.Partition(1)
 	if _, _, err := s.Classify(ds.Split.Test); err != nil {
-		t.Fatalf("classify with one replica partitioned: %v", err)
+		t.Fatalf("classify with one worker partitioned: %v", err)
 	}
 	rt.Probe(context.Background())
 
@@ -270,22 +259,21 @@ func TestHealthzReportsReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	// One replica down with a live peer: the shard is up, the daemon healthy.
 	if resp.StatusCode != http.StatusOK || !hr.OK {
-		t.Fatalf("healthz with a spare replica down: %d %+v, want 200 ok", resp.StatusCode, hr)
+		t.Fatalf("healthz with one of four workers down: %d %+v, want 200 ok", resp.StatusCode, hr)
 	}
-	if len(hr.Shards) != 2 || len(hr.Shards[0].Replicas) != 2 {
-		t.Fatalf("healthz shards %+v, want 2 shards × 2 replica blocks", hr.Shards)
+	if len(hr.Shards) != 4 {
+		t.Fatalf("healthz rows %+v, want one per worker", hr.Shards)
 	}
-	if st := hr.Shards[0].Replicas[1]; st.State == "up" || st.Err == "" {
-		t.Fatalf("partitioned replica block %+v, want down with an error", st)
+	if st := hr.Shards[1]; st.Up || st.State == "up" || st.Err == "" {
+		t.Fatalf("partitioned worker row %+v, want down with an error", st)
 	}
-	if st := hr.Shards[1].Replicas[0]; st.State != "up" {
-		t.Fatalf("healthy replica block %+v, want up", st)
+	if st := hr.Shards[0]; !st.Up || st.State != "up" {
+		t.Fatalf("healthy worker row %+v, want up", st)
 	}
 
-	if st := s.Stats(); len(st.Shards) != 2 || len(st.Shards[0].Replicas) != 2 {
-		t.Fatalf("stats shards %+v, want replica blocks", st.Shards)
+	if st := s.Stats(); len(st.Shards) != 4 {
+		t.Fatalf("stats rows %+v, want one per worker", st.Shards)
 	}
 
 	requireMetrics := func(wants ...string) {
@@ -298,32 +286,32 @@ func TestHealthzReportsReplicas(t *testing.T) {
 		}
 	}
 	requireMetrics(
-		`nai_shard_replica_up{shard="0",replica="0"} 1`,
-		`nai_shard_replica_up{shard="0",replica="1"} 0`,
-		`nai_shard_replica_up{shard="1",replica="0"} 1`,
-		`nai_shard_replica_version_lag{shard="0",replica="1"} 0`,
+		`nai_shard_up{shard="0"} 1`,
+		`nai_shard_up{shard="1"} 0`,
+		`nai_shard_up{shard="2"} 1`,
+		`nai_shard_version_lag{shard="1"} 0`,
 		"nai_shard_failovers_total",
 		"nai_shard_replica_retries_total")
 
-	// The partitioned replica misses three deltas its peers take.
+	// The partitioned worker misses three deltas the others take.
 	f := ds.Graph.F()
 	for k := 0; k < 3; k++ {
 		d := graph.Delta{Features: mat.New(1, f), Labels: []int{0},
 			Src: []int{k}, Dst: []int{ds.Graph.N() + k}}
 		if _, err := s.ApplyDelta(d); err != nil {
-			t.Fatalf("delta %d with one replica partitioned: %v", k, err)
+			t.Fatalf("delta %d with one worker partitioned: %v", k, err)
 		}
 	}
 	requireMetrics(
-		`nai_shard_replica_version_lag{shard="0",replica="0"} 0`,
-		`nai_shard_replica_version_lag{shard="0",replica="1"} 3`,
-		`nai_shard_replica_version_lag{shard="1",replica="0"} 0`,
-		`nai_shard_replica_version_lag{shard="1",replica="1"} 0`)
+		`nai_shard_version_lag{shard="0"} 0`,
+		`nai_shard_version_lag{shard="1"} 3`,
+		`nai_shard_version_lag{shard="2"} 0`,
+		`nai_shard_version_lag{shard="3"} 0`)
 	inj.Heal()
 	rt.Probe(context.Background())
 	requireMetrics(
-		`nai_shard_replica_up{shard="0",replica="1"} 1`,
-		`nai_shard_replica_version_lag{shard="0",replica="1"} 0`)
+		`nai_shard_up{shard="1"} 1`,
+		`nai_shard_version_lag{shard="1"} 0`)
 }
 
 // metricsBody scrapes /metrics and returns the text exposition.

@@ -68,11 +68,11 @@ type EdgesResponse struct {
 }
 
 // HealthResponse is the /healthz body. With a sharded backend it carries
-// per-shard status, and OK means *every* shard is serving: a dead worker
-// turns the probe into a 503 so load balancers stop sending traffic that
-// would partially fail, while the shards block tells an operator exactly
-// which worker to restart. OK, the status code and the block come from one
-// backend snapshot, so they agree.
+// one row per worker, and OK means *some* worker is serving: every worker
+// answers for every node, so only a fleet with none up turns the probe
+// into a 503, while the rows still tell an operator exactly which worker
+// to restart. OK, the status code and the rows come from one backend
+// snapshot, so they agree.
 type HealthResponse struct {
 	OK     bool               `json:"ok"`
 	Nodes  int                `json:"nodes"`

@@ -69,45 +69,30 @@ func (s *Server) registerGauges() {
 			func(c cache.Stats) float64 { return c.HitRate })
 	}
 
-	// The fleet series exist only for a backend that has a fleet (the shard
-	// count is fixed at construction; a shard lists every one of its
-	// endpoints as a replica, a lone one included). Each family reads one
-	// Describe snapshot per scrape, so its rows describe one instant.
+	// The fleet series exist only for a backend that has a fleet (the worker
+	// count is fixed at construction). Each family reads one Describe
+	// snapshot per scrape, so its rows describe one instant.
 	if len(s.backend.Describe().Shards) == 0 {
 		return
 	}
-	perShard := func(name, help string, read func(core.ShardStatus) float64) {
+	perWorker := func(name, help string, read func(core.Info, core.ShardStatus) float64) {
 		reg.GaugeVec(name, help, "shard").CollectFunc(func(emit func(float64, ...string)) {
-			for _, st := range s.backend.Describe().Shards {
-				emit(read(st), strconv.Itoa(st.Shard))
-			}
-		})
-	}
-	perShard("nai_shard_up", "Per-shard health (1 = serving) from the router's probes.",
-		func(st core.ShardStatus) float64 { return b2f(st.Up) })
-	perShard("nai_shard_version", "Per-shard graph version (the most caught-up serving replica's).",
-		func(st core.ShardStatus) float64 { return float64(st.Version) })
-	perReplica := func(name, help string, read func(core.Info, core.ReplicaStatus) float64) {
-		reg.GaugeVec(name, help, "shard", "replica").CollectFunc(func(emit func(float64, ...string)) {
 			info := s.backend.Describe()
 			for _, st := range info.Shards {
-				for _, r := range st.Replicas {
-					emit(read(info, r), strconv.Itoa(st.Shard), strconv.Itoa(r.Replica))
-				}
+				emit(read(info, st), strconv.Itoa(st.Shard))
 			}
 		})
 	}
-	perReplica("nai_shard_replica_up",
-		"Per-replica health (1 = up, 0 = lagging or down) from the router's probes.",
-		func(_ core.Info, r core.ReplicaStatus) float64 { return b2f(r.State == "up") })
-	perReplica("nai_shard_replica_version_lag",
-		"Graph versions a replica is known to be behind the router (0 = caught up).",
-		func(info core.Info, r core.ReplicaStatus) float64 { return float64(info.Version) - float64(r.Version) })
+	perWorker("nai_shard_up", "Per-worker health (1 = up, 0 = lagging or down) from the router's probes.",
+		func(_ core.Info, st core.ShardStatus) float64 { return b2f(st.Up) })
+	perWorker("nai_shard_version_lag",
+		"Graph versions a worker is known to be behind the router (0 = caught up).",
+		func(info core.Info, st core.ShardStatus) float64 { return float64(info.Version) - float64(st.Version) })
 	reg.GaugeFunc("nai_shard_failovers_total",
-		"Times inference failed over away from a replica (cumulative).",
+		"Times inference failed over away from a worker (cumulative).",
 		func() float64 { return float64(s.backend.Describe().Failovers) })
 	reg.GaugeFunc("nai_shard_replica_retries_total",
-		"Extra per-replica inference attempts beyond the first (cumulative).",
+		"Extra per-worker inference attempts beyond each round's first (cumulative).",
 		func() float64 { return float64(s.backend.Describe().ReplicaRetries) })
 }
 

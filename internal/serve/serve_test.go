@@ -65,9 +65,11 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *core.Deployment) {
 }
 
 // TestCoalescedMatchesDirect: concurrent single-node requests must be
-// answered bit-identically to one direct Infer over all of them (Algorithm
-// 1 evaluates each target on its own supporting ball, so batch mates never
-// change an answer), and each request must be exactly one backend call.
+// answered bit-identically to one direct Infer over all of them, and each
+// request must be exactly one backend call. Algorithm 1 evaluates each
+// target on its own supporting ball, so at f64 and f32 — the tier this test
+// serves — batch mates never change an answer. At int8 they can: the tier
+// quantizes a batch's activations with one scale for the whole batch.
 func TestCoalescedMatchesDirect(t *testing.T) {
 	s, dep := newTestServer(t, Config{})
 	ds, _ := fixture(t)

@@ -90,7 +90,7 @@ type Stats struct {
 	// caching is disabled.
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	// Shards reports per-shard health when the backend is sharded; absent
+	// Shards reports per-worker health when the backend is sharded; absent
 	// for single-deployment backends.
 	Shards []core.ShardStatus `json:"shards,omitempty"`
 

@@ -186,7 +186,9 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 }
 
 // flappingFleet is a backend whose fleet changes its mind on every
-// Describe: shard 1 is down on odd calls, up on even ones.
+// Describe: worker 0 is always down, and every other worker is down on odd
+// calls and up on even ones — so the fleet can serve exactly when worker 1
+// is up.
 type flappingFleet struct {
 	Backend
 	shards int
@@ -197,15 +199,15 @@ func (f *flappingFleet) Describe() core.Info {
 	n := f.calls.Add(1)
 	info := f.Backend.Describe()
 	for p := 0; p < f.shards; p++ {
-		info.Shards = append(info.Shards, core.ShardStatus{Shard: p, Up: p != 1 || n%2 == 0})
+		info.Shards = append(info.Shards, core.ShardStatus{Shard: p, Up: p != 0 && n%2 == 0})
 	}
 	return info
 }
 
 // TestFleetReadsAreSnapshots: /healthz derives its verdict, its status code
-// and its shards block from one backend snapshot, so they agree whatever
+// and its worker rows from one backend snapshot, so they agree whatever
 // the fleet does between calls; and a scrape takes one snapshot per series
-// family, not one per shard or replica.
+// family, not one per worker.
 func TestFleetReadsAreSnapshots(t *testing.T) {
 	perScrape := map[int]int64{}
 	for _, shards := range []int{2, 16} {
@@ -222,8 +224,8 @@ func TestFleetReadsAreSnapshots(t *testing.T) {
 			}
 			code := resp.StatusCode
 			h := decodeBody[HealthResponse](t, resp)
-			if allUp := h.Shards[1].Up; h.OK != allUp || (code == http.StatusOK) != allUp {
-				t.Fatalf("/healthz contradicts itself: status %d, ok %v, shard 1 up %v", code, h.OK, allUp)
+			if serving := h.Shards[1].Up; h.OK != serving || (code == http.StatusOK) != serving {
+				t.Fatalf("/healthz contradicts itself: status %d, ok %v, worker 1 up %v", code, h.OK, serving)
 			}
 		}
 
@@ -231,10 +233,10 @@ func TestFleetReadsAreSnapshots(t *testing.T) {
 		m := scrape(t, ts.URL)
 		perScrape[shards] = fleet.calls.Load() - before
 		if _, ok := m[fmt.Sprintf(`nai_shard_up{shard="%d"}`, shards-1)]; !ok {
-			t.Fatalf("scrape of a %d-shard fleet lacks its last shard's series", shards)
+			t.Fatalf("scrape of a %d-worker fleet lacks its last worker's series", shards)
 		}
 	}
 	if perScrape[2] != perScrape[16] {
-		t.Fatalf("a scrape took %d snapshots of 2 shards but %d of 16: want one per family", perScrape[2], perScrape[16])
+		t.Fatalf("a scrape took %d snapshots of 2 workers but %d of 16: want one per family", perScrape[2], perScrape[16])
 	}
 }

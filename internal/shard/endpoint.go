@@ -33,15 +33,14 @@ func (s endpointState) String() string {
 	}
 }
 
-// endpoint is the router's record of one worker: which shard it serves,
-// its index in the flat transport, and what the last call, delivery or
-// probe learned about it. A shard is a group of R ≥ 1 of these; because
-// workers bootstrap deterministically and deltas are versioned and
-// idempotent, every caught-up endpoint of a group holds bit-identical
-// state, so any of them may answer.
+// endpoint is the router's record of one worker: its transport index, its
+// address label, and what the last call, delivery or probe learned about
+// it. Because workers bootstrap deterministically and deltas are versioned
+// and idempotent, every caught-up worker holds bit-identical state, so any
+// of them may answer.
 type endpoint struct {
-	shard, flat int
-	addr        string
+	index int
+	addr  string
 
 	mu    sync.Mutex
 	state endpointState
@@ -84,64 +83,29 @@ func (ep *endpoint) setVersion(v uint64) {
 	ep.mu.Unlock()
 }
 
-// newGroups builds the endpoint records for a flat-indexed transport:
-// groups[p] lists the transport indices serving shard p (nil = one endpoint
-// per shard, index = shard id), and addrs — optional, same shape — labels
-// them for status reports. Every shard needs at least one endpoint and no
-// index may serve two.
-func newGroups(shards int, groups [][]int, addrs [][]string) ([][]*endpoint, error) {
-	if groups == nil {
-		groups = make([][]int, shards)
-		for p := range groups {
-			groups[p] = []int{p}
-		}
+// candidates orders the workers for one round of an Infer: the up ones
+// first, rotated by the round-robin counter so consecutive requests go to
+// consecutive up workers, then the lagging and down ones as a last resort —
+// they only see traffic when every up worker has already failed this
+// round, so a dead worker costs nothing while another answers.
+func (r *Router) candidates() []*endpoint {
+	if len(r.endpoints) == 1 {
+		return r.endpoints
 	}
-	if len(groups) != shards {
-		return nil, fmt.Errorf("shard: %d endpoint groups for %d shards", len(groups), shards)
-	}
-	out := make([][]*endpoint, shards)
-	seen := map[int]bool{}
-	for p, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("shard %d: endpoint group is empty", p)
-		}
-		for i, flat := range g {
-			if seen[flat] {
-				return nil, fmt.Errorf("shard %d: transport index %d appears in two endpoint groups", p, flat)
-			}
-			seen[flat] = true
-			ep := &endpoint{shard: p, flat: flat, info: HealthInfo{Version: 1}}
-			if p < len(addrs) && i < len(addrs[p]) {
-				ep.addr = addrs[p][i]
-			}
-			out[p] = append(out[p], ep)
-		}
-	}
-	return out, nil
-}
-
-// candidates orders shard p's endpoints for one round of an Infer: the up
-// ones first, rotated by the shard's round-robin counter (so steady traffic
-// spreads across caught-up endpoints), then the lagging and down ones as a
-// last resort — they only see traffic when every up endpoint has already
-// failed this round, so a dead endpoint costs nothing while a live peer
-// answers.
-func (r *Router) candidates(p int) []*endpoint {
-	group := r.groups[p]
-	if len(group) == 1 {
-		return group
-	}
-	off := int(r.rr[p].Add(1))
-	out := make([]*endpoint, 0, len(group))
+	up := make([]*endpoint, 0, len(r.endpoints))
 	var rest []*endpoint
-	for i := range group {
-		if ep := group[(i+off)%len(group)]; ep.up() {
-			out = append(out, ep)
+	for _, ep := range r.endpoints {
+		if ep.up() {
+			up = append(up, ep)
 		} else {
 			rest = append(rest, ep)
 		}
 	}
-	return append(out, rest...)
+	if n := len(up); n > 1 {
+		off := int(r.rr.Add(1) % uint64(n))
+		up = append(up[off:n:n], up[:off]...) // the full cap forces a copy
+	}
+	return append(up, rest...)
 }
 
 // replay brings one endpoint up to the router's current graph version by
@@ -161,12 +125,12 @@ func (r *Router) replay(ctx context.Context, ep *endpoint, have uint64) error {
 		have = ep.info.Version
 	}
 	ep.mu.Unlock()
-	deltas, err := r.logSuffix(ep.shard, have)
+	deltas, err := r.logSuffix(ep.index, have)
 	if err != nil {
 		return err
 	}
 	for _, sd := range deltas {
-		if err := r.transport.ApplyDelta(ctx, ep.flat, sd); err != nil {
+		if err := r.transport.ApplyDelta(ctx, ep.index, sd); err != nil {
 			return err
 		}
 		ep.setVersion(sd.Version)
@@ -174,16 +138,16 @@ func (r *Router) replay(ctx context.Context, ep *endpoint, have uint64) error {
 	return nil
 }
 
-// logSuffix snapshots the delta-log entries that take a worker of shard p
-// from graph version have up to the router's current version (nil when
-// already current).
-func (r *Router) logSuffix(p int, have uint64) ([]*ShardDelta, error) {
+// logSuffix snapshots the delta-log entries that take worker i from graph
+// version have up to the router's current version (nil when already
+// current).
+func (r *Router) logSuffix(i int, have uint64) ([]*ShardDelta, error) {
 	cur := r.version.Load()
 	if have == cur {
 		return nil, nil // another caller already replayed
 	}
 	if have < 1 || have > cur {
-		return nil, &TransportError{Shard: p,
+		return nil, &TransportError{Shard: i,
 			Err: fmt.Errorf("worker graph version %d outside router history [1,%d]", have, cur)}
 	}
 	r.logMu.Lock()
@@ -205,7 +169,7 @@ func (r *Router) logSuffix(p int, have uint64) ([]*ShardDelta, error) {
 
 // probeEndpoint is the one health check, run by Probe sweeps and by the
 // start-up handshake alike: ask the worker for its report, validate its
-// partition parameters, catch a worker behind the router's graph version up
+// bootstrap parameters, catch a worker behind the router's graph version up
 // by replay (its own report overrides the recorded version — a restarted
 // worker is back at 1), then re-validate the caught-up report — version and
 // node count included — before marking the endpoint up. A worker
@@ -213,9 +177,9 @@ func (r *Router) logSuffix(p int, have uint64) ([]*ShardDelta, error) {
 // silently re-admitted: it would serve answers that are not bit-identical.
 func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
 	health := func() (HealthInfo, error) {
-		info, err := r.transport.Health(ctx, ep.flat)
+		info, err := r.transport.Health(ctx, ep.index)
 		if err == nil {
-			err = r.validateWorker(ep.shard, info)
+			err = r.validateWorker(info)
 		}
 		return info, err
 	}
@@ -249,16 +213,11 @@ func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
 	}
 }
 
-// validateWorker checks the partition parameters a worker can never
-// legitimately disagree with the router on, whatever graph version it is
-// at: its position in the partition and the bootstrap inputs it rebuilt
-// its state from.
-func (r *Router) validateWorker(p int, info HealthInfo) error {
+// validateWorker checks what a worker can never legitimately disagree with
+// the router on, whatever graph version it is at: the bootstrap inputs it
+// rebuilt its state from and its tier.
+func (r *Router) validateWorker(info HealthInfo) error {
 	switch {
-	case info.ShardID != p:
-		return fmt.Errorf("worker serves shard %d, want %d", info.ShardID, p)
-	case info.Shards != len(r.groups):
-		return fmt.Errorf("worker partition width %d, want %d", info.Shards, len(r.groups))
 	case info.GlobalNodes != r.bootGlobalN:
 		return fmt.Errorf("worker built from %d global nodes, want %d", info.GlobalNodes, r.bootGlobalN)
 	case info.Precision != r.prec:
@@ -267,25 +226,23 @@ func (r *Router) validateWorker(p int, info HealthInfo) error {
 	return nil
 }
 
-// handshake probes every endpoint of shard p at start-up, retrying while
-// none answers (a worker may still be binding its listener): one validated
-// endpoint is enough to serve the shard, the rest rejoin through later
-// probes.
-func (r *Router) handshake(ctx context.Context, p int) error {
+// handshake probes every worker at start-up, retrying while none answers (a
+// worker may still be binding its listener): one validated worker is
+// enough to serve, the rest rejoin through later probes.
+func (r *Router) handshake(ctx context.Context) error {
 	return r.withRetry(ctx, func() error {
-		for _, ep := range r.groups[p] {
+		for _, ep := range r.endpoints {
 			r.probeEndpoint(ctx, ep)
 		}
-		return r.groupErr(p)
+		return r.poolErr()
 	})
 }
 
-// groupErr is how a shard's liveness derives from its endpoints': nil while
-// any endpoint of shard p is up, else the last failure recorded in the
-// group.
-func (r *Router) groupErr(p int) error {
+// poolErr is how the pool's liveness derives from its workers': nil while
+// any worker is up, else the last failure recorded.
+func (r *Router) poolErr() error {
 	var lastErr error
-	for _, ep := range r.groups[p] {
+	for _, ep := range r.endpoints {
 		ep.mu.Lock()
 		state, err := ep.state, ep.err
 		ep.mu.Unlock()
@@ -297,29 +254,30 @@ func (r *Router) groupErr(p int) error {
 	return lastErr
 }
 
-// inferGroup runs one batch of shard p's targets against its group. Each round
-// walks the candidates: a stale answer is healed by replaying the log
-// suffix to that endpoint and retried once in place; a transient failure or
-// a version gap that would not heal takes the endpoint out of rotation and
-// moves on to its peer with no backoff (the failover the caller never
-// sees); a permanent failure (rejected payload, precision conflict) is
-// returned at once — every caught-up endpoint would answer identically.
-// Only when a whole round fails does the call back off, and only when the
-// retry budget is spent does it wrap ErrUnavailable: a shard goes dark only
-// when all of its endpoints are.
-func (r *Router) inferGroup(ctx context.Context, p int, req *InferRequest) (*core.Result, error) {
+// infer runs one request against the pool and reports the index of the
+// worker last tried. Each round walks the candidates: a stale answer is
+// healed by replaying the log suffix to that worker and retried once in
+// place; a transient failure or a version gap that would not heal takes the
+// worker out of rotation and moves on to the next with no backoff (the
+// failover the caller never sees); a permanent failure (rejected payload,
+// precision conflict) is returned at once — every caught-up worker would
+// answer identically. Only when a whole round fails does the call back off,
+// and only when the retry budget is spent does it wrap ErrUnavailable: the
+// pool goes dark only when every worker is.
+func (r *Router) infer(ctx context.Context, req *InferRequest) (*core.Result, int, error) {
 	if r.probing.Load() {
 		// Fail fast: nothing is up and the prober will clear the mark once a
 		// worker is back. Without a prober a mark must not stick — the next
 		// call is the only probe there is.
-		if err := r.groupErr(p); err != nil {
-			return nil, fmt.Errorf("shard %d %w: %v", p, ErrUnavailable, err)
+		if err := r.poolErr(); err != nil {
+			return nil, -1, fmt.Errorf("%w: no worker up: %v", ErrUnavailable, err)
 		}
 	}
 	var res *core.Result
+	last := -1
 	err := r.withRetry(ctx, func() error {
 		var lastErr error
-		for i, ep := range r.candidates(p) {
+		for i, ep := range r.candidates() {
 			if lastErr = ctx.Err(); lastErr != nil {
 				break
 			}
@@ -327,16 +285,17 @@ func (r *Router) inferGroup(ctx context.Context, p int, req *InferRequest) (*cor
 				r.failovers.Add(1)
 				r.extraTries.Add(1)
 			}
+			last = ep.index
 			var err error
-			res, err = r.transport.Infer(ctx, ep.flat, req)
+			res, err = r.transport.Infer(ctx, ep.index, req)
 			var stale *StaleError
 			if errors.As(err, &stale) {
-				// A failed replay leaves the version gap standing: the endpoint
+				// A failed replay leaves the version gap standing: the worker
 				// is routed around, not the call failed.
 				if herr := r.replay(ctx, ep, stale.Have); herr != nil {
 					err = fmt.Errorf("%w; replay: %v", err, herr)
 				} else {
-					res, err = r.transport.Infer(ctx, ep.flat, req)
+					res, err = r.transport.Infer(ctx, ep.index, req)
 				}
 			}
 			if err != nil && !IsTransient(err) && !errors.As(err, &stale) {
@@ -348,28 +307,28 @@ func (r *Router) inferGroup(ctx context.Context, p int, req *InferRequest) (*cor
 			}
 			lastErr = err
 		}
-		return &TransportError{Shard: p, Transient: true,
-			Err: fmt.Errorf("all %d endpoints failed: %w", len(r.groups[p]), lastErr)}
+		return &TransportError{Shard: last, Transient: true,
+			Err: fmt.Errorf("all %d workers failed: %w", len(r.endpoints), lastErr)}
 	})
 	if IsTransient(err) {
-		return nil, fmt.Errorf("shard %d %w: %v", p, ErrUnavailable, err)
+		return nil, last, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	return res, err
+	return res, last, err
 }
 
-// deliver ships the delta just logged to every endpoint of shard p — which
-// is a replay from each endpoint's recorded version, so an endpoint that
-// missed earlier deltas gets those too. One endpoint holding the delta
-// commits the round; unreachable or stale endpoints are left owing it (the
-// next probe, Infer heal or delivery replays the log to them) and only a
-// round nobody accepted is retried. A permanent rejection is returned even
-// if peers accepted — a worker refusing a delta its router accepted is a
-// bug, not an outage.
-func (r *Router) deliver(ctx context.Context, p int) error {
+// deliver ships the delta just logged to every worker — which is a replay
+// from each worker's recorded version, so a worker that missed earlier
+// deltas gets those too. One worker holding the delta commits the round;
+// unreachable or stale workers are left owing it (the next probe, Infer
+// heal or delivery replays the log to them) and only a round nobody
+// accepted is retried. A permanent rejection is returned even if others
+// accepted — a worker refusing a delta its router accepted is a bug, not an
+// outage.
+func (r *Router) deliver(ctx context.Context) error {
 	return r.withRetry(ctx, func() error {
 		var permanent, lastErr error
 		applied := false
-		for _, ep := range r.groups[p] {
+		for _, ep := range r.endpoints {
 			err := r.replay(ctx, ep, 0)
 			ep.record(err)
 			var stale *StaleError
@@ -388,7 +347,7 @@ func (r *Router) deliver(ctx context.Context, p int) error {
 		case applied:
 			return nil
 		}
-		return &TransportError{Shard: p, Transient: true,
-			Err: fmt.Errorf("no endpoint accepted the delta: %w", lastErr)}
+		return &TransportError{Shard: -1, Transient: true,
+			Err: fmt.Errorf("no worker accepted the delta: %w", lastErr)}
 	})
 }

@@ -75,39 +75,46 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// inferCounter records the shard every Infer transport call reaches.
+// inferCounter records the worker every Infer transport call reaches.
 type inferCounter struct {
 	Transport
 	mu    sync.Mutex
 	calls []int
 }
 
-func (c *inferCounter) Infer(ctx context.Context, p int, req *InferRequest) (*core.Result, error) {
+func (c *inferCounter) Infer(ctx context.Context, i int, req *InferRequest) (*core.Result, error) {
 	c.mu.Lock()
-	c.calls = append(c.calls, p)
+	c.calls = append(c.calls, i)
 	c.mu.Unlock()
-	return c.Transport.Infer(ctx, p, req)
+	return c.Transport.Infer(ctx, i, req)
 }
 
-// TestRouterOneCallPerRequest pins the routing contract: for P ∈ {1,2,4}, a
-// request with targets on every shard makes exactly one Infer transport
-// call, to the shard owning the most of them (the lowest id on a tie), and
-// answers like the unsharded deployment. Targets are listed highest shard
-// first, so the first target's owner is never the tie's winner by accident.
+// TestRouterOneCallPerRequest pins the routing contract: for P ∈ {1,2,4},
+// each request makes exactly one Infer transport call, consecutive calls
+// rotate over the up workers, and every answer equals the unsharded
+// deployment's. With worker 1 marked down, the rotation skips it.
 func TestRouterOneCallPerRequest(t *testing.T) {
 	ds, m := fixture(t)
 	dep, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2, 4} {
-		asg, err := Partition(ds.Graph, p, StrategyBFS)
-		if err != nil {
-			t.Fatal(err)
+	// rotates reports whether calls visit the workers in up, in order, as a
+	// cycle from wherever it starts.
+	rotates := func(calls, up []int) bool {
+		start := slices.Index(up, calls[0])
+		for k, c := range calls {
+			if start < 0 || c != up[(start+k)%len(up)] {
+				return false
+			}
 		}
+		return true
+	}
+	targets := ds.Split.Test
+	for _, p := range []int{1, 2, 4} {
 		workers := make([]*Worker, p)
 		for i := range workers {
-			if workers[i], err = NewWorker(m, ds.Graph.Clone(), Config{Shards: p}, i); err != nil {
+			if workers[i], err = NewWorker(m, ds.Graph.Clone(), Config{}, i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,38 +123,26 @@ func TestRouterOneCallPerRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// take[q] targets from shard q each; want is the shard that answers.
-		type routeCase struct {
-			take []int
-			want int
+		up := make([]int, p)
+		for i := range up {
+			up[i] = i
 		}
-		ones := func() []int {
-			take := make([]int, p)
-			for q := range take {
-				take[q] = 1
-			}
-			return take
-		}
-		cases := []routeCase{{ones(), 0}} // all tied
-		for q := range p {
-			c := routeCase{ones(), q}
-			c.take[q] = 2
-			cases = append(cases, c)
-		}
-		if p == 4 {
-			cases = append(cases, routeCase{[]int{1, 3, 3, 2}, 1})
-		}
-		for _, c := range cases {
-			var targets []int
-			for q := p - 1; q >= 0; q-- {
-				targets = append(targets, asg.Owned[q][:c.take[q]]...)
-			}
+		for round := 0; round < 2; round++ {
 			ctr.calls = nil
-			tag := fmt.Sprintf("P=%d take %v", p, c.take)
-			requireSameAnswers(t, tag, rt, dep, targets)
-			if len(ctr.calls) != len(inferOpts(m)) || slices.ContainsFunc(ctr.calls, func(q int) bool { return q != c.want }) {
-				t.Fatalf("%s: Infer calls reached shards %v, want one per request to shard %d", tag, ctr.calls, c.want)
+			tag := fmt.Sprintf("P=%d up %v", p, up)
+			for range p {
+				requireSameAnswers(t, tag, rt, dep, targets) // one request per operating point
 			}
+			if n := p * len(inferOpts(m)); len(ctr.calls) != n || !rotates(ctr.calls, up) {
+				t.Fatalf("%s: %d requests reached workers %v, want one call each rotating over %v", tag, n, ctr.calls, up)
+			}
+			if p < 4 {
+				break
+			}
+			// Take worker 1 out of rotation: it is never tried while the
+			// others answer.
+			rt.endpoints[1].record(fmt.Errorf("marked down"))
+			up = []int{0, 2, 3}
 		}
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
@@ -155,15 +150,15 @@ func TestRouterOneCallPerRequest(t *testing.T) {
 	}
 }
 
-// testDeltas is a staged mutation sequence exercising the routing edge
-// cases: cross-shard edges, a batch of new nodes chained to each other, an
-// isolated arrival, and a delta repeating edges (also reversed) within
-// itself.
+// testDeltas is a staged mutation sequence exercising the delta edge
+// cases: edges across the id space, a batch of new nodes chained to each
+// other, an isolated arrival, and a delta repeating edges (also reversed)
+// within itself.
 func testDeltas(g *graph.Graph, rng *rand.Rand) []graph.Delta {
 	n := g.N()
 	f := g.F()
 	return []graph.Delta{
-		{ // edges only, spread across the id space (likely cross-shard)
+		{ // edges only, spread across the id space
 			Src: []int{0, 1, n / 2, n - 1},
 			Dst: []int{n - 1, n / 2, n - 2, 2},
 		},
@@ -246,7 +241,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 		}
 	}
 	rt.Probe(context.Background())
-	if !rt.Describe().Healthy() {
+	if !allUp(rt.Describe()) {
 		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
 

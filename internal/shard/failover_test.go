@@ -1,4 +1,4 @@
-// The replication and fault-injection suites live in this external test
+// The failover and fault-injection suites live in this external test
 // package (not package shard) because they drive faults through
 // internal/chaos, which imports internal/shard — an in-package test file
 // importing it would be an import cycle. In-package helpers arrive through
@@ -17,61 +17,42 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/shard"
 )
 
-// replicaHarness is a router over in-process worker replicas behind a chaos
-// injector, plus the unsharded reference deployment. Shard p's replicas sit
-// at consecutive flat transport indices (flat reports them), so
-// chaos.Partition(flat) cuts off exactly one replica.
-type replicaHarness struct {
-	rt      *shard.Router
-	inj     *chaos.Injector
-	dep     *core.Deployment
-	workers []*shard.Worker
-	groups  [][]int
+// poolHarness is a router over in-process workers behind a chaos injector,
+// plus the unsharded reference deployment. Worker i sits at transport index
+// i, so chaos.Partition(i) cuts off exactly that worker.
+type poolHarness struct {
+	rt  *shard.Router
+	inj *chaos.Injector
+	dep *core.Deployment
 }
 
-// newReplicaHarness builds shards × reps replicas.
-func newReplicaHarness(t *testing.T, shards, reps int) *replicaHarness {
-	t.Helper()
-	layout := make([]int, shards)
-	for p := range layout {
-		layout[p] = reps
-	}
-	h, err := newGroupHarness(t, layout, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-// newGroupHarness builds layout[p] replicas for shard p — groups may be
-// uneven — wrapping the flat local transport in wrap (nil = none) beneath
-// the injector and partitioning the cut indices before the router's
-// start-up handshake runs. The router's construction error is returned.
-func newGroupHarness(t *testing.T, layout []int, wrap func(shard.Transport) shard.Transport, cut ...int) (*replicaHarness, error) {
+// newPool builds n workers, wrapping the local transport in wrap (nil =
+// none) beneath the injector and partitioning the cut indices before the
+// router's start-up handshake runs. The router's construction error is
+// returned.
+func newPool(t *testing.T, n int, wrap func(shard.Transport) shard.Transport, cut ...int) (*poolHarness, error) {
 	t.Helper()
 	ds, m := shard.TestFixture(t)
-	h := &replicaHarness{groups: make([][]int, len(layout))}
-	for p, reps := range layout {
-		for j := 0; j < reps; j++ {
-			w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: len(layout)}, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.groups[p] = append(h.groups[p], len(h.workers))
-			h.workers = append(h.workers, w)
+	workers := make([]*shard.Worker, n)
+	for i := range workers {
+		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, i)
+		if err != nil {
+			t.Fatal(err)
 		}
+		workers[i] = w
 	}
-	var flat shard.Transport = shard.NewLocalTransport(h.workers)
+	var tr shard.Transport = shard.NewLocalTransport(workers)
 	if wrap != nil {
-		flat = wrap(flat)
+		tr = wrap(tr)
 	}
-	h.inj = chaos.New(flat, 1)
+	h := &poolHarness{inj: chaos.New(tr, 1)}
 	h.inj.Partition(cut...)
 	var err error
-	h.rt, err = shard.NewRouterGroups(m, ds.Graph.Clone(), shard.TestFastRetry(len(layout)), h.inj, h.groups, nil)
+	h.rt, err = shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(n), h.inj)
 	if err != nil {
 		return nil, err
 	}
@@ -82,43 +63,42 @@ func newGroupHarness(t *testing.T, layout []int, wrap func(shard.Transport) shar
 	return h, nil
 }
 
-// flat returns the harness's flat transport index of shard p's replica j.
-func (h *replicaHarness) flat(p, j int) int { return h.groups[p][j] }
+// mustPool is newPool with no wrapper and nothing cut.
+func mustPool(t *testing.T, n int) *poolHarness {
+	t.Helper()
+	h, err := newPool(t, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// requireAllUp fails unless every worker reports up at the router's version.
+func requireAllUp(t *testing.T, tag string, rt *shard.Router) {
+	t.Helper()
+	for _, st := range rt.Describe().Shards {
+		if st.State != "up" || st.Version != rt.Version() {
+			t.Fatalf("%s: worker %d %s at version %d (router at %d): %s",
+				tag, st.Shard, st.State, st.Version, rt.Version(), st.Err)
+		}
+	}
+}
 
 // TestRetryRecoversTransientFailures: transient faults within the retry
-// budget are invisible to callers; beyond it the shard surfaces as
-// ErrUnavailable, never a hang. (Unreplicated: the faults exercise the
-// router's own retry loop, not replica failover.)
+// budget are invisible to callers; beyond it the pool surfaces as
+// ErrUnavailable, never a hang. (One worker: the faults exercise the
+// router's own retry loop, not failover.)
 func TestRetryRecoversTransientFailures(t *testing.T) {
+	h := mustPool(t, 1)
 	ds, m := shard.TestFixture(t)
-	const p = 2
-	workers := make([]*shard.Worker, p)
-	for i := range workers {
-		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: p}, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-	}
-	inj := chaos.New(shard.NewLocalTransport(workers), 7)
-	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(p), inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	dep, err := core.NewDeployment(m, ds.Graph.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	opt := core.InferenceOptions{Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: m.K}
-	want, err := dep.Infer(ds.Split.Test, opt)
+	want, err := h.dep.Infer(ds.Split.Test, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	inj.FailNext(2) // within the budget of Retries=2 (3 attempts)
-	got, err := rt.Infer(ds.Split.Test, opt)
+	h.inj.FailNext(2) // within the budget of Retries=2 (3 attempts)
+	got, err := h.rt.Infer(ds.Split.Test, opt)
 	if err != nil {
 		t.Fatalf("retry did not absorb transient faults: %v", err)
 	}
@@ -128,111 +108,85 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 		}
 	}
 
-	inj.FailNext(1000) // beyond any budget
-	if _, err := rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
+	h.inj.FailNext(1000) // beyond any budget
+	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
 		t.Fatalf("exhausted retries: got %v, want ErrUnavailable", err)
 	}
-	inj.FailNext(0)
-	if _, err := rt.Infer(ds.Split.Test, opt); err != nil {
+	h.inj.FailNext(0)
+	if _, err := h.rt.Infer(ds.Split.Test, opt); err != nil {
 		t.Fatalf("recovered transport still failing: %v", err)
 	}
-	if inj.Injected() == 0 {
+	if h.inj.Injected() == 0 {
 		t.Fatal("chaos injected no faults — the suite tested nothing")
 	}
 }
 
 // TestDeltaOutageHealsByReplay: a delta the router cannot deliver commits
-// anyway, and the starved shard is healed by delta-log replay on its next
-// Infer — the stale-worker path with no worker process involved.
+// anyway. The starved workers are healed by delta-log replay — the one the
+// next Infer reaches before it answers, the other by the probe — the
+// stale-worker path with no worker process involved.
 func TestDeltaOutageHealsByReplay(t *testing.T) {
+	h := mustPool(t, 2)
 	ds, m := shard.TestFixture(t)
-	const p = 2
-	workers := make([]*shard.Worker, p)
-	for i := range workers {
-		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: p}, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-	}
-	inj := chaos.New(shard.NewLocalTransport(workers), 7)
-	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(p), inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	dep, err := core.NewDeployment(m, ds.Graph.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	deltas := shard.TestDeltasFor(ds.Graph, rng)
+	deltas := shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99)))
 
-	inj.SetDropDeltas(true)
-	if _, err := dep.ApplyDelta(deltas[0].Clone()); err != nil {
+	h.inj.SetDropDeltas(true)
+	if _, err := h.dep.ApplyDelta(deltas[0].Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.ApplyDelta(deltas[0].Clone()); err != nil {
+	if _, err := h.rt.ApplyDelta(deltas[0].Clone()); err != nil {
 		t.Fatalf("undeliverable delta failed the call: %v", err)
 	}
-	if rt.Version() != 2 {
-		t.Fatalf("router version %d after committed delta, want 2", rt.Version())
+	if h.rt.Version() != 2 {
+		t.Fatalf("router version %d after committed delta, want 2", h.rt.Version())
 	}
-	if rt.Describe().Healthy() {
-		t.Fatal("shards marked up despite delta outage")
+	if h.rt.Describe().Healthy() {
+		t.Fatal("workers marked up despite delta outage")
 	}
 
-	inj.SetDropDeltas(false)
-	asg, err := shard.Partition(ds.Graph, p, shard.StrategyBFS)
+	h.inj.SetDropDeltas(false)
+	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
+	want, err := h.dep.Infer(ds.Split.Test, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
-	// One request owned by each shard, so each stale worker is caught up
-	// by replay on its own Infer.
-	for q, owned := range asg.Owned {
-		want, err := dep.Infer(owned, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rt.Infer(owned, opt) // stale worker → catch-up replay
-		if err != nil {
-			t.Fatalf("post-outage infer on shard %d: %v", q, err)
-		}
-		for i := range want.Pred {
-			if got.Pred[i] != want.Pred[i] || got.Depths[i] != want.Depths[i] {
-				t.Fatalf("shard %d: answer drifted at %d after replay", q, i)
-			}
+	got, err := h.rt.Infer(ds.Split.Test, opt) // stale worker → catch-up replay
+	if err != nil {
+		t.Fatalf("post-outage infer: %v", err)
+	}
+	for i := range want.Pred {
+		if got.Pred[i] != want.Pred[i] || got.Depths[i] != want.Depths[i] {
+			t.Fatalf("answer drifted at %d after replay", i)
 		}
 	}
-	if !rt.Describe().Healthy() {
-		t.Fatal("shards still marked down after successful replay")
+	if !h.rt.Describe().Healthy() {
+		t.Fatal("no worker marked up after a successful replay")
 	}
+	h.rt.Probe(context.Background())
+	requireAllUp(t, "after the probe", h.rt)
 }
 
-// TestReplicaFailoverRoutesAround: with R=2, partitioning one replica is
-// invisible to callers — inference fails over to the shard's peer with
+// TestReplicaFailoverRoutesAround: with three workers, partitioning one is
+// invisible to callers — inference fails over to another worker with
 // answers bit-identical to the unsharded deployment — and healing the
-// partition lets the probe re-admit the replica without a router restart.
+// partition lets the probe re-admit it without a router restart.
 func TestReplicaFailoverRoutesAround(t *testing.T) {
-	const shards, reps = 2, 2
-	h := newReplicaHarness(t, shards, reps)
+	h := mustPool(t, 3)
 	ds, _ := shard.TestFixture(t)
 
-	h.inj.Partition(h.flat(0, 1)) // cut shard 0's second replica
-
-	shard.TestRequireSameAnswers(t, "one replica partitioned", h.rt, h.dep, ds.Split.Test)
-	if h.rt.Describe().Healthy() == false {
-		t.Fatal("router degraded although every shard has a live replica")
+	h.inj.Partition(1)
+	shard.TestRequireSameAnswers(t, "one worker partitioned", h.rt, h.dep, ds.Split.Test)
+	if !h.rt.Describe().Healthy() {
+		t.Fatal("router degraded although two workers are live")
 	}
 	if h.rt.Describe().Failovers == 0 {
-		t.Fatal("no failover recorded despite a partitioned replica")
+		t.Fatal("no failover recorded despite a partitioned worker")
 	}
 	if h.inj.Injected() == 0 {
 		t.Fatal("chaos injected no faults — the suite tested nothing")
 	}
 
-	// The replica is marked down and skipped, so steady traffic pays no
+	// The worker is marked down and skipped, so steady traffic pays no
 	// extra per-call retries once routing has settled.
 	before := h.rt.Describe().ReplicaRetries
 	shard.TestRequireSameAnswers(t, "partition settled", h.rt, h.dep, ds.Split.Test)
@@ -242,33 +196,25 @@ func TestReplicaFailoverRoutesAround(t *testing.T) {
 
 	h.inj.Heal()
 	h.rt.Probe(context.Background())
-	for p, st := range h.rt.Describe().Shards {
-		for _, rst := range st.Replicas {
-			if rst.State != "up" {
-				t.Fatalf("shard %d replica %d %s after heal+probe: %s", p, rst.Replica, rst.State, rst.Err)
-			}
-		}
-	}
+	requireAllUp(t, "after heal+probe", h.rt)
 	shard.TestRequireSameAnswers(t, "after heal", h.rt, h.dep, ds.Split.Test)
 }
 
-// TestReplicaDeltaStragglerRejoins: a partitioned replica misses deltas —
-// the fan-out commits on its peer and marks the straggler down — then the
+// TestReplicaDeltaStragglerRejoins: a partitioned worker misses deltas —
+// delivery commits on the others and marks the straggler down — then the
 // heal+probe replays the delta-log suffix and re-admits it, with answers
 // staying bit-identical throughout.
 func TestReplicaDeltaStragglerRejoins(t *testing.T) {
-	const shards, reps = 2, 2
-	h := newReplicaHarness(t, shards, reps)
+	h := mustPool(t, 3)
 	ds, _ := shard.TestFixture(t)
 
-	h.inj.Partition(h.flat(0, 0))
-	rng := rand.New(rand.NewSource(99))
-	for di, d := range shard.TestDeltasFor(ds.Graph, rng) {
+	h.inj.Partition(0)
+	for di, d := range shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99))) {
 		if _, err := h.dep.ApplyDelta(d.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := h.rt.ApplyDelta(d.Clone()); err != nil {
-			t.Fatalf("delta %d with a replica partitioned: %v", di, err)
+			t.Fatalf("delta %d with a worker partitioned: %v", di, err)
 		}
 	}
 	targets := ds.Split.Test
@@ -277,59 +223,46 @@ func TestReplicaDeltaStragglerRejoins(t *testing.T) {
 	}
 	shard.TestRequireSameAnswers(t, "straggler partitioned", h.rt, h.dep, targets)
 
-	// The straggler shows up in the per-replica health report.
-	if rst := h.rt.Describe().Shards[0].Replicas[0]; rst.State == "up" {
-		t.Fatalf("partitioned replica reported up: %+v", rst)
+	// The straggler shows up in the per-worker health report.
+	if st := h.rt.Describe().Shards[0]; st.Up {
+		t.Fatalf("partitioned worker reported up: %+v", st)
 	}
 
 	h.inj.Heal()
 	h.rt.Probe(context.Background()) // replays the missed deltas, re-validates
-	for p, st := range h.rt.Describe().Shards {
-		for _, rst := range st.Replicas {
-			if rst.State != "up" {
-				t.Fatalf("shard %d replica %d %s after rejoin: %s", p, rst.Replica, rst.State, rst.Err)
-			}
-			if rst.Version != h.rt.Version() {
-				t.Fatalf("shard %d replica %d at version %d, router at %d", p, rst.Replica, rst.Version, h.rt.Version())
-			}
-		}
-	}
+	requireAllUp(t, "after rejoin", h.rt)
 	shard.TestRequireSameAnswers(t, "straggler rejoined", h.rt, h.dep, targets)
 }
 
-// TestAllReplicasDownUnavailable: a shard goes dark only when every one of
-// its replicas is down — then its requests get ErrUnavailable (503 at the
-// serving layer), and healing restores service without a restart.
+// TestAllReplicasDownUnavailable: the pool goes dark only when every worker
+// is down — then requests get ErrUnavailable (503 at the serving layer),
+// and healing restores service without a restart.
 func TestAllReplicasDownUnavailable(t *testing.T) {
-	const shards, reps = 2, 2
-	h := newReplicaHarness(t, shards, reps)
+	h := mustPool(t, 3)
 	ds, m := shard.TestFixture(t)
 
-	h.inj.Partition(h.flat(0, 0), h.flat(0, 1)) // all of shard 0
+	h.inj.Partition(0, 1, 2)
 	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
 	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
-		t.Fatalf("shard with every replica down: got %v, want ErrUnavailable", err)
+		t.Fatalf("every worker down: got %v, want ErrUnavailable", err)
 	}
 	h.rt.Probe(context.Background())
 	if h.rt.Describe().Healthy() {
-		t.Fatal("router healthy with a whole replica group partitioned")
+		t.Fatal("router healthy with every worker partitioned")
 	}
 
 	h.inj.Heal()
 	h.rt.Probe(context.Background())
-	if !h.rt.Describe().Healthy() {
-		t.Fatalf("router still degraded after heal: %+v", h.rt.Describe().Shards)
-	}
-	shard.TestRequireSameAnswers(t, "after group heal", h.rt, h.dep, ds.Split.Test)
+	requireAllUp(t, "after heal", h.rt)
+	shard.TestRequireSameAnswers(t, "after heal", h.rt, h.dep, ds.Split.Test)
 }
 
-// TestReplicaChaosUnderRace soaks replicated routing in probabilistic
-// chaos — drops and dropped replies on every call type — and requires
-// every inference that returns to be bit-identical to the reference. Run
-// under -race: it also shakes out locking bugs in the failover paths.
+// TestReplicaChaosUnderRace soaks the pool in probabilistic chaos — drops
+// and dropped replies on every call type — and requires every inference
+// that returns to be bit-identical to the reference. Run under -race: it
+// also shakes out locking bugs in the failover paths.
 func TestReplicaChaosUnderRace(t *testing.T) {
-	const shards, reps = 2, 2
-	h := newReplicaHarness(t, shards, reps)
+	h := mustPool(t, 4)
 	ds, m := shard.TestFixture(t)
 
 	h.inj.AddRule(chaos.Rule{Op: chaos.OpInfer, Shard: chaos.AnyShard, PFail: 0.15, PDropReply: 0.05})
@@ -345,7 +278,7 @@ func TestReplicaChaosUnderRace(t *testing.T) {
 		got, err := h.rt.Infer(ds.Split.Test, opt)
 		if err != nil {
 			if errors.Is(err, shard.ErrUnavailable) {
-				continue // a round where chaos downed a full group — allowed
+				continue // a round where chaos downed every worker — allowed
 			}
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -364,18 +297,80 @@ func TestReplicaChaosUnderRace(t *testing.T) {
 	}
 }
 
+// TestAnyWorkerAnswers: which worker answers must not matter. For P ∈
+// {1, 2, 4} at f64 and f32, a router with every worker but i cut off must
+// answer like the unsharded deployment at the same tier — predictions,
+// depths, depth histogram and MACs — for every i, before and after the
+// staged deltas.
+func TestAnyWorkerAnswers(t *testing.T) {
+	ds, m := shard.TestFixture(t)
+	for _, prec := range []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32} {
+		for _, p := range []int{1, 2, 4} {
+			workers := make([]*shard.Worker, p)
+			for i := range workers {
+				w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Precision: prec}, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				workers[i] = w
+			}
+			inj := chaos.New(shard.NewLocalTransport(workers), 1)
+			cfg := shard.TestFastRetry(p)
+			cfg.Precision = prec
+			rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), cfg, inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := core.NewDeployment(m, ds.Graph.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep.SetPrecision(prec)
+			eachWorker := func(stage string) {
+				targets := ds.Split.Test
+				for v := ds.Graph.N(); v < dep.Graph.N(); v++ {
+					targets = append(targets, v)
+				}
+				for i := range p {
+					inj.Heal()
+					for j := range p {
+						if j != i {
+							inj.Partition(j)
+						}
+					}
+					shard.TestRequireSameAnswers(t, fmt.Sprintf("%s/P=%d/%s/worker %d alone", prec, p, stage, i), rt, dep, targets)
+				}
+				inj.Heal()
+			}
+			eachWorker("bootstrapped")
+			for di, d := range shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99))) {
+				if _, err := dep.ApplyDelta(d.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rt.ApplyDelta(d.Clone()); err != nil {
+					t.Fatalf("%s/P=%d delta %d: %v", prec, p, di, err)
+				}
+			}
+			eachWorker("after deltas")
+			if err := rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestZeroDowntimeReplacement walks the documented worker-replacement
-// procedure over real sockets with R=2: drain the old replica (it starts
-// refusing RPCs, so routing diverts), commit deltas it never sees, kill
-// its process, start a replacement on the same address from the
-// deterministic bootstrap, and let the probe replay it back in — the
-// router never restarts and answers stay bit-identical throughout.
+// procedure over real sockets with three workers: drain one (it starts
+// refusing RPCs, so routing diverts), commit deltas it never sees, kill its
+// process, start a replacement on the same address from the deterministic
+// bootstrap, and let the probe replay it back in — the router never
+// restarts and answers stay bit-identical throughout. The status rows carry
+// the workers' addresses.
 func TestZeroDowntimeReplacement(t *testing.T) {
 	ds, m := shard.TestFixture(t)
-	const p = 2
 
-	serveWorkerAt := func(addr string, shardID int) (*shard.Worker, *http.Server, string) {
-		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: p}, shardID)
+	serveWorkerAt := func(addr string, id int) (*shard.Worker, *http.Server, string) {
+		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,42 +380,43 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 		return w, srv, ln.Addr().String()
 	}
 
-	// Shard 0: two replicas (old + peer). Shard 1: one replica — uneven
-	// replica counts are part of the contract.
 	oldW, oldSrv, oldAddr := serveWorkerAt("", 0)
-	_, peerSrv, peerAddr := serveWorkerAt("", 0)
-	defer peerSrv.Close()
-	_, s1Srv, s1Addr := serveWorkerAt("", 1)
-	defer s1Srv.Close()
+	_, srv1, addr1 := serveWorkerAt("", 1)
+	defer srv1.Close()
+	_, srv2, addr2 := serveWorkerAt("", 2)
+	defer srv2.Close()
 
-	addrs := [][]string{{oldAddr, peerAddr}, {s1Addr}}
-	tr, groups := shard.NewHTTPGroups(addrs, shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
-	rt, err := shard.NewRouterGroups(m, ds.Graph.Clone(), shard.TestFastRetry(p), tr, groups, addrs)
+	addrs := []string{oldAddr, addr1, addr2}
+	tr := shard.NewHTTPTransport(addrs, shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
+	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(len(addrs)), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	for i, st := range rt.Describe().Shards {
+		if st.Addr != "http://"+addrs[i] {
+			t.Fatalf("worker %d labelled %q, want its address %q", i, st.Addr, addrs[i])
+		}
+	}
 	dep, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Step 1: drain the old replica. Its endpoints 503, routing diverts to
-	// the peer, and no caller sees an error.
+	// Step 1: drain the old worker. Its endpoints 503, routing diverts to
+	// the others, and no caller sees an error.
 	oldW.StartDrain()
 	shard.TestRequireSameAnswers(t, "draining", rt, dep, ds.Split.Test)
 	rt.Probe(context.Background())
 	if !rt.Describe().Healthy() {
-		t.Fatalf("router degraded while a drained replica has a live peer: %+v", rt.Describe().Shards)
+		t.Fatalf("router degraded while two workers are live: %+v", rt.Describe().Shards)
 	}
-	if rh := rt.Describe().Shards[0].Replicas; rh[0].State == "up" {
-		t.Fatalf("draining replica still marked up: %+v", rh[0])
+	if st := rt.Describe().Shards[0]; st.Up {
+		t.Fatalf("draining worker still marked up: %+v", st)
 	}
 
-	// Step 2: deltas keep committing while the old replica refuses them.
-	rng := rand.New(rand.NewSource(99))
-	deltas := shard.TestDeltasFor(ds.Graph, rng)
-	for di, d := range deltas {
+	// Step 2: deltas keep committing while the old worker refuses them.
+	for di, d := range shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99))) {
 		if _, err := dep.ApplyDelta(d.Clone()); err != nil {
 			t.Fatal(err)
 		}
@@ -437,16 +433,7 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 
 	// Step 4: the probe replays the missed deltas and re-admits it.
 	rt.Probe(context.Background())
-	for pi, st := range rt.Describe().Shards {
-		if !st.Up {
-			t.Fatalf("shard %d down after replacement: %s", pi, st.Err)
-		}
-		for _, rst := range st.Replicas {
-			if rst.State != "up" {
-				t.Fatalf("shard %d replica %d %s after replacement: %s", pi, rst.Replica, rst.State, rst.Err)
-			}
-		}
-	}
+	requireAllUp(t, "after replacement", rt)
 	targets := ds.Split.Test
 	for v := ds.Graph.N(); v < dep.Graph.N(); v++ {
 		targets = append(targets, v)
@@ -460,20 +447,15 @@ func TestZeroDowntimeReplacement(t *testing.T) {
 // decorrelates in production.
 func TestJitterInjection(t *testing.T) {
 	ds, m := shard.TestFixture(t)
-	const p = 2
-	workers := make([]*shard.Worker, p)
-	for i := range workers {
-		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: p}, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
+	w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	inj := chaos.New(shard.NewLocalTransport(workers), 7)
+	inj := chaos.New(shard.NewLocalTransport([]*shard.Worker{w}), 7)
 
-	var mu sync.Mutex // Jitter is called from the router's per-shard goroutines
+	var mu sync.Mutex
 	var caps []time.Duration
-	cfg := shard.TestFastRetry(p)
+	cfg := shard.TestFastRetry(1)
 	cfg.RetryBackoff = 4 * time.Millisecond
 	cfg.Jitter = func(max time.Duration) time.Duration {
 		mu.Lock()
@@ -487,16 +469,10 @@ func TestJitterInjection(t *testing.T) {
 	}
 	defer rt.Close()
 
-	// Targets owned by shard 0 only: the request is one shard call, so both
-	// injected faults land on its attempts however many cores run the test
-	// (with two shard calls in flight each could take one fault instead).
-	asg, err := shard.Partition(ds.Graph, p, shard.StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.FailNext(2) // absorbed by the Retries=2 budget of one shard call
+	// One worker, so each injected fault fails a whole round.
+	inj.FailNext(2) // absorbed by the Retries=2 budget
 	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
-	if _, err := rt.Infer(asg.Owned[0], opt); err != nil {
+	if _, err := rt.Infer(ds.Split.Test, opt); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -506,65 +482,63 @@ func TestJitterInjection(t *testing.T) {
 	}
 }
 
-// TestReplicaSetValidation: malformed endpoint layouts are construction
-// errors, not latent routing bugs.
+// TestReplicaSetValidation: a pool needs at least one worker, and a
+// transport index with no worker behind it is a down row, not a latent
+// routing bug — it is never routed to while the others answer.
 func TestReplicaSetValidation(t *testing.T) {
 	ds, m := shard.TestFixture(t)
-	cfg := shard.TestFastRetry(2)
-	var workers []*shard.Worker
-	for _, p := range []int{0, 0, 1} {
-		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{Shards: 2}, p)
+	workers := make([]*shard.Worker, 2)
+	for i := range workers {
+		w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers = append(workers, w)
+		workers[i] = w
 	}
 	tr := shard.NewLocalTransport(workers)
-	if _, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0}, {}}, nil); err == nil {
-		t.Fatal("empty replica group accepted")
+	if _, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(0), tr); err == nil {
+		t.Fatal("a pool of zero workers accepted")
 	}
-	if _, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0}, {0}}, nil); err == nil {
-		t.Fatal("duplicate flat index accepted")
-	}
-	if _, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0, 1, 2}}, nil); err == nil {
-		t.Fatal("one group for two shards accepted")
-	}
-	rt, err := shard.NewRouterGroups(m, ds.Graph.Clone(), cfg, tr, [][]int{{0, 1}, {2}}, [][]string{{"a", "b"}, {"c"}})
+	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(3), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	sts := rt.Describe().Shards
-	if len(sts[0].Replicas) != 2 || len(sts[1].Replicas) != 1 {
-		t.Fatalf("replica counts wrong: %d/%d", len(sts[0].Replicas), len(sts[1].Replicas))
+	if len(sts) != 3 || !sts[0].Up || !sts[1].Up || sts[2].Up || sts[2].Err == "" {
+		t.Fatalf("worker rows %+v, want 0 and 1 up, 2 down with an error", sts)
 	}
-	if sts[0].Replicas[1].Addr != "b" {
-		t.Fatalf("replica addr labels wrong: %+v", sts)
+	dep, err := core.NewDeployment(m, ds.Graph.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard.TestRequireSameAnswers(t, "beside a missing worker", rt, dep, ds.Split.Test)
+	if info := rt.Describe(); info.Failovers != 0 {
+		t.Fatalf("%d failovers: the missing worker was routed to", info.Failovers)
 	}
 }
 
-// deltaCounter counts the ApplyDelta calls that reach each flat transport
-// index (it sits beneath the chaos injector, so dropped ones do not count).
+// deltaCounter counts the ApplyDelta calls that reach each transport index
+// (it sits beneath the chaos injector, so dropped ones do not count).
 type deltaCounter struct {
 	shard.Transport
 	mu     sync.Mutex
 	counts map[int]int
 }
 
-func (c *deltaCounter) ApplyDelta(ctx context.Context, flat int, sd *shard.ShardDelta) error {
+func (c *deltaCounter) ApplyDelta(ctx context.Context, i int, sd *shard.ShardDelta) error {
 	c.mu.Lock()
-	c.counts[flat]++
+	c.counts[i]++
 	c.mu.Unlock()
-	return c.Transport.ApplyDelta(ctx, flat, sd)
+	return c.Transport.ApplyDelta(ctx, i, sd)
 }
 
 // TestReplayStampede: concurrent requests that all find the same worker
-// behind must ship the missing log suffix to it once, not once each — every
-// ShardDelta carries a weighted-sum copy and newcomer features.
+// behind must ship the missing log suffix to it once, not once each.
 func TestReplayStampede(t *testing.T) {
 	ds, _ := shard.TestFixture(t)
 	counter := &deltaCounter{counts: map[int]int{}}
-	h, err := newGroupHarness(t, []int{1, 1}, func(tr shard.Transport) shard.Transport {
+	h, err := newPool(t, 2, func(tr shard.Transport) shard.Transport {
 		counter.Transport = tr
 		return counter
 	})
@@ -574,8 +548,7 @@ func TestReplayStampede(t *testing.T) {
 
 	// Three deltas commit on the router while none reaches a worker.
 	h.inj.SetDropDeltas(true)
-	rng := rand.New(rand.NewSource(99))
-	for _, d := range shard.TestDeltasFor(ds.Graph, rng)[:3] {
+	for _, d := range shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99)))[:3] {
 		if _, err := h.dep.ApplyDelta(d.Clone()); err != nil {
 			t.Fatal(err)
 		}
@@ -588,12 +561,10 @@ func TestReplayStampede(t *testing.T) {
 		t.Fatalf("%d deltas reached the workers during the outage", n)
 	}
 
-	// Eight callers hit shard 0 at once; each sees it three versions behind.
-	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := asg.Owned[0]
+	// Eight callers arrive at once. No worker is up, so each tries worker 0
+	// first and finds it three versions behind; once it is caught up it is
+	// the only up worker, so worker 1 is never tried.
+	targets := ds.Split.Test
 	opt := shard.TestInferOpts(h.dep.Model)[0]
 	want, err := h.dep.Infer(targets, opt)
 	if err != nil {
@@ -624,39 +595,36 @@ func TestReplayStampede(t *testing.T) {
 }
 
 // TestFailoverCounterNeedsAPeer: a failover is a call that went on to
-// another endpoint. A one-endpoint shard has nowhere to go, so however its
-// calls fail the counter stays zero (the retry rounds are not failovers).
+// another worker. A one-worker pool has nowhere to go, so however its calls
+// fail the counter stays zero (the retry rounds are not failovers).
 func TestFailoverCounterNeedsAPeer(t *testing.T) {
+	h := mustPool(t, 1)
 	ds, m := shard.TestFixture(t)
-	h, err := newGroupHarness(t, []int{1, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.inj.FailNext(1000)
 	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
 	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
 		t.Fatalf("got %v, want ErrUnavailable", err)
 	}
 	if info := h.rt.Describe(); info.Failovers != 0 || info.ReplicaRetries != 0 {
-		t.Fatalf("unreplicated fleet reports %d failovers, %d replica retries", info.Failovers, info.ReplicaRetries)
+		t.Fatalf("one-worker pool reports %d failovers, %d retries", info.Failovers, info.ReplicaRetries)
 	}
 }
 
-// scratchStamper reports a known scratch footprint per flat index (the
+// scratchStamper reports a known scratch footprint per transport index (the
 // workers' own reading comes from a sync.Pool, which the race detector
 // empties at random).
 type scratchStamper struct{ shard.Transport }
 
-func (s scratchStamper) Health(ctx context.Context, flat int) (shard.HealthInfo, error) {
-	info, err := s.Transport.Health(ctx, flat)
-	info.ScratchBytes = 1000 << flat
+func (s scratchStamper) Health(ctx context.Context, i int) (shard.HealthInfo, error) {
+	info, err := s.Transport.Health(ctx, i)
+	info.ScratchBytes = 1000 << i
 	return info, err
 }
 
 // TestScratchBytesSumsEveryEndpoint: the fleet's scratch footprint is every
-// worker's last report, not one per shard.
+// worker's last report.
 func TestScratchBytesSumsEveryEndpoint(t *testing.T) {
-	h, err := newGroupHarness(t, []int{2, 2}, func(tr shard.Transport) shard.Transport {
+	h, err := newPool(t, 4, func(tr shard.Transport) shard.Transport {
 		return scratchStamper{tr}
 	})
 	if err != nil {
@@ -668,60 +636,47 @@ func TestScratchBytesSumsEveryEndpoint(t *testing.T) {
 	}
 }
 
-// TestUnevenGroups: with {2, 1} endpoints, losing shard 1's only endpoint
-// makes its targets unavailable while shard 0's still answer, and losing one
-// of shard 0's two is invisible.
+// TestUnevenGroups: workers can be lost one by one down to the last, and
+// every request still answers bit-identically from whoever is left; the
+// per-worker rows name exactly the lost ones.
 func TestUnevenGroups(t *testing.T) {
-	h, err := newGroupHarness(t, []int{2, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, m := shard.TestFixture(t)
-	asg, err := shard.Partition(ds.Graph, 2, shard.StrategyBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: m.K}
-
-	h.inj.Partition(h.flat(1, 0))
-	if _, err := h.rt.Infer(asg.Owned[1], opt); !errors.Is(err, shard.ErrUnavailable) {
-		t.Fatalf("shard 1 with its only endpoint cut: got %v, want ErrUnavailable", err)
-	}
-	shard.TestRequireSameAnswers(t, "shard 0 beside a dark shard 1", h.rt, h.dep, asg.Owned[0])
-	if sts := h.rt.Describe().Shards; !sts[0].Up || sts[1].Up {
-		t.Fatalf("shard health %+v, want shard 0 up and shard 1 down", sts)
-	}
-
-	h.inj.Heal()
-	h.inj.Partition(h.flat(0, 1))
-	for p, owned := range asg.Owned { // one request per shard reaches every group
-		shard.TestRequireSameAnswers(t, fmt.Sprintf("one of shard 0's two cut, shard %d's targets", p), h.rt, h.dep, owned)
-	}
-	if !h.rt.Describe().Healthy() {
-		t.Fatalf("router degraded although every shard has a live endpoint: %+v", h.rt.Describe().Shards)
+	h := mustPool(t, 3)
+	ds, _ := shard.TestFixture(t)
+	for lost := 1; lost < 3; lost++ {
+		h.inj.Partition(lost - 1)
+		tag := fmt.Sprintf("%d of 3 workers cut", lost)
+		shard.TestRequireSameAnswers(t, tag, h.rt, h.dep, ds.Split.Test)
+		h.rt.Probe(context.Background())
+		info := h.rt.Describe()
+		if !info.Healthy() {
+			t.Fatalf("%s: router degraded: %+v", tag, info.Shards)
+		}
+		for i, st := range info.Shards {
+			if st.Up != (i >= lost) {
+				t.Fatalf("%s: worker rows %+v, want the first %d down", tag, info.Shards, lost)
+			}
+		}
 	}
 }
 
-// TestHandshakeNeedsOneEndpointPerGroup: a router starts over a group with
-// a dead endpoint as long as a peer passes the handshake, and refuses to
-// start over a group with none.
+// TestHandshakeNeedsOneEndpointPerGroup: a router starts while any worker
+// passes the handshake — the rest rejoin through probes — and refuses to
+// start when none does.
 func TestHandshakeNeedsOneEndpointPerGroup(t *testing.T) {
 	ds, _ := shard.TestFixture(t)
-	h, err := newGroupHarness(t, []int{2, 1}, nil, 1)
+	h, err := newPool(t, 3, nil, 0, 1)
 	if err != nil {
-		t.Fatalf("one dead endpoint beside a live peer: %v", err)
+		t.Fatalf("two dead workers beside a live one: %v", err)
 	}
-	if st := h.rt.Describe().Shards[0]; !st.Up || st.Replicas[0].State != "up" || st.Replicas[1].State == "up" {
-		t.Fatalf("shard 0 after a start-up with replica 1 dead: %+v", st)
+	if sts := h.rt.Describe().Shards; sts[0].Up || sts[1].Up || !sts[2].Up {
+		t.Fatalf("worker rows after a start-up with 0 and 1 dead: %+v", sts)
 	}
 	shard.TestRequireSameAnswers(t, "started degraded", h.rt, h.dep, ds.Split.Test)
 	h.inj.Heal()
 	h.rt.Probe(context.Background())
-	if st := h.rt.Describe().Shards[0].Replicas[1]; st.State != "up" {
-		t.Fatalf("endpoint dead at start-up did not rejoin: %+v", st)
-	}
+	requireAllUp(t, "workers dead at start-up after heal", h.rt)
 
-	if _, err := newGroupHarness(t, []int{2, 1}, nil, 0, 1); err == nil {
-		t.Fatal("router started over a group with no live endpoint")
+	if _, err := newPool(t, 3, nil, 0, 1, 2); err == nil {
+		t.Fatal("router started with no live worker")
 	}
 }

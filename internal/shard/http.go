@@ -47,7 +47,7 @@ func WorkerHandler(w *Worker) http.Handler {
 // under the router's trace id (shipped back with the result so the router
 // stitches the two halves), the worker's registry is served at GET /metrics
 // and its trace ring at GET /debug/traces, and worker-state gauges
-// (graph size, graph version, shard id) are registered on o.Reg — so
+// (graph size, graph version, worker label) are registered on o.Reg — so
 // call WorkerHandlerObs once per Obs.
 func WorkerHandlerObs(w *Worker, o *obs.Obs) http.Handler {
 	// refuseDraining rejects new RPCs on a worker that has started its
@@ -127,8 +127,8 @@ func WorkerHandlerObs(w *Worker, o *obs.Obs) http.Handler {
 			"Worker graph version (1 = bootstrapped, +1 per applied delta).",
 			func() float64 { return float64(w.Health().Version) })
 		o.Reg.GaugeFunc("nai_shard_id",
-			"The shard this worker serves.",
-			func() float64 { return float64(w.Health().ShardID) })
+			"This worker's label (naiserve -shard-worker); the router does not read it.",
+			func() float64 { return float64(w.id) })
 		core.RegisterHop1Metrics(o.Reg, w.dep.Hop1Stats)
 		mux.Handle("/metrics", o.Reg.Handler())
 		mux.Handle("/debug/traces", o.Ring.Handler())
@@ -186,7 +186,8 @@ func writeWorkerError(rw http.ResponseWriter, err error) {
 }
 
 // HTTPTransport reaches shard workers over the wire protocol: one base URL
-// per shard (index = shard id), one shared http.Client with keep-alive
+// per worker (index = worker index; the router labels its status rows with
+// them), one shared http.Client with keep-alive
 // connection reuse. Per-call deadlines come from the caller's context (the
 // serving layer's PR 6 deadline plumbing flows through unchanged); calls
 // whose context carries no deadline get CallTimeout so a dead worker always
@@ -209,7 +210,7 @@ type HTTPTransportConfig struct {
 	CallTimeout time.Duration
 }
 
-// NewHTTPTransport dials one worker per address (index = shard id).
+// NewHTTPTransport dials one worker per address (index = worker index).
 // Addresses may be bare "host:port" (http:// is assumed) or full URLs.
 func NewHTTPTransport(addrs []string, cfg HTTPTransportConfig) *HTTPTransport {
 	if cfg.CallTimeout <= 0 {
@@ -233,25 +234,9 @@ func NewHTTPTransport(addrs []string, cfg HTTPTransportConfig) *HTTPTransport {
 	}
 }
 
-// NewHTTPGroups dials worker processes arranged as per-shard address
-// groups (addrs[p] are the workers bootstrapped for shard p) over one
-// transport, so keep-alive connections pool across the fleet, and returns
-// it with the index layout NewRouterGroups takes beside addrs.
-func NewHTTPGroups(addrs [][]string, cfg HTTPTransportConfig) (*HTTPTransport, [][]int) {
-	var flat []string
-	groups := make([][]int, len(addrs))
-	for p, g := range addrs {
-		for _, a := range g {
-			groups[p] = append(groups[p], len(flat))
-			flat = append(flat, a)
-		}
-	}
-	return NewHTTPTransport(flat, cfg), groups
-}
-
 func (t *HTTPTransport) url(shardID int) (string, error) {
 	if shardID < 0 || shardID >= len(t.urls) {
-		return "", &TransportError{Shard: shardID, Err: fmt.Errorf("no such shard (have %d)", len(t.urls))}
+		return "", &TransportError{Shard: shardID, Err: fmt.Errorf("no such worker (have %d)", len(t.urls))}
 	}
 	return t.urls[shardID], nil
 }
@@ -321,8 +306,8 @@ func (t *HTTPTransport) call(ctx context.Context, shardID int, method, path stri
 	}
 }
 
-// Infer runs one shard's batch on the remote worker. A trace riding
-// ctx gets encode/rpc/decode spans tagged with the shard, its id travels
+// Infer runs one request's batch on the remote worker. A trace riding ctx
+// gets encode/rpc/decode spans tagged with the worker index, its id travels
 // in the request so the worker records under the same id, and the
 // worker-side spans shipped back with the result are spliced into the
 // trace marked Worker (their offsets are the worker clock's — the two
@@ -353,7 +338,7 @@ func (t *HTTPTransport) Infer(ctx context.Context, shardID int, req *InferReques
 	return res, nil
 }
 
-// ApplyDelta ships one versioned shard delta to the remote worker.
+// ApplyDelta ships one versioned delta to the remote worker.
 func (t *HTTPTransport) ApplyDelta(ctx context.Context, shardID int, sd *ShardDelta) error {
 	data, err := t.call(ctx, shardID, http.MethodPost, "/shard/delta", encodeShardDelta(sd))
 	if err != nil {

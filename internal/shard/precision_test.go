@@ -13,7 +13,7 @@ import (
 
 // TestShardedPrecisionEquivalence pins the relaxed tiers across the shard
 // boundary. Every worker holds the whole graph and a request is one call to
-// its majority owner, so a sharded f32 or int8 fleet must answer exactly like
+// one worker, so a sharded f32 or int8 fleet must answer exactly like
 // an unsharded deployment at the same tier — predictions, depths, histogram
 // and MACs — over the in-process and HTTP transports; int8 must also stay in
 // high agreement with the f64 reference. Every comparison runs cold and then

@@ -14,34 +14,34 @@ import (
 	"repro/internal/obs"
 )
 
-// Config parametrizes NewRouter, NewRouterTransport, NewRouterGroups and
-// NewWorker.
+// Config parametrizes NewRouter, NewRouterTransport and NewWorker.
 type Config struct {
-	// Shards is the partition width P (1 ≤ P ≤ nodes; 1 degenerates to a
-	// routed single deployment).
+	// Shards is the router's worker count: NewRouter builds that many
+	// in-process workers, NewRouterTransport reaches transport indices
+	// 0..Shards−1. NewWorker does not read it.
 	Shards int
 	// Radius is not read.
 	//
 	// Deprecated: workers hold the whole graph, so every operating point
 	// the model allows is served whatever its TMax.
 	Radius int
-	// Retries is how many more rounds over a shard's endpoint group a call
-	// makes (with exponential backoff between them) after a round in which
-	// every endpoint failed transiently, before the shard is declared
-	// unavailable; ≤0 defaults to 2 (three rounds total).
+	// Retries is how many more rounds over the workers a call makes (with
+	// exponential backoff between them) after a round in which every worker
+	// failed transiently, before the pool is declared unavailable; ≤0
+	// defaults to 2 (three rounds total).
 	Retries int
 	// RetryBackoff is the first retry's backoff cap, doubling per round;
 	// ≤0 defaults to 5ms. In-process transports never fail transiently, so
 	// both knobs only matter for networked workers.
 	RetryBackoff time.Duration
 	// Jitter draws each retry's actual sleep from [0, cap), where cap is the
-	// current backoff (full jitter): when a shard dies under load, the
+	// current backoff (full jitter): when the workers die under load, the
 	// concurrent callers that all failed together would otherwise re-dial in
-	// lockstep every backoff doubling — a retry storm hammering the worker
-	// just as it restarts. nil defaults to a thread-safe uniform draw; tests
+	// lockstep every backoff doubling — a retry storm hammering the workers
+	// just as they restart. nil defaults to a thread-safe uniform draw; tests
 	// inject a deterministic source.
 	Jitter func(max time.Duration) time.Duration
-	// Precision is the tier every shard serves at (zero value = f64, the
+	// Precision is the tier every worker serves at (zero value = f64, the
 	// bit-pinned reference). The whole fleet runs one tier: the handshake
 	// rejects a worker bootstrapped at a different tier, and a racing
 	// request against a mismatched worker is a 409 conflict.
@@ -53,37 +53,34 @@ const (
 	defaultRetryBackoff = 5 * time.Millisecond
 )
 
-// check validates cfg against (m, g) before a router or worker builds
-// anything.
+// check validates the parts of cfg a worker reads against (m, g) before
+// anything is built.
 func (cfg Config) check(m *core.Model, g *graph.Graph) error {
 	switch {
 	case g.F() != m.FeatureDim:
 		return fmt.Errorf("shard: graph feature dim %d != model %d", g.F(), m.FeatureDim)
 	case !cfg.Precision.Valid():
 		return fmt.Errorf("shard: unknown precision tier %d", int(cfg.Precision))
-	case cfg.Shards < 1 || cfg.Shards > g.N():
-		return fmt.Errorf("shard: cannot cut %d nodes into %d shards", g.N(), cfg.Shards)
 	}
 	return nil
 }
 
-// Router fronts a set of shard workers with the same Infer / ApplyDelta
-// surface as a single core.Deployment (both satisfy serve.Backend). It owns
-// the source-of-truth graph — delta validation, the ownership map and
+// Router fronts a pool of interchangeable workers with the same Infer /
+// ApplyDelta surface as a single core.Deployment (both satisfy
+// serve.Backend). It owns the source-of-truth graph — delta validation and
 // ServingGraph read it — and the delta log; the workers hold the bulky
 // hot-path state, reached exclusively through the Transport: in-process
-// (NewRouter) or remote worker processes (NewRouterTransport,
-// NewRouterGroups).
+// (NewRouter) or remote worker processes (NewRouterTransport).
 //
 // Failure handling is one state machine over one record per worker (see
-// endpoint): every shard is a group of R ≥ 1 endpoints and is up while any
-// of them is. A call that fails transiently takes that endpoint out of
-// rotation and moves to its peer; a group that fails as a whole is retried
-// with jittered exponential backoff and then — while the background prober
-// runs — fails fast with ErrUnavailable (the serving layer's 503) instead of
-// re-paying timeouts per request. Stale workers (restarted, or starved of a
-// delta) are healed by replaying the router's delta log to them, so a
-// worker rejoins without the router restarting.
+// endpoint). Every worker answers for every node, so the pool is up while
+// any worker is. A call that fails transiently takes that worker out of
+// rotation and moves to the next; a round in which every worker failed is
+// retried with jittered exponential backoff and then — while the background
+// prober runs — fails fast with ErrUnavailable (the serving layer's 503)
+// instead of re-paying timeouts per request. Stale workers (restarted, or
+// starved of a delta) are healed by replaying the router's delta log to
+// them, so a worker rejoins without the router restarting.
 type Router struct {
 	model  *core.Model
 	global *graph.Graph
@@ -93,10 +90,6 @@ type Router struct {
 	// tracked by version), so validation compares against this, not the
 	// grown r.global.N().
 	bootGlobalN int
-	owner       []int32
-	// ownedCount[p] tracks shard p's owned-node count for least-loaded
-	// placement of unattached arrivals.
-	ownedCount []int
 
 	transport Transport
 	retries   int
@@ -118,11 +111,12 @@ type Router struct {
 	deltaLog []*ShardDelta
 	expNodes int
 
-	// groups[p] are shard p's endpoints, rr[p] its round-robin counter.
-	groups [][]*endpoint
-	rr     []atomic.Uint64
-	// failovers counts Infer rounds that moved on to another endpoint after
-	// one failed; extraTries the endpoint attempts beyond each round's first.
+	// endpoints are the workers, by transport index; rr is the round-robin
+	// counter candidates rotates them by.
+	endpoints []*endpoint
+	rr        atomic.Uint64
+	// failovers counts Infer rounds that moved on to another worker after
+	// one failed; extraTries the attempts beyond each round's first.
 	failovers, extraTries atomic.Uint64
 
 	probing   atomic.Bool
@@ -130,64 +124,33 @@ type Router struct {
 	probeDone chan struct{}
 }
 
-// NewRouter partitions g into cfg.Shards shards and builds in-process
-// workers, each over its own clone of g, behind a LocalTransport. The
-// Router takes ownership of g: all subsequent mutations must go through
-// Router.ApplyDelta.
+// NewRouter builds cfg.Shards in-process workers, each over its own clone
+// of g, behind a LocalTransport. The Router takes ownership of g: all
+// subsequent mutations must go through Router.ApplyDelta.
 func NewRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
-	r, err := newRouter(m, g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	workers := make([]*Worker, cfg.Shards)
-	for p := range workers {
-		if workers[p], err = NewWorker(m, g, cfg, p); err != nil {
+	workers := make([]*Worker, max(cfg.Shards, 0)) // NewRouterTransport rejects < 1
+	for i := range workers {
+		var err error
+		if workers[i], err = NewWorker(m, g, cfg, i); err != nil {
 			return nil, err
 		}
 	}
-	if err := r.connect(NewLocalTransport(workers), nil, nil); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return NewRouterTransport(m, g, cfg, NewLocalTransport(workers))
 }
 
-// NewRouterTransport builds a router over already-running workers, one per
-// shard, reached through t (index = shard id): NewRouterGroups with every
-// group a group of one.
+// NewRouterTransport builds a router over cfg.Shards already-running
+// workers reached through t at indices 0..cfg.Shards−1. It performs a
+// health handshake with every worker, verifying its tier and its bootstrap
+// and current node counts at version 1; the router starts as long as one
+// worker passes, and the rest rejoin through later probes. An
+// HTTPTransport's addresses label the workers in status reports. The router
+// takes ownership of t (Close closes it) and of g, exactly like NewRouter.
 func NewRouterTransport(m *core.Model, g *graph.Graph, cfg Config, t Transport) (*Router, error) {
-	return NewRouterGroups(m, g, cfg, t, nil, nil)
-}
-
-// NewRouterGroups builds a router over already-running workers reached
-// through the flat-indexed transport t: groups[p] lists the transport
-// indices of the R ≥ 1 workers serving shard p (every index in exactly one
-// group, no group empty; nil means index = shard id) and addrs — optional,
-// same shape — labels them in status reports. It rebuilds the partition
-// from (m, g) and performs a health handshake with every group, verifying
-// that each worker serves the expected shard of the expected partition
-// (shard id, width, tier, bootstrap and current node counts) at version 1;
-// a group starts as long as one of its workers passes. The router takes
-// ownership of t (Close closes it) and of g, exactly like NewRouter.
-func NewRouterGroups(m *core.Model, g *graph.Graph, cfg Config, t Transport, groups [][]int, addrs [][]string) (*Router, error) {
-	r, err := newRouter(m, g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.connect(t, groups, addrs); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// newRouter validates cfg and builds the router minus its workers:
-// defaults and the partition.
-func newRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
 	if err := cfg.check(m, g); err != nil {
 		return nil, err
 	}
-	asg, err := Partition(g, cfg.Shards, StrategyBFS)
-	if err != nil {
-		return nil, err
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("shard: need at least one worker, have %d", cfg.Shards)
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = defaultRetries
@@ -203,35 +166,28 @@ func newRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
 		global:      g,
 		prec:        cfg.Precision,
 		bootGlobalN: g.N(),
-		owner:       asg.Owner,
-		ownedCount:  make([]int, asg.P),
+		transport:   t,
 		retries:     cfg.Retries,
 		backoff:     cfg.RetryBackoff,
 		jitter:      cfg.Jitter,
 		expNodes:    g.N(),
-		rr:          make([]atomic.Uint64, asg.P),
-	}
-	for p, owned := range asg.Owned {
-		r.ownedCount[p] = len(owned)
+		endpoints:   make([]*endpoint, cfg.Shards),
 	}
 	r.version.Store(1) // fresh build = version 1, matching core.Deployment
-	return r, nil
-}
-
-// connect attaches the workers behind t as endpoint groups and runs the
-// start-up handshake against every shard.
-func (r *Router) connect(t Transport, groups [][]int, addrs [][]string) error {
-	var err error
-	if r.groups, err = newGroups(len(r.ownedCount), groups, addrs); err != nil {
-		return err
+	var urls []string
+	if h, ok := t.(*HTTPTransport); ok {
+		urls = h.urls
 	}
-	r.transport = t
-	for p := range r.groups {
-		if err := r.handshake(context.Background(), p); err != nil {
-			return fmt.Errorf("shard %d handshake: %w", p, err)
+	for i := range r.endpoints {
+		r.endpoints[i] = &endpoint{index: i, info: HealthInfo{Version: 1}}
+		if i < len(urls) {
+			r.endpoints[i].addr = urls[i]
 		}
 	}
-	return nil
+	if err := r.handshake(context.Background()); err != nil {
+		return nil, fmt.Errorf("shard handshake: %w", err)
+	}
+	return r, nil
 }
 
 // fullJitter is the default retry jitter: a uniform draw over [0, max).
@@ -271,17 +227,16 @@ func (r *Router) Infer(targets []int, opt core.InferenceOptions) (*core.Result, 
 }
 
 // InferContext answers for the targets (global ids) under the caller's
-// context with one call to the majority owner: the whole request, in
-// request order, goes to the shard that owns the most of its targets (ties
-// to the lowest shard id). Every worker serves the whole graph at the
-// router's version, so that shard's result is returned unchanged — its
+// context with one call to the next up worker in round-robin order; the
+// whole request goes in request order. Every worker serves the whole graph
+// at the router's version, so its result is returned unchanged — its
 // predictions, depths, histogram and MACs equal the unsharded engine's.
 // Safe for concurrent callers.
 //
-// A chosen shard whose group stays unreachable after retries fails the
-// request with an error wrapping ErrUnavailable (HTTP 503 at the serving
-// layer) — fail fast, never hang; the context's deadline bounds every
-// transport call.
+// A request fails over to any other worker and fails with an error wrapping
+// ErrUnavailable (HTTP 503 at the serving layer) only when no worker
+// answers after retries — fail fast, never hang; the context's deadline
+// bounds every transport call.
 func (r *Router) InferContext(ctx context.Context, targets []int, opt core.InferenceOptions) (*core.Result, error) {
 	if err := opt.Validate(r.model); err != nil {
 		return nil, err
@@ -290,29 +245,22 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 		return &core.Result{NodesPerDepth: make([]int, r.model.K+1)}, nil
 	}
 	n := r.global.N()
-	count := make([]int, len(r.groups))
-	p := 0
 	for _, v := range targets {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("shard: node %d outside [0,%d)", v, n)
 		}
-		o := int(r.owner[v])
-		if count[o]++; count[o] > count[p] || count[o] == count[p] && o < p {
-			p = o
-		}
 	}
 	tr := obs.FromContext(ctx)
 	at := tr.Begin()
-	res, err := r.inferGroup(ctx, p,
+	res, i, err := r.infer(ctx,
 		&InferRequest{Version: r.version.Load(), Targets: targets, Opt: opt, Precision: r.prec})
-	tr.End(obs.StageFanout, 0, p, at)
+	tr.End(obs.StageFanout, 0, i, at)
 	return res, err
 }
 
 // StartHealthProbe launches the background prober: every interval it
-// probes each endpoint through the transport, marking it up or down (a
-// shard with no endpoint up fails requests fast with ErrUnavailable until
-// one recovers) and proactively replaying the delta log to restarted
+// probes each worker through the transport, marking it up or down (with no
+// worker up, requests fail fast with ErrUnavailable until one recovers) and proactively replaying the delta log to restarted
 // workers found behind the router's graph version. No-op if interval ≤ 0 or
 // already probing; Close stops it.
 func (r *Router) StartHealthProbe(interval time.Duration) {
@@ -336,51 +284,36 @@ func (r *Router) StartHealthProbe(interval time.Duration) {
 	}()
 }
 
-// Probe health-checks every endpoint once (the background prober calls it
+// Probe health-checks every worker once (the background prober calls it
 // each interval; tests call it directly to make recovery deterministic);
 // probeEndpoint is the check.
 func (r *Router) Probe(ctx context.Context) {
-	for _, group := range r.groups {
-		for _, ep := range group {
-			r.probeEndpoint(ctx, ep)
-		}
+	for _, ep := range r.endpoints {
+		r.probeEndpoint(ctx, ep)
 	}
 }
 
 // Describe snapshots the fleet for the serving layer (serve.Backend): the
-// graph version and tier, every shard's liveness with its endpoints' status
-// under Replicas (a one-endpoint shard lists that one), the scratch
-// footprint and layer counters summed over every endpoint's last
-// health report, and the failover counters.
-// /healthz's verdict, the /stats shards block and the per-shard gauges are
-// all read off one such snapshot, so they cannot contradict each other.
+// graph version and tier, one row per worker, the scratch footprint and
+// layer counters summed over every worker's last health report, and the
+// failover counters. /healthz's verdict, the /stats shards block and the
+// per-worker gauges are all read off one such snapshot, so they cannot
+// contradict each other.
 func (r *Router) Describe() core.Info {
 	info := core.Info{Version: r.Version(), Precision: r.prec,
-		Shards:    make([]core.ShardStatus, len(r.groups)),
+		Shards:    make([]core.ShardStatus, len(r.endpoints)),
 		Failovers: r.failovers.Load(), ReplicaRetries: r.extraTries.Load()}
-	for p, group := range r.groups {
-		st := core.ShardStatus{Shard: p, Replicas: make([]core.ReplicaStatus, len(group))}
-		for i, ep := range group {
-			ep.mu.Lock()
-			rs := core.ReplicaStatus{Replica: i, Addr: ep.addr, State: ep.state.String(), Version: ep.info.Version}
-			if ep.state == stateUp {
-				// The shard reports its most caught-up serving endpoint.
-				if !st.Up || ep.info.Version > st.Version {
-					st.Version, st.Nodes = ep.info.Version, ep.info.Nodes
-				}
-				st.Up, st.Err = true, ""
-			} else if ep.err != nil {
-				rs.Err = ep.err.Error()
-				if !st.Up {
-					st.Err = rs.Err
-				}
-			}
-			info.ScratchBytes += ep.info.ScratchBytes
-			info.Hop1.Add(ep.info.Hop1)
-			ep.mu.Unlock()
-			st.Replicas[i] = rs
+	for i, ep := range r.endpoints {
+		ep.mu.Lock()
+		st := core.ShardStatus{Shard: i, Addr: ep.addr, Up: ep.state == stateUp,
+			State: ep.state.String(), Version: ep.info.Version}
+		if !st.Up && ep.err != nil {
+			st.Err = ep.err.Error()
 		}
-		info.Shards[p] = st
+		info.ScratchBytes += ep.info.ScratchBytes
+		info.Hop1.Add(ep.info.Hop1)
+		ep.mu.Unlock()
+		info.Shards[i] = st
 	}
 	return info
 }
@@ -394,36 +327,40 @@ func (r *Router) Close() error {
 	return r.transport.Close()
 }
 
-// localWorker reaches an in-process worker directly (tests inspect shard
+// localWorker reaches an in-process worker directly (tests inspect worker
 // state through it; only valid on routers built over a LocalTransport).
-func (r *Router) localWorker(p int) *Worker {
-	return r.transport.(*LocalTransport).workers[p]
+func (r *Router) localWorker(i int) *Worker {
+	return r.transport.(*LocalTransport).workers[i]
 }
 
 // ServingGraph returns the serving graph (serve.Backend): the one delta
-// validation and the ownership map read.
+// validation reads.
 func (r *Router) ServingGraph() *graph.Graph { return r.global }
 
-// Shards reports the partition width P.
-func (r *Router) Shards() int { return len(r.groups) }
+// Shards reports the worker count.
+func (r *Router) Shards() int { return len(r.endpoints) }
 
 // Version reports the router's monotone graph version: 1 for a fresh
 // build, +1 per effective ApplyDelta.
 func (r *Router) Version() uint64 { return r.version.Load() }
 
-// ShardSize describes one shard for observability: how many nodes it owns
-// and how many more its worker replicates.
+// ShardSize describes one worker for observability: the nodes it answers
+// for and the nodes it holds beyond them.
+//
+// Deprecated: every worker answers for the whole graph. Only the benchmark
+// ladder calls Sizes; it goes with ROADMAP item 1(iv).
 type ShardSize struct {
 	Owned, Halo int
 }
 
-// Sizes reports per-shard owned node counts beside the rest of the graph,
-// which every worker also holds: Halo is N − Owned, so the halo sum over
-// shards divided by N is P − 1.
+// Sizes reports each worker as answering for all N nodes with no halo.
+//
+// Deprecated: every worker answers for the whole graph. Only the benchmark
+// ladder calls it; it goes with ROADMAP item 1(iv).
 func (r *Router) Sizes() []ShardSize {
-	out := make([]ShardSize, len(r.ownedCount))
-	for p, owned := range r.ownedCount {
-		out[p] = ShardSize{Owned: owned, Halo: r.global.N() - owned}
+	out := make([]ShardSize, len(r.endpoints))
+	for i := range out {
+		out[i] = ShardSize{Owned: r.global.N()}
 	}
 	return out
 }

@@ -1,16 +1,12 @@
-// Package shard turns the single-address-space serving engine into a
-// sharded serving system whose answers are bit-identical to one
+// Package shard turns the single-address-space serving engine into a pool
+// of interchangeable workers whose answers are bit-identical to one
 // core.Deployment over the whole graph.
 //
-// Sharding here is ownership routing over whole-graph workers. A T-hop
-// halo around a shard's nodes would let a worker hold a subgraph, but on
-// the power-law graphs this repo serves the radius-2 halo of half the nodes
-// already covers 92–99.7% of the rest, so every worker holds a plain
-// core.Deployment over its own copy of the whole graph. The pieces:
-//
-//   - Partition splits the node set into P edge-cut shards: greedy
-//     BFS-grown parts under a balance cap. It only routes: the shard that
-//     owns the most of a request's targets answers for all of them.
+// There is no partition to route by. A T-hop halo around a node set would
+// let a worker hold a subgraph, but on the power-law graphs this repo
+// serves the radius-2 halo of half the nodes already covers 92–99.7% of the
+// rest, so every worker holds a plain core.Deployment over its own copy of
+// the whole graph and any worker can answer any request. The pieces:
 //
 //   - Worker wraps one core.Deployment over a clone of the graph plus a
 //     graph version counter behind a small call surface: Infer, a
@@ -23,16 +19,15 @@
 //     codec (wire.go) to worker processes (WorkerHandler, cmd/naiserve
 //     -shard-worker). Errors are classified — transient (retried with
 //     backoff), stale version (healed by delta-log replay), permanent — and
-//     a shard that stays unreachable surfaces as ErrUnavailable, which the
-//     serving layer maps to 503.
+//     a pool with no worker left to answer surfaces as ErrUnavailable,
+//     which the serving layer maps to 503.
 //
-//   - Router fronts the shards through a Transport: Infer makes one call to
-//     the majority owner — the whole request goes to the shard owning the
-//     most of its targets (ties to the lowest id) — and returns that
-//     shard's result as it is. ApplyDelta applies a graph.Delta to the
-//     router's graph (which validates it), appends a copy to one log all
-//     shards share, and ships it as a versioned ShardDelta to every
-//     worker, which applies it with
+//   - Router fronts the workers through a Transport: Infer sends the whole
+//     request to the next up worker in round-robin order, fails over to
+//     any other, and returns that worker's result as it is. ApplyDelta
+//     applies a graph.Delta to the router's graph (which validates it),
+//     appends a copy to one log every worker shares, and ships it as a
+//     versioned ShardDelta to every worker, which applies it with
 //     core.Deployment.ApplyDelta — so a worker's state equals the unsharded
 //     engine's by construction. A worker that missed deltas (crashed,
 //     restarted, partitioned) is caught up by replay of that log — on its
@@ -41,8 +36,12 @@
 //
 // The chosen worker runs the request's own batch over the whole graph at
 // the router's version, so predictions, depths, the depth histogram and
-// MACs equal the unsharded engine's. What sharding buys is concurrency
-// across workers and R-way replication, not a smaller batch.
+// MACs equal the unsharded engine's. What the pool buys is concurrency
+// across workers and availability — a request fails only when every worker
+// is down — not a smaller batch.
+//
+// Partition, Assignment, Strategy, Router.Sizes and ShardSize remain only
+// for the benchmark ladder, which still calls them.
 //
 // Concurrency contract: like core.Deployment, a Router is read-only during
 // Infer — any number of concurrent Infer calls is safe — while ApplyDelta
@@ -58,14 +57,23 @@ import (
 
 // Strategy selects how Partition assigns node ownership. StrategyBFS is the
 // only one.
+//
+// Deprecated: the router does not partition. Only the benchmark ladder
+// calls Partition; it goes with ROADMAP item 1(iv).
 type Strategy int
 
 // StrategyBFS grows each shard from a seed by breadth-first search under a
 // balance cap, keeping shards connected where the graph allows it.
+//
+// Deprecated: the router does not partition. Only the benchmark ladder
+// calls Partition; it goes with ROADMAP item 1(iv).
 const StrategyBFS Strategy = 0
 
 // Assignment is a P-way ownership map over a graph's nodes: every node is
 // owned by exactly one shard.
+//
+// Deprecated: the router does not partition. Only the benchmark ladder
+// calls Partition; it goes with ROADMAP item 1(iv).
 type Assignment struct {
 	// P is the number of shards.
 	P int
@@ -80,6 +88,9 @@ type Assignment struct {
 // of ceil(remaining/shards-left) nodes (re-seeding across disconnected
 // components), so shard sizes never differ by more than one. It is
 // deterministic; strat must be StrategyBFS.
+//
+// Deprecated: the router does not partition. Only the benchmark ladder
+// calls Partition; it goes with ROADMAP item 1(iv).
 func Partition(g *graph.Graph, p int, strat Strategy) (*Assignment, error) {
 	n := g.N()
 	if p < 1 || p > n {

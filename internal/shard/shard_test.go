@@ -60,6 +60,17 @@ func trainFixture(t *testing.T, ds *synth.Dataset, k int) *core.Model {
 	return m
 }
 
+// allUp reports whether every worker in a router's snapshot is up;
+// Info.Healthy asks only for one.
+func allUp(info core.Info) bool {
+	for _, st := range info.Shards {
+		if !st.Up {
+			return false
+		}
+	}
+	return len(info.Shards) > 0
+}
+
 // TestPartition checks the ownership invariants: every node owned exactly
 // once and shard sizes within one of each other.
 func TestPartition(t *testing.T) {

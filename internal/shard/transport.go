@@ -13,33 +13,31 @@ import (
 // against a worker's serving state goes through one of these three methods,
 // so the same routing, delta-log and failover logic serves workers
 // living in the router's address space (LocalTransport) or in separate
-// processes (HTTPTransport). It is flat: shardID indexes workers, and which
-// workers serve which shard is the router's layout (NewRouterGroups; with
-// one worker per shard the index is the shard id). Implementations must be
-// safe for concurrent callers — concurrent requests reach the same shard
-// and the health prober runs beside them.
+// processes (HTTPTransport). It is flat: shardID is a worker's index,
+// 0..Config.Shards−1. Implementations must be safe for concurrent callers —
+// concurrent requests reach the same worker and the health prober runs
+// beside them.
 //
-// Error contract: a *StaleError means the shard's graph version is behind
+// Error contract: a *StaleError means the worker's graph version is behind
 // the router's (the router replays its delta log and retries); an error for
 // which IsTransient reports true is a delivery failure worth retrying
 // (connection refused, timeout); anything else is a permanent failure of
 // the call itself. Calls must respect ctx — a dead worker turns into a
 // deadline error, never a hang.
 type Transport interface {
-	// Infer runs one inference batch of the shard's targets and returns the
-	// shard's Result.
+	// Infer runs one request's batch on a worker and returns its Result.
 	Infer(ctx context.Context, shardID int, req *InferRequest) (*core.Result, error)
 	// ApplyDelta applies one versioned delta. Deltas are
 	// idempotent by version: re-delivering an already-applied version is a
 	// successful no-op, which is what makes the router's replay safe.
 	ApplyDelta(ctx context.Context, shardID int, sd *ShardDelta) error
-	// Health probes one shard's liveness and reports its serving state.
+	// Health probes one worker's liveness and reports its serving state.
 	Health(ctx context.Context, shardID int) (HealthInfo, error)
 	// Close releases transport resources (idle connections, local workers).
 	Close() error
 }
 
-// InferRequest is one shard's inference call as it crosses the transport:
+// InferRequest is one worker inference call as it crosses the transport:
 // the targets, the operating point, and the router's graph version the
 // answer must be computed against.
 type InferRequest struct {
@@ -62,13 +60,8 @@ type InferRequest struct {
 	TraceID uint64
 }
 
-// HealthInfo is one shard's health-probe report.
+// HealthInfo is one worker's health-probe report.
 type HealthInfo struct {
-	// ShardID and Shards echo the worker's position in the partition; the
-	// router's handshake rejects a worker serving the wrong shard or a
-	// different partition width.
-	ShardID int
-	Shards  int
 	// Nodes is the worker graph's node count at its current version.
 	Nodes int
 	// GlobalNodes is the node count the worker bootstrapped from, checked
@@ -88,9 +81,9 @@ type HealthInfo struct {
 	Precision kernel.Precision
 }
 
-// ErrUnavailable marks a shard the router could not reach after retries —
-// the shard is down or unreachable, not the request invalid. The serving
-// layer maps it to HTTP 503 so a dead worker degrades into fast failures,
+// ErrUnavailable marks a request no worker could answer after retries —
+// every worker is down or unreachable, not the request invalid. The serving
+// layer maps it to HTTP 503 so a dead fleet degrades into fast failures,
 // never hangs.
 var ErrUnavailable = errors.New("shard unavailable")
 
@@ -153,16 +146,16 @@ func (e *precisionError) Error() string {
 	return fmt.Sprintf("shard %d: serves precision %s, request wants %s", e.shard, e.have, e.want)
 }
 
-// LocalTransport serves shards from Workers living in the router's own
-// address space — today's single-process sharding expressed through the
-// Transport API. Calls are direct method dispatch (no serialization), so
-// answers and costs are exactly the pre-transport router's; the bit-identity
-// equivalence suite pins that.
+// LocalTransport serves Workers living in the router's own address space —
+// today's single-process sharding expressed through the Transport API.
+// Calls are direct method dispatch (no serialization), so answers and costs
+// are exactly the pre-transport router's; the bit-identity equivalence
+// suite pins that.
 type LocalTransport struct {
 	workers []*Worker
 }
 
-// NewLocalTransport wraps in-process workers (index = shard id).
+// NewLocalTransport wraps in-process workers (index = worker index).
 func NewLocalTransport(workers []*Worker) *LocalTransport {
 	return &LocalTransport{workers: workers}
 }
@@ -172,7 +165,7 @@ func (t *LocalTransport) check(ctx context.Context, shardID int) error {
 		return err
 	}
 	if shardID < 0 || shardID >= len(t.workers) {
-		return &TransportError{Shard: shardID, Err: fmt.Errorf("no such shard (have %d)", len(t.workers))}
+		return &TransportError{Shard: shardID, Err: fmt.Errorf("no such worker (have %d)", len(t.workers))}
 	}
 	return nil
 }

@@ -27,8 +27,8 @@ func fastRetry(p int) Config {
 	return Config{Shards: p, Retries: 2, RetryBackoff: time.Millisecond}
 }
 
-// startWorkers builds one NewWorker per shard from a fresh clone of the
-// fixture graph and serves each over a loopback HTTP server, returning the
+// startWorkers builds p workers, each from a fresh clone of the fixture
+// graph, and serves each over a loopback HTTP server, returning the
 // transport dialing them. Cleanup closes the servers.
 func startWorkers(t *testing.T, p int) (*HTTPTransport, []*httptest.Server) {
 	return startWorkersAt(t, p, kernel.PrecisionF64)
@@ -91,14 +91,18 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouterTransportHandshake: a router dialing workers built for a
-// different partition must refuse to start.
+// TestRouterTransportHandshake: a router dialing workers bootstrapped from
+// a different graph must refuse to start — their answers would not be the
+// unsharded engine's.
 func TestRouterTransportHandshake(t *testing.T) {
 	ds, m := fixture(t)
-	tr, _ := startWorkers(t, 2) // workers partitioned for P=2
-	cfg := fastRetry(3)         // router expects P=3
-	if _, err := NewRouterTransport(m, ds.Graph.Clone(), cfg, tr); err == nil {
-		t.Fatal("mismatched partition width accepted")
+	tr, _ := startWorkers(t, 2) // workers over the fixture graph
+	g := ds.Graph.Clone()
+	if _, err := g.ApplyDelta(testDeltas(g, rand.New(rand.NewSource(99)))[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRouterTransport(m, g, fastRetry(2), tr); err == nil {
+		t.Fatal("workers bootstrapped from a different graph accepted")
 	}
 }
 
@@ -107,63 +111,59 @@ func TestRouterTransportHandshake(t *testing.T) {
 // external shard_test package, driven by the reusable internal/chaos
 // injector — which cannot be imported from this file (import cycle).
 
-// TestDeadShardFailsFast: with a worker killed, requests owned by its shard
-// (every request goes whole to the shard owning most of its targets) fail
-// quickly with ErrUnavailable (503 at the serving layer), the health
-// probe degrades the router, and fail-fast skips the dead shard without
-// re-paying dial timeouts.
+// TestDeadShardFailsFast: with one of two HTTP workers killed, every request
+// still succeeds on the live one, bit-equal to the unsharded deployment, and
+// the probe names the dead worker without degrading the router. With both
+// killed, requests fail quickly with ErrUnavailable (503 at the serving
+// layer), and once the prober runs they fail fast without re-paying dial
+// timeouts.
 func TestDeadShardFailsFast(t *testing.T) {
 	ds, m := fixture(t)
 	tr, servers := startWorkers(t, 2)
-	cfg := fastRetry(2)
-	rt, err := NewRouterTransport(m, ds.Graph.Clone(), cfg, tr)
+	rt, err := NewRouterTransport(m, ds.Graph.Clone(), fastRetry(2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-
-	asg, err := Partition(ds.Graph, 2, StrategyBFS)
+	dep, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers[1].Close() // kill one worker
 
+	servers[1].Close() // kill one worker
+	requireSameAnswers(t, "worker 1 dead", rt, dep, ds.Split.Test)
+	rt.Probe(context.Background())
+	if hs := rt.Describe(); !hs.Healthy() || !hs.Shards[0].Up || hs.Shards[1].Up || hs.Shards[1].Err == "" {
+		t.Fatalf("worker rows %+v, want a healthy router with worker 1 down and its error named", hs.Shards)
+	}
+
+	servers[0].Close() // and the other
 	opt := core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: 1}
 	start := time.Now()
-	_, err = rt.Infer(asg.Owned[1], opt) // every target owned by the dead shard
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("dead shard: got %v, want ErrUnavailable", err)
+	if _, err := rt.Infer(ds.Split.Test, opt); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("every worker dead: got %v, want ErrUnavailable", err)
 	}
 	if e := time.Since(start); e > 10*time.Second {
-		t.Fatalf("dead shard took %v to fail (hang?)", e)
+		t.Fatalf("a dead pool took %v to fail (hang?)", e)
 	}
 
-	// Probe degrades the router's health; with probing active the dead
-	// shard fails fast instead of re-dialing.
+	// With probing active, a pool with no worker up fails fast instead of
+	// re-dialing.
 	rt.StartHealthProbe(time.Hour) // activates fail-fast; sweeps run manually below
 	rt.Probe(context.Background())
 	if rt.Describe().Healthy() {
-		t.Fatal("router healthy with a dead worker")
-	}
-	hs := rt.Describe().Shards
-	if hs[0].Up != true || hs[1].Up != false || hs[1].Err == "" {
-		t.Fatalf("shard health %+v, want shard 1 down with an error", hs)
+		t.Fatal("router healthy with every worker dead")
 	}
 	start = time.Now()
-	if _, err := rt.Infer(asg.Owned[1], opt); !errors.Is(err, ErrUnavailable) {
+	if _, err := rt.Infer(ds.Split.Test, opt); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("fail-fast: got %v, want ErrUnavailable", err)
 	}
 	if e := time.Since(start); e > time.Second {
 		t.Fatalf("fail-fast took %v", e)
 	}
-
-	// Targets owned entirely by the live shard keep being served.
-	if _, err := rt.Infer(asg.Owned[0], opt); err != nil {
-		t.Fatalf("live shard refused while peer down: %v", err)
-	}
 }
 
-// serveWorkerAt bootstraps one shard worker and serves it on addr over a real
+// serveWorkerAt bootstraps one worker and serves it on addr over a real
 // socket ("" picks a free port; listenAt).
 func serveWorkerAt(t *testing.T, m *core.Model, g *graph.Graph, addr string, cfg Config, shardID int) (*http.Server, string) {
 	t.Helper()
@@ -249,15 +249,15 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	}
 	rt.StartHealthProbe(time.Hour)
 	rt.Probe(context.Background())
-	if rt.Describe().Healthy() {
-		t.Fatal("router healthy with worker 0 dead")
+	if rt.Describe().Shards[0].Up {
+		t.Fatal("worker 0 reported up while dead")
 	}
 
 	// Restart worker 0 on the same address: fresh bootstrap, version 1.
 	srv0b, _ := serveWorker(addr0)
 	defer srv0b.Close()
 	rt.Probe(context.Background()) // finds it behind, replays deltas 0–2
-	if !rt.Describe().Healthy() {
+	if !allUp(rt.Describe()) {
 		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
 
@@ -335,9 +335,10 @@ func TestHostileDeltaRejected(t *testing.T) {
 
 // TestProbeRejectsMismatchedWorker: the probe's re-admission path must run
 // the same validation as the startup handshake — a worker restarted on the
-// same address with different flags (here: wrong precision tier, wrong
-// shard id) must stay down, not silently rejoin and serve non-bit-identical
-// answers; a correctly restarted worker then rejoins as usual.
+// same address with different flags (here: wrong precision tier, a
+// different graph) must stay down, not silently rejoin and serve
+// non-bit-identical answers; a correctly restarted worker then rejoins as
+// usual.
 func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	ds, m := fixture(t)
 	const p = 2
@@ -363,8 +364,8 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 
 	srv0.Close()
 	rt.Probe(context.Background())
-	if rt.Describe().Healthy() {
-		t.Fatal("router healthy with worker 0 dead")
+	if rt.Describe().Shards[0].Up {
+		t.Fatal("worker 0 reported up while dead")
 	}
 
 	// An impostor at the wrong precision tier on the right address: the
@@ -376,11 +377,16 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	}
 	imp.Close()
 
-	// The wrong shard on the right address: same refusal.
-	imp, _ = serveAt(addr0, Config{Shards: p}, 1)
+	// A worker bootstrapped from a different graph on the right address:
+	// same refusal.
+	other := ds.Graph.Clone()
+	if _, err := other.ApplyDelta(testDeltas(other, rand.New(rand.NewSource(99)))[2]); err != nil {
+		t.Fatal(err)
+	}
+	imp, _ = serveWorkerAt(t, m, other, addr0, Config{}, 0)
 	rt.Probe(context.Background())
-	if hs := rt.Describe().Shards; hs[0].Up {
-		t.Fatalf("wrong-shard worker re-admitted: %+v", hs[0])
+	if hs := rt.Describe().Shards; hs[0].Up || hs[0].Err == "" {
+		t.Fatalf("other-graph worker re-admitted: %+v", hs[0])
 	}
 	imp.Close()
 
@@ -388,7 +394,7 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	srv0b, _ := serveAt(addr0, Config{Shards: p}, 0)
 	defer srv0b.Close()
 	rt.Probe(context.Background())
-	if !rt.Describe().Healthy() {
+	if !allUp(rt.Describe()) {
 		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
 	requireSameAnswers(t, "after mismatch recovery", rt, dep, ds.Split.Test)
@@ -433,7 +439,7 @@ func TestProbeDeltaRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	rt.Probe(context.Background())
-	if !rt.Describe().Healthy() {
-		t.Fatalf("router unhealthy after concurrent probes: %+v", rt.Describe().Shards)
+	if !allUp(rt.Describe()) {
+		t.Fatalf("a worker is down after concurrent probes: %+v", rt.Describe().Shards)
 	}
 }

@@ -37,9 +37,11 @@ const wireMagic = "NAIW"
 // msgDelta the version plus the graph delta itself (workers hold the whole
 // graph) and dropped the halo radius from msgHealth; version 8 renumbered
 // the span stages after fanout in msgResult when the router's merge stage
-// went. A peer speaking an older version is rejected at decode, which is
-// the right failure for a router and worker that disagree on the format.
-const wireVersion = 8
+// went; version 9 dropped the shard id and partition width from msgHealth
+// when the router stopped partitioning. A peer speaking an older version is
+// rejected at decode, which is the right failure for a router and worker
+// that disagree on the format.
+const wireVersion = 9
 
 // message types
 const (
@@ -370,8 +372,6 @@ func decodeShardDelta(b []byte) (*ShardDelta, error) {
 
 func encodeHealthInfo(h HealthInfo) []byte {
 	b := appendHeader(nil, msgHealth)
-	b = appendInt(b, h.ShardID)
-	b = appendInt(b, h.Shards)
 	b = appendInt(b, h.Nodes)
 	b = appendInt(b, h.GlobalNodes)
 	b = appendUint(b, h.Version)
@@ -391,13 +391,7 @@ func decodeHealthInfo(b []byte) (HealthInfo, error) {
 		return HealthInfo{}, err
 	}
 	d := &dec{b: p}
-	h := HealthInfo{
-		ShardID:     d.int(),
-		Shards:      d.int(),
-		Nodes:       d.int(),
-		GlobalNodes: d.int(),
-	}
-	h.Version = d.uint()
+	h := HealthInfo{Nodes: d.int(), GlobalNodes: d.int(), Version: d.uint()}
 	h.ScratchBytes = d.int()
 	h.Hop1 = core.Hop1Stats{FromMemo: d.uint(), Computed: d.uint(), Invalidated: d.uint(),
 		Entries: d.int(), Capacity: d.int(), Bytes: d.int()}

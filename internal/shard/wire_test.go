@@ -100,7 +100,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("bare ShardDelta: %+v != %+v", gotBare, bare)
 	}
 
-	h := HealthInfo{ShardID: 1, Shards: 4, Nodes: 100, GlobalNodes: 300,
+	h := HealthInfo{Nodes: 100, GlobalNodes: 300,
 		Version: 17, ScratchBytes: 1 << 20, Precision: kernel.PrecisionF32,
 		Hop1: core.Hop1Stats{FromMemo: 1 << 40, Computed: 7, Invalidated: 3, Entries: 99, Capacity: 100, Bytes: 100 * 132}}
 	gotH, err := decodeHealthInfo(encodeHealthInfo(h))
@@ -299,6 +299,31 @@ func TestWireRejectsV7Frame(t *testing.T) {
 	}
 }
 
+// TestWireRejectsV8Frame: a version-8 msgHealth frame leads with the
+// worker's shard id and partition width, two integers version 9 dropped.
+// Read as version 9 they would shift every field, so the frame must fail
+// on the version byte; the same fields without them decode at version 9.
+func TestWireRejectsV8Frame(t *testing.T) {
+	h := append([]byte(wireMagic), 8, msgHealth)
+	h = appendInt(h, 1) // v8: shard id
+	h = appendInt(h, 2) // v8: partition width
+	fields := func(b []byte) []byte {
+		b = appendInt(b, 100) // nodes
+		b = appendInt(b, 100) // global nodes
+		b = appendUint(b, 1)  // version
+		for i := 0; i < 8; i++ {
+			b = appendInt(b, 0) // scratch, six layer counters, precision
+		}
+		return b
+	}
+	h = fields(h)
+	requireVersionRejected(t, 8, func() error { _, err := decodeHealthInfo(h); return err })
+	if got, err := decodeHealthInfo(fields(appendHeader(nil, msgHealth))); err != nil ||
+		got.Nodes != 100 || got.GlobalNodes != 100 || got.Version != 1 {
+		t.Fatalf("same fields at v%d: %+v, %v", wireVersion, got, err)
+	}
+}
+
 // requireVersionRejected asserts that decode fails on a frame's format
 // version v, naming the version this build speaks.
 func requireVersionRejected(t *testing.T, v int, decode func() error) {
@@ -316,8 +341,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeResult(&core.Result{Pred: []int{1}, Depths: []int{2}, NumTargets: 1},
 		[]obs.Span{{Stage: obs.StageBFS, Dur: time.Millisecond}}))
 	f.Add(encodeShardDelta(&ShardDelta{Version: 2, Delta: graph.Delta{Src: []int{0}, Dst: []int{1}}}))
-	f.Add(encodeHealthInfo(HealthInfo{ShardID: 1, Shards: 2, Version: 1}))
-	f.Add(encodeHealthInfo(HealthInfo{ShardID: 1, Shards: 2, Version: 9, Precision: kernel.PrecisionInt8,
+	f.Add(encodeHealthInfo(HealthInfo{Nodes: 2, GlobalNodes: 2, Version: 1}))
+	f.Add(encodeHealthInfo(HealthInfo{Nodes: 5, GlobalNodes: 4, Version: 9, Precision: kernel.PrecisionInt8,
 		Hop1: core.Hop1Stats{FromMemo: 1 << 33, Computed: 5, Invalidated: 2, Entries: 3, Capacity: 4, Bytes: 4 * 68}}))
 	f.Add(encodeWireError(errKindStale, 1, 2, "x"))
 	f.Add(encodeAck())

@@ -11,11 +11,10 @@ import (
 	"repro/internal/kernel"
 )
 
-// Worker is one shard's serving state behind the Transport boundary: a
-// core.Deployment over its own copy of the whole graph. It is the
-// process-side half of distributed sharding — the router keeps the
-// ownership map and the delta log, the worker holds the bulky hot-path
-// state (features, the adjacency with its degree factors, the engine's
+// Worker is one pool member's serving state behind the Transport boundary:
+// a core.Deployment over its own copy of the whole graph. It is the
+// process-side half of distributed sharding — the router keeps the delta
+// log, the worker holds the bulky hot-path state (features, the adjacency with its degree factors, the engine's
 // layers and propagation scratch). A worker is built either in the router's
 // process (LocalTransport) or by a separate `naiserve -shard-worker`
 // process serving the wire protocol (HTTPTransport).
@@ -29,9 +28,10 @@ import (
 // Concurrency: Infer calls run under a read lock (any number concurrently,
 // matching core.Deployment), ApplyDelta under the write lock.
 type Worker struct {
-	mu      sync.RWMutex
-	shardID int
-	shards  int
+	mu sync.RWMutex
+	// id labels the worker in its errors and its nai_shard_id gauge; routing
+	// never reads it.
+	id int
 	// globalN is the graph's node count at bootstrap (handshake check).
 	globalN int
 	prec    kernel.Precision
@@ -44,24 +44,21 @@ type Worker struct {
 	draining atomic.Bool
 }
 
-// NewWorker bootstraps shard shardID of cfg.Shards: a deployment over a
-// clone of g at cfg.Precision, so a worker process launched with the
-// router's model and graph holds bit-identical state without any bulk state
-// transfer. g itself is not retained. The worker starts at graph version 1,
-// matching a fresh router.
-func NewWorker(m *core.Model, g *graph.Graph, cfg Config, shardID int) (*Worker, error) {
+// NewWorker bootstraps a worker labelled id: a deployment over a clone of g
+// at cfg.Precision, so a worker process launched with the router's model and
+// graph holds bit-identical state without any bulk state transfer. g itself
+// is not retained. The worker starts at graph version 1, matching a fresh
+// router.
+func NewWorker(m *core.Model, g *graph.Graph, cfg Config, id int) (*Worker, error) {
 	if err := cfg.check(m, g); err != nil {
 		return nil, err
-	}
-	if shardID < 0 || shardID >= cfg.Shards {
-		return nil, fmt.Errorf("shard: worker id %d outside [0,%d)", shardID, cfg.Shards)
 	}
 	dep, err := core.NewDeployment(m, g.Clone())
 	if err != nil {
 		return nil, err
 	}
 	dep.SetPrecision(cfg.Precision)
-	return &Worker{shardID: shardID, shards: cfg.Shards, globalN: g.N(),
+	return &Worker{id: id, globalN: g.N(),
 		prec: cfg.Precision, dep: dep, version: 1}, nil
 }
 
@@ -81,12 +78,12 @@ func (w *Worker) InferContext(ctx context.Context, req *InferRequest) (*core.Res
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if req.Version != 0 && w.version != req.Version {
-		return nil, &StaleError{Shard: w.shardID, Have: w.version, Want: req.Version}
+		return nil, &StaleError{Shard: w.id, Have: w.version, Want: req.Version}
 	}
 	if req.Precision != w.prec {
 		// The handshake rejects tier mismatches up front; this catches a
 		// request racing a reconfiguration (it cannot be healed by replay).
-		return nil, &precisionError{shard: w.shardID, have: w.prec, want: req.Precision}
+		return nil, &precisionError{shard: w.id, have: w.prec, want: req.Precision}
 	}
 	return w.dep.InferContext(ctx, req.Targets, req.Opt)
 }
@@ -105,10 +102,10 @@ func (w *Worker) ApplyDelta(sd *ShardDelta) error {
 	case sd.Version <= w.version:
 		return nil // replay of an already-applied delta
 	case sd.Version != w.version+1:
-		return &StaleError{Shard: w.shardID, Have: w.version, Want: sd.Version - 1}
+		return &StaleError{Shard: w.id, Have: w.version, Want: sd.Version - 1}
 	}
 	if _, err := w.dep.ApplyDelta(sd.Delta); err != nil {
-		return fmt.Errorf("shard %d: %w", w.shardID, err)
+		return fmt.Errorf("shard %d: %w", w.id, err)
 	}
 	w.version = sd.Version
 	return nil
@@ -130,8 +127,6 @@ func (w *Worker) Health() HealthInfo {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return HealthInfo{
-		ShardID:      w.shardID,
-		Shards:       w.shards,
 		Nodes:        w.dep.Graph.N(),
 		GlobalNodes:  w.globalN,
 		Version:      w.version,
@@ -144,7 +139,7 @@ func (w *Worker) Health() HealthInfo {
 // ShardDelta is one graph delta as the router ships it to every worker: the
 // router's graph version it produces and the delta itself, in global ids.
 // It is the unit the wire codec serializes and the router's replay log
-// stores; every shard gets the same one.
+// stores; every worker gets the same one.
 type ShardDelta struct {
 	// Version is the router graph version this delta produces; the worker
 	// applies it only at Version−1 (idempotent replay otherwise).
