@@ -7,7 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// TestParseMode: every mode name parses, and a typo or a -ts-quantile outside
+// TestParseMode: naiinfer checks its -mode and -ts-quantile flags with
+// core.ParseMode: every mode name parses, and a typo or a -ts-quantile outside
 // [0, 1] is an error before any training runs.
 func TestParseMode(t *testing.T) {
 	for _, c := range []struct {
@@ -26,9 +27,9 @@ func TestParseMode(t *testing.T) {
 		{"distance", 1.5, 0, false},
 		{"distance", math.NaN(), 0, false},
 	} {
-		got, err := parseMode(c.name, c.q)
+		got, err := core.ParseMode(c.name, c.q)
 		if (err == nil) != c.ok || (c.ok && got != c.want) {
-			t.Errorf("parseMode(%q, %v) = %v, %v; want %v, ok %v", c.name, c.q, got, err, c.want, c.ok)
+			t.Errorf("core.ParseMode(%q, %v) = %v, %v; want %v, ok %v", c.name, c.q, got, err, c.want, c.ok)
 		}
 	}
 }
