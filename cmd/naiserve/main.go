@@ -49,8 +49,9 @@
 // workers), finishes in-flight work within -drain-timeout, then exits.
 //
 // With -precision {f64,f32,int8} propagation runs at a relaxed precision
-// tier: f32 halves the propagation bandwidth, int8 quantizes it (symmetric
-// per-tensor, int32 accumulation). f64 stays the bit-pinned default; the
+// tier: f32 halves the propagation bandwidth, int8 is f32 over features
+// stored as int8 with one symmetric scale per row (a quarter of f32's copy;
+// only hop 1 reads them). f64 stays the bit-pinned default; the
 // int8 tier's accuracy delta is benchmark/'s core.int8_top1_agree_share, and
 // what each tier must keep is pinned by the precision-equivalence suites
 // (internal/{core,shard,serve}/precision_test.go). The whole fleet serves one
@@ -138,7 +139,7 @@ func main() {
 	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request deadline when the client sends no X-Deadline-Ms (0 disables)")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on client-requested X-Deadline-Ms deadlines (0 = no cap)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant quotas in targets/sec, e.g. 'free=100:200,paid=1000:2000:4,*=50' (tenant=rate[:burst[:weight]]; empty admits all)")
-	precision := flag.String("precision", "f64", "propagation precision tier: f64 (bit-pinned reference), f32, int8 (quantized; accuracy delta: benchmark/'s core.int8_top1_agree_share). Router and workers must agree — a mismatch is rejected at handshake")
+	precision := flag.String("precision", "f64", "propagation precision tier: f64 (bit-pinned reference), f32, int8 (f32 over features quantized per row; accuracy delta: benchmark/'s core.int8_top1_agree_share). Router and workers must agree — a mismatch is rejected at handshake")
 	shedMode := flag.Bool("shed-mode", false, "degraded mode: when overloaded, serve cache hits and fixed-depth work, shed adaptive cache misses with 429")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "HTTP server write timeout")

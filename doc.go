@@ -17,9 +17,9 @@
 // hop, gate decision and classification runs on |S|×f matrices over the
 // batch's supporting ball S, so the scratch one in-flight batch retains is
 // O((TMax−h)·|S|·f) with S the radius-(TMax−h−1) ball — hops 1..h are a layer
-// the deployment keeps on every graph (X^(h), h = max(1, TMax−2), and h = 1 at
-// the int8 tier: one more block of the feature matrix's shape per operating
-// depth served, filled on first use and read in place) — and per-batch memory
+// the deployment keeps on every graph (X^(h), h = max(1, TMax−2) at every
+// tier: one more block of the feature matrix's shape per operating depth
+// served, filled on first use and read in place) — and per-batch memory
 // follows the supporting set, not the serving graph: any number of
 // concurrent callers can share a very large graph. Propagation uses
 // parallel, nnz-balanced sparse kernels (internal/sparse, internal/par). Reported MACs still follow the paper's

@@ -144,7 +144,7 @@ func fixedDepthInfer(g *graph.Graph, adj *sparse.Normalized, k int, targets []in
 			rows := graph.Ball(g.Adj, batch, k-l)
 			feats[l] = mat.New(g.N(), f)
 			fpStart := time.Now()
-			res.MACs.Propagation += sparse.MulNormalizedRowsInto(adj, rows, rows, nil, 0, feats[l-1].Data, f, 1, feats[l].Data)
+			res.MACs.Propagation += sparse.MulNormalizedRowsInto(adj, rows, rows, nil, feats[l-1].Data, nil, f, feats[l].Data)
 			fpTime += time.Since(fpStart)
 		}
 		stack := make([]*mat.Matrix, k+1)

@@ -142,7 +142,7 @@ func (m *NOSMOG) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
 		fpStart := time.Now()
 		posAgg := mat.New(g.N(), d)
 		rows := dedupRows(batch)
-		fpMACs := sparse.MulNormalizedRowsInto(norm, rows, rows, nil, 0, posTable.Data, d, 1, posAgg.Data)
+		fpMACs := sparse.MulNormalizedRowsInto(norm, rows, rows, nil, posTable.Data, nil, d, posAgg.Data)
 		fpTime := time.Since(fpStart)
 		x := mat.ConcatCols(g.Features.GatherRows(batch), posAgg.GatherRows(batch))
 		pred := m.Student.Predict(x)

@@ -35,8 +35,8 @@ func (d *Deployment) ApplyDelta(delta graph.Delta) (*graph.DeltaResult, error) {
 	// recomputed — O(|valDirty|), nothing is copied. The active tier then
 	// re-derives its dense operand (the feature matrix may have grown), and
 	// each of its layers extends to the appended nodes and drops the rows
-	// the patch made stale: at f64 and f32 those of a depth-h layer within
-	// h−1 hops of valDirty (valDirty itself for X^(1)), at int8 all of them.
+	// the patch made stale: those of a depth-h layer within h−1 hops of
+	// valDirty (valDirty itself for X^(1)), and every hub row.
 	valDirty := graph.Ball(d.Graph.Adj, dr.Dirty, 1)
 	d.Adj.Patch(d.Graph.Adj, d.stationary.LoopedDeg, valDirty)
 	d.eng.patched(valDirty)

@@ -158,13 +158,12 @@ func (r *Result) merge(o *Result) {
 // the cached state is read-only during inference, so Infer is safe for
 // concurrent callers; the one thing Infer writes on the deployment is its
 // layers (hopLayer): X^(h) for the depth h = max(1, TMax−2) of each operating
-// point served (h = 1 at int8), a row per node in one block of the feature
-// matrix's shape, allocated on the first read at that depth, filled on first
-// use and read in place by hop h+1, and past TMax 2 at f64 and f32 the hubs'
-// rows of X^(h+1), which hop h+1 copies instead of computing — through
-// lock-free publish-once slots that deltas empty and extend and Refresh
-// clears. Answers and MACs are bit-identical to propagating hops 1..h+1 per
-// batch.
+// point served, a row per node in one block of the feature matrix's shape,
+// allocated on the first read at that depth, filled on first use and read in
+// place by hop h+1, and past TMax 2 the hubs' rows of X^(h+1), which hop h+1
+// copies instead of computing — through lock-free publish-once slots that
+// deltas empty and extend and Refresh clears. Answers and MACs are
+// bit-identical to propagating hops 1..h+1 per batch.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
 // instantiated at the tier's element type. What pins the default f64 tier to
@@ -244,7 +243,7 @@ func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
 	f := d.Graph.F()
 	uniq := sortedUnique(nodes, nil)
 	x := make([]float64, len(uniq)*f)
-	propagate(d.Adj, 0, operand[float64]{x: d.Graph.Features.Data}, uniq, nil, l, f, x, &hopScratch[float64]{})
+	propagate(d.Adj, operand[float64]{x: d.Graph.Features.Data}, uniq, nil, l, f, x, &hopScratch[float64]{})
 	at := make([]int, len(nodes))
 	for i, v := range nodes {
 		at[i] = sort.SearchInts(uniq, v)
@@ -296,13 +295,13 @@ func subtractSorted(dst, a, b []int) []int {
 // fills layer rows also holds their hops below h, and their balls, over the
 // rows' balls, for the fill (hopScratch). Peak memory therefore scales with
 // concurrently executing batches × their balls, not with the serving graph.
-// All ball-sized buffers — the slab, the row lists, the int8 tier's
-// quantized activations (growScratch), the BFSes' rings and balls
-// (rings.shrink), the fill's hops (hopScratch.shrink) and the decide/classify
-// arena (arena.shrink) — follow one retention policy (oversized): they grow
-// geometrically across pool hits and drop back to current need when a past
-// batch left them more than 4× oversized, so one huge request does not pin
-// worst-case capacity forever, at any tier.
+// All ball-sized buffers — the slab and the row lists (growScratch), the BFSes'
+// rings and balls (rings.shrink), the fill's hops (hopScratch.shrink) and the
+// decide/classify arena (arena.shrink) — follow one retention policy
+// (oversized): they grow geometrically across pool hits and drop back to
+// current need when a past batch left them more than 4× oversized, so one huge
+// request does not pin worst-case capacity forever. Every tier holds the same
+// buffers, at its element type.
 type inferScratch[T float64 | float32] struct {
 	// hopScratch holds a fill's hops below the layer's depth (propagate); its
 	// set is also the bitset of the batch's own BFSes.
@@ -336,8 +335,7 @@ type inferScratch[T float64 | float32] struct {
 	// ((l−1)·len(uniq) + k)·f. lowAt[i] is targets[i]'s k.
 	uniq, lowAt []int
 	low         []T
-	// toLocal maps global node ids into S; −1 outside (the int8 tier also
-	// gives the ring the places behind S). All −1 between batches
+	// toLocal maps global node ids into S; −1 outside. All −1 between batches
 	// (IndexSet/ResetIndex pairs keep the invariant).
 	toLocal []int32
 	// rm marks batch-local target indices during removeIndices.
@@ -345,8 +343,6 @@ type inferScratch[T float64 | float32] struct {
 	// ring is the outer ring of the batch's radius-(TMax−h) ball, in bfs: the
 	// nodes whose layer rows hop h+1 reads but no hop of the batch writes.
 	ring []int
-	// x8 holds the int8 tier's quantized input activations of one hop.
-	x8 []int8
 	// localRows holds one hop's propagation row list in local coordinates.
 	localRows []int
 	// tloc[i] is the local index of targets[i] in S.
@@ -487,7 +483,7 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 // it to prove per-batch memory scales with |S|, not n).
 func (sc *inferScratch[T]) bytes() int {
 	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.set) + capBytes(sc.rm) +
-		capBytes(sc.x8) + capBytes(sc.localRows) + capBytes(sc.tloc) +
+		capBytes(sc.localRows) + capBytes(sc.tloc) +
 		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
 		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
 		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) + capBytes(sc.rest) + capBytes(sc.compute) +
@@ -603,7 +599,10 @@ func (t *tier[T]) scratchBytes() int {
 // batch instead of full-graph n×f ones, with a global→local remap bridging
 // the two. Propagation runs at the tier's element type T; stationary rows,
 // exit decisions, combination and classifiers are float64 at every tier, so
-// a relaxed tier's drift is confined to the propagated features.
+// a relaxed tier's drift is confined to the propagated features. The int8
+// tier differs only in hop 1's operand (precision.go), which the loop does not
+// see: every row it computes is a function of the graph and the features, so
+// a target's answer is the same whatever batch it is served in.
 //
 // Hops 1..h are not hops of the batch: X^(h) is the deployment's layer
 // (hopLayer, h = layerDepth(TMax)), whose block hop h+1 gathers from as hop 1
@@ -612,19 +611,16 @@ func (t *tier[T]) scratchBytes() int {
 // starts at hop h+1. Below h the batch needs only its targets' own rows, for
 // their exits and classifiers, and computes them from X^(0). One BFS per exit
 // wave serves every depth up to h: Algorithm 1's books for hops l..h, S and the
-// ring around it are all read off its rings. At h = 1, every TMax ≤ 3 and the
-// int8 tier, there is nothing below h.
+// ring around it are all read off its rings. At h = 1, every TMax ≤ 3, there is
+// nothing below h.
 //
 // Past h, the hops run in demand order: a hop l < TMax that decides first
 // computes only its active targets' rows, which its wave reads, then the
 // survivors' BFS runs to radius TMax−l — the ball hop l+1 reads, and every
 // later hop's rows and books — and only then does hop l compute the rest of
-// that ball. Exited targets' balls are never propagated. At int8 the next
-// hop's activation scale is a max over every row the seed's hop l wrote, its
-// pre-wave ball, so there the first step covers that ball and the rest is
-// empty: the same loop. Hop h+1 < TMax at f64 and f32 copies the hubs' rows it
-// finds resident in the tier's hub layer (hopLayer) into the slab instead of
-// computing them, and publishes the ones it computes.
+// that ball. Exited targets' balls are never propagated. Hop h+1 < TMax copies
+// the hubs' rows it finds resident in the tier's hub layer (hopLayer) into the
+// slab instead of computing them, and publishes the ones it computes.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -653,23 +649,17 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		active[i] = i
 	}
 
-	h := t.layerDepth(opt.TMax)
+	h := layerDepth(opt.TMax)
 	lay := t.layer(h)
 	sc.h, sc.xh, sc.targets, sc.f = h, lay.block, targets, g.F()
 	// cur is the latest BFS, around the targets still active: its sorted
 	// balls[r] is their radius-r ball, for the hops still to run — hop l's rows
 	// are the ball of radius TMax−l, and balls[0] is the active targets. support
-	// is S, indexed from depth h on; live lists the nodes whose rows the
-	// previous hop left for the next one to read: the layer's whole ball, then
-	// each hop's own.
+	// is S, indexed from depth h on.
 	var cur *rings
 	var support []int
-	var live [2][]int
 	defer func() {
 		graph.ResetIndex(support, sc.toLocal)
-		if t.int8() && support != nil {
-			graph.ResetIndex(sc.ring, sc.toLocal)
-		}
 		sc.xh, sc.targets, sc.ring = nil, nil, nil
 	}()
 	if h > 1 {
@@ -743,10 +733,10 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	// Hops past h propagate inside S: their rows stay one ring inside the ball
 	// the previous hop covered, so every neighbor has a row to read — hop h+1's
 	// in the layer, by node id, later ones' in the slab through toLocal. Hop
-	// h+1 < TMax at f64 and f32 also reads and fills the hub layer.
+	// h+1 < TMax also reads and fills the hub layer.
 	var in operand[T]
 	var colMap []int32
-	hubs := !t.int8() && h+1 < opt.TMax
+	hubs := h+1 < opt.TMax
 	product := func(l int, rows []int) {
 		out := sc.hop(l)
 		var hub *hopLayer[T]
@@ -756,7 +746,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			rows = sc.compute
 		}
 		sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-		mulRows(d.Adj, t.adjScale, in, rows, sc.localRows, colMap, sc.f, out)
+		mulRows(d.Adj, in, rows, sc.localRows, colMap, sc.f, out)
 		if hub != nil {
 			hub.publishHubs(sc.claimed, sc.toLocal, out)
 		}
@@ -777,17 +767,8 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			if opt.TMax > h {
 				sc.ring = sc.bfs.ring(len(cur.balls))
 			}
-			live = [2][]int{support, sc.ring}
 			sc.s = len(support)
 			graph.IndexSet(support, sc.toLocal)
-			if t.int8() {
-				// Its first hop's operand is a quantized copy of the whole
-				// ball's layer rows (quantizeActivations): the ring's go behind
-				// S's.
-				for k, v := range sc.ring {
-					sc.toLocal[v] = int32(sc.s + k)
-				}
-			}
 			sc.slab = growScratch(sc.slab, (opt.TMax-h)*sc.s*sc.f)
 			sc.tloc = growScratch(sc.tloc, len(targets))
 			for i, v := range targets {
@@ -809,7 +790,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		switch {
 		case l < h:
 			// The targets' own depth-l rows.
-			propagate(d.Adj, t.adjScale, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
+			propagate(d.Adj, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
 		case l == h:
 			// The layer's rows this batch reads: S and the ring around it, or
 			// at TMax = h — S is the targets, and no hop gathers — S alone.
@@ -819,16 +800,11 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			if l > h+1 {
 				in.x, colMap = sc.hop(l-1), sc.toLocal
 			}
-			if t.int8() {
-				in.qx, in.deq = t.quantizeActivations(in.x, colMap, sc, live[:]...)
-				colMap = sc.toLocal
-			}
 			first = rowsAt(l)
-			if decides(l) && !t.int8() {
+			if decides(l) {
 				first = cur.balls[0] // what the wave reads
 			}
 			product(l, first)
-			live = [2][]int{first}
 		}
 		mark = stageEnd(tr, obs.StagePropagate, l, mark)
 		fpTime += mark.Sub(fpStart)
@@ -845,7 +821,6 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			ball := rowsAt(l)
 			sc.rest = subtractSorted(growScratch(sc.rest, len(ball)), ball, first)
 			product(l, sc.rest)
-			live[1] = sc.rest
 			mark = stageEnd(tr, obs.StagePropagate, l, mark)
 			fpTime += mark.Sub(fpStart)
 		}

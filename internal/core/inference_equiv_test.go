@@ -34,18 +34,16 @@ func seedInfer(d *Deployment, targets []int, opt InferenceOptions) *Result {
 }
 
 // seedOperands is what the seed deployment held at a tier: Â as a matrix,
-// normalized from the graph alone, its values lowered once — to the slab's
-// element type, or at int8 quantized at one per-tensor scale — and X^(0)
-// likewise.
+// normalized from the graph alone, its values lowered once to the slab's
+// element type, and X^(0) likewise — or at int8 quantized row by row, each row
+// at its own symmetric scale, which hop 1 reads as float32(q) through a second
+// lowering of Â, every value multiplied by its column's row scale before it is
+// rounded.
 type seedOperands[T float64 | float32] struct {
-	int8  bool
 	adj   *sparse.CSR
-	vals  []T    // Â's values at T (float tiers)
-	qadj  []int8 // Â's values quantized at adjScale (int8)
-	qx0   []int8 // X^(0) quantized at x0Scale (int8)
-	feats [][]T  // feats[l] is X^(l), n×f; feats[0] unused at int8
-
-	adjScale, x0Scale float64
+	vals  []T   // Â's values at T
+	vals1 []T   // hop 1's: vals, or at int8 the values with the scales folded in
+	feats [][]T // feats[l] is X^(l), n×f; feats[0] is float32(q) at int8
 }
 
 func seedInferAt[T float64 | float32](d *Deployment, targets []int, opt InferenceOptions) *Result {
@@ -59,15 +57,22 @@ func seedInferAt[T float64 | float32](d *Deployment, targets []int, opt Inferenc
 	}
 	g := d.Graph
 	so := &seedOperands[T]{
-		int8:  d.Precision() == kernel.PrecisionInt8,
 		adj:   sparse.NormalizedAdjacency(g.Adj, d.Model.Gamma),
 		feats: make([][]T, opt.TMax+1),
 	}
-	if so.int8 {
-		so.qadj, so.adjScale = kernel.Quantize(so.adj.Val)
-		so.qx0, so.x0Scale = kernel.Quantize(g.Features.Data)
-	} else {
-		so.vals, so.feats[0] = lowered[T](so.adj.Val), lowered[T](g.Features.Data)
+	so.vals, so.vals1, so.feats[0] = lowered[T](so.adj.Val, nil), lowered[T](so.adj.Val, nil), lowered[T](g.Features.Data, nil)
+	if d.Precision() == kernel.PrecisionInt8 {
+		scales := make([]float64, g.N())
+		for i := range scales {
+			q, scale := kernel.Quantize(g.Features.Row(i))
+			scales[i] = scale
+			for j, v := range q {
+				so.feats[0][i*g.F()+j] = T(v)
+			}
+		}
+		for p, c := range so.adj.Col {
+			so.vals1[p] = T(so.adj.Val[p] * scales[c])
+		}
 	}
 	for l := 1; l <= opt.TMax; l++ {
 		so.feats[l] = make([]T, g.N()*g.F())
@@ -79,28 +84,13 @@ func seedInferAt[T float64 | float32](d *Deployment, targets []int, opt Inferenc
 }
 
 // propagate is hop l of the seed engine over rows: X^(l)[rows] = (Â·X^(l−1))[rows]
-// at the tier. The int8 tier quantizes its input first, at one scale over the
-// rows the previous hop's ball wrote (prevRows; X^(0) has its own, over the
-// whole matrix), and dequantizes each output element once.
-func (so *seedOperands[T]) propagate(l int, rows, prevRows []int, f int) int {
-	out := so.feats[l]
-	if !so.int8 {
-		return sparse.MulRowsInto(so.adj, rows, rows, so.vals, so.feats[l-1], f, 1, out)
-	}
+// at the tier.
+func (so *seedOperands[T]) propagate(l int, rows []int, f int) int {
+	vals := so.vals
 	if l == 1 {
-		return sparse.MulRowsInto(so.adj, rows, rows, so.qadj, so.qx0, f, so.adjScale*so.x0Scale, out)
+		vals = so.vals1
 	}
-	prev := any(so.feats[l-1]).([]float32)
-	var maxAbs float64
-	for _, r := range prevRows {
-		maxAbs = max(maxAbs, kernel.MaxAbsF32(prev[r*f:][:f]))
-	}
-	scale := kernel.ScaleFor(maxAbs)
-	qx := make([]int8, len(prev))
-	for _, r := range prevRows {
-		kernel.QuantizeAtScale(qx[r*f:][:f], prev[r*f:][:f], scale)
-	}
-	return sparse.MulRowsInto(so.adj, rows, rows, so.qadj, qx, f, so.adjScale*scale, out)
+	return sparse.MulRowsInto(so.adj, rows, rows, vals, so.feats[l-1], f, 1, so.feats[l])
 }
 
 // rows gathers the given nodes' rows of X^(l) as float64, the type every
@@ -141,12 +131,10 @@ func seedInferBatch[T float64 | float32](d *Deployment, so *seedOperands[T], tar
 		active[i] = i
 	}
 
-	var prevRows []int
 	for l := 1; l <= opt.TMax; l++ {
 		// Seed lines 3/5: a from-scratch BFS ball per hop.
 		rows := graph.Ball(g.Adj, gather(targets, active), opt.TMax-l)
-		res.MACs.Propagation += so.propagate(l, rows, prevRows, g.F())
-		prevRows = rows
+		res.MACs.Propagation += so.propagate(l, rows, g.F())
 
 		if l < opt.TMin {
 			continue
@@ -288,22 +276,30 @@ func equivCases(k int) []InferenceOptions {
 	return cases
 }
 
+// TestEngineMatchesSeedReference pins the engine to the seed transcription
+// at every tier and every TMax: the equivalence cases up to TMax 3 on the
+// K = 3 model, and up to TMax 4 and 5 on the K = 5 one.
 func TestEngineMatchesSeedReference(t *testing.T) {
 	ds := tinyData(t)
-	m := trainedModel(t)
-	dep, err := NewDeployment(m, ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opt := range equivCases(m.K) {
-		label := fmt.Sprintf("%v/ts=%v/tmin=%d/tmax=%d/batch=%d",
-			opt.Mode, opt.Ts, opt.TMin, opt.TMax, opt.BatchSize)
-		want := seedInfer(dep, ds.Split.Test, opt)
-		got, err := dep.Infer(ds.Split.Test, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+	deep := trainedDeepModel(t)
+	for _, p := range tiers {
+		for _, c := range []struct {
+			m    *Model
+			tmax int
+		}{{trainedModel(t), trainedModel(t).K}, {deep, deep.K - 1}, {deep, deep.K}} {
+			m := c.m
+			dep := deployAt(t, m, ds.Graph, p)
+			for _, opt := range equivCases(c.tmax) {
+				label := fmt.Sprintf("%v/K=%d/%v/ts=%v/tmin=%d/tmax=%d/batch=%d",
+					p, m.K, opt.Mode, opt.Ts, opt.TMin, opt.TMax, opt.BatchSize)
+				want := seedInfer(dep, ds.Split.Test, opt)
+				got, err := dep.Infer(ds.Split.Test, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSameResult(t, label, got, want)
+			}
 		}
-		requireSameResult(t, label, got, want)
 	}
 }
 

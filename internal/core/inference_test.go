@@ -148,27 +148,6 @@ func TestDistanceQuantileMatchesFullPropagation(t *testing.T) {
 	}
 }
 
-func TestBatchSizeInvariance(t *testing.T) {
-	ds := tinyData(t)
-	m := trainedModel(t)
-	dep, _ := NewDeployment(m, ds.Graph)
-	opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K}
-	full, err := dep.Infer(ds.Split.Test, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.BatchSize = 7
-	batched, err := dep.Infer(ds.Split.Test, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.Pred {
-		if full.Pred[i] != batched.Pred[i] || full.Depths[i] != batched.Depths[i] {
-			t.Fatalf("batching changed results at %d", i)
-		}
-	}
-}
-
 func TestHugeThresholdExitsAtTMin(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)

@@ -23,8 +23,8 @@ import (
 // block, the supporting ball stops h rings short — and answers exactly what
 // the seed transcription does, which propagates every hop over the whole
 // radius-(TMax−1) ball. The K = 3 model's operating points read X^(1); the
-// K = 5 model's at TMax 4 and 5 read X^(2) and X^(3) at f64 and f32 (X^(1) at
-// int8), with targets exiting below, at and above the layer's depth.
+// K = 5 model's at TMax 4 and 5 read X^(2) and X^(3), with targets exiting
+// below, at and above the layer's depth.
 
 // tierOf returns dep's engine at its element type.
 func tierOf[T float64 | float32](t *testing.T, dep *Deployment) *tier[T] {
@@ -145,8 +145,8 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 			check("warm", targets)
 
 			// A delta between two existing nodes drops their rows and, in a
-			// depth-h layer, every row within h−1 hops of their neighbors (at
-			// int8, every row): among them rows two hops out of target 0,
+			// depth-h layer, every row within h−1 hops of their neighbors:
+			// among them rows two hops out of target 0,
 			// which every layer's reads of it only read, and which its next
 			// batch must find empty and recompute.
 			one := targets[:1]
@@ -210,8 +210,8 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 // the BFS opens the next depth; past h it is the wave's own hop's — hop l's
 // remainder propagate span comes next, and no bfs span opens hop l+1 — and
 // every hop there that decides propagates twice: its active targets' rows
-// before the wave, the rest of the next hop's ball after it. At TMax 5 (h = 3
-// at f64 and f32, 1 at int8) two hops lie past the layer.
+// before the wave, the rest of the next hop's ball after it. At TMax 5 (h = 3)
+// two hops lie past the layer.
 func TestLayerOneBFSPerWave(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedDeepModel(t)
@@ -228,10 +228,7 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameResult(t, label, res, seedInfer(dep, ds.Split.Test, opt))
-				d, h := res.NodesPerDepth, max(1, opt.TMax-2)
-				if p == kernel.PrecisionInt8 {
-					h = 1
-				}
+				d, h := res.NodesPerDepth, layerDepth(opt.TMax)
 				left := make([]int, opt.TMax+1) // left[l]: targets still active after depth l's wave
 				waves := 0
 				for l := opt.TMax - 1; l >= 1; l-- {
@@ -305,9 +302,7 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 // books). The batch runs on a caller-held scratch whose slab starts all NaN,
 // at TMax 4 and 5 (h = 2 and 3), with waves from TMax−1 on, and from h on:
 // then the survivors' BFS at TMax−1 must not overwrite the balls of the BFS
-// after the wave at h, which it subtracts the hop's written rows from. At int8
-// (h = 1) the hop's first step covers the whole ball: the next hop's
-// activation scale is a max over all of it.
+// after the wave at h, which it subtracts the hop's written rows from.
 func TestLayerDemandRows(t *testing.T) {
 	eachTier(t, testLayerDemandRows[float64], testLayerDemandRows[float32])
 }
@@ -320,7 +315,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 	g, f := dep.Graph, dep.Graph.F()
 	targets := ds.Split.Test
 	for _, tmax := range []int{4, 5} {
-		l, h := tmax-1, eng.layerDepth(tmax)
+		l, h := tmax-1, layerDepth(tmax)
 		for _, tmin := range []int{l, h} {
 			label := fmt.Sprintf("%v/tmin=%d/tmax=%d", p, tmin, tmax)
 			opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, l, 0.5), TMin: tmin, TMax: tmax}
@@ -340,20 +335,14 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			}
 			whole := graph.Ball(g.Adj, activeAt(l), 1) // what hop l computed before the demand order
 			written := map[int]bool{}
-			if p == kernel.PrecisionInt8 {
-				for _, v := range whole {
-					written[v] = true
-				}
-			} else {
-				for _, v := range activeAt(l) {
-					written[v] = true
-				}
-				for _, v := range graph.Ball(g.Adj, activeAt(tmax), 1) {
-					written[v] = true
-				}
-				if len(written) == len(whole) {
-					t.Fatalf("%s: the survivors' ball covers the active targets' one-ring ball; nothing to skip", label)
-				}
+			for _, v := range activeAt(l) {
+				written[v] = true
+			}
+			for _, v := range graph.Ball(g.Adj, activeAt(tmax), 1) {
+				written[v] = true
+			}
+			if len(written) == len(whole) {
+				t.Fatalf("%s: the survivors' ball covers the active targets' one-ring ball; nothing to skip", label)
 			}
 
 			support := graph.Ball(g.Adj, targets, tmax-h-1) // no wave before h
@@ -408,7 +397,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 	}
 }
 
-// TestLayerHubRows: at f64 and f32, whenever h+1 < TMax (TMax 3, 4 and 5 on
+// TestLayerHubRows: at every tier, whenever h+1 < TMax (TMax 3, 4 and 5 on
 // the K = 5 model: hub rows of X^(2), X^(3) and X^(4)), hop h+1 keeps the
 // hubs' rows. The members are the ⌈n/64⌉ nodes of highest degree, ties broken
 // toward the lower id. After one batch the resident hub rows are exactly the
@@ -419,25 +408,20 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 // finite distance meets. A delta empties every hub row, and the next batches
 // equal the seed's. A row another batch is still filling is computed, not
 // waited for (a batch that waited would hang here) and not read (its NaN does
-// not show), and it is left to its claimer. int8 and TMax ≤ 2 allocate no hub
-// layer.
+// not show), and it is left to its claimer. TMax ≤ 2 allocates no hub layer.
 func TestLayerHubRows(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testLayerHubRows[float64](t, kernel.PrecisionF64) })
-	t.Run("f32", func(t *testing.T) { testLayerHubRows[float32](t, kernel.PrecisionF32) })
+	eachTier(t, testLayerHubRows[float64], testLayerHubRows[float32])
 	t.Run("none", func(t *testing.T) {
 		ds := tinyData(t)
 		m := trainedDeepModel(t)
-		for _, c := range []struct {
-			p     kernel.Precision
-			tmaxs []int
-		}{{kernel.PrecisionInt8, []int{3, 4, 5}}, {kernel.PrecisionF64, []int{1, 2}}, {kernel.PrecisionF32, []int{1, 2}}} {
-			dep := deployAt(t, m, ds.Graph, c.p)
-			for _, tmax := range c.tmaxs {
+		for _, p := range tiers {
+			dep := deployAt(t, m, ds.Graph, p)
+			for _, tmax := range []int{1, 2} {
 				opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: tmax}
-				requireColdWarmSame(t, fmt.Sprintf("%v/tmax=%d", c.p, tmax), dep, ds.Split.Test, opt)
+				requireColdWarmSame(t, fmt.Sprintf("%v/tmax=%d", p, tmax), dep, ds.Split.Test, opt)
 			}
 			if hubs, _ := hubCounts(dep); hubs != 0 {
-				t.Fatalf("%v read at TMax %v: %d hub rows allocated", c.p, c.tmaxs, hubs)
+				t.Fatalf("%v read at TMax 1 and 2: %d hub rows allocated", p, hubs)
 			}
 		}
 	})
@@ -458,7 +442,7 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		dep := deployAt(t, m, ds.Graph.Clone(), p)
 		eng := tierOf[T](t, dep)
 		g, f := dep.Graph, dep.Graph.F()
-		l := eng.layerDepth(tmax) + 1 // the hop that reads hub rows
+		l := layerDepth(tmax) + 1 // the hop that reads hub rows
 		label := fmt.Sprintf("%v/tmax=%d", p, tmax)
 		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, l, 0.5), TMin: l, TMax: tmax}
 		want := seedInfer(dep, targets, opt)
@@ -588,12 +572,9 @@ func TestHubMembers(t *testing.T) {
 // TestLayerInvalidationRadius: a delta to one edge empties exactly the rows of
 // X^(2) within one hop of the rows of Â it moved — no fewer (a layer that
 // dropped only the moved rows would keep stale neighbors) and no more — and
-// every hub row of X^(3), and the next read recomputes exactly those. At f64
-// and f32: int8 holds X^(1) only and empties every row per delta
-// (TestMemoInvalidation).
+// every hub row of X^(3), and the next read recomputes exactly those.
 func TestLayerInvalidationRadius(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testLayerInvalidationRadius[float64](t, kernel.PrecisionF64) })
-	t.Run("f32", func(t *testing.T) { testLayerInvalidationRadius[float32](t, kernel.PrecisionF32) })
+	eachTier(t, testLayerInvalidationRadius[float64], testLayerInvalidationRadius[float32])
 }
 
 func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Precision) {
@@ -747,7 +728,7 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 		dep := deployAt(t, c.m, g, kernel.PrecisionF64)
 		eng := tierOf[float64](t, dep)
 		opt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: c.tmax}
-		h := eng.layerDepth(c.tmax)
+		h := layerDepth(c.tmax)
 		lay := eng.layer(h)
 		target := ds.Split.Test[:1]
 		want := seedInfer(dep, target, opt)
@@ -776,7 +757,7 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 			t.Fatalf("TMax %d: Infer returned while a row of its ball was still being filled", c.tmax)
 		default:
 		}
-		propagate(dep.Adj, eng.adjScale, eng.base, []int{held}, []int{held}, h, g.F(), lay.block, &hopScratch[float64]{})
+		propagate(dep.Adj, eng.base, []int{held}, []int{held}, h, g.F(), lay.block, &hopScratch[float64]{})
 		lay.state[held].Store(slotReady)
 		requireSameResult(t, fmt.Sprintf("TMax %d after the held row was published", c.tmax), <-done, want)
 		// Beside the layer's rows, hop h+1 < TMax publishes the hub rows it computed.

@@ -20,26 +20,24 @@ import (
 // targets' depth-h rows in place.
 //
 // The depth a batch reads is its operating point's (layerDepth): h =
-// max(1, TMax−2) at f64 and f32, so that what a batch still propagates is its
-// survivors' one-ring ball, and h = 1 at int8, whose hop ≥ 2 activations are
-// quantized at a scale over one batch's ball — X^(2) is not a function of the
-// graph there. A whole layer deeper would not pay: a layer per hop costs a
-// block per hop, and one deeper than TMax−2 only trades the product over the
-// survivors' one-ring ball for one over the targets' (their own rows below h),
-// while its invalidation (below) reaches further per delta.
+// max(1, TMax−2) at every tier, so that what a batch still propagates is its
+// survivors' one-ring ball. A whole layer deeper would not pay: a layer per
+// hop costs a block per hop, and one deeper than TMax−2 only trades the
+// product over the survivors' one-ring ball for one over the targets' (their
+// own rows below h), while its invalidation (below) reaches further per delta.
 //
 // What does pay one hop deeper is the hubs' rows. Hop h+1 < TMax gathers
 // X^(h) over its survivors' one-ring ball, and on a skewed graph most of that
 // gather is the same few highest-degree rows every batch: on a products-like
 // graph of 100 000 nodes the 1 563 highest-degree nodes' rows are three
 // quarters of a TMax-4 batch's hop-3 entries of Â. So a tier also keeps
-// X^(h+1) for the ⌈n/64⌉ highest-degree nodes (hubMembers), at f64 and f32
-// and whenever h+1 < TMax: a hub layer, this type over a sorted member list,
+// X^(h+1) for the ⌈n/64⌉ highest-degree nodes (hubMembers) whenever
+// h+1 < TMax: a hub layer, this type over a sorted member list,
 // row k holding members[k]'s. Hop h+1 copies its ready hub rows out of it
 // instead of gathering them, and copies the ones it claimed into it after its
 // product (hubRows, publishHubs); a row another batch is filling is computed,
-// never waited for, so hub rows add no publish-before-read edge. int8 gets
-// none, and TMax ≤ 2 has no hop h+1 < TMax.
+// never waited for, so hub rows add no publish-before-read edge. TMax ≤ 2 has
+// no hop h+1 < TMax.
 //
 // The memory contract is one block per depth some batch has read, allocated
 // on that first read — not when the engine is rebuilt (Refresh,
@@ -69,14 +67,13 @@ import (
 // concurrently with Infer).
 //
 // A row is the bits the tier's kernel wrote for it, and it is dropped whenever
-// those bits could change. At f64 and f32, X^(h)_v reads the rows of Â within
-// h−1 hops of v and the features of nodes within h hops (features of existing
-// nodes never change without a Refresh), so a delta empties the rows within
-// h−1 hops of the rows of Â it moved; at int8 it empties every row, because a
-// moved per-tensor scale moves every row. A hub layer is emptied whole by any
-// delta: a superset of the rows whose bits could move, at most ⌈n/64⌉ rows to
-// recompute. So reading the layer is bit-identical to computing its hops,
-// within each tier.
+// those bits could change. X^(h)_v reads the rows of Â within h−1 hops of v
+// and the features of nodes within h hops — at int8 their quantized rows, each
+// at its own scale (features of existing nodes never change without a
+// Refresh) — so a delta empties the rows within h−1 hops of the rows of Â it
+// moved. A hub layer is emptied whole by any delta: a superset of the rows
+// whose bits could move, at most ⌈n/64⌉ rows to recompute. So reading the
+// layer is bit-identical to computing its hops, within each tier.
 type hopLayer[T float64 | float32] struct {
 	depth int
 	f     int
@@ -109,12 +106,7 @@ const (
 )
 
 // layerDepth is the depth of the layer a batch at opt.TMax reads (hopLayer).
-func (t *tier[T]) layerDepth(tmax int) int {
-	if t.int8() {
-		return 1
-	}
-	return max(1, tmax-2)
-}
+func layerDepth(tmax int) int { return max(1, tmax-2) }
 
 // layer returns the tier's depth-h layer, allocating it, every row empty, on
 // the first read.
@@ -248,7 +240,7 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]in
 		}
 	}
 	if len(won) > 0 {
-		propagate(t.d.Adj, t.adjScale, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
+		propagate(t.d.Adj, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
 		for _, v := range won {
 			m.state[v].Store(slotReady)
 		}
@@ -355,17 +347,14 @@ func (hs *hopScratch[T]) shrink() {
 
 // propagate writes X^(l) = Â^l·X^(0) for the nodes of rows (l ≥ 1, no
 // duplicates) into out, row outRows[k] holding rows[k]'s (nil: row k), at the
-// element type of x0, X^(0) as a tier's operand — at int8 only for l = 1,
-// whose later hops quantize per batch. Hop j runs over the radius-(l−j) ball
-// of rows, hops below l into hs in their balls' compact coordinates; no layer
-// is read. Every row adds its terms in the one ascending order every product
-// uses, so it is bit-equal to that row of a full-graph propagation.
-func propagate[T float64 | float32](adj *sparse.Normalized, adjScale float64, x0 operand[T], rows, outRows []int, l, f int, out []T, hs *hopScratch[T]) {
+// element type of out, X^(0) as a tier's operand. Hop j runs over the
+// radius-(l−j) ball of rows, hops below l into hs in their balls' compact
+// coordinates; no layer is read. Every row adds its terms in the one ascending
+// order every product uses, so it is bit-equal to that row of a full-graph
+// propagation.
+func propagate[T float64 | float32](adj *sparse.Normalized, x0 operand[T], rows, outRows []int, l, f int, out []T, hs *hopScratch[T]) {
 	in, colMap := x0, []int32(nil)
 	if l > 1 {
-		if x0.qx != nil {
-			panic("core: propagate past hop 1 at int8")
-		}
 		if n := adj.N(); len(hs.idx) < n {
 			hs.idx = graph.NewIndex(n)
 		}
@@ -373,7 +362,7 @@ func propagate[T float64 | float32](adj *sparse.Normalized, adjScale float64, x0
 		balls := hs.fill.balls // hop j runs over balls[l−j]
 		for j := 1; j < l; j++ {
 			buf := hs.buf(j%2, len(balls[l-j])*f)
-			mulRows(adj, adjScale, in, balls[l-j], nil, colMap, f, buf)
+			mulRows(adj, in, balls[l-j], nil, colMap, f, buf)
 			if j > 1 {
 				graph.ResetIndex(balls[l-j+1], hs.idx)
 			}
@@ -382,7 +371,7 @@ func propagate[T float64 | float32](adj *sparse.Normalized, adjScale float64, x0
 		}
 		defer graph.ResetIndex(balls[1], hs.idx)
 	}
-	mulRows(adj, adjScale, in, rows, outRows, colMap, f, out)
+	mulRows(adj, in, rows, outRows, colMap, f, out)
 }
 
 // Hop1Stats are the layers' counters, summed over every layer the deployment

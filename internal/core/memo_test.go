@@ -90,9 +90,8 @@ func TestMemoEquivalence(t *testing.T) {
 // graph in stages with inference between them, so every stage invalidates
 // rows that were live: answers must keep matching the seed transcription on
 // the graph as it stands, and at the end a deployment freshly built on the
-// merged graph. At every tier — this is what checks
-// f64's and f32's drop-exactly-the-recomputed-rows rule and int8's
-// drop-everything-on-requantize rule.
+// merged graph. At every tier — this is what checks the
+// drop-exactly-the-recomputed-rows rule, which int8 shares with f32.
 func TestMemoDeltaEquivalence(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -189,10 +188,10 @@ func TestMemoConcurrentFill(t *testing.T) {
 
 // TestMemoInvalidation poisons every row of the layer, attaches a new node to
 // one hub and checks the delta emptied exactly the rows whose bits it could
-// have changed — at f64 and f32 the rows Â recomputed, no more (the rest still
-// hold the poison, and are read as they are) and no fewer (the refilled rows
-// equal a fresh computation); at int8, where the patch re-quantizes under
-// scales that may have moved, every row.
+// have changed — the rows Â recomputed, no more (the rest still hold the
+// poison, and are read as they are) and no fewer (the refilled rows equal a
+// fresh computation) — at every tier: the int8 tier quantizes the newcomer's
+// features at a scale of their own and leaves every other row's as it was.
 func TestMemoInvalidation(t *testing.T) {
 	eachTier(t, testMemoInvalidation[float64], testMemoInvalidation[float32])
 }
@@ -239,7 +238,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	for _, u := range g.Adj.RowIndices(hub) {
 		valDirty[u] = true
 	}
-	stale := func(v int) bool { return p == kernel.PrecisionInt8 || valDirty[v] }
+	stale := func(v int) bool { return valDirty[v] }
 	cleared := 0
 	for v := 0; v < before; v++ {
 		empty := mm.state[v].Load() == slotEmpty
@@ -259,7 +258,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	fillAll()
 	all := rangeInts(0, g.N())
 	fresh := make([]T, g.N()*g.F())
-	mulRows(dep.Adj, eng.adjScale, eng.base, all, all, nil, g.F(), fresh)
+	mulRows(dep.Adj, eng.base, all, all, nil, g.F(), fresh)
 	for v := range all {
 		if mm.state[v].Load() != slotReady {
 			t.Fatalf("row of node %d not refilled", v)
@@ -330,8 +329,8 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 // past that headroom, and reports n rows' worth; a hub layer retains at most
 // ⌈n/64⌉·(f·sizeof(T) + 4) bytes plus its id list, and reports its members'
 // rows. A deployment holds a block only for a depth it has been read at: read
-// only at TMax 4 it holds X^(2) alone (X^(1) at int8) and has never allocated
-// X^(1), beside the hub rows of X^(3) (none at int8); read at TMax 2 as well
+// only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
+// the hub rows of X^(3); read at TMax 2 as well
 // it holds two blocks and no more hub rows, and its counters sum them all.
 func TestLayerBytes(t *testing.T) {
 	eachTier(t, testLayerBytes[float64], testLayerBytes[float32])
@@ -395,9 +394,6 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 	}
 	read(4)
 	want, wantHubs := 2, []int{3}
-	if p == kernel.PrecisionInt8 {
-		want, wantHubs = 1, nil
-	}
 	if layers := layersOf[T](t, dep); len(layers) != 1 || layers[want] == nil {
 		t.Fatalf("read at TMax 4, the deployment holds layers %v, want X^(%d) alone", depths(layers), want)
 	}
@@ -406,7 +402,7 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 	}
 	within("read at TMax 4", dep)
 	read(2)
-	if layers := layersOf[T](t, dep); len(layers) != want { // X^(1) and X^(2), or at int8 X^(1) alone
+	if layers := layersOf[T](t, dep); len(layers) != 2 { // X^(1) and X^(2)
 		t.Fatalf("read at TMax 4 and 2, the deployment holds layers %v", depths(layers))
 	}
 	if hubs := depths(hubLayersOf[T](t, dep)); !slices.Equal(hubs, wantHubs) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,14 +17,17 @@ import (
 // (tier.inferBatch in inference.go): PrecisionF64 (the default) propagates in
 // float64 straight off the rows the Â operator emits and the feature matrix,
 // PrecisionF32 in float32 over those rows rounded as they are emitted and a
-// rounded copy of the features, PrecisionInt8 over their symmetric per-tensor
-// quantizations with int32 accumulation, dequantized into a float32 slab. No
-// tier holds a lowered copy of Â, nor cuts one per batch: every product is an
+// rounded copy of the features. PrecisionInt8 is PrecisionF32 with X^(0)
+// stored as int8, one symmetric scale per row — a quarter of f32's copy —
+// so only hop 1 differs: it gathers the int8 rows into float32 accumulators,
+// each emitted entry of Â multiplied by its column's row scale before it is
+// rounded. Every row of every X^(l) is then a function of the graph and the
+// features alone, at every tier, so no answer depends on a batch mate. No tier
+// holds a lowered copy of Â, nor cuts one per batch: every product is an
 // operator product (sparse.MulNormalizedRowsInto) whose workers lower each row
-// as they emit it, at a scale (int8) that is a property of the whole operator.
-// Decisions, combination, classifiers and the stationary state
-// stay float64 at every tier, so the relaxed tiers' drift is confined to the
-// propagated features and measured by the precision-equivalence suites.
+// as they emit it. Decisions, combination, classifiers and the stationary
+// state stay float64 at every tier, so the relaxed tiers' drift is confined to
+// the propagated features and measured by the precision-equivalence suites.
 // Because the loop is shared, the f64 tier's bit-identity to Algorithm 1 is
 // guaranteed by the equivalence suites that pin it (seed transcription,
 // deltas, memo, shards, cache), not by keeping this file out of its way.
@@ -41,13 +45,12 @@ type engine interface {
 }
 
 // operand is the dense half of one product at a tier (the sparse half is Â
-// itself): rows flat row-major, as floats of the slab's type, or at the int8
-// tier as a symmetric per-tensor quantization with deq, the product of its
-// scale and the operator's.
+// itself): rows flat row-major, as floats of the slab's type, or — the int8
+// tier's X^(0) — as int8 rows q, row i at scales[i].
 type operand[T float64 | float32] struct {
-	x   []T
-	qx  []int8
-	deq float64
+	x      []T
+	q      []int8
+	scales []float64
 }
 
 // tier is the per-precision state of the engine loop: hop 1's dense operand,
@@ -57,13 +60,8 @@ type operand[T float64 | float32] struct {
 // of Features.
 type tier[T float64 | float32] struct {
 	d *Deployment
-	// base is hop 1's operand, X^{(0)} at the tier (at int8 with deq =
-	// adjScale × the features' scale).
+	// base is hop 1's operand, X^{(0)} at the tier.
 	base operand[T]
-	// adjScale is the int8 tier's quantization scale of Â, max|Â|/127 found
-	// by one pass over the operator: every emitted row is quantized at it, and
-	// every later hop dequantizes by adjScale × that hop's activation scale.
-	adjScale float64
 	// layers[h] is the depth-h layer (hopLayer) and hubs[l] the depth-l hub
 	// layer, each nil until a batch first reads that depth; alloc serializes
 	// the allocations.
@@ -92,9 +90,10 @@ func (d *Deployment) SetPrecision(p kernel.Precision) {
 // Precision reports the active tier.
 func (d *Deployment) Precision() kernel.Precision { return d.prec }
 
-// retier builds the engine for the active tier from the current Adj and
-// features: dense operand lowered, no layer, no pooled scratch. Valid on a deployment with externally supplied state too — the
-// operands are pure functions of the Adj and Features its owner maintains.
+// retier builds the engine for the active tier from the current features:
+// dense operand lowered, no layer, no pooled scratch. Valid on a deployment
+// with externally supplied state too — the operand is a pure function of the
+// Features its owner maintains.
 func (d *Deployment) retier() {
 	if d.prec == kernel.PrecisionF64 {
 		d.eng = newTier[float64](d)
@@ -115,31 +114,34 @@ func newTier[T float64 | float32](d *Deployment) *tier[T] {
 	return t
 }
 
-func (t *tier[T]) int8() bool { return t.d.prec == kernel.PrecisionInt8 }
-
-// lower derives hop 1's operand from the deployment's features and, at int8,
-// the scale every row of Adj is quantized at.
+// lower extends hop 1's operand to the deployment's features: at f64 the
+// matrix itself, at f32 its rows rounded, at int8 its rows quantized, each at
+// its own scale. Rows already lowered are kept — features of existing nodes
+// change only under Refresh, which builds a new tier — so a delta lowers the
+// rows it appended and nothing else.
 func (t *tier[T]) lower() {
-	feat := t.d.Graph.Features.Data
-	if t.int8() {
-		var featScale float64
-		t.adjScale = kernel.ScaleFor(t.d.Adj.MaxAbs())
-		t.base.qx, featScale = kernel.Quantize(feat)
-		t.base.deq = t.adjScale * featScale
+	feat := t.d.Graph.Features
+	if t.d.prec != kernel.PrecisionInt8 {
+		t.base.x = lowered(feat.Data, t.base.x)
 		return
 	}
-	t.base.x = lowered[T](feat)
+	b, f := &t.base, feat.Cols
+	b.q = slices.Grow(b.q, len(feat.Data)-len(b.q))[:len(feat.Data)]
+	for i := len(b.scales); i < feat.Rows; i++ {
+		b.scales = append(b.scales, kernel.QuantizeInto(b.q[i*f:][:f], feat.Row(i)))
+	}
 }
 
-// lowered returns src at element type T: src itself at float64, a copy
-// rounded once per element at float32.
-func lowered[T float64 | float32](src []float64) []T {
+// lowered returns src at element type T: src itself at float64; at float32
+// dst, a rounded copy of src's first len(dst) elements, extended by the rest
+// of src, each element rounded once.
+func lowered[T float64 | float32](src []float64, dst []T) []T {
 	if same, ok := any(src).([]T); ok {
 		return same
 	}
-	dst := make([]T, len(src))
-	for i, v := range src {
-		dst[i] = T(v)
+	dst = slices.Grow(dst, len(src)-len(dst))
+	for _, v := range src[len(dst):] {
+		dst = append(dst, T(v))
 	}
 	return dst
 }
@@ -153,67 +155,23 @@ func (t *tier[T]) patched(valDirty []int) {
 			// valDirty, at most ⌈n/64⌉ rows to recompute.
 			m.invalidateAll()
 		}
-		m := t.layers[i].Load()
-		if m == nil {
-			continue
-		}
-		m.grow(g.N())
-		if t.int8() {
-			// Re-quantizing may move a per-tensor scale, which changes every row.
-			m.invalidateAll()
-		} else {
+		if m := t.layers[i].Load(); m != nil {
 			// Rows of Â the patch left alone are emitted and lowered to the
 			// same bits, so X^(h)_v moved only if one within h−1 hops did.
+			m.grow(g.N())
 			m.invalidate(graph.Ball(g.Adj, valDirty, m.depth-1))
 		}
 	}
 }
 
 // mulRows is one row-subset product with Â at a tier
-// (sparse.MulNormalizedRowsInto over in, at int8 quantizing Â's rows at
-// adjScale): out row outRows[k] = (Â·in)[rows[k]], in's rows found through
-// colMap (nil: by node id). The engine's MACs are Algorithm 1's books, so the
-// product's own count is dropped.
-func mulRows[T float64 | float32](adj *sparse.Normalized, adjScale float64, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) {
-	if in.qx != nil {
-		sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, adjScale, in.qx, f, in.deq, out)
+// (sparse.MulNormalizedRowsInto over in): out row outRows[k] = (Â·in)[rows[k]],
+// in's rows found through colMap (nil: by node id). The engine's MACs are
+// Algorithm 1's books, so the product's own count is dropped.
+func mulRows[T float64 | float32](adj *sparse.Normalized, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) {
+	if in.q != nil {
+		sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, in.q, in.scales, f, out)
 		return
 	}
-	sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, 0, in.x, f, 1, out)
-}
-
-// quantizeActivations quantizes the previous hop's rows for the int8 tier's
-// next product: one symmetric per-tensor scale over exactly the live
-// activation tensor — the rows of the nodes in live, which that hop wrote, or
-// for hop 2 the X^(1) rows of the batch's whole radius-(TMax−1) ball — into
-// pooled scratch laid out by sc.toLocal, which at this tier indexes the ring
-// behind S. prev's rows are found as the product would find them: through
-// rowOf, or by node id when it is nil. Places of nodes outside live keep stale
-// bytes, but the SpMM never reads them: every column a hop multiplies lies
-// within the previous hop's ball. The scan and rounding are O(live·f) data
-// movement, not multiply-accumulates, so no MACs are charged (they do count
-// toward FP time). Returns the quantized buffer and the hop's dequantization
-// factor.
-func (t *tier[T]) quantizeActivations(prev []T, rowOf []int32, sc *inferScratch[T], live ...[]int) ([]int8, float64) {
-	x, f := any(prev).([]float32), sc.f // the int8 tier's slab
-	row := func(v int) []float32 {
-		if rowOf != nil {
-			v = int(rowOf[v])
-		}
-		return x[v*f:][:f]
-	}
-	var maxAbs float64
-	for _, list := range live {
-		for _, v := range list {
-			maxAbs = max(maxAbs, kernel.MaxAbsF32(row(v)))
-		}
-	}
-	scale := kernel.ScaleFor(maxAbs)
-	sc.x8 = growScratch(sc.x8, (sc.s+len(sc.ring))*f)
-	for _, list := range live {
-		for _, v := range list {
-			kernel.QuantizeAtScale(sc.x8[int(sc.toLocal[v])*f:][:f], row(v), scale)
-		}
-	}
-	return sc.x8, t.adjScale * scale
+	sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, in.x, nil, f, out)
 }

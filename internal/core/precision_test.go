@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +40,7 @@ func TestPrecisionDefaultInert(t *testing.T) {
 	requireNoMirror := func(when string) {
 		t.Helper()
 		e, ok := dep.eng.(*tier[float64])
-		if !ok || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.qx != nil {
+		if !ok || &e.base.x[0] != &dep.Graph.Features.Data[0] || e.base.q != nil {
 			t.Fatalf("%s: the f64 engine does not read Features in place, or holds values of Â", when)
 		}
 	}
@@ -79,9 +81,9 @@ func TestSetPrecisionRejectsUnknownTier(t *testing.T) {
 // TestRelaxedTiersMatchF64 is the engine-level precision-equivalence test.
 // The f32 tier must classify every test node identically to the f64
 // reference in every mode, at the same personalized depths, with the same
-// MAC accounting. The int8 tier's quantization error can legitimately flip
-// a borderline node — that drift is what the benchmark's
-// core.int8_top1_agree_share measures — so it is held to ≥97% prediction and
+// MAC accounting. The int8 tier's quantization of the features can
+// legitimately flip a borderline node — that drift is what the benchmark's
+// core.int8_top1_agree_share measures — so it is held to ≥99% prediction and
 // depth agreement here, with full MAC parity whenever the depths do all agree.
 func TestRelaxedTiersMatchF64(t *testing.T) {
 	ds := tinyData(t)
@@ -112,11 +114,11 @@ func TestRelaxedTiersMatchF64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a := agreement(got.Pred, want.Pred); a < 0.97 {
-			t.Fatalf("%s/int8: prediction agreement %.3f < 0.97", name, a)
+		if a := agreement(got.Pred, want.Pred); a < 0.99 {
+			t.Fatalf("%s/int8: prediction agreement %.3f < 0.99", name, a)
 		}
-		if a := agreement(got.Depths, want.Depths); a < 0.97 {
-			t.Fatalf("%s/int8: depth agreement %.3f < 0.97", name, a)
+		if a := agreement(got.Depths, want.Depths); a < 0.99 {
+			t.Fatalf("%s/int8: depth agreement %.3f < 0.99", name, a)
 		}
 		if agreement(got.Depths, want.Depths) == 1 && got.MACs != want.MACs {
 			t.Fatalf("%s/int8: same depths but MACs %+v, want %+v", name, got.MACs, want.MACs)
@@ -135,12 +137,11 @@ func agreement(a, b []int) float64 {
 	return float64(same) / float64(len(a))
 }
 
-// TestRelaxedDeterminism pins what the relaxed tiers do guarantee about
-// execution shape: results are identical across repeated calls, across the
-// worker fan-out (batches merge in order) and — for the f32 tier, whose
-// per-row arithmetic depends only on the row's ball — across batch splits.
-// (The int8 tier's per-batch activation scale makes it batch-size-sensitive
-// by design, so only same-batching determinism is claimed for it.)
+// TestRelaxedDeterminism pins what the relaxed tiers guarantee about
+// execution shape: results, MACs included, are identical across repeated
+// calls and across the worker fan-out (batches merge in order). That no
+// answer depends on how the targets are batched is
+// TestPrecisionAnswerIndependentOfBatchMates.
 func TestRelaxedDeterminism(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -161,20 +162,82 @@ func TestRelaxedDeterminism(t *testing.T) {
 		}
 		requireSameResult(t, p.String()+" repeat", b, a)
 	}
+}
 
-	dep.SetPrecision(kernel.PrecisionF32)
-	full, err := dep.Infer(ds.Split.Test, InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K})
-	if err != nil {
-		t.Fatal(err)
+// TestPrecisionAnswerIndependentOfBatchMates is Algorithm 1's per-node
+// contract at every tier: every target has its own supporting ball and NAP
+// decides per node, so a target's prediction and depth depend on the target,
+// the graph version and the options alone. For the whole test split and
+// seeded random batches B of it, on the K = 3 and K = 5 models in every mode
+// at every TMax, each member v's answer in Infer(B) must equal its answer in
+// Infer({v}), in Infer of B shuffled, and in B served at BatchSize 1, 7 and
+// |B| — at f64, f32 and int8 alike.
+func TestPrecisionAnswerIndependentOfBatchMates(t *testing.T) {
+	ds := tinyData(t)
+	test := ds.Split.Test
+	rng := rand.New(rand.NewSource(37))
+	batches := [][]int{test}
+	for range 3 {
+		b := slices.Clone(test)
+		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		batches = append(batches, b[:2+rng.Intn(len(b)/2)])
 	}
-	split, err := dep.Infer(ds.Split.Test, InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K, BatchSize: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.Pred {
-		if full.Pred[i] != split.Pred[i] || full.Depths[i] != split.Depths[i] {
-			t.Fatalf("f32 batching changed results at %d", i)
+	for _, m := range []*Model{trainedModel(t), trainedDeepModel(t)} {
+		for _, p := range tiers {
+			dep := deployAt(t, m, ds.Graph, p)
+			ts := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+			for tmax := 1; tmax <= m.K; tmax++ {
+				for _, opt := range []InferenceOptions{
+					{Mode: ModeFixed, TMin: 1, TMax: tmax},
+					{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: tmax},
+					{Mode: ModeDistance, Ts: ts, TMin: 1, TMax: tmax},
+					{Mode: ModeGate, TMin: 1, TMax: tmax},
+				} {
+					for bi, b := range batches {
+						label := fmt.Sprintf("K=%d/%v/%v/ts=%.3g/tmax=%d/batch %d", m.K, p, opt.Mode, opt.Ts, tmax, bi)
+						requireBatchMatesIrrelevant(t, label, dep, b, opt, rng)
+					}
+				}
+			}
 		}
+	}
+}
+
+// requireBatchMatesIrrelevant fails unless every member of b gets the answer
+// it gets in Infer(b) when b is served shuffled, at BatchSize 1, 7 and |b|,
+// and, for a few members, alone.
+func requireBatchMatesIrrelevant(t *testing.T, label string, dep *Deployment, b []int, opt InferenceOptions, rng *rand.Rand) {
+	t.Helper()
+	infer := func(targets []int, batchSize int) *Result {
+		t.Helper()
+		o := opt
+		o.BatchSize = batchSize
+		res, err := dep.Infer(targets, o)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return res
+	}
+	want := infer(b, 0)
+	check := func(how string, targets []int, got *Result) {
+		t.Helper()
+		for k, v := range targets {
+			i := slices.Index(b, v)
+			if got.Pred[k] != want.Pred[i] || got.Depths[k] != want.Depths[i] {
+				t.Fatalf("%s: node %d %s answers (%d, depth %d), in the batch (%d, depth %d)",
+					label, v, how, got.Pred[k], got.Depths[k], want.Pred[i], want.Depths[i])
+			}
+		}
+	}
+	for _, size := range []int{1, 7, len(b)} {
+		check(fmt.Sprintf("at BatchSize %d", size), b, infer(b, size))
+	}
+	shuffled := slices.Clone(b)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	check("shuffled", shuffled, infer(shuffled, 0))
+	for range 3 {
+		v := b[rng.Intn(len(b))]
+		check("alone", []int{v}, infer([]int{v}, 0))
 	}
 }
 
@@ -219,8 +282,7 @@ func TestRelaxedDeltaRebuildsMirrors(t *testing.T) {
 // request leaves the same span sequence at each — bfs, extract, then per hop
 // propagate{hop}, decide on decision hops and, past the layer (h = 1 here), a
 // second propagate{hop} for the rows the next hop reads, classify whenever
-// someone exits — the relaxed tiers' decide span, and int8's empty second
-// step, included.
+// someone exits — the relaxed tiers' decide span included.
 func TestTraceSpansSameAtEveryTier(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)

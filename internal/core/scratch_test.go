@@ -18,10 +18,10 @@ import (
 // must survive the remap, per-batch scratch memory must scale with |S|
 // rather than the serving graph, and oversized pooled buffers must be
 // dropped back to current need instead of pinned forever — at every
-// precision tier, since each tier adds its own |S|-sized buffers.
+// precision tier, since each tier holds its buffers at its own element type.
 
-// eachTier runs a scratch test at the three precision tiers, each
-// instantiated at its tier's slab element type.
+// eachTier runs a test at the three precision tiers, each instantiated at its
+// tier's slab element type.
 func eachTier(t *testing.T, f64, f32 func(*testing.T, kernel.Precision)) {
 	t.Run("f64", func(t *testing.T) { f64(t, kernel.PrecisionF64) })
 	t.Run("f32", func(t *testing.T) { f32(t, kernel.PrecisionF32) })
@@ -232,20 +232,19 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 		dep := deployAt(t, m, ds.Graph, p)
 		sc := &inferScratch[T]{}
 		// Every |S|-sized buffer: the slab, the row, ring and hop-1 lists, the
-		// int8 tier's quantized activations, the arena.
+		// arena.
 		sized := func() map[string]int {
 			return map[string]int{
 				"slab": cap(sc.slab), "hop rows": cap(sc.localRows),
 				"BFS rings": cap(sc.bfs.ball), "BFS balls": cap(sc.bfs.sorted),
 				"hop-1 claimed": cap(sc.claimed), "hop-1 awaited": cap(sc.awaited),
-				"int8 activations": cap(sc.x8), "arena": len(sc.arena.buf),
+				"arena": len(sc.arena.buf),
 			}
 		}
 		bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
 		inferWith(t, dep, sc, rangeInts(0, ds.Graph.N()), bigOpt)
 		big := sized()
-		if big["slab"] == 0 || big["hop rows"] == 0 || big["hop-1 claimed"] == 0 ||
-			p == kernel.PrecisionInt8 && big["int8 activations"] == 0 {
+		if big["slab"] == 0 || big["hop rows"] == 0 || big["hop-1 claimed"] == 0 {
 			t.Fatalf("%v: the big batch left buffers unused: %v", p, big)
 		}
 
@@ -303,7 +302,7 @@ func TestScratchBytesReporting(t *testing.T) {
 		}
 	}
 	// Buffers count at their element size, whatever the tier.
-	sc64 := &inferScratch[float64]{slab: make([]float64, 10), x8: make([]int8, 3), toLocal: make([]int32, 5)}
+	sc64 := &inferScratch[float64]{slab: make([]float64, 10), rm: make([]bool, 3), toLocal: make([]int32, 5)}
 	sc32 := &inferScratch[float32]{slab: make([]float32, 10), bfs: rings{ball: make([]int, 2)}, localRows: make([]int, 1)}
 	if got, want := sc64.bytes(), 10*8+3+5*4; got != want {
 		t.Fatalf("f64 scratch reports %d B, holds %d", got, want)

@@ -1,8 +1,9 @@
 // Package kernel holds the precision primitives shared by the relaxed
-// propagation kernels and the quantized baselines: the Precision tier enum
-// that the engine, the shard bootstrap config and the daemon flag all agree
-// on, plus the symmetric per-tensor int8 quantizer and the float32 lowering
-// helpers the relaxed tiers' operands are built with.
+// propagation tiers and the quantized baselines: the Precision tier enum that
+// the engine, the shard bootstrap config and the daemon flag all agree on,
+// the symmetric int8 quantizer — per tensor for the baselines and the
+// benchmark's stored-matrix kernels, row by row for the int8 tier's features —
+// and the float32 lowering helper.
 //
 // The repository's accuracy story hangs off one convention fixed here:
 // PrecisionF64 is the bit-pinned reference tier (every equivalence suite
@@ -27,9 +28,10 @@ const (
 	// PrecisionF32 propagates in float32 (adjacency rows and features rounded
 	// to float32, float32 accumulation); decisions and classifiers stay f64.
 	PrecisionF32
-	// PrecisionInt8 propagates with symmetric per-tensor int8 operands and
-	// int32 accumulation, dequantizing each hop back to float32; decisions
-	// and classifiers stay f64.
+	// PrecisionInt8 is PrecisionF32 over features stored as int8, one
+	// symmetric scale per row: hop 1 gathers the int8 rows into float32
+	// accumulators, each entry of Â multiplied by its column's row scale, and
+	// every later hop, the layers and decisions are PrecisionF32's.
 	PrecisionInt8
 )
 
@@ -68,9 +70,10 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// Quantize maps values to int8 with the symmetric per-tensor recipe the
-// whole repository uses: scale = maxabs/127 (scale 1 for an all-zero
-// tensor), round-to-even, clamp to [-127, 127]. Dequantization is
+// Quantize maps values to int8 with the symmetric recipe the whole
+// repository uses, over whatever tensor it is given — a whole matrix, or one
+// row of one: scale = maxabs/127 (scale 1 for an all-zero tensor),
+// round-to-even, clamp to [-127, 127]. Dequantization is
 // float64(q)*scale, so the per-element error is at most scale/2 for inputs
 // within ±maxabs — for any tensor whose scale is a normal float64
 // (subnormal scales lose the guarantee to rounding in the division itself;
@@ -82,8 +85,8 @@ func Quantize(values []float64) ([]int8, float64) {
 }
 
 // QuantizeInto is Quantize writing into a caller-owned slice (len(dst) must
-// be len(values)); it returns the scale. Serving paths re-quantize per-hop
-// activations into pooled scratch with it.
+// be len(values)); it returns the scale. The int8 tier quantizes its features
+// with it one row at a time, each row at its own scale.
 func QuantizeInto(dst []int8, values []float64) float64 {
 	if len(dst) != len(values) {
 		panic(fmt.Sprintf("kernel: QuantizeInto dst length %d != %d", len(dst), len(values)))
@@ -94,60 +97,14 @@ func QuantizeInto(dst []int8, values []float64) float64 {
 			maxAbs = a
 		}
 	}
-	scale := ScaleFor(maxAbs)
-	QuantizeAtScale(dst, values, scale)
-	return scale
-}
-
-// QuantizeF32Into quantizes a float32 tensor with the same recipe (the
-// max-abs scan and the per-element rounding run in float64, so a float32
-// tensor and its exact float64 widening quantize identically).
-func QuantizeF32Into(dst []int8, values []float32) float64 {
-	if len(dst) != len(values) {
-		panic(fmt.Sprintf("kernel: QuantizeF32Into dst length %d != %d", len(dst), len(values)))
-	}
-	scale := ScaleFor(MaxAbsF32(values))
-	QuantizeAtScale(dst, values, scale)
-	return scale
-}
-
-// MaxAbsF32 returns max|v| over the tensor in float64 (the first pass of
-// the two-pass quantizer; split out so callers quantizing a tensor stored
-// as scattered row groups — e.g. the valid rows of a hop buffer — can scan
-// and quantize per group under one shared scale).
-func MaxAbsF32(values []float32) float64 {
-	var maxAbs float32 // widening is exact and monotone: compare narrow, widen once
-	for _, v := range values {
-		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	return float64(maxAbs)
-}
-
-// ScaleFor maps a tensor's max|v| to its symmetric per-tensor scale:
-// maxAbs/127, or 1 for an all-zero tensor.
-func ScaleFor(maxAbs float64) float64 {
 	scale := maxAbs / 127
 	if scale == 0 {
 		scale = 1
 	}
-	return scale
-}
-
-// QuantizeAtScale quantizes values at a caller-fixed scale (the second pass
-// of the two-pass quantizer), for callers that only ever see a tensor a slice
-// at a time: the valid rows of a hop buffer, or the engine's per-batch cuts
-// of the normalized adjacency. The scale must come from ScaleFor over the
-// whole tensor for the scale/2 error guarantee to hold; a float32 value
-// rounds as its exact float64 widening.
-func QuantizeAtScale[V float64 | float32](dst []int8, values []V, scale float64) {
-	if len(dst) != len(values) {
-		panic(fmt.Sprintf("kernel: QuantizeAtScale dst length %d != %d", len(dst), len(values)))
-	}
 	for i, v := range values {
-		dst[i] = quantizeOne(float64(v), scale)
+		dst[i] = quantizeOne(v, scale)
 	}
+	return scale
 }
 
 // quantizeOne rounds one value at a fixed scale. Exposed behavior is pinned

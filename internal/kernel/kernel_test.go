@@ -62,27 +62,6 @@ func TestQuantizeErrorBound(t *testing.T) {
 	}
 }
 
-func TestQuantizeF32MatchesWidened(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	vals32 := make([]float32, 300)
-	wide := make([]float64, len(vals32))
-	for i := range vals32 {
-		vals32[i] = float32(rng.NormFloat64())
-		wide[i] = float64(vals32[i])
-	}
-	q32 := make([]int8, len(vals32))
-	s32 := QuantizeF32Into(q32, vals32)
-	q64, s64 := Quantize(wide)
-	if s32 != s64 {
-		t.Fatalf("f32 scale %v != widened f64 scale %v", s32, s64)
-	}
-	for i := range q32 {
-		if q32[i] != q64[i] {
-			t.Fatalf("q32[%d] = %d, q64 = %d", i, q32[i], q64[i])
-		}
-	}
-}
-
 // checkQuantized asserts the documented contract: values clamp to
 // [-127, 127] (the symmetric range — never -128) and, for finite inputs,
 // dequantization is within scale/2 per element.

@@ -33,7 +33,7 @@ func Propagate(adj *sparse.Normalized, x *mat.Matrix, k int) []*mat.Matrix {
 	out[0] = x
 	for l := 1; l <= k; l++ {
 		out[l] = mat.New(n, x.Cols)
-		sparse.MulNormalizedRowsInto(adj, rows, nil, nil, 0, out[l-1].Data, x.Cols, 1, out[l].Data)
+		sparse.MulNormalizedRowsInto(adj, rows, nil, nil, out[l-1].Data, nil, x.Cols, out[l].Data)
 	}
 	return out
 }

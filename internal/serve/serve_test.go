@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/shard"
@@ -64,19 +65,30 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *core.Deployment) {
 	return s, dep
 }
 
-// TestCoalescedMatchesDirect: concurrent single-node requests must be
-// answered bit-identically to one direct Infer over all of them, and each
-// request must be exactly one backend call. Algorithm 1 evaluates each
-// target on its own supporting ball, so at f64 and f32 — the tier this test
-// serves — batch mates never change an answer. At int8 they can: the tier
-// quantizes a batch's activations with one scale for the whole batch.
+// TestCoalescedMatchesDirect: at every tier, concurrent single-node requests
+// must be answered bit-identically to one direct Infer over all of them, and
+// each request must be exactly one backend call. Algorithm 1 evaluates each
+// target on its own supporting ball, so batch mates never change an answer —
+// at int8 too, whose quantized features are a property of each node alone.
 func TestCoalescedMatchesDirect(t *testing.T) {
-	s, dep := newTestServer(t, Config{})
-	ds, _ := fixture(t)
+	for _, prec := range []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32, kernel.PrecisionInt8} {
+		t.Run(prec.String(), func(t *testing.T) { testCoalescedMatchesDirect(t, prec) })
+	}
+}
+
+func testCoalescedMatchesDirect(t *testing.T, prec kernel.Precision) {
+	ds, m := fixture(t)
+	dep, err := core.NewDeployment(m, ds.Graph.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.SetPrecision(prec)
+	opt := core.InferenceOptions{Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: m.K}
+	s := New(dep, Config{Opt: opt})
+	t.Cleanup(s.Close)
 	targets := ds.Split.Test
 
-	want, err := dep.Infer(targets, core.InferenceOptions{
-		Mode: core.ModeDistance, Ts: 0.3, TMin: 1, TMax: fixModel.K})
+	want, err := dep.Infer(targets, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +105,8 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 				return
 			}
 			if preds[0] != want.Pred[i] || depths[0] != want.Depths[i] {
-				errs <- fmt.Errorf("target %d: got (%d,%d), want (%d,%d)",
-					v, preds[0], depths[0], want.Pred[i], want.Depths[i])
+				errs <- fmt.Errorf("%v target %d: got (%d,%d), want (%d,%d)",
+					prec, v, preds[0], depths[0], want.Pred[i], want.Depths[i])
 			}
 		}(i, v)
 	}
@@ -106,8 +118,8 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 
 	st := s.Stats()
 	if st.Requests != int64(len(targets)) || st.InferCalls != st.Requests || st.CoalesceRate != 1 {
-		t.Fatalf("%d Infer calls for %d requests (coalesce_rate %v), want one call per request",
-			st.InferCalls, st.Requests, st.CoalesceRate)
+		t.Fatalf("%v: %d Infer calls for %d requests (coalesce_rate %v), want one call per request",
+			prec, st.InferCalls, st.Requests, st.CoalesceRate)
 	}
 }
 

@@ -298,13 +298,13 @@ func TestReplicaChaosUnderRace(t *testing.T) {
 }
 
 // TestAnyWorkerAnswers: which worker answers must not matter. For P ∈
-// {1, 2, 4} at f64 and f32, a router with every worker but i cut off must
+// {1, 2, 4} at f64, f32 and int8, a router with every worker but i cut off must
 // answer like the unsharded deployment at the same tier — predictions,
 // depths, depth histogram and MACs — for every i, before and after the
 // staged deltas.
 func TestAnyWorkerAnswers(t *testing.T) {
 	ds, m := shard.TestFixture(t)
-	for _, prec := range []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32} {
+	for _, prec := range []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionF32, kernel.PrecisionInt8} {
 		for _, p := range []int{1, 2, 4} {
 			workers := make([]*shard.Worker, p)
 			for i := range workers {

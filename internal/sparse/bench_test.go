@@ -32,7 +32,7 @@ func benchProduct(b *testing.B, every int) {
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sparse.MulNormalizedRowsInto(op, rows, rows, nil, 0, g.Features.Data, g.F(), 1, out)
+			sparse.MulNormalizedRowsInto(op, rows, rows, nil, g.Features.Data, nil, g.F(), out)
 		}
 	}
 	b.Run("serial", func(b *testing.B) {

@@ -165,6 +165,34 @@ func refMulRows8(a *CSR, rows []int, aq, xq []int8, f int, deq float64) []float3
 	return out
 }
 
+// quantizeRows quantizes x (rows of f) row by row, each row at its own
+// symmetric scale: the int8 tier's features.
+func quantizeRows(x []float64, f int) ([]int8, []float64) {
+	q, scales := make([]int8, len(x)), make([]float64, len(x)/f)
+	for i := range scales {
+		scales[i] = kernel.QuantizeInto(q[i*f:][:f], x[i*f:][:f])
+	}
+	return q, scales
+}
+
+// refMulRowsQ is the int8-rows reference: row k of the output adds, at
+// float32 in ascending column order, float32(a's value · scales[c]) ·
+// float32(xq's row c) over the entries (c, value) of a's row rows[k].
+func refMulRowsQ(a *CSR, rows []int, xq []int8, scales []float64, f int) []float32 {
+	out := make([]float32, len(rows)*f)
+	for k, r := range rows {
+		dst := out[k*f : k*f+f]
+		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
+			c := a.Col[p]
+			v := float32(a.Val[p] * scales[c])
+			for j := range dst {
+				dst[j] += v * float32(xq[c*f+j])
+			}
+		}
+	}
+	return out
+}
+
 // csrRows is the row source MulRowsInto hands the drivers.
 func csrRows[V float64 | float32 | int8](a *CSR, rows []int, vals []V) rowSource[V] {
 	return rowSource[V]{rows: rows, csr: a, vals: vals}
@@ -532,9 +560,10 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 }
 
 // TestKernelPropOperatorRows feeds the drivers the operator's rows — emitted,
-// then lowered or quantized at the operator's scale — at every block width,
-// with hub rows longer than a worker's frame buffer, and pins every tier to
-// its reference over the stored matrix.
+// then lowered, or at int8 scaled by their columns' row scales and lowered to
+// float32 over int8 rows — at every block width, with hub rows longer than a
+// worker's frame buffer, and pins every tier to its reference over the stored
+// matrix.
 func TestKernelPropOperatorRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	n, f := 120, 13
@@ -548,7 +577,7 @@ func TestKernelPropOperatorRows(t *testing.T) {
 	}
 	adj := FromEdges(n, src, dst, true)
 	x := mat.Randn(n, f, 1, rng)
-	xq, sx := kernel.Quantize(x.Data)
+	xq, sq := quantizeRows(x.Data, f)
 	var rows []int
 	for r := 0; r < n; r++ {
 		if r%3 != 2 {
@@ -564,10 +593,7 @@ func TestKernelPropOperatorRows(t *testing.T) {
 		ref := refMulRows(stored, rows, x)
 		av, x32 := lower32(stored, x)
 		ref32 := refMulRows32(stored, rows, av, x32, f)
-		scale := kernel.ScaleFor(op.MaxAbs())
-		aq := make([]int8, stored.NNZ())
-		kernel.QuantizeAtScale(aq, stored.Val, scale)
-		ref8 := refMulRows8(stored, rows, aq, xq, f, scale*sx)
+		ref8 := refMulRowsQ(stored, rows, xq, sq, f)
 		for _, bw := range append([]int{0}, propBlockWidths...) {
 			got64 := make([]float64, len(rows)*f)
 			got32, got8 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
@@ -583,7 +609,7 @@ func TestKernelPropOperatorRows(t *testing.T) {
 			if i, ok := sameBits32(got32, ref32); !ok {
 				t.Fatalf("gamma %v bw=%d f32 element %d = %v, row-serial %v", gamma, bw, i, got32[i], ref32[i])
 			}
-			mulRowsInt(rowSource[int8]{rows: rows, op: op, scale: scale}, nil, xq, f, scale*sx, got8, bw)
+			mulRowsFloat(rowSource[float32]{rows: rows, op: op, scales: sq}, nil, xq, f, got8, bw)
 			if i, ok := sameBits32(got8, ref8); !ok {
 				t.Fatalf("gamma %v bw=%d int8 element %d = %v, row-serial %v", gamma, bw, i, got8[i], ref8[i])
 			}

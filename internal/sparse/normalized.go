@@ -3,8 +3,10 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/mat"
+	"repro/internal/par"
 )
 
 // Normalized is the γ-normalized adjacency Â = D̃^{γ−1} Ã D̃^{−γ} of a binary,
@@ -93,19 +95,6 @@ func (a *Normalized) RowNNZ(i int) int { return a.Adj.RowNNZ(i) + 1 }
 // NNZRows returns the total number of entries of Â across the given rows.
 func (a *Normalized) NNZRows(rows []int) int { return a.Adj.NNZRows(rows) + len(rows) }
 
-// MaxAbs returns the largest entry of Â (all are positive) in one pass over
-// the pattern: the int8 tier's per-tensor scale without the tensor.
-func (a *Normalized) MaxAbs() float64 {
-	maxVal := 0.0
-	for i, li := range a.Left {
-		maxVal = max(maxVal, li*a.Right[i])
-		for _, c := range a.Adj.RowIndices(i) {
-			maxVal = max(maxVal, li*a.Right[c])
-		}
-	}
-	return maxVal
-}
-
 // emitRow writes row r of Â into cols/vals — Adj's columns with r merged in
 // ascending, each value the one product Left[r]·Right[c] — then maps the
 // columns through colMap when it is given, and returns the entry count.
@@ -162,31 +151,33 @@ func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 	if out.Rows != len(rows) || x.Rows != a.N() {
 		panic("sparse: MulDenseRowsCompact shape mismatch")
 	}
-	return MulNormalizedRowsInto(a, rows, nil, nil, 0, x.Data, x.Cols, 1, out.Data)
+	return MulNormalizedRowsInto(a, rows, nil, nil, x.Data, nil, x.Cols, out.Data)
 }
 
 // MulNormalizedRowsInto is MulRowsInto with Â itself as the sparse operand:
-// out[outRows[k]·f : outRows[k]·f+f] = (Â·x)[rows[k]], other rows of out
-// untouched, returning the multiply-accumulate count nnz(rows)·f. No row of Â
-// is cut into a CSR first: the row driver's workers emit each row (emitRow:
-// the same Left[r]·Right[c] expression in the same ascending order as every
-// other way this type hands out a row) into a buffer of their own, lower the
-// values to the operands' element type there and gather with them — so the
-// result is, bit for bit, that of RowsInto/ExtractRowsInto followed by
-// MulRowsInto over the same lowering, at every tier:
+// out[outRows[k]·f : outRows[k]·f+f] = (Â·diag(scales)·x)[rows[k]], other rows
+// of out untouched, returning the multiply-accumulate count nnz(rows)·f. No
+// row of Â is cut into a CSR first: the row driver's workers emit each row
+// (emitRow: the same Left[r]·Right[c] expression in the same ascending order
+// as every other way this type hands out a row) into a buffer of their own,
+// multiply each value by its column's scale when scales is given (scales[i]
+// belongs to row i of x), lower the values to out's element type there — taken
+// as they are at float64, each rounded once at float32 — and gather with them,
+// accumulating at out's type over x's elements converted to it (exactly). So
+// the result is, bit for bit, that of RowsInto/ExtractRowsInto followed by
+// MulRowsInto over the same lowering:
 //
-//   - float64 x takes the emitted values as they are, float32 x each rounded
-//     once; out has x's type, scale and deq are unused;
-//   - int8 x takes them quantized at scale — the operator's per-tensor scale
-//     (ScaleFor over MaxAbs), so an entry lowers the same whichever product
-//     reads it — and each output element is dequantized once by deq.
+//   - float x of out's type with nil scales is the f64 and f32 tiers' product;
+//   - int8 x with one symmetric scale per row (kernel.QuantizeInto row by row)
+//     is the int8 tier's hop 1: a float32 Â with the scales folded into its
+//     columns, over float32(q).
 //
 // A nil colMap leaves Â's columns global (x is N×f: the feature matrix, or a
 // layer of propagated rows indexed by node id); otherwise every column c reads
 // row colMap[c] of x, the monotone partial map of ExtractRowsInto, and a
 // neighbor outside it panics. rows must hold no duplicates, nor outRows, where
 // nil stands for 0..len(rows)−1; out must not alias x.
-func MulNormalizedRowsInto[V float64 | float32 | int8, O float64 | float32](a *Normalized, rows, outRows []int, colMap []int32, scale float64, x []V, f int, deq float64, out []O) int {
+func MulNormalizedRowsInto[X float64 | float32 | int8, T float64 | float32](a *Normalized, rows, outRows []int, colMap []int32, x []X, scales []float64, f int, out []T) int {
 	switch {
 	case f < 0:
 		panic(fmt.Sprintf("sparse: MulNormalizedRowsInto negative feature width %d", f))
@@ -194,6 +185,9 @@ func MulNormalizedRowsInto[V float64 | float32 | int8, O float64 | float32](a *N
 		panic(fmt.Sprintf("sparse: MulNormalizedRowsInto x length %d != %d×%d", len(x), a.N(), f))
 	case outRows != nil && len(outRows) != len(rows) || f > 0 && (len(out)%f != 0 || len(x)%f != 0):
 		panic("sparse: MulNormalizedRowsInto shape mismatch")
+	case scales != nil && len(scales)*f != len(x):
+		panic(fmt.Sprintf("sparse: MulNormalizedRowsInto %d scales for %d rows", len(scales), len(x)/max(f, 1)))
 	}
-	return mulRows(rowSource[V]{rows: rows, op: a, colMap: colMap, scale: scale}, outRows, x, f, deq, out)
+	src := rowSource[T]{rows: rows, op: a, colMap: colMap, scales: scales}
+	return mulRowsFloat(src, outRows, x, f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
 }

@@ -58,14 +58,6 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 	if n == 0 {
 		return nil
 	}
-	maxAbs := 0.0
-	for _, v := range want.Val {
-		maxAbs = max(maxAbs, math.Abs(v))
-	}
-	if got := op.MaxAbs(); got != maxAbs {
-		return fmt.Errorf("MaxAbs %v, materialized max %v", got, maxAbs)
-	}
-
 	// A neighbor-closed universe: some rows and everything they touch.
 	inRows, inUniverse := make([]bool, n), make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -141,9 +133,10 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 }
 
 // checkOperatorProduct requires MulNormalizedRowsInto over rows to equal, bit
-// for bit at f64, f32 and int8, MulRowsInto over cut — those rows of op cut
-// into a CSR at local rows, columns global (colMap nil) or mapped — with the
-// cut's values lowered as the engine's tiers lower them.
+// for bit at f64 and f32, MulRowsInto over cut — those rows of op cut into a
+// CSR at local rows, columns global (colMap nil) or mapped — with the cut's
+// values lowered as the engine's tiers lower them, and over int8 rows with one
+// scale each, the naive reference over cut (refMulRowsQ).
 func checkOperatorProduct(op *Normalized, label string, cut *CSR, rows, local []int, colMap []int32, x []float64, f int) error {
 	outRows := local
 	if colMap == nil {
@@ -170,7 +163,7 @@ func checkOperatorProduct(op *Normalized, label string, cut *CSR, rows, local []
 	}
 
 	got64, want64 := make([]float64, height*f), make([]float64, height*f)
-	gm := MulNormalizedRowsInto(op, rows, outRows, colMap, 0, x, f, 1, got64)
+	gm := MulNormalizedRowsInto(op, rows, outRows, colMap, x, nil, f, got64)
 	wm := MulRowsInto(cut, local, outRows, cut.Val, x, f, 1, want64)
 	if gm != wm || gm != op.NNZRows(rows)*f {
 		return fmt.Errorf("operator product, %s: %d MACs, cut-then-multiply %d", label, gm, wm)
@@ -183,20 +176,19 @@ func checkOperatorProduct(op *Normalized, label string, cut *CSR, rows, local []
 	kernel.ToF32(av, cut.Val)
 	kernel.ToF32(x32, x)
 	got32, want32 := make([]float32, height*f), make([]float32, height*f)
-	MulNormalizedRowsInto(op, rows, outRows, colMap, 0, x32, f, 1, got32)
+	MulNormalizedRowsInto(op, rows, outRows, colMap, x32, nil, f, got32)
 	MulRowsInto(cut, local, outRows, av, x32, f, 1, want32)
 	if err := same("f32", widen(got32), widen(want32)); err != nil {
 		return err
 	}
 
-	scale := kernel.ScaleFor(op.MaxAbs())
-	aq := make([]int8, len(cut.Val))
-	kernel.QuantizeAtScale(aq, cut.Val, scale)
-	xq, sx := kernel.Quantize(x)
+	xq, sq := quantizeRows(x, f)
 	got8, want8 := make([]float32, height*f), make([]float32, height*f)
-	MulNormalizedRowsInto(op, rows, outRows, colMap, scale, xq, f, scale*sx, got8)
-	MulRowsInto(cut, local, outRows, aq, xq, f, scale*sx, want8)
-	return same("int8", widen(got8), widen(want8))
+	MulNormalizedRowsInto(op, rows, outRows, colMap, xq, sq, f, got8)
+	for k, v := range refMulRowsQ(cut, local, xq, sq, f) {
+		want8[rowAt(outRows, k/f)*f+k%f] = v
+	}
+	return same("int8 rows", widen(got8), widen(want8))
 }
 
 // growth is one delta of a sequence: grow appended nodes, then edges over
@@ -356,7 +348,7 @@ func TestNormalizedRejectsBadInput(t *testing.T) {
 			t.Fatalf("MulNormalizedRowsInto over a short column map panicked with %q", msg)
 		}
 	}()
-	MulNormalizedRowsInto(NewNormalized(adj, 0.5, deg), []int{0}, nil, []int32{0, -1, -1}, 0, []float64{1}, 1, 1, make([]float64, 1))
+	MulNormalizedRowsInto(NewNormalized(adj, 0.5, deg), []int{0}, nil, []int32{0, -1, -1}, []float64{1}, nil, 1, make([]float64, 1))
 }
 
 // FuzzNormalizedRows drives the operator-vs-materialized property over

@@ -3,31 +3,32 @@ package sparse
 import (
 	"unsafe"
 
-	"repro/internal/kernel"
 	"repro/internal/par"
 )
 
 // Every sparse×dense product runs one row driver per accumulator type —
-// mulRowsFloat at f64 and f32, mulRowsInt at int8 — over a rowSource: a stored
-// CSR's rows (MulRowsInto) or the operator's, emitted and lowered one at a time
-// (MulNormalizedRowsInto). A driver runs nnz-balanced chunks of rows in
-// parallel and gathers each row in bw-wide column blocks. Blocking moves no
-// bit — every element adds its row's terms in ascending column order (exactly,
-// at int8) — and at par.ColBlock width a row of ≤ 16 KiB is a single block.
+// mulRowsFloat at f64 and f32, mulRowsInt over a stored CSR's int8 values —
+// over a rowSource: a stored CSR's rows (MulRowsInto) or the operator's,
+// emitted and lowered one at a time (MulNormalizedRowsInto). A driver runs
+// nnz-balanced chunks of rows in parallel and gathers each row in bw-wide
+// column blocks. Blocking moves no bit — every element adds its row's terms in
+// ascending column order (exactly, at int8) — and at par.ColBlock width a row
+// of ≤ 16 KiB is a single block.
 
 // rowSource is where a driver reads the sparse rows of a product: row k is
 // row rows[k] of csr, its values the entries of vals (aligned with csr.Val,
 // at the operands' element type), or — when op is set — row rows[k] of Â,
 // emitted on demand, its columns mapped through colMap when that is given,
-// its values lowered to V (at int8, quantized at scale). Drivers take it by
-// value, so their chunk closures capture a copy and it never moves to the heap.
+// each value multiplied by its column's entry of scales when those are given,
+// then lowered to V. Drivers take it by value, so their chunk closures capture
+// a copy and it never moves to the heap.
 type rowSource[V float64 | float32 | int8] struct {
 	rows   []int
 	csr    *CSR
 	vals   []V
 	op     *Normalized
 	colMap []int32
-	scale  float64
+	scales []float64
 }
 
 // rowNNZ returns the entry count of row k, the weight of the parallel split.
@@ -56,7 +57,12 @@ func (s rowSource[V]) row(k int, buf *rowBuf[V]) ([]int, []V) {
 	}
 	cols, vals, low := buf.room(s.op.RowNNZ(r))
 	s.op.emitRow(r, s.colMap, cols, vals)
-	return cols, lowerRow(low, vals, s.scale)
+	if s.scales != nil {
+		for k, c := range cols {
+			vals[k] *= s.scales[c]
+		}
+	}
+	return cols, lowerRow(low, vals)
 }
 
 // rowBufLen is the row length a driver's worker holds in its own frame: all
@@ -89,8 +95,8 @@ func (b *rowBuf[V]) room(n int) ([]int, []float64, []V) {
 }
 
 // lowerRow returns src at element type V: src itself at float64, each value
-// rounded once into dst at float32, quantized at scale into dst at int8.
-func lowerRow[V float64 | float32 | int8](dst []V, src []float64, scale float64) []V {
+// rounded once into dst at float32.
+func lowerRow[V float64 | float32 | int8](dst []V, src []float64) []V {
 	switch d := any(dst).(type) {
 	case []float64:
 		return any(src).([]V)
@@ -98,10 +104,9 @@ func lowerRow[V float64 | float32 | int8](dst []V, src []float64, scale float64)
 		for i, v := range src {
 			d[i] = float32(v)
 		}
-	case []int8:
-		kernel.QuantizeAtScale(d[:len(src)], src, scale)
+		return dst[:len(src)]
 	}
-	return dst[:len(src)]
+	panic("sparse: operator rows lower to float64 or float32")
 }
 
 // rowAt reads entry k of an output-row list, where a nil list stands for the
@@ -114,10 +119,10 @@ func rowAt(list []int, k int) int {
 }
 
 // mulRowsFloat is the row driver of the f64 and f32 tiers: output row
-// rowAt(outRows, k) of out becomes Σ vals·x over src's row k, accumulated at T
-// in bw-wide column blocks (bw ≤ 0 or > f: one block). It returns the
-// multiply-accumulate count nnz·f.
-func mulRowsFloat[T float64 | float32](src rowSource[T], outRows []int, x []T, f int, out []T, bw int) int {
+// rowAt(outRows, k) of out becomes Σ vals·x over src's row k, x's elements
+// converted to T (exactly) and accumulated at T in bw-wide column blocks
+// (bw ≤ 0 or > f: one block). It returns the multiply-accumulate count nnz·f.
+func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource[T], outRows []int, x []X, f int, out []T, bw int) int {
 	nnz := src.nnz()
 	if bw <= 0 || bw > f {
 		bw = f
@@ -137,9 +142,10 @@ func mulRowsFloat[T float64 | float32](src rowSource[T], outRows []int, x []T, f
 	return nnz * f
 }
 
-// mulRowsInt is mulRowsFloat at the int8 tier: each block accumulates exactly
-// in one int32 accumulator per worker, and each output element is dequantized
-// once by deq, the product of the two per-tensor scales.
+// mulRowsInt is mulRowsFloat over a stored CSR's int8 values and int8 x: each
+// block accumulates exactly in one int32 accumulator per worker, and each
+// output element is dequantized once by deq, the product of the two
+// per-tensor scales.
 func mulRowsInt[O float64 | float32](src rowSource[int8], outRows []int, x []int8, f int, deq float64, out []O, bw int) int {
 	nnz := src.nnz()
 	if bw <= 0 || bw > f {
@@ -165,8 +171,8 @@ func mulRowsInt[O float64 | float32](src rowSource[int8], outRows []int, x []int
 	return nnz * f
 }
 
-// mulRows runs src's product on its element type's driver at par.ColBlock
-// width. Float operands need an output of their own type.
+// mulRows runs a stored CSR's product on its element type's driver at
+// par.ColBlock width. Float operands need an output of their own type.
 func mulRows[V float64 | float32 | int8, O float64 | float32](src rowSource[V], outRows []int, x []V, f int, deq float64, out []O) int {
 	switch s := any(src).(type) {
 	case rowSource[int8]:
@@ -178,14 +184,15 @@ func mulRows[V float64 | float32 | int8, O float64 | float32](src rowSource[V], 
 }
 
 // gatherRow accumulates columns [jb, jb+len(dst)) of Σₖ vals[k]·x[cols[k]] —
-// one row of a sparse×dense product, given as its entries — into dst: the one
-// neighbor gather of the f64 and f32 tiers. Neighbors are taken four at a time
-// so four independent source-row loads are in flight instead of one dependent
+// one row of a sparse×dense product, given as its entries, x's elements
+// converted to T — into dst: the one neighbor gather of every tier's engine
+// (x is int8 at the int8 tier's hop 1). Neighbors are taken four at a time so
+// four independent source-row loads are in flight instead of one dependent
 // load per neighbor (the gather is latency-bound once x outgrows L2), but
 // every element still adds its terms one by one in ascending column order —
 // t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical to the
 // one-neighbor-at-a-time loop, blocked or not.
-func gatherRow[T float64 | float32](dst []T, cols []int, vals, x []T, f, jb int) {
+func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int, vals []T, x []X, f, jb int) {
 	vals = vals[:len(cols)]
 	n := len(dst)
 	k := 0
@@ -197,23 +204,24 @@ func gatherRow[T float64 | float32](dst []T, cols []int, vals, x []T, f, jb int)
 		s3 := x[cols[k+3]*f+jb:][:n]
 		for j := range dst {
 			t := dst[j]
-			t += v0 * s0[j]
-			t += v1 * s1[j]
-			t += v2 * s2[j]
-			t += v3 * s3[j]
+			t += v0 * T(s0[j])
+			t += v1 * T(s1[j])
+			t += v2 * T(s2[j])
+			t += v3 * T(s3[j])
 			dst[j] = t
 		}
 	}
 	for ; k < len(cols); k++ {
 		v := vals[k]
 		for j, sv := range x[cols[k]*f+jb:][:n] {
-			dst[j] += v * sv
+			dst[j] += v * T(sv)
 		}
 	}
 }
 
 // gatherRow8 accumulates columns [jb, jb+len(acc)) of Σₖ aq[k]·xq[cols[k]] —
-// one row of the int8 product, given as its entries like gatherRow's — into
+// one row of a stored CSR's int8 product, given as its entries like
+// gatherRow's — into
 // acc without dequantizing. Neighbors are processed four at a time: unlike the
 // float tiers, int32 accumulation is exact (degrees and the ±127 operand range
 // keep |acc| far below 2³¹ for any graph this repo serves), so reassociating
