@@ -30,9 +30,8 @@
 //
 // Every worker answers for every node, so more addresses are both more
 // capacity and more redundancy. The router fails over transparently when a
-// worker dies (503 only when every worker is down), fans each delta to all
-// workers, and replays missed deltas to lagging or restarted workers
-// before re-admitting them — see ARCHITECTURE.md, "Failure semantics",
+// worker dies (503 only when every worker is down), logs each delta, and
+// replays the deltas a worker has missed when it is next called or probed — see ARCHITECTURE.md, "Failure semantics",
 // including the zero-downtime worker replacement procedure built on
 // -drain-timeout below.
 //

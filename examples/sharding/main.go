@@ -3,8 +3,9 @@
 // around — sharded answers bit-identical to a single deployment, whichever
 // worker answers, before and after online graph growth. The example trains
 // a tiny model, compares the two backends target by target with every
-// worker answering in turn, routes a delta (a new node, which every worker
-// applies as the single deployment does), re-verifies, and finally serves
+// worker answering in turn, commits a delta (a new node, which every worker
+// replays from the router's log as the single deployment applies it),
+// re-verifies, and finally serves
 // the sharded backend through the HTTP daemon. It exits non-zero if any
 // answer differs.
 //
@@ -82,8 +83,8 @@ func main() {
 	verify("initial graph", ds.Split.Test)
 
 	// 4. Online growth: a new node with edges to both ends of the id space.
-	// The router applies the delta to its graph and ships the same delta to
-	// every worker.
+	// The router applies the delta to its graph and logs it; each worker
+	// replays it from the log at its next request.
 	n := ds.Graph.N()
 	row := make([]float64, ds.Graph.F())
 	row[0] = 1

@@ -57,7 +57,7 @@ type ShardStatus struct {
 	// State is "up", "lagging" or "down".
 	State string `json:"state"`
 	// Version is the graph version the worker is known to hold: what its
-	// last probe, delivery or replay established (1 before any).
+	// last call, probe or replay established (1 before any).
 	Version uint64 `json:"version"`
 	// Err is the failure that took the worker out of rotation (empty while
 	// up).
@@ -68,8 +68,7 @@ type ShardStatus struct {
 // (NewDeployment's initial Refresh) and grows with every Refresh and every
 // effective ApplyDelta. An answer computed under one version is valid
 // exactly as long as that version is current; the serving daemon surfaces
-// it in /stats. Deployments with externally supplied state (shard
-// subgraphs) stay at 0 — their router versions the global graph instead.
+// it in /stats.
 func (d *Deployment) Version() uint64 { return d.version.Load() }
 
 // Describe snapshots the deployment for the serving layer (serve.Backend).

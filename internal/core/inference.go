@@ -106,9 +106,8 @@ func (b MACBreakdown) Total() int {
 // distance/gate procedure.
 func (b MACBreakdown) FeatureProcessing() int { return b.Propagation + b.Decision }
 
-// Add accumulates another breakdown field-wise (shared by the engine's
-// batch merge and the shard router's, so a new procedure counter cannot be
-// summed in one place and dropped in the other; the serving daemon's
+// Add accumulates another breakdown field-wise; Result.merge, the
+// engine's batch merge, is its one caller (the serving daemon's
 // per-procedure counters walk serve.macProcedures).
 func (b *MACBreakdown) Add(o MACBreakdown) {
 	b.Stationary += o.Stationary

@@ -91,9 +91,7 @@ func (d *Deployment) SetPrecision(p kernel.Precision) {
 func (d *Deployment) Precision() kernel.Precision { return d.prec }
 
 // retier builds the engine for the active tier from the current features:
-// dense operand lowered, no layer, no pooled scratch. Valid on a deployment
-// with externally supplied state too — the operand is a pure function of the
-// Features its owner maintains.
+// dense operand lowered, no layer, no pooled scratch.
 func (d *Deployment) retier() {
 	if d.prec == kernel.PrecisionF64 {
 		d.eng = newTier[float64](d)

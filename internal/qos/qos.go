@@ -339,31 +339,26 @@ func (f *FairBudget) Pending() int {
 // Capacity reports the configured bound (≤ 0 = unbounded).
 func (f *FairBudget) Capacity() int { return f.capacity }
 
-// DetectorConfig parametrizes the overload detector's two hysteresis
-// loops. Utilization thresholds are fractions of the admission budget's
-// capacity; latency thresholds apply to the EWMA of flush latencies. A
-// zero TripLatency disables the latency signal; zero utilization
-// thresholds default to trip at 0.9 and clear at 0.5. ProbeInterval is how
-// often ShedAt admits one request while degraded (default: TripLatency,
-// or 100ms when the latency signal is disabled).
+// The depth signal's hysteresis thresholds, as fractions of the admission
+// budget's capacity (the latency signal clears at half its TripLatency).
+const (
+	tripUtilization  = 0.9
+	clearUtilization = 0.5
+)
+
+// DetectorConfig parametrizes the overload detector. TripLatency is the
+// flush-latency EWMA above which the latency signal trips (zero disables
+// it). ProbeInterval is how often ShedAt admits one request while degraded
+// (default: TripLatency, or 100ms when the latency signal is disabled). It
+// stays settable for serve's shed-recovery test, whose nanosecond interval
+// makes every request after an episode's first a probe, so recovery is
+// deterministic on any host.
 type DetectorConfig struct {
-	TripUtilization  float64
-	ClearUtilization float64
-	TripLatency      time.Duration
-	ClearLatency     time.Duration
-	ProbeInterval    time.Duration
+	TripLatency   time.Duration
+	ProbeInterval time.Duration
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.TripUtilization <= 0 {
-		c.TripUtilization = 0.9
-	}
-	if c.ClearUtilization <= 0 {
-		c.ClearUtilization = 0.5
-	}
-	if c.TripLatency > 0 && c.ClearLatency <= 0 {
-		c.ClearLatency = c.TripLatency / 2
-	}
 	if c.ProbeInterval <= 0 {
 		if c.TripLatency > 0 {
 			c.ProbeInterval = c.TripLatency
@@ -376,9 +371,9 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 
 // Detector decides when the daemon is overloaded, with hysteresis so the
 // degraded mode does not flap: depth trips when pending work exceeds
-// TripUtilization of capacity and clears only once it falls below
-// ClearUtilization; latency trips when the flush-latency EWMA exceeds
-// TripLatency and clears below ClearLatency. Degraded is the OR of the two
+// tripUtilization of capacity and clears only once it falls below
+// clearUtilization; latency trips when the flush-latency EWMA exceeds
+// TripLatency and clears below TripLatency/2. Degraded is the OR of the two
 // signals.
 type Detector struct {
 	mu          sync.Mutex
@@ -408,7 +403,7 @@ func (d *Detector) ObserveFlush(latency time.Duration) {
 	d.mu.Lock()
 	if !d.latTrip && v > d.cfg.TripLatency {
 		d.latTrip = true
-	} else if d.latTrip && v < d.cfg.ClearLatency {
+	} else if d.latTrip && v < d.cfg.TripLatency/2 {
 		d.latTrip = false
 	}
 	d.updateLocked()
@@ -423,9 +418,9 @@ func (d *Detector) Update(pending, capacity int) bool {
 	defer d.mu.Unlock()
 	if capacity > 0 {
 		util := float64(pending) / float64(capacity)
-		if !d.depthTrip && util >= d.cfg.TripUtilization {
+		if !d.depthTrip && util >= tripUtilization {
 			d.depthTrip = true
-		} else if d.depthTrip && util <= d.cfg.ClearUtilization {
+		} else if d.depthTrip && util <= clearUtilization {
 			d.depthTrip = false
 		}
 	}
@@ -485,9 +480,9 @@ func (d *Detector) Peek(pending, capacity int) bool {
 	depth := d.depthTrip
 	if capacity > 0 {
 		util := float64(pending) / float64(capacity)
-		if !depth && util >= d.cfg.TripUtilization {
+		if !depth && util >= tripUtilization {
 			depth = true
-		} else if depth && util <= d.cfg.ClearUtilization {
+		} else if depth && util <= clearUtilization {
 			depth = false
 		}
 	}

@@ -199,7 +199,7 @@ func TestFairBudgetUnbounded(t *testing.T) {
 }
 
 func TestDetectorDepthHysteresis(t *testing.T) {
-	d := NewDetector(DetectorConfig{TripUtilization: 0.9, ClearUtilization: 0.5})
+	d := NewDetector(DetectorConfig{})
 	if d.Update(89, 100) {
 		t.Fatal("tripped below the high watermark")
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -425,31 +426,27 @@ func TestStatsCacheBlock(t *testing.T) {
 	}
 }
 
-// rejectingTransport applies every delta to the workers beneath it and then
-// reports one shard's as permanently rejected: the router has committed the
-// delta — graph, version, log — and still returns an error beside its
-// result.
+// rejectingTransport permanently rejects every delta replayed to one
+// worker, as a worker whose graph diverged from the router's does.
 type rejectingTransport struct {
 	shard.Transport
 	reject int
 }
 
 func (r *rejectingTransport) ApplyDelta(ctx context.Context, p int, sd *shard.ShardDelta) error {
-	if err := r.Transport.ApplyDelta(ctx, p, sd); err != nil {
-		return err
-	}
 	if p == r.reject {
-		return errors.New("worker rejected its plan")
+		return errors.New("worker rejected the delta")
 	}
-	return nil
+	return r.Transport.ApplyDelta(ctx, p, sd)
 }
 
-// TestCommittedDeltaWithError: a delta the backend committed must be
-// followed by the cache and the books even when the call reports an error.
-// The caller sees the error, graph_version and deltas both advance, and no
-// answer that predates the delta survives it: none at all under a NAP mode,
-// none inside the radius-TMax dirty ball under ModeFixed — where the entries
-// outside it stay hot.
+// TestCommittedDeltaWithError: a delta the router committed that one worker
+// then rejects on replay. The delta itself succeeds — graph_version and
+// deltas both advance — and the rejecting worker is routed around at the
+// read that replays to it: it goes down and every answer equals the
+// reference. No answer that predates the delta survives it: none at all
+// under a NAP mode, none inside the radius-TMax dirty ball under ModeFixed —
+// where the entries outside it stay hot.
 func TestCommittedDeltaWithError(t *testing.T) {
 	ds, m := fixture(t)
 	for mode, opt := range map[string]core.InferenceOptions{
@@ -506,8 +503,8 @@ func TestCommittedDeltaWithError(t *testing.T) {
 			}
 
 			before := srv.Stats()
-			if _, err := srv.ApplyDelta(delta.Clone()); err == nil {
-				t.Fatal("the rejected shard's error did not reach the caller")
+			if _, err := srv.ApplyDelta(delta.Clone()); err != nil {
+				t.Fatalf("delta failed at the router: %v", err)
 			}
 			after := srv.Stats()
 			if after.GraphVersion != before.GraphVersion+1 || after.Deltas != before.Deltas+1 {
@@ -539,6 +536,23 @@ func TestCommittedDeltaWithError(t *testing.T) {
 			if hits := final.Hits - after.Cache.Hits; hits != wantHits {
 				t.Fatalf("%d of %v answered from entries that predate the delta, want %d (cache %+v → %+v)",
 					hits, hot, wantHits, after.Cache, final)
+			}
+
+			// A second backend call: round-robin over the up workers has
+			// tried the rejecting one by now, whichever answered first.
+			want, err = ref.Infer(ds.Split.Test, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotP, gotD, err = srv.Classify(ds.Split.Test); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotP, want.Pred) || !slices.Equal(gotD, want.Depths) {
+				t.Fatal("answers differ from the reference beside a rejecting worker")
+			}
+			sts := rt.Describe().Shards
+			if !sts[0].Up || sts[1].Up || !strings.Contains(sts[1].Err, "rejected") {
+				t.Fatalf("worker rows %+v, want 0 up and 1 down for rejecting the delta", sts)
 			}
 		})
 	}

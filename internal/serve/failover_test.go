@@ -157,8 +157,7 @@ func TestFailoverUnderFire(t *testing.T) {
 			waitFor("the storm to start", requestsPast(50))
 			inj.Partition(1)
 			// Let the storm discover the partition through Infer (the
-			// transparent failover under test) before delta delivery also
-			// marks the worker down.
+			// transparent failover under test) before the deltas commit.
 			waitFor("an Infer to fail over", func() bool { return rt.Describe().Failovers > 0 })
 			f := ds.Graph.F()
 			var deltas []graph.Delta
@@ -236,8 +235,9 @@ func TestFailoverUnderFire(t *testing.T) {
 
 // TestHealthzReportsReplicas: /healthz and /stats carry one row per worker,
 // and /metrics exposes nai_shard_up, the failover counters and each
-// worker's version lag — k for a partitioned worker after k deltas, 0 once
-// healed. One worker down leaves the daemon healthy.
+// worker's version lag — k for every worker after k deltas, since a delta
+// reaches no worker; 0 once a probe replays them to a reachable one, and to
+// the partitioned one once healed. One worker down leaves the daemon healthy.
 func TestHealthzReportsReplicas(t *testing.T) {
 	s, rt, inj, _ := newReplicatedServer(t, "local",
 		Config{})
@@ -293,7 +293,7 @@ func TestHealthzReportsReplicas(t *testing.T) {
 		"nai_shard_failovers_total",
 		"nai_shard_replica_retries_total")
 
-	// The partitioned worker misses three deltas the others take.
+	// Three deltas commit at the router alone.
 	f := ds.Graph.F()
 	for k := 0; k < 3; k++ {
 		d := graph.Delta{Features: mat.New(1, f), Labels: []int{0},
@@ -302,6 +302,13 @@ func TestHealthzReportsReplicas(t *testing.T) {
 			t.Fatalf("delta %d with one worker partitioned: %v", k, err)
 		}
 	}
+	requireMetrics(
+		`nai_shard_version_lag{shard="0"} 3`,
+		`nai_shard_version_lag{shard="1"} 3`,
+		`nai_shard_version_lag{shard="2"} 3`,
+		`nai_shard_version_lag{shard="3"} 3`)
+	// The probe replays them to every reachable worker.
+	rt.Probe(context.Background())
 	requireMetrics(
 		`nai_shard_version_lag{shard="0"} 0`,
 		`nai_shard_version_lag{shard="1"} 3`,

@@ -153,8 +153,8 @@ type Backend interface {
 	// worker transports, the engine itself only records spans.
 	InferContext(ctx context.Context, targets []int, opt core.InferenceOptions) (*core.Result, error)
 	// ApplyDelta grows the serving graph; must be exclusive with
-	// InferContext. A non-nil result beside an error means the delta is
-	// committed all the same (a router whose worker rejected its share).
+	// InferContext. It returns either the result of a committed delta or
+	// an error with nothing changed.
 	ApplyDelta(d graph.Delta) (*graph.DeltaResult, error)
 	// ServingGraph is the merged graph being served. Under the read lock
 	// the server takes node and edge counts from it and validates ids
@@ -449,22 +449,20 @@ func (s *Server) infer(ctx context.Context, start time.Time, tr *obs.Trace, targ
 
 // ApplyDelta applies a graph mutation under the write lock, waiting for
 // in-flight requests to finish and blocking new ones, then refreshes
-// the backend incrementally. Whatever the backend committed is followed
-// before the lock is released — stale cache entries evicted, the delta
-// counted — including when it reports an error beside its result (a router
-// whose worker rejected its share of a delta the rest of the fleet applied):
-// the caller then gets both.
+// the backend incrementally. A committed delta is followed before the lock
+// is released: stale cache entries evicted, the delta counted.
 func (s *Server) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
 	s.graphMu.Lock()
 	defer s.graphMu.Unlock()
 	dr, err := s.backend.ApplyDelta(d)
-	if dr != nil {
-		s.invalidate(dr)
-		s.m.deltas.Inc()
-		s.m.nodesAdded.Add(uint64(dr.NumNew))
-		s.m.rowsDirtied.Add(uint64(len(dr.Dirty)))
+	if err != nil {
+		return nil, err
 	}
-	return dr, err
+	s.invalidate(dr)
+	s.m.deltas.Inc()
+	s.m.nodesAdded.Add(uint64(dr.NumNew))
+	s.m.rowsDirtied.Add(uint64(len(dr.Dirty)))
+	return dr, nil
 }
 
 // invalidate is the result cache's whole invalidation policy, applied after

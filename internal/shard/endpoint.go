@@ -34,10 +34,10 @@ func (s endpointState) String() string {
 }
 
 // endpoint is the router's record of one worker: its transport index, its
-// address label, and what the last call, delivery or probe learned about
-// it. Because workers bootstrap deterministically and deltas are versioned
-// and idempotent, every caught-up worker holds bit-identical state, so any
-// of them may answer.
+// address label, and what the last call, replay or probe learned about it.
+// Because workers bootstrap deterministically and deltas are versioned and
+// idempotent, every caught-up worker holds bit-identical state, so any of
+// them may answer.
 type endpoint struct {
 	index int
 	addr  string
@@ -46,8 +46,9 @@ type endpoint struct {
 	state endpointState
 	err   error // last failure while not up
 	// info is the worker's last health report, except info.Version, which
-	// also follows deliveries and replays: the graph version the worker is
-	// known to hold (1 = as bootstrapped, before any report).
+	// also follows replays and stale answers: the graph version the worker
+	// is known to hold (1 = as bootstrapped, before any report). A delta
+	// leaves it alone, so the router's version minus it is the worker's lag.
 	info HealthInfo
 	// replay serializes log-suffix replay, so concurrent stale answers
 	// trigger one replay, not a stampede.
@@ -153,8 +154,8 @@ func (r *Router) logSuffix(i int, have uint64) ([]*ShardDelta, error) {
 	r.logMu.Lock()
 	defer r.logMu.Unlock()
 	// deltaLog[i] produces version i+2, so versions have+1..cur are entries
-	// have−1..cur−2. ApplyDeltaContext publishes the version under logMu
-	// only after logging the delta, so the log always reaches cur−1; clamp
+	// have−1..cur−2. ApplyDelta publishes the version under logMu only
+	// after logging the delta, so the log always reaches cur−1; clamp
 	// defensively anyway — an out-of-range slice here would crash the
 	// router.
 	lo, hi := int(have-1), int(cur-1)
@@ -171,10 +172,11 @@ func (r *Router) logSuffix(i int, have uint64) ([]*ShardDelta, error) {
 // start-up handshake alike: ask the worker for its report, validate its
 // bootstrap parameters, catch a worker behind the router's graph version up
 // by replay (its own report overrides the recorded version — a restarted
-// worker is back at 1), then re-validate the caught-up report — version and
-// node count included — before marking the endpoint up. A worker
-// restarted with different flags or a different graph stays rejected, not
-// silently re-admitted: it would serve answers that are not bit-identical.
+// worker is back at 1; one that rejects the replay goes down), then
+// re-validate the caught-up report — version and node count included —
+// before marking the endpoint up. A worker restarted with different flags
+// or a different graph stays rejected, not silently re-admitted: it would
+// serve answers that are not bit-identical.
 func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
 	health := func() (HealthInfo, error) {
 		info, err := r.transport.Health(ctx, ep.index)
@@ -201,9 +203,9 @@ func (r *Router) probeEndpoint(ctx context.Context, ep *endpoint) {
 	case info.Version > cur:
 		ep.record(fmt.Errorf("worker at graph version %d, ahead of router %d", info.Version, cur))
 	case info.Version < cur:
-		// A delta landed between the catch-up and this check; its delivery
-		// files its own outcome and the next sweep re-validates — don't
-		// overwrite that verdict from an already-stale sample.
+		// A delta landed between the catch-up and this check; the worker's
+		// next call or sweep replays it — don't file a verdict from an
+		// already-stale sample.
 	case info.Nodes != exp:
 		ep.record(fmt.Errorf("worker graph has %d nodes at version %d, want %d", info.Nodes, cur, exp))
 	default:
@@ -257,13 +259,14 @@ func (r *Router) poolErr() error {
 // infer runs one request against the pool and reports the index of the
 // worker last tried. Each round walks the candidates: a stale answer is
 // healed by replaying the log suffix to that worker and retried once in
-// place; a transient failure or a version gap that would not heal takes the
-// worker out of rotation and moves on to the next with no backoff (the
-// failover the caller never sees); a permanent failure (rejected payload,
-// precision conflict) is returned at once — every caught-up worker would
-// answer identically. Only when a whole round fails does the call back off,
-// and only when the retry budget is spent does it wrap ErrUnavailable: the
-// pool goes dark only when every worker is.
+// place; a transient failure or a replay the worker did not take (lagging
+// if it reported another version gap, down otherwise) takes the worker out
+// of rotation and moves on to the next with no backoff (the failover the
+// caller never sees); a permanent failure of the call itself (rejected
+// payload, precision conflict) is returned at once — every caught-up
+// worker would answer identically. Only when a whole round fails does the
+// call back off, and only when the retry budget is spent does it wrap
+// ErrUnavailable: the pool goes dark only when every worker is.
 func (r *Router) infer(ctx context.Context, req *InferRequest) (*core.Result, int, error) {
 	if r.probing.Load() {
 		// Fail fast: nothing is up and the prober will clear the mark once a
@@ -290,13 +293,13 @@ func (r *Router) infer(ctx context.Context, req *InferRequest) (*core.Result, in
 			res, err = r.transport.Infer(ctx, ep.index, req)
 			var stale *StaleError
 			if errors.As(err, &stale) {
-				// A failed replay leaves the version gap standing: the worker
-				// is routed around, not the call failed.
 				if herr := r.replay(ctx, ep, stale.Have); herr != nil {
-					err = fmt.Errorf("%w; replay: %v", err, herr)
-				} else {
-					res, err = r.transport.Infer(ctx, ep.index, req)
+					// The worker is routed around, not the call failed.
+					ep.record(herr)
+					lastErr = herr
+					continue
 				}
+				res, err = r.transport.Infer(ctx, ep.index, req)
 			}
 			if err != nil && !IsTransient(err) && !errors.As(err, &stale) {
 				return err
@@ -314,40 +317,4 @@ func (r *Router) infer(ctx context.Context, req *InferRequest) (*core.Result, in
 		return nil, last, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	return res, last, err
-}
-
-// deliver ships the delta just logged to every worker — which is a replay
-// from each worker's recorded version, so a worker that missed earlier
-// deltas gets those too. One worker holding the delta commits the round;
-// unreachable or stale workers are left owing it (the next probe, Infer
-// heal or delivery replays the log to them) and only a round nobody
-// accepted is retried. A permanent rejection is returned even if others
-// accepted — a worker refusing a delta its router accepted is a bug, not an
-// outage.
-func (r *Router) deliver(ctx context.Context) error {
-	return r.withRetry(ctx, func() error {
-		var permanent, lastErr error
-		applied := false
-		for _, ep := range r.endpoints {
-			err := r.replay(ctx, ep, 0)
-			ep.record(err)
-			var stale *StaleError
-			switch {
-			case err == nil:
-				applied = true
-			case IsTransient(err) || errors.As(err, &stale):
-				lastErr = err
-			case permanent == nil:
-				permanent = err
-			}
-		}
-		switch {
-		case permanent != nil:
-			return permanent
-		case applied:
-			return nil
-		}
-		return &TransportError{Shard: -1, Transient: true,
-			Err: fmt.Errorf("no worker accepted the delta: %w", lastErr)}
-	})
 }

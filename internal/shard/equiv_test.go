@@ -264,8 +264,8 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	for i, w := range workers {
 		wg := w.dep.Graph
 		switch {
-		case w.version != rt.Version():
-			t.Fatalf("worker %d at version %d, router at %d", i, w.version, rt.Version())
+		case w.dep.Version() != rt.Version():
+			t.Fatalf("worker %d at version %d, router at %d", i, w.dep.Version(), rt.Version())
 		case !slices.Equal(wg.Adj.RowPtr, g.Adj.RowPtr) || !slices.Equal(wg.Adj.Col, g.Adj.Col) ||
 			!slices.Equal(bits(wg.Adj.Val), bits(g.Adj.Val)):
 			t.Fatalf("worker %d: adjacency differs from the router's", i)

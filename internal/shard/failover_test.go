@@ -11,13 +11,18 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/mat"
 	"repro/internal/shard"
 )
 
@@ -121,9 +126,11 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	}
 }
 
-// TestDeltaOutageHealsByReplay: a delta the router cannot deliver commits
-// anyway. The starved workers are healed by delta-log replay — the one the
-// next Infer reaches before it answers, the other by the probe — the
+// TestDeltaOutageHealsByReplay: a delta commits while no replay can reach
+// a worker, and leaves every worker's record as it was — up, at version 1.
+// The next Infer finds each worker stale, fails to replay to it and takes
+// it down; once replays get through, the next Infer heals the worker it
+// reaches before it answers and the probe heals the other — the
 // stale-worker path with no worker process involved.
 func TestDeltaOutageHealsByReplay(t *testing.T) {
 	h := mustPool(t, 2)
@@ -135,17 +142,25 @@ func TestDeltaOutageHealsByReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := h.rt.ApplyDelta(deltas[0].Clone()); err != nil {
-		t.Fatalf("undeliverable delta failed the call: %v", err)
+		t.Fatalf("delta failed the call: %v", err)
 	}
 	if h.rt.Version() != 2 {
 		t.Fatalf("router version %d after committed delta, want 2", h.rt.Version())
 	}
+	for _, st := range h.rt.Describe().Shards {
+		if !st.Up || st.Version != 1 {
+			t.Fatalf("worker %d %s at version %d after a delta, want its record untouched", st.Shard, st.State, st.Version)
+		}
+	}
+	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
+	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
+		t.Fatalf("no worker can catch up: got %v, want ErrUnavailable", err)
+	}
 	if h.rt.Describe().Healthy() {
-		t.Fatal("workers marked up despite delta outage")
+		t.Fatal("workers marked up after their replays failed")
 	}
 
 	h.inj.SetDropDeltas(false)
-	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
 	want, err := h.dep.Infer(ds.Split.Test, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -200,10 +215,11 @@ func TestReplicaFailoverRoutesAround(t *testing.T) {
 	shard.TestRequireSameAnswers(t, "after heal", h.rt, h.dep, ds.Split.Test)
 }
 
-// TestReplicaDeltaStragglerRejoins: a partitioned worker misses deltas —
-// delivery commits on the others and marks the straggler down — then the
-// heal+probe replays the delta-log suffix and re-admits it, with answers
-// staying bit-identical throughout.
+// TestReplicaDeltaStragglerRejoins: deltas commit at the router while a
+// worker is partitioned, and no worker is marked by them. The reads that
+// follow replay the log to the reachable workers and mark the straggler
+// down at its first call; then the heal+probe replays the delta-log suffix
+// and re-admits it, with answers staying bit-identical throughout.
 func TestReplicaDeltaStragglerRejoins(t *testing.T) {
 	h := mustPool(t, 3)
 	ds, _ := shard.TestFixture(t)
@@ -216,6 +232,9 @@ func TestReplicaDeltaStragglerRejoins(t *testing.T) {
 		if _, err := h.rt.ApplyDelta(d.Clone()); err != nil {
 			t.Fatalf("delta %d with a worker partitioned: %v", di, err)
 		}
+	}
+	if !h.rt.Describe().Shards[0].Up {
+		t.Fatal("a delta marked the partitioned worker: it is marked at its next call")
 	}
 	targets := ds.Split.Test
 	for v := ds.Graph.N(); v < h.dep.Graph.N(); v++ {
@@ -518,19 +537,50 @@ func TestReplicaSetValidation(t *testing.T) {
 	}
 }
 
-// deltaCounter counts the ApplyDelta calls that reach each transport index
-// (it sits beneath the chaos injector, so dropped ones do not count).
+// deltaCounter counts the ApplyDelta calls that reach each transport index,
+// and in calls every call of any kind (it sits beneath the chaos injector,
+// so dropped ones do not count).
 type deltaCounter struct {
 	shard.Transport
 	mu     sync.Mutex
 	counts map[int]int
+	calls  int
 }
 
 func (c *deltaCounter) ApplyDelta(ctx context.Context, i int, sd *shard.ShardDelta) error {
 	c.mu.Lock()
 	c.counts[i]++
+	c.calls++
 	c.mu.Unlock()
 	return c.Transport.ApplyDelta(ctx, i, sd)
+}
+
+func (c *deltaCounter) Infer(ctx context.Context, i int, req *shard.InferRequest) (*core.Result, error) {
+	c.mu.Lock()
+	c.calls++
+	c.mu.Unlock()
+	return c.Transport.Infer(ctx, i, req)
+}
+
+func (c *deltaCounter) Health(ctx context.Context, i int) (shard.HealthInfo, error) {
+	c.mu.Lock()
+	c.calls++
+	c.mu.Unlock()
+	return c.Transport.Health(ctx, i)
+}
+
+// shipped reports the deltas that reached worker i.
+func (c *deltaCounter) shipped(i int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.counts[i]
+}
+
+// total reports the calls of any kind that reached any worker.
+func (c *deltaCounter) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls
 }
 
 // TestReplayStampede: concurrent requests that all find the same worker
@@ -546,8 +596,7 @@ func TestReplayStampede(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Three deltas commit on the router while none reaches a worker.
-	h.inj.SetDropDeltas(true)
+	// Three deltas commit on the router; none reaches a worker.
 	for _, d := range shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99)))[:3] {
 		if _, err := h.dep.ApplyDelta(d.Clone()); err != nil {
 			t.Fatal(err)
@@ -556,14 +605,14 @@ func TestReplayStampede(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.inj.SetDropDeltas(false)
 	if n := counter.counts[0] + counter.counts[1]; n != 0 {
-		t.Fatalf("%d deltas reached the workers during the outage", n)
+		t.Fatalf("%d deltas reached the workers at delta time", n)
 	}
 
-	// Eight callers arrive at once. No worker is up, so each tries worker 0
-	// first and finds it three versions behind; once it is caught up it is
-	// the only up worker, so worker 1 is never tried.
+	// Eight callers arrive at once. Both workers are still up, so
+	// round-robin sends four to each, and each worker finds itself three
+	// versions behind: the suffix ships once per worker, not once per
+	// caller.
 	targets := ds.Split.Test
 	opt := shard.TestInferOpts(h.dep.Model)[0]
 	want, err := h.dep.Infer(targets, opt)
@@ -589,9 +638,188 @@ func TestReplayStampede(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if counter.counts[0] != 3 || counter.counts[1] != 0 {
-		t.Fatalf("deltas delivered per worker %v, want exactly 3 to worker 0 and none to worker 1", counter.counts)
+	if counter.counts[0] != 3 || counter.counts[1] != 3 {
+		t.Fatalf("deltas replayed per worker %v, want exactly 3 to each", counter.counts)
 	}
+}
+
+// TestDeltaReachesWorkersByReplay pins how a delta reaches the workers, for
+// P ∈ {1, 2, 4} over both transports: ApplyDelta makes no transport call
+// and leaves every worker's record as it was; the next Infer that lands on
+// a worker ships it exactly the log suffix it misses, and answers like the
+// unsharded deployment, MACs included; Probe brings every row to the
+// router's version; with every worker cut, ApplyDelta still returns the
+// committed result and a nil error; and a malformed delta returns a
+// *graph.ValidationError with nothing changed anywhere.
+func TestDeltaReachesWorkersByReplay(t *testing.T) {
+	ds, m := shard.TestFixture(t)
+	for _, transport := range []string{"local", "http"} {
+		for _, p := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/P=%d", transport, p), func(t *testing.T) {
+				workers := make([]*shard.Worker, p)
+				addrs := make([]string, p)
+				for i := range workers {
+					w, err := shard.NewWorker(m, ds.Graph.Clone(), shard.Config{}, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					workers[i] = w
+					if transport == "http" {
+						srv := httptest.NewServer(shard.WorkerHandler(w))
+						t.Cleanup(srv.Close)
+						addrs[i] = srv.URL
+					}
+				}
+				var tr shard.Transport = shard.NewLocalTransport(workers)
+				if transport == "http" {
+					tr = shard.NewHTTPTransport(addrs, shard.HTTPTransportConfig{CallTimeout: 5 * time.Second})
+				}
+				counter := &deltaCounter{Transport: tr, counts: map[int]int{}}
+				inj := chaos.New(counter, 1)
+				rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(p), inj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				dep, err := core.NewDeployment(m, ds.Graph.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				// apply commits deltas at both and requires that the router
+				// made no transport call and changed no worker's record.
+				apply := func(stage string, deltas ...graph.Delta) {
+					t.Helper()
+					rows := rt.Describe().Shards
+					calls := counter.total()
+					for di, d := range deltas {
+						if _, err := dep.ApplyDelta(d.Clone()); err != nil {
+							t.Fatal(err)
+						}
+						dr, err := rt.ApplyDelta(d.Clone())
+						if err != nil || dr == nil {
+							t.Fatalf("%s delta %d: result %v, error %v", stage, di, dr, err)
+						}
+					}
+					if after := counter.total(); after != calls {
+						t.Fatalf("%s: ApplyDelta made %d transport calls", stage, after-calls)
+					}
+					for i, st := range rt.Describe().Shards {
+						if st.State != rows[i].State || st.Version != rows[i].Version || st.Version >= rt.Version() {
+							t.Fatalf("%s: worker %d went %s v%d → %s v%d (router v%d)", stage, i,
+								rows[i].State, rows[i].Version, st.State, st.Version, rt.Version())
+						}
+					}
+				}
+				targets := func() []int {
+					out := append([]int(nil), ds.Split.Test...)
+					for v := ds.Graph.N(); v < dep.Graph.N(); v++ {
+						out = append(out, v)
+					}
+					return out
+				}
+				// requireShipped checks that worker i was shipped each logged
+				// delta exactly once.
+				requireShipped := func(stage string, i int) {
+					t.Helper()
+					if n := counter.shipped(i); n != int(rt.Version()-1) {
+						t.Fatalf("%s: worker %d was shipped %d deltas in all, want the %d the router logged",
+							stage, i, n, rt.Version()-1)
+					}
+				}
+
+				var val *graph.ValidationError
+				calls := counter.total()
+				if dr, err := rt.ApplyDelta(graph.Delta{Src: []int{-1}, Dst: []int{0}}); dr != nil || !errors.As(err, &val) {
+					t.Fatalf("malformed delta: result %v, error %v, want a *graph.ValidationError alone", dr, err)
+				}
+				if counter.total() != calls || rt.Version() != 1 ||
+					!slices.Equal(rt.ServingGraph().Adj.RowPtr, ds.Graph.Adj.RowPtr) {
+					t.Fatal("a malformed delta changed something")
+				}
+
+				deltas := shard.TestDeltasFor(ds.Graph, rand.New(rand.NewSource(99)))
+				apply("first half", deltas[:2]...)
+				for i := range p {
+					for j := range p {
+						if j != i {
+							inj.Partition(j)
+						}
+					}
+					shard.TestRequireSameAnswers(t, fmt.Sprintf("worker %d alone", i), rt, dep, targets())
+					inj.Heal()
+					requireShipped(fmt.Sprintf("worker %d's read", i), i)
+				}
+
+				apply("second half", deltas[2:]...)
+				rt.Probe(context.Background())
+				requireAllUp(t, "after the probe", rt)
+				for i := range p {
+					requireShipped("probe", i)
+				}
+				shard.TestRequireSameAnswers(t, "after the probe", rt, dep, targets())
+
+				inj.Partition(chaos.AnyShard)
+				f := ds.Graph.F()
+				apply("full outage", graph.Delta{Features: mat.New(1, f), Labels: []int{0},
+					Src: []int{0}, Dst: []int{dep.Graph.N()}})
+				inj.Heal()
+				rt.Probe(context.Background())
+				requireAllUp(t, "after the outage", rt)
+				shard.TestRequireSameAnswers(t, "after the outage", rt, dep, targets())
+			})
+		}
+	}
+}
+
+// TestDivergedWorkerGoesDown: a worker bootstrapped with an edge the router
+// lacks holds a graph diverged from the router's. A later router delta adding
+// that edge changes nothing on the worker, so replaying it must take the
+// worker down — at the read that replays it and at the probe — while the
+// other worker answers like the unsharded deployment.
+func TestDivergedWorkerGoesDown(t *testing.T) {
+	ds, m := shard.TestFixture(t)
+	n := ds.Graph.N()
+	edge := graph.Delta{Src: []int{0}, Dst: []int{n - 1}}
+	diverged := ds.Graph.Clone()
+	if dr, err := diverged.ApplyDelta(edge.Clone()); err != nil || len(dr.Dirty) == 0 {
+		t.Fatalf("fixture already holds the edge (%v, %v)", dr, err)
+	}
+	workers := make([]*shard.Worker, 2)
+	for i, g := range []*graph.Graph{diverged, ds.Graph.Clone()} {
+		w, err := shard.NewWorker(m, g, shard.Config{}, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = w
+	}
+	rt, err := shard.NewRouterTransport(m, ds.Graph.Clone(), shard.TestFastRetry(2), shard.NewLocalTransport(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	dep, err := core.NewDeployment(m, ds.Graph.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.ApplyDelta(edge.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.ApplyDelta(edge.Clone()); err != nil {
+		t.Fatal(err)
+	}
+
+	requireDiverged := func(stage string) {
+		t.Helper()
+		sts := rt.Describe().Shards
+		if sts[0].Up || !strings.Contains(sts[0].Err, "diverged") || !sts[1].Up {
+			t.Fatalf("%s: worker rows %+v, want 0 down as diverged and 1 up", stage, sts)
+		}
+	}
+	shard.TestRequireSameAnswers(t, "beside a diverged worker", rt, dep, ds.Split.Test)
+	requireDiverged("after the reads")
+	rt.Probe(context.Background())
+	requireDiverged("after the probe")
 }
 
 // TestFailoverCounterNeedsAPeer: a failover is a call that went on to

@@ -157,8 +157,8 @@ func writeWire(rw http.ResponseWriter, b []byte) {
 // writeWorkerError maps a worker-side failure onto the wire: stale versions
 // are 409 with a structured msgError (the router heals them), deltas that
 // fail graph validation (rejected before anything mutates) are 400,
-// anything else is a 500. The
-// router treats both 400 and 500 as permanent call failures.
+// anything else is a 500. HTTPTransport reads a 400 as a permanent call
+// failure and a 500 as a transient one; either takes the worker down.
 func writeWorkerError(rw http.ResponseWriter, err error) {
 	var stale *StaleError
 	if errors.As(err, &stale) {

@@ -78,9 +78,10 @@ func (cfg Config) check(m *core.Model, g *graph.Graph) error {
 // rotation and moves to the next; a round in which every worker failed is
 // retried with jittered exponential backoff and then — while the background
 // prober runs — fails fast with ErrUnavailable (the serving layer's 503)
-// instead of re-paying timeouts per request. Stale workers (restarted, or
-// starved of a delta) are healed by replaying the router's delta log to
-// them, so a worker rejoins without the router restarting.
+// instead of re-paying timeouts per request. A delta reaches no worker when
+// it commits: every worker is behind until its next call or probe, which
+// heals it by replaying the router's delta log to it — the same way a
+// restarted worker rejoins without the router restarting.
 type Router struct {
 	model  *core.Model
 	global *graph.Graph
@@ -260,9 +261,9 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 
 // StartHealthProbe launches the background prober: every interval it
 // probes each worker through the transport, marking it up or down (with no
-// worker up, requests fail fast with ErrUnavailable until one recovers) and proactively replaying the delta log to restarted
-// workers found behind the router's graph version. No-op if interval ≤ 0 or
-// already probing; Close stops it.
+// worker up, requests fail fast with ErrUnavailable until one recovers) and
+// replaying the delta log to workers found behind the router's graph
+// version. No-op if interval ≤ 0 or already probing; Close stops it.
 func (r *Router) StartHealthProbe(interval time.Duration) {
 	if interval <= 0 || !r.probing.CompareAndSwap(false, true) {
 		return

@@ -8,8 +8,8 @@
 // rest, so every worker holds a plain core.Deployment over its own copy of
 // the whole graph and any worker can answer any request. The pieces:
 //
-//   - Worker wraps one core.Deployment over a clone of the graph plus a
-//     graph version counter behind a small call surface: Infer, a
+//   - Worker wraps one core.Deployment over a clone of the graph, whose
+//     graph version is the worker's, behind a small call surface: Infer, a
 //     versioned idempotent ApplyDelta, and Health. A worker process
 //     started with the router's model and graph holds bit-identical state
 //     with no bulk transfer.
@@ -25,14 +25,16 @@
 //   - Router fronts the workers through a Transport: Infer sends the whole
 //     request to the next up worker in round-robin order, fails over to
 //     any other, and returns that worker's result as it is. ApplyDelta
-//     applies a graph.Delta to the router's graph (which validates it),
-//     appends a copy to one log every worker shares, and ships it as a
-//     versioned ShardDelta to every worker, which applies it with
-//     core.Deployment.ApplyDelta — so a worker's state equals the unsharded
-//     engine's by construction. A worker that missed deltas (crashed,
-//     restarted, partitioned) is caught up by replay of that log — on its
-//     next Infer, or by the background health probe — without restarting
-//     the router.
+//     applies a graph.Delta to the router's graph (which validates it) and
+//     appends a copy to one log every worker shares; it calls no worker.
+//     Deltas reach workers one way, by replay of that log as versioned
+//     ShardDeltas, each applied with core.Deployment.ApplyDelta — so a
+//     worker's state equals the unsharded engine's by construction. A
+//     worker's next Infer answers stale and is replayed the suffix it
+//     misses, then retried; the background health probe and the start-up
+//     handshake replay a worker before they re-admit it. A crashed,
+//     restarted or partitioned worker rejoins the same way, without
+//     restarting the router.
 //
 // The chosen worker runs the request's own batch over the whole graph at
 // the router's version, so predictions, depths, the depth histogram and
@@ -45,7 +47,7 @@
 //
 // Concurrency contract: like core.Deployment, a Router is read-only during
 // Infer — any number of concurrent Infer calls is safe — while ApplyDelta
-// mutates router and worker state and must be exclusive. internal/serve
+// mutates the router's graph and must be exclusive. internal/serve
 // enforces this with its RWMutex when the Router is the serving Backend.
 package shard
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/kernel"
 )
 
 // Worker is one pool member's serving state behind the Transport boundary:
@@ -19,8 +18,9 @@ import (
 // process (LocalTransport) or by a separate `naiserve -shard-worker`
 // process serving the wire protocol (HTTPTransport).
 //
-// State changes arrive as versioned ShardDeltas: version 1 is the
-// bootstrapped state, each applied delta bumps it by one. Application is
+// State changes arrive as versioned ShardDeltas, and the worker's graph
+// version and tier are its deployment's: version 1 is the bootstrapped
+// state, each applied delta bumps it by one. Application is
 // idempotent by version — replaying an old delta is a no-op, a gap is a
 // *StaleError the router heals by replaying its log — which is what lets a
 // restarted worker (back at version 1) rejoin a long-running router.
@@ -34,9 +34,7 @@ type Worker struct {
 	id int
 	// globalN is the graph's node count at bootstrap (handshake check).
 	globalN int
-	prec    kernel.Precision
 	dep     *core.Deployment
-	version uint64
 	// draining flags a worker being rolled out of the fleet: the HTTP
 	// handler refuses new RPCs with 503 (a transient error the router fails
 	// over past) while in-flight ones finish, so a SIGTERM'd worker process
@@ -58,8 +56,7 @@ func NewWorker(m *core.Model, g *graph.Graph, cfg Config, id int) (*Worker, erro
 		return nil, err
 	}
 	dep.SetPrecision(cfg.Precision)
-	return &Worker{id: id, globalN: g.N(),
-		prec: cfg.Precision, dep: dep, version: 1}, nil
+	return &Worker{id: id, globalN: g.N(), dep: dep}, nil
 }
 
 // Infer answers one batch — InferContext with a background context.
@@ -77,13 +74,13 @@ func (w *Worker) Infer(req *InferRequest) (*core.Result, error) {
 func (w *Worker) InferContext(ctx context.Context, req *InferRequest) (*core.Result, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if req.Version != 0 && w.version != req.Version {
-		return nil, &StaleError{Shard: w.id, Have: w.version, Want: req.Version}
+	if v := w.dep.Version(); req.Version != 0 && v != req.Version {
+		return nil, &StaleError{Shard: w.id, Have: v, Want: req.Version}
 	}
-	if req.Precision != w.prec {
+	if p := w.dep.Precision(); req.Precision != p {
 		// The handshake rejects tier mismatches up front; this catches a
 		// request racing a reconfiguration (it cannot be healed by replay).
-		return nil, &precisionError{shard: w.id, have: w.prec, want: req.Precision}
+		return nil, &precisionError{shard: w.id, have: p, want: req.Precision}
 	}
 	return w.dep.InferContext(ctx, req.Targets, req.Opt)
 }
@@ -94,20 +91,25 @@ func (w *Worker) InferContext(ctx context.Context, req *InferRequest) (*core.Res
 // no-op, a version gap is a *StaleError carrying the worker's current
 // version so the router can replay from there. A malformed delta fails
 // graph.ApplyDelta's validation (a *graph.ValidationError, HTTP 400) before
-// anything mutates, leaving the version where it was.
+// anything mutates, leaving the version where it was. The router logs only
+// deltas that changed its graph, so one that leaves the deployment's
+// version short of sd.Version found a graph diverged from the router's: a
+// permanent error, and the router takes the worker down.
 func (w *Worker) ApplyDelta(sd *ShardDelta) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	switch {
-	case sd.Version <= w.version:
+	switch v := w.dep.Version(); {
+	case sd.Version <= v:
 		return nil // replay of an already-applied delta
-	case sd.Version != w.version+1:
-		return &StaleError{Shard: w.id, Have: w.version, Want: sd.Version - 1}
+	case sd.Version != v+1:
+		return &StaleError{Shard: w.id, Have: v, Want: sd.Version - 1}
 	}
 	if _, err := w.dep.ApplyDelta(sd.Delta); err != nil {
 		return fmt.Errorf("shard %d: %w", w.id, err)
 	}
-	w.version = sd.Version
+	if v := w.dep.Version(); v != sd.Version {
+		return fmt.Errorf("shard %d: delta for version %d left the graph at %d: diverged from the router's", w.id, sd.Version, v)
+	}
 	return nil
 }
 
@@ -129,17 +131,17 @@ func (w *Worker) Health() HealthInfo {
 	return HealthInfo{
 		Nodes:        w.dep.Graph.N(),
 		GlobalNodes:  w.globalN,
-		Version:      w.version,
+		Version:      w.dep.Version(),
 		ScratchBytes: w.dep.ScratchBytes(),
 		Hop1:         w.dep.Hop1Stats(),
-		Precision:    w.prec,
+		Precision:    w.dep.Precision(),
 	}
 }
 
-// ShardDelta is one graph delta as the router ships it to every worker: the
-// router's graph version it produces and the delta itself, in global ids.
-// It is the unit the wire codec serializes and the router's replay log
-// stores; every worker gets the same one.
+// ShardDelta is one graph delta as the router's log stores it and replays
+// it to every worker: the router's graph version it produces and the delta
+// itself, in global ids. It is the unit the wire codec serializes; every
+// worker gets the same one.
 type ShardDelta struct {
 	// Version is the router graph version this delta produces; the worker
 	// applies it only at Version−1 (idempotent replay otherwise).
