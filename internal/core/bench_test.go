@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/mat"
@@ -62,36 +63,45 @@ func BenchmarkDistanceDecision(b *testing.B) {
 	}
 }
 
-// BenchmarkInferDeepWarm times one warm request of the benchmark's batch_deep
-// shape: 64 distinct test targets at its operating point (NAP_d, TMin 2,
-// TMax 4, T_s the lower quartile of the validation nodes' depth-2 distances)
-// on a products-like graph of 100 000 nodes, served by a K = 4 model trained
-// on a 2 500-node one. One untimed pass over the 64-request stream first
-// makes the layer X^(2) and the hub rows of X^(3) resident, so every timed
-// request is a warm one; rows-computed/op shows that it stays so.
-func BenchmarkInferDeepWarm(b *testing.B) {
-	gen := func(n int) *synth.Dataset {
+// deepWarm is BenchmarkInferDeepWarm's fixture, built once per process
+// (deepWarmFixture).
+var deepWarm struct {
+	once sync.Once
+	dep  *Deployment
+	opt  InferenceOptions
+	reqs [][]int
+	err  error
+}
+
+// deepWarmFixture builds a deployment of batch_deep's shape and operating
+// point and its 64-request stream, and serves the stream once, untimed, so
+// that the layer X^(2) and the hub rows of X^(3) are resident.
+func deepWarmFixture() (*Deployment, InferenceOptions, [][]int, error) {
+	var opt InferenceOptions
+	gen := func(n int) (*synth.Dataset, error) {
 		cfg := synth.ProductsLike(1)
 		cfg.N = n
-		ds, err := synth.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ds
+		return synth.Generate(cfg)
 	}
-	small := gen(2500)
+	small, err := gen(2500)
+	if err != nil {
+		return nil, opt, nil, err
+	}
 	topt := fastOptions("sgc")
 	topt.K = 4
 	m, err := Train(small.Graph, small.Split, topt)
 	if err != nil {
-		b.Fatal(err)
+		return nil, opt, nil, err
 	}
-	ds := gen(100_000)
+	ds, err := gen(100_000)
+	if err != nil {
+		return nil, opt, nil, err
+	}
 	dep, err := NewDeployment(m, ds.Graph)
 	if err != nil {
-		b.Fatal(err)
+		return nil, opt, nil, err
 	}
-	opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 2, 0.25), TMin: 2, TMax: 4}
+	opt = InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 2, 0.25), TMin: 2, TMax: 4}
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([][]int, 64)
 	for i := range reqs {
@@ -101,17 +111,33 @@ func BenchmarkInferDeepWarm(b *testing.B) {
 	}
 	for _, req := range reqs {
 		if _, err := dep.Infer(req, opt); err != nil {
-			b.Fatal(err)
+			return nil, opt, nil, err
 		}
 	}
-	before := dep.Hop1Stats().Computed
+	return dep, opt, reqs, nil
+}
+
+// BenchmarkInferDeepWarm times one warm request of the benchmark's batch_deep
+// shape: 64 distinct test targets at its operating point (NAP_d, TMin 2,
+// TMax 4, T_s the lower quartile of the validation nodes' depth-2 distances)
+// on a products-like graph of 100 000 nodes, served by a K = 4 model trained
+// on a 2 500-node one. The fixture is built and warmed once per process, so
+// every timed request is a warm one and a profile shows the requests, not the
+// setup; rows-computed/op shows that it stays warm.
+func BenchmarkInferDeepWarm(b *testing.B) {
+	fx := &deepWarm
+	fx.once.Do(func() { fx.dep, fx.opt, fx.reqs, fx.err = deepWarmFixture() })
+	if fx.err != nil {
+		b.Fatal(fx.err)
+	}
+	before := fx.dep.Hop1Stats().Computed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dep.Infer(reqs[i%len(reqs)], opt); err != nil {
+		if _, err := fx.dep.Infer(fx.reqs[i%len(fx.reqs)], fx.opt); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(dep.Hop1Stats().Computed-before)/float64(b.N), "rows-computed/op")
+	b.ReportMetric(float64(fx.dep.Hop1Stats().Computed-before)/float64(b.N), "rows-computed/op")
 }
 
 // BenchmarkDeploymentRefresh is the once-per-deployment cost of the cached

@@ -546,7 +546,8 @@ func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error)
 // sets and the ring around them, all read off its rings), compaction (extract:
 // what is left of it now that no batch cuts a sub-CSR — indexing S and shaping
 // the slab), per-hop propagation, exit decisions and classification — record
-// spans, batch after batch. A hop between the layer and TMax that decides
+// spans, batch after batch; a hop below the layer whose rows nothing reads
+// (inferBatch) records none. A hop between the layer and TMax that decides
 // records two propagate spans: its active targets' rows, then, after its
 // wave's decide, classify and survivors' bfs spans, the rest of the rows the
 // next hop reads.
@@ -608,7 +609,9 @@ func (t *tier[T]) scratchBytes() int {
 // would from X^(0), so S, the slab and every row set stop h rings short of the
 // batch's receptive field — S is the radius-(TMax−h−1) ball and the slab
 // starts at hop h+1. Below h the batch needs only its targets' own rows, for
-// their exits and classifiers, and computes them from X^(0). One BFS per exit
+// their exits and classifiers, and computes them from X^(0) at the depths a
+// decision or a classifier's combiner reads (an SGC model past TMin reads
+// none). One BFS per exit
 // wave serves every depth up to h: Algorithm 1's books for hops l..h, S and the
 // ring around it are all read off its rings. At h = 1, every TMax ≤ 3, there is
 // nothing below h.
@@ -676,6 +679,21 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	// decides reports whether lines 9–13 run at depth l: an exit wave may come
 	// before T_max.
 	decides := func(l int) bool { return l >= opt.TMin && l < opt.TMax && opt.Mode != ModeFixed }
+
+	// reads reports whether anything reads the targets' depth-l rows: the
+	// decision at l, or the classifier of a depth e ≥ l some target may exit
+	// at, whose combiner reads from depth l or below.
+	reads := func(l int) bool {
+		if decides(l) {
+			return true
+		}
+		for e := l; e <= opt.TMax; e++ {
+			if (decides(e) || e == opt.TMax) && m.Combiner.LowestDepth(e) <= l {
+				return true
+			}
+		}
+		return false
+	}
 
 	// wave is lines 6–17 at depth l once its active targets' rows are in place:
 	// decide and classify the early exits, or at T_max everyone left. It
@@ -785,6 +803,9 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		// Algorithm 1's books: hop l over the radius-(TMax−l) ball of the
 		// targets active at l, whichever of its rows the batch computes.
 		res.MACs.Propagation += sc.books[opt.TMax-l] * sc.f
+		if l < h && !reads(l) {
+			continue // charged, but no row of the batch's is read at l
+		}
 		var first []int
 		switch {
 		case l < h:
@@ -891,9 +912,10 @@ func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int
 }
 
 // classify predicts the given target indices with classifier f^{(l)},
-// charging combine and classification MACs. Depth-0 features come from the
-// full-graph matrix, depths ≥ 1 through targetRow: the rows computed for the
-// targets below h, the layer's block at h and the slab past h.
+// charging combine and classification MACs. It fills the stack from the
+// combiner's lowest depth read up to l, the entries below nil: depth-0
+// features from the full-graph matrix, depths ≥ 1 through targetRow — the rows
+// computed for the targets below h, the layer's block at h and the slab past h.
 func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []int, idx []int,
 	res *Result, sc *inferScratch[T]) {
 
@@ -902,7 +924,7 @@ func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []in
 	}
 	sc.arena.reset()
 	stack := make([]*mat.Matrix, l+1)
-	for j := 0; j <= l; j++ {
+	for j := m.Combiner.LowestDepth(l); j <= l; j++ {
 		stack[j] = sc.arena.matrix(len(idx), sc.f)
 		for i, ti := range idx {
 			if j == 0 {

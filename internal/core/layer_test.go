@@ -211,7 +211,8 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 // remainder propagate span comes next, and no bfs span opens hop l+1 — and
 // every hop there that decides propagates twice: its active targets' rows
 // before the wave, the rest of the next hop's ball after it. At TMax 5 (h = 3)
-// two hops lie past the layer.
+// two hops lie past the layer. Below h, a hop whose rows nothing reads — hop 1
+// of the SGC model at TMin 2 — records no propagate span.
 func TestLayerOneBFSPerWave(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedDeepModel(t)
@@ -279,7 +280,10 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 				}
 				for l := 1; l <= opt.TMax; l++ {
 					want := 1
-					if h < l && l < opt.TMax && l >= opt.TMin && left[l] > 0 {
+					switch {
+					case l < h && l < opt.TMin && m.Combiner.LowestDepth(opt.TMin) > l:
+						want = 0 // an SGC model reads no row below TMin
+					case h < l && l < opt.TMax && l >= opt.TMin && left[l] > 0:
 						want = 2
 					}
 					if props[l] != want {
@@ -292,6 +296,59 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 			check(InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5), TMin: 1, TMax: 4}, true)
 			check(InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5), TMin: 1, TMax: 5}, true)
 		})
+	}
+}
+
+// TestLayerSkipsUnreadRows: below the layer's depth a batch computes its
+// targets' depth-l rows only where a decision at l or an exit depth's combiner
+// reads them, and charges the hop either way. At TMin 2, TMax 4 and 5 (h = 2
+// and 3), in every mode and at every tier, cold and warm, the K = 5 SGC model
+// answers and charges what the seed transcription does and records no hop-1
+// propagate span, and a hop-2 span at TMax 5 only where depth 2 decides (not
+// in fixed mode). A K = 5 SIGN model, whose classifiers read every depth,
+// records one propagate span at every hop below h and matches the seed too.
+func TestLayerSkipsUnreadRows(t *testing.T) {
+	ds := tinyData(t)
+	topt := fastOptions("sign")
+	topt.K = 5
+	sign, err := Train(ds.Graph, ds.Split, topt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(obs.Options{})
+	for _, m := range []*Model{trainedDeepModel(t), sign} {
+		for _, p := range tiers {
+			dep := deployAt(t, m, ds.Graph, p)
+			ts := dep.DistanceQuantile(ds.Split.Val, 2, 0.5)
+			for _, mode := range []Mode{ModeFixed, ModeDistance, ModeGate} {
+				for tmax := 4; tmax <= 5; tmax++ {
+					opt := InferenceOptions{Mode: mode, Ts: ts, TMin: 2, TMax: tmax}
+					want := seedInfer(dep, ds.Split.Test, opt)
+					for _, pass := range []string{"cold", "warm"} {
+						label := fmt.Sprintf("%s/%v/%v/tmax=%d/%s", m.Combiner.Name(), p, mode, tmax, pass)
+						tr := o.StartTrace()
+						got, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameResult(t, label, got, want)
+						props := make([]int, tmax+1)
+						for _, sp := range tr.Spans() {
+							if sp.Stage == obs.StagePropagate {
+								props[sp.Hop]++
+							}
+						}
+						for l := 1; l < layerDepth(tmax); l++ {
+							read := m.Combiner.Name() == "sign" || (l >= opt.TMin && mode != ModeFixed)
+							if (props[l] > 0) != read || props[l] > 1 {
+								t.Fatalf("%s: %d propagate spans at hop %d, want one iff its rows are read (%v)", label, props[l], l, read)
+							}
+						}
+					}
+					recold(dep)
+				}
+			}
+		}
 	}
 }
 
@@ -399,7 +456,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 
 // TestLayerHubRows: at every tier, whenever h+1 < TMax (TMax 3, 4 and 5 on
 // the K = 5 model: hub rows of X^(2), X^(3) and X^(4)), hop h+1 keeps the
-// hubs' rows. The members are the ⌈n/64⌉ nodes of highest degree, ties broken
+// hubs' rows. The members are the ⌈n/32⌉ nodes of highest degree, ties broken
 // toward the lower id. After one batch the resident hub rows are exactly the
 // hubs among the rows its hop h+1 computed — its active targets, then its
 // survivors' radius-(TMax−h−1) ball — and a repeat batch computes none of
@@ -458,7 +515,7 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		if hub == nil {
 			t.Fatalf("%s: no hub layer at depth %d; hub layers at %v", label, l, depths(hubLayersOf[T](t, dep)))
 		}
-		if top := topDegree(g.Adj, (g.N()+63)/64); !slices.Equal(hub.members, top) {
+		if top := topDegree(g.Adj, (g.N()+31)/32); !slices.Equal(hub.members, top) {
 			t.Fatalf("%s: hub members %v, the highest-degree nodes %v", label, hub.members, top)
 		}
 

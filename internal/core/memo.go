@@ -29,9 +29,10 @@ import (
 // What does pay one hop deeper is the hubs' rows. Hop h+1 < TMax gathers
 // X^(h) over its survivors' one-ring ball, and on a skewed graph most of that
 // gather is the same few highest-degree rows every batch: on a products-like
-// graph of 100 000 nodes the 1 563 highest-degree nodes' rows are three
-// quarters of a TMax-4 batch's hop-3 entries of Â. So a tier also keeps
-// X^(h+1) for the ⌈n/64⌉ highest-degree nodes (hubMembers) whenever
+// graph of 100 000 nodes a warm TMax-4 batch's hop 3 still computes 46.8k
+// entries of Â with the 1 563 highest-degree nodes' rows kept, and 25.4k with
+// the 3 125 highest's (BenchmarkInferDeepWarm's fixture). So a tier also keeps
+// X^(h+1) for the ⌈n/32⌉ highest-degree nodes (hubMembers) whenever
 // h+1 < TMax: a hub layer, this type over a sorted member list,
 // row k holding members[k]'s. Hop h+1 copies its ready hub rows out of it
 // instead of gathering them, and copies the ones it claimed into it after its
@@ -45,8 +46,8 @@ import (
 // row. A deployment served at one operating point, as every server is, holds
 // exactly one: a row per node plus 1/64 of headroom for the nodes deltas
 // append, at most (n + n/64)·(f·sizeof(T) + 4) bytes, and beside it, past
-// TMax 2, one hub layer of ⌈n/64⌉·(f·sizeof(T) + 4) bytes and its id list —
-// the same 1/64 again. One read at TMax 2 and at TMax 4 holds two blocks. A
+// TMax 2, one hub layer of ⌈n/32⌉·(f·sizeof(T) + 4) bytes and its id list —
+// 1/32 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
 // block is not capped by what the graph's adjacency would have cost: on a
 // graph with f ≫ d̄ it is the larger of the two, and serving through it still
 // beats recomputing its hops (ARCHITECTURE.md, "The depth-h layer", has the
@@ -72,7 +73,7 @@ import (
 // at its own scale (features of existing nodes never change without a
 // Refresh) — so a delta empties the rows within h−1 hops of the rows of Â it
 // moved. A hub layer is emptied whole by any delta: a superset of the rows
-// whose bits could move, at most ⌈n/64⌉ rows to recompute. So reading the
+// whose bits could move, at most ⌈n/32⌉ rows to recompute. So reading the
 // layer is bit-identical to computing its hops, within each tier.
 type hopLayer[T float64 | float32] struct {
 	depth int
@@ -128,7 +129,7 @@ func (t *tier[T]) load(p *atomic.Pointer[hopLayer[T]], depth int, hubs bool) *ho
 		g := t.d.Graph
 		m := &hopLayer[T]{depth: depth, f: g.F(), stats: &t.d.memoStats}
 		if hubs {
-			m.members = hubMembers(g.Adj, (g.N()+63)/64)
+			m.members = hubMembers(g.Adj, (g.N()+31)/32)
 		}
 		m.grow(g.N())
 		p.Store(m)
@@ -422,10 +423,10 @@ func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 		"Rows currently resident, summed over every resident layer, hub rows included.",
 		func() float64 { return float64(read().Entries) })
 	reg.GaugeFunc("nai_hop1_memo_capacity",
-		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/64 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
+		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/32 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
 		func() float64 { return float64(read().Capacity) })
 	reg.GaugeFunc("nai_hop1_memo_bytes",
-		"Bytes the resident layers' rows occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type, per hub layer 1/64 of one.",
+		"Bytes the resident layers' rows occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type, per hub layer 1/32 of one.",
 		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
 		"Layer rows dropped because a delta moved a row of the adjacency within the layer's depth of them, summed over every layer; a delta drops every hub row (cumulative).",

@@ -327,7 +327,7 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 // — a layer retains at most (n + n/64)·(f·sizeof(T) + 4) bytes, a row and a
 // state word per node plus the headroom, when first read and after growing
 // past that headroom, and reports n rows' worth; a hub layer retains at most
-// ⌈n/64⌉·(f·sizeof(T) + 4) bytes plus its id list, and reports its members'
+// ⌈n/32⌉·(f·sizeof(T) + 4) bytes plus its id list, and reports its members'
 // rows. A deployment holds a block only for a depth it has been read at: read
 // only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
 // the hub rows of X^(3); read at TMax 2 as well
@@ -350,7 +350,7 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, held, len(mm.state), n, bound)
 			}
 		}
-		hubs := (n + 63) / 64
+		hubs := (n + 31) / 32
 		hubRows, _ := hubCounts(dep)
 		for l, mm := range hubLayersOf[T](t, dep) {
 			k := len(mm.members)

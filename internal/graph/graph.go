@@ -4,7 +4,7 @@
 // extraction (the "supporting nodes" of the neighbor-explosion problem).
 //
 // Every k-hop ball comes from one BFS, Levels, which finds it ring by ring
-// over a caller-owned bitset — a large ring as a second bitset, its words
+// over a caller-owned bitset — a large ring as a second bitset, its work
 // split over par workers, so a deep batch's BFS runs on every core and its
 // large rings come out in id order; SortedBalls sorts its balls, and Ball
 // and SupportingSets are Levels plus that sort. BFSDistances is the plain
@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -233,11 +234,12 @@ func NewBitset(n int) []uint64 { return make([]uint64, 2*((n+63)/64)) }
 //     and stops at the first, which reads at most the other half of the
 //     entries and usually a small part of it.
 //
-// The two dense steps split the words over par workers, each writing only its
-// own words of the ring — a top-down worker walks every row of the previous
-// ring from a binary-searched start inside its id range, a bottom-up one
-// probes the free nodes of its words, split by their count — so the ring does
-// not depend on the split. One serial sweep then appends the ring to ball in
+// The two dense steps split over par workers, so the ring does not depend on
+// the split: a top-down worker walks its share of the previous ring's rows,
+// split by their entries, setting bits in words of its own (pooled, zeroed on
+// return) that are ORed into the ring once all are done — the inline worker
+// sets them in the ring directly; a bottom-up one probes the free nodes of its
+// own words of the ring, split by their count. One serial sweep then appends the ring to ball in
 // ascending id order, marks it visited and sums its rows' lengths. A dense
 // step with too little work for par runs inline. adj must be symmetric, as a
 // Graph's adjacency is.
@@ -278,8 +280,7 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 			}, func(wlo, whi int) { probeFree(adj, vis, next, wlo, whi) })
 			ball, ringNNZ = sweepRing(adj, vis, next, ball)
 		case nnz[r-1] >= words:
-			frontier := ball[lo:hi]
-			par.For(words, nnz[r-1], func(wlo, whi int) { walkRows(adj, frontier, next, wlo, whi) })
+			walkRing(adj, ball[lo:hi], nnz[r-1], next)
 			ball, ringNNZ = sweepRing(adj, vis, next, ball)
 		default:
 			// The previous ring's entries are the walk's candidates.
@@ -318,22 +319,42 @@ func free(vis []uint64, n, w int) uint64 {
 	return f
 }
 
-// walkRows is a dense top-down step over words [wlo, whi) of the ring: it
-// sets the bit in next of every neighbor of frontier with an id inside them.
-func walkRows(adj *sparse.CSR, frontier []int, next []uint64, wlo, whi int) {
-	idLo, idHi := wlo<<6, whi<<6
-	for _, v := range frontier {
-		row := adj.RowIndices(v)
-		if idLo > 0 {
-			i, _ := slices.BinarySearch(row, idLo)
-			row = row[i:]
-		}
-		for _, u := range row {
-			if u >= idHi {
-				break
+// ringWords holds all-zero ring bitsets (*[]uint64) for walkRing's workers.
+var ringWords sync.Pool
+
+// walkRing is a dense top-down step: it sets the bit in next of every neighbor
+// of frontier, whose rows hold nnz entries. The rows are split over par
+// workers by their entries; every worker but the inline one sets its bits in
+// words of its own from ringWords, ORed into next once all are done and
+// returned zeroed.
+func walkRing(adj *sparse.CSR, frontier []int, nnz int, next []uint64) {
+	var mu sync.Mutex
+	var own []*[]uint64
+	par.ForWeighted(len(frontier), nnz, nnz, func(i int) int { return adj.RowNNZ(frontier[i]) }, func(lo, hi int) {
+		words := next
+		if hi < len(frontier) {
+			p, _ := ringWords.Get().(*[]uint64)
+			if p == nil || len(*p) < len(next) {
+				w := make([]uint64, len(next))
+				p = &w
 			}
-			next[u>>6] |= 1 << (uint(u) & 63)
+			words = (*p)[:len(next)]
+			mu.Lock()
+			own = append(own, p)
+			mu.Unlock()
 		}
+		for _, v := range frontier[lo:hi] {
+			for _, u := range adj.RowIndices(v) {
+				words[u>>6] |= 1 << (uint(u) & 63)
+			}
+		}
+	})
+	for _, p := range own {
+		for w, word := range (*p)[:len(next)] {
+			next[w] |= word
+			(*p)[w] = 0
+		}
+		ringWords.Put(p)
 	}
 }
 

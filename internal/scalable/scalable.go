@@ -55,6 +55,9 @@ type Combiner interface {
 	CombineNode(b *nn.Binding, feats []*tensor.Node, l int) *tensor.Node
 	// MACsPerRow counts the per-node combination cost at depth l.
 	MACsPerRow(l, f int) int
+	// LowestDepth is the lowest depth Combine reads at depth l: it reads
+	// feats[LowestDepth(l)..l], and the entries below may be nil.
+	LowestDepth(l int) int
 }
 
 // NewCombiner constructs the named combiner. GAMLP needs the feature
@@ -91,6 +94,8 @@ func (SGCCombiner) CombineNode(_ *nn.Binding, feats []*tensor.Node, l int) *tens
 
 func (SGCCombiner) MACsPerRow(_, _ int) int { return 0 }
 
+func (SGCCombiner) LowestDepth(l int) int { return l }
+
 // --- SIGN (Eq. 3): classifier input is [X^{(0)} ‖ … ‖ X^{(l)}] ---
 //
 // The per-depth linear transforms W^{(l)} of Eq. 3 are folded into the first
@@ -117,6 +122,8 @@ func (SIGNCombiner) CombineNode(_ *nn.Binding, feats []*tensor.Node, l int) *ten
 }
 
 func (SIGNCombiner) MACsPerRow(_, _ int) int { return 0 }
+
+func (SIGNCombiner) LowestDepth(int) int { return 0 }
 
 // --- S²GC (Eq. 4): classifier input is (1/(l+1)) Σ_{j=0..l} X^{(j)} ---
 
@@ -146,6 +153,8 @@ func (S2GCCombiner) CombineNode(_ *nn.Binding, feats []*tensor.Node, l int) *ten
 
 // MACsPerRow counts the (l+1)·f accumulation (the paper's knf term).
 func (S2GCCombiner) MACsPerRow(l, f int) int { return (l + 1) * f }
+
+func (S2GCCombiner) LowestDepth(int) int { return 0 }
 
 // --- GAMLP (Eq. 5): classifier input is Σ_j T^{(j)} X^{(j)} with node-wise
 // attention T^{(j)} = diag(w^{(j)}), w from a per-depth trainable score ---
@@ -219,5 +228,7 @@ func (c *GAMLPCombiner) CombineNode(b *nn.Binding, feats []*tensor.Node, l int) 
 // MACsPerRow counts, per depth in the stack, the score dot product (f) and
 // the weighted accumulation (f).
 func (c *GAMLPCombiner) MACsPerRow(l, f int) int { return (l + 1) * 2 * f }
+
+func (c *GAMLPCombiner) LowestDepth(int) int { return 0 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

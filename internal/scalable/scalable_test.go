@@ -235,6 +235,33 @@ func TestCombinersAgreeAtDepthZero(t *testing.T) {
 	}
 }
 
+// TestCombineReadsFromLowestDepth: for every combiner and depth, LowestDepth
+// is in [0, l], and Combine over a stack whose entries below it are nil equals
+// Combine over the full stack bit for bit (SGC reads X^(l) alone, the others
+// every depth).
+func TestCombineReadsFromLowestDepth(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const k = 4
+	feats := Propagate(testAdj(t), testFeats(rng, 4, 3), k)
+	for _, name := range []string{"sgc", "sign", "s2gc", "gamlp"} {
+		c, err := NewCombiner(name, 3, k, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l <= k; l++ {
+			lo := c.LowestDepth(l)
+			if lo < 0 || lo > l {
+				t.Fatalf("%s: LowestDepth(%d) = %d", name, l, lo)
+			}
+			stack := make([]*mat.Matrix, l+1)
+			copy(stack[lo:], feats[lo:l+1])
+			if got, want := c.Combine(stack, l), c.Combine(feats, l); !mat.Equal(got, want) {
+				t.Fatalf("%s at depth %d: Combine from depth %d differs from the full stack's", name, l, lo)
+			}
+		}
+	}
+}
+
 func TestCombineNodeMatchesEvalAllModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	feats := Propagate(testAdj(t), testFeats(rng, 4, 3), 2)
