@@ -12,8 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
+	"repro/internal/nn"
 	"repro/internal/scalable"
 	"repro/internal/sparse"
+	"repro/internal/tensor"
 )
 
 // Result mirrors core.Result for baseline inference runs.
@@ -27,19 +29,10 @@ type Result struct {
 
 func (r *Result) merge(o *Result) {
 	r.Pred = append(r.Pred, o.Pred...)
-	r.MACs = addMACs(r.MACs, o.MACs)
+	r.MACs.Add(o.MACs)
 	r.TotalTime += o.TotalTime
 	r.FPTime += o.FPTime
 	r.NumTargets += o.NumTargets
-}
-
-func addMACs(a, b core.MACBreakdown) core.MACBreakdown {
-	a.Stationary += b.Stationary
-	a.Propagation += b.Propagation
-	a.Decision += b.Decision
-	a.Combine += b.Combine
-	a.Classification += b.Classification
-	return a
 }
 
 // TeacherData packages the inductive training-graph artifacts every
@@ -66,13 +59,13 @@ func PrepareTeacher(g *graph.Graph, split graph.Split, teacher *core.Model) *Tea
 	adj := sparse.NewNormalized(tg.Adj, teacher.Gamma, sparse.LoopedDegrees(tg.Adj))
 	feats := scalable.Propagate(adj, tg.Features, teacher.K)
 	input := teacher.Combiner.Combine(feats, teacher.K)
-	trainIdx := localIndices(ind, split.Train)
+	trainIdx := ind.Local(split.Train)
 	return &TeacherData{
 		Teacher:       teacher,
 		Ind:           ind,
 		TrainIdx:      trainIdx,
 		LabeledIdx:    trainIdx,
-		ValIdx:        localIndices(ind, split.Val),
+		ValIdx:        ind.Local(split.Val),
 		Feats:         feats,
 		TeacherLogits: teacher.Classifiers[teacher.K].Logits(input),
 	}
@@ -84,39 +77,54 @@ func (td *TeacherData) SetLabeledFrac(frac float64, seed int64) {
 	td.LabeledIdx = core.SubsampleLabeled(td.TrainIdx, frac, seed)
 }
 
-// labeledPositions maps labeled nodes to their rows within TrainIdx-gathered
-// matrices.
-func (td *TeacherData) labeledPositions() []int {
-	pos := make(map[int]int, len(td.TrainIdx))
-	for p, v := range td.TrainIdx {
-		pos[v] = p
-	}
-	out := make([]int, len(td.LabeledIdx))
-	for i, v := range td.LabeledIdx {
-		out[i] = pos[v]
-	}
-	return out
-}
-
 // SoftTargets returns the teacher's temperature-T probabilities over rows.
 func (td *TeacherData) SoftTargets(rows []int, temp float64) *mat.Matrix {
 	return mat.SoftmaxRows(mat.Scale(1/temp, td.TeacherLogits.GatherRows(rows)))
 }
 
-func localIndices(ind *graph.Induced, global []int) []int {
-	out := make([]int, len(global))
-	for i, v := range global {
-		out[i] = ind.ToLocal[v]
-	}
-	return out
+// studentConfig is a student's training schedule; every student decays
+// its weights by 1e-4.
+func studentConfig(epochs int, lr float64, patience int) nn.TrainConfig {
+	return nn.TrainConfig{Epochs: epochs, LR: lr, WeightDecay: 1e-4, Patience: patience}
 }
 
-func gatherLabels(labels []int, idx []int) []int {
-	out := make([]int, len(idx))
-	for i, v := range idx {
-		out[i] = labels[v]
+// distill fits params against the teacher by Eq. 17 over the training rows
+// (hard labels on V_l only): logits builds the student's TrainIdx logits on
+// the binding, and predictVal's accuracy over ValIdx early-stops the fit.
+func (td *TeacherData) distill(params []*nn.Param, cfg nn.TrainConfig, temp, lambda float64,
+	logits func(b *nn.Binding) *tensor.Node, predictVal func() []int) {
+
+	labels := td.Ind.Graph.Labels
+	labeledPos := core.LabeledPositions(td.TrainIdx, td.LabeledIdx)
+	yLabeled := nn.GatherLabels(labels, td.LabeledIdx)
+	soft := td.SoftTargets(td.TrainIdx, temp)
+	nn.Fit(params, cfg, func(b *nn.Binding) *tensor.Node {
+		z := logits(b)
+		return nn.DistillLoss(
+			tensor.CrossEntropyLabels(tensor.GatherRows(z, labeledPos), yLabeled),
+			tensor.SoftCrossEntropy(z, soft, temp), lambda, temp)
+	}, nn.AccuracyScore(predictVal, nn.GatherLabels(labels, td.ValIdx)))
+}
+
+// inferBatches is every baseline's batch loop: infer runs on each batch of
+// targets in turn (one batch when batchSize ≤ 0), and its result is timed,
+// counted and merged in order.
+func inferBatches(targets []int, batchSize int, infer func(batch []int) *Result) *Result {
+	agg := &Result{}
+	if len(targets) == 0 {
+		return agg
 	}
-	return out
+	if batchSize <= 0 {
+		batchSize = len(targets)
+	}
+	for _, batch := range graph.Batches(targets, batchSize) {
+		start := time.Now()
+		res := infer(batch)
+		res.TotalTime = time.Since(start)
+		res.NumTargets = len(batch)
+		agg.merge(res)
+	}
+	return agg
 }
 
 // fixedDepthInfer runs the vanilla inductive pipeline shared by graph-based
@@ -126,37 +134,23 @@ func gatherLabels(labels []int, idx []int) []int {
 func fixedDepthInfer(g *graph.Graph, adj *sparse.Normalized, k int, targets []int, batchSize int,
 	classify func(stack []*mat.Matrix) ([]int, int)) *Result {
 
-	agg := &Result{}
-	if batchSize <= 0 {
-		batchSize = len(targets)
-	}
-	if len(targets) == 0 {
-		return agg
-	}
 	f := g.F()
-	for _, batch := range graph.Batches(targets, batchSize) {
-		res := &Result{NumTargets: len(batch)}
-		start := time.Now()
+	return inferBatches(targets, batchSize, func(batch []int) *Result {
+		res := &Result{}
 		feats := make([]*mat.Matrix, k+1)
 		feats[0] = g.Features
-		var fpTime time.Duration
 		for l := 1; l <= k; l++ {
 			rows := graph.Ball(g.Adj, batch, k-l)
 			feats[l] = mat.New(g.N(), f)
 			fpStart := time.Now()
 			res.MACs.Propagation += sparse.MulNormalizedRowsInto(adj, rows, rows, nil, feats[l-1].Data, nil, f, feats[l].Data)
-			fpTime += time.Since(fpStart)
+			res.FPTime += time.Since(fpStart)
 		}
 		stack := make([]*mat.Matrix, k+1)
 		for j := 0; j <= k; j++ {
 			stack[j] = feats[j].GatherRows(batch)
 		}
-		pred, clfMACs := classify(stack)
-		res.Pred = pred
-		res.MACs.Classification += clfMACs
-		res.TotalTime = time.Since(start)
-		res.FPTime = fpTime
-		agg.merge(res)
-	}
-	return agg
+		res.Pred, res.MACs.Classification = classify(stack)
+		return res
+	})
 }

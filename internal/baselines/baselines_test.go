@@ -98,6 +98,23 @@ func TestGLNNTrainsAndInfers(t *testing.T) {
 	}
 }
 
+// TestLabeledNodeOutsideTrainIdxPanics mirrors core's
+// TestLabeledPositionsPanicsOnForeignNode: a student must not silently train
+// a labeled node's hard term against some other training row.
+func TestLabeledNodeOutsideTrainIdxPanics(t *testing.T) {
+	_, _, td := setup(t)
+	bad := *td
+	bad.LabeledIdx = []int{td.ValIdx[0]}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	cfg := DefaultGLNNConfig()
+	cfg.Epochs = 1
+	TrainGLNN(&bad, cfg)
+}
+
 func TestGLNNBatchingConsistent(t *testing.T) {
 	ds, _, td := setup(t)
 	cfg := DefaultGLNNConfig()

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/mat"
@@ -43,87 +42,28 @@ func TrainGLNN(td *TeacherData, cfg GLNNConfig) *GLNN {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tg := td.Ind.Graph
 	student := nn.NewMLP("glnn", tg.F(), cfg.Hidden, tg.NumClasses, cfg.Dropout, rng)
-	trainDistilledMLP(student, tg.Features, td, cfg.Epochs, cfg.LR, cfg.Temperature,
-		cfg.Lambda, cfg.Patience, rng)
+	trainDistilledMLP(student, tg.Features, td, studentConfig(cfg.Epochs, cfg.LR, cfg.Patience),
+		cfg.Temperature, cfg.Lambda, rng)
 	return &GLNN{Student: student}
 }
 
 // Infer classifies targets from raw features only.
 func (m *GLNN) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
-	agg := &Result{}
-	if batchSize <= 0 {
-		batchSize = len(targets)
-	}
-	if len(targets) == 0 {
-		return agg
-	}
-	for _, batch := range graph.Batches(targets, batchSize) {
-		start := time.Now()
-		x := g.Features.GatherRows(batch)
-		pred := m.Student.Predict(x)
-		res := &Result{
-			Pred:       pred,
-			NumTargets: len(batch),
-			TotalTime:  time.Since(start),
-		}
+	return inferBatches(targets, batchSize, func(batch []int) *Result {
+		res := &Result{Pred: m.Student.Predict(g.Features.GatherRows(batch))}
 		res.MACs.Classification = len(batch) * m.Student.MACsPerRow()
-		agg.merge(res)
-	}
-	return agg
+		return res
+	})
 }
 
-// trainDistilledMLP is the shared KD loop for GLNN and NOSMOG students:
-// (1−λ)·CE(student, y) + λ·T²·CE(student/T, teacher/T) over the training
-// rows, early-stopped on validation accuracy.
+// trainDistilledMLP is the KD fit GLNN and NOSMOG students share, over the
+// rows of inputs.
 func trainDistilledMLP(student *nn.MLP, inputs *mat.Matrix, td *TeacherData,
-	epochs int, lr, temp, lambda float64, patience int, rng *rand.Rand) {
+	cfg nn.TrainConfig, temp, lambda float64, rng *rand.Rand) {
 
-	tg := td.Ind.Graph
 	xTrain := inputs.GatherRows(td.TrainIdx)
 	xVal := inputs.GatherRows(td.ValIdx)
-	labeledPos := td.labeledPositions()
-	yLabeled := gatherLabels(tg.Labels, td.LabeledIdx)
-	yVal := gatherLabels(tg.Labels, td.ValIdx)
-	soft := td.SoftTargets(td.TrainIdx, temp)
-
-	opt := nn.NewAdam(lr, 1e-4)
-	best := -1.0
-	var snap []*mat.Matrix
-	sinceBest := 0
-	for epoch := 0; epoch < epochs; epoch++ {
-		b := nn.Bind()
-		logits := student.Forward(b, b.Const(xTrain), true, rng)
-		lc := tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled)
-		ld := tensor.SoftCrossEntropy(logits, soft, temp)
-		loss := tensor.Add(tensor.Scale(1-lambda, lc), tensor.Scale(lambda*temp*temp, ld))
-		b.Backward(loss)
-		opt.Step(student.Params())
-
-		if len(td.ValIdx) > 0 {
-			acc := nn.Accuracy(student.Predict(xVal), yVal)
-			if acc > best {
-				best, sinceBest = acc, 0
-				snap = snapshot(student.Params())
-			} else if sinceBest++; patience > 0 && sinceBest >= patience {
-				break
-			}
-		}
-	}
-	if snap != nil {
-		restore(student.Params(), snap)
-	}
-}
-
-func snapshot(params []*nn.Param) []*mat.Matrix {
-	out := make([]*mat.Matrix, len(params))
-	for i, p := range params {
-		out[i] = p.Value.Clone()
-	}
-	return out
-}
-
-func restore(params []*nn.Param, snap []*mat.Matrix) {
-	for i, p := range params {
-		p.Value.CopyFrom(snap[i])
-	}
+	td.distill(student.Params(), cfg, temp, lambda,
+		func(b *nn.Binding) *tensor.Node { return student.Forward(b, b.Const(xTrain), true, rng) },
+		func() []int { return student.Predict(xVal) })
 }

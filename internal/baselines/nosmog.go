@@ -106,8 +106,8 @@ func TrainNOSMOG(td *TeacherData, cfg NOSMOGConfig) *NOSMOG {
 		inputs = mat.Add(inputs, mat.Randn(inputs.Rows, inputs.Cols, cfg.NoiseStd, rng))
 	}
 	student := nn.NewMLP("nosmog", inputs.Cols, cfg.Hidden, tg.NumClasses, cfg.Dropout, rng)
-	trainDistilledMLP(student, inputs, td, cfg.Epochs, cfg.LR, cfg.Temperature,
-		cfg.Lambda, cfg.Patience, rng)
+	trainDistilledMLP(student, inputs, td, studentConfig(cfg.Epochs, cfg.LR, cfg.Patience),
+		cfg.Temperature, cfg.Lambda, rng)
 
 	// anchors back in global ids for serving
 	anchors := make([]int, len(anchorsLocal))
@@ -122,37 +122,26 @@ func TrainNOSMOG(td *TeacherData, cfg NOSMOGConfig) *NOSMOG {
 // multiplication (the paper's re-implementation of NOSMOG's aggregation),
 // which is the FP cost of this baseline.
 func (m *NOSMOG) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
-	agg := &Result{}
-	if batchSize <= 0 {
-		batchSize = len(targets)
-	}
-	if len(targets) == 0 {
-		return agg
-	}
 	// Deployment-time index: full-graph position table (computed once, like
 	// NOSMOG's stored DeepWalk table; not charged per batch).
 	posTable := PositionFeatures(g.Adj, m.Anchors, m.WalkLen)
 	norm := sparse.NewNormalized(g.Adj, sparse.GammaRowStochastic, sparse.LoopedDegrees(g.Adj))
 	d := len(m.Anchors)
-	for _, batch := range graph.Batches(targets, batchSize) {
-		start := time.Now()
+	return inferBatches(targets, batchSize, func(batch []int) *Result {
 		// 1-hop aggregation of neighbor position rows. The product
 		// requires duplicate-free rows (it writes them in parallel), and
 		// batch comes verbatim from the caller — dedupe defensively.
+		res := &Result{}
 		fpStart := time.Now()
 		posAgg := mat.New(g.N(), d)
 		rows := dedupRows(batch)
-		fpMACs := sparse.MulNormalizedRowsInto(norm, rows, rows, nil, posTable.Data, nil, d, posAgg.Data)
-		fpTime := time.Since(fpStart)
+		res.MACs.Propagation = sparse.MulNormalizedRowsInto(norm, rows, rows, nil, posTable.Data, nil, d, posAgg.Data)
+		res.FPTime = time.Since(fpStart)
 		x := mat.ConcatCols(g.Features.GatherRows(batch), posAgg.GatherRows(batch))
-		pred := m.Student.Predict(x)
-		res := &Result{Pred: pred, NumTargets: len(batch), FPTime: fpTime}
-		res.MACs.Propagation = fpMACs
+		res.Pred = m.Student.Predict(x)
 		res.MACs.Classification = len(batch) * m.Student.MACsPerRow()
-		res.TotalTime = time.Since(start)
-		agg.merge(res)
-	}
-	return agg
+		return res
+	})
 }
 
 // dedupRows returns a sorted duplicate-free copy of rows (returns rows

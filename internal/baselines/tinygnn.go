@@ -161,64 +161,24 @@ func TrainTinyGNN(td *TeacherData, cfg TinyGNNConfig) *TinyGNN {
 
 	peerTrain := samplePeers(tg.Adj, td.TrainIdx, cfg.Peers, rng)
 	peerVal := samplePeers(tg.Adj, td.ValIdx, cfg.Peers, rng)
-	labeledPos := td.labeledPositions()
-	yLabeled := gatherLabels(tg.Labels, td.LabeledIdx)
-	yVal := gatherLabels(tg.Labels, td.ValIdx)
-	soft := td.SoftTargets(td.TrainIdx, cfg.Temperature)
-
-	opt := nn.NewAdam(cfg.LR, 1e-4)
-	best := -1.0
-	var snap []*mat.Matrix
-	sinceBest := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		b := nn.Bind()
-		logits := m.forward(b, tg.Features, td.TrainIdx, peerTrain, true, rng)
-		lc := tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled)
-		ld := tensor.SoftCrossEntropy(logits, soft, cfg.Temperature)
-		loss := tensor.Add(tensor.Scale(1-cfg.Lambda, lc),
-			tensor.Scale(cfg.Lambda*cfg.Temperature*cfg.Temperature, ld))
-		b.Backward(loss)
-		opt.Step(params)
-
-		if len(td.ValIdx) > 0 {
-			h := m.attentionEval(tg.Features, td.ValIdx, peerVal)
-			acc := nn.Accuracy(m.Clf.Predict(h), yVal)
-			if acc > best {
-				best, sinceBest = acc, 0
-				snap = snapshot(params)
-			} else if sinceBest++; cfg.Patience > 0 && sinceBest >= cfg.Patience {
-				break
-			}
-		}
-	}
-	if snap != nil {
-		restore(params, snap)
-	}
+	td.distill(params, studentConfig(cfg.Epochs, cfg.LR, cfg.Patience), cfg.Temperature, cfg.Lambda,
+		func(b *nn.Binding) *tensor.Node { return m.forward(b, tg.Features, td.TrainIdx, peerTrain, true, rng) },
+		func() []int { return m.Clf.Predict(m.attentionEval(tg.Features, td.ValIdx, peerVal)) })
 	return m
 }
 
 // Infer classifies targets with one hop of peer attention on the full graph.
 func (m *TinyGNN) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
-	agg := &Result{}
-	if batchSize <= 0 {
-		batchSize = len(targets)
-	}
-	if len(targets) == 0 {
-		return agg
-	}
 	rng := rand.New(rand.NewSource(m.SampleSeed))
-	for _, batch := range graph.Batches(targets, batchSize) {
-		start := time.Now()
+	return inferBatches(targets, batchSize, func(batch []int) *Result {
 		peers := samplePeers(g.Adj, batch, m.Peers, rng)
+		res := &Result{}
 		fpStart := time.Now()
 		h := m.attentionEval(g.Features, batch, peers)
-		fpTime := time.Since(fpStart)
-		pred := m.Clf.Predict(h)
-		res := &Result{Pred: pred, NumTargets: len(batch), FPTime: fpTime}
+		res.FPTime = time.Since(fpStart)
+		res.Pred = m.Clf.Predict(h)
 		res.MACs.Propagation = len(batch) * m.attentionMACsPerRow(g.F())
 		res.MACs.Classification = len(batch) * m.Clf.MACsPerRow()
-		res.TotalTime = time.Since(start)
-		agg.merge(res)
-	}
-	return agg
+		return res
+	})
 }

@@ -110,10 +110,3 @@ func (c Config) TrainOptions(model string) core.TrainOptions {
 	}
 	return opt
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -23,22 +23,11 @@ type distiller struct {
 	valIdx     []int
 }
 
-// labeledPositions maps each labeled node to its row inside the gathered
-// trainIdx matrices.
-func (d *distiller) labeledPositions() []int {
-	pos := make(map[int]int, len(d.trainIdx))
-	for p, v := range d.trainIdx {
-		pos[v] = p
-	}
-	out := make([]int, len(d.labeledIdx))
-	for i, v := range d.labeledIdx {
-		p, ok := pos[v]
-		if !ok {
-			panic("core: labeled node outside the training set")
-		}
-		out[i] = p
-	}
-	return out
+// fitConfig is every student's training schedule: the distillation epochs
+// and learning rate with the base classifier's weight decay and patience.
+func (d *distiller) fitConfig() nn.TrainConfig {
+	return nn.TrainConfig{Epochs: d.opt.DistillEpochs, LR: d.opt.DistillLR,
+		WeightDecay: d.opt.Base.WeightDecay, Patience: d.opt.Base.Patience}
 }
 
 // singleScale distills the deepest classifier f^{(K)} into every shallower
@@ -50,43 +39,21 @@ func (d *distiller) singleScale(rng *rand.Rand) {
 	teacher := d.model.Classifiers[k]
 	teacherProbs := tempSoftmax(teacher.Logits(d.inputs[k].GatherRows(d.trainIdx)), d.opt.SingleT)
 
-	labeledPos := d.labeledPositions()
-	yLabeled := gatherLabels(d.labels, d.labeledIdx)
-	yVal := gatherLabels(d.labels, d.valIdx)
+	labeledPos := LabeledPositions(d.trainIdx, d.labeledIdx)
+	yLabeled := nn.GatherLabels(d.labels, d.labeledIdx)
+	yVal := nn.GatherLabels(d.labels, d.valIdx)
 
 	for l := 1; l < k; l++ {
 		student := d.model.Classifiers[l]
 		xTrain := d.inputs[l].GatherRows(d.trainIdx)
 		xVal := d.inputs[l].GatherRows(d.valIdx)
-		opt := nn.NewAdam(d.opt.DistillLR, d.opt.Base.WeightDecay)
-
-		best := -1.0
-		var snap []*mat.Matrix
-		sinceBest := 0
-		for epoch := 0; epoch < d.opt.DistillEpochs; epoch++ {
-			b := nn.Bind()
+		nn.Fit(student.Params(), d.fitConfig(), func(b *nn.Binding) *tensor.Node {
 			logits := student.Forward(b, b.Const(xTrain), true, rng)
-			lc := tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled)
-			ld := tensor.SoftCrossEntropy(logits, teacherProbs, d.opt.SingleT)
-			loss := tensor.Add(
-				tensor.Scale(1-d.opt.SingleLambda, lc),
-				tensor.Scale(d.opt.SingleLambda*d.opt.SingleT*d.opt.SingleT, ld))
-			b.Backward(loss)
-			opt.Step(student.Params())
-
-			if len(d.valIdx) > 0 {
-				acc := nn.Accuracy(student.Predict(xVal), yVal)
-				if acc > best {
-					best, sinceBest = acc, 0
-					snap = snapshotParams(student.Params())
-				} else if sinceBest++; d.opt.Base.Patience > 0 && sinceBest >= d.opt.Base.Patience {
-					break
-				}
-			}
-		}
-		if snap != nil {
-			restoreParams(student.Params(), snap)
-		}
+			return nn.DistillLoss(
+				tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled),
+				tensor.SoftCrossEntropy(logits, teacherProbs, d.opt.SingleT),
+				d.opt.SingleLambda, d.opt.SingleT)
+		}, nn.AccuracyScore(func() []int { return student.Predict(xVal) }, yVal))
 	}
 }
 
@@ -114,9 +81,9 @@ func (d *distiller) multiScale(rng *rand.Rand) {
 		attn[i] = nn.NewParam("ens.s"+strconv.Itoa(memberDepths[i]), mat.Randn(c, 1, 0.1, rng))
 	}
 
-	labeledPos := d.labeledPositions()
-	yLabeled := gatherLabels(d.labels, d.labeledIdx)
-	yVal := gatherLabels(d.labels, d.valIdx)
+	labeledPos := LabeledPositions(d.trainIdx, d.labeledIdx)
+	yLabeled := nn.GatherLabels(d.labels, d.labeledIdx)
+	yVal := nn.GatherLabels(d.labels, d.valIdx)
 	xTrain := make([]*mat.Matrix, k+1)
 	xVal := make([]*mat.Matrix, k+1)
 	for l := 1; l <= k; l++ {
@@ -129,15 +96,11 @@ func (d *distiller) multiScale(rng *rand.Rand) {
 		params = append(params, d.model.Classifiers[l].Params()...)
 	}
 	params = append(params, attn...)
-	opt := nn.NewAdam(d.opt.DistillLR, d.opt.Base.WeightDecay)
-
+	// validation target: the weakest student f^{(1)}, which the paper's
+	// Table VIII evaluates
+	score := nn.AccuracyScore(func() []int { return d.model.Classifiers[1].Predict(xVal[1]) }, yVal)
 	lambda, temp := d.opt.MultiLambda, d.opt.MultiT
-	best := -1.0
-	var snap []*mat.Matrix
-	sinceBest := 0
-	for epoch := 0; epoch < d.opt.DistillEpochs; epoch++ {
-		b := nn.Bind()
-
+	nn.Fit(params, d.fitConfig(), func(b *nn.Binding) *tensor.Node {
 		// Ensemble teacher (Eq. 18): member predictions ỹ^{(l)} as constants,
 		// q^{(l)} = σ(ỹ^{(l)}·s^{(l)}), w = softmax over members,
 		// z̄ = softmax(Σ w^{(l)} ỹ^{(l)}).
@@ -170,30 +133,12 @@ func (d *distiller) multiScale(rng *rand.Rand) {
 		for l := 1; l < k; l++ {
 			student := d.model.Classifiers[l]
 			logits := student.Forward(b, b.Const(xTrain[l]), true, rng)
-			lc := tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled)
-			le := crossEntropyNodes(logits, pbar, temp)
-			loss = tensor.Add(loss, tensor.Add(
-				tensor.Scale(1-lambda, lc),
-				tensor.Scale(lambda*temp*temp, le)))
+			loss = tensor.Add(loss, nn.DistillLoss(
+				tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled),
+				crossEntropyNodes(logits, pbar, temp), lambda, temp))
 		}
-		b.Backward(loss)
-		opt.Step(params)
-
-		if len(d.valIdx) > 0 {
-			// validation target: the weakest student f^{(1)}, which the
-			// paper's Table VIII evaluates
-			acc := nn.Accuracy(d.model.Classifiers[1].Predict(xVal[1]), yVal)
-			if acc > best {
-				best, sinceBest = acc, 0
-				snap = snapshotParams(params)
-			} else if sinceBest++; d.opt.Base.Patience > 0 && sinceBest >= d.opt.Base.Patience {
-				break
-			}
-		}
-	}
-	if snap != nil {
-		restoreParams(params, snap)
-	}
+		return loss
+	}, score)
 }
 
 // crossEntropyNodes is −mean Σ target ⊙ log softmax(logits/T) where both

@@ -89,19 +89,17 @@ func TestSingleScaleDistillationMovesStudents(t *testing.T) {
 }
 
 func TestLabeledPositions(t *testing.T) {
-	d := distiller{trainIdx: []int{10, 20, 30, 40}, labeledIdx: []int{30, 10}}
-	pos := d.labeledPositions()
+	pos := LabeledPositions([]int{10, 20, 30, 40}, []int{30, 10})
 	if pos[0] != 2 || pos[1] != 0 {
 		t.Fatalf("positions = %v", pos)
 	}
 }
 
 func TestLabeledPositionsPanicsOnForeignNode(t *testing.T) {
-	d := distiller{trainIdx: []int{1, 2}, labeledIdx: []int{99}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.labeledPositions()
+	LabeledPositions([]int{1, 2}, []int{99})
 }

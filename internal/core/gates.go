@@ -95,16 +95,13 @@ func TrainGates(m *Model, feats []*mat.Matrix, inputs []*mat.Matrix, st *Station
 		xl[l] = feats[l].GatherRows(trainIdx)
 	}
 	xinf := st.Rows(trainIdx)
-	y := gatherLabels(labels, trainIdx)
+	y := nn.GatherLabels(labels, trainIdx)
 
 	var params []*nn.Param
 	for l := 1; l < m.K; l++ {
 		params = append(params, gates[l].W)
 	}
-	opt := nn.NewAdam(cfg.LR, 0)
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		b := nn.Bind()
+	nn.Fit(params, nn.TrainConfig{Epochs: cfg.Epochs, LR: cfg.LR}, func(b *nn.Binding) *tensor.Node {
 		xinfNode := b.Const(xinf)
 		xhat := xinfNode // X̂^{(1)} = X(∞)  (Eq. 11 initialisation)
 
@@ -160,9 +157,7 @@ func TrainGates(m *Model, feats []*mat.Matrix, inputs []*mat.Matrix, st *Station
 		// "replace X̂^{(k)} = X(∞) with X^{(k)}" rule).
 		mixture = tensor.Add(mixture, tensor.MulColBroadcast(b.Const(classProbs[m.K]), remaining))
 
-		loss := tensor.NLLFromProbs(mixture, y)
-		b.Backward(loss)
-		opt.Step(params)
-	}
+		return tensor.NLLFromProbs(mixture, y)
+	}, nil)
 	return gates
 }

@@ -57,7 +57,7 @@ func TestTrainGatesImprovesMixtureLoss(t *testing.T) {
 		inputs[l] = m.Combiner.Combine(feats, l)
 	}
 	st := ComputeStationary(tg.Adj, tg.Features, m.Gamma)
-	trainIdx := localIndices(ind, ds.Split.Train)
+	trainIdx := ind.Local(ds.Split.Train)
 
 	lossWith := func(gates []*Gate) float64 {
 		// hard-decision mixture NLL over train rows
@@ -121,7 +121,7 @@ func trainGatesOnTiny(t *testing.T, cfg GateTrainConfig) (gates []*Gate, f int) 
 		inputs[l] = m.Combiner.Combine(feats, l)
 	}
 	st := ComputeStationary(tg.Adj, tg.Features, m.Gamma)
-	trainIdx := localIndices(ind, ds.Split.Train)
+	trainIdx := ind.Local(ds.Split.Train)
 	return TrainGates(m, feats, inputs, st, tg.Labels, trainIdx, cfg), tg.F()
 }
 

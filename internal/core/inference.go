@@ -106,9 +106,9 @@ func (b MACBreakdown) Total() int {
 // distance/gate procedure.
 func (b MACBreakdown) FeatureProcessing() int { return b.Propagation + b.Decision }
 
-// Add accumulates another breakdown field-wise; Result.merge, the
-// engine's batch merge, is its one caller (the serving daemon's
-// per-procedure counters walk serve.macProcedures).
+// Add accumulates another breakdown field-wise. The batch merges of the
+// engine (Result.merge) and of the baselines call it; the serving daemon's
+// per-procedure counters walk serve.macProcedures instead.
 func (b *MACBreakdown) Add(o MACBreakdown) {
 	b.Stationary += o.Stationary
 	b.Propagation += o.Propagation

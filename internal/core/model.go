@@ -127,8 +127,8 @@ func Train(g *graph.Graph, split graph.Split, opt TrainOptions) (*Model, error) 
 	observed := append(append([]int(nil), split.Train...), split.Val...)
 	ind := g.Induce(observed)
 	tg := ind.Graph
-	trainIdx := localIndices(ind, split.Train)
-	valIdx := localIndices(ind, split.Val)
+	trainIdx := ind.Local(split.Train)
+	valIdx := ind.Local(split.Val)
 	labeledIdx := SubsampleLabeled(trainIdx, opt.LabeledFrac, opt.Seed)
 
 	adj := sparse.NewNormalized(tg.Adj, opt.Gamma, sparse.LoopedDegrees(tg.Adj))
@@ -163,27 +163,21 @@ func Train(g *graph.Graph, split graph.Split, opt TrainOptions) (*Model, error) 
 		inputs[l] = comb.Combine(feats, l)
 	}
 
-	if opt.DisableDistillation {
-		// Ablation "NAI w/o ID": every shallow classifier gets plain CE.
+	d := distiller{model: m, opt: opt, inputs: inputs,
+		labels: tg.Labels, trainIdx: trainIdx, labeledIdx: labeledIdx, valIdx: valIdx}
+	if opt.DisableDistillation || opt.DisableSingleScale {
+		// Ablation "NAI w/o ID" gives every shallow classifier plain CE;
+		// without single-scale distillation the students still need that
+		// starting point.
 		for l := 1; l < opt.K; l++ {
 			nn.TrainClassifier(m.Classifiers[l], inputs[l], tg.Labels, labeledIdx, valIdx,
 				withSeed(opt.Base, opt.Seed+int64(l)))
 		}
 	} else {
-		d := distiller{model: m, opt: opt, inputs: inputs,
-			labels: tg.Labels, trainIdx: trainIdx, labeledIdx: labeledIdx, valIdx: valIdx}
-		if opt.DisableSingleScale {
-			// students still need a starting point: plain CE warm-up
-			for l := 1; l < opt.K; l++ {
-				nn.TrainClassifier(m.Classifiers[l], inputs[l], tg.Labels, labeledIdx, valIdx,
-					withSeed(opt.Base, opt.Seed+int64(l)))
-			}
-		} else {
-			d.singleScale(rand.New(rand.NewSource(opt.Seed + 101)))
-		}
-		if !opt.DisableMultiScale && opt.K > 1 {
-			d.multiScale(rand.New(rand.NewSource(opt.Seed + 202)))
-		}
+		d.singleScale(rand.New(rand.NewSource(opt.Seed + 101)))
+	}
+	if !opt.DisableDistillation && !opt.DisableMultiScale && opt.K > 1 {
+		d.multiScale(rand.New(rand.NewSource(opt.Seed + 202)))
 	}
 
 	if opt.TrainGates && opt.K > 1 {
@@ -211,39 +205,14 @@ func trainDepthClassifier(comb scalable.Combiner, clf *nn.MLP, feats []*mat.Matr
 	labels []int, trainIdx, valIdx []int, cfg nn.TrainConfig, rng *rand.Rand) {
 
 	params := append(append([]*nn.Param(nil), clf.Params()...), comb.Params(l)...)
-	opt := nn.NewAdam(cfg.LR, cfg.WeightDecay)
-
 	featsTrain := gatherStack(feats, trainIdx, l)
 	featsVal := gatherStack(feats, valIdx, l)
-	yTrain := gatherLabels(labels, trainIdx)
-	yVal := gatherLabels(labels, valIdx)
-
-	best := -1.0
-	var snap []*mat.Matrix
-	sinceBest := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		b := nn.Bind()
-		nodes := constStack(b, featsTrain)
-		input := comb.CombineNode(b, nodes, l)
-		logits := clf.Forward(b, input, true, rng)
-		loss := tensor.CrossEntropyLabels(logits, yTrain)
-		b.Backward(loss)
-		opt.Step(params)
-
-		if len(valIdx) > 0 {
-			valInput := comb.Combine(featsVal, l)
-			acc := nn.Accuracy(clf.Predict(valInput), yVal)
-			if acc > best {
-				best, sinceBest = acc, 0
-				snap = snapshotParams(params)
-			} else if sinceBest++; cfg.Patience > 0 && sinceBest >= cfg.Patience {
-				break
-			}
-		}
-	}
-	if snap != nil {
-		restoreParams(params, snap)
-	}
+	yTrain := nn.GatherLabels(labels, trainIdx)
+	nn.Fit(params, cfg, func(b *nn.Binding) *tensor.Node {
+		input := comb.CombineNode(b, constStack(b, featsTrain), l)
+		return tensor.CrossEntropyLabels(clf.Forward(b, input, true, rng), yTrain)
+	}, nn.AccuracyScore(func() []int { return clf.Predict(comb.Combine(featsVal, l)) },
+		nn.GatherLabels(labels, valIdx)))
 }
 
 // SubsampleLabeled deterministically selects frac of the node ids as the
@@ -262,27 +231,25 @@ func SubsampleLabeled(idx []int, frac float64, seed int64) []int {
 	return shuffled[:n]
 }
 
-// --- helpers ---
-
-func localIndices(ind *graph.Induced, global []int) []int {
-	out := make([]int, len(global))
-	for i, v := range global {
-		li := ind.ToLocal[v]
-		if li < 0 {
-			panic(fmt.Sprintf("core: node %d not in induced graph", v))
+// LabeledPositions maps each labeled node to its row inside matrices
+// gathered over trainIdx. It panics on a labeled node outside trainIdx.
+func LabeledPositions(trainIdx, labeledIdx []int) []int {
+	pos := make(map[int]int, len(trainIdx))
+	for p, v := range trainIdx {
+		pos[v] = p
+	}
+	out := make([]int, len(labeledIdx))
+	for i, v := range labeledIdx {
+		p, ok := pos[v]
+		if !ok {
+			panic(fmt.Sprintf("core: labeled node %d outside the training set", v))
 		}
-		out[i] = li
+		out[i] = p
 	}
 	return out
 }
 
-func gatherLabels(labels []int, idx []int) []int {
-	out := make([]int, len(idx))
-	for i, v := range idx {
-		out[i] = labels[v]
-	}
-	return out
-}
+// --- helpers ---
 
 func gatherStack(feats []*mat.Matrix, idx []int, l int) []*mat.Matrix {
 	out := make([]*mat.Matrix, l+1)
@@ -298,20 +265,6 @@ func constStack(b *nn.Binding, feats []*mat.Matrix) []*tensor.Node {
 		out[j] = b.Const(f)
 	}
 	return out
-}
-
-func snapshotParams(params []*nn.Param) []*mat.Matrix {
-	out := make([]*mat.Matrix, len(params))
-	for i, p := range params {
-		out[i] = p.Value.Clone()
-	}
-	return out
-}
-
-func restoreParams(params []*nn.Param, snap []*mat.Matrix) {
-	for i, p := range params {
-		p.Value.CopyFrom(snap[i])
-	}
 }
 
 func withSeed(cfg nn.TrainConfig, seed int64) nn.TrainConfig {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -197,6 +199,40 @@ func TestDistillationAblationsRun(t *testing.T) {
 		mod(&opt)
 		if _, err := Train(ds.Graph, ds.Split, opt); err != nil {
 			t.Fatalf("ablation failed: %v", err)
+		}
+	}
+}
+
+// TestTrainDeterministic pins training as a pure function of its inputs:
+// every stage (base classifier, both distillation stages, gates) draws its
+// dropout and Gumbel samples from seeded generators, and training's products
+// are par-split GEMMs whose bits must not depend on the worker count.
+func TestTrainDeterministic(t *testing.T) {
+	ds := tinyData(t)
+	for _, name := range []string{"sgc", "sign", "s2gc", "gamlp"} {
+		opt := fastOptions(name)
+		opt.TrainGates = true
+		opt.LabeledFrac = 0.5
+		save := func() []byte {
+			m, err := Train(ds.Graph, ds.Split, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return buf.Bytes()
+		}
+		first, second := save(), save()
+		prev := runtime.GOMAXPROCS(1)
+		serial := save()
+		runtime.GOMAXPROCS(prev)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: two trainings saved different bytes", name)
+		}
+		if !bytes.Equal(first, serial) {
+			t.Fatalf("%s: training at GOMAXPROCS 1 saved different bytes than at %d", name, prev)
 		}
 	}
 }

@@ -164,6 +164,20 @@ func (g *Graph) Induce(nodes []int) *Induced {
 	return &Induced{Graph: sub, ToGlobal: sorted, ToLocal: local}
 }
 
+// Local maps parent ids to local ids. It panics on a node outside the
+// subgraph.
+func (ind *Induced) Local(global []int) []int {
+	out := make([]int, len(global))
+	for i, v := range global {
+		li := ind.ToLocal[v]
+		if li < 0 {
+			panic(fmt.Sprintf("graph: node %d not in induced graph", v))
+		}
+		out[i] = li
+	}
+	return out
+}
+
 // SupportingSets computes the nested node sets needed to propagate features
 // `hops` times for the target nodes: sets[hops] = targets and
 // sets[l] = sets[l+1] ∪ N(sets[l+1]). Computing X^{(t)} on sets[t] from

@@ -135,6 +135,20 @@ func TestInduceSubgraph(t *testing.T) {
 	}
 }
 
+func TestInducedLocal(t *testing.T) {
+	g := lineGraph(t, 6, 2)
+	ind := g.Induce([]int{0, 1, 2, 4, 5})
+	if got := ind.Local([]int{5, 0, 4}); got[0] != 4 || got[1] != 0 || got[2] != 3 {
+		t.Fatalf("Local = %v, want [4 0 3]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a node outside the subgraph")
+		}
+	}()
+	ind.Local([]int{3})
+}
+
 func TestInduceDedup(t *testing.T) {
 	g := lineGraph(t, 4, 2)
 	ind := g.Induce([]int{2, 0, 2, 0})

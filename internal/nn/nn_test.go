@@ -198,6 +198,82 @@ func TestTrainClassifierEmptyTrainPanics(t *testing.T) {
 	TrainClassifier(m, mat.New(2, 2), []int{0, 1}, nil, nil, DefaultTrainConfig())
 }
 
+// fitProbe is a one-parameter problem for Fit: the loss w² pulls w from 1
+// toward 0 by about LR per Adam step.
+func fitProbe() (*Param, func(*Binding) *tensor.Node) {
+	w := NewParam("w", mat.FromRows([][]float64{{1}}))
+	return w, func(b *Binding) *tensor.Node { return tensor.SumSquares(b.Node(w)) }
+}
+
+func TestFitNilScoreRunsEveryEpochAndRestoresNothing(t *testing.T) {
+	ref, refLoss := fitProbe()
+	opt := NewAdam(0.1, 0)
+	for i := 0; i < 7; i++ {
+		b := Bind()
+		b.Backward(refLoss(b))
+		opt.Step([]*Param{ref})
+	}
+	w, loss := fitProbe()
+	res := Fit([]*Param{w}, TrainConfig{Epochs: 7, LR: 0.1, Patience: 1}, loss, nil)
+	if res.Epochs != 7 || res.EarlyStopped || res.BestValAcc != 0 {
+		t.Fatalf("result = %+v, want 7 epochs, no early stop, no score", res)
+	}
+	if got, want := w.Value.At(0, 0), ref.Value.At(0, 0); got != want {
+		t.Fatalf("w = %v after Fit, want %v (the last step's weights)", got, want)
+	}
+	if want := w.Value.At(0, 0) * w.Value.At(0, 0); res.FinalLoss <= want {
+		t.Fatalf("FinalLoss %v is not the last epoch's loss (> %v)", res.FinalLoss, want)
+	}
+}
+
+func TestFitPatienceZeroNeverStopsEarly(t *testing.T) {
+	w, loss := fitProbe()
+	res := Fit([]*Param{w}, TrainConfig{Epochs: 50, LR: 0.01}, loss, func() float64 { return 0 })
+	if res.Epochs != 50 || res.EarlyStopped {
+		t.Fatalf("result = %+v, want all 50 epochs", res)
+	}
+}
+
+func TestFitRestoresBestWeightsAndStopsEarly(t *testing.T) {
+	w, loss := fitProbe()
+	var seen []float64
+	score := func() float64 {
+		seen = append(seen, w.Value.At(0, 0))
+		return -math.Abs(float64(len(seen) - 3)) // best after the third epoch
+	}
+	res := Fit([]*Param{w}, TrainConfig{Epochs: 100, LR: 0.1, Patience: 4}, loss, score)
+	// epochs 4..7 do not improve, so the fourth of them stops the fit
+	if !res.EarlyStopped || res.Epochs != 7 || len(seen) != 7 {
+		t.Fatalf("result = %+v after %d scores, want an early stop after 7 epochs", res, len(seen))
+	}
+	if res.BestValAcc != 0 {
+		t.Fatalf("BestValAcc = %v, want the best score 0", res.BestValAcc)
+	}
+	if got := w.Value.At(0, 0); got != seen[2] || got == seen[6] {
+		t.Fatalf("w = %v, want the third epoch's %v (not the last epoch's %v)", got, seen[2], seen[6])
+	}
+}
+
+func TestDistillLoss(t *testing.T) {
+	b := Bind()
+	hard := b.Const(mat.FromRows([][]float64{{2}}))
+	soft := b.Const(mat.FromRows([][]float64{{3}}))
+	// (1−0.25)·2 + 0.25·2²·3
+	if got := DistillLoss(hard, soft, 0.25, 2).Scalar(); got != 4.5 {
+		t.Fatalf("DistillLoss = %v, want 4.5", got)
+	}
+}
+
+func TestAccuracyScoreNilWithoutLabels(t *testing.T) {
+	if AccuracyScore(func() []int { return nil }, nil) != nil {
+		t.Fatal("an empty validation set must give a nil score")
+	}
+	score := AccuracyScore(func() []int { return []int{1, 0} }, []int{1, 1})
+	if score() != 0.5 {
+		t.Fatalf("score = %v, want 0.5", score())
+	}
+}
+
 func TestAccuracy(t *testing.T) {
 	if got := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("Accuracy = %v", got)

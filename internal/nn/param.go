@@ -1,7 +1,10 @@
 // Package nn provides the neural-network training substrate: trainable
 // parameters, tape bindings, the Adam optimizer with decoupled weight decay,
-// multi-layer perceptron classifiers and a generic supervised training loop
-// with early stopping. Everything is built on internal/tensor autodiff.
+// multi-layer perceptron classifiers and Fit, the one epoch loop every
+// trainer in the repository runs (the classifiers, Inception Distillation,
+// the NAP_g gates and the distillation baselines): a loss closure on a fresh
+// tape, an Adam step and, given a score closure, early stopping that
+// restores the best weights. Everything is built on internal/tensor autodiff.
 package nn
 
 import (
