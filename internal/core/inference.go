@@ -83,6 +83,12 @@ func (o InferenceOptions) Validate(m *Model) error {
 	return nil
 }
 
+// decides reports whether Algorithm 1's lines 9–13 run at depth l: an exit
+// wave may come before T_max.
+func (o InferenceOptions) decides(l int) bool {
+	return l >= o.TMin && l < o.TMax && o.Mode != ModeFixed
+}
+
 // MACBreakdown counts multiply-accumulate operations per procedure,
 // matching the paper's evaluation protocol (§IV-A).
 type MACBreakdown struct {
@@ -570,6 +576,96 @@ func (d *Deployment) InferContext(ctx context.Context, targets []int, opt Infere
 	return agg, nil
 }
 
+// Books returns Algorithm 1's MAC ledger (§IV-A) for an answer: the MACs
+// the paper's protocol charges the targets when targets[i] exits at
+// depths[i], in the batches InferContext splits them into. Per batch it
+// charges the stationary term (not in ModeFixed), every hop l the entries of Â
+// plus the diagonal in the radius-(TMax−l) ball around the batch's targets
+// exiting at l or later, times f, every depth that decides a row per target
+// still active there, and each target's combination and classifier at its
+// depth. It runs one BFS per distinct active set of a batch, on the engine's
+// pooled scratch. It rejects invalid options and a depth no target of opt can
+// exit at. Must not run concurrently with ApplyDelta or Refresh.
+func (d *Deployment) Books(targets []int, opt InferenceOptions, depths []int) (MACBreakdown, error) {
+	var b MACBreakdown
+	if err := opt.Validate(d.Model); err != nil {
+		return b, err
+	}
+	if len(depths) != len(targets) {
+		return b, fmt.Errorf("core: %d depths for %d targets", len(depths), len(targets))
+	}
+	m, f := d.Model, d.Graph.F()
+	for i, l := range depths {
+		if l != opt.TMax && !opt.decides(l) {
+			return b, fmt.Errorf("core: target %d exits at depth %d; TMin %d, TMax %d, mode %v exit at none", targets[i], l, opt.TMin, opt.TMax, opt.Mode)
+		}
+		b.Combine += m.Combiner.MACsPerRow(l, f)
+		b.Classification += m.Classifiers[l].MACsPerRow()
+	}
+	if len(targets) == 0 {
+		return b, nil
+	}
+	batchSize := opt.BatchSize
+	if batchSize <= 0 {
+		batchSize = len(targets)
+	}
+	st := d.stationary
+	depthBatches := graph.Batches(depths, batchSize)
+	for k, batch := range graph.Batches(targets, batchSize) {
+		if opt.Mode != ModeFixed {
+			b.Stationary += st.SumMACs + len(batch)*st.RowMACs()
+		}
+		b.Propagation += d.eng.books(batch, depthBatches[k], opt.TMax) * f
+		for l := opt.TMin; opt.decides(l); l++ {
+			active := 0
+			for _, e := range depthBatches[k] {
+				if e >= l {
+					active++
+				}
+			}
+			perRow := f
+			if opt.Mode == ModeGate {
+				perRow = m.Gates[l].MACsPerRow()
+			}
+			b.Decision += active * perRow
+		}
+	}
+	return b, nil
+}
+
+// books is Books' propagation term for one batch over the tier's pooled BFS
+// scratch, per feature: the sum over hops l of the radius-(tmax−l) ball's
+// entries of Â around the targets exiting at l or later, diagonal included. A
+// BFS runs at the first hop and after every depth some target exits at.
+func (t *tier[T]) books(targets, depths []int, tmax int) int {
+	sc, _ := t.scratch.Get().(*inferScratch[T])
+	if sc == nil {
+		sc = &inferScratch[T]{}
+	}
+	sc.prepare(t.d.Graph.N(), len(targets))
+	sources := make([]int, 0, len(targets))
+	var ring []int
+	entries := 0
+	for l := 1; l <= tmax; l++ {
+		if l == 1 || slices.Contains(depths, l-1) {
+			sources = sources[:0]
+			for i, v := range targets {
+				if depths[i] >= l {
+					sources = append(sources, v)
+				}
+			}
+			if len(sources) == 0 {
+				break
+			}
+			sc.bfs.run(t.d.Graph.Adj, sources, tmax-l, 0, sc.set)
+			ring = sc.bfs.books(ring)
+		}
+		entries += ring[tmax-l]
+	}
+	t.scratch.Put(sc)
+	return entries
+}
+
 // infer runs one batch on a pooled scratch.
 func (t *tier[T]) infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result {
 	sc, _ := t.scratch.Get().(*inferScratch[T])
@@ -676,9 +772,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	mark := time.Now() // the last stage boundary read (stageEnd)
 	var fpTime time.Duration
 
-	// decides reports whether lines 9–13 run at depth l: an exit wave may come
-	// before T_max.
-	decides := func(l int) bool { return l >= opt.TMin && l < opt.TMax && opt.Mode != ModeFixed }
+	decides := opt.decides
 
 	// reads reports whether anything reads the targets' depth-l rows: the
 	// decision at l, or the classifier of a depth e ≥ l some target may exit

@@ -37,6 +37,8 @@ import (
 type engine interface {
 	// infer runs Algorithm 1 over one batch.
 	infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result
+	// books is Deployment.Books' propagation term for one batch.
+	books(targets, depths []int, tmax int) int
 	// patched re-derives the tier's operands after ApplyDelta patched Adj
 	// (and a delta may have grown the features), extends every layer to
 	// appended nodes and drops the rows the patch made stale.
