@@ -4,6 +4,12 @@
 // job so the prose contract of ARCHITECTURE.md — every package explains
 // itself — cannot rot as packages are added.
 //
+// It also fails when a Test…, Fuzz… or Benchmark… name ARCHITECTURE.md cites
+// is no function in the tree, or when an alternative of a -run pattern in
+// .github/workflows/ci.yml matches no test, fuzz target or example (Go's
+// unanchored -run matching; '^$', which runs nothing on purpose, is exempt):
+// a renamed test must not leave the prose or a CI step pointing at nothing.
+//
 // Usage:
 //
 //	docgate [-root .]
@@ -18,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -45,6 +52,7 @@ func main() {
 	flag.Parse()
 
 	dirs := map[string][]string{} // dir -> non-test .go files
+	var tests []string            // _test.go files
 	err := filepath.WalkDir(*root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,7 +64,10 @@ func main() {
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+		switch {
+		case strings.HasSuffix(path, "_test.go"):
+			tests = append(tests, path)
+		case strings.HasSuffix(path, ".go"):
 			dir := filepath.Dir(path)
 			dirs[dir] = append(dirs[dir], path)
 		}
@@ -68,6 +79,7 @@ func main() {
 	}
 
 	var missing []string
+	funcs := map[string]bool{} // top-level function names, tests included
 	fset := token.NewFileSet()
 	for dir, files := range dirs {
 		sort.Strings(files)
@@ -82,6 +94,7 @@ func main() {
 			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
 				hasDoc = true
 			}
+			addFuncs(funcs, f)
 			if exportedDocPackages[filepath.ToSlash(rel)] {
 				missing = append(missing, undocumentedExports(fset, path, f)...)
 			}
@@ -91,9 +104,24 @@ func main() {
 		}
 	}
 
+	for _, path := range tests {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "docgate: %s: %v\n", path, err)
+			os.Exit(2)
+		}
+		addFuncs(funcs, f)
+	}
+	unresolved, err := unresolvedCitations(*root, funcs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docgate:", err)
+		os.Exit(2)
+	}
+	missing = append(missing, unresolved...)
+
 	if len(missing) > 0 {
 		sort.Strings(missing)
-		fmt.Println("docgate: missing documentation:")
+		fmt.Println("docgate: missing documentation or unresolved citations:")
 		for _, m := range missing {
 			fmt.Println("  " + m)
 		}
@@ -131,6 +159,81 @@ func undocumentedExports(fset *token.FileSet, path string, f *ast.File) []string
 					report(ts.Pos(), "type", ts.Name.Name)
 				}
 			}
+		}
+	}
+	return out
+}
+
+// addFuncs records f's top-level function names.
+func addFuncs(funcs map[string]bool, f *ast.File) {
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+			funcs[fd.Name.Name] = true
+		}
+	}
+}
+
+var (
+	citedName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	runFlag   = regexp.MustCompile(`-run[ =](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	runnable  = regexp.MustCompile(`^(?:Test|Fuzz|Example)`)
+)
+
+// unresolvedCitations lists the Test/Fuzz/Benchmark names ARCHITECTURE.md
+// cites that are no function in funcs, and the alternatives of the CI
+// workflow's -run patterns that match no test, fuzz target or example.
+func unresolvedCitations(root string, funcs map[string]bool) ([]string, error) {
+	var out []string
+	doc, err := os.ReadFile(filepath.Join(root, "ARCHITECTURE.md"))
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	for _, name := range citedName.FindAllString(string(doc), -1) {
+		if !funcs[name] && !seen[name] {
+			seen[name] = true
+			out = append(out, fmt.Sprintf("ARCHITECTURE.md: cites %s, no function in the tree", name))
+		}
+	}
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		return nil, err
+	}
+	for _, line := range strings.Split(string(ci), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue // a YAML comment
+		}
+		for _, m := range runFlag.FindAllStringSubmatch(line, -1) {
+			out = append(out, unmatchedAlternatives(m[1]+m[2]+m[3], funcs)...)
+		}
+	}
+	return out, nil
+}
+
+// unmatchedAlternatives lists the alternatives of a -run pattern's first
+// slash-separated level, the one that names functions, that match no test,
+// fuzz target or example in funcs.
+func unmatchedAlternatives(pattern string, funcs map[string]bool) []string {
+	if pattern == "^$" {
+		return nil
+	}
+	var out []string
+	level, _, _ := strings.Cut(pattern, "/")
+	for _, alt := range strings.Split(level, "|") {
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			out = append(out, fmt.Sprintf("ci.yml: -run %q: %v", pattern, err))
+			continue
+		}
+		matched := false
+		for name := range funcs {
+			if runnable.MatchString(name) && re.MatchString(name) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			out = append(out, fmt.Sprintf("ci.yml: -run %q: %q matches no test", pattern, alt))
 		}
 	}
 	return out

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
 
-// bookedOpts are the operating points TestBooksMatchesEngineLedger sweeps on a
+// bookedOpts are the operating points TestBooksMatchesSeedLedger sweeps on a
 // K = 5 model: every mode, TMax 1–5 and TMin 1 and 2, at batch sizes 1, 7 and
 // one batch.
 func bookedOpts(ts float64) []InferenceOptions {
@@ -22,11 +23,11 @@ func bookedOpts(ts float64) []InferenceOptions {
 	return opts
 }
 
-// TestBooksMatchesEngineLedger: Books of an answer's depths is the ledger the
-// engine kept for it, at every tier, in every mode, at TMax 1–5 and TMin 1 and
-// 2, at batch sizes 1, 7 and one batch — cold, warm, after a delta and warm
-// after it.
-func TestBooksMatchesEngineLedger(t *testing.T) {
+// TestBooksMatchesSeedLedger: Books of the serving entry's depths is the ledger
+// the seed transcription keeps, at every tier, in every mode, at TMax 1–5 and
+// TMin 1 and 2, at batch sizes 1, 7 and one batch — cold, warm, after a delta
+// and warm after it.
+func TestBooksMatchesSeedLedger(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedDeepModel(t)
 	for _, p := range tiers {
@@ -46,20 +47,14 @@ func TestBooksMatchesEngineLedger(t *testing.T) {
 					if stage == "cold" {
 						recold(dep)
 					}
-					res, err := dep.Infer(targets, opt)
+					res, err := dep.InferContext(context.Background(), targets, opt)
 					if err != nil {
 						t.Fatal(err)
-					}
-					got, err := dep.Books(targets, opt, res.Depths)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
 					}
 					if res.NodesPerDepth[opt.TMax] < len(targets) {
 						early++
 					}
-					if got != res.MACs {
-						t.Fatalf("%s: Books %+v, the engine's ledger %+v", label, got, res.MACs)
-					}
+					requireSameResult(t, label, booked(t, dep, targets, opt, res), seedInfer(dep, targets, opt))
 				}
 			}
 			check("cold")

@@ -112,9 +112,7 @@ func (b MACBreakdown) Total() int {
 // distance/gate procedure.
 func (b MACBreakdown) FeatureProcessing() int { return b.Propagation + b.Decision }
 
-// Add accumulates another breakdown field-wise. The batch merges of the
-// engine (Result.merge) and of the baselines call it; the serving daemon's
-// per-procedure counters walk serve.macProcedures instead.
+// Add accumulates another breakdown field-wise (the baselines' batch merges).
 func (b *MACBreakdown) Add(o MACBreakdown) {
 	b.Stationary += o.Stationary
 	b.Propagation += o.Propagation
@@ -131,7 +129,9 @@ type Result struct {
 	Depths []int
 	// NodesPerDepth[l] counts targets classified at depth l (1..K).
 	NodesPerDepth []int
-	MACs          MACBreakdown
+	// MACs is Algorithm 1's ledger, Books of the answer's depths: Infer fills
+	// it, the serving entry InferContext leaves it zero.
+	MACs MACBreakdown
 	// TotalTime sums per-batch serving time: stationary-row
 	// materialization, supporting-node sampling, propagation, decisions,
 	// combination and classification.
@@ -147,7 +147,6 @@ func (r *Result) merge(o *Result) {
 	for l := range o.NodesPerDepth {
 		r.NodesPerDepth[l] += o.NodesPerDepth[l]
 	}
-	r.MACs.Add(o.MACs)
 	r.TotalTime += o.TotalTime
 	r.FPTime += o.FPTime
 	r.NumTargets += o.NumTargets
@@ -167,7 +166,7 @@ func (r *Result) merge(o *Result) {
 // allocated on the first read at that depth, filled on first use and read in
 // place by hop h+1, and past TMax 2 the hubs' rows of X^(h+1), which hop h+1
 // copies instead of computing — through lock-free publish-once slots that
-// deltas empty and extend and Refresh clears. Answers and MACs are
+// deltas empty and extend and Refresh clears. Answers are
 // bit-identical to propagating hops 1..h+1 per batch.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
@@ -292,8 +291,7 @@ func subtractSorted(dst, a, b []int) []int {
 // holds one buffer of supporting-set height per hop it propagates —
 // O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
 // 1..h the deployment's depth-h layer — plus the targets' own rows at depths
-// below h, the BFS's rings (its whole radius-(TMax−l) ball, l ≤ h the first
-// depth it runs at) and sorted balls, the survivors' BFSes past h in two more
+// below h, the BFS's rings (its whole radius-(TMax−h) ball) and sorted balls, the survivors' BFSes past h in two more
 // rings (each radius-(TMax−l) ball around a wave's survivors, l the wave's
 // depth) with the rows the hop still owes them, a BFS bitset of n/4 bytes
 // (graph.NewBitset) and two O(n) int32 global→local remaps. A batch that
@@ -311,14 +309,12 @@ type inferScratch[T float64 | float32] struct {
 	// hopScratch holds a fill's hops below the layer's depth (propagate); its
 	// set is also the bitset of the batch's own BFSes.
 	hopScratch[T]
-	// bfs is the batch's BFS at depths ≤ h — its books, S and the ring are
-	// read off it. Past h the survivors' BFSes alternate between the two wave
+	// bfs is the batch's BFS at depths ≤ h — S and the ring are read off it —
+	// and Books'. Past h the survivors' BFSes alternate between the two wave
 	// rings, so S and the ring stay where they are and so do the balls of the
-	// BFS before, whose rows the hop in flight has already written. books[r]
-	// is Â's entries in the latest BFS's radius-r ball.
-	bfs   rings
-	wave  [2]rings
-	books []int
+	// BFS before, whose rows the hop in flight has already written.
+	bfs  rings
+	wave [2]rings
 	// rest lists the rows a hop past h computes after its exit wave: the
 	// survivors' ball minus the rows it wrote before the wave. compute lists
 	// the rows of one product at hop h+1 that no ready hub row covers.
@@ -491,7 +487,7 @@ func (sc *inferScratch[T]) bytes() int {
 		capBytes(sc.localRows) + capBytes(sc.tloc) +
 		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
 		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
-		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.books) + capBytes(sc.rest) + capBytes(sc.compute) +
+		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.rest) + capBytes(sc.compute) +
 		sc.bfs.bytes() + sc.wave[0].bytes() + sc.wave[1].bytes() + sc.fill.bytes()
 }
 
@@ -539,17 +535,25 @@ func (a *arena) shrink() {
 // that per-batch memory scales with supporting-set size, not graph size.
 func (d *Deployment) ScratchBytes() int { return d.eng.scratchBytes() }
 
-// Infer runs Algorithm 1 over the targets in batches, one after another, and
-// aggregates. It is safe for concurrent callers on one Deployment.
+// Infer runs Algorithm 1 over the targets in batches, one after another,
+// aggregates, and keeps the paper's books: InferContext followed by Books of
+// its depths into Result.MACs. It is safe for concurrent callers on one
+// Deployment.
 func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error) {
-	return d.InferContext(context.Background(), targets, opt)
+	res, err := d.InferContext(context.Background(), targets, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.MACs, err = d.Books(targets, opt, res.Depths)
+	return res, err
 }
 
-// InferContext is Infer with a context. The engine does not observe
-// cancellation (a batch in flight runs to completion); the context's
-// only role is carrying an obs.Trace, into which the batch stages — the BFS
-// (one per exit wave and one at the start: Algorithm 1's books, the supporting
-// sets and the ring around them, all read off its rings), compaction (extract:
+// InferContext is the serving entry: Infer without the books, so Result.MACs
+// stays zero (Books computes them from the answer), with a context. The engine
+// does not observe cancellation (a batch in flight runs to completion); the
+// context's only role is carrying an obs.Trace, into which the batch stages —
+// the BFS (one per exit wave and one at the start: the supporting sets and the
+// ring around them, all read off its rings), compaction (extract:
 // what is left of it now that no batch cuts a sub-CSR — indexing S and shaping
 // the slab), per-hop propagation, exit decisions and classification — record
 // spans, batch after batch; a hop below the layer whose rows nothing reads
@@ -644,7 +648,7 @@ func (t *tier[T]) books(targets, depths []int, tmax int) int {
 	}
 	sc.prepare(t.d.Graph.N(), len(targets))
 	sources := make([]int, 0, len(targets))
-	var ring []int
+	var perRadius []int
 	entries := 0
 	for l := 1; l <= tmax; l++ {
 		if l == 1 || slices.Contains(depths, l-1) {
@@ -658,9 +662,9 @@ func (t *tier[T]) books(targets, depths []int, tmax int) int {
 				break
 			}
 			sc.bfs.run(t.d.Graph.Adj, sources, tmax-l, 0, sc.set)
-			ring = sc.bfs.books(ring)
+			perRadius = sc.bfs.books(perRadius)
 		}
-		entries += ring[tmax-l]
+		entries += perRadius[tmax-l]
 	}
 	t.scratch.Put(sc)
 	return entries
@@ -707,15 +711,14 @@ func (t *tier[T]) scratchBytes() int {
 // starts at hop h+1. Below h the batch needs only its targets' own rows, for
 // their exits and classifiers, and computes them from X^(0) at the depths a
 // decision or a classifier's combiner reads (an SGC model past TMin reads
-// none). One BFS per exit
-// wave serves every depth up to h: Algorithm 1's books for hops l..h, S and the
-// ring around it are all read off its rings. At h = 1, every TMax ≤ 3, there is
-// nothing below h.
+// none). One BFS per exit wave serves every depth up to h: it runs to radius
+// TMax−h, and S and the ring around it are read off its rings. At h = 1, every
+// TMax ≤ 3, there is nothing below h.
 //
 // Past h, the hops run in demand order: a hop l < TMax that decides first
 // computes only its active targets' rows, which its wave reads, then the
 // survivors' BFS runs to radius TMax−l — the ball hop l+1 reads, and every
-// later hop's rows and books — and only then does hop l compute the rest of
+// later hop's rows — and only then does hop l compute the rest of
 // that ball. Exited targets' balls are never propagated. Hop h+1 < TMax copies
 // the hubs' rows it finds resident in the tier's hub layer (hopLayer) into the
 // slab instead of computing them, and publishes the ones it computes.
@@ -732,13 +735,10 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	start := time.Now()
 
 	// Line 2: stationary rows for the batch (skipped entirely without
-	// NAP). The global weighted sum is cached on the deployment; MACs are
-	// still charged per batch, mirroring Algorithm 1's protocol.
+	// NAP), from the global weighted sum cached on the deployment.
 	var xinf *mat.Matrix // stationary rows aligned with `targets`
 	if opt.Mode != ModeFixed {
-		st := d.stationary
-		xinf = st.Rows(targets)
-		res.MACs.Stationary = st.SumMACs + len(targets)*st.RowMACs()
+		xinf = d.stationary.Rows(targets)
 	}
 
 	// active[i] indexes into `targets`; global ids in activeNodes.
@@ -772,17 +772,15 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	mark := time.Now() // the last stage boundary read (stageEnd)
 	var fpTime time.Duration
 
-	decides := opt.decides
-
 	// reads reports whether anything reads the targets' depth-l rows: the
 	// decision at l, or the classifier of a depth e ≥ l some target may exit
 	// at, whose combiner reads from depth l or below.
 	reads := func(l int) bool {
-		if decides(l) {
+		if opt.decides(l) {
 			return true
 		}
 		for e := l; e <= opt.TMax; e++ {
-			if (decides(e) || e == opt.TMax) && m.Combiner.LowestDepth(e) <= l {
+			if (opt.decides(e) || e == opt.TMax) && m.Combiner.LowestDepth(e) <= l {
 				return true
 			}
 		}
@@ -799,12 +797,12 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			active = nil
 			return true
 		}
-		if !decides(l) { // Lines 6-7, or no NAP
+		if !opt.decides(l) { // Lines 6-7, or no NAP
 			return false
 		}
 		// Lines 9-13.
 		decStart := mark
-		exit := decide(l, m, xinf, active, opt, &res.MACs, sc)
+		exit := decide(l, m, xinf, active, opt, sc)
 		mark = stageEnd(tr, obs.StageDecide, 0, mark)
 		fpTime += mark.Sub(decStart)
 		if len(exit) == 0 {
@@ -819,12 +817,11 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	fresh := true // the active set changed since the last BFS, or none ran yet
 
 	// bfs is lines 3/5 for depth l: one level-ordered multi-source BFS around
-	// the targets still active, to the widest ball a hop from l on is charged,
-	// radius TMax−l (sampling counts in Time, not FP). Its sorted balls are the
-	// supporting sets of the hops the batch propagates, and its rings give the
-	// books. Up to h it also yields the ring beyond S, ring TMax−h, whose nodes'
-	// layer rows hop h+1 reads but no hop writes — so it is never sorted or
-	// given a place in S.
+	// the targets still active, to the widest ball the data path reads from l
+	// on, radius TMax−max(l, h) (sampling counts in Time, not FP). Its sorted
+	// balls are the supporting sets of the hops the batch propagates. Up to h
+	// it also yields the ring beyond S, ring TMax−h, whose nodes' layer rows hop
+	// h+1 reads but no hop writes — so it is never sorted or given a place in S.
 	bfs := func(l int) {
 		rg := &sc.bfs
 		if l > h {
@@ -835,8 +832,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 				rg = &sc.wave[1]
 			}
 		}
-		rg.run(g.Adj, gather(targets, active), opt.TMax-l, max(opt.TMax-max(l, h+1), 0), sc.set)
-		sc.books = rg.books(sc.books)
+		rg.run(g.Adj, gather(targets, active), opt.TMax-max(l, h), max(opt.TMax-max(l, h+1), 0), sc.set)
 		cur, fresh = rg, false
 		mark = stageEnd(tr, obs.StageBFS, 0, mark)
 	}
@@ -894,11 +890,8 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		}
 
 		fpStart := mark
-		// Algorithm 1's books: hop l over the radius-(TMax−l) ball of the
-		// targets active at l, whichever of its rows the batch computes.
-		res.MACs.Propagation += sc.books[opt.TMax-l] * sc.f
 		if l < h && !reads(l) {
-			continue // charged, but no row of the batch's is read at l
+			continue // no row of the batch's is read at l
 		}
 		var first []int
 		switch {
@@ -915,7 +908,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 				in.x, colMap = sc.hop(l-1), sc.toLocal
 			}
 			first = rowsAt(l)
-			if decides(l) {
+			if opt.decides(l) {
 				first = cur.balls[0] // what the wave reads
 			}
 			product(l, first)
@@ -924,7 +917,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		fpTime += mark.Sub(fpStart)
 
 		fresh = wave(l)
-		if l > h && decides(l) && len(active) > 0 {
+		if l > h && opt.decides(l) && len(active) > 0 {
 			// Demand order: the survivors' BFS, then the rows of their ball
 			// that hop l has not written yet — all of them at once when nobody
 			// exited.
@@ -964,11 +957,11 @@ func widen[T float64 | float32](dst []float64, src []T) {
 }
 
 // decide returns the subset of active (indices into targets) that exits at
-// depth l, charging decision MACs. The depth-l rows come through targetRow —
+// depth l. The depth-l rows come through targetRow —
 // below h the rows computed for the targets, at h the layer's block, past h
 // the slab — and are compared in float64.
 func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int,
-	opt InferenceOptions, macs *MACBreakdown, sc *inferScratch[T]) []int {
+	opt InferenceOptions, sc *inferScratch[T]) []int {
 
 	var exit []int
 	switch opt.Mode {
@@ -985,7 +978,6 @@ func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int
 				exit = append(exit, ti)
 			}
 		}
-		macs.Decision += len(active) * sc.f
 	case ModeGate:
 		gate := m.Gates[l]
 		sc.arena.reset()
@@ -1000,13 +992,12 @@ func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int
 				exit = append(exit, active[k])
 			}
 		}
-		macs.Decision += len(active) * gate.MACsPerRow()
 	}
 	return exit
 }
 
-// classify predicts the given target indices with classifier f^{(l)},
-// charging combine and classification MACs. It fills the stack from the
+// classify predicts the given target indices with classifier f^{(l)}. It
+// fills the stack from the
 // combiner's lowest depth read up to l, the entries below nil: depth-0
 // features from the full-graph matrix, depths ≥ 1 through targetRow — the rows
 // computed for the targets below h, the layer's block at h and the slab past h.
@@ -1036,8 +1027,6 @@ func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []in
 		res.Depths[ti] = l
 	}
 	res.NodesPerDepth[l] += len(idx)
-	res.MACs.Combine += len(idx) * m.Combiner.MACsPerRow(l, sc.f)
-	res.MACs.Classification += len(idx) * clf.MACsPerRow()
 }
 
 func gather(targets []int, idx []int) []int {

@@ -17,7 +17,7 @@ import (
 // (stationary state recomputed per batch, one from-scratch BFS per hop over
 // full-graph n×f buffers, Â a stored matrix, map-based removal), at the
 // deployment's precision tier, and the tests require the optimized engine to
-// reproduce its Pred/Depths/NodesPerDepth and full MAC breakdown
+// reproduce its Pred/Depths/NodesPerDepth, and Books its full MAC breakdown,
 // bit-identically across modes, ablations and batch sizes — plus race tests
 // for the concurrency contract (read-only deployment, pooled scratch). It
 // shares no propagation code with the engine: no operator product, no X^(1)
@@ -78,7 +78,9 @@ func seedInferAt[T float64 | float32](d *Deployment, targets []int, opt Inferenc
 		so.feats[l] = make([]T, g.N()*g.F())
 	}
 	for _, batch := range graph.Batches(targets, batchSize) {
-		agg.merge(seedInferBatch(d, so, batch, opt))
+		res := seedInferBatch(d, so, batch, opt)
+		agg.merge(res)
+		agg.MACs.Add(res.MACs)
 	}
 	return agg
 }
@@ -252,6 +254,20 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	if got.MACs != want.MACs {
 		t.Fatalf("%s: MACs %+v, seed %+v", label, got.MACs, want.MACs)
 	}
+}
+
+// booked returns res, an InferContext or inferBatch answer, with its MACs set
+// to Books of its depths, and requires the serving entry to have left them zero.
+func booked(t *testing.T, dep *Deployment, targets []int, opt InferenceOptions, res *Result) *Result {
+	t.Helper()
+	if res.MACs != (MACBreakdown{}) {
+		t.Fatalf("the serving entry kept books: %+v", res.MACs)
+	}
+	var err error
+	if res.MACs, err = dep.Books(targets, opt, res.Depths); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // equivCases spans the serving configurations whose outputs must be

@@ -204,8 +204,9 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 
 // TestLayerOneBFSPerWave: a batch runs one BFS at its start and one after each
 // exit wave that leaves survivors, and no other. A TMax-4 batch whose targets
-// all reach TMax (TMin 2, T_s 0) records exactly one bfs span — the books of
-// hop 1, the layer's ball at h and S all come from it. With waves at every
+// all reach TMax (TMin 2, T_s 0) records exactly one bfs span — the layer's
+// ball at h and S both come from it — and leaves Result.MACs zero: Books of its
+// depths equal the seed's ledger. With waves at every
 // depth below TMax, each wave's bfs span follows its classify span. Up to h
 // the BFS opens the next depth; past h it is the wave's own hop's — hop l's
 // remainder propagate span comes next, and no bfs span opens hop l+1 — and
@@ -228,7 +229,7 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResult(t, label, res, seedInfer(dep, ds.Split.Test, opt))
+				requireSameResult(t, label, booked(t, dep, ds.Split.Test, opt, res), seedInfer(dep, ds.Split.Test, opt))
 				d, h := res.NodesPerDepth, layerDepth(opt.TMax)
 				left := make([]int, opt.TMax+1) // left[l]: targets still active after depth l's wave
 				waves := 0
@@ -299,6 +300,27 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 	}
 }
 
+// TestLayerFirstBFSRadius: a batch's first BFS stops at ring TMax−h, the ring
+// around S whose layer rows hop h+1 reads, at TMax 4 and 5 (h = 2 and 3) and at
+// every tier: the rings past it are Books', not the engine's.
+func TestLayerFirstBFSRadius(t *testing.T) {
+	eachTier(t, testLayerFirstBFSRadius[float64], testLayerFirstBFSRadius[float32])
+}
+
+func testLayerFirstBFSRadius[T float64 | float32](t *testing.T, p kernel.Precision) {
+	ds := tinyData(t)
+	dep := deployAt(t, trainedDeepModel(t), ds.Graph, p)
+	for _, tmax := range []int{4, 5} {
+		// T_s 0: nobody exits, so the batch's one BFS is its first.
+		opt := InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 1, TMax: tmax}
+		sc := &inferScratch[T]{}
+		inferWith(t, dep, sc, ds.Split.Test, opt)
+		if r, h := len(sc.bfs.ends)-1, layerDepth(tmax); r != tmax-h {
+			t.Fatalf("%v/tmax=%d: the first BFS ran to radius %d, want TMax−h = %d", p, tmax, r, tmax-h)
+		}
+	}
+}
+
 // TestLayerSkipsUnreadRows: below the layer's depth a batch computes its
 // targets' depth-l rows only where a decision at l or an exit depth's combiner
 // reads them, and charges the hop either way. At TMin 2, TMax 4 and 5 (h = 2
@@ -331,7 +353,7 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireSameResult(t, label, got, want)
+						requireSameResult(t, label, booked(t, dep, ds.Split.Test, opt, got), want)
 						props := make([]int, tmax+1)
 						for _, sp := range tr.Spans() {
 							if sp.Stage == obs.StagePropagate {
@@ -355,7 +377,7 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 // TestLayerDemandRows: hop TMax−1, the hop between the layer and TMax, computes
 // only the rows something reads — its active targets' rows for its wave, then
 // its survivors' radius-1 ball for hop TMax — not the rest of its targets'
-// one-ring ball, while MACs still charge that whole ball (Algorithm 1's
+// one-ring ball, while Books still charges that whole ball (Algorithm 1's
 // books). The batch runs on a caller-held scratch whose slab starts all NaN,
 // at TMax 4 and 5 (h = 2 and 3), with waves from TMax−1 on, and from h on:
 // then the survivors' BFS at TMax−1 must not overwrite the balls of the BFS
@@ -408,7 +430,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 				sc.slab[i] = T(math.NaN())
 			}
 			sc.prepare(g.N(), len(targets))
-			got := eng.inferBatch(targets, opt, sc, nil)
+			got := booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, nil))
 			requireSameResult(t, label, got, want)
 			books := 0
 			for j := 1; j <= tmax; j++ {

@@ -93,8 +93,7 @@ type hopLayer[T float64 | float32] struct {
 }
 
 // hop1Counters are scraped by /metrics (Hop1Stats), summed over every layer
-// the deployment holds; Result.MACs keeps the paper's books and cannot show
-// the saving.
+// the deployment holds: the rows the layers saved computing.
 type hop1Counters struct {
 	fromMemo, computed, invalidated atomic.Uint64
 	entries, capacity, bytes        atomic.Int64
@@ -222,9 +221,8 @@ func (m *hopLayer[T]) invalidateAll() {
 // is waited for, after this batch has published its own, so two batches that
 // each hold rows the other needs cannot wait on each other. On return every
 // listed row is ready and stays so until the next delta: publish before read.
-// The walk charges nothing: hop h's books come from the batch's BFS, whoever
-// computed the rows (like MACBreakdown.Stationary charges a cost the cache
-// saved).
+// Books charges hop h whoever computed the rows (as MACBreakdown.Stationary
+// charges a cost the cache saved).
 func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]int) {
 	total := 0
 	won, lost := sc.claimed[:0], sc.awaited[:0]

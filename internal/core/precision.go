@@ -166,8 +166,8 @@ func (t *tier[T]) patched(valDirty []int) {
 
 // mulRows is one row-subset product with Â at a tier
 // (sparse.MulNormalizedRowsInto over in): out row outRows[k] = (Â·in)[rows[k]],
-// in's rows found through colMap (nil: by node id). The engine's MACs are
-// Algorithm 1's books, so the product's own count is dropped.
+// in's rows found through colMap (nil: by node id). Algorithm 1's books are
+// Deployment.Books', so the product's own count is dropped.
 func mulRows[T float64 | float32](adj *sparse.Normalized, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) {
 	if in.q != nil {
 		sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, in.q, in.scales, f, out)

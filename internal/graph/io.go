@@ -46,19 +46,6 @@ func WriteGraph(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// WriteGraphFile serializes g to a file.
-func WriteGraphFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteGraph(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ReadGraph parses the text format strictly: truncated files (fewer node
 // lines than the header's n), out-of-range node ids or labels, self-loops
 // and duplicate edge lines are all errors — WriteGraph emits none of them,

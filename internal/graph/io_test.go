@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -39,7 +40,11 @@ func TestGraphIORoundTrip(t *testing.T) {
 func TestGraphIOFileRoundTrip(t *testing.T) {
 	g := lineGraph(t, 5, 2)
 	path := filepath.Join(t.TempDir(), "g.txt")
-	if err := WriteGraphFile(path, g); err != nil {
+	var buf bytes.Buffer
+	if err := WriteGraph(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadGraphFile(path)

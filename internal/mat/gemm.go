@@ -115,21 +115,3 @@ func MatVec(a *Matrix, x []float64) []float64 {
 	}
 	return out
 }
-
-// VecMat returns xᵀ·a for a row vector x (len a.Rows).
-func VecMat(x []float64, a *Matrix) []float64 {
-	if len(x) != a.Rows {
-		panic(fmt.Sprintf("mat: VecMat len %d != rows %d", len(x), a.Rows))
-	}
-	out := make([]float64, a.Cols)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			out[j] += xv * v
-		}
-	}
-	return out
-}

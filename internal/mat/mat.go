@@ -52,15 +52,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // Randn fills a new r×c matrix with N(0, std²) entries drawn from rng.
 func Randn(r, c int, std float64, rng *rand.Rand) *Matrix {
 	m := New(r, c)
@@ -159,17 +150,6 @@ func ConcatCols(a, b *Matrix) *Matrix {
 		copy(out.Row(i)[:a.Cols], a.Row(i))
 		copy(out.Row(i)[a.Cols:], b.Row(i))
 	}
-	return out
-}
-
-// ConcatRows returns the vertical stack of a over b.
-func ConcatRows(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: ConcatRows cols %d != %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
 	return out
 }
 

@@ -49,21 +49,6 @@ func TestFromDataLengthPanics(t *testing.T) {
 	FromData(2, 2, []float64{1, 2, 3})
 }
 
-func TestIdentity(t *testing.T) {
-	id := Identity(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if id.At(i, j) != want {
-				t.Fatalf("I(%d,%d) = %v", i, j, id.At(i, j))
-			}
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
@@ -121,8 +106,7 @@ func TestInPlaceOps(t *testing.T) {
 	a.AddIn(FromRows([][]float64{{1, 1}}))
 	a.ScaleIn(3)
 	a.SubIn(FromRows([][]float64{{0, 9}}))
-	a.AddScaledIn(2, FromRows([][]float64{{1, 0}}))
-	want := FromRows([][]float64{{8, 0}})
+	want := FromRows([][]float64{{6, 0}})
 	if !Equal(a, want) {
 		t.Fatalf("got %v want %v", a, want)
 	}
@@ -133,9 +117,6 @@ func TestMulDivElem(t *testing.T) {
 	b := FromRows([][]float64{{4, 6}})
 	if got := MulElem(a, b); !Equal(got, FromRows([][]float64{{8, 18}})) {
 		t.Fatalf("MulElem = %v", got)
-	}
-	if got := DivElem(b, a); !Equal(got, FromRows([][]float64{{2, 2}})) {
-		t.Fatalf("DivElem = %v", got)
 	}
 }
 
@@ -161,10 +142,14 @@ func TestMatMulSmall(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(7, 7, 1, rng)
-	if !ApproxEqual(MatMul(a, Identity(7)), a, 1e-12) {
+	id := New(7, 7)
+	for i := 0; i < 7; i++ {
+		id.Data[i*7+i] = 1
+	}
+	if !ApproxEqual(MatMul(a, id), a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
-	if !ApproxEqual(MatMul(Identity(7), a), a, 1e-12) {
+	if !ApproxEqual(MatMul(id, a), a, 1e-12) {
 		t.Fatal("I·A != A")
 	}
 }
@@ -237,10 +222,6 @@ func TestMatVecAndVecMat(t *testing.T) {
 	if got[0] != 3 || got[1] != 7 {
 		t.Fatalf("MatVec = %v", got)
 	}
-	got = VecMat([]float64{1, 1}, a)
-	if got[0] != 4 || got[1] != 6 {
-		t.Fatalf("VecMat = %v", got)
-	}
 }
 
 func TestGatherRows(t *testing.T) {
@@ -269,11 +250,6 @@ func TestConcat(t *testing.T) {
 	h := ConcatCols(a, b)
 	if h.Cols != 5 || h.At(0, 4) != 5 {
 		t.Fatalf("ConcatCols = %v", h)
-	}
-	c := FromRows([][]float64{{9, 9}})
-	v := ConcatRows(a, c)
-	if v.Rows != 2 || v.At(1, 0) != 9 {
-		t.Fatalf("ConcatRows = %v", v)
 	}
 }
 
@@ -312,10 +288,6 @@ func TestReductions(t *testing.T) {
 
 func TestRowNormsAndDistances(t *testing.T) {
 	a := FromRows([][]float64{{3, 4}, {0, 0}})
-	n := a.RowNorms()
-	if n[0] != 5 || n[1] != 0 {
-		t.Fatalf("RowNorms = %v", n)
-	}
 	b := FromRows([][]float64{{0, 0}, {1, 1}})
 	d := RowDistances(a, b)
 	if d[0] != 5 || math.Abs(d[1]-math.Sqrt2) > 1e-12 {
@@ -405,10 +377,6 @@ func TestApply(t *testing.T) {
 	got := Apply(m, math.Sqrt)
 	if !Equal(got, FromRows([][]float64{{1, 2}})) {
 		t.Fatalf("Apply = %v", got)
-	}
-	m.ApplyIn(func(v float64) float64 { return v * 10 })
-	if !Equal(m, FromRows([][]float64{{10, 40}})) {
-		t.Fatalf("ApplyIn = %v", m)
 	}
 }
 

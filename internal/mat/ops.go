@@ -32,16 +32,6 @@ func MulElem(a, b *Matrix) *Matrix {
 	return out
 }
 
-// DivElem returns element-wise a / b.
-func DivElem(a, b *Matrix) *Matrix {
-	sameShape(a, b, "DivElem")
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v / b.Data[i]
-	}
-	return out
-}
-
 // Scale returns alpha * a.
 func Scale(alpha float64, a *Matrix) *Matrix {
 	out := New(a.Rows, a.Cols)
@@ -84,14 +74,6 @@ func (m *Matrix) ScaleIn(alpha float64) {
 	}
 }
 
-// AddScaledIn adds alpha*b into m in place.
-func (m *Matrix) AddScaledIn(alpha float64, b *Matrix) {
-	sameShape(m, b, "AddScaledIn")
-	for i, v := range b.Data {
-		m.Data[i] += alpha * v
-	}
-}
-
 // Apply returns f applied element-wise.
 func Apply(a *Matrix, f func(float64) float64) *Matrix {
 	out := New(a.Rows, a.Cols)
@@ -99,13 +81,6 @@ func Apply(a *Matrix, f func(float64) float64) *Matrix {
 		out.Data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyIn applies f element-wise in place.
-func (m *Matrix) ApplyIn(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
 }
 
 // AddRowVec returns a with the 1×c row vector v added to every row.

@@ -75,19 +75,6 @@ func (m *Matrix) ColSums() []float64 {
 	return out
 }
 
-// RowNorms returns the per-row Euclidean (l2) norms.
-func (m *Matrix) RowNorms() []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for _, v := range m.Row(i) {
-			s += v * v
-		}
-		out[i] = math.Sqrt(s)
-	}
-	return out
-}
-
 // RowDistances returns per-row l2 distances ‖a_i − b_i‖.
 func RowDistances(a, b *Matrix) []float64 {
 	sameShape(a, b, "RowDistances")

@@ -93,20 +93,6 @@ func (a *Aggregate) Mean() RunStats {
 	return m
 }
 
-// StdACC returns the sample standard deviation of accuracy across runs.
-func (a *Aggregate) StdACC() float64 {
-	if len(a.runs) < 2 {
-		return 0
-	}
-	mean := a.Mean().ACC
-	var s float64
-	for _, r := range a.runs {
-		d := r.ACC - mean
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a.runs)-1))
-}
-
 // Speedup returns base/x, guarding zero.
 func Speedup(base, x float64) float64 {
 	if x == 0 {
@@ -154,9 +140,6 @@ func (t *Table) AddRowf(cells ...interface{}) {
 	}
 	t.AddRow(out...)
 }
-
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render returns the aligned table as a string.
 func (t *Table) Render() string {

@@ -51,6 +51,3 @@ func (a *Adam) Step(params []*Param) {
 		}
 	}
 }
-
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.t }

@@ -42,12 +42,6 @@ func NewMLP(name string, in int, hidden []int, out int, dropout float64, rng *ra
 // InputDim returns the expected feature dimension.
 func (m *MLP) InputDim() int { return m.dims[0] }
 
-// OutputDim returns the number of logits.
-func (m *MLP) OutputDim() int { return m.dims[len(m.dims)-1] }
-
-// NumLayers returns the number of linear layers (the paper's P).
-func (m *MLP) NumLayers() int { return len(m.Weights) }
-
 // Params returns all trainable parameters.
 func (m *MLP) Params() []*Param {
 	out := make([]*Param, 0, 2*len(m.Weights))
@@ -83,9 +77,6 @@ func (m *MLP) Logits(x *mat.Matrix) *mat.Matrix {
 	}
 	return h
 }
-
-// Probs runs inference and returns softmax probabilities.
-func (m *MLP) Probs(x *mat.Matrix) *mat.Matrix { return mat.SoftmaxRows(m.Logits(x)) }
 
 // Predict runs inference and returns argmax class ids.
 func (m *MLP) Predict(x *mat.Matrix) []int { return m.Logits(x).ArgmaxRows() }

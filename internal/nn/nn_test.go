@@ -47,9 +47,6 @@ func TestAdamMinimizesQuadratic(t *testing.T) {
 	if got := p.Value.At(0, 0); math.Abs(got-5) > 0.05 {
 		t.Fatalf("Adam converged to %v want 5", got)
 	}
-	if opt.StepCount() != 500 {
-		t.Fatalf("step count %d", opt.StepCount())
-	}
 }
 
 func TestAdamWeightDecayShrinks(t *testing.T) {
@@ -65,8 +62,8 @@ func TestAdamWeightDecayShrinks(t *testing.T) {
 func TestMLPShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP("clf", 8, []int{16, 4}, 3, 0.2, rng)
-	if m.InputDim() != 8 || m.OutputDim() != 3 || m.NumLayers() != 3 {
-		t.Fatalf("dims %d %d layers %d", m.InputDim(), m.OutputDim(), m.NumLayers())
+	if m.InputDim() != 8 || len(m.Weights) != 3 {
+		t.Fatalf("input dim %d, %d layers", m.InputDim(), len(m.Weights))
 	}
 	if got := len(m.Params()); got != 6 {
 		t.Fatalf("params = %d want 6", got)
@@ -85,8 +82,8 @@ func TestMLPShapes(t *testing.T) {
 func TestMLPLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := NewMLP("lin", 4, nil, 2, 0, rng)
-	if m.NumLayers() != 1 {
-		t.Fatalf("layers = %d", m.NumLayers())
+	if len(m.Weights) != 1 {
+		t.Fatalf("layers = %d", len(m.Weights))
 	}
 	// logits must equal xW+b exactly
 	x := mat.Randn(3, 4, 1, rng)
@@ -104,17 +101,6 @@ func TestMLPForwardMatchesLogitsEval(t *testing.T) {
 	node := m.Forward(b, b.Const(x), false, rng) // eval: dropout off
 	if !mat.ApproxEqual(node.Value, m.Logits(x), 1e-12) {
 		t.Fatal("Forward(eval) != Logits")
-	}
-}
-
-func TestMLPProbsRowsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := NewMLP("clf", 5, []int{4}, 3, 0, rng)
-	p := m.Probs(mat.Randn(6, 5, 1, rng))
-	for _, s := range p.RowSums() {
-		if math.Abs(s-1) > 1e-9 {
-			t.Fatalf("prob row sums to %v", s)
-		}
 	}
 }
 
@@ -195,7 +181,7 @@ func TestTrainClassifierEmptyTrainPanics(t *testing.T) {
 		}
 	}()
 	m := NewMLP("clf", 2, nil, 2, 0, rand.New(rand.NewSource(1)))
-	TrainClassifier(m, mat.New(2, 2), []int{0, 1}, nil, nil, DefaultTrainConfig())
+	TrainClassifier(m, mat.New(2, 2), []int{0, 1}, nil, nil, TrainConfig{Epochs: 1, LR: 0.01, Seed: 1})
 }
 
 // fitProbe is a one-parameter problem for Fit: the loss w² pulls w from 1

@@ -19,11 +19,6 @@ type TrainConfig struct {
 	Seed     int64
 }
 
-// DefaultTrainConfig mirrors the paper's SGC settings at our scale.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 150, LR: 0.01, WeightDecay: 1e-4, Patience: 25, Seed: 1}
-}
-
 // TrainResult summarizes a training run.
 type TrainResult struct {
 	Epochs       int

@@ -439,7 +439,6 @@ func (s *Server) infer(ctx context.Context, start time.Time, tr *obs.Trace, targ
 		s.m.inferErr.Inc()
 	} else {
 		s.m.inferOK.Inc()
-		s.m.addMACs(res.MACs)
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr

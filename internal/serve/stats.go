@@ -69,12 +69,6 @@ type Stats struct {
 	NodesAdded int64 `json:"nodes_added"`
 	EdgesDirty int64 `json:"rows_dirtied"`
 
-	// MACs accumulated across all backend calls (the paper's
-	// accounting: wall-clock no longer pays the stationary term, but the
-	// books keep it comparable — see MACBreakdown);
-	// nai_infer_macs_total{procedure}.
-	MACs core.MACBreakdown `json:"macs"`
-
 	// Per-request latency percentiles in microseconds, estimated from the
 	// nai_request_duration_seconds histogram (obs.Histogram.Quantile:
 	// every request since start, linear inside a bucket).
@@ -147,7 +141,6 @@ type counters struct {
 	// context was done before their call started.
 	inferOK, inferErr     *obs.Counter
 	inferTargets, dropped *obs.Counter
-	macs                  []*obs.Counter // by macProcedures index
 
 	deltas, nodesAdded, rowsDirtied *obs.Counter
 
@@ -167,25 +160,11 @@ type tenantSeries struct {
 	latency                           *obs.Histogram
 }
 
-// macProcedures names the procedure label of nai_infer_macs_total and the
-// MACBreakdown field each value accumulates — the one list both the add
-// and the read side walk.
-var macProcedures = []struct {
-	name  string
-	field func(*core.MACBreakdown) *int
-}{
-	{"stationary", func(b *core.MACBreakdown) *int { return &b.Stationary }},
-	{"propagation", func(b *core.MACBreakdown) *int { return &b.Propagation }},
-	{"decision", func(b *core.MACBreakdown) *int { return &b.Decision }},
-	{"combine", func(b *core.MACBreakdown) *int { return &b.Combine }},
-	{"classification", func(b *core.MACBreakdown) *int { return &b.Classification }},
-}
-
 func newCounters(o *obs.Obs) *counters {
 	reg := o.Reg
 	calls := reg.CounterVec("nai_infer_calls_total",
 		"Backend Infer calls by result (ok, error): one per request not answered entirely from the cache.", "result")
-	c := &counters{
+	return &counters{
 		rejected: o.Requests("rejected"),
 		shed:     o.Requests("shed"),
 		cached:   o.Requests("cached"),
@@ -212,12 +191,6 @@ func newCounters(o *obs.Obs) *counters {
 			"Latency of answered requests and deadline misses by tenant.", obs.DefBuckets, "tenant"),
 		tenants: make(map[string]*tenantSeries),
 	}
-	macs := reg.CounterVec("nai_infer_macs_total",
-		"Multiply-accumulates of backend Infer calls by procedure (the paper's accounting).", "procedure")
-	for _, p := range macProcedures {
-		c.macs = append(c.macs, macs.With(p.name))
-	}
-	return c
 }
 
 // tenant returns the series of one tenant, creating them under the cap: the
@@ -255,12 +228,6 @@ func (c *counters) tenant(name string) *tenantSeries {
 	return ts
 }
 
-func (c *counters) addMACs(m core.MACBreakdown) {
-	for i, p := range macProcedures {
-		c.macs[i].Add(uint64(*p.field(&m)))
-	}
-}
-
 // micros reads a latency histogram's q-quantile in microseconds.
 func micros(h *obs.Histogram, q float64) float64 { return h.Quantile(q) * 1e6 }
 
@@ -286,9 +253,6 @@ func (s *Server) Stats() Stats {
 		LatencyP50us:     micros(m.latency, 0.50),
 		LatencyP90us:     micros(m.latency, 0.90),
 		LatencyP99us:     micros(m.latency, 0.99),
-	}
-	for i, p := range macProcedures {
-		*p.field(&st.MACs) = int(m.macs[i].Value())
 	}
 	if st.InferCalls > 0 {
 		st.CoalesceRate = float64(st.Requests) / float64(st.InferCalls)

@@ -123,7 +123,6 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 	m := scrape(t, ts.URL)
 	outcome := func(o string) float64 { return m[`nai_requests_total{outcome="`+o+`"}`] }
 	calls := func(r string) float64 { return m[`nai_infer_calls_total{result="`+r+`"}`] }
-	macs := func(p string) float64 { return m[`nai_infer_macs_total{procedure="`+p+`"}`] }
 	for _, c := range []struct {
 		field string
 		got   int64
@@ -140,11 +139,6 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 		{"deltas", st.Deltas, m["nai_deltas_total"], 1},
 		{"nodes_added", st.NodesAdded, m["nai_delta_nodes_added_total"], 0},
 		{"rows_dirtied", st.EdgesDirty, m["nai_delta_rows_dirtied_total"], 2},
-		{"macs.Stationary", int64(st.MACs.Stationary), macs("stationary"), 1},
-		{"macs.Propagation", int64(st.MACs.Propagation), macs("propagation"), 1},
-		{"macs.Decision", int64(st.MACs.Decision), macs("decision"), 1},
-		{"macs.Combine", int64(st.MACs.Combine), macs("combine"), 0},
-		{"macs.Classification", int64(st.MACs.Classification), macs("classification"), 1},
 		{"cache.fully_cached_requests", st.Cache.FullyCachedRequests, outcome("cached"), 1},
 		{"cache.hits", st.Cache.Hits, m["nai_cache_hits"], 4},
 		{"cache.misses", st.Cache.Misses, m["nai_cache_misses"], 10},

@@ -27,7 +27,8 @@ func inferOpts(m *core.Model) []core.InferenceOptions {
 
 // requireSameAnswers runs every operating point through the router and the
 // unsharded deployment and requires bit-identical predictions, depths and
-// depth histogram, and equal MACs and target counts: the router's one call
+// depth histogram, equal target counts, no books kept by the router and
+// Books of its depths equal to the deployment's MACs: the router's one call
 // runs the unsharded batch.
 func requireSameAnswers(t *testing.T, tag string, rt *Router, dep *core.Deployment, targets []int) {
 	t.Helper()
@@ -51,9 +52,13 @@ func requireSameAnswers(t *testing.T, tag string, rt *Router, dep *core.Deployme
 				t.Fatalf("%s opt%d: depth histogram %v != %v", tag, oi, got.NodesPerDepth, want.NodesPerDepth)
 			}
 		}
-		if got.MACs != want.MACs || got.NumTargets != want.NumTargets {
-			t.Fatalf("%s opt%d: sharded MACs %+v over %d targets != unsharded %+v over %d",
-				tag, oi, got.MACs, got.NumTargets, want.MACs, want.NumTargets)
+		books, err := dep.Books(targets, opt, got.Depths)
+		if err != nil {
+			t.Fatalf("%s opt%d: books: %v", tag, oi, err)
+		}
+		if got.MACs != (core.MACBreakdown{}) || books != want.MACs || got.NumTargets != want.NumTargets {
+			t.Fatalf("%s opt%d: sharded MACs %+v, books %+v over %d targets; unsharded %+v over %d",
+				tag, oi, got.MACs, books, got.NumTargets, want.MACs, want.NumTargets)
 		}
 	}
 }
@@ -220,8 +225,8 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 // TestIncrementalMatchesRebuild pins the delta path hard: over the delta
 // sequence, with worker 1 restarted from a fresh bootstrap mid-sequence and
 // healed by replay, every worker's graph must end equal to the router's bit
-// for bit, and its answers — predictions, depths, depth histogram and MACs —
-// must equal a deployment freshly built over the merged graph.
+// for bit, and its answers — predictions, depths, depth histogram and the
+// MACs Infer books — must equal a deployment freshly built over the merged graph.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	ds, m := fixture(t)
 	const p = 3

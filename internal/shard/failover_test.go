@@ -319,7 +319,7 @@ func TestReplicaChaosUnderRace(t *testing.T) {
 // TestAnyWorkerAnswers: which worker answers must not matter. For P ∈
 // {1, 2, 4} at f64, f32 and int8, a router with every worker but i cut off must
 // answer like the unsharded deployment at the same tier — predictions,
-// depths, depth histogram and MACs — for every i, before and after the
+// depths, depth histogram and the books of those depths — for every i, before and after the
 // staged deltas.
 func TestAnyWorkerAnswers(t *testing.T) {
 	ds, m := shard.TestFixture(t)
@@ -647,7 +647,7 @@ func TestReplayStampede(t *testing.T) {
 // P ∈ {1, 2, 4} over both transports: ApplyDelta makes no transport call
 // and leaves every worker's record as it was; the next Infer that lands on
 // a worker ships it exactly the log suffix it misses, and answers like the
-// unsharded deployment, MACs included; Probe brings every row to the
+// unsharded deployment, books included; Probe brings every row to the
 // router's version; with every worker cut, ApplyDelta still returns the
 // committed result and a nil error; and a malformed delta returns a
 // *graph.ValidationError with nothing changed anywhere.

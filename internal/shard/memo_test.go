@@ -16,8 +16,8 @@ import (
 
 // TestShardedMemoEquivalence is the engine layers' bit-identity gate on shard
 // workers: for P ∈ {1,2} over both transports, before and after every delta
-// stage, a router's cold and then warm answers and MACs must equal a cold
-// unsharded reference's — for the K = 3 model,
+// stage, a router's cold and then warm answers, and Books of their depths,
+// must equal a cold unsharded reference's answers and MACs — for the K = 3 model,
 // whose operating points read X^(1), and the K = 5 model at TMax 4 and 5,
 // which read X^(2) and X^(3). The graph is the test fixture's generator at
 // 6000 nodes. The reference is a deployment built for that one call: with a
@@ -119,8 +119,12 @@ func testShardedMemoEquivalence(t *testing.T, m *core.Model, opts []core.Inferen
 									targets[i], got.Pred[i], got.Depths[i], want.Pred[i], want.Depths[i])
 							}
 						}
-						if got.MACs != want.MACs {
-							t.Fatalf("%s %s opt%d %s: MACs %+v != cold reference %+v", tag, stage, oi, pass, got.MACs, want.MACs)
+						books, err := ref.Books(targets, opt, got.Depths)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if books != want.MACs {
+							t.Fatalf("%s %s opt%d %s: books %+v != cold reference %+v", tag, stage, oi, pass, books, want.MACs)
 						}
 					}
 				}

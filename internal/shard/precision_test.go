@@ -15,7 +15,7 @@ import (
 // boundary. Every worker holds the whole graph and a request is one call to
 // one worker, so a sharded f32 or int8 fleet must answer exactly like
 // an unsharded deployment at the same tier — predictions, depths, histogram
-// and MACs — over the in-process and HTTP transports; int8 must also stay in
+// and the books of those depths — over the in-process and HTTP transports; int8 must also stay in
 // high agreement with the f64 reference. Every comparison runs cold and then
 // warm: the relaxed tiers' workers memoize hop 1 like f64 ones, and a
 // memoized row must not move an answer.

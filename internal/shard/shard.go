@@ -37,8 +37,8 @@
 //     restarting the router.
 //
 // The chosen worker runs the request's own batch over the whole graph at
-// the router's version, so predictions, depths, the depth histogram and
-// MACs equal the unsharded engine's. What the pool buys is concurrency
+// the router's version, so predictions, depths and the depth histogram
+// equal the unsharded engine's. What the pool buys is concurrency
 // across workers and availability — a request fails only when every worker
 // is down — not a smaller batch.
 //

@@ -38,10 +38,12 @@ const wireMagic = "NAIW"
 // graph) and dropped the halo radius from msgHealth; version 8 renumbered
 // the span stages after fanout in msgResult when the router's merge stage
 // went; version 9 dropped the shard id and partition width from msgHealth
-// when the router stopped partitioning. A peer speaking an older version is
+// when the router stopped partitioning; version 10 dropped the five MAC
+// counts from msgResult when the serving entry stopped keeping the paper's
+// books (core.Deployment.Books computes them from an answer). A peer speaking an older version is
 // rejected at decode, which is the right failure for a router and worker
 // that disagree on the format.
-const wireVersion = 9
+const wireVersion = 10
 
 // message types
 const (
@@ -243,11 +245,6 @@ func encodeResult(res *core.Result, spans []obs.Span) []byte {
 	b = appendInts(b, res.Pred)
 	b = appendInts(b, res.Depths)
 	b = appendInts(b, res.NodesPerDepth)
-	b = appendInt(b, res.MACs.Stationary)
-	b = appendInt(b, res.MACs.Propagation)
-	b = appendInt(b, res.MACs.Decision)
-	b = appendInt(b, res.MACs.Combine)
-	b = appendInt(b, res.MACs.Classification)
 	b = appendInt(b, int(res.TotalTime))
 	b = appendInt(b, int(res.FPTime))
 	b = appendInt(b, res.NumTargets)
@@ -273,11 +270,6 @@ func decodeResult(b []byte) (*core.Result, []obs.Span, error) {
 		Depths:        d.ints(),
 		NodesPerDepth: d.ints(),
 	}
-	res.MACs.Stationary = d.int()
-	res.MACs.Propagation = d.int()
-	res.MACs.Decision = d.int()
-	res.MACs.Combine = d.int()
-	res.MACs.Classification = d.int()
 	res.TotalTime = time.Duration(d.int())
 	res.FPTime = time.Duration(d.int())
 	res.NumTargets = d.int()

@@ -43,7 +43,6 @@ func TestWireRoundTrip(t *testing.T) {
 		FPTime:        45 * time.Microsecond,
 		NumTargets:    3,
 	}
-	res.MACs = core.MACBreakdown{Stationary: 1, Propagation: 2, Decision: 3, Combine: 4, Classification: 5}
 	spans := []obs.Span{
 		{Stage: obs.StageBFS, Shard: 2, Start: 10 * time.Microsecond, Dur: 30 * time.Microsecond},
 		{Stage: obs.StagePropagate, Hop: 3, Shard: 2, Start: 40 * time.Microsecond, Dur: 55 * time.Microsecond},
@@ -221,24 +220,35 @@ func TestWireRejectsV4Frame(t *testing.T) {
 // decode, so it must fail on the version byte rather than report an
 // assembly span as a BFS one.
 func TestWireRejectsV5Frame(t *testing.T) {
-	b := append([]byte(wireMagic), 5, msgResult)
+	b := resultFrame(5, true, 1) // v5 stage 1: assemble
+	requireVersionRejected(t, 5, func() error { _, _, err := decodeResult(b); return err })
+	if _, spans, err := decodeResult(resultFrame(wireVersion, false, 1)); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageBFS {
+		t.Fatalf("same span at v%d: spans %v err %v, want one bfs span", wireVersion, spans, err)
+	}
+}
+
+// resultFrame is a one-target msgResult frame at format version v with one
+// span at the given stage; macs adds the five MAC counts versions before 10
+// carried after the depth histogram.
+func resultFrame(v byte, macs bool, stage int) []byte {
+	b := append([]byte(wireMagic), v, msgResult)
 	b = appendInts(b, []int{1})    // preds
 	b = appendInts(b, []int{1})    // depths
 	b = appendInts(b, []int{0, 1}) // nodes per depth
-	for i := 0; i < 8; i++ {
-		b = appendInt(b, 0) // five MAC fields, TotalTime, FPTime, NumTargets
+	if macs {
+		for i := 0; i < 5; i++ {
+			b = appendInt(b, 0) // v9 and before: the MAC breakdown
+		}
+	}
+	for i := 0; i < 3; i++ {
+		b = appendInt(b, 0) // TotalTime, FPTime, NumTargets
 	}
 	b = appendUint(b, 1) // one span
-	b = appendInt(b, 1)  // v5 stage 1: assemble
+	b = appendInt(b, stage)
 	b = appendInt(b, 0)  // hop
 	b = appendInt(b, -1) // shard
 	b = appendInt(b, 0)  // start
-	b = appendInt(b, int(time.Microsecond))
-	requireVersionRejected(t, 5, func() error { _, _, err := decodeResult(b); return err })
-	b[len(wireMagic)] = wireVersion
-	if _, spans, err := decodeResult(b); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageBFS {
-		t.Fatalf("same payload at v%d: spans %v err %v, want one bfs span", wireVersion, spans, err)
-	}
+	return appendInt(b, int(time.Microsecond))
 }
 
 // TestWireRejectsV6Frame: a version-6 msgDelta frame carries a halo plan —
@@ -279,23 +289,10 @@ func TestWireRejectsV6Frame(t *testing.T) {
 // would decode, so it must fail on the version byte rather than report a
 // merge span as an encode one.
 func TestWireRejectsV7Frame(t *testing.T) {
-	b := append([]byte(wireMagic), 7, msgResult)
-	b = appendInts(b, []int{1})    // preds
-	b = appendInts(b, []int{1})    // depths
-	b = appendInts(b, []int{0, 1}) // nodes per depth
-	for i := 0; i < 8; i++ {
-		b = appendInt(b, 0) // five MAC fields, TotalTime, FPTime, NumTargets
-	}
-	b = appendUint(b, 1) // one span
-	b = appendInt(b, 7)  // v7 stage 7: merge
-	b = appendInt(b, 0)  // hop
-	b = appendInt(b, -1) // shard
-	b = appendInt(b, 0)  // start
-	b = appendInt(b, int(time.Microsecond))
+	b := resultFrame(7, true, 7) // v7 stage 7: merge
 	requireVersionRejected(t, 7, func() error { _, _, err := decodeResult(b); return err })
-	b[len(wireMagic)] = wireVersion
-	if _, spans, err := decodeResult(b); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageEncode {
-		t.Fatalf("same payload at v%d: spans %v err %v, want one encode span", wireVersion, spans, err)
+	if _, spans, err := decodeResult(resultFrame(wireVersion, false, 7)); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageEncode {
+		t.Fatalf("same span at v%d: spans %v err %v, want one encode span", wireVersion, spans, err)
 	}
 }
 
@@ -321,6 +318,19 @@ func TestWireRejectsV8Frame(t *testing.T) {
 	if got, err := decodeHealthInfo(fields(appendHeader(nil, msgHealth))); err != nil ||
 		got.Nodes != 100 || got.GlobalNodes != 100 || got.Version != 1 {
 		t.Fatalf("same fields at v%d: %+v, %v", wireVersion, got, err)
+	}
+}
+
+// TestWireRejectsV9Frame: a version-9 msgResult frame carries five MAC counts
+// after the depth histogram, which version 10 dropped. Read as version 10 they
+// would shift the times, target count and spans, so the frame must fail on
+// the version byte; the same frame without them decodes at version 10.
+func TestWireRejectsV9Frame(t *testing.T) {
+	b := resultFrame(9, true, int(obs.StageBFS))
+	requireVersionRejected(t, 9, func() error { _, _, err := decodeResult(b); return err })
+	res, spans, err := decodeResult(resultFrame(wireVersion, false, int(obs.StageBFS)))
+	if err != nil || len(res.Pred) != 1 || len(spans) != 1 || spans[0].Stage != obs.StageBFS {
+		t.Fatalf("same frame without the MACs at v%d: %+v spans %v err %v", wireVersion, res, spans, err)
 	}
 }
 

@@ -77,8 +77,3 @@ func Tiny(seed int64) Config {
 		Seed:       seed,
 	}
 }
-
-// Presets returns the three paper-analog datasets in Table II order.
-func Presets(seed int64) []Config {
-	return []Config{FlickrLike(seed), ArxivLike(seed), ProductsLike(seed)}
-}

@@ -206,10 +206,7 @@ func TestFeaturesCarryClassSignal(t *testing.T) {
 }
 
 func TestPresetsValidateAndOrdering(t *testing.T) {
-	ps := Presets(1)
-	if len(ps) != 3 {
-		t.Fatalf("want 3 presets, got %d", len(ps))
-	}
+	ps := []Config{FlickrLike(1), ArxivLike(1), ProductsLike(1)}
 	for _, p := range ps {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)

@@ -105,26 +105,3 @@ func NLLFromProbs(probs *Node, labels []int) *Node {
 		probs.accumulate(da)
 	}, probs)
 }
-
-// MSE returns the mean squared error between a and a constant target.
-func MSE(a *Node, target *mat.Matrix) *Node {
-	if a.Value.Rows != target.Rows || a.Value.Cols != target.Cols {
-		panic("tensor: MSE shape mismatch")
-	}
-	var total float64
-	for i, v := range a.Value.Data {
-		d := v - target.Data[i]
-		total += d * d
-	}
-	n := float64(len(a.Value.Data))
-	v := mat.New(1, 1)
-	v.Data[0] = total / n
-	return a.tape.newNode(v, func(g *mat.Matrix) {
-		scale := 2 * g.Data[0] / n
-		da := mat.New(a.Value.Rows, a.Value.Cols)
-		for i, x := range a.Value.Data {
-			da.Data[i] = scale * (x - target.Data[i])
-		}
-		a.accumulate(da)
-	}, a)
-}

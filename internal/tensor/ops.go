@@ -163,12 +163,6 @@ func SumAll(a *Node) *Node {
 	}, a)
 }
 
-// MeanAll reduces a to a 1×1 scalar node mean(a).
-func MeanAll(a *Node) *Node {
-	n := float64(len(a.Value.Data))
-	return Scale(1/n, SumAll(a))
-}
-
 // SumSquares returns Σ a_ij² as a scalar node (for L2 regularization).
 func SumSquares(a *Node) *Node {
 	v := mat.New(1, 1)

@@ -121,13 +121,5 @@ func (t *Tape) Backward(loss *Node) {
 	}
 }
 
-// ZeroGrads clears all gradient buffers so the tape could be replayed.
-// Typically a fresh tape per step is simpler; this exists for tests.
-func (t *Tape) ZeroGrads() {
-	for _, n := range t.nodes {
-		n.grad = nil
-	}
-}
-
 // Len reports the number of recorded nodes (for tests and diagnostics).
 func (t *Tape) Len() int { return len(t.nodes) }

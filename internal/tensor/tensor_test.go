@@ -315,29 +315,12 @@ func TestNLLFromProbsGrad(t *testing.T) {
 	})
 }
 
-func TestMSEGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	x := mat.Randn(3, 2, 1, rng)
-	target := mat.Randn(3, 2, 1, rng)
-	checkGrad(t, "MSE", x, func(tp *Tape, leaf *Node) *Node {
-		return MSE(leaf, target)
-	})
-}
-
 func TestRowSumsNodeGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	x := mat.Randn(4, 3, 1, rng)
 	checkGrad(t, "RowSumsNode", x, func(tp *Tape, leaf *Node) *Node {
 		return SumSquares(RowSumsNode(leaf))
 	})
-}
-
-func TestMeanAllValue(t *testing.T) {
-	tp := NewTape()
-	m := tp.Const(mat.FromRows([][]float64{{1, 2}, {3, 4}}))
-	if got := MeanAll(m).Scalar(); got != 2.5 {
-		t.Fatalf("MeanAll = %v", got)
-	}
 }
 
 func TestChainedMLPGradCheck(t *testing.T) {
@@ -393,17 +376,4 @@ func TestBackwardOnForeignTapePanics(t *testing.T) {
 		}
 	}()
 	tp2.Backward(n)
-}
-
-func TestZeroGrads(t *testing.T) {
-	tp := NewTape()
-	v := tp.Var(mat.FromRows([][]float64{{1}}))
-	tp.Backward(SumAll(v))
-	if v.Grad() == nil {
-		t.Fatal("expected grad")
-	}
-	tp.ZeroGrads()
-	if v.Grad() != nil {
-		t.Fatal("ZeroGrads did not clear")
-	}
 }
