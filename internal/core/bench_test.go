@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -63,15 +64,17 @@ func BenchmarkDistanceDecision(b *testing.B) {
 	}
 }
 
-// deepWarm is BenchmarkInferDeepWarm's fixture, built once per process
-// (deepWarmFixture).
-var deepWarm struct {
+// deepWarmFx is BenchmarkInferDeepWarm's and BenchmarkBooks' fixture, built
+// once per process (deepWarmFixture) into deepWarm.
+type deepWarmFx struct {
 	once sync.Once
 	dep  *Deployment
 	opt  InferenceOptions
 	reqs [][]int
 	err  error
 }
+
+var deepWarm deepWarmFx
 
 // deepWarmFixture builds a deployment of batch_deep's shape and operating
 // point and its 64-request stream, and serves the stream once, untimed, so
@@ -123,21 +126,50 @@ func deepWarmFixture() (*Deployment, InferenceOptions, [][]int, error) {
 // on a products-like graph of 100 000 nodes, served by a K = 4 model trained
 // on a 2 500-node one. The fixture is built and warmed once per process, so
 // every timed request is a warm one and a profile shows the requests, not the
-// setup; rows-computed/op shows that it stays warm.
+// setup; rows-computed/op shows that it stays warm. It times the serving entry,
+// InferContext, which keeps no books (BenchmarkBooks times them).
 func BenchmarkInferDeepWarm(b *testing.B) {
+	fx := deepWarmOnce(b)
+	before := fx.dep.Hop1Stats().Computed
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fx.dep.InferContext(context.Background(), fx.reqs[i%len(fx.reqs)], fx.opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fx.dep.Hop1Stats().Computed-before)/float64(b.N), "rows-computed/op")
+}
+
+// BenchmarkBooks times Books of one warm BenchmarkInferDeepWarm request's
+// answer: the paper's MAC ledger Infer adds to the serving entry — one BFS per
+// distinct active set of the batch, out to radius TMax−l.
+func BenchmarkBooks(b *testing.B) {
+	fx := deepWarmOnce(b)
+	depths := make([][]int, len(fx.reqs))
+	for i, req := range fx.reqs {
+		res, err := fx.dep.InferContext(context.Background(), req, fx.opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		depths[i] = res.Depths
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(fx.reqs)
+		if _, err := fx.dep.Books(fx.reqs[k], fx.opt, depths[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// deepWarmOnce returns the deep warm fixture, building it on first use.
+func deepWarmOnce(b *testing.B) *deepWarmFx {
 	fx := &deepWarm
 	fx.once.Do(func() { fx.dep, fx.opt, fx.reqs, fx.err = deepWarmFixture() })
 	if fx.err != nil {
 		b.Fatal(fx.err)
 	}
-	before := fx.dep.Hop1Stats().Computed
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fx.dep.Infer(fx.reqs[i%len(fx.reqs)], fx.opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(fx.dep.Hop1Stats().Computed-before)/float64(b.N), "rows-computed/op")
+	return fx
 }
 
 // BenchmarkDeploymentRefresh is the once-per-deployment cost of the cached
