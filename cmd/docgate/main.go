@@ -4,11 +4,10 @@
 // job so the prose contract of ARCHITECTURE.md — every package explains
 // itself — cannot rot as packages are added.
 //
-// It also fails when a Test…, Fuzz… or Benchmark… name ARCHITECTURE.md cites
-// is no function in the tree, or when an alternative of a -run pattern in
-// .github/workflows/ci.yml matches no test, fuzz target or example (Go's
-// unanchored -run matching; '^$', which runs nothing on purpose, is exempt):
-// a renamed test must not leave the prose or a CI step pointing at nothing.
+// It also fails when ARCHITECTURE.md cites a Test…, Fuzz… or Benchmark… name
+// no function has, or an alternative of a -run pattern in the CI workflow
+// matches no test ('^$' runs none on purpose), so a renamed test cannot leave
+// the prose or a CI step pointing at nothing.
 //
 // Usage:
 //
@@ -25,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,8 +51,7 @@ func main() {
 	root := flag.String("root", ".", "module root to scan")
 	flag.Parse()
 
-	dirs := map[string][]string{} // dir -> non-test .go files
-	var tests []string            // _test.go files
+	dirs := map[string][]string{} // dir -> .go files
 	err := filepath.WalkDir(*root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -64,10 +63,7 @@ func main() {
 			}
 			return nil
 		}
-		switch {
-		case strings.HasSuffix(path, "_test.go"):
-			tests = append(tests, path)
-		case strings.HasSuffix(path, ".go"):
+		if strings.HasSuffix(path, ".go") {
 			dir := filepath.Dir(path)
 			dirs[dir] = append(dirs[dir], path)
 		}
@@ -91,10 +87,17 @@ func main() {
 				fmt.Fprintf(os.Stderr, "docgate: %s: %v\n", path, err)
 				os.Exit(2)
 			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					funcs[fd.Name.Name] = true
+				}
+			}
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
 			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
 				hasDoc = true
 			}
-			addFuncs(funcs, f)
 			if exportedDocPackages[filepath.ToSlash(rel)] {
 				missing = append(missing, undocumentedExports(fset, path, f)...)
 			}
@@ -104,25 +107,15 @@ func main() {
 		}
 	}
 
-	for _, path := range tests {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docgate: %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		addFuncs(funcs, f)
-	}
-	unresolved, err := unresolvedCitations(*root, funcs)
+	cites, err := unresolved(*root, funcs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docgate:", err)
 		os.Exit(2)
 	}
-	missing = append(missing, unresolved...)
-
-	if len(missing) > 0 {
+	if missing = append(missing, cites...); len(missing) > 0 {
 		sort.Strings(missing)
 		fmt.Println("docgate: missing documentation or unresolved citations:")
-		for _, m := range missing {
+		for _, m := range slices.Compact(missing) {
 			fmt.Println("  " + m)
 		}
 		os.Exit(1)
@@ -164,77 +157,42 @@ func undocumentedExports(fset *token.FileSet, path string, f *ast.File) []string
 	return out
 }
 
-// addFuncs records f's top-level function names.
-func addFuncs(funcs map[string]bool, f *ast.File) {
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
-			funcs[fd.Name.Name] = true
-		}
-	}
-}
-
 var (
 	citedName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
-	runFlag   = regexp.MustCompile(`-run[ =](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	runFlag   = regexp.MustCompile(`go test [^\n]*?-run[ =](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
 	runnable  = regexp.MustCompile(`^(?:Test|Fuzz|Example)`)
 )
 
-// unresolvedCitations lists the Test/Fuzz/Benchmark names ARCHITECTURE.md
-// cites that are no function in funcs, and the alternatives of the CI
-// workflow's -run patterns that match no test, fuzz target or example.
-func unresolvedCitations(root string, funcs map[string]bool) ([]string, error) {
-	var out []string
+// unresolved lists the names ARCHITECTURE.md cites that no function in funcs
+// has, and the alternatives of the first, function-naming level of ci.yml's
+// -run patterns that match no test, fuzz target or example.
+func unresolved(root string, funcs map[string]bool) ([]string, error) {
 	doc, err := os.ReadFile(filepath.Join(root, "ARCHITECTURE.md"))
 	if err != nil {
 		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, name := range citedName.FindAllString(string(doc), -1) {
-		if !funcs[name] && !seen[name] {
-			seen[name] = true
-			out = append(out, fmt.Sprintf("ARCHITECTURE.md: cites %s, no function in the tree", name))
-		}
 	}
 	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
 	if err != nil {
 		return nil, err
 	}
-	for _, line := range strings.Split(string(ci), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue // a YAML comment
+	var out []string
+	for _, name := range citedName.FindAllString(string(doc), -1) {
+		if !funcs[name] {
+			out = append(out, "ARCHITECTURE.md cites "+name+", which no function has")
 		}
-		for _, m := range runFlag.FindAllStringSubmatch(line, -1) {
-			out = append(out, unmatchedAlternatives(m[1]+m[2]+m[3], funcs)...)
+	}
+	for _, m := range runFlag.FindAllStringSubmatch(string(ci), -1) {
+		level, _, _ := strings.Cut(m[1]+m[2]+m[3], "/")
+		for _, alt := range strings.Split(level, "|") {
+			re, err := regexp.Compile(alt) // matched unanchored, as go test does
+			runs := alt == "^$"
+			for name := range funcs {
+				runs = runs || err == nil && runnable.MatchString(name) && re.MatchString(name)
+			}
+			if !runs {
+				out = append(out, fmt.Sprintf("ci.yml: -run alternative %q matches no test", alt))
+			}
 		}
 	}
 	return out, nil
-}
-
-// unmatchedAlternatives lists the alternatives of a -run pattern's first
-// slash-separated level, the one that names functions, that match no test,
-// fuzz target or example in funcs.
-func unmatchedAlternatives(pattern string, funcs map[string]bool) []string {
-	if pattern == "^$" {
-		return nil
-	}
-	var out []string
-	level, _, _ := strings.Cut(pattern, "/")
-	for _, alt := range strings.Split(level, "|") {
-		re, err := regexp.Compile(alt)
-		if err != nil {
-			out = append(out, fmt.Sprintf("ci.yml: -run %q: %v", pattern, err))
-			continue
-		}
-		matched := false
-		for name := range funcs {
-			if runnable.MatchString(name) && re.MatchString(name) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			out = append(out, fmt.Sprintf("ci.yml: -run %q: %q matches no test", pattern, alt))
-		}
-	}
-	return out
 }

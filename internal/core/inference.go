@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -89,6 +90,12 @@ func (o InferenceOptions) decides(l int) bool {
 	return l >= o.TMin && l < o.TMax && o.Mode != ModeFixed
 }
 
+// batches splits nodes as the engine serves them: BatchSize at a time, or
+// all in one batch when BatchSize ≤ 0.
+func (o InferenceOptions) batches(nodes []int) [][]int {
+	return graph.Batches(nodes, cmp.Or(max(o.BatchSize, 0), len(nodes), 1))
+}
+
 // MACBreakdown counts multiply-accumulate operations per procedure,
 // matching the paper's evaluation protocol (§IV-A).
 type MACBreakdown struct {
@@ -129,9 +136,7 @@ type Result struct {
 	Depths []int
 	// NodesPerDepth[l] counts targets classified at depth l (1..K).
 	NodesPerDepth []int
-	// MACs is Algorithm 1's ledger, Books of the answer's depths: Infer fills
-	// it, the serving entry InferContext leaves it zero.
-	MACs MACBreakdown
+	MACs          MACBreakdown // Books of Depths under Infer; zero from InferContext
 	// TotalTime sums per-batch serving time: stationary-row
 	// materialization, supporting-node sampling, propagation, decisions,
 	// combination and classification.
@@ -291,9 +296,9 @@ func subtractSorted(dst, a, b []int) []int {
 // holds one buffer of supporting-set height per hop it propagates —
 // O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
 // 1..h the deployment's depth-h layer — plus the targets' own rows at depths
-// below h, the BFS's rings (its whole radius-(TMax−h) ball) and sorted balls, the survivors' BFSes past h in two more
-// rings (each radius-(TMax−l) ball around a wave's survivors, l the wave's
-// depth) with the rows the hop still owes them, a BFS bitset of n/4 bytes
+// below h, the BFS's rings (its radius-(TMax−h) ball) and sorted balls, the
+// survivors' BFSes past h in two more rings (each radius-(TMax−l) ball around
+// a wave's survivors, l the wave's depth) with the rows the hop still owes them, a BFS bitset of n/4 bytes
 // (graph.NewBitset) and two O(n) int32 global→local remaps. A batch that
 // fills layer rows also holds their hops below h, and their balls, over the
 // rows' balls, for the fill (hopScratch). Peak memory therefore scales with
@@ -541,55 +546,39 @@ func (d *Deployment) ScratchBytes() int { return d.eng.scratchBytes() }
 // Deployment.
 func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error) {
 	res, err := d.InferContext(context.Background(), targets, opt)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		res.MACs, err = d.Books(targets, opt, res.Depths)
 	}
-	res.MACs, err = d.Books(targets, opt, res.Depths)
 	return res, err
 }
 
-// InferContext is the serving entry: Infer without the books, so Result.MACs
-// stays zero (Books computes them from the answer), with a context. The engine
-// does not observe cancellation (a batch in flight runs to completion); the
-// context's only role is carrying an obs.Trace, into which the batch stages —
-// the BFS (one per exit wave and one at the start: the supporting sets and the
-// ring around them, all read off its rings), compaction (extract:
-// what is left of it now that no batch cuts a sub-CSR — indexing S and shaping
-// the slab), per-hop propagation, exit decisions and classification — record
-// spans, batch after batch; a hop below the layer whose rows nothing reads
-// (inferBatch) records none. A hop between the layer and TMax that decides
-// records two propagate spans: its active targets' rows, then, after its
-// wave's decide, classify and survivors' bfs spans, the rest of the rows the
-// next hop reads.
+// InferContext is the serving entry: Infer without the books (Result.MACs
+// stays zero), with a context. The engine does not observe cancellation (a
+// batch in flight runs to completion); the context only carries an obs.Trace,
+// into which each batch's stages record spans: bfs (one at the start and one
+// per exit wave), extract (indexing S and shaping the slab), propagate per hop
+// — none for a hop below the layer whose rows nothing reads, two for a hop
+// between the layer and TMax that decides (its active targets' rows, then,
+// after its wave's decide, classify and survivors' bfs spans, the rest of the
+// rows the next hop reads) — decide and classify.
 func (d *Deployment) InferContext(ctx context.Context, targets []int, opt InferenceOptions) (*Result, error) {
 	if err := opt.Validate(d.Model); err != nil {
 		return nil, err
 	}
 	tr := obs.FromContext(ctx)
 	agg := &Result{NodesPerDepth: make([]int, d.Model.K+1)}
-	if len(targets) == 0 {
-		return agg, nil
-	}
-	batchSize := opt.BatchSize
-	if batchSize <= 0 {
-		batchSize = len(targets)
-	}
-	for _, batch := range graph.Batches(targets, batchSize) {
+	for _, batch := range opt.batches(targets) {
 		agg.merge(d.eng.infer(batch, opt, tr))
 	}
 	return agg, nil
 }
 
-// Books returns Algorithm 1's MAC ledger (§IV-A) for an answer: the MACs
-// the paper's protocol charges the targets when targets[i] exits at
-// depths[i], in the batches InferContext splits them into. Per batch it
-// charges the stationary term (not in ModeFixed), every hop l the entries of Â
-// plus the diagonal in the radius-(TMax−l) ball around the batch's targets
-// exiting at l or later, times f, every depth that decides a row per target
-// still active there, and each target's combination and classifier at its
-// depth. It runs one BFS per distinct active set of a batch, on the engine's
-// pooled scratch. It rejects invalid options and a depth no target of opt can
-// exit at. Must not run concurrently with ApplyDelta or Refresh.
+// Books is Algorithm 1's MAC ledger (§IV-A) when targets[i] exits at
+// depths[i], in InferContext's batches: per batch the stationary term (not in
+// ModeFixed) and, per hop l, f × Â's entries plus diagonal in the
+// radius-(TMax−l) ball around the targets exiting at l or later; per target a
+// decision at each deciding depth up to its own, its combination and its
+// classifier. Must not run concurrently with ApplyDelta.
 func (d *Deployment) Books(targets []int, opt InferenceOptions, depths []int) (MACBreakdown, error) {
 	var b MACBreakdown
 	if err := opt.Validate(d.Model); err != nil {
@@ -598,59 +587,38 @@ func (d *Deployment) Books(targets []int, opt InferenceOptions, depths []int) (M
 	if len(depths) != len(targets) {
 		return b, fmt.Errorf("core: %d depths for %d targets", len(depths), len(targets))
 	}
-	m, f := d.Model, d.Graph.F()
+	m, f, st := d.Model, d.Graph.F(), d.stationary
 	for i, l := range depths {
 		if l != opt.TMax && !opt.decides(l) {
-			return b, fmt.Errorf("core: target %d exits at depth %d; TMin %d, TMax %d, mode %v exit at none", targets[i], l, opt.TMin, opt.TMax, opt.Mode)
+			return b, fmt.Errorf("core: target %d exits at depth %d, where %+v never exits", targets[i], l, opt)
+		}
+		for e := opt.TMin; e <= l && opt.decides(e); e++ {
+			if opt.Mode == ModeGate {
+				b.Decision += m.Gates[e].MACsPerRow()
+			} else {
+				b.Decision += f
+			}
 		}
 		b.Combine += m.Combiner.MACsPerRow(l, f)
 		b.Classification += m.Classifiers[l].MACsPerRow()
 	}
-	if len(targets) == 0 {
-		return b, nil
-	}
-	batchSize := opt.BatchSize
-	if batchSize <= 0 {
-		batchSize = len(targets)
-	}
-	st := d.stationary
-	depthBatches := graph.Batches(depths, batchSize)
-	for k, batch := range graph.Batches(targets, batchSize) {
+	depthBatches := opt.batches(depths)
+	for k, batch := range opt.batches(targets) {
 		if opt.Mode != ModeFixed {
 			b.Stationary += st.SumMACs + len(batch)*st.RowMACs()
 		}
 		b.Propagation += d.eng.books(batch, depthBatches[k], opt.TMax) * f
-		for l := opt.TMin; opt.decides(l); l++ {
-			active := 0
-			for _, e := range depthBatches[k] {
-				if e >= l {
-					active++
-				}
-			}
-			perRow := f
-			if opt.Mode == ModeGate {
-				perRow = m.Gates[l].MACsPerRow()
-			}
-			b.Decision += active * perRow
-		}
 	}
 	return b, nil
 }
 
-// books is Books' propagation term for one batch over the tier's pooled BFS
-// scratch, per feature: the sum over hops l of the radius-(tmax−l) ball's
-// entries of Â around the targets exiting at l or later, diagonal included. A
-// BFS runs at the first hop and after every depth some target exits at.
-func (t *tier[T]) books(targets, depths []int, tmax int) int {
-	sc, _ := t.scratch.Get().(*inferScratch[T])
-	if sc == nil {
-		sc = &inferScratch[T]{}
-	}
-	sc.prepare(t.d.Graph.N(), len(targets))
-	sources := make([]int, 0, len(targets))
-	var perRadius []int
-	entries := 0
-	for l := 1; l <= tmax; l++ {
+// books is Books' propagation term of one batch per feature, from BFSes on a
+// pooled scratch: one at hop 1 and one after each depth a target exits at.
+func (t *tier[T]) books(targets, depths []int, tmax int) (entries int) {
+	sc := t.get(len(targets))
+	defer t.scratch.Put(sc)
+	var sources, perRadius []int
+	for l := 1; l <= slices.Max(depths); l++ {
 		if l == 1 || slices.Contains(depths, l-1) {
 			sources = sources[:0]
 			for i, v := range targets {
@@ -658,28 +626,29 @@ func (t *tier[T]) books(targets, depths []int, tmax int) int {
 					sources = append(sources, v)
 				}
 			}
-			if len(sources) == 0 {
-				break
-			}
 			sc.bfs.run(t.d.Graph.Adj, sources, tmax-l, 0, sc.set)
 			perRadius = sc.bfs.books(perRadius)
 		}
 		entries += perRadius[tmax-l]
 	}
-	t.scratch.Put(sc)
 	return entries
 }
 
-// infer runs one batch on a pooled scratch.
-func (t *tier[T]) infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result {
+// get takes a scratch from the pool, readied for a batch of the given size.
+func (t *tier[T]) get(batch int) *inferScratch[T] {
 	sc, _ := t.scratch.Get().(*inferScratch[T])
 	if sc == nil {
 		sc = &inferScratch[T]{}
 	}
-	sc.prepare(t.d.Graph.N(), len(targets))
-	res := t.inferBatch(targets, opt, sc, tr)
-	t.scratch.Put(sc)
-	return res
+	sc.prepare(t.d.Graph.N(), batch)
+	return sc
+}
+
+// infer runs one batch on a pooled scratch.
+func (t *tier[T]) infer(targets []int, opt InferenceOptions, tr *obs.Trace) *Result {
+	sc := t.get(len(targets))
+	defer t.scratch.Put(sc)
+	return t.inferBatch(targets, opt, sc, tr)
 }
 
 // scratchBytes is Deployment.ScratchBytes for this engine's pool.
@@ -773,12 +742,9 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	var fpTime time.Duration
 
 	// reads reports whether anything reads the targets' depth-l rows: the
-	// decision at l, or the classifier of a depth e ≥ l some target may exit
-	// at, whose combiner reads from depth l or below.
+	// classifier of a depth e ≥ l some target may exit at, whose combiner
+	// reads from depth l or below — e = l whenever the decision at l reads them.
 	reads := func(l int) bool {
-		if opt.decides(l) {
-			return true
-		}
 		for e := l; e <= opt.TMax; e++ {
 			if (opt.decides(e) || e == opt.TMax) && m.Combiner.LowestDepth(e) <= l {
 				return true

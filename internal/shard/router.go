@@ -230,9 +230,8 @@ func (r *Router) Infer(targets []int, opt core.InferenceOptions) (*core.Result, 
 // InferContext answers for the targets (global ids) under the caller's
 // context with one call to the next up worker in round-robin order; the
 // whole request goes in request order. Every worker serves the whole graph
-// at the router's version, so its result is returned unchanged — its
-// predictions, depths and histogram equal the unsharded engine's, and like
-// the engine's serving entry it keeps no books (MACs zero; Books computes them).
+// at the router's version, so its result is returned unchanged: predictions,
+// depths and histogram equal the unsharded engine's InferContext, MACs zero.
 // Safe for concurrent callers.
 //
 // A request fails over to any other worker and fails with an error wrapping
