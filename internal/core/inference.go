@@ -297,9 +297,9 @@ func subtractSorted(dst, a, b []int) []int {
 // O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
 // 1..h the deployment's depth-h layer — plus the targets' own rows at depths
 // below h, the BFS's rings (its radius-(TMax−h) ball) and sorted balls, the
-// survivors' BFSes past h in two more rings (each radius-(TMax−l) ball around
-// a wave's survivors, l the wave's depth) with the rows the hop still owes them, a BFS bitset of n/4 bytes
-// (graph.NewBitset) and two O(n) int32 global→local remaps. A batch that
+// survivors' BFSes past h in two more rings (each the radius-(TMax−l) ball of
+// a wave's survivors) with the rows the hop still owes them, a BFS bitset of
+// n/4 bytes (graph.NewBitset) and two O(n) int32 global→local remaps. A batch that
 // fills layer rows also holds their hops below h, and their balls, over the
 // rows' balls, for the fill (hopScratch). Peak memory therefore scales with
 // concurrently executing batches × their balls, not with the serving graph.
@@ -923,9 +923,9 @@ func widen[T float64 | float32](dst []float64, src []T) {
 }
 
 // decide returns the subset of active (indices into targets) that exits at
-// depth l. The depth-l rows come through targetRow —
-// below h the rows computed for the targets, at h the layer's block, past h
-// the slab — and are compared in float64.
+// depth l. The depth-l rows come through targetRow — below h the rows
+// computed for the targets, at h the layer's block, past h the slab — and are
+// compared in float64.
 func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int,
 	opt InferenceOptions, sc *inferScratch[T]) []int {
 
@@ -963,10 +963,10 @@ func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int
 }
 
 // classify predicts the given target indices with classifier f^{(l)}. It
-// fills the stack from the
-// combiner's lowest depth read up to l, the entries below nil: depth-0
-// features from the full-graph matrix, depths ≥ 1 through targetRow — the rows
-// computed for the targets below h, the layer's block at h and the slab past h.
+// fills the stack from the combiner's lowest depth read up to l, the entries
+// below nil: depth-0 features from the full-graph matrix, depths ≥ 1 through
+// targetRow — the rows computed for the targets below h, the layer's block at
+// h and the slab past h.
 func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []int, idx []int,
 	res *Result, sc *inferScratch[T]) {
 

@@ -300,27 +300,6 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 	}
 }
 
-// TestLayerFirstBFSRadius: a batch's first BFS stops at ring TMax−h, the ring
-// around S whose layer rows hop h+1 reads, at TMax 4 and 5 (h = 2 and 3) and at
-// every tier: the rings past it are Books', not the engine's.
-func TestLayerFirstBFSRadius(t *testing.T) {
-	eachTier(t, testLayerFirstBFSRadius[float64], testLayerFirstBFSRadius[float32])
-}
-
-func testLayerFirstBFSRadius[T float64 | float32](t *testing.T, p kernel.Precision) {
-	ds := tinyData(t)
-	dep := deployAt(t, trainedDeepModel(t), ds.Graph, p)
-	for _, tmax := range []int{4, 5} {
-		// T_s 0: nobody exits, so the batch's one BFS is its first.
-		opt := InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 1, TMax: tmax}
-		sc := &inferScratch[T]{}
-		inferWith(t, dep, sc, ds.Split.Test, opt)
-		if r, h := len(sc.bfs.ends)-1, layerDepth(tmax); r != tmax-h {
-			t.Fatalf("%v/tmax=%d: the first BFS ran to radius %d, want TMax−h = %d", p, tmax, r, tmax-h)
-		}
-	}
-}
-
 // TestLayerSkipsUnreadRows: below the layer's depth a batch computes its
 // targets' depth-l rows only where a decision at l or an exit depth's combiner
 // reads them, and charges the hop either way. At TMin 2, TMax 4 and 5 (h = 2
@@ -381,7 +360,9 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 // books). The batch runs on a caller-held scratch whose slab starts all NaN,
 // at TMax 4 and 5 (h = 2 and 3), with waves from TMax−1 on, and from h on:
 // then the survivors' BFS at TMax−1 must not overwrite the balls of the BFS
-// after the wave at h, which it subtracts the hop's written rows from.
+// after the wave at h, which it subtracts the hop's written rows from. The
+// batch's BFS up to h — the first, and the one after a wave at h — stops at
+// ring TMax−h, the last one the data path reads.
 func TestLayerDemandRows(t *testing.T) {
 	eachTier(t, testLayerDemandRows[float64], testLayerDemandRows[float32])
 }
@@ -432,6 +413,9 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			sc.prepare(g.N(), len(targets))
 			got := booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, nil))
 			requireSameResult(t, label, got, want)
+			if r := len(sc.bfs.ends) - 1; r != tmax-h {
+				t.Fatalf("%s: the batch's BFS ran to radius %d, want TMax−h = %d: the rings past it are Books'", label, r, tmax-h)
+			}
 			books := 0
 			for j := 1; j <= tmax; j++ {
 				books += dep.Adj.NNZRows(graph.Ball(g.Adj, activeAt(j), tmax-j))
