@@ -296,13 +296,15 @@ func subtractSorted(dst, a, b []int) []int {
 // holds one buffer of supporting-set height per hop it propagates —
 // O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
 // 1..h the deployment's depth-h layer — plus the targets' own rows at depths
-// below h, the BFS's rings (its radius-(TMax−h) ball) and sorted balls, the
+// below h, the BFS's rings and sorted balls (S and the balls inside it), the
 // survivors' BFSes past h in two more rings (each the radius-(TMax−l) ball of
 // a wave's survivors) with the rows the hop still owes them, a BFS bitset of
-// n/4 bytes (graph.NewBitset) and two O(n) int32 global→local remaps. A batch that
-// fills layer rows also holds their hops below h, and their balls, over the
-// rows' balls, for the fill (hopScratch). Peak memory therefore scales with
-// concurrently executing batches × their balls, not with the serving graph.
+// n/4 bytes (graph.NewBitset), a bitset of n/8 bytes marking the layer rows
+// the batch has read, and two O(n) int32 global→local remaps. A batch that
+// fills layer rows also holds, until it ends, the rows of the hops below h its
+// fills computed, and the last fill's balls (hopScratch). Peak memory
+// therefore scales with concurrently executing batches × their balls, not
+// with the serving graph.
 // All ball-sized buffers — the slab and the row lists (growScratch), the BFSes'
 // rings and balls (rings.shrink), the fill's hops (hopScratch.shrink) and the
 // decide/classify arena (arena.shrink) — follow one retention policy
@@ -311,13 +313,13 @@ func subtractSorted(dst, a, b []int) []int {
 // request does not pin worst-case capacity forever. Every tier holds the same
 // buffers, at its element type.
 type inferScratch[T float64 | float32] struct {
-	// hopScratch holds a fill's hops below the layer's depth (propagate); its
-	// set is also the bitset of the batch's own BFSes.
+	// hopScratch holds the fills' hops below the layer's depth (propagate);
+	// its set is also the bitset of the batch's own BFSes.
 	hopScratch[T]
-	// bfs is the batch's BFS at depths ≤ h — S and the ring are read off it —
-	// and Books'. Past h the survivors' BFSes alternate between the two wave
-	// rings, so S and the ring stay where they are and so do the balls of the
-	// BFS before, whose rows the hop in flight has already written.
+	// bfs is the batch's BFS at depths ≤ h — S is read off it — and Books'.
+	// Past h the survivors' BFSes alternate between the two wave rings, so S
+	// stays where it is and so do the balls of the BFS before, whose rows the
+	// hop in flight has already written.
 	bfs  rings
 	wave [2]rings
 	// rest lists the rows a hop past h computes after its exit wave: the
@@ -346,17 +348,17 @@ type inferScratch[T float64 | float32] struct {
 	toLocal []int32
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// ring is the outer ring of the batch's radius-(TMax−h) ball, in bfs: the
-	// nodes whose layer rows hop h+1 reads but no hop of the batch writes.
-	ring []int
 	// localRows holds one hop's propagation row list in local coordinates.
 	localRows []int
 	// tloc[i] is the local index of targets[i] in S.
 	tloc []int
-	// claimed lists the layer rows of the batch's ball that were not resident
-	// and this batch computed, awaited those another batch was already
-	// filling; at hop h+1, claimed then lists the hub rows one product claimed.
-	claimed, awaited []int
+	// claimed lists the hub rows one product at hop h+1 claimed.
+	claimed []int
+	// seen marks the layer rows the batch has read, one bit per node, all zero
+	// between batches; won lists the ones one ensureLayer pass claimed and
+	// computed, lost those another batch was already filling.
+	seen      []uint64
+	won, lost []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
 }
@@ -382,12 +384,13 @@ func (rg *rings) run(adj *sparse.CSR, sources []int, radius, k int, set []uint64
 	rg.hw = max(rg.hw, len(rg.ball)+len(rg.sorted))
 }
 
-// ring returns the nodes at distance exactly r.
-func (rg *rings) ring(r int) []int {
-	if r == 0 {
-		return rg.ball[:rg.ends[0]]
-	}
-	return rg.ball[rg.ends[r-1]:rg.ends[r]]
+// only makes the rings the radius-0 ball of sources alone — sources sorted
+// without duplicates — without a BFS.
+func (rg *rings) only(sources []int) {
+	rg.sorted = sortedUnique(sources, rg.sorted)
+	rg.ball, rg.ends, rg.nnz = rg.ball[:0], rg.ends[:0], rg.nnz[:0]
+	rg.balls = append(rg.balls[:0], rg.sorted)
+	rg.hw = max(rg.hw, len(rg.sorted))
 }
 
 // books returns, in dst, Algorithm 1's books of the BFS: dst[r] is the
@@ -469,6 +472,9 @@ func (sc *inferScratch[T]) targetRow(l, ti int) []T {
 // buffers are grown per batch, once the supporting set is known.
 func (sc *inferScratch[T]) prepare(n, batch int) {
 	sc.bitset(n)
+	if len(sc.seen) < (n+63)/64 {
+		sc.seen = make([]uint64, (n+63)/64)
+	}
 	if len(sc.toLocal) < n {
 		sc.toLocal = graph.NewIndex(n)
 	}
@@ -488,12 +494,11 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 // bytes reports the retained heap capacity of the scratch (benchmarks track
 // it to prove per-batch memory scales with |S|, not n).
 func (sc *inferScratch[T]) bytes() int {
-	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.set) + capBytes(sc.rm) +
+	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.rm) +
 		capBytes(sc.localRows) + capBytes(sc.tloc) +
-		capBytes(sc.claimed) + capBytes(sc.awaited) + capBytes(sc.arena.buf) +
-		capBytes(sc.idx) + capBytes(sc.bufs[0]) + capBytes(sc.bufs[1]) +
+		capBytes(sc.claimed) + capBytes(sc.seen) + capBytes(sc.won) + capBytes(sc.lost) + capBytes(sc.arena.buf) +
 		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.rest) + capBytes(sc.compute) +
-		sc.bfs.bytes() + sc.wave[0].bytes() + sc.wave[1].bytes() + sc.fill.bytes()
+		sc.bfs.bytes() + sc.wave[0].bytes() + sc.wave[1].bytes() + sc.hopScratch.bytes()
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -681,8 +686,10 @@ func (t *tier[T]) scratchBytes() int {
 // their exits and classifiers, and computes them from X^(0) at the depths a
 // decision or a classifier's combiner reads (an SGC model past TMin reads
 // none). One BFS per exit wave serves every depth up to h: it runs to radius
-// TMax−h, and S and the ring around it are read off its rings. At h = 1, every
-// TMax ≤ 3, there is nothing below h.
+// TMax−h−1, and S is its widest ball. No BFS reaches past S: each product of
+// hop h+1 makes ready the layer rows it gathers (ensureLayer over its rows'
+// columns), and at h the batch reads only its active targets' rows. At h = 1,
+// every TMax ≤ 3, there is nothing below h.
 //
 // Past h, the hops run in demand order: a hop l < TMax that decides first
 // computes only its active targets' rows, which its wave reads, then the
@@ -727,7 +734,9 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	var support []int
 	defer func() {
 		graph.ResetIndex(support, sc.toLocal)
-		sc.xh, sc.targets, sc.ring = nil, nil, nil
+		clear(sc.seen)
+		sc.hopScratch.reset()
+		sc.xh, sc.targets = nil, nil
 	}()
 	if h > 1 {
 		sc.uniq = sortedUnique(targets, growScratch(sc.uniq, len(targets)))
@@ -783,30 +792,34 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	fresh := true // the active set changed since the last BFS, or none ran yet
 
 	// bfs is lines 3/5 for depth l: one level-ordered multi-source BFS around
-	// the targets still active, to the widest ball the data path reads from l
-	// on, radius TMax−max(l, h) (sampling counts in Time, not FP). Its sorted
-	// balls are the supporting sets of the hops the batch propagates. Up to h
-	// it also yields the ring beyond S, ring TMax−h, whose nodes' layer rows hop
-	// h+1 reads but no hop writes — so it is never sorted or given a place in S.
+	// the targets still active, to the widest ball a hop propagates from l on,
+	// radius TMax−max(l, h+1) (sampling counts in Time, not FP). Its sorted
+	// balls are the supporting sets of the hops the batch propagates. At
+	// radius 0 the ball is the active targets, sorted, and no BFS runs.
 	bfs := func(l int) {
 		rg := &sc.bfs
 		if l > h {
-			// Not into the rings S and the ring are views of, nor into the
-			// previous BFS's: the hop in flight is reading its balls.
+			// Not into the rings S is a view of, nor into the previous
+			// BFS's: the hop in flight is reading its balls.
 			rg = &sc.wave[0]
 			if cur == rg {
 				rg = &sc.wave[1]
 			}
 		}
-		rg.run(g.Adj, gather(targets, active), opt.TMax-max(l, h), max(opt.TMax-max(l, h+1), 0), sc.set)
+		if r := opt.TMax - max(l, h+1); r > 0 {
+			rg.run(g.Adj, gather(targets, active), r, r, sc.set)
+		} else {
+			rg.only(gather(targets, active))
+		}
 		cur, fresh = rg, false
 		mark = stageEnd(tr, obs.StageBFS, 0, mark)
 	}
 
 	// Hops past h propagate inside S: their rows stay one ring inside the ball
 	// the previous hop covered, so every neighbor has a row to read — hop h+1's
-	// in the layer, by node id, later ones' in the slab through toLocal. Hop
-	// h+1 < TMax also reads and fills the hub layer.
+	// in the layer, by node id, which each of its products makes ready first,
+	// later ones' in the slab through toLocal. Hop h+1 < TMax also reads and
+	// fills the hub layer; the rows it copies from there gather nothing.
 	var in operand[T]
 	var colMap []int32
 	hubs := h+1 < opt.TMax
@@ -817,6 +830,9 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			hub = t.hubLayer(l)
 			sc.compute, sc.claimed = hub.hubRows(rows, sc.toLocal, out, growScratch(sc.compute, len(rows))[:0], sc.claimed[:0])
 			rows = sc.compute
+		}
+		if l == h+1 {
+			t.ensureLayer(sc, lay, rows, true)
 		}
 		sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
 		mulRows(d.Adj, in, rows, sc.localRows, colMap, sc.f, out)
@@ -837,9 +853,6 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			// Every later row set — deeper hops, and re-derived sets after exit
 			// waves — is a subset of S, so the remap stays valid.
 			support = cur.balls[len(cur.balls)-1]
-			if opt.TMax > h {
-				sc.ring = sc.bfs.ring(len(cur.balls))
-			}
 			sc.s = len(support)
 			graph.IndexSet(support, sc.toLocal)
 			sc.slab = growScratch(sc.slab, (opt.TMax-h)*sc.s*sc.f)
@@ -865,9 +878,8 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 			// The targets' own depth-l rows.
 			propagate(d.Adj, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
 		case l == h:
-			// The layer's rows this batch reads: S and the ring around it, or
-			// at TMax = h — S is the targets, and no hop gathers — S alone.
-			t.ensureLayer(sc, lay, support, sc.ring)
+			// The layer's rows the wave at h reads: the active targets'.
+			t.ensureLayer(sc, lay, cur.balls[0], false)
 		default:
 			in, colMap = operand[T]{x: sc.xh}, nil
 			if l > h+1 {

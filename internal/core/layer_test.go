@@ -73,13 +73,53 @@ func hubCounts(dep *Deployment) (capacity, resident int) {
 func hubCountsOf[T float64 | float32](hubs map[int]*hopLayer[T]) (capacity, resident int) {
 	for _, m := range hubs {
 		capacity += len(m.members)
-		for k := range m.state {
-			if m.state[k].Load() == slotReady {
+		for k := 0; k < m.rows; k++ {
+			if m.isReady(k) {
 				resident++
 			}
 		}
 	}
 	return capacity, resident
+}
+
+// A layer row's slot, as slot reads it and setSlot writes it.
+const (
+	slotEmpty = iota
+	slotFilling
+	slotReady
+)
+
+// slot returns the slot of row k of m.
+func slot[T float64 | float32](m *hopLayer[T], k int) int {
+	bit := uint64(1) << (uint(k) & 63)
+	switch {
+	case m.ready[k>>6].Load()&bit != 0:
+		return slotReady
+	case m.claimed[k>>6].Load()&bit != 0:
+		return slotFilling
+	}
+	return slotEmpty
+}
+
+// setSlot puts row k of m in slot s, as a batch would — claiming, publishing —
+// or as a delta would — emptying.
+func setSlot[T float64 | float32](m *hopLayer[T], k, s int) {
+	bit := uint64(1) << (uint(k) & 63)
+	for _, w := range []struct {
+		word *atomic.Uint64
+		set  bool
+	}{{&m.claimed[k>>6], s != slotEmpty}, {&m.ready[k>>6], s == slotReady}} {
+		for {
+			old := w.word.Load()
+			next := old &^ bit
+			if w.set {
+				next = old | bit
+			}
+			if w.word.CompareAndSwap(old, next) {
+				break
+			}
+		}
+	}
 }
 
 // layerModel is a test model with the range of TMax it covers.
@@ -162,14 +202,14 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 			}
 			layers := layersOf[T](t, dep)
 			for h, lay := range layers {
-				if lay.state[u].Load() != slotEmpty {
+				if slot(lay, u) != slotEmpty {
 					t.Fatalf("%s: the delta left ring row %d of target %d resident at depth %d", name, u, one[0], h)
 				}
 			}
 			before := dep.Hop1Stats().Computed
 			check("after dropped ring rows", one)
 			for h, lay := range layers {
-				if lay.state[u].Load() != slotReady || dep.Hop1Stats().Computed == before {
+				if !lay.isReady(u) || dep.Hop1Stats().Computed == before {
 					t.Fatalf("%s: ring row %d was not recomputed at depth %d by the batch that read it", name, u, h)
 				}
 			}
@@ -183,7 +223,7 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 			}
 			n := dep.Graph.N()
 			for h, lay := range layersOf[T](t, dep) {
-				if len(lay.block) != n*base.F() || len(lay.state) != n {
+				if len(lay.block) != n*base.F() || lay.rows != n {
 					t.Fatalf("%s: after 12 appended nodes the depth-%d block holds %d rows for %d nodes", name, h, len(lay.block)/base.F(), n)
 				}
 			}
@@ -361,8 +401,8 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 // at TMax 4 and 5 (h = 2 and 3), with waves from TMax−1 on, and from h on:
 // then the survivors' BFS at TMax−1 must not overwrite the balls of the BFS
 // after the wave at h, which it subtracts the hop's written rows from. The
-// batch's BFS up to h — the first, and the one after a wave at h — stops at
-// ring TMax−h, the last one the data path reads.
+// batch's BFS up to h — the first, and the one after a wave at h — stops at S,
+// ring TMax−h−1: hop h+1 makes ready the layer rows it gathers itself.
 func TestLayerDemandRows(t *testing.T) {
 	eachTier(t, testLayerDemandRows[float64], testLayerDemandRows[float32])
 }
@@ -413,8 +453,8 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			sc.prepare(g.N(), len(targets))
 			got := booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, nil))
 			requireSameResult(t, label, got, want)
-			if r := len(sc.bfs.ends) - 1; r != tmax-h {
-				t.Fatalf("%s: the batch's BFS ran to radius %d, want TMax−h = %d: the rings past it are Books'", label, r, tmax-h)
+			if r := len(sc.bfs.ends) - 1; r != tmax-h-1 {
+				t.Fatalf("%s: the batch's BFS ran to radius %d, want S's, TMax−h−1 = %d", label, r, tmax-h-1)
 			}
 			books := 0
 			for j := 1; j <= tmax; j++ {
@@ -460,6 +500,70 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 	}
 }
 
+// TestLayerResidentRowsAreGathered: hop h+1 makes resident only the rows of
+// X^(h) it gathers. After one cold batch at TMax 3, 4 and 5, at every tier, the
+// layer's resident rows are exactly the targets active at h, whose rows decide
+// and classify read there, and the columns of Â in the rows hop h+1 computed:
+// its active targets', then its survivors' radius-(TMax−h−1) ball. With exits
+// at h and h+1 that is strictly less than the targets' radius-(TMax−h) ball,
+// which the batch no longer BFSes to. Each of those rows counts once in
+// Hop1Stats, as computed: the batch found none resident.
+func TestLayerResidentRowsAreGathered(t *testing.T) {
+	eachTier(t, testLayerResidentRowsAreGathered[float64], testLayerResidentRowsAreGathered[float32])
+}
+
+func testLayerResidentRowsAreGathered[T float64 | float32](t *testing.T, p kernel.Precision) {
+	ds := tinyData(t)
+	m := trainedDeepModel(t)
+	targets := ds.Split.Test
+	for _, tmax := range []int{3, 4, 5} {
+		h := layerDepth(tmax)
+		dep := deployAt(t, m, ds.Graph, p)
+		g := dep.Graph
+		label := fmt.Sprintf("%v/tmax=%d", p, tmax)
+		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, h, 0.5), TMin: 1, TMax: tmax}
+		want := seedInfer(dep, targets, opt)
+		if d := want.NodesPerDepth; d[h] == 0 || d[h+1] == 0 || d[tmax] == 0 {
+			t.Fatalf("%s: exits per depth %v, want waves at %d and %d and survivors to TMax", label, d, h, h+1)
+		}
+		got, err := dep.InferContext(context.Background(), targets, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, label, booked(t, dep, targets, opt, got), want)
+
+		activeAt := func(j int) []int {
+			var out []int
+			for i, v := range targets {
+				if want.Depths[i] >= j {
+					out = append(out, v)
+				}
+			}
+			return out
+		}
+		computed := append(activeAt(h+1), graph.Ball(g.Adj, activeAt(h+2), tmax-h-1)...)
+		gathered := sortedUnique(append(activeAt(h), graph.Ball(g.Adj, computed, 1)...), nil)
+		lay := layersOf[T](t, dep)[h]
+		var resident []int
+		for v := 0; v < lay.rows; v++ {
+			if lay.isReady(v) {
+				resident = append(resident, v)
+			}
+		}
+		if !slices.Equal(resident, gathered) {
+			t.Fatalf("%s: %d rows of X^(%d) resident, want the %d the batch read", label, len(resident), h, len(gathered))
+		}
+		ball := graph.Ball(g.Adj, targets, tmax-h)
+		if len(gathered) >= len(ball) || len(subtractSorted(nil, gathered, ball)) != 0 {
+			t.Fatalf("%s: the batch read %d rows of X^(%d), not a strict subset of the targets' radius-%d ball (%d rows)", label, len(gathered), h, tmax-h, len(ball))
+		}
+		_, hubs := hubCounts(dep)
+		if s := dep.Hop1Stats(); s.FromMemo != 0 || int(s.Computed) != len(gathered)+hubs {
+			t.Fatalf("%s: counters read %d rows resident and %d computed, want none and %d layer rows plus %d hub rows", label, s.FromMemo, s.Computed, len(gathered), hubs)
+		}
+	}
+}
+
 // TestLayerHubRows: at every tier, whenever h+1 < TMax (TMax 3, 4 and 5 on
 // the K = 5 model: hub rows of X^(2), X^(3) and X^(4)), hop h+1 keeps the
 // hubs' rows. The members are the ⌈n/32⌉ nodes of highest degree, ties broken
@@ -471,7 +575,10 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 // finite distance meets. A delta empties every hub row, and the next batches
 // equal the seed's. A row another batch is still filling is computed, not
 // waited for (a batch that waited would hang here) and not read (its NaN does
-// not show), and it is left to its claimer. TMax ≤ 2 allocates no hub layer.
+// not show), and it is left to its claimer. A cold batch, whose products fill
+// the rows of X^(h) they gather between claiming hub rows and publishing them,
+// leaves resident exactly the hub rows it computed. TMax ≤ 2 allocates no hub
+// layer.
 func TestLayerHubRows(t *testing.T) {
 	eachTier(t, testLayerHubRows[float64], testLayerHubRows[float32])
 	t.Run("none", func(t *testing.T) {
@@ -525,33 +632,40 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 			t.Fatalf("%s: hub members %v, the highest-degree nodes %v", label, hub.members, top)
 		}
 
-		// The rows hop l computed: its active targets, then the survivors'
-		// radius-(TMax−l) ball.
-		activeAt := func(j int) []int {
-			var out []int
+		// hubsComputed requires the resident hub rows to be exactly the hubs
+		// among the rows hop l computed for the answers want — its active
+		// targets, then the survivors' radius-(TMax−l) ball — some and not
+		// all of them, and returns those rows and how many hubs they hold.
+		hubsComputed := func(label string, want *Result) (map[int]bool, int) {
+			t.Helper()
+			var active, survivors []int
 			for i, v := range targets {
-				if want.Depths[i] >= j {
-					out = append(out, v)
+				if want.Depths[i] >= l {
+					active = append(active, v)
+				}
+				if want.Depths[i] > l {
+					survivors = append(survivors, v)
 				}
 			}
-			return out
-		}
-		computed := map[int]bool{}
-		for _, v := range append(activeAt(l), graph.Ball(g.Adj, activeAt(l+1), tmax-l)...) {
-			computed[v] = true
-		}
-		resident := 0
-		for k, v := range hub.members {
-			if ready := hub.state[k].Load() == slotReady; ready != computed[v] {
-				t.Fatalf("%s: hub %d resident=%v, computed by hop %d=%v", label, v, ready, l, computed[v])
+			computed := map[int]bool{}
+			for _, v := range append(active, graph.Ball(g.Adj, survivors, tmax-l)...) {
+				computed[v] = true
 			}
-			if computed[v] {
-				resident++
+			resident := 0
+			for k, v := range hub.members {
+				if ready := hub.isReady(k); ready != computed[v] {
+					t.Fatalf("%s: hub %d resident=%v, computed by hop %d=%v", label, v, ready, l, computed[v])
+				}
+				if computed[v] {
+					resident++
+				}
 			}
+			if resident == 0 || resident == len(hub.members) {
+				t.Fatalf("%s: hop %d computed %d of %d hub rows, want some and not all", label, l, resident, len(hub.members))
+			}
+			return computed, resident
 		}
-		if resident == 0 || resident == len(hub.members) {
-			t.Fatalf("%s: hop %d computed %d of %d hub rows, want some and not all", label, l, resident, len(hub.members))
-		}
+		computed, resident := hubsComputed(label+"/first", want)
 		before := dep.Hop1Stats()
 		got, _ = dep.Infer(targets, opt)
 		requireSameResult(t, label+"/repeat", got, want)
@@ -589,14 +703,29 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 
 		// A row another batch is filling: computed, not read, not published.
 		poison()
-		hub.state[k].Store(slotFilling)
+		setSlot(hub, k, slotFilling)
 		got, _ = dep.Infer(lone, exitAt)
 		requireSameResult(t, label+"/hub being filled", got, seedInfer(dep, lone, exitAt))
-		if got.Depths[0] != l || hub.state[k].Load() != slotFilling || !math.IsNaN(float64(hub.block[k*f])) {
-			t.Fatalf("%s: a batch over hub %d, being filled elsewhere, exited at %d (want %d) and left the slot %d", label, lone[0], got.Depths[0], l, hub.state[k].Load())
+		if got.Depths[0] != l || slot(hub, k) != slotFilling || !math.IsNaN(float64(hub.block[k*f])) {
+			t.Fatalf("%s: a batch over hub %d, being filled elsewhere, exited at %d (want %d) and left the slot %d", label, lone[0], got.Depths[0], l, slot(hub, k))
 		}
-		hub.state[k].Store(slotEmpty)
+		setSlot(hub, k, slotEmpty)
 		requireColdWarmSame(t, label+"/after the delta", dep, targets, opt)
+
+		// A cold batch: each product of hop l claims its hub rows, then fills
+		// the rows of X^(l−1) it gathers, then publishes the hub rows — the
+		// fills run between hubRows and publishHubs. The resident hub rows are
+		// still exactly the ones it computed, and its products filled layer
+		// rows beyond the targets'.
+		recold(dep)
+		before = dep.Hop1Stats()
+		want = seedInfer(dep, targets, opt)
+		got, _ = dep.Infer(targets, opt)
+		requireSameResult(t, label+"/cold", got, want)
+		_, resident = hubsComputed(label+"/cold", want)
+		if s := dep.Hop1Stats(); int(s.Computed-before.Computed) <= resident+len(targets) || s.FromMemo != before.FromMemo {
+			t.Fatalf("%s/cold: the batch computed %d rows and read %d resident, %d of them hub rows", label, s.Computed-before.Computed, s.FromMemo-before.FromMemo, resident)
+		}
 	}
 }
 
@@ -679,7 +808,7 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 		t.Fatal("setup: the one-hop ball around the moved rows adds no row")
 	}
 	for w := range all {
-		if empty := lay.state[w].Load() == slotEmpty; empty != stale[w] {
+		if empty := slot(lay, w) == slotEmpty; empty != stale[w] {
 			t.Fatalf("row %d of X^(2): empty=%v, want %v (%d rows within a hop of the %d moved ones)", w, empty, stale[w], len(stale), len(valDirty))
 		}
 	}
@@ -800,7 +929,7 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 		if held == target[0] {
 			held = ball[0]
 		}
-		lay.state[held].Store(slotFilling) // someone else is computing it
+		setSlot(lay, held, slotFilling) // someone else is computing it
 
 		done := make(chan *Result)
 		go func() {
@@ -821,7 +950,7 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 		default:
 		}
 		propagate(dep.Adj, eng.base, []int{held}, []int{held}, h, g.F(), lay.block, &hopScratch[float64]{})
-		lay.state[held].Store(slotReady)
+		setSlot(lay, held, slotReady)
 		requireSameResult(t, fmt.Sprintf("TMax %d after the held row was published", c.tmax), <-done, want)
 		// Beside the layer's rows, hop h+1 < TMax publishes the hub rows it computed.
 		_, hubs := hubCounts(dep)

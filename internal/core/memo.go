@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -14,10 +15,11 @@ import (
 // every node v, at the active tier's slab element type, in one flat block
 // indexed by node id — a second matrix of X^(0)'s shape beside it. X^(h) is a
 // product no request's identity enters, so no batch propagates hops 1..h: a
-// batch makes the rows of its radius-(TMax−h) ball resident (tier.ensureLayer),
-// hop h+1 gathers from the block through the Â operator the way hop 1 would
-// from the feature matrix, and exit decisions and classifiers read the
-// targets' depth-h rows in place.
+// batch makes resident the rows it reads (tier.ensureLayer) — its targets'
+// at h, which exit decisions and classifiers read in place, and, before each
+// product of hop h+1, the rows that product gathers — and hop h+1 gathers from
+// the block through the Â operator the way hop 1 would from the feature
+// matrix.
 //
 // The depth a batch reads is its operating point's (layerDepth): h =
 // max(1, TMax−2) at every tier, so that what a batch still propagates is its
@@ -44,9 +46,9 @@ import (
 // on that first read — not when the engine is rebuilt (Refresh,
 // SetPrecision) — and touched only where a request has needed a
 // row. A deployment served at one operating point, as every server is, holds
-// exactly one: a row per node plus 1/64 of headroom for the nodes deltas
-// append, at most (n + n/64)·(f·sizeof(T) + 4) bytes, and beside it, past
-// TMax 2, one hub layer of ⌈n/32⌉·(f·sizeof(T) + 4) bytes and its id list —
+// exactly one: a row and two slot bits per node plus 1/64 of headroom for
+// the nodes deltas append, at most layerBytes(n + n/64) bytes, and beside it,
+// past TMax 2, one hub layer of layerBytes(⌈n/32⌉) bytes and its id list —
 // 1/32 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
 // block is not capped by what the graph's adjacency would have cost: on a
 // graph with f ≫ d̄ it is the larger of the two, and serving through it still
@@ -57,15 +59,18 @@ import (
 // whole 2 MiB resident.
 //
 // Rows are filled lazily by whichever batch needs them first, into
-// publish-once slots — empty → filling (one CAS winner computes the row from
-// X^(0) into the block) → ready — so concurrent Infer callers need no lock: a
-// reader that sees ready reads a row no one writes any more. The one
-// invariant is publish before read: a batch makes every row of its ball ready
-// — computing the empty ones itself, waiting for the ones another batch is
-// filling — before its hop h+1 starts. Slots only go back to empty, and the
-// arrays are only reallocated, in invalidate, invalidateAll and grow, which
-// run under the same exclusion as every other graph mutation (never
-// concurrently with Infer).
+// publish-once slots — empty → filling (the one batch whose CAS set the
+// row's claimed bit computes the row from X^(0) into the block) → ready (its
+// ready bit set) — so concurrent Infer callers need no lock: a reader that
+// sees ready reads a row no one writes any more. The slots are two bitsets,
+// n/4 bytes a layer, so a batch checks the rows it is about to read in cache
+// that the block does not fit. The one invariant is publish before read:
+// before each product of hop h+1, every row of X^(h) it gathers is ready — the
+// batch computes the empty ones itself and waits for the ones another batch is
+// filling — and so is every target's row before the batch's wave at h. Slots
+// only go back to empty, and the arrays are only reallocated, in invalidate,
+// invalidateAll and grow, which run under the same exclusion as every other
+// graph mutation (never concurrently with Infer).
 //
 // A row is the bits the tier's kernel wrote for it, and it is dropped whenever
 // those bits could change. X^(h)_v reads the rows of Â within h−1 hops of v
@@ -81,7 +86,11 @@ type hopLayer[T float64 | float32] struct {
 	// members lists the nodes a hub layer holds rows for, ascending, fixed
 	// when it is allocated; nil for a layer of every node.
 	members []int
-	state   []atomic.Uint32 // per row: slotEmpty, slotFilling or slotReady
+	// claimed and ready are the rows' slots, a bit per row (row k at bit k&63
+	// of word k>>6): empty (neither), filling (claimed) or ready (both).
+	claimed, ready []atomic.Uint64
+	// rows is how many rows the layer holds: n, or len(members).
+	rows int
 	// block holds row k at [k·f, (k+1)·f): node k's, or a hub layer's
 	// members[k]'s. A whole layer's capacity beyond the graph's rows is the
 	// headroom: growing by a few nodes does not copy it.
@@ -98,12 +107,6 @@ type hop1Counters struct {
 	fromMemo, computed, invalidated atomic.Uint64
 	entries, capacity, bytes        atomic.Int64
 }
-
-const (
-	slotEmpty uint32 = iota
-	slotFilling
-	slotReady
-)
 
 // layerDepth is the depth of the layer a batch at opt.TMax reads (hopLayer).
 func layerDepth(tmax int) int { return max(1, tmax-2) }
@@ -179,21 +182,69 @@ func (m *hopLayer[T]) grow(n int) {
 	if m.members != nil {
 		n, room = len(m.members), len(m.members)
 	}
-	old := len(m.state)
-	if n > cap(m.state) {
-		m.state = append(make([]atomic.Uint32, 0, room), m.state...)
+	old, words := m.rows, (n+63)/64
+	if n*m.f > cap(m.block) {
 		block := make([]T, 0, room*m.f)
 		m.huge = adviseHugePages(block)
 		m.block = append(block, m.block...)
 	}
-	m.state, m.block = m.state[:n], m.block[:n*m.f]
+	if words > cap(m.ready) {
+		m.claimed = append(make([]atomic.Uint64, 0, (room+63)/64), m.claimed...)
+		m.ready = append(make([]atomic.Uint64, 0, (room+63)/64), m.ready...)
+	}
+	m.claimed, m.ready, m.block, m.rows = m.claimed[:words], m.ready[:words], m.block[:n*m.f], n
 	m.stats.capacity.Add(int64(n - old))
-	m.stats.bytes.Add(int64((n - old) * (int(unsafe.Sizeof(*new(T)))*m.f + 4)))
+	m.stats.bytes.Add(int64(layerBytes[T](n, m.f) - layerBytes[T](old, m.f)))
+}
+
+// layerBytes is what n rows of f columns cost a layer: the rows and their
+// slots' bits.
+func layerBytes[T float64 | float32](n, f int) int {
+	return n*f*int(unsafe.Sizeof(*new(T))) + 16*((n+63)/64)
+}
+
+// isReady reports whether row k is ready: its bits in block are final until
+// the next delta.
+func (m *hopLayer[T]) isReady(k int) bool {
+	return m.ready[k>>6].Load()&(1<<(uint(k)&63)) != 0
+}
+
+// claim marks row k filling and reports whether this call did: the one that
+// did computes the row and publishes it.
+func (m *hopLayer[T]) claim(k int) bool {
+	bit := uint64(1) << (uint(k) & 63)
+	return setBits(&m.claimed[k>>6], bit)&bit == 0
+}
+
+// publish marks rows ks, whose rows are in block, ready: one CAS per word
+// when ks is ascending.
+func (m *hopLayer[T]) publish(ks []int) {
+	for i := 0; i < len(ks); {
+		w, bits := ks[i]>>6, uint64(0)
+		for ; i < len(ks) && ks[i]>>6 == w; i++ {
+			bits |= 1 << (uint(ks[i]) & 63)
+		}
+		setBits(&m.ready[w], bits)
+	}
+	m.stats.entries.Add(int64(len(ks)))
+}
+
+// setBits sets bits in w and returns its previous value.
+func setBits(w *atomic.Uint64, bits uint64) uint64 {
+	for {
+		old := w.Load()
+		if old&bits == bits || w.CompareAndSwap(old, old|bits) {
+			return old
+		}
+	}
 }
 
 // drop empties one row. Not concurrent with Infer.
 func (m *hopLayer[T]) drop(v int) {
-	if m.state[v].Swap(slotEmpty) != slotEmpty {
+	w, bit := v>>6, uint64(1)<<(uint(v)&63)
+	if old := m.claimed[w].Load(); old&bit != 0 {
+		m.claimed[w].Store(old &^ bit)
+		m.ready[w].Store(m.ready[w].Load() &^ bit)
 		m.stats.entries.Add(-1)
 		m.stats.invalidated.Add(1)
 	}
@@ -208,54 +259,69 @@ func (m *hopLayer[T]) invalidate(rows []int) {
 
 // invalidateAll empties every row.
 func (m *hopLayer[T]) invalidateAll() {
-	for v := range m.state {
+	for v := 0; v < m.rows; v++ {
 		m.drop(v)
 	}
 }
 
-// ensureLayer makes layer m resident for every node of the given lists —
-// together the batch's radius-(TMax−h) ball, each node once. Rows that are
-// not ready are claimed (the slot's CAS) as the walk meets them, computed from
-// X^(0) straight into the block (propagate: hops below h over their nested
-// balls in pooled scratch) and published; a row another batch claimed first
-// is waited for, after this batch has published its own, so two batches that
-// each hold rows the other needs cannot wait on each other. On return every
-// listed row is ready and stays so until the next delta: publish before read.
-// Books charges hop h whoever computed the rows (as MACBreakdown.Stationary
-// charges a cost the cache saved).
-func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], lists ...[]int) {
-	total := 0
-	won, lost := sc.claimed[:0], sc.awaited[:0]
-	for _, list := range lists {
-		total += len(list)
-		for _, v := range list {
-			switch {
-			case m.state[v].Load() == slotReady:
-			case m.state[v].CompareAndSwap(slotEmpty, slotFilling):
-				won = append(won, v)
-			default:
-				lost = append(lost, v)
+// ensureLayer makes ready the rows of layer m the batch reads next and has
+// not read before (sc.seen): rows themselves, or with gathered the columns of
+// Â in rows — each row's neighbours and the row itself, what a product over
+// rows gathers. Rows that are not ready are claimed (the slot's CAS) as the
+// walk meets them, computed from X^(0) straight into the block (propagate:
+// hops below h over their nested balls in pooled scratch) and published; a row
+// another batch claimed first is waited for, after this call has published
+// its own, so two batches that each hold rows the other needs cannot wait on
+// each other (the hub rows a product has claimed when it gets here are never
+// waited for). On return every row the walk met is ready and stays so until
+// the next delta: publish before read. Each row counts once per batch: as
+// computed when this call filled it, else as read from the layer. Books
+// charges hop h whoever computed the rows (as MACBreakdown.Stationary charges
+// a cost the cache saved).
+func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, gathered bool) {
+	adj, seen := t.d.Graph.Adj, sc.seen
+	won, lost, read := sc.won[:0], sc.lost[:0], 0
+	for _, v := range rows {
+		cols := adj.RowIndices(v)
+		if !gathered {
+			cols = nil
+		}
+		for i := -1; i < len(cols); i++ { // c is v, then its columns
+			c := v
+			if i >= 0 {
+				c = cols[i]
+			}
+			// Branch-free but for the rare row that is neither read before
+			// nor ready; the bitsets stay in cache where the block does not.
+			w, at := c>>6, uint(c)&63
+			old := seen[w]
+			seen[w] = old | 1<<at
+			read += int(^old>>at) & 1
+			if (old|m.ready[w].Load())>>at&1 == 0 {
+				if m.claim(c) {
+					won = append(won, c)
+				} else {
+					lost = append(lost, c)
+				}
 			}
 		}
 	}
 	if len(won) > 0 {
+		slices.Sort(won) // the fill reads and writes in node order
 		propagate(t.d.Adj, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
-		for _, v := range won {
-			m.state[v].Store(slotReady)
-		}
-		m.stats.entries.Add(int64(len(won)))
+		m.publish(won)
 	}
 	for _, v := range lost {
-		for m.state[v].Load() != slotReady {
+		for !m.isReady(v) {
 			runtime.Gosched()
 		}
 	}
-	m.stats.fromMemo.Add(uint64(total - len(won)))
+	m.stats.fromMemo.Add(uint64(read - len(won)))
 	m.stats.computed.Add(uint64(len(won)))
 	// Shaped after use, their extent being this pass's outcome: a cold
 	// batch's lists do not outlive it in the pool.
-	sc.claimed = growScratch(won, len(won))
-	sc.awaited = growScratch(lost, len(lost))
+	sc.won = growScratch(won, len(won))
+	sc.lost = growScratch(lost, len(lost))
 }
 
 // hubRows is the first half of hop m.depth's product over rows (ascending)
@@ -275,11 +341,11 @@ func (m *hopLayer[T]) hubRows(rows []int, toLocal []int32, out []T, compute, cla
 		}
 		if k < len(members) && members[k] == v {
 			switch {
-			case m.state[k].Load() == slotReady:
+			case m.isReady(k):
 				copy(out[int(toLocal[v])*f:][:f], m.block[k*f:][:f])
 				ready++
 				continue
-			case m.state[k].CompareAndSwap(slotEmpty, slotFilling):
+			case m.claim(k):
 				claimed = append(claimed, k)
 			}
 		}
@@ -296,23 +362,31 @@ func (m *hopLayer[T]) publishHubs(claimed []int, toLocal []int32, out []T) {
 	f := m.f
 	for _, k := range claimed {
 		copy(m.block[k*f:][:f], out[int(toLocal[m.members[k]])*f:][:f])
-		m.state[k].Store(slotReady)
 	}
-	m.stats.entries.Add(int64(len(claimed)))
+	m.publish(claimed)
 	m.stats.computed.Add(uint64(len(claimed)))
 }
 
 // hopScratch is what propagate holds besides its output: the BFS's bitset
-// (graph.NewBitset, all zero between calls), its rings and sorted balls, a
-// global→local map (all −1 between calls) and the two buffers its
-// intermediate hops alternate between.
+// (graph.NewBitset, all zero between calls), its rings and sorted balls, and
+// the rows of the hops below the output's that it computed since the last
+// reset, by depth — so a batch that fills layer rows in several calls
+// computes each of those rows once.
 type hopScratch[T float64 | float32] struct {
 	set  []uint64
 	fill rings
-	idx  []int32
-	bufs [2][]T
-	// hw is the largest buffer the batches since the last shrink asked for.
+	// levels[j] holds rows of X^(j), j ≥ 1.
+	levels []hopLevel[T]
+	// hw is the most rows a level held since the last shrink.
 	hw int
+}
+
+// hopLevel is rows of one hop X^(j): node nodes[k]'s at row k of x, and
+// idx[v] = k (−1 for a node without a row, all −1 after reset).
+type hopLevel[T float64 | float32] struct {
+	idx   []int32
+	nodes []int
+	x     []T
 }
 
 // bitset returns the BFS bitset, sized for n nodes (graph.NewBitset).
@@ -323,62 +397,93 @@ func (hs *hopScratch[T]) bitset(n int) []uint64 {
 	return hs.set
 }
 
-// buf returns intermediate buffer i cut to need elements (growScratch).
-func (hs *hopScratch[T]) buf(i, need int) []T {
-	hs.hw = max(hs.hw, need)
-	hs.bufs[i] = growScratch(hs.bufs[i], need)
-	return hs.bufs[i]
+// level returns X^(j)'s rows, on an n-node graph.
+func (hs *hopScratch[T]) level(j, n int) *hopLevel[T] {
+	if len(hs.levels) <= j {
+		hs.levels = slices.Grow(hs.levels, j+1-len(hs.levels))[:j+1]
+	}
+	lv := &hs.levels[j]
+	if len(lv.idx) < n {
+		lv.idx = graph.NewIndex(n)
+	}
+	return lv
+}
+
+// extend computes into the level, from X^(j−1) (in, through colMap), the rows
+// of the nodes given (no duplicates) that it does not hold yet.
+func (lv *hopLevel[T]) extend(adj *sparse.Normalized, in operand[T], colMap []int32, nodes []int, f int) {
+	have := len(lv.nodes)
+	for _, v := range nodes {
+		if lv.idx[v] < 0 {
+			lv.idx[v] = int32(len(lv.nodes))
+			lv.nodes = append(lv.nodes, v)
+		}
+	}
+	lv.x = slices.Grow(lv.x[:have*f], (len(lv.nodes)-have)*f)[:len(lv.nodes)*f]
+	mulRows(adj, in, lv.nodes[have:], nil, colMap, f, lv.x[have*f:])
+}
+
+// reset drops every level's rows, as a batch ends: the graph may change
+// before the next.
+func (hs *hopScratch[T]) reset() {
+	for j := range hs.levels {
+		lv := &hs.levels[j]
+		hs.hw = max(hs.hw, len(lv.nodes))
+		graph.ResetIndex(lv.nodes, lv.idx)
+		lv.nodes, lv.x = lv.nodes[:0], lv.x[:0]
+	}
 }
 
 // shrink applies the scratch retention policy between batches, against the
-// last batch's largest need, so a cold fill's whole-graph hops and balls do
-// not stay pinned in the pool by the warm batches after it, which fill little
-// or nothing.
+// largest level since the last shrink, so a cold fill's whole-graph hops and
+// balls do not stay pinned in the pool by the warm batches after it, which
+// fill little or nothing.
 func (hs *hopScratch[T]) shrink() {
-	for i, b := range hs.bufs {
-		if oversized(cap(b), hs.hw) {
-			hs.bufs[i] = nil
+	for j := range hs.levels {
+		if lv := &hs.levels[j]; oversized(cap(lv.nodes), hs.hw) {
+			lv.nodes, lv.x = nil, nil
 		}
 	}
 	hs.hw = 0
 	hs.fill.shrink()
 }
 
+func (hs *hopScratch[T]) bytes() int {
+	b := capBytes(hs.set) + hs.fill.bytes() + capBytes(hs.levels)
+	for _, lv := range hs.levels {
+		b += capBytes(lv.idx) + capBytes(lv.nodes) + capBytes(lv.x)
+	}
+	return b
+}
+
 // propagate writes X^(l) = Â^l·X^(0) for the nodes of rows (l ≥ 1, no
 // duplicates) into out, row outRows[k] holding rows[k]'s (nil: row k), at the
-// element type of out, X^(0) as a tier's operand. Hop j runs over the
-// radius-(l−j) ball of rows, hops below l into hs in their balls' compact
-// coordinates; no layer is read. Every row adds its terms in the one ascending
-// order every product uses, so it is bit-equal to that row of a full-graph
+// element type of out, X^(0) as a tier's operand. Hop j < l runs over the
+// radius-(l−j) ball of rows, into hs's level j, skipping the rows it already
+// holds; no layer is read. Every row adds its terms in the one ascending order
+// every product uses, so it is bit-equal to that row of a full-graph
 // propagation.
 func propagate[T float64 | float32](adj *sparse.Normalized, x0 operand[T], rows, outRows []int, l, f int, out []T, hs *hopScratch[T]) {
 	in, colMap := x0, []int32(nil)
 	if l > 1 {
-		if n := adj.N(); len(hs.idx) < n {
-			hs.idx = graph.NewIndex(n)
-		}
 		hs.fill.run(adj.Adj, rows, l-1, l-1, hs.bitset(adj.N()))
-		balls := hs.fill.balls // hop j runs over balls[l−j]
 		for j := 1; j < l; j++ {
-			buf := hs.buf(j%2, len(balls[l-j])*f)
-			mulRows(adj, in, balls[l-j], nil, colMap, f, buf)
-			if j > 1 {
-				graph.ResetIndex(balls[l-j+1], hs.idx)
-			}
-			graph.IndexSet(balls[l-j], hs.idx)
-			in, colMap = operand[T]{x: buf}, hs.idx
+			lv := hs.level(j, adj.N())
+			lv.extend(adj, in, colMap, hs.fill.balls[l-j], f)
+			in, colMap = operand[T]{x: lv.x}, lv.idx
 		}
-		defer graph.ResetIndex(balls[1], hs.idx)
 	}
 	mulRows(adj, in, rows, outRows, colMap, f, out)
 }
 
 // Hop1Stats are the layers' counters, summed over every layer the deployment
-// holds, hub layers included: layer rows a batch found resident and rows it
-// computed into a layer, rows dropped by deltas (or a rebuild) since start,
-// rows currently resident, and the layers' extent — a row per node per block
-// plus a row per hub per hub layer (Entries/Capacity is their coverage) and
-// the bytes those rows cost.
+// holds, hub layers included: FromMemo counts each layer row a batch reads
+// that it did not fill itself — found resident, or filled by another batch it
+// waited for — once per batch, and each hub row a product copied; Computed
+// counts the rows batches filled. Then the rows dropped by deltas (or a
+// rebuild) since start, rows currently resident, and the layers' extent — a
+// row per node per block plus a row per hub per hub layer (Entries/Capacity is
+// their coverage) and the bytes those rows and their slots cost.
 type Hop1Stats struct {
 	FromMemo, Computed, Invalidated uint64
 	Entries, Capacity, Bytes        int
@@ -413,7 +518,7 @@ func (d *Deployment) Hop1Stats() Hop1Stats {
 // process its deployment's.
 func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 	rows := reg.GaugeVec("nai_hop1_rows_total",
-		"Layer rows a batch read, summed over every resident layer (X^(h), one per operating-point depth, and the hub rows of X^(h+1) beside it) by source: found resident (memo), or computed into it by the SpMM kernel (cumulative).",
+		"Layer rows batches read, summed over every resident layer (X^(h), one per operating-point depth, and the hub rows of X^(h+1) beside it) by source: memo counts once per batch each row it read without filling it (the targets' rows at h and the rows hop h+1 gathers) and each hub row it copied, computed each row it filled (cumulative).",
 		"source")
 	rows.WithFunc(func() float64 { return float64(read().FromMemo) }, "memo")
 	rows.WithFunc(func() float64 { return float64(read().Computed) }, "computed")
@@ -424,7 +529,7 @@ func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/32 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
 		func() float64 { return float64(read().Capacity) })
 	reg.GaugeFunc("nai_hop1_memo_bytes",
-		"Bytes the resident layers' rows occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type, per hub layer 1/32 of one.",
+		"Bytes the resident layers' rows and their slots occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type and two bits a row, per hub layer 1/32 of that.",
 		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
 		"Layer rows dropped because a delta moved a row of the adjacency within the layer's depth of them, summed over every layer; a delta drops every hub row (cumulative).",

@@ -54,7 +54,7 @@ func TestLayerHugePages(t *testing.T) {
 	lay.grow(8 << 10) // 4 MiB of rows and their headroom
 	check("new layer", lay.huge, lay.block)
 	first := unsafe.SliceData(lay.huge)
-	lay.grow(cap(lay.state) + 1)
+	lay.grow(cap(lay.block)/lay.f + 1)
 	check("regrown layer", lay.huge, lay.block)
 	if unsafe.SliceData(lay.huge) == first {
 		t.Fatal("the regrown layer kept the old block's advice")

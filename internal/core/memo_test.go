@@ -241,7 +241,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	stale := func(v int) bool { return valDirty[v] }
 	cleared := 0
 	for v := 0; v < before; v++ {
-		empty := mm.state[v].Load() == slotEmpty
+		empty := slot(mm, v) == slotEmpty
 		if empty != stale(v) {
 			t.Fatalf("row of node %d: empty=%v, want %v", v, empty, stale(v))
 		}
@@ -260,7 +260,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	fresh := make([]T, g.N()*g.F())
 	mulRows(dep.Adj, eng.base, all, all, nil, g.F(), fresh)
 	for v := range all {
-		if mm.state[v].Load() != slotReady {
+		if !mm.isReady(v) {
 			t.Fatalf("row of node %d not refilled", v)
 		}
 		for j, x := range mm.block[v*g.F():][:g.F()] {
@@ -324,11 +324,10 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 
 // TestLayerBytes is the layers' memory contract. Whatever the graph's shape —
 // sparse and narrow, dense, or f ≫ d̄, where the block outweighs the adjacency
-// — a layer retains at most (n + n/64)·(f·sizeof(T) + 4) bytes, a row and a
-// state word per node plus the headroom, when first read and after growing
-// past that headroom, and reports n rows' worth; a hub layer retains at most
-// ⌈n/32⌉·(f·sizeof(T) + 4) bytes plus its id list, and reports its members'
-// rows. A deployment holds a block only for a depth it has been read at: read
+// — a layer retains at most layerBytes(n + n/64) bytes, a row and two slot
+// bits per node plus the headroom, when first read and after growing past that
+// headroom, and reports n rows' worth; a hub layer retains at most
+// layerBytes(⌈n/32⌉) bytes plus its id list, and reports its members' rows. A deployment holds a block only for a depth it has been read at: read
 // only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
 // the hub rows of X^(3); read at TMax 2 as well
 // it holds two blocks and no more hub rows, and its counters sum them all.
@@ -343,23 +342,25 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 	within := func(label string, dep *Deployment) {
 		t.Helper()
 		n, f := dep.Graph.N(), dep.Graph.F()
-		bound := (n + n/64) * (f*elem + 4)
+		bound := layerBytes[T](n+n/64, f)
+		held := func(mm *hopLayer[T]) int {
+			return elem*cap(mm.block) + 8*(cap(mm.claimed)+cap(mm.ready)) + 8*cap(mm.members)
+		}
 		layers := layersOf[T](t, dep)
 		for h, mm := range layers {
-			if held := elem*cap(mm.block) + 4*cap(mm.state); held > bound || len(mm.state) != n || len(mm.block) != n*f {
-				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, held, len(mm.state), n, bound)
+			if got := held(mm); got > bound || mm.rows != n || len(mm.block) != n*f || len(mm.ready) != (n+63)/64 {
+				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, got, mm.rows, n, bound)
 			}
 		}
 		hubs := (n + 31) / 32
 		hubRows, _ := hubCounts(dep)
 		for l, mm := range hubLayersOf[T](t, dep) {
 			k := len(mm.members)
-			held := elem*cap(mm.block) + 4*cap(mm.state) + 8*cap(mm.members)
-			if hubBound := hubs*(f*elem+4) + 8*hubs; k == 0 || held > hubBound || len(mm.state) != k || len(mm.block) != k*f {
-				t.Fatalf("%s: the hub layer of X^(%d) retains %d B for %d rows of %d members, bound %d B", label, l, held, len(mm.state), k, hubBound)
+			if hubBound := layerBytes[T](hubs, f) + 8*hubs; k == 0 || held(mm) > hubBound || mm.rows != k || len(mm.block) != k*f {
+				t.Fatalf("%s: the hub layer of X^(%d) retains %d B for %d rows of %d members, bound %d B", label, l, held(mm), mm.rows, k, hubBound)
 			}
 		}
-		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != (len(layers)*n+hubRows)*(f*elem+4) {
+		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != len(layers)*layerBytes[T](n, f)+layerBytes[T](hubRows, f) {
 			t.Fatalf("%s: counters report %d rows, %d B for %d blocks of %d nodes and %d hub rows", label, s.Capacity, s.Bytes, len(layers), n, hubRows)
 		}
 	}

@@ -231,20 +231,20 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 	for _, ds := range []*synth.Dataset{tinyData(t), denseData(t)} {
 		dep := deployAt(t, m, ds.Graph, p)
 		sc := &inferScratch[T]{}
-		// Every |S|-sized buffer: the slab, the row, ring and hop-1 lists, the
-		// arena.
+		// Every |S|-sized buffer: the slab, the row, ring and layer-fill lists,
+		// the arena.
 		sized := func() map[string]int {
 			return map[string]int{
 				"slab": cap(sc.slab), "hop rows": cap(sc.localRows),
 				"BFS rings": cap(sc.bfs.ball), "BFS balls": cap(sc.bfs.sorted),
-				"hop-1 claimed": cap(sc.claimed), "hop-1 awaited": cap(sc.awaited),
+				"layer rows won": cap(sc.won), "layer rows lost": cap(sc.lost),
 				"arena": len(sc.arena.buf),
 			}
 		}
 		bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
 		inferWith(t, dep, sc, rangeInts(0, ds.Graph.N()), bigOpt)
 		big := sized()
-		if big["slab"] == 0 || big["hop rows"] == 0 || big["hop-1 claimed"] == 0 {
+		if big["slab"] == 0 || big["hop rows"] == 0 || big["layer rows won"] == 0 {
 			t.Fatalf("%v: the big batch left buffers unused: %v", p, big)
 		}
 

@@ -22,8 +22,8 @@ const (
 	// id validation, cache reads and admission.
 	StageQueue Stage = iota
 	// StageBFS is multi-source supporting-set construction: in the engine,
-	// one level-ordered BFS per exit wave (and one at the start) whose rings
-	// give Algorithm 1's books, the supporting sets and the ring around them.
+	// one level-ordered BFS per exit wave (and one at the start) whose
+	// sorted balls are the supporting sets of the hops the batch propagates.
 	StageBFS
 	// StageExtract is the compaction of the supporting ball: indexing the
 	// batch's universe and shaping its slab. It used to cut the ball's

@@ -174,8 +174,8 @@ func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 //
 // A nil colMap leaves Â's columns global (x is N×f: the feature matrix, or a
 // layer of propagated rows indexed by node id); otherwise every column c reads
-// row colMap[c] of x, the monotone partial map of ExtractRowsInto, and a
-// neighbor outside it panics. rows must hold no duplicates, nor outRows, where
+// row colMap[c] of x — a partial map, in any row order, such as the monotone
+// one of ExtractRowsInto — and a neighbor outside it panics. rows must hold no duplicates, nor outRows, where
 // nil stands for 0..len(rows)−1; out must not alias x.
 func MulNormalizedRowsInto[X float64 | float32 | int8, T float64 | float32](a *Normalized, rows, outRows []int, colMap []int32, x []X, scales []float64, f int, out []T) int {
 	switch {
