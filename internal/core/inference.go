@@ -162,7 +162,8 @@ func (r *Result) merge(o *Result) {
 // as the graph's own pattern plus two degree-factor vectors, never as a
 // matrix — and the cached stationary state, computed once at construction
 // (and on Refresh) instead of per batch. All per-request state lives in
-// pooled scratch; rows of Â are never materialized anywhere — every product
+// pooled scratch, the rows a batch computes in one level per depth, by node
+// id; rows of Â are never materialized anywhere — every product
 // is an operator product whose workers emit a row, use it and drop it — and
 // the cached state is read-only during inference, so Infer is safe for
 // concurrent callers; the one thing Infer writes on the deployment is its
@@ -240,9 +241,9 @@ func (d *Deployment) Stationary() *Stationary { return d.stationary }
 // distances Δ^(l)_v = ‖X^(l)_v − X(∞)_v‖ (Eq. 8) over nodes, l ≥ 1 — the value
 // a distance-mode T_s is tuned to on a validation split — indexed as
 // int(q·(len−1)) into the ascending distances; 0 for no nodes. X^(l) is
-// computed at float64 whatever the serving tier, by the engine's propagate
-// over the nodes' radius-l ball — hop h on the radius-(l−h) ball — so no Â is
-// materialized and nothing outside the ball is read; each distance is
+// computed at float64 whatever the serving tier, as a layer fill computes it:
+// hop j over the nodes' radius-(l−j) ball — so no Â is materialized and
+// nothing outside the ball is read; each distance is
 // bit-equal to one taken from a full-graph propagation. Must not run
 // concurrently with ApplyDelta.
 func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
@@ -252,7 +253,8 @@ func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
 	f := d.Graph.F()
 	uniq := sortedUnique(nodes, nil)
 	x := make([]float64, len(uniq)*f)
-	propagate(d.Adj, operand[float64]{x: d.Graph.Features.Data}, uniq, nil, l, f, x, &hopScratch[float64]{})
+	in, colMap := (&hopScratch[float64]{}).below(d.Adj, operand[float64]{x: d.Graph.Features.Data}, uniq, l, f)
+	mulRows(d.Adj, in, uniq, nil, colMap, f, x)
 	at := make([]int, len(nodes))
 	for i, v := range nodes {
 		at[i] = sort.SearchInts(uniq, v)
@@ -271,87 +273,50 @@ func sortedUnique(nodes, dst []int) []int {
 	return slices.Compact(dst)
 }
 
-// subtractSorted returns, in dst, the members of a that are not in b, both
-// ascending without duplicates.
-func subtractSorted(dst, a, b []int) []int {
-	dst = dst[:0]
-	for _, v := range a {
-		for len(b) > 0 && b[0] < v {
-			b = b[1:]
-		}
-		if len(b) == 0 || b[0] != v {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // inferScratch is the per-request mutable state of Algorithm 1 at one tier's
 // element type. Pooling it keeps Deployment's cached state read-only
-// (concurrency) and keeps the propagation buffers, the O(n) BFS/remap buffers
-// and the gathered-row matrices out of the per-batch allocation churn
-// (zero-recompute serving).
+// (concurrency) and keeps the row stores, the O(n) BFS buffers and the
+// gathered-row matrices out of the per-batch allocation churn (zero-recompute
+// serving).
 //
-// Memory note: propagation runs in compacted coordinates, so each scratch
-// holds one buffer of supporting-set height per hop it propagates —
-// O((TMax−h)·|S|·f), S being the radius-(TMax−h−1) ball of the batch and hops
-// 1..h the deployment's depth-h layer — plus the targets' own rows at depths
-// below h, the BFS's rings and sorted balls (S and the balls inside it), the
-// survivors' BFSes past h in two more rings (each the radius-(TMax−l) ball of
-// a wave's survivors) with the rows the hop still owes them, a BFS bitset of
+// Memory note: a batch keeps every row it computes in its levels
+// (hopScratch), one per depth but h, by node id: its targets' rows below h,
+// the rows of the hops below h its layer fills computed, and, past h, hop l's
+// rows over the radius-(TMax−l) ball of the targets active at l — hops 1..h
+// being the deployment's depth-h layer. Beside them it holds one BFS's rings
+// and sorted balls (the batch's latest past h) and the fills', a BFS bitset of
 // n/4 bytes (graph.NewBitset), a bitset of n/8 bytes marking the layer rows
-// the batch has read, and two O(n) int32 global→local remaps. A batch that
-// fills layer rows also holds, until it ends, the rows of the hops below h its
-// fills computed, and the last fill's balls (hopScratch). Peak memory
-// therefore scales with concurrently executing batches × their balls, not
-// with the serving graph.
-// All ball-sized buffers — the slab and the row lists (growScratch), the BFSes'
-// rings and balls (rings.shrink), the fill's hops (hopScratch.shrink) and the
+// the batch has read, and one O(n) int32 node→row index per level. Peak
+// memory therefore scales with concurrently executing batches × their balls,
+// not with the serving graph.
+// All ball-sized buffers — the levels (hopScratch.shrink), the BFSes' rings
+// and balls (rings.shrink), the row lists (growScratch) and the
 // decide/classify arena (arena.shrink) — follow one retention policy
 // (oversized): they grow geometrically across pool hits and drop back to
 // current need when a past batch left them more than 4× oversized, so one huge
 // request does not pin worst-case capacity forever. Every tier holds the same
 // buffers, at its element type.
 type inferScratch[T float64 | float32] struct {
-	// hopScratch holds the fills' hops below the layer's depth (propagate);
-	// its set is also the bitset of the batch's own BFSes.
+	// hopScratch holds the rows the batch computes, by depth and node id
+	// (levels; none at h, whose rows are the layer's); its set is also the
+	// bitset of the batch's own BFSes.
 	hopScratch[T]
-	// bfs is the batch's BFS at depths ≤ h — S is read off it — and Books'.
-	// Past h the survivors' BFSes alternate between the two wave rings, so S
-	// stays where it is and so do the balls of the BFS before, whose rows the
-	// hop in flight has already written.
-	bfs  rings
-	wave [2]rings
-	// rest lists the rows a hop past h computes after its exit wave: the
-	// survivors' ball minus the rows it wrote before the wave. compute lists
-	// the rows of one product at hop h+1 that no ready hub row covers.
-	rest, compute []int
-	// slab backs the compacted propagation buffers: hop(l) is X^{(l)} over the
-	// batch's supporting set S, s rows of f columns, row toLocal[v] per node
-	// v, for l = h+1..TMax (X^{(0)} stays the full-graph feature matrix, read
-	// in place).
-	slab []T
-	s, f int
+	// bfs is the batch's latest BFS, around the targets active then, and
+	// Books'.
+	bfs rings
+	// sorted is the active targets' node ids, ascending without duplicates.
+	// compute lists the rows of one product at hop h+1 that no ready hub row
+	// covers.
+	sorted, compute []int
+	f               int
 	// h is the depth of the layer the batch reads and xh its block, rows by
 	// node id; the targets are kept for reading their depth-h rows out of it.
 	// xh and targets are nil between batches.
 	h       int
 	xh      []T
 	targets []int
-	// uniq is the batch's targets sorted without duplicates and low their
-	// rows at depths 1..h−1, computed from X^(0): depth l's row of uniq[k] at
-	// ((l−1)·len(uniq) + k)·f. lowAt[i] is targets[i]'s k.
-	uniq, lowAt []int
-	low         []T
-	// toLocal maps global node ids into S; −1 outside. All −1 between batches
-	// (IndexSet/ResetIndex pairs keep the invariant).
-	toLocal []int32
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// localRows holds one hop's propagation row list in local coordinates.
-	localRows []int
-	// tloc[i] is the local index of targets[i] in S.
-	tloc []int
 	// claimed lists the hub rows one product at hop h+1 claimed.
 	claimed []int
 	// seen marks the layer rows the batch has read, one bit per node, all zero
@@ -382,15 +347,6 @@ func (rg *rings) run(adj *sparse.CSR, sources []int, radius, k int, set []uint64
 	rg.ball, rg.ends, rg.nnz = graph.Levels(adj, sources, radius, set, rg.ball, rg.ends, rg.nnz)
 	rg.sorted, rg.balls = graph.SortedBalls(rg.ball, rg.ends[:k+1], set, rg.sorted, rg.balls)
 	rg.hw = max(rg.hw, len(rg.ball)+len(rg.sorted))
-}
-
-// only makes the rings the radius-0 ball of sources alone — sources sorted
-// without duplicates — without a BFS.
-func (rg *rings) only(sources []int) {
-	rg.sorted = sortedUnique(sources, rg.sorted)
-	rg.ball, rg.ends, rg.nnz = rg.ball[:0], rg.ends[:0], rg.nnz[:0]
-	rg.balls = append(rg.balls[:0], rg.sorted)
-	rg.hw = max(rg.hw, len(rg.sorted))
 }
 
 // books returns, in dst, Algorithm 1's books of the BFS: dst[r] is the
@@ -443,62 +399,44 @@ func growScratch[T any](buf []T, need int) []T {
 	}
 }
 
-// hop returns X^{(l)} over the batch's supporting set, l > h.
-func (sc *inferScratch[T]) hop(l int) []T {
-	return sc.slab[(l-sc.h-1)*sc.s*sc.f : (l-sc.h)*sc.s*sc.f]
-}
-
-// lowRows returns X^{(l)} over uniq, l < h.
-func (sc *inferScratch[T]) lowRows(l int) []T {
-	return sc.low[(l-1)*len(sc.uniq)*sc.f : l*len(sc.uniq)*sc.f]
-}
-
-// targetRow returns row targets[ti] of X^{(l)}, l ≥ 1: below h from the rows
-// computed for the targets, at h from the layer's block, past it from the
-// slab.
+// targetRow returns row targets[ti] of X^(l), l ≥ 1: at h from the layer's
+// block, elsewhere from the batch's level.
 func (sc *inferScratch[T]) targetRow(l, ti int) []T {
-	switch {
-	case l < sc.h:
-		return sc.lowRows(l)[sc.lowAt[ti]*sc.f:][:sc.f]
-	case l == sc.h:
-		return sc.xh[sc.targets[ti]*sc.f:][:sc.f]
+	v := sc.targets[ti]
+	if l == sc.h {
+		return sc.xh[v*sc.f:][:sc.f]
 	}
-	return sc.hop(l)[sc.tloc[ti]*sc.f:][:sc.f]
+	lv := &sc.levels[l]
+	return lv.x[int(lv.idx[v])*sc.f:][:sc.f]
 }
 
 // prepare readies a scratch (fresh or from the pool) for a batch on an
-// n-node graph: the graph-sized maps are in place and the arena's, the BFS
-// lists' and the fill hops' retention policy is applied. The |S|-sized
-// buffers are grown per batch, once the supporting set is known.
+// n-node graph: the graph-sized bitsets are in place, the last batch's rows
+// are dropped, and the arena's, the levels' and the BFS lists' retention
+// policy is applied.
 func (sc *inferScratch[T]) prepare(n, batch int) {
 	sc.bitset(n)
 	if len(sc.seen) < (n+63)/64 {
 		sc.seen = make([]uint64, (n+63)/64)
 	}
-	if len(sc.toLocal) < n {
-		sc.toLocal = graph.NewIndex(n)
-	}
 	if len(sc.rm) < batch {
 		sc.rm = make([]bool, batch)
 	}
 	sc.arena.shrink()
+	sc.hopScratch.reset()
 	sc.hopScratch.shrink()
 	sc.bfs.shrink()
-	sc.wave[0].shrink()
-	sc.wave[1].shrink()
 }
 
 // capBytes is the retained heap capacity of one buffer.
 func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))) }
 
 // bytes reports the retained heap capacity of the scratch (benchmarks track
-// it to prove per-batch memory scales with |S|, not n).
+// it to prove per-batch memory scales with the batch's balls, not n).
 func (sc *inferScratch[T]) bytes() int {
-	return capBytes(sc.slab) + capBytes(sc.toLocal) + capBytes(sc.rm) +
-		capBytes(sc.localRows) + capBytes(sc.tloc) +
+	return capBytes(sc.rm) + capBytes(sc.sorted) + capBytes(sc.compute) +
 		capBytes(sc.claimed) + capBytes(sc.seen) + capBytes(sc.won) + capBytes(sc.lost) + capBytes(sc.arena.buf) +
-		capBytes(sc.uniq) + capBytes(sc.lowAt) + capBytes(sc.low) + capBytes(sc.rest) + capBytes(sc.compute) +
-		sc.bfs.bytes() + sc.wave[0].bytes() + sc.wave[1].bytes() + sc.hopScratch.bytes()
+		sc.bfs.bytes() + sc.hopScratch.bytes()
 }
 
 // arena is a bump allocator for matrices that live only within one
@@ -560,12 +498,12 @@ func (d *Deployment) Infer(targets []int, opt InferenceOptions) (*Result, error)
 // InferContext is the serving entry: Infer without the books (Result.MACs
 // stays zero), with a context. The engine does not observe cancellation (a
 // batch in flight runs to completion); the context only carries an obs.Trace,
-// into which each batch's stages record spans: bfs (one at the start and one
-// per exit wave), extract (indexing S and shaping the slab), propagate per hop
-// — none for a hop below the layer whose rows nothing reads, two for a hop
-// between the layer and TMax that decides (its active targets' rows, then,
-// after its wave's decide, classify and survivors' bfs spans, the rest of the
-// rows the next hop reads) — decide and classify.
+// into which each batch's stages record spans: propagate per hop — none for a
+// hop below the layer whose rows nothing reads, two for a hop between the
+// layer and TMax that decides (its active targets' rows, then, after its
+// wave's decide and classify spans, the rest of its survivors' ball) — decide,
+// classify, and at most one bfs, for the hop between the layer and TMax
+// (inferBatch): none at a depth ≤ h.
 func (d *Deployment) InferContext(ctx context.Context, targets []int, opt InferenceOptions) (*Result, error) {
 	if err := opt.Validate(d.Model); err != nil {
 		return nil, err
@@ -668,36 +606,35 @@ func (t *tier[T]) scratchBytes() int {
 }
 
 // inferBatch is Algorithm 1 for one batch V_b — the engine's one hop loop,
-// at every tier — run in compacted coordinates: all propagation, gating and
-// classification happens on |S|×f buffers over a supporting ball S of the
-// batch instead of full-graph n×f ones, with a global→local remap bridging
-// the two. Propagation runs at the tier's element type T; stationary rows,
-// exit decisions, combination and classifiers are float64 at every tier, so
-// a relaxed tier's drift is confined to the propagated features. The int8
-// tier differs only in hop 1's operand (precision.go), which the loop does not
-// see: every row it computes is a function of the graph and the features, so
-// a target's answer is the same whatever batch it is served in.
+// at every tier. Every row the batch computes it keeps in its level of that
+// depth (hopScratch.levels), by node id, and a level skips the rows it holds,
+// so no hop computes a row twice and no set is indexed twice. Propagation runs
+// at the tier's element type T; stationary rows, exit decisions, combination
+// and classifiers are float64 at every tier, so a relaxed tier's drift is
+// confined to the propagated features. The int8 tier differs only in hop 1's
+// operand (precision.go), which the loop does not see: every row it computes
+// is a function of the graph and the features, so a target's answer is the
+// same whatever batch it is served in.
 //
 // Hops 1..h are not hops of the batch: X^(h) is the deployment's layer
 // (hopLayer, h = layerDepth(TMax)), whose block hop h+1 gathers from as hop 1
-// would from X^(0), so S, the slab and every row set stop h rings short of the
-// batch's receptive field — S is the radius-(TMax−h−1) ball and the slab
-// starts at hop h+1. Below h the batch needs only its targets' own rows, for
-// their exits and classifiers, and computes them from X^(0) at the depths a
-// decision or a classifier's combiner reads (an SGC model past TMin reads
-// none). One BFS per exit wave serves every depth up to h: it runs to radius
-// TMax−h−1, and S is its widest ball. No BFS reaches past S: each product of
-// hop h+1 makes ready the layer rows it gathers (ensureLayer over its rows'
-// columns), and at h the batch reads only its active targets' rows. At h = 1,
-// every TMax ≤ 3, there is nothing below h.
+// would from X^(0). At h the batch reads its active targets' rows there, and
+// each product of hop h+1 makes ready the layer rows it gathers (ensureLayer
+// over its rows' columns). Below h the batch needs only its active targets'
+// own rows, for their exits and classifiers, and computes them from X^(0) at
+// the depths a decision or a classifier's combiner reads (an SGC model past
+// TMin reads none). At h = 1, every TMax ≤ 3, there is nothing below h.
 //
-// Past h, the hops run in demand order: a hop l < TMax that decides first
-// computes only its active targets' rows, which its wave reads, then the
-// survivors' BFS runs to radius TMax−l — the ball hop l+1 reads, and every
-// later hop's rows — and only then does hop l compute the rest of
-// that ball. Exited targets' balls are never propagated. Hop h+1 < TMax copies
-// the hubs' rows it finds resident in the tier's hub layer (hopLayer) into the
-// slab instead of computing them, and publishes the ones it computes.
+// Past h, the hops run in demand order over the radius-(TMax−l) ball of the
+// targets active at l, the rows hop l+1 gathers: a hop l < TMax that decides
+// first computes only its active targets' rows, which its wave reads, and
+// computes the rest of its survivors' ball only after the wave; hop TMax
+// computes its active targets' rows. Exited targets' balls are never
+// propagated. So a BFS runs only for a hop past h before TMax, which needs a
+// ball: before it if it does not decide, after its wave if that leaves
+// survivors; none runs at a depth ≤ h, and a batch runs at most one. Hop h+1 < TMax copies the hubs' rows it finds resident
+// in the tier's hub layer (hopLayer) into its level instead of computing them,
+// and publishes the ones it computes.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -717,7 +654,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		xinf = d.stationary.Rows(targets)
 	}
 
-	// active[i] indexes into `targets`; global ids in activeNodes.
+	// active[i] indexes into `targets`.
 	active := make([]int, len(targets))
 	for i := range active {
 		active[i] = i
@@ -726,27 +663,11 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	h := layerDepth(opt.TMax)
 	lay := t.layer(h)
 	sc.h, sc.xh, sc.targets, sc.f = h, lay.block, targets, g.F()
-	// cur is the latest BFS, around the targets still active: its sorted
-	// balls[r] is their radius-r ball, for the hops still to run — hop l's rows
-	// are the ball of radius TMax−l, and balls[0] is the active targets. support
-	// is S, indexed from depth h on.
-	var cur *rings
-	var support []int
+	sc.sorted = growScratch(sc.sorted, len(targets))
 	defer func() {
-		graph.ResetIndex(support, sc.toLocal)
 		clear(sc.seen)
-		sc.hopScratch.reset()
 		sc.xh, sc.targets = nil, nil
 	}()
-	if h > 1 {
-		sc.uniq = sortedUnique(targets, growScratch(sc.uniq, len(targets)))
-		sc.low = growScratch(sc.low, (h-1)*len(sc.uniq)*sc.f)
-		sc.lowAt = growScratch(sc.lowAt, len(targets))
-		for i, v := range targets {
-			sc.lowAt[i] = sort.SearchInts(sc.uniq, v)
-		}
-	}
-	rowsAt := func(l int) []int { return cur.balls[opt.TMax-l] }
 	mark := time.Now() // the last stage boundary read (stageEnd)
 	var fpTime time.Duration
 
@@ -762,18 +683,29 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		return false
 	}
 
+	// sorted returns the active targets' node ids, ascending without
+	// duplicates.
+	sorted := func() []int {
+		sc.sorted = sc.sorted[:0]
+		for _, i := range active {
+			sc.sorted = append(sc.sorted, targets[i])
+		}
+		slices.Sort(sc.sorted)
+		sc.sorted = slices.Compact(sc.sorted)
+		return sc.sorted
+	}
+
 	// wave is lines 6–17 at depth l once its active targets' rows are in place:
-	// decide and classify the early exits, or at T_max everyone left. It
-	// reports whether the active set changed.
-	wave := func(l int) bool {
+	// decide and classify the early exits, or at T_max everyone left.
+	wave := func(l int) {
 		if l == opt.TMax { // Lines 16-17
 			classify(l, m, g, targets, active, res, sc)
 			mark = stageEnd(tr, obs.StageClassify, 0, mark)
 			active = nil
-			return true
+			return
 		}
 		if !opt.decides(l) { // Lines 6-7, or no NAP
-			return false
+			return
 		}
 		// Lines 9-13.
 		decStart := mark
@@ -781,131 +713,84 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		mark = stageEnd(tr, obs.StageDecide, 0, mark)
 		fpTime += mark.Sub(decStart)
 		if len(exit) == 0 {
-			return false
+			return
 		}
 		classify(l, m, g, targets, exit, res, sc)
 		mark = stageEnd(tr, obs.StageClassify, 0, mark)
 		active = removeIndices(active, exit, sc.rm)
-		return true
 	}
 
-	fresh := true // the active set changed since the last BFS, or none ran yet
-
-	// bfs is lines 3/5 for depth l: one level-ordered multi-source BFS around
-	// the targets still active, to the widest ball a hop propagates from l on,
-	// radius TMax−max(l, h+1) (sampling counts in Time, not FP). Its sorted
-	// balls are the supporting sets of the hops the batch propagates. At
-	// radius 0 the ball is the active targets, sorted, and no BFS runs.
-	bfs := func(l int) {
-		rg := &sc.bfs
-		if l > h {
-			// Not into the rings S is a view of, nor into the previous
-			// BFS's: the hop in flight is reading its balls.
-			rg = &sc.wave[0]
-			if cur == rg {
-				rg = &sc.wave[1]
-			}
-		}
-		if r := opt.TMax - max(l, h+1); r > 0 {
-			rg.run(g.Adj, gather(targets, active), r, r, sc.set)
-		} else {
-			rg.only(gather(targets, active))
-		}
-		cur, fresh = rg, false
+	// ball is lines 3/5 for hop h < l < TMax: the radius-(TMax−l) ball of the
+	// targets active now, sorted, from one level-ordered multi-source BFS
+	// around them (sampling counts in Time, not FP). h = max(1, TMax−2) leaves
+	// one such hop, which calls ball once: before it if it does not decide,
+	// after its wave if it does.
+	ball := func(l int) []int {
+		r := opt.TMax - l
+		sc.bfs.run(g.Adj, sorted(), r, r, sc.set)
 		mark = stageEnd(tr, obs.StageBFS, 0, mark)
+		return sc.bfs.balls[r]
 	}
 
-	// Hops past h propagate inside S: their rows stay one ring inside the ball
-	// the previous hop covered, so every neighbor has a row to read — hop h+1's
-	// in the layer, by node id, which each of its products makes ready first,
-	// later ones' in the slab through toLocal. Hop h+1 < TMax also reads and
+	// product computes into level l, l > h, hop l's rows of the given nodes
+	// (ascending) that it does not hold yet: at h+1 from the layer's block,
+	// which it first makes ready where those rows gather, past it from level
+	// l−1, which holds every row they gather — its rows are a ball one ring
+	// wider around a superset of the targets. Hop h+1 < TMax also reads and
 	// fills the hub layer; the rows it copies from there gather nothing.
-	var in operand[T]
-	var colMap []int32
 	hubs := h+1 < opt.TMax
 	product := func(l int, rows []int) {
-		out := sc.hop(l)
+		lv := sc.level(l, g.N())
 		var hub *hopLayer[T]
 		if hubs && l == h+1 {
 			hub = t.hubLayer(l)
-			sc.compute, sc.claimed = hub.hubRows(rows, sc.toLocal, out, growScratch(sc.compute, len(rows))[:0], sc.claimed[:0])
+			sc.compute, sc.claimed = hub.hubRows(rows, lv, growScratch(sc.compute, len(rows))[:0], sc.claimed[:0])
 			rows = sc.compute
 		}
+		rows = lv.add(rows, sc.f)
+		in, colMap := operand[T]{x: sc.xh}, []int32(nil)
 		if l == h+1 {
 			t.ensureLayer(sc, lay, rows, true)
+		} else {
+			in, colMap = operand[T]{x: sc.levels[l-1].x}, sc.levels[l-1].idx
 		}
-		sc.localRows = graph.LocalizeSet(rows, sc.toLocal, sc.localRows)
-		mulRows(d.Adj, in, rows, sc.localRows, colMap, sc.f, out)
+		mulRows(d.Adj, in, rows, nil, colMap, sc.f, lv.x[len(lv.x)-len(rows)*sc.f:])
 		if hub != nil {
-			hub.publishHubs(sc.claimed, sc.toLocal, out)
+			hub.publishHubs(sc.claimed, lv)
 		}
 	}
 
 	for l := 1; l <= opt.TMax && len(active) > 0; l++ {
-		if fresh {
-			// At the start, and after a wave at a depth ≤ h, the next depth
-			// BFSes; past h a wave's own hop runs the survivors' BFS.
-			bfs(l)
-		}
-		if l == h {
-			// Compact universe: S, the radius-(TMax−h−1) ball — at TMax = h
-			// the targets — is the widest ball of the batch from here on.
-			// Every later row set — deeper hops, and re-derived sets after exit
-			// waves — is a subset of S, so the remap stays valid.
-			support = cur.balls[len(cur.balls)-1]
-			sc.s = len(support)
-			graph.IndexSet(support, sc.toLocal)
-			sc.slab = growScratch(sc.slab, (opt.TMax-h)*sc.s*sc.f)
-			sc.tloc = growScratch(sc.tloc, len(targets))
-			for i, v := range targets {
-				sc.tloc[i] = int(sc.toLocal[v])
-			}
-			widest := 0 // the largest row list a hop localizes: hop h+1's
-			if opt.TMax > h {
-				widest = len(rowsAt(h + 1))
-			}
-			sc.localRows = growScratch(sc.localRows, widest)
-			mark = stageEnd(tr, obs.StageExtract, 0, mark)
-		}
-
-		fpStart := mark
 		if l < h && !reads(l) {
 			continue // no row of the batch's is read at l
 		}
-		var first []int
+		// The rows the wave at l reads — its active targets' — or, at a hop
+		// past h before TMax that does not decide, the ball the next hop reads.
+		var rows []int
+		if l > h && l < opt.TMax && !opt.decides(l) {
+			rows = ball(l)
+		} else {
+			rows = sorted()
+		}
+		fpStart := mark
 		switch {
 		case l < h:
-			// The targets' own depth-l rows.
-			propagate(d.Adj, t.base, sc.uniq, nil, l, sc.f, sc.lowRows(l), &sc.hopScratch)
+			in, colMap := sc.below(d.Adj, t.base, rows, l, sc.f)
+			sc.level(l, g.N()).extend(d.Adj, in, colMap, rows, sc.f)
 		case l == h:
-			// The layer's rows the wave at h reads: the active targets'.
-			t.ensureLayer(sc, lay, cur.balls[0], false)
+			t.ensureLayer(sc, lay, rows, false)
 		default:
-			in, colMap = operand[T]{x: sc.xh}, nil
-			if l > h+1 {
-				in.x, colMap = sc.hop(l-1), sc.toLocal
-			}
-			first = rowsAt(l)
-			if opt.decides(l) {
-				first = cur.balls[0] // what the wave reads
-			}
-			product(l, first)
+			product(l, rows)
 		}
 		mark = stageEnd(tr, obs.StagePropagate, l, mark)
 		fpTime += mark.Sub(fpStart)
 
-		fresh = wave(l)
+		wave(l)
 		if l > h && opt.decides(l) && len(active) > 0 {
-			// Demand order: the survivors' BFS, then the rows of their ball
-			// that hop l has not written yet — all of them at once when nobody
-			// exited.
-			if fresh {
-				bfs(l)
-			}
+			// Demand order: the rest of the survivors' ball.
+			rows = ball(l)
 			fpStart = mark
-			ball := rowsAt(l)
-			sc.rest = subtractSorted(growScratch(sc.rest, len(ball)), ball, first)
-			product(l, sc.rest)
+			product(l, rows)
 			mark = stageEnd(tr, obs.StagePropagate, l, mark)
 			fpTime += mark.Sub(fpStart)
 		}
@@ -935,9 +820,8 @@ func widen[T float64 | float32](dst []float64, src []T) {
 }
 
 // decide returns the subset of active (indices into targets) that exits at
-// depth l. The depth-l rows come through targetRow — below h the rows
-// computed for the targets, at h the layer's block, past h the slab — and are
-// compared in float64.
+// depth l. The depth-l rows come through targetRow — at h the layer's block,
+// elsewhere the batch's level — and are compared in float64.
 func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int,
 	opt InferenceOptions, sc *inferScratch[T]) []int {
 
@@ -977,8 +861,7 @@ func decide[T float64 | float32](l int, m *Model, xinf *mat.Matrix, active []int
 // classify predicts the given target indices with classifier f^{(l)}. It
 // fills the stack from the combiner's lowest depth read up to l, the entries
 // below nil: depth-0 features from the full-graph matrix, depths ≥ 1 through
-// targetRow — the rows computed for the targets below h, the layer's block at
-// h and the slab past h.
+// targetRow — the layer's block at h, the batch's levels elsewhere.
 func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []int, idx []int,
 	res *Result, sc *inferScratch[T]) {
 
@@ -1005,14 +888,6 @@ func classify[T float64 | float32](l int, m *Model, g *graph.Graph, targets []in
 		res.Depths[ti] = l
 	}
 	res.NodesPerDepth[l] += len(idx)
-}
-
-func gather(targets []int, idx []int) []int {
-	out := make([]int, len(idx))
-	for i, v := range idx {
-		out[i] = targets[v]
-	}
-	return out
 }
 
 // removeIndices returns active minus the removal set, preserving order. rm

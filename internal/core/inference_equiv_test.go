@@ -477,3 +477,12 @@ func BenchmarkEngineVsSeedReference(b *testing.B) {
 		})
 	}
 }
+
+// gather returns the node ids of targets at the given indices.
+func gather(targets []int, idx []int) []int {
+	out := make([]int, len(idx))
+	for i, v := range idx {
+		out[i] = targets[v]
+	}
+	return out
+}

@@ -242,18 +242,19 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 	}
 }
 
-// TestLayerOneBFSPerWave: a batch runs one BFS at its start and one after each
-// exit wave that leaves survivors, and no other. A TMax-4 batch whose targets
-// all reach TMax (TMin 2, T_s 0) records exactly one bfs span — the layer's
-// ball at h and S both come from it — and leaves Result.MACs zero: Books of its
-// depths equal the seed's ledger. With waves at every
-// depth below TMax, each wave's bfs span follows its classify span. Up to h
-// the BFS opens the next depth; past h it is the wave's own hop's — hop l's
-// remainder propagate span comes next, and no bfs span opens hop l+1 — and
-// every hop there that decides propagates twice: its active targets' rows
-// before the wave, the rest of the next hop's ball after it. At TMax 5 (h = 3)
-// two hops lie past the layer. Below h, a hop whose rows nothing reads — hop 1
-// of the SGC model at TMin 2 — records no propagate span.
+// TestLayerOneBFSPerWave: a batch runs a BFS only for a hop l with
+// h < l < TMax — before it if it does not decide, after its wave if it does
+// and leaves survivors — so at most one, as h = max(1, TMax−2) leaves one hop
+// there. A TMax-4 batch whose targets all reach TMax (TMin 2, T_s 0) records
+// one bfs span, after hop 3's wave, and leaves Result.MACs zero: Books of its
+// depths equal the seed's ledger. With waves at every depth below TMax, the
+// waves at h and below run none, and the one bfs span follows the wave of the
+// hop past h and precedes that hop's second propagate span: a hop there that
+// decides propagates twice, its active targets' rows before the wave, the
+// rest of its survivors' ball after it. At TMax 5 (h = 3) two hops lie past
+// the layer. When every target exits by h, no bfs span is recorded. Below h,
+// a hop whose rows nothing reads — hop 1 of the SGC model at TMin 2 — records
+// no propagate span.
 func TestLayerOneBFSPerWave(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedDeepModel(t)
@@ -261,9 +262,11 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 	for _, p := range tiers {
 		t.Run(p.String(), func(t *testing.T) {
 			dep := deployAt(t, m, ds.Graph, p)
-			check := func(opt InferenceOptions, exits bool) {
+			// check runs opt and returns the exits per depth after checking
+			// the spans against them.
+			check := func(opt InferenceOptions) []int {
 				t.Helper()
-				label := fmt.Sprintf("%v/tmin=%d/tmax=%d", p, opt.TMin, opt.TMax)
+				label := fmt.Sprintf("%v/tmin=%d/tmax=%d/ts=%g", p, opt.TMin, opt.TMax, opt.Ts)
 				tr := o.StartTrace()
 				res, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test, opt)
 				if err != nil {
@@ -272,56 +275,43 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 				requireSameResult(t, label, booked(t, dep, ds.Split.Test, opt, res), seedInfer(dep, ds.Split.Test, opt))
 				d, h := res.NodesPerDepth, layerDepth(opt.TMax)
 				left := make([]int, opt.TMax+1) // left[l]: targets still active after depth l's wave
-				waves := 0
-				for l := opt.TMax - 1; l >= 1; l-- {
+				for l := opt.TMax - 1; l >= 0; l-- {
 					left[l] = left[l+1] + d[l+1]
-					if d[l] > 0 && left[l] > 0 {
-						waves++
-					}
 				}
-				if exits {
-					for l := 1; l < opt.TMax; l++ {
-						if d[l] == 0 {
-							t.Fatalf("%s: exits per depth %v, want a wave at every depth below TMax", label, d)
-						}
-					}
-					if d[opt.TMax] == 0 {
-						t.Fatalf("%s: exits per depth %v, want survivors to TMax", label, d)
-					}
-				} else if waves > 0 {
-					t.Fatalf("%s: exits per depth %v, want none before TMax", label, d)
+				// The one BFS the rule asks for, if hop TMax−1 lies past h, is
+				// reached and either does not decide or leaves survivors.
+				want := 0
+				if l := opt.TMax - 1; h < l && left[l-1] > 0 && (!opt.decides(l) || left[l] > 0) {
+					want = 1
 				}
 
 				spans := tr.Spans()
-				bfs, hop := 0, 0 // hop: the last propagate span's
+				bfs := 0
 				props := make([]int, opt.TMax+1)
 				for i, sp := range spans {
 					switch sp.Stage {
 					case obs.StagePropagate:
-						hop = int(sp.Hop)
-						props[hop]++
+						props[sp.Hop]++
 					case obs.StageBFS:
-						if bfs++; bfs == 1 {
-							continue
-						}
-						if spans[i-1].Stage != obs.StageClassify {
-							t.Fatalf("%s: bfs span %d follows a %v span, not a wave's classify", label, bfs, spans[i-1].Stage)
-						}
+						bfs++
 						next := spans[i+1]
-						switch {
-						case hop > h && (next.Stage != obs.StagePropagate || int(next.Hop) != hop):
-							t.Fatalf("%s: the bfs after hop %d's wave (past h = %d) is followed by %v %d, not that hop's remainder", label, hop, h, next.Stage, next.Hop)
-						case hop <= h && next.Stage == obs.StagePropagate && int(next.Hop) != hop+1:
-							t.Fatalf("%s: the bfs after depth %d's wave opens hop %d", label, hop, next.Hop)
+						l := int(next.Hop)
+						if next.Stage != obs.StagePropagate || l <= h || l >= opt.TMax {
+							t.Fatalf("%s: bfs span %d opens %v %d, not a hop between h = %d and TMax", label, bfs, next.Stage, l, h)
+						}
+						if prev := spans[i-1].Stage; opt.decides(l) && (props[l] != 1 || prev != obs.StageDecide && prev != obs.StageClassify) {
+							t.Fatalf("%s: the bfs before hop %d's second propagate span follows a %v span and %d of its propagate spans, not its wave", label, l, prev, props[l])
 						}
 					}
 				}
-				if bfs != 1+waves {
-					t.Fatalf("%s: %d bfs spans for %d exit waves, want one per wave and one at the start", label, bfs, waves)
+				if bfs != want {
+					t.Fatalf("%s: %d bfs spans for exits per depth %v, want %d", label, bfs, d, want)
 				}
 				for l := 1; l <= opt.TMax; l++ {
 					want := 1
 					switch {
+					case left[l-1] == 0:
+						want = 0 // every target exited before l
 					case l < h && l < opt.TMin && m.Combiner.LowestDepth(opt.TMin) > l:
 						want = 0 // an SGC model reads no row below TMin
 					case h < l && l < opt.TMax && l >= opt.TMin && left[l] > 0:
@@ -331,11 +321,22 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 						t.Fatalf("%s: %d propagate spans at hop %d (h = %d), want %d", label, props[l], l, h, want)
 					}
 				}
+				return d
 			}
 
-			check(InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 2, TMax: 4}, false)
-			check(InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5), TMin: 1, TMax: 4}, true)
-			check(InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5), TMin: 1, TMax: 5}, true)
+			if d := check(InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 2, TMax: 4}); d[4] != len(ds.Split.Test) {
+				t.Fatalf("T_s 0: exits per depth %v, want none before TMax", d)
+			}
+			ts := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+			for _, tmax := range []int{4, 5} {
+				d := check(InferenceOptions{Mode: ModeDistance, Ts: ts, TMin: 1, TMax: tmax})
+				if slices.Contains(d[1:tmax+1], 0) {
+					t.Fatalf("TMax %d: exits per depth %v, want a wave at every depth below TMax and survivors to it", tmax, d)
+				}
+			}
+			if d := check(InferenceOptions{Mode: ModeDistance, Ts: 1e100, TMin: 2, TMax: 4}); d[2] != len(ds.Split.Test) {
+				t.Fatalf("T_s above every distance: exits per depth %v, want all at h = 2", d)
+			}
 		})
 	}
 }
@@ -393,16 +394,16 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 	}
 }
 
-// TestLayerDemandRows: hop TMax−1, the hop between the layer and TMax, computes
-// only the rows something reads — its active targets' rows for its wave, then
-// its survivors' radius-1 ball for hop TMax — not the rest of its targets'
+// TestLayerDemandRows: a batch keeps hop l's rows in its level l, by node id,
+// and computes only the rows something reads. After one batch at TMax 4 and 5
+// (h = 2 and 3), TMin l = TMax−1 and h, with waves at TMin, at l and survivors
+// to TMax, level l holds exactly the targets active at l — its wave reads them
+// — and its survivors' radius-(TMax−l) ball, which hop TMax gathers, each row
+// bit-equal to X^(l) computed hop by hop; not the rest of the targets'
 // one-ring ball, while Books still charges that whole ball (Algorithm 1's
-// books). The batch runs on a caller-held scratch whose slab starts all NaN,
-// at TMax 4 and 5 (h = 2 and 3), with waves from TMax−1 on, and from h on:
-// then the survivors' BFS at TMax−1 must not overwrite the balls of the BFS
-// after the wave at h, which it subtracts the hop's written rows from. The
-// batch's BFS up to h — the first, and the one after a wave at h — stops at S,
-// ring TMax−h−1: hop h+1 makes ready the layer rows it gathers itself.
+// books). No level holds rows at h, where the layer is the store. The batch's
+// one BFS is its survivors' after the wave at l, radius TMax−l: it ran none at
+// radius ≥ TMax−h, so none at a depth ≤ h.
 func TestLayerDemandRows(t *testing.T) {
 	eachTier(t, testLayerDemandRows[float64], testLayerDemandRows[float32])
 }
@@ -413,6 +414,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 	dep := deployAt(t, m, ds.Graph, p)
 	eng := tierOf[T](t, dep)
 	g, f := dep.Graph, dep.Graph.F()
+	o := obs.New(obs.Options{})
 	targets := ds.Split.Test
 	for _, tmax := range []int{4, 5} {
 		l, h := tmax-1, layerDepth(tmax)
@@ -433,29 +435,17 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			if d := want.NodesPerDepth; d[tmin] == 0 || d[l] == 0 || d[tmax] == 0 {
 				t.Fatalf("%s: exits per depth %v, want waves at %d and %d and survivors to TMax", label, d, tmin, l)
 			}
-			whole := graph.Ball(g.Adj, activeAt(l), 1) // what hop l computed before the demand order
-			written := map[int]bool{}
-			for _, v := range activeAt(l) {
-				written[v] = true
-			}
-			for _, v := range graph.Ball(g.Adj, activeAt(tmax), 1) {
-				written[v] = true
-			}
+			whole := graph.Ball(g.Adj, activeAt(l), tmax-l) // what hop l computed before the demand order
+			written := sortedUnique(append(activeAt(l), graph.Ball(g.Adj, activeAt(tmax), tmax-l)...), nil)
 			if len(written) == len(whole) {
 				t.Fatalf("%s: the survivors' ball covers the active targets' one-ring ball; nothing to skip", label)
 			}
 
-			support := graph.Ball(g.Adj, targets, tmax-h-1) // no wave before h
-			sc := &inferScratch[T]{slab: make([]T, (tmax-h)*len(support)*f)}
-			for i := range sc.slab {
-				sc.slab[i] = T(math.NaN())
-			}
+			sc := &inferScratch[T]{}
 			sc.prepare(g.N(), len(targets))
-			got := booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, nil))
+			tr := o.StartTrace()
+			got := booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, tr))
 			requireSameResult(t, label, got, want)
-			if r := len(sc.bfs.ends) - 1; r != tmax-h-1 {
-				t.Fatalf("%s: the batch's BFS ran to radius %d, want S's, TMax−h−1 = %d", label, r, tmax-h-1)
-			}
 			books := 0
 			for j := 1; j <= tmax; j++ {
 				books += dep.Adj.NNZRows(graph.Ball(g.Adj, activeAt(j), tmax-j))
@@ -463,38 +453,29 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			if got.MACs.Propagation != books*f {
 				t.Fatalf("%s: propagation MACs %d, the books charge %d", label, got.MACs.Propagation, books*f)
 			}
-			if sc.s != len(support) {
-				t.Fatalf("%s: S has %d rows, the targets' radius-%d ball %d", label, sc.s, tmax-h-1, len(support))
+
+			lv := &sc.levels[l]
+			if held := sortedUnique(lv.nodes, nil); !slices.Equal(held, written) {
+				t.Fatalf("%s: level %d holds %d rows, want the %d the batch read (%d before the demand order)", label, l, len(held), len(written), len(whole))
 			}
-			if tmin == h {
-				// The last two BFSes, around the targets active at l and at
-				// TMax, both still whole: one in each wave ring.
-				sources := func(rg *rings) string {
-					if len(rg.balls) == 0 {
-						return "no BFS"
-					}
-					return fmt.Sprint(rg.balls[0])
-				}
-				got := []string{sources(&sc.wave[0]), sources(&sc.wave[1])}
-				slices.Sort(got)
-				want := []string{fmt.Sprint(sortedUnique(activeAt(l), nil)), fmt.Sprint(sortedUnique(activeAt(tmax), nil))}
-				slices.Sort(want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: the wave rings hold BFSes from %v, want from the targets active at %d and at TMax: %v", label, got, l, want)
+			ref, refMap := (&hopScratch[T]{}).below(dep.Adj, eng.base, written, l+1, f)
+			for _, v := range written {
+				k, r := int(lv.idx[v]), int(refMap[v])
+				if k < 0 || lv.nodes[k] != v || !slices.Equal(lv.x[k*f:(k+1)*f], ref.x[r*f:(r+1)*f]) {
+					t.Fatalf("%s: level %d's row of node %d (slot %d) is not X^(%d)'s", label, l, v, k, l)
 				}
 			}
-			rows := sc.hop(l)
-			for k, v := range support {
-				nan := 0
-				for _, x := range rows[k*f : (k+1)*f] {
-					if math.IsNaN(float64(x)) {
-						nan++
-					}
+			if len(sc.levels[h].nodes) != 0 {
+				t.Fatalf("%s: level %d holds %d rows; the layer is the store at h", label, h, len(sc.levels[h].nodes))
+			}
+			bfs := 0
+			for _, sp := range tr.Spans() {
+				if sp.Stage == obs.StageBFS {
+					bfs++
 				}
-				if computed := nan == 0; computed != written[v] || nan != 0 && nan != f {
-					t.Fatalf("%s: hop %d's row of node %d has %d NaN of %d, want it computed: %v (%d rows written, %d before the demand order)",
-						label, l, v, nan, f, written[v], len(written), len(whole))
-				}
+			}
+			if r := len(sc.bfs.ends) - 1; bfs != 1 || r != tmax-l {
+				t.Fatalf("%s: %d BFSes, the last to radius %d; want one, the survivors' at l, to radius TMax−l = %d < TMax−h", label, bfs, r, tmax-l)
 			}
 		}
 	}
@@ -729,6 +710,21 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 	}
 }
 
+// subtractSorted returns, in dst, the members of a that are not in b, both
+// ascending without duplicates.
+func subtractSorted(dst, a, b []int) []int {
+	dst = dst[:0]
+	for _, v := range a {
+		for len(b) > 0 && b[0] < v {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != v {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // topDegree is the k nodes of highest degree, ties broken toward the lower id,
 // ascending: hubMembers by a sort.
 func topDegree(adj *sparse.CSR, k int) []int {
@@ -949,7 +945,8 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 			t.Fatalf("TMax %d: Infer returned while a row of its ball was still being filled", c.tmax)
 		default:
 		}
-		propagate(dep.Adj, eng.base, []int{held}, []int{held}, h, g.F(), lay.block, &hopScratch[float64]{})
+		in, colMap := (&hopScratch[float64]{}).below(dep.Adj, eng.base, []int{held}, h, g.F())
+		mulRows(dep.Adj, in, []int{held}, []int{held}, colMap, g.F(), lay.block)
 		setSlot(lay, held, slotReady)
 		requireSameResult(t, fmt.Sprintf("TMax %d after the held row was published", c.tmax), <-done, want)
 		// Beside the layer's rows, hop h+1 < TMax publishes the hub rows it computed.

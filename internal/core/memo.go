@@ -12,7 +12,7 @@ import (
 )
 
 // hopLayer is a layer of propagated features: X^(h)_v = (Â^h·X^(0))_v for
-// every node v, at the active tier's slab element type, in one flat block
+// every node v, at the active tier's element type, in one flat block
 // indexed by node id — a second matrix of X^(0)'s shape beside it. X^(h) is a
 // product no request's identity enters, so no batch propagates hops 1..h: a
 // batch makes resident the rows it reads (tier.ensureLayer) — its targets'
@@ -268,12 +268,12 @@ func (m *hopLayer[T]) invalidateAll() {
 // not read before (sc.seen): rows themselves, or with gathered the columns of
 // Â in rows — each row's neighbours and the row itself, what a product over
 // rows gathers. Rows that are not ready are claimed (the slot's CAS) as the
-// walk meets them, computed from X^(0) straight into the block (propagate:
-// hops below h over their nested balls in pooled scratch) and published; a row
-// another batch claimed first is waited for, after this call has published
-// its own, so two batches that each hold rows the other needs cannot wait on
-// each other (the hub rows a product has claimed when it gets here are never
-// waited for). On return every row the walk met is ready and stays so until
+// walk meets them, computed from X^(0) straight into the block (the hops below
+// h over their nested balls into the batch's levels, hopScratch.below) and
+// published; a row another batch claimed first is waited for, after this call
+// has published its own, so two batches that each hold rows the other needs
+// cannot wait on each other (the hub rows a product has claimed when it gets
+// here are never waited for). On return every row the walk met is ready and stays so until
 // the next delta: publish before read. Each row counts once per batch: as
 // computed when this call filled it, else as read from the layer. Books
 // charges hop h whoever computed the rows (as MACBreakdown.Stationary charges
@@ -308,7 +308,8 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 	}
 	if len(won) > 0 {
 		slices.Sort(won) // the fill reads and writes in node order
-		propagate(t.d.Adj, t.base, won, won, m.depth, sc.f, m.block, &sc.hopScratch)
+		in, colMap := sc.below(t.d.Adj, t.base, won, m.depth, sc.f)
+		mulRows(t.d.Adj, in, won, won, colMap, sc.f, m.block)
 		m.publish(won)
 	}
 	for _, v := range lost {
@@ -325,24 +326,27 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 }
 
 // hubRows is the first half of hop m.depth's product over rows (ascending)
-// with hub layer m, out holding the hop's row of node v at toLocal[v]: a
-// member whose row is ready is copied into out and left out of the product; a
-// member whose empty slot this batch claims is listed in claimed, for
-// publishHubs once the product has written its row; every other row — a
-// member another batch is still filling among them, computed rather than
-// waited for — is appended to compute, the rows the product runs over. It
-// returns compute and claimed.
-func (m *hopLayer[T]) hubRows(rows []int, toLocal []int32, out []T, compute, claimed []int) ([]int, []int) {
+// into level lv, with hub layer m: a row lv holds is skipped; a member whose
+// row is ready is copied into lv and left out of the product; a member whose
+// empty slot this batch claims is listed in claimed, for publishHubs once the
+// product has written its row; every other row — a member another batch is
+// still filling among them, computed rather than waited for — is appended to
+// compute, the rows the product runs over. It returns compute and claimed.
+func (m *hopLayer[T]) hubRows(rows []int, lv *hopLevel[T], compute, claimed []int) ([]int, []int) {
 	f, members := m.f, m.members
 	k, ready := 0, 0
-	for _, v := range rows {
+	for i, v := range rows {
+		if lv.idx[v] >= 0 {
+			continue
+		}
 		for k < len(members) && members[k] < v {
 			k++
 		}
 		if k < len(members) && members[k] == v {
 			switch {
 			case m.isReady(k):
-				copy(out[int(toLocal[v])*f:][:f], m.block[k*f:][:f])
+				lv.add(rows[i:i+1], f)
+				copy(lv.x[len(lv.x)-f:], m.block[k*f:][:f])
 				ready++
 				continue
 			case m.claim(k):
@@ -356,28 +360,28 @@ func (m *hopLayer[T]) hubRows(rows []int, toLocal []int32, out []T, compute, cla
 }
 
 // publishHubs is the second half: it copies the rows of the members hubRows
-// claimed, which the product wrote into out, into hub layer m and publishes
+// claimed, which the product wrote into lv, into hub layer m and publishes
 // them.
-func (m *hopLayer[T]) publishHubs(claimed []int, toLocal []int32, out []T) {
+func (m *hopLayer[T]) publishHubs(claimed []int, lv *hopLevel[T]) {
 	f := m.f
 	for _, k := range claimed {
-		copy(m.block[k*f:][:f], out[int(toLocal[m.members[k]])*f:][:f])
+		copy(m.block[k*f:][:f], lv.x[int(lv.idx[m.members[k]])*f:][:f])
 	}
 	m.publish(claimed)
 	m.stats.computed.Add(uint64(len(claimed)))
 }
 
-// hopScratch is what propagate holds besides its output: the BFS's bitset
-// (graph.NewBitset, all zero between calls), its rings and sorted balls, and
-// the rows of the hops below the output's that it computed since the last
-// reset, by depth — so a batch that fills layer rows in several calls
-// computes each of those rows once.
+// hopScratch is the rows a batch computes, by depth and node id: levels[j]
+// holds the rows of X^(j) it computed since the last reset — its own hops',
+// and those of the hops below h its layer fills computed — so each row is
+// computed once per batch. Beside them, the BFS's bitset (graph.NewBitset, all
+// zero between calls) and the fills' rings and sorted balls.
 type hopScratch[T float64 | float32] struct {
 	set  []uint64
 	fill rings
 	// levels[j] holds rows of X^(j), j ≥ 1.
 	levels []hopLevel[T]
-	// hw is the most rows a level held since the last shrink.
+	// hw is the most elements a level's rows held since the last shrink.
 	hw int
 }
 
@@ -409,9 +413,9 @@ func (hs *hopScratch[T]) level(j, n int) *hopLevel[T] {
 	return lv
 }
 
-// extend computes into the level, from X^(j−1) (in, through colMap), the rows
-// of the nodes given (no duplicates) that it does not hold yet.
-func (lv *hopLevel[T]) extend(adj *sparse.Normalized, in operand[T], colMap []int32, nodes []int, f int) {
+// add gives each of nodes the level holds no row for a row after its last,
+// and returns those nodes; the caller writes their rows.
+func (lv *hopLevel[T]) add(nodes []int, f int) []int {
 	have := len(lv.nodes)
 	for _, v := range nodes {
 		if lv.idx[v] < 0 {
@@ -419,28 +423,35 @@ func (lv *hopLevel[T]) extend(adj *sparse.Normalized, in operand[T], colMap []in
 			lv.nodes = append(lv.nodes, v)
 		}
 	}
-	lv.x = slices.Grow(lv.x[:have*f], (len(lv.nodes)-have)*f)[:len(lv.nodes)*f]
-	mulRows(adj, in, lv.nodes[have:], nil, colMap, f, lv.x[have*f:])
+	lv.x = slices.Grow(lv.x, (len(lv.nodes)-have)*f)[:len(lv.nodes)*f]
+	return lv.nodes[have:]
 }
 
-// reset drops every level's rows, as a batch ends: the graph may change
-// before the next.
+// extend computes into the level, from X^(j−1) (in, through colMap), the rows
+// of the nodes given that it does not hold yet.
+func (lv *hopLevel[T]) extend(adj *sparse.Normalized, in operand[T], colMap []int32, nodes []int, f int) {
+	added := lv.add(nodes, f)
+	mulRows(adj, in, added, nil, colMap, f, lv.x[len(lv.x)-len(added)*f:])
+}
+
+// reset drops every level's rows, before a batch: the graph may have changed
+// since the last.
 func (hs *hopScratch[T]) reset() {
 	for j := range hs.levels {
 		lv := &hs.levels[j]
-		hs.hw = max(hs.hw, len(lv.nodes))
+		hs.hw = max(hs.hw, len(lv.x))
 		graph.ResetIndex(lv.nodes, lv.idx)
 		lv.nodes, lv.x = lv.nodes[:0], lv.x[:0]
 	}
 }
 
-// shrink applies the scratch retention policy between batches, against the
-// largest level since the last shrink, so a cold fill's whole-graph hops and
-// balls do not stay pinned in the pool by the warm batches after it, which
-// fill little or nothing.
+// shrink applies the scratch retention policy between batches, to each level
+// against the largest since the last shrink, so a deep batch's or a cold
+// fill's ball-sized levels do not stay pinned in the pool by the small
+// batches after it.
 func (hs *hopScratch[T]) shrink() {
 	for j := range hs.levels {
-		if lv := &hs.levels[j]; oversized(cap(lv.nodes), hs.hw) {
+		if lv := &hs.levels[j]; oversized(cap(lv.x), hs.hw) {
 			lv.nodes, lv.x = nil, nil
 		}
 	}
@@ -456,14 +467,13 @@ func (hs *hopScratch[T]) bytes() int {
 	return b
 }
 
-// propagate writes X^(l) = Â^l·X^(0) for the nodes of rows (l ≥ 1, no
-// duplicates) into out, row outRows[k] holding rows[k]'s (nil: row k), at the
-// element type of out, X^(0) as a tier's operand. Hop j < l runs over the
-// radius-(l−j) ball of rows, into hs's level j, skipping the rows it already
-// holds; no layer is read. Every row adds its terms in the one ascending order
-// every product uses, so it is bit-equal to that row of a full-graph
-// propagation.
-func propagate[T float64 | float32](adj *sparse.Normalized, x0 operand[T], rows, outRows []int, l, f int, out []T, hs *hopScratch[T]) {
+// below fills levels 1..l−1 with X^(j) over the radius-(l−j) ball of rows,
+// X^(0) being a tier's operand, skipping the rows a level holds; no layer is
+// read. It returns X^(l−1) as a product of hop l over rows reads it: its
+// operand and colMap (X^(0) by node id at l = 1). Every row adds its terms in
+// the one ascending order every product uses, so it is bit-equal to that row
+// of a full-graph propagation.
+func (hs *hopScratch[T]) below(adj *sparse.Normalized, x0 operand[T], rows []int, l, f int) (operand[T], []int32) {
 	in, colMap := x0, []int32(nil)
 	if l > 1 {
 		hs.fill.run(adj.Adj, rows, l-1, l-1, hs.bitset(adj.N()))
@@ -473,7 +483,7 @@ func propagate[T float64 | float32](adj *sparse.Normalized, x0 operand[T], rows,
 			in, colMap = operand[T]{x: lv.x}, lv.idx
 		}
 	}
-	mulRows(adj, in, rows, outRows, colMap, f, out)
+	return in, colMap
 }
 
 // Hop1Stats are the layers' counters, summed over every layer the deployment

@@ -32,7 +32,7 @@ import (
 // guaranteed by the equivalence suites that pin it (seed transcription,
 // deltas, memo, shards, cache), not by keeping this file out of its way.
 
-// engine is the engine loop instantiated at one slab element type:
+// engine is the engine loop instantiated at one element type:
 // *tier[float64] serves the f64 tier, *tier[float32] the f32 and int8 tiers.
 type engine interface {
 	// infer runs Algorithm 1 over one batch.
@@ -47,7 +47,7 @@ type engine interface {
 }
 
 // operand is the dense half of one product at a tier (the sparse half is Â
-// itself): rows flat row-major, as floats of the slab's type, or — the int8
+// itself): rows flat row-major, as floats of the tier's element type, or — the int8
 // tier's X^(0) — as int8 rows q, row i at scales[i].
 type operand[T float64 | float32] struct {
 	x      []T
@@ -56,7 +56,7 @@ type operand[T float64 | float32] struct {
 }
 
 // tier is the per-precision state of the engine loop: hop 1's dense operand,
-// the layers at the slab's element type, and the pool of per-request scratch.
+// the layers at the tier's element type, and the pool of per-request scratch.
 // At f64 the dense operand is the feature matrix itself, so the default tier
 // builds no mirror; the other tiers hold a lowered copy of it, a pure function
 // of Features.

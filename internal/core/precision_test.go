@@ -279,10 +279,11 @@ func TestRelaxedDeltaRebuildsMirrors(t *testing.T) {
 }
 
 // TestTraceSpansSameAtEveryTier: the tiers share one engine loop, so a traced
-// request leaves the same span sequence at each — bfs, extract, then per hop
-// propagate{hop}, decide on decision hops and, past the layer (h = 1 here), a
-// second propagate{hop} for the rows the next hop reads, classify whenever
-// someone exits — the relaxed tiers' decide span included.
+// request leaves the same span sequence at each — per hop propagate{hop},
+// decide on decision hops and, at hop 2 (past the layer, h = 1 here, before
+// TMax), the bfs of its survivors' ball after its wave and a second
+// propagate{2} for the rest of that ball, classify whenever someone exits —
+// the relaxed tiers' decide span included.
 func TestTraceSpansSameAtEveryTier(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
@@ -290,17 +291,7 @@ func TestTraceSpansSameAtEveryTier(t *testing.T) {
 	// Ts = 0: nobody exits early, so the sequence does not depend on the
 	// tier's arithmetic.
 	opt := InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 1, TMax: m.K}
-	want := "bfs extract"
-	for l := 1; l <= m.K; l++ {
-		want += fmt.Sprintf(" propagate%d", l)
-		if l < m.K {
-			want += " decide"
-		}
-		if 1 < l && l < m.K {
-			want += fmt.Sprintf(" propagate%d", l)
-		}
-	}
-	want += " classify"
+	want := "propagate1 decide propagate2 decide bfs propagate2 propagate3 classify"
 	for _, p := range tiers {
 		dep := deployAt(t, m, ds.Graph, p)
 		tr := o.StartTrace()

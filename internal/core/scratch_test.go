@@ -12,16 +12,16 @@ import (
 	"repro/internal/synth"
 )
 
-// These tests pin the compacted-coordinate scratch model: pooled scratches
-// must serve batches of wildly different supporting-set sizes in any order
-// with bit-identical results, edge cases (disconnected targets, TMin==TMax)
-// must survive the remap, per-batch scratch memory must scale with |S|
-// rather than the serving graph, and oversized pooled buffers must be
+// These tests pin the scratch model: pooled scratches must serve batches of
+// wildly different ball sizes in any order with bit-identical results, edge
+// cases (disconnected targets, TMin==TMax) must survive, per-batch scratch
+// memory must scale with the batch's balls rather than the serving graph, and
+// oversized pooled buffers must be
 // dropped back to current need instead of pinned forever — at every
 // precision tier, since each tier holds its buffers at its own element type.
 
 // eachTier runs a test at the three precision tiers, each instantiated at its
-// tier's slab element type.
+// tier's element type.
 func eachTier(t *testing.T, f64, f32 func(*testing.T, kernel.Precision)) {
 	t.Run("f64", func(t *testing.T) { f64(t, kernel.PrecisionF64) })
 	t.Run("f32", func(t *testing.T) { f32(t, kernel.PrecisionF32) })
@@ -37,6 +37,16 @@ func deployAt(t *testing.T, m *Model, g *graph.Graph, p kernel.Precision) *Deplo
 	}
 	dep.SetPrecision(p)
 	return dep
+}
+
+// levelsCap is the capacity, in elements, of the rows a scratch's levels past
+// depth h hold.
+func levelsCap[T float64 | float32](sc *inferScratch[T], h int) int {
+	c := 0
+	for j := h + 1; j < len(sc.levels); j++ {
+		c += cap(sc.levels[j].x)
+	}
+	return c
 }
 
 // inferWith runs one unbatched inferBatch on a caller-held scratch, so
@@ -166,8 +176,8 @@ func TestTMinEqualsTMaxCompact(t *testing.T) {
 
 func TestScratchScalesWithSupportNotGraph(t *testing.T) {
 	// The same single-target workload on a 4× larger graph must not grow
-	// the propagation slab with the graph: only the O(n) bitmap/remap
-	// buffers may scale with n.
+	// the rows of the hops past the layer with the graph: only the O(n)
+	// bitsets and indexes may scale with n.
 	m := trainedModel(t)
 	_ = tinyData(t)
 	slabFor := func(cfg synth.Config) (slabCap int, n int) {
@@ -179,10 +189,10 @@ func TestScratchScalesWithSupportNotGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: 2}
+		opt := InferenceOptions{Mode: ModeDistance, Ts: 0.8, TMin: 1, TMax: m.K}
 		sc := &inferScratch[float64]{}
 		inferWith(t, dep, sc, ds.Split.Test[:1], opt)
-		return cap(sc.slab), ds.Graph.N()
+		return levelsCap(sc, layerDepth(m.K)), ds.Graph.N()
 	}
 	smallCfg := synth.Tiny(11)
 	bigCfg := synth.Tiny(11)
@@ -192,16 +202,17 @@ func TestScratchScalesWithSupportNotGraph(t *testing.T) {
 	if bigN != 4*smallN {
 		t.Fatalf("setup: n %d vs %d", bigN, smallN)
 	}
-	// The dense model would pin TMax·n·f floats: a 4× graph → 4× slab.
-	// Compacted, the slab tracks the (workload-dependent) ball size, which
-	// must stay far below proportional growth.
+	// The dense model would pin (TMax−h)·n·f floats: a 4× graph → 4× rows.
+	// By node id over the batch's balls, the levels track the
+	// (workload-dependent) ball size, which must stay far below proportional
+	// growth.
 	if bigSlab >= 2*smallSlab+1024 {
-		t.Fatalf("slab grew with the graph: %d (n=%d) vs %d (n=%d)",
+		t.Fatalf("levels past h grew with the graph: %d (n=%d) vs %d (n=%d)",
 			bigSlab, bigN, smallSlab, smallN)
 	}
-	denseEquiv := 2 * smallN * 16 // floats the n×f model would hold at TMax=2
+	denseEquiv := 2 * smallN * 16 // floats the n×f model would hold for hops 2 and 3
 	if smallSlab*5 > denseEquiv*8 {
-		t.Fatalf("slab %dB not ≥5× under dense-equivalent %dB", smallSlab*8, denseEquiv*8)
+		t.Fatalf("levels past h %dB not ≥5× under dense-equivalent %dB", smallSlab*8, denseEquiv*8)
 	}
 }
 
@@ -231,12 +242,12 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 	for _, ds := range []*synth.Dataset{tinyData(t), denseData(t)} {
 		dep := deployAt(t, m, ds.Graph, p)
 		sc := &inferScratch[T]{}
-		// Every |S|-sized buffer: the slab, the row, ring and layer-fill lists,
-		// the arena.
+		// Every ball-sized buffer: the levels past h, the ring and layer-fill
+		// lists, the arena.
 		sized := func() map[string]int {
 			return map[string]int{
-				"slab": cap(sc.slab), "hop rows": cap(sc.localRows),
-				"BFS rings": cap(sc.bfs.ball), "BFS balls": cap(sc.bfs.sorted),
+				"levels past h": levelsCap(sc, 1),
+				"BFS rings":     cap(sc.bfs.ball), "BFS balls": cap(sc.bfs.sorted),
 				"layer rows won": cap(sc.won), "layer rows lost": cap(sc.lost),
 				"arena": len(sc.arena.buf),
 			}
@@ -244,7 +255,7 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 		bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
 		inferWith(t, dep, sc, rangeInts(0, ds.Graph.N()), bigOpt)
 		big := sized()
-		if big["slab"] == 0 || big["hop rows"] == 0 || big["layer rows won"] == 0 {
+		if big["levels past h"] == 0 || big["layer rows won"] == 0 {
 			t.Fatalf("%v: the big batch left buffers unused: %v", p, big)
 		}
 
@@ -260,13 +271,14 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 			}
 		}
 
-		// And at TMax=1 (no hop of the batch's own) the slab obeys the 4× cap
-		// outright.
-		tinyOpt := InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: 1}
-		inferWith(t, dep, sc, ds.Split.Test[:1], tinyOpt)
-		need := 1 * 16 // TMax·|S|·f elements for a single-node ball at TMax=1
-		if cap(sc.slab) > 4*need && cap(sc.slab) > 1024 {
-			t.Fatalf("slab %d exceeds 4× need %d after tiny batch", cap(sc.slab), need)
+		// And after a one-target batch at TMax=2, whose level 2 holds one row,
+		// every level's rows obey the 4× cap outright.
+		inferWith(t, dep, sc, ds.Split.Test[:1], smallOpt)
+		need := 1 * 16 // one row of f elements
+		for j := range sc.levels {
+			if c := cap(sc.levels[j].x); c > 4*need && c > 1024 {
+				t.Fatalf("%v: level %d keeps %d elements, over 4× need %d after a one-target batch", p, j, c, need)
+			}
 		}
 
 		// And the big workload still works (and re-grows) afterwards.
@@ -302,12 +314,14 @@ func TestScratchBytesReporting(t *testing.T) {
 		}
 	}
 	// Buffers count at their element size, whatever the tier.
-	sc64 := &inferScratch[float64]{slab: make([]float64, 10), rm: make([]bool, 3), toLocal: make([]int32, 5)}
-	sc32 := &inferScratch[float32]{slab: make([]float32, 10), bfs: rings{ball: make([]int, 2)}, localRows: make([]int, 1)}
-	if got, want := sc64.bytes(), 10*8+3+5*4; got != want {
+	sc64 := &inferScratch[float64]{rm: make([]bool, 3)}
+	sc64.levels = []hopLevel[float64]{{x: make([]float64, 10), idx: make([]int32, 5)}}
+	sc32 := &inferScratch[float32]{bfs: rings{ball: make([]int, 2)}, sorted: make([]int, 1)}
+	sc32.levels = []hopLevel[float32]{{x: make([]float32, 10)}}
+	if got, want := sc64.bytes(), 3+capBytes(sc64.levels)+10*8+5*4; got != want {
 		t.Fatalf("f64 scratch reports %d B, holds %d", got, want)
 	}
-	if got, want := sc32.bytes(), 10*4+2*8+8; got != want {
+	if got, want := sc32.bytes(), capBytes(sc32.levels)+10*4+2*8+8; got != want {
 		t.Fatalf("f32 scratch reports %d B, holds %d", got, want)
 	}
 }

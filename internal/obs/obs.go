@@ -82,7 +82,7 @@ func New(opt Options) *Obs {
 	o.reqDur = o.Reg.Histogram("nai_request_duration_seconds",
 		"End-to-end request latency.", DefBuckets)
 	stageVec := o.Reg.HistogramVec("nai_stage_duration_seconds",
-		"Per-stage latency across the request path (span taxonomy: queue, bfs, extract, propagate, decide, classify, fanout, encode, rpc, decode).",
+		"Per-stage latency across the request path (span taxonomy: queue, bfs, propagate, decide, classify, fanout, encode, rpc, decode).",
 		DefBuckets, "stage")
 	for s := Stage(0); s < numStages; s++ {
 		o.stages[s] = stageVec.With(s.String())

@@ -8,8 +8,8 @@ import (
 
 // Stage identifies one instrumented segment of the request path. The
 // taxonomy follows the life of a request: arrival to backend call in the
-// serving layer; BFS supporting-set construction, compaction (extract),
-// per-hop propagation, exit decisions and classification in the engine;
+// serving layer; BFS supporting-set construction, per-hop propagation, exit
+// decisions and classification in the engine;
 // the shard router's one call to a worker (fanout); and
 // encode/RPC/decode in the HTTP transport.
 type Stage uint8
@@ -22,14 +22,10 @@ const (
 	// id validation, cache reads and admission.
 	StageQueue Stage = iota
 	// StageBFS is multi-source supporting-set construction: in the engine,
-	// one level-ordered BFS per exit wave (and one at the start) whose
-	// sorted balls are the supporting sets of the hops the batch propagates.
+	// a level-ordered BFS around the targets active at a hop past the layer
+	// that needs a ball — at most one a batch — whose sorted balls are the
+	// rows of that hop and the ones after it.
 	StageBFS
-	// StageExtract is the compaction of the supporting ball: indexing the
-	// batch's universe and shaping its slab. It used to cut the ball's
-	// sub-CSR of Â as well; the engine multiplies by the operator now, so
-	// the stage reads next to nothing.
-	StageExtract
 	// StagePropagate is one feature-propagation step (SpMM at the active
 	// precision tier); Span.Hop holds the hop. A hop past the engine's layer
 	// that decides takes two steps, one on each side of its exit wave.
@@ -54,7 +50,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"queue", "bfs", "extract", "propagate", "decide",
+	"queue", "bfs", "propagate", "decide",
 	"classify", "fanout", "encode", "rpc", "decode",
 }
 

@@ -122,7 +122,7 @@ func TestStitchedDistributedTrace(t *testing.T) {
 	if router["fanout"] != 1 || router["merge"] != 0 {
 		t.Fatalf("router spans %v, want exactly one fanout and no merge", router)
 	}
-	for _, stage := range []string{"bfs", "extract", "propagate", "classify"} {
+	for _, stage := range []string{"bfs", "propagate", "classify"} {
 		if !worker[stage] {
 			t.Fatalf("worker span %q missing; got worker=%v", stage, worker)
 		}

@@ -12,7 +12,7 @@
 //     prediction and realized depth is cached per node in the server's one
 //     internal/cache.Cache — whatever the backend, a deployment or a router
 //     — consulted before the backend call and filled after it. Real
-//     traffic is Zipf-skewed, so hot nodes skip BFS, extraction,
+//     traffic is Zipf-skewed, so hot nodes skip BFS,
 //     propagation and classification entirely; answers stay bit-identical
 //     because Infer is batch-invariant and ApplyDelta evicts stale entries
 //     exactly, inside its write-locked section (Server.invalidate; the

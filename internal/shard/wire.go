@@ -40,10 +40,12 @@ const wireMagic = "NAIW"
 // went; version 9 dropped the shard id and partition width from msgHealth
 // when the router stopped partitioning; version 10 dropped the five MAC
 // counts from msgResult when the serving entry stopped keeping the paper's
-// books (core.Deployment.Books computes them from an answer). A peer speaking an older version is
+// books (core.Deployment.Books computes them from an answer); version 11
+// renumbered the span stages after bfs in msgResult when the engine's extract
+// stage went. A peer speaking an older version is
 // rejected at decode, which is the right failure for a router and worker
 // that disagree on the format.
-const wireVersion = 10
+const wireVersion = 11
 
 // message types
 const (

@@ -287,12 +287,12 @@ func TestWireRejectsV6Frame(t *testing.T) {
 // TestWireRejectsV7Frame: a version-7 msgResult frame numbers its span stages
 // with the router's merge at 7, where version 8 has encode. Byte for byte it
 // would decode, so it must fail on the version byte rather than report a
-// merge span as an encode one.
+// merge span as an encode one; an encode span decodes as one today.
 func TestWireRejectsV7Frame(t *testing.T) {
 	b := resultFrame(7, true, 7) // v7 stage 7: merge
 	requireVersionRejected(t, 7, func() error { _, _, err := decodeResult(b); return err })
-	if _, spans, err := decodeResult(resultFrame(wireVersion, false, 7)); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageEncode {
-		t.Fatalf("same span at v%d: spans %v err %v, want one encode span", wireVersion, spans, err)
+	if _, spans, err := decodeResult(resultFrame(wireVersion, false, int(obs.StageEncode))); err != nil || len(spans) != 1 || spans[0].Stage != obs.StageEncode {
+		t.Fatalf("an encode span at v%d: spans %v err %v, want one encode span", wireVersion, spans, err)
 	}
 }
 
@@ -331,6 +331,19 @@ func TestWireRejectsV9Frame(t *testing.T) {
 	res, spans, err := decodeResult(resultFrame(wireVersion, false, int(obs.StageBFS)))
 	if err != nil || len(res.Pred) != 1 || len(spans) != 1 || spans[0].Stage != obs.StageBFS {
 		t.Fatalf("same frame without the MACs at v%d: %+v spans %v err %v", wireVersion, res, spans, err)
+	}
+}
+
+// TestWireRejectsV10Frame: a version-10 msgResult frame numbers its span
+// stages with the engine's extract at 2, where version 11 has propagate. Byte
+// for byte it would decode, so it must fail on the version byte rather than
+// report an extract span as a propagate one; the same span at version 11
+// decodes as propagate.
+func TestWireRejectsV10Frame(t *testing.T) {
+	b := resultFrame(10, false, 2) // v10 stage 2: extract
+	requireVersionRejected(t, 10, func() error { _, _, err := decodeResult(b); return err })
+	if _, spans, err := decodeResult(resultFrame(11, false, 2)); err != nil || len(spans) != 1 || spans[0].Stage != obs.StagePropagate {
+		t.Fatalf("same span at v11: spans %v err %v, want one propagate span", spans, err)
 	}
 }
 
