@@ -159,9 +159,9 @@ func (r *Result) merge(o *Result) {
 
 // Deployment is a model served against a full graph (which now includes
 // the unseen test nodes). It owns the normalized adjacency — held implicitly,
-// as the graph's own pattern plus two degree-factor vectors, never as a
-// matrix — and the cached stationary state, computed once at construction
-// (and on Refresh) instead of per batch. All per-request state lives in
+// as the graph's own pattern plus two degree-factor vectors (one slice at
+// γ = ½), never as a matrix — and the cached stationary state, computed once
+// at construction (and on Refresh) instead of per batch. All per-request state lives in
 // pooled scratch, the rows a batch computes in one level per depth, by node
 // id; rows of Â are never materialized anywhere — every product
 // is an operator product whose workers emit a row, use it and drop it — and

@@ -25,13 +25,15 @@ import (
 //
 // The factors come from a looped-degree vector the caller supplies: the
 // serving engine passes its stationary state's, which a delta updates before
-// Patch reads it.
+// Patch reads it. At γ = ½ the two exponents are equal, so Left and Right are
+// one slice: the factors cost one float64 a node instead of two.
 type Normalized struct {
 	// Adj is the binary adjacency the pattern is read from; it must hold no
 	// diagonal entries (emitting a row panics on one).
 	Adj   *CSR
 	Gamma float64
-	// Left[i] = d̃ᵢ^{γ−1} and Right[i] = d̃ᵢ^{−γ}.
+	// Left[i] = d̃ᵢ^{γ−1} and Right[i] = d̃ᵢ^{−γ}; the same backing array
+	// when γ−1 = −γ.
 	Left, Right []float64
 }
 
@@ -47,19 +49,29 @@ func NewNormalized(adj *CSR, gamma float64, looped []float64) *Normalized {
 	if len(looped) < adj.Rows {
 		panic(fmt.Sprintf("sparse: %d looped degrees for %d nodes", len(looped), adj.Rows))
 	}
-	a := &Normalized{Adj: adj, Gamma: gamma, Left: make([]float64, adj.Rows), Right: make([]float64, adj.Rows)}
+	a := &Normalized{Adj: adj, Gamma: gamma, Left: make([]float64, adj.Rows)}
+	a.Right = a.Left
+	if !a.shared() {
+		a.Right = make([]float64, adj.Rows)
+	}
 	for i := range a.Left {
 		a.setFactors(i, looped[i])
 	}
 	return a
 }
 
+// shared reports whether the two factors are one slice: γ−1 = −γ, so both
+// are math.Pow(d, −½) of the same degree, bit for bit.
+func (a *Normalized) shared() bool { return a.Gamma-1 == -a.Gamma }
+
 func (a *Normalized) setFactors(i int, d float64) {
 	if d <= 0 {
 		panic(fmt.Sprintf("sparse: node %d has non-positive looped degree %v", i, d))
 	}
 	a.Left[i] = math.Pow(d, a.Gamma-1)
-	a.Right[i] = math.Pow(d, -a.Gamma)
+	if !a.shared() {
+		a.Right[i] = math.Pow(d, -a.Gamma)
+	}
 }
 
 // Patch rebinds the operator to adj, a later version of the graph (rows only
@@ -77,7 +89,11 @@ func (a *Normalized) Patch(adj *CSR, looped []float64, dirty []int) {
 	}
 	a.Adj = adj
 	a.Left = append(a.Left, make([]float64, n-old)...)
-	a.Right = append(a.Right, make([]float64, n-old)...)
+	if a.shared() {
+		a.Right = a.Left
+	} else {
+		a.Right = append(a.Right, make([]float64, n-old)...)
+	}
 	for _, i := range dirty {
 		a.setFactors(i, looped[i])
 	}

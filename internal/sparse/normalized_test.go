@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -287,28 +288,76 @@ func TestNormalizedHubRows(t *testing.T) {
 
 // TestNormalizedPatchRecomputesOnlyDirtyFactors: a patch is O(|dirty|) — a
 // poisoned factor of a clean row survives it, a dirty row's does not, and the
-// appended rows get theirs.
+// appended rows get theirs. At γ = 0.3 the two factors are poisoned
+// independently; at γ = ½ they are one slice, so one poison lands in both.
 func TestNormalizedPatchRecomputesOnlyDirtyFactors(t *testing.T) {
-	base := FromEdges(6, []int{0, 1, 3}, []int{1, 2, 4}, true)
-	op := NewNormalized(base, GammaSymmetric, LoopedDegrees(base))
-	merged, dirty := base.AppendEdges(7, []int{3}, []int{6})
-	if fmt.Sprint(dirty) != "[3 6]" {
-		t.Fatalf("dirty rows %v", dirty)
+	const poison, other = 123.456, 654.321
+	for _, tc := range []struct {
+		name   string
+		gamma  float64
+		poison func(op *Normalized) // a clean row 1 and a dirty row 3
+	}{
+		{"separate", 0.3, func(op *Normalized) { op.Left[1], op.Right[3], op.Right[1], op.Left[3] = poison, poison, other, other }},
+		{"shared", GammaSymmetric, func(op *Normalized) { op.Left[1], op.Left[3] = poison, poison }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := FromEdges(6, []int{0, 1, 3}, []int{1, 2, 4}, true)
+			op := NewNormalized(base, tc.gamma, LoopedDegrees(base))
+			merged, dirty := base.AppendEdges(7, []int{3}, []int{6})
+			if fmt.Sprint(dirty) != "[3 6]" {
+				t.Fatalf("dirty rows %v", dirty)
+			}
+			tc.poison(op)
+			wantL1, wantR1 := op.Left[1], op.Right[1]
+			op.Patch(merged, LoopedDegrees(merged), []int{3, 4, 6}) // 4 neighbors 3: value-dirty, factors unmoved
+			fresh := NewNormalized(merged, tc.gamma, LoopedDegrees(merged))
+			if op.Adj != merged || op.N() != 7 {
+				t.Fatal("patch did not rebind to the grown graph")
+			}
+			for i := range fresh.Left {
+				wantL, wantR := fresh.Left[i], fresh.Right[i]
+				if i == 1 {
+					wantL, wantR = wantL1, wantR1
+				}
+				if op.Left[i] != wantL || op.Right[i] != wantR {
+					t.Fatalf("row %d factors (%v, %v), want (%v, %v)", i, op.Left[i], op.Right[i], wantL, wantR)
+				}
+			}
+		})
 	}
-	const poison = 123.456
-	op.Left[1], op.Right[3] = poison, poison
-	op.Patch(merged, LoopedDegrees(merged), []int{3, 4, 6}) // 4 neighbors 3: value-dirty, factors unmoved
-	fresh := NewNormalized(merged, GammaSymmetric, LoopedDegrees(merged))
-	if op.Adj != merged || op.N() != 7 {
-		t.Fatal("patch did not rebind to the grown graph")
-	}
-	for i := range fresh.Left {
-		wantL, wantR := fresh.Left[i], fresh.Right[i]
-		if i == 1 {
-			wantL = poison
-		}
-		if op.Left[i] != wantL || op.Right[i] != wantR {
-			t.Fatalf("row %d factors (%v, %v), want (%v, %v)", i, op.Left[i], op.Right[i], wantL, wantR)
+}
+
+// TestNormalizedSharedFactors: at γ = ½ the factors d̃^{γ−1} and d̃^{−γ} are
+// the same bits, so Left and Right are one backing array — after NewNormalized
+// and after a Patch that appends rows — and every row emitted still carries
+// NormalizedAdjacencyWithDegrees' bits. At γ ∈ {0, 0.3, 1} the two stay
+// separate slices.
+func TestNormalizedSharedFactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	base := randomDeltaAdj(30, 0.2, rng)
+	for _, gamma := range []float64{GammaRowStochastic, 0.3, GammaSymmetric, GammaColStochastic} {
+		op := NewNormalized(base, gamma, LoopedDegrees(base))
+		adj := base
+		for stage := 0; stage < 3; stage++ {
+			shared := len(op.Left) == len(op.Right) && unsafe.SliceData(op.Left) == unsafe.SliceData(op.Right)
+			if want := gamma == GammaSymmetric; shared != want {
+				t.Fatalf("gamma %v stage %d: Left and Right shared %v, want %v", gamma, stage, shared, want)
+			}
+			looped := LoopedDegrees(adj)
+			if err := checkNormalized(op, NormalizedAdjacencyWithDegrees(adj, gamma, looped), rng); err != nil {
+				t.Fatalf("gamma %v stage %d: %v", gamma, stage, err)
+			}
+			// Grow by 3 rows, two joined to the graph. The first Patch's
+			// append outgrows the factors' capacity: appending Left and Right
+			// separately would reallocate them apart.
+			n := adj.Rows + 3
+			merged, _ := adj.AppendEdges(n, []int{n - 1, n - 2}, []int{0, n - 3})
+			dirty := make([]int, n)
+			for i := range dirty {
+				dirty[i] = i
+			}
+			adj = merged
+			op.Patch(adj, LoopedDegrees(adj), dirty)
 		}
 	}
 }
