@@ -56,7 +56,7 @@ func samplePeers(adj *sparse.CSR, nodes []int, peers int, rng *rand.Rand) [][]in
 			if k == len(nbrs) {
 				out[i][s] = v // self
 			} else {
-				out[i][s] = nbrs[k]
+				out[i][s] = int(nbrs[k])
 			}
 		}
 	}

@@ -28,9 +28,9 @@ func carveDelta(t *testing.T, ds *synth.Dataset, k int) (*graph.Graph, graph.Del
 	d.Labels = append([]int(nil), g.Labels[n-k:]...)
 	for u := n - k; u < n; u++ {
 		for _, v := range g.Adj.RowIndices(u) {
-			if v < u { // each cross/new edge once
+			if int(v) < u { // each cross/new edge once
 				d.Src = append(d.Src, u)
-				d.Dst = append(d.Dst, v)
+				d.Dst = append(d.Dst, int(v))
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 		for g.Adj.RowNNZ(u) == 0 {
 			u++
 		}
-		v := g.Adj.RowIndices(u)[0] // an existing edge
+		v := int(g.Adj.RowIndices(u)[0]) // an existing edge
 		dr, err := dep.ApplyDelta(graph.Delta{Src: []int{u, u, 5}, Dst: []int{v, v, 5}})
 		if err != nil {
 			t.Fatal(err)

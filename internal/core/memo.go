@@ -292,7 +292,7 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 		for i := -1; i < len(cols); i++ { // c is v, then its columns
 			c := v
 			if i >= 0 {
-				c = cols[i]
+				c = int(cols[i])
 			}
 			// Branch-free but for the rare row that is neither read before
 			// nor ready; the bitsets stay in cache where the block does not.

@@ -236,7 +236,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	// changed) and everything adjacent to them.
 	valDirty := map[int]bool{hub: true, newNode: true}
 	for _, u := range g.Adj.RowIndices(hub) {
-		valDirty[u] = true
+		valDirty[int(u)] = true
 	}
 	stale := func(v int) bool { return valDirty[v] }
 	cleared := 0

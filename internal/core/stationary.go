@@ -132,13 +132,8 @@ func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
 		s.LoopedDeg = append(s.LoopedDeg, 0) // recomputed below: appended nodes are dirty
 	}
 	for _, j := range dirty {
-		// Same arithmetic as sparse.LoopedDegrees: the in-order value sum
-		// plus one (exact for binary adjacencies).
-		var d float64
-		for _, v := range adj.RowValues(j) {
-			d += v
-		}
-		s.LoopedDeg[j] = d + 1
+		// Same arithmetic as sparse.LoopedDegrees: the row sum plus one.
+		s.LoopedDeg[j] = adj.RowSum(j) + 1
 	}
 	s.Scale = 1 / float64(adj.NNZ()+n)
 	s.SumMACs = n * f

@@ -26,7 +26,8 @@ import (
 
 // Graph is an undirected attributed graph for node classification.
 type Graph struct {
-	// Adj is the binary symmetric adjacency without self-loops.
+	// Adj is the binary symmetric adjacency without self-loops: a pattern
+	// (nil Val) with int32 column ids.
 	Adj *sparse.CSR
 	// Features is the n×f node attribute matrix.
 	Features *mat.Matrix
@@ -65,8 +66,9 @@ func New(adj *sparse.CSR, features *mat.Matrix, labels []int, numClasses int) (*
 }
 
 // Clone returns a deep copy sharing no storage with g — the safe way to
-// hand one fixture graph to several consumers of in-place mutations
-// (deltas mutate the adjacency, features and labels).
+// hand one fixture graph to several consumers of deltas. ApplyDelta grows
+// the features and labels in place and replaces the adjacency with a new
+// CSR, leaving the old one to whoever else holds it.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		Adj:        g.Adj.Clone(),
@@ -303,7 +305,7 @@ func Levels(adj *sparse.CSR, sources []int, radius int, set []uint64, ball, ends
 			for _, v := range ball[lo:hi] {
 				for _, u := range adj.RowIndices(v) {
 					w, b := u>>6, uint(u)&63
-					out[k] = u
+					out[k] = int(u)
 					k += int(^vis[w] >> b & 1)
 					vis[w] |= 1 << b
 				}
@@ -529,7 +531,7 @@ func BFSDistances(adj *sparse.CSR, sources []int) []int {
 		for _, u := range adj.RowIndices(v) {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}

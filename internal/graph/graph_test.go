@@ -228,7 +228,7 @@ func seedSupportingSets(adj *sparse.CSR, targets []int, hops int) [][]int {
 			for _, u := range adj.RowIndices(v) {
 				if !mark[u] {
 					mark[u] = true
-					next = append(next, u)
+					next = append(next, int(u))
 				}
 			}
 		}

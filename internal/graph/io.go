@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -38,7 +39,7 @@ func WriteGraph(w io.Writer, g *Graph) error {
 	}
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.Adj.RowIndices(u) {
-			if v > u { // store each undirected edge once
+			if int(v) > u { // store each undirected edge once
 				fmt.Fprintf(bw, "edge %d %d\n", u, v)
 			}
 		}
@@ -90,6 +91,9 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			}
 			if n < 1 || f < 1 || classes < 1 {
 				return nil, fmt.Errorf("graph: line %d: non-positive header values", lineNo)
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: %d nodes exceed the int32 node ids", lineNo, n)
 			}
 			features = mat.New(n, f)
 			labels = make([]int, n)

@@ -92,6 +92,7 @@ func TestReadGraphErrors(t *testing.T) {
 		"duplicate edge":    "graph 2 1 2\nnode 0 1\nnode 1 1\nedge 0 1\nedge 0 1\n",
 		"reversed dup edge": "graph 3 1 2\nnode 0 1\nnode 1 1\nnode 0 1\nedge 0 1\nedge 1 0\n",
 		"negative edge":     "graph 2 1 2\nnode 0 1\nnode 1 1\nedge -1 0\n",
+		"ids past int32":    "graph 2147483648 1 2\nnode 0 1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadGraph(strings.NewReader(in)); err == nil {

@@ -131,7 +131,7 @@ func Partition(g *graph.Graph, p int, strat Strategy) (*Assignment, error) {
 				continue
 			}
 			for _, u := range g.Adj.RowIndices(queue[qi]) {
-				claim(u)
+				claim(int(u))
 			}
 			qi++
 		}

@@ -408,12 +408,12 @@ func TestExtractRowsInto(t *testing.T) {
 			t.Fatalf("row %d: %d entries want %d", r, len(cols), len(wantCols))
 		}
 		for k := range cols {
-			if universe[cols[k]] != wantCols[k] || vals[k] != wantVals[k] {
+			if universe[cols[k]] != int(wantCols[k]) || vals[k] != wantVals[k] {
 				t.Fatalf("row %d entry %d: (%d,%v) want (%d,%v)",
 					r, k, universe[cols[k]], vals[k], wantCols[k], wantVals[k])
 			}
 		}
-		prev := -1
+		prev := int32(-1)
 		for _, c := range cols {
 			if c <= prev {
 				t.Fatalf("row %d columns not sorted: %v", r, cols)
@@ -442,7 +442,7 @@ func TestExtractRowsIntoMatchesProduct(t *testing.T) {
 		rows = append(rows, i)
 		seen[i] = true
 		for _, c := range na.RowIndices(i) {
-			seen[c] = true
+			seen[int(c)] = true
 		}
 	}
 	var universe []int

@@ -50,7 +50,7 @@ func FuzzTiledSpMM(f *testing.F) {
 			adj[r] = append(adj[r], c)
 			vals[r] = append(vals[r], float64(int8(next()))/16)
 		}
-		a := fromAdjLists(rows, cols, adj, vals)
+		a := valuedCSR(rows, cols, adj, vals)
 
 		x := mat.New(cols, width)
 		for i := range x.Data {

@@ -39,6 +39,30 @@ type kernelCase struct {
 	rows []int
 }
 
+// valuedCSR builds a rows×cols CSR with values from per-row column lists and
+// parallel value lists, sorting each row by column and keeping one entry of
+// each duplicated column: the zoo's matrices, which unlike an adjacency carry
+// real values.
+func valuedCSR(rows, cols int, adj [][]int, vals [][]float64) *CSR {
+	out := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1), Val: []float64{}}
+	for i, list := range adj {
+		order := make([]int, len(list))
+		for k := range order {
+			order[k] = k
+		}
+		sort.SliceStable(order, func(x, y int) bool { return list[order[x]] < list[order[y]] })
+		for k, o := range order {
+			if k > 0 && list[o] == list[order[k-1]] {
+				continue
+			}
+			out.Col = append(out.Col, int32(list[o]))
+			out.Val = append(out.Val, vals[i][o])
+		}
+		out.RowPtr[i+1] = len(out.Col)
+	}
+	return out
+}
+
 // propCases builds the seeded CSR zoo: generic sparsity, empty rows, a
 // single-column matrix, single-feature dense operand, dense stripes (rows
 // with every column set — the hub-row worst case), and a ladder of rows with
@@ -64,7 +88,7 @@ func propCases(rng *rand.Rand) []kernelCase {
 				vals[i][k] = rng.NormFloat64()
 			}
 		}
-		a := fromAdjLists(rows, cols, adj, vals)
+		a := valuedCSR(rows, cols, adj, vals)
 		x := mat.Randn(cols, f, 1.3, rng)
 		sel := make([]int, 0, rows)
 		for r := 0; r < rows; r++ {
@@ -124,7 +148,7 @@ func refMulRows(a *CSR, rows []int, x *mat.Matrix) *mat.Matrix {
 		for p, c := range cols {
 			v := vals[p]
 			for j := 0; j < x.Cols; j++ {
-				dst[j] += v * x.At(c, j)
+				dst[j] += v * x.At(int(c), j)
 			}
 		}
 	}
@@ -139,7 +163,7 @@ func refMulRows32(a *CSR, rows []int, av, x32 []float32, f int) []float32 {
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
 			v := av[p]
 			for j := range dst {
-				dst[j] += v * x32[a.Col[p]*f+j]
+				dst[j] += v * x32[int(a.Col[p])*f+j]
 			}
 		}
 	}
@@ -155,7 +179,7 @@ func refMulRows8(a *CSR, rows []int, aq, xq []int8, f int, deq float64) []float3
 		clear(acc)
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
 			for j := range acc {
-				acc[j] += int32(aq[p]) * int32(xq[a.Col[p]*f+j])
+				acc[j] += int32(aq[p]) * int32(xq[int(a.Col[p])*f+j])
 			}
 		}
 		for j, v := range acc {
@@ -183,7 +207,7 @@ func refMulRowsQ(a *CSR, rows []int, xq []int8, scales []float64, f int) []float
 	for k, r := range rows {
 		dst := out[k*f : k*f+f]
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			c := a.Col[p]
+			c := int(a.Col[p])
 			v := float32(a.Val[p] * scales[c])
 			for j := range dst {
 				dst[j] += v * float32(xq[c*f+j])
@@ -259,7 +283,7 @@ func f32Bound(a *CSR, r int, x *mat.Matrix, j int) float64 {
 	vals := a.RowValues(r)
 	s := 0.0
 	for p, c := range cols {
-		s += math.Abs(vals[p] * x.At(c, j))
+		s += math.Abs(vals[p] * x.At(int(c), j))
 	}
 	n := float64(len(cols))
 	return (n+4)*s*1.01/(1<<24) + 1e-30
@@ -315,7 +339,7 @@ func int8Bound(a *CSR, r int, x *mat.Matrix, j int, sa, sx, ref float64) float64
 	vals := a.RowValues(r)
 	b := 0.0
 	for p, c := range cols {
-		b += math.Abs(vals[p])*sx/2 + math.Abs(x.At(c, j))*sa/2 + sa*sx/4
+		b += math.Abs(vals[p])*sx/2 + math.Abs(x.At(int(c), j))*sa/2 + sa*sx/4
 	}
 	return b + math.Abs(ref)/(1<<23) + 1e-30
 }
@@ -390,7 +414,8 @@ func TestKernelPropRemappedCompact(t *testing.T) {
 		dst = append(dst, rng.Intn(n))
 	}
 	adj := FromEdges(n, src, dst, true)
-	// Random values on the edges (FromEdges stores 1s).
+	// Random values on the edges (FromEdges stores a pattern).
+	adj.Val = make([]float64, adj.NNZ())
 	for i := range adj.Val {
 		adj.Val[i] = rng.NormFloat64()
 	}
@@ -407,7 +432,7 @@ func TestKernelPropRemappedCompact(t *testing.T) {
 		rows = append(rows, r)
 		inUniv[r] = true
 		for _, c := range adj.RowIndices(r) {
-			inUniv[c] = true
+			inUniv[int(c)] = true
 		}
 	}
 	sort.Ints(rows)

@@ -53,23 +53,16 @@ func NormalizedAdjacencyWithDegrees(adj *CSR, gamma float64, looped []float64) *
 		left[i] = math.Pow(d, gamma-1)
 		right[i] = math.Pow(d, -gamma)
 	}
-	out := &CSR{
-		Rows:   loop.Rows,
-		Cols:   loop.Cols,
-		RowPtr: append([]int(nil), loop.RowPtr...),
-		Col:    append([]int(nil), loop.Col...),
-		Val:    make([]float64, loop.NNZ()),
-	}
+	// loop is a fresh copy: Â takes its pattern, with values in place of its own.
+	vals := make([]float64, loop.NNZ())
 	for i := 0; i < loop.Rows; i++ {
 		li := left[i]
-		cols := loop.RowIndices(i)
-		vals := loop.RowValues(i)
-		base := loop.RowPtr[i]
-		for k, c := range cols {
-			out.Val[base+k] = li * vals[k] * right[c]
+		for p := loop.RowPtr[i]; p < loop.RowPtr[i+1]; p++ {
+			vals[p] = li * loop.val(p) * right[loop.Col[p]]
 		}
 	}
-	return out
+	loop.Val = vals
+	return loop
 }
 
 // LoopedDegrees returns d_i + 1 for the binary adjacency adj (degrees after

@@ -11,7 +11,8 @@ import (
 
 // Normalized is the γ-normalized adjacency Â = D̃^{γ−1} Ã D̃^{−γ} of a binary,
 // self-loop-free adjacency, held implicitly: the graph's own CSR — shared,
-// not copied — and the two degree-factor vectors. Row i of Â is row i of Adj
+// not copied, and read as a pattern (its values, if any, are never read) —
+// and the two degree-factor vectors. Row i of Â is row i of Adj
 // with the diagonal merged in at its ascending position, and the value of
 // entry (i, c) is the single product Left[i]·Right[c]: the expression
 // NormalizedAdjacencyWithDegrees stores (its ·1 for the binary entry is
@@ -114,18 +115,18 @@ func (a *Normalized) NNZRows(rows []int) int { return a.Adj.NNZRows(rows) + len(
 // emitRow writes row r of Â into cols/vals — Adj's columns with r merged in
 // ascending, each value the one product Left[r]·Right[c] — then maps the
 // columns through colMap when it is given, and returns the entry count.
-func (a *Normalized) emitRow(r int, colMap []int32, cols []int, vals []float64) int {
+func (a *Normalized) emitRow(r int, colMap []int32, cols []int32, vals []float64) int {
 	src := a.Adj.RowIndices(r)
 	cols, vals = cols[:len(src)+1], vals[:len(src)+1]
-	li, right := a.Left[r], a.Right
+	li, right, self := a.Left[r], a.Right, int32(r)
 	k := 0
-	for ; k < len(src) && src[k] < r; k++ {
+	for ; k < len(src) && src[k] < self; k++ {
 		cols[k], vals[k] = src[k], li*right[src[k]]
 	}
-	if k < len(src) && src[k] == r {
+	if k < len(src) && src[k] == self {
 		panic(fmt.Sprintf("sparse: Normalized over an adjacency with a self-loop at %d", r))
 	}
-	cols[k], vals[k] = r, li*right[r]
+	cols[k], vals[k] = self, li*right[r]
 	for ; k < len(src); k++ {
 		cols[k+1], vals[k+1] = src[k], li*right[src[k]]
 	}
@@ -135,7 +136,7 @@ func (a *Normalized) emitRow(r int, colMap []int32, cols []int, vals []float64) 
 			if lc < 0 {
 				panic(fmt.Sprintf("sparse: Normalized row %d has column %d outside the column map", r, c))
 			}
-			cols[k] = int(lc)
+			cols[k] = lc
 		}
 	}
 	return len(cols)

@@ -83,7 +83,7 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 	}
 	m := len(universe)
 	var gotSub, wantSub, gotCut CSR
-	gotSub.Col, gotSub.Val = make([]int, 1, 3), make([]float64, 1, 3) // reuse must not leak stale capacity
+	gotSub.Col, gotSub.Val = make([]int32, 1, 3), make([]float64, 1, 3) // reuse must not leak stale capacity
 	op.ExtractRowsInto(rows, toLocal, m, &gotSub)
 	want.ExtractRowsInto(rows, toLocal, m, &wantSub)
 	if err := csrBitsEqual(&gotSub, &wantSub); err != nil {
@@ -377,7 +377,7 @@ func TestNormalizedRejectsBadInput(t *testing.T) {
 	mustPanic("gamma 2", func() { NewNormalized(adj, 2, deg) })
 	mustPanic("short degrees", func() { NewNormalized(adj, 0.5, deg[:2]) })
 	mustPanic("zero degree", func() { NewNormalized(adj, 0.5, []float64{2, 2, 0}) })
-	looped := fromAdjLists(2, 2, [][]int{{0, 1}, {0}}, nil)
+	looped := fromAdjLists(2, 2, [][]int32{{0, 1}, {0}})
 	mustPanic("stored diagonal", func() {
 		var out CSR
 		NewNormalized(looped, 0.5, []float64{3, 2}).RowsInto([]int{0}, nil, 1, &out)

@@ -17,10 +17,10 @@ import (
 
 // rowSource is where a driver reads the sparse rows of a product: row k is
 // row rows[k] of csr, its values the entries of vals (aligned with csr.Val,
-// at the operands' element type), or — when op is set — row rows[k] of Â,
-// emitted on demand, its columns mapped through colMap when that is given,
-// each value multiplied by its column's entry of scales when those are given,
-// then lowered to V. Drivers take it by value, so their chunk closures capture
+// at the operands' element type; nil for all ones), or — when op is set —
+// row rows[k] of Â, emitted on demand, its columns mapped through colMap when
+// that is given, each value multiplied by its column's entry of scales when
+// those are given, then lowered to V. Drivers take it by value, so their chunk closures capture
 // a copy and it never moves to the heap.
 type rowSource[V float64 | float32 | int8] struct {
 	rows   []int
@@ -47,12 +47,20 @@ func (s rowSource[V]) nnz() int {
 	return s.csr.NNZRows(s.rows)
 }
 
-// row returns row k's columns and values: views of the stored matrix, or the
-// operator's row emitted into buf.
-func (s rowSource[V]) row(k int, buf *rowBuf[V]) ([]int, []V) {
+// row returns row k's columns and values: views of the stored matrix (its
+// values as ones in buf when vals is nil), or the operator's row emitted into
+// buf.
+func (s rowSource[V]) row(k int, buf *rowBuf[V]) ([]int32, []V) {
 	r := s.rows[k]
 	if s.op == nil {
 		lo, hi := s.csr.RowPtr[r], s.csr.RowPtr[r+1]
+		if s.vals == nil {
+			_, _, ones := buf.room(hi - lo)
+			for i := range ones {
+				ones[i] = 1
+			}
+			return s.csr.Col[lo:hi], ones
+		}
 		return s.csr.Col[lo:hi], s.vals[lo:hi]
 	}
 	cols, vals, low := buf.room(s.op.RowNNZ(r))
@@ -73,23 +81,23 @@ const rowBufLen = 96
 // rowBuf is a driver worker's room for one emitted row: columns, values as
 // emitted, and values at the operands' element type.
 type rowBuf[V float64 | float32 | int8] struct {
-	c0   [rowBufLen]int
+	c0   [rowBufLen]int32
 	v0   [rowBufLen]float64
 	l0   [rowBufLen]V
-	cols []int
+	cols []int32
 	vals []float64
 	low  []V
 }
 
 // room returns the buffers cut to n entries: the frame's arrays when n fits
 // them, otherwise heap slices grown geometrically. Contents are not preserved.
-func (b *rowBuf[V]) room(n int) ([]int, []float64, []V) {
+func (b *rowBuf[V]) room(n int) ([]int32, []float64, []V) {
 	if n <= rowBufLen {
 		return b.c0[:n], b.v0[:n], b.l0[:n]
 	}
 	if n > len(b.cols) {
 		c := GrownCap(max(len(b.cols), rowBufLen), n)
-		b.cols, b.vals, b.low = make([]int, c), make([]float64, c), make([]V, c)
+		b.cols, b.vals, b.low = make([]int32, c), make([]float64, c), make([]V, c)
 	}
 	return b.cols[:n], b.vals[:n], b.low[:n]
 }
@@ -192,16 +200,16 @@ func mulRows[V float64 | float32 | int8, O float64 | float32](src rowSource[V], 
 // every element still adds its terms one by one in ascending column order —
 // t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical to the
 // one-neighbor-at-a-time loop, blocked or not.
-func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int, vals []T, x []X, f, jb int) {
+func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int32, vals []T, x []X, f, jb int) {
 	vals = vals[:len(cols)]
 	n := len(dst)
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {
 		v0, v1, v2, v3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
-		s0 := x[cols[k]*f+jb:][:n]
-		s1 := x[cols[k+1]*f+jb:][:n]
-		s2 := x[cols[k+2]*f+jb:][:n]
-		s3 := x[cols[k+3]*f+jb:][:n]
+		s0 := x[int(cols[k])*f+jb:][:n]
+		s1 := x[int(cols[k+1])*f+jb:][:n]
+		s2 := x[int(cols[k+2])*f+jb:][:n]
+		s3 := x[int(cols[k+3])*f+jb:][:n]
 		for j := range dst {
 			t := dst[j]
 			t += v0 * T(s0[j])
@@ -213,7 +221,7 @@ func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []
 	}
 	for ; k < len(cols); k++ {
 		v := vals[k]
-		for j, sv := range x[cols[k]*f+jb:][:n] {
+		for j, sv := range x[int(cols[k])*f+jb:][:n] {
 			dst[j] += v * T(sv)
 		}
 	}
@@ -228,7 +236,7 @@ func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []
 // the neighbor sum cannot change a single output bit, and the 4-way form
 // quarters the accumulator load/store traffic (the scalar bottleneck) while
 // giving the hardware four independent gather streams.
-func gatherRow8(acc []int32, cols []int, aq, xq []int8, f, jb int) {
+func gatherRow8(acc []int32, cols []int32, aq, xq []int8, f, jb int) {
 	aq = aq[:len(cols)]
 	n := len(acc)
 	k := 0
@@ -237,10 +245,10 @@ func gatherRow8(acc []int32, cols []int, aq, xq []int8, f, jb int) {
 		v1 := int32(aq[k+1])
 		v2 := int32(aq[k+2])
 		v3 := int32(aq[k+3])
-		s0 := xq[cols[k]*f+jb:][:n]
-		s1 := xq[cols[k+1]*f+jb:][:n]
-		s2 := xq[cols[k+2]*f+jb:][:n]
-		s3 := xq[cols[k+3]*f+jb:][:n]
+		s0 := xq[int(cols[k])*f+jb:][:n]
+		s1 := xq[int(cols[k+1])*f+jb:][:n]
+		s2 := xq[int(cols[k+2])*f+jb:][:n]
+		s3 := xq[int(cols[k+3])*f+jb:][:n]
 		for j := range acc {
 			acc[j] += v0*int32(s0[j]) + v1*int32(s1[j]) +
 				v2*int32(s2[j]) + v3*int32(s3[j])
@@ -248,7 +256,7 @@ func gatherRow8(acc []int32, cols []int, aq, xq []int8, f, jb int) {
 	}
 	for ; k < len(cols); k++ {
 		v := int32(aq[k])
-		src := xq[cols[k]*f+jb : cols[k]*f+jb+n]
+		src := xq[int(cols[k])*f+jb : int(cols[k])*f+jb+n]
 		for j, sv := range src {
 			acc[j] += v * int32(sv)
 		}

@@ -230,7 +230,7 @@ func TestNoSelfLoopsOrDuplicates(t *testing.T) {
 	for i := 0; i < adj.Rows; i++ {
 		cols := adj.RowIndices(i)
 		for k, c := range cols {
-			if c == i {
+			if int(c) == i {
 				t.Fatalf("self loop at %d", i)
 			}
 			if k > 0 && cols[k-1] == c {
