@@ -11,22 +11,23 @@
 // call: nothing waits for batch mates, and a client that wants Algorithm 1's
 // per-batch costs shared sends its targets as one request.
 //
-// With -shards P (P > 1) the daemon serves from a pool of P in-process
-// workers, each a deployment over its own copy of the whole graph, behind a
-// router that sends each request whole to the next up worker in
-// round-robin order — answers stay bit-identical to the single deployment
-// (see ARCHITECTURE.md, "Sharded serving").
-//
-// The pool can also be distributed across processes (see ARCHITECTURE.md,
-// "Distributed sharding"). A worker process serves the binary shard
-// protocol, -shard-worker being only its label:
+// With -shards the daemon serves from a pool of worker processes, each a
+// deployment over its own copy of the whole graph, behind a router that sends
+// each request whole to the next up worker in round-robin order — answers
+// stay bit-identical to the single deployment (see ARCHITECTURE.md, "Sharded
+// serving" and "Distributed sharding"). A worker process serves the binary
+// shard protocol, -shard-worker being only its label:
 //
 //	naiserve -shard-worker 0 -addr :9000
 //
-// and a router process dials a comma-separated list of every worker
-// instead of an integer:
+// and a router process dials a comma-separated list of every worker:
 //
 //	naiserve -shards localhost:9000,localhost:9001,otherhost:9000 -addr :8080
+//
+// A pool buys another process's memory and cores and a failure domain; a
+// deployment already serves concurrent callers, so P in-process workers would
+// only hold P copies of the graph and its layers. -shards therefore takes no
+// worker count but 1, the single deployment and the default.
 //
 // Every worker answers for every node, so more addresses are both more
 // capacity and more redundancy. The router fails over transparently when a
@@ -81,7 +82,7 @@
 //
 //	naiserve -dataset flickr-like -mode distance -ts-quantile 0.3 -addr :8080
 //	naiserve -load model.json -graph serving.graph -mode fixed
-//	naiserve -dataset products-like -shards 4 -cache-size 65536
+//	naiserve -dataset products-like -shards localhost:9000,localhost:9001 -cache-size 65536
 //	naiserve -max-pending 8192 -default-deadline 500ms -tenant-quotas 'paid=1000::4,*=100' -shed-mode
 //
 // Endpoints:
@@ -127,7 +128,7 @@ func main() {
 	tsQuantile := flag.Float64("ts-quantile", 0.3, "distance threshold as a validation-distance quantile (distance mode)")
 	tmin := flag.Int("tmin", 1, "minimum propagation depth")
 	tmax := flag.Int("tmax", 0, "maximum propagation depth (0 = K)")
-	shardsFlag := flag.String("shards", "1", "worker pool: an integer P sends each request to one of P in-process workers, each holding the whole graph (1 = single deployment); a comma-separated list of every worker address (host:port,...) sends it to worker processes started with -shard-worker")
+	shardsFlag := flag.String("shards", "1", "worker pool: a comma-separated list of every worker address (host:port,...) sends each request to one of the worker processes started with -shard-worker, each holding the whole graph; 1 serves from this process's own deployment")
 	shardWorker := flag.Int("shard-worker", -1, "serve as a worker process labelled with this number (≥ 0); exposes the binary shard protocol on -addr")
 	shardRetries := flag.Int("shard-retries", 2, "retry rounds over the workers on transient transport failures (distributed mode)")
 	probeInterval := flag.Duration("shard-health-interval", time.Second, "background worker health-probe interval with -shards (0 disables; probes refresh per-worker gauges and replay missed deltas to restarted workers)")
@@ -167,7 +168,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	shardCount, workerAddrs, err := parseShards(*shardsFlag)
+	workerAddrs, err := parseShards(*shardsFlag)
 	if err != nil {
 		fail(err)
 	}
@@ -255,9 +256,9 @@ func main() {
 	// for T_s tuning in distance mode (the tuner propagates the validation
 	// nodes' balls through the global normalized adjacency, at f64 whatever
 	// the tier). In sharded fixed/gate modes it is skipped entirely — the
-	// workers build their own.
+	// workers hold their own.
 	var dep *core.Deployment
-	if (shardCount <= 1 && workerAddrs == nil) || napMode == core.ModeDistance {
+	if workerAddrs == nil || napMode == core.ModeDistance {
 		if dep, err = core.NewDeployment(m, g); err != nil {
 			fail(err)
 		}
@@ -284,28 +285,17 @@ func main() {
 	}
 
 	// The backend: the deployment itself, or — with -shards — a router over
-	// whole-graph worker deployments: in-process workers for an integer
-	// -shards, worker processes behind the HTTP transport for an address
-	// list. A distance-mode tuning deployment's caches are left for the GC
-	// afterwards.
+	// whole-graph worker processes behind the HTTP transport. A distance-mode
+	// tuning deployment's caches are left for the GC afterwards.
 	var backend serve.Backend = dep
-	if workerAddrs != nil || shardCount > 1 {
-		cfg := shard.Config{Shards: shardCount, Retries: *shardRetries, Precision: prec}
-		var rt *shard.Router
-		var rerr error
-		if workerAddrs != nil {
-			rt, rerr = shard.NewRouterTransport(m, g, cfg, shard.NewHTTPTransport(workerAddrs, shard.HTTPTransportConfig{}))
-			if rerr != nil {
-				rerr = fmt.Errorf("dialing shard workers: %w (is a worker up, built from the same model/graph flags?)", rerr)
-			}
-		} else {
-			rt, rerr = shard.NewRouter(m, g, cfg)
+	if workerAddrs != nil {
+		cfg := shard.Config{Shards: len(workerAddrs), Retries: *shardRetries, Precision: prec}
+		rt, err := shard.NewRouterTransport(m, g, cfg, shard.NewHTTPTransport(workerAddrs, shard.HTTPTransportConfig{}))
+		if err != nil {
+			fail(fmt.Errorf("dialing shard workers: %w (is a worker up, built from the same model/graph flags?)", err))
 		}
-		if rerr != nil {
-			fail(rerr)
-		}
-		// In-process workers are probed too: /stats and /metrics read every
-		// worker's scratch and layer counters off its last report.
+		// /stats and /metrics read every worker's scratch and layer counters
+		// off its last probe.
 		defer rt.Close()
 		if *probeInterval > 0 {
 			rt.StartHealthProbe(*probeInterval)
@@ -406,25 +396,27 @@ func runServer(logger *slog.Logger, hs *http.Server, drain time.Duration, preShu
 	}
 }
 
-// parseShards reads the -shards flag: an integer is an in-process worker
-// count, anything else a comma-separated list of every worker's address.
-func parseShards(s string) (count int, addrs []string, err error) {
+// parseShards reads the -shards flag: 1 is the single deployment (nil), a
+// comma-separated list every worker process's address. Any other integer is
+// rejected: an in-process pool would hold P copies of the graph for no
+// parallelism a deployment lacks.
+func parseShards(s string) (addrs []string, err error) {
 	if n, aerr := strconv.Atoi(s); aerr == nil {
-		if n < 1 {
-			return 0, nil, fmt.Errorf("-shards %d: want ≥ 1 or an address list", n)
+		if n != 1 {
+			return nil, fmt.Errorf("-shards %d: a worker pool is processes, not a count; start each worker with -shard-worker i and list their addresses (host:port,...), or give 1 to serve from this process's own deployment", n)
 		}
-		return n, nil, nil
+		return nil, nil
 	}
 	if strings.Contains(s, "|") {
-		return 0, nil, fmt.Errorf("-shards %q: workers are not grouped with '|'; list every worker with commas", s)
+		return nil, fmt.Errorf("-shards %q: workers are not grouped with '|'; list every worker with commas", s)
 	}
 	for _, a := range strings.Split(s, ",") {
 		if a = strings.TrimSpace(a); a == "" {
-			return 0, nil, fmt.Errorf("-shards %q: empty worker address", s)
+			return nil, fmt.Errorf("-shards %q: empty worker address", s)
 		}
 		addrs = append(addrs, a)
 	}
-	return len(addrs), addrs, nil
+	return addrs, nil
 }
 
 func orNone(s string) string {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -30,6 +32,35 @@ func TestParseMode(t *testing.T) {
 		got, err := core.ParseMode(c.name, c.q)
 		if (err == nil) != c.ok || (c.ok && got != c.want) {
 			t.Errorf("core.ParseMode(%q, %v) = %v, %v; want %v, ok %v", c.name, c.q, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestParseShards: -shards is 1, the single deployment, or a comma-separated
+// list of every worker process's address; any other count is rejected with a
+// message that names -shard-worker, and so are '|' groups and empty addresses.
+func TestParseShards(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []string
+		err  string
+	}{
+		{"1", nil, ""},
+		{"localhost:9000", []string{"localhost:9000"}, ""},
+		{"a:1, b:2,http://c:3", []string{"a:1", "b:2", "http://c:3"}, ""},
+		{"2", nil, "-shard-worker"},
+		{"0", nil, "-shard-worker"},
+		{"-1", nil, "-shard-worker"},
+		{"a:1|b:2", nil, "'|'"},
+		{"a:1,,b:2", nil, "empty worker address"},
+		{"", nil, "empty worker address"},
+	} {
+		got, err := parseShards(c.in)
+		if c.err == "" && (err != nil || !slices.Equal(got, c.want)) {
+			t.Errorf("parseShards(%q) = %q, %v; want %q", c.in, got, err, c.want)
+		}
+		if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("parseShards(%q) = %q, %v; want an error naming %s", c.in, got, err, c.err)
 		}
 	}
 }

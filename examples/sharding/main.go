@@ -2,12 +2,13 @@
 // whole-graph workers, and check the contract the subsystem is built
 // around — sharded answers bit-identical to a single deployment, whichever
 // worker answers, before and after online graph growth. The example trains
-// a tiny model, compares the two backends target by target with every
-// worker answering in turn, commits a delta (a new node, which every worker
-// replays from the router's log as the single deployment applies it),
-// re-verifies, and finally serves
-// the sharded backend through the HTTP daemon. It exits non-zero if any
-// answer differs.
+// a tiny model, starts four workers behind loopback HTTP listeners — the
+// wire a worker process started with naiserve -shard-worker serves —
+// compares the two backends target by target with every worker answering in
+// turn, commits a delta (a new node, which every worker replays from the
+// router's log as the single deployment applies it), re-verifies, and
+// finally serves the sharded backend through the HTTP daemon. It exits
+// non-zero if any answer differs.
 //
 //	go run ./examples/sharding
 package main
@@ -15,6 +16,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -39,19 +42,37 @@ func main() {
 	}
 
 	// 2. Two backends over identical graphs: the single deployment every
-	// earlier example uses, and a router over 4 workers. Each worker holds
-	// the whole graph; the router sends a request whole to one worker, the
-	// next up one in round-robin order.
+	// earlier example uses, and a router over 4 workers, each serving the
+	// shard protocol on a loopback port as a worker process would. Each
+	// worker holds the whole graph; the router sends a request whole to one
+	// worker, the next up one in round-robin order.
 	opt := core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: m.K}
 	single, err := core.NewDeployment(m, ds.Graph.Clone())
 	if err != nil {
 		log.Fatal(err)
 	}
-	router, err := shard.NewRouter(m, ds.Graph.Clone(), shard.Config{Shards: 4})
+	cfg := shard.Config{Shards: 4}
+	addrs := make([]string, cfg.Shards)
+	for i := range addrs {
+		wk, err := shard.NewWorker(m, ds.Graph, cfg, i)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		hs := &http.Server{Handler: shard.WorkerHandler(wk)}
+		go func() { _ = hs.Serve(ln) }() // ErrServerClosed once closed
+		defer hs.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	router, err := shard.NewRouterTransport(m, ds.Graph.Clone(), cfg, shard.NewHTTPTransport(addrs, shard.HTTPTransportConfig{}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serving %d nodes from %d whole-graph workers\n", ds.Graph.N(), router.Shards())
+	defer router.Close()
+	fmt.Printf("serving %d nodes from %d whole-graph workers at %v\n", ds.Graph.N(), router.Shards(), addrs)
 
 	// 3. The contract: every prediction and personalized depth must match,
 	// whichever worker answers. Consecutive requests go to consecutive

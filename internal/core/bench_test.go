@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mat"
@@ -159,6 +161,39 @@ func BenchmarkBooks(b *testing.B) {
 		if _, err := fx.dep.Books(fx.reqs[k], fx.opt, depths[k]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInferDeepCold times BenchmarkInferDeepWarm's 64 requests served
+// from cold layers: each op empties every layer row (recold, untimed), as a
+// rebuilt engine starts, then serves the stream through InferContext, by one
+// caller and by four concurrent ones that each take the next request. Cold
+// concurrent requests wait for each other's fills under the layers' locks, so
+// this is where filling under a lock would show.
+func BenchmarkInferDeepCold(b *testing.B) {
+	fx := deepWarmOnce(b)
+	for _, callers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				recold(fx.dep)
+				b.StartTimer()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for c := 0; c < callers; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := next.Add(1) - 1; k < int64(len(fx.reqs)); k = next.Add(1) - 1 {
+							if _, err := fx.dep.InferContext(context.Background(), fx.reqs[k], fx.opt); err != nil {
+								b.Error(err)
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		})
 	}
 }
 

@@ -171,8 +171,9 @@ func (r *Result) merge(o *Result) {
 // point served, a row per node in one block of the feature matrix's shape,
 // allocated on the first read at that depth, filled on first use and read in
 // place by hop h+1, and past TMax 2 the hubs' rows of X^(h+1), which hop h+1
-// copies instead of computing — through lock-free publish-once slots that
-// deltas empty and extend and Refresh clears. Answers are
+// copies instead of computing — each row with a ready bit that readers load
+// without a lock, written under one lock per layer, emptied and extended by
+// deltas and cleared by Refresh. Answers are
 // bit-identical to propagating hops 1..h+1 per batch.
 //
 // Every precision tier runs the same engine loop (tier.inferBatch),
@@ -317,13 +318,13 @@ type inferScratch[T float64 | float32] struct {
 	targets []int
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// claimed lists the hub rows one product at hop h+1 claimed.
-	claimed []int
+	// fresh lists the hub rows one product at hop h+1 computes.
+	fresh []int
 	// seen marks the layer rows the batch has read, one bit per node, all zero
-	// between batches; won lists the ones one ensureLayer pass claimed and
-	// computed, lost those another batch was already filling.
-	seen      []uint64
-	won, lost []int
+	// between batches; missing lists the ones one ensureLayer pass found not
+	// ready.
+	seen    []uint64
+	missing []int
 	// arena backs the transient gathered-row matrices of decide/classify.
 	arena arena
 }
@@ -435,7 +436,7 @@ func capBytes[E any](buf []E) int { return cap(buf) * int(unsafe.Sizeof(*new(E))
 // it to prove per-batch memory scales with the batch's balls, not n).
 func (sc *inferScratch[T]) bytes() int {
 	return capBytes(sc.rm) + capBytes(sc.sorted) + capBytes(sc.compute) +
-		capBytes(sc.claimed) + capBytes(sc.seen) + capBytes(sc.won) + capBytes(sc.lost) + capBytes(sc.arena.buf) +
+		capBytes(sc.fresh) + capBytes(sc.seen) + capBytes(sc.missing) + capBytes(sc.arena.buf) +
 		sc.bfs.bytes() + sc.hopScratch.bytes()
 }
 
@@ -744,7 +745,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		var hub *hopLayer[T]
 		if hubs && l == h+1 {
 			hub = t.hubLayer(l)
-			sc.compute, sc.claimed = hub.hubRows(rows, lv, growScratch(sc.compute, len(rows))[:0], sc.claimed[:0])
+			sc.compute, sc.fresh = hub.hubRows(rows, lv, growScratch(sc.compute, len(rows))[:0], sc.fresh[:0])
 			rows = sc.compute
 		}
 		rows = lv.add(rows, sc.f)
@@ -756,7 +757,7 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		}
 		mulRows(d.Adj, in, rows, nil, colMap, sc.f, lv.x[len(lv.x)-len(rows)*sc.f:])
 		if hub != nil {
-			hub.publishHubs(sc.claimed, lv)
+			hub.publishHubs(sc.fresh, lv)
 		}
 	}
 

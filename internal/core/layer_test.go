@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,46 +81,6 @@ func hubCountsOf[T float64 | float32](hubs map[int]*hopLayer[T]) (capacity, resi
 		}
 	}
 	return capacity, resident
-}
-
-// A layer row's slot, as slot reads it and setSlot writes it.
-const (
-	slotEmpty = iota
-	slotFilling
-	slotReady
-)
-
-// slot returns the slot of row k of m.
-func slot[T float64 | float32](m *hopLayer[T], k int) int {
-	bit := uint64(1) << (uint(k) & 63)
-	switch {
-	case m.ready[k>>6].Load()&bit != 0:
-		return slotReady
-	case m.claimed[k>>6].Load()&bit != 0:
-		return slotFilling
-	}
-	return slotEmpty
-}
-
-// setSlot puts row k of m in slot s, as a batch would — claiming, publishing —
-// or as a delta would — emptying.
-func setSlot[T float64 | float32](m *hopLayer[T], k, s int) {
-	bit := uint64(1) << (uint(k) & 63)
-	for _, w := range []struct {
-		word *atomic.Uint64
-		set  bool
-	}{{&m.claimed[k>>6], s != slotEmpty}, {&m.ready[k>>6], s == slotReady}} {
-		for {
-			old := w.word.Load()
-			next := old &^ bit
-			if w.set {
-				next = old | bit
-			}
-			if w.word.CompareAndSwap(old, next) {
-				break
-			}
-		}
-	}
 }
 
 // layerModel is a test model with the range of TMax it covers.
@@ -202,7 +163,7 @@ func testLayerDifferential[T float64 | float32](t *testing.T, p kernel.Precision
 			}
 			layers := layersOf[T](t, dep)
 			for h, lay := range layers {
-				if slot(lay, u) != slotEmpty {
+				if lay.isReady(u) {
 					t.Fatalf("%s: the delta left ring row %d of target %d resident at depth %d", name, u, one[0], h)
 				}
 			}
@@ -554,12 +515,9 @@ func testLayerResidentRowsAreGathered[T float64 | float32](t *testing.T, p kerne
 // them. A resident hub row is read, not recomputed: poisoned with NaN, it
 // keeps its hub, a lone target, from exiting at h+1 under a threshold any
 // finite distance meets. A delta empties every hub row, and the next batches
-// equal the seed's. A row another batch is still filling is computed, not
-// waited for (a batch that waited would hang here) and not read (its NaN does
-// not show), and it is left to its claimer. A cold batch, whose products fill
-// the rows of X^(h) they gather between claiming hub rows and publishing them,
-// leaves resident exactly the hub rows it computed. TMax ≤ 2 allocates no hub
-// layer.
+// equal the seed's. A cold batch, whose products fill the rows of X^(h) they
+// gather between listing hub rows and publishing them, leaves resident exactly
+// the hub rows it computed. TMax ≤ 2 allocates no hub layer.
 func TestLayerHubRows(t *testing.T) {
 	eachTier(t, testLayerHubRows[float64], testLayerHubRows[float32])
 	t.Run("none", func(t *testing.T) {
@@ -681,19 +639,9 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		if _, resident := hubCounts(dep); resident != 0 {
 			t.Fatalf("%s: the delta left %d hub rows resident", label, resident)
 		}
-
-		// A row another batch is filling: computed, not read, not published.
-		poison()
-		setSlot(hub, k, slotFilling)
-		got, _ = dep.Infer(lone, exitAt)
-		requireSameResult(t, label+"/hub being filled", got, seedInfer(dep, lone, exitAt))
-		if got.Depths[0] != l || slot(hub, k) != slotFilling || !math.IsNaN(float64(hub.block[k*f])) {
-			t.Fatalf("%s: a batch over hub %d, being filled elsewhere, exited at %d (want %d) and left the slot %d", label, lone[0], got.Depths[0], l, slot(hub, k))
-		}
-		setSlot(hub, k, slotEmpty)
 		requireColdWarmSame(t, label+"/after the delta", dep, targets, opt)
 
-		// A cold batch: each product of hop l claims its hub rows, then fills
+		// A cold batch: each product of hop l lists its hub rows, then fills
 		// the rows of X^(l−1) it gathers, then publishes the hub rows — the
 		// fills run between hubRows and publishHubs. The resident hub rows are
 		// still exactly the ones it computed, and its products filled layer
@@ -804,7 +752,7 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 		t.Fatal("setup: the one-hop ball around the moved rows adds no row")
 	}
 	for w := range all {
-		if empty := slot(lay, w) == slotEmpty; empty != stale[w] {
+		if empty := !lay.isReady(w); empty != stale[w] {
 			t.Fatalf("row %d of X^(2): empty=%v, want %v (%d rows within a hop of the %d moved ones)", w, empty, stale[w], len(stale), len(valDirty))
 		}
 	}
@@ -845,8 +793,8 @@ func TestLayerHeadroomAvoidsCopy(t *testing.T) {
 // TestLayerConcurrentColdStart: eight callers start on one cold deployment at
 // once (run under -race), so rows one needs are being filled by another —
 // publish before read — and, at TMax 3, 4 and 5, they race on the same hub
-// slots, which a loser computes instead of waiting for. Every one must see
-// the seed's answer.
+// rows, which each computes and the first to take the hub layer's lock
+// publishes. Every one must see the seed's answer.
 func TestLayerConcurrentColdStart(t *testing.T) {
 	eachTier(t, testLayerConcurrentColdStart, testLayerConcurrentColdStart)
 }
@@ -902,10 +850,13 @@ func testLayerConcurrentColdStart(t *testing.T, p kernel.Precision) {
 	}
 }
 
-// TestLayerWaitsForRowBeingFilled pins publish-before-read on the one row it
-// is about: a batch that finds a row of its ball claimed by someone else
-// publishes its own rows, then does not start hop h+1 until that row is
-// ready — for X^(1) read at TMax 2 and X^(2) at TMax 4.
+// TestLayerWaitsForRowBeingFilled pins publish-before-read under the layer's
+// lock: a batch that lists rows it needs as not ready waits for the lock, and
+// under it computes only the rows still not ready. The test holds the lock,
+// starts a cold read of one target, and once the read waits for the lock
+// computes and publishes the read's whole ball itself, then releases it. The
+// read must answer as the seed does and fill no layer row, only the hub rows
+// hop h+1 < TMax keeps — for X^(1) read at TMax 2 and X^(2) at TMax 4.
 func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 	ds := denseData(t)
 	for _, c := range []struct {
@@ -921,12 +872,8 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 		target := ds.Split.Test[:1]
 		want := seedInfer(dep, target, opt)
 		ball := graph.Ball(g.Adj, target, c.tmax-h) // the rows a read of target needs
-		held := ball[len(ball)-1]
-		if held == target[0] {
-			held = ball[0]
-		}
-		setSlot(lay, held, slotFilling) // someone else is computing it
 
+		lay.mu.Lock()
 		done := make(chan *Result)
 		go func() {
 			res, err := dep.Infer(target, opt)
@@ -935,24 +882,30 @@ func TestLayerWaitsForRowBeingFilled(t *testing.T) {
 			}
 			done <- res
 		}()
-		// The batch claims, computes and publishes every other row of the ball …
-		for dep.Hop1Stats().Entries < len(ball)-1 {
-			runtime.Gosched()
-		}
-		// … and cannot have answered: hop h+1 would read the held row.
-		select {
-		case <-done:
-			t.Fatalf("TMax %d: Infer returned while a row of its ball was still being filled", c.tmax)
-		default:
-		}
-		in, colMap := (&hopScratch[float64]{}).below(dep.Adj, eng.base, []int{held}, h, g.F())
-		mulRows(dep.Adj, in, []int{held}, []int{held}, colMap, g.F(), lay.block)
-		setSlot(lay, held, slotReady)
-		requireSameResult(t, fmt.Sprintf("TMax %d after the held row was published", c.tmax), <-done, want)
-		// Beside the layer's rows, hop h+1 < TMax publishes the hub rows it computed.
+		waitLocking("ensureLayer") // the read has listed its rows
+		in, colMap := (&hopScratch[float64]{}).below(dep.Adj, eng.base, ball, h, g.F())
+		mulRows(dep.Adj, in, ball, ball, colMap, g.F(), lay.block)
+		lay.publish(ball)
+		lay.mu.Unlock()
+		requireSameResult(t, fmt.Sprintf("TMax %d after its ball was published", c.tmax), <-done, want)
 		_, hubs := hubCounts(dep)
-		if s := dep.Hop1Stats(); int(s.Computed) != len(ball)-1+hubs {
-			t.Fatalf("TMax %d: the batch computed %d rows, its ball has %d, one was held, and %d hub rows are resident", c.tmax, s.Computed, len(ball), hubs)
+		if s := dep.Hop1Stats(); int(s.Computed) != hubs || s.Entries != len(ball)+hubs {
+			t.Fatalf("TMax %d: the read computed %d rows and %d are resident; its ball of %d was published before it took the lock, and %d hub rows are resident", c.tmax, s.Computed, s.Entries, len(ball), hubs)
 		}
+	}
+}
+
+// waitLocking returns once some goroutine is inside fn and taking a
+// sync.Mutex, as runtime.Stack prints them.
+func waitLocking(fn string) {
+	buf := make([]byte, 1<<20)
+	for {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, "sync.(*Mutex).Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+		runtime.Gosched()
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -40,16 +40,15 @@ import (
 // for the ⌈n/16⌉ highest-degree nodes (hubMembers) whenever h+1 < TMax: a hub
 // layer, this type over a sorted member list, row k holding members[k]'s.
 // Hop h+1 copies its ready hub rows out of it instead of gathering them, and
-// copies the ones it claimed into it after its product (hubRows,
-// publishHubs); a row another batch is filling is computed, never waited for,
-// so hub rows add no publish-before-read edge. TMax ≤ 2 has no hop
-// h+1 < TMax.
+// copies the ones it computed into it after its product, those still not
+// ready then (hubRows, publishHubs); a hub row is never waited for, so hub
+// rows add no publish-before-read edge. TMax ≤ 2 has no hop h+1 < TMax.
 //
 // The memory contract is one block per depth some batch has read, allocated
 // on that first read — not when the engine is rebuilt (Refresh,
 // SetPrecision) — and touched only where a request has needed a
 // row. A deployment served at one operating point, as every server is, holds
-// exactly one: a row and two slot bits per node plus 1/64 of headroom for
+// exactly one: a row and a ready bit per node plus 1/64 of headroom for
 // the nodes deltas append, at most layerBytes(n + n/64) bytes, and beside it,
 // past TMax 2, one hub layer of layerBytes(⌈n/16⌉) bytes and its id list —
 // 1/16 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
@@ -61,17 +60,19 @@ import (
 // across the block misses the TLB far less, and touching one row makes its
 // whole 2 MiB resident.
 //
-// Rows are filled lazily by whichever batch needs them first, into
-// publish-once slots — empty → filling (the one batch whose CAS set the
-// row's claimed bit computes the row from X^(0) into the block) → ready (its
-// ready bit set) — so concurrent Infer callers need no lock: a reader that
-// sees ready reads a row no one writes any more. The slots are two bitsets,
-// n/4 bytes a layer, so a batch checks the rows it is about to read in cache
-// that the block does not fit. The one invariant is publish before read:
-// before each product of hop h+1, every row of X^(h) it gathers is ready — the
-// batch computes the empty ones itself and waits for the ones another batch is
-// filling — and so is every target's row before the batch's wave at h. Slots
-// only go back to empty, and the arrays are only reallocated, in invalidate,
+// Rows are filled lazily by whichever batch needs them first. Each row has a
+// ready bit, n/8 bytes a layer, so a batch checks the rows it is about to read
+// in cache that the block does not fit; a reader that sees a row ready reads
+// bits no one writes any more, without a lock. Writes take the layer's lock:
+// a batch lists the rows it needs that are not ready, and under mu drops those
+// another batch published meanwhile, computes the rest from X^(0) into the
+// block and sets their bits. Every fill already runs on every core inside the
+// row driver, so the lock serializes only what concurrent batches would
+// otherwise have computed twice or split. The one invariant is publish before
+// read: before each product of hop h+1, every row of X^(h) it gathers is
+// ready, and so is every target's row before the batch's wave at h. A batch
+// holds at most one lock at a time, so no lock order exists. Bits only go
+// back to empty, and the arrays are only reallocated, in invalidate,
 // invalidateAll and grow, which run under the same exclusion as every other
 // graph mutation (never concurrently with Infer).
 //
@@ -89,9 +90,11 @@ type hopLayer[T float64 | float32] struct {
 	// members lists the nodes a hub layer holds rows for, ascending, fixed
 	// when it is allocated; nil for a layer of every node.
 	members []int
-	// claimed and ready are the rows' slots, a bit per row (row k at bit k&63
-	// of word k>>6): empty (neither), filling (claimed) or ready (both).
-	claimed, ready []atomic.Uint64
+	// ready has a bit per row (row k at bit k&63 of word k>>6), set once the
+	// row's bits in block are final.
+	ready []atomic.Uint64
+	// mu is held while rows are written into block and their bits set.
+	mu sync.Mutex
 	// rows is how many rows the layer holds: n, or len(members).
 	rows int
 	// block holds row k at [k·f, (k+1)·f): node k's, or a hub layer's
@@ -192,18 +195,17 @@ func (m *hopLayer[T]) grow(n int) {
 		m.block = append(block, m.block...)
 	}
 	if words > cap(m.ready) {
-		m.claimed = append(make([]atomic.Uint64, 0, (room+63)/64), m.claimed...)
 		m.ready = append(make([]atomic.Uint64, 0, (room+63)/64), m.ready...)
 	}
-	m.claimed, m.ready, m.block, m.rows = m.claimed[:words], m.ready[:words], m.block[:n*m.f], n
+	m.ready, m.block, m.rows = m.ready[:words], m.block[:n*m.f], n
 	m.stats.capacity.Add(int64(n - old))
 	m.stats.bytes.Add(int64(layerBytes[T](n, m.f) - layerBytes[T](old, m.f)))
 }
 
 // layerBytes is what n rows of f columns cost a layer: the rows and their
-// slots' bits.
+// ready bits.
 func layerBytes[T float64 | float32](n, f int) int {
-	return n*f*int(unsafe.Sizeof(*new(T))) + 16*((n+63)/64)
+	return n*f*int(unsafe.Sizeof(*new(T))) + 8*((n+63)/64)
 }
 
 // isReady reports whether row k is ready: its bits in block are final until
@@ -212,42 +214,24 @@ func (m *hopLayer[T]) isReady(k int) bool {
 	return m.ready[k>>6].Load()&(1<<(uint(k)&63)) != 0
 }
 
-// claim marks row k filling and reports whether this call did: the one that
-// did computes the row and publishes it.
-func (m *hopLayer[T]) claim(k int) bool {
-	bit := uint64(1) << (uint(k) & 63)
-	return setBits(&m.claimed[k>>6], bit)&bit == 0
-}
-
-// publish marks rows ks, whose rows are in block, ready: one CAS per word
-// when ks is ascending.
+// publish marks rows ks, whose rows are in block, ready: one store per word
+// when ks is ascending. Under mu.
 func (m *hopLayer[T]) publish(ks []int) {
 	for i := 0; i < len(ks); {
 		w, bits := ks[i]>>6, uint64(0)
 		for ; i < len(ks) && ks[i]>>6 == w; i++ {
 			bits |= 1 << (uint(ks[i]) & 63)
 		}
-		setBits(&m.ready[w], bits)
+		m.ready[w].Store(m.ready[w].Load() | bits)
 	}
 	m.stats.entries.Add(int64(len(ks)))
-}
-
-// setBits sets bits in w and returns its previous value.
-func setBits(w *atomic.Uint64, bits uint64) uint64 {
-	for {
-		old := w.Load()
-		if old&bits == bits || w.CompareAndSwap(old, old|bits) {
-			return old
-		}
-	}
 }
 
 // drop empties one row. Not concurrent with Infer.
 func (m *hopLayer[T]) drop(v int) {
 	w, bit := v>>6, uint64(1)<<(uint(v)&63)
-	if old := m.claimed[w].Load(); old&bit != 0 {
-		m.claimed[w].Store(old &^ bit)
-		m.ready[w].Store(m.ready[w].Load() &^ bit)
+	if old := m.ready[w].Load(); old&bit != 0 {
+		m.ready[w].Store(old &^ bit)
 		m.stats.entries.Add(-1)
 		m.stats.invalidated.Add(1)
 	}
@@ -270,20 +254,18 @@ func (m *hopLayer[T]) invalidateAll() {
 // ensureLayer makes ready the rows of layer m the batch reads next and has
 // not read before (sc.seen): rows themselves, or with gathered the columns of
 // Â in rows — each row's neighbours and the row itself, what a product over
-// rows gathers. Rows that are not ready are claimed (the slot's CAS) as the
-// walk meets them, computed from X^(0) straight into the block (the hops below
-// h over their nested balls into the batch's levels, hopScratch.below) and
-// published; a row another batch claimed first is waited for, after this call
-// has published its own, so two batches that each hold rows the other needs
-// cannot wait on each other (the hub rows a product has claimed when it gets
-// here are never waited for). On return every row the walk met is ready and stays so until
-// the next delta: publish before read. Each row counts once per batch: as
-// computed when this call filled it, else as read from the layer. Books
-// charges hop h whoever computed the rows (as MACBreakdown.Stationary charges
-// a cost the cache saved).
+// rows gathers. The walk lists the rows that are not ready; if there are any,
+// it takes m's lock, drops the ones another batch published meanwhile, and
+// computes the rest, sorted, from X^(0) straight into the block (the hops
+// below h over their nested balls into the batch's levels, hopScratch.below)
+// before publishing them. On return every row the walk met is ready and stays
+// so until the next delta: publish before read. Each row counts once per
+// batch: as computed when this call filled it, else as read from the layer.
+// Books charges hop h whoever computed the rows (as MACBreakdown.Stationary
+// charges a cost the cache saved).
 func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, gathered bool) {
 	adj, seen := t.d.Graph.Adj, sc.seen
-	won, lost, read := sc.won[:0], sc.lost[:0], 0
+	missing, read := sc.missing[:0], 0
 	for _, v := range rows {
 		cols := adj.RowIndices(v)
 		if !gathered {
@@ -301,41 +283,35 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 			seen[w] = old | 1<<at
 			read += int(^old>>at) & 1
 			if (old|m.ready[w].Load())>>at&1 == 0 {
-				if m.claim(c) {
-					won = append(won, c)
-				} else {
-					lost = append(lost, c)
-				}
+				missing = append(missing, c)
 			}
 		}
 	}
-	if len(won) > 0 {
-		slices.Sort(won) // the fill reads and writes in node order
-		in, colMap := sc.below(t.d.Adj, t.base, won, m.depth, sc.f)
-		mulRows(t.d.Adj, in, won, won, colMap, sc.f, m.block)
-		m.publish(won)
-	}
-	for _, v := range lost {
-		for !m.isReady(v) {
-			runtime.Gosched()
+	if len(missing) > 0 {
+		m.mu.Lock()
+		missing = slices.DeleteFunc(missing, m.isReady)
+		if len(missing) > 0 {
+			slices.Sort(missing) // the fill reads and writes in node order
+			in, colMap := sc.below(t.d.Adj, t.base, missing, m.depth, sc.f)
+			mulRows(t.d.Adj, in, missing, missing, colMap, sc.f, m.block)
+			m.publish(missing)
 		}
+		m.mu.Unlock()
 	}
-	m.stats.fromMemo.Add(uint64(read - len(won)))
-	m.stats.computed.Add(uint64(len(won)))
-	// Shaped after use, their extent being this pass's outcome: a cold
-	// batch's lists do not outlive it in the pool.
-	sc.won = growScratch(won, len(won))
-	sc.lost = growScratch(lost, len(lost))
+	m.stats.fromMemo.Add(uint64(read - len(missing)))
+	m.stats.computed.Add(uint64(len(missing)))
+	// Shaped after use, its extent being this pass's outcome: a cold batch's
+	// list does not outlive it in the pool.
+	sc.missing = growScratch(missing, len(missing))
 }
 
 // hubRows is the first half of hop m.depth's product over rows (ascending)
 // into level lv, with hub layer m: a row lv holds is skipped; a member whose
-// row is ready is copied into lv and left out of the product; a member whose
-// empty slot this batch claims is listed in claimed, for publishHubs once the
-// product has written its row; every other row — a member another batch is
-// still filling among them, computed rather than waited for — is appended to
-// compute, the rows the product runs over. It returns compute and claimed.
-func (m *hopLayer[T]) hubRows(rows []int, lv *hopLevel[T], compute, claimed []int) ([]int, []int) {
+// row is ready is copied into lv and left out of the product; every other row
+// is appended to compute, the rows the product runs over, and a member among
+// them to fresh, for publishHubs once the product has written its row. It
+// returns compute and fresh.
+func (m *hopLayer[T]) hubRows(rows []int, lv *hopLevel[T], compute, fresh []int) ([]int, []int) {
 	f, members := m.f, m.members
 	k, ready := 0, 0
 	for i, v := range rows {
@@ -346,32 +322,34 @@ func (m *hopLayer[T]) hubRows(rows []int, lv *hopLevel[T], compute, claimed []in
 			k++
 		}
 		if k < len(members) && members[k] == v {
-			switch {
-			case m.isReady(k):
+			if m.isReady(k) {
 				lv.add(rows[i:i+1], f)
 				copy(lv.x[len(lv.x)-f:], m.block[k*f:][:f])
 				ready++
 				continue
-			case m.claim(k):
-				claimed = append(claimed, k)
 			}
+			fresh = append(fresh, k)
 		}
 		compute = append(compute, v)
 	}
 	m.stats.fromMemo.Add(uint64(ready))
-	return compute, claimed
+	return compute, fresh
 }
 
-// publishHubs is the second half: it copies the rows of the members hubRows
-// claimed, which the product wrote into lv, into hub layer m and publishes
-// them.
-func (m *hopLayer[T]) publishHubs(claimed []int, lv *hopLevel[T]) {
+// publishHubs is the second half: under m's lock it copies the rows of the
+// members in fresh that are still not ready, which the product wrote into lv,
+// into hub layer m and publishes them; another batch may have published the
+// rest since hubRows, with the same bits.
+func (m *hopLayer[T]) publishHubs(fresh []int, lv *hopLevel[T]) {
 	f := m.f
-	for _, k := range claimed {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fresh = slices.DeleteFunc(fresh, m.isReady)
+	for _, k := range fresh {
 		copy(m.block[k*f:][:f], lv.x[int(lv.idx[m.members[k]])*f:][:f])
 	}
-	m.publish(claimed)
-	m.stats.computed.Add(uint64(len(claimed)))
+	m.publish(fresh)
+	m.stats.computed.Add(uint64(len(fresh)))
 }
 
 // hopScratch is the rows a batch computes, by depth and node id: levels[j]
@@ -491,12 +469,13 @@ func (hs *hopScratch[T]) below(adj *sparse.Normalized, x0 operand[T], rows []int
 
 // Hop1Stats are the layers' counters, summed over every layer the deployment
 // holds, hub layers included: FromMemo counts each layer row a batch reads
-// that it did not fill itself — found resident, or filled by another batch it
-// waited for — once per batch, and each hub row a product copied; Computed
-// counts the rows batches filled. Then the rows dropped by deltas (or a
-// rebuild) since start, rows currently resident, and the layers' extent — a
-// row per node per block plus a row per hub per hub layer (Entries/Capacity is
-// their coverage) and the bytes those rows and their slots cost.
+// that it did not fill itself — found resident, or published by another batch
+// while it waited for the layer's lock — once per batch, and each hub row a
+// product copied; Computed counts the rows batches filled and published. Then
+// the rows dropped by deltas (or a rebuild) since start, rows currently
+// resident, and the layers' extent — a row per node per block plus a row per
+// hub per hub layer (Entries/Capacity is their coverage) and the bytes those
+// rows and their ready bits cost.
 type Hop1Stats struct {
 	FromMemo, Computed, Invalidated uint64
 	Entries, Capacity, Bytes        int
@@ -531,7 +510,7 @@ func (d *Deployment) Hop1Stats() Hop1Stats {
 // process its deployment's.
 func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 	rows := reg.GaugeVec("nai_hop1_rows_total",
-		"Layer rows batches read, summed over every resident layer (X^(h), one per operating-point depth, and the hub rows of X^(h+1) beside it) by source: memo counts once per batch each row it read without filling it (the targets' rows at h and the rows hop h+1 gathers) and each hub row it copied, computed each row it filled (cumulative).",
+		"Layer rows batches read, summed over every resident layer (X^(h), one per operating-point depth, and the hub rows of X^(h+1) beside it) by source: memo counts once per batch each row it read without filling it (the targets' rows at h and the rows hop h+1 gathers), found ready or published by another batch while it waited for the layer's lock, and each hub row it copied; computed counts each row it filled and published under the layer's lock (cumulative).",
 		"source")
 	rows.WithFunc(func() float64 { return float64(read().FromMemo) }, "memo")
 	rows.WithFunc(func() float64 { return float64(read().Computed) }, "computed")
@@ -542,7 +521,7 @@ func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/16 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
 		func() float64 { return float64(read().Capacity) })
 	reg.GaugeFunc("nai_hop1_memo_bytes",
-		"Bytes the resident layers' rows and their slots occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type and two bits a row, per hub layer 1/16 of that.",
+		"Bytes the resident layers' rows and their ready bits occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type and one bit a row, per hub layer 1/16 of that.",
 		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
 		"Layer rows dropped because a delta moved a row of the adjacency within the layer's depth of them, summed over every layer; a delta drops every hub row (cumulative).",

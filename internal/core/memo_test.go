@@ -241,7 +241,7 @@ func testMemoInvalidation[T float64 | float32](t *testing.T, p kernel.Precision)
 	stale := func(v int) bool { return valDirty[v] }
 	cleared := 0
 	for v := 0; v < before; v++ {
-		empty := slot(mm, v) == slotEmpty
+		empty := !mm.isReady(v)
 		if empty != stale(v) {
 			t.Fatalf("row of node %d: empty=%v, want %v", v, empty, stale(v))
 		}
@@ -324,8 +324,8 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 
 // TestLayerBytes is the layers' memory contract. Whatever the graph's shape —
 // sparse and narrow, dense, or f ≫ d̄, where the block outweighs the adjacency
-// — a layer retains at most layerBytes(n + n/64) bytes, a row and two slot
-// bits per node plus the headroom, when first read and after growing past that
+// — a layer retains at most layerBytes(n + n/64) bytes, a row and a ready
+// bit per node plus the headroom, when first read and after growing past that
 // headroom, and reports n rows' worth; a hub layer retains at most
 // layerBytes(⌈n/16⌉) bytes plus its id list, and reports its members' rows. A deployment holds a block only for a depth it has been read at: read
 // only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
@@ -344,7 +344,7 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 		n, f := dep.Graph.N(), dep.Graph.F()
 		bound := layerBytes[T](n+n/64, f)
 		held := func(mm *hopLayer[T]) int {
-			return elem*cap(mm.block) + 8*(cap(mm.claimed)+cap(mm.ready)) + 8*cap(mm.members)
+			return elem*cap(mm.block) + 8*cap(mm.ready) + 8*cap(mm.members)
 		}
 		layers := layersOf[T](t, dep)
 		for h, mm := range layers {

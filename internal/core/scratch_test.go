@@ -248,14 +248,14 @@ func testOversizedScratchDropped[T float64 | float32](t *testing.T, p kernel.Pre
 			return map[string]int{
 				"levels past h": levelsCap(sc, 1),
 				"BFS rings":     cap(sc.bfs.ball), "BFS balls": cap(sc.bfs.sorted),
-				"layer rows won": cap(sc.won), "layer rows lost": cap(sc.lost),
-				"arena": len(sc.arena.buf),
+				"layer rows missing": cap(sc.missing),
+				"arena":              len(sc.arena.buf),
 			}
 		}
 		bigOpt := InferenceOptions{Mode: ModeGate, TMin: 1, TMax: m.K}
 		inferWith(t, dep, sc, rangeInts(0, ds.Graph.N()), bigOpt)
 		big := sized()
-		if big["levels past h"] == 0 || big["layer rows won"] == 0 {
+		if big["levels past h"] == 0 || big["layer rows missing"] == 0 {
 			t.Fatalf("%v: the big batch left buffers unused: %v", p, big)
 		}
 
