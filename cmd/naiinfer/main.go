@@ -86,7 +86,9 @@ func main() {
 		iopt.TMax = *tmax
 	}
 	if napMode == core.ModeDistance {
-		iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
+		if iopt.Ts, err = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile); err != nil {
+			fail(err)
+		}
 		fmt.Printf("tuned T_s = %.4f (validation quantile %.2f)\n", iopt.Ts, *tsQuantile)
 	}
 

@@ -273,7 +273,11 @@ func main() {
 		if ds == nil {
 			fail(fmt.Errorf("distance mode needs a validation split to tune T_s; serve a dataset or use -mode fixed/gate"))
 		}
-		iopt.Ts = dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
+		ts, err := dep.DistanceQuantile(ds.Split.Val, 1, *tsQuantile)
+		if err != nil {
+			fail(err)
+		}
+		iopt.Ts = ts
 		logger.Info("tuned distance threshold", "ts", iopt.Ts, "quantile", *tsQuantile)
 	}
 

@@ -44,7 +44,13 @@ func main() {
 	}
 
 	// validation distance quantiles → candidate thresholds
-	quantile := func(q float64) float64 { return dep.DistanceQuantile(ds.Split.Val, 1, q) }
+	quantile := func(q float64) float64 {
+		ts, err := dep.DistanceQuantile(ds.Split.Val, 1, q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ts
+	}
 
 	type point struct {
 		name    string

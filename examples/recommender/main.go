@@ -47,8 +47,14 @@ func main() {
 	// (below the 10th-percentile depth-1 distance) exit at depth 1; the
 	// speed-first one caps depth at 2 and lets half of them (below the
 	// median) exit at 1.
-	tsBalanced := dep.DistanceQuantile(ds.Split.Val, 1, 0.1)
-	tsSpeed := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+	tsBalanced, err := dep.DistanceQuantile(ds.Split.Val, 1, 0.1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tsSpeed, err := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	points := []struct {
 		name string

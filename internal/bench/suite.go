@@ -134,9 +134,15 @@ func (s *Suite) Quantized() *baselines.Quantized {
 }
 
 // DistanceQuantile returns the q-quantile of the validation nodes'
-// stationary distances Δ^{(l)} (Eq. 8), the knob users tune T_s with.
+// stationary distances Δ^{(l)} (Eq. 8), the knob users tune T_s with. The
+// suite's own split and model always make a valid call, so an error is a bug
+// and panics.
 func (s *Suite) DistanceQuantile(l int, q float64) float64 {
-	return s.Dep.DistanceQuantile(s.DS.Split.Val, l, q)
+	ts, err := s.Dep.DistanceQuantile(s.DS.Split.Val, l, q)
+	if err != nil {
+		panic(err)
+	}
+	return ts
 }
 
 // NAISetting is one operating point of Algorithm 1.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/mat"
 	"repro/internal/synth"
 )
@@ -106,7 +108,11 @@ func deepWarmFixture() (*Deployment, InferenceOptions, [][]int, error) {
 	if err != nil {
 		return nil, opt, nil, err
 	}
-	opt = InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 2, 0.25), TMin: 2, TMax: 4}
+	ts, err := dep.DistanceQuantile(ds.Split.Val, 2, 0.25)
+	if err != nil {
+		return nil, opt, nil, err
+	}
+	opt = InferenceOptions{Mode: ModeDistance, Ts: ts, TMin: 2, TMax: 4}
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([][]int, 64)
 	for i := range reqs {
@@ -205,6 +211,64 @@ func deepWarmOnce(b *testing.B) *deepWarmFx {
 		b.Fatal(fx.err)
 	}
 	return fx
+}
+
+// BenchmarkDeltaStream applies 64 two-node deltas — the inductive arrivals
+// of zipf_delta's writer — to a deployment over a clone of
+// BenchmarkInferDeepWarm's 100 000-node graph, each new node joined to three
+// random old nodes and to its pair. Each op builds the clone untimed and
+// times the stream. It reports ns per delta and heap-MB, the live heap the
+// clone's deployment holds after the stream and a GC: the features and the
+// adjacency with every per-node array a delta extends, headroom included.
+func BenchmarkDeltaStream(b *testing.B) {
+	const deltas, perDelta = 64, 2
+	fx := deepWarmOnce(b)
+	g0 := fx.dep.Graph
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]graph.Delta, deltas)
+	for i := range stream {
+		d := &stream[i]
+		u := g0.N() + i*perDelta
+		rows := make([]int, perDelta)
+		for k := range rows {
+			rows[k] = rng.Intn(g0.N())
+			for e := 0; e < 3; e++ {
+				d.Src, d.Dst = append(d.Src, u+k), append(d.Dst, rng.Intn(g0.N()))
+			}
+		}
+		d.Src, d.Dst = append(d.Src, u), append(d.Dst, u+1)
+		d.Features, d.Labels = g0.Features.GatherRows(rows), make([]int, perDelta)
+	}
+	b.ResetTimer()
+	var heapMB float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heapAfterGC()
+		dep, err := NewDeployment(fx.dep.Model, g0.Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, d := range stream {
+			if _, err := dep.ApplyDelta(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		heapMB = float64(heapAfterGC()-before) / (1 << 20)
+		runtime.KeepAlive(dep)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deltas), "ns/delta")
+	b.ReportMetric(heapMB, "heap-MB")
+}
+
+// heapAfterGC returns the bytes of live heap after a full collection.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkDeploymentRefresh is the once-per-deployment cost of the cached

@@ -38,7 +38,7 @@ func TestBooksMatchesSeedLedger(t *testing.T) {
 			for _, v := range ds.Split.Test[:40] {
 				targets = append(targets, v%base.N())
 			}
-			opts := bookedOpts(dep.DistanceQuantile(targets, 1, 0.5))
+			opts := bookedOpts(tsQuantile(t, dep, targets, 1, 0.5))
 			early := 0 // answers with a target exiting before TMax
 			check := func(stage string) {
 				t.Helper()

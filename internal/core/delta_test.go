@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/sparse"
 	"repro/internal/synth"
@@ -240,4 +242,72 @@ func TestDeltaEdgeCases(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDeltaGrowthHeadroom: every per-node array a delta extends grows by one
+// rule (mat.Headroom). Over a stream of two-node deltas each of them — the
+// features, the labels, the operator's degree factors, the looped degrees and
+// the tier's lowered copy of the features — holds at most its length and
+// 1/64 more, plus one delta's rows, at every tier; a delta that fits in the
+// headroom moves no feature row; and the grown graph is the carved one.
+func TestDeltaGrowthHeadroom(t *testing.T) {
+	const k, perDelta = 64, 2
+	ds := tinyData(t)
+	m := trainedModel(t)
+	for _, p := range tiers {
+		base, delta := carveDelta(t, ds, k)
+		dep := deployAt(t, m, base, p)
+		n0, f := base.N(), base.F() // base is the serving graph: it grows
+		within := func(label string, capacity, need, unit int) {
+			t.Helper()
+			if capacity > mat.Headroom(need)+perDelta*unit {
+				t.Fatalf("%v: %s holds %d for %d elements, bound %d", p, label, capacity, need, mat.Headroom(need)+perDelta*unit)
+			}
+		}
+		kept := 0 // deltas that fit in the features' headroom
+		for u := n0; u < ds.Graph.N(); u += perDelta {
+			d := graph.Delta{Features: delta.Features.GatherRows(rangeInts(u-n0, u-n0+perDelta)), Labels: delta.Labels[u-n0:][:perDelta]}
+			for e := range delta.Src {
+				if s := delta.Src[e]; s >= u && s < u+perDelta {
+					d.Src, d.Dst = append(d.Src, s), append(d.Dst, delta.Dst[e])
+				}
+			}
+			feat := dep.Graph.Features
+			fits, first := cap(feat.Data)-len(feat.Data) >= perDelta*f, &feat.Data[0]
+			if _, err := dep.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			if fits {
+				kept++
+				if &feat.Data[0] != first {
+					t.Fatalf("%v: a delta within the headroom moved the features", p)
+				}
+			}
+
+			n, g := dep.Graph.N(), dep.Graph
+			within("Features.Data", cap(g.Features.Data), n*f, f)
+			within("Labels", cap(g.Labels), n, 1)
+			within("Adj.Left", cap(dep.Adj.Left), n, 1)
+			within("LoopedDeg", cap(dep.Stationary().LoopedDeg), n, 1)
+			if p == kernel.PrecisionF64 {
+				if x := tierOf[float64](t, dep).base.x; &x[0] != &g.Features.Data[0] {
+					t.Fatal("f64: the tier's operand is not the features")
+				}
+				continue
+			}
+			b := tierOf[float32](t, dep).base
+			if p == kernel.PrecisionInt8 {
+				within("int8 rows", cap(b.q), n*f, f)
+				within("int8 scales", cap(b.scales), n, 1)
+			} else {
+				within("f32 rows", cap(b.x), n*f, f)
+			}
+		}
+		if kept == 0 {
+			t.Fatalf("%v: no delta of %d fit in the headroom", p, k/perDelta)
+		}
+		if !mat.Equal(dep.Graph.Features, ds.Graph.Features) || !slices.Equal(dep.Graph.Labels, ds.Graph.Labels) {
+			t.Fatalf("%v: the grown graph's features or labels differ from the carved graph's", p)
+		}
+	}
 }

@@ -245,11 +245,24 @@ func (d *Deployment) Stationary() *Stationary { return d.stationary }
 // computed at float64 whatever the serving tier, as a layer fill computes it:
 // hop j over the nodes' radius-(l−j) ball — so no Â is materialized and
 // nothing outside the ball is read; each distance is
-// bit-equal to one taken from a full-graph propagation. Must not run
-// concurrently with ApplyDelta.
-func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
+// bit-equal to one taken from a full-graph propagation. It returns an error,
+// and reads nothing, for a node outside [0, N), l outside [1, K] or q
+// outside [0, 1]. Must not run concurrently with ApplyDelta.
+func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) (float64, error) {
+	if l < 1 || l > d.Model.K {
+		return 0, fmt.Errorf("core: distance depth %d outside [1, %d]", l, d.Model.K)
+	}
+	if !(q >= 0 && q <= 1) {
+		return 0, fmt.Errorf("core: distance quantile %v outside [0, 1]", q)
+	}
+	n := d.Graph.N()
+	for _, v := range nodes {
+		if v < 0 || v >= n {
+			return 0, fmt.Errorf("core: node %d outside [0, %d)", v, n)
+		}
+	}
 	if len(nodes) == 0 {
-		return 0
+		return 0, nil
 	}
 	f := d.Graph.F()
 	uniq := sortedUnique(nodes, nil)
@@ -263,7 +276,7 @@ func (d *Deployment) DistanceQuantile(nodes []int, l int, q float64) float64 {
 	xl := mat.FromData(len(uniq), f, x).GatherRows(at)
 	dist := mat.RowDistances(xl, d.stationary.Rows(nodes))
 	sort.Float64s(dist)
-	return dist[int(q*float64(len(dist)-1))]
+	return dist[int(q*float64(len(dist)-1))], nil
 }
 
 // sortedUnique returns nodes sorted ascending without duplicates, in dst

@@ -137,15 +137,52 @@ func TestDistanceQuantileMatchesFullPropagation(t *testing.T) {
 			sort.Float64s(d)
 			for _, q := range []float64{0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.9, 1} {
 				want := d[int(q*float64(len(d)-1))]
-				if got := dep.DistanceQuantile(val, l, q); math.Float64bits(got) != math.Float64bits(want) {
+				if got := tsQuantile(t, dep, val, l, q); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%v l=%d q=%v: %v, full propagation gives %v", prec, l, q, got, want)
 				}
 			}
 		}
 	}
-	if got := dep.DistanceQuantile(nil, 1, 0.5); got != 0 {
+	if got := tsQuantile(t, dep, nil, 1, 0.5); got != 0 {
 		t.Fatalf("no nodes: %v, want 0", got)
 	}
+}
+
+// TestDistanceQuantileRejectsBadInput: a node id outside [0, N), a depth
+// outside [1, K] or a quantile outside [0, 1] is an error, not a panic.
+func TestDistanceQuantileRejectsBadInput(t *testing.T) {
+	ds := tinyData(t)
+	m := trainedModel(t)
+	dep, _ := NewDeployment(m, ds.Graph)
+	n, val := ds.Graph.N(), ds.Split.Val[:4]
+	for _, tc := range []struct {
+		name  string
+		nodes []int
+		l     int
+		q     float64
+	}{
+		{"id N", append([]int{n}, val...), 1, 0.5},
+		{"id -1", append([]int{-1}, val...), 1, 0.5},
+		{"l 0", val, 0, 0.5},
+		{"l K+1", val, m.K + 1, 0.5},
+		{"q 1.5", val, 1, 1.5},
+		{"q NaN", val, 1, math.NaN()},
+		{"l 0, no nodes", nil, 0, 0.5},
+	} {
+		if ts, err := dep.DistanceQuantile(tc.nodes, tc.l, tc.q); err == nil {
+			t.Errorf("%s: %v, want an error", tc.name, ts)
+		}
+	}
+}
+
+// tsQuantile is Deployment.DistanceQuantile for a call that must succeed.
+func tsQuantile(t *testing.T, dep *Deployment, nodes []int, l int, q float64) float64 {
+	t.Helper()
+	ts, err := dep.DistanceQuantile(nodes, l, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
 }
 
 func TestHugeThresholdExitsAtTMin(t *testing.T) {

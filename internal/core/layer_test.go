@@ -288,7 +288,7 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 			if d := check(InferenceOptions{Mode: ModeDistance, Ts: 0, TMin: 2, TMax: 4}); d[4] != len(ds.Split.Test) {
 				t.Fatalf("T_s 0: exits per depth %v, want none before TMax", d)
 			}
-			ts := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+			ts := tsQuantile(t, dep, ds.Split.Val, 1, 0.5)
 			for _, tmax := range []int{4, 5} {
 				d := check(InferenceOptions{Mode: ModeDistance, Ts: ts, TMin: 1, TMax: tmax})
 				if slices.Contains(d[1:tmax+1], 0) {
@@ -322,7 +322,7 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 	for _, m := range []*Model{trainedDeepModel(t), sign} {
 		for _, p := range tiers {
 			dep := deployAt(t, m, ds.Graph, p)
-			ts := dep.DistanceQuantile(ds.Split.Val, 2, 0.5)
+			ts := tsQuantile(t, dep, ds.Split.Val, 2, 0.5)
 			for _, mode := range []Mode{ModeFixed, ModeDistance, ModeGate} {
 				for tmax := 4; tmax <= 5; tmax++ {
 					opt := InferenceOptions{Mode: mode, Ts: ts, TMin: 2, TMax: tmax}
@@ -381,7 +381,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 		l, h := tmax-1, layerDepth(tmax)
 		for _, tmin := range []int{l, h} {
 			label := fmt.Sprintf("%v/tmin=%d/tmax=%d", p, tmin, tmax)
-			opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, l, 0.5), TMin: tmin, TMax: tmax}
+			opt := InferenceOptions{Mode: ModeDistance, Ts: tsQuantile(t, dep, ds.Split.Val, l, 0.5), TMin: tmin, TMax: tmax}
 			want := seedInfer(dep, targets, opt)
 			// activeAt(j) is the targets hop j propagates for: those exiting at j or later.
 			activeAt := func(j int) []int {
@@ -463,7 +463,7 @@ func testLayerResidentRowsAreGathered[T float64 | float32](t *testing.T, p kerne
 		dep := deployAt(t, m, ds.Graph, p)
 		g := dep.Graph
 		label := fmt.Sprintf("%v/tmax=%d", p, tmax)
-		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, h, 0.5), TMin: 1, TMax: tmax}
+		opt := InferenceOptions{Mode: ModeDistance, Ts: tsQuantile(t, dep, ds.Split.Val, h, 0.5), TMin: 1, TMax: tmax}
 		want := seedInfer(dep, targets, opt)
 		if d := want.NodesPerDepth; d[h] == 0 || d[h+1] == 0 || d[tmax] == 0 {
 			t.Fatalf("%s: exits per depth %v, want waves at %d and %d and survivors to TMax", label, d, h, h+1)
@@ -553,7 +553,7 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		g, f := dep.Graph, dep.Graph.F()
 		l := layerDepth(tmax) + 1 // the hop that reads hub rows
 		label := fmt.Sprintf("%v/tmax=%d", p, tmax)
-		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, l, 0.5), TMin: l, TMax: tmax}
+		opt := InferenceOptions{Mode: ModeDistance, Ts: tsQuantile(t, dep, ds.Split.Val, l, 0.5), TMin: l, TMax: tmax}
 		want := seedInfer(dep, targets, opt)
 		if d := want.NodesPerDepth; d[l] == 0 || d[tmax] == 0 {
 			t.Fatalf("%s: exits per depth %v, want a wave at %d and survivors to TMax", label, d, l)

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/graph"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -179,12 +180,13 @@ func hubMembers(adj *sparse.CSR, k int) []int {
 }
 
 // grow extends the layer to n nodes; the new rows are empty. Past the
-// headroom the arrays move, to n rows and their 1/64, and the new block is
-// advised onto huge pages before the old rows are copied in. A hub layer's
-// rows are its members', allocated once without headroom: growing the graph
-// leaves it as it is. Not concurrent with Infer.
+// headroom the arrays move, to mat.Headroom(n) rows — the rule every per-node
+// array a delta extends grows by — and the new block is advised onto huge
+// pages before the old rows are copied in. A hub layer's rows are its
+// members', allocated once without headroom: growing the graph leaves it as
+// it is. Not concurrent with Infer.
 func (m *hopLayer[T]) grow(n int) {
-	room := n + n/64
+	room := mat.Headroom(n)
 	if m.members != nil {
 		n, room = len(m.members), len(m.members)
 	}

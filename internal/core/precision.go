@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -118,17 +118,19 @@ func newTier[T float64 | float32](d *Deployment) *tier[T] {
 // matrix itself, at f32 its rows rounded, at int8 its rows quantized, each at
 // its own scale. Rows already lowered are kept — features of existing nodes
 // change only under Refresh, which builds a new tier — so a delta lowers the
-// rows it appended and nothing else.
+// rows it appended and nothing else. The copies grow as the features do
+// (mat.Extend).
 func (t *tier[T]) lower() {
 	feat := t.d.Graph.Features
 	if t.d.prec != kernel.PrecisionInt8 {
 		t.base.x = lowered(feat.Data, t.base.x)
 		return
 	}
-	b, f := &t.base, feat.Cols
-	b.q = slices.Grow(b.q, len(feat.Data)-len(b.q))[:len(feat.Data)]
-	for i := len(b.scales); i < feat.Rows; i++ {
-		b.scales = append(b.scales, kernel.QuantizeInto(b.q[i*f:][:f], feat.Row(i)))
+	b, f, old := &t.base, feat.Cols, len(t.base.scales)
+	b.q = mat.Extend(b.q, len(feat.Data)-len(b.q))
+	b.scales = mat.Extend(b.scales, feat.Rows-old)
+	for i := old; i < feat.Rows; i++ {
+		b.scales[i] = kernel.QuantizeInto(b.q[i*f:][:f], feat.Row(i))
 	}
 }
 
@@ -139,9 +141,10 @@ func lowered[T float64 | float32](src []float64, dst []T) []T {
 	if same, ok := any(src).([]T); ok {
 		return same
 	}
-	dst = slices.Grow(dst, len(src)-len(dst))
-	for _, v := range src[len(dst):] {
-		dst = append(dst, T(v))
+	old := len(dst)
+	dst = mat.Extend(dst, len(src)-old)
+	for i, v := range src[old:] {
+		dst[old+i] = T(v)
 	}
 	return dst
 }

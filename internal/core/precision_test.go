@@ -185,7 +185,7 @@ func TestPrecisionAnswerIndependentOfBatchMates(t *testing.T) {
 	for _, m := range []*Model{trainedModel(t), trainedDeepModel(t)} {
 		for _, p := range tiers {
 			dep := deployAt(t, m, ds.Graph, p)
-			ts := dep.DistanceQuantile(ds.Split.Val, 1, 0.5)
+			ts := tsQuantile(t, dep, ds.Split.Val, 1, 0.5)
 			for tmax := 1; tmax <= m.K; tmax++ {
 				for _, opt := range []InferenceOptions{
 					{Mode: ModeFixed, TMin: 1, TMax: tmax},
@@ -323,7 +323,7 @@ func TestTraceSpansSumToFPTime(t *testing.T) {
 	o := obs.New(obs.Options{})
 	for _, p := range tiers {
 		dep := deployAt(t, m, ds.Graph, p)
-		opt := InferenceOptions{Mode: ModeDistance, Ts: dep.DistanceQuantile(ds.Split.Val, 1, 0.5),
+		opt := InferenceOptions{Mode: ModeDistance, Ts: tsQuantile(t, dep, ds.Split.Val, 1, 0.5),
 			TMin: 1, TMax: m.K, BatchSize: len(ds.Split.Test)/3 + 1}
 		tr := o.StartTrace()
 		res, err := dep.InferContext(obs.ContextWithTrace(context.Background(), tr), ds.Split.Test, opt)

@@ -128,9 +128,7 @@ func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
 	if n < len(s.LoopedDeg) {
 		panic(fmt.Sprintf("core: Update shrinks %d nodes to %d", len(s.LoopedDeg), n))
 	}
-	for i := len(s.LoopedDeg); i < n; i++ {
-		s.LoopedDeg = append(s.LoopedDeg, 0) // recomputed below: appended nodes are dirty
-	}
+	s.LoopedDeg = mat.Extend(s.LoopedDeg, n-len(s.LoopedDeg)) // recomputed below: appended nodes are dirty
 	for _, j := range dirty {
 		// Same arithmetic as sparse.LoopedDegrees: the row sum plus one.
 		s.LoopedDeg[j] = adj.RowSum(j) + 1
@@ -139,10 +137,7 @@ func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
 	s.SumMACs = n * f
 
 	nb := (n + stationaryBlock - 1) / stationaryBlock
-	for len(s.blockSums) < nb*f {
-		s.blockSums = append(s.blockSums, 0)
-	}
-	s.blockSums = s.blockSums[:nb*f]
+	s.blockSums = mat.Extend(s.blockSums, nb*f-len(s.blockSums)) // a new block holds appended nodes alone
 	lastBlock := -1
 	for _, j := range dirty {
 		if b := j / stationaryBlock; b != lastBlock {

@@ -66,10 +66,10 @@ type DeltaResult struct {
 }
 
 // ApplyDelta validates and applies d to the graph in place: features and
-// labels are appended (amortized growth, no full-matrix copy) and the
-// adjacency is rebuilt with the new edges merged in. It returns which rows
-// changed so cached derived state (normalized adjacency, stationary sums)
-// can be refreshed incrementally. The caller owns the concurrency contract:
+// labels are appended (mat.Extend: a full copy once per n/64 appended nodes)
+// and the adjacency is rebuilt with the new edges merged in. It returns which
+// rows changed so cached derived state (normalized adjacency, stationary
+// sums) can be refreshed incrementally. The caller owns the concurrency contract:
 // like Deployment.Refresh, ApplyDelta must not run concurrently with
 // readers of the graph.
 func (g *Graph) ApplyDelta(d Delta) (*DeltaResult, error) {
@@ -102,7 +102,8 @@ func (g *Graph) ApplyDelta(d Delta) (*DeltaResult, error) {
 	g.Adj = adj
 	if k > 0 {
 		g.Features.AppendRows(d.Features)
-		g.Labels = append(g.Labels, d.Labels...)
+		g.Labels = mat.Extend(g.Labels, k)
+		copy(g.Labels[n:], d.Labels)
 	}
 
 	// Dirty = edge-dirty rows ∪ all appended nodes. dirtyRows is sorted and

@@ -153,16 +153,42 @@ func ConcatCols(a, b *Matrix) *Matrix {
 	return out
 }
 
-// AppendRows grows m in place by src's rows (copied), using the built-in
-// append so repeated small appends — e.g. serving-graph node deltas — cost
-// amortized O(rows added), not a full-matrix copy each time. Row views taken
-// before the call may be left pointing at the old backing array.
+// AppendRows grows m in place by src's rows (copied). Data grows by Extend:
+// past its capacity it moves to an array with 1/64 of headroom, so a stream
+// of small appends — serving-graph node deltas — copies the matrix once per
+// 1/64 of its rows added and leaves at most that much of it idle. Row views
+// taken before the call may be left pointing at the old backing array.
 func (m *Matrix) AppendRows(src *Matrix) {
 	if src.Cols != m.Cols {
 		panic(fmt.Sprintf("mat: AppendRows cols %d != %d", src.Cols, m.Cols))
 	}
-	m.Data = append(m.Data, src.Data...)
+	old := len(m.Data)
+	m.Data = Extend(m.Data, len(src.Data))
+	copy(m.Data[old:], src.Data)
 	m.Rows += src.Rows
+}
+
+// Headroom is the capacity an array that deltas extend is given when it
+// moves: need and 1/64 more. Go's append grows a large slice by about a
+// quarter, which leaves up to a quarter of it idle after the first small
+// delta; at 1/64 a stream of deltas copies the array once per need/64
+// elements appended and leaves at most that much idle. Every per-node array a
+// delta extends, and every depth-h layer, grows by this rule.
+func Headroom(need int) int { return need + need/64 }
+
+// Extend returns s extended by k zero elements. While they fit in cap(s) the
+// backing array stays; past it the elements move to a new array of capacity
+// Headroom(len(s)+k).
+func Extend[T any](s []T, k int) []T {
+	n := len(s) + k
+	if n > cap(s) {
+		out := make([]T, n, Headroom(n))
+		copy(out, s)
+		return out
+	}
+	s = s[:n]
+	clear(s[n-k:])
+	return s
 }
 
 // SliceCols returns a copy of columns [lo, hi).

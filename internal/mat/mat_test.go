@@ -421,3 +421,28 @@ func BenchmarkGEMM128(b *testing.B) {
 		MatMul(x, y)
 	}
 }
+
+// TestExtend: past its capacity a slice moves to Headroom of what it needs;
+// within it, it stays and its new elements read zero even where a shorter
+// view left old values; AppendRows grows Data by the same rule.
+func TestExtend(t *testing.T) {
+	s := Extend([]int{1, 2, 3}, 640)
+	if len(s) != 643 || cap(s) != Headroom(643) || cap(s) != 653 || s[2] != 3 || s[642] != 0 {
+		t.Fatalf("moved: len %d cap %d, want 643 and %d", len(s), cap(s), Headroom(643))
+	}
+	s[642] = 7
+	short := s[:600]
+	grown := Extend(short, 43)
+	if &grown[0] != &s[0] || grown[642] != 0 {
+		t.Fatalf("within capacity: moved %v, last element %d, want it kept and 0", &grown[0] != &s[0], grown[642])
+	}
+	if got := Extend([]int(nil), 0); len(got) != 0 {
+		t.Fatalf("extending nil by 0: len %d", len(got))
+	}
+
+	m := New(64, 2)
+	m.AppendRows(FromRows([][]float64{{1, 2}}))
+	if m.Rows != 65 || cap(m.Data) != Headroom(130) || m.At(64, 1) != 2 {
+		t.Fatalf("AppendRows: %d rows, cap %d, last %v; want 65, %d, 2", m.Rows, cap(m.Data), m.At(64, 1), Headroom(130))
+	}
+}

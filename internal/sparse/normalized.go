@@ -89,11 +89,11 @@ func (a *Normalized) Patch(adj *CSR, looped []float64, dirty []int) {
 		panic(fmt.Sprintf("sparse: Normalized.Patch appended rows [%d,%d) not all marked dirty", old, n))
 	}
 	a.Adj = adj
-	a.Left = append(a.Left, make([]float64, n-old)...)
+	a.Left = mat.Extend(a.Left, n-old)
 	if a.shared() {
 		a.Right = a.Left
 	} else {
-		a.Right = append(a.Right, make([]float64, n-old)...)
+		a.Right = mat.Extend(a.Right, n-old)
 	}
 	for _, i := range dirty {
 		a.setFactors(i, looped[i])
