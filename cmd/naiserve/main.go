@@ -255,14 +255,17 @@ func main() {
 	// The global deployment is needed as the backend when unsharded, and
 	// for T_s tuning in distance mode (the tuner propagates the validation
 	// nodes' balls through the global normalized adjacency, at f64 whatever
-	// the tier). In sharded fixed/gate modes it is skipped entirely — the
+	// the tier, so a tuning-only deployment is never lowered to the serving
+	// tier). In sharded fixed/gate modes it is skipped entirely — the
 	// workers hold their own.
 	var dep *core.Deployment
 	if workerAddrs == nil || napMode == core.ModeDistance {
 		if dep, err = core.NewDeployment(m, g); err != nil {
 			fail(err)
 		}
-		dep.SetPrecision(prec)
+		if workerAddrs == nil {
+			dep.SetPrecision(prec)
+		}
 	}
 
 	iopt := core.InferenceOptions{Mode: napMode, TMin: *tmin, TMax: m.K}
@@ -289,8 +292,9 @@ func main() {
 	}
 
 	// The backend: the deployment itself, or — with -shards — a router over
-	// whole-graph worker processes behind the HTTP transport. A distance-mode
-	// tuning deployment's caches are left for the GC afterwards.
+	// whole-graph worker processes behind the HTTP transport. The router
+	// keeps only the graph's adjacency: g's features and labels, and a
+	// distance-mode tuning deployment with its caches, are left for the GC.
 	var backend serve.Backend = dep
 	if workerAddrs != nil {
 		cfg := shard.Config{Shards: len(workerAddrs), Retries: *shardRetries, Precision: prec}
@@ -332,8 +336,9 @@ func main() {
 	} else {
 		logger.Info("result cache disabled")
 	}
+	adj := backend.Adjacency()
 	logger.Info("serving",
-		"nodes", g.N(), "edges", g.M(), "addr", *addr, "mode", *mode,
+		"nodes", adj.Rows, "edges", adj.NNZ()/2, "addr", *addr, "mode", *mode,
 		"shards", *shardsFlag, "precision", prec.String())
 	startDebugServer(logger, *debugAddr)
 	runServer(logger, &http.Server{

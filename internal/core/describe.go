@@ -1,8 +1,8 @@
 package core
 
 import (
-	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/sparse"
 )
 
 // Info is what a serving backend reports about itself, as plain data: one
@@ -77,7 +77,7 @@ func (d *Deployment) Describe() Info {
 		ScratchBytes: d.ScratchBytes(), Hop1: d.Hop1Stats()}
 }
 
-// ServingGraph returns the graph being served (serve.Backend): the daemon
-// reads its size, validates ids against it and walks it for cache
+// Adjacency returns the served graph's adjacency (serve.Backend): the
+// daemon reads its size, validates ids against it and walks it for cache
 // eviction, under the lock that excludes ApplyDelta.
-func (d *Deployment) ServingGraph() *graph.Graph { return d.Graph }
+func (d *Deployment) Adjacency() *sparse.CSR { return d.Graph.Adj }

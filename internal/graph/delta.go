@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
+	"repro/internal/sparse"
 )
 
 // Delta is an online mutation of a serving graph: nodes appended at the end
@@ -65,46 +66,49 @@ type DeltaResult struct {
 	Dirty []int
 }
 
-// ApplyDelta validates and applies d to the graph in place: features and
-// labels are appended (mat.Extend: a full copy once per n/64 appended nodes)
-// and the adjacency is rebuilt with the new edges merged in. It returns which
-// rows changed so cached derived state (normalized adjacency, stationary
-// sums) can be refreshed incrementally. The caller owns the concurrency contract:
-// like Deployment.Refresh, ApplyDelta must not run concurrently with
-// readers of the graph.
-func (g *Graph) ApplyDelta(d Delta) (*DeltaResult, error) {
-	n := g.N()
-	k := 0
-	if d.Features != nil {
-		k = d.Features.Rows
-	}
-	if k > 0 && d.Features.Cols != g.F() {
-		return nil, validationf("graph: delta feature dim %d != graph %d", d.Features.Cols, g.F())
+// Check validates d against a graph of n nodes with f feature columns and
+// classes classes: one feature row of width f and one label in
+// [0, classes) per appended node, and every edge endpoint inside the grown
+// id space [0, n+k). It returns a *ValidationError for a malformed delta.
+func (d Delta) Check(n, f, classes int) error {
+	k := d.newNodes()
+	if k > 0 && d.Features.Cols != f {
+		return validationf("graph: delta feature dim %d != graph %d", d.Features.Cols, f)
 	}
 	if len(d.Labels) != k {
-		return nil, validationf("graph: %d delta labels for %d new nodes", len(d.Labels), k)
+		return validationf("graph: %d delta labels for %d new nodes", len(d.Labels), k)
 	}
 	for i, y := range d.Labels {
-		if y < 0 || y >= g.NumClasses {
-			return nil, validationf("graph: delta label %d of new node %d outside [0,%d)", y, i, g.NumClasses)
+		if y < 0 || y >= classes {
+			return validationf("graph: delta label %d of new node %d outside [0,%d)", y, i, classes)
 		}
 	}
 	if len(d.Src) != len(d.Dst) {
-		return nil, validationf("graph: %d delta sources for %d destinations", len(d.Src), len(d.Dst))
+		return validationf("graph: %d delta sources for %d destinations", len(d.Src), len(d.Dst))
 	}
 	for i := range d.Src {
 		if u, v := d.Src[i], d.Dst[i]; u < 0 || u >= n+k || v < 0 || v >= n+k {
-			return nil, validationf("graph: delta edge (%d,%d) outside [0,%d)", u, v, n+k)
+			return validationf("graph: delta edge (%d,%d) outside [0,%d)", u, v, n+k)
 		}
 	}
+	return nil
+}
 
-	adj, dirtyRows := g.Adj.AppendEdges(n+k, d.Src, d.Dst)
-	g.Adj = adj
-	if k > 0 {
-		g.Features.AppendRows(d.Features)
-		g.Labels = mat.Extend(g.Labels, k)
-		copy(g.Labels[n:], d.Labels)
+// newNodes is the number of nodes d appends.
+func (d Delta) newNodes() int {
+	if d.Features == nil {
+		return 0
 	}
+	return d.Features.Rows
+}
+
+// Merge returns adj grown by d's new nodes and edges, and which rows
+// changed. d must have passed Check against adj's node count. adj is left
+// untouched (sparse.AppendEdges builds a fresh CSR), so a caller may merge
+// into an adjacency it shares with another graph.
+func (d Delta) Merge(adj *sparse.CSR) (*sparse.CSR, *DeltaResult) {
+	n, k := adj.Rows, d.newNodes()
+	merged, dirtyRows := adj.AppendEdges(n+k, d.Src, d.Dst)
 
 	// Dirty = edge-dirty rows ∪ all appended nodes. dirtyRows is sorted and
 	// new-node ids all sit above the old range, so a split-merge keeps order.
@@ -116,6 +120,28 @@ func (g *Graph) ApplyDelta(d Delta) (*DeltaResult, error) {
 	}
 	for v := n; v < n+k; v++ {
 		res.Dirty = append(res.Dirty, v)
+	}
+	return merged, res
+}
+
+// ApplyDelta validates and applies d to the graph in place: Check, then
+// Merge into the adjacency, then features and labels are appended
+// (mat.Extend: a full copy once per n/64 appended nodes). It returns which
+// rows changed so cached derived state (normalized adjacency, stationary
+// sums) can be refreshed incrementally. The caller owns the concurrency contract:
+// like Deployment.Refresh, ApplyDelta must not run concurrently with
+// readers of the graph.
+func (g *Graph) ApplyDelta(d Delta) (*DeltaResult, error) {
+	if err := d.Check(g.N(), g.F(), g.NumClasses); err != nil {
+		return nil, err
+	}
+	adj, res := d.Merge(g.Adj)
+	g.Adj = adj
+	if k := res.NumNew; k > 0 {
+		n := res.FirstNew
+		g.Features.AppendRows(d.Features)
+		g.Labels = mat.Extend(g.Labels, k)
+		copy(g.Labels[n:], d.Labels)
 	}
 	return res, nil
 }

@@ -267,8 +267,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.graphMu.RLock()
-	g := s.backend.ServingGraph()
-	n, m := g.N(), g.M()
+	adj := s.backend.Adjacency()
+	n, m := adj.Rows, adj.NNZ()/2
 	s.graphMu.RUnlock()
 	info := s.backend.Describe()
 	resp := HealthResponse{OK: info.Healthy(), Nodes: n, Edges: m, Shards: info.Shards}

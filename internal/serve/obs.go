@@ -36,14 +36,14 @@ func (s *Server) registerGauges() {
 		func() float64 {
 			s.graphMu.RLock()
 			defer s.graphMu.RUnlock()
-			return float64(s.backend.ServingGraph().N())
+			return float64(s.backend.Adjacency().Rows)
 		})
 	reg.GaugeFunc("nai_graph_edges",
 		"Serving graph edge count (after deltas).",
 		func() float64 {
 			s.graphMu.RLock()
 			defer s.graphMu.RUnlock()
-			return float64(s.backend.ServingGraph().M())
+			return float64(s.backend.Adjacency().NNZ() / 2)
 		})
 	reg.GaugeFunc("nai_graph_version",
 		"Backend graph version (+1 per effective delta).",

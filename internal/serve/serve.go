@@ -51,6 +51,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/sparse"
 )
 
 // Config parametrizes the daemon.
@@ -156,10 +157,11 @@ type Backend interface {
 	// InferContext. It returns either the result of a committed delta or
 	// an error with nothing changed.
 	ApplyDelta(d graph.Delta) (*graph.DeltaResult, error)
-	// ServingGraph is the merged graph being served. Under the read lock
-	// the server takes node and edge counts from it and validates ids
-	// against it; under the write lock it walks it for cache eviction.
-	ServingGraph() *graph.Graph
+	// Adjacency is the served graph's adjacency, deltas merged in: all the
+	// server reads of the graph. Under the read lock it takes the node
+	// count (Rows) and edge count (NNZ/2) from it and validates ids against
+	// it; under the write lock it walks it for cache eviction.
+	Adjacency() *sparse.CSR
 	// Describe snapshots everything else the server reports — version,
 	// precision, scratch bytes, memo counters, fleet health — as plain
 	// data. Safe at any time.
@@ -336,7 +338,7 @@ func (s *Server) classify(ctx context.Context, start time.Time, tr *obs.Trace, t
 	// answer a delta invalidated.
 	s.graphMu.RLock()
 	defer s.graphMu.RUnlock()
-	n := s.backend.ServingGraph().N()
+	n := s.backend.Adjacency().Rows
 	for _, v := range targets {
 		if v < 0 || v >= n {
 			return nil, nil, false, badRequestf("serve: node %d outside [0,%d)", v, n)
@@ -492,7 +494,7 @@ func (s *Server) invalidate(dr *graph.DeltaResult) {
 		s.cache.Flush()
 		return
 	}
-	s.cache.Invalidate(graph.Ball(s.backend.ServingGraph().Adj, dr.Dirty, s.cfg.Opt.TMax))
+	s.cache.Invalidate(graph.Ball(s.backend.Adjacency(), dr.Dirty, s.cfg.Opt.TMax))
 }
 
 // Close refuses every later request with ErrShuttingDown (HTTP 503) before

@@ -285,8 +285,8 @@ func (s *Server) Stats() Stats {
 	st.FlushEWMAUs = s.detector.FlushEWMA().Microseconds()
 
 	s.graphMu.RLock()
-	g := s.backend.ServingGraph()
-	st.Nodes, st.Edges = g.N(), g.M()
+	adj := s.backend.Adjacency()
+	st.Nodes, st.Edges = adj.Rows, adj.NNZ()/2
 	info := s.backend.Describe()
 	s.graphMu.RUnlock()
 	st.GraphVersion = info.Version

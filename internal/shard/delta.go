@@ -7,9 +7,10 @@ import (
 // ApplyDelta commits an online graph mutation at the router and makes no
 // transport call:
 //
-//  1. The router's graph absorbs the delta. graph.ApplyDelta validates it
-//     before it mutates anything, so a malformed delta is refused here and
-//     nothing anywhere changes.
+//  1. graph.Delta.Check validates the delta against the router's node
+//     count, feature width and class count, so a malformed delta is refused
+//     here and nothing anywhere changes; graph.Delta.Merge then grows the
+//     router's adjacency. The router keeps no features or labels to append.
 //  2. A copy of the delta is appended to the delta log and the new version
 //     is published, both under logMu.
 //
@@ -23,16 +24,17 @@ import (
 // Must not run concurrently with Infer (the serving daemon holds its write
 // lock around deltas, matching the unsharded backend's contract).
 func (r *Router) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
-	dr, err := r.global.ApplyDelta(d)
-	if err != nil {
+	if err := d.Check(r.adj.Rows, r.model.FeatureDim, r.classes); err != nil {
 		return nil, err
 	}
+	adj, dr := d.Merge(r.adj)
 	if len(dr.Dirty) == 0 && dr.NumNew == 0 {
 		// Ineffective delta (duplicates and self-loops only): no state
 		// anywhere changes, no version bump, no log entry — matching
 		// core.Deployment.ApplyDelta.
 		return dr, nil
 	}
+	r.adj = adj
 
 	// Log the delta and publish the new version under one critical section:
 	// replay snapshots the version and ships the log up to it, so a version
@@ -40,7 +42,7 @@ func (r *Router) ApplyDelta(d graph.Delta) (*graph.DeltaResult, error) {
 	r.logMu.Lock()
 	version := r.version.Load() + 1
 	r.deltaLog = append(r.deltaLog, &ShardDelta{Version: version, Delta: d.Clone()})
-	r.expNodes = r.global.N()
+	r.expNodes = adj.Rows
 	r.version.Store(version)
 	r.logMu.Unlock()
 	return dr, nil

@@ -224,9 +224,11 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 
 // TestIncrementalMatchesRebuild pins the delta path hard: over the delta
 // sequence, with worker 1 restarted from a fresh bootstrap mid-sequence and
-// healed by replay, every worker's graph must end equal to the router's bit
-// for bit, and its answers — predictions, depths, depth histogram and the
-// MACs Infer books — must equal a deployment freshly built over the merged graph.
+// healed by replay, the router's adjacency and every worker's graph must end
+// equal bit for bit to a reference graph that absorbed the same deltas
+// through graph.ApplyDelta, and every worker's answers — predictions, depths,
+// depth histogram and the MACs Infer books — must equal a deployment freshly
+// built over that reference.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	ds, m := fixture(t)
 	const p = 3
@@ -234,6 +236,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := ds.Graph.Clone()
 	workers := rt.transport.(*LocalTransport).workers
 	for di, d := range testDeltas(ds.Graph, rand.New(rand.NewSource(99))) {
 		if di == 2 {
@@ -244,13 +247,19 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 		if _, err := rt.ApplyDelta(d); err != nil {
 			t.Fatalf("delta %d: %v", di, err)
 		}
+		if _, err := g.ApplyDelta(d); err != nil {
+			t.Fatalf("reference delta %d: %v", di, err)
+		}
 	}
 	rt.Probe(context.Background())
 	if !allUp(rt.Describe()) {
 		t.Fatalf("restarted worker did not rejoin: %+v", rt.Describe().Shards)
 	}
+	if ra := rt.Adjacency(); ra.Rows != g.Adj.Rows || !slices.Equal(ra.RowPtr, g.Adj.RowPtr) ||
+		!slices.Equal(ra.Col, g.Adj.Col) || ra.Val != nil {
+		t.Fatal("router: adjacency differs from the reference's")
+	}
 
-	g := rt.global
 	fresh, err := core.NewDeployment(m, g.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -273,10 +282,10 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			t.Fatalf("worker %d at version %d, router at %d", i, w.dep.Version(), rt.Version())
 		case !slices.Equal(wg.Adj.RowPtr, g.Adj.RowPtr) || !slices.Equal(wg.Adj.Col, g.Adj.Col) ||
 			!slices.Equal(bits(wg.Adj.Val), bits(g.Adj.Val)):
-			t.Fatalf("worker %d: adjacency differs from the router's", i)
+			t.Fatalf("worker %d: adjacency differs from the reference's", i)
 		case !slices.Equal(bits(wg.Features.Data), bits(g.Features.Data)) ||
 			!slices.Equal(wg.Labels, g.Labels):
-			t.Fatalf("worker %d: features or labels differ from the router's", i)
+			t.Fatalf("worker %d: features or labels differ from the reference's", i)
 		}
 		for oi, opt := range inferOpts(m) {
 			want, err := fresh.Infer(targets, opt)

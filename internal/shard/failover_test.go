@@ -734,7 +734,7 @@ func TestDeltaReachesWorkersByReplay(t *testing.T) {
 					t.Fatalf("malformed delta: result %v, error %v, want a *graph.ValidationError alone", dr, err)
 				}
 				if counter.total() != calls || rt.Version() != 1 ||
-					!slices.Equal(rt.ServingGraph().Adj.RowPtr, ds.Graph.Adj.RowPtr) {
+					!slices.Equal(rt.Adjacency().RowPtr, ds.Graph.Adj.RowPtr) {
 					t.Fatal("a malformed delta changed something")
 				}
 

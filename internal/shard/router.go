@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
 // Config parametrizes NewRouter, NewRouterTransport and NewWorker.
@@ -67,10 +68,13 @@ func (cfg Config) check(m *core.Model, g *graph.Graph) error {
 
 // Router fronts a pool of interchangeable workers with the same Infer /
 // ApplyDelta surface as a single core.Deployment (both satisfy
-// serve.Backend). It owns the source-of-truth graph — delta validation and
-// ServingGraph read it — and the delta log; the workers hold the bulky
-// hot-path state, reached exclusively through the Transport: in-process
-// (NewRouter) or remote worker processes (NewRouterTransport).
+// serve.Backend). It keeps the serving graph's topology — the adjacency,
+// which id checks, delta merges and Adjacency read, and the class count
+// deltas are checked against (their feature width is the model's) — and the
+// delta log. It keeps no features and no labels: the workers hold those and
+// the rest of the hot-path state, reached exclusively through the
+// Transport: in-process (NewRouter) or remote worker processes
+// (NewRouterTransport).
 //
 // Failure handling is one state machine over one record per worker (see
 // endpoint). Every worker answers for every node, so the pool is up while
@@ -83,13 +87,20 @@ func (cfg Config) check(m *core.Model, g *graph.Graph) error {
 // heals it by replaying the router's delta log to it — the same way a
 // restarted worker rejoins without the router restarting.
 type Router struct {
-	model  *core.Model
-	global *graph.Graph
-	prec   kernel.Precision
+	model *core.Model
+	// adj is the serving graph's adjacency at the router's version. A delta
+	// replaces it with a merged copy and never writes into it, so it may be
+	// shared with the graph the router was built from.
+	adj *sparse.CSR
+	// classes is the class count a delta's labels are checked against; its
+	// feature rows are checked against the model's FeatureDim, which
+	// Config.check matched to the graph's.
+	classes int
+	prec    kernel.Precision
 	// bootGlobalN is the node count at bootstrap. Workers report the count
 	// they bootstrapped from (it never changes on the worker — deltas are
 	// tracked by version), so validation compares against this, not the
-	// grown r.global.N().
+	// grown r.adj.Rows.
 	bootGlobalN int
 
 	transport Transport
@@ -126,8 +137,9 @@ type Router struct {
 }
 
 // NewRouter builds cfg.Shards in-process workers, each over its own clone
-// of g, behind a LocalTransport. The Router takes ownership of g: all
-// subsequent mutations must go through Router.ApplyDelta.
+// of g, behind a LocalTransport. The Router keeps g's adjacency, which it
+// never writes into, and nothing else of g: the caller may keep g or drop
+// it, and grows the served graph only through Router.ApplyDelta.
 func NewRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
 	workers := make([]*Worker, max(cfg.Shards, 0)) // NewRouterTransport rejects < 1
 	for i := range workers {
@@ -145,7 +157,8 @@ func NewRouter(m *core.Model, g *graph.Graph, cfg Config) (*Router, error) {
 // and current node counts at version 1; the router starts as long as one
 // worker passes, and the rest rejoin through later probes. An
 // HTTPTransport's addresses label the workers in status reports. The router
-// takes ownership of t (Close closes it) and of g, exactly like NewRouter.
+// takes ownership of t (Close closes it) and keeps only g's adjacency,
+// exactly like NewRouter.
 func NewRouterTransport(m *core.Model, g *graph.Graph, cfg Config, t Transport) (*Router, error) {
 	if err := cfg.check(m, g); err != nil {
 		return nil, err
@@ -164,7 +177,8 @@ func NewRouterTransport(m *core.Model, g *graph.Graph, cfg Config, t Transport) 
 	}
 	r := &Router{
 		model:       m,
-		global:      g,
+		adj:         g.Adj,
+		classes:     g.NumClasses,
 		prec:        cfg.Precision,
 		bootGlobalN: g.N(),
 		transport:   t,
@@ -245,7 +259,7 @@ func (r *Router) InferContext(ctx context.Context, targets []int, opt core.Infer
 	if len(targets) == 0 {
 		return &core.Result{NodesPerDepth: make([]int, r.model.K+1)}, nil
 	}
-	n := r.global.N()
+	n := r.adj.Rows
 	for _, v := range targets {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("shard: node %d outside [0,%d)", v, n)
@@ -334,9 +348,9 @@ func (r *Router) localWorker(i int) *Worker {
 	return r.transport.(*LocalTransport).workers[i]
 }
 
-// ServingGraph returns the serving graph (serve.Backend): the one delta
-// validation reads.
-func (r *Router) ServingGraph() *graph.Graph { return r.global }
+// Adjacency returns the serving graph's adjacency at the router's version
+// (serve.Backend).
+func (r *Router) Adjacency() *sparse.CSR { return r.adj }
 
 // Shards reports the worker count.
 func (r *Router) Shards() int { return len(r.endpoints) }
@@ -361,7 +375,7 @@ type ShardSize struct {
 func (r *Router) Sizes() []ShardSize {
 	out := make([]ShardSize, len(r.endpoints))
 	for i := range out {
-		out[i] = ShardSize{Owned: r.global.N()}
+		out[i] = ShardSize{Owned: r.adj.Rows}
 	}
 	return out
 }

@@ -24,9 +24,11 @@
 //
 //   - Router fronts the workers through a Transport: Infer sends the whole
 //     request to the next up worker in round-robin order, fails over to
-//     any other, and returns that worker's result as it is. ApplyDelta
-//     applies a graph.Delta to the router's graph (which validates it) and
-//     appends a copy to one log every worker shares; it calls no worker.
+//     any other, and returns that worker's result as it is. The router
+//     keeps the graph's topology, not its features or labels: ApplyDelta
+//     checks a graph.Delta against the router's node count, feature width
+//     and class count, merges it into the router's adjacency, and appends
+//     a copy to one log every worker shares; it calls no worker.
 //     Deltas reach workers one way, by replay of that log as versioned
 //     ShardDeltas, each applied with core.Deployment.ApplyDelta — so a
 //     worker's state equals the unsharded engine's by construction. A
@@ -47,7 +49,7 @@
 //
 // Concurrency contract: like core.Deployment, a Router is read-only during
 // Infer — any number of concurrent Infer calls is safe — while ApplyDelta
-// mutates the router's graph and must be exclusive. internal/serve
+// replaces the router's adjacency and must be exclusive. internal/serve
 // enforces this with its RWMutex when the Router is the serving Backend.
 package shard
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/mat"
+	"repro/internal/sparse"
 )
 
 // fastRetry keeps fault-injection tests quick: tight backoff, short HTTP
@@ -429,10 +430,14 @@ func TestProbeDeltaRace(t *testing.T) {
 		}()
 	}
 	rng := rand.New(rand.NewSource(99))
+	ref := ds.Graph.Clone() // the router's graph as it grows: each round's ids start past it
 	for round := 0; round < 20; round++ {
-		for _, d := range testDeltas(rt.global, rng) {
+		for _, d := range testDeltas(ref, rng) {
 			if _, err := rt.ApplyDelta(d); err != nil {
 				t.Fatalf("round %d: %v", round, err)
+			}
+			if _, err := ref.ApplyDelta(d); err != nil {
+				t.Fatalf("round %d reference: %v", round, err)
 			}
 		}
 	}
@@ -441,5 +446,71 @@ func TestProbeDeltaRace(t *testing.T) {
 	rt.Probe(context.Background())
 	if !allUp(rt.Describe()) {
 		t.Fatalf("a worker is down after concurrent probes: %+v", rt.Describe().Shards)
+	}
+}
+
+// TestRouterRetainsNoFeatures: a router keeps the topology of the graph it
+// is built from — the adjacency and the class count; a delta's feature width
+// is the model's — and none of its features or labels. With the worker built, the live heap is
+// read while the caller still holds a graph with 8 MiB of features; once the
+// router is built and the caller drops that graph, the heap must fall by at
+// least 90 % of those bytes. The router must still check a delta's feature
+// width and labels against the dropped graph's.
+func TestRouterRetainsNoFeatures(t *testing.T) {
+	const n, f, classes = 1000, 1024, 3
+	m := &core.Model{K: 2, Gamma: sparse.GammaSymmetric, NumClasses: classes, FeatureDim: f}
+	cfg := Config{Shards: 1}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// build holds the caller's graph in its own frame, so the graph is
+	// unreachable from the test once build returns.
+	build := func() (*Router, uint64) {
+		src, dst := make([]int, 0, 2*n), make([]int, 0, 2*n)
+		for v := 0; v < n; v++ {
+			src, dst = append(src, v, v), append(dst, (v+1)%n, (v+7)%n)
+		}
+		g, err := graph.New(sparse.FromEdges(n, src, dst, true),
+			mat.Randn(n, f, 1, rand.New(rand.NewSource(5))), make([]int, n), classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(m, g, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		rt, err := NewRouterTransport(m, g, cfg, NewLocalTransport([]*Worker{w}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, before
+	}
+	rt, before := build()
+	defer rt.Close()
+	after := liveHeap()
+	features := uint64(n * f * 8)
+	if after > before || before-after < features*9/10 {
+		t.Fatalf("live heap went %d → %d bytes once the caller dropped its graph; want a fall of at least %d (90%% of the features' %d)",
+			before, after, features*9/10, features)
+	}
+
+	for name, d := range map[string]graph.Delta{
+		"feature dimension": {Features: mat.New(1, f+1), Labels: []int{0}},
+		"label range":       {Features: mat.New(1, f), Labels: []int{classes}},
+	} {
+		var val *graph.ValidationError
+		if dr, err := rt.ApplyDelta(d); dr != nil || !errors.As(err, &val) {
+			t.Fatalf("%s: result %v, error %v, want a *graph.ValidationError alone", name, dr, err)
+		}
+	}
+	dr, err := rt.ApplyDelta(graph.Delta{Features: mat.New(1, f), Labels: []int{classes - 1},
+		Src: []int{n}, Dst: []int{0}})
+	if err != nil || dr.FirstNew != n || rt.Adjacency().Rows != n+1 || rt.Version() != 2 {
+		t.Fatalf("valid delta: result %+v, error %v, %d nodes at version %d", dr, err, rt.Adjacency().Rows, rt.Version())
 	}
 }
