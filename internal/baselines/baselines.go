@@ -56,7 +56,7 @@ func PrepareTeacher(g *graph.Graph, split graph.Split, teacher *core.Model) *Tea
 	observed := append(append([]int(nil), split.Train...), split.Val...)
 	ind := g.Induce(observed)
 	tg := ind.Graph
-	adj := sparse.NewNormalized(tg.Adj, teacher.Gamma, sparse.LoopedDegrees(tg.Adj))
+	adj := sparse.NewNormalized(tg.Adj, teacher.Gamma)
 	feats := scalable.Propagate(adj, tg.Features, teacher.K)
 	input := teacher.Combiner.Combine(feats, teacher.K)
 	trainIdx := ind.Local(split.Train)

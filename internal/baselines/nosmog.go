@@ -63,7 +63,7 @@ func PositionFeatures(adj *sparse.CSR, anchors []int, walkLen int) *mat.Matrix {
 	for j, a := range anchors {
 		e.Set(a, j, 1)
 	}
-	m := sparse.NewNormalized(adj, sparse.GammaRowStochastic, sparse.LoopedDegrees(adj))
+	m := sparse.NewNormalized(adj, sparse.GammaRowStochastic)
 	return scalable.Propagate(m, e, walkLen)[walkLen]
 }
 
@@ -125,7 +125,7 @@ func (m *NOSMOG) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
 	// Deployment-time index: full-graph position table (computed once, like
 	// NOSMOG's stored DeepWalk table; not charged per batch).
 	posTable := PositionFeatures(g.Adj, m.Anchors, m.WalkLen)
-	norm := sparse.NewNormalized(g.Adj, sparse.GammaRowStochastic, sparse.LoopedDegrees(g.Adj))
+	norm := sparse.NewNormalized(g.Adj, sparse.GammaRowStochastic)
 	d := len(m.Anchors)
 	return inferBatches(targets, batchSize, func(batch []int) *Result {
 		// 1-hop aggregation of neighbor position rows. The product

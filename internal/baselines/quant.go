@@ -109,7 +109,7 @@ func NewQuantized(teacher *core.Model) *Quantized {
 
 // Infer runs fixed-depth inductive inference with the INT8 classifier.
 func (m *Quantized) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
-	adj := sparse.NewNormalized(g.Adj, m.Teacher.Gamma, sparse.LoopedDegrees(g.Adj))
+	adj := sparse.NewNormalized(g.Adj, m.Teacher.Gamma)
 	k := m.Teacher.K
 	return fixedDepthInfer(g, adj, k, targets, batchSize, func(stack []*mat.Matrix) ([]int, int) {
 		input := m.Teacher.Combiner.Combine(stack, k)

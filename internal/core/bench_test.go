@@ -135,7 +135,10 @@ func deepWarmFixture() (*Deployment, InferenceOptions, [][]int, error) {
 // on a 2 500-node one. The fixture is built and warmed once per process, so
 // every timed request is a warm one and a profile shows the requests, not the
 // setup; rows-computed/op shows that it stays warm. It times the serving entry,
-// InferContext, which keeps no books (BenchmarkBooks times them).
+// InferContext, which keeps no books (BenchmarkBooks times them). heap-MB is
+// the process's live heap after the requests and a GC: almost all of it the
+// warm deployment — the graph, Â's degree factors, the stationary state, the
+// layer X^(2) and the hub rows of X^(3).
 func BenchmarkInferDeepWarm(b *testing.B) {
 	fx := deepWarmOnce(b)
 	before := fx.dep.Hop1Stats().Computed
@@ -145,7 +148,9 @@ func BenchmarkInferDeepWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(fx.dep.Hop1Stats().Computed-before)/float64(b.N), "rows-computed/op")
+	b.ReportMetric(float64(heapAfterGC())/(1<<20), "heap-MB")
 }
 
 // BenchmarkBooks times Books of one warm BenchmarkInferDeepWarm request's

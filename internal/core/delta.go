@@ -24,8 +24,7 @@ func (d *Deployment) ApplyDelta(delta graph.Delta) (*graph.DeltaResult, error) {
 		return dr, nil
 	}
 	d.version.Add(1)
-	// Stationary first: it owns the looped-degree vector the adjacency
-	// patch reads its D̃^{γ−1}/D̃^{−γ} factors from.
+	// Both halves read the looped degrees off the merged adjacency's rows.
 	d.stationary.Update(d.Graph.Adj, d.Graph.Features, dr.Dirty)
 
 	// Value-dirty rows of Â: the dirty rows themselves plus every neighbor
@@ -38,7 +37,7 @@ func (d *Deployment) ApplyDelta(delta graph.Delta) (*graph.DeltaResult, error) {
 	// the patch made stale: those of a depth-h layer within h−1 hops of
 	// valDirty (valDirty itself for X^(1)), and every hub row.
 	valDirty := graph.Ball(d.Graph.Adj, dr.Dirty, 1)
-	d.Adj.Patch(d.Graph.Adj, d.stationary.LoopedDeg, valDirty)
+	d.Adj.Patch(d.Graph.Adj, valDirty)
 	d.eng.patched(valDirty)
 	return dr, nil
 }

@@ -89,11 +89,10 @@ func requireSameState(t *testing.T, want, got *Deployment) {
 			t.Fatalf("weighted sum column %d differs: %v vs %v", c, sw.WeightedSum[c], sg.WeightedSum[c])
 		}
 	}
-	for i := range sw.LoopedDeg {
-		if sw.LoopedDeg[i] != sg.LoopedDeg[i] {
-			t.Fatalf("looped degree of node %d differs", i)
-		}
+	if n := want.Graph.N(); got.Graph.N() != n {
+		t.Fatalf("%d nodes, want %d", got.Graph.N(), n)
 	}
+	requireSameStationaryRows(t, "", sw, sg, want.Graph.N())
 }
 
 // TestDeltaEquivalence is the acceptance check of the incremental-refresh
@@ -288,7 +287,6 @@ func TestDeltaGrowthHeadroom(t *testing.T) {
 			within("Features.Data", cap(g.Features.Data), n*f, f)
 			within("Labels", cap(g.Labels), n, 1)
 			within("Adj.Left", cap(dep.Adj.Left), n, 1)
-			within("LoopedDeg", cap(dep.Stationary().LoopedDeg), n, 1)
 			if p == kernel.PrecisionF64 {
 				if x := tierOf[float64](t, dep).base.x; &x[0] != &g.Features.Data[0] {
 					t.Fatal("f64: the tier's operand is not the features")

@@ -50,7 +50,7 @@ func TestTrainGatesImprovesMixtureLoss(t *testing.T) {
 	observed := append(append([]int(nil), ds.Split.Train...), ds.Split.Val...)
 	ind := ds.Graph.Induce(observed)
 	tg := ind.Graph
-	adj := sparse.NewNormalized(tg.Adj, m.Gamma, sparse.LoopedDegrees(tg.Adj))
+	adj := sparse.NewNormalized(tg.Adj, m.Gamma)
 	feats := scalable.Propagate(adj, tg.Features, m.K)
 	inputs := make([]*mat.Matrix, m.K+1)
 	for l := 1; l <= m.K; l++ {
@@ -114,7 +114,7 @@ func trainGatesOnTiny(t *testing.T, cfg GateTrainConfig) (gates []*Gate, f int) 
 	observed := append(append([]int(nil), ds.Split.Train...), ds.Split.Val...)
 	ind := ds.Graph.Induce(observed)
 	tg := ind.Graph
-	adj := sparse.NewNormalized(tg.Adj, m.Gamma, sparse.LoopedDegrees(tg.Adj))
+	adj := sparse.NewNormalized(tg.Adj, m.Gamma)
 	feats := scalable.Propagate(adj, tg.Features, m.K)
 	inputs := make([]*mat.Matrix, m.K+1)
 	for l := 1; l <= m.K; l++ {

@@ -185,7 +185,7 @@ type Deployment struct {
 	Model *Model
 	Graph *graph.Graph
 	// Adj is the γ-normalized adjacency of the full serving graph: an
-	// operator over Graph.Adj and the stationary state's looped degrees.
+	// operator over Graph.Adj, its degree factors from Graph.Adj's rows.
 	Adj *sparse.Normalized
 
 	// stationary caches ComputeStationary's global weighted sum; batches
@@ -228,7 +228,7 @@ func NewDeployment(m *Model, g *graph.Graph) (*Deployment, error) {
 // It must not be called concurrently with Infer.
 func (d *Deployment) Refresh() {
 	d.stationary = ComputeStationary(d.Graph.Adj, d.Graph.Features, d.Model.Gamma)
-	d.Adj = sparse.NewNormalized(d.Graph.Adj, d.Model.Gamma, d.stationary.LoopedDeg)
+	d.Adj = sparse.NewNormalized(d.Graph.Adj, d.Model.Gamma)
 	d.retier()
 	// A full rebuild means the caller mutated the graph arbitrarily behind
 	// the deployment's back: the version moves, whatever changed.

@@ -91,7 +91,7 @@ func TestDistanceSemanticsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	norm := sparse.NewNormalized(ds.Graph.Adj, m.Gamma, sparse.LoopedDegrees(ds.Graph.Adj))
+	norm := sparse.NewNormalized(ds.Graph.Adj, m.Gamma)
 	feats := scalable.Propagate(norm, ds.Graph.Features, m.K)
 	st := ComputeStationary(ds.Graph.Adj, ds.Graph.Features, m.Gamma)
 	xinf := st.Full()
@@ -127,7 +127,7 @@ func TestDistanceQuantileMatchesFullPropagation(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
 	dep, _ := NewDeployment(m, ds.Graph)
-	feats := scalable.Propagate(sparse.NewNormalized(ds.Graph.Adj, m.Gamma, sparse.LoopedDegrees(ds.Graph.Adj)), ds.Graph.Features, 2)
+	feats := scalable.Propagate(sparse.NewNormalized(ds.Graph.Adj, m.Gamma), ds.Graph.Features, 2)
 	st := ComputeStationary(ds.Graph.Adj, ds.Graph.Features, m.Gamma)
 	val := ds.Split.Val
 	for _, prec := range []kernel.Precision{kernel.PrecisionF64, kernel.PrecisionInt8} {

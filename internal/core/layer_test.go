@@ -508,7 +508,7 @@ func testLayerResidentRowsAreGathered[T float64 | float32](t *testing.T, p kerne
 
 // TestLayerHubRows: at every tier, whenever h+1 < TMax (TMax 3, 4 and 5 on
 // the K = 5 model: hub rows of X^(2), X^(3) and X^(4)), hop h+1 keeps the
-// hubs' rows. The members are the ⌈n/16⌉ nodes of highest degree, ties broken
+// hubs' rows. The members are the hubCount(n) = ⌈n/8⌉ nodes of highest degree, ties broken
 // toward the lower id. After one batch the resident hub rows are exactly the
 // hubs among the rows its hop h+1 computed — its active targets, then its
 // survivors' radius-(TMax−h−1) ball — and a repeat batch computes none of
@@ -567,7 +567,7 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		if hub == nil {
 			t.Fatalf("%s: no hub layer at depth %d; hub layers at %v", label, l, depths(hubLayersOf[T](t, dep)))
 		}
-		if top := topDegree(g.Adj, (g.N()+15)/16); !slices.Equal(hub.members, top) {
+		if top := topDegree(g.Adj, hubCount(g.N())); !slices.Equal(hub.members, top) {
 			t.Fatalf("%s: hub members %v, the highest-degree nodes %v", label, hub.members, top)
 		}
 

@@ -34,12 +34,14 @@ import (
 // gather is the same few highest-degree rows every batch: on a products-like
 // graph of 100 000 nodes a warm TMax-4 batch's hop 3 still computes 46.9k
 // entries of Â with the 1 563 highest-degree nodes' rows kept, 25.4k with the
-// 3 125 highest's and 13.4k with the 6 250 highest's (BenchmarkInferDeepWarm's
-// fixture). The 12 500 highest's would leave 6.6k, but hold 6 % more of the
-// deployment's heap than the 3 125's, where the 6 250's hold 0.7 % more once
-// sparse.Normalized shares its degree factors. So a tier also keeps X^(h+1)
-// for the ⌈n/16⌉ highest-degree nodes (hubMembers) whenever h+1 < TMax: a hub
-// layer, this type over a sorted member list, row k holding members[k]'s.
+// 3 125 highest's, 13.4k with the 6 250 highest's and 6.6k with the 12 500
+// highest's (BenchmarkInferDeepWarm's fixture). Each doubling doubles the hub
+// rows' bytes, and the 12 500's (4.0 MB at f64, against a whole X^(3)'s 32 MB)
+// are paid for by what holds no copy of the graph's degrees: Â's shared degree
+// factors and a stationary state that reads d_i+1 off the adjacency.
+// So a tier also keeps X^(h+1) for the hubCount(n) = ⌈n/8⌉ highest-degree
+// nodes (hubMembers) whenever h+1 < TMax: a hub layer, this type over a
+// sorted member list, row k holding members[k]'s.
 // Hop h+1 copies its ready hub rows out of it instead of gathering them, and
 // copies the ones it computed into it after its product, those still not
 // ready then (hubRows, publishHubs); a hub row is never waited for, so hub
@@ -51,8 +53,8 @@ import (
 // row. A deployment served at one operating point, as every server is, holds
 // exactly one: a row and a ready bit per node plus 1/64 of headroom for
 // the nodes deltas append, at most layerBytes(n + n/64) bytes, and beside it,
-// past TMax 2, one hub layer of layerBytes(⌈n/16⌉) bytes and its id list —
-// 1/16 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
+// past TMax 2, one hub layer of layerBytes(⌈n/8⌉) bytes and its id list —
+// 1/8 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
 // block is not capped by what the graph's adjacency would have cost: on a
 // graph with f ≫ d̄ it is the larger of the two, and serving through it still
 // beats recomputing its hops (ARCHITECTURE.md, "The depth-h layer", has the
@@ -83,7 +85,7 @@ import (
 // at its own scale (features of existing nodes never change without a
 // Refresh) — so a delta empties the rows within h−1 hops of the rows of Â it
 // moved. A hub layer is emptied whole by any delta: a superset of the rows
-// whose bits could move, at most ⌈n/16⌉ rows to recompute. So reading the
+// whose bits could move, at most ⌈n/8⌉ rows to recompute. So reading the
 // layer is bit-identical to computing its hops, within each tier.
 type hopLayer[T float64 | float32] struct {
 	depth int
@@ -138,13 +140,17 @@ func (t *tier[T]) load(p *atomic.Pointer[hopLayer[T]], depth int, hubs bool) *ho
 		g := t.d.Graph
 		m := &hopLayer[T]{depth: depth, f: g.F(), stats: &t.d.memoStats}
 		if hubs {
-			m.members = hubMembers(g.Adj, (g.N()+15)/16)
+			m.members = hubMembers(g.Adj, hubCount(g.N()))
 		}
 		m.grow(g.N())
 		p.Store(m)
 	}
 	return p.Load()
 }
+
+// hubCount is how many nodes of an n-node graph a hub layer holds rows
+// for: ⌈n/8⌉.
+func hubCount(n int) int { return (n + 7) / 8 }
 
 // hubMembers returns the k nodes of highest degree, ties broken toward the
 // lower id, ascending: one counting pass over the degrees finds the degree
@@ -520,10 +526,10 @@ func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 		"Rows currently resident, summed over every resident layer, hub rows included.",
 		func() float64 { return float64(read().Entries) })
 	reg.GaugeFunc("nai_hop1_memo_capacity",
-		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/16 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
+		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/8 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
 		func() float64 { return float64(read().Capacity) })
 	reg.GaugeFunc("nai_hop1_memo_bytes",
-		"Bytes the resident layers' rows and their ready bits occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type and one bit a row, per hub layer 1/16 of that.",
+		"Bytes the resident layers' rows and their ready bits occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type and one bit a row, per hub layer 1/8 of that.",
 		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
 		"Layer rows dropped because a delta moved a row of the adjacency within the layer's depth of them, summed over every layer; a delta drops every hub row (cumulative).",

@@ -327,7 +327,7 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 // — a layer retains at most layerBytes(n + n/64) bytes, a row and a ready
 // bit per node plus the headroom, when first read and after growing past that
 // headroom, and reports n rows' worth; a hub layer retains at most
-// layerBytes(⌈n/16⌉) bytes plus its id list, and reports its members' rows. A deployment holds a block only for a depth it has been read at: read
+// layerBytes(hubCount(n)) bytes plus its id list, and reports its members' rows. A deployment holds a block only for a depth it has been read at: read
 // only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
 // the hub rows of X^(3); read at TMax 2 as well
 // it holds two blocks and no more hub rows, and its counters sum them all.
@@ -352,7 +352,7 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, got, mm.rows, n, bound)
 			}
 		}
-		hubs := (n + 15) / 16
+		hubs := hubCount(n)
 		hubRows, _ := hubCounts(dep)
 		for l, mm := range hubLayersOf[T](t, dep) {
 			k := len(mm.members)

@@ -131,7 +131,7 @@ func Train(g *graph.Graph, split graph.Split, opt TrainOptions) (*Model, error) 
 	valIdx := ind.Local(split.Val)
 	labeledIdx := SubsampleLabeled(trainIdx, opt.LabeledFrac, opt.Seed)
 
-	adj := sparse.NewNormalized(tg.Adj, opt.Gamma, sparse.LoopedDegrees(tg.Adj))
+	adj := sparse.NewNormalized(tg.Adj, opt.Gamma)
 	feats := scalable.Propagate(adj, tg.Features, opt.K)
 
 	comb, err := scalable.NewCombiner(opt.Model, tg.F(), opt.K, rng)

@@ -298,7 +298,7 @@ func TestPropagateConsistencyWithScalable(t *testing.T) {
 	ds := tinyData(t)
 	m := trainedModel(t)
 	dep, _ := NewDeployment(m, ds.Graph)
-	norm := sparse.NewNormalized(ds.Graph.Adj, m.Gamma, sparse.LoopedDegrees(ds.Graph.Adj))
+	norm := sparse.NewNormalized(ds.Graph.Adj, m.Gamma)
 	feats := scalable.Propagate(norm, ds.Graph.Features, m.K)
 
 	targets := ds.Split.Test[:20]

@@ -155,7 +155,7 @@ func (t *tier[T]) patched(valDirty []int) {
 	for i := range t.layers {
 		if m := t.hubs[i].Load(); m != nil {
 			// Every hub row: a superset of those within depth−1 hops of
-			// valDirty, at most ⌈n/16⌉ rows to recompute.
+			// valDirty, at most ⌈n/8⌉ rows to recompute.
 			m.invalidateAll()
 		}
 		if m := t.layers[i].Load(); m != nil {

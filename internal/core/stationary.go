@@ -29,8 +29,6 @@ type Stationary struct {
 	Scale float64
 	// WeightedSum is Σ_j (d_j+1)^{1−γ} x_j, length f.
 	WeightedSum []float64
-	// LoopedDeg is d_i+1 per node.
-	LoopedDeg []float64
 	// SumMACs is the multiply-accumulate cost of building WeightedSum
 	// (n·f), charged once per batch by the inference engine, mirroring
 	// Algorithm 1 line 2 which recomputes X(∞) per batch.
@@ -43,7 +41,14 @@ type Stationary struct {
 	// incremental path bit-identical to a from-scratch one, since floating
 	// point addition is not associative.
 	blockSums []float64
+	// adj is the adjacency the state was computed or last updated against:
+	// d_i+1 is its row i's length plus one (looped), the value
+	// sparse.LoopedDegrees holds for a pattern, bit for bit.
+	adj *sparse.CSR
 }
+
+// looped returns d_i+1.
+func (s *Stationary) looped(i int) float64 { return float64(s.adj.RowNNZ(i) + 1) }
 
 // stationaryBlock is the node-block width of the two-level weighted-sum
 // reduction. Incrementally refreshing one node costs O(B + n/B) feature-row
@@ -64,7 +69,7 @@ func (s *Stationary) accumulateBlock(b int, x *mat.Matrix) {
 		hi = x.Rows
 	}
 	for j := b * stationaryBlock; j < hi; j++ {
-		w := math.Pow(s.LoopedDeg[j], 1-s.Gamma)
+		w := math.Pow(s.looped(j), 1-s.Gamma)
 		row := x.Row(j)
 		for c, v := range row {
 			dst[c] += w * v
@@ -93,7 +98,6 @@ func ComputeStationary(adj *sparse.CSR, x *mat.Matrix, gamma float64) *Stationar
 		panic(fmt.Sprintf("core: %d adjacency rows for %d feature rows", adj.Rows, x.Rows))
 	}
 	n := adj.Rows
-	looped := sparse.LoopedDegrees(adj)
 	// 2m + n = total looped degree mass
 	denom := float64(adj.NNZ() + n)
 	nb := (n + stationaryBlock - 1) / stationaryBlock
@@ -101,9 +105,9 @@ func ComputeStationary(adj *sparse.CSR, x *mat.Matrix, gamma float64) *Stationar
 		Gamma:       gamma,
 		Scale:       1 / denom,
 		WeightedSum: make([]float64, x.Cols),
-		LoopedDeg:   looped,
 		SumMACs:     n * x.Cols,
 		blockSums:   make([]float64, nb*x.Cols),
+		adj:         adj,
 	}
 	for b := 0; b < nb; b++ {
 		s.accumulateBlock(b, x)
@@ -125,14 +129,10 @@ func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
 		panic(fmt.Sprintf("core: %d adjacency rows for %d feature rows", adj.Rows, x.Rows))
 	}
 	n, f := adj.Rows, x.Cols
-	if n < len(s.LoopedDeg) {
-		panic(fmt.Sprintf("core: Update shrinks %d nodes to %d", len(s.LoopedDeg), n))
+	if n < s.adj.Rows {
+		panic(fmt.Sprintf("core: Update shrinks %d nodes to %d", s.adj.Rows, n))
 	}
-	s.LoopedDeg = mat.Extend(s.LoopedDeg, n-len(s.LoopedDeg)) // recomputed below: appended nodes are dirty
-	for _, j := range dirty {
-		// Same arithmetic as sparse.LoopedDegrees: the row sum plus one.
-		s.LoopedDeg[j] = adj.RowSum(j) + 1
-	}
+	s.adj = adj
 	s.Scale = 1 / float64(adj.NNZ()+n)
 	s.SumMACs = n * f
 
@@ -150,7 +150,7 @@ func (s *Stationary) Update(adj *sparse.CSR, x *mat.Matrix, dirty []int) {
 
 // Row writes X(∞)_i into dst (length f) and returns dst.
 func (s *Stationary) Row(i int, dst []float64) []float64 {
-	coef := math.Pow(s.LoopedDeg[i], s.Gamma) * s.Scale
+	coef := math.Pow(s.looped(i), s.Gamma) * s.Scale
 	for c, v := range s.WeightedSum {
 		dst[c] = coef * v
 	}
@@ -168,7 +168,7 @@ func (s *Stationary) Rows(nodes []int) *mat.Matrix {
 
 // Full materializes X(∞) for every node (used by tests and gate training).
 func (s *Stationary) Full() *mat.Matrix {
-	nodes := make([]int, len(s.LoopedDeg))
+	nodes := make([]int, s.adj.Rows)
 	for i := range nodes {
 		nodes[i] = i
 	}
@@ -207,7 +207,7 @@ func DenseStationaryReference(adj *sparse.CSR, x *mat.Matrix, gamma float64) *ma
 func SecondEigenvalueSymmetric(adj *sparse.CSR, iters int) float64 {
 	n := adj.Rows
 	looped := sparse.LoopedDegrees(adj)
-	norm := sparse.NewNormalized(adj, sparse.GammaSymmetric, looped)
+	norm := sparse.NewNormalized(adj, sparse.GammaSymmetric)
 	v1 := make([]float64, n)
 	var v1norm float64
 	for i, d := range looped {

@@ -48,7 +48,7 @@ func TestStationaryIsFixpoint(t *testing.T) {
 		for _, gamma := range []float64{0, 0.5, 1} {
 			st := ComputeStationary(adj, x, gamma)
 			xinf := st.Full()
-			norm := sparse.NewNormalized(adj, gamma, sparse.LoopedDegrees(adj))
+			norm := sparse.NewNormalized(adj, gamma)
 			if !mat.ApproxEqual(scalable.Propagate(norm, xinf, 1)[1], xinf, 1e-9) {
 				return false
 			}
@@ -69,7 +69,7 @@ func TestStationaryIsPropagationLimit(t *testing.T) {
 	dst := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 6, 9}
 	adj := sparse.FromEdges(12, src, dst, true)
 	x := mat.Randn(12, 3, 1, rng)
-	norm := sparse.NewNormalized(adj, sparse.GammaSymmetric, sparse.LoopedDegrees(adj))
+	norm := sparse.NewNormalized(adj, sparse.GammaSymmetric)
 	prop := scalable.Propagate(norm, x, 400)[400]
 	st := ComputeStationary(adj, x, sparse.GammaSymmetric)
 	if !mat.ApproxEqual(prop, st.Full(), 1e-6) {
@@ -195,11 +195,7 @@ func TestStationaryUpdateRobustDeltas(t *testing.T) {
 				t.Fatalf("%s: weighted sum column %d: %v != %v", tag, c, st.WeightedSum[c], want.WeightedSum[c])
 			}
 		}
-		for i := range want.LoopedDeg {
-			if st.LoopedDeg[i] != want.LoopedDeg[i] {
-				t.Fatalf("%s: looped degree of node %d: %v != %v", tag, i, st.LoopedDeg[i], want.LoopedDeg[i])
-			}
-		}
+		requireSameStationaryRows(t, tag+": ", want, st, adj.Rows)
 	}
 
 	// Isolated appended node: adjacency grows by an empty row.
@@ -220,4 +216,22 @@ func TestStationaryUpdateRobustDeltas(t *testing.T) {
 	}
 	st.Update(grown2, x2, dirty2)
 	requireSame("repeated edge", grown2, x2)
+}
+
+// requireSameStationaryRows fails unless got's X(∞) row of each of the n
+// nodes has want's bits: every factor (d_i+1)^γ a row is scaled by, and the
+// weighted sum they share.
+func requireSameStationaryRows(t *testing.T, tag string, want, got *Stationary, n int) {
+	t.Helper()
+	f := len(want.WeightedSum)
+	w, g := make([]float64, f), make([]float64, f)
+	for i := 0; i < n; i++ {
+		want.Row(i, w)
+		got.Row(i, g)
+		for c := range w {
+			if math.Float64bits(w[c]) != math.Float64bits(g[c]) {
+				t.Fatalf("%sX(∞) row %d column %d: %v, want %v", tag, i, c, g[c], w[c])
+			}
+		}
+	}
 }

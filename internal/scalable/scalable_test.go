@@ -16,7 +16,7 @@ func testAdj(t *testing.T) *sparse.Normalized {
 	t.Helper()
 	// 0-1-2-3 path plus 0-3 to make a cycle
 	adj := sparse.FromEdges(4, []int{0, 1, 2, 0}, []int{1, 2, 3, 3}, true)
-	return sparse.NewNormalized(adj, sparse.GammaSymmetric, sparse.LoopedDegrees(adj))
+	return sparse.NewNormalized(adj, sparse.GammaSymmetric)
 }
 
 func testFeats(rng *rand.Rand, n, f int) *mat.Matrix { return mat.Randn(n, f, 1, rng) }
@@ -75,7 +75,7 @@ func TestPropagateMatchesMaterialized(t *testing.T) {
 		rows[i] = i
 	}
 	for _, gamma := range []float64{sparse.GammaRowStochastic, sparse.GammaSymmetric, sparse.GammaColStochastic} {
-		feats := Propagate(sparse.NewNormalized(g, gamma, sparse.LoopedDegrees(g)), x, k)
+		feats := Propagate(sparse.NewNormalized(g, gamma), x, k)
 		stored := sparse.NormalizedAdjacency(g, gamma)
 		want := x
 		for l := 1; l <= k; l++ {
@@ -290,7 +290,7 @@ func BenchmarkPropagateK4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adj := sparse.NewNormalized(ds.Graph.Adj, sparse.GammaSymmetric, sparse.LoopedDegrees(ds.Graph.Adj))
+	adj := sparse.NewNormalized(ds.Graph.Adj, sparse.GammaSymmetric)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Propagate(adj, ds.Graph.Features, 4)

@@ -23,7 +23,7 @@ func benchProduct(b *testing.B, every int) {
 		b.Fatal(err)
 	}
 	g := ds.Graph
-	op := sparse.NewNormalized(g.Adj, sparse.GammaSymmetric, sparse.LoopedDegrees(g.Adj))
+	op := sparse.NewNormalized(g.Adj, sparse.GammaSymmetric)
 	var rows []int
 	for i := 0; i < g.N(); i += every {
 		rows = append(rows, i)

@@ -610,7 +610,7 @@ func TestKernelPropOperatorRows(t *testing.T) {
 		}
 	}
 	for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
-		op := NewNormalized(adj, gamma, LoopedDegrees(adj))
+		op := NewNormalized(adj, gamma)
 		stored := NormalizedAdjacency(adj, gamma)
 		if stored.RowNNZ(0) <= rowBufLen || stored.RowNNZ(7) <= rowBufLen {
 			t.Fatalf("hub rows of %d and %d entries fit the %d-entry frame buffer", stored.RowNNZ(0), stored.RowNNZ(7), rowBufLen)

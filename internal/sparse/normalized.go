@@ -24,10 +24,10 @@ import (
 // ladder and for the tests that pin the product to MulRowsInto over such a
 // cut.
 //
-// The factors come from a looped-degree vector the caller supplies: the
-// serving engine passes its stationary state's, which a delta updates before
-// Patch reads it. At γ = ½ the two exponents are equal, so Left and Right are
-// one slice: the factors cost one float64 a node instead of two.
+// The factors come from Adj's row lengths: row i's looped degree is
+// d̃ᵢ = RowNNZ(i)+1, which is LoopedDegrees' value for a pattern, bit for bit.
+// At γ = ½ the two exponents are equal, so Left and Right are one slice: the
+// factors cost one float64 a node instead of two.
 type Normalized struct {
 	// Adj is the binary adjacency the pattern is read from; it must hold no
 	// diagonal entries (emitting a row panics on one).
@@ -38,17 +38,14 @@ type Normalized struct {
 	Left, Right []float64
 }
 
-// NewNormalized binds the operator to adj with the factors of looped, which
-// must hold a positive looped degree d̃ᵢ for every row.
-func NewNormalized(adj *CSR, gamma float64, looped []float64) *Normalized {
+// NewNormalized binds the operator to adj, every row's factors computed from
+// its looped degree.
+func NewNormalized(adj *CSR, gamma float64) *Normalized {
 	if adj.Rows != adj.Cols {
 		panic("sparse: NewNormalized requires a square matrix")
 	}
 	if gamma < 0 || gamma > 1 {
 		panic(fmt.Sprintf("sparse: gamma %v outside [0,1]", gamma))
-	}
-	if len(looped) < adj.Rows {
-		panic(fmt.Sprintf("sparse: %d looped degrees for %d nodes", len(looped), adj.Rows))
 	}
 	a := &Normalized{Adj: adj, Gamma: gamma, Left: make([]float64, adj.Rows)}
 	a.Right = a.Left
@@ -56,7 +53,7 @@ func NewNormalized(adj *CSR, gamma float64, looped []float64) *Normalized {
 		a.Right = make([]float64, adj.Rows)
 	}
 	for i := range a.Left {
-		a.setFactors(i, looped[i])
+		a.setFactors(i)
 	}
 	return a
 }
@@ -65,10 +62,9 @@ func NewNormalized(adj *CSR, gamma float64, looped []float64) *Normalized {
 // are math.Pow(d, −½) of the same degree, bit for bit.
 func (a *Normalized) shared() bool { return a.Gamma-1 == -a.Gamma }
 
-func (a *Normalized) setFactors(i int, d float64) {
-	if d <= 0 {
-		panic(fmt.Sprintf("sparse: node %d has non-positive looped degree %v", i, d))
-	}
+// setFactors computes row i's factors from its looped degree in Adj.
+func (a *Normalized) setFactors(i int) {
+	d := float64(a.Adj.RowNNZ(i) + 1)
 	a.Left[i] = math.Pow(d, a.Gamma-1)
 	if !a.shared() {
 		a.Right[i] = math.Pow(d, -a.Gamma)
@@ -76,14 +72,14 @@ func (a *Normalized) setFactors(i int, d float64) {
 }
 
 // Patch rebinds the operator to adj, a later version of the graph (rows only
-// appended, entries only added), and recomputes from looped the factors of
-// the rows in dirty (ascending) — O(|dirty|), whatever the graph's size.
-// dirty must hold every row whose looped degree moved and every appended
-// row; rows whose factors did not move may be listed too.
-func (a *Normalized) Patch(adj *CSR, looped []float64, dirty []int) {
+// appended, entries only added), and recomputes from adj's row lengths the
+// factors of the rows in dirty (ascending) — O(|dirty|), whatever the graph's
+// size. dirty must hold every row whose looped degree moved and every
+// appended row; rows whose factors did not move may be listed too.
+func (a *Normalized) Patch(adj *CSR, dirty []int) {
 	old, n := len(a.Left), adj.Rows
-	if adj.Rows != adj.Cols || n < old || len(looped) < n {
-		panic(fmt.Sprintf("sparse: Normalized.Patch from %d rows to %dx%d with %d looped degrees", old, adj.Rows, adj.Cols, len(looped)))
+	if adj.Rows != adj.Cols || n < old {
+		panic(fmt.Sprintf("sparse: Normalized.Patch from %d rows to %dx%d", old, adj.Rows, adj.Cols))
 	}
 	if k := n - old; k > len(dirty) || k > 0 && dirty[len(dirty)-k] != old {
 		panic(fmt.Sprintf("sparse: Normalized.Patch appended rows [%d,%d) not all marked dirty", old, n))
@@ -96,7 +92,7 @@ func (a *Normalized) Patch(adj *CSR, looped []float64, dirty []int) {
 		a.Right = mat.Extend(a.Right, n-old)
 	}
 	for _, i := range dirty {
-		a.setFactors(i, looped[i])
+		a.setFactors(i)
 	}
 }
 

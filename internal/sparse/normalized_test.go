@@ -204,7 +204,7 @@ type growth struct {
 // neighbors), and compares against a fresh materialization at every stage.
 func checkNormalizedGrowth(base *CSR, gamma float64, deltas []growth, pick *rand.Rand) error {
 	adj := base
-	op := NewNormalized(adj, gamma, LoopedDegrees(adj))
+	op := NewNormalized(adj, gamma)
 	if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), pick); err != nil {
 		return fmt.Errorf("base: %w", err)
 	}
@@ -233,7 +233,7 @@ func checkNormalizedGrowth(base *CSR, gamma float64, deltas []growth, pick *rand
 			}
 		}
 		adj = merged
-		op.Patch(adj, LoopedDegrees(adj), valDirty)
+		op.Patch(adj, valDirty)
 		if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), pick); err != nil {
 			return fmt.Errorf("after delta %d: %w", step, err)
 		}
@@ -279,7 +279,7 @@ func TestNormalizedHubRows(t *testing.T) {
 		t.Fatalf("only %d of %d rows outgrow the %d-entry worker buffer", long, adj.Rows, rowBufLen)
 	}
 	for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric} {
-		op := NewNormalized(adj, gamma, LoopedDegrees(adj))
+		op := NewNormalized(adj, gamma)
 		if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), rng); err != nil {
 			t.Fatalf("gamma %v: %v", gamma, err)
 		}
@@ -302,15 +302,15 @@ func TestNormalizedPatchRecomputesOnlyDirtyFactors(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := FromEdges(6, []int{0, 1, 3}, []int{1, 2, 4}, true)
-			op := NewNormalized(base, tc.gamma, LoopedDegrees(base))
+			op := NewNormalized(base, tc.gamma)
 			merged, dirty := base.AppendEdges(7, []int{3}, []int{6})
 			if fmt.Sprint(dirty) != "[3 6]" {
 				t.Fatalf("dirty rows %v", dirty)
 			}
 			tc.poison(op)
 			wantL1, wantR1 := op.Left[1], op.Right[1]
-			op.Patch(merged, LoopedDegrees(merged), []int{3, 4, 6}) // 4 neighbors 3: value-dirty, factors unmoved
-			fresh := NewNormalized(merged, tc.gamma, LoopedDegrees(merged))
+			op.Patch(merged, []int{3, 4, 6}) // 4 neighbors 3: value-dirty, factors unmoved
+			fresh := NewNormalized(merged, tc.gamma)
 			if op.Adj != merged || op.N() != 7 {
 				t.Fatal("patch did not rebind to the grown graph")
 			}
@@ -336,7 +336,7 @@ func TestNormalizedSharedFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	base := randomDeltaAdj(30, 0.2, rng)
 	for _, gamma := range []float64{GammaRowStochastic, 0.3, GammaSymmetric, GammaColStochastic} {
-		op := NewNormalized(base, gamma, LoopedDegrees(base))
+		op := NewNormalized(base, gamma)
 		adj := base
 		for stage := 0; stage < 3; stage++ {
 			shared := len(op.Left) == len(op.Right) && unsafe.SliceData(op.Left) == unsafe.SliceData(op.Right)
@@ -357,7 +357,7 @@ func TestNormalizedSharedFactors(t *testing.T) {
 				dirty[i] = i
 			}
 			adj = merged
-			op.Patch(adj, LoopedDegrees(adj), dirty)
+			op.Patch(adj, dirty)
 		}
 	}
 }
@@ -373,22 +373,20 @@ func TestNormalizedRejectsBadInput(t *testing.T) {
 		fn()
 	}
 	adj := FromEdges(3, []int{0}, []int{1}, true)
-	deg := LoopedDegrees(adj)
-	mustPanic("gamma 2", func() { NewNormalized(adj, 2, deg) })
-	mustPanic("short degrees", func() { NewNormalized(adj, 0.5, deg[:2]) })
-	mustPanic("zero degree", func() { NewNormalized(adj, 0.5, []float64{2, 2, 0}) })
+	mustPanic("gamma 2", func() { NewNormalized(adj, 2) })
+	mustPanic("not square", func() { NewNormalized(fromAdjLists(2, 3, [][]int32{{1}, {2}}), 0.5) })
 	looped := fromAdjLists(2, 2, [][]int32{{0, 1}, {0}})
 	mustPanic("stored diagonal", func() {
 		var out CSR
-		NewNormalized(looped, 0.5, []float64{3, 2}).RowsInto([]int{0}, nil, 1, &out)
+		NewNormalized(looped, 0.5).RowsInto([]int{0}, nil, 1, &out)
 	})
 	grown, _ := adj.AppendEdges(5, nil, nil)
 	mustPanic("appended row not dirty", func() {
-		NewNormalized(adj, 0.5, deg).Patch(grown, LoopedDegrees(grown), []int{4})
+		NewNormalized(adj, 0.5).Patch(grown, []int{4})
 	})
 	mustPanic("neighbor outside the universe", func() {
 		var out CSR
-		NewNormalized(adj, 0.5, deg).ExtractRowsInto([]int{0}, []int32{0, -1, -1}, 1, &out)
+		NewNormalized(adj, 0.5).ExtractRowsInto([]int{0}, []int32{0, -1, -1}, 1, &out)
 	})
 	// Whichever entry point emitted the row, the message names the operator,
 	// the row and the unmapped column.
@@ -397,7 +395,7 @@ func TestNormalizedRejectsBadInput(t *testing.T) {
 			t.Fatalf("MulNormalizedRowsInto over a short column map panicked with %q", msg)
 		}
 	}()
-	MulNormalizedRowsInto(NewNormalized(adj, 0.5, deg), []int{0}, nil, []int32{0, -1, -1}, []float64{1}, nil, 1, make([]float64, 1))
+	MulNormalizedRowsInto(NewNormalized(adj, 0.5), []int{0}, nil, []int32{0, -1, -1}, []float64{1}, nil, 1, make([]float64, 1))
 }
 
 // FuzzNormalizedRows drives the operator-vs-materialized property over
@@ -450,7 +448,7 @@ func BenchmarkNormalizedExtract(b *testing.B) {
 		src[e], dst[e] = rng.Intn(n), rng.Intn(n)
 	}
 	adj := FromEdges(n, src, dst, true)
-	op := NewNormalized(adj, GammaSymmetric, LoopedDegrees(adj))
+	op := NewNormalized(adj, GammaSymmetric)
 	full := NormalizedAdjacency(adj, GammaSymmetric)
 	rows, toLocal := make([]int, n), make([]int32, n)
 	for i := range rows {
