@@ -170,8 +170,8 @@ func (r *Result) merge(o *Result) {
 // layers (hopLayer): X^(h) for the depth h = max(1, TMax−2) of each operating
 // point served, a row per node in one block of the feature matrix's shape,
 // allocated on the first read at that depth, filled on first use and read in
-// place by hop h+1, and past TMax 2 the hubs' rows of X^(h+1), which hop h+1
-// copies instead of computing — each row with a ready bit that readers load
+// place by hop h+1, and past TMax 2 the hubs' rows of X^(h+1), which hops h+1
+// and h+2 read in place instead of computing — each row with a ready bit that readers load
 // without a lock, written under one lock per layer, emptied and extended by
 // deltas and cleared by Refresh. Answers are
 // bit-identical to propagating hops 1..h+1 per batch.
@@ -331,7 +331,7 @@ type inferScratch[T float64 | float32] struct {
 	targets []int
 	// rm marks batch-local target indices during removeIndices.
 	rm []bool
-	// fresh lists the hub rows one product at hop h+1 computes.
+	// fresh lists the hubs whose rows one product at hop h+1 computes.
 	fresh []int
 	// seen marks the layer rows the batch has read, one bit per node, all zero
 	// between batches; missing lists the ones one ensureLayer pass found not
@@ -414,14 +414,14 @@ func growScratch[T any](buf []T, need int) []T {
 }
 
 // targetRow returns row targets[ti] of X^(l), l ≥ 1: at h from the layer's
-// block, elsewhere from the batch's level.
+// block, elsewhere through the batch's level — its own rows, or at h+1 a hub
+// layer's that it reads in place.
 func (sc *inferScratch[T]) targetRow(l, ti int) []T {
 	v := sc.targets[ti]
 	if l == sc.h {
 		return sc.xh[v*sc.f:][:sc.f]
 	}
-	lv := &sc.levels[l]
-	return lv.x[int(lv.idx[v])*sc.f:][:sc.f]
+	return sc.levels[l].row(v, sc.f)
 }
 
 // prepare readies a scratch (fresh or from the pool) for a batch on an
@@ -646,9 +646,10 @@ func (t *tier[T]) scratchBytes() int {
 // computes its active targets' rows. Exited targets' balls are never
 // propagated. So a BFS runs only for a hop past h before TMax, which needs a
 // ball: before it if it does not decide, after its wave if that leaves
-// survivors; none runs at a depth ≤ h, and a batch runs at most one. Hop h+1 < TMax copies the hubs' rows it finds resident
-// in the tier's hub layer (hopLayer) into its level instead of computing them,
-// and publishes the ones it computes.
+// survivors; none runs at a depth ≤ h, and a batch runs at most one. Hop
+// h+1 < TMax computes none of the hubs' rows it finds resident in the tier's
+// hub layer (hopLayer): its level refers to them there, where its waves and
+// hop h+2 = TMax read them, and it publishes the ones it computes.
 func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScratch[T], tr *obs.Trace) *Result {
 	d := t.d
 	m := d.Model
@@ -750,8 +751,9 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 	// (ascending) that it does not hold yet: at h+1 from the layer's block,
 	// which it first makes ready where those rows gather, past it from level
 	// l−1, which holds every row they gather — its rows are a ball one ring
-	// wider around a superset of the targets. Hop h+1 < TMax also reads and
-	// fills the hub layer; the rows it copies from there gather nothing.
+	// wider around a superset of the targets, some of them at h+1 hub rows it
+	// reads in the hub layer's block. Hop h+1 < TMax also fills the hub layer;
+	// the ready hub rows it refers to gather nothing.
 	hubs := h+1 < opt.TMax
 	product := func(l int, rows []int) {
 		lv := sc.level(l, g.N())
@@ -766,7 +768,8 @@ func (t *tier[T]) inferBatch(targets []int, opt InferenceOptions, sc *inferScrat
 		if l == h+1 {
 			t.ensureLayer(sc, lay, rows, true)
 		} else {
-			in, colMap = operand[T]{x: sc.levels[l-1].x}, sc.levels[l-1].idx
+			lower := &sc.levels[l-1]
+			in, colMap = operand[T]{x: lower.x, second: lower.hub}, lower.idx
 		}
 		mulRows(d.Adj, in, rows, nil, colMap, sc.f, lv.x[len(lv.x)-len(rows)*sc.f:])
 		if hub != nil {

@@ -73,7 +73,7 @@ func hubCounts(dep *Deployment) (capacity, resident int) {
 
 func hubCountsOf[T float64 | float32](hubs map[int]*hopLayer[T]) (capacity, resident int) {
 	for _, m := range hubs {
-		capacity += len(m.members)
+		capacity += m.rows
 		for k := 0; k < m.rows; k++ {
 			if m.isReady(k) {
 				resident++
@@ -81,6 +81,21 @@ func hubCountsOf[T float64 | float32](hubs map[int]*hopLayer[T]) (capacity, resi
 		}
 	}
 	return capacity, resident
+}
+
+// hubsOf returns the nodes hub layer m holds rows for, ascending: row k is
+// the k-th's.
+func hubsOf[T float64 | float32](m *hopLayer[T]) []int {
+	var hubs []int
+	for v, k := range m.slot {
+		if k >= 0 {
+			if int(k) != len(hubs) {
+				panic(fmt.Sprintf("hub %d at row %d, after %d hubs", v, k, len(hubs)))
+			}
+			hubs = append(hubs, v)
+		}
+	}
+	return hubs
 }
 
 // layerModel is a test model with the range of TMax it covers.
@@ -312,14 +327,8 @@ func TestLayerOneBFSPerWave(t *testing.T) {
 // records one propagate span at every hop below h and matches the seed too.
 func TestLayerSkipsUnreadRows(t *testing.T) {
 	ds := tinyData(t)
-	topt := fastOptions("sign")
-	topt.K = 5
-	sign, err := Train(ds.Graph, ds.Split, topt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := obs.New(obs.Options{})
-	for _, m := range []*Model{trainedDeepModel(t), sign} {
+	for _, m := range []*Model{trainedDeepModel(t), trainedDeepSign(t)} {
 		for _, p := range tiers {
 			dep := deployAt(t, m, ds.Graph, p)
 			ts := tsQuantile(t, dep, ds.Split.Val, 2, 0.5)
@@ -359,10 +368,12 @@ func TestLayerSkipsUnreadRows(t *testing.T) {
 // and computes only the rows something reads. After one batch at TMax 4 and 5
 // (h = 2 and 3), TMin l = TMax−1 and h, with waves at TMin, at l and survivors
 // to TMax, level l holds exactly the targets active at l — its wave reads them
-// — and its survivors' radius-(TMax−l) ball, which hop TMax gathers, each row
-// bit-equal to X^(l) computed hop by hop; not the rest of the targets'
-// one-ring ball, while Books still charges that whole ball (Algorithm 1's
-// books). No level holds rows at h, where the layer is the store. The batch's
+// — and its survivors' radius-(TMax−l) ball, which hop TMax gathers: rows it
+// computed, and hub rows it reads in place in the hub layer (l = h+1), which
+// the second batch at each TMax finds ready. Each, read through the level or
+// the hub block, is bit-equal to X^(l) computed hop by hop; not the rest of
+// the targets' one-ring ball, while Books still charges that whole ball
+// (Algorithm 1's books). No level holds rows at h, where the layer is the store. The batch's
 // one BFS is its survivors' after the wave at l, radius TMax−l: it ran none at
 // radius ≥ TMax−h, so none at a depth ≤ h.
 func TestLayerDemandRows(t *testing.T) {
@@ -377,6 +388,7 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 	g, f := dep.Graph, dep.Graph.F()
 	o := obs.New(obs.Options{})
 	targets := ds.Split.Test
+	refs := 0
 	for _, tmax := range []int{4, 5} {
 		l, h := tmax-1, layerDepth(tmax)
 		for _, tmin := range []int{l, h} {
@@ -416,13 +428,24 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			}
 
 			lv := &sc.levels[l]
-			if held := sortedUnique(lv.nodes, nil); !slices.Equal(held, written) {
-				t.Fatalf("%s: level %d holds %d rows, want the %d the batch read (%d before the demand order)", label, l, len(held), len(written), len(whole))
+			if held := sortedUnique(slices.Concat(lv.nodes, lv.refs), nil); !slices.Equal(held, written) || len(held) != len(lv.nodes)+len(lv.refs) {
+				t.Fatalf("%s: level %d holds %d rows and reads %d in place, want the %d the batch read (%d before the demand order)", label, l, len(lv.nodes), len(lv.refs), len(written), len(whole))
+			}
+			hub := eng.hubs[l].Load()
+			if len(lv.refs) > 0 && (hub == nil || &lv.hub[0] != &hub.block[0]) {
+				t.Fatalf("%s: level %d reads %d rows in place outside the hub layer of X^(%d)", label, l, len(lv.refs), l)
 			}
 			ref, refMap := (&hopScratch[T]{}).below(dep.Adj, eng.base, written, l+1, f)
 			for _, v := range written {
 				k, r := int(lv.idx[v]), int(refMap[v])
-				if k < 0 || lv.nodes[k] != v || !slices.Equal(lv.x[k*f:(k+1)*f], ref.x[r*f:(r+1)*f]) {
+				var row []T
+				switch {
+				case k >= 0 && lv.nodes[k] == v:
+					row = lv.x[k*f : (k+1)*f]
+				case k <= -2 && slices.Contains(lv.refs, v) && hub.isReady(-2-k) && hub.slotOf(v) == -2-k:
+					row = hub.block[(-2-k)*f : (-1-k)*f]
+				}
+				if row == nil || !slices.Equal(row, ref.x[r*f:(r+1)*f]) {
 					t.Fatalf("%s: level %d's row of node %d (slot %d) is not X^(%d)'s", label, l, v, k, l)
 				}
 			}
@@ -438,7 +461,11 @@ func testLayerDemandRows[T float64 | float32](t *testing.T, p kernel.Precision) 
 			if r := len(sc.bfs.ends) - 1; bfs != 1 || r != tmax-l {
 				t.Fatalf("%s: %d BFSes, the last to radius %d; want one, the survivors' at l, to radius TMax−l = %d < TMax−h", label, bfs, r, tmax-l)
 			}
+			refs += len(lv.refs)
 		}
+	}
+	if refs == 0 {
+		t.Fatal("no batch read a hub row in place")
 	}
 }
 
@@ -512,9 +539,11 @@ func testLayerResidentRowsAreGathered[T float64 | float32](t *testing.T, p kerne
 // toward the lower id. After one batch the resident hub rows are exactly the
 // hubs among the rows its hop h+1 computed — its active targets, then its
 // survivors' radius-(TMax−h−1) ball — and a repeat batch computes none of
-// them. A resident hub row is read, not recomputed: poisoned with NaN, it
-// keeps its hub, a lone target, from exiting at h+1 under a threshold any
-// finite distance meets. A delta empties every hub row, and the next batches
+// them: it reads each where it lies, its level h+1 holding no ready hub's row.
+// A resident hub row is read, not recomputed or copied: poisoned with NaN in
+// the hub layer's block, it keeps its hub, a lone target, from exiting at h+1
+// under a threshold any finite distance meets, and it reaches the hub's row
+// of X^(h+2), which gathers it. A delta empties every hub row, and the next batches
 // equal the seed's. A cold batch, whose products fill the rows of X^(h) they
 // gather between listing hub rows and publishing them, leaves resident exactly
 // the hub rows it computed. TMax ≤ 2 allocates no hub layer.
@@ -567,8 +596,9 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		if hub == nil {
 			t.Fatalf("%s: no hub layer at depth %d; hub layers at %v", label, l, depths(hubLayersOf[T](t, dep)))
 		}
-		if top := topDegree(g.Adj, hubCount(g.N())); !slices.Equal(hub.members, top) {
-			t.Fatalf("%s: hub members %v, the highest-degree nodes %v", label, hub.members, top)
+		members := hubsOf(hub)
+		if top := topDegree(g.Adj, hubCount(g.N())); !slices.Equal(members, top) {
+			t.Fatalf("%s: hub members %v, the highest-degree nodes %v", label, members, top)
 		}
 
 		// hubsComputed requires the resident hub rows to be exactly the hubs
@@ -591,7 +621,7 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 				computed[v] = true
 			}
 			resident := 0
-			for k, v := range hub.members {
+			for k, v := range members {
 				if ready := hub.isReady(k); ready != computed[v] {
 					t.Fatalf("%s: hub %d resident=%v, computed by hop %d=%v", label, v, ready, l, computed[v])
 				}
@@ -599,22 +629,28 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 					resident++
 				}
 			}
-			if resident == 0 || resident == len(hub.members) {
-				t.Fatalf("%s: hop %d computed %d of %d hub rows, want some and not all", label, l, resident, len(hub.members))
+			if resident == 0 || resident == len(members) {
+				t.Fatalf("%s: hop %d computed %d of %d hub rows, want some and not all", label, l, resident, len(members))
 			}
 			return computed, resident
 		}
 		computed, resident := hubsComputed(label+"/first", want)
 		before := dep.Hop1Stats()
-		got, _ = dep.Infer(targets, opt)
+		sc := &inferScratch[T]{}
+		sc.prepare(g.N(), len(targets))
+		got = booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, nil))
 		requireSameResult(t, label+"/repeat", got, want)
 		if s := dep.Hop1Stats(); s.Computed != before.Computed || int(s.FromMemo-before.FromMemo) < resident {
 			t.Fatalf("%s: the repeat batch computed %d rows and read %d resident, %d hub rows were resident", label, s.Computed-before.Computed, s.FromMemo-before.FromMemo, resident)
 		}
+		lv := &sc.levels[l]
+		if len(lv.refs) != resident || slices.ContainsFunc(lv.nodes, func(v int) bool { return hub.slotOf(v) >= 0 }) {
+			t.Fatalf("%s: the repeat batch's level %d reads %d hub rows in place and holds %d rows, some a hub's; %d hub rows were resident", label, l, len(lv.refs), len(lv.nodes), resident)
+		}
 
 		// A lone hub target that every finite distance lets exit at l.
-		k := slices.IndexFunc(hub.members, func(v int) bool { return computed[v] })
-		lone := hub.members[k : k+1]
+		k := slices.IndexFunc(members, func(v int) bool { return computed[v] })
+		lone := members[k : k+1]
 		exitAt := InferenceOptions{Mode: ModeDistance, Ts: 1e100, TMin: l, TMax: tmax}
 		poison := func() {
 			for j := range hub.block[k*f : (k+1)*f] {
@@ -624,6 +660,12 @@ func testLayerHubRows[T float64 | float32](t *testing.T, p kernel.Precision) {
 		poison()
 		if got, _ := dep.Infer(lone, exitAt); got.Depths[0] != tmax {
 			t.Fatalf("%s: hub %d exited at depth %d over its NaN row, want %d: its resident row was not read", label, lone[0], got.Depths[0], tmax)
+		}
+		// Hop TMax = l+1 gathers the hub's own row of X^(l), Â's diagonal.
+		sc.prepare(g.N(), 1)
+		eng.inferBatch(lone, InferenceOptions{Mode: ModeFixed, TMin: 1, TMax: tmax}, sc, nil)
+		if row := sc.levels[tmax].row(lone[0], f); !slices.ContainsFunc(row, func(x T) bool { return math.IsNaN(float64(x)) }) {
+			t.Fatalf("%s: hub %d's row of X^(%d) holds no NaN: hop %d did not read its poisoned row of X^(%d) in place", label, lone[0], tmax, tmax, l)
 		}
 
 		// Any delta empties every hub row.
@@ -727,7 +769,7 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 	if lay == nil || hub == nil {
 		t.Fatalf("reading at TMax 4 left layers %v and hub layers %v", depths(layersOf[T](t, dep)), depths(hubLayersOf[T](t, dep)))
 	}
-	hubs := len(hub.members) // hop 3 runs over every node: every hub row is resident
+	hubs := hub.rows // hop 3 runs over every node: every hub row is resident
 	if s := dep.Hop1Stats(); s.Entries != g.N()+hubs {
 		t.Fatalf("reading every node at TMax 4 left %d rows resident, want %d of X^(2) and %d hub rows of X^(3)", s.Entries, g.N(), hubs)
 	}
@@ -766,6 +808,92 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 	requireColdWarmSame(t, "after the delta", dep, all, opt)
 	if s := dep.Hop1Stats(); int(s.Computed-before.Computed) != len(stale)+hubs || s.Entries != g.N()+hubs {
 		t.Fatalf("the next reads recomputed %d rows, %d and %d hub rows were emptied (stats %+v)", s.Computed-before.Computed, len(stale), hubs, s)
+	}
+}
+
+// TestLayerClosedRows: a row of a layer is closed once every row its row of Â
+// gathers is ready, and a product of hop h+1 over a closed row walks none of
+// them. At every tier, at TMax 3, 4 and 5 on the K = 5 model: after a cold
+// batch and after a warm one, every row hop h+1 computed is closed; a repeat
+// batch walks none of them — a row they gather, its ready bit cleared behind
+// the layer's back, is not recomputed — and answers as the seed does; after a
+// delta no row is closed, and the next batches equal the seed's on the merged
+// graph.
+func TestLayerClosedRows(t *testing.T) {
+	eachTier(t, testLayerClosedRows[float64], testLayerClosedRows[float32])
+}
+
+func testLayerClosedRows[T float64 | float32](t *testing.T, p kernel.Precision) {
+	ds := tinyData(t)
+	m := trainedDeepModel(t)
+	targets := ds.Split.Test
+	for _, tmax := range []int{3, 4, 5} {
+		h := layerDepth(tmax)
+		dep := deployAt(t, m, ds.Graph.Clone(), p)
+		eng := tierOf[T](t, dep)
+		g := dep.Graph
+		label := fmt.Sprintf("%v/tmax=%d", p, tmax)
+		opt := InferenceOptions{Mode: ModeDistance, Ts: tsQuantile(t, dep, ds.Split.Val, h+1, 0.5), TMin: 1, TMax: tmax}
+		want := seedInfer(dep, targets, opt)
+		// batch answers opt on a scratch of its own and returns the rows its
+		// hop h+1 computed.
+		batch := func(label string) []int {
+			t.Helper()
+			sc := &inferScratch[T]{}
+			sc.prepare(g.N(), len(targets))
+			requireSameResult(t, label, booked(t, dep, targets, opt, eng.inferBatch(targets, opt, sc, nil)), want)
+			return sortedUnique(sc.levels[h+1].nodes, nil)
+		}
+		var computed []int
+		for _, pass := range []string{"cold", "warm"} {
+			rows := batch(label + "/" + pass)
+			if pass == "cold" {
+				computed = rows
+			}
+			lay := layersOf[T](t, dep)[h]
+			if open := slices.IndexFunc(computed, func(v int) bool { return !lay.isClosed(v) }); len(computed) == 0 || open >= 0 {
+				t.Fatalf("%s/%s: of the %d rows hop %d computed, row %d is not closed", label, pass, len(computed), h+1, open)
+			}
+		}
+
+		// A row a closed row gathers, no target's: the repeat batch reads the
+		// targets' rows at h through a walk of their own.
+		lay := layersOf[T](t, dep)[h]
+		c := -1
+		for _, v := range computed {
+			for _, u := range slices.Concat(g.Adj.RowIndices(v), []int32{int32(v)}) {
+				if c < 0 && !slices.Contains(targets, int(u)) {
+					c = int(u)
+				}
+			}
+		}
+		if c < 0 {
+			t.Fatalf("%s: every row the closed rows gather is a target's", label)
+		}
+		w, bit := c>>6, uint64(1)<<(uint(c)&63)
+		lay.ready[w].Store(lay.ready[w].Load() &^ bit)
+		before := dep.Hop1Stats()
+		batch(label + "/repeat")
+		if s := dep.Hop1Stats(); s.Computed != before.Computed {
+			t.Fatalf("%s: the repeat batch computed %d rows: a walk met row %d, which only closed rows gather", label, s.Computed-before.Computed, c)
+		}
+		lay.ready[w].Store(lay.ready[w].Load() | bit)
+
+		u, v := 0, -1
+		for x := g.N() - 1; x >= 0 && v < 0; x-- {
+			if x != u && g.Adj.At(u, x) == 0 {
+				v = x
+			}
+		}
+		if _, err := dep.ApplyDelta(graph.Delta{Src: []int{u}, Dst: []int{v}}); err != nil {
+			t.Fatal(err)
+		}
+		for w := range lay.closed {
+			if bits := lay.closed[w].Load(); bits != 0 {
+				t.Fatalf("%s: the delta left rows closed in word %d (%#x)", label, w, bits)
+			}
+		}
+		requireColdWarmSame(t, label+"/after the delta", dep, targets, opt)
 	}
 }
 

@@ -40,21 +40,25 @@ import (
 // are paid for by what holds no copy of the graph's degrees: Â's shared degree
 // factors and a stationary state that reads d_i+1 off the adjacency.
 // So a tier also keeps X^(h+1) for the hubCount(n) = ⌈n/8⌉ highest-degree
-// nodes (hubMembers) whenever h+1 < TMax: a hub layer, this type over a
-// sorted member list, row k holding members[k]'s.
-// Hop h+1 copies its ready hub rows out of it instead of gathering them, and
-// copies the ones it computed into it after its product, those still not
-// ready then (hubRows, publishHubs); a hub row is never waited for, so hub
-// rows add no publish-before-read edge. TMax ≤ 2 has no hop h+1 < TMax.
+// nodes (hubMembers) whenever h+1 < TMax: a hub layer, this type over an
+// n-entry slot index, its k-th hub's row at row k in node order. Hop h+1
+// neither computes nor copies a ready hub row: the batch's level h+1 refers to
+// it where it lies (its index holds −2−k), so decisions and classifiers at
+// h+1 read it there, and hop h+2 — which is TMax whenever hubs exist — gathers
+// it there, the hub block being its product's second operand
+// (sparse.MulNormalizedRowsSplitInto). Hop h+1 copies the hub rows it
+// computed into the layer after its product, those still not ready then
+// (hubRows, publishHubs); a hub row is never waited for, so hub rows add no
+// publish-before-read edge. TMax ≤ 2 has no hop h+1 < TMax.
 //
 // The memory contract is one block per depth some batch has read, allocated
 // on that first read — not when the engine is rebuilt (Refresh,
 // SetPrecision) — and touched only where a request has needed a
 // row. A deployment served at one operating point, as every server is, holds
-// exactly one: a row and a ready bit per node plus 1/64 of headroom for
-// the nodes deltas append, at most layerBytes(n + n/64) bytes, and beside it,
-// past TMax 2, one hub layer of layerBytes(⌈n/8⌉) bytes and its id list —
-// 1/8 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
+// exactly one: a row, a ready bit and a closed bit per node plus 1/64 of
+// headroom for the nodes deltas append, at most layerBytes(n + n/64, f, 2)
+// bytes, and beside it, past TMax 2, one hub layer of layerBytes(⌈n/8⌉, f, 1)
+// bytes and its slot index of 4 bytes a node — 1/8 of a block more. One read at TMax 2 and at TMax 4 holds two blocks. A
 // block is not capped by what the graph's adjacency would have cost: on a
 // graph with f ≫ d̄ it is the larger of the two, and serving through it still
 // beats recomputing its hops (ARCHITECTURE.md, "The depth-h layer", has the
@@ -74,10 +78,15 @@ import (
 // otherwise have computed twice or split. The one invariant is publish before
 // read: before each product of hop h+1, every row of X^(h) it gathers is
 // ready, and so is every target's row before the batch's wave at h. A batch
-// holds at most one lock at a time, so no lock order exists. Bits only go
-// back to empty, and the arrays are only reallocated, in invalidate,
-// invalidateAll and grow, which run under the same exclusion as every other
-// graph mutation (never concurrently with Infer).
+// holds at most one lock at a time, so no lock order exists. Beside the ready
+// bits a layer of every node keeps a closed bit a row, set — without the lock,
+// by a compare-and-swap — once every row that row's row of Â gathers is
+// ready, so a product over a closed row skips its readiness walk: a warm hop
+// h+1 walks only the rows it has not met since the last delta. Ready and
+// closed bits only go back to empty, and the arrays are only reallocated, in
+// invalidate, invalidateAll and grow, which run under the same exclusion as
+// every other graph mutation (never concurrently with Infer); any
+// invalidation clears every closed bit.
 //
 // A row is the bits the tier's kernel wrote for it, and it is dropped whenever
 // those bits could change. X^(h)_v reads the rows of Â within h−1 hops of v
@@ -90,19 +99,25 @@ import (
 type hopLayer[T float64 | float32] struct {
 	depth int
 	f     int
-	// members lists the nodes a hub layer holds rows for, ascending, fixed
-	// when it is allocated; nil for a layer of every node.
-	members []int
+	// slot is a hub layer's index, fixed when it is allocated: slot[v] is node
+	// v's row, −1 for a node that is no hub (and nodes appended since lie past
+	// its end); nil for a layer of every node.
+	slot []int32
 	// ready has a bit per row (row k at bit k&63 of word k>>6), set once the
 	// row's bits in block are final.
 	ready []atomic.Uint64
+	// closed has a bit per row of a layer of every node, set once every row
+	// that row v of Â gathers — v's neighbours' and its own — is ready, so a
+	// product over v needs no readiness walk (ensureLayer). Any invalidation
+	// clears every bit; nil in a hub layer.
+	closed []atomic.Uint64
 	// mu is held while rows are written into block and their bits set.
 	mu sync.Mutex
-	// rows is how many rows the layer holds: n, or len(members).
+	// rows is how many rows the layer holds: n, or a hub layer's hubs.
 	rows int
-	// block holds row k at [k·f, (k+1)·f): node k's, or a hub layer's
-	// members[k]'s. A whole layer's capacity beyond the graph's rows is the
-	// headroom: growing by a few nodes does not copy it.
+	// block holds row k at [k·f, (k+1)·f): node k's, or a hub layer's k-th
+	// hub's in node order. A whole layer's capacity beyond the graph's rows is
+	// the headroom: growing by a few nodes does not copy it.
 	block []T
 	// huge is the part of block advised onto huge pages (adviseHugePages;
 	// nil: none).
@@ -140,9 +155,15 @@ func (t *tier[T]) load(p *atomic.Pointer[hopLayer[T]], depth int, hubs bool) *ho
 		g := t.d.Graph
 		m := &hopLayer[T]{depth: depth, f: g.F(), stats: &t.d.memoStats}
 		if hubs {
-			m.members = hubMembers(g.Adj, hubCount(g.N()))
+			members := hubMembers(g.Adj, hubCount(g.N()))
+			m.slot = graph.NewIndex(g.N())
+			for k, v := range members {
+				m.slot[v] = int32(k)
+			}
+			m.grow(len(members))
+		} else {
+			m.grow(g.N())
 		}
-		m.grow(g.N())
 		p.Store(m)
 	}
 	return p.Load()
@@ -185,16 +206,16 @@ func hubMembers(adj *sparse.CSR, k int) []int {
 	return members
 }
 
-// grow extends the layer to n nodes; the new rows are empty. Past the
+// grow extends the layer to n rows; the new rows are empty. Past the
 // headroom the arrays move, to mat.Headroom(n) rows — the rule every per-node
 // array a delta extends grows by — and the new block is advised onto huge
-// pages before the old rows are copied in. A hub layer's rows are its
-// members', allocated once without headroom: growing the graph leaves it as
-// it is. Not concurrent with Infer.
+// pages before the old rows are copied in. A hub layer's rows are its hubs',
+// allocated once without headroom: growing the graph leaves it as it is. Not
+// concurrent with Infer.
 func (m *hopLayer[T]) grow(n int) {
 	room := mat.Headroom(n)
-	if m.members != nil {
-		n, room = len(m.members), len(m.members)
+	if m.slot != nil {
+		room = n
 	}
 	old, words := m.rows, (n+63)/64
 	if n*m.f > cap(m.block) {
@@ -202,24 +223,76 @@ func (m *hopLayer[T]) grow(n int) {
 		m.huge = adviseHugePages(block)
 		m.block = append(block, m.block...)
 	}
-	if words > cap(m.ready) {
-		m.ready = append(make([]atomic.Uint64, 0, (room+63)/64), m.ready...)
+	m.ready = growBits(m.ready, words, room)
+	if m.slot == nil {
+		m.closed = growBits(m.closed, words, room)
 	}
-	m.ready, m.block, m.rows = m.ready[:words], m.block[:n*m.f], n
+	m.block, m.rows = m.block[:n*m.f], n
 	m.stats.capacity.Add(int64(n - old))
-	m.stats.bytes.Add(int64(layerBytes[T](n, m.f) - layerBytes[T](old, m.f)))
+	m.stats.bytes.Add(int64(layerBytes[T](n, m.f, m.bitsets()) - layerBytes[T](old, m.f, m.bitsets())))
 }
 
-// layerBytes is what n rows of f columns cost a layer: the rows and their
-// ready bits.
-func layerBytes[T float64 | float32](n, f int) int {
-	return n*f*int(unsafe.Sizeof(*new(T))) + 8*((n+63)/64)
+// growBits extends a bitset to words words, moved to room rows' worth when
+// that is past its capacity; the new bits are clear.
+func growBits(bits []atomic.Uint64, words, room int) []atomic.Uint64 {
+	if words > cap(bits) {
+		bits = append(make([]atomic.Uint64, 0, (room+63)/64), bits...)
+	}
+	return bits[:words]
+}
+
+// bitsets is how many bits a row of the layer has: ready and closed in a
+// layer of every node, ready alone in a hub layer.
+func (m *hopLayer[T]) bitsets() int {
+	if m.slot != nil {
+		return 1
+	}
+	return 2
+}
+
+// layerBytes is what n rows of f columns cost a layer with the given number
+// of bits a row: the rows and their bitsets.
+func layerBytes[T float64 | float32](n, f, bitsets int) int {
+	return n*f*int(unsafe.Sizeof(*new(T))) + bitsets*8*((n+63)/64)
 }
 
 // isReady reports whether row k is ready: its bits in block are final until
 // the next delta.
 func (m *hopLayer[T]) isReady(k int) bool {
 	return m.ready[k>>6].Load()&(1<<(uint(k)&63)) != 0
+}
+
+// isClosed reports whether row v of a layer of every node is closed: every
+// row that row v of Â gathers is ready, until the next delta.
+func (m *hopLayer[T]) isClosed(v int) bool {
+	return m.closed[v>>6].Load()&(1<<(uint(v)&63)) != 0
+}
+
+// closeRows marks rows closed, every row their rows of Â gather being ready:
+// one compare-and-swap per word when rows is ascending, and none for a word
+// whose bits are all set already. It takes no lock: bits are only ever set
+// between deltas, by whichever batch walked the rows first.
+func (m *hopLayer[T]) closeRows(rows []int) {
+	for i := 0; i < len(rows); {
+		w, bits := rows[i]>>6, uint64(0)
+		for ; i < len(rows) && rows[i]>>6 == w; i++ {
+			bits |= 1 << (uint(rows[i]) & 63)
+		}
+		for {
+			old := m.closed[w].Load()
+			if old|bits == old || m.closed[w].CompareAndSwap(old, old|bits) {
+				break
+			}
+		}
+	}
+}
+
+// slotOf returns node v's row in a hub layer, −1 for a node that is no hub.
+func (m *hopLayer[T]) slotOf(v int) int {
+	if v < len(m.slot) {
+		return int(m.slot[v])
+	}
+	return -1
 }
 
 // publish marks rows ks, whose rows are in block, ready: one store per word
@@ -245,32 +318,47 @@ func (m *hopLayer[T]) drop(v int) {
 	}
 }
 
-// invalidate empties the given rows.
+// invalidate empties the given rows and opens every row.
 func (m *hopLayer[T]) invalidate(rows []int) {
 	for _, v := range rows {
 		m.drop(v)
 	}
+	m.open()
 }
 
-// invalidateAll empties every row.
+// invalidateAll empties and opens every row.
 func (m *hopLayer[T]) invalidateAll() {
 	for v := 0; v < m.rows; v++ {
 		m.drop(v)
+	}
+	m.open()
+}
+
+// open clears every closed bit: a closed row vouches for the rows its row of
+// Â gathers, any of which an invalidation may have emptied, and finding the
+// rows that gather an emptied one would cost a walk, so the bits go whole, as
+// a hub layer's rows do. Not concurrent with Infer.
+func (m *hopLayer[T]) open() {
+	for i := range m.closed {
+		m.closed[i].Store(0)
 	}
 }
 
 // ensureLayer makes ready the rows of layer m the batch reads next and has
 // not read before (sc.seen): rows themselves, or with gathered the columns of
 // Â in rows — each row's neighbours and the row itself, what a product over
-// rows gathers. The walk lists the rows that are not ready; if there are any,
+// rows gathers. A closed row's columns are all ready, so with gathered the
+// walk skips it. The walk lists the rows that are not ready; if there are any,
 // it takes m's lock, drops the ones another batch published meanwhile, and
 // computes the rest, sorted, from X^(0) straight into the block (the hops
 // below h over their nested balls into the batch's levels, hopScratch.below)
 // before publishing them. On return every row the walk met is ready and stays
-// so until the next delta: publish before read. Each row counts once per
-// batch: as computed when this call filled it, else as read from the layer.
-// Books charges hop h whoever computed the rows (as MACBreakdown.Stationary
-// charges a cost the cache saved).
+// so until the next delta: publish before read. So with gathered every row of
+// rows is then closed, and this call closes those that were not. A row the
+// walk met counts once per batch: as computed when this call filled it, else
+// as read from the layer; a closed row counts its entries of Â as read, the
+// rows it gathers not being walked. Books charges hop h whoever computed the
+// rows (as MACBreakdown.Stationary charges a cost the cache saved).
 func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, gathered bool) {
 	adj, seen := t.d.Graph.Adj, sc.seen
 	missing, read := sc.missing[:0], 0
@@ -278,6 +366,9 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 		cols := adj.RowIndices(v)
 		if !gathered {
 			cols = nil
+		} else if m.isClosed(v) {
+			read += len(cols) + 1
+			continue
 		}
 		for i := -1; i < len(cols); i++ { // c is v, then its columns
 			c := v
@@ -306,6 +397,9 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 		}
 		m.mu.Unlock()
 	}
+	if gathered {
+		m.closeRows(rows)
+	}
 	m.stats.fromMemo.Add(uint64(read - len(missing)))
 	m.stats.computed.Add(uint64(len(missing)))
 	// Shaped after use, its extent being this pass's outcome: a cold batch's
@@ -314,29 +408,24 @@ func (t *tier[T]) ensureLayer(sc *inferScratch[T], m *hopLayer[T], rows []int, g
 }
 
 // hubRows is the first half of hop m.depth's product over rows (ascending)
-// into level lv, with hub layer m: a row lv holds is skipped; a member whose
-// row is ready is copied into lv and left out of the product; every other row
-// is appended to compute, the rows the product runs over, and a member among
-// them to fresh, for publishHubs once the product has written its row. It
-// returns compute and fresh.
+// into level lv, with hub layer m: a row lv holds is skipped; a hub whose row
+// is ready is left where it lies, lv referring to it (hopLevel.refer), and out
+// of the product; every other row is appended to compute, the rows the
+// product runs over, and a hub among them to fresh, for publishHubs once the
+// product has written its row. It returns compute and fresh.
 func (m *hopLayer[T]) hubRows(rows []int, lv *hopLevel[T], compute, fresh []int) ([]int, []int) {
-	f, members := m.f, m.members
-	k, ready := 0, 0
-	for i, v := range rows {
-		if lv.idx[v] >= 0 {
+	ready := 0
+	for _, v := range rows {
+		if lv.idx[v] != -1 {
 			continue
 		}
-		for k < len(members) && members[k] < v {
-			k++
-		}
-		if k < len(members) && members[k] == v {
+		if k := m.slotOf(v); k >= 0 {
 			if m.isReady(k) {
-				lv.add(rows[i:i+1], f)
-				copy(lv.x[len(lv.x)-f:], m.block[k*f:][:f])
+				lv.refer(v, k, m.block)
 				ready++
 				continue
 			}
-			fresh = append(fresh, k)
+			fresh = append(fresh, v)
 		}
 		compute = append(compute, v)
 	}
@@ -345,16 +434,18 @@ func (m *hopLayer[T]) hubRows(rows []int, lv *hopLevel[T], compute, fresh []int)
 }
 
 // publishHubs is the second half: under m's lock it copies the rows of the
-// members in fresh that are still not ready, which the product wrote into lv,
-// into hub layer m and publishes them; another batch may have published the
-// rest since hubRows, with the same bits.
+// hubs in fresh (node ids, ascending) that are still not ready, which the
+// product wrote into lv, into hub layer m and publishes them; another batch
+// may have published the rest since hubRows, with the same bits.
 func (m *hopLayer[T]) publishHubs(fresh []int, lv *hopLevel[T]) {
 	f := m.f
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fresh = slices.DeleteFunc(fresh, m.isReady)
-	for _, k := range fresh {
-		copy(m.block[k*f:][:f], lv.x[int(lv.idx[m.members[k]])*f:][:f])
+	fresh = slices.DeleteFunc(fresh, func(v int) bool { return m.isReady(m.slotOf(v)) })
+	for i, v := range fresh {
+		k := m.slotOf(v)
+		copy(m.block[k*f:][:f], lv.row(v, f))
+		fresh[i] = k
 	}
 	m.publish(fresh)
 	m.stats.computed.Add(uint64(len(fresh)))
@@ -375,11 +466,15 @@ type hopScratch[T float64 | float32] struct {
 }
 
 // hopLevel is rows of one hop X^(j): node nodes[k]'s at row k of x, and
-// idx[v] = k (−1 for a node without a row, all −1 after reset).
+// idx[v] = k; or, for a node in refs, its row k of a hub layer's block hub,
+// read there, and idx[v] = −2−k. idx[v] is −1 for a node without a row, all
+// −1 after reset.
 type hopLevel[T float64 | float32] struct {
 	idx   []int32
 	nodes []int
 	x     []T
+	refs  []int
+	hub   []T
 }
 
 // bitset returns the BFS bitset, sized for n nodes (graph.NewBitset).
@@ -407,13 +502,29 @@ func (hs *hopScratch[T]) level(j, n int) *hopLevel[T] {
 func (lv *hopLevel[T]) add(nodes []int, f int) []int {
 	have := len(lv.nodes)
 	for _, v := range nodes {
-		if lv.idx[v] < 0 {
+		if lv.idx[v] == -1 {
 			lv.idx[v] = int32(len(lv.nodes))
 			lv.nodes = append(lv.nodes, v)
 		}
 	}
 	lv.x = slices.Grow(lv.x, (len(lv.nodes)-have)*f)[:len(lv.nodes)*f]
 	return lv.nodes[have:]
+}
+
+// refer gives node v the row k of hub, a hub layer's block, read in place.
+func (lv *hopLevel[T]) refer(v, k int, hub []T) {
+	lv.idx[v] = int32(-2 - k)
+	lv.refs = append(lv.refs, v)
+	lv.hub = hub
+}
+
+// row returns node v's row, which the level holds: in x, or in hub.
+func (lv *hopLevel[T]) row(v, f int) []T {
+	k := int(lv.idx[v])
+	if k < -1 {
+		return lv.hub[(-2-k)*f:][:f]
+	}
+	return lv.x[k*f:][:f]
 }
 
 // extend computes into the level, from X^(j−1) (in, through colMap), the rows
@@ -430,7 +541,8 @@ func (hs *hopScratch[T]) reset() {
 		lv := &hs.levels[j]
 		hs.hw = max(hs.hw, len(lv.x))
 		graph.ResetIndex(lv.nodes, lv.idx)
-		lv.nodes, lv.x = lv.nodes[:0], lv.x[:0]
+		graph.ResetIndex(lv.refs, lv.idx)
+		lv.nodes, lv.x, lv.refs, lv.hub = lv.nodes[:0], lv.x[:0], lv.refs[:0], nil
 	}
 }
 
@@ -441,7 +553,7 @@ func (hs *hopScratch[T]) reset() {
 func (hs *hopScratch[T]) shrink() {
 	for j := range hs.levels {
 		if lv := &hs.levels[j]; oversized(cap(lv.x), hs.hw) {
-			lv.nodes, lv.x = nil, nil
+			lv.nodes, lv.x, lv.refs = nil, nil, nil
 		}
 	}
 	hs.hw = 0
@@ -451,7 +563,7 @@ func (hs *hopScratch[T]) shrink() {
 func (hs *hopScratch[T]) bytes() int {
 	b := capBytes(hs.set) + hs.fill.bytes() + capBytes(hs.levels)
 	for _, lv := range hs.levels {
-		b += capBytes(lv.idx) + capBytes(lv.nodes) + capBytes(lv.x)
+		b += capBytes(lv.idx) + capBytes(lv.nodes) + capBytes(lv.x) + capBytes(lv.refs)
 	}
 	return b
 }
@@ -476,10 +588,12 @@ func (hs *hopScratch[T]) below(adj *sparse.Normalized, x0 operand[T], rows []int
 }
 
 // Hop1Stats are the layers' counters, summed over every layer the deployment
-// holds, hub layers included: FromMemo counts each layer row a batch reads
-// that it did not fill itself — found resident, or published by another batch
-// while it waited for the layer's lock — once per batch, and each hub row a
-// product copied; Computed counts the rows batches filled and published. Then
+// holds, hub layers included: FromMemo counts what batches read from the
+// layers without filling it — once per batch each layer row a readiness walk
+// met and did not fill (found resident, or published by another batch while
+// the walk waited for the layer's lock), each entry of Â a closed row gathers
+// (no walk meets those rows), and each hub row read in place; Computed counts
+// the rows batches filled and published. Then
 // the rows dropped by deltas (or a rebuild) since start, rows currently
 // resident, and the layers' extent — a row per node per block plus a row per
 // hub per hub layer (Entries/Capacity is their coverage) and the bytes those
@@ -518,7 +632,7 @@ func (d *Deployment) Hop1Stats() Hop1Stats {
 // process its deployment's.
 func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 	rows := reg.GaugeVec("nai_hop1_rows_total",
-		"Layer rows batches read, summed over every resident layer (X^(h), one per operating-point depth, and the hub rows of X^(h+1) beside it) by source: memo counts once per batch each row it read without filling it (the targets' rows at h and the rows hop h+1 gathers), found ready or published by another batch while it waited for the layer's lock, and each hub row it copied; computed counts each row it filled and published under the layer's lock (cumulative).",
+		"Layer rows batches read, summed over every resident layer (X^(h), one per operating-point depth, and the hub rows of X^(h+1) beside it) by source: memo counts once per batch each row a readiness walk met without filling it (the targets' rows at h and the rows hop h+1 gathers), found ready or published by another batch while it waited for the layer's lock, one per entry of the adjacency a closed row gathers (every row it reads was ready, so no walk meets them), and each hub row read in place; computed counts each row it filled and published under the layer's lock (cumulative).",
 		"source")
 	rows.WithFunc(func() float64 { return float64(read().FromMemo) }, "memo")
 	rows.WithFunc(func() float64 { return float64(read().Computed) }, "computed")

@@ -324,10 +324,11 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 
 // TestLayerBytes is the layers' memory contract. Whatever the graph's shape —
 // sparse and narrow, dense, or f ≫ d̄, where the block outweighs the adjacency
-// — a layer retains at most layerBytes(n + n/64) bytes, a row and a ready
-// bit per node plus the headroom, when first read and after growing past that
-// headroom, and reports n rows' worth; a hub layer retains at most
-// layerBytes(hubCount(n)) bytes plus its id list, and reports its members' rows. A deployment holds a block only for a depth it has been read at: read
+// — a layer retains at most layerBytes(n + n/64, f, 2) bytes, a row, a ready
+// bit and a closed bit per node plus the headroom, when first read and after
+// growing past that headroom, and reports n rows' worth; a hub layer retains
+// at most layerBytes(hubCount(n), f, 1) bytes, a row and a ready bit per hub,
+// plus its slot index of 4 bytes a node, and reports its hubs' rows. A deployment holds a block only for a depth it has been read at: read
 // only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
 // the hub rows of X^(3); read at TMax 2 as well
 // it holds two blocks and no more hub rows, and its counters sum them all.
@@ -342,25 +343,25 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 	within := func(label string, dep *Deployment) {
 		t.Helper()
 		n, f := dep.Graph.N(), dep.Graph.F()
-		bound := layerBytes[T](n+n/64, f)
+		bound := layerBytes[T](n+n/64, f, 2)
 		held := func(mm *hopLayer[T]) int {
-			return elem*cap(mm.block) + 8*cap(mm.ready) + 8*cap(mm.members)
+			return elem*cap(mm.block) + 8*cap(mm.ready) + 8*cap(mm.closed) + 4*cap(mm.slot)
 		}
 		layers := layersOf[T](t, dep)
 		for h, mm := range layers {
-			if got := held(mm); got > bound || mm.rows != n || len(mm.block) != n*f || len(mm.ready) != (n+63)/64 {
+			if got := held(mm); got > bound || mm.rows != n || len(mm.block) != n*f || len(mm.ready) != (n+63)/64 || len(mm.closed) != (n+63)/64 {
 				t.Fatalf("%s: X^(%d) retains %d B for %d rows (of %d nodes), bound %d B", label, h, got, mm.rows, n, bound)
 			}
 		}
 		hubs := hubCount(n)
 		hubRows, _ := hubCounts(dep)
 		for l, mm := range hubLayersOf[T](t, dep) {
-			k := len(mm.members)
-			if hubBound := layerBytes[T](hubs, f) + 8*hubs; k == 0 || held(mm) > hubBound || mm.rows != k || len(mm.block) != k*f {
+			k := len(hubsOf(mm))
+			if hubBound := layerBytes[T](hubs, f, 1) + 4*n; k == 0 || held(mm) > hubBound || mm.rows != k || len(mm.block) != k*f || mm.closed != nil {
 				t.Fatalf("%s: the hub layer of X^(%d) retains %d B for %d rows of %d members, bound %d B", label, l, held(mm), mm.rows, k, hubBound)
 			}
 		}
-		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != len(layers)*layerBytes[T](n, f)+layerBytes[T](hubRows, f) {
+		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != len(layers)*layerBytes[T](n, f, 2)+layerBytes[T](hubRows, f, 1) {
 			t.Fatalf("%s: counters report %d rows, %d B for %d blocks of %d nodes and %d hub rows", label, s.Capacity, s.Bytes, len(layers), n, hubRows)
 		}
 	}

@@ -48,11 +48,13 @@ type engine interface {
 
 // operand is the dense half of one product at a tier (the sparse half is Â
 // itself): rows flat row-major, as floats of the tier's element type, or — the int8
-// tier's X^(0) — as int8 rows q, row i at scales[i].
+// tier's X^(0) — as int8 rows q, row i at scales[i]. A level read through its
+// index may hold some rows in a hub layer's block, second, which the index
+// reaches as −2−k (hopLevel).
 type operand[T float64 | float32] struct {
-	x      []T
-	q      []int8
-	scales []float64
+	x, second []T
+	q         []int8
+	scales    []float64
 }
 
 // tier is the per-precision state of the engine loop: hop 1's dense operand,
@@ -168,13 +170,17 @@ func (t *tier[T]) patched(valDirty []int) {
 }
 
 // mulRows is one row-subset product with Â at a tier
-// (sparse.MulNormalizedRowsInto over in): out row outRows[k] = (Â·in)[rows[k]],
-// in's rows found through colMap (nil: by node id). Algorithm 1's books are
-// Deployment.Books', so the product's own count is dropped.
+// (sparse.MulNormalizedRowsInto over in, or MulNormalizedRowsSplitInto when in
+// has a second block): out row outRows[k] = (Â·in)[rows[k]], in's rows found
+// through colMap (nil: by node id). Algorithm 1's books are Deployment.Books',
+// so the product's own count is dropped.
 func mulRows[T float64 | float32](adj *sparse.Normalized, in operand[T], rows, outRows []int, colMap []int32, f int, out []T) {
-	if in.q != nil {
+	switch {
+	case in.q != nil:
 		sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, in.q, in.scales, f, out)
-		return
+	case in.second != nil:
+		sparse.MulNormalizedRowsSplitInto(adj, rows, outRows, colMap, in.x, in.second, f, out)
+	default:
+		sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, in.x, nil, f, out)
 	}
-	sparse.MulNormalizedRowsInto(adj, rows, outRows, colMap, in.x, nil, f, out)
 }

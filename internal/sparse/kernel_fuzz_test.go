@@ -69,7 +69,7 @@ func FuzzTiledSpMM(f *testing.F) {
 		// f64: driver == row-serial reference, bitwise.
 		ref := refMulRows(a, sel, x)
 		got := mat.New(len(sel), width)
-		mulRowsFloat(csrRows(a, sel, a.Val), nil, x.Data, width, got.Data, bw)
+		mulRowsFloat(csrRows(a, sel, a.Val), nil, x.Data, nil, width, got.Data, bw)
 		for i := range got.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
 				t.Fatalf("f64 bw=%d drifts from row-serial at %d", bw, i)
@@ -79,7 +79,7 @@ func FuzzTiledSpMM(f *testing.F) {
 		// f32: likewise against the f32 loop.
 		av, x32 := lower32(a, x)
 		blk32 := make([]float32, len(sel)*width)
-		mulRowsFloat(csrRows(a, sel, av), nil, x32, width, blk32, bw)
+		mulRowsFloat(csrRows(a, sel, av), nil, x32, nil, width, blk32, bw)
 		if i, ok := sameBits32(blk32, refMulRows32(a, sel, av, x32, width)); !ok {
 			t.Fatalf("f32 bw=%d drifts from row-serial at %d", bw, i)
 		}

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -245,8 +247,8 @@ func TestKernelPropTiledF64BitIdentical(t *testing.T) {
 					tc.a.MulDenseRows(tc.rows, tc.x, scatter)
 				} else {
 					src := csrRows(tc.a, tc.rows, tc.a.Val)
-					mulRowsFloat(src, identityRows(len(tc.rows)), tc.x.Data, tc.x.Cols, compact.Data, bw)
-					mulRowsFloat(src, tc.rows, tc.x.Data, tc.x.Cols, scatter.Data, bw)
+					mulRowsFloat(src, identityRows(len(tc.rows)), tc.x.Data, nil, tc.x.Cols, compact.Data, bw)
+					mulRowsFloat(src, tc.rows, tc.x.Data, nil, tc.x.Cols, scatter.Data, bw)
 				}
 				for k, r := range tc.rows {
 					for j := 0; j < tc.x.Cols; j++ {
@@ -313,12 +315,12 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 			src := csrRows(tc.a, tc.rows, av)
 			for _, bw := range propBlockWidths {
 				blk := make([]float32, len(tc.rows)*f)
-				mulRowsFloat(src, identityRows(len(tc.rows)), x32, f, blk, bw)
+				mulRowsFloat(src, identityRows(len(tc.rows)), x32, nil, f, blk, bw)
 				if i, ok := sameBits32(blk, ref32); !ok {
 					t.Fatalf("bw=%d f32 element %d = %v, row-serial f32 %v", bw, i, blk[i], ref32[i])
 				}
 				scat := make([]float32, tc.a.Rows*f)
-				mulRowsFloat(src, tc.rows, x32, f, scat, bw)
+				mulRowsFloat(src, tc.rows, x32, nil, f, scat, bw)
 				for k, r := range tc.rows {
 					if i, ok := sameBits32(scat[r*f:r*f+f], ref32[k*f:k*f+f]); !ok {
 						t.Fatalf("bw=%d f32 scatter row %d col %d drifts from row-serial", bw, r, i)
@@ -560,10 +562,10 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 					macs[5] = MulRowsInto(tc.a, tc.rows, id, aq, xq, f, sa*sx, id8)
 				} else {
 					src64, src32, src8 := csrRows(tc.a, tc.rows, tc.a.Val), csrRows(tc.a, tc.rows, av), csrRows(tc.a, tc.rows, aq)
-					macs[0] = mulRowsFloat(src64, nil, tc.x.Data, f, nil64, bw)
-					macs[1] = mulRowsFloat(src64, id, tc.x.Data, f, id64, bw)
-					macs[2] = mulRowsFloat(src32, nil, x32, f, nil32, bw)
-					macs[3] = mulRowsFloat(src32, id, x32, f, id32, bw)
+					macs[0] = mulRowsFloat(src64, nil, tc.x.Data, nil, f, nil64, bw)
+					macs[1] = mulRowsFloat(src64, id, tc.x.Data, nil, f, id64, bw)
+					macs[2] = mulRowsFloat(src32, nil, x32, nil, f, nil32, bw)
+					macs[3] = mulRowsFloat(src32, id, x32, nil, f, id32, bw)
 					macs[4] = mulRowsInt(src8, nil, xq, f, sa*sx, nil8, bw)
 					macs[5] = mulRowsInt(src8, id, xq, f, sa*sx, id8, bw)
 				}
@@ -622,7 +624,7 @@ func TestKernelPropOperatorRows(t *testing.T) {
 		for _, bw := range append([]int{0}, propBlockWidths...) {
 			got64 := make([]float64, len(rows)*f)
 			got32, got8 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
-			if m := mulRowsFloat(rowSource[float64]{rows: rows, op: op}, nil, x.Data, f, got64, bw); m != stored.NNZRows(rows)*f {
+			if m := mulRowsFloat(rowSource[float64]{rows: rows, op: op}, nil, x.Data, nil, f, got64, bw); m != stored.NNZRows(rows)*f {
 				t.Fatalf("gamma %v bw=%d: %d MACs, stored rows hold %d", gamma, bw, m, stored.NNZRows(rows)*f)
 			}
 			for i, want := range ref.Data {
@@ -630,13 +632,100 @@ func TestKernelPropOperatorRows(t *testing.T) {
 					t.Fatalf("gamma %v bw=%d f64 element %d = %v, row-serial %v", gamma, bw, i, got64[i], want)
 				}
 			}
-			mulRowsFloat(rowSource[float32]{rows: rows, op: op}, nil, x32, f, got32, bw)
+			mulRowsFloat(rowSource[float32]{rows: rows, op: op}, nil, x32, nil, f, got32, bw)
 			if i, ok := sameBits32(got32, ref32); !ok {
 				t.Fatalf("gamma %v bw=%d f32 element %d = %v, row-serial %v", gamma, bw, i, got32[i], ref32[i])
 			}
-			mulRowsFloat(rowSource[float32]{rows: rows, op: op, scales: sq}, nil, xq, f, got8, bw)
+			mulRowsFloat(rowSource[float32]{rows: rows, op: op, scales: sq}, nil, xq, nil, f, got8, bw)
 			if i, ok := sameBits32(got8, ref8); !ok {
 				t.Fatalf("gamma %v bw=%d int8 element %d = %v, row-serial %v", gamma, bw, i, got8[i], ref8[i])
+			}
+		}
+	}
+}
+
+// TestKernelPropSplitOperand: a product whose column map sends some columns to
+// a second operand — c ≤ −2 reads its row −2−c — is bit-equal, at f64 and f32,
+// at every block width and with hub rows longer than a worker's frame buffer,
+// to the single-source product over x with the second operand's rows appended
+// and those columns remapped past x's rows; through the driver and through
+// MulNormalizedRowsSplitInto, with every row in x, every row in the second
+// operand, and a random split of them, each block in shuffled order.
+func TestKernelPropSplitOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	n, f := 120, 13
+	var src, dst []int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i == 0 || i == 7 || rng.Float64() < 0.05 {
+				src, dst = append(src, i), append(dst, j)
+			}
+		}
+	}
+	adj := FromEdges(n, src, dst, true)
+	full := mat.Randn(n, f, 1, rng)
+	var rows []int
+	for r := 0; r < n; r++ {
+		if r%3 != 1 {
+			rows = append(rows, r)
+		}
+	}
+	for _, share := range []float64{0, 1, 0.5} {
+		// x holds the nodes that stay, second the rest, each in the order perm
+		// meets them; split maps every node to its row, joined to its row of
+		// x with second appended.
+		split, joined := make([]int32, n), make([]int32, n)
+		var inX, inSecond []int
+		for _, v := range rng.Perm(n) {
+			if rng.Float64() < share {
+				split[v] = int32(-2 - len(inSecond))
+				inSecond = append(inSecond, v)
+			} else {
+				split[v] = int32(len(inX))
+				inX = append(inX, v)
+			}
+		}
+		for v, c := range split {
+			joined[v] = c
+			if c < 0 {
+				joined[v] = int32(len(inX)) - 2 - c
+			}
+		}
+		x, second := full.GatherRows(inX).Data, full.GatherRows(inSecond).Data
+		both := append(slices.Clone(x), second...)
+		x32, second32, both32 := make([]float32, len(x)), make([]float32, len(second)), make([]float32, len(both))
+		kernel.ToF32(x32, x)
+		kernel.ToF32(second32, second)
+		kernel.ToF32(both32, both)
+		for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
+			op := NewNormalized(adj, gamma)
+			label := fmt.Sprintf("share %v gamma %v", share, gamma)
+			for _, bw := range append([]int{0}, propBlockWidths...) {
+				want64, got64 := make([]float64, len(rows)*f), make([]float64, len(rows)*f)
+				wm := mulRowsFloat(rowSource[float64]{rows: rows, op: op, colMap: joined}, nil, both, nil, f, want64, bw)
+				gm := mulRowsFloat(rowSource[float64]{rows: rows, op: op, colMap: split}, nil, x, second, f, got64, bw)
+				if gm != wm {
+					t.Fatalf("%s bw=%d: %d MACs split, %d joined", label, bw, gm, wm)
+				}
+				for i, w := range want64 {
+					if math.Float64bits(got64[i]) != math.Float64bits(w) {
+						t.Fatalf("%s bw=%d f64 element %d = %v, joined %v", label, bw, i, got64[i], w)
+					}
+				}
+				want32, got32 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
+				mulRowsFloat(rowSource[float32]{rows: rows, op: op, colMap: joined}, nil, both32, nil, f, want32, bw)
+				mulRowsFloat(rowSource[float32]{rows: rows, op: op, colMap: split}, nil, x32, second32, f, got32, bw)
+				if i, ok := sameBits32(got32, want32); !ok {
+					t.Fatalf("%s bw=%d f32 element %d = %v, joined %v", label, bw, i, got32[i], want32[i])
+				}
+			}
+			want64, got64 := make([]float64, n*f), make([]float64, n*f)
+			MulNormalizedRowsInto(op, rows, rows, joined, both, nil, f, want64)
+			MulNormalizedRowsSplitInto(op, rows, rows, split, x, second, f, got64)
+			for i, w := range want64 {
+				if math.Float64bits(got64[i]) != math.Float64bits(w) {
+					t.Fatalf("%s MulNormalizedRowsSplitInto element %d = %v, joined %v", label, i, got64[i], w)
+				}
 			}
 		}
 	}

@@ -20,36 +20,22 @@ const (
 )
 
 // NormalizedAdjacency adds self-loops to the binary adjacency adj and
-// applies Â = D̃^{γ−1} Ã D̃^{−γ} where D̃ is the self-looped degree matrix,
-// storing every entry: the reference the tests pin the Normalized operator
-// to, and the matrix the benchmark ladder times. adj must be square.
+// applies Â = D̃^{γ−1} Ã D̃^{−γ} where D̃ is the self-looped degree matrix
+// (LoopedDegrees), storing every entry: the reference the tests pin the
+// Normalized operator to, and the matrix the benchmark ladder times. adj must
+// be square.
 func NormalizedAdjacency(adj *CSR, gamma float64) *CSR {
-	return NormalizedAdjacencyWithDegrees(adj, gamma, LoopedDegrees(adj))
-}
-
-// NormalizedAdjacencyWithDegrees is NormalizedAdjacency with the looped
-// degree vector d̃ supplied by the caller instead of derived from adj's rows
-// (the two coincide bit for bit when looped = LoopedDegrees(adj)): the stored
-// reference for an operator over a shard's truncated adjacency with the
-// global degrees. looped must cover every node with positive entries.
-func NormalizedAdjacencyWithDegrees(adj *CSR, gamma float64, looped []float64) *CSR {
 	if adj.Rows != adj.Cols {
 		panic("sparse: NormalizedAdjacency requires a square matrix")
 	}
 	if gamma < 0 || gamma > 1 {
 		panic(fmt.Sprintf("sparse: gamma %v outside [0,1]", gamma))
 	}
-	if len(looped) < adj.Rows {
-		panic(fmt.Sprintf("sparse: %d looped degrees for %d nodes", len(looped), adj.Rows))
-	}
+	looped := LoopedDegrees(adj)
 	loop := adj.AddSelfLoops()
 	left := make([]float64, adj.Rows)  // d̃^{γ−1}
 	right := make([]float64, adj.Rows) // d̃^{−γ}
-	for i := 0; i < adj.Rows; i++ {
-		d := looped[i]
-		if d <= 0 {
-			panic(fmt.Sprintf("sparse: node %d has non-positive looped degree %v", i, d))
-		}
+	for i, d := range looped {
 		left[i] = math.Pow(d, gamma-1)
 		right[i] = math.Pow(d, -gamma)
 	}
@@ -66,7 +52,9 @@ func NormalizedAdjacencyWithDegrees(adj *CSR, gamma float64, looped []float64) *
 }
 
 // LoopedDegrees returns d_i + 1 for the binary adjacency adj (degrees after
-// adding self-loops), used by the stationary-state formula Eq. (7).
+// adding self-loops): the degrees NormalizedAdjacency normalizes by, and the
+// tests' reference for the ones the operator and the stationary state read
+// off adj's rows.
 func LoopedDegrees(adj *CSR) []float64 {
 	deg := adj.Degrees()
 	for i := range deg {

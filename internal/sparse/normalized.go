@@ -15,8 +15,8 @@ import (
 // and the two degree-factor vectors. Row i of Â is row i of Adj
 // with the diagonal merged in at its ascending position, and the value of
 // entry (i, c) is the single product Left[i]·Right[c]: the expression
-// NormalizedAdjacencyWithDegrees stores (its ·1 for the binary entry is
-// exact), so every row this type emits carries that matrix's bits. Nothing
+// NormalizedAdjacency stores (its ·1 for the binary entry is exact), so every
+// row this type emits carries that matrix's bits. Nothing
 // O(nnz) is held beyond the graph itself, by anyone: training, the baselines,
 // the λ₂ estimate and the serving engine all multiply by the operator
 // (MulNormalizedRowsInto), whose workers emit a row, gather with it and drop
@@ -110,7 +110,10 @@ func (a *Normalized) NNZRows(rows []int) int { return a.Adj.NNZRows(rows) + len(
 
 // emitRow writes row r of Â into cols/vals — Adj's columns with r merged in
 // ascending, each value the one product Left[r]·Right[c] — then maps the
-// columns through colMap when it is given, and returns the entry count.
+// columns through colMap when it is given, and returns the entry count. A
+// column colMap maps to −1 is outside it and panics; one mapped to c ≤ −2
+// names row −2−c of a split product's second operand
+// (MulNormalizedRowsSplitInto), which no other product can read.
 func (a *Normalized) emitRow(r int, colMap []int32, cols []int32, vals []float64) int {
 	src := a.Adj.RowIndices(r)
 	cols, vals = cols[:len(src)+1], vals[:len(src)+1]
@@ -129,7 +132,7 @@ func (a *Normalized) emitRow(r int, colMap []int32, cols []int32, vals []float64
 	if colMap != nil {
 		for k, c := range cols {
 			lc := colMap[c]
-			if lc < 0 {
+			if lc == -1 {
 				panic(fmt.Sprintf("sparse: Normalized row %d has column %d outside the column map", r, c))
 			}
 			cols[k] = lc
@@ -201,6 +204,27 @@ func MulNormalizedRowsInto[X float64 | float32 | int8, T float64 | float32](a *N
 	case scales != nil && len(scales)*f != len(x):
 		panic(fmt.Sprintf("sparse: MulNormalizedRowsInto %d scales for %d rows", len(scales), len(x)/max(f, 1)))
 	}
+	return mulNormalized(a, rows, outRows, colMap, x, nil, scales, f, out)
+}
+
+// MulNormalizedRowsSplitInto is MulNormalizedRowsInto through a column map
+// over x's rows split between two blocks of out's element type: column c
+// reads row colMap[c] of x when that is ≥ 0 and row −2−colMap[c] of second
+// when it is ≤ −2 (−1 panics as ever), so rows held elsewhere — a layer's, say
+// — are read where they lie instead of being copied beside the others. Every
+// row adds its terms in the one ascending column order whichever block they
+// come from, so the result is, bit for bit, MulNormalizedRowsInto over x with
+// second's rows appended and colMap remapped to them.
+func MulNormalizedRowsSplitInto[T float64 | float32](a *Normalized, rows, outRows []int, colMap []int32, x, second []T, f int, out []T) int {
+	if colMap == nil || f > 0 && len(second)%f != 0 {
+		panic("sparse: MulNormalizedRowsSplitInto needs a column map and whole rows of its second operand")
+	}
+	return mulNormalized(a, rows, outRows, colMap, x, second, nil, f, out)
+}
+
+// mulNormalized runs an operator product on the float row driver at
+// par.ColBlock width.
+func mulNormalized[X float64 | float32 | int8, T float64 | float32](a *Normalized, rows, outRows []int, colMap []int32, x, second []X, scales []float64, f int, out []T) int {
 	src := rowSource[T]{rows: rows, op: a, colMap: colMap, scales: scales}
-	return mulRowsFloat(src, outRows, x, f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
+	return mulRowsFloat(src, outRows, x, second, f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
 }

@@ -14,9 +14,7 @@ import (
 // The implicit operator's contract: every row it emits — whole, cut to a
 // local universe, or multiplied — is the row of the materialized
 // NormalizedAdjacency of the same graph, columns and value bits, after any
-// sequence of growth deltas patched in with only the dirty rows named, and
-// with looped degrees that are the caller's (a shard's global ones over a
-// truncated local adjacency), not the pattern's own row sums.
+// sequence of growth deltas patched in with only the dirty rows named.
 
 // csrBitsEqual is csrEqual on the value bits (−0 ≠ +0, NaN = NaN).
 func csrBitsEqual(a, b *CSR) error {
@@ -130,7 +128,57 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 	if err := checkOperatorProduct(op, "global columns", &gotCut, rows, local, nil, x.Data, 3); err != nil {
 		return err
 	}
-	return checkOperatorProduct(op, "column map", &gotSub, rows, local, toLocal, xLocal.Data, 3)
+	if err := checkOperatorProduct(op, "column map", &gotSub, rows, local, toLocal, xLocal.Data, 3); err != nil {
+		return err
+	}
+	return checkSplitProduct(op, rows, local, toLocal, xLocal.Data, 3, pick)
+}
+
+// checkSplitProduct requires MulNormalizedRowsSplitInto over xLocal's rows
+// split between two blocks — each universe row sent to the second one with
+// probability ½, in pick's order, and reached there as −2−k — to equal, bit
+// for bit at f64 and f32, MulNormalizedRowsInto through toLocal over xLocal.
+func checkSplitProduct(op *Normalized, rows, local []int, toLocal []int32, xLocal []float64, f int, pick *rand.Rand) error {
+	m := len(xLocal) / f
+	moved := make([]int32, m) // universe row → its row in x, or −2−k for second's row k
+	x, second := []float64{}, []float64{}
+	for _, lr := range pick.Perm(m) {
+		row := xLocal[lr*f : (lr+1)*f]
+		if pick.Intn(2) == 0 {
+			moved[lr], x = int32(len(x)/f), append(x, row...)
+		} else {
+			moved[lr], second = int32(-2-len(second)/f), append(second, row...)
+		}
+	}
+	split := make([]int32, len(toLocal))
+	for v, lr := range toLocal {
+		split[v] = -1
+		if lr >= 0 {
+			split[v] = moved[lr]
+		}
+	}
+	want64, got64 := make([]float64, m*f), make([]float64, m*f)
+	MulNormalizedRowsInto(op, rows, local, toLocal, xLocal, nil, f, want64)
+	MulNormalizedRowsSplitInto(op, rows, local, split, x, second, f, got64)
+	for i, w := range want64 {
+		if math.Float64bits(got64[i]) != math.Float64bits(w) {
+			return fmt.Errorf("split operand, f64: element %d is %v, one block %v", i, got64[i], w)
+		}
+	}
+	lower := func(v []float64) []float32 {
+		out := make([]float32, len(v))
+		kernel.ToF32(out, v)
+		return out
+	}
+	want32, got32 := make([]float32, m*f), make([]float32, m*f)
+	MulNormalizedRowsInto(op, rows, local, toLocal, lower(xLocal), nil, f, want32)
+	MulNormalizedRowsSplitInto(op, rows, local, split, lower(x), lower(second), f, got32)
+	for i, w := range want32 {
+		if math.Float32bits(got32[i]) != math.Float32bits(w) {
+			return fmt.Errorf("split operand, f32: element %d is %v, one block %v", i, got32[i], w)
+		}
+	}
+	return nil
 }
 
 // checkOperatorProduct requires MulNormalizedRowsInto over rows to equal, bit
@@ -330,7 +378,7 @@ func TestNormalizedPatchRecomputesOnlyDirtyFactors(t *testing.T) {
 // TestNormalizedSharedFactors: at γ = ½ the factors d̃^{γ−1} and d̃^{−γ} are
 // the same bits, so Left and Right are one backing array — after NewNormalized
 // and after a Patch that appends rows — and every row emitted still carries
-// NormalizedAdjacencyWithDegrees' bits. At γ ∈ {0, 0.3, 1} the two stay
+// NormalizedAdjacency's bits. At γ ∈ {0, 0.3, 1} the two stay
 // separate slices.
 func TestNormalizedSharedFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -343,8 +391,7 @@ func TestNormalizedSharedFactors(t *testing.T) {
 			if want := gamma == GammaSymmetric; shared != want {
 				t.Fatalf("gamma %v stage %d: Left and Right shared %v, want %v", gamma, stage, shared, want)
 			}
-			looped := LoopedDegrees(adj)
-			if err := checkNormalized(op, NormalizedAdjacencyWithDegrees(adj, gamma, looped), rng); err != nil {
+			if err := checkNormalized(op, NormalizedAdjacency(adj, gamma), rng); err != nil {
 				t.Fatalf("gamma %v stage %d: %v", gamma, stage, err)
 			}
 			// Grow by 3 rows, two joined to the graph. The first Patch's
@@ -406,6 +453,15 @@ func FuzzNormalizedRows(f *testing.F) {
 	f.Add([]byte{5, 1, 4, 0, 1, 1, 2, 2, 3, 3, 4, 2, 1, 2, 0, 5, 5, 6})
 	f.Add([]byte{12, 2, 20, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 7, 8, 9, 10, 11, 0, 3, 3, 3, 12, 0, 13, 0, 14, 1, 0, 1, 200, 7})
 	f.Add([]byte{30, 0, 60, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 0, 2, 0, 4, 1, 1, 255})
+	// Every input's column-map product is also run over its operand split
+	// between two blocks (checkSplitProduct); here a 20-node star around a
+	// ring, grown by two nodes joined to it, whose hub row gathers every node,
+	// some from each block.
+	star := []byte{19, 1, 38}
+	for v := byte(1); v < 20; v++ {
+		star = append(star, 0, v, v, v%19+1)
+	}
+	f.Add(append(star, 1, 2, 3, 20, 0, 21, 7, 20, 21))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

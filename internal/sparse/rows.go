@@ -129,8 +129,11 @@ func rowAt(list []int, k int) int {
 // mulRowsFloat is the row driver of the f64 and f32 tiers: output row
 // rowAt(outRows, k) of out becomes Σ vals·x over src's row k, x's elements
 // converted to T (exactly) and accumulated at T in bw-wide column blocks
-// (bw ≤ 0 or > f: one block). It returns the multiply-accumulate count nnz·f.
-func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource[T], outRows []int, x []X, f int, out []T, bw int) int {
+// (bw ≤ 0 or > f: one block). With a second operand, x's rows are split
+// between two blocks: a column c ≤ −2 reads row −2−c of second (gatherRowSplit),
+// chosen once per row, so a product without one runs gatherRow alone. It
+// returns the multiply-accumulate count nnz·f.
+func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource[T], outRows []int, x, second []X, f int, out []T, bw int) int {
 	nnz := src.nnz()
 	if bw <= 0 || bw > f {
 		bw = f
@@ -143,7 +146,11 @@ func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource
 			for jb := 0; jb < f; jb += bw {
 				dst := out[o*f+jb : o*f+min(jb+bw, f)]
 				clear(dst)
-				gatherRow(dst, cols, vals, x, f, jb)
+				if second == nil {
+					gatherRow(dst, cols, vals, x, f, jb)
+				} else {
+					gatherRowSplit(dst, cols, vals, x, second, f, jb)
+				}
 			}
 		}
 	})
@@ -186,7 +193,7 @@ func mulRows[V float64 | float32 | int8, O float64 | float32](src rowSource[V], 
 	case rowSource[int8]:
 		return mulRowsInt(s, outRows, any(x).([]int8), f, deq, out, par.ColBlock(f, 1))
 	case rowSource[O]:
-		return mulRowsFloat(s, outRows, any(x).([]O), f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
+		return mulRowsFloat(s, outRows, any(x).([]O), nil, f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
 	}
 	panic("sparse: float operands and output must share one element type")
 }
@@ -222,6 +229,41 @@ func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []
 	for ; k < len(cols); k++ {
 		v := vals[k]
 		for j, sv := range x[int(cols[k])*f+jb:][:n] {
+			dst[j] += v * T(sv)
+		}
+	}
+}
+
+// gatherRowSplit is gatherRow over two row stores: an entry whose column c is
+// ≥ 0 reads row c of x, one whose column is ≤ −2 row −2−c of second. Each
+// entry's source is picked once, outside the element loop, and every element
+// adds its terms in gatherRow's order, so the result is gatherRow's over x with
+// second's rows appended, bit for bit.
+func gatherRowSplit[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int32, vals []T, x, second []X, f, jb int) {
+	vals = vals[:len(cols)]
+	n := len(dst)
+	at := func(c int32) []X {
+		if c >= 0 {
+			return x[int(c)*f+jb:][:n]
+		}
+		return second[int(-2-c)*f+jb:][:n]
+	}
+	k := 0
+	for ; k+4 <= len(cols); k += 4 {
+		v0, v1, v2, v3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
+		s0, s1, s2, s3 := at(cols[k]), at(cols[k+1]), at(cols[k+2]), at(cols[k+3])
+		for j := range dst {
+			t := dst[j]
+			t += v0 * T(s0[j])
+			t += v1 * T(s1[j])
+			t += v2 * T(s2[j])
+			t += v3 * T(s3[j])
+			dst[j] = t
+		}
+	}
+	for ; k < len(cols); k++ {
+		v := vals[k]
+		for j, sv := range at(cols[k]) {
 			dst[j] += v * T(sv)
 		}
 	}
