@@ -750,7 +750,8 @@ func TestHubMembers(t *testing.T) {
 // TestLayerInvalidationRadius: a delta to one edge empties exactly the rows of
 // X^(2) within one hop of the rows of Â it moved — no fewer (a layer that
 // dropped only the moved rows would keep stale neighbors) and no more — and
-// every hub row of X^(3), and the next read recomputes exactly those.
+// every hub row of X^(3), opens every row of X^(2) the reads before it closed,
+// and the next read recomputes exactly those.
 func TestLayerInvalidationRadius(t *testing.T) {
 	eachTier(t, testLayerInvalidationRadius[float64], testLayerInvalidationRadius[float32])
 }
@@ -772,6 +773,9 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 	hubs := hub.rows // hop 3 runs over every node: every hub row is resident
 	if s := dep.Hop1Stats(); s.Entries != g.N()+hubs {
 		t.Fatalf("reading every node at TMax 4 left %d rows resident, want %d of X^(2) and %d hub rows of X^(3)", s.Entries, g.N(), hubs)
+	}
+	if !slices.ContainsFunc(all, lay.isClosed) {
+		t.Fatal("setup: reading every node at TMax 4 closed no row of X^(2)")
 	}
 
 	u, v := 0, -1
@@ -800,6 +804,9 @@ func testLayerInvalidationRadius[T float64 | float32](t *testing.T, p kernel.Pre
 	}
 	if _, resident := hubCounts(dep); resident != 0 {
 		t.Fatalf("the delta left %d hub rows of X^(3) resident", resident)
+	}
+	if w := slices.IndexFunc(all, lay.isClosed); w >= 0 {
+		t.Fatalf("row %d of X^(2) is still closed after the delta", w)
 	}
 	before := dep.Hop1Stats()
 	if before.Entries != g.N()-len(stale) {

@@ -250,10 +250,10 @@ func NewBitset(n int) []uint64 { return make([]uint64, 2*((n+63)/64)) }
 //     and stops at the first, which reads at most the other half of the
 //     entries and usually a small part of it.
 //
-// The two dense steps split over par workers, so the ring does not depend on
-// the split: a top-down worker walks its share of the previous ring's rows,
+// The two dense steps split over par's chunks, so the ring does not depend on
+// the split: a top-down chunk walks its share of the previous ring's rows,
 // split by their entries, setting bits in words of its own (pooled, zeroed on
-// return) that are ORed into the ring once all are done — the inline worker
+// return) that are ORed into the ring once all are done — the last chunk
 // sets them in the ring directly; a bottom-up one probes the free nodes of its
 // own words of the ring, split by their count. One serial sweep then appends the ring to ball in
 // ascending id order, marks it visited and sums its rows' lengths. A dense
@@ -335,14 +335,18 @@ func free(vis []uint64, n, w int) uint64 {
 	return f
 }
 
-// ringWords holds all-zero ring bitsets (*[]uint64) for walkRing's workers.
+// ringWords holds all-zero ring bitsets (*[]uint64) for walkRing's chunks.
 var ringWords sync.Pool
 
 // walkRing is a dense top-down step: it sets the bit in next of every neighbor
-// of frontier, whose rows hold nnz entries. The rows are split over par
-// workers by their entries; every worker but the inline one sets its bits in
-// words of its own from ringWords, ORed into next once all are done and
-// returned zeroed.
+// of frontier, whose rows hold nnz entries. The rows are split into par's
+// chunks by their entries; every chunk but the last sets its bits in words of
+// its own from ringWords, ORed into next once all are done and returned
+// zeroed. The words are per chunk, not per goroutine, so the merge reads and
+// clears len(next) words for every chunk but the last — par cuts about four
+// a worker, so 7 passes over ⌈n/64⌉ words (≈ 12 KiB each at n = 100 000) at
+// GOMAXPROCS 2 — against the ring's nnz entries walked, which a dense step
+// needs to be at least ⌈n/64⌉.
 func walkRing(adj *sparse.CSR, frontier []int, nnz int, next []uint64) {
 	var mu sync.Mutex
 	var own []*[]uint64

@@ -285,8 +285,8 @@ func splitSources(rng *rand.Rand, adj *sparse.CSR, trial int) []int {
 
 // TestLevelsSameAtAnyWorkerCount: on a hub graph, ball, ends and nnz are the
 // same at GOMAXPROCS 1, 2, 3 and 4 — the dense steps split by the worker
-// count, top-down the previous ring's rows (each worker but the inline one
-// into pooled words of its own), bottom-up the ring's words, unevenly at 3 and
+// count, top-down the previous ring's rows (each chunk but the last into
+// pooled words of its own), bottom-up the ring's words, unevenly at 3 and
 // in a short last word — and every ring a dense step found is ascending. Both
 // dense steps hand par enough work to split.
 func TestLevelsSameAtAnyWorkerCount(t *testing.T) {

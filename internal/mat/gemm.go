@@ -29,8 +29,8 @@ func MatMulInto(dst, a, b *Matrix) {
 }
 
 // gemmInto accumulates a·b into out (out must be zeroed by the caller).
-// Uses the cache-friendly ikj ordering and splits rows across goroutines
-// via the shared par helper.
+// Uses the cache-friendly ikj ordering and splits rows into chunks that the
+// calling goroutine and par's helpers run.
 func gemmInto(out, a, b *Matrix) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	par.For(m, m*k*n, func(lo, hi int) {

@@ -19,7 +19,7 @@ import (
 // row this type emits carries that matrix's bits. Nothing
 // O(nnz) is held beyond the graph itself, by anyone: training, the baselines,
 // the λ₂ estimate and the serving engine all multiply by the operator
-// (MulNormalizedRowsInto), whose workers emit a row, gather with it and drop
+// (MulNormalizedRowsInto), whose chunks emit a row, gather with it and drop
 // it; ExtractRowsInto and RowsInto cut rows into a CSR for the benchmark
 // ladder and for the tests that pin the product to MulRowsInto over such a
 // cut.
@@ -173,7 +173,7 @@ func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 // MulNormalizedRowsInto is MulRowsInto with Â itself as the sparse operand:
 // out[outRows[k]·f : outRows[k]·f+f] = (Â·diag(scales)·x)[rows[k]], other rows
 // of out untouched, returning the multiply-accumulate count nnz(rows)·f. No
-// row of Â is cut into a CSR first: the row driver's workers emit each row
+// row of Â is cut into a CSR first: the row driver's chunks emit each row
 // (emitRow: the same Left[r]·Right[c] expression in the same ascending order
 // as every other way this type hands out a row) into a buffer of their own,
 // multiply each value by its column's scale when scales is given (scales[i]

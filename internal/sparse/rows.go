@@ -158,7 +158,7 @@ func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource
 }
 
 // mulRowsInt is mulRowsFloat over a stored CSR's int8 values and int8 x: each
-// block accumulates exactly in one int32 accumulator per worker, and each
+// block accumulates exactly in one int32 accumulator per par chunk, and each
 // output element is dequantized once by deq, the product of the two
 // per-tensor scales.
 func mulRowsInt[O float64 | float32](src rowSource[int8], outRows []int, x []int8, f int, deq float64, out []O, bw int) int {
