@@ -252,9 +252,10 @@ func NewBitset(n int) []uint64 { return make([]uint64, 2*((n+63)/64)) }
 //
 // The two dense steps split over par's chunks, so the ring does not depend on
 // the split: a top-down chunk walks its share of the previous ring's rows,
-// split by their entries, setting bits in words of its own (pooled, zeroed on
-// return) that are ORed into the ring once all are done — the last chunk
-// sets them in the ring directly; a bottom-up one probes the free nodes of its
+// split by their entries, setting bits in the ring itself or, while another
+// chunk runs there, in words of its own (pooled, one set per chunk running at
+// once, zeroed on return) that are ORed into the ring once all are done; a
+// bottom-up one probes the free nodes of its
 // own words of the ring, split by their count. One serial sweep then appends the ring to ball in
 // ascending id order, marks it visited and sums its rows' lengths. A dense
 // step with too little work for par runs inline. adj must be symmetric, as a
@@ -340,34 +341,39 @@ var ringWords sync.Pool
 
 // walkRing is a dense top-down step: it sets the bit in next of every neighbor
 // of frontier, whose rows hold nnz entries. The rows are split into par's
-// chunks by their entries; every chunk but the last sets its bits in words of
-// its own from ringWords, ORed into next once all are done and returned
-// zeroed. The words are per chunk, not per goroutine, so the merge reads and
-// clears len(next) words for every chunk but the last — par cuts about four
-// a worker, so 7 passes over ⌈n/64⌉ words (≈ 12 KiB each at n = 100 000) at
-// GOMAXPROCS 2 — against the ring's nnz entries walked, which a dense step
-// needs to be at least ⌈n/64⌉.
+// chunks by their entries. A chunk sets its bits in a word set no running
+// chunk holds — next itself, or one from ringWords that an earlier chunk
+// handed back — and hands it back when done, so a pooled set is taken only
+// while more chunks run at once than sets are free: at most GOMAXPROCS−1 of
+// them, whatever the chunk count. They are ORed into next once all chunks
+// are done and returned zeroed, one pass over ⌈n/64⌉ words each.
 func walkRing(adj *sparse.CSR, frontier []int, nnz int, next []uint64) {
 	var mu sync.Mutex
-	var own []*[]uint64
+	spare := [][]uint64{next} // word sets no running chunk holds
+	var own []*[]uint64       // the pooled ones taken
 	par.ForWeighted(len(frontier), nnz, nnz, func(i int) int { return adj.RowNNZ(frontier[i]) }, func(lo, hi int) {
-		words := next
-		if hi < len(frontier) {
+		mu.Lock()
+		var words []uint64
+		if k := len(spare) - 1; k >= 0 {
+			words, spare = spare[k], spare[:k]
+		} else {
 			p, _ := ringWords.Get().(*[]uint64)
 			if p == nil || len(*p) < len(next) {
 				w := make([]uint64, len(next))
 				p = &w
 			}
-			words = (*p)[:len(next)]
-			mu.Lock()
 			own = append(own, p)
-			mu.Unlock()
+			words = (*p)[:len(next)]
 		}
+		mu.Unlock()
 		for _, v := range frontier[lo:hi] {
 			for _, u := range adj.RowIndices(v) {
 				words[u>>6] |= 1 << (uint(u) & 63)
 			}
 		}
+		mu.Lock()
+		spare = append(spare, words)
+		mu.Unlock()
 	})
 	for _, p := range own {
 		for w, word := range (*p)[:len(next)] {

@@ -285,10 +285,10 @@ func splitSources(rng *rand.Rand, adj *sparse.CSR, trial int) []int {
 
 // TestLevelsSameAtAnyWorkerCount: on a hub graph, ball, ends and nnz are the
 // same at GOMAXPROCS 1, 2, 3 and 4 — the dense steps split by the worker
-// count, top-down the previous ring's rows (each chunk but the last into
-// pooled words of its own), bottom-up the ring's words, unevenly at 3 and
-// in a short last word — and every ring a dense step found is ascending. Both
-// dense steps hand par enough work to split.
+// count, top-down the previous ring's rows (a chunk into the ring or, while
+// another chunk holds it, into pooled words), bottom-up the ring's words,
+// unevenly at 3 and in a short last word — and every ring a dense step found
+// is ascending. Both dense steps hand par enough work to split.
 func TestLevelsSameAtAnyWorkerCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	adj := splitGraph(33)
