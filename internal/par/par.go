@@ -46,8 +46,9 @@ const chunksPerWorker = 4
 // processor costs tens of µs, so a helper that stays runnable this long
 // meets the next fan-out running. The price is paid once fan-outs stop: a
 // helper polls for linger after the last one, and the process's CPU time
-// over the idle second after a warm deep request grows by about twice
-// linger per helper (BenchmarkInferDeepIdle in internal/core).
+// over the idle second after a warm deep request grows by that and by
+// 0.4–0.8 ms more, a part that stops growing with linger past 0.25 ms and
+// whose cause is not known (BenchmarkInferDeepIdle in internal/core).
 const linger = 500 * time.Microsecond
 
 // For splits [0, n) into a few contiguous chunks per worker and runs fn on
