@@ -3,7 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Experiment is a registered table/figure regenerator.
@@ -13,52 +14,54 @@ type Experiment struct {
 	Run         func(Config, io.Writer) error
 }
 
-var registry = map[string]Experiment{
-	"table1":  {"table1", "complexity formulas + measured MAC cross-check", RunTable1},
-	"table2":  {"table2", "dataset properties", RunTable2},
-	"config":  {"config", "hyper-parameter tables (III/IV)", RunConfigTables},
-	"table5":  {"table5", "main inference comparison under SGC", RunTable5},
-	"table6":  {"table6", "node-depth distributions", RunTable6},
-	"table7":  {"table7", "NAP ablation under different T_max", RunTable7},
-	"table8":  {"table8", "Inception Distillation ablation", RunTable8},
-	"table9":  {"table9", "generalization: SIGN", RunTable9},
-	"table10": {"table10", "generalization: S2GC", RunTable10},
-	"table11": {"table11", "generalization: GAMLP", RunTable11},
-	"fig4":    {"fig4", "accuracy vs latency trade-off", RunFigure4},
-	"fig5":    {"fig5", "batch-size study", RunFigure5},
-	"fig6":    {"fig6", "hyper-parameter sensitivity", RunFigure6},
+// experiments lists every registered experiment in paper order: the order
+// "all" runs them in.
+var experiments = []Experiment{
+	{"table1", "complexity formulas + measured MAC cross-check", RunTable1},
+	{"table2", "dataset properties", RunTable2},
+	{"config", "hyper-parameter tables (III/IV)", RunConfigTables},
+	{"table5", "main inference comparison under SGC", RunTable5},
+	{"table6", "node-depth distributions", RunTable6},
+	{"table7", "NAP ablation under different T_max", RunTable7},
+	{"table8", "Inception Distillation ablation", RunTable8},
+	{"table9", "generalization: SIGN", RunTable9},
+	{"table10", "generalization: S2GC", RunTable10},
+	{"table11", "generalization: GAMLP", RunTable11},
+	{"fig4", "accuracy vs latency trade-off", RunFigure4},
+	{"fig5", "batch-size study", RunFigure5},
+	{"fig6", "hyper-parameter sensitivity", RunFigure6},
 }
 
 // Experiments lists all registered experiments sorted by name.
 func Experiments() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := slices.Clone(experiments)
+	slices.SortFunc(out, func(a, b Experiment) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
 // ExperimentOrder is the presentation order used by "all".
 func ExperimentOrder() []string {
-	return []string{"table1", "table2", "config", "table5", "table6", "table7",
-		"table8", "table9", "table10", "table11", "fig4", "fig5", "fig6"}
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // Run executes one experiment by name, or every experiment for "all".
 func Run(name string, cfg Config, w io.Writer) error {
 	if name == "all" {
-		for _, n := range ExperimentOrder() {
-			fmt.Fprintf(w, "=== %s ===\n", n)
-			if err := registry[n].Run(cfg, w); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
+		for _, e := range experiments {
+			fmt.Fprintf(w, "=== %s ===\n", e.Name)
+			if err := e.Run(cfg, w); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
 			}
 		}
 		return nil
 	}
-	e, ok := registry[name]
-	if !ok {
+	i := slices.IndexFunc(experiments, func(e Experiment) bool { return e.Name == name })
+	if i < 0 {
 		return fmt.Errorf("bench: unknown experiment %q (try: all, %v)", name, ExperimentOrder())
 	}
-	return e.Run(cfg, w)
+	return experiments[i].Run(cfg, w)
 }

@@ -160,6 +160,7 @@ func (t *tier[T]) load(p *atomic.Pointer[hopLayer[T]], depth int, hubs bool) *ho
 			for k, v := range members {
 				m.slot[v] = int32(k)
 			}
+			m.stats.bytes.Add(int64(4 * len(m.slot)))
 			m.grow(len(members))
 		} else {
 			m.grow(g.N())
@@ -596,8 +597,10 @@ func (hs *hopScratch[T]) below(adj *sparse.Normalized, x0 operand[T], rows []int
 // the rows batches filled and published. Then
 // the rows dropped by deltas (or a rebuild) since start, rows currently
 // resident, and the layers' extent — a row per node per block plus a row per
-// hub per hub layer (Entries/Capacity is their coverage) and the bytes those
-// rows and their ready bits cost.
+// hub per hub layer (Entries/Capacity is their coverage) — and the bytes the
+// layers hold: their rows, their bits (ready and closed, two a row, in a layer
+// of every node; ready alone, one a row, in a hub layer) and each hub layer's
+// slot index, 4 bytes a node.
 type Hop1Stats struct {
 	FromMemo, Computed, Invalidated uint64
 	Entries, Capacity, Bytes        int
@@ -643,7 +646,7 @@ func RegisterHop1Metrics(reg *obs.Registry, read func() Hop1Stats) {
 		"Rows the resident layers have room for: one per node per layer, and one per hub (the n/8 highest-degree nodes) per hub layer (entries / capacity is their coverage).",
 		func() float64 { return float64(read().Capacity) })
 	reg.GaugeFunc("nai_hop1_memo_bytes",
-		"Bytes the resident layers' rows and their ready bits occupy when all are resident: per layer a second matrix of the features' shape at the tier's element type and one bit a row, per hub layer 1/8 of that.",
+		"Bytes the resident layers hold when all their rows are resident: per layer a second matrix of the features' shape at the tier's element type and two bits a row (ready and closed); per hub layer the rows of the n/8 highest-degree nodes, one ready bit a row, and a slot index of 4 bytes a node.",
 		func() float64 { return float64(read().Bytes) })
 	reg.GaugeFunc("nai_hop1_memo_invalidated_total",
 		"Layer rows dropped because a delta moved a row of the adjacency within the layer's depth of them, summed over every layer; a delta drops every hub row (cumulative).",

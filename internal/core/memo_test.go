@@ -328,10 +328,11 @@ func TestMemoGrowsWithAppendedNodes(t *testing.T) {
 // bit and a closed bit per node plus the headroom, when first read and after
 // growing past that headroom, and reports n rows' worth; a hub layer retains
 // at most layerBytes(hubCount(n), f, 1) bytes, a row and a ready bit per hub,
-// plus its slot index of 4 bytes a node, and reports its hubs' rows. A deployment holds a block only for a depth it has been read at: read
-// only at TMax 4 it holds X^(2) alone and has never allocated X^(1), beside
-// the hub rows of X^(3); read at TMax 2 as well
-// it holds two blocks and no more hub rows, and its counters sum them all.
+// plus its slot index of 4 bytes a node, and reports its hubs' rows and that
+// index. A deployment holds a block only for a depth it has been read at:
+// read only at TMax 4 it holds X^(2) alone and has never allocated X^(1),
+// beside the hub rows of X^(3); read at TMax 2 as well it holds two blocks
+// and no more hub rows, and its counters sum them all.
 func TestLayerBytes(t *testing.T) {
 	eachTier(t, testLayerBytes[float64], testLayerBytes[float32])
 }
@@ -355,13 +356,15 @@ func testLayerBytes[T float64 | float32](t *testing.T, p kernel.Precision) {
 		}
 		hubs := hubCount(n)
 		hubRows, _ := hubCounts(dep)
+		slots := 0 // the bytes of the hub layers' slot indexes
 		for l, mm := range hubLayersOf[T](t, dep) {
 			k := len(hubsOf(mm))
 			if hubBound := layerBytes[T](hubs, f, 1) + 4*n; k == 0 || held(mm) > hubBound || mm.rows != k || len(mm.block) != k*f || mm.closed != nil {
 				t.Fatalf("%s: the hub layer of X^(%d) retains %d B for %d rows of %d members, bound %d B", label, l, held(mm), mm.rows, k, hubBound)
 			}
+			slots += 4 * len(mm.slot)
 		}
-		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != len(layers)*layerBytes[T](n, f, 2)+layerBytes[T](hubRows, f, 1) {
+		if s := dep.Hop1Stats(); s.Capacity != len(layers)*n+hubRows || s.Bytes != len(layers)*layerBytes[T](n, f, 2)+layerBytes[T](hubRows, f, 1)+slots {
 			t.Fatalf("%s: counters report %d rows, %d B for %d blocks of %d nodes and %d hub rows", label, s.Capacity, s.Bytes, len(layers), n, hubRows)
 		}
 	}

@@ -4,8 +4,10 @@
 // instead of being hand-rolled per kernel, and so all kernels agree on when
 // parallelism is worth a fan-out.
 //
-// Both entry points cut [0, n) into contiguous chunks, a few per worker,
-// publish them, and claim them one at a time through an atomic counter: the
+// There is one split rule: ForWeighted cuts [0, n) into contiguous chunks of
+// about equal weight, a few per worker, and For is ForWeighted with every
+// item weighing one, so its chunks are equally wide. A fan-out publishes its
+// chunks, and they are claimed one at a time through an atomic counter: the
 // calling goroutine works through the chunks itself while helper goroutines
 // claim the rest. Chunks never overlap and cover the range exactly, and
 // their boundaries are a function of n, the weights and GOMAXPROCS alone —
@@ -51,33 +53,23 @@ const chunksPerWorker = 4
 // whose cause is not known (BenchmarkInferDeepIdle in internal/core).
 const linger = 500 * time.Microsecond
 
-// For splits [0, n) into a few contiguous chunks per worker and runs fn on
-// each chunk, on the calling goroutine and on helpers. work is the caller's
-// estimate of total scalar operations; when it is under Threshold, or only
-// one CPU is available, fn runs inline on the whole range.
+// For is ForWeighted with every item weighing one: it splits [0, n) into a
+// few chunks per worker, each ⌈n/chunks⌉ items wide but the last, and runs fn
+// on each.
 func For(n, work int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := maxWorkers(n)
-	if work < Threshold || workers < 2 {
-		fn(0, n)
-		return
-	}
-	parts := chunksPerWorker * workers
-	chunk := (n + parts - 1) / parts
-	bounds := make([]int, 0, parts+1)
-	for lo := 0; lo < n; lo += chunk {
-		bounds = append(bounds, lo)
-	}
-	run(workers, append(bounds, n), fn)
+	ForWeighted(n, work, n, unit, fn)
 }
 
+// unit is For's weight: every item alike.
+func unit(int) int { return 1 }
+
 // ForWeighted splits [0, n) into contiguous chunks of approximately equal
-// total weight(i), a few per worker, and runs fn on each chunk as For does.
-// Use it when per-item cost is skewed (e.g. CSR rows whose degree follows a
-// power law), where an even item split would leave most workers idle behind
-// the heaviest chunk. work has the same meaning as in For. total is the
+// total weight(i), a few per worker, and runs fn on each chunk, on the calling
+// goroutine and on helpers. Use it when per-item cost is skewed (e.g. CSR
+// rows whose degree follows a power law), where an even item split would
+// leave most workers idle behind the heaviest chunk. work is the caller's
+// estimate of total scalar operations; when it is under Threshold, or only
+// one CPU is available, fn runs inline on the whole range. total is the
 // precomputed sum of weight over [0, n) when the caller already holds it
 // (e.g. a matrix's nnz); pass a negative value to have it summed here.
 func ForWeighted(n, work, total int, weight func(i int) int, fn func(lo, hi int)) {
@@ -259,31 +251,4 @@ func take() *fanOut {
 		nOpen.Store(int32(len(open)))
 	}
 	return nil
-}
-
-// ColBlockBytes bounds the bytes of one dense-row segment touched per CSR
-// row by the blocked SpMM kernels: the destination segment and every gathered
-// source segment stay within an L1-sized footprint, so one block pass over a
-// CSR row never cycles its own working set out of cache. Kernels agree on
-// the budget here for the same reason they agree on Threshold.
-const ColBlockBytes = 16 << 10
-
-// ColBlock returns the dense-column block width for a cache-blocked
-// sparse×dense pass over rows of elemSize-byte elements: the full width when
-// a whole row already fits the ColBlockBytes budget (the common case for
-// narrow feature matrices — blocking then degenerates to the unblocked
-// kernel), otherwise the widest span that fits, floored so the inner loops
-// stay long enough to amortize the per-block row walk.
-func ColBlock(cols, elemSize int) int {
-	if cols <= 0 || elemSize <= 0 {
-		return cols
-	}
-	bw := ColBlockBytes / elemSize
-	if bw >= cols {
-		return cols
-	}
-	if bw < 16 {
-		bw = 16
-	}
-	return bw
 }

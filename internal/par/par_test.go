@@ -108,9 +108,10 @@ func TestForWeightedBalancesSkew(t *testing.T) {
 // TestSplitWeightedProperties checks the split itself over random weight
 // vectors and injected worker counts (so the property does not depend on the
 // host's GOMAXPROCS): chunks are non-empty, contiguous and cover [0, n)
-// exactly once; none weighs more than max(target, heaviest item); and work
-// that can be divided is divided — whenever the total exceeds what one chunk
-// may hold, there is more than one chunk.
+// exactly once; none weighs more than max(target, heaviest item); work that
+// can be divided is divided — whenever the total exceeds what one chunk may
+// hold, there is more than one chunk; and at unit weights (For's) every chunk
+// is ⌈n/parts⌉ items wide but the last.
 func TestSplitWeightedProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	shapes := []func(i, n int) int{
@@ -167,6 +168,16 @@ func TestSplitWeightedProperties(t *testing.T) {
 			}
 			if chunks > 2*workers+1 {
 				t.Fatalf("n=%d workers=%d: %d chunks", n, workers, chunks)
+			}
+			width, next := (n+workers-1)/workers, 0
+			splitWeighted(n, workers, n, unit, func(lo, hi int) {
+				if lo != next || hi-lo != width && (hi != n || hi <= lo || hi-lo > width) {
+					t.Fatalf("n=%d parts=%d: unit-weight chunk [%d,%d) after %d, want %d wide", n, workers, lo, hi, next, width)
+				}
+				next = hi
+			})
+			if next != n {
+				t.Fatalf("n=%d parts=%d: unit-weight chunks end at %d", n, workers, next)
 			}
 		}
 	}

@@ -249,7 +249,7 @@ func (a *CSR) MulDenseRows8(rows []int, aq, xq []int8, f int, deq float64, out [
 //   - float64 or float32 operands accumulate at that type into an out of the
 //     same type (anything else panics), every element adding its neighbors'
 //     terms in ascending column order — one fixed order per tier, bit-stable
-//     under blocking, batching and sharding; deq is unused;
+//     under parallel splits, batching and sharding; deq is unused;
 //   - int8 operands (symmetric per-tensor quantisations) accumulate exactly
 //     in int32, and each output element is dequantised once by deq, the
 //     product of the two scales.

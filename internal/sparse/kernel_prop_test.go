@@ -18,12 +18,11 @@ import (
 // at f64 and at f32, exact int32 accumulation then one dequantize at int8 —
 // never against the driver itself. The invariants:
 //
-//   - at f64 and f32 the driver is bit-identical to the reference at its tier
-//     for every block width, including hostile ones (bw=1, bw>f) — blocking
-//     may only change which cache lines are hot, never a single output bit —
-//     and f32 stays within the analytic forward-error bound of f64;
-//   - at int8 it is bit-identical to the reference for every block width, and
-//     within the analytic quantization bound of the f64 reference;
+//   - at f64 and f32 the driver is bit-identical to the reference at its tier,
+//     rows wider than any cache included (TestKernelPropWideRows), and f32
+//     stays within the analytic forward-error bound of f64;
+//   - at int8 it is bit-identical to the reference, and within the analytic
+//     quantization bound of the f64 reference;
 //   - the operator's rows feed the same driver with the same result as the
 //     stored matrix's (TestKernelPropOperatorRows);
 //   - compact and scatter forms agree row-for-row, and a sub-CSR cut with
@@ -31,8 +30,6 @@ import (
 //     global lowering, reproduces the global rows bitwise within each tier.
 //
 // CI runs this file under -race (kernel chunks must never overlap).
-
-var propBlockWidths = []int{1, 2, 3, 5, 16, 1 << 20}
 
 type kernelCase struct {
 	name string
@@ -121,7 +118,7 @@ func propCases(rng *rand.Rand) []kernelCase {
 	})
 	// The gather takes neighbors four at a time: cover every remainder
 	// (nnz mod 4 ∈ {0,1,2,3}), rows shorter than one group (nnz < 4, the
-	// empty row included) and a feature width no block width divides.
+	// empty row included) and a feature width that is no multiple of four.
 	add("nnz-ladder", 14, 17, 23, 0, func(adj [][]int) {
 		for i := range adj {
 			for _, c := range rng.Perm(17)[:i] {
@@ -238,26 +235,25 @@ func TestKernelPropTiledF64BitIdentical(t *testing.T) {
 	for _, tc := range propCases(rand.New(rand.NewSource(11))) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := refMulRows(tc.a, tc.rows, tc.x)
-			widths := append([]int{0}, propBlockWidths...) // 0 = production default path
-			for _, bw := range widths {
+			for _, driver := range []bool{false, true} {
 				compact := mat.New(len(tc.rows), tc.x.Cols)
 				scatter := mat.New(tc.a.Rows, tc.x.Cols)
-				if bw == 0 {
+				if !driver {
 					MulRowsInto(tc.a, tc.rows, nil, tc.a.Val, tc.x.Data, tc.x.Cols, 1, compact.Data)
 					tc.a.MulDenseRows(tc.rows, tc.x, scatter)
 				} else {
 					src := csrRows(tc.a, tc.rows, tc.a.Val)
-					mulRowsFloat(src, identityRows(len(tc.rows)), tc.x.Data, nil, tc.x.Cols, compact.Data, bw)
-					mulRowsFloat(src, tc.rows, tc.x.Data, nil, tc.x.Cols, scatter.Data, bw)
+					mulRowsFloat(src, identityRows(len(tc.rows)), tc.x.Data, nil, tc.x.Cols, compact.Data)
+					mulRowsFloat(src, tc.rows, tc.x.Data, nil, tc.x.Cols, scatter.Data)
 				}
 				for k, r := range tc.rows {
 					for j := 0; j < tc.x.Cols; j++ {
 						want := ref.At(k, j)
 						if got := compact.At(k, j); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("bw=%d compact[%d,%d] = %v, row-serial %v", bw, k, j, got, want)
+							t.Fatalf("driver=%v compact[%d,%d] = %v, row-serial %v", driver, k, j, got, want)
 						}
 						if got := scatter.At(r, j); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("bw=%d scatter[%d,%d] = %v, row-serial %v", bw, r, j, got, want)
+							t.Fatalf("driver=%v scatter[%d,%d] = %v, row-serial %v", driver, r, j, got, want)
 						}
 					}
 				}
@@ -313,18 +309,16 @@ func TestKernelPropF32WithinTolerance(t *testing.T) {
 				}
 			}
 			src := csrRows(tc.a, tc.rows, av)
-			for _, bw := range propBlockWidths {
-				blk := make([]float32, len(tc.rows)*f)
-				mulRowsFloat(src, identityRows(len(tc.rows)), x32, nil, f, blk, bw)
-				if i, ok := sameBits32(blk, ref32); !ok {
-					t.Fatalf("bw=%d f32 element %d = %v, row-serial f32 %v", bw, i, blk[i], ref32[i])
-				}
-				scat := make([]float32, tc.a.Rows*f)
-				mulRowsFloat(src, tc.rows, x32, nil, f, scat, bw)
-				for k, r := range tc.rows {
-					if i, ok := sameBits32(scat[r*f:r*f+f], ref32[k*f:k*f+f]); !ok {
-						t.Fatalf("bw=%d f32 scatter row %d col %d drifts from row-serial", bw, r, i)
-					}
+			blk := make([]float32, len(tc.rows)*f)
+			mulRowsFloat(src, identityRows(len(tc.rows)), x32, nil, f, blk)
+			if i, ok := sameBits32(blk, ref32); !ok {
+				t.Fatalf("driver f32 element %d = %v, row-serial f32 %v", i, blk[i], ref32[i])
+			}
+			scat := make([]float32, tc.a.Rows*f)
+			mulRowsFloat(src, tc.rows, x32, nil, f, scat)
+			for k, r := range tc.rows {
+				if i, ok := sameBits32(scat[r*f:r*f+f], ref32[k*f:k*f+f]); !ok {
+					t.Fatalf("driver f32 scatter row %d col %d drifts from row-serial", r, i)
 				}
 			}
 		})
@@ -371,18 +365,16 @@ func TestKernelPropInt8WithinTolerance(t *testing.T) {
 				}
 			}
 			src := csrRows(tc.a, tc.rows, aq)
-			for _, bw := range propBlockWidths {
-				blk := make([]float32, len(tc.rows)*f)
-				mulRowsInt(src, identityRows(len(tc.rows)), xq, f, deq, blk, bw)
-				if i, ok := sameBits32(blk, ref8); !ok {
-					t.Fatalf("bw=%d int8 element %d = %v, row-serial int32 %v", bw, i, blk[i], ref8[i])
-				}
-				scat := make([]float32, tc.a.Rows*f)
-				mulRowsInt(src, tc.rows, xq, f, deq, scat, bw)
-				for k, r := range tc.rows {
-					if i, ok := sameBits32(scat[r*f:r*f+f], ref8[k*f:k*f+f]); !ok {
-						t.Fatalf("bw=%d int8 scatter row %d col %d drifts from row-serial", bw, r, i)
-					}
+			blk := make([]float32, len(tc.rows)*f)
+			mulRowsInt(src, identityRows(len(tc.rows)), xq, f, deq, blk)
+			if i, ok := sameBits32(blk, ref8); !ok {
+				t.Fatalf("driver int8 element %d = %v, row-serial int32 %v", i, blk[i], ref8[i])
+			}
+			scat := make([]float32, tc.a.Rows*f)
+			mulRowsInt(src, tc.rows, xq, f, deq, scat)
+			for k, r := range tc.rows {
+				if i, ok := sameBits32(scat[r*f:r*f+f], ref8[k*f:k*f+f]); !ok {
+					t.Fatalf("driver int8 scatter row %d col %d drifts from row-serial", r, i)
 				}
 			}
 		})
@@ -539,7 +531,7 @@ func identityRows(n int) []int {
 }
 
 // TestKernelPropNilOutRowsIsCompact: a nil output-row list is the identity,
-// bit for bit, at every element type and block width.
+// bit for bit, at every element type, through the entry point and the drivers.
 func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 	for _, tc := range propCases(rand.New(rand.NewSource(17))) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -548,12 +540,12 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 			av, x32 := lower32(tc.a, tc.x)
 			aq, sa := kernel.Quantize(tc.a.Val)
 			xq, sx := kernel.Quantize(tc.x.Data)
-			for _, bw := range append([]int{0}, propBlockWidths...) {
+			for _, driver := range []bool{false, true} {
 				nil64, id64 := make([]float64, n*f), make([]float64, n*f)
 				nil32, id32 := make([]float32, n*f), make([]float32, n*f)
 				nil8, id8 := make([]float32, n*f), make([]float32, n*f)
 				var macs [6]int
-				if bw == 0 {
+				if !driver {
 					macs[0] = MulRowsInto(tc.a, tc.rows, nil, tc.a.Val, tc.x.Data, f, 1, nil64)
 					macs[1] = MulRowsInto(tc.a, tc.rows, id, tc.a.Val, tc.x.Data, f, 1, id64)
 					macs[2] = MulRowsInto(tc.a, tc.rows, nil, av, x32, f, 1, nil32)
@@ -562,23 +554,23 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 					macs[5] = MulRowsInto(tc.a, tc.rows, id, aq, xq, f, sa*sx, id8)
 				} else {
 					src64, src32, src8 := csrRows(tc.a, tc.rows, tc.a.Val), csrRows(tc.a, tc.rows, av), csrRows(tc.a, tc.rows, aq)
-					macs[0] = mulRowsFloat(src64, nil, tc.x.Data, nil, f, nil64, bw)
-					macs[1] = mulRowsFloat(src64, id, tc.x.Data, nil, f, id64, bw)
-					macs[2] = mulRowsFloat(src32, nil, x32, nil, f, nil32, bw)
-					macs[3] = mulRowsFloat(src32, id, x32, nil, f, id32, bw)
-					macs[4] = mulRowsInt(src8, nil, xq, f, sa*sx, nil8, bw)
-					macs[5] = mulRowsInt(src8, id, xq, f, sa*sx, id8, bw)
+					macs[0] = mulRowsFloat(src64, nil, tc.x.Data, nil, f, nil64)
+					macs[1] = mulRowsFloat(src64, id, tc.x.Data, nil, f, id64)
+					macs[2] = mulRowsFloat(src32, nil, x32, nil, f, nil32)
+					macs[3] = mulRowsFloat(src32, id, x32, nil, f, id32)
+					macs[4] = mulRowsInt(src8, nil, xq, f, sa*sx, nil8)
+					macs[5] = mulRowsInt(src8, id, xq, f, sa*sx, id8)
 				}
 				for i := range nil64 {
 					if math.Float64bits(nil64[i]) != math.Float64bits(id64[i]) ||
 						math.Float32bits(nil32[i]) != math.Float32bits(id32[i]) ||
 						math.Float32bits(nil8[i]) != math.Float32bits(id8[i]) {
-						t.Fatalf("bw=%d element %d: nil and identity output rows disagree", bw, i)
+						t.Fatalf("driver=%v element %d: nil and identity output rows disagree", driver, i)
 					}
 				}
 				for i, mc := range macs {
 					if mc != macs[0] {
-						t.Fatalf("bw=%d: MAC counts %v differ (call %d)", bw, macs, i)
+						t.Fatalf("driver=%v: MAC counts %v differ (call %d)", driver, macs, i)
 					}
 				}
 			}
@@ -588,7 +580,7 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 
 // TestKernelPropOperatorRows feeds the drivers the operator's rows — emitted,
 // then lowered, or at int8 scaled by their columns' row scales and lowered to
-// float32 over int8 rows — at every block width, with hub rows longer than a
+// float32 over int8 rows — with hub rows longer than a
 // worker's frame buffer, and pins every tier to its reference over the stored
 // matrix.
 func TestKernelPropOperatorRows(t *testing.T) {
@@ -621,32 +613,30 @@ func TestKernelPropOperatorRows(t *testing.T) {
 		av, x32 := lower32(stored, x)
 		ref32 := refMulRows32(stored, rows, av, x32, f)
 		ref8 := refMulRowsQ(stored, rows, xq, sq, f)
-		for _, bw := range append([]int{0}, propBlockWidths...) {
-			got64 := make([]float64, len(rows)*f)
-			got32, got8 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
-			if m := mulRowsFloat(rowSource[float64]{rows: rows, op: op}, nil, x.Data, nil, f, got64, bw); m != stored.NNZRows(rows)*f {
-				t.Fatalf("gamma %v bw=%d: %d MACs, stored rows hold %d", gamma, bw, m, stored.NNZRows(rows)*f)
+		got64 := make([]float64, len(rows)*f)
+		got32, got8 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
+		if m := mulRowsFloat(rowSource[float64]{rows: rows, op: op}, nil, x.Data, nil, f, got64); m != stored.NNZRows(rows)*f {
+			t.Fatalf("gamma %v: %d MACs, stored rows hold %d", gamma, m, stored.NNZRows(rows)*f)
+		}
+		for i, want := range ref.Data {
+			if math.Float64bits(got64[i]) != math.Float64bits(want) {
+				t.Fatalf("gamma %v f64 element %d = %v, row-serial %v", gamma, i, got64[i], want)
 			}
-			for i, want := range ref.Data {
-				if math.Float64bits(got64[i]) != math.Float64bits(want) {
-					t.Fatalf("gamma %v bw=%d f64 element %d = %v, row-serial %v", gamma, bw, i, got64[i], want)
-				}
-			}
-			mulRowsFloat(rowSource[float32]{rows: rows, op: op}, nil, x32, nil, f, got32, bw)
-			if i, ok := sameBits32(got32, ref32); !ok {
-				t.Fatalf("gamma %v bw=%d f32 element %d = %v, row-serial %v", gamma, bw, i, got32[i], ref32[i])
-			}
-			mulRowsFloat(rowSource[float32]{rows: rows, op: op, scales: sq}, nil, xq, nil, f, got8, bw)
-			if i, ok := sameBits32(got8, ref8); !ok {
-				t.Fatalf("gamma %v bw=%d int8 element %d = %v, row-serial %v", gamma, bw, i, got8[i], ref8[i])
-			}
+		}
+		mulRowsFloat(rowSource[float32]{rows: rows, op: op}, nil, x32, nil, f, got32)
+		if i, ok := sameBits32(got32, ref32); !ok {
+			t.Fatalf("gamma %v f32 element %d = %v, row-serial %v", gamma, i, got32[i], ref32[i])
+		}
+		mulRowsFloat(rowSource[float32]{rows: rows, op: op, scales: sq}, nil, xq, nil, f, got8)
+		if i, ok := sameBits32(got8, ref8); !ok {
+			t.Fatalf("gamma %v int8 element %d = %v, row-serial %v", gamma, i, got8[i], ref8[i])
 		}
 	}
 }
 
 // TestKernelPropSplitOperand: a product whose column map sends some columns to
 // a second operand — c ≤ −2 reads its row −2−c — is bit-equal, at f64 and f32,
-// at every block width and with hub rows longer than a worker's frame buffer,
+// with hub rows longer than a worker's frame buffer,
 // to the single-source product over x with the second operand's rows appended
 // and those columns remapped past x's rows; through the driver and through
 // MulNormalizedRowsSplitInto, with every row in x, every row in the second
@@ -700,26 +690,24 @@ func TestKernelPropSplitOperand(t *testing.T) {
 		for _, gamma := range []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic} {
 			op := NewNormalized(adj, gamma)
 			label := fmt.Sprintf("share %v gamma %v", share, gamma)
-			for _, bw := range append([]int{0}, propBlockWidths...) {
-				want64, got64 := make([]float64, len(rows)*f), make([]float64, len(rows)*f)
-				wm := mulRowsFloat(rowSource[float64]{rows: rows, op: op, colMap: joined}, nil, both, nil, f, want64, bw)
-				gm := mulRowsFloat(rowSource[float64]{rows: rows, op: op, colMap: split}, nil, x, second, f, got64, bw)
-				if gm != wm {
-					t.Fatalf("%s bw=%d: %d MACs split, %d joined", label, bw, gm, wm)
-				}
-				for i, w := range want64 {
-					if math.Float64bits(got64[i]) != math.Float64bits(w) {
-						t.Fatalf("%s bw=%d f64 element %d = %v, joined %v", label, bw, i, got64[i], w)
-					}
-				}
-				want32, got32 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
-				mulRowsFloat(rowSource[float32]{rows: rows, op: op, colMap: joined}, nil, both32, nil, f, want32, bw)
-				mulRowsFloat(rowSource[float32]{rows: rows, op: op, colMap: split}, nil, x32, second32, f, got32, bw)
-				if i, ok := sameBits32(got32, want32); !ok {
-					t.Fatalf("%s bw=%d f32 element %d = %v, joined %v", label, bw, i, got32[i], want32[i])
+			want64, got64 := make([]float64, len(rows)*f), make([]float64, len(rows)*f)
+			wm := mulRowsFloat(rowSource[float64]{rows: rows, op: op, colMap: joined}, nil, both, nil, f, want64)
+			gm := mulRowsFloat(rowSource[float64]{rows: rows, op: op, colMap: split}, nil, x, second, f, got64)
+			if gm != wm {
+				t.Fatalf("%s: %d MACs split, %d joined", label, gm, wm)
+			}
+			for i, w := range want64 {
+				if math.Float64bits(got64[i]) != math.Float64bits(w) {
+					t.Fatalf("%s f64 element %d = %v, joined %v", label, i, got64[i], w)
 				}
 			}
-			want64, got64 := make([]float64, n*f), make([]float64, n*f)
+			want32, got32 := make([]float32, len(rows)*f), make([]float32, len(rows)*f)
+			mulRowsFloat(rowSource[float32]{rows: rows, op: op, colMap: joined}, nil, both32, nil, f, want32)
+			mulRowsFloat(rowSource[float32]{rows: rows, op: op, colMap: split}, nil, x32, second32, f, got32)
+			if i, ok := sameBits32(got32, want32); !ok {
+				t.Fatalf("%s f32 element %d = %v, joined %v", label, i, got32[i], want32[i])
+			}
+			want64, got64 = make([]float64, n*f), make([]float64, n*f)
 			MulNormalizedRowsInto(op, rows, rows, joined, both, nil, f, want64)
 			MulNormalizedRowsSplitInto(op, rows, rows, split, x, second, f, got64)
 			for i, w := range want64 {
@@ -728,5 +716,78 @@ func TestKernelPropSplitOperand(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKernelPropWideRows pins rows of more than 16 KiB, wider than an L1
+// cache — 2 049 columns at f64, 4 100 at f32 and 16 400 at int8 — to the
+// row-serial references, through MulRowsInto over a stored matrix, and at f64
+// and f32 through MulNormalizedRowsInto over the operator against the same
+// product over the stored Â.
+func TestKernelPropWideRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	n := 24
+	var src, dst []int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i == 0 || rng.Float64() < 0.2 {
+				src, dst = append(src, i), append(dst, j)
+			}
+		}
+	}
+	adj := FromEdges(n, src, dst, true)
+	adj.Val = make([]float64, adj.NNZ())
+	for i := range adj.Val {
+		adj.Val[i] = rng.NormFloat64()
+	}
+	pattern := FromEdges(n, src, dst, true)
+	op, stored := NewNormalized(pattern, GammaSymmetric), NormalizedAdjacency(pattern, GammaSymmetric)
+	var rows []int
+	for r := 0; r < n; r++ {
+		if r%4 != 3 {
+			rows = append(rows, r)
+		}
+	}
+
+	f := 2049
+	x := mat.Randn(n, f, 1, rng)
+	ref := refMulRows(adj, rows, x)
+	got := make([]float64, len(rows)*f)
+	MulRowsInto(adj, rows, nil, adj.Val, x.Data, f, 1, got)
+	for i, want := range ref.Data {
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("f=%d f64 MulRowsInto element %d = %v, row-serial %v", f, i, got[i], want)
+		}
+	}
+	refOp := refMulRows(stored, rows, x)
+	MulNormalizedRowsInto(op, rows, nil, nil, x.Data, nil, f, got)
+	for i, want := range refOp.Data {
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("f=%d f64 MulNormalizedRowsInto element %d = %v, stored Â %v", f, i, got[i], want)
+		}
+	}
+
+	f = 4100
+	x = mat.Randn(n, f, 1, rng)
+	av, x32 := lower32(adj, x)
+	got32 := make([]float32, len(rows)*f)
+	MulRowsInto(adj, rows, nil, av, x32, f, 1, got32)
+	if i, ok := sameBits32(got32, refMulRows32(adj, rows, av, x32, f)); !ok {
+		t.Fatalf("f=%d f32 MulRowsInto drifts from row-serial at %d", f, i)
+	}
+	sv, _ := lower32(stored, x)
+	MulNormalizedRowsInto(op, rows, nil, nil, x32, nil, f, got32)
+	if i, ok := sameBits32(got32, refMulRows32(stored, rows, sv, x32, f)); !ok {
+		t.Fatalf("f=%d f32 MulNormalizedRowsInto drifts from stored Â at %d", f, i)
+	}
+
+	f = 16400
+	x = mat.Randn(n, f, 1, rng)
+	aq, sa := kernel.Quantize(adj.Val)
+	xq, sx := kernel.Quantize(x.Data)
+	got8 := make([]float32, len(rows)*f)
+	MulRowsInto(adj, rows, nil, aq, xq, f, sa*sx, got8)
+	if i, ok := sameBits32(got8, refMulRows8(adj, rows, aq, xq, f, sa*sx)); !ok {
+		t.Fatalf("f=%d int8 MulRowsInto drifts from row-serial at %d", f, i)
 	}
 }

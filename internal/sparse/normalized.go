@@ -3,10 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // Normalized is the γ-normalized adjacency Â = D̃^{γ−1} Ã D̃^{−γ} of a binary,
@@ -222,9 +220,8 @@ func MulNormalizedRowsSplitInto[T float64 | float32](a *Normalized, rows, outRow
 	return mulNormalized(a, rows, outRows, colMap, x, second, nil, f, out)
 }
 
-// mulNormalized runs an operator product on the float row driver at
-// par.ColBlock width.
+// mulNormalized runs an operator product on the float row driver.
 func mulNormalized[X float64 | float32 | int8, T float64 | float32](a *Normalized, rows, outRows []int, colMap []int32, x, second []X, scales []float64, f int, out []T) int {
 	src := rowSource[T]{rows: rows, op: a, colMap: colMap, scales: scales}
-	return mulRowsFloat(src, outRows, x, second, f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
+	return mulRowsFloat(src, outRows, x, second, f, out)
 }

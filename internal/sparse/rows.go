@@ -1,19 +1,14 @@
 package sparse
 
-import (
-	"unsafe"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // Every sparse×dense product runs one row driver per accumulator type —
 // mulRowsFloat at f64 and f32, mulRowsInt over a stored CSR's int8 values —
 // over a rowSource: a stored CSR's rows (MulRowsInto) or the operator's,
 // emitted and lowered one at a time (MulNormalizedRowsInto). A driver runs
-// nnz-balanced chunks of rows in parallel and gathers each row in bw-wide
-// column blocks. Blocking moves no bit — every element adds its row's terms in
-// ascending column order (exactly, at int8) — and at par.ColBlock width a row
-// of ≤ 16 KiB is a single block.
+// nnz-balanced chunks of rows in parallel and gathers each output row in one
+// pass over its f columns, every element adding its row's terms in ascending
+// column order (exactly, at int8).
 
 // rowSource is where a driver reads the sparse rows of a product: row k is
 // row rows[k] of csr, its values the entries of vals (aligned with csr.Val,
@@ -128,29 +123,22 @@ func rowAt(list []int, k int) int {
 
 // mulRowsFloat is the row driver of the f64 and f32 tiers: output row
 // rowAt(outRows, k) of out becomes Σ vals·x over src's row k, x's elements
-// converted to T (exactly) and accumulated at T in bw-wide column blocks
-// (bw ≤ 0 or > f: one block). With a second operand, x's rows are split
-// between two blocks: a column c ≤ −2 reads row −2−c of second (gatherRowSplit),
-// chosen once per row, so a product without one runs gatherRow alone. It
-// returns the multiply-accumulate count nnz·f.
-func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource[T], outRows []int, x, second []X, f int, out []T, bw int) int {
+// converted to T (exactly) and accumulated at T. With a second operand, x's
+// rows are split between two blocks: a column c ≤ −2 reads row −2−c of second
+// (gatherRowSplit), chosen once per row, so a product without one runs
+// gatherRow alone. It returns the multiply-accumulate count nnz·f.
+func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource[T], outRows []int, x, second []X, f int, out []T) int {
 	nnz := src.nnz()
-	if bw <= 0 || bw > f {
-		bw = f
-	}
 	par.ForWeighted(len(src.rows), nnz*f, nnz, src.rowNNZ, func(lo, hi int) {
 		var buf rowBuf[T]
 		for k := lo; k < hi; k++ {
 			cols, vals := src.row(k, &buf)
-			o := rowAt(outRows, k)
-			for jb := 0; jb < f; jb += bw {
-				dst := out[o*f+jb : o*f+min(jb+bw, f)]
-				clear(dst)
-				if second == nil {
-					gatherRow(dst, cols, vals, x, f, jb)
-				} else {
-					gatherRowSplit(dst, cols, vals, x, second, f, jb)
-				}
+			dst := out[rowAt(outRows, k)*f:][:f]
+			clear(dst)
+			if second == nil {
+				gatherRow(dst, cols, vals, x, f)
+			} else {
+				gatherRowSplit(dst, cols, vals, x, second, f)
 			}
 		}
 	})
@@ -158,65 +146,57 @@ func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource
 }
 
 // mulRowsInt is mulRowsFloat over a stored CSR's int8 values and int8 x: each
-// block accumulates exactly in one int32 accumulator per par chunk, and each
+// row accumulates exactly in one int32 accumulator per par chunk, and each
 // output element is dequantized once by deq, the product of the two
 // per-tensor scales.
-func mulRowsInt[O float64 | float32](src rowSource[int8], outRows []int, x []int8, f int, deq float64, out []O, bw int) int {
+func mulRowsInt[O float64 | float32](src rowSource[int8], outRows []int, x []int8, f int, deq float64, out []O) int {
 	nnz := src.nnz()
-	if bw <= 0 || bw > f {
-		bw = f
-	}
 	par.ForWeighted(len(src.rows), nnz*f, nnz, src.rowNNZ, func(lo, hi int) {
 		var buf rowBuf[int8]
-		acc := make([]int32, bw)
+		acc := make([]int32, f)
 		for k := lo; k < hi; k++ {
 			cols, vals := src.row(k, &buf)
-			o := rowAt(outRows, k)
-			for jb := 0; jb < f; jb += bw {
-				dst := out[o*f+jb : o*f+min(jb+bw, f)]
-				blk := acc[:len(dst)]
-				clear(blk)
-				gatherRow8(blk, cols, vals, x, f, jb)
-				for j := range dst {
-					dst[j] = O(float64(blk[j]) * deq)
-				}
+			dst := out[rowAt(outRows, k)*f:][:f]
+			clear(acc)
+			gatherRow8(acc, cols, vals, x, f)
+			for j := range dst {
+				dst[j] = O(float64(acc[j]) * deq)
 			}
 		}
 	})
 	return nnz * f
 }
 
-// mulRows runs a stored CSR's product on its element type's driver at
-// par.ColBlock width. Float operands need an output of their own type.
+// mulRows runs a stored CSR's product on its element type's driver. Float
+// operands need an output of their own type.
 func mulRows[V float64 | float32 | int8, O float64 | float32](src rowSource[V], outRows []int, x []V, f int, deq float64, out []O) int {
 	switch s := any(src).(type) {
 	case rowSource[int8]:
-		return mulRowsInt(s, outRows, any(x).([]int8), f, deq, out, par.ColBlock(f, 1))
+		return mulRowsInt(s, outRows, any(x).([]int8), f, deq, out)
 	case rowSource[O]:
-		return mulRowsFloat(s, outRows, any(x).([]O), nil, f, out, par.ColBlock(f, int(unsafe.Sizeof(out[0]))))
+		return mulRowsFloat(s, outRows, any(x).([]O), nil, f, out)
 	}
 	panic("sparse: float operands and output must share one element type")
 }
 
-// gatherRow accumulates columns [jb, jb+len(dst)) of Σₖ vals[k]·x[cols[k]] —
-// one row of a sparse×dense product, given as its entries, x's elements
+// gatherRow accumulates Σₖ vals[k]·x[cols[k]] — one row of a sparse×dense product, given as its entries, x's elements
 // converted to T — into dst: the one neighbor gather of every tier's engine
 // (x is int8 at the int8 tier's hop 1). Neighbors are taken four at a time so
 // four independent source-row loads are in flight instead of one dependent
 // load per neighbor (the gather is latency-bound once x outgrows L2), but
 // every element still adds its terms one by one in ascending column order —
 // t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical to the
-// one-neighbor-at-a-time loop, blocked or not.
-func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int32, vals []T, x []X, f, jb int) {
+// one-neighbor-at-a-time loop.
+func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int32, vals []T, x []X, f int) {
 	vals = vals[:len(cols)]
-	n := len(dst)
+	dst = dst[:f]
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {
 		v0, v1, v2, v3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
-		s0 := x[int(cols[k])*f+jb:][:n]
-		s1 := x[int(cols[k+1])*f+jb:][:n]
-		s2 := x[int(cols[k+2])*f+jb:][:n]
-		s3 := x[int(cols[k+3])*f+jb:][:n]
+		s0 := x[int(cols[k])*f:][:f]
+		s1 := x[int(cols[k+1])*f:][:f]
+		s2 := x[int(cols[k+2])*f:][:f]
+		s3 := x[int(cols[k+3])*f:][:f]
 		for j := range dst {
 			t := dst[j]
 			t += v0 * T(s0[j])
@@ -228,7 +208,7 @@ func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []
 	}
 	for ; k < len(cols); k++ {
 		v := vals[k]
-		for j, sv := range x[int(cols[k])*f+jb:][:n] {
+		for j, sv := range x[int(cols[k])*f:][:f] {
 			dst[j] += v * T(sv)
 		}
 	}
@@ -239,14 +219,14 @@ func gatherRow[T float64 | float32, X float64 | float32 | int8](dst []T, cols []
 // entry's source is picked once, outside the element loop, and every element
 // adds its terms in gatherRow's order, so the result is gatherRow's over x with
 // second's rows appended, bit for bit.
-func gatherRowSplit[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int32, vals []T, x, second []X, f, jb int) {
+func gatherRowSplit[T float64 | float32, X float64 | float32 | int8](dst []T, cols []int32, vals []T, x, second []X, f int) {
 	vals = vals[:len(cols)]
-	n := len(dst)
+	dst = dst[:f]
 	at := func(c int32) []X {
 		if c >= 0 {
-			return x[int(c)*f+jb:][:n]
+			return x[int(c)*f:][:f]
 		}
-		return second[int(-2-c)*f+jb:][:n]
+		return second[int(-2-c)*f:][:f]
 	}
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {
@@ -269,8 +249,7 @@ func gatherRowSplit[T float64 | float32, X float64 | float32 | int8](dst []T, co
 	}
 }
 
-// gatherRow8 accumulates columns [jb, jb+len(acc)) of Σₖ aq[k]·xq[cols[k]] —
-// one row of a stored CSR's int8 product, given as its entries like
+// gatherRow8 accumulates Σₖ aq[k]·xq[cols[k]] — one row of a stored CSR's int8 product, given as its entries like
 // gatherRow's — into
 // acc without dequantizing. Neighbors are processed four at a time: unlike the
 // float tiers, int32 accumulation is exact (degrees and the ±127 operand range
@@ -278,19 +257,19 @@ func gatherRowSplit[T float64 | float32, X float64 | float32 | int8](dst []T, co
 // the neighbor sum cannot change a single output bit, and the 4-way form
 // quarters the accumulator load/store traffic (the scalar bottleneck) while
 // giving the hardware four independent gather streams.
-func gatherRow8(acc []int32, cols []int32, aq, xq []int8, f, jb int) {
+func gatherRow8(acc []int32, cols []int32, aq, xq []int8, f int) {
 	aq = aq[:len(cols)]
-	n := len(acc)
+	acc = acc[:f]
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {
 		v0 := int32(aq[k])
 		v1 := int32(aq[k+1])
 		v2 := int32(aq[k+2])
 		v3 := int32(aq[k+3])
-		s0 := xq[int(cols[k])*f+jb:][:n]
-		s1 := xq[int(cols[k+1])*f+jb:][:n]
-		s2 := xq[int(cols[k+2])*f+jb:][:n]
-		s3 := xq[int(cols[k+3])*f+jb:][:n]
+		s0 := xq[int(cols[k])*f:][:f]
+		s1 := xq[int(cols[k+1])*f:][:f]
+		s2 := xq[int(cols[k+2])*f:][:f]
+		s3 := xq[int(cols[k+3])*f:][:f]
 		for j := range acc {
 			acc[j] += v0*int32(s0[j]) + v1*int32(s1[j]) +
 				v2*int32(s2[j]) + v3*int32(s3[j])
@@ -298,8 +277,7 @@ func gatherRow8(acc []int32, cols []int32, aq, xq []int8, f, jb int) {
 	}
 	for ; k < len(cols); k++ {
 		v := int32(aq[k])
-		src := xq[int(cols[k])*f+jb : int(cols[k])*f+jb+n]
-		for j, sv := range src {
+		for j, sv := range xq[int(cols[k])*f:][:f] {
 			acc[j] += v * int32(sv)
 		}
 	}
