@@ -179,11 +179,12 @@ func mulRows[V float64 | float32 | int8, O float64 | float32](src rowSource[V], 
 	panic("sparse: float operands and output must share one element type")
 }
 
-// gatherRow accumulates Σₖ vals[k]·x[cols[k]] — one row of a sparse×dense product, given as its entries, x's elements
-// converted to T — into dst: the one neighbor gather of every tier's engine
-// (x is int8 at the int8 tier's hop 1). Neighbors are taken four at a time so
-// four independent source-row loads are in flight instead of one dependent
-// load per neighbor (the gather is latency-bound once x outgrows L2), but
+// gatherRow accumulates Σₖ vals[k]·x[cols[k]] — one row of a sparse×dense
+// product, given as its entries, x's elements converted to T — into dst's f
+// columns: the one neighbor gather of every tier's engine (x is int8 at the
+// int8 tier's hop 1). Neighbors are taken four at a time so four independent
+// source-row loads are in flight instead of one dependent load per neighbor
+// (the gather is latency-bound once x outgrows L2), but
 // every element still adds its terms one by one in ascending column order —
 // t += v0·s0[j], then v1·s1[j], … — so the result is bit-identical to the
 // one-neighbor-at-a-time loop.
@@ -249,9 +250,9 @@ func gatherRowSplit[T float64 | float32, X float64 | float32 | int8](dst []T, co
 	}
 }
 
-// gatherRow8 accumulates Σₖ aq[k]·xq[cols[k]] — one row of a stored CSR's int8 product, given as its entries like
-// gatherRow's — into
-// acc without dequantizing. Neighbors are processed four at a time: unlike the
+// gatherRow8 accumulates Σₖ aq[k]·xq[cols[k]] — one row of a stored CSR's
+// int8 product, given as its entries like gatherRow's — into acc's f columns
+// without dequantizing. Neighbors are processed four at a time: unlike the
 // float tiers, int32 accumulation is exact (degrees and the ±127 operand range
 // keep |acc| far below 2³¹ for any graph this repo serves), so reassociating
 // the neighbor sum cannot change a single output bit, and the 4-way form
