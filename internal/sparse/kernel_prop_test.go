@@ -24,7 +24,8 @@ import (
 //   - at int8 it is bit-identical to the reference, and within the analytic
 //     quantization bound of the f64 reference;
 //   - the operator's rows feed the same driver with the same result as the
-//     stored matrix's (TestKernelPropOperatorRows);
+//     stored matrix's (TestKernelPropOperatorRows), also when a row is
+//     gathered in pieces (TestKernelPropPieceEdges);
 //   - compact and scatter forms agree row-for-row, and a sub-CSR cut with
 //     ExtractRowsInto, carrying the selected rows' entries of the tier's
 //     global lowering, reproduces the global rows bitwise within each tier.
@@ -578,9 +579,9 @@ func TestKernelPropNilOutRowsIsCompact(t *testing.T) {
 	}
 }
 
-// TestKernelPropOperatorRows feeds the drivers the operator's rows — emitted,
-// then lowered, or at int8 scaled by their columns' row scales and lowered to
-// float32 over int8 rows — with hub rows longer than a
+// TestKernelPropOperatorRows feeds the drivers the operator's rows — emitted
+// at the tier's element type, or at int8 scaled by their columns' row scales
+// and rounded to float32 over int8 rows — with hub rows longer than a
 // worker's frame buffer, and pins every tier to its reference over the stored
 // matrix.
 func TestKernelPropOperatorRows(t *testing.T) {
@@ -717,6 +718,144 @@ func TestKernelPropSplitOperand(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelPropPieceEdges pins operator rows that a worker gathers piece by
+// piece — rowBufLen−1, rowBufLen, rowBufLen+1 and 2·rowBufLen+1 entries, the
+// diagonal first, last, and just before, on and just after a piece edge — to
+// RowsInto followed by MulRowsInto, bit for bit: at f64, at f32 and over int8
+// rows with a scale each, with columns global and through a column map, and
+// at f64 and f32 through a column map over an operand split in two blocks.
+func TestKernelPropPieceEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, size := range []int{rowBufLen - 1, rowBufLen, rowBufLen + 1, 2*rowBufLen + 1} {
+		selves := []int{0, size - 1}
+		for _, edge := range []int{rowBufLen, 2 * rowBufLen} {
+			for _, p := range []int{edge - 1, edge, edge + 1} {
+				if p < size {
+					selves = append(selves, p)
+				}
+			}
+		}
+		slices.Sort(selves)
+		for _, self := range slices.Compact(selves) {
+			// A star around node self, whose row of Â holds every node with
+			// the diagonal at entry self, and chords among the leaves.
+			var src, dst []int
+			for v := 0; v < size; v++ {
+				if v == self {
+					continue
+				}
+				src, dst = append(src, self), append(dst, v)
+				if u := rng.Intn(size); u != self && u != v {
+					src, dst = append(src, u), append(dst, v)
+				}
+			}
+			op := NewNormalized(FromEdges(size, src, dst, true), GammaSymmetric)
+			if op.RowNNZ(self) != size {
+				t.Fatalf("star row %d has %d entries, want %d", self, op.RowNNZ(self), size)
+			}
+			checkPieceEdges(t, fmt.Sprintf("row of %d entries, diagonal at %d", size, self), op, rng)
+		}
+	}
+}
+
+// checkPieceEdges runs every product of TestKernelPropPieceEdges over all of
+// op's rows, against RowsInto's cut, itself pinned to the stored Â.
+func checkPieceEdges(t *testing.T, label string, op *Normalized, rng *rand.Rand) {
+	t.Helper()
+	const f = 16
+	n := op.N()
+	rows := identityRows(n)
+	var cut CSR
+	op.RowsInto(rows, nil, n, &cut)
+	if err := csrBitsEqual(&cut, NormalizedAdjacency(op.Adj, op.Gamma)); err != nil {
+		t.Fatalf("%s: RowsInto against the stored Â: %v", label, err)
+	}
+	x := mat.Randn(n, f, 1, rng).Data
+	// colMap sends node c to row colMap[c] of permuted; split sends it to x
+	// or second, and joined to its row of x with second appended.
+	colMap, split, joined := make([]int32, n), make([]int32, n), make([]int32, n)
+	permuted := make([]float64, len(x))
+	var x1, second []float64
+	for c, p := range rng.Perm(n) {
+		colMap[c] = int32(p)
+		copy(permuted[p*f:][:f], x[c*f:][:f])
+		if rng.Intn(2) == 0 {
+			split[c], x1 = int32(len(x1)/f), append(x1, x[c*f:][:f]...)
+		} else {
+			split[c], second = int32(-2-len(second)/f), append(second, x[c*f:][:f]...)
+		}
+	}
+	for c, s := range split {
+		joined[c] = s
+		if s < 0 {
+			joined[c] = int32(len(x1)/f) - 2 - s
+		}
+	}
+	same := func(tier string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s, %s: element %d = %v, cut-then-multiply %v", label, tier, i, got[i], want[i])
+			}
+		}
+	}
+	same32 := func(tier string, got, want []float32) {
+		t.Helper()
+		if i, ok := sameBits32(got, want); !ok {
+			t.Fatalf("%s, %s: element %d = %v, cut-then-multiply %v", label, tier, i, got[i], want[i])
+		}
+	}
+	for _, v := range []struct {
+		name   string
+		colMap []int32
+		x      []float64
+	}{{"global columns", nil, x}, {"column map", colMap, permuted}} {
+		got64, got32, got8 := make([]float64, n*f), make([]float32, n*f), make([]float32, n*f)
+		MulNormalizedRowsInto(op, rows, nil, v.colMap, v.x, nil, f, got64)
+		same(v.name+" f64", got64, cutProduct(&cut, v.colMap, v.x, f, func(_ int32, a float64) float64 { return a }))
+		x32 := to32(v.x)
+		MulNormalizedRowsInto(op, rows, nil, v.colMap, x32, nil, f, got32)
+		same32(v.name+" f32", got32, cutProduct(&cut, v.colMap, x32, f, func(_ int32, a float64) float32 { return float32(a) }))
+		xq, sq := quantizeRows(v.x, f)
+		xq32 := make([]float32, len(xq))
+		for i, q := range xq {
+			xq32[i] = float32(q)
+		}
+		MulNormalizedRowsInto(op, rows, nil, v.colMap, xq, sq, f, got8)
+		same32(v.name+" int8 rows", got8, cutProduct(&cut, v.colMap, xq32, f, func(c int32, a float64) float32 { return float32(a * sq[c]) }))
+	}
+	both := append(slices.Clone(x1), second...)
+	got64, got32 := make([]float64, n*f), make([]float32, n*f)
+	MulNormalizedRowsSplitInto(op, rows, nil, split, x1, second, f, got64)
+	same("split operand f64", got64, cutProduct(&cut, joined, both, f, func(_ int32, a float64) float64 { return a }))
+	MulNormalizedRowsSplitInto(op, rows, nil, split, to32(x1), to32(second), f, got32)
+	same32("split operand f32", got32, cutProduct(&cut, joined, to32(both), f, func(_ int32, a float64) float32 { return float32(a) }))
+}
+
+// cutProduct is MulRowsInto over a cut of Â's rows: its columns mapped
+// through colMap when that is given, each value through val of the mapped
+// column and the value, times x.
+func cutProduct[V float64 | float32](cut *CSR, colMap []int32, x []V, f int, val func(c int32, a float64) V) []V {
+	a := &CSR{Rows: cut.Rows, Cols: len(x) / f, RowPtr: cut.RowPtr, Col: make([]int32, len(cut.Col))}
+	vals := make([]V, len(cut.Col))
+	for i, c := range cut.Col {
+		if colMap != nil {
+			c = colMap[c]
+		}
+		a.Col[i], vals[i] = c, val(c, cut.Val[i])
+	}
+	out := make([]V, cut.Rows*f)
+	MulRowsInto(a, identityRows(cut.Rows), nil, vals, x, f, 1, out)
+	return out
+}
+
+// to32 rounds v to float32, each element once.
+func to32(v []float64) []float32 {
+	out := make([]float32, len(v))
+	kernel.ToF32(out, v)
+	return out
 }
 
 // TestKernelPropWideRows pins rows of more than 16 KiB, wider than an L1

@@ -17,10 +17,10 @@ import (
 // row this type emits carries that matrix's bits. Nothing
 // O(nnz) is held beyond the graph itself, by anyone: training, the baselines,
 // the λ₂ estimate and the serving engine all multiply by the operator
-// (MulNormalizedRowsInto), whose chunks emit a row, gather with it and drop
-// it; ExtractRowsInto and RowsInto cut rows into a CSR for the benchmark
-// ladder and for the tests that pin the product to MulRowsInto over such a
-// cut.
+// (MulNormalizedRowsInto), whose chunks emit each row piece by piece into a
+// fixed frame and gather with it; ExtractRowsInto and RowsInto cut rows into
+// a CSR for the benchmark ladder and for the tests that pin the product to
+// MulRowsInto over such a cut.
 //
 // The factors come from Adj's row lengths: row i's looped degree is
 // d̃ᵢ = RowNNZ(i)+1, which is LoopedDegrees' value for a pattern, bit for bit.
@@ -106,37 +106,52 @@ func (a *Normalized) RowNNZ(i int) int { return a.Adj.RowNNZ(i) + 1 }
 // NNZRows returns the total number of entries of Â across the given rows.
 func (a *Normalized) NNZRows(rows []int) int { return a.Adj.NNZRows(rows) + len(rows) }
 
-// emitRow writes row r of Â into cols/vals — Adj's columns with r merged in
-// ascending, each value the one product Left[r]·Right[c] — then maps the
-// columns through colMap when it is given, and returns the entry count. A
-// column colMap maps to −1 is outside it and panics; one mapped to c ≤ −2
-// names row −2−c of a split product's second operand
+// emitRow writes entries from, from+1, … of row r of Â into cols and vals —
+// as many as fit, up to the row's end — and returns how many it wrote. The
+// row is Adj's columns with r merged in ascending, each value the one product
+// Left[r]·Right[c]; each column is then mapped through colMap and each value
+// multiplied by its mapped column's entry of scales, when those are given,
+// and rounded once to V. A column colMap maps to −1 is outside it and panics;
+// one mapped to c ≤ −2 names row −2−c of a split product's second operand
 // (MulNormalizedRowsSplitInto), which no other product can read.
-func (a *Normalized) emitRow(r int, colMap []int32, cols []int32, vals []float64) int {
-	src := a.Adj.RowIndices(r)
-	cols, vals = cols[:len(src)+1], vals[:len(src)+1]
-	li, right, self := a.Left[r], a.Right, int32(r)
-	k := 0
-	for ; k < len(src) && src[k] < self; k++ {
-		cols[k], vals[k] = src[k], li*right[src[k]]
-	}
-	if k < len(src) && src[k] == self {
-		panic(fmt.Sprintf("sparse: Normalized over an adjacency with a self-loop at %d", r))
-	}
-	cols[k], vals[k] = self, li*right[r]
-	for ; k < len(src); k++ {
-		cols[k+1], vals[k+1] = src[k], li*right[src[k]]
-	}
-	if colMap != nil {
-		for k, c := range cols {
-			lc := colMap[c]
-			if lc == -1 {
+func emitRow[V float64 | float32 | int8](a *Normalized, r, from int, colMap []int32, scales []float64, cols []int32, vals []V) int {
+	src, self := a.Adj.RowIndices(r), int32(r)
+	n := min(len(cols), len(src)+1-from)
+	li, right := a.Left[r], a.Right
+	k := 0 // put writes column c as entry k, mapped and scaled, then moves on
+	put := func(c int32) {
+		v, m := li*right[c], c
+		if colMap != nil {
+			if m = colMap[c]; m == -1 {
 				panic(fmt.Sprintf("sparse: Normalized row %d has column %d outside the column map", r, c))
 			}
-			cols[k] = lc
+		}
+		if scales != nil {
+			v *= scales[m]
+		}
+		cols[k], vals[k] = m, V(v)
+		k++
+	}
+	// Entry e is src[e] before the diagonal and src[e−1] after it, so a
+	// piece that starts past the diagonal starts at src[from−1].
+	j := from
+	if from > 0 && src[from-1] > self {
+		j--
+	} else {
+		for ; k < n && j < len(src) && src[j] < self; j++ {
+			put(src[j])
+		}
+		if k < n {
+			if j < len(src) && src[j] == self {
+				panic(fmt.Sprintf("sparse: Normalized over an adjacency with a self-loop at %d", r))
+			}
+			put(self)
 		}
 	}
-	return len(cols)
+	for ; k < n; j++ {
+		put(src[j])
+	}
+	return n
 }
 
 // ExtractRowsInto is CSR.ExtractRowsInto on Â — same result, same
@@ -144,7 +159,7 @@ func (a *Normalized) emitRow(r int, colMap []int32, cols []int32, vals []float64
 // computed on the way instead of copied.
 func (a *Normalized) ExtractRowsInto(rows []int, toLocal []int32, m int, out *CSR) {
 	extractRows(rows, toLocal, m, m, a.NNZRows(rows), out, func(r, at int) int {
-		return a.emitRow(r, toLocal, out.Col[at:], out.Val[at:])
+		return emitRow(a, r, 0, toLocal, nil, out.Col[at:], out.Val[at:])
 	})
 }
 
@@ -154,7 +169,7 @@ func (a *Normalized) ExtractRowsInto(rows []int, toLocal []int32, m int, out *CS
 // row k holding Â's row rows[k].
 func (a *Normalized) RowsInto(rows []int, toLocal []int32, m int, out *CSR) {
 	extractRows(rows, toLocal, m, a.N(), a.NNZRows(rows), out, func(r, at int) int {
-		return a.emitRow(r, nil, out.Col[at:], out.Val[at:])
+		return emitRow(a, r, 0, nil, nil, out.Col[at:], out.Val[at:])
 	})
 }
 
@@ -171,15 +186,15 @@ func (a *Normalized) MulDenseRowsCompact(rows []int, x, out *mat.Matrix) int {
 // MulNormalizedRowsInto is MulRowsInto with Â itself as the sparse operand:
 // out[outRows[k]·f : outRows[k]·f+f] = (Â·diag(scales)·x)[rows[k]], other rows
 // of out untouched, returning the multiply-accumulate count nnz(rows)·f. No
-// row of Â is cut into a CSR first: the row driver's chunks emit each row
+// row of Â is cut into a CSR first: the row driver's chunks emit each row once
 // (emitRow: the same Left[r]·Right[c] expression in the same ascending order
-// as every other way this type hands out a row) into a buffer of their own,
-// multiply each value by its column's scale when scales is given (scales[i]
-// belongs to row i of x), lower the values to out's element type there — taken
-// as they are at float64, each rounded once at float32 — and gather with them,
-// accumulating at out's type over x's elements converted to it (exactly). So
-// the result is, bit for bit, that of RowsInto/ExtractRowsInto followed by
-// MulRowsInto over the same lowering:
+// as every other way this type hands out a row), piece by piece into a fixed
+// frame of their own, at out's element type — each value multiplied by its
+// column's scale when scales is given (scales[i] belongs to row i of x), then
+// taken as it is at float64 or rounded once at float32 — and gather with each
+// piece after the one before, accumulating at out's type over x's elements
+// converted to it (exactly). So the result is, bit for bit, that of
+// RowsInto/ExtractRowsInto followed by MulRowsInto over the same rounding:
 //
 //   - float x of out's type with nil scales is the f64 and f32 tiers' product;
 //   - int8 x with one symmetric scale per row (kernel.QuantizeInto row by row)

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
+	"repro/internal/par"
 )
 
 // The implicit operator's contract: every row it emits — whole, cut to a
@@ -165,14 +168,9 @@ func checkSplitProduct(op *Normalized, rows, local []int, toLocal []int32, xLoca
 			return fmt.Errorf("split operand, f64: element %d is %v, one block %v", i, got64[i], w)
 		}
 	}
-	lower := func(v []float64) []float32 {
-		out := make([]float32, len(v))
-		kernel.ToF32(out, v)
-		return out
-	}
 	want32, got32 := make([]float32, m*f), make([]float32, m*f)
-	MulNormalizedRowsInto(op, rows, local, toLocal, lower(xLocal), nil, f, want32)
-	MulNormalizedRowsSplitInto(op, rows, local, split, lower(x), lower(second), f, got32)
+	MulNormalizedRowsInto(op, rows, local, toLocal, to32(xLocal), nil, f, want32)
+	MulNormalizedRowsSplitInto(op, rows, local, split, to32(x), to32(second), f, got32)
 	for i, w := range want32 {
 		if math.Float32bits(got32[i]) != math.Float32bits(w) {
 			return fmt.Errorf("split operand, f32: element %d is %v, one block %v", i, got32[i], w)
@@ -334,6 +332,47 @@ func TestNormalizedHubRows(t *testing.T) {
 	}
 }
 
+// TestNormalizedLongRowsAllocateNoMore: a worker gathers a row longer than
+// its frame (rowBufLen) piece by piece in that frame, so an operator product
+// over such rows allocates no more than one over rows that fit — on one
+// processor, where it runs inline, and on two, where it fans out in chunks.
+func TestNormalizedLongRowsAllocateNoMore(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const f = 16
+	product := func(adj *CSR) func() {
+		op := NewNormalized(adj, GammaSymmetric)
+		rows := identityRows(adj.Rows)
+		x, out := mat.Randn(adj.Rows, f, 1, rng).Data, make([]float64, adj.Rows*f)
+		return func() { MulNormalizedRowsInto(op, rows, nil, nil, x, nil, f, out) }
+	}
+	short, long := randomDeltaAdj(2000, 0.004, rng), randomDeltaAdj(300, 0.5, rng)
+	if short.NNZRows(identityRows(short.Rows))*f < par.Threshold || slices.Max(short.Degrees()) >= rowBufLen || slices.Min(long.Degrees()) < rowBufLen {
+		t.Fatal("the two graphs do not straddle the frame with enough work to fan out")
+	}
+	for _, procs := range []int{1, 2} {
+		fit, over := allocsAt(procs, product(short)), allocsAt(procs, product(long))
+		if over > fit {
+			t.Errorf("GOMAXPROCS %d: %d allocations a product over long rows, %d over rows that fit", procs, over, fit)
+		}
+	}
+}
+
+// allocsAt is testing.AllocsPerRun at GOMAXPROCS procs (AllocsPerRun itself
+// runs at 1): the mean heap allocation count of 20 calls of fn, after one
+// to warm up.
+func allocsAt(procs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	const runs = 20
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs
+}
+
 // TestNormalizedPatchRecomputesOnlyDirtyFactors: a patch is O(|dirty|) — a
 // poisoned factor of a clean row survives it, a dirty row's does not, and the
 // appended rows get theirs. At γ = 0.3 the two factors are poisoned
@@ -446,7 +485,8 @@ func TestNormalizedRejectsBadInput(t *testing.T) {
 }
 
 // FuzzNormalizedRows drives the operator-vs-materialized property over
-// fuzzer-chosen graphs, γ and growth sequences.
+// fuzzer-chosen graphs (up to 256 nodes and 255 edges, so one row can span
+// three of a worker's pieces), γ and growth sequences.
 func FuzzNormalizedRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0})
@@ -462,6 +502,16 @@ func FuzzNormalizedRows(f *testing.F) {
 		star = append(star, 0, v, v, v%19+1)
 	}
 	f.Add(append(star, 1, 2, 3, 20, 0, 21, 7, 20, 21))
+	// A 201-node star around node 100, grown by two nodes joined to it: the
+	// hub's row, 203 entries, is gathered in three pieces (rowBufLen each at
+	// most), its diagonal in the second.
+	hub := []byte{200, 1, 200}
+	for v := byte(0); v <= 200; v++ {
+		if v != 100 {
+			hub = append(hub, 100, v)
+		}
+	}
+	f.Add(append(hub, 1, 2, 2, 201, 100, 202, 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -471,10 +521,10 @@ func FuzzNormalizedRows(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		n := 1 + next()%32
+		n := 1 + next()
 		gamma := []float64{GammaRowStochastic, GammaSymmetric, GammaColStochastic}[next()%3]
 		var src, dst []int
-		for e := next() % 96; e > 0; e-- {
+		for e := next(); e > 0; e-- {
 			src, dst = append(src, next()%n), append(dst, next()%n)
 		}
 		base := FromEdges(n, src, dst, true)

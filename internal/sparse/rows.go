@@ -5,18 +5,18 @@ import "repro/internal/par"
 // Every sparse×dense product runs one row driver per accumulator type —
 // mulRowsFloat at f64 and f32, mulRowsInt over a stored CSR's int8 values —
 // over a rowSource: a stored CSR's rows (MulRowsInto) or the operator's,
-// emitted and lowered one at a time (MulNormalizedRowsInto). A driver runs
-// nnz-balanced chunks of rows in parallel and gathers each output row in one
-// pass over its f columns, every element adding its row's terms in ascending
-// column order (exactly, at int8).
+// emitted at the product's element type (MulNormalizedRowsInto). A driver runs
+// nnz-balanced chunks of rows in parallel and gathers each output row piece by
+// piece in one pass over its f columns, every element adding its row's terms
+// in ascending column order (exactly, at int8).
 
 // rowSource is where a driver reads the sparse rows of a product: row k is
 // row rows[k] of csr, its values the entries of vals (aligned with csr.Val,
 // at the operands' element type; nil for all ones), or — when op is set —
-// row rows[k] of Â, emitted on demand, its columns mapped through colMap when
-// that is given, each value multiplied by its column's entry of scales when
-// those are given, then lowered to V. Drivers take it by value, so their chunk closures capture
-// a copy and it never moves to the heap.
+// row rows[k] of Â, emitted a piece at a time into the worker's frame by
+// emitRow, through colMap and scales when those are given. Drivers take it
+// by value, so their chunk closures capture a copy and it never moves to the
+// heap.
 type rowSource[V float64 | float32 | int8] struct {
 	rows   []int
 	csr    *CSR
@@ -42,74 +42,36 @@ func (s rowSource[V]) nnz() int {
 	return s.csr.NNZRows(s.rows)
 }
 
-// row returns row k's columns and values: views of the stored matrix (its
-// values as ones in buf when vals is nil), or the operator's row emitted into
-// buf.
-func (s rowSource[V]) row(k int, buf *rowBuf[V]) ([]int32, []V) {
+// piece returns the columns and values of row k from entry from on: views of
+// the rest of a stored row, or at most rowBufLen entries written into buf —
+// the operator's, or ones standing in for a pattern's values.
+func (s rowSource[V]) piece(k, from int, buf *rowBuf[V]) ([]int32, []V) {
 	r := s.rows[k]
-	if s.op == nil {
-		lo, hi := s.csr.RowPtr[r], s.csr.RowPtr[r+1]
-		if s.vals == nil {
-			_, _, ones := buf.room(hi - lo)
-			for i := range ones {
-				ones[i] = 1
-			}
-			return s.csr.Col[lo:hi], ones
-		}
+	if s.op != nil {
+		n := emitRow(s.op, r, from, s.colMap, s.scales, buf.cols[:], buf.vals[:])
+		return buf.cols[:n], buf.vals[:n]
+	}
+	lo, hi := s.csr.RowPtr[r]+from, s.csr.RowPtr[r+1]
+	if s.vals != nil {
 		return s.csr.Col[lo:hi], s.vals[lo:hi]
 	}
-	cols, vals, low := buf.room(s.op.RowNNZ(r))
-	s.op.emitRow(r, s.colMap, cols, vals)
-	if s.scales != nil {
-		for k, c := range cols {
-			vals[k] *= s.scales[c]
-		}
+	ones := buf.vals[:min(hi-lo, rowBufLen)]
+	for i := range ones {
+		ones[i] = 1
 	}
-	return cols, lowerRow(low, vals)
+	return s.csr.Col[lo:][:len(ones)], ones
 }
 
-// rowBufLen is the row length a driver's worker holds in its own frame: all
-// but hub rows fit, and a longer one moves the worker's buffers to the heap
-// for the rest of its chunk.
+// rowBufLen is the most entries of a row a driver's worker holds at once:
+// all but hub rows fit in one piece, and a longer row is gathered piece by
+// piece, each adding its terms after the previous piece's.
 const rowBufLen = 96
 
-// rowBuf is a driver worker's room for one emitted row: columns, values as
-// emitted, and values at the operands' element type.
+// rowBuf is a driver worker's fixed frame for one piece of a row: its
+// columns and its values at the operands' element type.
 type rowBuf[V float64 | float32 | int8] struct {
-	c0   [rowBufLen]int32
-	v0   [rowBufLen]float64
-	l0   [rowBufLen]V
-	cols []int32
-	vals []float64
-	low  []V
-}
-
-// room returns the buffers cut to n entries: the frame's arrays when n fits
-// them, otherwise heap slices grown geometrically. Contents are not preserved.
-func (b *rowBuf[V]) room(n int) ([]int32, []float64, []V) {
-	if n <= rowBufLen {
-		return b.c0[:n], b.v0[:n], b.l0[:n]
-	}
-	if n > len(b.cols) {
-		c := GrownCap(max(len(b.cols), rowBufLen), n)
-		b.cols, b.vals, b.low = make([]int32, c), make([]float64, c), make([]V, c)
-	}
-	return b.cols[:n], b.vals[:n], b.low[:n]
-}
-
-// lowerRow returns src at element type V: src itself at float64, each value
-// rounded once into dst at float32.
-func lowerRow[V float64 | float32 | int8](dst []V, src []float64) []V {
-	switch d := any(dst).(type) {
-	case []float64:
-		return any(src).([]V)
-	case []float32:
-		for i, v := range src {
-			d[i] = float32(v)
-		}
-		return dst[:len(src)]
-	}
-	panic("sparse: operator rows lower to float64 or float32")
+	cols [rowBufLen]int32
+	vals [rowBufLen]V
 }
 
 // rowAt reads entry k of an output-row list, where a nil list stands for the
@@ -132,13 +94,16 @@ func mulRowsFloat[T float64 | float32, X float64 | float32 | int8](src rowSource
 	par.ForWeighted(len(src.rows), nnz*f, nnz, src.rowNNZ, func(lo, hi int) {
 		var buf rowBuf[T]
 		for k := lo; k < hi; k++ {
-			cols, vals := src.row(k, &buf)
 			dst := out[rowAt(outRows, k)*f:][:f]
 			clear(dst)
-			if second == nil {
-				gatherRow(dst, cols, vals, x, f)
-			} else {
-				gatherRowSplit(dst, cols, vals, x, second, f)
+			for from, n := 0, src.rowNNZ(k); from < n; {
+				cols, vals := src.piece(k, from, &buf)
+				if second == nil {
+					gatherRow(dst, cols, vals, x, f)
+				} else {
+					gatherRowSplit(dst, cols, vals, x, second, f)
+				}
+				from += len(cols)
 			}
 		}
 	})
@@ -155,10 +120,13 @@ func mulRowsInt[O float64 | float32](src rowSource[int8], outRows []int, x []int
 		var buf rowBuf[int8]
 		acc := make([]int32, f)
 		for k := lo; k < hi; k++ {
-			cols, vals := src.row(k, &buf)
 			dst := out[rowAt(outRows, k)*f:][:f]
 			clear(acc)
-			gatherRow8(acc, cols, vals, x, f)
+			for from, n := 0, src.rowNNZ(k); from < n; {
+				cols, vals := src.piece(k, from, &buf)
+				gatherRow8(acc, cols, vals, x, f)
+				from += len(cols)
+			}
 			for j := range dst {
 				dst[j] = O(float64(acc[j]) * deq)
 			}
