@@ -9,6 +9,10 @@
 // matches no test ('^$' runs none on purpose), so a renamed test cannot leave
 // the prose or a CI step pointing at nothing.
 //
+// And it fails when ARCHITECTURE.md holds more words (whitespace-separated
+// fields) than architectureWords: the ceiling is the file's count when it
+// was last cut, and a change that cuts words lowers it.
+//
 // Usage:
 //
 //	docgate [-root .]
@@ -157,6 +161,9 @@ func undocumentedExports(fset *token.FileSet, path string, f *ast.File) []string
 	return out
 }
 
+// architectureWords is ARCHITECTURE.md's word ceiling.
+const architectureWords = 22203
+
 var (
 	citedName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	runFlag   = regexp.MustCompile(`go test [^\n]*?-run[ =](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
@@ -164,8 +171,9 @@ var (
 )
 
 // unresolved lists the names ARCHITECTURE.md cites that no function in funcs
-// has, and the alternatives of the first, function-naming level of ci.yml's
-// -run patterns that match no test, fuzz target or example.
+// has, the alternatives of the first, function-naming level of ci.yml's
+// -run patterns that match no test, fuzz target or example, and
+// ARCHITECTURE.md's words past its ceiling.
 func unresolved(root string, funcs map[string]bool) ([]string, error) {
 	doc, err := os.ReadFile(filepath.Join(root, "ARCHITECTURE.md"))
 	if err != nil {
@@ -176,6 +184,9 @@ func unresolved(root string, funcs map[string]bool) ([]string, error) {
 		return nil, err
 	}
 	var out []string
+	if n := len(strings.Fields(string(doc))); n > architectureWords {
+		out = append(out, fmt.Sprintf("ARCHITECTURE.md has %d words, over its ceiling of %d", n, architectureWords))
+	}
 	for _, name := range citedName.FindAllString(string(doc), -1) {
 		if !funcs[name] {
 			out = append(out, "ARCHITECTURE.md cites "+name+", which no function has")

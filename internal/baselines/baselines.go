@@ -18,23 +18,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Result mirrors core.Result for baseline inference runs.
-type Result struct {
-	Pred       []int
-	MACs       core.MACBreakdown
-	TotalTime  time.Duration
-	FPTime     time.Duration
-	NumTargets int
-}
-
-func (r *Result) merge(o *Result) {
-	r.Pred = append(r.Pred, o.Pred...)
-	r.MACs.Add(o.MACs)
-	r.TotalTime += o.TotalTime
-	r.FPTime += o.FPTime
-	r.NumTargets += o.NumTargets
-}
-
 // TeacherData packages the inductive training-graph artifacts every
 // distillation baseline needs: the induced graph, local split indices, the
 // propagated feature stack and the teacher's soft targets.
@@ -82,35 +65,52 @@ func (td *TeacherData) SoftTargets(rows []int, temp float64) *mat.Matrix {
 	return mat.SoftmaxRows(mat.Scale(1/temp, td.TeacherLogits.GatherRows(rows)))
 }
 
-// studentConfig is a student's training schedule; every student decays
-// its weights by 1e-4.
-func studentConfig(epochs int, lr float64, patience int) nn.TrainConfig {
-	return nn.TrainConfig{Epochs: epochs, LR: lr, WeightDecay: 1e-4, Patience: patience}
+// StudentConfig is the training schedule every distilled student shares.
+type StudentConfig struct {
+	// Hidden sizes; the paper widens the student 4–8× on the larger datasets.
+	Hidden  []int
+	Dropout float64
+	Epochs  int
+	LR      float64
+	// Temperature and Lambda weight the KD loss exactly as in Eq. 17.
+	Temperature float64
+	Lambda      float64
+	Patience    int
+	Seed        int64
+}
+
+// defaultStudent is the schedule the paper's students train with at our
+// scale.
+func defaultStudent() StudentConfig {
+	return StudentConfig{Hidden: []int{128}, Dropout: 0.1, Epochs: 150, LR: 0.01,
+		Temperature: 1.5, Lambda: 0.7, Patience: 25, Seed: 1}
 }
 
 // distill fits params against the teacher by Eq. 17 over the training rows
-// (hard labels on V_l only): logits builds the student's TrainIdx logits on
-// the binding, and predictVal's accuracy over ValIdx early-stops the fit.
-func (td *TeacherData) distill(params []*nn.Param, cfg nn.TrainConfig, temp, lambda float64,
+// (hard labels on V_l only) under cfg, decaying the weights by 1e-4: logits
+// builds the student's TrainIdx logits on the binding, and predictVal's
+// accuracy over ValIdx early-stops the fit.
+func (td *TeacherData) distill(params []*nn.Param, cfg StudentConfig,
 	logits func(b *nn.Binding) *tensor.Node, predictVal func() []int) {
 
 	labels := td.Ind.Graph.Labels
-	labeledPos := core.LabeledPositions(td.TrainIdx, td.LabeledIdx)
-	yLabeled := nn.GatherLabels(labels, td.LabeledIdx)
-	soft := td.SoftTargets(td.TrainIdx, temp)
-	nn.Fit(params, cfg, func(b *nn.Binding) *tensor.Node {
-		z := logits(b)
-		return nn.DistillLoss(
-			tensor.CrossEntropyLabels(tensor.GatherRows(z, labeledPos), yLabeled),
-			tensor.SoftCrossEntropy(z, soft, temp), lambda, temp)
-	}, nn.AccuracyScore(predictVal, nn.GatherLabels(labels, td.ValIdx)))
+	nn.FitDistilled(params,
+		nn.TrainConfig{Epochs: cfg.Epochs, LR: cfg.LR, WeightDecay: 1e-4, Patience: cfg.Patience},
+		nn.Distillation{
+			Soft:       td.SoftTargets(td.TrainIdx, cfg.Temperature),
+			LabeledPos: core.LabeledPositions(td.TrainIdx, td.LabeledIdx),
+			Labels:     nn.GatherLabels(labels, td.LabeledIdx),
+			Temp:       cfg.Temperature,
+			Lambda:     cfg.Lambda,
+		},
+		logits, nn.AccuracyScore(predictVal, nn.GatherLabels(labels, td.ValIdx)))
 }
 
 // inferBatches is every baseline's batch loop: infer runs on each batch of
 // targets in turn (one batch when batchSize ≤ 0), and its result is timed,
 // counted and merged in order.
-func inferBatches(targets []int, batchSize int, infer func(batch []int) *Result) *Result {
-	agg := &Result{}
+func inferBatches(targets []int, batchSize int, infer func(batch []int) *core.Result) *core.Result {
+	agg := &core.Result{}
 	if len(targets) == 0 {
 		return agg
 	}
@@ -122,7 +122,7 @@ func inferBatches(targets []int, batchSize int, infer func(batch []int) *Result)
 		res := infer(batch)
 		res.TotalTime = time.Since(start)
 		res.NumTargets = len(batch)
-		agg.merge(res)
+		agg.Merge(res)
 	}
 	return agg
 }
@@ -130,18 +130,21 @@ func inferBatches(targets []int, batchSize int, infer func(batch []int) *Result)
 // fixedDepthInfer runs the vanilla inductive pipeline shared by graph-based
 // baselines: extract supporting balls per hop, propagate to depth k, then
 // hand the per-depth stack (rows = batch targets) to classify, which
-// returns predictions plus its classification MAC count.
+// returns predictions plus its classification MAC count. The k propagated
+// matrices are allocated once: a batch reads only rows it wrote itself.
 func fixedDepthInfer(g *graph.Graph, adj *sparse.Normalized, k int, targets []int, batchSize int,
-	classify func(stack []*mat.Matrix) ([]int, int)) *Result {
+	classify func(stack []*mat.Matrix) ([]int, int)) *core.Result {
 
 	f := g.F()
-	return inferBatches(targets, batchSize, func(batch []int) *Result {
-		res := &Result{}
-		feats := make([]*mat.Matrix, k+1)
-		feats[0] = g.Features
+	feats := make([]*mat.Matrix, k+1)
+	feats[0] = g.Features
+	for l := 1; l <= k; l++ {
+		feats[l] = mat.New(g.N(), f)
+	}
+	return inferBatches(targets, batchSize, func(batch []int) *core.Result {
+		res := &core.Result{}
 		for l := 1; l <= k; l++ {
 			rows := graph.Ball(g.Adj, batch, k-l)
-			feats[l] = mat.New(g.N(), f)
 			fpStart := time.Now()
 			res.MACs.Propagation += sparse.MulNormalizedRowsInto(adj, rows, rows, nil, feats[l-1].Data, nil, f, feats[l].Data)
 			res.FPTime += time.Since(fpStart)

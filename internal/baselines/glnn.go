@@ -3,6 +3,7 @@ package baselines
 import (
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -19,38 +20,25 @@ type GLNN struct {
 
 // GLNNConfig controls GLNN student training.
 type GLNNConfig struct {
-	// Hidden sizes; the paper widens the student 4–8× on the larger datasets.
-	Hidden  []int
-	Dropout float64
-	Epochs  int
-	LR      float64
-	// Temperature and Lambda weight the KD loss exactly as in Eq. 17.
-	Temperature float64
-	Lambda      float64
-	Patience    int
-	Seed        int64
+	StudentConfig
 }
 
 // DefaultGLNNConfig mirrors the paper's GLNN settings at our scale.
-func DefaultGLNNConfig() GLNNConfig {
-	return GLNNConfig{Hidden: []int{128}, Dropout: 0.1, Epochs: 150, LR: 0.01,
-		Temperature: 1.5, Lambda: 0.7, Patience: 25, Seed: 1}
-}
+func DefaultGLNNConfig() GLNNConfig { return GLNNConfig{defaultStudent()} }
 
 // TrainGLNN fits the student against the teacher's soft targets.
 func TrainGLNN(td *TeacherData, cfg GLNNConfig) *GLNN {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tg := td.Ind.Graph
 	student := nn.NewMLP("glnn", tg.F(), cfg.Hidden, tg.NumClasses, cfg.Dropout, rng)
-	trainDistilledMLP(student, tg.Features, td, studentConfig(cfg.Epochs, cfg.LR, cfg.Patience),
-		cfg.Temperature, cfg.Lambda, rng)
+	trainDistilledMLP(student, tg.Features, td, cfg.StudentConfig, rng)
 	return &GLNN{Student: student}
 }
 
 // Infer classifies targets from raw features only.
-func (m *GLNN) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
-	return inferBatches(targets, batchSize, func(batch []int) *Result {
-		res := &Result{Pred: m.Student.Predict(g.Features.GatherRows(batch))}
+func (m *GLNN) Infer(g *graph.Graph, targets []int, batchSize int) *core.Result {
+	return inferBatches(targets, batchSize, func(batch []int) *core.Result {
+		res := &core.Result{Pred: m.Student.Predict(g.Features.GatherRows(batch))}
 		res.MACs.Classification = len(batch) * m.Student.MACsPerRow()
 		return res
 	})
@@ -58,12 +46,10 @@ func (m *GLNN) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
 
 // trainDistilledMLP is the KD fit GLNN and NOSMOG students share, over the
 // rows of inputs.
-func trainDistilledMLP(student *nn.MLP, inputs *mat.Matrix, td *TeacherData,
-	cfg nn.TrainConfig, temp, lambda float64, rng *rand.Rand) {
-
+func trainDistilledMLP(student *nn.MLP, inputs *mat.Matrix, td *TeacherData, cfg StudentConfig, rng *rand.Rand) {
 	xTrain := inputs.GatherRows(td.TrainIdx)
 	xVal := inputs.GatherRows(td.ValIdx)
-	td.distill(student.Params(), cfg, temp, lambda,
+	td.distill(student.Params(), cfg,
 		func(b *nn.Binding) *tensor.Node { return student.Forward(b, b.Const(xTrain), true, rng) },
 		func() []int { return student.Predict(xVal) })
 }

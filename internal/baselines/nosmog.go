@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -33,26 +34,17 @@ type NOSMOG struct {
 
 // NOSMOGConfig controls NOSMOG training.
 type NOSMOGConfig struct {
-	Hidden      []int
-	Dropout     float64
-	Epochs      int
-	LR          float64
-	Temperature float64
-	Lambda      float64
-	Patience    int
+	StudentConfig
 	// PosDim is the number of anchors (position-feature dimension).
 	PosDim  int
 	WalkLen int
 	// NoiseStd adds Gaussian noise to student inputs during training.
 	NoiseStd float64
-	Seed     int64
 }
 
 // DefaultNOSMOGConfig mirrors the paper's NOSMOG settings at our scale.
 func DefaultNOSMOGConfig() NOSMOGConfig {
-	return NOSMOGConfig{Hidden: []int{128}, Dropout: 0.1, Epochs: 150, LR: 0.01,
-		Temperature: 1.5, Lambda: 0.7, Patience: 25, PosDim: 16, WalkLen: 4,
-		NoiseStd: 0.05, Seed: 1}
+	return NOSMOGConfig{StudentConfig: defaultStudent(), PosDim: 16, WalkLen: 4, NoiseStd: 0.05}
 }
 
 // PositionFeatures computes the anchor-diffusion embedding for every node
@@ -106,8 +98,7 @@ func TrainNOSMOG(td *TeacherData, cfg NOSMOGConfig) *NOSMOG {
 		inputs = mat.Add(inputs, mat.Randn(inputs.Rows, inputs.Cols, cfg.NoiseStd, rng))
 	}
 	student := nn.NewMLP("nosmog", inputs.Cols, cfg.Hidden, tg.NumClasses, cfg.Dropout, rng)
-	trainDistilledMLP(student, inputs, td, studentConfig(cfg.Epochs, cfg.LR, cfg.Patience),
-		cfg.Temperature, cfg.Lambda, rng)
+	trainDistilledMLP(student, inputs, td, cfg.StudentConfig, rng)
 
 	// anchors back in global ids for serving
 	anchors := make([]int, len(anchorsLocal))
@@ -121,19 +112,21 @@ func TrainNOSMOG(td *TeacherData, cfg NOSMOGConfig) *NOSMOG {
 // aggregated from 1-hop neighbors' precomputed embeddings by matrix
 // multiplication (the paper's re-implementation of NOSMOG's aggregation),
 // which is the FP cost of this baseline.
-func (m *NOSMOG) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
+func (m *NOSMOG) Infer(g *graph.Graph, targets []int, batchSize int) *core.Result {
 	// Deployment-time index: full-graph position table (computed once, like
 	// NOSMOG's stored DeepWalk table; not charged per batch).
 	posTable := PositionFeatures(g.Adj, m.Anchors, m.WalkLen)
 	norm := sparse.NewNormalized(g.Adj, sparse.GammaRowStochastic)
 	d := len(m.Anchors)
-	return inferBatches(targets, batchSize, func(batch []int) *Result {
+	// A batch reads back only the rows of posAgg it wrote, so one
+	// allocation serves every batch.
+	posAgg := mat.New(g.N(), d)
+	return inferBatches(targets, batchSize, func(batch []int) *core.Result {
 		// 1-hop aggregation of neighbor position rows. The product
 		// requires duplicate-free rows (it writes them in parallel), and
 		// batch comes verbatim from the caller — dedupe defensively.
-		res := &Result{}
+		res := &core.Result{}
 		fpStart := time.Now()
-		posAgg := mat.New(g.N(), d)
 		rows := dedupRows(batch)
 		res.MACs.Propagation = sparse.MulNormalizedRowsInto(norm, rows, rows, nil, posTable.Data, nil, d, posAgg.Data)
 		res.FPTime = time.Since(fpStart)

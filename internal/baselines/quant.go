@@ -108,7 +108,7 @@ func NewQuantized(teacher *core.Model) *Quantized {
 }
 
 // Infer runs fixed-depth inductive inference with the INT8 classifier.
-func (m *Quantized) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
+func (m *Quantized) Infer(g *graph.Graph, targets []int, batchSize int) *core.Result {
 	adj := sparse.NewNormalized(g.Adj, m.Teacher.Gamma)
 	k := m.Teacher.K
 	return fixedDepthInfer(g, adj, k, targets, batchSize, func(stack []*mat.Matrix) ([]int, int) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -27,22 +28,16 @@ type TinyGNN struct {
 
 // TinyGNNConfig controls TinyGNN training.
 type TinyGNNConfig struct {
-	AttnDim     int
-	Peers       int
-	Hidden      []int
-	Dropout     float64
-	Epochs      int
-	LR          float64
-	Temperature float64
-	Lambda      float64
-	Patience    int
-	Seed        int64
+	StudentConfig
+	AttnDim int
+	Peers   int
 }
 
 // DefaultTinyGNNConfig mirrors the paper's TinyGNN settings at our scale.
 func DefaultTinyGNNConfig() TinyGNNConfig {
-	return TinyGNNConfig{AttnDim: 32, Peers: 5, Hidden: []int{64}, Dropout: 0.1,
-		Epochs: 120, LR: 0.01, Temperature: 1.5, Lambda: 0.7, Patience: 25, Seed: 1}
+	cfg := TinyGNNConfig{StudentConfig: defaultStudent(), AttnDim: 32, Peers: 5}
+	cfg.Hidden, cfg.Epochs = []int{64}, 120
+	return cfg
 }
 
 // samplePeers draws cfgPeers peers per node from N(i) ∪ {i} with replacement.
@@ -161,18 +156,18 @@ func TrainTinyGNN(td *TeacherData, cfg TinyGNNConfig) *TinyGNN {
 
 	peerTrain := samplePeers(tg.Adj, td.TrainIdx, cfg.Peers, rng)
 	peerVal := samplePeers(tg.Adj, td.ValIdx, cfg.Peers, rng)
-	td.distill(params, studentConfig(cfg.Epochs, cfg.LR, cfg.Patience), cfg.Temperature, cfg.Lambda,
+	td.distill(params, cfg.StudentConfig,
 		func(b *nn.Binding) *tensor.Node { return m.forward(b, tg.Features, td.TrainIdx, peerTrain, true, rng) },
 		func() []int { return m.Clf.Predict(m.attentionEval(tg.Features, td.ValIdx, peerVal)) })
 	return m
 }
 
 // Infer classifies targets with one hop of peer attention on the full graph.
-func (m *TinyGNN) Infer(g *graph.Graph, targets []int, batchSize int) *Result {
+func (m *TinyGNN) Infer(g *graph.Graph, targets []int, batchSize int) *core.Result {
 	rng := rand.New(rand.NewSource(m.SampleSeed))
-	return inferBatches(targets, batchSize, func(batch []int) *Result {
+	return inferBatches(targets, batchSize, func(batch []int) *core.Result {
 		peers := samplePeers(g.Adj, batch, m.Peers, rng)
-		res := &Result{}
+		res := &core.Result{}
 		fpStart := time.Now()
 		h := m.attentionEval(g.Features, batch, peers)
 		res.FPTime = time.Since(fpStart)

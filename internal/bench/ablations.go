@@ -19,17 +19,8 @@ func RunTable6(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for _, set := range s.SettingsDistance() {
-			r, err := s.EvalNAI(core.InferenceOptions{
-				Mode: core.ModeDistance, Ts: set.Ts, TMin: set.TMin, TMax: set.TMax})
-			if err != nil {
-				return err
-			}
-			t.AddRow(name, set.Name, fmt.Sprint(r.NodesPerDepth[1:]))
-		}
-		for _, set := range s.SettingsGate() {
-			r, err := s.EvalNAI(core.InferenceOptions{
-				Mode: core.ModeGate, TMin: set.TMin, TMax: set.TMax})
+		for _, set := range s.settings() {
+			r, err := s.EvalNAI(set.Options())
 			if err != nil {
 				return err
 			}
@@ -58,26 +49,19 @@ func RunTable7(cfg Config, w io.Writer) error {
 		// never drops below the fixed-depth ablation (paper's protocol)
 		ts := s.DistanceQuantile(1, 0.10)
 		for tmax := 2; tmax <= k; tmax++ {
-			noNAP, err := s.EvalNAI(core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: tmax})
-			if err != nil {
-				return err
-			}
-			napd, err := s.EvalNAI(core.InferenceOptions{Mode: core.ModeDistance, Ts: ts, TMin: 1, TMax: tmax})
-			if err != nil {
-				return err
-			}
-			napg, err := s.EvalNAI(core.InferenceOptions{Mode: core.ModeGate, TMin: 1, TMax: tmax})
-			if err != nil {
-				return err
-			}
-			for _, row := range []struct {
-				method string
-				r      EvalResult
-			}{{"NAI w/o NAP", noNAP}, {"NAI_d", napd}, {"NAI_g", napg}} {
-				t.AddRow(name, fmt.Sprint(tmax), row.method,
-					fmt.Sprintf("%.2f", 100*row.r.Stats.ACC),
-					fmt.Sprintf("%.1f", row.r.Stats.TimeUS),
-					fmt.Sprint(row.r.NodesPerDepth[1:]))
+			for _, set := range []NAISetting{
+				{Name: "NAI w/o NAP", Mode: core.ModeFixed, TMin: 1, TMax: tmax},
+				{Name: "NAI_d", Mode: core.ModeDistance, Ts: ts, TMin: 1, TMax: tmax},
+				{Name: "NAI_g", Mode: core.ModeGate, TMin: 1, TMax: tmax},
+			} {
+				r, err := s.EvalNAI(set.Options())
+				if err != nil {
+					return err
+				}
+				t.AddRow(name, fmt.Sprint(tmax), set.Name,
+					fmt.Sprintf("%.2f", 100*r.Stats.ACC),
+					fmt.Sprintf("%.1f", r.Stats.TimeUS),
+					fmt.Sprint(r.NodesPerDepth[1:]))
 			}
 		}
 	}
@@ -111,22 +95,11 @@ func RunTable8(cfg Config, w io.Writer) error {
 		}
 		for _, v := range variants {
 			opt := cfg.TrainOptions("sgc")
-			opt.TrainGates = false
 			v.mod(&opt)
-			m, err := core.Train(ds.Graph, ds.Split, opt)
+			acc, err := f1Accuracy(ds, opt, cfg.BatchSize)
 			if err != nil {
 				return err
 			}
-			dep, err := core.NewDeployment(m, ds.Graph)
-			if err != nil {
-				return err
-			}
-			res, err := dep.Infer(ds.Split.Test, core.InferenceOptions{
-				Mode: core.ModeFixed, TMin: 1, TMax: 1, BatchSize: cfg.BatchSize})
-			if err != nil {
-				return err
-			}
-			acc := metrics.Accuracy(res.Pred, ds.Graph.Labels, ds.Split.Test)
 			rows[v.name] = append(rows[v.name], fmt.Sprintf("%.2f", 100*acc))
 		}
 	}

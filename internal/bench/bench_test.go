@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -290,4 +292,73 @@ func BenchmarkInferenceNAIGate(b *testing.B) {
 	set := s.SettingsGate()[0]
 	benchInfer(b, s, core.InferenceOptions{Mode: core.ModeGate, TMin: set.TMin,
 		TMax: set.TMax, BatchSize: 50})
+}
+
+// TestMethodRows pins the row lists of Table V, Fig. 4 and Fig. 5: which
+// methods each prints, in which order, for every dataset it covers. The
+// lists do not depend on the data, so every dataset's suite is the cached
+// flickr-like one here, and the check trains nothing the other tests don't.
+func TestMethodRows(t *testing.T) {
+	cfg := testConfig()
+	s, err := GetSuite(cfg, "flickr-like", "sgc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suiteMu.Lock()
+	for _, name := range DatasetNames() {
+		key := fmt.Sprintf("%s/sgc/q=%v/seed=%d", name, cfg.Quick, cfg.Seed)
+		if suiteCache[key] == nil {
+			suiteCache[key] = s
+			defer func() { suiteMu.Lock(); delete(suiteCache, key); suiteMu.Unlock() }()
+		}
+	}
+	suiteMu.Unlock()
+	if other, err := GetSuite(cfg, "products-like", "sgc"); err != nil || other != s {
+		t.Fatalf("products-like suite not aliased to the cached one (%v)", err)
+	}
+
+	baselines := []string{"glnn", "nosmog", "tinygnn", "quantization"}
+	rows := func(exp string, nameCol int) map[string][]string {
+		var buf bytes.Buffer
+		if err := Run(exp, cfg, &buf); err != nil {
+			t.Fatal(err)
+		}
+		// the rows follow the header's rule; a method runs once per
+		// batch size in Fig. 5, so runs of one name count once
+		got := map[string][]string{}
+		lines := strings.Split(buf.String(), "\n")
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "---") })
+		for _, l := range lines[i+1:] {
+			f := strings.Fields(l)
+			if len(f) == 0 {
+				break
+			}
+			key := ""
+			if nameCol > 0 {
+				key = f[0]
+			}
+			if m := got[key]; len(m) == 0 || m[len(m)-1] != f[nameCol] {
+				got[key] = append(m, f[nameCol])
+			}
+		}
+		return got
+	}
+	check := func(exp string, got map[string][]string, keys []string, want []string) {
+		t.Helper()
+		if len(got) != len(keys) {
+			t.Fatalf("%s: row groups %v, want %v", exp, got, keys)
+		}
+		for _, k := range keys {
+			if !slices.Equal(got[k], want) {
+				t.Fatalf("%s %s: rows %v, want %v", exp, k, got[k], want)
+			}
+		}
+	}
+	table5 := append(append([]string{"vanilla"}, baselines...), "NAI_d", "NAI_g")
+	check("table5", rows("table5", 1), DatasetNames(), table5)
+	fig4 := append(append([]string{"SGC"}, baselines...),
+		"NAI1_d", "NAI2_d", "NAI3_d", "NAI1_g", "NAI2_g", "NAI3_g")
+	check("fig4", rows("fig4", 1), DatasetNames(), fig4)
+	fig5 := append(append([]string{"SGC"}, baselines...), "NAI_d", "NAI_g")
+	check("fig5", rows("fig5", 0), []string{""}, fig5)
 }

@@ -20,38 +20,14 @@ func RunFigure4(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		add := func(method string, r EvalResult) {
-			t.AddRow(name, method,
+		for _, m := range s.methods("SGC", s.settings()...) {
+			r, err := s.eval(m)
+			if err != nil {
+				return err
+			}
+			t.AddRow(name, m.name,
 				fmt.Sprintf("%.2f", 100*r.Stats.ACC),
 				fmt.Sprintf("%.1f", r.Stats.TimeUS))
-		}
-		van, err := s.EvalVanilla()
-		if err != nil {
-			return err
-		}
-		add("SGC", van)
-		for _, b := range []string{"glnn", "nosmog", "tinygnn", "quantization"} {
-			r, err := s.EvalBaseline(b)
-			if err != nil {
-				return err
-			}
-			add(b, r)
-		}
-		for _, set := range s.SettingsDistance() {
-			r, err := s.EvalNAI(core.InferenceOptions{
-				Mode: core.ModeDistance, Ts: set.Ts, TMin: set.TMin, TMax: set.TMax})
-			if err != nil {
-				return err
-			}
-			add(set.Name, r)
-		}
-		for _, set := range s.SettingsGate() {
-			r, err := s.EvalNAI(core.InferenceOptions{
-				Mode: core.ModeGate, TMin: set.TMin, TMax: set.TMax})
-			if err != nil {
-				return err
-			}
-			add(set.Name, r)
 		}
 	}
 	fmt.Fprintln(w, t.Render())
@@ -89,29 +65,9 @@ func RunFigure5(cfg Config, w io.Writer) error {
 	sizes := figure5BatchSizes(len(s.DS.Split.Test))
 	maxTargets := sizes[len(sizes)-1] * 2
 	targets := s.TestSubset(maxTargets)
-	d1 := s.SettingsDistance()[0]
-	g1 := s.SettingsGate()[0]
-	methods := []struct {
-		name string
-		eval func(batch int) (EvalResult, error)
-	}{
-		{"SGC", func(b int) (EvalResult, error) {
-			return s.EvalNAIOn(core.InferenceOptions{Mode: core.ModeFixed, TMin: 1, TMax: s.Model.K, BatchSize: b}, targets)
-		}},
-		{"glnn", func(b int) (EvalResult, error) { return s.EvalBaselineOn("glnn", targets, b) }},
-		{"nosmog", func(b int) (EvalResult, error) { return s.EvalBaselineOn("nosmog", targets, b) }},
-		{"tinygnn", func(b int) (EvalResult, error) { return s.EvalBaselineOn("tinygnn", targets, b) }},
-		{"quantization", func(b int) (EvalResult, error) { return s.EvalBaselineOn("quantization", targets, b) }},
-		{"NAI_d", func(b int) (EvalResult, error) {
-			return s.EvalNAIOn(core.InferenceOptions{Mode: core.ModeDistance, Ts: d1.Ts, TMin: d1.TMin, TMax: d1.TMax, BatchSize: b}, targets)
-		}},
-		{"NAI_g", func(b int) (EvalResult, error) {
-			return s.EvalNAIOn(core.InferenceOptions{Mode: core.ModeGate, TMin: g1.TMin, TMax: g1.TMax, BatchSize: b}, targets)
-		}},
-	}
-	for _, m := range methods {
+	for _, m := range s.methods("SGC", s.speedFirst()...) {
 		for _, b := range sizes {
-			r, err := m.eval(b)
+			r, err := s.evalOn(m, targets, b)
 			if err != nil {
 				return err
 			}
@@ -136,31 +92,13 @@ func RunFigure6(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	evalF1 := func(opt core.TrainOptions) (float64, error) {
-		opt.TrainGates = false
-		m, err := core.Train(ds.Graph, ds.Split, opt)
-		if err != nil {
-			return 0, err
-		}
-		dep, err := core.NewDeployment(m, ds.Graph)
-		if err != nil {
-			return 0, err
-		}
-		res, err := dep.Infer(ds.Split.Test, core.InferenceOptions{
-			Mode: core.ModeFixed, TMin: 1, TMax: 1, BatchSize: cfg.BatchSize})
-		if err != nil {
-			return 0, err
-		}
-		return metrics.Accuracy(res.Pred, ds.Graph.Labels, ds.Split.Test), nil
-	}
-
 	t := metrics.NewTable("Figure 6 — hyper-parameter sensitivity: f^(1) test accuracy (%) on flickr-like",
 		"knob", "value", "ACC")
 	addSweep := func(knob string, values []float64, set func(*core.TrainOptions, float64)) error {
 		for _, v := range values {
 			opt := cfg.TrainOptions("sgc")
 			set(&opt, v)
-			acc, err := evalF1(opt)
+			acc, err := f1Accuracy(ds, opt, cfg.BatchSize)
 			if err != nil {
 				return err
 			}
@@ -195,4 +133,25 @@ func RunFigure6(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w, t.Render())
 	return nil
+}
+
+// f1Accuracy trains a model under opt without gates and returns the test
+// accuracy of its weakest classifier f^(1), the measure of Table VIII and
+// Fig. 6.
+func f1Accuracy(ds *synth.Dataset, opt core.TrainOptions, batchSize int) (float64, error) {
+	opt.TrainGates = false
+	m, err := core.Train(ds.Graph, ds.Split, opt)
+	if err != nil {
+		return 0, err
+	}
+	dep, err := core.NewDeployment(m, ds.Graph)
+	if err != nil {
+		return 0, err
+	}
+	res, err := dep.Infer(ds.Split.Test, core.InferenceOptions{
+		Mode: core.ModeFixed, TMin: 1, TMax: 1, BatchSize: batchSize})
+	if err != nil {
+		return 0, err
+	}
+	return metrics.Accuracy(res.Pred, ds.Graph.Labels, ds.Split.Test), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/synth"
 )
@@ -34,8 +33,7 @@ func RunTable1(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	set := s.SettingsDistance()[0]
-	nai, err := s.EvalNAI(core.InferenceOptions{Mode: core.ModeDistance, Ts: set.Ts, TMin: set.TMin, TMax: set.TMax})
+	nai, err := s.EvalNAI(s.SettingsDistance()[0].Options())
 	if err != nil {
 		return err
 	}
@@ -93,46 +91,30 @@ func RunConfigTables(cfg Config, w io.Writer) error {
 
 // comparisonRows renders one dataset's comparison block (Table V and
 // Tables IX–XI share this layout): vanilla, four baselines and the
-// speed-first NAI_d / NAI_g with acceleration ratios.
+// speed-first NAI_d / NAI_g with acceleration ratios against vanilla.
 func comparisonRows(s *Suite, t *metrics.Table, dataset string) error {
-	van, err := s.EvalVanilla()
-	if err != nil {
-		return err
-	}
-	add := func(method string, r EvalResult, showRatio bool) {
+	var van EvalResult
+	for i, m := range s.methods("vanilla", s.speedFirst()...) {
+		r, err := s.eval(m)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			van = r
+		}
 		ratio := func(base, x float64) string {
-			if !showRatio {
+			if i <= len(baselineNames) { // not an NAI row
 				return ""
 			}
 			return " " + metrics.FormatRatio(metrics.Speedup(base, x))
 		}
-		t.AddRow(dataset, method,
+		t.AddRow(dataset, m.name,
 			fmt.Sprintf("%.2f", 100*r.Stats.ACC),
 			fmt.Sprintf("%.3f%s", r.Stats.MMACs, ratio(van.Stats.MMACs, r.Stats.MMACs)),
 			fmt.Sprintf("%.3f%s", r.Stats.FPMMACs, ratio(van.Stats.FPMMACs, r.Stats.FPMMACs)),
 			fmt.Sprintf("%.1f%s", r.Stats.TimeUS, ratio(van.Stats.TimeUS, r.Stats.TimeUS)),
 			fmt.Sprintf("%.1f%s", r.Stats.FPTimeUS, ratio(van.Stats.FPTimeUS, r.Stats.FPTimeUS)))
 	}
-	add("vanilla", van, false)
-	for _, b := range []string{"glnn", "nosmog", "tinygnn", "quantization"} {
-		r, err := s.EvalBaseline(b)
-		if err != nil {
-			return err
-		}
-		add(b, r, false)
-	}
-	d1 := s.SettingsDistance()[0]
-	rd, err := s.EvalNAI(core.InferenceOptions{Mode: core.ModeDistance, Ts: d1.Ts, TMin: d1.TMin, TMax: d1.TMax})
-	if err != nil {
-		return err
-	}
-	add("NAI_d", rd, true)
-	g1 := s.SettingsGate()[0]
-	rg, err := s.EvalNAI(core.InferenceOptions{Mode: core.ModeGate, TMin: g1.TMin, TMax: g1.TMax})
-	if err != nil {
-		return err
-	}
-	add("NAI_g", rg, true)
 	return nil
 }
 

@@ -28,9 +28,9 @@ type Info struct {
 	// deployment.
 	Shards []ShardStatus
 	// Failovers counts the times inference moved on from a failed worker to
-	// another and ReplicaRetries the attempts beyond each round's first;
-	// both stay zero while every call succeeds on the first worker it tries.
-	Failovers, ReplicaRetries uint64
+	// another, the attempts beyond each round's first; it stays zero while
+	// every call succeeds on the first worker it tries.
+	Failovers uint64
 }
 
 // Healthy reports whether the snapshot can serve: true while any worker is

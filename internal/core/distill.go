@@ -37,22 +37,21 @@ func (d *distiller) fitConfig() nn.TrainConfig {
 func (d *distiller) singleScale(rng *rand.Rand) {
 	k := d.model.K
 	teacher := d.model.Classifiers[k]
-	teacherProbs := tempSoftmax(teacher.Logits(d.inputs[k].GatherRows(d.trainIdx)), d.opt.SingleT)
-
-	labeledPos := LabeledPositions(d.trainIdx, d.labeledIdx)
-	yLabeled := nn.GatherLabels(d.labels, d.labeledIdx)
+	target := nn.Distillation{
+		Soft:       tempSoftmax(teacher.Logits(d.inputs[k].GatherRows(d.trainIdx)), d.opt.SingleT),
+		LabeledPos: LabeledPositions(d.trainIdx, d.labeledIdx),
+		Labels:     nn.GatherLabels(d.labels, d.labeledIdx),
+		Temp:       d.opt.SingleT,
+		Lambda:     d.opt.SingleLambda,
+	}
 	yVal := nn.GatherLabels(d.labels, d.valIdx)
 
 	for l := 1; l < k; l++ {
 		student := d.model.Classifiers[l]
 		xTrain := d.inputs[l].GatherRows(d.trainIdx)
 		xVal := d.inputs[l].GatherRows(d.valIdx)
-		nn.Fit(student.Params(), d.fitConfig(), func(b *nn.Binding) *tensor.Node {
-			logits := student.Forward(b, b.Const(xTrain), true, rng)
-			return nn.DistillLoss(
-				tensor.CrossEntropyLabels(tensor.GatherRows(logits, labeledPos), yLabeled),
-				tensor.SoftCrossEntropy(logits, teacherProbs, d.opt.SingleT),
-				d.opt.SingleLambda, d.opt.SingleT)
+		nn.FitDistilled(student.Params(), d.fitConfig(), target, func(b *nn.Binding) *tensor.Node {
+			return student.Forward(b, b.Const(xTrain), true, rng)
 		}, nn.AccuracyScore(func() []int { return student.Predict(xVal) }, yVal))
 	}
 }

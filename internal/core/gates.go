@@ -49,11 +49,12 @@ type GateTrainConfig struct {
 	// HardGumbel uses straight-through one-hot samples in the recursion
 	// instead of soft samples (ablation; soft is the default).
 	HardGumbel bool
-	// Mu and Phi are the penalty constants of the paper's Θ term
-	// (both 1000 in the paper's implementation); zero means use those.
-	Mu, Phi float64
-	Seed    int64
+	Seed       int64
 }
+
+// gateMu and gatePhi are µ and φ, the penalty constants of the Θ term, as the
+// paper's implementation sets them.
+const gateMu, gatePhi = 1000, 1000
 
 // TrainGates trains gates for depths 1..K−1 end-to-end (Fig. 3): the
 // recursion of Eqs. 11–12 runs with soft Gumbel samples, the penalty Θ
@@ -66,12 +67,6 @@ func TrainGates(m *Model, feats []*mat.Matrix, inputs []*mat.Matrix, st *Station
 
 	if m.K < 2 {
 		return nil
-	}
-	if cfg.Mu == 0 {
-		cfg.Mu = 1000
-	}
-	if cfg.Phi == 0 {
-		cfg.Phi = 1000
 	}
 	if cfg.Tau <= 0 {
 		cfg.Tau = 1
@@ -146,7 +141,7 @@ func TrainGates(m *Model, feats []*mat.Matrix, inputs []*mat.Matrix, st *Station
 				tensor.MulColBroadcast(xhat, m2))
 
 			// θ^{(l+1)}_1 = Σ_{j≤l} µ·σ(φ(m^{(j)}_1 − 0.5))
-			pen := tensor.Scale(cfg.Mu, tensor.Sigmoid(tensor.Scale(cfg.Phi, tensor.AddConst(m1, -0.5))))
+			pen := tensor.Scale(gateMu, tensor.Sigmoid(tensor.Scale(gatePhi, tensor.AddConst(m1, -0.5))))
 			if theta == nil {
 				theta = pen
 			} else {

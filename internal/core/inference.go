@@ -146,12 +146,15 @@ type Result struct {
 	NumTargets int
 }
 
-func (r *Result) merge(o *Result) {
+// Merge appends o, the result of the next batch, to r: its predictions and
+// depths after r's, and its counts, MACs and times added to r's.
+func (r *Result) Merge(o *Result) {
 	r.Pred = append(r.Pred, o.Pred...)
 	r.Depths = append(r.Depths, o.Depths...)
 	for l := range o.NodesPerDepth {
 		r.NodesPerDepth[l] += o.NodesPerDepth[l]
 	}
+	r.MACs.Add(o.MACs)
 	r.TotalTime += o.TotalTime
 	r.FPTime += o.FPTime
 	r.NumTargets += o.NumTargets
@@ -525,7 +528,7 @@ func (d *Deployment) InferContext(ctx context.Context, targets []int, opt Infere
 	tr := obs.FromContext(ctx)
 	agg := &Result{NodesPerDepth: make([]int, d.Model.K+1)}
 	for _, batch := range opt.batches(targets) {
-		agg.merge(d.eng.infer(batch, opt, tr))
+		agg.Merge(d.eng.infer(batch, opt, tr))
 	}
 	return agg, nil
 }

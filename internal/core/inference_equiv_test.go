@@ -79,8 +79,7 @@ func seedInferAt[T float64 | float32](d *Deployment, targets []int, opt Inferenc
 	}
 	for _, batch := range graph.Batches(targets, batchSize) {
 		res := seedInferBatch(d, so, batch, opt)
-		agg.merge(res)
-		agg.MACs.Add(res.MACs)
+		agg.Merge(res)
 	}
 	return agg
 }

@@ -90,6 +90,29 @@ func DistillLoss(hard, soft *tensor.Node, lambda, temp float64) *tensor.Node {
 	return tensor.Add(tensor.Scale(1-lambda, hard), tensor.Scale(lambda*temp*temp, soft))
 }
 
+// Distillation is a student's target under Eq. 17 over its training rows:
+// the teacher's temperature-Temp probabilities Soft (one row per training
+// row) and the hard labels Labels of the rows at positions LabeledPos, the
+// two weighed by Lambda.
+type Distillation struct {
+	Soft         *mat.Matrix
+	LabeledPos   []int
+	Labels       []int
+	Temp, Lambda float64
+}
+
+// FitDistilled is Fit with Eq. 17 as the loss: logits builds the student's
+// logits over its training rows on the binding, and d says what they are
+// fitted to.
+func FitDistilled(params []*Param, cfg TrainConfig, d Distillation, logits func(b *Binding) *tensor.Node, score func() float64) TrainResult {
+	return Fit(params, cfg, func(b *Binding) *tensor.Node {
+		z := logits(b)
+		return DistillLoss(
+			tensor.CrossEntropyLabels(tensor.GatherRows(z, d.LabeledPos), d.Labels),
+			tensor.SoftCrossEntropy(z, d.Soft, d.Temp), d.Lambda, d.Temp)
+	}, score)
+}
+
 // AccuracyScore is Fit's score for a validation set: the accuracy of
 // predict() against labels y. It is nil when y is empty, so Fit then runs
 // every epoch and restores nothing.

@@ -290,8 +290,7 @@ func TestHealthzReportsReplicas(t *testing.T) {
 		`nai_shard_up{shard="1"} 0`,
 		`nai_shard_up{shard="2"} 1`,
 		`nai_shard_version_lag{shard="1"} 0`,
-		"nai_shard_failovers_total",
-		"nai_shard_replica_retries_total")
+		"nai_shard_failovers_total")
 
 	// Three deltas commit at the router alone.
 	f := ds.Graph.F()

@@ -91,9 +91,6 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("nai_shard_failovers_total",
 		"Times inference failed over away from a worker (cumulative).",
 		func() float64 { return float64(s.backend.Describe().Failovers) })
-	reg.GaugeFunc("nai_shard_replica_retries_total",
-		"Extra per-worker inference attempts beyond each round's first (cumulative).",
-		func() float64 { return float64(s.backend.Describe().ReplicaRetries) })
 }
 
 func b2f(b bool) float64 {

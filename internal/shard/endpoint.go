@@ -286,7 +286,6 @@ func (r *Router) infer(ctx context.Context, req *InferRequest) (*core.Result, in
 			}
 			if i > 0 {
 				r.failovers.Add(1)
-				r.extraTries.Add(1)
 			}
 			last = ep.index
 			var err error

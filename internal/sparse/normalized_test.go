@@ -60,10 +60,11 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 	if n == 0 {
 		return nil
 	}
-	// A neighbor-closed universe: some rows and everything they touch.
+	// A neighbor-closed universe: some rows and everything they touch. A
+	// row the drivers gather in more than one piece is always one of them.
 	inRows, inUniverse := make([]bool, n), make([]bool, n)
 	for i := 0; i < n; i++ {
-		if pick.Intn(3) == 0 {
+		if pick.Intn(3) == 0 || want.RowNNZ(i) > rowBufLen {
 			inRows[i], inUniverse[i] = true, true
 			for _, c := range want.RowIndices(i) {
 				inUniverse[c] = true
@@ -108,9 +109,12 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 		}
 	}
 
-	x := mat.Randn(n, 3, 1, pick)
-	gotMul, wantMul := mat.New(len(rows), 3), mat.New(len(rows), 3)
-	if gm, wm := op.MulDenseRowsCompact(rows, x, gotMul), MulRowsInto(want, rows, nil, want.Val, x.Data, 3, 1, wantMul.Data); gm != wm {
+	// f = 16 features, as TestKernelPropPieceEdges multiplies with: a row
+	// whose terms are added in another order differs in some element's bits.
+	const f = 16
+	x := mat.Randn(n, f, 1, pick)
+	gotMul, wantMul := mat.New(len(rows), f), mat.New(len(rows), f)
+	if gm, wm := op.MulDenseRowsCompact(rows, x, gotMul), MulRowsInto(want, rows, nil, want.Val, x.Data, f, 1, wantMul.Data); gm != wm {
 		return fmt.Errorf("MulDenseRowsCompact counts %d MACs vs %d", gm, wm)
 	}
 	for i, v := range wantMul.Data {
@@ -127,14 +131,14 @@ func checkNormalized(op *Normalized, want *CSR, pick *rand.Rand) error {
 	for k, r := range rows {
 		local[k] = int(toLocal[r])
 	}
-	xLocal := mat.Randn(m, 3, 1, pick)
-	if err := checkOperatorProduct(op, "global columns", &gotCut, rows, local, nil, x.Data, 3); err != nil {
+	xLocal := mat.Randn(m, f, 1, pick)
+	if err := checkOperatorProduct(op, "global columns", &gotCut, rows, local, nil, x.Data, f); err != nil {
 		return err
 	}
-	if err := checkOperatorProduct(op, "column map", &gotSub, rows, local, toLocal, xLocal.Data, 3); err != nil {
+	if err := checkOperatorProduct(op, "column map", &gotSub, rows, local, toLocal, xLocal.Data, f); err != nil {
 		return err
 	}
-	return checkSplitProduct(op, rows, local, toLocal, xLocal.Data, 3, pick)
+	return checkSplitProduct(op, rows, local, toLocal, xLocal.Data, f, pick)
 }
 
 // checkSplitProduct requires MulNormalizedRowsSplitInto over xLocal's rows
